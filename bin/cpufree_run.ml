@@ -19,7 +19,7 @@ module S = Cpufree_stencil
 module D = Cpufree_dace
 module Obs = Cpufree_obs
 module Measure = Cpufree_core.Measure
-module Env = Cpufree_core.Sim_env
+module Env = Cpufree_obs.Sim_env
 module Scenario = Cpufree_core.Scenario
 module Serve = Cpufree_serve
 module Fault = Cpufree_fault.Fault

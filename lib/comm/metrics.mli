@@ -4,15 +4,6 @@
 
 type interval = Cpufree_engine.Time.t * Cpufree_engine.Time.t
 
-val merge : interval list -> interval list
-(** Re-export of {!Cpufree_engine.Intervals.merge} (the algebra's home). *)
-
-val intersect : interval list -> interval list -> interval list
-(** Re-export of {!Cpufree_engine.Intervals.intersect}. *)
-
-val total : interval list -> Cpufree_engine.Time.t
-(** Re-export of {!Cpufree_engine.Intervals.total}. *)
-
 val intervals_of_kind : Cpufree_engine.Trace.t -> kind:Cpufree_engine.Trace.kind -> interval list
 (** Merged intervals of all spans of a kind, across all lanes. *)
 

@@ -3,9 +3,8 @@
     machine topology, fault plan and seed, trace and metrics sinks, and the
     PDES execution mode.
 
-    [Cpufree_core.Sim_env] re-exports this module; entry points across
-    [Measure], the stencil [Harness], [Dace.Pipeline] and [Runtime.create]
-    accept a [?env] built here. An absent field means "default": no faults,
+    Entry points across [Measure], the stencil [Harness], [Dace.Pipeline]
+    and [Runtime.create] accept a [?env] built here. An absent field means "default": no faults,
     no observability, HGX topology, execution mode from the [CPUFREE_PDES]
     environment variable. *)
 

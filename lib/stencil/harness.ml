@@ -209,14 +209,17 @@ let of_scenario (sc : Cpufree_core.Scenario.t) =
         | Error _ as e -> e
         | Ok rs ->
           let problem = Problem.make ~compute:(not no_compute) dims ~iterations:iters in
-          Ok
-            {
-              sc_kind = kind;
-              sc_problem = problem;
-              sc_gpus = rs.Cpufree_core.Measure.rs_gpus;
-              sc_arch = Some rs.Cpufree_core.Measure.rs_arch;
-              sc_env = rs.Cpufree_core.Measure.rs_env;
-            })))
+          let gpus = rs.Cpufree_core.Measure.rs_gpus in
+          Result.map
+            (fun () ->
+              {
+                sc_kind = kind;
+                sc_problem = problem;
+                sc_gpus = gpus;
+                sc_arch = Some rs.Cpufree_core.Measure.rs_arch;
+                sc_env = rs.Cpufree_core.Measure.rs_env;
+              })
+            (Variants.feasible kind problem ~gpus))))
 
 let tolerance = 1e-9
 

@@ -338,18 +338,7 @@ let run_nvshmem st ctx =
 (* CPU-Free variants (§4): persistent kernel, specialized TB roles     *)
 (* ------------------------------------------------------------------ *)
 
-let check_cpu_free_geometry st =
-  if Array.length st.slabs > 1 then
-    Array.iter
-      (fun s ->
-        if s.Slab.planes < 2 then
-          invalid_arg
-            "cpu-free stencil: each PE needs at least two planes (top and bottom boundary \
-             blocks are distinct thread-block groups)")
-      st.slabs
-
 let run_persistent st ctx ~label ~inner_bpe ~inner_efficiency =
-  check_cpu_free_geometry st;
   let iterations = st.problem.Problem.iterations in
   let threads = 1024 in
   let roles pe =
@@ -447,7 +436,6 @@ let run_perks st ctx =
    performance difference versus the single-kernel design; keeping both lets
    the benchmark suite check that claim. *)
 let run_cpu_free_multi st ctx =
-  check_cpu_free_geometry st;
   let eng = G.Runtime.engine ctx in
   let arch = G.Runtime.arch ctx in
   let iterations = st.problem.Problem.iterations in
@@ -548,8 +536,24 @@ let run_cpu_free_multi st ctx =
 
 (* ------------------------------------------------------------------ *)
 
+let feasible kind problem ~gpus =
+  let planes = Problem.planes_global problem in
+  let persistent = match kind with Cpu_free | Perks | Cpu_free_multi -> true | _ -> false in
+  if gpus <= 0 then Error "stencil: need at least one GPU"
+  else if planes < gpus then
+    Error
+      (Printf.sprintf "stencil: %d planes cannot be split over %d GPUs (fewer planes than PEs)"
+         planes gpus)
+  else if persistent && gpus > 1 && planes / gpus < 2 then
+    Error
+      (Printf.sprintf
+         "%s stencil: %d planes over %d GPUs leaves a PE with one plane; each PE needs at least \
+          two (top and bottom boundary blocks are distinct thread-block groups)"
+         (name kind) planes gpus)
+  else Ok ()
+
 let build kind problem ~gpus =
-  if gpus <= 0 then invalid_arg "Variants.build: need at least one GPU";
+  (match feasible kind problem ~gpus with Ok () -> () | Error e -> invalid_arg e);
   let store = ref None in
   let progress_store = ref None in
   let program ctx =

@@ -45,6 +45,13 @@ type built = {
           run aborts on a stall (graceful degradation) *)
 }
 
+val feasible : kind -> Problem.t -> gpus:int -> (unit, string) result
+(** Whether the geometry can run: at least one GPU, at least one plane per
+    GPU, and — for the persistent variants (CPU-Free, PERKS, two-kernel
+    CPU-Free) on several GPUs — at least two planes per PE. [Error] carries
+    the reason. *)
+
 val build : kind -> Problem.t -> gpus:int -> built
-(** Instantiate a variant. CPU-Free/PERKS require every PE to own at least
-    two planes when there are multiple GPUs. *)
+(** Instantiate a variant.
+    @raise Invalid_argument with the {!feasible} reason on infeasible
+    geometry, before anything runs. *)

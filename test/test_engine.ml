@@ -302,7 +302,8 @@ let interval_tests =
         check_bool "empty" true (Intervals.merge (ivals [ (3, 3); (9, 4) ]) = []));
     Alcotest.test_case "intersect overlapping covers" `Quick (fun () ->
         let a = ivals [ (0, 10); (20, 30) ] and b = ivals [ (5, 25) ] in
-        check_bool "meet" true (Intervals.intersect a b = ivals [ (5, 10); (20, 25) ]));
+        check_bool "meet" true (Intervals.intersect a b = ivals [ (5, 10); (20, 25) ]);
+        check_bool "disjoint" true (Intervals.intersect (ivals [ (0, 5) ]) (ivals [ (6, 9) ]) = []));
     Alcotest.test_case "covered counts overlap once" `Quick (fun () ->
         let bag = ivals [ (0, 10); (5, 15) ] in
         check_int "sum" 20 (Time.to_ns (Intervals.total bag));
@@ -315,7 +316,9 @@ let interval_props =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"merge output is sorted, disjoint, non-empty" ~count:300
-         gen_intervals (fun xs -> well_formed (Intervals.merge (ivals xs))));
+         gen_intervals (fun xs ->
+           let m = Intervals.merge (ivals xs) in
+           well_formed m && Intervals.merge m = m));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"covered never exceeds the raw sum" ~count:300 gen_intervals
          (fun xs ->

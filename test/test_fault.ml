@@ -11,7 +11,7 @@ module Fault = Cpufree_fault.Fault
 module Measure = Cpufree_core.Measure
 module Time = E.Time
 module Engine = E.Engine
-module Env = Cpufree_core.Sim_env
+module Env = Cpufree_obs.Sim_env
 
 let check = Alcotest.check
 let check_int = check Alcotest.int

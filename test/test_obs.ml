@@ -9,7 +9,7 @@ module E = Cpufree_engine
 module S = Cpufree_stencil
 module Obs = Cpufree_obs
 module Mx = Obs.Metrics
-module Env = Cpufree_core.Sim_env
+module Env = Cpufree_obs.Sim_env
 module Measure = Cpufree_core.Measure
 module Trace_json = Cpufree_core.Trace_json
 module Metrics_json = Cpufree_core.Metrics_json

@@ -358,6 +358,20 @@ let test_kill_mid_request () =
   Alcotest.(check int) "fresh daemon starts from zero" 0 st.P.simulations;
   clean_shutdown c3 ~id:2 srv2
 
+(* An infeasible geometry is refused with the stencil library's own reason,
+   not reported as a failed simulation. *)
+let test_infeasible_geometry () =
+  let bad =
+    Scenario.make ~gpus:8
+      (Scenario.Stencil { variant = "cpu-free"; dims = "2d:64x9"; iters = 1; no_compute = false })
+  in
+  match Serve.Exec.run bad with
+  | Ok _ -> Alcotest.fail "infeasible geometry accepted"
+  | Error e ->
+    Alcotest.(check bool) e true (Astring.String.is_infix ~affix:"at least two" e);
+    Alcotest.(check bool) "not a simulation failure" false
+      (Astring.String.is_prefix ~affix:"simulation failed" e)
+
 let () =
   Alcotest.run "serve"
     [
@@ -367,6 +381,8 @@ let () =
           Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
           Alcotest.test_case "digest ignores pdes, keys on the rest" `Quick
             test_digest_pdes_invariant;
+          Alcotest.test_case "infeasible geometry is refused with its reason" `Quick
+            test_infeasible_geometry;
         ] );
       ( "framing",
         [

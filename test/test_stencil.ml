@@ -248,12 +248,28 @@ let variant_misc_tests =
         | Error m -> Alcotest.fail m);
     Alcotest.test_case "cpu-free needs two planes per PE" `Quick (fun () ->
         let problem = Problem.make (d2 8 4) ~iterations:1 in
-        let built = Variants.build Variants.Cpu_free problem ~gpus:4 in
-        match
-          Measure.run_env ~label:"x" ~gpus:4 ~iterations:1 built.Variants.program
-        with
-        | (_ : Measure.result) -> Alcotest.fail "expected Invalid_argument"
+        match Variants.build Variants.Cpu_free problem ~gpus:4 with
+        | (_ : Variants.built) -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
+    Alcotest.test_case "infeasible geometry is rejected before it runs" `Quick (fun () ->
+        let of_scenario variant dims =
+          Harness.of_scenario
+            (Cpufree_core.Scenario.make ~gpus:8
+               (Cpufree_core.Scenario.Stencil { variant; dims; iters = 1; no_compute = false }))
+        in
+        let rejects variant dims affix =
+          match of_scenario variant dims with
+          | Ok _ -> Alcotest.failf "%s %s accepted" variant dims
+          | Error e -> check_bool e true (Astring.String.is_infix ~affix e)
+        in
+        rejects "cpu-free" "2d:64x9" "at least two";
+        rejects "baseline-copy" "2d:64x4" "fewer planes than PEs";
+        (match of_scenario "cpu-free" "2d:64x16" with
+        | Ok hsc -> ignore (Harness.run_scenario_traced hsc : Measure.result * E.Trace.t)
+        | Error e -> Alcotest.fail e);
+        check_bool "feasible neighbour" true
+          (Variants.feasible Variants.Cpu_free (Problem.make (d2 64 16) ~iterations:1) ~gpus:8
+           = Ok ()));
     Alcotest.test_case "no-compute mode still communicates (every variant)" `Quick (fun () ->
         let problem = Problem.make ~compute:false (d2 64 64) ~iterations:5 in
         List.iter
