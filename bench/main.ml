@@ -971,12 +971,15 @@ let run_micro cfg =
   | _ -> ());
   [ micro_point seq ~speedup:1.0; micro_point win ~speedup ]
 
-(* Topology build-time microbenchmark: constructing a 1024-GPU machine must
-   cost O(endpoints), not O(endpoints^2) — structural constructors build no
-   all-pairs tables at all, and even the Dijkstra-backed DGX cluster only
-   allocates empty rows. The one-second ceiling (a gate) is a ~200x margin
-   over the measured cost; blowing it means an eager all-pairs loop crept
-   back in. *)
+(* Topology build-time and route-resolution microbenchmark: constructing a
+   1024-GPU machine must cost O(endpoints), not O(endpoints^2) — the
+   structural constructors (dgx, fat-tree, dragonfly) build no all-pairs
+   tables at all. The one-second ceiling (a gate) is a ~200x margin over
+   the measured cost; blowing it means an eager all-pairs loop crept back
+   in. Each fresh build then resolves the ports of a fixed sample of GPU
+   pairs (the interconnect's pair-fill query), reported in routes/s. *)
+let route_sample = 4096
+
 let run_micro_topology () =
   let gpus = 1024 in
   let specs =
@@ -987,8 +990,8 @@ let run_micro_topology () =
     ]
   in
   Printf.printf "\ntopology build: %d GPUs (structural constructors route on demand)\n" gpus;
-  Printf.printf "%16s %12s %10s %12s %12s\n" "topology" "build(ms)" "vertices" "rows-cached"
-    "routing";
+  Printf.printf "%16s %12s %10s %12s %12s %12s\n" "topology" "build(ms)" "vertices"
+    "rows-cached" "routing" "routes/s";
   List.map
     (fun spec ->
       let t0 = wall () in
@@ -1002,8 +1005,18 @@ let run_micro_topology () =
           : Time.t);
       let rows = Topology.route_rows_cached t in
       let routing = Topology.routing_kind t in
-      Printf.printf "%16s %12.2f %10d %12d %12s\n" (Topology.spec_to_string spec) (build *. 1e3)
-        (Topology.num_vertices t) rows routing;
+      (* A fixed stride walk over distinct GPU pairs: same sample every run. *)
+      let t0 = wall () in
+      for i = 0 to route_sample - 1 do
+        let a = i * 131 mod gpus in
+        let b = (a + 1 + (i * 977 mod (gpus - 1))) mod gpus in
+        ignore
+          (Topology.route_ports t ~src:(Topology.gpu_vertex t a) ~dst:(Topology.gpu_vertex t b)
+            : int list)
+      done;
+      let routes_per_sec = float_of_int route_sample /. (wall () -. t0) in
+      Printf.printf "%16s %12.2f %10d %12d %12s %12.0f\n" (Topology.spec_to_string spec)
+        (build *. 1e3) (Topology.num_vertices t) rows routing routes_per_sec;
       J.Obj
         [
           ("topology", J.String (Topology.spec_to_string spec));
@@ -1012,6 +1025,7 @@ let run_micro_topology () =
           ("vertices", J.Int (Topology.num_vertices t));
           ("rows_cached", J.Int rows);
           ("routing", J.String routing);
+          ("routes_per_sec", J.Float routes_per_sec);
         ])
     specs
 
@@ -1798,6 +1812,7 @@ let registry =
           ("build_wall_sec", `Float);
           ("rows_cached", `Int);
           ("routing", `String);
+          ("routes_per_sec", `Float);
         ]
       ~gates:
         [

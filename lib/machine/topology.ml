@@ -79,16 +79,15 @@ type row = { rsrc : int; dist : int array; hops : int array; pred : int array }
    identical to the evicted one and cache size never changes any route. *)
 type tables = {
   rows : row option array; (* indexed by source vid *)
-  mutable fifo : int list; (* cached sources, most recent first *)
-  mutable live : int;
+  fifo : int Queue.t; (* cached sources, oldest first *)
 }
 
 (* Structural router: an O(path-length) vertex-path function derived from
-   the topology's construction (up/down for fat-tree, minimal
-   local-global-local for dragonfly) plus tier-derived latency bounds, so
-   nothing quadratic is ever materialized. Pairs the path function declines
-   (core-switch endpoints, cross-rail NIC pairs) fall back to the lazy
-   Dijkstra tables. *)
+   the topology's construction (the unique tree path for a dgx cluster,
+   up/down for fat-tree, minimal local-global-local for dragonfly) plus
+   tier-derived latency bounds, so nothing quadratic is ever materialized.
+   Pairs the path function declines (fat-tree core-switch endpoints,
+   cross-rail NIC pairs) fall back to the lazy Dijkstra tables. *)
 type structural = {
   spath : int -> int -> int list option; (* full vertex sequence, src..dst *)
   edge : (int, int) Hashtbl.t; (* (u * nv + v) -> lowest link id *)
@@ -124,7 +123,7 @@ type t = {
   mutable route_epoch : int; (* bumped on every route invalidation *)
 }
 
-(* Parameters the fat-tree/dragonfly constructors hand to [build]. The
+(* Parameters the structural constructors hand to [build]. The
    latency bounds are derived from tier latencies (profile numbers and
    shape counts), not from any route fold — that is what keeps
    [min_gpu_pair_latency] and friends O(1) on structural topologies. *)
@@ -179,26 +178,70 @@ let add_link b ~src ~dst ~kind ~latency ~ns_per_byte ~ports =
    [?dead] restricts the search to the surviving subgraph after fail-stop
    events: dead vertices are never visited and dead links never relaxed, so
    a row computed while degraded routes around the corpses (a row from a
-   dead source reaches nothing). *)
-let dijkstra_row ?dead ~nv ~(adj : link list array) src =
-  let dead_v, dead_l =
-    match dead with
-    | None -> ((fun _ -> false), fun _ -> false)
-    | Some (dvs, dls) -> ((fun (v : int) -> dvs.(v)), fun (l : int) -> dls.(l))
-  in
-  let inf = max_int in
-  let dist = Array.make nv inf in
-  let hops = Array.make nv inf in
-  let pred = Array.make nv (-1) (* incoming link id *) in
-  let visited = Array.make nv false in
+   dead source reaches nothing).
+
+   Vertices settle in (dist, hops, vid) order from a binary heap with lazy
+   deletion: a relaxation that strictly improves (dist, hops) pushes a new
+   entry, so a vertex's stale entries always sort after its live one and
+   are skipped as already visited. An equal-cost relaxation only moves
+   [pred] to the lower link id, which leaves the entry's key unchanged. *)
+let dead_preds = function
+  | None -> ((fun _ -> false), fun _ -> false)
+  | Some (dvs, dls) -> ((fun (v : int) -> dvs.(v)), fun (l : int) -> dls.(l))
+
+let row_init nv src =
+  let dist = Array.make nv max_int and hops = Array.make nv max_int in
   dist.(src) <- 0;
   hops.(src) <- 0;
+  { rsrc = src; dist; hops; pred = Array.make nv (-1) (* incoming link id *) }
+
+let settle_order (d1, h1, v1) (d2, h2, v2) =
+  if d1 <> d2 then Int.compare d1 d2 else if h1 <> h2 then Int.compare h1 h2 else Int.compare v1 v2
+
+let dijkstra_row ?dead ~nv ~(adj : link list array) src =
+  let dead_v, dead_l = dead_preds dead in
+  let r = row_init nv src in
+  let { dist; hops; pred; _ } = r in
+  let visited = Array.make nv false in
+  let frontier = Cpufree_engine.Heap.create ~cmp:settle_order in
+  if not (dead_v src) then Cpufree_engine.Heap.push frontier (0, 0, src);
   let rec loop () =
-    (* Linear-scan extract-min: a row is only computed for sources that are
-       actually queried, and structural topologies rarely get here at all. *)
+    match Cpufree_engine.Heap.pop frontier with
+    | None -> ()
+    | Some (_, _, u) when visited.(u) -> loop ()
+    | Some (du, hu, u) ->
+      visited.(u) <- true;
+      List.iter
+        (fun l ->
+          let v = l.ldst in
+          if (not visited.(v)) && (not (dead_l l.lid)) && not (dead_v v) then begin
+            let nd = du + Time.to_ns l.llatency and nh = hu + 1 in
+            if nd < dist.(v) || (nd = dist.(v) && nh < hops.(v)) then begin
+              dist.(v) <- nd;
+              hops.(v) <- nh;
+              pred.(v) <- l.lid;
+              Cpufree_engine.Heap.push frontier (nd, nh, v)
+            end
+            else if nd = dist.(v) && nh = hops.(v) && l.lid < pred.(v) then pred.(v) <- l.lid
+          end)
+        adj.(u);
+      loop ()
+  in
+  loop ();
+  r
+
+(* The same search with a linear-scan extract-min: O(V^2), and kept only as
+   the independent oracle behind [dijkstra_reference], so the heap order
+   above is checked against the plainest possible implementation. *)
+let dijkstra_scan ?dead ~nv ~(adj : link list array) src =
+  let dead_v, dead_l = dead_preds dead in
+  let r = row_init nv src in
+  let { dist; hops; pred; _ } = r in
+  let visited = Array.make nv false in
+  let rec loop () =
     let u = ref (-1) in
     for v = 0 to nv - 1 do
-      if (not visited.(v)) && (not (dead_v v)) && dist.(v) < inf then
+      if (not visited.(v)) && (not (dead_v v)) && dist.(v) < max_int then
         if
           !u < 0
           || dist.(v) < dist.(!u)
@@ -230,9 +273,16 @@ let dijkstra_row ?dead ~nv ~(adj : link list array) src =
     end
   in
   loop ();
-  { rsrc = src; dist; hops; pred }
+  r
 
-let empty_tables nv = { rows = Array.make nv None; fifo = []; live = 0 }
+(* Out-adjacency in ascending link id: the relaxation order both searches
+   rely on for their link-id tie-break. *)
+let adjacency nv (ls : link array) =
+  let adj = Array.make nv [] in
+  Array.iter (fun l -> adj.(l.lsrc) <- l :: adj.(l.lsrc)) ls;
+  Array.map (List.sort (fun a c -> compare a.lid c.lid)) adj
+
+let empty_tables nv = { rows = Array.make nv None; fifo = Queue.create () }
 
 (* O(V + E) coverage check from/to one pivot, replacing the old all-pairs
    route validation: if the pivot reaches every public endpoint and every
@@ -259,9 +309,7 @@ let build ?structural b ~name ~nodes ~gpu_vid ~host_vid ~gpu_eport ~gpu_iport =
   let ps = Array.of_list (List.sort (fun a c -> compare a.pid c.pid) b.bps) in
   let ls = Array.of_list (List.sort (fun a c -> compare a.lid c.lid) b.bls) in
   let nv = b.nv in
-  let adj = Array.make nv [] in
-  Array.iter (fun l -> adj.(l.lsrc) <- l :: adj.(l.lsrc)) ls;
-  Array.iteri (fun i out -> adj.(i) <- List.sort (fun a c -> compare a.lid c.lid) out) adj;
+  let adj = adjacency nv ls in
   let radj = Array.make nv [] in
   Array.iter (fun l -> radj.(l.ldst) <- l.lsrc :: radj.(l.ldst)) ls;
   (* Every public endpoint must be able to reach every other one. *)
@@ -344,6 +392,14 @@ let halves l =
 
 let nsb gbs = 1.0 /. gbs
 
+(* Structural path pieces shared by the cluster constructors: the
+   same-node route through node switch [sw], and the chain from a node
+   vertex up to (and including) the NIC [nic] it leaves the node by. *)
+let via_switch sw src dst =
+  (if src = sw then [ src ] else [ src; sw ]) @ if dst = sw then [] else [ dst ]
+
+let to_nic ~sw ~nic v = if v = nic then [ v ] else if v = sw then [ v; nic ] else [ v; sw; nic ]
+
 (* One HGX node: GPUs around an NVSwitch, host on PCIe. [gpu0] is the global
    index of the node's first GPU; returns (switch vid, host vid). The hop
    latencies are chosen so every two-hop route sums to exactly the profile's
@@ -415,6 +471,7 @@ let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
   let host_vid = Array.make nodes (-1) in
   let e_lat, i_lat = halves p.nvlink_latency in
   let ib_dn, ib_up = halves p.ib_latency in
+  let node_sw = Array.make nodes (-1) and nic_vid = Array.make nodes (-1) in
   let spine =
     add_vertex b ~kind:(Switch { node = None }) ~name:"ib.spine"
       ~local_ns_per_byte:(nsb p.hbm_gbs)
@@ -424,12 +481,14 @@ let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
       add_hgx_node b ~profile:p ~node ~gpu0:(node * gpus_per_node) ~gpus:gpus_per_node ~gpu_vid
         ~gpu_eport ~gpu_iport
     in
+    node_sw.(node) <- sw;
     host_vid.(node) <- host;
     let nic =
       add_vertex b ~kind:(Nic { node })
         ~name:(Printf.sprintf "node%d.nic" node)
         ~local_ns_per_byte:(nsb p.hbm_gbs)
     in
+    nic_vid.(node) <- nic;
     let tx = add_port b ~name:(Printf.sprintf "node%d.nic.tx" node) in
     let rx = add_port b ~name:(Printf.sprintf "node%d.nic.rx" node) in
     (* NIC attach at PCIe latency (shared with nothing: contention lives on
@@ -447,7 +506,40 @@ let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
       (add_link b ~src:spine ~dst:nic ~kind:Infiniband ~latency:ib_up
          ~ns_per_byte:(nsb p.ib_gbs) ~ports:[ rx ])
   done;
-  build b
+  (* The cluster is a tree (spine - NIC - node switch - GPUs/host), so the
+     structural path is the unique route Dijkstra would find: through the
+     node switch within a node, up to the spine and down again across
+     nodes. Only the spine belongs to no node. *)
+  let vnode = Array.make b.nv (-1) in
+  Array.iteri (fun g v -> vnode.(v) <- g / gpus_per_node) gpu_vid;
+  Array.iteri (fun n v -> vnode.(v) <- n) host_vid;
+  Array.iteri (fun n v -> vnode.(v) <- n) node_sw;
+  Array.iteri (fun n v -> vnode.(v) <- n) nic_vid;
+  let up v =
+    let n = vnode.(v) in
+    if n < 0 then [] else to_nic ~sw:node_sw.(n) ~nic:nic_vid.(n) v
+  in
+  let spath src dst =
+    let ns = vnode.(src) in
+    if ns >= 0 && ns = vnode.(dst) then Some (via_switch node_sw.(ns) src dst)
+    else Some (up src @ (spine :: List.rev (up dst)))
+  in
+  let remote = Time.add (Time.add p.pcie_latency p.pcie_latency) p.ib_latency in
+  let structural =
+    {
+      sm_path = spath;
+      sm_min_gpu =
+        (if gpus_per_node >= 2 then Some p.nvlink_latency
+         else if nodes >= 2 then Some remote
+         else None);
+      sm_max_gpu =
+        (if nodes >= 2 then Some remote
+         else if gpus_per_node >= 2 then Some p.nvlink_latency
+         else None);
+      sm_min_hg = Some p.pcie_latency;
+    }
+  in
+  build ~structural b
     ~name:(Printf.sprintf "dgx_%s_%dx%d" p.pname nodes gpus_per_node)
     ~nodes ~gpu_vid ~host_vid ~gpu_eport ~gpu_iport
 
@@ -644,11 +736,7 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
   let spath src dst =
     let ns = vnode.(src) and nd = vnode.(dst) in
     if ns < 0 || nd < 0 then None (* leaf/spine endpoint: Dijkstra fallback *)
-    else if ns = nd then begin
-      let sw = node_sw.(ns) in
-      let head = if src = sw then [ src ] else [ src; sw ] in
-      Some (head @ if dst = sw then [] else [ dst ])
-    end
+    else if ns = nd then Some (via_switch node_sw.(ns) src dst)
     else begin
       let srail = vrail.(src) and drail = vrail.(dst) in
       if srail >= 0 && drail >= 0 && srail <> drail then None
@@ -657,18 +745,8 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
           if srail >= 0 then srail else if drail >= 0 then drail else (ns + nd) mod rails
         in
         let lf_s = ns / arity and lf_d = nd / arity in
-        let head =
-          if srail >= 0 then [ src ]
-          else
-            let sw = node_sw.(ns) in
-            (if src = sw then [ src ] else [ src; sw ]) @ [ nic_vid.(ns).(r) ]
-        in
-        let tail =
-          if drail >= 0 then [ dst ]
-          else
-            let sw = node_sw.(nd) in
-            nic_vid.(nd).(r) :: (if dst = sw then [ sw ] else [ sw; dst ])
-        in
+        let head = to_nic ~sw:node_sw.(ns) ~nic:nic_vid.(ns).(r) src in
+        let tail = List.rev (to_nic ~sw:node_sw.(nd) ~nic:nic_vid.(nd).(r) dst) in
         let mid =
           if lf_s = lf_d then [ leaf_vid.(r).(lf_s) ]
           else
@@ -800,17 +878,12 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
   done;
   let nv = b.nv in
   let vnode = Array.make nv (-1) in
-  let vnic = Array.make nv false in
   let vgroup = Array.make nv (-1) in
   let vrouter = Array.make nv (-1) in
   Array.iteri (fun gi v -> vnode.(v) <- gi / gpus_per_node) gpu_vid;
   Array.iteri (fun n v -> vnode.(v) <- n) host_vid;
   Array.iteri (fun n v -> vnode.(v) <- n) node_sw;
-  Array.iteri
-    (fun n v ->
-      vnode.(v) <- n;
-      vnic.(v) <- true)
-    nic_vid;
+  Array.iteri (fun n v -> vnode.(v) <- n) nic_vid;
   Array.iteri
     (fun g per ->
       Array.iteri
@@ -828,22 +901,11 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
       if n < 0 then None
       else
         let g = n / per_group and r = n mod per_group / p in
-        let chain =
-          if vnic.(v) then [ v ]
-          else
-            let sw = node_sw.(n) in
-            (if v = sw then [ v ] else [ v; sw ]) @ [ nic_vid.(n) ]
-        in
-        Some (g, r, chain)
+        Some (g, r, to_nic ~sw:node_sw.(n) ~nic:nic_vid.(n) v)
   in
   let spath src dst =
     let nsd = vnode.(src) and ndd = vnode.(dst) in
-    if nsd >= 0 && nsd = ndd then begin
-      (* Same node: never leaves the node switch. *)
-      let sw = node_sw.(nsd) in
-      let head = if src = sw then [ src ] else [ src; sw ] in
-      Some (head @ if dst = sw then [] else [ dst ])
-    end
+    if nsd >= 0 && nsd = ndd then Some (via_switch node_sw.(nsd) src dst)
     else
       match (position src, position dst) with
       | None, _ | _, None -> None
@@ -872,7 +934,22 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
     else None
   in
   let s_max_gpu =
-    if groups >= 2 then Some (Time.add two_pcie (ibx 6))
+    if groups >= 2 then begin
+      (* Worst cross-group pair: the optical hop plus one local hop on each
+         side whose group populates a router other than the link's owner
+         (a partly filled last group may not). *)
+      let off g r =
+        let routers = (min per_group (nodes - (g * per_group)) + p - 1) / p in
+        if routers >= 2 || r <> 0 then 1 else 0
+      in
+      let worst = ref 0 in
+      for s = 0 to groups - 1 do
+        for d = 0 to groups - 1 do
+          if s <> d then worst := max !worst (off s (owner s d) + off d (owner d s))
+        done
+      done;
+      Some (Time.add two_pcie (ibx (4 + !worst)))
+    end
     else if nodes > p then Some (Time.add two_pcie (ibx 2))
     else if nodes >= 2 then Some (Time.add two_pcie pr.ib_latency)
     else if gpus_per_node >= 2 then Some pr.nvlink_latency
@@ -1044,17 +1121,9 @@ let row_for t tb src =
   | Some r -> r
   | None ->
     let r = dijkstra_row ?dead:(dead_of t) ~nv:(Array.length t.vs) ~adj:t.adj src in
-    if tb.live >= t.cap then begin
-      match List.rev tb.fifo with
-      | [] -> ()
-      | oldest :: rest ->
-        tb.rows.(oldest) <- None;
-        tb.fifo <- List.rev rest;
-        tb.live <- tb.live - 1
-    end;
+    if Queue.length tb.fifo >= t.cap then tb.rows.(Queue.pop tb.fifo) <- None;
     tb.rows.(src) <- Some r;
-    tb.fifo <- src :: tb.fifo;
-    tb.live <- tb.live + 1;
+    Queue.push src tb.fifo;
     r
 
 let links_of_row t (r : row) dst =
@@ -1150,20 +1219,17 @@ let set_route_cache t n =
   with_lock t (fun () ->
       t.cap <- max 1 n;
       let trim tb =
-        while tb.live > t.cap do
-          match List.rev tb.fifo with
-          | [] -> tb.live <- 0
-          | oldest :: rest ->
-            tb.rows.(oldest) <- None;
-            tb.fifo <- List.rev rest;
-            tb.live <- tb.live - 1
+        while Queue.length tb.fifo > t.cap do
+          tb.rows.(Queue.pop tb.fifo) <- None
         done
       in
       match t.router with Tables tb -> trim tb | Structural s -> trim s.stables)
 
 let route_rows_cached t =
   with_lock t (fun () ->
-      match t.router with Tables tb -> tb.live | Structural s -> s.stables.live)
+      match t.router with
+      | Tables tb -> Queue.length tb.fifo
+      | Structural s -> Queue.length s.stables.fifo)
 
 (* ------------------------------------------------------------------ *)
 (* Fail-stop degradation                                               *)
@@ -1176,9 +1242,8 @@ let route_rows_cached t =
    callback protocol. Caller holds the lock. *)
 let flush_routes t =
   let flush tb =
-    List.iter (fun s -> tb.rows.(s) <- None) tb.fifo;
-    tb.fifo <- [];
-    tb.live <- 0
+    Queue.iter (fun s -> tb.rows.(s) <- None) tb.fifo;
+    Queue.clear tb.fifo
   in
   (match t.router with Tables tb -> flush tb | Structural s -> flush s.stables);
   t.degraded <- true;
@@ -1345,19 +1410,28 @@ let route_ports t ~src ~dst =
   in
   match res with Some l -> l | None -> no_route t ~src ~dst "route_ports"
 
-(* Reference shortest path, always freshly computed with the deterministic
-   Dijkstra and never cached: the oracle the structural routers are tested
-   against. Computed on the surviving graph once the machine is degraded,
-   so it doubles as the degraded-routing oracle. *)
+(* Reference shortest path, always freshly computed with the linear-scan
+   Dijkstra and never cached: the oracle both the structural routers and
+   the heap-backed tables are tested against. Computed on the surviving
+   graph once the machine is degraded, so it doubles as the
+   degraded-routing oracle. *)
 let dijkstra_reference t ~src ~dst =
   check_vid t src "dijkstra_reference";
   check_vid t dst "dijkstra_reference";
   if src = dst then Some ([], Time.zero)
   else
-    let r = dijkstra_row ?dead:(dead_of t) ~nv:(Array.length t.vs) ~adj:t.adj src in
+    let r = dijkstra_scan ?dead:(dead_of t) ~nv:(Array.length t.vs) ~adj:t.adj src in
     match links_of_row t r dst with
     | None -> None
     | Some lids -> Some (Array.to_list lids, Time.ns r.dist.(dst))
+
+let row_on_graph search ~nv links ~src =
+  if src < 0 || src >= nv then invalid_arg "Topology.shortest_row: no such source";
+  let r = search ?dead:None ~nv ~adj:(adjacency nv (Array.of_list links)) src in
+  (r.dist, r.hops, r.pred)
+
+let shortest_row = row_on_graph dijkstra_row
+let reference_row = row_on_graph dijkstra_scan
 
 let fold_pairs xs ys f =
   List.fold_left

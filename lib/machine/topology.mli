@@ -6,17 +6,21 @@
     and the contention ports a transfer crossing it must book.
 
     Routes are shortest-latency and resolved {e on demand}. Structural
-    topologies ({!fat_tree}, {!dragonfly}) compute each route in O(path
-    length) from the construction itself — up/down through the tree, minimal
-    local–global–local across the dragonfly — so a 1024-GPU machine never
-    materializes an all-pairs table. Hand-built/irregular topologies (and the
-    rare structural pair the closed form declines, e.g. a core-switch
-    endpoint) fall back to lazy per-source Dijkstra rows behind a bounded
-    FIFO cache ({!set_route_cache}). The Dijkstra is deterministic (ties
-    broken by hop count, then link id) and a recomputed row is identical to
-    an evicted one, so cache size never changes any route; resolution is
-    mutex-guarded, so concurrent domains (the windowed PDES drivers) may
-    query freely.
+    topologies ({!dgx_cluster}, {!fat_tree}, {!dragonfly}) compute each route
+    in O(path length) from the construction itself — the unique tree path
+    through node switch, NIC and spine on a DGX cluster, up/down through the
+    fat tree, minimal local–global–local across the dragonfly — so a
+    1024-GPU machine never materializes an all-pairs table. The single-node
+    and irregular topologies ({!hgx}, {!ring}, {!pcie_only}), degraded
+    fabrics whose closed-form path crosses a dead component, and the rare
+    structural pair the closed form declines (e.g. a fat-tree core-switch
+    endpoint) fall back to lazy per-source Dijkstra rows, O(E log V) each
+    from a binary heap, behind a bounded FIFO cache ({!set_route_cache}).
+    The Dijkstra is deterministic (vertices settle in (latency, hops, vertex
+    id) order; ties broken by hop count, then link id) and a recomputed row
+    is identical to an evicted one, so cache size never changes any route;
+    resolution is mutex-guarded, so concurrent domains (the windowed PDES
+    drivers) may query freely.
 
     The single-node HGX constructor reproduces the flat NVSwitch all-to-all
     the paper evaluates on, link for link: a GPU-to-GPU route totals exactly
@@ -91,7 +95,8 @@ val dgx_cluster : profile:profile -> nodes:int -> gpus_per_node:int -> t
 (** [nodes] HGX nodes, each with its own host and an InfiniBand NIC hanging
     off the node switch; NICs meet at a global spine. An inter-node route
     pays the NIC attach on both sides plus the IB hop and books both NIC
-    direction ports in addition to the GPU ports. *)
+    direction ports in addition to the GPU ports. The graph is a tree, so
+    routing is structural: each route is its unique tree path. *)
 
 val ring : profile:profile -> gpus:int -> t
 (** No switch: each GPU links only to its two ring neighbours (full NVLink
@@ -199,12 +204,14 @@ val min_gpu_pair_latency : t -> Time.t option
     all-pairs fold only runs on irregular table-routed graphs. *)
 
 val max_gpu_pair_latency : t -> Time.t option
-(** Upper bound on routed GPU-pair latency — exact on table-routed graphs,
-    a tier-derived bound on structural ones (every route is guaranteed at or
-    under it). *)
+(** Costliest routed latency between two distinct GPUs ([None] with < 2).
+    O(1) on dgx and fat-tree machines, O(groups²) on a dragonfly; an
+    all-pairs fold on table-routed graphs. *)
 
 val min_host_gpu_latency : t -> Time.t option
-(** Cheapest routed latency of any host-to-GPU or GPU-to-host route. *)
+(** Cheapest routed latency of any host-to-GPU or GPU-to-host route. The
+    three pair bounds are exact on every constructor; a qcheck law holds the
+    structural ones to a brute-force fold of {!dijkstra_reference}. *)
 
 (** {1 Fail-stop degradation}
 
@@ -250,8 +257,8 @@ val dead_link_count : t -> int
 (** {1 Routing internals (introspection and tests)} *)
 
 val routing_kind : t -> string
-(** ["structural"] (fat-tree/dragonfly closed-form paths) or ["tables"]
-    (lazy per-source Dijkstra rows). *)
+(** ["structural"] (dgx-cluster/fat-tree/dragonfly closed-form paths) or
+    ["tables"] (lazy per-source Dijkstra rows: hgx, ring, pcie-only). *)
 
 val set_route_cache : t -> int -> unit
 (** Cap the number of cached per-source Dijkstra rows (clamped to >= 1);
@@ -265,10 +272,25 @@ val route_rows_cached : t -> int
 
 val dijkstra_reference : t -> src:int -> dst:int -> (int list * Time.t) option
 (** Freshly computed, never-cached shortest path: the link ids in travel
-    order and the total latency, or [None] if unreachable. The oracle the
-    structural routers are property-tested against. Computed on the
-    surviving subgraph once the machine is {!degraded}, so it is also the
-    degraded-routing oracle. *)
+    order and the total latency, or [None] if unreachable. It runs its own
+    O(V²) linear-scan Dijkstra, sharing no extract-min with the heap-backed
+    tables, and is the oracle both those tables and the structural routers
+    are property-tested against. Computed on the surviving subgraph once
+    the machine is {!degraded}, so it is also the degraded-routing
+    oracle. *)
+
+val shortest_row : nv:int -> link list -> src:int -> int array * int array * int array
+(** The production single-source search (binary heap) over an arbitrary
+    graph of [nv] vertices and the given links: per-vertex latency in ns,
+    hop count and incoming link id ([max_int], [max_int], [-1] when
+    unreachable). Exposed so a law can hold it to {!reference_row} on
+    random graphs, whose ties and multi-hop shortcuts the named
+    constructors rarely produce. Raises [Invalid_argument] for a source out
+    of range. *)
+
+val reference_row : nv:int -> link list -> src:int -> int array * int array * int array
+(** The same search with the linear-scan extract-min behind
+    {!dijkstra_reference}. *)
 
 val string_of_link_kind : link_kind -> string
 val string_of_vertex_kind : vertex_kind -> string

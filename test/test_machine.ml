@@ -175,15 +175,21 @@ let test_cluster_build_lazy () =
   let b1 = Gc.allocated_bytes () in
   let df = T.dragonfly ~profile:T.a100 ~a:4 ~p:4 ~h:2 ~nodes:128 ~gpus_per_node:8 in
   let b2 = Gc.allocated_bytes () in
+  let dgx = T.dgx_cluster ~profile:T.a100 ~nodes:128 ~gpus_per_node:8 in
+  let b3 = Gc.allocated_bytes () in
   check_build "fat tree" ft (b1 -. b0);
-  check_build "dragonfly" df (b2 -. b1)
+  check_build "dragonfly" df (b2 -. b1);
+  check_build "dgx cluster" dgx (b3 -. b2)
 
 (* The Dijkstra row cache is a speed/memory knob only: routes resolved with
    a single cached row must be identical — links, ports and latency — to
-   the default cache, because eviction forces deterministic recomputation. *)
+   the default cache, because eviction forces deterministic recomputation.
+   The ring is table-routed with equal-cost detours, so every query goes
+   through the cache and the link-id tie-break matters. *)
 let test_cache_size_invariance () =
-  let t_full = T.dgx_cluster ~profile:T.a100 ~nodes:3 ~gpus_per_node:2 in
-  let t_one = T.dgx_cluster ~profile:T.a100 ~nodes:3 ~gpus_per_node:2 in
+  let t_full = T.ring ~profile:T.a100 ~gpus:6 in
+  let t_one = T.ring ~profile:T.a100 ~gpus:6 in
+  check_str "table-routed" "tables" (T.routing_kind t_full);
   T.set_route_cache t_one 1;
   let n = T.num_vertices t_full in
   check_int "same graph" n (T.num_vertices t_one);
@@ -200,10 +206,11 @@ let test_cache_size_invariance () =
       end
     done
   done;
-  check_bool "cache honours its cap" true (T.route_rows_cached t_one <= 1);
+  check_int "cache honours its cap" 1 (T.route_rows_cached t_one);
+  check_int "default cache holds every source" n (T.route_rows_cached t_full);
   (* Shrinking an already-warm cache trims immediately. *)
   T.set_route_cache t_full 2;
-  check_bool "trim on shrink" true (T.route_rows_cached t_full <= 2)
+  check_int "trim on shrink" 2 (T.route_rows_cached t_full)
 
 (* ---------------- specs --------------------------------------------------- *)
 
@@ -362,34 +369,43 @@ let prop_route_well_formed =
       !ok)
 
 (* Structural routing is property-tested against the uncached Dijkstra
-   oracle: same reachability, same latency on every vertex pair. The paths
-   themselves may differ (equal-cost multipath across rails/spines), the
-   costs may not. *)
+   oracle: same reachability, same latency on every vertex pair. On fat
+   trees and dragonflies the paths themselves may differ (equal-cost
+   multipath across rails/spines), the costs may not; a dgx cluster is a
+   tree, so there its paths must be the oracle's link for link. The
+   generator pairs each machine with that [tree] flag. *)
 let gen_structural =
   QCheck.Gen.(
     let* profile = oneofl [ T.a100; T.h100 ] in
     oneof
       [
+        (let* nodes = int_range 1 8 in
+         let* gpus_per_node = int_range 1 3 in
+         return (T.dgx_cluster ~profile ~nodes ~gpus_per_node, true));
         (let* arity = int_range 2 4 in
          let* rails = int_range 1 3 in
          let* nodes = int_range 1 8 in
          let* gpus_per_node = int_range 1 3 in
-         return (T.fat_tree ~profile ~arity ~rails ~nodes ~gpus_per_node));
+         return (T.fat_tree ~profile ~arity ~rails ~nodes ~gpus_per_node, false));
         (let* a = int_range 2 3 in
          let* p = int_range 1 2 in
          let* h = int_range 1 2 in
          let* nodes = int_range 1 8 in
          let* gpus_per_node = int_range 1 2 in
          let nodes = min nodes (a * p * ((a * h) + 1)) in
-         return (T.dragonfly ~profile ~a ~p ~h ~nodes ~gpus_per_node));
+         return (T.dragonfly ~profile ~a ~p ~h ~nodes ~gpus_per_node, false));
       ])
 
 let arb_structural =
-  QCheck.make ~print:(fun t -> Format.asprintf "%a" T.pp t) gen_structural
+  QCheck.make
+    ~print:(fun (t, tree) -> Format.asprintf "%a%s" T.pp t (if tree then " (tree)" else ""))
+    gen_structural
+
+let link_ids t ~src ~dst = List.map (fun l -> l.T.lid) (T.route t ~src ~dst)
 
 let prop_structural_matches_dijkstra =
   QCheck.Test.make ~name:"structural routing equals reference Dijkstra" ~count:40
-    arb_structural (fun t ->
+    arb_structural (fun (t, tree) ->
       if T.routing_kind t <> "structural" then QCheck.Test.fail_report "not structural";
       let n = T.num_vertices t in
       let ok = ref true in
@@ -397,14 +413,42 @@ let prop_structural_matches_dijkstra =
         for b = 0 to n - 1 do
           match T.dijkstra_reference t ~src:a ~dst:b with
           | None -> ok := !ok && not (T.reachable t ~src:a ~dst:b)
-          | Some (_, reference) ->
+          | Some (ids, reference) ->
             ok :=
               !ok
               && T.reachable t ~src:a ~dst:b
               && Time.equal (T.route_latency t ~src:a ~dst:b) reference
+              && ((not tree) || link_ids t ~src:a ~dst:b = ids)
         done
       done;
       !ok)
+
+(* The tier-derived bounds that feed the interconnect's lookahead and its
+   min/max wire latency must be the exact extremes: a brute-force fold of
+   the oracle over every GPU pair and every host/GPU pair. *)
+let prop_structural_bounds_exact =
+  QCheck.Test.make ~name:"structural latency bounds equal the reference fold" ~count:40
+    arb_structural (fun (t, _) ->
+      let pairs xs ys =
+        List.concat_map
+          (fun a -> List.filter_map (fun b -> if a = b then None else Some (a, b)) ys)
+          xs
+      in
+      let fold pick ps =
+        List.fold_left
+          (fun acc (src, dst) ->
+            match T.dijkstra_reference t ~src ~dst with
+            | None -> QCheck.Test.fail_report "unreachable public pair"
+            | Some (_, l) -> Some (match acc with None -> l | Some m -> pick m l))
+          None ps
+      in
+      let gpus = List.init (T.num_gpus t) (T.gpu_vertex t) in
+      let hosts = List.init (T.num_nodes t) (fun node -> T.host_vertex t ~node) in
+      let gg = pairs gpus gpus and hg = pairs hosts gpus @ pairs gpus hosts in
+      let same = Option.equal Time.equal in
+      same (T.min_gpu_pair_latency t) (fold Time.min gg)
+      && same (T.max_gpu_pair_latency t) (fold Time.max gg)
+      && same (T.min_host_gpu_latency t) (fold Time.min hg))
 
 (* ---------------- degraded routing ---------------------------------------- *)
 
@@ -522,6 +566,75 @@ let prop_degraded_matches_dijkstra =
       done;
       !ok)
 
+(* The production tables settle vertices from a heap; the oracle scans
+   linearly. On a table-routed machine every route must be the oracle's
+   link for link — same extraction order, same link-id tie-breaks — healthy
+   and after a kill. Structural machines (whose healthy routes never touch
+   the tables, and whose degraded ones mix in structural paths) are held to
+   latency equality. *)
+let prop_tables_match_scan =
+  QCheck.Test.make ~name:"heap-routed tables equal the linear-scan reference" ~count:60
+    arb_degraded (fun (t, pick) ->
+      let tables = T.routing_kind t = "tables" in
+      let agrees () =
+        let n = T.num_vertices t in
+        let ok = ref true in
+        for a = 0 to n - 1 do
+          for b = 0 to n - 1 do
+            match T.dijkstra_reference t ~src:a ~dst:b with
+            | None -> ok := !ok && not (T.reachable t ~src:a ~dst:b)
+            | Some (ids, reference) ->
+              ok :=
+                !ok
+                && Time.equal (T.route_latency t ~src:a ~dst:b) reference
+                && ((not tables) || link_ids t ~src:a ~dst:b = ids)
+          done
+        done;
+        !ok
+      in
+      let healthy = agrees () in
+      let (_ : (int * int) option) = apply_kill t pick in
+      healthy && agrees ())
+
+(* The same equivalence on random multigraphs, where small latencies
+   (zero included) make equal-cost paths, hop-count ties and cheap
+   multi-hop detours common — cases the named constructors barely reach. *)
+let gen_graph =
+  QCheck.Gen.(
+    let* nv = int_range 2 10 in
+    let endpoint = int_bound (nv - 1) in
+    let* edges = list_size (int_range 0 30) (triple endpoint endpoint (int_bound 4)) in
+    let links =
+      List.mapi
+        (fun lid (lsrc, ldst, lat) ->
+          {
+            T.lid;
+            lsrc;
+            ldst;
+            lkind = T.Nvlink;
+            llatency = Time.ns (100 * lat);
+            lns_per_byte = 1.0;
+            lports = [];
+          })
+        (List.filter (fun (a, b, _) -> a <> b) edges)
+    in
+    return (nv, links))
+
+let prop_heap_matches_scan_on_graphs =
+  QCheck.Test.make ~name:"heap rows equal linear-scan rows on random graphs" ~count:300
+    (QCheck.make
+       ~print:(fun (nv, links) ->
+         Printf.sprintf "%d vertices: %s" nv
+           (String.concat " "
+              (List.map
+                 (fun l -> Printf.sprintf "%d->%d@%d" l.T.lsrc l.T.ldst (Time.to_ns l.T.llatency))
+                 links)))
+       gen_graph)
+    (fun (nv, links) ->
+      List.for_all
+        (fun src -> T.shortest_row ~nv links ~src = T.reference_row ~nv links ~src)
+        (List.init nv Fun.id))
+
 let prop_degraded_triangle =
   QCheck.Test.make ~name:"degraded latency keeps symmetry and the triangle inequality"
     ~count:40 arb_degraded (fun (t, pick) ->
@@ -594,6 +707,9 @@ let () =
             prop_triangle;
             prop_route_well_formed;
             prop_structural_matches_dijkstra;
+            prop_structural_bounds_exact;
+            prop_tables_match_scan;
+            prop_heap_matches_scan_on_graphs;
             prop_degraded_matches_dijkstra;
             prop_degraded_triangle;
           ] );
