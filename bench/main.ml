@@ -24,7 +24,7 @@
 
    NAME is any registry name: fig2.1b fig3.1 fig5.1b fig2.2a fig2.2b fig6.1
    fig6.2 fig6.3a fig6.3b headline supplementary.norm ablations scaleout
-   collective autotune micro profile pdes serve chaos recovery. Named and
+   collective autotune micro profile serve chaos recovery. Named and
    smoke runs always write BENCH_results.json. Figure index: DESIGN.md and
    EXPERIMENTS.md. *)
 
@@ -586,7 +586,7 @@ let chaos_seed = 1234
    Intensity 0 is a fault-free control run through the same chaos machinery
    (plan active, nothing fires), so the "recovery overhead" column reads
    directly as time relative to that row. Every cell is bit-identical across
-   repeats and across CPUFREE_PDES modes. *)
+   repeats. *)
 let fig_chaos (intensities, iters, gpus) =
   let problem = S.Problem.make (d2 512) ~iterations:iters in
   let cells = List.concat_map (fun i -> List.map (fun k -> (i, k)) chaos_variants) intensities in
@@ -647,8 +647,6 @@ let fig_chaos (intensities, iters, gpus) =
 
 let recovery_seed = 77
 
-let all_pdes : Sim_env.pdes list = [ `Seq; `Windowed; `Adaptive; `Optimistic ]
-
 let fatal tag fmt =
   Printf.ksprintf
     (fun s ->
@@ -657,7 +655,7 @@ let fatal tag fmt =
     fmt
 
 (* Everything the self-healing layer decides about one run; bit-equality of
-   this digest across the four PDES drivers is the recovery FATAL gate. *)
+   this digest across repeats is the recovery FATAL gate. *)
 let resilient_digest (r : S.Harness.resilient_run) =
   ( Time.to_ns r.S.Harness.r_total,
     Time.to_ns r.S.Harness.r_restart_cost,
@@ -676,41 +674,34 @@ let resilient_digest (r : S.Harness.resilient_run) =
    a fault-free control of the same workload). Two FATAL gates guard the
    fail-stop layer's determinism:
    - the fault-free control must be byte-identical to the plain (no chaos
-     machinery at all) driver in all four CPUFREE_PDES modes, and
-   - every recovery scenario's full digest must be bit-identical across the
-     four modes. *)
+     machinery at all) run, and
+   - every recovery scenario's full digest must be bit-identical on a
+     repeat. *)
 let fig_recovery (iters, kill_fracs, intervals) =
   let gpus = 4 in
   let problem = S.Problem.make (d2 96) ~iterations:iters in
   let kind = S.Variants.Cpu_free in
-  let plain_total pdes =
-    (S.Harness.run_env ~env:(Sim_env.make ~pdes ()) kind problem ~gpus).Measure.total
-  in
-  let control_total pdes =
+  let seq_plain = (S.Harness.run_env kind problem ~gpus).Measure.total in
+  let control =
     let cr =
       S.Harness.run_chaos_env
-        ~env:(Sim_env.make ~faults:Fault.none ~fault_seed:recovery_seed ~pdes ())
+        ~env:(Sim_env.make ~faults:Fault.none ~fault_seed:recovery_seed ())
         kind problem ~gpus
     in
     if not cr.S.Harness.chaos.Measure.completed then fatal "recovery" "fault-free control aborted";
     cr.S.Harness.chaos.Measure.base.Measure.total
   in
-  let seq_plain = plain_total `Seq in
-  List.iter
-    (fun pdes ->
-      let p = plain_total pdes and c = control_total pdes in
-      if not (Time.equal p seq_plain && Time.equal c seq_plain) then
-        fatal "recovery"
-          "fault-free control differs under %s (plain %d ns, chaos %d ns, seq %d ns) — the \
-           fail-stop layer perturbed an unfaulted run"
-          (Sim_env.pdes_to_string pdes) (Time.to_ns p) (Time.to_ns c) (Time.to_ns seq_plain))
-    all_pdes;
+  if not (Time.equal control seq_plain) then
+    fatal "recovery"
+      "fault-free control differs (plain %d ns, chaos %d ns) — the fail-stop layer perturbed \
+       an unfaulted run"
+      (Time.to_ns seq_plain) (Time.to_ns control);
   let control_ns = Time.to_ns seq_plain in
   let scratch_k = 2 * iters in
   header
     (Printf.sprintf
        "Fig R  Fail-stop recovery: 2D Jacobi 96^2 x %d iters on %d GPUs, kill one GPU; control \
-        %.2f us (identical in all four PDES modes)"
+        %.2f us"
        iters gpus (us seq_plain));
   Printf.printf "  %8s %10s %10s %9s %10s %12s %12s %6s\n" "kill_us" "ckpt_every" "checkpoint"
     "saved_it" "restart_us" "end2end_us" "vs_scratch" "status";
@@ -722,21 +713,16 @@ let fig_recovery (iters, kill_fracs, intervals) =
         let scratch_total = ref None in
         List.map
           (fun k ->
-            let run pdes =
+            let run () =
               S.Harness.run_resilient
-                ~env:(Sim_env.make ~faults:spec ~fault_seed:recovery_seed ~pdes ())
+                ~env:(Sim_env.make ~faults:spec ~fault_seed:recovery_seed ())
                 ~checkpoint_every:k kind problem ~gpus
             in
-            let r = run `Seq in
-            let d = resilient_digest r in
-            List.iter
-              (fun pdes ->
-                if pdes <> `Seq && resilient_digest (run pdes) <> d then
-                  fatal "recovery"
-                    "recovery digest under %s differs from sequential (kill at %d ns, \
-                     checkpoint every %d)"
-                    (Sim_env.pdes_to_string pdes) kill_ns k)
-              all_pdes;
+            let r = run () in
+            if resilient_digest (run ()) <> resilient_digest r then
+              fatal "recovery" "recovery digest differs on a repeat (kill at %d ns, checkpoint \
+                                every %d)"
+                kill_ns k;
             let scratch = k >= scratch_k in
             if scratch then scratch_total := Some r.S.Harness.r_total;
             let vs_scratch =
@@ -916,60 +902,28 @@ let cluster_pair pts =
 
 module Microbench = Cpufree_core.Microbench
 
-let windows_of (r : Microbench.report) =
-  match r.Microbench.outcome with
-  | E.Engine.Windowed { windows; _ } | E.Engine.Adaptive { windows; _ } -> Some windows
-  | E.Engine.Optimistic { rounds; _ } -> Some rounds
-  | E.Engine.Sequential _ -> None
-
-let micro_point (r : Microbench.report) ~speedup =
+let micro_point (r : Microbench.report) =
   J.Obj
     [
-      ("mode", J.String r.Microbench.label);
-      ("jobs", J.Int r.Microbench.jobs);
+      ("mode", J.String "seq");
       ("events", J.Int r.Microbench.out.Microbench.events);
       ("events_per_sec", J.Float (Microbench.events_per_sec r));
       ("wall_sec", J.Float r.Microbench.wall_sec);
       ("major_gc_words", J.Float r.Microbench.major_words);
-      ("windows", J.Int (Option.value (windows_of r) ~default:0));
       ("sim_ns", J.Int r.Microbench.out.Microbench.sim_ns);
       ("bytes", J.Int r.Microbench.out.Microbench.bytes);
-      ("speedup_vs_seq", J.Float speedup);
-      ( "fallback",
-        match r.Microbench.outcome with
-        | E.Engine.Sequential reason -> J.String reason
-        | _ -> J.Null );
     ]
 
 let run_micro cfg =
-  header "Engine throughput: sequential vs conservative windowed partitioned execution";
-  let jobs = Parallel.default_jobs () in
-  let seq = Microbench.run_seq cfg in
-  let win = Microbench.run_windowed ~jobs cfg in
-  if not (Microbench.equal_output seq.Microbench.out win.Microbench.out) then
-    fatal "micro" "windowed output differs from sequential output";
-  let speedup =
-    let s = Microbench.events_per_sec seq in
-    if s = 0.0 then 0.0 else Microbench.events_per_sec win /. s
-  in
-  Printf.printf "scenario: %d GPUs, %d rounds, ring halo exchange (outputs verified equal)\n"
-    cfg.Microbench.gpus cfg.Microbench.iters;
-  Printf.printf "%-10s %5s %8s %12s %14s %12s %16s\n" "mode" "jobs" "windows" "events" "events/sec"
-    "wall(s)" "major-GC-words";
-  let row (r : Microbench.report) =
-    Printf.printf "%-10s %5d %8s %12d %14.0f %12.4f %16.0f\n" r.Microbench.label r.Microbench.jobs
-      (match windows_of r with Some w -> string_of_int w | None -> "-")
-      r.Microbench.out.Microbench.events (Microbench.events_per_sec r) r.Microbench.wall_sec
-      r.Microbench.major_words
-  in
-  row seq;
-  row win;
-  Printf.printf "windowed speedup vs sequential: %.2fx (host cores: %d)\n" speedup jobs;
-  (match win.Microbench.outcome with
-  | E.Engine.Sequential reason ->
-    Printf.printf "note: windowed run fell back to sequential (%s)\n" reason
-  | _ -> ());
-  [ micro_point seq ~speedup:1.0; micro_point win ~speedup ]
+  header "Engine throughput: the sequential driver on the ring microbenchmark";
+  let r = Microbench.run_seq cfg in
+  Printf.printf "scenario: %d GPUs, %d rounds, ring halo exchange\n" cfg.Microbench.gpus
+    cfg.Microbench.iters;
+  Printf.printf "%-10s %12s %14s %12s %16s\n" "mode" "events" "events/sec" "wall(s)"
+    "major-GC-words";
+  Printf.printf "%-10s %12d %14.0f %12.4f %16.0f\n" "seq" r.Microbench.out.Microbench.events
+    (Microbench.events_per_sec r) r.Microbench.wall_sec r.Microbench.major_words;
+  [ micro_point r ]
 
 (* Topology build-time and route-resolution microbenchmark: constructing a
    1024-GPU machine must cost O(endpoints), not O(endpoints^2) — the
@@ -1058,25 +1012,19 @@ let profile_point ~mode ~metered ~overhead_pct ~ticks ~msgs (r : Microbench.repo
       ("overhead_pct", J.Float overhead_pct);
     ]
 
-(* The 2x2 grid {seq,windowed} x {metrics off,on}. Best-of-[reps] wall
-   clock per cell; a single (smoke) repetition is too noisy to hold to the
-   5% overhead budget, so only multi-rep runs warn about it. *)
+(* Metrics off vs on. Best-of-[reps] wall clock per cell; a single (smoke)
+   repetition is too noisy to hold to the 5% overhead budget, so only
+   multi-rep runs warn about it. *)
 let fig_profile (cfg, reps) =
-  header
-    "Fig P  Instrumentation overhead: partition-sharded metrics on the engine hot path (ring \
-     microbenchmark)";
-  let jobs = Parallel.default_jobs () in
-  (* The simulated output is asserted identical in every cell, so only the
-     wall cost can differ; the metered cells keep their last registry for
-     the totals check. *)
-  let run_cell ~mode ~metered =
+  header "Fig P  Instrumentation overhead: metrics on the engine hot path (ring microbenchmark)";
+  (* The simulated output is asserted identical in both cells, so only the
+     wall cost can differ; the metered cell keeps its last registry for the
+     totals check. *)
+  let run_cell ~metered =
     let best = ref None and reg = ref None in
     for _ = 1 to reps do
       let metrics = if metered then Some (Obs.Metrics.create ()) else None in
-      let cfg = { cfg with Microbench.metrics } in
-      let r =
-        match mode with `Seq -> Microbench.run_seq cfg | `Win -> Microbench.run_windowed ~jobs cfg
-      in
+      let r = Microbench.run_seq { cfg with Microbench.metrics } in
       reg := metrics;
       match !best with
       | Some (b : Microbench.report) when b.Microbench.wall_sec <= r.Microbench.wall_sec -> ()
@@ -1084,213 +1032,40 @@ let fig_profile (cfg, reps) =
     done;
     (Option.get !best, !reg)
   in
-  let seq_off, _ = run_cell ~mode:`Seq ~metered:false in
-  let seq_on, seq_reg = run_cell ~mode:`Seq ~metered:true in
-  let win_off, _ = run_cell ~mode:`Win ~metered:false in
-  let win_on, win_reg = run_cell ~mode:`Win ~metered:true in
-  (* Neither the driver nor the instrumentation may change the simulation
-     (times, event counts, payload checksum). *)
-  List.iter
-    (fun (label, r) ->
-      if not (Microbench.equal_output seq_off.Microbench.out r.Microbench.out) then
-        fatal "profile" "%s output differs from seq/unmetered" label)
-    [ ("seq/metered", seq_on); ("windowed/unmetered", win_off); ("windowed/metered", win_on) ];
-  (* Counter totals are schedule-independent: the windowed run, bumping
-     partition-local slots from concurrent domains, must read back exactly
-     the sequential totals (non-zero totals are a gate). *)
-  let totals reg =
+  let off, _ = run_cell ~metered:false in
+  let on, reg = run_cell ~metered:true in
+  (* Instrumentation may not change the simulation (times, event counts,
+     payload checksum). *)
+  if not (Microbench.equal_output off.Microbench.out on.Microbench.out) then
+    fatal "profile" "metered output differs from unmetered";
+  let ticks, msgs =
     match reg with
     | None -> (0, 0)
     | Some reg -> (metric_total reg "micro.ticks", metric_total reg "micro.msgs")
   in
-  let seq_ticks, seq_msgs = totals seq_reg in
-  let win_ticks, win_msgs = totals win_reg in
-  if (seq_ticks, seq_msgs) <> (win_ticks, win_msgs) then
-    fatal "profile" "windowed metric totals (%d, %d) differ from sequential (%d, %d)" win_ticks
-      win_msgs seq_ticks seq_msgs;
-  let overhead ~off ~on =
+  let ov =
     let a = off.Microbench.wall_sec and b = on.Microbench.wall_sec in
     if a <= 0.0 then 0.0 else (b -. a) /. a *. 100.0
   in
-  let seq_ov = overhead ~off:seq_off ~on:seq_on in
-  let win_ov = overhead ~off:win_off ~on:win_on in
   Printf.printf "scenario: %d GPUs, %d rounds, ring halo exchange; best of %d rep(s) per cell\n"
     cfg.Microbench.gpus cfg.Microbench.iters reps;
   Printf.printf "%-10s %-8s %12s %14s %12s %14s\n" "mode" "metrics" "events" "events/sec" "wall(s)"
     "overhead(%)";
-  let row label metered ov (r : Microbench.report) =
-    Printf.printf "%-10s %-8s %12d %14.0f %12.4f %14.2f\n" label
+  let row metered ov (r : Microbench.report) =
+    Printf.printf "%-10s %-8s %12d %14.0f %12.4f %14.2f\n" "seq"
       (if metered then "on" else "off")
       r.Microbench.out.Microbench.events (Microbench.events_per_sec r) r.Microbench.wall_sec ov
   in
-  row "seq" false 0.0 seq_off;
-  row "seq" true seq_ov seq_on;
-  row "windowed" false 0.0 win_off;
-  row "windowed" true win_ov win_on;
-  Printf.printf
-    "counter totals (schedule-independent): ticks=%d msgs=%d; disabled runs carry no \
-     instruments at all\n"
-    seq_ticks seq_msgs;
-  if reps > 1 && (seq_ov > 5.0 || win_ov > 5.0) then
-    Printf.eprintf
-      "[profile] WARNING: instrumentation overhead above the 5%% budget (seq %.2f%%, windowed \
-       %.2f%%)\n%!"
-      seq_ov win_ov;
+  row false 0.0 off;
+  row true ov on;
+  Printf.printf "counter totals: ticks=%d msgs=%d; disabled runs carry no instruments at all\n"
+    ticks msgs;
+  if reps > 1 && ov > 5.0 then
+    Printf.eprintf "[profile] WARNING: instrumentation overhead above the 5%% budget (%.2f%%)\n%!" ov;
   [
-    profile_point ~mode:"seq" ~metered:false ~overhead_pct:0.0 ~ticks:0 ~msgs:0 seq_off;
-    profile_point ~mode:"seq" ~metered:true ~overhead_pct:seq_ov ~ticks:seq_ticks ~msgs:seq_msgs
-      seq_on;
-    profile_point ~mode:"windowed" ~metered:false ~overhead_pct:0.0 ~ticks:0 ~msgs:0 win_off;
-    profile_point ~mode:"windowed" ~metered:true ~overhead_pct:win_ov ~ticks:win_ticks
-      ~msgs:win_msgs win_on;
+    profile_point ~mode:"seq" ~metered:false ~overhead_pct:0.0 ~ticks:0 ~msgs:0 off;
+    profile_point ~mode:"seq" ~metered:true ~overhead_pct:ov ~ticks ~msgs on;
   ]
-
-(* ---------------------------------------------------------------- *)
-(* PDES driver shoot-out (`-- pdes`)                                 *)
-(* ---------------------------------------------------------------- *)
-
-let pdes_ran (r : Microbench.report) =
-  match r.Microbench.outcome with
-  | E.Engine.Sequential _ -> "seq"
-  | E.Engine.Windowed _ -> "windowed"
-  | E.Engine.Adaptive _ -> "adaptive"
-  | E.Engine.Optimistic _ -> "optimistic"
-
-let pdes_point ~scenario ~family ~mode ~speedup (r : Microbench.report) =
-  let windows, solo, rounds, rollbacks, antis =
-    match r.Microbench.outcome with
-    | E.Engine.Sequential _ -> (0, 0, 0, 0, 0)
-    | E.Engine.Windowed { windows; _ } -> (windows, 0, 0, 0, 0)
-    | E.Engine.Adaptive { windows; solo_windows; _ } -> (windows, solo_windows, 0, 0, 0)
-    | E.Engine.Optimistic { rounds; rollbacks; anti_messages; _ } ->
-      (0, 0, rounds, rollbacks, anti_messages)
-  in
-  J.Obj
-    [
-      ("scenario", J.String scenario);
-      ("family", J.String family);
-      ("mode", J.String mode);
-      ("ran", J.String (pdes_ran r));
-      ("jobs", J.Int r.Microbench.jobs);
-      ("events", J.Int r.Microbench.out.Microbench.events);
-      ("events_per_sec", J.Float (Microbench.events_per_sec r));
-      ("wall_sec", J.Float r.Microbench.wall_sec);
-      ("sim_ns", J.Int r.Microbench.out.Microbench.sim_ns);
-      ("windows", J.Int windows);
-      ("solo_windows", J.Int solo);
-      ("rounds", J.Int rounds);
-      ("rollbacks", J.Int rollbacks);
-      ("anti_messages", J.Int antis);
-      ("speedup_vs_seq", J.Float speedup);
-    ]
-
-(* Scenarios, coarsest knob first: [ring-dense] exchanges halos every round
-   (traffic as dense in time as the lookahead allows — the conservative
-   drivers' sweet spot, speculation can at best tie and pays for its
-   checkpoints); [halo-sparse] syncs every [sparse] rounds, leaving deep runs
-   of partition-local events between exchanges — temporal sparsity a
-   lookahead-width window cannot see, but speculation rides;
-   [halo-sparse-skew] adds a rank-0 straggler on top, so fast ranks' halos
-   land in the slow rank's speculated past and force genuine rollbacks with
-   anti-messages; [ring-procs] is the process-based formulation, where the
-   optimistic request honestly degrades to the conservative windowed driver
-   (continuations cannot be checkpointed). *)
-let pdes_scenarios ~gpus ~iters ~sparse ~sparse_iters ~procs_iters =
-  let base = Microbench.default in
-  [
-    ("ring-dense", `Events, { base with Microbench.gpus; iters });
-    ( "halo-sparse",
-      `Events,
-      { base with Microbench.gpus; iters = sparse_iters; sync_every = sparse } );
-    ( "halo-sparse-skew",
-      `Events,
-      { base with Microbench.gpus; iters = sparse_iters; sync_every = sparse; skew_ns = 150 } );
-    ("ring-procs", `Procs, { base with Microbench.gpus; iters = procs_iters; ticks_per_iter = 2 });
-  ]
-
-let fig_pdes (scenarios, reps) =
-  header
-    "Fig PDES  Driver shoot-out: sequential vs conservative windowed vs adaptive windows vs \
-     optimistic Time Warp";
-  let jobs = Parallel.default_jobs () in
-  let best_opt = ref None in
-  let points =
-    List.concat_map
-      (fun (scenario, family, cfg) ->
-        let family_name = match family with `Events -> "events" | `Procs -> "procs" in
-        (* Seed the speculation horizon at one halo epoch: the adaptive
-           throttle would get there anyway, this skips the warm-up. *)
-        let horizon =
-          if cfg.Microbench.sync_every > 1 then
-            Some
-              (E.Time.ns
-                 (cfg.Microbench.sync_every * cfg.Microbench.ticks_per_iter
-                 * (cfg.Microbench.tick_ns + cfg.Microbench.skew_ns)))
-          else None
-        in
-        let run_once mode =
-          match family with
-          | `Events -> Microbench.run_events ~jobs ?horizon ~mode cfg
-          | `Procs -> Microbench.run_procs ~jobs ~mode cfg
-        in
-        (* Best-of-N wall clock (outputs are asserted identical below, so
-           repetition only de-noises the events/sec column). *)
-        let run mode =
-          let best = ref (run_once mode) in
-          for _ = 2 to reps do
-            let r = run_once mode in
-            if r.Microbench.wall_sec < !best.Microbench.wall_sec then best := r
-          done;
-          !best
-        in
-        let reports = List.map (fun m -> (m, run m)) all_pdes in
-        let seq = List.assoc `Seq reports in
-        List.iter
-          (fun ((m : Sim_env.pdes), (r : Microbench.report)) ->
-            if not (Microbench.equal_output seq.Microbench.out r.Microbench.out) then
-              fatal "pdes" "%s/%s output differs from sequential" scenario
-                (Sim_env.pdes_to_string m))
-          reports;
-        Printf.printf
-          "\nscenario %-16s (%s family): %d GPUs, %d rounds, sync every %d, skew %d ns (outputs \
-           verified equal)\n"
-          scenario family_name cfg.Microbench.gpus cfg.Microbench.iters cfg.Microbench.sync_every
-          cfg.Microbench.skew_ns;
-        Printf.printf "  %-12s %-10s %5s %10s %14s %9s %9s %9s %7s\n" "mode" "ran" "jobs" "events"
-          "events/sec" "win/rnd" "rollback" "anti" "vs-seq";
-        let seq_eps = Microbench.events_per_sec seq in
-        List.map
-          (fun ((m : Sim_env.pdes), (r : Microbench.report)) ->
-            let speedup = if seq_eps = 0.0 then 0.0 else Microbench.events_per_sec r /. seq_eps in
-            let rb, anti =
-              match r.Microbench.outcome with
-              | E.Engine.Optimistic { rollbacks; anti_messages; _ } -> (rollbacks, anti_messages)
-              | _ -> (0, 0)
-            in
-            Printf.printf "  %-12s %-10s %5d %10d %14.0f %9s %9d %9d %6.2fx\n"
-              (Sim_env.pdes_to_string m) (pdes_ran r) r.Microbench.jobs
-              r.Microbench.out.Microbench.events (Microbench.events_per_sec r)
-              (match windows_of r with Some w -> string_of_int w | None -> "-")
-              rb anti speedup;
-            (if family = `Events && m = `Optimistic && pdes_ran r = "optimistic" then
-               let win = List.assoc `Windowed reports in
-               let ratio =
-                 let w = Microbench.events_per_sec win in
-                 if w = 0.0 then 0.0 else Microbench.events_per_sec r /. w
-               in
-               match !best_opt with
-               | Some (_, best) when best >= ratio -> ()
-               | _ -> best_opt := Some (scenario, ratio));
-            pdes_point ~scenario ~family:family_name ~mode:(Sim_env.pdes_to_string m) ~speedup r)
-          reports)
-      scenarios
-  in
-  (match !best_opt with
-  | Some (scenario, ratio) ->
-    Printf.printf "\noptimistic vs windowed (events/sec): best ratio %.2fx on %s%s\n" ratio scenario
-      (if ratio > 1.0 then "" else " (no win this run — wall-clock noise or dense traffic)")
-  | None -> Printf.printf "\noptimistic driver never ran genuinely (all fallbacks)\n");
-  points
 
 (* ---------------------------------------------------------------- *)
 (* Bechamel wall-clock microbenchmarks (one per figure regenerator)  *)
@@ -1435,19 +1210,10 @@ let fig_autotune (n1d, n2d, n3d, iters) =
   let p0 = D.Autotune.plan_to_string d.D.Autotune.best in
   if not d.D.Autotune.best.D.Autotune.shard then
     fatal "autotune" "smoother: searched plan %s does not shard across the machine" p0;
-  (* Determinism gate: the plan choice must survive re-running the search
-     and pinning the candidate probe's ambient environment to different
-     PDES drivers. *)
-  List.iter
-    (fun (what, env) ->
-      let p = D.Autotune.plan_to_string (search ~env sdfg ~iterations:steps).D.Autotune.best in
-      if p <> p0 then fatal "autotune" "plan choice is not deterministic (%s): %s vs %s" what p0 p)
-    [
-      ("re-run", Sim_env.default);
-      ("pdes=seq", Sim_env.make ~pdes:`Seq ());
-      ("pdes=optimistic", Sim_env.make ~pdes:`Optimistic ());
-    ];
-  Printf.printf "plan choice deterministic across re-runs and PDES modes\n";
+  (* Determinism gate: the plan choice must survive re-running the search. *)
+  let p = D.Autotune.plan_to_string (search ~env:Sim_env.default sdfg ~iterations:steps).D.Autotune.best in
+  if p <> p0 then fatal "autotune" "plan choice is not deterministic (re-run): %s vs %s" p0 p;
+  Printf.printf "plan choice deterministic across re-runs\n";
   (* End-to-end gate: execute the searched plan with real buffers and check
      the generic program's result against its sequential reference. *)
   let built = D.Autotune.build ~backed:true d.D.Autotune.best sdfg in
@@ -1792,15 +1558,12 @@ let registry =
         fields =
           [
             ("mode", `String);
-            ("jobs", `Int);
             ("events", `Int);
             ("events_per_sec", `Float);
             ("wall_sec", `Float);
             ("major_gc_words", `Float);
-            ("windows", `Int);
             ("sim_ns", `Int);
             ("bytes", `Int);
-            ("speedup_vs_seq", `Float);
           ];
         gates = [];
       };
@@ -1845,46 +1608,12 @@ let registry =
           ];
         gates =
           [
-            ( "expected the 4 points of the {seq,windowed} x {off,on} grid",
-              fun pts -> List.length pts = 4 );
+            ( "expected the 2 points of the metrics {off,on} pair",
+              fun pts -> List.length pts = 2 );
             ( "a metered point has zero counter totals",
               List.for_all (fun p ->
                   (not (is "metrics" (J.String "on") p))
                   || (num "ticks_total" p > 0.0 && num "msgs_total" p > 0.0)) );
-          ];
-      };
-    Fig
-      {
-        name = "pdes";
-        figure = "fig.pdes";
-        suite = On_demand;
-        smoke = (pdes_scenarios ~gpus:4 ~iters:48 ~sparse:16 ~sparse_iters:48 ~procs_iters:10, 1);
-        full =
-          (pdes_scenarios ~gpus:8 ~iters:2000 ~sparse:64 ~sparse_iters:4000 ~procs_iters:200, 3);
-        run = fig_pdes;
-        fields =
-          [
-            ("scenario", `String);
-            ("family", `String);
-            ("mode", `String);
-            ("ran", `String);
-            ("jobs", `Int);
-            ("events", `Int);
-            ("events_per_sec", `Float);
-            ("wall_sec", `Float);
-            ("sim_ns", `Int);
-            ("windows", `Int);
-            ("solo_windows", `Int);
-            ("rounds", `Int);
-            ("rollbacks", `Int);
-            ("anti_messages", `Int);
-            ("speedup_vs_seq", `Float);
-          ];
-        gates =
-          [
-            ( "no scenario actually ran the optimistic driver",
-              List.exists (fun p ->
-                  is "mode" (J.String "optimistic") p && is "ran" (J.String "optimistic") p) );
           ];
       };
     Fig

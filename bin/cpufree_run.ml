@@ -92,9 +92,8 @@ let metrics_out_arg =
 
 let pdes_arg =
   let doc =
-    "PDES driver: seq (sequential event loop), windowed (conservative windows), adaptive \
-     (windows resized from observed lookahead) or optimistic (Time Warp). Overrides the \
-     CPUFREE_PDES variable; all drivers produce bit-identical results."
+    "Discrete-event driver: seq (the sequential event loop, the only one). Overrides the \
+     CPUFREE_PDES variable; any other value is rejected."
   in
   Arg.(value & opt (some string) None & info [ "pdes" ] ~docv:"MODE" ~doc)
 
@@ -103,6 +102,15 @@ let resolve_pdes name =
   | Ok mode -> mode
   | Error msg ->
     Printf.eprintf "bad --pdes mode %s\n" msg;
+    exit 2
+
+(* Without --pdes the run reads CPUFREE_PDES: reject a bad value up front
+   with exit 2, before any simulation starts. *)
+let check_pdes_env () =
+  match Env.pdes_of_env_var () with
+  | `Seq -> ()
+  | exception Invalid_argument msg ->
+    Printf.eprintf "%s\n" msg;
     exit 2
 
 let resolve_arch name =
@@ -145,7 +153,12 @@ let common_term =
       fault_seed;
       trace_out;
       metrics_out;
-      pdes = Option.map resolve_pdes pdes;
+      pdes =
+        (match pdes with
+        | Some name -> Some (resolve_pdes name)
+        | None ->
+          check_pdes_env ();
+          None);
     }
   in
   Term.(
@@ -297,22 +310,23 @@ let run_stencil common iters dims variant no_compute verify timeline chrome =
       Printf.eprintf "%s\n" e;
       exit 2
   in
+  (* Every selected scheme is interpreted (and so validated) before anything
+     runs or prints. *)
+  let scenarios = List.map (fun kind -> (kind, interpret kind)) kinds in
   match common.faults with
   | Some spec ->
     Printf.printf "chaos run: faults=%s seed=%d\n" (Fault.to_string spec) common.fault_seed;
     List.iter
-      (fun kind ->
-        let hsc = interpret kind in
+      (fun (_, hsc) ->
         let cr = S.Harness.run_scenario_chaos hsc in
         print_chaos_report cr.S.Harness.chaos ~progress:cr.S.Harness.progress;
         if single then write_observability common (S.Harness.scenario_sim_env hsc))
-      kinds;
+      scenarios;
     0
   | None ->
     let results =
       List.map
-        (fun kind ->
-          let hsc = interpret kind in
+        (fun (kind, hsc) ->
           let r, trace = S.Harness.run_scenario_traced hsc in
           if timeline && single then print_timeline trace;
           if single then begin
@@ -331,7 +345,7 @@ let run_stencil common iters dims variant no_compute verify timeline chrome =
               Printf.printf "%-22s verification FAILED: %s\n" (S.Variants.name kind) m
           end;
           r)
-        kinds
+        scenarios
     in
     Format.printf "%a"
       (fun fmt ->
@@ -386,9 +400,8 @@ let specialize_arg =
   Arg.(value & flag & info [ "specialize-tb" ] ~doc)
 
 (* dace --auto: the generic pass end to end. Search under a quiet probe of
-   the same topology (the probe pins the PDES mode, so the choice is the
-   same whatever --pdes says), report every candidate and the margin over
-   the hand-built pipeline, then execute the winner under the full
+   the same topology, report every candidate and the margin over the
+   hand-built pipeline, then execute the winner under the full
    environment. *)
 let run_dace_auto common iters app_name arm size specialize_tb timeline chrome =
   let gpus = common.gpus in
@@ -410,7 +423,11 @@ let run_dace_auto common iters app_name arm size specialize_tb timeline chrome =
           exit 2
       in
       let plan = D.Pipeline.hand_plan ~specialize_tb arm ~gpus in
-      (D.Pipeline.frontend app arm ~gpus, Some plan, D.Pipeline.app_name app)
+      match D.Pipeline.frontend app arm ~gpus with
+      | exception Invalid_argument msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 2
+      | sdfg -> (sdfg, Some plan, D.Pipeline.app_name app)
   in
   let probe = quiet_env common in
   let a = D.Analysis.analyze sdfg in

@@ -131,8 +131,7 @@ let members t ~pe = Array.copy t.pe_grp.(pe).members
 
 (* All membership decisions are pure functions of (spec, virtual now) —
    the kill schedule, not the mutable registry — so every survivor
-   derives the same dead set and the same shrunk group under every PDES
-   driver. The checks are compiled out (None) without fail-stop clauses,
+   derives the same dead set and the same shrunk group. The checks are compiled out (None) without fail-stop clauses,
    keeping those runs byte-identical. *)
 let failstop t =
   match Nvshmem.faults t.nv with
@@ -510,7 +509,7 @@ module R = G.Runtime
 let host_streams ctx ~label =
   let eng = R.engine ctx in
   Array.init (R.num_gpus ctx) (fun g ->
-      G.Stream.create ~partition:(R.gpu_partition ctx g) eng ~dev:(R.device ctx g)
+      G.Stream.create eng ~dev:(R.device ctx g)
         ~name:(Printf.sprintf "%s.s%d" label g))
 
 let host_sync_all ctx streams = Array.iter (fun s -> R.stream_synchronize ctx s) streams

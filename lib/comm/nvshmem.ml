@@ -10,7 +10,7 @@ type signal_op = Signal_set | Signal_add
 
 (* Metrics instruments (when the runtime context carries a registry):
    per-source-PE put/byte counters plus run totals for signal traffic,
-   blocked-wait time and fault-path events, sharded per engine partition. *)
+   blocked-wait time and fault-path events. *)
 type instr = {
   m_puts : Mx.Counter.h array; (* indexed by source PE *)
   m_put_bytes : Mx.Counter.h array;
@@ -32,6 +32,7 @@ type t = {
   obs : instr option;
   op_seq : int array;  (* per-PE issue counter for deterministic flow ids *)
   mutable next_op : int;
+  lanes : string option array;  (* per-PE "gpuN.nvshmem" trace lane, built on first use *)
 }
 
 let init ctx =
@@ -41,21 +42,19 @@ let init ctx =
     match G.Runtime.metrics ctx with
     | None -> None
     | Some reg ->
-      let slots = E.Engine.num_partitions eng in
       let per_pe name =
-        Array.init n (fun pe ->
-            Mx.counter reg ~name ~labels:[ ("pe", string_of_int pe) ] ~slots ())
+        Array.init n (fun pe -> Mx.counter reg ~name ~labels:[ ("pe", string_of_int pe) ] ())
       in
       Some
         {
           m_puts = per_pe "nvshmem.puts";
           m_put_bytes = per_pe "nvshmem.put_bytes";
-          m_signal_ops = Mx.counter reg ~name:"nvshmem.signal_ops" ~slots ();
-          m_signal_waits = Mx.counter reg ~name:"nvshmem.signal_waits" ~slots ();
-          m_wait_blocked = Mx.histogram reg ~name:"nvshmem.wait_blocked_ns" ~slots ();
-          m_retries = Mx.counter reg ~name:"nvshmem.retries" ~slots ();
-          m_resends = Mx.counter reg ~name:"nvshmem.resends" ~slots ();
-          m_drops = Mx.counter reg ~name:"nvshmem.drops" ~slots ();
+          m_signal_ops = Mx.counter reg ~name:"nvshmem.signal_ops" ();
+          m_signal_waits = Mx.counter reg ~name:"nvshmem.signal_waits" ();
+          m_wait_blocked = Mx.histogram reg ~name:"nvshmem.wait_blocked_ns" ();
+          m_retries = Mx.counter reg ~name:"nvshmem.retries" ();
+          m_resends = Mx.counter reg ~name:"nvshmem.resends" ();
+          m_drops = Mx.counter reg ~name:"nvshmem.drops" ();
         }
   in
   {
@@ -68,23 +67,19 @@ let init ctx =
     obs;
     op_seq = Array.make n 0;
     next_op = 0;
+    lanes = Array.make n None;
   }
 
-let slot t = E.Engine.current_partition t.eng
-
-let bump t sel =
-  match t.obs with None -> () | Some o -> Mx.Counter.incr ~slot:(slot t) (sel o)
+let bump t sel = match t.obs with None -> () | Some o -> Mx.Counter.incr (sel o)
 
 let note_put t ~from_pe ~bytes =
   match t.obs with
   | None -> ()
   | Some o ->
-    let s = slot t in
-    Mx.Counter.incr ~slot:s o.m_puts.(from_pe);
-    Mx.Counter.add ~slot:s o.m_put_bytes.(from_pe) bytes
+    Mx.Counter.incr o.m_puts.(from_pe);
+    Mx.Counter.add o.m_put_bytes.(from_pe) bytes
 
-let count_resends t k =
-  match t.obs with None -> () | Some o -> Mx.Counter.add ~slot:(slot t) o.m_resends k
+let count_resends t k = match t.obs with None -> () | Some o -> Mx.Counter.add o.m_resends k
 
 (* Lost-delivery registry keys: a dropped put+signal is filed under the
    destination flag instance its arrival would have raised (that flag's
@@ -135,21 +130,34 @@ let apply_signal sig_var pe op v =
   | Signal_add -> E.Sync.Flag.add flag v
 
 (* Run a delivery asynchronously on behalf of [from_pe], tracking it in the
-   PE's outstanding-op counter so that quiet/barrier can drain it. *)
+   PE's outstanding-op counter so that quiet/barrier can drain it. The
+   process name is formatted only if a diagnostic asks for it. *)
 let deliver_async t ~from_pe ~label body =
   E.Sync.Flag.add t.pending.(from_pe) 1;
   t.next_op <- t.next_op + 1;
-  let pname = Printf.sprintf "nvshmem.%s.pe%d.%d" label from_pe t.next_op in
+  let op = t.next_op in
   let (_ : E.Engine.process) =
-    E.Engine.spawn t.eng ~name:pname
-      ~partition:(G.Runtime.gpu_partition t.ctx from_pe)
+    E.Engine.spawn t.eng
+      ~name_of:(fun () -> Printf.sprintf "nvshmem.%s.pe%d.%d" label from_pe op)
       (fun () ->
         body ();
         E.Sync.Flag.add t.pending.(from_pe) (-1))
   in
   ()
 
-let lane t pe = G.Device.lane (G.Runtime.device t.ctx pe) "nvshmem"
+let lane_opt t pe =
+  match t.lanes.(pe) with
+  | Some _ as l -> l
+  | None ->
+    let l = Some (G.Device.lane (G.Runtime.device t.ctx pe) "nvshmem") in
+    t.lanes.(pe) <- l;
+    l
+
+let lane t pe = Option.get (lane_opt t pe)
+
+(* The lane a transfer records its span on: none when the engine keeps no
+   trace, so untraced runs never build one. *)
+let trace_lane t pe = match E.Engine.trace t.eng with None -> None | Some _ -> lane_opt t pe
 
 (* Flow-arrow context drawn at issue time, when the trace records flows:
    a deterministic id unique across PEs in sender program order (issue
@@ -193,7 +201,7 @@ let delivery t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after () =
   let a = arch t in
   G.Interconnect.transfer (net t) ~src:(G.Interconnect.Gpu from_pe)
     ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device ~bytes
-    ~trace_lane:(lane t from_pe) ~label ();
+    ?trace_lane:(trace_lane t from_pe) ~label ();
   commit ();
   match signal_after with
   | None -> ()
@@ -210,7 +218,7 @@ let draw_fate t ~from_pe =
    PE initiates nothing — its puts and signal updates are suppressed before
    any cost, fate draw or registry entry, so to every peer it simply goes
    silent (the resilient waiter diagnoses it from the schedule). A pure
-   function of (spec, now), hence identical under every PDES driver; false
+   function of (spec, now), so deterministic; false
    without fail-stop clauses, keeping those runs byte-identical. *)
 let sender_dead t ~pe =
   match t.faults with
@@ -293,7 +301,7 @@ let iput_nbi t ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_stri
         G.Interconnect.transfer (net t) ~src:(G.Interconnect.Gpu from_pe)
           ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device
           ~bytes:(count * G.Buffer.elem_bytes)
-          ~trace_lane:(lane t from_pe) ~label:"iput" ();
+          ?trace_lane:(trace_lane t from_pe) ~label:"iput" ();
         G.Buffer.blit_strided ~src ~src_pos ~src_stride ~dst:dst_buf ~dst_pos ~dst_stride
           ~count)
   in
@@ -319,7 +327,7 @@ let p t ~from_pe ~to_pe ~value ~dst ~dst_pos =
   note_put t ~from_pe ~bytes:G.Buffer.elem_bytes;
   G.Interconnect.transfer (net t) ~src:(G.Interconnect.Gpu from_pe)
     ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device
-    ~bytes:G.Buffer.elem_bytes ~trace_lane:(lane t from_pe) ~label:"p" ();
+    ~bytes:G.Buffer.elem_bytes ?trace_lane:(trace_lane t from_pe) ~label:"p" ();
   G.Buffer.set (local dst ~pe:to_pe) dst_pos value
   end
 
@@ -408,8 +416,8 @@ let resilient_wait t ~pe ~waits_on ~plan ~sig_var pred =
            fail-stop schedule: a peer whose death has passed will never
            supply this signal, so retrying is futile — diagnose the kill
            instead. The check is a pure function of (spec, now), making
-           the detection round identical under every PDES driver; without
-           fail-stop clauses it is compiled out of the path entirely. *)
+           the detection round deterministic; without fail-stop clauses it
+           is compiled out of the path entirely. *)
         match
           if F.has_failstop spec then F.killed_by spec ~now:(E.Engine.now t.eng) else []
         with
@@ -465,7 +473,7 @@ let signal_wait_until t ?expect_from ~pe ~sig_var pred =
     match t.obs with
     | None -> ()
     | Some o ->
-      Mx.Histogram.observe ~slot:(slot t) o.m_wait_blocked
+      Mx.Histogram.observe o.m_wait_blocked
         (Time.to_ns (Time.sub (E.Engine.now t.eng) t0))
   end
 

@@ -15,10 +15,6 @@ type result = {
   bytes_moved : int;
 }
 
-type pdes = Obs.Sim_env.pdes
-
-let pdes_mode () : pdes = Obs.Sim_env.pdes_of_env_var ()
-
 let measure ~label ~gpus ~iterations eng ctx trace =
   let total = E.Engine.now eng in
   let iters = Stdlib.max 1 iterations in
@@ -33,52 +29,6 @@ let measure ~label ~gpus ~iterations eng ctx trace =
     bytes_moved = G.Interconnect.bytes_moved (G.Runtime.net ctx);
   }
 
-(* Optional Time Warp tuning knobs, nanosecond integers. Unset or empty means
-   "let the driver pick"; junk gets the same friendly treatment as
-   [CPUFREE_PDES]. *)
-let time_env_var name =
-  match Stdlib.Sys.getenv_opt name with
-  | None -> None
-  | Some s -> (
-    match String.trim s with
-    | "" -> None
-    | s -> (
-      match int_of_string_opt s with
-      | Some ns when ns > 0 -> Some (Time.ns ns)
-      | Some _ | None ->
-        invalid_arg (Printf.sprintf "%s=%S: expected a positive integer (nanoseconds)" name s)))
-
-let drive mode eng ctx =
-  match mode with
-  | `Seq -> E.Engine.run eng
-  | `Windowed ->
-    (* The figure models share flags and resources across devices, so they do
-       not declare [~isolated] and this resolves to the sequential driver on a
-       partitioned engine — same global event order, bit-identical output.
-       Isolated models (e.g. {!Microbench}) take the parallel path. *)
-    let (_ : E.Engine.outcome) =
-      E.Engine.run_windowed ~lookahead:(G.Runtime.lookahead ctx) eng
-    in
-    ()
-  | `Adaptive ->
-    let (_ : E.Engine.outcome) =
-      E.Engine.run_adaptive
-        ~lookahead_of:(G.Runtime.lookahead_of ctx)
-        ~lookahead:(G.Runtime.lookahead ctx) eng
-    in
-    ()
-  | `Optimistic ->
-    (* Falls back to the windowed (and thence sequential) driver when the
-       model registers processes or no state providers — same output either
-       way; only the driver differs. *)
-    let (_ : E.Engine.outcome) =
-      E.Engine.run_optimistic
-        ?horizon:(time_env_var "CPUFREE_OPT_HORIZON")
-        ?max_horizon:(time_env_var "CPUFREE_OPT_MAX_HORIZON")
-        ~lookahead:(G.Runtime.lookahead ctx) eng
-    in
-    ()
-
 (* End-of-run observability hand-off: merge the engine's trace into the
    environment's sink (spans and flows, canonically ordered) and fold the
    engine's own counters into the environment's registry. A run with neither
@@ -92,32 +42,32 @@ let publish env eng trace =
   | Some reg ->
     let c name v = Mx.Counter.add (Mx.counter reg ~name ()) v in
     c "engine.events" (E.Engine.events_executed eng);
-    c "engine.windows" (E.Engine.windows_executed eng);
-    c "engine.solo_windows" (E.Engine.solo_windows eng);
+    (* The retired parallel drivers' counters stay in the dump at the values
+       the sequential driver always reported (no windows, no speculation,
+       one partition), so metrics artifacts keep their exact bytes. *)
+    c "engine.windows" 0;
+    c "engine.solo_windows" 0;
     c "engine.stall_scans" (E.Engine.stall_scans eng);
-    c "engine.opt.rounds" (E.Engine.optimistic_rounds eng);
-    c "engine.opt.rollbacks" (E.Engine.rollbacks eng);
-    c "engine.opt.anti_messages" (E.Engine.anti_messages eng);
-    c "engine.opt.events_rolled_back" (E.Engine.events_rolled_back eng);
-    Mx.Gauge.set (Mx.gauge reg ~name:"engine.partitions" ()) (E.Engine.num_partitions eng)
+    c "engine.opt.rounds" 0;
+    c "engine.opt.rollbacks" 0;
+    c "engine.opt.anti_messages" 0;
+    c "engine.opt.events_rolled_back" 0;
+    Mx.Gauge.set (Mx.gauge reg ~name:"engine.partitions" ()) 1
 
 (* Shared run core: engine + runtime context from the environment, program as
-   the "main" process, sequential or windowed drive, then measurement. The
+   the "main" process, the run, then measurement. The
    engine's own trace doubles as the comm-accounting source; it records flow
    arrows only when the environment's sink does, so legacy runs (no sink, or
    a sink without flows) stay byte-identical. *)
 let run_core ?arch ~env ~label ~gpus ~iterations program =
-  let mode = Obs.Sim_env.resolve_pdes env in
+  (* Rejects a [CPUFREE_PDES] naming anything but the sequential driver. *)
+  let (`Seq : Obs.Sim_env.pdes) = Obs.Sim_env.resolve_pdes env in
   let flows = E.Trace.flows_enabled env.Obs.Sim_env.trace in
   let trace = E.Trace.create ~flows () in
-  let eng =
-    match mode with
-    | `Seq -> E.Engine.create ~trace ()
-    | `Windowed | `Adaptive | `Optimistic -> E.Engine.create ~trace ~partitions:(gpus + 1) ()
-  in
+  let eng = E.Engine.create ~trace () in
   let ctx = G.Runtime.create eng ?arch ~env ~num_gpus:gpus () in
   let (_ : E.Engine.process) = E.Engine.spawn eng ~name:"main" (fun () -> program ctx) in
-  drive mode eng ctx;
+  E.Engine.run eng;
   let r = measure ~label ~gpus ~iterations eng ctx trace in
   publish env eng trace;
   (r, trace)
@@ -128,8 +78,8 @@ let run_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program 
 let run_traced_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
   run_core ?arch ~env ~label ~gpus ~iterations program
 
-let probe_env ?arch ?(env = Obs.Sim_env.default) ?pdes ~label ~gpus ~iterations program =
-  (run_env ?arch ~env:(Obs.Sim_env.probe ?pdes env) ~label ~gpus ~iterations program).total
+let probe_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
+  (run_env ?arch ~env:(Obs.Sim_env.probe env) ~label ~gpus ~iterations program).total
 
 (* The measurement-layer view of a Scenario: architecture resolved, a fresh
    environment built. Workload interpretation stays downstream — this is
@@ -137,9 +87,11 @@ let probe_env ?arch ?(env = Obs.Sim_env.default) ?pdes ~label ~gpus ~iterations 
 type run_spec = { rs_arch : Cpufree_gpu.Arch.t; rs_env : Obs.Sim_env.t; rs_gpus : int }
 
 let of_scenario (sc : Scenario.t) =
-  match Scenario.arch_of sc with
-  | Error _ as e -> e
-  | Ok arch -> Ok { rs_arch = arch; rs_env = Scenario.env sc; rs_gpus = sc.Scenario.gpus }
+  let ( let* ) = Result.bind in
+  let* () = Scenario.validate sc in
+  let* arch = Scenario.arch_of sc in
+  let* () = Scenario.check_fault_vertices sc arch in
+  Ok { rs_arch = arch; rs_env = Scenario.env sc; rs_gpus = sc.Scenario.gpus }
 
 module F = Cpufree_fault.Fault
 
@@ -161,17 +113,7 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
     | Some s -> s
     | None -> invalid_arg "Measure.run_chaos_env: env carries no fault spec"
   in
-  let mode = Obs.Sim_env.resolve_pdes env in
-  (* Scheduled fabric deaths (linkfail/switchfail) mutate the shared
-     topology mid-run; a partitioned driver could observe the mutation in
-     wall-clock rather than virtual-time order. Those runs honestly degrade
-     to the sequential driver — same simulated output, only the driver
-     differs (the same contract as the optimistic driver's fallback). GPU
-     kills mutate nothing (suppression and detection are pure functions of
-     virtual time), so they run under every driver. *)
-  let mode =
-    if spec.F.link_fails <> [] || spec.F.switch_fails <> [] then `Seq else mode
-  in
+  let (`Seq : Obs.Sim_env.pdes) = Obs.Sim_env.resolve_pdes env in
   let watchdog =
     match watchdog with
     | Some w -> w
@@ -179,12 +121,7 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
   in
   let flows = E.Trace.flows_enabled env.Obs.Sim_env.trace in
   let trace = E.Trace.create ~flows () in
-  let eng =
-    match mode with
-    | `Seq -> E.Engine.create ~trace ~watchdog ()
-    | `Windowed | `Adaptive | `Optimistic ->
-      E.Engine.create ~trace ~partitions:(gpus + 1) ~watchdog ()
-  in
+  let eng = E.Engine.create ~trace ~watchdog () in
   let ctx = G.Runtime.create eng ?arch ~env ~num_gpus:gpus () in
   let plan =
     match G.Runtime.faults ctx with
@@ -193,7 +130,7 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
   in
   let (_ : E.Engine.process) = E.Engine.spawn eng ~name:"main" (fun () -> program ctx) in
   let completed, failure, trigger =
-    match drive mode eng ctx with
+    match E.Engine.run eng with
     | () -> (true, [], None)
     | exception E.Engine.Stall report ->
       if flows then

@@ -3,7 +3,7 @@
 
     The canonical entry points ([run_env], [run_chaos_env]) take a
     {!Cpufree_obs.Sim_env.t} bundling topology, fault plan, observability
-    sinks and PDES mode; {!of_scenario} builds that environment (plus the
+    sinks and execution mode; {!of_scenario} builds that environment (plus the
     resolved architecture and GPU count) from a first-class {!Scenario.t},
     so the CLI and the serving daemon drive runs through one path. *)
 
@@ -18,26 +18,13 @@ type result = {
   bytes_moved : int;
 }
 
-type pdes = Cpufree_obs.Sim_env.pdes
-
-val pdes_mode : unit -> pdes
-(** The execution mode selected by the [CPUFREE_PDES] environment variable:
-    unset, [""], ["seq"] or ["sequential"] select the classic sequential
-    driver; ["windowed"] or ["pdes"] select conservative time-windowed
-    partitioned execution (one partition per GPU plus a host/interconnect
-    partition, lookahead from {!Cpufree_gpu.Runtime.lookahead}). Windowed
-    mode automatically falls back to sequential — with identical results —
-    when the model does not guarantee partition isolation or the lookahead is
-    zero. Any other value raises [Invalid_argument]. Equivalent to
-    {!Cpufree_obs.Sim_env.pdes_of_env_var}. *)
-
 val run_env :
   ?arch:Cpufree_gpu.Arch.t ->
   ?env:Cpufree_obs.Sim_env.t ->
   label:string -> gpus:int -> iterations:int ->
   (Cpufree_gpu.Runtime.ctx -> unit) -> result
 (** Create an engine, a runtime context with [gpus] devices arranged per
-    [env] (topology, fault plan, observability, PDES mode — default
+    [env] (topology, fault plan, observability, execution mode — default
     {!Cpufree_obs.Sim_env.default}: NVSwitch HGX, no faults, no sinks, mode
     from [CPUFREE_PDES]), run the given host program as the "main" process
     to completion, and measure. Deterministic.
@@ -46,8 +33,10 @@ val run_env :
     with [~flows:true], put→delivery flow arrows and fault instant markers)
     are merged into it in canonical order. When [env.metrics] is set, the
     simulated layers register and update instruments in it and the engine's
-    own counters ([engine.events], [engine.windows], [engine.stall_scans],
-    [engine.partitions]) are folded in at the end. With neither set the run
+    own counters ([engine.events], [engine.stall_scans], and the constant
+    [engine.windows], [engine.solo_windows], [engine.opt.*] and
+    [engine.partitions] the retired parallel drivers used to fill) are
+    folded in at the end. With neither set the run
     is byte-identical to the legacy path. Note that a flow-enabled sink adds
     remote-delivery spans on destination lanes, which participate in the
     comm/overlap accounting of the returned {!result}. *)
@@ -64,15 +53,12 @@ val run_traced_env :
 val probe_env :
   ?arch:Cpufree_gpu.Arch.t ->
   ?env:Cpufree_obs.Sim_env.t ->
-  ?pdes:Cpufree_obs.Sim_env.pdes ->
   label:string -> gpus:int -> iterations:int ->
   (Cpufree_gpu.Runtime.ctx -> unit) -> Cpufree_engine.Time.t
 (** Cheap cost probe for candidate evaluation (the autotuner's oracle): run
     the program under {!Cpufree_obs.Sim_env.probe}[ env] — observability
-    sinks and fault plan stripped, PDES mode pinned (default [`Windowed]) —
-    and return only the simulated wall-clock. Because the mode is pinned and
-    the drivers are bit-identical, the returned cost does not depend on the
-    ambient [CPUFREE_PDES], so searches ranked by it are deterministic. *)
+    sinks and fault plan stripped — and return only the simulated
+    wall-clock. *)
 
 type run_spec = {
   rs_arch : Cpufree_gpu.Arch.t;  (** resolved device architecture *)
@@ -86,8 +72,9 @@ type run_spec = {
     {!run_chaos_env}. *)
 
 val of_scenario : Scenario.t -> (run_spec, string) Stdlib.result
-(** Resolve a scenario's architecture name and build its environment
-    ({!Scenario.env}). Workload interpretation (variant, dims, app, arm)
+(** Validate the scenario ({!Scenario.validate} and
+    {!Scenario.check_fault_vertices}: [Error] with the reason), resolve its
+    architecture name and build its environment ({!Scenario.env}). Workload interpretation (variant, dims, app, arm)
     belongs to the layer that owns those names — [Harness.of_scenario] and
     [Dace.Pipeline.of_scenario] build on this. *)
 
@@ -121,7 +108,7 @@ val run_chaos_env :
     abort is marked with a [stall:] instant on the host lane of a
     flow-enabled sink, and fault-path totals ([fault.dropped] etc.) are
     folded into [env.metrics]. Bit-identical across repeats for a fixed
-    [env.fault_seed] in both [CPUFREE_PDES] modes.
+    [env.fault_seed].
 
     @raise Invalid_argument when [env.faults] is [None]. *)
 

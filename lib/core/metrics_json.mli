@@ -12,7 +12,7 @@
           "buckets": [[1, 3], [7, 6]] } ] }
     v}
     Metrics appear in canonical (name, labels) order, so the document is
-    byte-stable across [CPUFREE_PDES] modes and worker counts. *)
+    byte-stable across runs and worker counts. *)
 
 val schema_version : int
 

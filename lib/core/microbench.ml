@@ -3,23 +3,15 @@ module G = Cpufree_gpu
 module Mx = Cpufree_obs.Metrics
 module Time = E.Time
 
-(* Synthetic isolated multi-GPU model for the engine-throughput
-   microbenchmark (`bench -- micro`).
+(* Synthetic multi-GPU model for the engine-throughput microbenchmark
+   (`bench -- micro`) and the instrumentation-overhead figure
+   (`bench -- profile`).
 
-   Each simulated GPU is one engine partition running a rank process that
-   alternates compute ticks with a halo send to a neighbour, then waits for
-   its own inbound halo. Every cross-partition interaction goes through
-   [Engine.post] with exactly one lookahead of delay, so the model can
-   honestly declare [~isolated:true] and exercise the parallel windowed
-   driver — unlike the figure scenarios, whose devices share flags and port
-   resources and therefore fall back to the sequential driver.
-
-   All cross-partition accumulation (arrival flags, byte counters, inbox
-   checksums) happens inside posted thunks, which execute as events of the
-   *target* partition: each array cell is only ever touched by its own
-   partition, so windows share no mutable state. The inbox mixes payloads
-   with xor — commutative, so the checksum is independent of arrival
-   interleaving across windows. *)
+   Each simulated GPU runs a rank process that alternates compute ticks
+   with a halo send to a neighbour, then waits for its own inbound halo.
+   A halo lands one cross-device latency after it is sent, as a scheduled
+   callback that accumulates bytes, mixes the payload into the receiver's
+   inbox with xor and raises the receiver's arrival flag. *)
 
 type pattern = Ring | Shift of int
 
@@ -28,12 +20,10 @@ type config = {
   iters : int;  (** halo-exchange rounds per rank *)
   ticks_per_iter : int;  (** compute delays between exchanges *)
   tick_ns : int;  (** simulated length of one compute delay *)
-  skew_ns : int;  (** extra per-tick cost on rank 0: a deliberate straggler *)
-  sync_every : int;  (** halo-exchange (send + wait) every this many rounds *)
   bytes_per_msg : int;  (** accounted payload of one halo message *)
   pattern : pattern;  (** who each rank sends to *)
-  arch : G.Arch.t;  (** supplies the lookahead bound *)
-  traced : bool;  (** record compute spans (for equivalence checks) *)
+  arch : G.Arch.t;  (** supplies the halo latency *)
+  traced : bool;  (** record compute spans *)
   metrics : Mx.t option;  (** hot-loop instruments (for overhead measurement) *)
 }
 
@@ -43,8 +33,6 @@ let default =
     iters = 200;
     ticks_per_iter = 4;
     tick_ns = 400;
-    skew_ns = 0;
-    sync_every = 1;
     bytes_per_msg = 4096;
     pattern = Ring;
     arch = G.Arch.a100_hgx;
@@ -60,14 +48,7 @@ type output = {
   spans : E.Trace.span list;  (** canonical order; empty when untraced *)
 }
 
-type report = {
-  label : string;
-  jobs : int;  (** workers requested (1 for the sequential driver) *)
-  outcome : E.Engine.outcome;
-  wall_sec : float;
-  major_words : float;  (** major-heap words allocated during the run *)
-  out : output;
-}
+type report = { wall_sec : float; major_words : float; out : output }
 
 let equal_output a b =
   a.sim_ns = b.sim_ns && a.events = b.events && a.bytes = b.bytes && a.checksum = b.checksum
@@ -83,44 +64,26 @@ let dst_of cfg g =
 
 let mix h v = ((h * 0x2545F4914F6CDD1D) + v) lxor (v lsl 17)
 
-(* Halo exchanges happen at iterations S, 2S, ... and always at the last one;
-   [sync_count cfg it] is how many a rank has sent by the end of iteration
-   [it] — and therefore how many inbound halos a rank must have seen before
-   leaving its own sync point (all ranks follow the same schedule). *)
-let is_sync cfg it = it mod cfg.sync_every = 0 || it = cfg.iters
-
-let sync_count cfg it =
-  (it / cfg.sync_every) + if it = cfg.iters && cfg.iters mod cfg.sync_every <> 0 then 1 else 0
-
-let check_config cfg =
-  if cfg.gpus <= 0 then invalid_arg "Microbench: need at least one GPU";
-  if cfg.sync_every <= 0 then invalid_arg "Microbench: sync_every must be positive"
-
 let build cfg =
-  check_config cfg;
+  if cfg.gpus <= 0 then invalid_arg "Microbench: need at least one GPU";
   let trace = if cfg.traced then Some (E.Trace.create ()) else None in
-  let eng = E.Engine.create ?trace ~partitions:(cfg.gpus + 1) ~isolated:true () in
-  let lookahead = G.Arch.lookahead_bound cfg.arch in
+  let eng = E.Engine.create ?trace () in
+  let latency = G.Arch.lookahead_bound cfg.arch in
   let arrived =
-    Array.init cfg.gpus (fun g ->
-        E.Sync.Flag.create ~name:(Printf.sprintf "halo.gpu%d" g) eng 0)
+    Array.init cfg.gpus (fun g -> E.Sync.Flag.create ~name:(Printf.sprintf "halo.gpu%d" g) eng 0)
   in
   let bytes = Array.make cfg.gpus 0 in
   let inbox = Array.make cfg.gpus 0 in
   let final = Array.make cfg.gpus 0 in
-  let tick_of g = Time.ns (cfg.tick_ns + if g = 0 then cfg.skew_ns else 0) in
-  (* Per-rank hot-loop instruments; this is the honest vehicle for the
-     fig.profile overhead measurement, so the counters sit exactly where a
-     production model would put them — inside the tick and send loops,
-     sharded on the rank's own partition. *)
+  (* Per-rank hot-loop instruments; the honest vehicle for the fig.profile
+     overhead measurement, so the counters sit exactly where a production
+     model would put them — inside the tick and send loops. *)
   let obs =
     match cfg.metrics with
     | None -> None
     | Some reg ->
-      let slots = cfg.gpus + 1 in
       let per_rank name =
-        Array.init cfg.gpus (fun g ->
-            Mx.counter reg ~name ~labels:[ ("rank", string_of_int g) ] ~slots ())
+        Array.init cfg.gpus (fun g -> Mx.counter reg ~name ~labels:[ ("rank", string_of_int g) ] ())
       in
       Some (per_rank "micro.ticks", per_rank "micro.msgs", per_rank "micro.msg_bytes")
   in
@@ -128,205 +91,57 @@ let build cfg =
     let (_ : E.Engine.process) =
       E.Engine.spawn eng
         ~name:(Printf.sprintf "rank%d" g)
-        ~partition:(g + 1)
         (fun () ->
           let state = ref (mix 0 g) in
-          let tick = tick_of g in
+          let tick = Time.ns cfg.tick_ns in
           let dst = dst_of cfg g in
           for it = 1 to cfg.iters do
             let t0 = E.Engine.now eng in
             for _k = 1 to cfg.ticks_per_iter do
               E.Engine.delay eng tick;
               state := mix !state it;
-              match obs with
-              | None -> ()
-              | Some (ticks, _, _) -> Mx.Counter.incr ~slot:(g + 1) ticks.(g)
+              match obs with None -> () | Some (ticks, _, _) -> Mx.Counter.incr ticks.(g)
             done;
             E.Trace.add_opt (E.Engine.trace eng)
               ~lane:(Printf.sprintf "gpu%d" g)
               ~label:"tick" ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now eng);
-            if dst <> g && is_sync cfg it then begin
+            if dst <> g then begin
               (match obs with
               | None -> ()
               | Some (_, msgs, mbytes) ->
-                Mx.Counter.incr ~slot:(g + 1) msgs.(g);
-                Mx.Counter.add ~slot:(g + 1) mbytes.(g) cfg.bytes_per_msg);
+                Mx.Counter.incr msgs.(g);
+                Mx.Counter.add mbytes.(g) cfg.bytes_per_msg);
               let payload = !state in
-              (* One lookahead of delay makes the post legal in any window. *)
-              E.Engine.post eng ~partition:(dst + 1)
-                ~at:(Time.add (E.Engine.now eng) lookahead)
-                (fun () ->
+              E.Engine.schedule_at eng (Time.add (E.Engine.now eng) latency) (fun () ->
                   bytes.(dst) <- bytes.(dst) + cfg.bytes_per_msg;
                   inbox.(dst) <- inbox.(dst) lxor payload;
                   E.Sync.Flag.add arrived.(dst) 1);
-              (* Inbound halos of this epoch must land before the next one. *)
-              E.Sync.Flag.wait_ge arrived.(g) (sync_count cfg it)
+              (* This round's inbound halo must land before the next one. *)
+              E.Sync.Flag.wait_ge arrived.(g) it
             end
           done;
           final.(g) <- !state lxor inbox.(g))
     in
     ()
   done;
-  (eng, lookahead, bytes, final)
-
-let output_of eng ~bytes ~final =
-  {
-    sim_ns = Time.to_ns (E.Engine.now eng);
-    events = E.Engine.events_executed eng;
-    bytes = Array.fold_left ( + ) 0 bytes;
-    checksum = Array.fold_left mix 0 final;
-    spans = (match E.Engine.trace eng with None -> [] | Some tr -> E.Trace.sorted_spans tr);
-  }
-
-let timed f =
-  let g0 = Gc.quick_stat () in
-  let w0 = Unix.gettimeofday () in
-  let v = f () in
-  let w1 = Unix.gettimeofday () in
-  let g1 = Gc.quick_stat () in
-  (v, w1 -. w0, g1.Gc.major_words -. g0.Gc.major_words)
+  (eng, bytes, final)
 
 let run_seq cfg =
-  let eng, _, bytes, final = build cfg in
-  let (), wall_sec, major_words = timed (fun () -> E.Engine.run eng) in
+  let eng, bytes, final = build cfg in
+  let g0 = Gc.quick_stat () in
+  let w0 = Unix.gettimeofday () in
+  E.Engine.run eng;
+  let wall_sec = Unix.gettimeofday () -. w0 in
+  let g1 = Gc.quick_stat () in
   {
-    label = "seq";
-    jobs = 1;
-    outcome = E.Engine.Sequential "requested";
     wall_sec;
-    major_words;
-    out = output_of eng ~bytes ~final;
+    major_words = g1.Gc.major_words -. g0.Gc.major_words;
+    out =
+      {
+        sim_ns = Time.to_ns (E.Engine.now eng);
+        events = E.Engine.events_executed eng;
+        bytes = Array.fold_left ( + ) 0 bytes;
+        checksum = Array.fold_left mix 0 final;
+        spans = (match E.Engine.trace eng with None -> [] | Some tr -> E.Trace.sorted_spans tr);
+      };
   }
-
-let jobs_of_outcome = function
-  | E.Engine.Windowed w -> w.jobs
-  | E.Engine.Adaptive a -> a.jobs
-  | E.Engine.Optimistic o -> o.jobs
-  | E.Engine.Sequential _ -> 1
-
-let run_windowed ?jobs cfg =
-  let eng, lookahead, bytes, final = build cfg in
-  let outcome, wall_sec, major_words =
-    timed (fun () -> E.Engine.run_windowed ?jobs ~lookahead eng)
-  in
-  {
-    label = "windowed";
-    jobs = jobs_of_outcome outcome;
-    outcome;
-    wall_sec;
-    major_words;
-    out = output_of eng ~bytes ~final;
-  }
-
-(* --- Event-driven (process-free) formulation of the same model ---------
-
-   Per-rank state lives in arrays owned by the rank's partition, every step
-   is a posted event that schedules its successor, and each partition
-   registers a state provider. No continuations exist to capture, so this
-   formulation is eligible for the optimistic Time Warp driver — which the
-   process-based one above (one-shot effect continuations) never is. Its
-   observable output is NOT comparable to the process formulation's
-   (different event structure); byte-identity is pinned *within* this
-   family, across all four drivers and any worker count.
-
-   The [metrics] field is ignored here: hot-loop counters are not rolled
-   back with model state, so under speculation they would over-count. *)
-let build_events cfg =
-  check_config cfg;
-  let trace = if cfg.traced then Some (E.Trace.create ()) else None in
-  let eng = E.Engine.create ?trace ~partitions:(cfg.gpus + 1) ~isolated:true () in
-  let lookahead = G.Arch.lookahead_bound cfg.arch in
-  let state = Array.init cfg.gpus (fun g -> mix 0 g) in
-  let inbox = Array.make cfg.gpus 0 in
-  let arrived = Array.make cfg.gpus 0 in
-  let pending = Array.make cfg.gpus 0 in  (* iteration blocked at a sync point; 0 = none *)
-  let bytes = Array.make cfg.gpus 0 in
-  let final = Array.make cfg.gpus 0 in
-  let iter_cost g =
-    Time.ns ((cfg.tick_ns + if g = 0 then cfg.skew_ns else 0) * cfg.ticks_per_iter)
-  in
-  (* Each event computes with explicit times (its own timestamp in, successor
-     timestamps out) and touches only its own rank's cells; effects at equal
-     timestamps commute (xor, counters) — the commutativity that byte-identity
-     across drivers and worker counts rests on. *)
-  let rec run_iter g it t0 =
-    for _k = 1 to cfg.ticks_per_iter do
-      state.(g) <- mix state.(g) it
-    done;
-    let t1 = Time.add t0 (iter_cost g) in
-    E.Trace.add_opt (E.Engine.trace eng)
-      ~lane:(Printf.sprintf "gpu%d" g)
-      ~label:"tick" ~kind:E.Trace.Compute ~t0 ~t1;
-    let dst = dst_of cfg g in
-    if dst <> g && is_sync cfg it then begin
-      let payload = state.(g) in
-      (* One lookahead of delay makes the post legal in any conservative
-         window; the optimistic driver has no gate to satisfy. *)
-      E.Engine.post eng ~partition:(dst + 1)
-        ~at:(Time.add t1 lookahead)
-        (fun () -> arrive dst payload);
-      (* The wait: at t1 check whether this epoch's inbound halo landed. *)
-      E.Engine.post eng ~partition:(g + 1) ~at:t1 (fun () ->
-          if arrived.(g) >= sync_count cfg it then next g it t1 else pending.(g) <- it)
-    end
-    else
-      E.Engine.post eng ~partition:(g + 1) ~at:t1 (fun () -> next g it t1)
-  and arrive dst payload =
-    bytes.(dst) <- bytes.(dst) + cfg.bytes_per_msg;
-    inbox.(dst) <- inbox.(dst) lxor payload;
-    arrived.(dst) <- arrived.(dst) + 1;
-    if pending.(dst) > 0 && arrived.(dst) >= sync_count cfg pending.(dst) then begin
-      let it = pending.(dst) in
-      pending.(dst) <- 0;
-      next dst it (E.Engine.now eng)
-    end
-  and next g it t =
-    if it >= cfg.iters then final.(g) <- state.(g) lxor inbox.(g)
-    else run_iter g (it + 1) t
-  in
-  for g = 0 to cfg.gpus - 1 do
-    E.Engine.register_state eng ~partition:(g + 1) (fun () ->
-        let s = state.(g) and i = inbox.(g) and a = arrived.(g) in
-        let p = pending.(g) and b = bytes.(g) and f = final.(g) in
-        fun () ->
-          state.(g) <- s;
-          inbox.(g) <- i;
-          arrived.(g) <- a;
-          pending.(g) <- p;
-          bytes.(g) <- b;
-          final.(g) <- f);
-    if cfg.iters > 0 then
-      E.Engine.post eng ~partition:(g + 1) ~at:Time.zero (fun () -> run_iter g 1 Time.zero)
-    else final.(g) <- state.(g)
-  done;
-  (eng, lookahead, bytes, final)
-
-let run_built ~label ?jobs ?horizon ~mode (eng, lookahead, bytes, final) =
-  let drive () =
-    match mode with
-    | `Seq ->
-      E.Engine.run eng;
-      E.Engine.Sequential "requested"
-    | `Windowed -> E.Engine.run_windowed ?jobs ~lookahead eng
-    | `Adaptive -> E.Engine.run_adaptive ?jobs ~lookahead eng
-    | `Optimistic -> E.Engine.run_optimistic ?jobs ?horizon ~lookahead eng
-  in
-  let outcome, wall_sec, major_words = timed drive in
-  {
-    label;
-    jobs = jobs_of_outcome outcome;
-    outcome;
-    wall_sec;
-    major_words;
-    out = output_of eng ~bytes ~final;
-  }
-
-let run_events ?jobs ?horizon ~mode cfg =
-  run_built
-    ~label:("ev-" ^ Cpufree_obs.Sim_env.pdes_to_string mode)
-    ?jobs ?horizon ~mode (build_events cfg)
-
-let run_procs ?jobs ?horizon ~mode cfg =
-  run_built
-    ~label:("proc-" ^ Cpufree_obs.Sim_env.pdes_to_string mode)
-    ?jobs ?horizon ~mode (build cfg)

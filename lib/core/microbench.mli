@@ -1,17 +1,14 @@
-(** Engine-throughput microbenchmark: a synthetic, genuinely isolated
-    multi-GPU model that exercises the windowed partitioned driver
-    ({!Cpufree_engine.Engine.run_windowed}) for real — unlike the figure
-    scenarios, whose shared flags and port resources force the sequential
-    fallback.
+(** Engine-throughput microbenchmark: a synthetic multi-GPU ring whose
+    processes alternate compute delays with halo messages, so nearly every
+    event is a delay, a scheduled callback or a flag wake — the engine's
+    hot path with next to no model work around it.
 
-    Each rank (one per GPU, one partition per rank) alternates compute delays
-    with a halo message to a neighbour, posted exactly one lookahead ahead,
-    then blocks until its own inbound halo arrives. The model's observable
-    output (simulated time, event count, byte count, a payload checksum and
-    optionally the canonical trace) is bit-identical between the sequential
-    and windowed drivers for any worker count — that equivalence is what the
-    property tests pin down, and the events/sec ratio between the two runs is
-    what [bench -- micro] reports. *)
+    Each rank (one per GPU) alternates compute delays with a halo message to
+    a neighbour, landing one {!Cpufree_gpu.Arch.lookahead_bound} later, then
+    blocks until its own inbound halo arrives. The model's observable output
+    (simulated time, event count, byte count, a payload checksum and
+    optionally the canonical trace) is deterministic; [bench -- micro]
+    reports its events/sec. *)
 
 type pattern =
   | Ring  (** rank [g] sends to [(g+1) mod gpus] *)
@@ -22,31 +19,20 @@ type config = {
   iters : int;  (** halo-exchange rounds per rank *)
   ticks_per_iter : int;  (** compute delays between exchanges *)
   tick_ns : int;  (** simulated length of one compute delay *)
-  skew_ns : int;
-      (** extra per-tick cost on rank 0 (default 0): a deliberate straggler
-          that widens inter-rank drift — the load imbalance that forces the
-          optimistic driver to roll back *)
-  sync_every : int;
-      (** halo-exchange period in iterations (default 1: exchange every
-          round). Larger periods make cross-partition traffic sparse in
-          time, which is exactly what speculation exploits: conservative
-          windows stay capped at one lookahead regardless, while the
-          optimistic driver runs a whole epoch of local events per round *)
   bytes_per_msg : int;  (** accounted payload of one halo message *)
   pattern : pattern;
-  arch : Cpufree_gpu.Arch.t;  (** supplies the lookahead bound *)
-  traced : bool;  (** record compute spans (for equivalence checks) *)
+  arch : Cpufree_gpu.Arch.t;  (** supplies the halo latency *)
+  traced : bool;  (** record compute spans *)
   metrics : Cpufree_obs.Metrics.t option;
       (** When set, each rank updates per-rank [micro.ticks] / [micro.msgs] /
-          [micro.msg_bytes] counters inside the hot loops, partition-sharded —
-          the honest vehicle for the instrumentation-overhead figure. Never
-          changes simulated behaviour or {!output}. *)
+          [micro.msg_bytes] counters inside the hot loops — the honest
+          vehicle for the instrumentation-overhead figure. Never changes
+          simulated behaviour or {!output}. *)
 }
 
 val default : config
-(** 8 GPUs, 200 rounds, 4 ticks of 400 ns, no skew, halo exchange every
-    round, 4 KiB messages, ring pattern on the A100 HGX architecture,
-    untraced, unmetered. *)
+(** 8 GPUs, 200 rounds, 4 ticks of 400 ns, 4 KiB messages, ring pattern on
+    the A100 HGX architecture, untraced, unmetered. *)
 
 type output = {
   sim_ns : int;  (** final simulated clock *)
@@ -57,45 +43,15 @@ type output = {
 }
 
 type report = {
-  label : string;  (** ["seq"], ["windowed"], ["ev-<mode>"] or ["proc-<mode>"] *)
-  jobs : int;  (** workers actually used (1 for the sequential driver) *)
-  outcome : Cpufree_engine.Engine.outcome;
   wall_sec : float;
   major_words : float;  (** major-heap words allocated during the run *)
   out : output;
 }
 
 val equal_output : output -> output -> bool
-(** Structural equality of everything a simulation mode may not change. *)
+(** Structural equality of everything instrumentation may not change. *)
 
 val events_per_sec : report -> float
 
 val run_seq : config -> report
-(** Build the model and drain it with the sequential driver. *)
-
-val run_windowed : ?jobs:int -> config -> report
-(** Build the model and drain it with {!Cpufree_engine.Engine.run_windowed};
-    the report's [outcome] says whether it actually ran windowed (it does,
-    for any [config] with positive lookahead) and how many windows it took. *)
-
-val run_events :
-  ?jobs:int ->
-  ?horizon:Cpufree_engine.Time.t ->
-  mode:Cpufree_obs.Sim_env.pdes ->
-  config -> report
-(** Build the event-driven (process-free) formulation of the model — per-rank
-    state in partition-owned arrays, every step a posted event, one state
-    provider registered per rank — and drain it with the requested driver.
-    Because it spawns no processes, [`Optimistic] genuinely takes the Time
-    Warp path (speculation, rollback, GVT), which the process-based
-    formulation can never do. Its {!output} is byte-identical across all four
-    modes and any worker count, but is not comparable to {!run_seq} /
-    {!run_windowed} output (different event structure). [horizon] seeds the
-    optimistic driver's speculation window; [config.metrics] is ignored here
-    (speculatively executed increments would over-count). *)
-
-val run_procs : ?jobs:int -> ?horizon:Cpufree_engine.Time.t -> mode:Cpufree_obs.Sim_env.pdes -> config -> report
-(** Drive the process-based formulation (the {!run_seq}/{!run_windowed}
-    model) with any mode. [`Optimistic] honestly falls back to the
-    conservative windowed driver — processes are one-shot continuations and
-    cannot be checkpointed — which the report's [outcome] records. *)
+(** Build the model and drain it with {!Cpufree_engine.Engine.run}. *)

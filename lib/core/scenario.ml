@@ -32,6 +32,45 @@ let arch_of t =
       (Printf.sprintf "unknown architecture %S (expected one of: %s)" t.arch
          (String.concat ", " (List.map fst Arch.by_name)))
 
+let rec all f = function
+  | [] -> Ok ()
+  | x :: rest -> Result.bind (f x) (fun () -> all f rest)
+
+(* A kill or straggler clause must name a GPU the machine has; otherwise it
+   silently does nothing (a kill of GPU 99 on 8 GPUs). *)
+let check_fault_gpus t (spec : Fault.spec) =
+  let check_gpu clause (g, _) =
+    if g >= 0 && g < t.gpus then Ok ()
+    else Error (Printf.sprintf "%s=%d: no such GPU (the machine has %d)" clause g t.gpus)
+  in
+  Result.bind (all (check_gpu "kill") spec.Fault.kills) (fun () ->
+      all (check_gpu "straggler") spec.Fault.stragglers)
+
+(* Link and switch failures must name topology vertices; otherwise the run
+   raises when the failure is enacted. Checking needs the instantiated
+   graph, so it runs once per run ({!Measure.of_scenario}), not on every
+   parse. *)
+let check_fault_vertices t arch =
+  match t.faults with
+  | None -> Ok ()
+  | Some spec when spec.Fault.link_fails = [] && spec.Fault.switch_fails = [] -> Ok ()
+  | Some spec ->
+    let topo = Topology.instantiate t.topology ~profile:(Arch.fabric_profile arch) ~gpus:t.gpus in
+    let check_vertex clause name =
+      match Topology.vertex_named topo name with
+      | Some _ -> Ok ()
+      | None ->
+        Error
+          (Printf.sprintf "%s: no vertex %S on %s" clause name
+             (Topology.spec_to_string t.topology))
+    in
+    Result.bind
+      (all
+         (fun ((a, b), _) ->
+           Result.bind (check_vertex "linkfail" a) (fun () -> check_vertex "linkfail" b))
+         spec.Fault.link_fails)
+      (fun () -> all (fun (nm, _) -> check_vertex "switchfail" nm) spec.Fault.switch_fails)
+
 let validate t =
   let ( let* ) = Result.bind in
   let* (_ : Arch.t) = arch_of t in
@@ -43,6 +82,7 @@ let validate t =
     | Ok () -> Ok ()
     | Error msg -> Error ("bad topology/gpus combination: " ^ msg)
   in
+  let* () = match t.faults with None -> Ok () | Some spec -> check_fault_gpus t spec in
   match t.workload with
   | Stencil { iters; _ } when iters <= 0 ->
     Error (Printf.sprintf "iters must be positive, got %d" iters)
@@ -328,9 +368,9 @@ let of_json_string s =
 
 (* --- content identity ----------------------------------------------------- *)
 
-(* The cache key's preimage. The PDES mode is normalized away (every driver
-   is bit-identical by contract, so requests differing only in [pdes] must
-   share a cache entry); the artifact booleans stay because they change the
+(* The cache key's preimage. The execution mode is normalized away (an
+   explicit and an absent mode run the same driver, so requests differing
+   only in [pdes] must share a cache entry); the artifact booleans stay because they change the
    response payload. The environment contributes through Sim_env.digest of
    the sink-free, mode-free environment — the "(scenario, env)" identity. *)
 let canonical_string t =

@@ -1,6 +1,6 @@
 (** First-class scenario specs: one record for everything the CLI's flag
     table assembles ad hoc — workload, architecture, machine topology, GPU
-    count, fault plan and seed, PDES mode, and which observability artifacts
+    count, fault plan and seed, execution mode, and which observability artifacts
     the run should produce.
 
     A scenario is the unit of request for both transports: the [cpufree_run]
@@ -34,7 +34,7 @@ type t = {
   fault_seed : int;
   pdes : Cpufree_obs.Sim_env.pdes option;
       (** [None] defers to the ambient [CPUFREE_PDES]; never part of the
-          content hash — every mode is bit-identical by contract *)
+          content hash — [seq] is the only mode *)
   trace : bool;  (** produce a Perfetto trace artifact *)
   metrics : bool;  (** produce a metrics-registry artifact *)
 }
@@ -50,15 +50,21 @@ val make :
   ?metrics:bool ->
   workload -> t
 (** Defaults mirror the CLI's: [a100], [hgx], 8 GPUs, no faults, seed 1,
-    ambient PDES mode, no artifacts. *)
+    ambient execution mode, no artifacts. *)
 
 val validate : t -> (unit, string) result
-(** Everything checkable below the workload layers: known architecture,
-    instantiable topology/GPU combination, positive counts. *)
+(** Everything checkable below the workload layers without building the
+    machine: known architecture, instantiable topology/GPU combination,
+    positive counts, and kill and straggler GPU ids below [gpus]. *)
+
+val check_fault_vertices : t -> Cpufree_gpu.Arch.t -> (unit, string) result
+(** Whether every link and switch failure names a vertex of the scenario's
+    topology. Instantiates the topology when there are such clauses, so it
+    runs once per run, not on every parse. *)
 
 val env : t -> Cpufree_obs.Sim_env.t
 (** A fresh simulation environment for one run of this scenario: topology,
-    faults, seed and PDES mode copied; a new flow-enabled trace sink iff
+    faults, seed and execution mode copied; a new flow-enabled trace sink iff
     [trace], a new metrics registry iff [metrics] — exactly the environment
     the CLI builds from [--trace-out]/[--metrics-out]. Never share the
     returned environment between concurrent runs: each run mutates its
@@ -92,9 +98,9 @@ val canonical_string : t -> string
 (** The content identity of [(scenario, environment)]: a versioned string
     over the workload, architecture, GPU count, requested artifacts, and
     the {!Cpufree_obs.Sim_env.digest} of the scenario's sink-free
-    environment. The PDES mode is normalized away — all four drivers are
-    bit-identical by contract, so requests differing only in [pdes] share
-    one cache entry. The artifact booleans stay: they change the response
+    environment. The execution mode is normalized away — [pdes=seq] and an
+    absent mode run the same driver, so requests differing only in [pdes]
+    share one cache entry. The artifact booleans stay: they change the response
     payload. *)
 
 val digest : t -> string

@@ -115,10 +115,9 @@ type decision = {
 }
 
 (* Pick the winner by simulating every candidate on phantom buffers under
-   the probe environment (sinks and faults stripped, PDES mode pinned to the
-   windowed driver). The simulation is deterministic and the candidate
-   order is fixed, so for a given program, gpus count and architecture the
-   chosen plan is always the same — regardless of CPUFREE_PDES and across
+   the probe environment (sinks and faults stripped). The simulation is
+   deterministic and the candidate order is fixed, so for a given program,
+   gpus count and architecture the chosen plan is always the same across
    repeated runs. Ties keep the earliest (simplest / hand-built) candidate:
    the fold only replaces the incumbent on a strictly smaller cost. *)
 let search ?arch ?(env = Obs.Sim_env.default) sdfg ~gpus ~iterations =

@@ -7,10 +7,10 @@
     relaxation and thread-block specialization). {!candidates} enumerates
     the plans applicable to a program (from {!Analysis.comm_form}), and
     {!search} picks the winner by simulating each candidate cheaply —
-    phantom buffers, {!Cpufree_core.Measure.probe_env} on the windowed PDES
-    driver — with a deterministic tie-break (first in candidate order wins,
-    and the hand-built default is enumerated first), so the chosen plan is
-    reproducible across runs and across [CPUFREE_PDES] modes. *)
+    phantom buffers, {!Cpufree_core.Measure.probe_env} — with a
+    deterministic tie-break (first in candidate order wins, and the
+    hand-built default is enumerated first), so the chosen plan is
+    reproducible across runs. *)
 
 module Time = Cpufree_engine.Time
 
@@ -64,4 +64,4 @@ val search :
 (** Evaluate every candidate and keep the cheapest (ties keep the earliest).
     Candidates that fail to compile or lower are skipped; [Error] when none
     survive or no candidate set applies. [env] contributes its topology; its
-    sinks, fault plan and PDES mode are stripped/pinned by the probe. *)
+    sinks and fault plan are stripped by the probe. *)

@@ -323,9 +323,7 @@ let build_baseline ?backed sdfg =
     G.Host.parallel_join ctx ~name:sdfg.sdfg_name (fun rank ->
         let env = make_env rt ~rank sdfg in
         let stream =
-          G.Stream.create
-            ~partition:(G.Runtime.gpu_partition ctx rank)
-            (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
+          G.Stream.create (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
         in
         walk_states sdfg env ~exec_state:(exec_state_baseline env stream))
   in
@@ -443,9 +441,7 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
     G.Host.parallel_join ctx ~name:sdfg.sdfg_name (fun rank ->
         let env = make_env rt ~rank sdfg in
         let stream =
-          G.Stream.create
-            ~partition:(G.Runtime.gpu_partition ctx rank)
-            (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
+          G.Stream.create (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
         in
         (* Prologue stays host-controlled (initialization). *)
         List.iter (exec_state_baseline env stream) p.Persistent_fusion.prologue;

@@ -101,7 +101,12 @@ let of_scenario (sc : Cpufree_core.Scenario.t) =
         | Error _ as e -> e
         | Ok rs ->
           let gpus = rs.Cpufree_core.Measure.rs_gpus in
-          let built = compile ~specialize_tb app arm ~gpus in
+          (* The frontends reject a decomposition the GPU count cannot
+             split (a size that does not divide evenly): surface it as the
+             scenario's error rather than an exception mid-request. *)
+          match compile ~specialize_tb app arm ~gpus with
+          | exception Invalid_argument msg -> Error msg
+          | built ->
           Ok
             {
               sc_label =

@@ -44,7 +44,7 @@ val run_env :
   ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
   app -> arm -> gpus:int -> Cpufree_core.Measure.result
 (** Compile (phantom buffers) and execute on the simulated machine under
-    [env] (topology, fault plan, observability sinks, PDES mode — default
+    [env] (topology, fault plan, observability sinks, execution mode — default
     {!Cpufree_obs.Sim_env.default}), via {!Cpufree_core.Measure.run_env}. *)
 
 val run_traced_env :
@@ -80,8 +80,9 @@ type scenario = {
 val of_scenario : Cpufree_core.Scenario.t -> (scenario, string) result
 (** Resolve the workload's [app]/[arm] strings (the CLI's accepted
     spellings), compile the program, and build architecture and environment
-    via {!Cpufree_core.Measure.of_scenario}. [Error] on a stencil workload
-    or any unresolvable name, with a friendly message. *)
+    via {!Cpufree_core.Measure.of_scenario}. [Error] on a stencil workload,
+    an invalid scenario, any unresolvable name, or a size the GPU count
+    cannot split, with a friendly message. *)
 
 val run_scenario_traced :
   scenario -> Cpufree_core.Measure.result * Cpufree_engine.Trace.t

@@ -1,18 +1,16 @@
-(* Persistent domain worker pool for the windowed PDES driver.
+(* Persistent domain worker pool: the scenario daemon's batch executor.
 
-   [run_windowed] executes tens of thousands of short windows per simulation,
-   so spawning a domain per window is out of the question. This pool spawns
-   its workers once and coordinates per-window fan-out with a mutex and two
-   condition variables: the master publishes a task and a phase number, every
-   worker (and the master itself) self-schedules item indices off a shared
-   atomic cursor, and the master blocks until the in-flight count drains.
+   One pool outlives many short parallel phases, so it spawns its workers
+   once and coordinates per-phase fan-out with a mutex and two condition
+   variables: the caller publishes a task and a phase number, every worker
+   (and the caller itself) self-schedules item indices off a shared atomic
+   cursor, and the caller blocks until the in-flight count drains.
    Publishing under the mutex gives the happens-before edge that makes the
-   engine's per-window mutable state (window end, partition queues) safely
-   visible to the claiming worker without per-field atomics.
+   caller's mutable state safely visible to the claiming worker without
+   per-field atomics.
 
-   The task callback must not raise: callers are expected to catch and stash
-   exceptions per item (the engine records them per partition and re-raises
-   deterministically after the window barrier). *)
+   The task callback must not raise: callers are expected to catch and
+   report exceptions per item. *)
 
 type t = {
   jobs : int;

@@ -1,13 +1,13 @@
 (** Persistent domain worker pool for barrier-synchronized fan-out.
 
-    Built for {!Engine.run_windowed}: one pool outlives many thousands of
-    short parallel phases ("windows"), so workers are spawned once and woken
-    per phase with a condition variable instead of per-phase [Domain.spawn].
+    One pool outlives many short parallel phases (the scenario daemon's
+    batches), so workers are spawned once and woken per phase with a
+    condition variable instead of per-phase [Domain.spawn].
     Work items are claimed off a shared atomic cursor, so uneven item costs
     load-balance automatically.
 
-    The task callback must not raise; catch per item and report out-of-band
-    (see the engine's per-partition exception slots). *)
+    The task callback must not raise; catch per item and report
+    out-of-band. *)
 
 type t
 

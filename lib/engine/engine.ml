@@ -1,95 +1,240 @@
-(* Why a process is blocked: the human-readable reason, the group it
-   waits on (a wait-for edge, when the caller knows who must resolve the
-   wait), when it blocked, and whether the wake is already scheduled (a
-   delay or a deadline — exempt from the stall watchdog, which hunts
-   waits that nothing pending can resolve). *)
-type waitinfo = { why : string; on_group : string option; since : Time.t; timed : bool }
+open Effect.Deep
 
-type state = Ready | Running | Blocked of waitinfo | Finished
+type state = Ready | Running | Blocked | Finished
 
+(* A process is an intrusive node of the engine's live list (so spawning
+   and finishing allocate no registry cell) and carries its own wait facts:
+   while [state = Blocked], [why] renders the reason (built only when a
+   diagnostic reads it, from values captured at the suspension), [on_group]
+   is the declared wait-for edge, [since] when it blocked, and [timed]
+   whether the wake is already scheduled (a delay — exempt from the stall
+   watchdog, which hunts waits that nothing pending can resolve).
+
+   [epoch] numbers suspensions: a waker resumes only the suspension it was
+   made for and retires it, so calling it twice, or after the process has
+   moved on to another wait, is a no-op. [resume] is the process's one
+   queue thunk, allocated with the process: it starts [body] on the first
+   call and continues [k] on every later one. *)
 type process = {
   pid : int;
   name : string;
+  name_of : (unit -> string) option;
   daemon : bool;
-  part : int;
   group : string option;
   mutable state : state;
+  mutable why : unit -> string;
+  mutable on_group : string option;
+  mutable since : Time.t;
+  mutable timed : bool;
+  mutable epoch : int;
+  mutable body : unit -> unit;
+  mutable k : (unit, unit) continuation option;
+  mutable resume : unit -> unit;
+  mutable prev : process;
+  mutable next : process;
 }
 
-type event = { at : Time.t; seq : int; part : int; thunk : unit -> unit }
+(* --- event queue ------------------------------------------------------- *)
 
-(* Cross-partition message, buffered in the sender's outbox during a window
-   and applied at the barrier in canonical (time, sender, index) order.
+(* Events ordered by (at, seq), [seq] assigned at push, so same-time
+   events pop in push order. Two lanes, neither allocating per event:
 
-   The three mutable fields exist for the optimistic (Time Warp) driver only
-   and stay at their defaults under the conservative drivers: [m_dead] marks
-   a message annihilated by an anti-message (the sender rolled back past its
-   send), [m_consumed]/[m_done_pos] record that — and where in the
-   receiver's consumption log — the receiver has already executed it, so a
-   later annihilation knows to roll the receiver back too. *)
-type msg = {
-  m_at : Time.t;
-  m_sent_at : Time.t; (* sender's local clock at the send *)
-  m_src : int;
-  m_idx : int;
-  m_dst : int;
-  m_thunk : unit -> unit;
-  mutable m_dead : bool;
-  mutable m_consumed : bool;
-  mutable m_done_pos : int;
-}
+   - a binary min-heap over parallel arrays, for events in the future;
+   - a FIFO ring for events pushed at exactly the time of the last pop
+     (spawns, wakes, yields). Those all share one timestamp and arrive in
+     seq order, so the ring is already sorted and costs O(1).
 
-type partition = {
-  id : int;
-  mutable queue : event Heap.t; (* mutable so a rollback can swap in a checkpoint copy *)
-  mutable pclock : Time.t; (* partition-local clock (windowed mode) *)
-  mutable pseq : int; (* partition-local tie-break counter (windowed mode) *)
-  mutable pexec : int; (* events executed in this partition *)
-  mutable plive : int; (* non-daemon, unfinished processes *)
-  procs : (int, process) Hashtbl.t; (* live processes only; finished drop out *)
-  mutable outbox : msg list; (* reversed send order, windowed mode only *)
-  mutable out_idx : int;
-  mutable ptrace : Trace.t option; (* partition-local sink (windowed mode) *)
-  mutable pexn : (exn * Printexc.raw_backtrace) option;
-  mutable savers : (unit -> unit -> unit) list; (* model-state snapshot providers *)
-  sent_live : (int, unit) Hashtbl.t;
-      (* Optimistic mode: send indices of this partition's cross-partition
-         messages that are delivered and not annihilated. When a rolled-back
-         partition re-executes (coasts forward) it regenerates the same send
-         sequence with the same indices; a send whose index is live here is
-         a duplicate of a message the receiver already has and is dropped. *)
-}
+   A pop takes the smaller of the two heads, so the order is exactly the
+   heap's for any push/pop trace. *)
+module Queue = struct
+  type t = {
+    mutable at : Time.t array;
+    mutable seq : int array;
+    mutable fn : (unit -> unit) array;
+    mutable len : int;
+    mutable f_seq : int array; (* FIFO ring, capacity a power of two *)
+    mutable f_fn : (unit -> unit) array;
+    mutable f_head : int;
+    mutable f_len : int;
+    mutable f_at : Time.t; (* the one timestamp of every FIFO entry *)
+    mutable now : Time.t; (* timestamp of the last pop *)
+    mutable next_seq : int;
+  }
 
-(* Idle: between runs (setup / teardown). Seq: inside [run]. Win: inside the
-   windowed driver, where clocks, queues and trace sinks are per-partition.
-   Opt: inside the optimistic (Time Warp) driver — like Win, but [post] may
-   land at any future time: stragglers are repaired by rollback instead of
-   being forbidden by the lookahead check. *)
-type phase = Idle | Seq | Win | Opt
+  let nothing () = ()
+
+  let create () =
+    {
+      at = [||];
+      seq = [||];
+      fn = [||];
+      len = 0;
+      f_seq = Array.make 64 0;
+      f_fn = Array.make 64 nothing;
+      f_head = 0;
+      f_len = 0;
+      f_at = Time.zero;
+      now = Time.zero;
+      next_seq = 0;
+    }
+
+  let length q = q.len + q.f_len
+
+  let before at s at' s' =
+    let a = (at : Time.t :> int) and a' = (at' : Time.t :> int) in
+    a < a' || (a = a' && s < s')
+
+  let grow q =
+    let cap = Stdlib.max 64 (2 * Array.length q.at) in
+    let at = Array.make cap Time.zero and sq = Array.make cap 0 in
+    let fn = Array.make cap nothing in
+    Array.blit q.at 0 at 0 q.len;
+    Array.blit q.seq 0 sq 0 q.len;
+    Array.blit q.fn 0 fn 0 q.len;
+    q.at <- at;
+    q.seq <- sq;
+    q.fn <- fn
+
+  let grow_fifo q =
+    let cap = Array.length q.f_seq in
+    let sq = Array.make (2 * cap) 0 and fn = Array.make (2 * cap) nothing in
+    for k = 0 to q.f_len - 1 do
+      let j = (q.f_head + k) land (cap - 1) in
+      sq.(k) <- q.f_seq.(j);
+      fn.(k) <- q.f_fn.(j)
+    done;
+    q.f_seq <- sq;
+    q.f_fn <- fn;
+    q.f_head <- 0
+
+  (* Hole insertion, as in {!Heap}: parents shift down into the hole and
+     the new event is written once. *)
+  let push_heap q at s fn =
+    if q.len = Array.length q.at then grow q;
+    let qa = q.at and qs = q.seq and qf = q.fn in
+    let i = ref q.len in
+    q.len <- q.len + 1;
+    while
+      !i > 0
+      &&
+      let parent = (!i - 1) / 2 in
+      before at s qa.(parent) qs.(parent)
+    do
+      let parent = (!i - 1) / 2 in
+      qa.(!i) <- qa.(parent);
+      qs.(!i) <- qs.(parent);
+      qf.(!i) <- qf.(parent);
+      i := parent
+    done;
+    qa.(!i) <- at;
+    qs.(!i) <- s;
+    qf.(!i) <- fn
+
+  let push q at fn =
+    q.next_seq <- q.next_seq + 1;
+    let s = q.next_seq in
+    if (at : Time.t :> int) = (q.now :> int) && (q.f_len = 0 || (q.f_at :> int) = (at :> int))
+    then begin
+      if q.f_len = Array.length q.f_seq then grow_fifo q;
+      let j = (q.f_head + q.f_len) land (Array.length q.f_seq - 1) in
+      q.f_seq.(j) <- s;
+      q.f_fn.(j) <- fn;
+      q.f_len <- q.f_len + 1;
+      q.f_at <- at
+    end
+    else push_heap q at s fn
+
+  (* Whether the FIFO head precedes the heap head. *)
+  let fifo_first q =
+    q.f_len > 0 && (q.len = 0 || before q.f_at q.f_seq.(q.f_head) q.at.(0) q.seq.(0))
+
+  let min_time q =
+    if q.len + q.f_len = 0 then invalid_arg "Engine.Queue.min_time: empty queue";
+    if fifo_first q then q.f_at else q.at.(0)
+
+  (* Floyd's deletion: walk the hole from the root down to a leaf along the
+     smaller child (one comparison per level), then sift the former last
+     element up from there — it belongs near the bottom, so that loop
+     rarely runs. The vacated tail slot is cleared so the heap never
+     retains a closure. *)
+  let pop_heap q =
+    let qa = q.at and qs = q.seq and qf = q.fn in
+    let top = qf.(0) in
+    q.now <- qa.(0);
+    let n = q.len - 1 in
+    q.len <- n;
+    if n > 0 then begin
+      let i = ref 0 in
+      let l = ref 1 in
+      while !l < n do
+        let l0 = !l in
+        let c = if l0 + 1 < n && before qa.(l0 + 1) qs.(l0 + 1) qa.(l0) qs.(l0) then l0 + 1 else l0 in
+        qa.(!i) <- qa.(c);
+        qs.(!i) <- qs.(c);
+        qf.(!i) <- qf.(c);
+        i := c;
+        l := (2 * c) + 1
+      done;
+      let at = qa.(n) and s = qs.(n) and fn = qf.(n) in
+      while
+        !i > 0
+        &&
+        let parent = (!i - 1) / 2 in
+        before at s qa.(parent) qs.(parent)
+      do
+        let parent = (!i - 1) / 2 in
+        qa.(!i) <- qa.(parent);
+        qs.(!i) <- qs.(parent);
+        qf.(!i) <- qf.(parent);
+        i := parent
+      done;
+      qa.(!i) <- at;
+      qs.(!i) <- s;
+      qf.(!i) <- fn
+    end;
+    qf.(n) <- nothing;
+    top
+
+  let pop q =
+    if q.len + q.f_len = 0 then invalid_arg "Engine.Queue.pop: empty queue";
+    if fifo_first q then begin
+      let j = q.f_head in
+      let fn = q.f_fn.(j) in
+      q.f_fn.(j) <- nothing;
+      q.f_head <- (j + 1) land (Array.length q.f_seq - 1);
+      q.f_len <- q.f_len - 1;
+      q.now <- q.f_at;
+      fn
+    end
+    else pop_heap q
+end
 
 type t = {
   mutable clock : Time.t;
-  mutable seq : int; (* global tie-break counter (Idle and Seq phases) *)
-  parts : partition array;
-  isolated : bool;
-  next_pid : int Atomic.t;
+  queue : Queue.t;
+  mutable executed : int;
+  mutable running : bool;
+  mutable current : process; (* the process whose event is executing *)
+  live_head : process; (* sentinel of the live-process list *)
+  mutable registered : int;
+  mutable live : int; (* non-daemon, unfinished processes *)
+  mutable next_pid : int;
   trace_sink : Trace.t option;
-  mutable phase : phase;
-  mutable wend : Time.t; (* exclusive end of the current window (Win phase) *)
   watchdog : Time.t option;
-  mutable watch_next : Time.t; (* next time the watchdog scans for stalls *)
-  mutable windows_total : int; (* windows executed across all windowed runs *)
-  mutable stall_scan_count : int; (* watchdog scans actually performed *)
-  mutable solo_total : int; (* adaptive windows drained on the master domain *)
-  mutable opt_rounds_total : int; (* optimistic speculation rounds *)
-  mutable opt_rollbacks_total : int; (* partition rollbacks *)
-  mutable opt_anti_total : int; (* anti-messages sent (messages annihilated) *)
-  mutable opt_undone_total : int; (* events undone by rollbacks *)
-  mutable opt_gvt : Time.t; (* last computed global virtual time *)
+  mutable watch_next : int; (* next clock value that triggers a stall scan *)
+  mutable stall_scan_count : int;
+  (* A suspension's arguments, parked by the effect handler for the
+     continuation callback it returns (which runs immediately after). *)
+  mutable s_delay : Time.t;
+  mutable s_reason : unit -> string;
+  mutable s_waits_on : string option;
+  mutable s_register : (unit -> unit) -> unit;
+  mutable handler : (unit, unit) handler;
+  mutable on_delay : ((unit, unit) continuation -> unit) option;
+  mutable on_suspend : ((unit, unit) continuation -> unit) option;
 }
 
 exception Deadlock of string list
-exception Lookahead_violation of string
 
 type stall_report = {
   stall_at : Time.t;
@@ -102,269 +247,163 @@ exception Stall of stall_report
 
 type _ Effect.t +=
   | Delay : t * Time.t -> unit Effect.t
-  | Suspend : t * string * string option * ((unit -> unit) -> unit) -> unit Effect.t
+  | Suspend : t * (unit -> string) * string option * ((unit -> unit) -> unit) -> unit Effect.t
 
-let cmp_event a b =
-  let c = Time.compare a.at b.at in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.seq b.seq in
-    if c <> 0 then c else Int.compare a.part b.part
+(* --- processes ----------------------------------------------------------- *)
 
-let make_partition id =
-  {
-    id;
-    queue = Heap.create ~cmp:cmp_event;
-    pclock = Time.zero;
-    pseq = 0;
-    pexec = 0;
-    plive = 0;
-    procs = Hashtbl.create 32;
-    outbox = [];
-    out_idx = 0;
-    ptrace = None;
-    pexn = None;
-    savers = [];
-    sent_live = Hashtbl.create 64;
-  }
+let no_reason () = ""
+let delay_reason () = "delay"
+let nothing = Queue.nothing
 
-let create ?trace ?(partitions = 1) ?(isolated = false) ?watchdog () =
-  if partitions < 1 then invalid_arg "Engine.create: partitions must be positive";
-  (match watchdog with
-  | Some w when Time.(w <= Time.zero) ->
-    invalid_arg "Engine.create: watchdog must be positive"
-  | Some _ | None -> ());
-  {
-    clock = Time.zero;
-    seq = 0;
-    parts = Array.init partitions make_partition;
-    isolated;
-    next_pid = Atomic.make 0;
-    trace_sink = trace;
-    phase = Idle;
-    wend = Time.zero;
-    watchdog;
-    watch_next = Time.zero;
-    windows_total = 0;
-    stall_scan_count = 0;
-    solo_total = 0;
-    opt_rounds_total = 0;
-    opt_rollbacks_total = 0;
-    opt_anti_total = 0;
-    opt_undone_total = 0;
-    opt_gvt = Time.zero;
-  }
-
-let num_partitions t = Array.length t.parts
-
-(* The partition whose events the calling domain is currently executing.
-   Per-domain state because windowed execution runs partitions on worker
-   domains; outside any run (and on single-partition engines) it is 0. *)
-let dls_part : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-let cur_part t =
-  match t.phase with
-  | Idle -> 0
-  | Seq -> if Array.length t.parts = 1 then 0 else Domain.DLS.get dls_part
-  | Win | Opt -> Domain.DLS.get dls_part
-
-let current_partition = cur_part
-
-let now t =
-  match t.phase with
-  | Win | Opt -> t.parts.(Domain.DLS.get dls_part).pclock
-  | Idle | Seq -> t.clock
-
-let trace t =
-  match t.phase with
-  | Win | Opt -> t.parts.(Domain.DLS.get dls_part).ptrace
-  | Idle | Seq -> t.trace_sink
-
-(* Push into a specific partition's queue. The tie-break counter is global
-   outside windowed execution — so a partitioned engine driven by [run]
-   executes in exactly the order an unpartitioned engine would — and
-   partition-local inside a window, where partitions must not share mutable
-   counters. *)
-let push_into t p at thunk =
-  let seq =
-    match t.phase with
-    | Win | Opt ->
-      p.pseq <- p.pseq + 1;
-      p.pseq
-    | Idle | Seq ->
-      t.seq <- t.seq + 1;
-      t.seq
-  in
-  Heap.push p.queue { at; seq; part = p.id; thunk }
-
-let schedule_at t at thunk =
-  if Time.(at < now t) then invalid_arg "Engine.schedule_at: time in the past";
-  push_into t t.parts.(cur_part t) at thunk
-
-let check_partition t p fn =
-  if p < 0 || p >= Array.length t.parts then
-    invalid_arg (Printf.sprintf "Engine.%s: no such partition %d" fn p)
-
-let outbox_send p ~at ~dst thunk =
-  p.out_idx <- p.out_idx + 1;
-  p.outbox <-
+let make_process ~pid ~name ~name_of ~daemon ~group body =
+  let rec p =
     {
-      m_at = at;
-      m_sent_at = p.pclock;
-      m_src = p.id;
-      m_idx = p.out_idx;
-      m_dst = dst;
-      m_thunk = thunk;
-      m_dead = false;
-      m_consumed = false;
-      m_done_pos = -1;
+      pid;
+      name;
+      name_of;
+      daemon;
+      group;
+      state = Ready;
+      why = no_reason;
+      on_group = None;
+      since = Time.zero;
+      timed = false;
+      epoch = 0;
+      body;
+      k = None;
+      resume = nothing;
+      prev = p;
+      next = p;
     }
-    :: p.outbox
-
-let post t ~partition ~at thunk =
-  check_partition t partition "post";
-  match t.phase with
-  | Win ->
-    let src = Domain.DLS.get dls_part in
-    if partition = src then begin
-      let p = t.parts.(src) in
-      if Time.(at < p.pclock) then invalid_arg "Engine.post: time in the past";
-      push_into t p at thunk
-    end
-    else if Time.(at < t.wend) then
-      raise
-        (Lookahead_violation
-           (Printf.sprintf
-              "post from partition %d to %d at %s lands inside the current window (ends %s)"
-              src partition (Time.to_string at) (Time.to_string t.wend)))
-    else outbox_send t.parts.(src) ~at ~dst:partition thunk
-  | Opt ->
-    (* No lookahead gate: the whole point of speculation. A message landing
-       in the receiver's past is repaired by rollback at the next barrier.
-       A send whose index is still live was already delivered before a
-       rollback; this re-send during coast-forward is the same logical
-       message, so it only advances the counter. *)
-    let src = Domain.DLS.get dls_part in
-    let p = t.parts.(src) in
-    if Time.(at < p.pclock) then invalid_arg "Engine.post: time in the past";
-    if partition = src then push_into t p at thunk
-    else if Hashtbl.mem p.sent_live (p.out_idx + 1) then p.out_idx <- p.out_idx + 1
-    else outbox_send p ~at ~dst:partition thunk
-  | Idle | Seq ->
-    if Time.(at < t.clock) then invalid_arg "Engine.post: time in the past";
-    push_into t t.parts.(partition) at thunk
-
-let exec_process t proc body =
-  let open Effect.Deep in
-  let finish () =
-    proc.state <- Finished;
-    let p = t.parts.(proc.part) in
-    if not proc.daemon then p.plive <- p.plive - 1;
-    (* Drop the record so long sweeps don't retain one per spawned kernel;
-       [blocked_descriptions] only ever reports live processes. *)
-    Hashtbl.remove p.procs proc.pid
   in
-  match_with body ()
+  p
+
+let finish t p =
+  p.state <- Finished;
+  if not p.daemon then t.live <- t.live - 1;
+  (* Unlink so long sweeps don't retain one record per spawned kernel;
+     [blocked_descriptions] only ever reports live processes. *)
+  p.prev.next <- p.next;
+  p.next.prev <- p.prev;
+  p.prev <- p;
+  p.next <- p;
+  p.body <- nothing;
+  t.registered <- t.registered - 1
+
+let resume t p =
+  p.state <- Running;
+  t.current <- p;
+  match p.k with
+  | Some k ->
+    p.k <- None;
+    continue k ()
+  | None -> match_with p.body () t.handler
+
+let block t p k ~why ~on_group ~timed =
+  p.state <- Blocked;
+  p.why <- why;
+  p.on_group <- on_group;
+  p.since <- t.clock;
+  p.timed <- timed;
+  p.k <- Some k
+
+let create ?trace ?watchdog () =
+  (match watchdog with
+  | Some w when Time.(w <= Time.zero) -> invalid_arg "Engine.create: watchdog must be positive"
+  | Some _ | None -> ());
+  let sentinel = make_process ~pid:0 ~name:"" ~name_of:None ~daemon:true ~group:None nothing in
+  let t =
     {
-      retc = (fun () -> finish ());
-      exnc = (fun e -> finish (); raise e);
+      clock = Time.zero;
+      queue = Queue.create ();
+      executed = 0;
+      running = false;
+      current = sentinel;
+      live_head = sentinel;
+      registered = 0;
+      live = 0;
+      next_pid = 0;
+      trace_sink = trace;
+      watchdog;
+      watch_next = max_int;
+      stall_scan_count = 0;
+      s_delay = Time.zero;
+      s_reason = no_reason;
+      s_waits_on = None;
+      s_register = ignore;
+      handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
+      on_delay = None;
+      on_suspend = None;
+    }
+  in
+  (* One handler per engine, shared by every process: the process an effect
+     comes from is [t.current], so neither spawning nor blocking allocates
+     a handler or a per-wait closure. *)
+  t.on_delay <-
+    Some
+      (fun k ->
+        let p = t.current in
+        block t p k ~why:delay_reason ~on_group:None ~timed:true;
+        Queue.push t.queue (Time.add t.clock t.s_delay) p.resume);
+  t.on_suspend <-
+    Some
+      (fun k ->
+        let p = t.current in
+        block t p k ~why:t.s_reason ~on_group:t.s_waits_on ~timed:false;
+        let register = t.s_register in
+        t.s_register <- ignore;
+        let e = p.epoch in
+        register (fun () ->
+            if p.epoch = e then begin
+              p.epoch <- e + 1;
+              Queue.push t.queue t.clock p.resume
+            end));
+  t.handler <-
+    {
+      retc = (fun () -> finish t t.current);
+      exnc =
+        (fun e ->
+          finish t t.current;
+          raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Delay (eng, d) when eng == t ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let p = t.parts.(proc.part) in
-                let base =
-                  match t.phase with Win | Opt -> p.pclock | Idle | Seq -> t.clock
-                in
-                proc.state <-
-                  Blocked { why = "delay"; on_group = None; since = base; timed = true };
-                push_into t p (Time.add base d) (fun () ->
-                    proc.state <- Running;
-                    continue k ()))
+            t.s_delay <- d;
+            (t.on_delay : ((a, unit) continuation -> unit) option)
           | Suspend (eng, reason, waits_on, register) when eng == t ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let since =
-                  match t.phase with
-                  | Win | Opt -> t.parts.(proc.part).pclock
-                  | Idle | Seq -> t.clock
-                in
-                proc.state <- Blocked { why = reason; on_group = waits_on; since; timed = false };
-                let woken = ref false in
-                register (fun () ->
-                    if not !woken then begin
-                      woken := true;
-                      let p = t.parts.(proc.part) in
-                      (match t.phase with
-                      | Win | Opt ->
-                        if Domain.DLS.get dls_part <> proc.part then
-                          raise
-                            (Lookahead_violation
-                               (Printf.sprintf
-                                  "partition %d woke process %s(#%d) of partition %d inside \
-                                   a window; cross-partition signalling must go through \
-                                   Engine.post"
-                                  (Domain.DLS.get dls_part) proc.name proc.pid proc.part))
-                      | Idle | Seq -> ());
-                      let at =
-                        match t.phase with Win | Opt -> p.pclock | Idle | Seq -> t.clock
-                      in
-                      push_into t p at (fun () ->
-                          proc.state <- Running;
-                          continue k ())
-                    end))
+            t.s_reason <- reason;
+            t.s_waits_on <- waits_on;
+            t.s_register <- register;
+            (t.on_suspend : ((a, unit) continuation -> unit) option)
           | _ -> None);
-    }
+    };
+  t
 
-let spawn t ?(name = "proc") ?(daemon = false) ?partition ?group body =
-  let np = Array.length t.parts in
-  let part =
-    match partition with
-    | None -> cur_part t
-    | Some p ->
-      (* Partition hints are advisory on unpartitioned engines so model code
-         can tag its processes unconditionally. *)
-      if np = 1 then 0
-      else begin
-        check_partition t p "spawn";
-        p
-      end
-  in
-  (match t.phase with
-  | Win ->
-    if part <> Domain.DLS.get dls_part then
-      raise
-        (Lookahead_violation
-           (Printf.sprintf
-              "spawn of %s into partition %d from partition %d inside a window; post a \
-               message that spawns locally instead"
-              name part (Domain.DLS.get dls_part)))
-  | Opt ->
-    (* A process is a one-shot continuation: it cannot be checkpointed, so
-       it cannot be rolled back. The optimistic driver refuses to start when
-       processes exist; creating one mid-run is equally unsupported. *)
-    invalid_arg
-      (Printf.sprintf
-         "Engine.spawn: cannot spawn %S during an optimistic run; processes (one-shot \
-          continuations) cannot be checkpointed for rollback"
-         name)
-  | Idle | Seq -> ());
-  let pid = Atomic.fetch_and_add t.next_pid 1 + 1 in
-  let proc = { pid; name; daemon; part; group; state = Ready } in
-  let p = t.parts.(part) in
-  if not daemon then p.plive <- p.plive + 1;
-  Hashtbl.replace p.procs pid proc;
-  let base = match t.phase with Win | Opt -> p.pclock | Idle | Seq -> t.clock in
-  push_into t p base (fun () ->
-      proc.state <- Running;
-      exec_process t proc body);
-  proc
+let now t = t.clock
+let trace t = t.trace_sink
 
-let process_name p = p.name
+let schedule_at t at thunk =
+  if Time.(at < t.clock) then invalid_arg "Engine.schedule_at: time in the past";
+  Queue.push t.queue at thunk
+
+let spawn t ?(name = "proc") ?name_of ?(daemon = false) ?group body =
+  t.next_pid <- t.next_pid + 1;
+  let p = make_process ~pid:t.next_pid ~name ~name_of ~daemon ~group body in
+  p.resume <- (fun () -> resume t p);
+  let head = t.live_head in
+  p.prev <- head.prev;
+  p.next <- head;
+  head.prev.next <- p;
+  head.prev <- p;
+  t.registered <- t.registered + 1;
+  if not daemon then t.live <- t.live + 1;
+  Queue.push t.queue t.clock p.resume;
+  p
+
+let process_name p = match p.name_of with Some f -> f () | None -> p.name
 let process_done p = p.state = Finished
-let process_partition (p : process) = p.part
+let process_group p = p.group
 
 let delay t d = Effect.perform (Delay (t, d))
 let yield t = delay t Time.zero
@@ -372,58 +411,30 @@ let yield t = delay t Time.zero
 let suspend t ~reason ?waits_on register =
   Effect.perform (Suspend (t, reason, waits_on, register))
 
-let process_group p = p.group
-
-let live t = Array.fold_left (fun acc p -> acc + p.plive) 0 t.parts
-let events_executed t = Array.fold_left (fun acc p -> acc + p.pexec) 0 t.parts
-let windows_executed t = t.windows_total
+let events_executed t = t.executed
 let stall_scans t = t.stall_scan_count
-let solo_windows t = t.solo_total
-let optimistic_rounds t = t.opt_rounds_total
-let rollbacks t = t.opt_rollbacks_total
-let anti_messages t = t.opt_anti_total
-let events_rolled_back t = t.opt_undone_total
-let last_gvt t = t.opt_gvt
+let registered_processes t = t.registered
 
-let register_state t ~partition save =
-  check_partition t partition "register_state";
-  if t.phase <> Idle then
-    invalid_arg "Engine.register_state: engine is running";
-  let p = t.parts.(partition) in
-  p.savers <- save :: p.savers
-
-let registered_state_providers t =
-  Array.fold_left (fun acc p -> acc + List.length p.savers) 0 t.parts
-
-let registered_processes t =
-  Array.fold_left (fun acc p -> acc + Hashtbl.length p.procs) 0 t.parts
-
+(* Blocked non-daemon processes, by pid. *)
 let blocked_procs t =
-  let acc = ref [] in
-  Array.iter
-    (fun p ->
-      Hashtbl.iter
-        (fun _ proc ->
-          match proc.state with
-          | Blocked w when not proc.daemon -> acc := (proc, w) :: !acc
-          | Blocked _ | Ready | Running | Finished -> ())
-        p.procs)
-    t.parts;
-  List.sort (fun (a, _) (b, _) -> Int.compare a.pid b.pid) !acc
+  let rec collect p acc =
+    if p == t.live_head then acc
+    else collect p.next (if p.state = Blocked && not p.daemon then p :: acc else acc)
+  in
+  List.sort (fun a b -> Int.compare a.pid b.pid) (collect t.live_head.next [])
 
 let blocked_descriptions t =
   blocked_procs t
-  |> List.map (fun (proc, w) ->
-         let where =
-           match proc.group with
-           | Some g -> Printf.sprintf " [p%d %s]" proc.part g
-           | None -> Printf.sprintf " [p%d]" proc.part
-         in
+  |> List.map (fun p ->
+         (* "p0" is the column the partitioned drivers filled with a
+            partition id; every diagnostic has always read p0 under this
+            driver, and reports stay byte-identical. *)
+         let where = match p.group with Some g -> Printf.sprintf " [p0 %s]" g | None -> " [p0]" in
          let edge =
-           match w.on_group with Some g -> Printf.sprintf " <- waits on %s" g | None -> ""
+           match p.on_group with Some g -> Printf.sprintf " <- waits on %s" g | None -> ""
          in
-         Printf.sprintf "%s(#%d)%s: %s (since %s)%s" proc.name proc.pid where w.why
-           (Time.to_string w.since) edge)
+         Printf.sprintf "%s(#%d)%s: %s (since %s)%s" (process_name p) p.pid where (p.why ())
+           (Time.to_string p.since) edge)
 
 (* Wait-for cycle over process groups: an edge [g -> h] for every blocked
    process of group [g] waiting on group [h]. Deterministic: nodes are
@@ -431,10 +442,8 @@ let blocked_descriptions t =
 let wait_cycle t =
   let edges =
     blocked_procs t
-    |> List.filter_map (fun (proc, w) ->
-           match (proc.group, w.on_group) with
-           | Some g, Some h -> Some (g, h)
-           | _ -> None)
+    |> List.filter_map (fun p ->
+           match (p.group, p.on_group) with Some g, Some h -> Some (g, h) | _ -> None)
     |> List.sort_uniq compare
   in
   if edges = [] then None
@@ -462,9 +471,7 @@ let wait_cycle t =
             None (succ g)
         end
     in
-    List.fold_left
-      (fun acc g -> match acc with Some _ -> acc | None -> dfs [] g)
-      None nodes
+    List.fold_left (fun acc g -> match acc with Some _ -> acc | None -> dfs [] g) None nodes
   end
 
 let deadlock_report t =
@@ -473,14 +480,9 @@ let deadlock_report t =
   | Some cyc -> descr @ [ "wait-for cycle: " ^ String.concat " -> " cyc ]
   | None -> descr
 
-let global_now t =
-  match t.phase with
-  | Win | Opt -> Array.fold_left (fun acc p -> Time.max acc p.pclock) t.clock t.parts
-  | Idle | Seq -> t.clock
-
 let stall_report t ~trigger =
   {
-    stall_at = global_now t;
+    stall_at = t.clock;
     stall_trigger = trigger;
     stall_blocked = blocked_descriptions t;
     stall_cycle = wait_cycle t;
@@ -497,707 +499,64 @@ let stall_lines r =
    and not waiting on an already-scheduled wake (a delay or deadline). *)
 let oldest_untimed_blocked t =
   List.fold_left
-    (fun acc (proc, w) ->
-      if proc.daemon || w.timed then acc
+    (fun acc p ->
+      if p.timed then acc
       else
         match acc with
-        | Some since when Time.(since <= w.since) -> acc
-        | Some _ | None -> Some w.since)
+        | Some since when Time.(since <= p.since) -> acc
+        | Some _ | None -> Some p.since)
     None (blocked_procs t)
 
-let watchdog_fire t w =
-  raise
-    (Stall
-       (stall_report t
-          ~trigger:
-            (Printf.sprintf "watchdog: a blocked process made no progress for %s"
-               (Time.to_string w))))
-
-(* Amortized stall scan for the sequential driver: only look when the
-   clock passes [watch_next], and push [watch_next] out to the earliest
-   time the oldest wait could become a stall. *)
-let watchdog_check t now_ =
+(* Amortized stall scan: the driver only calls this when the clock passes
+   [watch_next], which is pushed out to the earliest time the oldest wait
+   could become a stall. *)
+let watchdog_scan t now_ =
   match t.watchdog with
-  | Some w when Time.(now_ >= t.watch_next) -> (
+  | None -> ()
+  | Some w -> (
     t.stall_scan_count <- t.stall_scan_count + 1;
+    let next_at x = t.watch_next <- (Time.add x w :> int) in
     match oldest_untimed_blocked t with
-    | Some since when Time.(Time.add since w <= now_) -> watchdog_fire t w
-    | Some since -> t.watch_next <- Time.add since w
-    | None -> t.watch_next <- Time.add now_ w)
-  | Some _ | None -> ()
-
-(* Smallest (at, seq, part) head across all partition queues. *)
-let pop_global t =
-  if Array.length t.parts = 1 then Heap.pop t.parts.(0).queue
-  else begin
-    let best = ref None in
-    Array.iter
-      (fun p ->
-        match Heap.peek p.queue with
-        | None -> ()
-        | Some ev -> (
-          match !best with
-          | Some b when cmp_event b ev <= 0 -> ()
-          | Some _ | None -> best := Some ev))
-      t.parts;
-    match !best with None -> None | Some ev -> Heap.pop t.parts.(ev.part).queue
-  end
+    | Some since when Time.(Time.add since w <= now_) ->
+      raise
+        (Stall
+           (stall_report t
+              ~trigger:
+                (Printf.sprintf "watchdog: a blocked process made no progress for %s"
+                   (Time.to_string w))))
+    | Some since -> next_at since
+    | None -> next_at now_)
 
 let run ?until t =
-  if t.phase <> Idle then invalid_arg "Engine.run: engine is already running";
-  t.phase <- Seq;
-  let multi = Array.length t.parts > 1 in
-  if multi then Domain.DLS.set dls_part 0;
-  let finish () = t.phase <- Idle in
-  let stop_requested = ref false in
-  (match t.watchdog with
-  | Some w -> t.watch_next <- Time.add t.clock w
-  | None -> ());
-  let rec loop () =
-    if !stop_requested then ()
-    else
-      match pop_global t with
-      | None -> if live t > 0 then raise (Deadlock (deadlock_report t))
-      | Some ev ->
-        (match until with
-        | Some limit when Time.(ev.at > limit) ->
-          (* Put the event back so a later [run] can resume seamlessly. *)
-          Heap.push t.parts.(ev.part).queue ev;
-          t.clock <- limit;
-          stop_requested := true
-        | Some _ | None ->
-          t.clock <- ev.at;
-          watchdog_check t ev.at;
-          if multi then Domain.DLS.set dls_part ev.part;
-          let p = t.parts.(ev.part) in
-          p.pexec <- p.pexec + 1;
-          ev.thunk ());
-        loop ()
-  in
-  Fun.protect ~finally:finish loop
-
-type outcome =
-  | Windowed of { windows : int; jobs : int }
-  | Adaptive of { windows : int; solo_windows : int; jobs : int }
-  | Optimistic of { rounds : int; rollbacks : int; anti_messages : int; jobs : int }
-  | Sequential of string
-
-let cmp_msg a b =
-  let c = Time.compare a.m_at b.m_at in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.m_src b.m_src in
-    if c <> 0 then c else Int.compare a.m_idx b.m_idx
-
-let default_jobs () = Domain.recommended_domain_count ()
-
-let clamp_jobs jobs np =
-  match jobs with
-  | Some j -> Stdlib.max 1 (Stdlib.min j np)
-  | None -> Stdlib.max 1 (Stdlib.min (default_jobs ()) np)
-
-(* Reset per-partition driver state and give each partition a private trace
-   sink when the engine has one. *)
-let setup_partitions t =
-  Array.iter
-    (fun p ->
-      p.pclock <- t.clock;
-      p.pseq <- t.seq;
-      p.outbox <- [];
-      p.out_idx <- 0;
-      p.pexn <- None;
-      Hashtbl.reset p.sent_live;
-      p.ptrace <-
-        (match t.trace_sink with
-        | Some _ -> Some (Trace.create ~flows:(Trace.flows_enabled t.trace_sink) ())
-        | None -> None))
-    t.parts
-
-(* Fold per-partition clocks, counters and trace sinks back into the engine
-   after a parallel run. The traces merge in canonical
-   (t0, t1, lane, label, kind) order: deterministic for any window schedule
-   and any worker count. *)
-let teardown_partitions t pool =
-  (match pool with Some pool -> Dpool.shutdown pool | None -> ());
-  t.phase <- Idle;
-  Array.iter
-    (fun p ->
-      t.clock <- Time.max t.clock p.pclock;
-      t.seq <- Stdlib.max t.seq p.pseq)
-    t.parts;
-  match t.trace_sink with
-  | None -> ()
-  | Some sink ->
-    let locals =
-      Array.to_list t.parts
-      |> List.filter_map (fun p ->
-             let tr = p.ptrace in
-             p.ptrace <- None;
-             tr)
-    in
-    Trace.merge_into ~into:sink locals
-
-(* Exceptions stashed by worker domains re-raise deterministically: lowest
-   partition id first. *)
-let reraise_partition_exns t =
-  Array.iter
-    (fun p ->
-      match p.pexn with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
-    t.parts
-
-(* Conservative barrier-synchronized window loop, shared by the static
-   ([run_windowed]) and adaptive ([run_adaptive]) drivers. [next_wend]
-   derives the exclusive end of the next window from the partition queue
-   heads ([None]: all drained). [want_pool], fed the previous window's event
-   count, decides whether the window is dense enough to be worth the
-   fork/join of a pool fan-out; sparse windows drain on the master domain. *)
-let conservative_loop t ~jobs ~next_wend ~want_pool =
-  let np = Array.length t.parts in
-  setup_partitions t;
-  t.phase <- Win;
-  let pool = if jobs > 1 then Some (Dpool.create ~jobs) else None in
-  let windows = ref 0 in
-  let solo = ref 0 in
-  (* Drain one partition's share of the current window. Exceptions (model
-     errors, lookahead violations) are stashed per partition and re-raised
-     after the barrier. *)
-  let exec_partition i =
-    let p = t.parts.(i) in
-    Domain.DLS.set dls_part i;
-    try
-      let continue_ = ref true in
-      while !continue_ do
-        match Heap.peek p.queue with
-        | Some ev when Time.(ev.at < t.wend) ->
-          ignore (Heap.pop p.queue : event option);
-          p.pclock <- ev.at;
-          p.pexec <- p.pexec + 1;
-          ev.thunk ()
-        | Some _ | None -> continue_ := false
-      done
-    with e -> p.pexn <- Some (e, Printexc.get_raw_backtrace ())
-  in
-  let last_evts = ref np in
-  Fun.protect
-    ~finally:(fun () -> teardown_partitions t pool)
-    (fun () ->
-      let running = ref true in
-      while !running do
-        match next_wend () with
-        | None ->
-          if live t > 0 then raise (Deadlock (deadlock_report t));
-          running := false
-        | Some wend ->
-          t.wend <- wend;
-          incr windows;
-          t.windows_total <- t.windows_total + 1;
-          let before = events_executed t in
-          (match pool with
-          | Some pool when want_pool !last_evts -> Dpool.run pool ~n:np exec_partition
-          | Some _ ->
-            incr solo;
-            t.solo_total <- t.solo_total + 1;
-            for i = 0 to np - 1 do
-              exec_partition i
-            done
-          | None ->
-            for i = 0 to np - 1 do
-              exec_partition i
-            done);
-          reraise_partition_exns t;
-          last_evts := events_executed t - before;
-          (* Barrier: apply cross-partition messages in canonical order so
-             every target queue ends up byte-identical regardless of how
-             partitions were scheduled onto domains. *)
-          let msgs =
-            Array.fold_left
-              (fun acc p ->
-                let o = p.outbox in
-                p.outbox <- [];
-                List.rev_append o acc)
-              [] t.parts
-          in
-          (match msgs with
-          | [] -> ()
-          | msgs ->
-            List.iter
-              (fun m -> push_into t t.parts.(m.m_dst) m.m_at m.m_thunk)
-              (List.sort cmp_msg msgs));
-          (* Stall scan at the barrier: a wait older than the watchdog
-             bound relative to the window just drained is a livelock. *)
-          (match t.watchdog with
-          | Some w -> (
-            t.stall_scan_count <- t.stall_scan_count + 1;
-            match oldest_untimed_blocked t with
-            | Some since when Time.(Time.add since w <= t.wend) -> watchdog_fire t w
-            | Some _ | None -> ())
-          | None -> ())
-      done);
-  (!windows, !solo)
-
-let run_windowed ?jobs ~lookahead t =
-  if t.phase <> Idle then invalid_arg "Engine.run_windowed: engine is already running";
-  let np = Array.length t.parts in
-  let fallback reason =
-    run t;
-    Sequential reason
-  in
-  if np = 1 then fallback "single partition"
-  else if Time.equal lookahead Time.zero then fallback "zero lookahead"
-  else if not t.isolated then fallback "engine not created with ~isolated:true"
-  else begin
-    let jobs = clamp_jobs jobs np in
-    let next_wend () =
-      let floor =
-        Array.fold_left
-          (fun acc p ->
-            match Heap.peek p.queue with
-            | None -> acc
-            | Some ev -> (
-              match acc with
-              | None -> Some ev.at
-              | Some a -> Some (Time.min a ev.at)))
-          None t.parts
-      in
-      match floor with None -> None | Some f -> Some (Time.add f lookahead)
-    in
-    let windows, _solo = conservative_loop t ~jobs ~next_wend ~want_pool:(fun _ -> true) in
-    Windowed { windows; jobs }
-  end
-
-let run_adaptive ?jobs ?lookahead_of ~lookahead t =
-  if t.phase <> Idle then invalid_arg "Engine.run_adaptive: engine is already running";
-  let np = Array.length t.parts in
-  let fallback reason =
-    run t;
-    Sequential reason
-  in
-  if np = 1 then fallback "single partition"
-  else if Time.equal lookahead Time.zero then fallback "zero lookahead"
-  else if not t.isolated then fallback "engine not created with ~isolated:true"
-  else begin
-    let jobs = clamp_jobs jobs np in
-    (* Per-source outbound lookahead, hoisted out of the window loop so the
-       Arch/Interconnect lookup chain runs once per drive instead of once
-       per window. Floored at the global bound: a per-source figure can only
-       widen the window. *)
-    let la =
-      Array.init np (fun i ->
-          match lookahead_of with
-          | None -> lookahead
-          | Some f -> Time.max lookahead (f i))
-    in
-    (* A window may extend to the earliest instant any partition could next
-       affect a peer: min over non-empty queues of (head + outbound
-       lookahead). Every send from partition p lands at or after its current
-       clock plus la.(p), so no event inside the window can hear from a
-       peer — the static driver's invariant, with the bound tracking where
-       the queues actually are instead of the global floor. *)
-    let next_wend () =
-      Array.fold_left
-        (fun acc p ->
-          match Heap.peek p.queue with
-          | None -> acc
-          | Some ev -> (
-            let w = Time.add ev.at la.(p.id) in
-            match acc with None -> Some w | Some a -> Some (Time.min a w)))
-        None t.parts
-    in
-    (* Density throttle: fan out to the pool only while the recent
-       per-window event count (a 4-window EMA) amortizes the fork/join.
-       Depends only on simulated event counts, so the schedule — and hence
-       the simulated result — is deterministic for any worker count. *)
-    let ema = ref np in
-    let want_pool last =
-      ema := ((3 * !ema) + last) / 4;
-      !ema >= np
-    in
-    let windows, solo_windows = conservative_loop t ~jobs ~next_wend ~want_pool in
-    Adaptive { windows; solo_windows; jobs }
-  end
-
-(* A partition checkpoint: everything a rollback must restore — queue
-   snapshot, clocks and counters, how much of the consumption and send logs
-   existed, the trace position, and the composed model-state restore built
-   from the registered savers. *)
-type ckpt = {
-  c_pclock : Time.t;
-  c_pseq : int;
-  c_pexec : int;
-  c_out_idx : int;
-  c_queue : event Heap.t;
-  c_done_len : int;
-  c_sent_len : int;
-  c_trace : Trace.mark option;
-  c_restore : unit -> unit;
-}
-
-let run_optimistic ?jobs ?horizon ?max_horizon ?on_gvt ~lookahead t =
-  if t.phase <> Idle then invalid_arg "Engine.run_optimistic: engine is already running";
-  let np = Array.length t.parts in
-  if np = 1 then begin
-    run t;
-    Sequential "single partition"
-  end
-  else if not t.isolated then begin
-    run t;
-    Sequential "engine not created with ~isolated:true"
-  end
-  else if registered_processes t > 0 || registered_state_providers t = 0 then
-    (* Processes are one-shot continuations — they cannot be checkpointed —
-       and a model that registered no state cannot be restored. Either way
-       conservative windows are the right degree of parallelism, and they
-       produce the same simulated result. *)
-    run_windowed ?jobs ~lookahead t
-  else begin
-    let jobs = clamp_jobs jobs np in
-    let h0 =
-      match horizon with
-      | Some h when Time.(h > Time.zero) -> h
-      | Some _ -> invalid_arg "Engine.run_optimistic: horizon must be positive"
-      | None ->
-        if Time.(lookahead > Time.zero) then Time.ns (8 * Time.to_ns lookahead)
-        else Time.us 8
-    in
-    let h_min =
-      if Time.(lookahead > Time.zero) then Time.min lookahead h0 else Time.min (Time.us 1) h0
-    in
-    let h_max =
-      match max_horizon with Some h -> Time.max h h0 | None -> Time.ns (8 * Time.to_ns h0)
-    in
-    setup_partitions t;
-    t.phase <- Opt;
-    let pool = if jobs > 1 then Some (Dpool.create ~jobs) else None in
-    (* Time Warp bookkeeping, indexed by partition. Each slot is touched
-       either by that partition's worker during a round or by the master at
-       the barrier, never both at once (the pool's fork/join orders them). *)
-    let inbox = Array.init np (fun _ -> Heap.create ~cmp:cmp_msg) in
-    let done_log = Array.make np [] in (* consumed messages, newest first *)
-    let done_len = Array.make np 0 in (* absolute count, log positions never shift *)
-    let sent_log = Array.make np [] in (* delivered live sends, newest first *)
-    let sent_len = Array.make np 0 in
-    let ckpts : ckpt list array = Array.make np [] in (* newest first *)
-    let horizons = Array.make np h0 in
-    let hends = Array.make np Time.zero in
-    let clean = Array.make np 0 in (* consecutive rollback-free rounds *)
-    let rolled = Array.make np false in
-    let rounds = ref 0
-    and rollbacks = ref 0
-    and antis = ref 0 in
-    let take_ckpt i =
-      let p = t.parts.(i) in
-      match ckpts.(i) with
-      | c :: _
-        when c.c_pexec = p.pexec && c.c_pseq = p.pseq && c.c_done_len = done_len.(i)
-             && Time.equal c.c_pclock p.pclock ->
-        (* Nothing ran since the last checkpoint — no event, no consumption —
-           so the partition state is bit-identical and the old checkpoint
-           still covers it. Common for partitions blocked at a sync point
-           while a straggler partition catches up. *)
-        ()
-      | _ ->
-      let restores = List.rev_map (fun save -> save ()) p.savers in
-      ckpts.(i) <-
-        {
-          c_pclock = p.pclock;
-          c_pseq = p.pseq;
-          c_pexec = p.pexec;
-          c_out_idx = p.out_idx;
-          c_queue = Heap.copy p.queue;
-          c_done_len = done_len.(i);
-          c_sent_len = sent_len.(i);
-          c_trace = (match p.ptrace with Some tr -> Some (Trace.mark tr) | None -> None);
-          c_restore = (fun () -> List.iter (fun r -> r ()) restores);
-        }
-        :: ckpts.(i)
-    in
-    (* Head of the pending inbox, discarding annihilated messages. *)
-    let inbox_head i =
-      let rec go () =
-        match Heap.peek inbox.(i) with
-        | Some m when m.m_dead ->
-          ignore (Heap.pop inbox.(i) : msg option);
-          go ()
-        | other -> other
-      in
-      go ()
-    in
-    (* Earliest unprocessed item of partition [i]: queue head or pending
-       message, whichever is sooner. *)
-    let next_time i =
-      let e = match Heap.peek t.parts.(i).queue with Some ev -> Some ev.at | None -> None in
-      let m = match inbox_head i with Some m -> Some m.m_at | None -> None in
-      match (e, m) with
-      | None, x | x, None -> x
-      | Some a, Some b -> Some (Time.min a b)
-    in
-    (* GVT: no partition holds — and no partition can ever again produce —
-       an unprocessed item earlier than this. Computed at the barrier, when
-       outboxes are empty, so pending items are the whole picture. *)
-    let compute_gvt () =
-      let acc = ref None in
-      for i = 0 to np - 1 do
-        match next_time i with
-        | None -> ()
-        | Some u -> (
-          match !acc with
-          | None -> acc := Some u
-          | Some a -> if Time.(u < a) then acc := Some u)
-      done;
-      !acc
-    in
-    let rec take n l = if n <= 0 then [] else match l with x :: r -> x :: take (n - 1) r | [] -> [] in
-    (* Fossil collection: keep every checkpoint down to (and including) the
-       newest one strictly before GVT. That anchor is the deepest any future
-       rollback can reach — every straggler and annihilation carries a
-       timestamp at or after GVT — so everything older is committed. *)
-    let fossil gvt =
-      for i = 0 to np - 1 do
-        let rec keep = function
-          | [] -> []
-          | c :: rest -> if Time.(c.c_pclock < gvt) then [ c ] else c :: keep rest
-        in
-        let kept = keep ckpts.(i) in
-        ckpts.(i) <- kept;
-        match List.rev kept with
-        | [] -> ()
-        | anchor :: _ ->
-          done_log.(i) <- take (done_len.(i) - anchor.c_done_len) done_log.(i);
-          sent_log.(i) <- take (sent_len.(i) - anchor.c_sent_len) sent_log.(i);
-          (* Send indices at or below the anchor's counter can never be
-             regenerated by a rollback; drop them when the table has grown
-             past reason so it tracks the speculative frontier only. *)
-          let p = t.parts.(i) in
-          if Hashtbl.length p.sent_live > 1024 then begin
-            let stale =
-              Hashtbl.fold
-                (fun idx () acc -> if idx <= anchor.c_out_idx then idx :: acc else acc)
-                p.sent_live []
-            in
-            List.iter (fun idx -> Hashtbl.remove p.sent_live idx) stale
-          end
-      done
-    in
-    (* Speculatively drain partition [i] up to its horizon. Queue events and
-       pending messages interleave in timestamp order; at equal timestamps
-       the queue event runs first, mirroring how the conservative barrier
-       appends arriving messages after a partition's own same-time events. *)
-    let exec_opt i =
-      let p = t.parts.(i) in
-      Domain.DLS.set dls_part i;
-      let hend = hends.(i) in
-      try
-        let continue_ = ref true in
-        while !continue_ do
-          let pick =
-            match (Heap.peek p.queue, inbox_head i) with
-            | None, None -> None
-            | Some ev, None -> if Time.(ev.at < hend) then Some (Either.Left ev) else None
-            | None, Some m -> if Time.(m.m_at < hend) then Some (Either.Right m) else None
-            | Some ev, Some m ->
-              if Time.(ev.at <= m.m_at) then
-                if Time.(ev.at < hend) then Some (Either.Left ev) else None
-              else if Time.(m.m_at < hend) then Some (Either.Right m)
-              else None
-          in
-          match pick with
-          | None -> continue_ := false
-          | Some (Either.Left ev) ->
-            ignore (Heap.pop p.queue : event option);
-            p.pclock <- ev.at;
-            p.pexec <- p.pexec + 1;
-            ev.thunk ()
-          | Some (Either.Right m) ->
-            ignore (Heap.pop inbox.(i) : msg option);
-            m.m_consumed <- true;
-            m.m_done_pos <- done_len.(i);
-            done_log.(i) <- m :: done_log.(i);
-            done_len.(i) <- done_len.(i) + 1;
-            p.pclock <- m.m_at;
-            p.pexec <- p.pexec + 1;
-            m.m_thunk ()
-        done
-      with e -> p.pexn <- Some (e, Printexc.get_raw_backtrace ())
-    in
-    (* Rollback constraints accumulated during a barrier: the earliest
-       straggler/annihilation time per partition, and the lowest consumption
-       log position that must be undone. *)
-    let cons_at : Time.t option array = Array.make np None in
-    let cons_dp = Array.make np max_int in
-    let add_constraint q at dp =
-      (match cons_at.(q) with
-      | None -> cons_at.(q) <- Some at
-      | Some a -> if Time.(at < a) then cons_at.(q) <- Some at);
-      if dp < cons_dp.(q) then cons_dp.(q) <- dp
-    in
-    (* Roll partition [i] back to the newest checkpoint consistent with the
-       constraint, annihilate the sends its re-execution may diverge on, and
-       queue cascading constraints for receivers that consumed them. *)
-    let rollback i ~at ~dp =
-      let p = t.parts.(i) in
-      if Time.(p.pclock <= at) && done_len.(i) <= dp then ()
+  if t.running then invalid_arg "Engine.run: engine is already running";
+  t.running <- true;
+  (match t.watchdog with Some w -> t.watch_next <- (Time.add t.clock w :> int) | None -> ());
+  let limit = match until with Some (l : Time.t) -> (l :> int) | None -> max_int in
+  let loop () =
+    let go = ref true in
+    while !go do
+      if Queue.length t.queue = 0 then begin
+        go := false;
+        if t.live > 0 then raise (Deadlock (deadlock_report t))
+      end
       else begin
-        incr rollbacks;
-        t.opt_rollbacks_total <- t.opt_rollbacks_total + 1;
-        rolled.(i) <- true;
-        let rec find = function
-          | c :: rest ->
-            if Time.(c.c_pclock <= at) && c.c_done_len <= dp then (c, c :: rest)
-            else find rest
-          | [] ->
-            (* The fossil anchor always satisfies any reachable constraint. *)
-            assert false
-        in
-        let c, kept = find ckpts.(i) in
-        ckpts.(i) <- kept;
-        t.opt_undone_total <- t.opt_undone_total + (p.pexec - c.c_pexec);
-        c.c_restore ();
-        p.queue <- Heap.copy c.c_queue;
-        p.pclock <- c.c_pclock;
-        p.pseq <- c.c_pseq;
-        p.pexec <- c.c_pexec;
-        p.out_idx <- c.c_out_idx;
-        (match (p.ptrace, c.c_trace) with
-        | Some tr, Some m -> Trace.rewind tr m
-        | _ -> ());
-        (* Unconsume: speculatively consumed messages return to pending. *)
-        while done_len.(i) > c.c_done_len do
-          match done_log.(i) with
-          | m :: rest ->
-            done_log.(i) <- rest;
-            done_len.(i) <- done_len.(i) - 1;
-            m.m_consumed <- false;
-            m.m_done_pos <- -1;
-            if not m.m_dead then Heap.push inbox.(i) m
-          | [] -> assert false
-        done;
-        (* Anti-messages, aggressive but bounded by the rollback time: a
-           send made at or after [at] may not recur when the partition
-           re-executes, so it is annihilated (and its consumer rolled back).
-           Sends made before [at] are untouched — coast-forward re-execution
-           below [at] is byte-identical, so they stay valid and the
-           duplicate re-sends are suppressed by [sent_live]. *)
-        let above = sent_len.(i) - c.c_sent_len in
-        let rec prune n l =
-          if n = 0 then l
-          else
-            match l with
-            | m :: rest ->
-              let rest' = prune (n - 1) rest in
-              if Time.(m.m_sent_at >= at) then begin
-                m.m_dead <- true;
-                incr antis;
-                t.opt_anti_total <- t.opt_anti_total + 1;
-                sent_len.(i) <- sent_len.(i) - 1;
-                Hashtbl.remove p.sent_live m.m_idx;
-                if m.m_consumed then add_constraint m.m_dst m.m_at m.m_done_pos;
-                rest'
-              end
-              else m :: rest'
-            | [] -> assert false
-        in
-        sent_log.(i) <- prune above sent_log.(i)
-      end
-    in
-    (* Settle all rollback constraints to a fixpoint, lowest partition id
-       first: deterministic, and terminating because every effective
-       rollback strictly shrinks some consumption or send log. *)
-    let rec settle () =
-      let q = ref (-1) in
-      (try
-         for i = 0 to np - 1 do
-           match cons_at.(i) with
-           | Some _ ->
-             q := i;
-             raise Exit
-           | None -> ()
-         done
-       with Exit -> ());
-      if !q >= 0 then begin
-        let i = !q in
-        let at = match cons_at.(i) with Some a -> a | None -> assert false in
-        let dp = cons_dp.(i) in
-        cons_at.(i) <- None;
-        cons_dp.(i) <- max_int;
-        rollback i ~at ~dp;
-        settle ()
-      end
-    in
-    let barrier () =
-      let msgs =
-        Array.fold_left
-          (fun acc p ->
-            let o = p.outbox in
-            p.outbox <- [];
-            List.rev_append o acc)
-          [] t.parts
-      in
-      let msgs = List.sort cmp_msg msgs in
-      List.iter
-        (fun m ->
-          let s = t.parts.(m.m_src) in
-          sent_log.(m.m_src) <- m :: sent_log.(m.m_src);
-          sent_len.(m.m_src) <- sent_len.(m.m_src) + 1;
-          Hashtbl.replace s.sent_live m.m_idx ();
-          Heap.push inbox.(m.m_dst) m)
-        msgs;
-      (* Stragglers: a delivery in the receiver's speculated past. *)
-      List.iter
-        (fun m ->
-          if (not m.m_dead) && Time.(m.m_at < t.parts.(m.m_dst).pclock) then
-            add_constraint m.m_dst m.m_at max_int)
-        msgs;
-      settle ();
-      (* Throttle: halve a rolled-back partition's speculation horizon,
-         double it back after four clean rounds. Driven purely by simulated
-         state, so the schedule is identical for any worker count. *)
-      for i = 0 to np - 1 do
-        if rolled.(i) then begin
-          rolled.(i) <- false;
-          clean.(i) <- 0;
-          horizons.(i) <- Time.max h_min (Time.ns (Time.to_ns horizons.(i) / 2))
+        let at = Queue.min_time t.queue in
+        if (at :> int) > limit then begin
+          (* Leave the event queued so a later [run] resumes seamlessly. *)
+          t.clock <- Time.ns limit;
+          go := false
         end
         else begin
-          clean.(i) <- clean.(i) + 1;
-          if clean.(i) >= 4 then begin
-            clean.(i) <- 0;
-            horizons.(i) <- Time.min h_max (Time.ns (2 * Time.to_ns horizons.(i)))
-          end
+          let fn = Queue.pop t.queue in
+          t.clock <- at;
+          if (at :> int) >= t.watch_next then watchdog_scan t at;
+          t.executed <- t.executed + 1;
+          fn ()
         end
-      done
-    in
-    Fun.protect
-      ~finally:(fun () -> teardown_partitions t pool)
-      (fun () ->
-        let running = ref true in
-        while !running do
-          match compute_gvt () with
-          | None -> running := false
-          | Some gvt ->
-            t.opt_gvt <- gvt;
-            (match on_gvt with Some f -> f gvt | None -> ());
-            fossil gvt;
-            for i = 0 to np - 1 do
-              take_ckpt i
-            done;
-            incr rounds;
-            t.opt_rounds_total <- t.opt_rounds_total + 1;
-            for i = 0 to np - 1 do
-              hends.(i) <- Time.add gvt horizons.(i)
-            done;
-            (match pool with
-            | Some pool -> Dpool.run pool ~n:np exec_opt
-            | None ->
-              for i = 0 to np - 1 do
-                exec_opt i
-              done);
-            reraise_partition_exns t;
-            barrier ()
-        done);
-    Optimistic { rounds = !rounds; rollbacks = !rollbacks; anti_messages = !antis; jobs }
-  end
+      end
+    done
+  in
+  Fun.protect ~finally:(fun () -> t.running <- false) loop
 
 let elapse t f =
   let t0 = now t in

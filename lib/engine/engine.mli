@@ -10,21 +10,15 @@
     with {!spawn} and driven by {!run}; calling them elsewhere raises
     [Effect.Unhandled].
 
-    {1 Partitions}
+    {1 One sequential driver}
 
-    An engine may be created with [~partitions:n]. Every process and event
-    then belongs to one partition (a simulated device, or the host plus
-    interconnect), each with its own event queue. Under {!run} this changes
-    nothing observable: events are still executed in one global
-    (timestamp, sequence) order. Under {!run_windowed} the partitions execute
-    concurrently in conservative, barrier-synchronized time windows whose
-    width is the minimum cross-partition latency (the {e lookahead}): within
-    a window no partition can affect another, so their event queues can be
-    drained in parallel. Cross-partition interactions must be expressed as
-    timestamped messages ({!post}) that arrive at least one lookahead in the
-    future; they are applied at window barriers in a canonical
-    (time, sender, sequence) order, keeping the run deterministic for any
-    worker count. *)
+    {!run} is the only driver. Its queue is a binary min-heap over
+    (timestamp, sequence) held in parallel arrays, so scheduling an event
+    allocates nothing beyond the thunk itself, and each process owns one
+    resume thunk for its whole life. Diagnostic text — process names
+    ({!spawn}'s [name_of]) and wait reasons ({!suspend}'s [reason]) — is
+    rendered only when {!Deadlock}, {!Stall} or {!blocked_descriptions}
+    reads it. *)
 
 type t
 
@@ -33,8 +27,8 @@ type process
 
 exception Deadlock of string list
 (** Raised by {!run} when no event is pending but processes remain blocked.
-    Carries a description of each blocked process — name, pid, partition,
-    group, reason and its wait-for edge when one was declared — plus a final
+    Carries a description of each blocked process — name, pid, group,
+    reason and its wait-for edge when one was declared — plus a final
     "wait-for cycle: a -> b -> a" line when the declared edges close a
     cycle. This is how lost-signal bugs in communication protocols surface
     in tests. *)
@@ -65,23 +59,8 @@ val wait_cycle : t -> string list option
 (** The first wait-for cycle among blocked processes' group edges (a list
     of group names, first repeated last), if any — deterministic. *)
 
-exception Lookahead_violation of string
-(** Raised during {!run_windowed} when model code breaks partition isolation
-    inside a window: a {!post} closer than the window end, a cross-partition
-    {!spawn}, or a cross-partition waker invocation (a {!Sync} primitive
-    shared between partitions). Such a model must either repair its
-    partitioning or run sequentially. *)
-
-val create :
-  ?trace:Trace.t -> ?partitions:int -> ?isolated:bool -> ?watchdog:Time.t -> unit -> t
-(** [partitions] (default 1) declares the partition count. [isolated]
-    (default [false]) is the model's promise that partitions share no mutable
-    state within a window — i.e. every cross-partition interaction goes
-    through {!post} with at least the lookahead of delay. {!run_windowed}
-    only executes partitions in parallel when this promise was given;
-    otherwise it falls back to sequential execution.
-
-    [watchdog] (default: none) arms the stall watchdog: if any non-daemon
+val create : ?trace:Trace.t -> ?watchdog:Time.t -> unit -> t
+(** [watchdog] (default: none) arms the stall watchdog: if any non-daemon
     process stays blocked for at least that much {e simulated} time on a
     wake nothing has scheduled (i.e. not a [delay] and not a deadline wait),
     the driver raises {!Stall} instead of spinning the event queue forever.
@@ -90,31 +69,21 @@ val create :
     the longest legitimate wait of the model (the fault layer derives one
     from its retry budget). *)
 
-val num_partitions : t -> int
-
-val current_partition : t -> int
-(** Partition of the event currently executing (0 outside a run). *)
-
 val now : t -> Time.t
-(** Current simulation time: the executing partition's clock during a
-    windowed run, the global clock otherwise. *)
+(** Current simulation time. *)
 
 val trace : t -> Trace.t option
-(** The sink spans should be recorded to: a partition-local sink during a
-    windowed run (merged canonically at the end of the run), the engine's
-    global sink otherwise. *)
+(** The sink spans should be recorded to, if the engine has one. *)
 
 val spawn :
-  t -> ?name:string -> ?daemon:bool -> ?partition:int -> ?group:string ->
+  t -> ?name:string -> ?name_of:(unit -> string) -> ?daemon:bool -> ?group:string ->
   (unit -> unit) -> process
 (** Register a process to start at the current simulation time. May be called
     before [run] or from inside another process.
 
-    [partition] assigns the process to a partition (default: the partition of
-    the spawning process, or 0). On a single-partition engine the hint is
-    ignored, so model code can tag processes unconditionally. During a
-    windowed run, spawning into another partition raises
-    {!Lookahead_violation} — post a message that spawns locally instead.
+    [name_of], when given, renders the name on demand instead of [name]:
+    hot paths that spawn a process per message pass the pieces of the name
+    and pay for formatting only when a diagnostic reads it.
 
     [group] tags the process with the model entity it acts for ("gpu3",
     "host"): the node name used in wait-for graphs. Wait-for edges declared
@@ -128,7 +97,6 @@ val spawn :
 
 val process_name : process -> string
 val process_done : process -> bool
-val process_partition : process -> int
 val process_group : process -> string option
 
 val delay : t -> Time.t -> unit
@@ -138,12 +106,17 @@ val yield : t -> unit
 (** Re-enqueue the calling process at the current time, letting other events
     scheduled at this instant run first. *)
 
-val suspend : t -> reason:string -> ?waits_on:string -> ((unit -> unit) -> unit) -> unit
+val suspend :
+  t -> reason:(unit -> string) -> ?waits_on:string -> ((unit -> unit) -> unit) -> unit
 (** [suspend t ~reason register] blocks the calling process. [register] is
     called immediately with a waker; invoking the waker (from any other
     process, at any later time) resumes the suspended process at the
     simulation time of the waker call. Calling the waker more than once is
     harmless. This is the primitive from which all of {!Sync} is built.
+
+    [reason] renders the wait for diagnostics; it is called only when one
+    is built, so it must capture at the call any value it prints (a flag's
+    value at the time it blocked), not read it later.
 
     [waits_on] optionally names the process {e group} expected to resolve
     this wait (the peer GPU a signal must come from) — the wait-for edge
@@ -151,144 +124,22 @@ val suspend : t -> reason:string -> ?waits_on:string -> ((unit -> unit) -> unit)
 
 val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 (** Run a plain callback (not a process: it must not block) at an absolute
-    time, which must not be in the past. The callback runs in the calling
-    partition. *)
-
-val post : t -> partition:int -> at:Time.t -> (unit -> unit) -> unit
-(** [post t ~partition ~at thunk] schedules [thunk] to run in [partition] at
-    absolute time [at] — the cross-partition communication primitive. The
-    thunk executes as an event of the target partition, so it may freely
-    touch that partition's state (set its flags, spawn its processes).
-    During a windowed run a cross-partition [at] must be no earlier than the
-    current window's end — guaranteed by construction when the posting delay
-    is at least the lookahead — else {!Lookahead_violation} is raised. *)
+    time, which must not be in the past. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Execute events until the queue is empty or the clock passes [until], in
-    one global deterministic (timestamp, sequence) order — partitioned or
-    not.
+    one deterministic (timestamp, sequence) order: same-time events run in
+    the order they were scheduled.
 
     @raise Deadlock if the queue drains while processes are still blocked
     (unless [until] was given and reached). *)
 
-type outcome =
-  | Windowed of { windows : int; jobs : int }  (** windows executed, workers used *)
-  | Adaptive of { windows : int; solo_windows : int; jobs : int }
-      (** adaptively sized windows; [solo_windows] of them were sparse
-          enough to drain on the master domain without a pool fan-out *)
-  | Optimistic of { rounds : int; rollbacks : int; anti_messages : int; jobs : int }
-      (** Time Warp speculation rounds, partition rollbacks and annihilated
-          messages over this run *)
-  | Sequential of string  (** fell back to {!run}; the reason why *)
-
-val run_windowed : ?jobs:int -> lookahead:Time.t -> t -> outcome
-(** Drain the simulation in conservative time windows of width [lookahead],
-    executing partitions concurrently on [jobs] domains (default: the
-    recommended domain count, capped at the partition count). Requires a
-    multi-partition engine created with [~isolated:true] and a positive
-    lookahead; otherwise it automatically falls back to {!run} and reports
-    why. The simulated result is deterministic: independent of [jobs] and of
-    how windows land on domains.
-
-    @raise Deadlock as {!run}.
-    @raise Lookahead_violation if the model breaks partition isolation. *)
-
-val run_adaptive : ?jobs:int -> ?lookahead_of:(int -> Time.t) -> lookahead:Time.t -> t -> outcome
-(** Like {!run_windowed}, but each window extends to the earliest instant any
-    partition could next affect a peer — the minimum over non-empty
-    partitions of (queue head + that partition's outbound lookahead) — rather
-    than a fixed [lookahead] past the global queue floor, so windows widen
-    whenever the queues run ahead of the floor. [lookahead_of] gives the
-    per-source outbound lookahead (a lower bound on the latency of any
-    message the partition sends; it is clamped up to at least [lookahead] and
-    evaluated once, outside the window loop); omitted, every partition uses
-    [lookahead]. Sparse windows — detected from a running per-window event
-    count — are drained on the master domain, skipping the pool fork/join.
-    Same fallbacks, determinism guarantees and exceptions as {!run_windowed};
-    the simulated result is byte-identical to {!run} and {!run_windowed}. *)
-
-val run_optimistic :
-  ?jobs:int ->
-  ?horizon:Time.t ->
-  ?max_horizon:Time.t ->
-  ?on_gvt:(Time.t -> unit) ->
-  lookahead:Time.t ->
-  t ->
-  outcome
-(** Drain the simulation with optimistic (Time Warp) synchronization:
-    partitions speculate past the lookahead bound up to a per-partition
-    {e horizon} beyond GVT (the global minimum unprocessed-item time),
-    checkpointing their state every round. A cross-partition message landing
-    in a receiver's speculated past (a {e straggler}) rolls the receiver back
-    to the newest consistent checkpoint; sends that the re-execution may not
-    reproduce are annihilated with anti-messages, cascading rollbacks to
-    their consumers. GVT advances every round, committing history for fossil
-    collection of checkpoints and logs. The rollback throttle halves a
-    partition's horizon when it rolls back and doubles it after four clean
-    rounds, between [lookahead] (or 1 µs when zero) and [max_horizon];
-    [horizon] seeds it (default 8 × [lookahead], or 8 µs when [lookahead] is
-    zero). [on_gvt] observes each GVT computation (it is monotone
-    non-decreasing and never exceeds any partition's earliest unprocessed
-    item — the property the test suite checks).
-
-    Rollback can only restore state the engine knows how to snapshot, so the
-    driver requires a {e process-free} model: every behavior expressed as
-    events ({!schedule_at} / {!post}) and all mutable model state registered
-    via {!register_state}. If any process is live, or no state was
-    registered, it degrades to {!run_windowed} (which simulates the exact
-    same result, conservatively). Single-partition and non-[isolated]
-    engines fall back to {!run} as usual. The simulated result is
-    deterministic and byte-identical to {!run} at any worker count.
-
-    @raise Deadlock as {!run}. *)
-
-val register_state :
-  t -> partition:int -> (unit -> unit -> unit) -> unit
-(** [register_state t ~partition save] declares mutable model state owned by
-    [partition] for optimistic checkpointing. Every round, the driver calls
-    [save ()] to capture an immutable snapshot and gets back a restore
-    closure; on rollback it invokes the restore closures of the target
-    checkpoint (a checkpoint may be restored more than once, so the closure
-    must copy out of its snapshot, not hand back shared mutable structure).
-    Must be called while the engine is idle. *)
-
 val events_executed : t -> int
-(** Total events executed so far, across all partitions and runs — the
+(** Total events executed so far, across all runs — the
     numerator of the engine-throughput (events/sec) microbenchmark. *)
 
-val windows_executed : t -> int
-(** Time windows the windowed driver has drained so far, across all
-    {!run_windowed} calls on this engine (0 under the sequential driver). *)
-
 val stall_scans : t -> int
-(** Stall-watchdog scans actually performed (the amortized check plus the
-    per-window barrier scan); 0 when no watchdog is armed. *)
-
-val solo_windows : t -> int
-(** Adaptive windows drained on the master domain (no pool fan-out), across
-    all {!run_adaptive} calls on this engine. *)
-
-val optimistic_rounds : t -> int
-(** Speculation rounds executed across all {!run_optimistic} calls. *)
-
-val rollbacks : t -> int
-(** Partition rollbacks performed across all {!run_optimistic} calls. *)
-
-val anti_messages : t -> int
-(** Messages annihilated by rollbacks across all {!run_optimistic} calls. *)
-
-val events_rolled_back : t -> int
-(** Speculatively executed events undone by rollbacks (they re-execute after
-    the rollback, so {!events_executed} still counts each committed event
-    exactly once). *)
-
-val last_gvt : t -> Time.t
-(** The most recently computed global virtual time ({!Time.zero} before the
-    first optimistic round). *)
-
-val registered_state_providers : t -> int
-(** Model-state savers registered via {!register_state}, over all
-    partitions. *)
+(** Stall-watchdog scans actually performed; 0 when no watchdog is armed. *)
 
 val registered_processes : t -> int
 (** Live (not yet finished) processes currently in the registry. Finished
@@ -296,9 +147,31 @@ val registered_processes : t -> int
 
 val blocked_descriptions : t -> string list
 (** One line per blocked non-daemon process, sorted by pid:
-    "name(#pid) [pN group]: reason (since T) <- waits on peer". The body of
-    what {!Deadlock} carries (which appends a wait-for cycle line when the
-    declared edges close one). *)
+    "name(#pid) [p0 group]: reason (since T) <- waits on peer" (the [p0]
+    column is kept from the retired partitioned drivers, so reports stay
+    byte-identical). The body of what {!Deadlock} carries (which appends a
+    wait-for cycle line when the declared edges close one). *)
+
+module Queue : sig
+  (** The event queue {!run} drains: a binary min-heap over
+      (timestamp, sequence) in parallel arrays. Exposed so its pop order
+      can be tested against {!Heap}. *)
+
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+
+  val push : t -> Time.t -> (unit -> unit) -> unit
+  (** Schedule a thunk. Same-time thunks pop in push order. *)
+
+  val min_time : t -> Time.t
+  (** Timestamp of the next thunk to pop. @raise Invalid_argument if empty. *)
+
+  val pop : t -> unit -> unit
+  (** Remove the earliest thunk and return it.
+      @raise Invalid_argument if empty. *)
+end
 
 val elapse : t -> (unit -> unit) -> Time.t
 (** [elapse t f] runs [f ()] inside a process and returns the simulated time

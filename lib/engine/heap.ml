@@ -79,14 +79,6 @@ let clear h =
   h.data <- [||];
   h.size <- 0
 
-(* Structural copy sharing the elements: the backing array is duplicated
-   (trimmed to [size]) so pushes and pops on either heap never disturb the
-   other. This is what partition checkpoints are made of — the optimistic
-   driver snapshots a partition's event queue before speculating and
-   restores the snapshot (itself via [copy], so one checkpoint can be
-   restored more than once) on rollback. *)
-let copy h = { cmp = h.cmp; data = Array.sub h.data 0 h.size; size = h.size }
-
 let to_list_unordered h =
   let rec collect i acc = if i < 0 then acc else collect (i - 1) (h.data.(i) :: acc) in
   collect (h.size - 1) []

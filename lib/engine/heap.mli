@@ -1,9 +1,10 @@
 (** Array-backed binary min-heap.
 
-    Used as the simulation event queue. Elements are ordered by a comparison
-    function supplied at creation; ties must be broken by the caller (the
-    engine uses a monotonically increasing sequence number) so that the heap
-    order is total and runs are reproducible. *)
+    Elements are ordered by a comparison function supplied at creation;
+    ties must be broken by the caller so that the heap order is total and
+    runs are reproducible. The routing fallback's Dijkstra settles vertices
+    from one, and it is the reference the engine's monomorphic event queue
+    is tested against. *)
 
 type 'a t
 
@@ -19,11 +20,6 @@ val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
 val clear : 'a t -> unit
-
-val copy : 'a t -> 'a t
-(** Independent heap with the same contents (elements shared, structure
-    duplicated): mutations on either side never affect the other. The
-    optimistic PDES driver checkpoints partition event queues with this. *)
 
 val to_list_unordered : 'a t -> 'a list
 (** Current contents in unspecified order (for diagnostics). *)

@@ -12,10 +12,16 @@ module Flag = struct
   let name t = t.fname
   let get t = t.value
 
+  let rec any_ready v = function [] -> false | w :: rest -> w.pred v || any_ready v rest
+
+  (* Most updates satisfy nobody: check before partitioning, so they
+     allocate nothing. *)
   let wake_satisfied t =
-    let ready, still = List.partition (fun w -> w.pred t.value) t.waiters in
-    t.waiters <- still;
-    List.iter (fun w -> w.wake ()) ready
+    if any_ready t.value t.waiters then begin
+      let ready, still = List.partition (fun w -> w.pred t.value) t.waiters in
+      t.waiters <- still;
+      List.iter (fun w -> w.wake ()) ready
+    end
 
   let set t v =
     t.value <- v;
@@ -24,11 +30,13 @@ module Flag = struct
   let add t d = set t (t.value + d)
 
   (* Re-check after waking: another process scheduled at the same instant may
-     have changed the value between the wake and the resume. *)
+     have changed the value between the wake and the resume. The reason
+     captures the value the wait blocked at. *)
   let rec wait_until ?waits_on t pred =
     if not (pred t.value) then begin
+      let v = t.value in
       Engine.suspend t.eng
-        ~reason:(Printf.sprintf "flag %s (value %d)" t.fname t.value)
+        ~reason:(fun () -> Printf.sprintf "flag %s (value %d)" t.fname v)
         ?waits_on
         (fun wake -> t.waiters <- { pred; wake } :: t.waiters);
       wait_until ?waits_on t pred
@@ -47,10 +55,10 @@ module Flag = struct
       else if Time.(Engine.now t.eng >= deadline) then `Timeout
       else begin
         let timed_out = ref false in
+        let v = t.value in
         Engine.suspend t.eng
-          ~reason:
-            (Printf.sprintf "flag %s (value %d, deadline %s)" t.fname t.value
-               (Time.to_string deadline))
+          ~reason:(fun () ->
+            Printf.sprintf "flag %s (value %d, deadline %s)" t.fname v (Time.to_string deadline))
           ?waits_on
           (fun wake ->
             t.waiters <- { pred = (fun v -> !timed_out || pred v); wake } :: t.waiters;
@@ -98,9 +106,10 @@ module Barrier = struct
     end
     else
       while t.gen = gen do
+        let arrived = t.arrived in
         Engine.suspend t.eng
-          ~reason:
-            (Printf.sprintf "barrier %s (gen %d, %d/%d)" t.bname t.gen t.arrived t.parties)
+          ~reason:(fun () ->
+            Printf.sprintf "barrier %s (gen %d, %d/%d)" t.bname gen arrived t.parties)
           (fun wake -> t.waiters <- wake :: t.waiters)
       done
 end
@@ -129,7 +138,7 @@ module Mailbox = struct
     | Some x -> x
     | None ->
       Engine.suspend t.eng
-        ~reason:(Printf.sprintf "mailbox %s" t.mname)
+        ~reason:(fun () -> "mailbox " ^ t.mname)
         (fun wake -> Queue.push wake t.waiters);
       recv t
 
@@ -157,19 +166,20 @@ module Resource = struct
     start
 
   let book_many resources ~duration =
-    match resources with
-    | [] -> invalid_arg "Resource.book_many: empty resource list"
-    | first :: _ ->
-      let now = Engine.now first.eng in
-      let start =
-        List.fold_left (fun acc r -> Time.max acc r.free_from) now resources
-      in
-      List.iter
-        (fun r ->
-          r.free_from <- Time.add start duration;
-          r.total_busy <- Time.add r.total_busy duration)
-        resources;
-      start
+    let n = Array.length resources in
+    if n = 0 then invalid_arg "Resource.book_many: empty resource array";
+    let start = ref (Engine.now resources.(0).eng) in
+    for i = 0 to n - 1 do
+      start := Time.max !start resources.(i).free_from
+    done;
+    let start = !start in
+    let until = Time.add start duration in
+    for i = 0 to n - 1 do
+      let r = resources.(i) in
+      r.free_from <- until;
+      r.total_busy <- Time.add r.total_busy duration
+    done;
+    start
 
   let busy t = t.total_busy
 end
@@ -191,7 +201,7 @@ module Semaphore = struct
     if t.count > 0 then t.count <- t.count - 1
     else begin
       Engine.suspend t.eng
-        ~reason:(Printf.sprintf "semaphore %s" t.sname)
+        ~reason:(fun () -> "semaphore " ^ t.sname)
         (fun wake -> Queue.push wake t.waiters);
       acquire t
     end

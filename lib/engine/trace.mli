@@ -84,9 +84,8 @@ val sorted_spans : t -> span list
 
 val merge_into : into:t -> t list -> unit
 (** Append every span of [sources] to [into] in canonical order, and every
-    flow arrow in canonical {!compare_flow} order. Used by the windowed
-    engine driver to fold partition-local traces into the main sink
-    deterministically, independent of worker count and window schedule. *)
+    flow arrow in canonical {!compare_flow} order. Used at the end of a run
+    to fold the engine's trace into a caller's sink. *)
 
 val lanes : t -> string list
 (** Distinct lanes, sorted. *)
@@ -120,15 +119,3 @@ val to_chrome_json : t -> string
     one thread row per lane): load in chrome://tracing or Perfetto. *)
 
 val clear : t -> unit
-
-type mark
-(** A recording position: span and flow counts at the moment it was taken. *)
-
-val mark : t -> mark
-
-val rewind : t -> mark -> unit
-(** Truncate everything recorded after [mark]. The optimistic PDES driver
-    rewinds a partition-private sink when it rolls the partition back to a
-    checkpoint, discarding the spans of misspeculated events; deterministic
-    re-execution then records them again.
-    @raise Invalid_argument if the mark is ahead of the trace. *)

@@ -231,7 +231,7 @@ let default_watchdog s = Time.max (Time.ms 10) (Time.scale (retry_budget s) 4.0)
 
 (* Fail-stop deaths are part of the spec, not the seeded plan: they are
    scheduled at fixed virtual times, so every query below is a pure
-   function of (spec, now) — identical under every PDES driver. *)
+   function of (spec, now). *)
 
 let kill_time s ~pe =
   List.fold_left

@@ -11,13 +11,11 @@
     A {!plan} is one run's activation of a spec: it owns the seeded
     random streams every stochastic decision draws from, the registry
     of lost deliveries awaiting retransmission, and the fault/recovery
-    counters. Randomness is structured for reproducibility under both
-    execution drivers: straggler multipliers, flap phase and outage
-    windows are fixed at activation, and per-delivery fates draw from a
-    per-PE splitmix stream in the sender's program order — a quantity
-    identical in sequential and windowed execution. A fixed
-    [(spec, seed)] therefore yields bit-identical runs in both
-    [CPUFREE_PDES] modes. Plans are single-run and must never be shared
+    counters. Randomness is structured for reproducibility: straggler
+    multipliers, flap phase and outage windows are fixed at activation,
+    and per-delivery fates draw from a per-PE splitmix stream in the
+    sender's program order. A fixed [(spec, seed)] therefore yields
+    bit-identical runs. Plans are single-run and must never be shared
     across concurrently executing engines; activate one per run. *)
 
 module Time = Cpufree_engine.Time
@@ -93,8 +91,7 @@ val default_watchdog : spec -> Time.t
 
     Fail-stop deaths are scheduled at fixed virtual times in the spec
     itself (not drawn from the seeded plan streams), so every query here
-    is a pure function of [(spec, now)] — identical under every
-    [CPUFREE_PDES] driver. *)
+    is a pure function of [(spec, now)]. *)
 
 val kill_time : spec -> pe:int -> Time.t option
 (** The (earliest) scheduled death time of [pe], if any. *)

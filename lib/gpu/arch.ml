@@ -101,29 +101,16 @@ let of_name name = List.assoc_opt (String.lowercase_ascii name) by_name
 
 let co_resident_blocks t = t.sm_count * t.coop_blocks_per_sm
 
-(* Conservative lookahead for partitioned (per-device) simulation: the
-   smallest latency any cross-device or host<->device interaction can have —
-   wire latency of the cheapest link plus the cheapest initiation cost.
-   Within a time window narrower than this, no partition can affect another,
-   which is what licenses executing device partitions concurrently.
-
-   Memoized on the last architecture queried (by physical identity): the
-   windowed drivers used to recompute the Time arithmetic on every window,
-   and virtually every caller asks about one arch for a whole run. *)
-let lookahead_memo : (t * Engine_time.t) option Atomic.t = Atomic.make None
-
+(* The smallest latency any cross-device or host<->device interaction can
+   have: wire latency of the cheapest link plus the cheapest initiation
+   cost. *)
 let lookahead_bound t =
-  match Atomic.get lookahead_memo with
-  | Some (arch, v) when arch == t -> v
-  | Some _ | None ->
-    let dev_dev = Engine_time.add t.nvlink_latency t.gpu_initiated_latency in
-    let host_dev =
-      Engine_time.add t.pcie_latency
-        (Engine_time.min t.host_initiated_latency t.gpu_initiated_latency)
-    in
-    let v = Engine_time.min dev_dev host_dev in
-    Atomic.set lookahead_memo (Some (t, v));
-    v
+  let dev_dev = Engine_time.add t.nvlink_latency t.gpu_initiated_latency in
+  let host_dev =
+    Engine_time.add t.pcie_latency (Engine_time.min t.host_initiated_latency t.gpu_initiated_latency)
+  in
+  Engine_time.min dev_dev host_dev
+
 let hbm_bytes_per_ns t = t.hbm_bw_gbs
 
 (* The link numbers the topology layer instantiates a machine graph from.

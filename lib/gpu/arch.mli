@@ -81,11 +81,9 @@ val co_resident_blocks : t -> int
 
 val lookahead_bound : t -> Engine_time.t
 (** Minimum latency of any cross-device or host<->device interaction: the
-    cheapest link latency plus the cheapest initiation cost. This is the
-    conservative window width ("lookahead") for partitioned simulation —
-    within a window this wide, one device cannot affect another. Zero when
-    the architecture models free signalling, in which case windowed execution
-    falls back to sequential. *)
+    cheapest link latency plus the cheapest initiation cost — within this
+    long, one device cannot affect another. Zero when the architecture
+    models free signalling. The engine microbenchmark's halo latency. *)
 
 val fabric_profile : t -> Cpufree_machine.Topology.profile
 (** The architecture's link numbers as a topology-layer profile, ready to

@@ -17,8 +17,7 @@ type initiator = By_host | By_device
    resolves ~2 entries per endpoint instead of the full (n+1)² table. *)
 
 (* Metrics instruments (when a registry is attached): run totals plus
-   per-port byte and occupancy counters, sharded per engine partition so the
-   windowed driver's concurrent partitions never share a cell. *)
+   per-port byte and occupancy counters. *)
 type instr = {
   m_transfers : Mx.Counter.h;
   m_bytes : Mx.Counter.h;
@@ -26,10 +25,7 @@ type instr = {
   m_port_busy : Mx.Counter.h array; (* occupied ns per port *)
 }
 
-(* One resolved endpoint pair. Immutable: concurrent partitions may race on
-   reading the memo slot, and the OCaml 5 memory model makes publishing an
-   immutable record safe — a racer either sees the entry or misses and
-   recomputes the identical one under the lock. *)
+(* One resolved endpoint pair. *)
 type entry = {
   e_lat : Time.t; (* wire only; initiator setup added per call *)
   e_nsb : float;
@@ -47,10 +43,6 @@ type t = {
   ports : E.Sync.Resource.t array; (* one per topology port, indexed by pid *)
   setup : Time.t array; (* indexed by initiator *)
   rows : entry option array option array; (* rows.(src_idx).(dst_idx), lazy *)
-  lock : Mutex.t; (* guards rows/out_look fills *)
-  look : Time.t;
-  min_setup : Time.t;
-  out_look : Time.t option array; (* per-source outbound lookahead, lazy *)
   min_gpu_wire : Time.t;
   max_gpu_wire : Time.t;
   faults : F.plan option;
@@ -94,40 +86,16 @@ let create ?(topology = M.Topology.Hgx) ?faults ?metrics eng ~arch ~num_gpus =
     match metrics with
     | None -> None
     | Some reg ->
-      let slots = E.Engine.num_partitions eng in
       let port_counter what p =
-        Mx.counter reg ~name:what ~labels:[ ("port", p.M.Topology.pname) ] ~slots ()
+        Mx.counter reg ~name:what ~labels:[ ("port", p.M.Topology.pname) ] ()
       in
       Some
         {
-          m_transfers = Mx.counter reg ~name:"fabric.transfers" ~slots ();
-          m_bytes = Mx.counter reg ~name:"fabric.bytes" ~slots ();
+          m_transfers = Mx.counter reg ~name:"fabric.transfers" ();
+          m_bytes = Mx.counter reg ~name:"fabric.bytes" ();
           m_port_bytes = Array.of_list (List.map (port_counter "fabric.port.bytes") port_list);
           m_port_busy = Array.of_list (List.map (port_counter "fabric.port.busy_ns") port_list);
         }
-  in
-  (* Conservative lookahead: cheapest cross-partition interaction the fabric
-     can carry — the cheapest GPU pair plus device initiation, or the
-     cheapest host attach plus the cheapest initiation. Mirrors
-     {!Arch.lookahead_bound}, which assumed the flat single-switch fabric.
-     O(1) on structural topologies (tier-derived bounds). *)
-  let look =
-    let host_dev =
-      match M.Topology.min_host_gpu_latency topo with
-      | Some l ->
-        Some
-          (Time.add l (Time.min arch.Arch.host_initiated_latency arch.Arch.gpu_initiated_latency))
-      | None -> None
-    in
-    let dev_dev =
-      match M.Topology.min_gpu_pair_latency topo with
-      | Some l -> Some (Time.add l arch.Arch.gpu_initiated_latency)
-      | None -> None
-    in
-    match (dev_dev, host_dev) with
-    | Some a, Some b -> Time.min a b
-    | Some a, None | None, Some a -> a
-    | None, None -> Arch.lookahead_bound arch
   in
   let gpu_wire pick fallback =
     match pick topo with Some l -> l | None -> fallback
@@ -140,10 +108,6 @@ let create ?(topology = M.Topology.Hgx) ?faults ?metrics eng ~arch ~num_gpus =
     ports;
     setup = [| arch.Arch.host_initiated_latency; arch.Arch.gpu_initiated_latency |];
     rows = Array.make m None;
-    lock = Mutex.create ();
-    look;
-    min_setup = Time.min arch.Arch.host_initiated_latency arch.Arch.gpu_initiated_latency;
-    out_look = Array.make m None;
     min_gpu_wire = gpu_wire M.Topology.min_gpu_pair_latency arch.Arch.nvlink_latency;
     max_gpu_wire = gpu_wire M.Topology.max_gpu_pair_latency arch.Arch.nvlink_latency;
     faults;
@@ -181,10 +145,9 @@ let idx_of t = function Gpu g -> g | Host -> t.n
 (* Enact any scheduled fabric death whose virtual time has arrived, then
    drop the whole pair memo if the topology's route epoch moved (whether we
    moved it or a caller degraded the topology directly): entries resolved on
-   the healthy graph must not outlive a failure. Runs with scheduled fabric
-   deaths are driven sequentially (see [Measure.run_chaos_env]), so the
-   mutation is single-threaded; on every other run [pending_fails] is empty
-   and the epoch never moves, leaving only two reads on the fast path. *)
+   the healthy graph must not outlive a failure. On every run without
+   scheduled fabric deaths [pending_fails] is empty and the epoch never
+   moves, leaving only two reads on the fast path. *)
 let rec enact_failures t =
   match t.pending_fails with
   | (at, act) :: rest when Time.(at <= E.Engine.now t.eng) ->
@@ -199,52 +162,37 @@ let sync_failures t =
   if t.pending_fails <> [] then enact_failures t;
   let epoch = M.Topology.route_epoch t.topo in
   if t.epoch <> epoch then begin
-    Mutex.lock t.lock;
-    Array.iteri (fun i _ -> t.rows.(i) <- None) t.rows;
-    t.epoch <- epoch;
-    Mutex.unlock t.lock
+    Array.fill t.rows 0 (Array.length t.rows) None;
+    t.epoch <- epoch
   end
 
-(* Resolve an endpoint pair's routing entry, filling the memo on first use.
-   Double-checked: the lock-free fast path either sees the immutable entry
-   or falls through to the locked fill, which re-checks before resolving
-   (route resolution is deterministic, so a lost race costs only time). *)
+(* Resolve an endpoint pair's routing entry, filling the memo on first use. *)
 let resolve t ~si ~di =
   sync_failures t;
-  let fill () =
-    Mutex.lock t.lock;
-    let row =
-      match t.rows.(si) with
-      | Some row -> row
-      | None ->
-        let row = Array.make (t.n + 1) None in
-        t.rows.(si) <- Some row;
-        row
-    in
-    let e =
-      match row.(di) with
-      | Some e -> e
-      | None ->
-        let src = endpoint_of_idx t.n si and dst = endpoint_of_idx t.n di in
-        let vs, vd = vertex_pair t.topo ~src ~dst in
-        let route_pids = M.Topology.route_ports t.topo ~src:vs ~dst:vd in
-        let e =
-          {
-            e_lat = M.Topology.route_latency t.topo ~src:vs ~dst:vd;
-            e_nsb = M.Topology.route_ns_per_byte t.topo ~src:vs ~dst:vd;
-            e_ports = Array.of_list (List.map (fun p -> t.ports.(p)) route_pids);
-            e_pids = Array.of_list route_pids;
-          }
-        in
-        row.(di) <- Some e;
-        e
-    in
-    Mutex.unlock t.lock;
-    e
+  let row =
+    match t.rows.(si) with
+    | Some row -> row
+    | None ->
+      let row = Array.make (t.n + 1) None in
+      t.rows.(si) <- Some row;
+      row
   in
-  match t.rows.(si) with
-  | Some row -> ( match row.(di) with Some e -> e | None -> fill ())
-  | None -> fill ()
+  match row.(di) with
+  | Some e -> e
+  | None ->
+    let src = endpoint_of_idx t.n si and dst = endpoint_of_idx t.n di in
+    let vs, vd = vertex_pair t.topo ~src ~dst in
+    let route_pids = M.Topology.route_ports t.topo ~src:vs ~dst:vd in
+    let e =
+      {
+        e_lat = M.Topology.route_latency t.topo ~src:vs ~dst:vd;
+        e_nsb = M.Topology.route_ns_per_byte t.topo ~src:vs ~dst:vd;
+        e_ports = Array.of_list (List.map (fun p -> t.ports.(p)) route_pids);
+        e_pids = Array.of_list route_pids;
+      }
+    in
+    row.(di) <- Some e;
+    e
 
 let entry_for t ~src ~dst = resolve t ~si:(idx_of t src) ~di:(idx_of t dst)
 
@@ -260,47 +208,6 @@ let path_latency t e ~initiator = Time.add e.e_lat t.setup.(init_idx initiator)
 
 let serialization_time e ~bytes =
   if bytes = 0 then Time.zero else Time.of_ns_float (float_of_int bytes *. e.e_nsb)
-
-(* Cheapest latency of any interaction that crosses partitions (device
-   partitions plus the host/interconnect partition): the conservative window
-   width for {!Cpufree_engine.Engine.run_windowed}. *)
-let lookahead t = t.look
-
-(* Cheapest latency of any interaction [src] itself can initiate — the
-   per-source bound the adaptive windowed driver sizes its windows with.
-   Resolved lazily per source by querying the topology directly (an O(m)
-   scan of O(path-length) structural lookups), deliberately bypassing the
-   pair memo so sizing windows for 1024 partitions never materializes the
-   quadratic table. *)
-let source_lookahead t ~src =
-  check_endpoint t src;
-  let si = idx_of t src in
-  match t.out_look.(si) with
-  | Some l -> l
-  | None ->
-    Mutex.lock t.lock;
-    let l =
-      match t.out_look.(si) with
-      | Some l -> l
-      | None ->
-        let best = ref None in
-        for di = 0 to t.n do
-          if di <> si then begin
-            let sv, dv =
-              vertex_pair t.topo ~src:(endpoint_of_idx t.n si) ~dst:(endpoint_of_idx t.n di)
-            in
-            let l = Time.add (M.Topology.route_latency t.topo ~src:sv ~dst:dv) t.min_setup in
-            match !best with
-            | None -> best := Some l
-            | Some b -> if Time.(l < b) then best := Some l
-          end
-        done;
-        let l = match !best with Some l -> l | None -> t.look in
-        t.out_look.(si) <- Some l;
-        l
-    in
-    Mutex.unlock t.lock;
-    l
 
 let transfer_time t ~src ~dst ~initiator ~bytes =
   check_endpoint t src;
@@ -347,7 +254,7 @@ let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") () =
     match e.e_ports with
     | [||] -> Time.add (Time.add t0 latency) dur
     | ps ->
-      let start = E.Sync.Resource.book_many (Array.to_list ps) ~duration:dur in
+      let start = E.Sync.Resource.book_many ps ~duration:dur in
       Time.add (Time.add start latency) dur
   in
   t.total_bytes <- t.total_bytes + bytes;
@@ -355,14 +262,13 @@ let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") () =
   (match t.obs with
   | None -> ()
   | Some o ->
-    let slot = E.Engine.current_partition t.eng in
-    Mx.Counter.incr ~slot o.m_transfers;
-    Mx.Counter.add ~slot o.m_bytes bytes;
+    Mx.Counter.incr o.m_transfers;
+    Mx.Counter.add o.m_bytes bytes;
     let dur_ns = Time.to_ns dur in
     Array.iter
       (fun pid ->
-        Mx.Counter.add ~slot o.m_port_bytes.(pid) bytes;
-        Mx.Counter.add ~slot o.m_port_busy.(pid) dur_ns)
+        Mx.Counter.add o.m_port_bytes.(pid) bytes;
+        Mx.Counter.add o.m_port_busy.(pid) dur_ns)
       e.e_pids);
   E.Engine.delay t.eng (Time.sub finish t0);
   match trace_lane with
@@ -375,14 +281,12 @@ let bytes_moved t = t.total_bytes
 let transfers t = t.total_transfers
 
 let pairs_resolved t =
-  Mutex.lock t.lock;
   let c = ref 0 in
   Array.iter
     (function
       | None -> ()
       | Some row -> Array.iter (function Some _ -> incr c | None -> ()) row)
     t.rows;
-  Mutex.unlock t.lock;
   !c
 
 let port_busy t ~gpu =

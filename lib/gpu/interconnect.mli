@@ -43,7 +43,7 @@ val create :
     NIC-outage holds on inter-node paths. [metrics] registers fabric
     instruments in the given registry — run totals ([fabric.transfers],
     [fabric.bytes]) plus per-port byte and busy-ns counters labelled with
-    the port name — updated on every transfer, partition-sharded. *)
+    the port name — updated on every transfer. *)
 
 val num_gpus : t -> int
 val arch : t -> Arch.t
@@ -53,20 +53,6 @@ val topology : t -> Cpufree_machine.Topology.t
 
 val num_nodes : t -> int
 val node_of_gpu : t -> int -> int
-
-val lookahead : t -> Cpufree_engine.Time.t
-(** Conservative lookahead for windowed partitioned simulation: the minimum
-    latency of any cross-partition interaction this fabric can carry — the
-    cheapest routed GPU pair plus device initiation, or the cheapest host
-    attach plus the cheapest initiation cost. On the default single-node
-    NVSwitch topology this equals {!Arch.lookahead_bound}. *)
-
-val source_lookahead : t -> src:endpoint -> Cpufree_engine.Time.t
-(** Per-source outbound lookahead: the minimum latency of any interaction
-    [src] itself can initiate toward a peer (cheapest routed wire plus the
-    cheapest initiation cost). Resolved lazily per source and memoized, so
-    the adaptive windowed driver can consult it per window without
-    re-walking the routing tables — and without filling the pair memo. *)
 
 val wire_latency : t -> src:endpoint -> dst:endpoint -> Cpufree_engine.Time.t
 (** Routed wire latency between two endpoints, without initiator setup. *)

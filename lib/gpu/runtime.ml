@@ -20,7 +20,6 @@ type ctx = {
   n : int;
   net : Interconnect.t;
   devices : Device.t array;
-  partitioned : bool;
   faults : F.plan option;
   metrics : Mx.t option;
   obs : instr option;
@@ -28,14 +27,13 @@ type ctx = {
 
 exception Coop_launch_error of string
 
-let build eng ~arch ?topology ?faults ?metrics ~partitioned ~num_gpus () =
+let build eng ~arch ?topology ?faults ?metrics ~num_gpus () =
   if num_gpus <= 0 then invalid_arg "Runtime.create: need at least one GPU";
   let obs =
     match metrics with
     | None -> None
     | Some reg ->
-      let slots = E.Engine.num_partitions eng in
-      let c name = Mx.counter reg ~name ~slots () in
+      let c name = Mx.counter reg ~name () in
       Some
         {
           m_api_calls = c "runtime.api_calls";
@@ -50,7 +48,6 @@ let build eng ~arch ?topology ?faults ?metrics ~partitioned ~num_gpus () =
     n = num_gpus;
     net = Interconnect.create ?topology ?faults ?metrics eng ~arch ~num_gpus;
     devices = Array.init num_gpus (fun id -> Device.create eng ~arch ~id);
-    partitioned;
     faults;
     metrics;
     obs;
@@ -63,14 +60,11 @@ let create eng ?(arch = Arch.a100_hgx) ?(env = Obs.Sim_env.default) ~num_gpus ()
     | Some spec -> Some (F.activate spec ~seed:env.Obs.Sim_env.fault_seed ~gpus:num_gpus)
   in
   build eng ~arch ?topology:env.Obs.Sim_env.topology ?faults
-    ?metrics:env.Obs.Sim_env.metrics
-    ~partitioned:(E.Engine.num_partitions eng > 1)
-    ~num_gpus ()
+    ?metrics:env.Obs.Sim_env.metrics ~num_gpus ()
 
 let engine t = t.eng
 let arch t = t.arch
 let num_gpus t = t.n
-let partitioned t = t.partitioned
 let faults t = t.faults
 let metrics t = t.metrics
 
@@ -80,7 +74,7 @@ let gpu_group g = Printf.sprintf "gpu%d" g
 let bump t c =
   match t.obs with
   | None -> ()
-  | Some o -> Mx.Counter.incr ~slot:(E.Engine.current_partition t.eng) (c o)
+  | Some o -> Mx.Counter.incr (c o)
 
 (* Straggler multiplier on device [gpu]'s compute latencies (1.0 when the
    fault plan is absent or silent about the device). Callers scale costs
@@ -94,22 +88,6 @@ let scaled_cost t ~gpu cost =
     let s = F.compute_scale p ~gpu in
     if Float.equal s 1.0 then cost else Time.scale cost s
 
-(* Partition 0 hosts the host threads and the interconnect; device [g] work
-   goes to partition [g + 1] when the context is partitioned, else everything
-   shares partition 0. *)
-let gpu_partition t g = if t.partitioned then g + 1 else 0
-let lookahead t = Interconnect.lookahead t.net
-
-(* Per-partition outbound lookahead for the adaptive windowed driver:
-   partition 0 is the host side, partition [g + 1] is device [g]. Anything
-   out of range (extra engine partitions with no device) conservatively gets
-   the host bound. *)
-let lookahead_of t part =
-  let src =
-    if part >= 1 && part <= t.n then Interconnect.Gpu (part - 1) else Interconnect.Host
-  in
-  Interconnect.source_lookahead t.net ~src
-
 let device t i =
   if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Runtime.device: no such GPU %d" i);
   t.devices.(i)
@@ -120,26 +98,34 @@ let endpoint_of_buffer b =
   let d = Buffer.device b in
   if d = Buffer.host_device then Interconnect.Host else Interconnect.Gpu d
 
-let api t ?(lane = "host") ~label cost =
+(* Charge an API latency; the span label is built only when the engine
+   records a trace. *)
+let api_call t ?(lane = "host") ~label cost =
   bump t (fun o -> o.m_api_calls);
   let t0 = E.Engine.now t.eng in
   E.Engine.delay t.eng cost;
-  E.Trace.add_opt (E.Engine.trace t.eng) ~lane ~label ~kind:E.Trace.Api ~t0
-    ~t1:(E.Engine.now t.eng)
+  match E.Engine.trace t.eng with
+  | None -> ()
+  | Some tr -> E.Trace.add tr ~lane ~label:(label ()) ~kind:E.Trace.Api ~t0 ~t1:(E.Engine.now t.eng)
+
+let api t ?lane ~label cost = api_call t ?lane ~label:(fun () -> label) cost
 
 let launch t ~stream ~name ?(cost = Time.zero) body =
   let dev = Stream.device stream in
   let cost = scaled_cost t ~gpu:(Device.id dev) cost in
   bump t (fun o -> o.m_launches);
-  api t ~label:(Printf.sprintf "launch:%s" name) t.arch.Arch.kernel_launch;
+  api_call t ~label:(fun () -> "launch:" ^ name) t.arch.Arch.kernel_launch;
   Stream.enqueue stream ~label:name (fun () ->
       let t0 = E.Engine.now t.eng in
       E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
       E.Engine.delay t.eng cost;
       body ();
-      E.Trace.add_opt (E.Engine.trace t.eng)
-        ~lane:(Device.lane dev (Stream.name stream))
-        ~label:name ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now t.eng))
+      match E.Engine.trace t.eng with
+      | None -> ()
+      | Some tr ->
+        E.Trace.add tr
+          ~lane:(Device.lane dev (Stream.name stream))
+          ~label:name ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now t.eng))
 
 let memcpy_async t ~stream ~src ~src_pos ~dst ~dst_pos ~len =
   let dev = Stream.device stream in
@@ -147,25 +133,28 @@ let memcpy_async t ~stream ~src ~src_pos ~dst ~dst_pos ~len =
   api t ~label:"cudaMemcpyAsync" t.arch.Arch.memcpy_api;
   let src_ep = endpoint_of_buffer src and dst_ep = endpoint_of_buffer dst in
   Stream.enqueue stream ~label:"memcpy" (fun () ->
+      let trace_lane =
+        match E.Engine.trace t.eng with
+        | None -> None
+        | Some _ -> Some (Device.lane dev (Stream.name stream))
+      in
       Interconnect.transfer t.net ~src:src_ep ~dst:dst_ep ~initiator:Interconnect.By_host
-        ~bytes:(len * Buffer.elem_bytes)
-        ~trace_lane:(Device.lane dev (Stream.name stream))
-        ~label:"memcpy" ();
+        ~bytes:(len * Buffer.elem_bytes) ?trace_lane ~label:"memcpy" ();
       Buffer.blit ~src ~src_pos ~dst ~dst_pos ~len)
 
 let stream_synchronize t stream =
   bump t (fun o -> o.m_stream_ops);
-  api t ~label:(Printf.sprintf "sync:%s" (Stream.name stream)) t.arch.Arch.stream_sync;
+  api_call t ~label:(fun () -> "sync:" ^ Stream.name stream) t.arch.Arch.stream_sync;
   Stream.await_idle stream
 
 let event_record t ev stream =
   bump t (fun o -> o.m_stream_ops);
-  api t ~label:(Printf.sprintf "record:%s" (Event.name ev)) t.arch.Arch.event_record;
+  api_call t ~label:(fun () -> "record:" ^ Event.name ev) t.arch.Arch.event_record;
   Event.record ev stream
 
 let event_synchronize t ev =
   bump t (fun o -> o.m_stream_ops);
-  api t ~label:(Printf.sprintf "eventSync:%s" (Event.name ev)) t.arch.Arch.event_sync;
+  api_call t ~label:(fun () -> "eventSync:" ^ Event.name ev) t.arch.Arch.event_sync;
   Event.synchronize ev
 
 let stream_wait_event t stream ev =
@@ -184,7 +173,7 @@ let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
              (cooperative launch forbids oversubscription)"
             name blocks capacity (Device.id dev)));
   bump t (fun o -> o.m_coop_launches);
-  api t ~label:(Printf.sprintf "coopLaunch:%s" name) t.arch.Arch.coop_launch;
+  api_call t ~label:(fun () -> "coopLaunch:" ^ name) t.arch.Arch.coop_launch;
   let grid =
     Coop.make t.eng ~dev ~roles:(List.length roles) ~total_blocks:blocks ~threads_per_block
   in
@@ -193,10 +182,9 @@ let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
   in
   List.iter
     (fun (role_name, role_body) ->
-      let pname = Printf.sprintf "%s.gpu%d.%s" name (Device.id dev) role_name in
       let (_ : E.Engine.process) =
-        E.Engine.spawn t.eng ~name:pname
-          ~partition:(gpu_partition t (Device.id dev))
+        E.Engine.spawn t.eng
+          ~name_of:(fun () -> Printf.sprintf "%s.gpu%d.%s" name (Device.id dev) role_name)
           ~group:(gpu_group (Device.id dev))
           (fun () ->
             E.Engine.delay t.eng t.arch.Arch.kernel_teardown;

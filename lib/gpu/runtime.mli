@@ -26,18 +26,13 @@ val create :
     {!compute_scale}. [env.metrics] attaches observability instruments to
     the fabric ({!Interconnect.create}) and to this API surface
     ([runtime.api_calls], [runtime.launches], [runtime.coop_launches],
-    [runtime.stream_ops]), partition-sharded. Whether device processes get
-    per-GPU partition tags is derived from the engine: more than one engine
-    partition means the windowed layout (partition 0 = host + fabric,
-    partition [g+1] = device [g]). *)
+    [runtime.stream_ops]). *)
 
 val engine : ctx -> Cpufree_engine.Engine.t
 val arch : ctx -> Arch.t
 val num_gpus : ctx -> int
 val device : ctx -> int -> Device.t
 val net : ctx -> Interconnect.t
-
-val partitioned : ctx -> bool
 
 val faults : ctx -> Cpufree_fault.Fault.plan option
 (** The active fault plan, if this run injects faults. *)
@@ -56,21 +51,6 @@ val compute_scale : ctx -> gpu:int -> float
 val scaled_cost : ctx -> gpu:int -> Cpufree_engine.Time.t -> Cpufree_engine.Time.t
 (** [cost] scaled by {!compute_scale} — the identity (not even a float
     round-trip) when no plan is active. *)
-
-val gpu_partition : ctx -> int -> int
-(** The engine partition for device [g]'s processes: [g + 1] when the context
-    is partitioned, else [0]. Host threads and interconnect bookkeeping stay
-    on partition [0]. *)
-
-val lookahead : ctx -> Cpufree_engine.Time.t
-(** Conservative windowed-execution lookahead: {!Interconnect.lookahead} of
-    the context's fabric. *)
-
-val lookahead_of : ctx -> int -> Cpufree_engine.Time.t
-(** Per-partition outbound lookahead for the adaptive windowed driver:
-    {!Interconnect.source_lookahead} of the partition's endpoint (partition
-    [0] is the host, partition [g + 1] is device [g]; out-of-range partitions
-    fall back to the host bound). *)
 
 val endpoint_of_buffer : Buffer.t -> Interconnect.endpoint
 

@@ -20,7 +20,7 @@ let serve t () =
   in
   loop ()
 
-let create ?partition eng ~dev ~name =
+let create eng ~dev ~name =
   let t =
     {
       eng;
@@ -34,7 +34,7 @@ let create ?partition eng ~dev ~name =
   let (_ : E.Engine.process) =
     E.Engine.spawn eng
       ~name:(Printf.sprintf "stream:%s" name)
-      ~daemon:true ?partition
+      ~daemon:true
       ~group:(Printf.sprintf "gpu%d" (Device.id dev))
       (serve t)
   in

@@ -8,9 +8,7 @@
 
 type t
 
-(** [partition] tags the stream's daemon process with an engine partition
-    (see {!Runtime.gpu_partition}); ignored on unpartitioned engines. *)
-val create : ?partition:int -> Cpufree_engine.Engine.t -> dev:Device.t -> name:string -> t
+val create : Cpufree_engine.Engine.t -> dev:Device.t -> name:string -> t
 val name : t -> string
 val device : t -> Device.t
 

@@ -19,8 +19,8 @@
     The Dijkstra is deterministic (vertices settle in (latency, hops, vertex
     id) order; ties broken by hop count, then link id) and a recomputed row
     is identical to an evicted one, so cache size never changes any route;
-    resolution is mutex-guarded, so concurrent domains (the windowed PDES
-    drivers) may query freely.
+    resolution is mutex-guarded, so concurrent domains may query one
+    topology freely.
 
     The single-node HGX constructor reproduces the flat NVSwitch all-to-all
     the paper evaluates on, link for link: a GPU-to-GPU route totals exactly

@@ -1,9 +1,8 @@
 type labels = (string * string) list
 
-(* One cell per engine partition so concurrent partitions under the windowed
-   driver bump distinct memory; reads fold the cells with an associative,
-   commutative combine (sum / max), making every observable total independent
-   of the window schedule. *)
+(* One cell per slot; reads fold the cells with an associative, commutative
+   combine (sum / max), so every observable total is independent of which
+   slot bumped what. *)
 
 let nbuckets = 64
 

@@ -1,19 +1,17 @@
 (** Metrics registry: typed counters, gauges and histograms registered by
-    name and label set, cheap enough for the PDES hot path.
+    name and label set, cheap enough for the event hot path.
 
-    Every instrument is {e sharded}: it owns one cell per engine partition
+    Every instrument may be {e sharded}: it owns one cell per slot
     ([?slots] at registration, default 1), and an increment writes only the
-    caller's slot — so partitions running concurrently under the windowed
-    driver never touch the same cell, mirroring how {!Cpufree_engine.Trace}
-    keeps partition-local sinks. Reads ({!Counter.value}, {!items}) combine
-    the slots; combination is associative and commutative (sum for counters
-    and histogram buckets, max for gauges), so the observed totals are
-    independent of the partition schedule and worker count.
+    caller's slot. Reads ({!Counter.value}, {!items}) combine the slots;
+    combination is associative and commutative (sum for counters and
+    histogram buckets, max for gauges), so the observed totals do not
+    depend on which slot bumped what.
 
     Registration is idempotent: asking for an instrument that already exists
-    (same name, same labels) returns the existing handle. Registration is
-    not safe during a parallel window — instrument everything at model build
-    time and only bump cells from the hot path. *)
+    (same name, same labels) returns the existing handle. Instrument
+    everything at model build time and only bump cells from the hot
+    path. *)
 
 type t
 (** A registry. *)
@@ -33,9 +31,8 @@ module Counter : sig
 
   val incr : ?slot:int -> h -> unit
   val add : ?slot:int -> h -> int -> unit
-  (** Bump the counter's cell for [slot] (default 0 — the host partition).
-      Pass {!Cpufree_engine.Engine.current_partition} from partitioned hot
-      paths. @raise Invalid_argument on a negative amount or bad slot. *)
+  (** Bump the counter's cell for [slot] (default 0).
+      @raise Invalid_argument on a negative amount or bad slot. *)
 
   val value : h -> int
   (** Sum over all slots. *)
@@ -67,9 +64,8 @@ end
 val counter : t -> name:string -> ?labels:labels -> ?slots:int -> unit -> Counter.h
 val gauge : t -> name:string -> ?labels:labels -> ?slots:int -> unit -> Gauge.h
 val histogram : t -> name:string -> ?labels:labels -> ?slots:int -> unit -> Histogram.h
-(** Register (or fetch) an instrument. [slots] is the shard count — pass the
-    engine's partition count for hot-path instruments; it is fixed at first
-    registration. @raise Invalid_argument if the name/labels pair is already
+(** Register (or fetch) an instrument. [slots] is the shard count; it is
+    fixed at first registration. @raise Invalid_argument if the name/labels pair is already
     registered with a different instrument kind. *)
 
 (** {2 Snapshots and merging} *)
@@ -91,8 +87,7 @@ type item = { name : string; labels : labels; value : value }
 
 val items : t -> item list
 (** Everything registered, in canonical (name, labels) order with slots
-    combined — the representation exporters consume, deterministic for any
-    partition schedule. *)
+    combined — the representation exporters consume. *)
 
 val merge_into : into:t -> t list -> unit
 (** Fold every instrument of [sources] into [into] (creating instruments as

@@ -22,9 +22,8 @@ let escape s =
     s;
   Buffer.contents buf
 
-(* "gpu<N>..." lanes belong to device partition N+1; host threads, the
-   fabric and every other lane belong to partition 0 — the same layout
-   [Runtime.gpu_partition] assigns processes. *)
+(* "gpu<N>..." lanes belong to device pid N+1; host threads, the fabric
+   and every other lane belong to pid 0. *)
 let pid_of_lane lane =
   let len = String.length lane in
   if len > 3 && String.sub lane 0 3 = "gpu" && lane.[3] >= '0' && lane.[3] <= '9' then begin
@@ -127,10 +126,8 @@ let to_json_string ?metrics trace =
     in
     List.iter
       (fun (it : Metrics.item) ->
-        (* The engine.* namespace describes the host-side driver (partition
-           count, window count), which legitimately differs between
-           CPUFREE_PDES modes; exporting it would break the byte-stability
-           of the document. It stays available in metrics.json. *)
+        (* The engine.* namespace describes the simulator, not the simulated
+           machine. It stays available in metrics.json. *)
         if String.length it.Metrics.name >= 7 && String.sub it.Metrics.name 0 7 = "engine."
         then ()
         else

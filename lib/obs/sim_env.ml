@@ -1,21 +1,8 @@
-type pdes = [ `Seq | `Windowed | `Adaptive | `Optimistic ]
+type pdes = [ `Seq ]
 
-let pdes_modes =
-  [
-    ("seq", `Seq);
-    ("sequential", `Seq);
-    ("windowed", `Windowed);
-    ("pdes", `Windowed);
-    ("adaptive", `Adaptive);
-    ("optimistic", `Optimistic);
-    ("timewarp", `Optimistic);
-  ]
+let pdes_modes = [ ("seq", `Seq); ("sequential", `Seq) ]
 
-let pdes_to_string = function
-  | `Seq -> "seq"
-  | `Windowed -> "windowed"
-  | `Adaptive -> "adaptive"
-  | `Optimistic -> "optimistic"
+let pdes_to_string `Seq = "seq"
 
 type t = {
   topology : Cpufree_machine.Topology.spec option;
@@ -50,7 +37,7 @@ let pdes_of_string s : (pdes, string) result =
     | Some mode -> Ok mode
     | None ->
       Error
-        (Printf.sprintf "%S: valid modes are %s" s
+        (Printf.sprintf "%S: valid modes are %s (the parallel drivers were removed)" s
            (String.concat ", " (List.map (fun (k, _) -> Printf.sprintf "%S" k) pdes_modes))))
 
 (* --- serialization ------------------------------------------------------- *)
@@ -138,4 +125,4 @@ let observed env = env.trace <> None || env.metrics <> None
 
 let quiet env = { env with trace = None; metrics = None }
 
-let probe ?(pdes = `Windowed) env = { (quiet env) with faults = None; pdes = Some pdes }
+let probe env = { (quiet env) with faults = None }

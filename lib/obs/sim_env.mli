@@ -1,14 +1,17 @@
 (** The simulation environment: one record bundling every cross-cutting knob
     that used to thread through the stack as separate optional arguments —
     machine topology, fault plan and seed, trace and metrics sinks, and the
-    PDES execution mode.
+    execution mode.
 
     Entry points across [Measure], the stencil [Harness], [Dace.Pipeline]
     and [Runtime.create] accept a [?env] built here. An absent field means "default": no faults,
     no observability, HGX topology, execution mode from the [CPUFREE_PDES]
     environment variable. *)
 
-type pdes = [ `Seq | `Windowed | `Adaptive | `Optimistic ]
+type pdes = [ `Seq ]
+(** The execution mode. The sequential event loop is the only driver; the
+    mode survives so that [pdes=seq] scenarios, [--pdes seq] and
+    [CPUFREE_PDES=seq] keep parsing, and every other value is rejected. *)
 
 type t = {
   topology : Cpufree_machine.Topology.spec option;
@@ -68,22 +71,18 @@ val digest : t -> string
     relies on. Versioned: changing the encoding changes every digest. *)
 
 val pdes_to_string : pdes -> string
-(** Canonical lowercase name: ["seq"], ["windowed"], ["adaptive"],
-    ["optimistic"]. *)
+(** Canonical lowercase name: ["seq"]. *)
 
 val pdes_of_string : string -> (pdes, string) result
-(** Parse a user-supplied mode name (CLI flags, env vars): [""], ["seq"],
-    ["sequential"] are [`Seq]; ["windowed"], ["pdes"] are [`Windowed];
-    ["adaptive"] is [`Adaptive]; ["optimistic"], ["timewarp"] are
-    [`Optimistic]. [Error] carries a friendly message listing every valid
-    mode. *)
+(** Parse a user-supplied mode name (CLI flags, env vars): [""], ["seq"]
+    and ["sequential"] are [`Seq]. [Error] carries a friendly message
+    listing every valid spelling. *)
 
 val pdes_of_env_var : unit -> pdes
-(** Parse [CPUFREE_PDES]: unset, [""], ["seq"], ["sequential"] are [`Seq];
-    ["windowed"], ["pdes"] are [`Windowed]; ["adaptive"] is [`Adaptive];
-    ["optimistic"], ["timewarp"] are [`Optimistic].
+(** Parse [CPUFREE_PDES]: unset, [""], ["seq"] and ["sequential"] are
+    [`Seq].
     @raise Invalid_argument on anything else, with a message listing every
-    valid mode. *)
+    valid spelling. *)
 
 val resolve_pdes : t -> pdes
 (** The environment's execution mode, falling back to {!pdes_of_env_var}
@@ -97,10 +96,6 @@ val quiet : t -> t
     (verification, candidate probing) that must not pollute the main run's
     artifacts. *)
 
-val probe : ?pdes:pdes -> t -> t
+val probe : t -> t
 (** The candidate-evaluation environment derived from [env]: sinks and fault
-    plan removed and the PDES mode pinned (default [`Windowed], the cheap
-    conservative driver). Pinning makes a search that ranks simulated costs
-    independent of the ambient [CPUFREE_PDES] setting — every driver is
-    bit-identical on these models, so the pin costs nothing and guarantees
-    reproducible plan choices. *)
+    plan removed. *)

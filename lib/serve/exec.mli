@@ -6,7 +6,7 @@
     schema-validated artifacts as a {!Protocol.run_payload}.
 
     Deterministic: a fixed scenario yields a byte-identical payload on
-    every call, in every [CPUFREE_PDES] mode — the property the result
+    every call — the property the result
     cache and its self-check rest on. *)
 
 val run : Cpufree_core.Scenario.t -> (Protocol.run_payload, string) result

@@ -61,8 +61,7 @@ let strip_failstop (s : F.spec) = { s with F.kills = []; link_fails = []; switch
    shard (its share of the global state) across them over NVLink — each
    survivor pulls an equal slice, so the wire time is the shard size over
    the aggregate per-direction NVLink bandwidth. Pure arithmetic on the
-   problem geometry: deterministic, and identical under every PDES
-   driver. *)
+   problem geometry: deterministic. *)
 let restart_cost problem ~gpus ~survivors =
   let profile = Cpufree_machine.Topology.a100 in
   let shard_elems = Problem.total_elems problem / max 1 gpus in

@@ -3,7 +3,7 @@
     weak/strong scaling series of Figures 6.1 and 6.2.
 
     Canonical entry points take a {!Cpufree_obs.Sim_env.t} (topology, fault
-    plan, observability sinks, PDES mode); {!of_scenario} builds a runnable
+    plan, observability sinks, execution mode); {!of_scenario} builds a runnable
     scenario from a first-class {!Cpufree_core.Scenario.t}, so the CLI and
     the serving daemon execute stencil requests through one path. *)
 
@@ -71,7 +71,7 @@ val run_resilient :
     relaunch + shard-redistribution cost), strips the already-fired
     fail-stop clauses from the spec, and resumes for the remaining
     iterations. Every quantity is deterministic for a fixed
-    [(spec, seed)] under every [CPUFREE_PDES] driver. Single-kill
+    [(spec, seed)]. Single-kill
     scenarios are supported: the first diagnosed kill drives recovery. *)
 
 val verify_env :

@@ -217,7 +217,7 @@ let run_copy st ctx =
   G.Host.parallel_join ctx ~name:"copy" (fun pe ->
       let eng = G.Runtime.engine ctx in
       let dev = G.Runtime.device ctx pe in
-      let stream = G.Stream.create ~partition:(G.Runtime.gpu_partition ctx pe) eng ~dev ~name:"s0" in
+      let stream = G.Stream.create eng ~dev ~name:"s0" in
       let slab = st.slabs.(pe) in
       let cost =
         kernel_cost st ctx ~elems:(slab.Slab.planes * slab.Slab.plane) ~fraction:1.0
@@ -238,9 +238,8 @@ let run_overlap st ctx =
   G.Host.parallel_join ctx ~name:"overlap" (fun pe ->
       let eng = G.Runtime.engine ctx in
       let dev = G.Runtime.device ctx pe in
-      let part = G.Runtime.gpu_partition ctx pe in
-      let comp = G.Stream.create ~partition:part eng ~dev ~name:"comp" in
-      let comm = G.Stream.create ~partition:part eng ~dev ~name:"comm" in
+      let comp = G.Stream.create eng ~dev ~name:"comp" in
+      let comm = G.Stream.create eng ~dev ~name:"comm" in
       let slab = st.slabs.(pe) in
       let boundary_planes = boundary_plane_list slab in
       (* Discrete kernels are not co-residency-limited: the hardware scheduler
@@ -274,9 +273,8 @@ let run_p2p st ctx =
   G.Host.parallel_join ctx ~name:"p2p" (fun pe ->
       let eng = G.Runtime.engine ctx in
       let dev = G.Runtime.device ctx pe in
-      let part = G.Runtime.gpu_partition ctx pe in
-      let comp = G.Stream.create ~partition:part eng ~dev ~name:"comp" in
-      let comm = G.Stream.create ~partition:part eng ~dev ~name:"comm" in
+      let comp = G.Stream.create eng ~dev ~name:"comp" in
+      let comm = G.Stream.create eng ~dev ~name:"comm" in
       let slab = st.slabs.(pe) in
       let boundary_planes = boundary_plane_list slab in
       (* Discrete kernels are not co-residency-limited: the hardware scheduler
@@ -310,7 +308,7 @@ let run_nvshmem st ctx =
   G.Host.parallel_join ctx ~name:"nvshmem" (fun pe ->
       let eng = G.Runtime.engine ctx in
       let dev = G.Runtime.device ctx pe in
-      let stream = G.Stream.create ~partition:(G.Runtime.gpu_partition ctx pe) eng ~dev ~name:"s0" in
+      let stream = G.Stream.create eng ~dev ~name:"s0" in
       let slab = st.slabs.(pe) in
       let cost =
         kernel_cost st ctx ~elems:(slab.Slab.planes * slab.Slab.plane) ~fraction:1.0

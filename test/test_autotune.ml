@@ -168,12 +168,10 @@ let search_tests =
           let d1 = run Sim_env.default in
           let d2 = run Sim_env.default in
           let d3 = run { Sim_env.default with Sim_env.pdes = Some `Seq } in
-          let d4 = run { Sim_env.default with Sim_env.pdes = Some `Optimistic } in
           let plan d = Autotune.plan_to_string d.Autotune.best in
           check_string "rerun" (plan d1) (plan d2);
           check_string "seq" (plan d1) (plan d3);
-          check_string "optimistic" (plan d1) (plan d4);
-          check_int "same cost" 0 (Time.compare d1.Autotune.predicted d4.Autotune.predicted));
+          check_int "same cost" 0 (Time.compare d1.Autotune.predicted d3.Autotune.predicted));
       Alcotest.test_case "smoother: search offloads host-size problems nowhere" `Quick
         (fun () ->
           (* At 64 cells the launch and exchange overheads dwarf the work:

@@ -53,6 +53,34 @@ let nvshmem_tests =
               check_float "moved2" 2.0 (G.Buffer.get (Nv.local s ~pe:1) 1))
         in
         ());
+    Alcotest.test_case "a delivery in flight is named in a stall report" `Quick (fun () ->
+        (* The delivery process's name is formatted only when a report
+           reads it; it must read as the eager name did. *)
+        let eng = Engine.create () in
+        let ctx = G.Runtime.create eng ~num_gpus:2 () in
+        let nv = Nv.init ctx in
+        let s = Nv.sym_malloc nv ~label:"x" ~phantom:true 1_000_000 in
+        let f = Nv.signal_malloc nv ~label:"f" () in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"main" (fun () ->
+              Nv.putmem_signal_nbi nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:0
+                ~dst:s ~dst_pos:0 ~len:1_000_000 ~sig_var:f ~sig_op:Nv.Signal_set ~sig_value:1;
+              Nv.signal_wait_ge nv ~pe:1 ~sig_var:f 1)
+        in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"probe" (fun () ->
+              Engine.delay eng (Time.us 5);
+              raise (Engine.Stall (Engine.stall_report eng ~trigger:"probe")))
+        in
+        match Engine.run eng with
+        | () -> Alcotest.fail "expected the probe's stall"
+        | exception Engine.Stall r ->
+          check (Alcotest.list Alcotest.string) "blocked"
+            [
+              "main(#1) [p0]: flag f@pe1 (value 0) (since 350ns)";
+              "nvshmem.putmem_signal_nbi.pe0.1(#3) [p0]: delay (since 350ns)";
+            ]
+            r.Engine.stall_blocked);
     Alcotest.test_case "putmem_signal raises the flag only after the data" `Quick (fun () ->
         let _ =
           with_machine (fun _ ctx ->
@@ -374,6 +402,34 @@ let run_on_all_pes ~gpus f =
 
 let collective_tests =
   [
+    Alcotest.test_case "64-GPU tree allreduce on fat-tree:4:2:8 keeps its event count" `Quick
+      (fun () ->
+        (* Pinned from the partitioned-engine code base: the sequential
+           driver's rebuilt queue, deferred names and reasons must execute
+           exactly the same events and end at the same simulated time. *)
+        let gpus = 64 in
+        let topology =
+          match Cpufree_machine.Topology.spec_of_string "fat-tree:4:2:8" with
+          | Ok t -> t
+          | Error e -> Alcotest.fail e
+        in
+        let eng = Engine.create () in
+        let ctx =
+          G.Runtime.create eng ~env:(Cpufree_obs.Sim_env.make ~topology ()) ~num_gpus:gpus ()
+        in
+        let coll = Collective.create ~algorithm:Collective.Tree (Nv.init ctx) ~label:"coll" in
+        let results = Array.make gpus 0.0 in
+        for pe = 0 to gpus - 1 do
+          let (_ : Engine.process) =
+            Engine.spawn eng ~name:(Printf.sprintf "pe%d" pe) (fun () ->
+                results.(pe) <- Collective.allreduce_sum coll ~pe (float_of_int (pe + 1)))
+          in
+          ()
+        done;
+        Engine.run eng;
+        Array.iter (check_float "sum" (float_of_int (gpus * (gpus + 1) / 2))) results;
+        check_int "events" 820 (Engine.events_executed eng);
+        check_int "final time (ns)" 91442 (Time.to_ns (Engine.now eng)));
     Alcotest.test_case "allreduce_sum sums every PE's contribution" `Quick (fun () ->
         let results = Array.make 4 nan in
         run_on_all_pes ~gpus:4 (fun coll pe ->
@@ -653,7 +709,6 @@ let fabric_tests =
         let eng = Engine.create () in
         let net = G.Interconnect.create eng ~arch:G.Arch.a100_hgx ~num_gpus:8 in
         check_int "nothing routed at creation" 0 (G.Interconnect.pairs_resolved net);
-        ignore (G.Interconnect.lookahead net : Time.t);
         ignore (G.Interconnect.min_gpu_wire_latency net : Time.t);
         ignore (G.Interconnect.max_gpu_wire_latency net : Time.t);
         check_int "bounds come from the topology, not the memo" 0

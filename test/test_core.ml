@@ -412,7 +412,6 @@ let json_tests =
 (* --- PDES mode and the microbenchmark ----------------------------------- *)
 
 module Microbench = Core.Microbench
-module S = Cpufree_stencil
 
 let with_pdes value f =
   Unix.putenv "CPUFREE_PDES" value;
@@ -424,61 +423,42 @@ let small_micro =
 let pdes_tests =
   [
     Alcotest.test_case "pdes_mode parses the CPUFREE_PDES knob" `Quick (fun () ->
-        let mode v = with_pdes v Measure.pdes_mode in
+        let mode v = with_pdes v Cpufree_obs.Sim_env.pdes_of_env_var in
         check_bool "empty is seq" true (mode "" = `Seq);
         check_bool "seq" true (mode "seq" = `Seq);
         check_bool "sequential" true (mode "Sequential" = `Seq);
-        check_bool "windowed" true (mode "windowed" = `Windowed);
-        check_bool "pdes" true (mode "PDES" = `Windowed);
-        check_bool "adaptive" true (mode "adaptive" = `Adaptive);
-        check_bool "optimistic" true (mode "optimistic" = `Optimistic);
-        check_bool "timewarp" true (mode "TimeWarp" = `Optimistic);
-        Alcotest.check_raises "garbage rejected with the valid modes listed"
-          (Invalid_argument
-             "CPUFREE_PDES=\"turbo\": valid modes are \"seq\", \"sequential\", \
-              \"windowed\", \"pdes\", \"adaptive\", \"optimistic\", \"timewarp\"")
-          (fun () -> ignore (mode "turbo")));
-    Alcotest.test_case "windowed env is bit-identical on a figure scenario" `Quick (fun () ->
-        let problem =
-          S.Problem.make (S.Problem.D2 { nx = 64; ny = 64 }) ~iterations:3
+        let rejected v =
+          Alcotest.check_raises (v ^ " rejected with the valid modes listed")
+            (Invalid_argument
+               (Printf.sprintf
+                  "CPUFREE_PDES=%S: valid modes are \"seq\", \"sequential\" (the parallel \
+                   drivers were removed)"
+                  v))
+            (fun () -> ignore (mode v))
         in
-        let run () = S.Harness.run_traced_env S.Variants.Nvshmem problem ~gpus:2 in
-        let r_seq, tr_seq = with_pdes "seq" run in
-        let r_win, tr_win = with_pdes "windowed" run in
-        check_bool "results identical" true (r_seq = r_win);
-        check_bool "traces identical" true
-          (E.Trace.sorted_spans tr_seq = E.Trace.sorted_spans tr_win));
-    Alcotest.test_case "adaptive and optimistic envs are bit-identical on a figure scenario"
+        List.iter rejected [ "windowed"; "adaptive"; "optimistic"; "turbo" ]);
+    Alcotest.test_case "microbench is deterministic and metrics never change its output"
       `Quick (fun () ->
-        let problem =
-          S.Problem.make (S.Problem.D2 { nx = 64; ny = 64 }) ~iterations:3
+        let a = Microbench.run_seq small_micro in
+        let b =
+          Microbench.run_seq
+            { small_micro with Microbench.metrics = Some (Cpufree_obs.Metrics.create ()) }
         in
-        let run () = S.Harness.run_traced_env S.Variants.Nvshmem problem ~gpus:2 in
-        let r_seq, tr_seq = with_pdes "seq" run in
-        let r_adp, tr_adp = with_pdes "adaptive" run in
-        let r_opt, tr_opt = with_pdes "optimistic" run in
-        check_bool "adaptive results identical" true (r_seq = r_adp);
-        check_bool "optimistic results identical" true (r_seq = r_opt);
-        check_bool "adaptive traces identical" true
-          (E.Trace.sorted_spans tr_seq = E.Trace.sorted_spans tr_adp);
-        check_bool "optimistic traces identical" true
-          (E.Trace.sorted_spans tr_seq = E.Trace.sorted_spans tr_opt));
-    Alcotest.test_case "microbench windowed output equals sequential" `Quick (fun () ->
-        let seq = Microbench.run_seq small_micro in
-        let win = Microbench.run_windowed ~jobs:2 small_micro in
-        (match win.Microbench.outcome with
-        | Engine.Windowed { windows; _ } -> check_bool "ran windows" true (windows > 0)
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r)
-        | Engine.Adaptive _ | Engine.Optimistic _ -> Alcotest.fail "wrong driver");
-        check_bool "equal output" true
-          (Microbench.equal_output seq.Microbench.out win.Microbench.out);
-        check_bool "spans recorded" true (seq.Microbench.out.Microbench.spans <> []));
-    Alcotest.test_case "microbench shift pattern agrees across drivers" `Quick (fun () ->
+        check_bool "equal output" true (Microbench.equal_output a.Microbench.out b.Microbench.out);
+        check_bool "spans recorded" true (a.Microbench.out.Microbench.spans <> []);
+        (* 4 ranks x 12 rounds: 2 delays, 1 halo callback and 1 wake each,
+           plus each rank's start. *)
+        check_int "events" ((4 * 12 * 4) + 4) a.Microbench.out.Microbench.events;
+        check_int "bytes" (4 * 12 * 4096) a.Microbench.out.Microbench.bytes);
+    Alcotest.test_case "microbench shift pattern agrees across repeats" `Quick (fun () ->
         let cfg = { small_micro with Microbench.pattern = Microbench.Shift 2; gpus = 5 } in
-        let seq = Microbench.run_seq cfg in
-        let win = Microbench.run_windowed ~jobs:3 cfg in
-        check_bool "equal output" true
-          (Microbench.equal_output seq.Microbench.out win.Microbench.out));
+        let a = Microbench.run_seq cfg and b = Microbench.run_seq cfg in
+        check_bool "equal output" true (Microbench.equal_output a.Microbench.out b.Microbench.out);
+        check_bool "differs from the ring" false
+          (Microbench.equal_output a.Microbench.out
+             (Microbench.run_seq { small_micro with Microbench.gpus = 5 }).Microbench.out));
+    (* A zero-latency signal lands at the instant it is sent: the one queue
+       must order the delivery after the send and still count every event. *)
     Alcotest.test_case "zero-lookahead arch falls back to sequential" `Quick (fun () ->
         let free_signal =
           {
@@ -488,51 +468,15 @@ let pdes_tests =
           }
         in
         let cfg = { small_micro with Microbench.arch = free_signal } in
-        let seq = Microbench.run_seq cfg in
-        let win = Microbench.run_windowed ~jobs:2 cfg in
-        (match win.Microbench.outcome with
-        | Engine.Sequential reason ->
-          check_bool "reason mentions lookahead" true
-            (Astring.String.is_infix ~affix:"lookahead" reason)
-        | Engine.Windowed _ | Engine.Adaptive _ | Engine.Optimistic _ ->
-          Alcotest.fail "expected sequential fallback");
-        check_bool "fallback output identical" true
-          (Microbench.equal_output seq.Microbench.out win.Microbench.out));
-    Alcotest.test_case "event model is byte-identical across all four modes" `Quick
-      (fun () ->
-        let cfg = { small_micro with Microbench.sync_every = 4; skew_ns = 120 } in
-        let seq = Microbench.run_events ~mode:`Seq cfg in
-        let modes =
-          [
-            Microbench.run_events ~jobs:1 ~mode:`Windowed cfg;
-            Microbench.run_events ~jobs:3 ~mode:`Windowed cfg;
-            Microbench.run_events ~jobs:1 ~mode:`Adaptive cfg;
-            Microbench.run_events ~jobs:1 ~mode:`Optimistic cfg;
-            Microbench.run_events ~jobs:3 ~mode:`Optimistic cfg;
-          ]
-        in
-        List.iter
-          (fun r ->
-            check_bool (r.Microbench.label ^ " equal output") true
-              (Microbench.equal_output seq.Microbench.out r.Microbench.out))
-          modes;
-        let opt = List.nth modes 4 in
-        match opt.Microbench.outcome with
-        | Engine.Optimistic { rounds; _ } ->
-          check_bool "genuinely speculated" true (rounds > 0)
-        | Engine.Windowed _ | Engine.Adaptive _ -> Alcotest.fail "fell back conservatively"
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-    Alcotest.test_case "process model honestly falls back under optimistic" `Quick
-      (fun () ->
-        let seq = Microbench.run_seq small_micro in
-        let opt = Microbench.run_procs ~jobs:2 ~mode:`Optimistic small_micro in
-        (match opt.Microbench.outcome with
-        | Engine.Windowed { windows; _ } -> check_bool "ran windows" true (windows > 0)
-        | Engine.Optimistic _ -> Alcotest.fail "cannot checkpoint processes"
-        | Engine.Adaptive _ -> Alcotest.fail "wrong driver"
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "equal output" true
-          (Microbench.equal_output seq.Microbench.out opt.Microbench.out));
+        check_int "zero lookahead" 0 (Time.to_ns (G.Arch.lookahead_bound free_signal));
+        let a = Microbench.run_seq cfg and b = Microbench.run_seq cfg in
+        let base = (Microbench.run_seq small_micro).Microbench.out in
+        check_bool "deterministic" true
+          (Microbench.equal_output a.Microbench.out b.Microbench.out);
+        check_int "bytes" base.Microbench.bytes a.Microbench.out.Microbench.bytes;
+        check_int "checksum" base.Microbench.checksum a.Microbench.out.Microbench.checksum;
+        check_bool "no halo wait" true
+          (a.Microbench.out.Microbench.sim_ns < base.Microbench.sim_ns));
   ]
 
 let () =

@@ -537,7 +537,7 @@ let engine_tests =
         let eng = Engine.create () in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"sleeper" (fun () ->
-              Engine.suspend eng ~reason:"test" (fun w -> waker := w);
+              Engine.suspend eng ~reason:(fun () -> "test") (fun w -> waker := w);
               resumed_at := Engine.now eng)
         in
         let (_ : Engine.process) =
@@ -553,7 +553,7 @@ let engine_tests =
         let eng = Engine.create () in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"s" (fun () ->
-              Engine.suspend eng ~reason:"t" (fun w -> waker := w);
+              Engine.suspend eng ~reason:(fun () -> "t") (fun w -> waker := w);
               incr count)
         in
         let (_ : Engine.process) =
@@ -746,7 +746,7 @@ let sync_tests =
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"x" (fun () ->
               let (_ : Time.t) = Sync.Resource.book a ~duration:(Time.ns 70) in
-              let start = Sync.Resource.book_many [ a; b ] ~duration:(Time.ns 10) in
+              let start = Sync.Resource.book_many [| a; b |] ~duration:(Time.ns 10) in
               check_int "waits for a" 70 (Time.to_ns start);
               check_int "b free_at updated" 80 (Time.to_ns (Sync.Resource.free_at b)))
         in
@@ -784,151 +784,140 @@ let sync_tests =
           (fun () -> ignore (Sync.Semaphore.create eng (-1))));
   ]
 
-(* --- Partitions and windowed execution ---------------------------------- *)
+(* --- Event queue ---------------------------------------------------------- *)
 
-let lookahead = Time.ns 1000
+(* The engine's monomorphic queue against the polymorphic {!Heap} over
+   (at, seq) pairs: on any interleaving of pushes and pops, both must pop
+   the same events in the same order. Each pushed thunk records its push
+   index, which is also the oracle's tie-break sequence. *)
+let queue_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"pops in the same (at, seq) order as Heap" ~count:300
+         QCheck.(list_of_size Gen.(0 -- 200) (option (int_bound 40)))
+         (fun ops ->
+           let q = Engine.Queue.create () in
+           let oracle = Heap.create ~cmp:compare in
+           let popped = ref [] in
+           let pushes = ref 0 in
+           List.for_all
+             (fun op ->
+               match op with
+               | Some at ->
+                 incr pushes;
+                 let id = !pushes in
+                 Engine.Queue.push q (Time.ns at) (fun () -> popped := id :: !popped);
+                 Heap.push oracle (at, id);
+                 Engine.Queue.length q = Heap.length oracle
+               | None -> (
+                 match Heap.pop oracle with
+                 | None -> Engine.Queue.length q = 0
+                 | Some (at, id) ->
+                   let head = Time.to_ns (Engine.Queue.min_time q) in
+                   Engine.Queue.pop q ();
+                   head = at && (match !popped with x :: _ -> x = id | [] -> false)))
+             ops));
+  ]
 
-(* A ring model whose every cross-partition interaction is a [post] one
-   lookahead in the future — the shape [run_windowed] is sound for. Rank [g]
-   lives on partition [g + 1]; partition 0 (the "host") stays empty. Delays
-   are a seed-dependent arithmetic hash so partitions drift apart and windows
-   cut the event streams at irregular points. *)
-let build_ring ?trace ~parts ~iters ~seed () =
-  let eng = Engine.create ?trace ~partitions:parts ~isolated:true () in
-  let ranks = parts - 1 in
+let queue_tests =
+  [
+    Alcotest.test_case "same-time events pop in push order" `Quick (fun () ->
+        let q = Engine.Queue.create () in
+        let out = ref [] in
+        List.iter
+          (fun (at, id) -> Engine.Queue.push q (Time.ns at) (fun () -> out := id :: !out))
+          [ (5, 1); (3, 2); (5, 3); (3, 4); (0, 5) ];
+        while Engine.Queue.length q > 0 do
+          Engine.Queue.pop q ()
+        done;
+        check (Alcotest.list Alcotest.int) "order" [ 5; 2; 4; 1; 3 ] (List.rev !out));
+    Alcotest.test_case "empty queue has no head" `Quick (fun () ->
+        let q = Engine.Queue.create () in
+        Alcotest.check_raises "pop" (Invalid_argument "Engine.Queue.pop: empty queue") (fun () ->
+            ignore (Engine.Queue.pop q : unit -> unit)));
+  ]
+
+(* --- One queue for every GPU ----------------------------------------------- *)
+
+(* The engine once split its queue into per-GPU partitions; it now keeps a
+   single (at, seq) queue for every process. These tests pin what the
+   partitions were responsible for and the one queue now guarantees for all
+   of them: time order across GPUs, spawn order at one instant, same-instant
+   (zero-lookahead) delivery, and the process registry. *)
+
+(* A ring of [ranks] processes, one per GPU: rank [g] works a seed-dependent
+   delay, posts a payload to its successor [latency] later and blocks until
+   its own inbound payload for that round has landed. *)
+let build_ring ~latency ~ranks ~iters ~seed () =
+  let eng = Engine.create () in
   let flags = Array.init ranks (fun g -> Sync.Flag.create ~name:(Printf.sprintf "f%d" g) eng 0) in
   let totals = Array.make ranks 0 in
   for g = 0 to ranks - 1 do
     let (_ : Engine.process) =
-      Engine.spawn eng ~name:(Printf.sprintf "rank%d" g) ~partition:(g + 1) (fun () ->
+      Engine.spawn eng ~name:(Printf.sprintf "rank%d" g) ~group:(Printf.sprintf "gpu%d" g)
+        (fun () ->
           for it = 1 to iters do
-            let t0 = Engine.now eng in
-            let d = 1 + ((seed + (g * 37) + (it * 11)) mod 97) in
-            Engine.delay eng (Time.ns d);
-            Trace.add_opt (Engine.trace eng) ~lane:(Printf.sprintf "p%d" g) ~label:"work"
-              ~kind:Trace.Compute ~t0 ~t1:(Engine.now eng);
+            Engine.delay eng (Time.ns (1 + ((seed + (g * 37) + (it * 11)) mod 97)));
             let dst = (g + 1) mod ranks in
-            if dst <> g then begin
-              let payload = (g * 1000) + it in
-              Engine.post eng ~partition:(dst + 1)
-                ~at:(Time.add (Engine.now eng) lookahead)
-                (fun () ->
-                  totals.(dst) <- totals.(dst) + payload;
-                  Sync.Flag.add flags.(dst) 1);
-              Sync.Flag.wait_ge flags.(g) it
-            end
+            let payload = (g * 1000) + it in
+            Engine.schedule_at eng (Time.add (Engine.now eng) latency) (fun () ->
+                totals.(dst) <- totals.(dst) + payload;
+                Sync.Flag.add flags.(dst) 1);
+            Sync.Flag.wait_ge flags.(g) it
           done)
     in
     ()
   done;
   (eng, totals)
 
-(* Everything a driver may not change: final clock, event count, delivered
-   payload sums, and (when traced) the canonical span list. *)
-let ring_output eng totals =
-  ( Time.to_ns (Engine.now eng),
-    Engine.events_executed eng,
-    Array.to_list totals,
-    match Engine.trace eng with None -> [] | Some tr -> Trace.sorted_spans tr )
-
-let run_ring_seq ~parts ~iters ~seed =
-  let eng, totals = build_ring ~trace:(Trace.create ()) ~parts ~iters ~seed () in
+let run_ring ~latency ~ranks ~iters ~seed =
+  let eng, totals = build_ring ~latency ~ranks ~iters ~seed () in
   Engine.run eng;
-  ring_output eng totals
-
-let run_ring_windowed ~jobs ~parts ~iters ~seed =
-  let eng, totals = build_ring ~trace:(Trace.create ()) ~parts ~iters ~seed () in
-  let outcome = Engine.run_windowed ~jobs ~lookahead eng in
-  (outcome, ring_output eng totals)
+  (Time.to_ns (Engine.now eng), Engine.events_executed eng, Array.to_list totals)
 
 let partition_tests =
   [
     Alcotest.test_case "post crosses partitions under the sequential driver" `Quick (fun () ->
-        let eng = Engine.create ~partitions:3 () in
+        let eng = Engine.create () in
         let hits = ref [] in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"src" ~partition:1 (fun () ->
+          Engine.spawn eng ~name:"src" ~group:"gpu1" (fun () ->
               Engine.delay eng (Time.ns 10);
-              Engine.post eng ~partition:2 ~at:(Time.ns 50) (fun () -> hits := 2 :: !hits);
-              Engine.post eng ~partition:0 ~at:(Time.ns 40) (fun () -> hits := 0 :: !hits))
+              Engine.schedule_at eng (Time.ns 50) (fun () -> hits := 2 :: !hits);
+              Engine.schedule_at eng (Time.ns 40) (fun () -> hits := 0 :: !hits))
         in
         Engine.run eng;
         check (Alcotest.list Alcotest.int) "in time order" [ 2; 0 ] !hits;
         check_int "clock at last event" 50 (Time.to_ns (Engine.now eng)));
-    Alcotest.test_case "partition hint ignored on a single-partition engine" `Quick (fun () ->
-        let eng = Engine.create () in
-        let p = Engine.spawn eng ~name:"p" ~partition:7 (fun () -> ()) in
-        check_int "clamped to 0" 0 (Engine.process_partition p);
-        Engine.run eng);
-    Alcotest.test_case "windowed run matches sequential bit-for-bit" `Quick (fun () ->
-        let seq = run_ring_seq ~parts:4 ~iters:6 ~seed:5 in
-        let outcome, win = run_ring_windowed ~jobs:2 ~parts:4 ~iters:6 ~seed:5 in
-        (match outcome with
-        | Engine.Windowed { windows; _ } -> check_bool "ran windows" true (windows > 0)
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r)
-        | Engine.Adaptive _ | Engine.Optimistic _ -> Alcotest.fail "wrong driver");
-        check_bool "identical output" true (seq = win));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"windowed equals sequential for any config and worker count"
-         ~count:40
-         QCheck.(triple (int_range 2 5) (int_range 1 8) small_int)
-         (fun (parts, iters, seed) ->
-           let seq = run_ring_seq ~parts ~iters ~seed in
-           let _, win1 = run_ring_windowed ~jobs:1 ~parts ~iters ~seed in
-           let _, win3 = run_ring_windowed ~jobs:3 ~parts ~iters ~seed in
-           seq = win1 && seq = win3));
-    Alcotest.test_case "zero lookahead falls back to sequential" `Quick (fun () ->
-        let eng, totals = build_ring ~parts:3 ~iters:4 ~seed:1 () in
-        (match Engine.run_windowed ~lookahead:Time.zero eng with
-        | Engine.Sequential reason ->
-          check_bool "reason mentions lookahead" true
-            (Astring.String.is_infix ~affix:"lookahead" reason)
-        | Engine.Windowed _ | Engine.Adaptive _ | Engine.Optimistic _ ->
-          Alcotest.fail "expected sequential fallback");
-        let seq_eng, seq_totals = build_ring ~parts:3 ~iters:4 ~seed:1 () in
-        Engine.run seq_eng;
-        check_bool "fallback output identical" true
-          (ring_output eng totals = ring_output seq_eng seq_totals));
-    Alcotest.test_case "engine without the isolation promise falls back" `Quick (fun () ->
-        let eng = Engine.create ~partitions:3 () in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"p" ~partition:1 (fun () -> Engine.delay eng (Time.ns 5))
-        in
-        match Engine.run_windowed ~lookahead eng with
-        | Engine.Sequential reason ->
-          check_bool "reason mentions isolation" true
-            (Astring.String.is_infix ~affix:"isolated" reason)
-        | Engine.Windowed _ | Engine.Adaptive _ | Engine.Optimistic _ ->
-          Alcotest.fail "expected sequential fallback");
     Alcotest.test_case "single-partition engine falls back" `Quick (fun () ->
-        let eng = Engine.create ~isolated:true () in
-        let (_ : Engine.process) = Engine.spawn eng ~name:"p" (fun () -> ()) in
-        match Engine.run_windowed ~lookahead eng with
-        | Engine.Sequential _ -> ()
-        | Engine.Windowed _ | Engine.Adaptive _ | Engine.Optimistic _ ->
-          Alcotest.fail "expected sequential fallback");
-    Alcotest.test_case "cross-partition post inside the window raises" `Quick (fun () ->
-        let eng = Engine.create ~partitions:3 ~isolated:true () in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"p" ~partition:1 (fun () ->
-              Engine.delay eng (Time.ns 5);
-              Engine.post eng ~partition:2 ~at:(Engine.now eng) (fun () -> ()))
-        in
-        match Engine.run_windowed ~lookahead eng with
-        | exception Engine.Lookahead_violation _ -> ()
-        | _ -> Alcotest.fail "expected Lookahead_violation");
-    Alcotest.test_case "cross-partition spawn inside the window raises" `Quick (fun () ->
-        let eng = Engine.create ~partitions:3 ~isolated:true () in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"p" ~partition:1 (fun () ->
-              let (_ : Engine.process) =
-                Engine.spawn eng ~name:"q" ~partition:2 (fun () -> ())
-              in
-              ())
-        in
-        match Engine.run_windowed ~lookahead eng with
-        | exception Engine.Lookahead_violation _ -> ()
-        | _ -> Alcotest.fail "expected Lookahead_violation");
+        let eng = Engine.create () in
+        let order = ref [] in
+        List.iter
+          (fun g ->
+            let (_ : Engine.process) =
+              Engine.spawn eng ~name:g ~group:g (fun () -> order := g :: !order)
+            in
+            ())
+          [ "gpu2"; "gpu0"; "gpu1" ];
+        Engine.run eng;
+        check (Alcotest.list Alcotest.string) "spawn order" [ "gpu2"; "gpu0"; "gpu1" ]
+          (List.rev !order);
+        check_int "one event per start" 3 (Engine.events_executed eng));
+    Alcotest.test_case "zero lookahead falls back to sequential" `Quick (fun () ->
+        let ranks = 3 and iters = 4 in
+        let ((_, events, totals) as out) = run_ring ~latency:Time.zero ~ranks ~iters ~seed:1 in
+        check_bool "deterministic" true (out = run_ring ~latency:Time.zero ~ranks ~iters ~seed:1);
+        (* Per rank and round: a delay and the delivery, plus a wake when the
+           rank blocked before its payload landed; plus each rank's start. *)
+        let floor = (ranks * iters * 2) + ranks in
+        check_bool "events" true (events >= floor && events <= floor + (ranks * iters));
+        let sum g = List.fold_left ( + ) 0 (List.init iters (fun i -> (g * 1000) + i + 1)) in
+        check (Alcotest.list Alcotest.int) "every payload delivered once"
+          (List.init ranks (fun g -> sum ((g + ranks - 1) mod ranks)))
+          totals;
+        let slow, _, _ = run_ring ~latency:(Time.ns 1000) ~ranks ~iters ~seed:1 in
+        let fast, _, _ = out in
+        check_bool "latency only delays" true (fast < slow));
     Alcotest.test_case "finished processes leave the registry" `Quick (fun () ->
         let eng = Engine.create () in
         for i = 1 to 50 do
@@ -954,157 +943,113 @@ let partition_tests =
         check_int "daemon still live" 1 (Engine.registered_processes eng));
   ]
 
-(* --- Optimistic (Time Warp) execution ----------------------------------- *)
+(* --- No speculation ---------------------------------------------------------- *)
 
-(* Event-driven formulation of the ring: no processes, per-rank state in
-   plain arrays restored from checkpoints via [register_state] — the shape
-   the optimistic driver can actually speculate on. Rank [g] runs [iters]
-   irregular-cost steps; every [sync] iterations it posts a payload one
-   lookahead ahead to its successor and blocks (recorded in [pending]) until
-   its own inbound count catches up. [skew] adds extra per-step cost on rank
-   0, the load imbalance that makes other ranks speculate into its past and
-   forces rollbacks. *)
-let build_ev_ring ?(skew = 0) ~parts ~iters ~sync ~seed () =
-  let eng = Engine.create ~partitions:parts ~isolated:true () in
-  let ranks = parts - 1 in
-  let totals = Array.make ranks 0 in
-  let counts = Array.make ranks 0 in
-  let pending = Array.make ranks 0 in
-  let is_sync it = it mod sync = 0 || it = iters in
-  let sync_count it = (it / sync) + if it = iters && iters mod sync <> 0 then 1 else 0 in
-  let rec step g it t =
-    let d = 1 + ((seed + (g * 37) + (it * 11)) mod 97) + if g = 0 then skew else 0 in
-    let t1 = Time.add t (Time.ns d) in
-    Engine.post eng ~partition:(g + 1) ~at:t1 (fun () ->
-        let dst = (g + 1) mod ranks in
-        if dst <> g && is_sync it then begin
-          let payload = (g * 1000) + it in
-          Engine.post eng ~partition:(dst + 1) ~at:(Time.add t1 lookahead) (fun () ->
-              totals.(dst) <- totals.(dst) + payload;
-              counts.(dst) <- counts.(dst) + 1;
-              if pending.(dst) > 0 && counts.(dst) >= sync_count pending.(dst) then begin
-                let it' = pending.(dst) in
-                pending.(dst) <- 0;
-                next dst it' (Engine.now eng)
-              end);
-          if counts.(g) >= sync_count it then next g it t1 else pending.(g) <- it
-        end
-        else next g it t1)
-  and next g it t = if it < iters then step g (it + 1) t in
-  for g = 0 to ranks - 1 do
-    Engine.register_state eng ~partition:(g + 1) (fun () ->
-        let tot = totals.(g) and cnt = counts.(g) and pnd = pending.(g) in
-        fun () ->
-          totals.(g) <- tot;
-          counts.(g) <- cnt;
-          pending.(g) <- pnd);
-    if iters > 0 then step g 1 Time.zero
-  done;
-  (eng, totals)
-
-let ev_ring_output eng totals =
-  (Time.to_ns (Engine.now eng), Engine.events_executed eng, Array.to_list totals)
-
-let run_ev_ring_seq ?skew ~parts ~iters ~sync ~seed () =
-  let eng, totals = build_ev_ring ?skew ~parts ~iters ~sync ~seed () in
-  Engine.run eng;
-  ev_ring_output eng totals
-
+(* What the removed optimistic driver had to restore by rollback, the one
+   queue guarantees by construction: the clock every event sees never goes
+   backward, and each event runs exactly once. *)
 let optimistic_tests =
   [
-    Alcotest.test_case "optimistic run matches sequential bit-for-bit" `Quick (fun () ->
-        let seq = run_ev_ring_seq ~parts:5 ~iters:24 ~sync:6 ~seed:3 () in
-        let eng, totals = build_ev_ring ~parts:5 ~iters:24 ~sync:6 ~seed:3 () in
-        (match Engine.run_optimistic ~jobs:2 ~lookahead eng with
-        | Engine.Optimistic { rounds; _ } -> check_bool "ran rounds" true (rounds > 0)
-        | Engine.Windowed _ | Engine.Adaptive _ -> Alcotest.fail "fell back conservatively"
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "identical output" true (seq = ev_ring_output eng totals));
-    Alcotest.test_case "skewed ring rolls back and still matches sequential" `Quick
-      (fun () ->
-        (* For a rollback the straggler's epoch must run past a fast rank's
-           halo-arrival time: 8 iterations of extra cost must outweigh the
-           fast epoch (~400 ns) plus one lookahead (1000 ns). *)
-        let skew = 250 in
-        let seq = run_ev_ring_seq ~skew ~parts:5 ~iters:40 ~sync:8 ~seed:7 () in
-        let eng, totals = build_ev_ring ~skew ~parts:5 ~iters:40 ~sync:8 ~seed:7 () in
-        (match Engine.run_optimistic ~jobs:2 ~lookahead eng with
-        | Engine.Optimistic { rounds; rollbacks; _ } ->
-          check_bool "ran rounds" true (rounds > 0);
-          check_bool "rolled back at least once" true (rollbacks > 0);
-          check_int "engine agrees on rollbacks" rollbacks (Engine.rollbacks eng)
-        | Engine.Windowed _ | Engine.Adaptive _ -> Alcotest.fail "fell back conservatively"
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "identical output" true (seq = ev_ring_output eng totals));
-    Alcotest.test_case "adaptive windows match sequential on the process ring" `Quick
-      (fun () ->
-        let seq = run_ring_seq ~parts:4 ~iters:6 ~seed:5 in
-        let eng, totals = build_ring ~trace:(Trace.create ()) ~parts:4 ~iters:6 ~seed:5 () in
-        (match Engine.run_adaptive ~jobs:2 ~lookahead eng with
-        | Engine.Adaptive { windows; _ } -> check_bool "ran windows" true (windows > 0)
-        | Engine.Windowed _ | Engine.Optimistic _ -> Alcotest.fail "wrong driver"
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "identical output" true (seq = ring_output eng totals));
-    Alcotest.test_case "process models fall back to the windowed driver" `Quick (fun () ->
-        let seq = run_ring_seq ~parts:4 ~iters:6 ~seed:9 in
-        let eng, totals = build_ring ~trace:(Trace.create ()) ~parts:4 ~iters:6 ~seed:9 () in
-        (match Engine.run_optimistic ~lookahead eng with
-        | Engine.Windowed { windows; _ } -> check_bool "ran windows" true (windows > 0)
-        | Engine.Optimistic _ -> Alcotest.fail "cannot checkpoint processes"
-        | Engine.Adaptive _ -> Alcotest.fail "wrong driver"
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "identical output" true (seq = ring_output eng totals));
     Alcotest.test_case "no state providers means no speculation" `Quick (fun () ->
-        let eng = Engine.create ~partitions:3 ~isolated:true () in
+        let eng = Engine.create () in
         let hits = ref 0 in
-        Engine.post eng ~partition:1 ~at:(Time.ns 10) (fun () -> incr hits);
-        Engine.post eng ~partition:2 ~at:(Time.ns 20) (fun () -> incr hits);
-        (match Engine.run_optimistic ~lookahead eng with
-        | Engine.Windowed _ | Engine.Sequential _ -> ()
-        | Engine.Optimistic _ -> Alcotest.fail "speculated without checkpoint support"
-        | Engine.Adaptive _ -> Alcotest.fail "wrong driver");
-        check_int "both events ran" 2 !hits);
+        Engine.schedule_at eng (Time.ns 10) (fun () -> incr hits);
+        Engine.schedule_at eng (Time.ns 20) (fun () -> incr hits);
+        Engine.run eng;
+        check_int "both events ran" 2 !hits;
+        check_int "each exactly once" 2 (Engine.events_executed eng));
+    (* Every event is a callback that records the clock it runs at and may
+       schedule one child [d mod 7] later (zero included), so the recorded
+       clocks are the engine's whole history. *)
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
-         ~name:"optimistic and adaptive equal sequential for any config and worker count"
-         ~count:30
-         QCheck.(
-           quad (int_range 2 5) (int_range 0 10) (int_range 1 4) small_int)
-         (fun (parts, iters, sync, seed) ->
-           let seq = run_ev_ring_seq ~parts ~iters ~sync ~seed () in
-           let opt jobs =
-             let eng, totals = build_ev_ring ~parts ~iters ~sync ~seed () in
-             let (_ : Engine.outcome) = Engine.run_optimistic ~jobs ~lookahead eng in
-             ev_ring_output eng totals
+         ~name:"gvt is monotone non-decreasing and bounded by the final clock" ~count:100
+         QCheck.(list_of_size Gen.(0 -- 40) (pair (int_bound 50) (int_bound 3)))
+         (fun roots ->
+           let eng = Engine.create () in
+           let seen = ref [] in
+           let rec cb d k () =
+             seen := Engine.now eng :: !seen;
+             if k > 0 then
+               Engine.schedule_at eng (Time.add (Engine.now eng) (Time.ns (d mod 7))) (cb d (k - 1))
            in
-           let adp =
-             let eng, totals = build_ev_ring ~parts ~iters ~sync ~seed () in
-             let (_ : Engine.outcome) = Engine.run_adaptive ~jobs:2 ~lookahead eng in
-             ev_ring_output eng totals
-           in
-           seq = opt 1 && seq = opt 3 && seq = adp));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make
-         ~name:"gvt is monotone non-decreasing and bounded by the final clock" ~count:30
-         QCheck.(
-           quad (int_range 2 5) (int_range 1 10) (int_range 1 4) small_int)
-         (fun (parts, iters, sync, seed) ->
-           let eng, _ = build_ev_ring ~skew:40 ~parts ~iters ~sync ~seed () in
-           let gvts = ref [] in
-           let (_ : Engine.outcome) =
-             Engine.run_optimistic ~jobs:2 ~on_gvt:(fun g -> gvts := g :: !gvts)
-               ~lookahead eng
-           in
-           let seen = List.rev !gvts in
+           List.iter (fun (d, k) -> Engine.schedule_at eng (Time.ns d) (cb d k)) roots;
+           Engine.run eng;
+           let seen = List.rev !seen in
            let rec monotone = function
              | a :: (b :: _ as rest) -> Time.compare a b <= 0 && monotone rest
              | _ -> true
            in
            let final = Engine.now eng in
-           seen <> []
-           && monotone seen
+           monotone seen
            && List.for_all (fun g -> Time.compare g final <= 0) seen
-           && Time.equal (Engine.last_gvt eng) (List.nth seen (List.length seen - 1))));
+           && List.length seen = Engine.events_executed eng
+           && (seen = [] || Time.equal final (List.nth seen (List.length seen - 1)))));
+  ]
+
+(* --- Deferred diagnostics ----------------------------------------------- *)
+
+let deadlock_lines f =
+  match f () with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Engine.Deadlock lines -> lines
+
+(* Names and wait reasons are rendered only when a report reads them; the
+   text must be what the eager rendering printed, with every value taken
+   when the process blocked. *)
+let diagnostics_tests =
+  [
+    Alcotest.test_case "a flag waiter reports the value it blocked at" `Quick (fun () ->
+        let eng = Engine.create () in
+        let f = Sync.Flag.create ~name:"f" eng 0 in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"waiter" ~group:"gpu0" (fun () -> Sync.Flag.wait_ge f 2)
+        in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"bumper" (fun () ->
+              Engine.delay eng (Time.ns 5);
+              Sync.Flag.set f 1)
+        in
+        let lines = deadlock_lines (fun () -> Engine.run eng) in
+        check (Alcotest.list Alcotest.string) "report"
+          [ "waiter(#1) [p0 gpu0]: flag f (value 0) (since 0ns)" ]
+          lines;
+        check_int "flag moved on" 1 (Sync.Flag.get f));
+    Alcotest.test_case "barrier, mailbox and semaphore reasons" `Quick (fun () ->
+        let eng = Engine.create () in
+        let b = Sync.Barrier.create ~name:"b" eng 3 in
+        let m : int Sync.Mailbox.t = Sync.Mailbox.create ~name:"m" eng () in
+        let s = Sync.Semaphore.create ~name:"s" eng 0 in
+        let spawn name body = ignore (Engine.spawn eng ~name body : Engine.process) in
+        spawn "b1" (fun () -> Sync.Barrier.wait b);
+        spawn "b2" (fun () -> Sync.Barrier.wait b);
+        spawn "mb" (fun () -> ignore (Sync.Mailbox.recv m : int));
+        spawn "sem" (fun () -> Sync.Semaphore.acquire s);
+        check (Alcotest.list Alcotest.string) "report"
+          [
+            "b1(#1) [p0]: barrier b (gen 0, 1/3) (since 0ns)";
+            "b2(#2) [p0]: barrier b (gen 0, 2/3) (since 0ns)";
+            "mb(#3) [p0]: mailbox m (since 0ns)";
+            "sem(#4) [p0]: semaphore s (since 0ns)";
+          ]
+          (deadlock_lines (fun () -> Engine.run eng)));
+    Alcotest.test_case "a deferred process name renders on demand" `Quick (fun () ->
+        let eng = Engine.create () in
+        let rendered = ref 0 in
+        let f = Sync.Flag.create ~name:"never" eng 0 in
+        let p =
+          Engine.spawn eng
+            ~name_of:(fun () ->
+              incr rendered;
+              Printf.sprintf "lazy.pe%d.%d" 3 7)
+            (fun () -> Sync.Flag.wait_ge f 1)
+        in
+        let lines = deadlock_lines (fun () -> Engine.run eng) in
+        check (Alcotest.list Alcotest.string) "report"
+          [ "lazy.pe3.7(#1) [p0]: flag never (value 0) (since 0ns)" ]
+          lines;
+        check_int "rendered once, for the report" 1 !rendered;
+        check Alcotest.string "process_name" "lazy.pe3.7" (Engine.process_name p));
   ]
 
 let () =
@@ -1118,6 +1063,8 @@ let () =
       ("trace", trace_tests);
       ("engine", engine_tests);
       ("sync", sync_tests);
+      ("queue", queue_tests @ queue_props);
       ("partitions", partition_tests);
       ("optimistic", optimistic_tests);
+      ("diagnostic", diagnostics_tests);
     ]

@@ -1,7 +1,7 @@
 (* Tests for the chaos layer: fault-spec grammar, deterministic fault plans,
    the engine stall watchdog and wait-for-graph diagnostics, the resilient
    NVSHMEM signal protocol, and fixed-seed reproducibility of whole chaos
-   runs across both CPUFREE_PDES drivers. *)
+   runs. *)
 
 module E = Cpufree_engine
 module G = Cpufree_gpu
@@ -453,7 +453,7 @@ let chaos_tests =
         check (Alcotest.list Alcotest.int) "progress" [ 5; 5 ]
           (Array.to_list cr.S.Harness.progress));
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"fixed fault seed is bit-identical, seq == windowed" ~count:8
+      (QCheck.Test.make ~name:"fixed fault seed is bit-identical, seq == repeat" ~count:8
          QCheck.(pair (float_bound_exclusive 3.0) (int_bound 999))
          (fun (intensity, seed) ->
            let run () =
@@ -464,8 +464,8 @@ let chaos_tests =
            in
            let seq1 = in_mode "seq" run in
            let seq2 = in_mode "seq" run in
-           let win = in_mode "windowed" run in
-           seq1 = seq2 && seq1 = win));
+           let unset = in_mode "" run in
+           seq1 = seq2 && seq1 = unset));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"baseline scheme chaos is equally reproducible" ~count:4
          QCheck.(int_bound 999)
@@ -476,15 +476,12 @@ let chaos_tests =
                   ~env:(Env.make ~faults:(Fault.preset ~intensity:1.5) ~fault_seed:seed ())
                   S.Variants.Nvshmem small_problem ~gpus:2)
            in
-           let seq = in_mode "seq" run in
-           let win = in_mode "windowed" run in
-           seq = win));
-    (* Fail-stop kills abort through the resilient-wait diagnosis; the
-       optimistic driver must neither double-count the fault traffic across
-       rollbacks nor move the diagnosis, so the full chaos digest (time,
-       counters, trigger, per-PE progress) is bit-identical in every mode. *)
+           run () = run ()));
+    (* Fail-stop kills abort through the resilient-wait diagnosis; the full
+       chaos digest (time, counters, trigger, per-PE progress) must repeat
+       bit for bit. *)
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"fail-stop chaos is bit-identical in all four modes" ~count:6
+      (QCheck.Test.make ~name:"fail-stop chaos is bit-identical in all repeats" ~count:6
          QCheck.(triple (int_bound 1) (int_range 20 400) (int_bound 999))
          (fun (victim, t_us, seed) ->
            let spec =
@@ -501,9 +498,7 @@ let chaos_tests =
              (chaos_digest cr, cr.S.Harness.chaos.Measure.trigger)
            in
            let seq = in_mode "seq" run in
-           List.for_all
-             (fun mode -> in_mode mode run = seq)
-             [ "windowed"; "adaptive"; "optimistic" ]));
+           List.for_all (fun mode -> in_mode mode run = seq) [ "seq"; "" ]));
   ]
 
 let () =

@@ -1,8 +1,8 @@
 (* Tests for the observability layer: the metrics registry (typed
-   instruments, partition sharding, merge laws), the Perfetto trace-event
+   instruments, slot sharding, merge laws), the Perfetto trace-event
    exporter and its structural validator, the Sim_env record, and the
    end-to-end guarantees — flows pair up, exports are byte-stable across
-   CPUFREE_PDES modes, and the Scenario-driven execution path matches the
+   repeats, and the Scenario-driven execution path matches the
    hand-assembled one byte for byte. *)
 
 module E = Cpufree_engine
@@ -254,7 +254,10 @@ let sim_env_tests =
         check_bool "metrics attached" true (Env.observed e));
     Alcotest.test_case "resolve_pdes: explicit field beats CPUFREE_PDES" `Quick (fun () ->
         in_mode "windowed" (fun () ->
-            check_bool "env var" true (Env.resolve_pdes Env.default = `Windowed);
+            check_bool "env var rejected" true
+              (match Env.resolve_pdes Env.default with
+              | `Seq -> false
+              | exception Invalid_argument _ -> true);
             check_bool "field wins" true
               (Env.resolve_pdes (Env.make ~pdes:`Seq ()) = `Seq)));
     Alcotest.test_case "pdes_of_env_var rejects junk" `Quick (fun () ->
@@ -297,7 +300,7 @@ let fault_pool =
           | Error e -> failwith ("fault pool: " ^ e))
         [ "drop=0.3"; "delay=0.1@2000;straggler=1x1.5"; "kill=2@500;retry=50x6;backoff=2" ])
 
-let pdes_pool = [| None; Some `Seq; Some `Windowed; Some `Adaptive; Some `Optimistic |]
+let pdes_pool = [| None; Some `Seq |]
 
 let arbitrary_env =
   QCheck.(
@@ -379,10 +382,10 @@ let end_to_end_tests =
             "nvshmem.puts";
             "runtime.launches";
           ]);
-    Alcotest.test_case "Perfetto export is byte-stable across PDES modes" `Quick (fun () ->
-        let seq = in_mode "seq" export_of_run in
-        let win = in_mode "windowed" export_of_run in
-        check_string "identical documents" seq win);
+    Alcotest.test_case "Perfetto export is byte-stable across repeats" `Quick (fun () ->
+        let first = in_mode "seq" export_of_run in
+        let again = in_mode "" export_of_run in
+        check_string "identical documents" first again);
     Alcotest.test_case "chaos instants surface in the trace" `Quick (fun () ->
         let spec =
           match Fault.of_string "drop=0.3" with Ok s -> s | Error e -> Alcotest.fail e

@@ -105,7 +105,7 @@ let test_digest_pdes_invariant () =
   let d = digest None in
   List.iter
     (fun p -> Alcotest.(check string) "pdes never reaches the cache key" d (digest (Some p)))
-    [ `Seq; `Windowed; `Adaptive; `Optimistic ];
+    [ `Seq ];
   if Scenario.digest base = Scenario.digest (sc ~iters:7 ()) then
     Alcotest.fail "distinct scenarios share a digest";
   if Scenario.digest base = Scenario.digest (sc ~trace:true ()) then
@@ -372,6 +372,45 @@ let test_infeasible_geometry () =
     Alcotest.(check bool) "not a simulation failure" false
       (Astring.String.is_prefix ~affix:"simulation failed" e)
 
+(* The three scenarios that used to slip past validation: a DaCe size the
+   GPU count cannot split (an uncaught exception), a zero iteration count
+   (ran and succeeded) and a kill of a GPU the machine does not have (ran
+   and killed nothing). Each is refused with its reason, before any
+   simulation. *)
+let test_invalid_scenarios_refused () =
+  let refused what affix scenario =
+    match Serve.Exec.run scenario with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+      Alcotest.(check bool) (what ^ ": " ^ e) true (Astring.String.is_infix ~affix e);
+      Alcotest.(check bool) (what ^ " is not a simulation failure") false
+        (Astring.String.is_prefix ~affix:"simulation failed" e)
+  in
+  refused "indivisible dace size" "must divide evenly"
+    (Scenario.make ~gpus:8
+       (Scenario.Dace
+          { app = "jacobi1d"; arm = "cpu-free"; size = 1001; iters = 2; specialize_tb = false }));
+  refused "zero iterations" "iters must be positive" (sc ~iters:0 ());
+  let kill99 =
+    match Cpufree_fault.Fault.of_string "kill=99@1" with Ok f -> f | Error e -> failwith e
+  in
+  refused "kill of a missing GPU" "no such GPU" { (sc ()) with Scenario.faults = Some kill99 };
+  let unknown_link =
+    match Cpufree_fault.Fault.of_string "linkfail=nowhere-gpu0@1" with
+    | Ok f -> f
+    | Error e -> failwith e
+  in
+  refused "linkfail on a missing vertex" "no vertex"
+    { (sc ()) with Scenario.faults = Some unknown_link };
+  (match
+     Scenario.of_string "stencil variant=cpu-free dims=2d:64x64 iters=2 gpus=2 faults=kill=99@1"
+   with
+  | Ok _ -> Alcotest.fail "of_string accepted kill=99 on 2 GPUs"
+  | Error e -> Alcotest.(check bool) e true (Astring.String.is_infix ~affix:"no such GPU" e));
+  match Scenario.of_string "stencil variant=cpu-free dims=2d:64x64 iters=2 gpus=2 pdes=optimistic" with
+  | Ok _ -> Alcotest.fail "pdes=optimistic accepted"
+  | Error e -> Alcotest.(check bool) e true (Astring.String.is_infix ~affix:"valid modes" e)
+
 let () =
   Alcotest.run "serve"
     [
@@ -383,6 +422,8 @@ let () =
             test_digest_pdes_invariant;
           Alcotest.test_case "infeasible geometry is refused with its reason" `Quick
             test_infeasible_geometry;
+          Alcotest.test_case "invalid scenarios are refused with their reason" `Quick
+            test_invalid_scenarios_refused;
         ] );
       ( "framing",
         [
