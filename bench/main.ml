@@ -1391,8 +1391,8 @@ let registry =
         name = "serve";
         figure = "fig.serve";
         suite = On_demand;
-        smoke = (6, 4, "2d:256x256", 25);
-        full = (24, 8, "2d:384x384", 40);
+        smoke = (6, 4, "2d:256x256", 100);
+        full = (24, 8, "2d:384x384", 120);
         run = fig_serve;
         fields =
           [

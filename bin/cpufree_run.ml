@@ -260,6 +260,17 @@ let dims_arg =
 let print_timeline trace =
   print_string (E.Trace.render_ascii ~width:100 trace)
 
+(* Run through the traced entry point only when a timeline or a Chrome
+   trace will read the engine's spans; the result is the same either way. *)
+let run_showing ~timeline ~chrome ~traced ~plain =
+  if timeline || chrome <> None then begin
+    let r, trace = traced () in
+    if timeline then print_timeline trace;
+    maybe_write_chrome chrome trace;
+    r
+  end
+  else plain ()
+
 (* --- stencil command ------------------------------------------------------ *)
 
 let variant_arg =
@@ -327,12 +338,13 @@ let run_stencil common iters dims variant no_compute verify timeline chrome =
     let results =
       List.map
         (fun (kind, hsc) ->
-          let r, trace = S.Harness.run_scenario_traced hsc in
-          if timeline && single then print_timeline trace;
-          if single then begin
-            maybe_write_chrome chrome trace;
-            write_observability common (S.Harness.scenario_sim_env hsc)
-          end;
+          let r =
+            run_showing ~timeline:(timeline && single)
+              ~chrome:(if single then chrome else None)
+              ~traced:(fun () -> S.Harness.run_scenario_traced hsc)
+              ~plain:(fun () -> S.Harness.run_scenario hsc)
+          in
+          if single then write_observability common (S.Harness.scenario_sim_env hsc);
           if verify then begin
             let backed =
               S.Problem.make ~compute:(not no_compute) ~backed:true dims ~iterations:iters
@@ -461,12 +473,16 @@ let run_dace_auto common iters app_name arm size specialize_tb timeline chrome =
         (if Time.(d.D.Autotune.predicted < hand_cost) then "beats it" else "matches it"));
     let built = D.Autotune.build d.D.Autotune.best sdfg in
     let env = env_of_common common in
-    let r, trace =
-      Measure.run_traced_env ~arch:common.arch ~env ~label:(label ^ "/auto")
-        ~gpus:d.D.Autotune.best.D.Autotune.gpus_used ~iterations:iters built.D.Exec.program
+    let label = label ^ "/auto" and gpus = d.D.Autotune.best.D.Autotune.gpus_used in
+    let r =
+      run_showing ~timeline ~chrome
+        ~traced:(fun () ->
+          Measure.run_traced_env ~arch:common.arch ~env ~label ~gpus ~iterations:iters
+            built.D.Exec.program)
+        ~plain:(fun () ->
+          Measure.run_env ~arch:common.arch ~env ~label ~gpus ~iterations:iters
+            built.D.Exec.program)
     in
-    if timeline then print_timeline trace;
-    maybe_write_chrome chrome trace;
     write_observability common env;
     Format.printf "%a@." Measure.pp_result r;
     0
@@ -543,9 +559,11 @@ let run_dace common iters app_name arm_name size emit auto specialize_tb verify 
     write_observability common dsc.D.Pipeline.sc_env;
     0
   | None ->
-    let r, trace = D.Pipeline.run_scenario_traced dsc in
-    if timeline then print_timeline trace;
-    maybe_write_chrome chrome trace;
+    let r =
+      run_showing ~timeline ~chrome
+        ~traced:(fun () -> D.Pipeline.run_scenario_traced dsc)
+        ~plain:(fun () -> D.Pipeline.run_scenario dsc)
+    in
     write_observability common dsc.D.Pipeline.sc_env;
     Format.printf "%a@." Measure.pp_result r;
     0

@@ -65,9 +65,13 @@ let start_transfer t ~src_rank ~dst_rank (send : posted) (recv : posted) =
   let arch = G.Runtime.arch t.ctx in
   let (_ : E.Engine.process) =
     E.Engine.spawn t.eng
-      ~name:(Printf.sprintf "mpi.msg.%d->%d" src_rank dst_rank)
+      ~name_of:(fun () -> Printf.sprintf "mpi.msg.%d->%d" src_rank dst_rank)
       (fun () ->
-        let lane = Printf.sprintf "gpu%d.mpi" src_rank in
+        let lane =
+          match E.Engine.trace t.eng with
+          | None -> None
+          | Some _ -> Some (Printf.sprintf "gpu%d.mpi" src_rank)
+        in
         let strided = region_strided send.reg || region_strided recv.reg in
         if strided then begin
           (* Non-contiguous datatype from device memory: the MPI library
@@ -76,18 +80,18 @@ let start_transfer t ~src_rank ~dst_rank (send : posted) (recv : posted) =
           E.Engine.delay t.eng (Time.scale arch.G.Arch.mpi_strided_elem (2.0 *. float_of_int n));
           G.Interconnect.transfer (G.Runtime.net t.ctx)
             ~src:(G.Runtime.endpoint_of_buffer send.reg.buf) ~dst:G.Interconnect.Host
-            ~initiator:G.Interconnect.By_host ~bytes:(region_bytes send.reg) ~trace_lane:lane
+            ~initiator:G.Interconnect.By_host ~bytes:(region_bytes send.reg) ?trace_lane:lane
             ~label:"mpi-pack" ();
           G.Interconnect.transfer (G.Runtime.net t.ctx) ~src:G.Interconnect.Host
             ~dst:(G.Runtime.endpoint_of_buffer recv.reg.buf) ~initiator:G.Interconnect.By_host
-            ~bytes:(region_bytes send.reg) ~trace_lane:lane ~label:"mpi-unpack" ()
+            ~bytes:(region_bytes send.reg) ?trace_lane:lane ~label:"mpi-unpack" ()
         end
         else
           G.Interconnect.transfer (G.Runtime.net t.ctx)
             ~src:(G.Runtime.endpoint_of_buffer send.reg.buf)
             ~dst:(G.Runtime.endpoint_of_buffer recv.reg.buf)
             ~initiator:G.Interconnect.By_host ~bytes:(region_bytes send.reg)
-            ~trace_lane:lane ~label:"mpi-msg" ();
+            ?trace_lane:lane ~label:"mpi-msg" ();
         let n = Stdlib.min send.reg.count recv.reg.count in
         G.Buffer.blit_strided ~src:send.reg.buf ~src_pos:send.reg.pos
           ~src_stride:send.reg.stride ~dst:recv.reg.buf ~dst_pos:recv.reg.pos

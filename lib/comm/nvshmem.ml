@@ -183,6 +183,7 @@ let with_flow t fc ~to_pe ~label body () =
     let d0 = E.Engine.now t.eng in
     body ();
     let d1 = E.Engine.now t.eng in
+    E.Engine.log_comm t.eng ~since:d0;
     let tr = E.Engine.trace t.eng in
     E.Trace.add_opt tr ~lane:(lane t to_pe) ~label:("deliver:" ^ label)
       ~kind:E.Trace.Communication ~t0:d0 ~t1:d1;
@@ -462,7 +463,9 @@ let signal_wait_until t ?expect_from ~pe ~sig_var pred =
   let flag = sig_var.flags.(pe) in
   let blocked = not (pred (E.Sync.Flag.get flag)) in
   let t0 = E.Engine.now t.eng in
-  let waits_on = Option.map G.Runtime.gpu_group expect_from in
+  let waits_on =
+    match expect_from with None -> None | Some g -> Some (G.Runtime.gpu_group t.ctx g)
+  in
   (match t.faults with
   | Some plan when blocked && F.is_active (F.spec_of plan) ->
     resilient_wait t ~pe ~waits_on ~plan ~sig_var pred

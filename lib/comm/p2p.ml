@@ -2,12 +2,18 @@ module G = Cpufree_gpu
 
 let endpoint dev = if dev = G.Buffer.host_device then G.Interconnect.Host else G.Interconnect.Gpu dev
 
+(* The span lane, built only when the engine records a trace. *)
+let lane ctx dev =
+  match Cpufree_engine.Engine.trace (G.Runtime.engine ctx) with
+  | None -> None
+  | Some _ -> Some (Printf.sprintf "gpu%d.p2p" dev)
+
 let copy ctx ~from_dev ~src ~src_pos ~dst ~dst_pos ~len =
   G.Interconnect.transfer (G.Runtime.net ctx) ~src:(endpoint from_dev)
     ~dst:(endpoint (G.Buffer.device dst))
     ~initiator:G.Interconnect.By_device
     ~bytes:(len * G.Buffer.elem_bytes)
-    ~trace_lane:(Printf.sprintf "gpu%d.p2p" from_dev)
+    ?trace_lane:(lane ctx from_dev)
     ~label:"p2p-store" ();
   G.Buffer.blit ~src ~src_pos ~dst ~dst_pos ~len
 
@@ -15,6 +21,6 @@ let store ctx ~from_dev ~dst ~dst_pos value =
   G.Interconnect.transfer (G.Runtime.net ctx) ~src:(endpoint from_dev)
     ~dst:(endpoint (G.Buffer.device dst))
     ~initiator:G.Interconnect.By_device ~bytes:G.Buffer.elem_bytes
-    ~trace_lane:(Printf.sprintf "gpu%d.p2p" from_dev)
+    ?trace_lane:(lane ctx from_dev)
     ~label:"p2p-store1" ();
   G.Buffer.set dst dst_pos value

@@ -15,17 +15,20 @@ type result = {
   bytes_moved : int;
 }
 
-let measure ~label ~gpus ~iterations eng ctx trace =
+(* Comm time and overlap come from the engine's busy log, which every run
+   keeps whether or not it records spans. *)
+let measure ~label ~gpus ~iterations eng ctx =
   let total = E.Engine.now eng in
   let iters = Stdlib.max 1 iterations in
+  let comm, overlap = E.Intervals.Log.comm_and_overlap (E.Engine.busy eng) in
   {
     label;
     gpus;
     iterations;
     total;
     per_iter = Time.of_ns_float (Time.to_sec_float total *. 1e9 /. float_of_int iters);
-    comm = Cpufree_comm.Metrics.comm_time trace;
-    overlap = Cpufree_comm.Metrics.overlap_ratio trace;
+    comm;
+    overlap;
     bytes_moved = G.Interconnect.bytes_moved (G.Runtime.net ctx);
   }
 
@@ -34,9 +37,9 @@ let measure ~label ~gpus ~iterations eng ctx trace =
    engine's own counters into the environment's registry. A run with neither
    attached skips both — zero cost on the legacy path. *)
 let publish env eng trace =
-  (match env.Obs.Sim_env.trace with
-  | None -> ()
-  | Some sink -> E.Trace.merge_into ~into:sink [ trace ]);
+  (match (env.Obs.Sim_env.trace, trace) with
+  | Some sink, Some trace -> E.Trace.merge_into ~into:sink [ trace ]
+  | None, _ | _, None -> ());
   match env.Obs.Sim_env.metrics with
   | None -> ()
   | Some reg ->
@@ -54,29 +57,34 @@ let publish env eng trace =
     c "engine.opt.events_rolled_back" 0;
     Mx.Gauge.set (Mx.gauge reg ~name:"engine.partitions" ()) 1
 
+(* The engine's trace: one exists only when someone reads spans — the
+   environment's sink here, or the caller of [run_traced_env]. It records
+   flow arrows only when that sink does, so runs without a flow-enabled
+   sink keep their exact span streams. Comm accounting never needs it. *)
+let sink_trace env =
+  match env.Obs.Sim_env.trace with
+  | Some _ as sink -> Some (E.Trace.create ~flows:(E.Trace.flows_enabled sink) ())
+  | None -> None
+
 (* Shared run core: engine + runtime context from the environment, program as
-   the "main" process, the run, then measurement. The
-   engine's own trace doubles as the comm-accounting source; it records flow
-   arrows only when the environment's sink does, so legacy runs (no sink, or
-   a sink without flows) stay byte-identical. *)
-let run_core ?arch ~env ~label ~gpus ~iterations program =
+   the "main" process, the run, then measurement. *)
+let run_core ?arch ~trace ~env ~label ~gpus ~iterations program =
   (* Rejects a [CPUFREE_PDES] naming anything but the sequential driver. *)
   let (`Seq : Obs.Sim_env.pdes) = Obs.Sim_env.resolve_pdes env in
-  let flows = E.Trace.flows_enabled env.Obs.Sim_env.trace in
-  let trace = E.Trace.create ~flows () in
-  let eng = E.Engine.create ~trace () in
+  let eng = E.Engine.create ?trace () in
   let ctx = G.Runtime.create eng ?arch ~env ~num_gpus:gpus () in
   let (_ : E.Engine.process) = E.Engine.spawn eng ~name:"main" (fun () -> program ctx) in
   E.Engine.run eng;
-  let r = measure ~label ~gpus ~iterations eng ctx trace in
+  let r = measure ~label ~gpus ~iterations eng ctx in
   publish env eng trace;
-  (r, trace)
+  r
 
 let run_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
-  fst (run_core ?arch ~env ~label ~gpus ~iterations program)
+  run_core ?arch ~trace:(sink_trace env) ~env ~label ~gpus ~iterations program
 
 let run_traced_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
-  run_core ?arch ~env ~label ~gpus ~iterations program
+  let trace = match sink_trace env with Some t -> t | None -> E.Trace.create () in
+  (run_core ?arch ~trace:(Some trace) ~env ~label ~gpus ~iterations program, trace)
 
 let probe_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
   (run_env ?arch ~env:(Obs.Sim_env.probe env) ~label ~gpus ~iterations program).total
@@ -119,9 +127,8 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
     | Some w -> w
     | None -> F.default_watchdog spec
   in
-  let flows = E.Trace.flows_enabled env.Obs.Sim_env.trace in
-  let trace = E.Trace.create ~flows () in
-  let eng = E.Engine.create ~trace ~watchdog () in
+  let trace = sink_trace env in
+  let eng = E.Engine.create ?trace ~watchdog () in
   let ctx = G.Runtime.create eng ?arch ~env ~num_gpus:gpus () in
   let plan =
     match G.Runtime.faults ctx with
@@ -133,8 +140,8 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
     match E.Engine.run eng with
     | () -> (true, [], None)
     | exception E.Engine.Stall report ->
-      if flows then
-        E.Trace.add_instant trace ~lane:"host"
+      if E.Trace.flows_enabled trace then
+        E.Trace.add_instant_opt trace ~lane:"host"
           ~label:("stall:" ^ report.E.Engine.stall_trigger)
           ~at:report.E.Engine.stall_at;
       (false, E.Engine.stall_lines report, Some report.E.Engine.stall_trigger)
@@ -145,8 +152,8 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
          trigger so a recovery harness can shrink and restart. *)
       F.note_obituary plan ~pe ~at;
       let trig = Printf.sprintf "kill:pe%d" pe in
-      if flows then
-        E.Trace.add_instant trace ~lane:"host" ~label:("stall:" ^ trig)
+      if E.Trace.flows_enabled trace then
+        E.Trace.add_instant_opt trace ~lane:"host" ~label:("stall:" ^ trig)
           ~at:(E.Engine.now eng);
       ( false,
         [
@@ -158,7 +165,7 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
       (false, [ "partitioned: " ^ msg ], Some "partitioned")
   in
   let stats = F.stats plan in
-  let base = measure ~label ~gpus ~iterations eng ctx trace in
+  let base = measure ~label ~gpus ~iterations eng ctx in
   publish env eng trace;
   (match env.Obs.Sim_env.metrics with
   | None -> ()

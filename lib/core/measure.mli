@@ -37,8 +37,13 @@ val run_env :
     [engine.windows], [engine.solo_windows], [engine.opt.*] and
     [engine.partitions] the retired parallel drivers used to fill) are
     folded in at the end. With neither set the run
-    is byte-identical to the legacy path. Note that a flow-enabled sink adds
-    remote-delivery spans on destination lanes, which participate in the
+    is byte-identical to the legacy path.
+
+    [comm] and [overlap] are measured from the engine's busy log
+    ({!Cpufree_engine.Engine.busy}), which every run keeps; the engine
+    records spans only when [env.trace] is set, so a plain run builds no
+    span, lane or label. Note that a flow-enabled sink makes NVSHMEM log
+    its remote deliveries as communication too, so they participate in the
     comm/overlap accounting of the returned {!result}. *)
 
 val run_traced_env :
@@ -46,9 +51,10 @@ val run_traced_env :
   ?env:Cpufree_obs.Sim_env.t ->
   label:string -> gpus:int -> iterations:int ->
   (Cpufree_gpu.Runtime.ctx -> unit) -> result * Cpufree_engine.Trace.t
-(** As {!run_env}, additionally returning the engine's own execution trace
-    (spans in recording order — what the timeline renderers consume). The
-    environment's sinks are still honoured. *)
+(** As {!run_env}, additionally recording and returning the engine's own
+    execution trace (spans in recording order — what the timeline renderers
+    consume). The environment's sinks are still honoured, and the result
+    equals {!run_env}'s field for field. *)
 
 val probe_env :
   ?arch:Cpufree_gpu.Arch.t ->

@@ -365,9 +365,19 @@ let exec_stmt_persistent env grid ~role =
   let ctx = env.rt.ctx in
   let arch = G.Runtime.arch ctx in
   let eng = G.Runtime.engine ctx in
+  (* Span lane and labels are built only when the engine records a trace. *)
   let lane =
-    G.Device.lane (G.Runtime.device ctx env.rank)
-      (match role with Role_comm -> "comm" | Role_all | Role_compute -> "persistent")
+    lazy
+      (G.Device.lane (G.Runtime.device ctx env.rank)
+         (match role with Role_comm -> "comm" | Role_all | Role_compute -> "persistent"))
+  in
+  let span ~label ~t0 =
+    E.Engine.log_compute eng ~since:t0;
+    match E.Engine.trace eng with
+    | None -> ()
+    | Some tr ->
+      E.Trace.add tr ~lane:(Lazy.force lane) ~label:(label ()) ~kind:E.Trace.Compute ~t0
+        ~t1:(E.Engine.now eng)
   in
   let rec exec stmt =
     match stmt with
@@ -389,8 +399,7 @@ let exec_stmt_persistent env grid ~role =
         let t0 = E.Engine.now eng in
         E.Engine.delay eng cost;
         run_map_body env m;
-        E.Trace.add_opt (E.Engine.trace eng) ~lane ~label:("map_" ^ m.m_var)
-          ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now eng)
+        span ~label:(fun () -> "map_" ^ m.m_var) ~t0
       | Gpu_device -> fail "discrete-scheduled map inside the persistent kernel")
     | S_copy { c_src; c_src_region; c_dst; c_dst_region } ->
       (* In-kernel array copy (the thread-parallel copy routine of Section 5.1). *)
@@ -404,8 +413,7 @@ let exec_stmt_persistent env grid ~role =
         ~src_stride:(eval env c_src_region.stride) ~dst:(buf_of env c_dst)
         ~dst_pos:(eval env c_dst_region.offset) ~dst_stride:(eval env c_dst_region.stride)
         ~count:len;
-      E.Trace.add_opt (E.Engine.trace eng) ~lane ~label:"copy" ~kind:E.Trace.Compute ~t0
-        ~t1:(E.Engine.now eng)
+      span ~label:(fun () -> "copy") ~t0
     | S_lib node -> exec_nv_node env node
     | S_cond { cond; then_ } -> if eval_cond env cond then List.iter exec then_
     | S_role { role = r; body } -> (

@@ -51,13 +51,17 @@ let compile_sdfg app arm ~gpus =
 let compile ?backed ?relax ?specialize_tb app arm ~gpus =
   Autotune.build ?backed (hand_plan ?relax ?specialize_tb arm ~gpus) (frontend app arm ~gpus)
 
+let run_env ?arch ?env app arm ~gpus =
+  let built = compile app arm ~gpus in
+  Measure.run_env ?arch ?env
+    ~label:(Printf.sprintf "%s/%s" (app_name app) (arm_name arm))
+    ~gpus ~iterations:(iterations app) built.Exec.program
+
 let run_traced_env ?arch ?env app arm ~gpus =
   let built = compile app arm ~gpus in
   Measure.run_traced_env ?arch ?env
     ~label:(Printf.sprintf "%s/%s" (app_name app) (arm_name arm))
     ~gpus ~iterations:(iterations app) built.Exec.program
-
-let run_env ?arch ?env app arm ~gpus = fst (run_traced_env ?arch ?env app arm ~gpus)
 
 (* The dace interpretation of a first-class scenario: app/arm strings
    resolved (the CLI's accepted spellings), the program compiled, the label
@@ -118,6 +122,10 @@ let of_scenario (sc : Cpufree_core.Scenario.t) =
               sc_env = rs.Cpufree_core.Measure.rs_env;
               sc_program = built.Exec.program;
             })))
+
+let run_scenario s =
+  Measure.run_env ~arch:s.sc_arch ~env:s.sc_env ~label:s.sc_label ~gpus:s.sc_gpus
+    ~iterations:s.sc_iterations s.sc_program
 
 let run_scenario_traced s =
   Measure.run_traced_env ~arch:s.sc_arch ~env:s.sc_env ~label:s.sc_label ~gpus:s.sc_gpus

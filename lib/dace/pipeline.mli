@@ -84,6 +84,8 @@ val of_scenario : Cpufree_core.Scenario.t -> (scenario, string) result
     an invalid scenario, any unresolvable name, or a size the GPU count
     cannot split, with a friendly message. *)
 
+val run_scenario : scenario -> Cpufree_core.Measure.result
+
 val run_scenario_traced :
   scenario -> Cpufree_core.Measure.result * Cpufree_engine.Trace.t
 

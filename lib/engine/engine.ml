@@ -220,6 +220,7 @@ type t = {
   mutable live : int; (* non-daemon, unfinished processes *)
   mutable next_pid : int;
   trace_sink : Trace.t option;
+  busy : Intervals.Log.t;
   watchdog : Time.t option;
   mutable watch_next : int; (* next clock value that triggers a stall scan *)
   mutable stall_scan_count : int;
@@ -324,6 +325,7 @@ let create ?trace ?watchdog () =
       live = 0;
       next_pid = 0;
       trace_sink = trace;
+      busy = Intervals.Log.create ();
       watchdog;
       watch_next = max_int;
       stall_scan_count = 0;
@@ -382,6 +384,9 @@ let create ?trace ?watchdog () =
 
 let now t = t.clock
 let trace t = t.trace_sink
+let busy t = t.busy
+let log_compute t ~since = Intervals.Log.compute t.busy ~t0:since ~t1:t.clock
+let log_comm t ~since = Intervals.Log.comm t.busy ~t0:since ~t1:t.clock
 
 let schedule_at t at thunk =
   if Time.(at < t.clock) then invalid_arg "Engine.schedule_at: time in the past";

@@ -73,7 +73,20 @@ val now : t -> Time.t
 (** Current simulation time. *)
 
 val trace : t -> Trace.t option
-(** The sink spans should be recorded to, if the engine has one. *)
+(** The sink spans should be recorded to, if the engine has one. Only a
+    run whose spans someone reads attaches one; model code records a span
+    (and formats its lane and label) only under [Some]. *)
+
+val busy : t -> Intervals.Log.t
+(** The run's compute and communication intervals. The log is always on,
+    trace or no trace: it is what a run's comm time and overlap are
+    measured from ({!Intervals.Log.comm_and_overlap}). *)
+
+val log_compute : t -> since:Time.t -> unit
+(** Log the compute interval [\[since, now)] in {!busy}. *)
+
+val log_comm : t -> since:Time.t -> unit
+(** Log the communication interval [\[since, now)] in {!busy}. *)
 
 val spawn :
   t -> ?name:string -> ?name_of:(unit -> string) -> ?daemon:bool -> ?group:string ->

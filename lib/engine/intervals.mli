@@ -26,3 +26,31 @@ val total : t list -> Time.t
 val covered : t list -> Time.t
 (** [total (merge intervals)]: the measure of the union of an arbitrary bag
     of intervals, counting overlapping stretches once. *)
+
+(** A busy log: the compute and communication intervals of one run, kept
+    as flat [int] arrays with no lane or label, from which a run's
+    communication time and overlap are measured. Each side holds the union
+    of what was logged as a sorted, disjoint cover, merged as intervals
+    arrive; intervals that end no earlier than every one before (an
+    engine's [\[since, now)]) insert in amortized constant time, and any
+    order is accepted. It holds exactly what {!merge} and {!intersect}
+    need and nothing a timeline needs, so an engine can keep one on every
+    run. *)
+module Log : sig
+  type t
+
+  val create : unit -> t
+
+  val compute : t -> t0:Time.t -> t1:Time.t -> unit
+  (** Log a compute interval. Empty intervals ([t1 <= t0]) are dropped. *)
+
+  val comm : t -> t0:Time.t -> t1:Time.t -> unit
+  (** Log a communication interval. Empty intervals are dropped. *)
+
+  val comm_and_overlap : t -> Time.t * float
+  (** [(comm, overlap)]: the measure of the union of the comm intervals
+      ([total (merge comm)]), and the fraction of it that the union of the
+      compute intervals covers ([total (intersect (merge comm) (merge
+      compute))] over [comm]; 0 when there is no communication). One pass
+      over the two covers. *)
+end

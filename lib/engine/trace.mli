@@ -2,7 +2,12 @@
 
     Spans are recorded per lane ("gpu0.comp", "gpu0.comm", "host", ...) and
     can be rendered as an ASCII timeline (Figures 2.1b and 5.1b) or exported
-    as CSV for external plotting. *)
+    as CSV for external plotting.
+
+    A trace is for someone who reads spans: a timeline, a Perfetto export,
+    a test. A run's comm time and overlap do not need one; they come from
+    the engine's always-on busy log ({!Engine.busy}), so an engine carries
+    a trace only when a caller asked for spans. *)
 
 type kind = Compute | Communication | Synchronization | Api | Idle | Marker
 

@@ -271,11 +271,11 @@ let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") () =
         Mx.Counter.add o.m_port_busy.(pid) dur_ns)
       e.e_pids);
   E.Engine.delay t.eng (Time.sub finish t0);
-  match trace_lane with
-  | None -> ()
-  | Some lane ->
-    E.Trace.add_opt (E.Engine.trace t.eng) ~lane ~label ~kind:E.Trace.Communication ~t0
-      ~t1:(E.Engine.now t.eng)
+  E.Engine.log_comm t.eng ~since:t0;
+  match (trace_lane, E.Engine.trace t.eng) with
+  | Some lane, Some tr ->
+    E.Trace.add tr ~lane ~label ~kind:E.Trace.Communication ~t0 ~t1:(E.Engine.now t.eng)
+  | None, _ | _, None -> ()
 
 let bytes_moved t = t.total_bytes
 let transfers t = t.total_transfers

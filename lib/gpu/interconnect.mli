@@ -80,7 +80,10 @@ val transfer :
   ?trace_lane:string -> ?label:string -> unit -> unit
 (** Perform a transfer from the calling process: books every port on the
     route and blocks until the last byte lands. Same-device "transfers" cost
-    HBM time only; zero-byte transfers cost only latency. *)
+    HBM time only; zero-byte transfers cost only latency. Every transfer is
+    logged as communication in the engine's busy log; it is also recorded
+    as a span on [trace_lane] when one is given and the engine has a
+    trace. *)
 
 val bytes_moved : t -> int
 (** Total payload bytes transported so far. *)

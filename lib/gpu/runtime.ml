@@ -20,6 +20,7 @@ type ctx = {
   n : int;
   net : Interconnect.t;
   devices : Device.t array;
+  groups : string array; (* [gpu_group] of each device, interned *)
   faults : F.plan option;
   metrics : Mx.t option;
   obs : instr option;
@@ -48,6 +49,7 @@ let build eng ~arch ?topology ?faults ?metrics ~num_gpus () =
     n = num_gpus;
     net = Interconnect.create ?topology ?faults ?metrics eng ~arch ~num_gpus;
     devices = Array.init num_gpus (fun id -> Device.create eng ~arch ~id);
+    groups = Array.init num_gpus (Printf.sprintf "gpu%d");
     faults;
     metrics;
     obs;
@@ -69,7 +71,7 @@ let faults t = t.faults
 let metrics t = t.metrics
 
 (* Group tag for wait-for graphs: the model entity a process acts for. *)
-let gpu_group g = Printf.sprintf "gpu%d" g
+let gpu_group t g = if g >= 0 && g < t.n then t.groups.(g) else Printf.sprintf "gpu%d" g
 
 let bump t c =
   match t.obs with
@@ -120,6 +122,7 @@ let launch t ~stream ~name ?(cost = Time.zero) body =
       E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
       E.Engine.delay t.eng cost;
       body ();
+      E.Engine.log_compute t.eng ~since:t0;
       match E.Engine.trace t.eng with
       | None -> ()
       | Some tr ->
@@ -185,7 +188,7 @@ let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
       let (_ : E.Engine.process) =
         E.Engine.spawn t.eng
           ~name_of:(fun () -> Printf.sprintf "%s.gpu%d.%s" name (Device.id dev) role_name)
-          ~group:(gpu_group (Device.id dev))
+          ~group:(gpu_group t (Device.id dev))
           (fun () ->
             E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
             role_body grid;

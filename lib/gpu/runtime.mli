@@ -40,9 +40,10 @@ val faults : ctx -> Cpufree_fault.Fault.plan option
 val metrics : ctx -> Cpufree_obs.Metrics.t option
 (** The metrics registry this context reports into, if one was attached. *)
 
-val gpu_group : int -> string
+val gpu_group : ctx -> int -> string
 (** Canonical wait-for-graph group tag for device [g]'s processes
-    (["gpu3"]); host threads use ["host"]. *)
+    (["gpu3"]); host threads use ["host"]. Interned when the context is
+    created, so a wait that names its peer formats nothing. *)
 
 val compute_scale : ctx -> gpu:int -> float
 (** Straggler compute-latency multiplier for a device: 1.0 unless the

@@ -114,7 +114,6 @@ type t = {
   gpu_eport : int array;
   gpu_iport : int array;
   router : router;
-  lock : Mutex.t; (* guards router caches and the dedup scratch *)
   dedup : Bytes.t; (* reusable port bitset for route_ports *)
   mutable cap : int; (* route-cache capacity, in rows *)
   dead_vs : bool array; (* fail-stopped vertices *)
@@ -368,7 +367,6 @@ let build ?structural b ~name ~nodes ~gpu_vid ~host_vid ~gpu_eport ~gpu_iport =
     gpu_eport;
     gpu_iport;
     router;
-    lock = Mutex.create ();
     dedup = Bytes.make (max 1 b.np) '\000';
     cap = default_route_cache;
     dead_vs = Array.make (max 1 b.nv) false;
@@ -1099,23 +1097,13 @@ let instantiate spec ~profile ~gpus =
 (* Route resolution                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-    Mutex.unlock t.lock;
-    v
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
-
 (* The dead-component restriction for route computation: [None] while the
    machine is healthy (keeping the fault-free search byte-identical to the
    pre-failure code path), the surviving-subgraph predicate once degraded. *)
 let dead_of t = if t.degraded then Some (t.dead_vs, t.dead_ls) else None
 
 (* Fetch (or compute) the cached shortest-path row for [src], evicting the
-   oldest row first when the cache is full. Caller holds the lock. *)
+   oldest row first when the cache is full. *)
 let row_for t tb src =
   match tb.rows.(src) with
   | Some r -> r
@@ -1172,8 +1160,7 @@ let vseq_alive t (s : structural) vseq =
   in
   go vseq
 
-(* The links of the shortest route, or None when unreachable. Caller holds
-   the lock. *)
+(* The links of the shortest route, or None when unreachable. *)
 let resolve_links t ~src ~dst =
   if src = dst then Some [||]
   else
@@ -1216,20 +1203,18 @@ let ports t = Array.to_list t.ps
 let routing_kind t = match t.router with Tables _ -> "tables" | Structural _ -> "structural"
 
 let set_route_cache t n =
-  with_lock t (fun () ->
-      t.cap <- max 1 n;
-      let trim tb =
-        while Queue.length tb.fifo > t.cap do
-          tb.rows.(Queue.pop tb.fifo) <- None
-        done
-      in
-      match t.router with Tables tb -> trim tb | Structural s -> trim s.stables)
+  t.cap <- max 1 n;
+  let trim tb =
+    while Queue.length tb.fifo > t.cap do
+      tb.rows.(Queue.pop tb.fifo) <- None
+    done
+  in
+  match t.router with Tables tb -> trim tb | Structural s -> trim s.stables
 
 let route_rows_cached t =
-  with_lock t (fun () ->
-      match t.router with
-      | Tables tb -> Queue.length tb.fifo
-      | Structural s -> Queue.length s.stables.fifo)
+  match t.router with
+  | Tables tb -> Queue.length tb.fifo
+  | Structural s -> Queue.length s.stables.fifo
 
 (* ------------------------------------------------------------------ *)
 (* Fail-stop degradation                                               *)
@@ -1239,7 +1224,7 @@ let route_rows_cached t =
    before a failure were computed on the then-healthy graph; recomputation
    under [dead_of t] re-resolves around the corpses. The epoch lets
    downstream per-pair memos (the interconnect) notice staleness without a
-   callback protocol. Caller holds the lock. *)
+   callback protocol. *)
 let flush_routes t =
   let flush tb =
     Queue.iter (fun s -> tb.rows.(s) <- None) tb.fifo;
@@ -1265,33 +1250,29 @@ let require_vertex t name op =
 
 let fail_link t ~src ~dst =
   let u = require_vertex t src "fail_link" and v = require_vertex t dst "fail_link" in
-  with_lock t (fun () ->
-      let hit = ref false in
-      Array.iter
-        (fun l ->
-          if
-            ((l.lsrc = u && l.ldst = v) || (l.lsrc = v && l.ldst = u))
-            && not t.dead_ls.(l.lid)
-          then begin
-            t.dead_ls.(l.lid) <- true;
-            hit := true
-          end)
-        t.ls;
-      if !hit then flush_routes t)
+  let hit = ref false in
+  Array.iter
+    (fun l ->
+      if ((l.lsrc = u && l.ldst = v) || (l.lsrc = v && l.ldst = u)) && not t.dead_ls.(l.lid)
+      then begin
+        t.dead_ls.(l.lid) <- true;
+        hit := true
+      end)
+    t.ls;
+  if !hit then flush_routes t
 
 let fail_switch t ~name =
   let v = require_vertex t name "fail_switch" in
-  with_lock t (fun () ->
-      let hit = ref (not t.dead_vs.(v)) in
-      t.dead_vs.(v) <- true;
-      Array.iter
-        (fun l ->
-          if (l.lsrc = v || l.ldst = v) && not t.dead_ls.(l.lid) then begin
-            t.dead_ls.(l.lid) <- true;
-            hit := true
-          end)
-        t.ls;
-      if !hit then flush_routes t)
+  let hit = ref (not t.dead_vs.(v)) in
+  t.dead_vs.(v) <- true;
+  Array.iter
+    (fun l ->
+      if (l.lsrc = v || l.ldst = v) && not t.dead_ls.(l.lid) then begin
+        t.dead_ls.(l.lid) <- true;
+        hit := true
+      end)
+    t.ls;
+  if !hit then flush_routes t
 
 let degraded t = t.degraded
 let route_epoch t = t.route_epoch
@@ -1357,26 +1338,26 @@ let no_route t ~src ~dst op =
 let reachable t ~src ~dst =
   check_vid t src "reachable";
   check_vid t dst "reachable";
-  with_lock t (fun () -> resolve_latency t ~src ~dst <> None)
+  resolve_latency t ~src ~dst <> None
 
 let route t ~src ~dst =
   check_vid t src "route";
   check_vid t dst "route";
-  match with_lock t (fun () -> resolve_links t ~src ~dst) with
+  match resolve_links t ~src ~dst with
   | Some lids -> Array.to_list (Array.map (fun lid -> t.ls.(lid)) lids)
   | None -> no_route t ~src ~dst "route"
 
 let route_latency t ~src ~dst =
   check_vid t src "route_latency";
   check_vid t dst "route_latency";
-  match with_lock t (fun () -> resolve_latency t ~src ~dst) with
+  match resolve_latency t ~src ~dst with
   | Some l -> l
   | None -> no_route t ~src ~dst "route_latency"
 
 let route_ns_per_byte t ~src ~dst =
   check_vid t src "route_ns_per_byte";
   check_vid t dst "route_ns_per_byte";
-  match with_lock t (fun () -> resolve_links t ~src ~dst) with
+  match resolve_links t ~src ~dst with
   | None -> no_route t ~src ~dst "route_ns_per_byte"
   | Some [||] -> t.vs.(src).local_ns_per_byte
   | Some lids ->
@@ -1388,27 +1369,23 @@ let route_ns_per_byte t ~src ~dst =
 let route_ports t ~src ~dst =
   check_vid t src "route_ports";
   check_vid t dst "route_ports";
-  let res =
-    with_lock t (fun () ->
-        match resolve_links t ~src ~dst with
-        | None -> None
-        | Some lids ->
-          let seen = t.dedup in
-          let acc = ref [] in
-          Array.iter
-            (fun lid ->
-              List.iter
-                (fun pp ->
-                  if Bytes.get seen pp = '\000' then begin
-                    Bytes.set seen pp '\001';
-                    acc := pp :: !acc
-                  end)
-                t.ls.(lid).lports)
-            lids;
-          List.iter (fun pp -> Bytes.set seen pp '\000') !acc;
-          Some (List.rev !acc))
-  in
-  match res with Some l -> l | None -> no_route t ~src ~dst "route_ports"
+  match resolve_links t ~src ~dst with
+  | None -> no_route t ~src ~dst "route_ports"
+  | Some lids ->
+    let seen = t.dedup in
+    let acc = ref [] in
+    Array.iter
+      (fun lid ->
+        List.iter
+          (fun pp ->
+            if Bytes.get seen pp = '\000' then begin
+              Bytes.set seen pp '\001';
+              acc := pp :: !acc
+            end)
+          t.ls.(lid).lports)
+      lids;
+    List.iter (fun pp -> Bytes.set seen pp '\000') !acc;
+    List.rev !acc
 
 (* Reference shortest path, always freshly computed with the linear-scan
    Dijkstra and never cached: the oracle both the structural routers and

@@ -18,9 +18,9 @@
     from a binary heap, behind a bounded FIFO cache ({!set_route_cache}).
     The Dijkstra is deterministic (vertices settle in (latency, hops, vertex
     id) order; ties broken by hop count, then link id) and a recomputed row
-    is identical to an evicted one, so cache size never changes any route;
-    resolution is mutex-guarded, so concurrent domains may query one
-    topology freely.
+    is identical to an evicted one, so cache size never changes any route.
+    Resolution mutates the route cache and a scratch bitset, so a topology
+    belongs to one domain: each run instantiates its own.
 
     The single-node HGX constructor reproduces the flat NVSwitch all-to-all
     the paper evaluates on, link for link: a GPU-to-GPU route totals exactly
@@ -222,7 +222,7 @@ val min_host_gpu_latency : t -> Time.t option
     fall back to Dijkstra, which exploits the remaining rail/spine/router
     path diversity). Once degraded, an unroutable pair raises the
     diagnosed {!Partitioned} instead of [Invalid_argument]. Both
-    operations are idempotent and mutex-guarded. *)
+    operations are idempotent. *)
 
 exception Partitioned of string
 (** No surviving route between two endpoints on a degraded machine; the

@@ -72,8 +72,7 @@ let run_stencil sc =
         ~env
     end
     else begin
-      let r, _engine_trace = S.Harness.run_scenario_traced hsc in
-      payload_of r ~chaos:None ~env
+      payload_of (S.Harness.run_scenario hsc) ~chaos:None ~env
     end
 
 let run_dace sc =
@@ -86,8 +85,7 @@ let run_dace sc =
       payload_of c.Measure.base ~chaos:(Some (chaos_summary c)) ~env
     end
     else begin
-      let r, _engine_trace = D.Pipeline.run_scenario_traced dsc in
-      payload_of r ~chaos:None ~env
+      payload_of (D.Pipeline.run_scenario dsc) ~chaos:None ~env
     end
 
 let run sc =

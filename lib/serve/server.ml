@@ -108,9 +108,13 @@ let respond_run state job ~cached payload =
   if drained then close_conn state job.j_conn
 
 let respond_error state job message =
-  send state job.j_conn (P.Error_resp { id = job.j_id; message });
+  (* Counted before the response goes out, so a client that reads the
+     error and then asks for stats sees it. *)
   Mutex.lock state.lock;
   state.stats.errors <- state.stats.errors + 1;
+  Mutex.unlock state.lock;
+  send state job.j_conn (P.Error_resp { id = job.j_id; message });
+  Mutex.lock state.lock;
   job.j_conn.pending <- job.j_conn.pending - 1;
   state.in_flight <- state.in_flight - 1;
   let drained = job.j_conn.eof && job.j_conn.pending = 0 in
@@ -141,11 +145,14 @@ let process_batch state pool batch =
            raises. *)
         results.(i) <- Exec.run (snd to_run.(i)));
   Mutex.lock state.lock;
+  (* A scenario [Exec.run] rejected never simulated: it is counted under
+     [errors] when its jobs are answered, not under [simulations]. *)
   Array.iteri
     (fun i (digest, _) ->
-      state.stats.simulations <- state.stats.simulations + 1;
       match results.(i) with
-      | Ok payload -> Cache.add state.cache digest payload
+      | Ok payload ->
+        state.stats.simulations <- state.stats.simulations + 1;
+        Cache.add state.cache digest payload
       | Error _ -> ())
     to_run;
   (* Resolve every job of the batch against the now-updated cache. The

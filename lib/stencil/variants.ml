@@ -369,9 +369,13 @@ let run_persistent st ctx ~label ~inner_bpe ~inner_efficiency =
           let t0 = E.Engine.now eng in
           E.Engine.delay eng boundary_cost;
           apply st ~pe ~t ~p0:plane_idx ~p1:plane_idx;
-          E.Trace.add_opt (E.Engine.trace eng)
-            ~lane:(G.Device.lane (G.Runtime.device ctx pe) "boundary")
-            ~label:"boundary" ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now eng);
+          E.Engine.log_compute eng ~since:t0;
+          (match E.Engine.trace eng with
+          | None -> ()
+          | Some tr ->
+            E.Trace.add tr
+              ~lane:(G.Device.lane (G.Runtime.device ctx pe) "boundary")
+              ~label:"boundary" ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now eng));
           (match other_dir_peer with
           | None -> ()
           | Some to_pe ->
@@ -397,9 +401,13 @@ let run_persistent st ctx ~label ~inner_bpe ~inner_efficiency =
         let t0 = E.Engine.now eng in
         E.Engine.delay eng inner_cost;
         apply_inner st ~pe ~t;
-        E.Trace.add_opt (E.Engine.trace eng)
-          ~lane:(G.Device.lane (G.Runtime.device ctx pe) "inner")
-          ~label:"inner" ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now eng);
+        E.Engine.log_compute eng ~since:t0;
+        (match E.Engine.trace eng with
+        | None -> ()
+        | Some tr ->
+          E.Trace.add tr
+            ~lane:(G.Device.lane (G.Runtime.device ctx pe) "inner")
+            ~label:"inner" ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now eng));
         G.Coop.sync grid;
         device_norm_check st ctx ~pe ~t
           ~fraction:(Stdlib.max (Specialize.inner_fraction split) 0.01);

@@ -733,6 +733,43 @@ let fabric_tests =
 let comm_props =
   [
     QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"busy log measures comm and overlap as the span trace does"
+         ~count:300
+         QCheck.(list (triple (int_bound 3) (int_bound 400) (int_bound 120)))
+         (fun spans ->
+           (* Every third span again: duplicates on top of the nested,
+              unsorted and zero-length ones the generator draws. *)
+           let spans = spans @ List.filteri (fun i _ -> i mod 3 = 0) spans in
+           let trace = E.Trace.create () and log = E.Intervals.Log.create () in
+           List.iteri
+             (fun i (k, a, d) ->
+               let t0 = Time.ns a and t1 = Time.ns (a + d) in
+               let kind =
+                 match k with
+                 | 0 -> E.Trace.Compute
+                 | 1 -> E.Trace.Communication
+                 | 2 -> E.Trace.Api
+                 | _ -> E.Trace.Synchronization
+               in
+               E.Trace.add trace ~lane:(Printf.sprintf "gpu%d" (i mod 3)) ~label:"s" ~kind ~t0 ~t1;
+               match kind with
+               | E.Trace.Compute -> E.Intervals.Log.compute log ~t0 ~t1
+               | E.Trace.Communication -> E.Intervals.Log.comm log ~t0 ~t1
+               | _ -> ())
+             spans;
+           (* The same intervals in the order an engine logs them: by end. *)
+           let by_end = E.Intervals.Log.create () in
+           List.iter
+             (fun (k, a, d) ->
+               let t0 = Time.ns a and t1 = Time.ns (a + d) in
+               if k = 0 then E.Intervals.Log.compute by_end ~t0 ~t1
+               else if k = 1 then E.Intervals.Log.comm by_end ~t0 ~t1)
+             (List.stable_sort (fun (_, a, d) (_, b, e) -> Int.compare (a + d) (b + e)) spans);
+           let comm, overlap = E.Intervals.Log.comm_and_overlap log in
+           Time.equal comm (Metrics.comm_time trace)
+           && Float.equal overlap (Metrics.overlap_ratio trace)
+           && E.Intervals.Log.comm_and_overlap by_end = (comm, overlap)));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"merge is idempotent" ~count:100
          QCheck.(list (pair (int_bound 500) (int_bound 500)))
          (fun pairs ->

@@ -436,6 +436,117 @@ let end_to_end_tests =
              (Trace.spans tr)));
   ]
 
+(* --- comm accounting without a span trace --------------------------------- *)
+
+module D = Cpufree_dace
+
+(* An untraced run measures comm and overlap from the engine's busy log; a
+   traced run records spans as well. Every field of the result must agree,
+   and so must the metrics a registry collects; and the log must measure
+   what the span-based reference reads off the traced run's spans. *)
+let same_result what (a : Measure.result) (b : Measure.result) =
+  check_bool (what ^ ": untraced result equals traced") true (a = b)
+
+let log_matches_spans what ((r : Measure.result), trace) =
+  check_int (what ^ ": comm") (Time.to_ns (Cpufree_comm.Metrics.comm_time trace))
+    (Time.to_ns r.Measure.comm);
+  check_bool (what ^ ": overlap") true
+    (Float.equal (Cpufree_comm.Metrics.overlap_ratio trace) r.Measure.overlap)
+
+let metrics_env () =
+  let reg = Mx.create () in
+  (Env.make ~metrics:reg (), reg)
+
+let metrics_doc reg = J.to_string ~indent:0 (Metrics_json.to_json reg)
+
+let both_envs what run_env run_traced =
+  let traced = run_traced Env.default in
+  log_matches_spans what traced;
+  same_result (what ^ " default") (run_env Env.default) (fst traced);
+  let env_a, reg_a = metrics_env () and env_b, reg_b = metrics_env () in
+  same_result (what ^ " metrics-only") (run_env env_a) (fst (run_traced env_b));
+  check_string (what ^ " metrics") (metrics_doc reg_a) (metrics_doc reg_b)
+
+let untraced_tests =
+  [
+    Alcotest.test_case "stencil variants: run_env equals run_traced_env" `Quick (fun () ->
+        (* The 3D problem is one where comm overlaps compute. *)
+        let problems =
+          [
+            ("2d", S.Problem.make (S.Problem.D2 { nx = 64; ny = 64 }) ~iterations:5);
+            ("3d", S.Problem.make (S.Problem.D3 { nx = 64; ny = 64; nz = 64 }) ~iterations:5);
+          ]
+        in
+        List.iter
+          (fun (dims, p) ->
+            List.iter
+              (fun kind ->
+                List.iter
+                  (fun gpus ->
+                    both_envs
+                      (Printf.sprintf "%s %s x%d" dims (S.Variants.name kind) gpus)
+                      (fun env -> S.Harness.run_env ~env kind p ~gpus)
+                      (fun env -> S.Harness.run_traced_env ~env kind p ~gpus))
+                  [ 1; 2; 4 ])
+              S.Variants.all)
+          problems);
+    Alcotest.test_case "dace arms: run_env equals run_traced_env" `Quick (fun () ->
+        let apps =
+          [
+            D.Pipeline.Jacobi2d { D.Programs.nx_global = 64; ny_global = 64; tsteps = 4 };
+            D.Pipeline.Heat3d { D.Programs.nx3 = 32; ny3 = 32; nz3 = 32; tsteps3 = 4 };
+          ]
+        in
+        List.iter
+          (fun app ->
+            List.iter
+              (fun arm ->
+                both_envs
+                  (D.Pipeline.app_name app ^ "/" ^ D.Pipeline.arm_name arm)
+                  (fun env -> D.Pipeline.run_env ~env app arm ~gpus:4)
+                  (fun env -> D.Pipeline.run_traced_env ~env app arm ~gpus:4))
+              [ D.Pipeline.Baseline_mpi; D.Pipeline.Cpu_free ])
+          apps);
+    Alcotest.test_case "faulted chaos run: no sink equals a span sink" `Quick (fun () ->
+        let faults =
+          match Fault.of_string "drop=0.1" with Ok f -> f | Error e -> Alcotest.fail e
+        in
+        let p = S.Problem.make (S.Problem.D2 { nx = 64; ny = 64 }) ~iterations:12 in
+        let run ?trace ?metrics () =
+          (S.Harness.run_chaos_env
+             ~env:(Env.make ~faults ~fault_seed:3 ?trace ?metrics ())
+             S.Variants.Cpu_free p ~gpus:4)
+            .S.Harness.chaos
+        in
+        let plain = run () and sink = Trace.create () in
+        let traced = run ~trace:sink () in
+        check_bool "faults fired" true (plain.Measure.dropped > 0);
+        check_bool "spans were recorded" true (Trace.spans sink <> []);
+        check_bool "chaos result equal" true (plain = traced);
+        let reg_a = Mx.create () and reg_b = Mx.create () in
+        let a = run ~metrics:reg_a () and b = run ~trace:(Trace.create ()) ~metrics:reg_b () in
+        check_bool "metrics-only chaos result equal" true (a = b);
+        check_string "chaos metrics" (metrics_doc reg_a) (metrics_doc reg_b));
+    Alcotest.test_case "run_env keeps no span trace" `Quick (fun () ->
+        let trace_of run =
+          let seen = ref None in
+          ignore
+            (run (fun ctx -> seen := Some (E.Engine.trace (Cpufree_gpu.Runtime.engine ctx)))
+              : Measure.result);
+          match !seen with Some t -> t | None -> Alcotest.fail "program did not run"
+        in
+        let plain ?env program = Measure.run_env ?env ~label:"t" ~gpus:1 ~iterations:1 program in
+        check_bool "default env" true (trace_of (plain ?env:None) = None);
+        check_bool "metrics-only env" true
+          (trace_of (plain ~env:(fst (metrics_env ()))) = None);
+        check_bool "a trace sink attaches one" true
+          (trace_of (plain ~env:(Env.make ~trace:(Trace.create ()) ())) <> None);
+        check_bool "run_traced_env attaches one" true
+          (trace_of (fun program ->
+               fst (Measure.run_traced_env ~label:"t" ~gpus:1 ~iterations:1 program))
+          <> None));
+  ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -445,4 +556,5 @@ let () =
       ("sim-env", sim_env_tests);
       ("sim-env-laws", sim_env_law_tests);
       ("end-to-end", end_to_end_tests);
+      ("untraced", untraced_tests);
     ]

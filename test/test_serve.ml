@@ -358,6 +358,31 @@ let test_kill_mid_request () =
   Alcotest.(check int) "fresh daemon starts from zero" 0 st.P.simulations;
   clean_shutdown c3 ~id:2 srv2
 
+(* A scenario the worker rejects (a linkfail naming a vertex the machine
+   does not have) is answered with an error and never simulates: it adds
+   one to [errors] and leaves [simulations] where it was. *)
+let test_rejected_not_simulated () =
+  let path = "t-serve-rejected.sock" in
+  let srv = start_server path in
+  let c = connect_retry path in
+  (match Serve.Client.run c ~id:1 (sc ()) with
+  | Ok (P.Ok_resp { body = P.Run_result _; _ }) -> ()
+  | _ -> Alcotest.fail "valid scenario did not run");
+  let before = get_stats c ~id:2 in
+  let unknown_link =
+    match Cpufree_fault.Fault.of_string "linkfail=nowhere-gpu0@1" with
+    | Ok f -> f
+    | Error e -> failwith e
+  in
+  (match Serve.Client.run c ~id:3 { (sc ()) with Scenario.faults = Some unknown_link } with
+  | Ok (P.Error_resp { id = 3; message }) ->
+    Alcotest.(check bool) message true (Astring.String.is_infix ~affix:"no vertex" message)
+  | _ -> Alcotest.fail "rejected scenario was not answered with an error");
+  let after = get_stats c ~id:4 in
+  Alcotest.(check int) "simulations unchanged" before.P.simulations after.P.simulations;
+  Alcotest.(check int) "one more error" (before.P.errors + 1) after.P.errors;
+  clean_shutdown c ~id:5 srv
+
 (* An infeasible geometry is refused with the stencil library's own reason,
    not reported as a failed simulation. *)
 let test_infeasible_geometry () =
@@ -437,6 +462,8 @@ let () =
           Alcotest.test_case "identical requests coalesce to one simulation" `Quick test_coalesce;
           Alcotest.test_case "overload is a structured rejection" `Quick test_overload;
           Alcotest.test_case "malformed input is isolated" `Quick test_malformed;
+          Alcotest.test_case "a rejected scenario counts as an error, not a simulation" `Quick
+            test_rejected_not_simulated;
           Alcotest.test_case "client death mid-request, socket reusable" `Quick
             test_kill_mid_request;
         ] );
