@@ -15,10 +15,9 @@
    count. Wall-clock chatter goes to stderr so stdout is byte-identical
    across pool sizes.
 
-   Run: dune exec bench/main.exe              (paper figures + bechamel)
+   Run: dune exec bench/main.exe              (paper figures)
         dune exec bench/main.exe -- quick     (paper figures, smaller sweeps)
         dune exec bench/main.exe -- json      (also write BENCH_results.json)
-        dune exec bench/main.exe -- bechamel  (also run wall-clock microbenches)
         dune exec bench/main.exe -- smoke     (every figure at smoke size)
         dune exec bench/main.exe -- NAME [smoke] [json]   (one figure)
 
@@ -55,6 +54,16 @@ let header title =
   Printf.printf "\n==================================================================\n";
   Printf.printf "%s\n" title;
   Printf.printf "==================================================================\n%!"
+
+(* Every measured run is a job through [Measure.run]. *)
+let run_job job = (Measure.run job).Measure.result
+
+let run_traced job =
+  let o = Measure.run ~traced:true job in
+  (o.Measure.result, Option.get o.Measure.trace)
+
+(* A job whose environment carries a fault plan always reports chaos. *)
+let run_chaos job = Option.get (Measure.run job).Measure.chaos
 
 let stencil_variants = S.Variants.all
 let d2 n = S.Problem.D2 { nx = n; ny = n }
@@ -150,7 +159,7 @@ let stencil_grid problem_of =
   let scenarios =
     List.map (fun (gpus, kind) -> S.Harness.scenario_env kind (problem_of gpus) ~gpus) cells
   in
-  List.combine cells (S.Harness.run_many scenarios)
+  List.combine cells (Parallel.map run_job scenarios)
 
 (* Print a grid as one row per GPU count, one column per variant, and turn
    it into JSON points. [domain_of] adds the domain column of Fig 6.1. *)
@@ -235,7 +244,7 @@ let p2d_256 iters = S.Problem.make (d2 256) ~iterations:iters
 let fig2_2b () =
   let problem = S.Problem.make (S.Problem.weak_scale (d2 256) ~gpus:8) ~iterations in
   let traced =
-    S.Harness.run_many_traced
+    Parallel.map run_traced
       (List.map (fun kind -> S.Harness.scenario_env kind problem ~gpus:8) stencil_variants)
   in
   header
@@ -274,7 +283,9 @@ let dace_grid app_of =
        List.concat_map (fun gpus -> List.map (fun arm -> (gpus, arm)) dace_arms) gpu_counts
      in
      List.combine cells
-       (Parallel.map (fun (gpus, arm) -> D.Pipeline.run_env (app_of gpus) arm ~gpus) cells))
+       (Parallel.map
+          (fun (gpus, arm) -> run_job (D.Pipeline.scenario_env (app_of gpus) arm ~gpus))
+          cells))
 
 let dace_points grid =
   List.map (fun ((gpus, arm), r) -> point ~label:(D.Pipeline.arm_name arm) ~gpus r) grid
@@ -384,7 +395,7 @@ let supplementary_norm () =
   let dims = S.Problem.weak_scale (d2 2048) ~gpus:8 in
   let cells = List.concat_map (fun kind -> [ (kind, None); (kind, Some 1) ]) kinds in
   let results =
-    S.Harness.run_many
+    Parallel.map run_job
       (List.map
          (fun (kind, norm) ->
            S.Harness.scenario_env kind
@@ -467,7 +478,7 @@ let ablation_c () =
   let kinds = [ S.Variants.Cpu_free; S.Variants.Cpu_free_multi ] in
   let problem = S.Problem.make (S.Problem.weak_scale (d2 2048) ~gpus:8) ~iterations:50 in
   let results =
-    S.Harness.run_many (List.map (fun kind -> S.Harness.scenario_env kind problem ~gpus:8) kinds)
+    Parallel.map run_job (List.map (fun kind -> S.Harness.scenario_env kind problem ~gpus:8) kinds)
   in
   header
     "Ablation C  One specialized kernel vs two co-resident kernels (§4 alternative design;  \
@@ -484,7 +495,7 @@ let ablation_d () =
     List.concat_map (fun nx -> [ (nx, S.Variants.Perks); (nx, S.Variants.Cpu_free) ]) sizes
   in
   let results =
-    S.Harness.run_many
+    Parallel.map run_job
       (List.map
          (fun (nx, kind) ->
            let dims = S.Problem.weak_scale (d2 nx) ~gpus:8 in
@@ -548,7 +559,7 @@ let fig_scaleout (counts, iters) =
           (S.Problem.make dims ~iterations:iters) ~gpus)
       cells
   in
-  let grid = List.combine cells (S.Harness.run_many scenarios) in
+  let grid = List.combine cells (Parallel.map run_job scenarios) in
   header
     "Fig S  Scale-out: 2D Jacobi weak scaling, 256^2/GPU, single NVSwitch vs DGX cluster (8 \
      GPUs/node, InfiniBand spine; per-iter us)";
@@ -593,9 +604,10 @@ let fig_chaos (intensities, iters, gpus) =
   let runs =
     Parallel.map
       (fun (intensity, kind) ->
-        S.Harness.run_chaos_env
-          ~env:(Sim_env.make ~faults:(Fault.preset ~intensity) ~fault_seed:chaos_seed ())
-          kind problem ~gpus)
+        run_chaos
+          (S.Harness.scenario_env
+             ~env:(Sim_env.make ~faults:(Fault.preset ~intensity) ~fault_seed:chaos_seed ())
+             kind problem ~gpus))
       cells
   in
   let grid = List.combine cells runs in
@@ -611,9 +623,8 @@ let fig_chaos (intensities, iters, gpus) =
     (fun intensity ->
       Printf.printf "%9.2f" intensity;
       List.iter
-        (fun ((i, _), cr) ->
+        (fun ((i, _), c) ->
           if i = intensity then begin
-            let c = cr.S.Harness.chaos in
             Printf.printf " %12.2f %s r=%-4d" (us c.Measure.base.Measure.total)
               (if c.Measure.completed then "ok" else "AB")
               c.Measure.resent
@@ -622,10 +633,9 @@ let fig_chaos (intensities, iters, gpus) =
       print_newline ())
     intensities;
   List.map
-    (fun ((intensity, kind), cr) ->
-      let c = cr.S.Harness.chaos in
+    (fun ((intensity, kind), c) ->
       let min_progress =
-        Array.fold_left Stdlib.min c.Measure.base.Measure.iterations cr.S.Harness.progress
+        Array.fold_left Stdlib.min c.Measure.base.Measure.iterations c.Measure.progress
       in
       point ~label:(S.Variants.name kind) ~gpus c.Measure.base
         ~extra:
@@ -664,10 +674,10 @@ let resilient_digest (r : S.Harness.resilient_run) =
     r.S.Harness.r_checkpoint,
     r.S.Harness.r_work_saved,
     (r.S.Harness.r_completed, r.S.Harness.r_degraded),
-    Array.to_list r.S.Harness.r_first.S.Harness.progress,
+    Array.to_list r.S.Harness.r_first.Measure.progress,
     match r.S.Harness.r_resume with
     | None -> []
-    | Some res -> Array.to_list res.S.Harness.progress )
+    | Some res -> Array.to_list res.Measure.progress )
 
 (* Time-to-recover and completed work of the checkpoint/restart harness, as
    a function of the checkpoint interval and the kill time (both relative to
@@ -681,15 +691,16 @@ let fig_recovery (iters, kill_fracs, intervals) =
   let gpus = 4 in
   let problem = S.Problem.make (d2 96) ~iterations:iters in
   let kind = S.Variants.Cpu_free in
-  let seq_plain = (S.Harness.run_env kind problem ~gpus).Measure.total in
+  let seq_plain = (run_job (S.Harness.scenario_env kind problem ~gpus)).Measure.total in
   let control =
-    let cr =
-      S.Harness.run_chaos_env
-        ~env:(Sim_env.make ~faults:Fault.none ~fault_seed:recovery_seed ())
-        kind problem ~gpus
+    let c =
+      run_chaos
+        (S.Harness.scenario_env
+           ~env:(Sim_env.make ~faults:Fault.none ~fault_seed:recovery_seed ())
+           kind problem ~gpus)
     in
-    if not cr.S.Harness.chaos.Measure.completed then fatal "recovery" "fault-free control aborted";
-    cr.S.Harness.chaos.Measure.base.Measure.total
+    if not c.Measure.completed then fatal "recovery" "fault-free control aborted";
+    c.Measure.base.Measure.total
   in
   if not (Time.equal control seq_plain) then
     fatal "recovery"
@@ -739,7 +750,7 @@ let fig_recovery (iters, kill_fracs, intervals) =
               (if r.S.Harness.r_completed then if r.S.Harness.r_degraded then "ok*" else "ok"
                else "AB");
             point ~label:(S.Variants.name kind) ~gpus
-              r.S.Harness.r_first.S.Harness.chaos.Measure.base
+              r.S.Harness.r_first.Measure.base
               ~extra:
                 [
                   ("fault_seed", J.Int recovery_seed);
@@ -1068,57 +1079,6 @@ let fig_profile (cfg, reps) =
   ]
 
 (* ---------------------------------------------------------------- *)
-(* Bechamel wall-clock microbenchmarks (one per figure regenerator)  *)
-(* ---------------------------------------------------------------- *)
-
-let bechamel_suite () =
-  header "Bechamel wall-clock benchmarks of the simulator itself (one per figure)";
-  let stencil ?(compute = true) kind dims () =
-    let problem = S.Problem.make ~compute dims ~iterations:5 in
-    ignore (S.Harness.run_env kind problem ~gpus:8)
-  in
-  let dace app arm () = ignore (D.Pipeline.run_env app arm ~gpus:8) in
-  let jacobi1d = D.Pipeline.Jacobi1d { D.Programs.n_global = 1 lsl 16; tsteps = 5 } in
-  let tests =
-    List.map
-      (fun (name, f) -> Bechamel.Test.make ~name (Bechamel.Staged.stage f))
-      [
-        ("fig2.2a:no-compute-cpu-free", stencil ~compute:false S.Variants.Cpu_free (d2 256));
-        ("fig6.1:baseline-copy", stencil S.Variants.Copy (d2 256));
-        ("fig6.1:baseline-nvshmem", stencil S.Variants.Nvshmem (d2 256));
-        ("fig6.1:cpu-free", stencil S.Variants.Cpu_free (d2 256));
-        ( "fig6.2:3d-cpu-free",
-          stencil S.Variants.Cpu_free (S.Problem.D3 { nx = 32; ny = 32; nz = 64 }) );
-        ("fig6.3a:dace-baseline", dace jacobi1d D.Pipeline.Baseline_mpi);
-        ("fig6.3a:dace-cpu-free", dace jacobi1d D.Pipeline.Cpu_free);
-        ( "fig6.3b:dace-2d-cpu-free",
-          dace
-            (D.Pipeline.Jacobi2d { D.Programs.nx_global = 256; ny_global = 256; tsteps = 3 })
-            D.Pipeline.Cpu_free );
-      ]
-  in
-  let benchmark test =
-    let instance = Bechamel.Toolkit.Instance.monotonic_clock in
-    let cfg =
-      Bechamel.Benchmark.cfg ~limit:200 ~quota:(Bechamel.Time.second 0.25) ~kde:(Some 100) ()
-    in
-    let ols =
-      Bechamel.Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Bechamel.Measure.run |]
-    in
-    let raw =
-      Bechamel.Benchmark.all cfg [ instance ] (Bechamel.Test.make_grouped ~name:"g" [ test ])
-    in
-    let results = Bechamel.Analyze.all ols instance raw in
-    Hashtbl.iter
-      (fun name ols_result ->
-        match Bechamel.Analyze.OLS.estimates ols_result with
-        | Some [ est ] -> Printf.printf "  %-34s %14.1f ns/run\n" name est
-        | Some _ | None -> Printf.printf "  %-34s (no estimate)\n" name)
-      results
-  in
-  List.iter benchmark tests
-
-(* ---------------------------------------------------------------- *)
 (* fig.autotune — the generic auto-offload pass vs the hand-built     *)
 (* pipelines                                                          *)
 (* ---------------------------------------------------------------- *)
@@ -1416,19 +1376,19 @@ let registry =
         "Fig 2.1b  Nsight-style timeline: CPU-controlled overlapping stencil (2D 256^2, 8 GPUs, \
          3 iterations; 2 devices shown)"
       ~label:"baseline-overlap"
-      (fun () -> S.Harness.run_traced_env S.Variants.Overlap (p2d_256 3) ~gpus:8);
+      (fun () -> run_traced (S.Harness.scenario_env S.Variants.Overlap (p2d_256 3) ~gpus:8));
     timeline "fig3.1"
       ~title:
         "Fig 3.1 (concept)  CPU-Free execution timeline: one cooperative launch, then only \
          device activity (2D 256^2, 8 GPUs, 3 iterations; 2 devices shown)"
       ~label:"cpu-free"
-      (fun () -> S.Harness.run_traced_env S.Variants.Cpu_free (p2d_256 3) ~gpus:8);
+      (fun () -> run_traced (S.Harness.scenario_env S.Variants.Cpu_free (p2d_256 3) ~gpus:8));
     timeline "fig5.1b"
       ~title:"Fig 5.1b  Timeline: distributed DaCe MPI baseline (Jacobi 2D, 4 GPUs, 2 iterations)"
       ~label:"dace-baseline"
       (fun () ->
         let app = D.Pipeline.Jacobi2d { D.Programs.nx_global = 512; ny_global = 512; tsteps = 2 } in
-        D.Pipeline.run_traced_env app D.Pipeline.Baseline_mpi ~gpus:4);
+        run_traced (D.Pipeline.scenario_env app D.Pipeline.Baseline_mpi ~gpus:4));
     grid_figure "fig2.2a"
       ~title:
         "Fig 2.2a  Pure communication + synchronization overhead, no computation (2D 256^2 weak \
@@ -1748,7 +1708,7 @@ let names =
 (* Every token the harness understands; anything else is a typo the run
    must refuse loudly — a silently ignored "chaso" would regenerate the
    default figure set and look like a passing chaos run. *)
-let known_args = [ "quick"; "json"; "bechamel"; "smoke" ] @ names
+let known_args = [ "quick"; "json"; "smoke" ] @ names
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -1772,7 +1732,6 @@ let () =
   in
   let t_start = wall () in
   List.iter (run_figure ~smoke) figs;
-  if named = [] && (has "bechamel" || mode = "full") then bechamel_suite ();
   let elapsed = wall () -. t_start in
   if has "json" || (mode <> "quick" && mode <> "full") then write_results ~mode ~elapsed;
   if named = [] then begin

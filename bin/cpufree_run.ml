@@ -165,48 +165,28 @@ let common_term =
     const make $ arch_arg $ topology_arg $ gpus_arg $ faults_arg $ fault_seed_arg
     $ trace_out_arg $ metrics_out_arg $ pdes_arg)
 
-(* A fresh simulation environment for one run under these options: trace and
-   metrics sinks exist exactly when an output file was requested, so runs
-   without --trace-out/--metrics-out stay on the uninstrumented path. *)
-let env_of_common c =
-  let trace = if c.trace_out = None then None else Some (E.Trace.create ~flows:true ()) in
-  let metrics = if c.metrics_out = None then None else Some (Obs.Metrics.create ()) in
-  Env.make ~topology:c.topology ?faults:c.faults ~fault_seed:c.fault_seed ?trace ?metrics
-    ?pdes:c.pdes ()
-
-(* The same environment minus the observability sinks, for auxiliary runs
-   (verification) that must not pollute the main run's artifacts. *)
-let quiet_env c = Env.make ~topology:c.topology ?pdes:c.pdes ()
-
-(* Write (and self-validate) whatever sinks the environment carries. *)
+(* Write whatever sinks the environment carries, rendered and validated as
+   the daemon ships them. *)
 let write_observability c (env : Env.t) =
-  (match (c.trace_out, env.Env.trace) with
-  | Some file, Some tr ->
-    let s = Obs.Perfetto.to_json_string ?metrics:env.Env.metrics tr in
-    (match Cpufree_core.Trace_json.validate_string s with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "internal error: %s failed trace-schema validation: %s\n" file msg;
-      exit 1);
-    let oc = open_out file in
-    output_string oc s;
-    close_out oc;
-    Printf.printf "wrote %s (load in ui.perfetto.dev)\n" file
-  | _ -> ());
-  match (c.metrics_out, env.Env.metrics) with
-  | Some file, Some reg ->
-    let oc = open_out file in
-    let r = Cpufree_core.Metrics_json.emit ~indent:2 oc reg in
-    close_out oc;
-    (match r with
-    | Ok () -> Printf.printf "wrote %s\n" file
-    | Error msg ->
-      Printf.eprintf "internal error: %s failed metrics-schema validation: %s\n" file msg;
-      exit 1)
-  | _ -> ()
+  let write doc path ~note =
+    match (doc, path) with
+    | Some s, Some file ->
+      let oc = open_out file in
+      output_string oc s;
+      close_out oc;
+      Printf.printf "wrote %s%s\n" file note
+    | _ -> ()
+  in
+  match Serve.Exec.artifacts env with
+  | Error msg ->
+    Printf.eprintf "internal error: %s\n" msg;
+    exit 1
+  | Ok (trace, metrics) ->
+    write trace c.trace_out ~note:" (load in ui.perfetto.dev)";
+    write metrics c.metrics_out ~note:""
 
-let print_chaos_report (c : Measure.chaos) ~progress =
-  let r = c.Measure.base in
+let print_chaos_report (c : Measure.chaos) =
+  let r = c.Measure.base and progress = c.Measure.progress in
   Printf.printf "%-22s %s after %s  (dropped=%d delayed=%d resent=%d retries=%d)\n"
     r.Measure.label
     (if c.Measure.completed then "completed" else "ABORTED")
@@ -260,16 +240,53 @@ let dims_arg =
 let print_timeline trace =
   print_string (E.Trace.render_ascii ~width:100 trace)
 
-(* Run through the traced entry point only when a timeline or a Chrome
-   trace will read the engine's spans; the result is the same either way. *)
-let run_showing ~timeline ~chrome ~traced ~plain =
-  if timeline || chrome <> None then begin
-    let r, trace = traced () in
-    if timeline then print_timeline trace;
-    maybe_write_chrome chrome trace;
-    r
-  end
-  else plain ()
+(* Exit 2 with the reason when a scenario cannot run. *)
+let or_reject = function
+  | Ok x -> x
+  | Error e ->
+    Printf.eprintf "%s\n" e;
+    exit 2
+
+(* A measured run's scenario: the flag table as a [Scenario.t]. Artifact
+   sinks are requested only when [artifacts] (a shared sink across a
+   comparison sweep would interleave runs). *)
+let scenario common ~artifacts workload =
+  Scenario.make ~arch:common.arch_name ~topology:common.topology ~gpus:common.gpus
+    ?faults:common.faults ~fault_seed:common.fault_seed ?pdes:common.pdes
+    ~trace:(artifacts && common.trace_out <> None)
+    ~metrics:(artifacts && common.metrics_out <> None)
+    workload
+
+(* The one job printer. Each job runs through [Measure.run], which picks the
+   chaos path from the fault plan; the engine trace is recorded only when a
+   timeline or a Chrome trace will read it (the result is the same either
+   way). Per job: timeline, Chrome trace, chaos report, artifacts, then the
+   job's own follow-up (verification). [report] prints the results of the
+   runs that have no chaos report at the end. *)
+let run_jobs common ~timeline ~chrome ~report jobs =
+  Option.iter
+    (fun spec ->
+      Printf.printf "chaos run: faults=%s seed=%d\n" (Fault.to_string spec) common.fault_seed)
+    common.faults;
+  let outcomes =
+    List.map
+      (fun (job, after) ->
+        let o = Measure.run ~traced:(timeline || chrome <> None) job in
+        Option.iter
+          (fun trace ->
+            if timeline then print_timeline trace;
+            maybe_write_chrome chrome trace)
+          o.Measure.trace;
+        Option.iter print_chaos_report o.Measure.chaos;
+        write_observability common job.Measure.sc_env;
+        after ();
+        o)
+      jobs
+  in
+  (match List.filter (fun o -> Option.is_none o.Measure.chaos) outcomes with
+  | [] -> ()
+  | plain -> report (List.map (fun o -> o.Measure.result) plain));
+  0
 
 (* --- stencil command ------------------------------------------------------ *)
 
@@ -281,25 +298,11 @@ let no_compute_arg =
   let doc = "Disable computation: measure the pure communication/sync floor." in
   Arg.(value & flag & info [ "no-compute" ] ~doc)
 
-(* One scenario per selected execution scheme: the flag table becomes a
-   [Scenario.t] and runs through [Harness.of_scenario] — the daemon's path.
-   Artifact sinks are only requested for single-variant runs (a shared sink
-   across a comparison sweep would interleave runs). *)
-let stencil_scenario common ~single ~iters ~dims ~no_compute kind =
-  Scenario.make ~arch:common.arch_name ~topology:common.topology ~gpus:common.gpus
-    ?faults:common.faults ~fault_seed:common.fault_seed ?pdes:common.pdes
-    ~trace:(single && common.trace_out <> None)
-    ~metrics:(single && common.metrics_out <> None)
-    (Scenario.Stencil
-       {
-         variant = S.Variants.name kind;
-         dims = S.Problem.dims_to_spec_string dims;
-         iters;
-         no_compute;
-       })
-
+(* One job per selected execution scheme: the flag table becomes a
+   [Scenario.t] and runs through [Serve.Exec.job] — the daemon's path.
+   Every selected scheme is interpreted (and so validated) before anything
+   runs or prints. *)
 let run_stencil common iters dims variant no_compute verify timeline chrome =
-  let arch = common.arch and gpus = common.gpus in
   let kinds =
     match variant with
     | None | Some "all" -> S.Variants.all
@@ -313,58 +316,40 @@ let run_stencil common iters dims variant no_compute verify timeline chrome =
   in
   let single = List.length kinds = 1 in
   let interpret kind =
-    match
-      S.Harness.of_scenario (stencil_scenario common ~single ~iters ~dims ~no_compute kind)
-    with
-    | Ok s -> s
-    | Error e ->
-      Printf.eprintf "%s\n" e;
-      exit 2
-  in
-  (* Every selected scheme is interpreted (and so validated) before anything
-     runs or prints. *)
-  let scenarios = List.map (fun kind -> (kind, interpret kind)) kinds in
-  match common.faults with
-  | Some spec ->
-    Printf.printf "chaos run: faults=%s seed=%d\n" (Fault.to_string spec) common.fault_seed;
-    List.iter
-      (fun (_, hsc) ->
-        let cr = S.Harness.run_scenario_chaos hsc in
-        print_chaos_report cr.S.Harness.chaos ~progress:cr.S.Harness.progress;
-        if single then write_observability common (S.Harness.scenario_sim_env hsc))
-      scenarios;
-    0
-  | None ->
-    let results =
-      List.map
-        (fun (kind, hsc) ->
-          let r =
-            run_showing ~timeline:(timeline && single)
-              ~chrome:(if single then chrome else None)
-              ~traced:(fun () -> S.Harness.run_scenario_traced hsc)
-              ~plain:(fun () -> S.Harness.run_scenario hsc)
-          in
-          if single then write_observability common (S.Harness.scenario_sim_env hsc);
-          if verify then begin
-            let backed =
-              S.Problem.make ~compute:(not no_compute) ~backed:true dims ~iterations:iters
-            in
-            match S.Harness.verify_env ~arch ~env:(quiet_env common) kind backed ~gpus with
-            | Ok err ->
-              Printf.printf "%-22s verification OK (max |err| = %.2e)\n" (S.Variants.name kind)
-                err
-            | Error m ->
-              Printf.printf "%-22s verification FAILED: %s\n" (S.Variants.name kind) m
-          end;
-          r)
-        scenarios
+    let job =
+      or_reject
+        (Serve.Exec.job
+           (scenario common ~artifacts:single
+              (Scenario.Stencil
+                 {
+                   variant = S.Variants.name kind;
+                   dims = S.Problem.dims_to_spec_string dims;
+                   iters;
+                   no_compute;
+                 })))
     in
-    Format.printf "%a"
-      (fun fmt ->
-        Measure.pp_table fmt
-          ~header:(Printf.sprintf "%s on %d GPUs" (S.Problem.dims_to_string dims) gpus))
-      results;
-    0
+    (* Verification is an auxiliary fault-free run with real buffers. *)
+    let check () =
+      let backed = S.Problem.make ~compute:(not no_compute) ~backed:true dims ~iterations:iters in
+      match
+        S.Harness.verify_env ~arch:job.Measure.sc_arch
+          ~env:(Env.probe job.Measure.sc_env) kind backed ~gpus:common.gpus
+      with
+      | Ok err ->
+        Printf.printf "%-22s verification OK (max |err| = %.2e)\n" (S.Variants.name kind) err
+      | Error m -> Printf.printf "%-22s verification FAILED: %s\n" (S.Variants.name kind) m
+    in
+    (job, if verify then check else ignore)
+  in
+  run_jobs common ~timeline:(timeline && single)
+    ~chrome:(if single then chrome else None)
+    ~report:(fun results ->
+      Format.printf "%a"
+        (fun fmt ->
+          Measure.pp_table fmt
+            ~header:(Printf.sprintf "%s on %d GPUs" (S.Problem.dims_to_string dims) common.gpus))
+        results)
+    (List.map interpret kinds)
 
 let stencil_cmd =
   let doc = "Run the hand-written multi-GPU Jacobi stencil variants (paper §6.1)." in
@@ -411,42 +396,34 @@ let specialize_arg =
   in
   Arg.(value & flag & info [ "specialize-tb" ] ~doc)
 
-(* dace --auto: the generic pass end to end. Search under a quiet probe of
-   the same topology, report every candidate and the margin over the
-   hand-built pipeline, then execute the winner under the full
-   environment. *)
-let run_dace_auto common iters app_name arm size specialize_tb timeline chrome =
+(* dace --auto: the generic pass end to end. The scenario is validated and
+   its architecture and environment resolved like any other; the search
+   runs under a quiet probe of that environment, every candidate and the
+   margin over the hand-built pipeline are reported, and the winner runs as
+   a job under the full environment. *)
+let run_dace_auto common sc ~app_name ~arm ~size ~iters ~specialize_tb =
   let gpus = common.gpus in
-  let sdfg, hand, label =
+  let app =
     match app_name with
-    | "smoother" ->
-      (D.Programs.smoother_global { D.Programs.sm_n = size; sm_steps = iters }, None, "smoother")
-    | _ ->
-      let app =
-        match app_name with
-        | "jacobi1d" -> D.Pipeline.Jacobi1d { D.Programs.n_global = size; tsteps = iters }
-        | "jacobi2d" ->
-          D.Pipeline.Jacobi2d { D.Programs.nx_global = size; ny_global = size; tsteps = iters }
-        | "heat3d" ->
-          D.Pipeline.Heat3d { D.Programs.nx3 = size; ny3 = size; nz3 = size; tsteps3 = iters }
-        | other ->
-          Printf.eprintf "unknown app %S (expected jacobi1d, jacobi2d, heat3d or smoother)\n"
-            other;
-          exit 2
-      in
-      let plan = D.Pipeline.hand_plan ~specialize_tb arm ~gpus in
-      match D.Pipeline.frontend app arm ~gpus with
-      | exception Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
-      | sdfg -> (sdfg, Some plan, D.Pipeline.app_name app)
+    | "smoother" -> None
+    | _ -> Some (or_reject (D.Pipeline.app_of_name app_name ~size ~iters))
   in
-  let probe = quiet_env common in
+  let arch, env = or_reject (Measure.of_scenario sc) in
+  let sdfg, hand, name =
+    match app with
+    | None ->
+      (D.Programs.smoother_global { D.Programs.sm_n = size; sm_steps = iters }, None, "smoother")
+    | Some app -> (
+      match D.Pipeline.frontend app arm ~gpus with
+      | exception Invalid_argument msg -> or_reject (Error msg)
+      | sdfg ->
+        (sdfg, Some (D.Pipeline.hand_plan ~specialize_tb arm ~gpus), D.Pipeline.app_name app))
+  in
   let a = D.Analysis.analyze sdfg in
-  Printf.printf "%s: %d maps, comm=%s, %s\n" label (List.length a.D.Analysis.maps)
+  Printf.printf "%s: %d maps, comm=%s, %s\n" name (List.length a.D.Analysis.maps)
     (D.Analysis.comm_form_to_string a.D.Analysis.comm)
     (if a.D.Analysis.distributed then "distributed" else "global");
-  match D.Autotune.search ~arch:common.arch ~env:probe sdfg ~gpus ~iterations:iters with
+  match D.Autotune.search ~arch ~env sdfg ~gpus ~iterations:iters with
   | Error e ->
     Printf.eprintf "autotune failed: %s\n" e;
     exit 1
@@ -460,114 +437,66 @@ let run_dace_auto common iters app_name arm size specialize_tb timeline chrome =
     Printf.printf "chosen plan: %s (predicted %s)\n"
       (D.Autotune.plan_to_string d.D.Autotune.best)
       (Time.to_string d.D.Autotune.predicted);
-    (match hand with
-    | None -> ()
-    | Some plan ->
-      let hand_built = D.Autotune.build plan sdfg in
-      let hand_cost =
-        Measure.probe_env ~arch:common.arch ~env:probe ~label:"hand" ~gpus ~iterations:iters
-          hand_built.D.Exec.program
-      in
-      Printf.printf "hand-built %s: %s — searched plan %s\n"
-        (D.Autotune.plan_to_string plan) (Time.to_string hand_cost)
-        (if Time.(d.D.Autotune.predicted < hand_cost) then "beats it" else "matches it"));
-    let built = D.Autotune.build d.D.Autotune.best sdfg in
-    let env = env_of_common common in
-    let label = label ^ "/auto" and gpus = d.D.Autotune.best.D.Autotune.gpus_used in
-    let r =
-      run_showing ~timeline ~chrome
-        ~traced:(fun () ->
-          Measure.run_traced_env ~arch:common.arch ~env ~label ~gpus ~iterations:iters
-            built.D.Exec.program)
-        ~plain:(fun () ->
-          Measure.run_env ~arch:common.arch ~env ~label ~gpus ~iterations:iters
-            built.D.Exec.program)
-    in
-    write_observability common env;
-    Format.printf "%a@." Measure.pp_result r;
-    0
+    Option.iter
+      (fun plan ->
+        let hand_cost =
+          Measure.probe_env ~arch ~env ~label:"hand" ~gpus ~iterations:iters
+            (D.Autotune.build plan sdfg).D.Exec.program
+        in
+        Printf.printf "hand-built %s: %s — searched plan %s\n"
+          (D.Autotune.plan_to_string plan) (Time.to_string hand_cost)
+          (if Time.(d.D.Autotune.predicted < hand_cost) then "beats it" else "matches it"))
+      hand;
+    Measure.job ~arch ~env ~label:(name ^ "/auto") ~gpus:d.D.Autotune.best.D.Autotune.gpus_used
+      ~iterations:iters (D.Autotune.build d.D.Autotune.best sdfg).D.Exec.program
 
 let run_dace common iters app_name arm_name size emit auto specialize_tb verify timeline chrome
     =
   let gpus = common.gpus in
-  let arm =
-    match arm_name with
-    | "baseline" | "mpi" -> D.Pipeline.Baseline_mpi
-    | "cpu-free" | "cpufree" -> D.Pipeline.Cpu_free
-    | other ->
-      Printf.eprintf "unknown arm %S (expected baseline or cpu-free)\n" other;
-      exit 2
-  in
-  if auto then begin
-    if emit || verify then
-      Printf.eprintf "note: --emit-code/--verify are ignored with --auto\n";
-    run_dace_auto common iters app_name arm size specialize_tb timeline chrome
-  end
-  else begin
-  (* The measured run goes through the first-class scenario (the daemon's
-     path); [of_scenario] re-validates app/arm and compiles the program. *)
+  let arm = or_reject (D.Pipeline.arm_of_name arm_name) in
   let sc =
-    Scenario.make ~arch:common.arch_name ~topology:common.topology ~gpus
-      ?faults:common.faults ~fault_seed:common.fault_seed ?pdes:common.pdes
-      ~trace:(common.trace_out <> None)
-      ~metrics:(common.metrics_out <> None)
+    scenario common ~artifacts:true
       (Scenario.Dace { app = app_name; arm = arm_name; size; iters; specialize_tb })
   in
-  let dsc =
-    match D.Pipeline.of_scenario sc with
-    | Ok d -> d
-    | Error e ->
-      Printf.eprintf "%s\n" e;
-      exit 2
+  let job =
+    if auto then begin
+      if emit || verify then
+        Printf.eprintf "note: --emit-code/--verify are ignored with --auto\n";
+      run_dace_auto common sc ~app_name ~arm ~size ~iters ~specialize_tb
+    end
+    else begin
+      (* The measured run goes through the daemon's dispatcher. *)
+      let job = or_reject (Serve.Exec.job sc) in
+      let app = or_reject (D.Pipeline.app_of_name app_name ~size ~iters) in
+      if emit then begin
+        let sdfg = D.Pipeline.compile_sdfg app arm ~gpus in
+        match arm with
+        | D.Pipeline.Baseline_mpi -> print_string (D.Codegen.emit_baseline sdfg)
+        | D.Pipeline.Cpu_free -> (
+          match D.Persistent_fusion.apply sdfg with
+          | Ok p ->
+            let p = if specialize_tb then fst (D.Persistent_fusion.specialize_tb p) else p in
+            print_string (D.Codegen.emit_persistent p)
+          | Error e ->
+            Printf.eprintf "persistent fusion failed: %s\n" e;
+            exit 1)
+      end;
+      if verify then begin
+        match
+          D.Pipeline.verify_env ~arch:job.Measure.sc_arch ~env:(Env.probe job.Measure.sc_env)
+            ~specialize_tb app arm ~gpus
+        with
+        | Ok err -> Printf.printf "verification OK (max |err| = %.2e)\n" err
+        | Error m ->
+          Printf.printf "verification FAILED: %s\n" m;
+          exit 1
+      end;
+      job
+    end
   in
-  let app =
-    match app_name with
-    | "jacobi1d" -> D.Pipeline.Jacobi1d { D.Programs.n_global = size; tsteps = iters }
-    | "jacobi2d" ->
-      D.Pipeline.Jacobi2d { D.Programs.nx_global = size; ny_global = size; tsteps = iters }
-    | "heat3d" ->
-      D.Pipeline.Heat3d { D.Programs.nx3 = size; ny3 = size; nz3 = size; tsteps3 = iters }
-    | other ->
-      Printf.eprintf "unknown app %S (expected jacobi1d, jacobi2d or heat3d)\n" other;
-      exit 2
-  in
-  if emit then begin
-    let sdfg = D.Pipeline.compile_sdfg app arm ~gpus in
-    match arm with
-    | D.Pipeline.Baseline_mpi -> print_string (D.Codegen.emit_baseline sdfg)
-    | D.Pipeline.Cpu_free -> (
-      match D.Persistent_fusion.apply sdfg with
-      | Ok p ->
-        let p = if specialize_tb then fst (D.Persistent_fusion.specialize_tb p) else p in
-        print_string (D.Codegen.emit_persistent p)
-      | Error e ->
-        Printf.eprintf "persistent fusion failed: %s\n" e;
-        exit 1)
-  end;
-  if verify then begin
-    match D.Pipeline.verify_env ~env:(quiet_env common) ~specialize_tb app arm ~gpus with
-    | Ok err -> Printf.printf "verification OK (max |err| = %.2e)\n" err
-    | Error m ->
-      Printf.printf "verification FAILED: %s\n" m;
-      exit 1
-  end;
-  match common.faults with
-  | Some spec ->
-    Printf.printf "chaos run: faults=%s seed=%d\n" (Fault.to_string spec) common.fault_seed;
-    let c = D.Pipeline.run_scenario_chaos dsc in
-    print_chaos_report c ~progress:[||];
-    write_observability common dsc.D.Pipeline.sc_env;
-    0
-  | None ->
-    let r =
-      run_showing ~timeline ~chrome
-        ~traced:(fun () -> D.Pipeline.run_scenario_traced dsc)
-        ~plain:(fun () -> D.Pipeline.run_scenario dsc)
-    in
-    write_observability common dsc.D.Pipeline.sc_env;
-    Format.printf "%a@." Measure.pp_result r;
-    0
-  end
+  run_jobs common ~timeline ~chrome
+    ~report:(List.iter (Format.printf "%a@." Measure.pp_result))
+    [ (job, ignore) ]
 
 let dace_cmd =
   let doc = "Compile and run a distributed DaCe benchmark through a pipeline arm (paper §6.2)." in

@@ -32,8 +32,8 @@ let () =
   | Error e -> failwith e);
 
   banner "4. Race on the simulated machine";
-  let b = D.Pipeline.run_env app D.Pipeline.Baseline_mpi ~gpus in
-  let f = D.Pipeline.run_env app D.Pipeline.Cpu_free ~gpus in
+  let run arm = (Measure.run (D.Pipeline.scenario_env app arm ~gpus)).Measure.result in
+  let b = run D.Pipeline.Baseline_mpi and f = run D.Pipeline.Cpu_free in
   Format.printf "%a@.%a@." Measure.pp_result b Measure.pp_result f;
   Printf.printf "speedup: %.1f%%\n" (Measure.speedup_pct ~baseline:b ~ours:f);
 

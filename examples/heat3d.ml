@@ -16,6 +16,8 @@ module Time = E.Time
 let dims = S.Problem.D3 { nx = 256; ny = 256; nz = 256 }
 let iterations = 100
 
+let run kind problem ~gpus = (Measure.run (S.Harness.scenario_env kind problem ~gpus)).Measure.result
+
 let () =
   Printf.printf "3D heat diffusion, %s global domain, %d Jacobi iterations\n"
     (S.Problem.dims_to_string dims) iterations;
@@ -24,8 +26,8 @@ let () =
   List.iter
     (fun gpus ->
       let problem = S.Problem.make dims ~iterations in
-      let base = S.Harness.run_env S.Variants.Nvshmem problem ~gpus in
-      let free = S.Harness.run_env S.Variants.Cpu_free problem ~gpus in
+      let base = run S.Variants.Nvshmem problem ~gpus in
+      let free = run S.Variants.Cpu_free problem ~gpus in
       Printf.printf "%6d %18.2f %18.2f %11.1f%%\n" gpus
         (Time.to_us_float base.Measure.per_iter)
         (Time.to_us_float free.Measure.per_iter)
@@ -39,8 +41,8 @@ let () =
   List.iter
     (fun gpus ->
       let problem = S.Problem.make ~compute:false dims ~iterations in
-      let base = S.Harness.run_env S.Variants.Nvshmem problem ~gpus in
-      let free = S.Harness.run_env S.Variants.Cpu_free problem ~gpus in
+      let base = run S.Variants.Nvshmem problem ~gpus in
+      let free = run S.Variants.Cpu_free problem ~gpus in
       Printf.printf "%6d %18.2f %18.2f\n" gpus
         (Time.to_us_float base.Measure.per_iter)
         (Time.to_us_float free.Measure.per_iter))

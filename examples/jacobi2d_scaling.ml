@@ -18,7 +18,9 @@ let run_class name nx =
   let dims = S.Problem.weak_scale (S.Problem.D2 { nx; ny = nx }) ~gpus in
   let problem = S.Problem.make dims ~iterations in
   let results =
-    List.map (fun kind -> S.Harness.run_env kind problem ~gpus) S.Variants.all
+    List.map
+      (fun kind -> (Measure.run (S.Harness.scenario_env kind problem ~gpus)).Measure.result)
+      S.Variants.all
   in
   Format.printf "%a" (fun fmt -> Measure.pp_table fmt ~header:(class_of name nx)) results;
   match results with

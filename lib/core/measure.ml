@@ -58,53 +58,51 @@ let publish env eng trace =
     Mx.Gauge.set (Mx.gauge reg ~name:"engine.partitions" ()) 1
 
 (* The engine's trace: one exists only when someone reads spans — the
-   environment's sink here, or the caller of [run_traced_env]. It records
-   flow arrows only when that sink does, so runs without a flow-enabled
-   sink keep their exact span streams. Comm accounting never needs it. *)
-let sink_trace env =
+   environment's sink, or a caller asking for [~traced]. It records flow
+   arrows only when that sink does, so runs without a flow-enabled sink keep
+   their exact span streams. Comm accounting never needs it. *)
+let engine_trace ~traced env =
   match env.Obs.Sim_env.trace with
   | Some _ as sink -> Some (E.Trace.create ~flows:(E.Trace.flows_enabled sink) ())
-  | None -> None
+  | None -> if traced then Some (E.Trace.create ()) else None
 
-(* Shared run core: engine + runtime context from the environment, program as
-   the "main" process, the run, then measurement. *)
-let run_core ?arch ~trace ~env ~label ~gpus ~iterations program =
-  (* Rejects a [CPUFREE_PDES] naming anything but the sequential driver. *)
-  let (`Seq : Obs.Sim_env.pdes) = Obs.Sim_env.resolve_pdes env in
-  let eng = E.Engine.create ?trace () in
-  let ctx = G.Runtime.create eng ?arch ~env ~num_gpus:gpus () in
-  let (_ : E.Engine.process) = E.Engine.spawn eng ~name:"main" (fun () -> program ctx) in
-  E.Engine.run eng;
-  let r = measure ~label ~gpus ~iterations eng ctx in
-  publish env eng trace;
-  r
+type job = {
+  sc_label : string;
+  sc_gpus : int;
+  sc_iterations : int;
+  sc_arch : G.Arch.t;
+  sc_env : Obs.Sim_env.t;
+  sc_program : G.Runtime.ctx -> unit;
+  sc_progress : unit -> int array;
+}
 
-let run_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
-  run_core ?arch ~trace:(sink_trace env) ~env ~label ~gpus ~iterations program
+let job ?(arch = G.Arch.a100_hgx) ?(env = Obs.Sim_env.default) ?(progress = fun () -> [||])
+    ~label ~gpus ~iterations program =
+  {
+    sc_label = label;
+    sc_gpus = gpus;
+    sc_iterations = iterations;
+    sc_arch = arch;
+    sc_env = env;
+    sc_program = program;
+    sc_progress = progress;
+  }
 
-let run_traced_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
-  let trace = match sink_trace env with Some t -> t | None -> E.Trace.create () in
-  (run_core ?arch ~trace:(Some trace) ~env ~label ~gpus ~iterations program, trace)
-
-let probe_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
-  (run_env ?arch ~env:(Obs.Sim_env.probe env) ~label ~gpus ~iterations program).total
-
-(* The measurement-layer view of a Scenario: architecture resolved, a fresh
-   environment built. Workload interpretation stays downstream — this is
-   what Harness.of_scenario and Pipeline.of_scenario build on. *)
-type run_spec = { rs_arch : Cpufree_gpu.Arch.t; rs_env : Obs.Sim_env.t; rs_gpus : int }
-
+(* The measurement-layer view of a Scenario: validated, architecture
+   resolved, a fresh environment built. Workload interpretation stays
+   downstream — this is what Harness.of_scenario and Pipeline.of_scenario
+   build their jobs on. *)
 let of_scenario (sc : Scenario.t) =
   let ( let* ) = Result.bind in
   let* () = Scenario.validate sc in
   let* arch = Scenario.arch_of sc in
   let* () = Scenario.check_fault_vertices sc arch in
-  Ok { rs_arch = arch; rs_env = Scenario.env sc; rs_gpus = sc.Scenario.gpus }
+  Ok (arch, Scenario.env sc)
 
 module F = Cpufree_fault.Fault
 
 type chaos = {
-  base : result;  (** metrics up to the point the run ended (partial on abort) *)
+  base : result;
   completed : bool;
   failure : string list;
   trigger : string option;
@@ -112,62 +110,46 @@ type chaos = {
   delayed : int;
   resent : int;
   retried : int;
+  progress : int array;
 }
 
-let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations
-    program =
-  let spec =
-    match env.Obs.Sim_env.faults with
-    | Some s -> s
-    | None -> invalid_arg "Measure.run_chaos_env: env carries no fault spec"
-  in
-  let (`Seq : Obs.Sim_env.pdes) = Obs.Sim_env.resolve_pdes env in
-  let watchdog =
-    match watchdog with
-    | Some w -> w
-    | None -> F.default_watchdog spec
-  in
-  let trace = sink_trace env in
-  let eng = E.Engine.create ?trace ~watchdog () in
-  let ctx = G.Runtime.create eng ?arch ~env ~num_gpus:gpus () in
-  let plan =
-    match G.Runtime.faults ctx with
-    | Some p -> p
-    | None -> assert false (* env.faults is Some, so create activated a plan *)
-  in
-  let (_ : E.Engine.process) = E.Engine.spawn eng ~name:"main" (fun () -> program ctx) in
-  let completed, failure, trigger =
-    match E.Engine.run eng with
-    | () -> (true, [], None)
-    | exception E.Engine.Stall report ->
-      if E.Trace.flows_enabled trace then
-        E.Trace.add_instant_opt trace ~lane:"host"
-          ~label:("stall:" ^ report.E.Engine.stall_trigger)
-          ~at:report.E.Engine.stall_at;
-      (false, E.Engine.stall_lines report, Some report.E.Engine.stall_trigger)
-    | exception E.Engine.Deadlock lines -> (false, "deadlock:" :: lines, Some "deadlock")
-    | exception F.Killed { pe; at } ->
-      (* A resilient waiter diagnosed a fail-stop GPU death that no layer
-         below chose to absorb: report it as an aborted run with a [kill:]
-         trigger so a recovery harness can shrink and restart. *)
-      F.note_obituary plan ~pe ~at;
-      let trig = Printf.sprintf "kill:pe%d" pe in
-      if E.Trace.flows_enabled trace then
-        E.Trace.add_instant_opt trace ~lane:"host" ~label:("stall:" ^ trig)
-          ~at:(E.Engine.now eng);
-      ( false,
-        [
-          Printf.sprintf "fail-stop: pe%d died at %s, diagnosed at %s" pe (Time.to_string at)
-            (Time.to_string (E.Engine.now eng));
-        ],
-        Some trig )
-    | exception Cpufree_machine.Topology.Partitioned msg ->
-      (false, [ "partitioned: " ^ msg ], Some "partitioned")
-  in
-  let stats = F.stats plan in
-  let base = measure ~label ~gpus ~iterations eng ctx in
-  publish env eng trace;
-  (match env.Obs.Sim_env.metrics with
+type outcome = { result : result; trace : E.Trace.t option; chaos : chaos option }
+
+(* Run the engine under a fault plan: a stall, deadlock, diagnosed kill or
+   partition ends the run as a diagnosed abort instead of an exception.
+   Returns [(completed, failure, trigger)]. *)
+let run_guarded eng trace plan =
+  match E.Engine.run eng with
+  | () -> (true, [], None)
+  | exception E.Engine.Stall report ->
+    if E.Trace.flows_enabled trace then
+      E.Trace.add_instant_opt trace ~lane:"host"
+        ~label:("stall:" ^ report.E.Engine.stall_trigger)
+        ~at:report.E.Engine.stall_at;
+    (false, E.Engine.stall_lines report, Some report.E.Engine.stall_trigger)
+  | exception E.Engine.Deadlock lines -> (false, "deadlock:" :: lines, Some "deadlock")
+  | exception F.Killed { pe; at } ->
+    (* A resilient waiter diagnosed a fail-stop GPU death that no layer
+       below chose to absorb: report it as an aborted run with a [kill:]
+       trigger so a recovery harness can shrink and restart. *)
+    F.note_obituary plan ~pe ~at;
+    let trig = Printf.sprintf "kill:pe%d" pe in
+    if E.Trace.flows_enabled trace then
+      E.Trace.add_instant_opt trace ~lane:"host" ~label:("stall:" ^ trig) ~at:(E.Engine.now eng);
+    ( false,
+      [
+        Printf.sprintf "fail-stop: pe%d died at %s, diagnosed at %s" pe (Time.to_string at)
+          (Time.to_string (E.Engine.now eng));
+      ],
+      Some trig )
+  | exception Cpufree_machine.Topology.Partitioned msg ->
+    (false, [ "partitioned: " ^ msg ], Some "partitioned")
+
+(* Fault-path totals into the registry. Self-healing counters only exist on
+   fail-stop runs, so metric dumps of every other chaos scenario stay
+   byte-identical. *)
+let publish_faults env spec plan (stats : F.stats) =
+  match env.Obs.Sim_env.metrics with
   | None -> ()
   | Some reg ->
     let c name v = Mx.Counter.add (Mx.counter reg ~name ()) v in
@@ -175,24 +157,64 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
     c "fault.delayed" stats.F.delayed;
     c "fault.resent" stats.F.resent;
     c "fault.retried" stats.F.retried;
-    (* Self-healing counters only exist on fail-stop runs, so metric dumps
-       of every pre-existing chaos scenario stay byte-identical. *)
     if F.has_failstop spec then begin
       let r = F.recovery plan in
       c "fault.kills_detected" r.F.kills_detected;
       c "fault.shrinks" r.F.shrinks;
       c "fault.restarts" r.F.restarts
-    end);
-  {
-    base;
-    completed;
-    failure;
-    trigger;
-    dropped = stats.F.dropped;
-    delayed = stats.F.delayed;
-    resent = stats.F.resent;
-    retried = stats.F.retried;
-  }
+    end
+
+let run ?(traced = false) ?watchdog job =
+  let env = job.sc_env in
+  (* Rejects a [CPUFREE_PDES] naming anything but the sequential driver. *)
+  let (`Seq : Obs.Sim_env.pdes) = Obs.Sim_env.resolve_pdes env in
+  let trace = engine_trace ~traced env in
+  let faults = env.Obs.Sim_env.faults in
+  let watchdog =
+    Option.map (fun spec -> Option.value watchdog ~default:(F.default_watchdog spec)) faults
+  in
+  let eng = E.Engine.create ?trace ?watchdog () in
+  let ctx = G.Runtime.create eng ~arch:job.sc_arch ~env ~num_gpus:job.sc_gpus () in
+  let (_ : E.Engine.process) =
+    E.Engine.spawn eng ~name:"main" (fun () -> job.sc_program ctx)
+  in
+  let ending =
+    match (faults, G.Runtime.faults ctx) with
+    | Some spec, Some plan -> Some (spec, plan, run_guarded eng trace plan)
+    | None, _ ->
+      E.Engine.run eng;
+      None
+    | Some _, None -> assert false (* env.faults is Some, so create activated a plan *)
+  in
+  let result =
+    measure ~label:job.sc_label ~gpus:job.sc_gpus ~iterations:job.sc_iterations eng ctx
+  in
+  publish env eng trace;
+  let chaos =
+    Option.map
+      (fun (spec, plan, (completed, failure, trigger)) ->
+        let stats = F.stats plan in
+        publish_faults env spec plan stats;
+        {
+          base = result;
+          completed;
+          failure;
+          trigger;
+          dropped = stats.F.dropped;
+          delayed = stats.F.delayed;
+          resent = stats.F.resent;
+          retried = stats.F.retried;
+          progress = job.sc_progress ();
+        })
+      ending
+  in
+  { result; trace; chaos }
+
+let run_env ?arch ?env ~label ~gpus ~iterations program =
+  (run (job ?arch ?env ~label ~gpus ~iterations program)).result
+
+let probe_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
+  (run_env ?arch ~env:(Obs.Sim_env.probe env) ~label ~gpus ~iterations program).total
 
 let best_of ~runs f =
   if runs < 1 then invalid_arg "Measure.best_of: need at least one run";

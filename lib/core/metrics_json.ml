@@ -99,11 +99,3 @@ let validate doc =
       go (i + 1) rest
   in
   go 0 ms
-
-let emit ?indent oc reg =
-  let doc = to_json reg in
-  match validate doc with
-  | Ok () ->
-    Json.to_channel ?indent oc doc;
-    Ok ()
-  | Error _ as e -> e

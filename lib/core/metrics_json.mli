@@ -20,6 +20,3 @@ val to_json : Cpufree_obs.Metrics.t -> Json.t
 
 val validate : Json.t -> (unit, string) result
 (** Structural schema check of an emitted (or re-parsed) document. *)
-
-val emit : ?indent:int -> out_channel -> Cpufree_obs.Metrics.t -> (unit, string) result
-(** Render, validate, and write — refusing to write an invalid document. *)

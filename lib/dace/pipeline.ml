@@ -51,89 +51,59 @@ let compile_sdfg app arm ~gpus =
 let compile ?backed ?relax ?specialize_tb app arm ~gpus =
   Autotune.build ?backed (hand_plan ?relax ?specialize_tb arm ~gpus) (frontend app arm ~gpus)
 
-let run_env ?arch ?env app arm ~gpus =
-  let built = compile app arm ~gpus in
-  Measure.run_env ?arch ?env
-    ~label:(Printf.sprintf "%s/%s" (app_name app) (arm_name arm))
-    ~gpus ~iterations:(iterations app) built.Exec.program
+(* The CLI's accepted spellings; the one parser for both the scenario path
+   and the CLI's code emission, verification and --auto. *)
+let arm_of_name = function
+  | "baseline" | "mpi" -> Ok Baseline_mpi
+  | "cpu-free" | "cpufree" -> Ok Cpu_free
+  | other -> Error (Printf.sprintf "unknown arm %S (expected baseline or cpu-free)" other)
 
-let run_traced_env ?arch ?env app arm ~gpus =
-  let built = compile app arm ~gpus in
-  Measure.run_traced_env ?arch ?env
-    ~label:(Printf.sprintf "%s/%s" (app_name app) (arm_name arm))
-    ~gpus ~iterations:(iterations app) built.Exec.program
+let app_of_name name ~size ~iters =
+  match name with
+  | "jacobi1d" -> Ok (Jacobi1d { Programs.n_global = size; tsteps = iters })
+  | "jacobi2d" -> Ok (Jacobi2d { Programs.nx_global = size; ny_global = size; tsteps = iters })
+  | "heat3d" -> Ok (Heat3d { Programs.nx3 = size; ny3 = size; nz3 = size; tsteps3 = iters })
+  | other -> Error (Printf.sprintf "unknown app %S (expected jacobi1d, jacobi2d or heat3d)" other)
 
-(* The dace interpretation of a first-class scenario: app/arm strings
-   resolved (the CLI's accepted spellings), the program compiled, the label
-   carrying the /specialized suffix the CLI prints. One path for the CLI
-   and the daemon. *)
-type scenario = {
+type scenario = Measure.job = {
   sc_label : string;
   sc_gpus : int;
   sc_iterations : int;
   sc_arch : Cpufree_gpu.Arch.t;
   sc_env : Cpufree_obs.Sim_env.t;
   sc_program : Cpufree_gpu.Runtime.ctx -> unit;
+  sc_progress : unit -> int array;
 }
 
+let scenario_env ?arch ?env ?(specialize_tb = false) app arm ~gpus =
+  let built = compile ~specialize_tb app arm ~gpus in
+  let label =
+    Printf.sprintf "%s/%s%s" (app_name app) (arm_name arm)
+      (if specialize_tb then "/specialized" else "")
+  in
+  Measure.job ?arch ?env ~label ~gpus ~iterations:(iterations app) built.Exec.program
+
+(* The dace interpretation of a first-class scenario: app/arm strings
+   resolved, the program compiled, the label carrying the /specialized
+   suffix the CLI prints. One path for the CLI and the daemon. *)
 let of_scenario (sc : Cpufree_core.Scenario.t) =
+  let ( let* ) = Result.bind in
   match sc.Cpufree_core.Scenario.workload with
   | Cpufree_core.Scenario.Stencil _ -> Error "not a dace scenario"
   | Cpufree_core.Scenario.Dace { app; arm; size; iters; specialize_tb } -> (
-    let arm =
-      match arm with
-      | "baseline" | "mpi" -> Ok Baseline_mpi
-      | "cpu-free" | "cpufree" -> Ok Cpu_free
-      | other -> Error (Printf.sprintf "unknown arm %S (expected baseline or cpu-free)" other)
-    in
-    match arm with
-    | Error _ as e -> e
-    | Ok arm -> (
-      let app =
-        match app with
-        | "jacobi1d" -> Ok (Jacobi1d { Programs.n_global = size; tsteps = iters })
-        | "jacobi2d" ->
-          Ok (Jacobi2d { Programs.nx_global = size; ny_global = size; tsteps = iters })
-        | "heat3d" -> Ok (Heat3d { Programs.nx3 = size; ny3 = size; nz3 = size; tsteps3 = iters })
-        | other ->
-          Error (Printf.sprintf "unknown app %S (expected jacobi1d, jacobi2d or heat3d)" other)
-      in
-      match app with
-      | Error _ as e -> e
-      | Ok app -> (
-        match Cpufree_core.Measure.of_scenario sc with
-        | Error _ as e -> e
-        | Ok rs ->
-          let gpus = rs.Cpufree_core.Measure.rs_gpus in
-          (* The frontends reject a decomposition the GPU count cannot
-             split (a size that does not divide evenly): surface it as the
-             scenario's error rather than an exception mid-request. *)
-          match compile ~specialize_tb app arm ~gpus with
-          | exception Invalid_argument msg -> Error msg
-          | built ->
-          Ok
-            {
-              sc_label =
-                Printf.sprintf "%s/%s%s" (app_name app) (arm_name arm)
-                  (if specialize_tb then "/specialized" else "");
-              sc_gpus = gpus;
-              sc_iterations = iterations app;
-              sc_arch = rs.Cpufree_core.Measure.rs_arch;
-              sc_env = rs.Cpufree_core.Measure.rs_env;
-              sc_program = built.Exec.program;
-            })))
+    let* arm = arm_of_name arm in
+    let* app = app_of_name app ~size ~iters in
+    let* arch, env = Measure.of_scenario sc in
+    (* The frontends reject a decomposition the GPU count cannot split (a
+       size that does not divide evenly): surface it as the scenario's
+       error rather than an exception mid-request. *)
+    match scenario_env ~arch ~env ~specialize_tb app arm ~gpus:sc.Cpufree_core.Scenario.gpus with
+    | exception Invalid_argument msg -> Error msg
+    | job -> Ok job)
 
-let run_scenario s =
-  Measure.run_env ~arch:s.sc_arch ~env:s.sc_env ~label:s.sc_label ~gpus:s.sc_gpus
-    ~iterations:s.sc_iterations s.sc_program
-
-let run_scenario_traced s =
-  Measure.run_traced_env ~arch:s.sc_arch ~env:s.sc_env ~label:s.sc_label ~gpus:s.sc_gpus
-    ~iterations:s.sc_iterations s.sc_program
-
-let run_scenario_chaos ?watchdog s =
-  Measure.run_chaos_env ~arch:s.sc_arch ?watchdog ~env:s.sc_env ~label:s.sc_label
-    ~gpus:s.sc_gpus ~iterations:s.sc_iterations s.sc_program
+let run_scenario_traced job =
+  let o = Measure.run ~traced:true job in
+  (o.Measure.result, Option.get o.Measure.trace)
 
 let verify_env ?arch ?env ?relax ?specialize_tb app arm ~gpus =
   let built = compile ~backed:true ?relax ?specialize_tb app arm ~gpus in

@@ -1,10 +1,14 @@
-(** End-to-end compilation pipelines (§6.2.1) and experiment drivers.
+(** End-to-end compilation pipelines (§6.2.1) and their jobs.
 
     - Baseline: frontend (MPI form) → GPUTransform → MapFusion → validate →
       CPU-controlled backend.
     - CPU-Free: frontend (NVSHMEM form) → GPUTransform → NVSHMEMArray →
       in-kernel expansion → validate (symmetric storage enforced) →
-      GPUPersistentKernel fusion → persistent backend. *)
+      GPUPersistentKernel fusion → persistent backend.
+
+    A compiled app/arm pair is a {!Cpufree_core.Measure.job}
+    ({!scenario_env}, or {!of_scenario} from a first-class
+    {!Cpufree_core.Scenario.t}); {!Cpufree_core.Measure.run} runs it. *)
 
 type app =
   | Jacobi1d of Programs.config1d
@@ -40,19 +44,6 @@ val compile_sdfg : app -> arm -> gpus:int -> Sdfg.t
 (** The transformed SDFG right before backend lowering (for inspection and
     code emission). *)
 
-val run_env :
-  ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
-  app -> arm -> gpus:int -> Cpufree_core.Measure.result
-(** Compile (phantom buffers) and execute on the simulated machine under
-    [env] (topology, fault plan, observability sinks, execution mode — default
-    {!Cpufree_obs.Sim_env.default}), via {!Cpufree_core.Measure.run_env}. *)
-
-val run_traced_env :
-  ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
-  app -> arm -> gpus:int ->
-  Cpufree_core.Measure.result * Cpufree_engine.Trace.t
-(** As {!run_env}, additionally returning the engine's execution trace. *)
-
 val verify_env :
   ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
   ?relax:bool -> ?specialize_tb:bool -> app -> arm -> gpus:int ->
@@ -61,37 +52,45 @@ val verify_env :
     [A] against the sequential reference: [Ok max_abs_err] or
     [Error reason]. *)
 
-type scenario = {
+val arm_of_name : string -> (arm, string) result
+(** [baseline]/[mpi] or [cpu-free]/[cpufree]; [Error] names the accepted
+    spellings. *)
+
+val app_of_name : string -> size:int -> iters:int -> (app, string) result
+(** [jacobi1d] ([size] elements), [jacobi2d] ([size]²) or [heat3d]
+    ([size]³), [iters] time steps. *)
+
+type scenario = Cpufree_core.Measure.job = {
   sc_label : string;
-      (** what the CLI prints: [app/arm], plus [/specialized] when
-          thread-block specialization is on *)
   sc_gpus : int;
   sc_iterations : int;
   sc_arch : Cpufree_gpu.Arch.t;
   sc_env : Cpufree_obs.Sim_env.t;
-      (** fresh, with sinks per the scenario's artifact booleans — run it
-          once *)
-  sc_program : Cpufree_gpu.Runtime.ctx -> unit;  (** the compiled program *)
+  sc_program : Cpufree_gpu.Runtime.ctx -> unit;
+  sc_progress : unit -> int array;
 }
-(** A first-class {!Cpufree_core.Scenario.t} interpreted and compiled as a
-    dace run — the single execution path shared by the CLI and the serving
-    daemon. *)
+(** The job type, re-exported so [Pipeline.sc_*] field paths resolve. *)
+
+val scenario_env :
+  ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t -> ?specialize_tb:bool ->
+  app -> arm -> gpus:int -> scenario
+(** Compile (phantom buffers) as a job under [env] (default
+    {!Cpufree_obs.Sim_env.default}), labelled [app/arm] — plus
+    [/specialized] with thread-block specialization — as the CLI prints it.
+    @raise Invalid_argument if the frontend or validation rejects the
+    decomposition. *)
 
 val of_scenario : Cpufree_core.Scenario.t -> (scenario, string) result
-(** Resolve the workload's [app]/[arm] strings (the CLI's accepted
-    spellings), compile the program, and build architecture and environment
-    via {!Cpufree_core.Measure.of_scenario}. [Error] on a stencil workload,
-    an invalid scenario, any unresolvable name, or a size the GPU count
-    cannot split, with a friendly message. *)
-
-val run_scenario : scenario -> Cpufree_core.Measure.result
+(** Resolve the workload's [app]/[arm] strings ({!app_of_name},
+    {!arm_of_name}), validate the scenario and build architecture and
+    environment via {!Cpufree_core.Measure.of_scenario}, and compile the
+    job. [Error] on a stencil workload, an invalid scenario, any
+    unresolvable name, or a size the GPU count cannot split, with a
+    friendly message. *)
 
 val run_scenario_traced :
   scenario -> Cpufree_core.Measure.result * Cpufree_engine.Trace.t
-
-val run_scenario_chaos :
-  ?watchdog:Cpufree_engine.Time.t -> scenario -> Cpufree_core.Measure.chaos
-(** Run under the scenario environment's fault plan
-    ({!Cpufree_core.Measure.run_chaos_env}; [sc_env.faults] must be set). *)
+(** [Measure.run ~traced:true job], result and engine trace (perfbench
+    still calls it). *)
 
 val iterations : app -> int

@@ -6,9 +6,9 @@ module D = Cpufree_dace
 module J = Cpufree_core.Json
 module Time = Cpufree_engine.Time
 
-(* Render the environment's sinks exactly as the CLI's
-   --trace-out/--metrics-out files would, refusing to ship a document its
-   own schema validator rejects. *)
+(* Render the environment's sinks — the daemon's artifacts and the CLI's
+   --trace-out/--metrics-out files — refusing a document its own schema
+   validator rejects. *)
 let artifacts (env : Env.t) =
   let ( let* ) = Result.bind in
   let* trace =
@@ -60,37 +60,19 @@ let chaos_summary (c : Measure.chaos) =
     retried = c.Measure.retried;
   }
 
-let run_stencil sc =
-  match S.Harness.of_scenario sc with
-  | Error _ as e -> e
-  | Ok hsc ->
-    let env = S.Harness.scenario_sim_env hsc in
-    if sc.Scenario.faults <> None then begin
-      let cr = S.Harness.run_scenario_chaos hsc in
-      payload_of cr.S.Harness.chaos.Measure.base
-        ~chaos:(Some (chaos_summary cr.S.Harness.chaos))
-        ~env
-    end
-    else begin
-      payload_of (S.Harness.run_scenario hsc) ~chaos:None ~env
-    end
-
-let run_dace sc =
-  match D.Pipeline.of_scenario sc with
-  | Error _ as e -> e
-  | Ok dsc ->
-    let env = dsc.D.Pipeline.sc_env in
-    if sc.Scenario.faults <> None then begin
-      let c = D.Pipeline.run_scenario_chaos dsc in
-      payload_of c.Measure.base ~chaos:(Some (chaos_summary c)) ~env
-    end
-    else begin
-      payload_of (D.Pipeline.run_scenario dsc) ~chaos:None ~env
-    end
+(* The one scenario dispatcher: each workload kind is interpreted by the
+   layer that owns its names. *)
+let job sc =
+  match sc.Scenario.workload with
+  | Scenario.Stencil _ -> S.Harness.of_scenario sc
+  | Scenario.Dace _ -> D.Pipeline.of_scenario sc
 
 let run sc =
   try
-    match sc.Scenario.workload with
-    | Scenario.Stencil _ -> run_stencil sc
-    | Scenario.Dace _ -> run_dace sc
+    match job sc with
+    | Error _ as e -> e
+    | Ok job ->
+      let o = Measure.run job in
+      payload_of o.Measure.result ~chaos:(Option.map chaos_summary o.Measure.chaos)
+        ~env:job.Measure.sc_env
   with e -> Error ("simulation failed: " ^ Printexc.to_string e)

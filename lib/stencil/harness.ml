@@ -2,31 +2,24 @@ module Measure = Cpufree_core.Measure
 module Parallel = Cpufree_core.Parallel
 module Env = Cpufree_obs.Sim_env
 
-let run_env ?arch ?env kind problem ~gpus =
+(* A variant instance as a job: the progress reader reports every PE (zero
+   when the program never started) so a chaos report can show how far each
+   one got. *)
+let scenario_env ?arch ?env kind problem ~gpus =
   let built = Variants.build kind problem ~gpus in
-  Measure.run_env ?arch ?env
-    ~label:(Variants.name kind)
-    ~gpus ~iterations:problem.Problem.iterations built.Variants.program
-
-let run_traced_env ?arch ?env kind problem ~gpus =
-  let built = Variants.build kind problem ~gpus in
-  Measure.run_traced_env ?arch ?env
-    ~label:(Variants.name kind)
-    ~gpus ~iterations:problem.Problem.iterations built.Variants.program
-
-type chaos_run = { chaos : Measure.chaos; progress : int array }
-
-let run_chaos_env ?arch ?watchdog ?env kind problem ~gpus =
-  let built = Variants.build kind problem ~gpus in
-  let chaos =
-    Measure.run_chaos_env ?arch ?watchdog ?env
-      ~label:(Variants.name kind)
-      ~gpus ~iterations:problem.Problem.iterations built.Variants.program
-  in
-  let progress =
+  let progress () =
     match built.Variants.progress () with Some p -> Array.copy p | None -> Array.make gpus 0
   in
-  { chaos; progress }
+  Measure.job ?arch ?env ~progress ~label:(Variants.name kind) ~gpus
+    ~iterations:problem.Problem.iterations built.Variants.program
+
+let run_scenario job = (Measure.run job).Measure.result
+
+let run_scenario_traced job =
+  let o = Measure.run ~traced:true job in
+  (o.Measure.result, Option.get o.Measure.trace)
+
+let scenario_sim_env job = job.Measure.sc_env
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint/restart: self-healing from a fail-stop GPU kill          *)
@@ -36,8 +29,8 @@ module Time = Cpufree_engine.Time
 module F = Cpufree_fault.Fault
 
 type resilient_run = {
-  r_first : chaos_run;
-  r_resume : chaos_run option;
+  r_first : Measure.chaos;
+  r_resume : Measure.chaos option;
   r_killed : int option;
   r_survivors : int;
   r_checkpoint : int;
@@ -78,8 +71,13 @@ let run_resilient ?arch ?watchdog ?(env = Env.default) ~checkpoint_every kind pr
     | Some s -> s
     | None -> invalid_arg "Harness.run_resilient: env.faults must be set"
   in
-  let first = run_chaos_env ?arch ?watchdog ~env kind problem ~gpus in
-  if first.chaos.Measure.completed then
+  let run_chaos ~env problem ~gpus =
+    Option.get (Measure.run ?watchdog (scenario_env ?arch ~env kind problem ~gpus)).Measure.chaos
+  in
+  let first = run_chaos ~env problem ~gpus in
+  (* Nothing healed: a completed run, or an abort that is not a diagnosed
+     kill (genuine stall, partition). *)
+  let unhealed =
     {
       r_first = first;
       r_resume = None;
@@ -87,138 +85,76 @@ let run_resilient ?arch ?watchdog ?(env = Env.default) ~checkpoint_every kind pr
       r_survivors = gpus;
       r_checkpoint = 0;
       r_restart_cost = Time.zero;
-      r_total = first.chaos.Measure.base.Measure.total;
-      r_completed = true;
+      r_total = first.Measure.base.Measure.total;
+      r_completed = first.Measure.completed;
       r_degraded = false;
       r_work_saved = 0;
     }
-  else
-    match parse_kill_trigger first.chaos.Measure.trigger with
-    | None ->
-      (* Not a diagnosed kill (genuine stall, partition): nothing to heal. *)
+  in
+  match (first.Measure.completed, parse_kill_trigger first.Measure.trigger) with
+  | true, _ | false, None -> unhealed
+  | false, Some dead_pe ->
+    let survivors = gpus - 1 in
+    (* The state every survivor can restore: the last checkpoint at or below
+       the least-advanced survivor's completed iteration count. *)
+    let min_progress = ref max_int in
+    Array.iteri
+      (fun pe p -> if pe <> dead_pe && p < !min_progress then min_progress := p)
+      first.Measure.progress;
+    let min_progress = if !min_progress = max_int then 0 else !min_progress in
+    let checkpoint = min_progress / checkpoint_every * checkpoint_every in
+    let remaining = problem.Problem.iterations - checkpoint in
+    let cost = restart_cost problem ~gpus ~survivors in
+    let diagnosed =
       {
-        r_first = first;
-        r_resume = None;
-        r_killed = None;
-        r_survivors = gpus;
-        r_checkpoint = 0;
-        r_restart_cost = Time.zero;
-        r_total = first.chaos.Measure.base.Measure.total;
-        r_completed = false;
-        r_degraded = false;
-        r_work_saved = 0;
+        unhealed with
+        r_killed = Some dead_pe;
+        r_survivors = survivors;
+        r_checkpoint = checkpoint;
+        r_restart_cost = cost;
       }
-    | Some dead_pe ->
-      let survivors = gpus - 1 in
-      (* The state every survivor can restore: the last checkpoint at or
-         below the least-advanced survivor's completed iteration count. *)
-      let min_progress = ref max_int in
-      Array.iteri
-        (fun pe p -> if pe <> dead_pe && p < !min_progress then min_progress := p)
-        first.progress;
-      let min_progress = if !min_progress = max_int then 0 else !min_progress in
-      let checkpoint = min_progress / checkpoint_every * checkpoint_every in
-      let remaining = problem.Problem.iterations - checkpoint in
-      let cost = restart_cost problem ~gpus ~survivors in
-      if survivors < 1 || remaining <= 0 then
-        {
-          r_first = first;
-          r_resume = None;
-          r_killed = Some dead_pe;
-          r_survivors = survivors;
-          r_checkpoint = checkpoint;
-          r_restart_cost = cost;
-          r_total = first.chaos.Measure.base.Measure.total;
-          r_completed = false;
-          r_degraded = false;
-          r_work_saved = 0;
-        }
-      else begin
-        (* Resume on the shrunk machine from the checkpoint: the same global
-           problem re-sharded over the survivors, fail-stop clauses stripped
-           (the dead device is gone, not dying again), every other fault
-           clause kept. *)
-        let resume_env =
-          { env with Env.faults = Some (strip_failstop spec) }
-        in
-        let resume_problem = { problem with Problem.iterations = remaining } in
-        let resume =
-          run_chaos_env ?arch ?watchdog ~env:resume_env kind resume_problem ~gpus:survivors
-        in
-        {
-          r_first = first;
-          r_resume = Some resume;
-          r_killed = Some dead_pe;
-          r_survivors = survivors;
-          r_checkpoint = checkpoint;
-          r_restart_cost = cost;
-          r_total =
-            Time.add first.chaos.Measure.base.Measure.total
-              (Time.add cost resume.chaos.Measure.base.Measure.total);
-          r_completed = resume.chaos.Measure.completed;
-          r_degraded = resume.chaos.Measure.completed;
-          r_work_saved = checkpoint * survivors;
-        }
-      end
-
-type scenario = {
-  sc_kind : Variants.kind;
-  sc_problem : Problem.t;
-  sc_gpus : int;
-  sc_arch : Cpufree_gpu.Arch.t option;
-  sc_env : Env.t;
-}
-
-let scenario_env ?arch ?(env = Env.default) kind problem ~gpus =
-  { sc_kind = kind; sc_problem = problem; sc_gpus = gpus; sc_arch = arch; sc_env = env }
-
-let run_scenario s =
-  run_env ?arch:s.sc_arch ~env:s.sc_env s.sc_kind s.sc_problem ~gpus:s.sc_gpus
-
-let run_scenario_traced s =
-  run_traced_env ?arch:s.sc_arch ~env:s.sc_env s.sc_kind s.sc_problem ~gpus:s.sc_gpus
-
-let run_scenario_chaos ?watchdog s =
-  run_chaos_env ?arch:s.sc_arch ?watchdog ~env:s.sc_env s.sc_kind s.sc_problem
-    ~gpus:s.sc_gpus
-
-let scenario_sim_env s = s.sc_env
-
-let run_many ?jobs scenarios = Parallel.map ?jobs run_scenario scenarios
-
-let run_many_traced ?jobs scenarios = Parallel.map ?jobs run_scenario_traced scenarios
+    in
+    if survivors < 1 || remaining <= 0 then diagnosed
+    else begin
+      (* Resume on the shrunk machine from the checkpoint: the same global
+         problem re-sharded over the survivors, fail-stop clauses stripped
+         (the dead device is gone, not dying again), every other fault
+         clause kept. *)
+      let resume_env = { env with Env.faults = Some (strip_failstop spec) } in
+      let resume_problem = { problem with Problem.iterations = remaining } in
+      let resume = run_chaos ~env:resume_env resume_problem ~gpus:survivors in
+      {
+        diagnosed with
+        r_resume = Some resume;
+        r_total =
+          Time.add first.Measure.base.Measure.total
+            (Time.add cost resume.Measure.base.Measure.total);
+        r_completed = resume.Measure.completed;
+        r_degraded = resume.Measure.completed;
+        r_work_saved = checkpoint * survivors;
+      }
+    end
 
 (* The stencil interpretation of a first-class scenario: the workload's
    neutral strings resolved into a variant and a problem, everything below
    resolved by Measure.of_scenario. One path for the CLI and the daemon. *)
 let of_scenario (sc : Cpufree_core.Scenario.t) =
+  let ( let* ) = Result.bind in
   match sc.Cpufree_core.Scenario.workload with
   | Cpufree_core.Scenario.Dace _ -> Error "not a stencil scenario"
-  | Cpufree_core.Scenario.Stencil { variant; dims; iters; no_compute } -> (
-    match Variants.of_name variant with
-    | None ->
-      Error
-        (Printf.sprintf "unknown variant %S; use one of: %s" variant
-           (String.concat ", " (List.map Variants.name Variants.all)))
-    | Some kind -> (
-      match Problem.dims_of_string dims with
-      | Error _ as e -> e
-      | Ok dims -> (
-        match Cpufree_core.Measure.of_scenario sc with
-        | Error _ as e -> e
-        | Ok rs ->
-          let problem = Problem.make ~compute:(not no_compute) dims ~iterations:iters in
-          let gpus = rs.Cpufree_core.Measure.rs_gpus in
-          Result.map
-            (fun () ->
-              {
-                sc_kind = kind;
-                sc_problem = problem;
-                sc_gpus = gpus;
-                sc_arch = Some rs.Cpufree_core.Measure.rs_arch;
-                sc_env = rs.Cpufree_core.Measure.rs_env;
-              })
-            (Variants.feasible kind problem ~gpus))))
+  | Cpufree_core.Scenario.Stencil { variant; dims; iters; no_compute } ->
+    let* kind =
+      Option.to_result (Variants.of_name variant)
+        ~none:
+          (Printf.sprintf "unknown variant %S; use one of: %s" variant
+             (String.concat ", " (List.map Variants.name Variants.all)))
+    in
+    let* dims = Problem.dims_of_string dims in
+    let* arch, env = Measure.of_scenario sc in
+    let problem = Problem.make ~compute:(not no_compute) dims ~iterations:iters in
+    let gpus = sc.Cpufree_core.Scenario.gpus in
+    let* () = Variants.feasible kind problem ~gpus in
+    Ok (scenario_env ~arch ~env kind problem ~gpus)
 
 let tolerance = 1e-9
 
@@ -260,28 +196,20 @@ let verify_env ?arch ?env kind problem ~gpus =
 
 type scaling_point = { gpus : int; result : Measure.result }
 
-(* [topology] (deprecated spelling) overrides the env's field when both are
-   given, preserving the pre-Sim_env call sites unchanged. *)
-let effective_env ?topology ?(env = Env.default) () =
-  match topology with None -> env | Some t -> { env with Env.topology = Some t }
+let run_points ?jobs scenarios =
+  Parallel.map ?jobs (fun (gpus, job) -> { gpus; result = run_scenario job }) scenarios
 
-let weak_scaling ?jobs ?arch ?topology ?env kind ~base ~gpu_counts =
-  let env = effective_env ?topology ?env () in
-  let scenarios =
-    List.map
-      (fun gpus ->
-        let dims = Problem.weak_scale base.Problem.dims ~gpus in
-        scenario_env ?arch ~env kind { base with Problem.dims } ~gpus)
-      gpu_counts
-  in
-  List.map2 (fun gpus result -> { gpus; result }) gpu_counts (run_many ?jobs scenarios)
+let weak_scaling ?jobs ?arch ?env kind ~base ~gpu_counts =
+  run_points ?jobs
+    (List.map
+       (fun gpus ->
+         let dims = Problem.weak_scale base.Problem.dims ~gpus in
+         (gpus, scenario_env ?arch ?env kind { base with Problem.dims } ~gpus))
+       gpu_counts)
 
-let strong_scaling ?jobs ?arch ?topology ?env kind problem ~gpu_counts =
-  let env = effective_env ?topology ?env () in
-  let scenarios =
-    List.map (fun gpus -> scenario_env ?arch ~env kind problem ~gpus) gpu_counts
-  in
-  List.map2 (fun gpus result -> { gpus; result }) gpu_counts (run_many ?jobs scenarios)
+let strong_scaling ?jobs ?arch ?env kind problem ~gpu_counts =
+  run_points ?jobs
+    (List.map (fun gpus -> (gpus, scenario_env ?arch ?env kind problem ~gpus)) gpu_counts)
 
 let weak_efficiency points =
   match points with

@@ -1,46 +1,53 @@
-(** Drivers for the stencil experiments: run a variant on a simulated
-    machine, verify it against the sequential reference, and produce the
-    weak/strong scaling series of Figures 6.1 and 6.2.
+(** Drivers for the stencil experiments: turn a variant into a
+    {!Cpufree_core.Measure.job}, verify it against the sequential
+    reference, heal from a fail-stop kill, and produce the weak/strong
+    scaling series of Figures 6.1 and 6.2.
 
-    Canonical entry points take a {!Cpufree_obs.Sim_env.t} (topology, fault
-    plan, observability sinks, execution mode); {!of_scenario} builds a runnable
-    scenario from a first-class {!Cpufree_core.Scenario.t}, so the CLI and
-    the serving daemon execute stencil requests through one path. *)
+    Every run goes through {!Cpufree_core.Measure.run}: build a job with
+    {!scenario_env} (or {!of_scenario} from a first-class
+    {!Cpufree_core.Scenario.t}, the CLI's and the daemon's path) and run it.
+    Jobs share nothing — each run builds a private engine — so lists of
+    them execute through the {!Cpufree_core.Parallel} domain pool with
+    results in list order, bit-identical to running them sequentially. An
+    [env] carrying trace/metrics sinks must not be shared between jobs of
+    one parallel batch: each worker mutates its job's sinks. *)
 
-val run_env :
+val scenario_env :
   ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
-  Variants.kind -> Problem.t -> gpus:int -> Cpufree_core.Measure.result
-(** Build the variant and run it through {!Cpufree_core.Measure.run_env}
-    under [env] (default {!Cpufree_obs.Sim_env.default}). *)
+  Variants.kind -> Problem.t -> gpus:int -> Cpufree_core.Measure.job
+(** Build the variant as a job under [env] (default
+    {!Cpufree_obs.Sim_env.default}), labelled with the variant's name. Its
+    progress reader reports the per-PE last completed iteration — partial
+    when a chaos run aborted.
+    @raise Invalid_argument with the {!Variants.feasible} reason. *)
 
-val run_traced_env :
-  ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
-  Variants.kind -> Problem.t -> gpus:int ->
-  Cpufree_core.Measure.result * Cpufree_engine.Trace.t
-(** As {!run_env}, additionally returning the engine's execution trace. *)
+val of_scenario : Cpufree_core.Scenario.t -> (Cpufree_core.Measure.job, string) result
+(** Interpret a first-class scenario spec as a stencil job: the workload's
+    [variant] and [dims] strings resolved ({!Variants.of_name},
+    {!Problem.dims_of_string}), architecture and environment from
+    {!Cpufree_core.Measure.of_scenario}, the geometry checked by
+    {!Variants.feasible}. [Error] on a dace workload, an invalid scenario or
+    any unresolvable name, with a friendly message. The embedded
+    environment is fresh — run the returned job once. *)
 
-type chaos_run = {
-  chaos : Cpufree_core.Measure.chaos;
-  progress : int array;
-      (** per-PE last completed iteration at termination — partial when the
-          run aborted (graceful degradation) *)
-}
+(** {2 Aliases perfbench still calls} *)
 
-val run_chaos_env :
-  ?arch:Cpufree_gpu.Arch.t -> ?watchdog:Cpufree_engine.Time.t ->
-  ?env:Cpufree_obs.Sim_env.t ->
-  Variants.kind -> Problem.t -> gpus:int -> chaos_run
-(** Run a variant under the environment's deterministic fault-injection plan
-    ({!Cpufree_core.Measure.run_chaos_env}; [env.faults] must be set). A run
-    that livelocks on a lost signal is converted by the stall watchdog into a
-    diagnosed abort; the per-iteration progress each PE reached is reported
-    either way. *)
+val run_scenario : Cpufree_core.Measure.job -> Cpufree_core.Measure.result
+(** [(Measure.run job).result]. *)
+
+val run_scenario_traced :
+  Cpufree_core.Measure.job -> Cpufree_core.Measure.result * Cpufree_engine.Trace.t
+(** [Measure.run ~traced:true job], result and engine trace. *)
+
+val scenario_sim_env : Cpufree_core.Measure.job -> Cpufree_obs.Sim_env.t
+(** The job's environment — where a caller collects the trace/metrics sinks
+    after running it. *)
 
 (** {2 Checkpoint/restart self-healing} *)
 
 type resilient_run = {
-  r_first : chaos_run;  (** the faulted attempt *)
-  r_resume : chaos_run option;
+  r_first : Cpufree_core.Measure.chaos;  (** the faulted attempt *)
+  r_resume : Cpufree_core.Measure.chaos option;
       (** the survivor run resumed from the checkpoint, when a kill was
           diagnosed *)
   r_killed : int option;  (** the diagnosed dead PE, if any *)
@@ -85,67 +92,18 @@ val tolerance : float
 (** Acceptance threshold for {!verify_env} (single-precision-style slack on
     accumulated double arithmetic). *)
 
-(** {2 Scenario lists}
-
-    A scenario is one fully specified simulation (variant × problem × GPU
-    count, plus an optional machine/fault environment). Scenarios share
-    nothing — each run builds a private engine — so lists of them execute
-    through the {!Cpufree_core.Parallel} domain pool with results in list
-    order, bit-identical to running them sequentially. An [env] carrying
-    trace/metrics sinks must not be shared between scenarios of one
-    parallel batch: each worker mutates its scenario's sinks. *)
-
-type scenario
-
-val scenario_env :
-  ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
-  Variants.kind -> Problem.t -> gpus:int -> scenario
-
-val of_scenario : Cpufree_core.Scenario.t -> (scenario, string) result
-(** Interpret a first-class scenario spec as a stencil run: the workload's
-    [variant] and [dims] strings resolved ({!Variants.of_name},
-    {!Problem.dims_of_string}), architecture and environment built by
-    {!Cpufree_core.Measure.of_scenario}. [Error] on a dace workload or any
-    unresolvable name, with a friendly message. The embedded environment is
-    fresh — run the returned scenario once. *)
-
-val run_scenario : scenario -> Cpufree_core.Measure.result
-
-val run_scenario_traced :
-  scenario -> Cpufree_core.Measure.result * Cpufree_engine.Trace.t
-
-val run_scenario_chaos :
-  ?watchdog:Cpufree_engine.Time.t -> scenario -> chaos_run
-(** Run one scenario under its environment's fault plan
-    ({!run_chaos_env}; the scenario's [env.faults] must be set). *)
-
-val scenario_sim_env : scenario -> Cpufree_obs.Sim_env.t
-(** The environment embedded in a scenario — where a caller collects the
-    trace/metrics sinks after running it. *)
-
-val run_many : ?jobs:int -> scenario list -> Cpufree_core.Measure.result list
-(** Execute every scenario on the domain pool ([?jobs] as in
-    {!Cpufree_core.Parallel.map}; defaults to [CPUFREE_JOBS] or the host
-    core count). Results are in input order. *)
-
-val run_many_traced :
-  ?jobs:int -> scenario list -> (Cpufree_core.Measure.result * Cpufree_engine.Trace.t) list
-
 type scaling_point = { gpus : int; result : Cpufree_core.Measure.result }
 
 val weak_scaling :
-  ?jobs:int -> ?arch:Cpufree_gpu.Arch.t -> ?topology:Cpufree_machine.Topology.spec ->
-  ?env:Cpufree_obs.Sim_env.t ->
+  ?jobs:int -> ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
   Variants.kind -> base:Problem.t ->
   gpu_counts:int list -> scaling_point list
 (** Weak scaling: grow the base (1-GPU) domain by {!Problem.weak_scale} for
     each GPU count. Counts must be powers of two. Points run on the domain
-    pool under [env] ([topology], the pre-[Sim_env] spelling, overrides the
-    env's field when both are given). *)
+    pool ([?jobs] as in {!Cpufree_core.Parallel.map}) under [env]. *)
 
 val strong_scaling :
-  ?jobs:int -> ?arch:Cpufree_gpu.Arch.t -> ?topology:Cpufree_machine.Topology.spec ->
-  ?env:Cpufree_obs.Sim_env.t ->
+  ?jobs:int -> ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
   Variants.kind -> Problem.t ->
   gpu_counts:int list -> scaling_point list
 (** Strong scaling: the same global domain at every GPU count. *)

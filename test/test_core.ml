@@ -242,13 +242,15 @@ let measure_tests =
         check_int "per iter" 10_000 (Time.to_ns r.Measure.per_iter);
         check_int "gpus" 1 r.Measure.gpus);
     Alcotest.test_case "traced run exposes the trace" `Quick (fun () ->
-        let r, trace =
-          Measure.run_traced_env ~label:"x" ~gpus:2 ~iterations:1 (fun ctx ->
-              let net = G.Runtime.net ctx in
-              G.Interconnect.transfer net ~src:(G.Interconnect.Gpu 0)
-                ~dst:(G.Interconnect.Gpu 1) ~initiator:G.Interconnect.By_device ~bytes:3_000
-                ~trace_lane:"gpu0.comm" ())
+        let o =
+          Measure.run ~traced:true
+            (Measure.job ~label:"x" ~gpus:2 ~iterations:1 (fun ctx ->
+                 let net = G.Runtime.net ctx in
+                 G.Interconnect.transfer net ~src:(G.Interconnect.Gpu 0)
+                   ~dst:(G.Interconnect.Gpu 1) ~initiator:G.Interconnect.By_device ~bytes:3_000
+                   ~trace_lane:"gpu0.comm" ()))
         in
+        let r = o.Measure.result and trace = Option.get o.Measure.trace in
         check_bool "comm recorded" true Time.(r.Measure.comm > Time.zero);
         check_bool "spans" true (E.Trace.spans trace <> []);
         check_int "bytes" 3_000 r.Measure.bytes_moved);

@@ -401,12 +401,15 @@ let nvshmem_tests =
 
 let small_problem = S.Problem.make (S.Problem.D2 { nx = 128; ny = 128 }) ~iterations:5
 
-let chaos_digest (cr : S.Harness.chaos_run) =
-  let c = cr.S.Harness.chaos in
+(* A faulted stencil run: the variant's job through Measure.run. *)
+let run_chaos ~env kind problem ~gpus =
+  Option.get (Measure.run (S.Harness.scenario_env ~env kind problem ~gpus)).Measure.chaos
+
+let chaos_digest (c : Measure.chaos) =
   ( Time.to_ns c.Measure.base.Measure.total,
     c.Measure.completed,
     (c.Measure.dropped, c.Measure.delayed, c.Measure.resent, c.Measure.retried),
-    Array.to_list cr.S.Harness.progress )
+    Array.to_list c.Measure.progress )
 
 let in_mode mode f =
   Unix.putenv "CPUFREE_PDES" mode;
@@ -423,42 +426,40 @@ let chaos_tests =
         let problem =
           S.Problem.make (S.Problem.D2 { nx = 512; ny = 512 }) ~iterations:30
         in
-        let cr =
-          S.Harness.run_chaos_env
+        let c =
+          run_chaos
             ~env:(Env.make ~faults:spec ~fault_seed:3 ())
             S.Variants.Cpu_free problem ~gpus:4
         in
-        let c = cr.S.Harness.chaos in
         check_bool "aborted" false c.Measure.completed;
         check_bool "has a trigger" true (c.Measure.trigger <> None);
         check_bool "has diagnosis lines" true (c.Measure.failure <> []);
-        check_int "progress for every PE" 4 (Array.length cr.S.Harness.progress);
+        check_int "progress for every PE" 4 (Array.length c.Measure.progress);
         (* Partial metrics: some iterations completed, but not all. *)
         check_bool "made some progress" true
-          (Array.exists (fun p -> p > 0) cr.S.Harness.progress);
+          (Array.exists (fun p -> p > 0) c.Measure.progress);
         check_bool "did not finish" true
-          (Array.exists (fun p -> p < 30) cr.S.Harness.progress);
+          (Array.exists (fun p -> p < 30) c.Measure.progress);
         check_bool "partial time recorded" true Time.(c.Measure.base.Measure.total > zero));
     Alcotest.test_case "fault-free chaos control completes with zero fault traffic" `Quick
       (fun () ->
-        let cr =
-          S.Harness.run_chaos_env
+        let c =
+          run_chaos
             ~env:(Env.make ~faults:(Fault.preset ~intensity:0.0) ~fault_seed:1 ())
             S.Variants.Cpu_free small_problem ~gpus:2
         in
-        let c = cr.S.Harness.chaos in
         check_bool "completed" true c.Measure.completed;
         check_int "dropped" 0 c.Measure.dropped;
         check_int "resent" 0 c.Measure.resent;
         check (Alcotest.list Alcotest.int) "progress" [ 5; 5 ]
-          (Array.to_list cr.S.Harness.progress));
+          (Array.to_list c.Measure.progress));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"fixed fault seed is bit-identical, seq == repeat" ~count:8
          QCheck.(pair (float_bound_exclusive 3.0) (int_bound 999))
          (fun (intensity, seed) ->
            let run () =
              chaos_digest
-               (S.Harness.run_chaos_env
+               (run_chaos
                   ~env:(Env.make ~faults:(Fault.preset ~intensity) ~fault_seed:seed ())
                   S.Variants.Cpu_free small_problem ~gpus:2)
            in
@@ -472,7 +473,7 @@ let chaos_tests =
          (fun seed ->
            let run () =
              chaos_digest
-               (S.Harness.run_chaos_env
+               (run_chaos
                   ~env:(Env.make ~faults:(Fault.preset ~intensity:1.5) ~fault_seed:seed ())
                   S.Variants.Nvshmem small_problem ~gpus:2)
            in
@@ -490,12 +491,12 @@ let chaos_tests =
              | Error e -> Alcotest.failf "spec: %s" e
            in
            let run () =
-             let cr =
-               S.Harness.run_chaos_env
+             let c =
+               run_chaos
                  ~env:(Env.make ~faults:spec ~fault_seed:seed ())
                  S.Variants.Cpu_free small_problem ~gpus:2
              in
-             (chaos_digest cr, cr.S.Harness.chaos.Measure.trigger)
+             (chaos_digest c, c.Measure.trigger)
            in
            let seq = in_mode "seq" run in
            List.for_all (fun mode -> in_mode mode run = seq) [ "seq"; "" ]));

@@ -331,12 +331,17 @@ let sim_env_law_tests =
 
 let problem () = S.Problem.make (S.Problem.D2 { nx = 128; ny = 128 }) ~iterations:8
 
+(* A stencil variant's job through Measure.run. *)
+let run ?env ?traced kind p ~gpus = Measure.run ?traced (S.Harness.scenario_env ?env kind p ~gpus)
+let run_env ?env kind p ~gpus = (run ?env kind p ~gpus).Measure.result
+let with_trace (o : Measure.outcome) = (o.Measure.result, Option.get o.Measure.trace)
+
 let traced_env () =
   Env.make ~trace:(Trace.create ~flows:true ()) ~metrics:(Mx.create ()) ()
 
 let export_of_run () =
   let env = traced_env () in
-  let (_ : Measure.result) = S.Harness.run_env S.Variants.Cpu_free (problem ()) ~gpus:4 ~env in
+  let (_ : Measure.result) = run_env S.Variants.Cpu_free (problem ()) ~gpus:4 ~env in
   match (env.Env.trace, env.Env.metrics) with
   | Some tr, Some reg -> Obs.Perfetto.to_json_string ~metrics:reg tr
   | _ -> assert false
@@ -346,7 +351,7 @@ let end_to_end_tests =
     Alcotest.test_case "an instrumented stencil run pairs its flows" `Quick (fun () ->
         let env = traced_env () in
         let (_ : Measure.result) =
-          S.Harness.run_env S.Variants.Cpu_free (problem ()) ~gpus:4 ~env
+          run_env S.Variants.Cpu_free (problem ()) ~gpus:4 ~env
         in
         let tr = Option.get env.Env.trace in
         let flows = Trace.flows tr in
@@ -369,7 +374,7 @@ let end_to_end_tests =
     Alcotest.test_case "metrics registry sees every layer" `Quick (fun () ->
         let env = traced_env () in
         let (_ : Measure.result) =
-          S.Harness.run_env S.Variants.Cpu_free (problem ()) ~gpus:4 ~env
+          run_env S.Variants.Cpu_free (problem ()) ~gpus:4 ~env
         in
         let reg = Option.get env.Env.metrics in
         let names = List.map (fun it -> it.Mx.name) (Mx.items reg) in
@@ -393,8 +398,8 @@ let end_to_end_tests =
         let env =
           Env.make ~faults:spec ~fault_seed:1 ~trace:(Trace.create ~flows:true ()) ()
         in
-        let cr = S.Harness.run_chaos_env S.Variants.Cpu_free (problem ()) ~gpus:2 ~env in
-        check_bool "plan dropped deliveries" true (cr.S.Harness.chaos.Measure.dropped > 0);
+        let c = Option.get (run S.Variants.Cpu_free (problem ()) ~gpus:2 ~env).Measure.chaos in
+        check_bool "plan dropped deliveries" true (c.Measure.dropped > 0);
         let tr = Option.get env.Env.trace in
         let faults =
           List.filter
@@ -406,7 +411,7 @@ let end_to_end_tests =
         check_bool "fault markers recorded" true (faults <> []));
     Alcotest.test_case "scenario path is byte-identical to the direct path" `Quick (fun () ->
         (* The Scenario.t → Harness.of_scenario route (what the CLI and the
-           daemon run) must match a hand-assembled run_traced_env exactly. *)
+           daemon run) must match a hand-assembled traced job exactly. *)
         let sc =
           Cpufree_core.Scenario.make ~gpus:4
             (Cpufree_core.Scenario.Stencil
@@ -415,16 +420,15 @@ let end_to_end_tests =
         let hsc =
           match S.Harness.of_scenario sc with Ok s -> s | Error e -> Alcotest.fail e
         in
-        let sr, st = S.Harness.run_scenario_traced hsc in
+        let sr, st = with_trace (Measure.run ~traced:true hsc) in
         let p = S.Problem.make (S.Problem.D2 { nx = 64; ny = 64 }) ~iterations:5 in
         let dr, dt =
-          S.Harness.run_traced_env ~env:(Env.make ~fault_seed:1 ()) S.Variants.Cpu_free p
-            ~gpus:4
+          with_trace (run ~traced:true ~env:(Env.make ~fault_seed:1 ()) S.Variants.Cpu_free p ~gpus:4)
         in
         check_bool "results equal" true (sr = dr);
         check_string "chrome json equal" (Trace.to_chrome_json st) (Trace.to_chrome_json dt));
     Alcotest.test_case "plain runs record no v2 events" `Quick (fun () ->
-        let _, tr = S.Harness.run_traced_env S.Variants.Cpu_free (problem ()) ~gpus:4 in
+        let tr = Option.get (run ~traced:true S.Variants.Cpu_free (problem ()) ~gpus:4).Measure.trace in
         check_int "no flows" 0 (List.length (Trace.flows tr));
         check_bool "no delivery spans or markers" true
           (List.for_all
@@ -485,8 +489,8 @@ let untraced_tests =
                   (fun gpus ->
                     both_envs
                       (Printf.sprintf "%s %s x%d" dims (S.Variants.name kind) gpus)
-                      (fun env -> S.Harness.run_env ~env kind p ~gpus)
-                      (fun env -> S.Harness.run_traced_env ~env kind p ~gpus))
+                      (fun env -> run_env ~env kind p ~gpus)
+                      (fun env -> with_trace (run ~traced:true ~env kind p ~gpus)))
                   [ 1; 2; 4 ])
               S.Variants.all)
           problems);
@@ -503,8 +507,11 @@ let untraced_tests =
               (fun arm ->
                 both_envs
                   (D.Pipeline.app_name app ^ "/" ^ D.Pipeline.arm_name arm)
-                  (fun env -> D.Pipeline.run_env ~env app arm ~gpus:4)
-                  (fun env -> D.Pipeline.run_traced_env ~env app arm ~gpus:4))
+                  (fun env ->
+                    (Measure.run (D.Pipeline.scenario_env ~env app arm ~gpus:4)).Measure.result)
+                  (fun env ->
+                    with_trace
+                      (Measure.run ~traced:true (D.Pipeline.scenario_env ~env app arm ~gpus:4))))
               [ D.Pipeline.Baseline_mpi; D.Pipeline.Cpu_free ])
           apps);
     Alcotest.test_case "faulted chaos run: no sink equals a span sink" `Quick (fun () ->
@@ -513,10 +520,10 @@ let untraced_tests =
         in
         let p = S.Problem.make (S.Problem.D2 { nx = 64; ny = 64 }) ~iterations:12 in
         let run ?trace ?metrics () =
-          (S.Harness.run_chaos_env
-             ~env:(Env.make ~faults ~fault_seed:3 ?trace ?metrics ())
-             S.Variants.Cpu_free p ~gpus:4)
-            .S.Harness.chaos
+          Option.get
+            (run ~env:(Env.make ~faults ~fault_seed:3 ?trace ?metrics ()) S.Variants.Cpu_free p
+               ~gpus:4)
+              .Measure.chaos
         in
         let plain = run () and sink = Trace.create () in
         let traced = run ~trace:sink () in
@@ -541,9 +548,10 @@ let untraced_tests =
           (trace_of (plain ~env:(fst (metrics_env ()))) = None);
         check_bool "a trace sink attaches one" true
           (trace_of (plain ~env:(Env.make ~trace:(Trace.create ()) ())) <> None);
-        check_bool "run_traced_env attaches one" true
+        check_bool "a traced run attaches one" true
           (trace_of (fun program ->
-               fst (Measure.run_traced_env ~label:"t" ~gpus:1 ~iterations:1 program))
+               (Measure.run ~traced:true (Measure.job ~label:"t" ~gpus:1 ~iterations:1 program))
+                 .Measure.result)
           <> None));
   ]
 

@@ -15,6 +15,9 @@ let check = Alcotest.check
 let check_bool = check Alcotest.bool
 let contains affix s = Astring.String.is_infix ~affix s
 
+(* A compiled app/arm pair as a job through Measure.run. *)
+let run_env app arm ~gpus = (Measure.run (Pipeline.scenario_env app arm ~gpus)).Measure.result
+
 let app1d = Pipeline.Jacobi1d { Programs.n_global = 64; tsteps = 4 }
 let app2d = Pipeline.Jacobi2d { Programs.nx_global = 16; ny_global = 16; tsteps = 3 }
 let app3d = Pipeline.Heat3d { Programs.nx3 = 6; ny3 = 6; nz3 = 16; tsteps3 = 3 }
@@ -135,19 +138,22 @@ let bench2d = Pipeline.Jacobi2d { Programs.nx_global = 2048; ny_global = 2048; t
 let shape_tests =
   [
     Alcotest.test_case "CPU-Free beats the DaCe baseline at 8 GPUs (1D)" `Slow (fun () ->
-        let b = Pipeline.run_env bench1d Pipeline.Baseline_mpi ~gpus:8 in
-        let f = Pipeline.run_env bench1d Pipeline.Cpu_free ~gpus:8 in
+        let b = run_env bench1d Pipeline.Baseline_mpi ~gpus:8 in
+        let f = run_env bench1d Pipeline.Cpu_free ~gpus:8 in
         check_bool "faster" true Time.(f.Measure.total < b.Measure.total));
     Alcotest.test_case "CPU-Free wins even bigger on strided 2D" `Slow (fun () ->
-        let b1 = Pipeline.run_env bench1d Pipeline.Baseline_mpi ~gpus:8 in
-        let f1 = Pipeline.run_env bench1d Pipeline.Cpu_free ~gpus:8 in
-        let b2 = Pipeline.run_env bench2d Pipeline.Baseline_mpi ~gpus:8 in
-        let f2 = Pipeline.run_env bench2d Pipeline.Cpu_free ~gpus:8 in
+        let b1 = run_env bench1d Pipeline.Baseline_mpi ~gpus:8 in
+        let f1 = run_env bench1d Pipeline.Cpu_free ~gpus:8 in
+        let b2 = run_env bench2d Pipeline.Baseline_mpi ~gpus:8 in
+        let f2 = run_env bench2d Pipeline.Cpu_free ~gpus:8 in
         let s1 = Measure.speedup_pct ~baseline:b1 ~ours:f1 in
         let s2 = Measure.speedup_pct ~baseline:b2 ~ours:f2 in
         check_bool "2D speedup larger" true (s2 > s1));
     Alcotest.test_case "baseline 2D is communication-dominated" `Slow (fun () ->
-        let r, trace = Pipeline.run_traced_env bench2d Pipeline.Baseline_mpi ~gpus:8 in
+        let o =
+          Measure.run ~traced:true (Pipeline.scenario_env bench2d Pipeline.Baseline_mpi ~gpus:8)
+        in
+        let r = o.Measure.result and trace = Option.get o.Measure.trace in
         let frac = Cpufree_comm.Metrics.comm_fraction trace ~total:r.Measure.total in
         ignore frac;
         (* Host-side control dominates; device communication alone is a lower

@@ -22,6 +22,12 @@ let check_float msg = check (Alcotest.float 1e-9) msg
 let d2 nx ny = Problem.D2 { nx; ny }
 let d3 nx ny nz = Problem.D3 { nx; ny; nz }
 
+(* A variant's job through Measure.run. *)
+let run ?arch ?env ?traced kind problem ~gpus =
+  Measure.run ?traced (Harness.scenario_env ?arch ?env kind problem ~gpus)
+
+let run_env ?arch kind problem ~gpus = (run ?arch kind problem ~gpus).Measure.result
+
 (* --- Problem ------------------------------------------------------------ *)
 
 let problem_tests =
@@ -235,8 +241,8 @@ let variant_misc_tests =
         (* Section 4: "We did not observe any significant performance
            improvement or degradation from this design". *)
         let problem = Problem.make (d2 2048 2048) ~iterations:20 in
-        let single = Harness.run_env Variants.Cpu_free problem ~gpus:8 in
-        let multi = Harness.run_env Variants.Cpu_free_multi problem ~gpus:8 in
+        let single = run_env Variants.Cpu_free problem ~gpus:8 in
+        let multi = run_env Variants.Cpu_free_multi problem ~gpus:8 in
         let ratio =
           Time.to_sec_float multi.Measure.total /. Time.to_sec_float single.Measure.total
         in
@@ -265,7 +271,7 @@ let variant_misc_tests =
         rejects "cpu-free" "2d:64x9" "at least two";
         rejects "baseline-copy" "2d:64x4" "fewer planes than PEs";
         (match of_scenario "cpu-free" "2d:64x16" with
-        | Ok hsc -> ignore (Harness.run_scenario_traced hsc : Measure.result * E.Trace.t)
+        | Ok hsc -> ignore (Measure.run ~traced:true hsc : Measure.outcome)
         | Error e -> Alcotest.fail e);
         check_bool "feasible neighbour" true
           (Variants.feasible Variants.Cpu_free (Problem.make (d2 64 16) ~iterations:1) ~gpus:8
@@ -274,7 +280,7 @@ let variant_misc_tests =
         let problem = Problem.make ~compute:false (d2 64 64) ~iterations:5 in
         List.iter
           (fun kind ->
-            let r = Harness.run_env kind problem ~gpus:4 in
+            let r = run_env kind problem ~gpus:4 in
             check_bool (Variants.name kind ^ " comm") true Time.(r.Measure.comm > Time.zero);
             check_bool (Variants.name kind ^ " bytes") true (r.Measure.bytes_moved > 0))
           Variants.extended);
@@ -287,7 +293,7 @@ let variant_misc_tests =
           (Harness.weak_efficiency pts));
     Alcotest.test_case "phantom mode moves no data but same simulated time" `Quick (fun () ->
         let run backed =
-          Harness.run_env Variants.Nvshmem
+          run_env Variants.Nvshmem
             (Problem.make ~backed (d2 32 32) ~iterations:4)
             ~gpus:4
         in
@@ -349,8 +355,8 @@ let scaling_tests =
     Alcotest.test_case "cpu-free beats the fully CPU-controlled baseline (small domain)"
       `Quick (fun () ->
         let problem = Problem.make (d2 256 256) ~iterations:50 in
-        let copy = Harness.run_env Variants.Copy problem ~gpus:8 in
-        let free = Harness.run_env Variants.Cpu_free problem ~gpus:8 in
+        let copy = run_env Variants.Copy problem ~gpus:8 in
+        let free = run_env Variants.Cpu_free problem ~gpus:8 in
         check_bool "faster" true Time.(free.Measure.total < copy.Measure.total);
         let speedup = Measure.speedup_pct ~baseline:copy ~ours:free in
         check_bool "large speedup" true (speedup > 50.0));
@@ -361,7 +367,7 @@ let scaling_tests =
           let problem =
             Problem.make ?norm_every:norm (d2 512 512) ~iterations:20
           in
-          Harness.run_env kind problem ~gpus:4
+          run_env kind problem ~gpus:4
         in
         let base_plain = run Variants.Nvshmem None in
         let base_norm = run Variants.Nvshmem (Some 1) in
@@ -389,12 +395,12 @@ let scaling_tests =
           (fun () -> ignore (Problem.make ~norm_every:0 (d2 4 4) ~iterations:1)));
     Alcotest.test_case "H100 runs the same workload faster" `Quick (fun () ->
         let problem = Problem.make (d2 2048 2048) ~iterations:10 in
-        let a100 = Harness.run_env ~arch:G.Arch.a100_hgx Variants.Cpu_free problem ~gpus:4 in
-        let h100 = Harness.run_env ~arch:G.Arch.h100_hgx Variants.Cpu_free problem ~gpus:4 in
+        let a100 = run_env ~arch:G.Arch.a100_hgx Variants.Cpu_free problem ~gpus:4 in
+        let h100 = run_env ~arch:G.Arch.h100_hgx Variants.Cpu_free problem ~gpus:4 in
         check_bool "faster" true Time.(h100.Measure.total < a100.Measure.total));
     Alcotest.test_case "traced run produces device lanes" `Quick (fun () ->
         let problem = Problem.make (d2 64 64) ~iterations:2 in
-        let _, trace = Harness.run_traced_env Variants.Overlap problem ~gpus:2 in
+        let trace = Option.get (run ~traced:true Variants.Overlap problem ~gpus:2).Measure.trace in
         check_bool "lanes" true (List.length (E.Trace.lanes trace) >= 2));
   ]
 
@@ -408,11 +414,8 @@ let kill_env s =
   | Ok spec -> Env.make ~faults:spec ~fault_seed:1 ()
   | Error e -> Alcotest.failf "spec: %s" e
 
-let chaos_digest (cr : Harness.chaos_run) =
-  let c = cr.Harness.chaos in
-  ( Time.to_ns c.Measure.base.Measure.total,
-    c.Measure.completed,
-    Array.to_list cr.Harness.progress )
+let chaos_digest (c : Measure.chaos) =
+  (Time.to_ns c.Measure.base.Measure.total, c.Measure.completed, Array.to_list c.Measure.progress)
 
 let resilience_tests =
   [
@@ -423,7 +426,7 @@ let resilience_tests =
             Variants.Cpu_free problem ~gpus:3
         in
         check_bool "first attempt aborted" false
-          r.Harness.r_first.Harness.chaos.Measure.completed;
+          r.Harness.r_first.Measure.completed;
         check (Alcotest.option Alcotest.int) "diagnosed the corpse" (Some 1) r.Harness.r_killed;
         check_int "survivors" 2 r.Harness.r_survivors;
         check_bool "resumed" true (r.Harness.r_resume <> None);
@@ -437,14 +440,14 @@ let resilience_tests =
         check_bool "total covers attempt + restart + resume" true
           Time.(
             r.Harness.r_total
-            > Time.add r.Harness.r_first.Harness.chaos.Measure.base.Measure.total
+            > Time.add r.Harness.r_first.Measure.base.Measure.total
                 r.Harness.r_restart_cost);
         match r.Harness.r_resume with
         | None -> Alcotest.fail "no resume run"
         | Some res ->
           check (Alcotest.list Alcotest.int) "survivors finish the remainder"
             [ 12 - r.Harness.r_checkpoint; 12 - r.Harness.r_checkpoint ]
-            (Array.to_list res.Harness.progress));
+            (Array.to_list res.Measure.progress));
     Alcotest.test_case "fault-free control is byte-identical to a plain run" `Quick (fun () ->
         let problem = Problem.make (d2 96 96) ~iterations:6 in
         let env = kill_env "kill=0@100000" in
@@ -455,10 +458,10 @@ let resilience_tests =
         check_bool "not degraded" false r.Harness.r_degraded;
         check_bool "no resume" true (r.Harness.r_resume = None);
         check_int "no restart cost" 0 (Time.to_ns r.Harness.r_restart_cost);
-        let plain = Harness.run_chaos_env ~env Variants.Cpu_free problem ~gpus:2 in
+        let plain = Option.get (run ~env Variants.Cpu_free problem ~gpus:2).Measure.chaos in
         check_bool "digest matches the plain chaos run" true
           (chaos_digest r.Harness.r_first = chaos_digest plain);
-        check_int "total is the plain total" (Time.to_ns plain.Harness.chaos.Measure.base.Measure.total)
+        check_int "total is the plain total" (Time.to_ns plain.Measure.base.Measure.total)
           (Time.to_ns r.Harness.r_total));
     Alcotest.test_case "bad arguments are rejected" `Quick (fun () ->
         let problem = Problem.make (d2 32 32) ~iterations:2 in
