@@ -8,12 +8,16 @@
    document are derived from the registry, so adding a figure means adding
    one record.
 
+   Every figure reports simulated values only, so stdout and
+   BENCH_results.json are byte-identical across runs and pool sizes. Host
+   cost (events per second, route and build times, daemon latency) is
+   measured by perfbench, with calibration.
+
    Figure sweeps are lists of independent scenarios (each owns its own
    engine) executed on the Parallel domain pool, so the harness scales with
    host cores while the simulated results stay bit-identical to a
    sequential run. Pool size: CPUFREE_JOBS env var, default the host core
-   count. Wall-clock chatter goes to stderr so stdout is byte-identical
-   across pool sizes.
+   count. Wall-clock chatter (one line per figure) goes to stderr.
 
    Run: dune exec bench/main.exe              (paper figures)
         dune exec bench/main.exe -- quick     (paper figures, smaller sweeps)
@@ -23,9 +27,8 @@
 
    NAME is any registry name: fig2.1b fig3.1 fig5.1b fig2.2a fig2.2b fig6.1
    fig6.2 fig6.3a fig6.3b headline supplementary.norm ablations scaleout
-   collective autotune micro profile serve chaos recovery. Named and
-   smoke runs always write BENCH_results.json. Figure index: DESIGN.md and
-   EXPERIMENTS.md. *)
+   collective autotune chaos recovery. Named and smoke runs always write
+   BENCH_results.json. Figure index: DESIGN.md and EXPERIMENTS.md. *)
 
 module E = Cpufree_engine
 module G = Cpufree_gpu
@@ -36,8 +39,6 @@ module Parallel = Cpufree_core.Parallel
 module J = Cpufree_core.Json
 module Metrics = Cpufree_comm.Metrics
 module Time = E.Time
-module Serve = Cpufree_serve
-module Scenario = Cpufree_core.Scenario
 module Sim_env = Cpufree_obs.Sim_env
 module Topology = Cpufree_machine.Topology
 module Fault = Cpufree_fault.Fault
@@ -131,7 +132,7 @@ let num k p =
 let is k v p = field k p = Some v
 
 (* A figure without smoke/full parameters. *)
-let fixed ?name ?(suite = Paper) ?(fields = point_fields) ?(gates = []) figure run =
+let fixed ?name ?(suite = Paper) ?(fields = point_fields) figure run =
   Fig
     {
       name = Option.value name ~default:figure;
@@ -141,7 +142,7 @@ let fixed ?name ?(suite = Paper) ?(fields = point_fields) ?(gates = []) figure r
       full = ();
       run;
       fields;
-      gates;
+      gates = [];
     }
 
 (* ---------------------------------------------------------------- *)
@@ -908,177 +909,6 @@ let cluster_pair pts =
     pts
 
 (* ---------------------------------------------------------------- *)
-(* Engine-throughput microbenchmark (`-- micro`)                     *)
-(* ---------------------------------------------------------------- *)
-
-module Microbench = Cpufree_core.Microbench
-
-let micro_point (r : Microbench.report) =
-  J.Obj
-    [
-      ("mode", J.String "seq");
-      ("events", J.Int r.Microbench.out.Microbench.events);
-      ("events_per_sec", J.Float (Microbench.events_per_sec r));
-      ("wall_sec", J.Float r.Microbench.wall_sec);
-      ("major_gc_words", J.Float r.Microbench.major_words);
-      ("sim_ns", J.Int r.Microbench.out.Microbench.sim_ns);
-      ("bytes", J.Int r.Microbench.out.Microbench.bytes);
-    ]
-
-let run_micro cfg =
-  header "Engine throughput: the sequential driver on the ring microbenchmark";
-  let r = Microbench.run_seq cfg in
-  Printf.printf "scenario: %d GPUs, %d rounds, ring halo exchange\n" cfg.Microbench.gpus
-    cfg.Microbench.iters;
-  Printf.printf "%-10s %12s %14s %12s %16s\n" "mode" "events" "events/sec" "wall(s)"
-    "major-GC-words";
-  Printf.printf "%-10s %12d %14.0f %12.4f %16.0f\n" "seq" r.Microbench.out.Microbench.events
-    (Microbench.events_per_sec r) r.Microbench.wall_sec r.Microbench.major_words;
-  [ micro_point r ]
-
-(* Topology build-time and route-resolution microbenchmark: constructing a
-   1024-GPU machine must cost O(endpoints), not O(endpoints^2) — the
-   structural constructors (dgx, fat-tree, dragonfly) build no all-pairs
-   tables at all. The one-second ceiling (a gate) is a ~200x margin over
-   the measured cost; blowing it means an eager all-pairs loop crept back
-   in. Each fresh build then resolves the ports of a fixed sample of GPU
-   pairs (the interconnect's pair-fill query), reported in routes/s. *)
-let route_sample = 4096
-
-let run_micro_topology () =
-  let gpus = 1024 in
-  let specs =
-    [
-      Topology.Dgx { nodes = gpus / 8 };
-      Topology.Fat_tree { arity = 4; rails = 2; gpus_per_node = 8 };
-      Topology.Dragonfly { a = 4; p = 4; h = 2; gpus_per_node = 8 };
-    ]
-  in
-  Printf.printf "\ntopology build: %d GPUs (structural constructors route on demand)\n" gpus;
-  Printf.printf "%16s %12s %10s %12s %12s %12s\n" "topology" "build(ms)" "vertices"
-    "rows-cached" "routing" "routes/s";
-  List.map
-    (fun spec ->
-      let t0 = wall () in
-      let t = Topology.instantiate spec ~profile:Topology.a100 ~gpus in
-      let build = wall () -. t0 in
-      (* Touch one cross-machine route so the lazy path demonstrably
-         works, then read back how little of the table it filled. *)
-      ignore
-        (Topology.route_latency t ~src:(Topology.gpu_vertex t 0)
-           ~dst:(Topology.gpu_vertex t (gpus - 1))
-          : Time.t);
-      let rows = Topology.route_rows_cached t in
-      let routing = Topology.routing_kind t in
-      (* A fixed stride walk over distinct GPU pairs: same sample every run. *)
-      let t0 = wall () in
-      for i = 0 to route_sample - 1 do
-        let a = i * 131 mod gpus in
-        let b = (a + 1 + (i * 977 mod (gpus - 1))) mod gpus in
-        ignore
-          (Topology.route_ports t ~src:(Topology.gpu_vertex t a) ~dst:(Topology.gpu_vertex t b)
-            : int list)
-      done;
-      let routes_per_sec = float_of_int route_sample /. (wall () -. t0) in
-      Printf.printf "%16s %12.2f %10d %12d %12s %12.0f\n" (Topology.spec_to_string spec)
-        (build *. 1e3) (Topology.num_vertices t) rows routing routes_per_sec;
-      J.Obj
-        [
-          ("topology", J.String (Topology.spec_to_string spec));
-          ("gpus", J.Int gpus);
-          ("build_wall_sec", J.Float build);
-          ("vertices", J.Int (Topology.num_vertices t));
-          ("rows_cached", J.Int rows);
-          ("routing", J.String routing);
-          ("routes_per_sec", J.Float routes_per_sec);
-        ])
-    specs
-
-(* ---------------------------------------------------------------- *)
-(* Instrumentation-overhead figure (`-- profile`)                    *)
-(* ---------------------------------------------------------------- *)
-
-module Obs = Cpufree_obs
-
-(* Sum one counter over every label set (the micro counters are per-rank). *)
-let metric_total reg name =
-  List.fold_left
-    (fun acc (it : Obs.Metrics.item) ->
-      if it.Obs.Metrics.name = name then
-        match it.Obs.Metrics.value with Obs.Metrics.Counter_v v -> acc + v | _ -> acc
-      else acc)
-    0 (Obs.Metrics.items reg)
-
-let profile_point ~mode ~metered ~overhead_pct ~ticks ~msgs (r : Microbench.report) =
-  J.Obj
-    [
-      ("mode", J.String mode);
-      ("metrics", J.String (if metered then "on" else "off"));
-      ("events", J.Int r.Microbench.out.Microbench.events);
-      ("events_per_sec", J.Float (Microbench.events_per_sec r));
-      ("wall_sec", J.Float r.Microbench.wall_sec);
-      ("sim_ns", J.Int r.Microbench.out.Microbench.sim_ns);
-      ("ticks_total", J.Int ticks);
-      ("msgs_total", J.Int msgs);
-      ("overhead_pct", J.Float overhead_pct);
-    ]
-
-(* Metrics off vs on. Best-of-[reps] wall clock per cell; a single (smoke)
-   repetition is too noisy to hold to the 5% overhead budget, so only
-   multi-rep runs warn about it. *)
-let fig_profile (cfg, reps) =
-  header "Fig P  Instrumentation overhead: metrics on the engine hot path (ring microbenchmark)";
-  (* The simulated output is asserted identical in both cells, so only the
-     wall cost can differ; the metered cell keeps its last registry for the
-     totals check. *)
-  let run_cell ~metered =
-    let best = ref None and reg = ref None in
-    for _ = 1 to reps do
-      let metrics = if metered then Some (Obs.Metrics.create ()) else None in
-      let r = Microbench.run_seq { cfg with Microbench.metrics } in
-      reg := metrics;
-      match !best with
-      | Some (b : Microbench.report) when b.Microbench.wall_sec <= r.Microbench.wall_sec -> ()
-      | _ -> best := Some r
-    done;
-    (Option.get !best, !reg)
-  in
-  let off, _ = run_cell ~metered:false in
-  let on, reg = run_cell ~metered:true in
-  (* Instrumentation may not change the simulation (times, event counts,
-     payload checksum). *)
-  if not (Microbench.equal_output off.Microbench.out on.Microbench.out) then
-    fatal "profile" "metered output differs from unmetered";
-  let ticks, msgs =
-    match reg with
-    | None -> (0, 0)
-    | Some reg -> (metric_total reg "micro.ticks", metric_total reg "micro.msgs")
-  in
-  let ov =
-    let a = off.Microbench.wall_sec and b = on.Microbench.wall_sec in
-    if a <= 0.0 then 0.0 else (b -. a) /. a *. 100.0
-  in
-  Printf.printf "scenario: %d GPUs, %d rounds, ring halo exchange; best of %d rep(s) per cell\n"
-    cfg.Microbench.gpus cfg.Microbench.iters reps;
-  Printf.printf "%-10s %-8s %12s %14s %12s %14s\n" "mode" "metrics" "events" "events/sec" "wall(s)"
-    "overhead(%)";
-  let row metered ov (r : Microbench.report) =
-    Printf.printf "%-10s %-8s %12d %14.0f %12.4f %14.2f\n" "seq"
-      (if metered then "on" else "off")
-      r.Microbench.out.Microbench.events (Microbench.events_per_sec r) r.Microbench.wall_sec ov
-  in
-  row false 0.0 off;
-  row true ov on;
-  Printf.printf "counter totals: ticks=%d msgs=%d; disabled runs carry no instruments at all\n"
-    ticks msgs;
-  if reps > 1 && ov > 5.0 then
-    Printf.eprintf "[profile] WARNING: instrumentation overhead above the 5%% budget (%.2f%%)\n%!" ov;
-  [
-    profile_point ~mode:"seq" ~metered:false ~overhead_pct:0.0 ~ticks:0 ~msgs:0 off;
-    profile_point ~mode:"seq" ~metered:true ~overhead_pct:ov ~ticks ~msgs on;
-  ]
-
-(* ---------------------------------------------------------------- *)
 (* fig.autotune — the generic auto-offload pass vs the hand-built     *)
 (* pipelines                                                          *)
 (* ---------------------------------------------------------------- *)
@@ -1198,179 +1028,12 @@ let fig_autotune (n1d, n2d, n3d, iters) =
   enum_points @ [ generic_point ]
 
 (* ---------------------------------------------------------------- *)
-(* fig.serve: scenario daemon — cold-cache vs warm-cache saturation  *)
-(* ---------------------------------------------------------------- *)
-
-(* The daemon saturation figure: fork a scenario daemon, replay a fixed set
-   of distinct scenarios once against the empty cache (every request
-   simulates), then replay the same set several more times (every request is
-   a content-hash hit). The per-phase throughput and request counters come
-   back over the wire from the daemon's own stats op, so the figure measures
-   the full socket round-trip, not an in-process shortcut. Exact counters
-   and warm >= 10x cold throughput are gates. Rates go to stderr with the
-   rest of the wall-clock chatter; stdout keeps only the deterministic
-   counters. *)
-let fig_serve (n_cold, reps, dims, base_iters) =
-  header "Fig SERVE  Scenario daemon: cold-cache vs warm-cache saturation";
-  let fatal fmt = fatal "serve" fmt in
-  let scenario i =
-    Scenario.make ~gpus:4
-      (Scenario.Stencil { variant = "cpu-free"; dims; iters = base_iters + i; no_compute = false })
-  in
-  let scenarios = Array.init n_cold scenario in
-  let socket_path = Printf.sprintf "bench-serve-%d.sock" (Unix.getpid ()) in
-  (* The daemon must be a separate process: Server.run blocks its calling
-     domain, and killing it from inside would tear down our own runtime. *)
-  flush stdout;
-  flush stderr;
-  let child =
-    match Unix.fork () with
-    | 0 ->
-      (try
-         Serve.Server.run
-           {
-             (Serve.Server.default_config ~socket_path) with
-             Serve.Server.cache_capacity = (2 * n_cold) + 4;
-           }
-       with e -> Printf.eprintf "[serve] daemon died: %s\n%!" (Printexc.to_string e));
-      exit 0
-    | pid -> pid
-  in
-  let reaped = ref false in
-  at_exit (fun () ->
-      if not !reaped then begin
-        (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ()
-      end);
-  let rec connect tries =
-    match Serve.Client.connect socket_path with
-    | Ok c -> c
-    | Error e ->
-      if tries = 0 then fatal "cannot reach the daemon: %s" e
-      else begin
-        Unix.sleepf 0.02;
-        connect (tries - 1)
-      end
-  in
-  let client = connect 250 in
-  let next_id = ref 0 in
-  let fresh_id () =
-    incr next_id;
-    !next_id
-  in
-  let run_one sc =
-    let id = fresh_id () in
-    match Serve.Client.run client ~id sc with
-    | Ok (Serve.Protocol.Ok_resp { body = Serve.Protocol.Run_result _; cached; _ }) -> cached
-    | Ok (Serve.Protocol.Error_resp { message; _ }) -> fatal "request %d refused: %s" id message
-    | Ok (Serve.Protocol.Overload_resp _) -> fatal "request %d hit admission control" id
-    | Ok _ -> fatal "request %d: unexpected response" id
-    | Error e -> fatal "request %d: %s" id e
-  in
-  let stats () =
-    match Serve.Client.stats client ~id:(fresh_id ()) with
-    | Ok s -> s
-    | Error e -> fatal "stats: %s" e
-  in
-  let s0 = stats () in
-  let t0 = wall () in
-  Array.iter (fun sc -> ignore (run_one sc)) scenarios;
-  let cold_t = Float.max (wall () -. t0) 1e-9 in
-  let s1 = stats () in
-  let t1 = wall () in
-  for _ = 1 to reps do
-    Array.iter (fun sc -> if not (run_one sc) then fatal "warm request missed the cache") scenarios
-  done;
-  let warm_t = Float.max (wall () -. t1) 1e-9 in
-  let s2 = stats () in
-  let n_warm = reps * n_cold in
-  let delta f a b = f b - f a in
-  let sims (s : Serve.Protocol.stats_payload) = s.Serve.Protocol.simulations in
-  let hits (s : Serve.Protocol.stats_payload) = s.Serve.Protocol.hits in
-  (match Serve.Client.shutdown client ~id:(fresh_id ()) with
-  | Ok () -> ()
-  | Error e -> fatal "shutdown: %s" e);
-  Serve.Client.close client;
-  (match Unix.waitpid [] child with
-  | _, Unix.WEXITED 0 -> reaped := true
-  | _, Unix.WEXITED c -> fatal "daemon exited with status %d" c
-  | _, Unix.WSIGNALED s -> fatal "daemon killed by signal %d" s
-  | _, Unix.WSTOPPED s -> fatal "daemon stopped by signal %d" s);
-  Printf.printf "  %-6s %10s %6s %6s\n" "phase" "requests" "hits" "sims";
-  Printf.printf "  %-6s %10d %6d %6d\n" "cold" n_cold (delta hits s0 s1) (delta sims s0 s1);
-  Printf.printf "  %-6s %10d %6d %6d\n%!" "warm" n_warm (delta hits s1 s2) (delta sims s1 s2);
-  let cold_rps = float_of_int n_cold /. cold_t and warm_rps = float_of_int n_warm /. warm_t in
-  Printf.eprintf
-    "[serve] cold %.0f req/s (%.1f ms/req)  warm %.0f req/s (%.3f ms/req)  speedup %.0fx\n%!"
-    cold_rps
-    (cold_t *. 1e3 /. float_of_int n_cold)
-    warm_rps
-    (warm_t *. 1e3 /. float_of_int n_warm)
-    (warm_rps /. cold_rps);
-  let phase_point name ~requests ~elapsed (a, b) =
-    J.Obj
-      [
-        ("phase", J.String name);
-        ("requests", J.Int requests);
-        ("wall_clock_sec", J.Float elapsed);
-        ("req_per_sec", J.Float (float_of_int requests /. elapsed));
-        ("mean_latency_us", J.Float (elapsed *. 1e6 /. float_of_int requests));
-        ("hits", J.Int (delta hits a b));
-        ("simulations", J.Int (delta sims a b));
-      ]
-  in
-  [
-    phase_point "cold" ~requests:n_cold ~elapsed:cold_t (s0, s1);
-    phase_point "warm" ~requests:n_warm ~elapsed:warm_t (s1, s2);
-  ]
-
-(* Every cold request simulated, every warm request was a cache hit, and
-   the warm phase ran at >= 10x the cold throughput. *)
-let serve_gate pts =
-  let phase name = List.find_opt (is "phase" (J.String name)) pts in
-  match (phase "cold", phase "warm") with
-  | Some cold, Some warm ->
-    num "simulations" cold = num "requests" cold
-    && num "simulations" cold >= 1.0
-    && num "simulations" warm = 0.0
-    && num "hits" warm = num "requests" warm
-    && num "req_per_sec" warm >= 10.0 *. num "req_per_sec" cold
-  | _ -> false
-
-(* ---------------------------------------------------------------- *)
 (* The registry                                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* Order is the run order. fig.serve comes first because it forks its
-   daemon, and OCaml 5 refuses [Unix.fork] once any domain has been
-   spawned; the rest is the quick/full print order. *)
+(* Order is the run order: the quick/full print order. *)
 let registry =
   [
-    Fig
-      {
-        name = "serve";
-        figure = "fig.serve";
-        suite = On_demand;
-        smoke = (6, 4, "2d:256x256", 100);
-        full = (24, 8, "2d:384x384", 120);
-        run = fig_serve;
-        fields =
-          [
-            ("phase", `String);
-            ("requests", `Int);
-            ("wall_clock_sec", `Float);
-            ("req_per_sec", `Float);
-            ("mean_latency_us", `Float);
-            ("hits", `Int);
-            ("simulations", `Int);
-          ];
-        gates =
-          [
-            ( "needs a cold phase that simulated every request and a warm phase served wholly \
-               from cache at >= 10x its throughput",
-              serve_gate );
-          ];
-      };
     timeline "fig2.1b"
       ~title:
         "Fig 2.1b  Nsight-style timeline: CPU-controlled overlapping stencil (2D 256^2, 8 GPUs, \
@@ -1509,75 +1172,6 @@ let registry =
       };
     Fig
       {
-        name = "micro";
-        figure = "micro.engine";
-        suite = On_demand;
-        smoke = { Microbench.default with Microbench.gpus = 4; iters = 10; ticks_per_iter = 2 };
-        full = Microbench.default;
-        run = run_micro;
-        fields =
-          [
-            ("mode", `String);
-            ("events", `Int);
-            ("events_per_sec", `Float);
-            ("wall_sec", `Float);
-            ("major_gc_words", `Float);
-            ("sim_ns", `Int);
-            ("bytes", `Int);
-          ];
-        gates = [];
-      };
-    fixed ~suite:On_demand ~name:"micro" "micro.topology" run_micro_topology
-      ~fields:
-        [
-          ("topology", `String);
-          ("gpus", `Int);
-          ("build_wall_sec", `Float);
-          ("rows_cached", `Int);
-          ("routing", `String);
-          ("routes_per_sec", `Float);
-        ]
-      ~gates:
-        [
-          ( "a 1024-GPU build took over 1 s — lazy routing regressed",
-            List.for_all (fun p -> num "build_wall_sec" p <= 1.0) );
-          ( "no structurally-routed >= 1024-GPU point",
-            List.exists (fun p -> num "gpus" p >= 1024.0 && is "routing" (J.String "structural") p)
-          );
-        ];
-    Fig
-      {
-        name = "profile";
-        figure = "fig.profile";
-        suite = On_demand;
-        smoke =
-          ({ Microbench.default with Microbench.gpus = 4; iters = 50; ticks_per_iter = 2 }, 1);
-        full = ({ Microbench.default with Microbench.iters = 2000 }, 5);
-        run = fig_profile;
-        fields =
-          [
-            ("mode", `String);
-            ("metrics", `String);
-            ("events", `Int);
-            ("events_per_sec", `Float);
-            ("wall_sec", `Float);
-            ("sim_ns", `Int);
-            ("ticks_total", `Int);
-            ("msgs_total", `Int);
-            ("overhead_pct", `Float);
-          ];
-        gates =
-          [
-            ( "expected the 2 points of the metrics {off,on} pair",
-              fun pts -> List.length pts = 2 );
-            ( "a metered point has zero counter totals",
-              List.for_all (fun p ->
-                  (not (is "metrics" (J.String "on") p))
-                  || (num "ticks_total" p > 0.0 && num "msgs_total" p > 0.0)) );
-          ];
-      };
-    Fig
-      {
         name = "chaos";
         figure = "fig.chaos";
         suite = On_demand;
@@ -1664,34 +1258,25 @@ let violation f points =
     | Some _ as e -> e
     | None -> Option.map fst (List.find_opt (fun (_, holds) -> not (holds points)) f.gates)
 
-(* Run one figure at its smoke or full parameters, time it, check it and
-   record it for BENCH_results.json. *)
+(* Run one figure at its smoke or full parameters, check it and record it
+   for BENCH_results.json. Its wall-clock goes to stderr only. *)
 let run_figure ~smoke (Fig f) =
   let t0 = wall () in
   let points = f.run (if smoke then f.smoke else f.full) in
-  let elapsed = wall () -. t0 in
+  Printf.eprintf "[bench] %s %.3fs\n%!" f.figure (wall () -. t0);
   (match violation f points with
   | Some msg -> fatal f.name "%s violates its documented schema: %s" f.figure msg
   | None -> ());
-  json_figures :=
-    J.Obj
-      [
-        ("figure", J.String f.figure);
-        ("wall_clock_sec", J.Float elapsed);
-        ("points", J.List points);
-      ]
-    :: !json_figures
+  json_figures := J.Obj [ ("figure", J.String f.figure); ("points", J.List points) ] :: !json_figures
 
-let write_results ~mode ~elapsed =
+let write_results ~mode =
   let doc =
     J.Obj
       [
         ("schema_version", J.Int 1);
         ("generator", J.String "cpufree bench/main.exe");
         ("mode", J.String mode);
-        ("jobs", J.Int (Parallel.default_jobs ()));
         ("gpu_counts", J.List (List.map (fun g -> J.Int g) gpu_counts));
-        ("wall_clock_sec", J.Float elapsed);
         ("figures", J.List (List.rev !json_figures));
       ]
   in
@@ -1733,7 +1318,7 @@ let () =
   let t_start = wall () in
   List.iter (run_figure ~smoke) figs;
   let elapsed = wall () -. t_start in
-  if has "json" || (mode <> "quick" && mode <> "full") then write_results ~mode ~elapsed;
+  if has "json" || (mode <> "quick" && mode <> "full") then write_results ~mode;
   if named = [] then begin
     Printf.eprintf "[bench] jobs=%d wall-clock %.2fs\n%!" (Parallel.default_jobs ()) elapsed;
     Printf.printf "\nDone. See EXPERIMENTS.md for the per-figure comparison with the paper.\n"

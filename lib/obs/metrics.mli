@@ -1,12 +1,6 @@
 (** Metrics registry: typed counters, gauges and histograms registered by
-    name and label set, cheap enough for the event hot path.
-
-    Every instrument may be {e sharded}: it owns one cell per slot
-    ([?slots] at registration, default 1), and an increment writes only the
-    caller's slot. Reads ({!Counter.value}, {!items}) combine the slots;
-    combination is associative and commutative (sum for counters and
-    histogram buckets, max for gauges), so the observed totals do not
-    depend on which slot bumped what.
+    name and label set, cheap enough for the event hot path. Each
+    instrument owns one cell.
 
     Registration is idempotent: asking for an instrument that already exists
     (same name, same labels) returns the existing handle. Instrument
@@ -29,23 +23,20 @@ module Counter : sig
   type h
   (** Handle to a monotonically increasing counter. *)
 
-  val incr : ?slot:int -> h -> unit
-  val add : ?slot:int -> h -> int -> unit
-  (** Bump the counter's cell for [slot] (default 0).
-      @raise Invalid_argument on a negative amount or bad slot. *)
+  val incr : h -> unit
+  val add : h -> int -> unit
+  (** Bump the counter. @raise Invalid_argument on a negative amount. *)
 
   val value : h -> int
-  (** Sum over all slots. *)
 end
 
 module Gauge : sig
   type h
-  (** Handle to a sampled value. Slots (and registries) combine by [max],
-      which keeps reads deterministic under sharding; use gauges for
-      quantities where the maximum is the meaningful aggregate (high-water
-      marks, final clocks, configuration constants). *)
+  (** Handle to a sampled value. Registries merge gauges by [max]; use
+      gauges for quantities where the maximum is the meaningful aggregate
+      (high-water marks, final clocks, configuration constants). *)
 
-  val set : ?slot:int -> h -> int -> unit
+  val set : h -> int -> unit
   val value : h -> int
 end
 
@@ -56,17 +47,17 @@ module Histogram : sig
       width is [i] — i.e. [v] in [[2^(i-1), 2^i - 1]] for [i >= 1], and
       [v <= 0] in bucket 0. *)
 
-  val observe : ?slot:int -> h -> int -> unit
+  val observe : h -> int -> unit
   val count : h -> int
   val sum : h -> int
 end
 
-val counter : t -> name:string -> ?labels:labels -> ?slots:int -> unit -> Counter.h
-val gauge : t -> name:string -> ?labels:labels -> ?slots:int -> unit -> Gauge.h
-val histogram : t -> name:string -> ?labels:labels -> ?slots:int -> unit -> Histogram.h
-(** Register (or fetch) an instrument. [slots] is the shard count; it is
-    fixed at first registration. @raise Invalid_argument if the name/labels pair is already
-    registered with a different instrument kind. *)
+val counter : t -> name:string -> ?labels:labels -> unit -> Counter.h
+val gauge : t -> name:string -> ?labels:labels -> unit -> Gauge.h
+val histogram : t -> name:string -> ?labels:labels -> unit -> Histogram.h
+(** Register (or fetch) an instrument. @raise Invalid_argument if the
+    name/labels pair is already registered with a different instrument
+    kind. *)
 
 (** {2 Snapshots and merging} *)
 
@@ -86,8 +77,8 @@ type value =
 type item = { name : string; labels : labels; value : value }
 
 val items : t -> item list
-(** Everything registered, in canonical (name, labels) order with slots
-    combined — the representation exporters consume. *)
+(** Everything registered, in canonical (name, labels) order — the
+    representation exporters consume. *)
 
 val merge_into : into:t -> t list -> unit
 (** Fold every instrument of [sources] into [into] (creating instruments as

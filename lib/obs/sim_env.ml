@@ -19,16 +19,6 @@ let default =
 let make ?topology ?faults ?(fault_seed = 0) ?trace ?metrics ?pdes () =
   { topology; faults; fault_seed; trace; metrics; pdes }
 
-let override ?topology ?faults ?fault_seed ?trace ?metrics ?pdes env =
-  {
-    topology = (match topology with Some _ -> topology | None -> env.topology);
-    faults = (match faults with Some _ -> faults | None -> env.faults);
-    fault_seed = (match fault_seed with Some s -> s | None -> env.fault_seed);
-    trace = (match trace with Some _ -> trace | None -> env.trace);
-    metrics = (match metrics with Some _ -> metrics | None -> env.metrics);
-    pdes = (match pdes with Some _ -> pdes | None -> env.pdes);
-  }
-
 let pdes_of_string s : (pdes, string) result =
   match String.lowercase_ascii (String.trim s) with
   | "" -> Ok `Seq

@@ -41,17 +41,6 @@ val make :
   ?pdes:pdes ->
   unit -> t
 
-val override :
-  ?topology:Cpufree_machine.Topology.spec ->
-  ?faults:Cpufree_fault.Fault.spec ->
-  ?fault_seed:int ->
-  ?trace:Cpufree_engine.Trace.t ->
-  ?metrics:Metrics.t ->
-  ?pdes:pdes ->
-  t -> t
-(** [override ... env]: [env] with the given fields replaced — how the
-    deprecated per-field optional arguments fold into an environment. *)
-
 val to_string : t -> string
 (** Canonical textual form: six fixed [key=value] tokens
     ([topology faults fault-seed pdes trace metrics]), space-separated,

@@ -2,24 +2,12 @@
 
    Usage: golden.exe BENCH_results.json OUT...
 
-   Each OUT is named <figure>.<tag>.json (e.g. fig6.1.small.windowed.json)
-   and receives that figure's JSON with the host-time keys removed, ready to
-   be diffed against test/golden/<figure>.json. *)
+   Each OUT is named <figure>.<tag>.json (e.g. fig6.1.small.default.json)
+   and receives that figure's JSON, ready to be diffed against
+   test/golden/<figure>.json. The bench writes simulated values only, so
+   the figure is copied as it is. *)
 
 module J = Cpufree_core.Json
-
-(* Host wall-clock and pool size: the only fields that vary between runs of
-   a simulated figure. *)
-let host_time_keys = [ "wall_clock_sec"; "jobs" ]
-
-let rec strip = function
-  | J.Obj kvs ->
-    J.Obj
-      (List.filter_map
-         (fun (k, v) -> if List.mem k host_time_keys then None else Some (k, strip v))
-         kvs)
-  | J.List l -> J.List (List.map strip l)
-  | v -> v
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("golden: " ^ s); exit 1) fmt
 
@@ -35,7 +23,7 @@ let () =
       (fun out ->
         let figure = Filename.(remove_extension (remove_extension (basename out))) in
         match List.filter (fun f -> J.member "figure" f = Some (J.String figure)) figures with
-        | [ f ] -> Out_channel.with_open_bin out (fun oc -> J.to_channel oc (strip f))
+        | [ f ] -> Out_channel.with_open_bin out (fun oc -> J.to_channel oc f)
         | l -> fail "%s: expected one figure %S, found %d" src figure (List.length l))
       outs
   | _ -> fail "usage: golden.exe BENCH_results.json <figure>.<tag>.json..."

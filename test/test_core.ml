@@ -411,16 +411,11 @@ let json_tests =
           (Json.to_string ~indent:0 (Json.Float Float.infinity)));
   ]
 
-(* --- PDES mode and the microbenchmark ----------------------------------- *)
-
-module Microbench = Core.Microbench
+(* --- PDES mode ------------------------------------------------------------ *)
 
 let with_pdes value f =
   Unix.putenv "CPUFREE_PDES" value;
   Fun.protect ~finally:(fun () -> Unix.putenv "CPUFREE_PDES" "") f
-
-let small_micro =
-  { Microbench.default with Microbench.gpus = 4; iters = 12; ticks_per_iter = 2; traced = true }
 
 let pdes_tests =
   [
@@ -439,46 +434,6 @@ let pdes_tests =
             (fun () -> ignore (mode v))
         in
         List.iter rejected [ "windowed"; "adaptive"; "optimistic"; "turbo" ]);
-    Alcotest.test_case "microbench is deterministic and metrics never change its output"
-      `Quick (fun () ->
-        let a = Microbench.run_seq small_micro in
-        let b =
-          Microbench.run_seq
-            { small_micro with Microbench.metrics = Some (Cpufree_obs.Metrics.create ()) }
-        in
-        check_bool "equal output" true (Microbench.equal_output a.Microbench.out b.Microbench.out);
-        check_bool "spans recorded" true (a.Microbench.out.Microbench.spans <> []);
-        (* 4 ranks x 12 rounds: 2 delays, 1 halo callback and 1 wake each,
-           plus each rank's start. *)
-        check_int "events" ((4 * 12 * 4) + 4) a.Microbench.out.Microbench.events;
-        check_int "bytes" (4 * 12 * 4096) a.Microbench.out.Microbench.bytes);
-    Alcotest.test_case "microbench shift pattern agrees across repeats" `Quick (fun () ->
-        let cfg = { small_micro with Microbench.pattern = Microbench.Shift 2; gpus = 5 } in
-        let a = Microbench.run_seq cfg and b = Microbench.run_seq cfg in
-        check_bool "equal output" true (Microbench.equal_output a.Microbench.out b.Microbench.out);
-        check_bool "differs from the ring" false
-          (Microbench.equal_output a.Microbench.out
-             (Microbench.run_seq { small_micro with Microbench.gpus = 5 }).Microbench.out));
-    (* A zero-latency signal lands at the instant it is sent: the one queue
-       must order the delivery after the send and still count every event. *)
-    Alcotest.test_case "zero-lookahead arch falls back to sequential" `Quick (fun () ->
-        let free_signal =
-          {
-            G.Arch.a100_hgx with
-            G.Arch.nvlink_latency = Time.zero;
-            gpu_initiated_latency = Time.zero;
-          }
-        in
-        let cfg = { small_micro with Microbench.arch = free_signal } in
-        check_int "zero lookahead" 0 (Time.to_ns (G.Arch.lookahead_bound free_signal));
-        let a = Microbench.run_seq cfg and b = Microbench.run_seq cfg in
-        let base = (Microbench.run_seq small_micro).Microbench.out in
-        check_bool "deterministic" true
-          (Microbench.equal_output a.Microbench.out b.Microbench.out);
-        check_int "bytes" base.Microbench.bytes a.Microbench.out.Microbench.bytes;
-        check_int "checksum" base.Microbench.checksum a.Microbench.out.Microbench.checksum;
-        check_bool "no halo wait" true
-          (a.Microbench.out.Microbench.sim_ns < base.Microbench.sim_ns));
   ]
 
 let () =

@@ -918,6 +918,35 @@ let partition_tests =
         let slow, _, _ = run_ring ~latency:(Time.ns 1000) ~ranks ~iters ~seed:1 in
         let fast, _, _ = out in
         check_bool "latency only delays" true (fast < slow));
+    Alcotest.test_case "a same-instant delivery runs after its send and is counted" `Quick
+      (fun () ->
+        (* A zero-latency halo: the sender schedules the delivery at [now],
+           and the delivery's [Flag.add] wakes the blocked receiver. *)
+        let eng = Engine.create () in
+        let f = Sync.Flag.create eng 0 in
+        let log = ref [] in
+        let note what = log := (what, Time.to_ns (Engine.now eng)) :: !log in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"receiver" (fun () ->
+              Sync.Flag.wait_ge f 1;
+              note "woke")
+        in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"sender" (fun () ->
+              Engine.delay eng (Time.ns 5);
+              Engine.schedule_at eng (Engine.now eng) (fun () ->
+                  note "delivered";
+                  Sync.Flag.add f 1);
+              note "sent")
+        in
+        Engine.run eng;
+        check
+          (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+          "send, delivery, wake at one instant"
+          [ ("sent", 5); ("delivered", 5); ("woke", 5) ]
+          (List.rev !log);
+        (* Two starts, the sender's delay, the delivery and the wake. *)
+        check_int "every event counted" 5 (Engine.events_executed eng));
     Alcotest.test_case "finished processes leave the registry" `Quick (fun () ->
         let eng = Engine.create () in
         for i = 1 to 50 do

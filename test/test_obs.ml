@@ -1,5 +1,5 @@
 (* Tests for the observability layer: the metrics registry (typed
-   instruments, slot sharding, merge laws), the Perfetto trace-event
+   instruments, merge laws), the Perfetto trace-event
    exporter and its structural validator, the Sim_env record, and the
    end-to-end guarantees — flows pair up, exports are byte-stable across
    repeats, and the Scenario-driven execution path matches the
@@ -37,23 +37,12 @@ let metrics_tests =
         Mx.Counter.incr c;
         Mx.Counter.add c 41;
         check_int "total" 42 (Mx.Counter.value c));
-    Alcotest.test_case "counter slots sum; gauge slots max" `Quick (fun () ->
-        let reg = Mx.create () in
-        let c = Mx.counter reg ~name:"c" ~slots:3 () in
-        Mx.Counter.add ~slot:0 c 1;
-        Mx.Counter.add ~slot:1 c 10;
-        Mx.Counter.add ~slot:2 c 100;
-        check_int "counter sums slots" 111 (Mx.Counter.value c);
-        let g = Mx.gauge reg ~name:"g" ~slots:3 () in
-        Mx.Gauge.set ~slot:0 g 5;
-        Mx.Gauge.set ~slot:2 g 3;
-        check_int "gauge maxes slots" 5 (Mx.Gauge.value g));
     Alcotest.test_case "histogram count and sum" `Quick (fun () ->
         let reg = Mx.create () in
-        let h = Mx.histogram reg ~name:"h" ~slots:2 () in
-        Mx.Histogram.observe ~slot:0 h 3;
-        Mx.Histogram.observe ~slot:1 h 100;
-        Mx.Histogram.observe ~slot:1 h 0;
+        let h = Mx.histogram reg ~name:"h" () in
+        Mx.Histogram.observe h 3;
+        Mx.Histogram.observe h 100;
+        Mx.Histogram.observe h 0;
         check_int "count" 3 (Mx.Histogram.count h);
         check_int "sum" 103 (Mx.Histogram.sum h));
     Alcotest.test_case "registration is idempotent per (name, labels)" `Quick (fun () ->
@@ -72,18 +61,25 @@ let metrics_tests =
         Alcotest.check_raises "kind clash"
           (Invalid_argument "Metrics: \"x\" is already registered as a counter")
           (fun () -> ignore (Mx.gauge reg ~name:"x" ())));
-    Alcotest.test_case "items are in canonical order with slots combined" `Quick (fun () ->
+    Alcotest.test_case "items are in canonical order with sorted labels" `Quick (fun () ->
         let reg = Mx.create () in
         let b = Mx.counter reg ~name:"b" () in
-        let a = Mx.counter reg ~name:"a" ~slots:2 () in
-        Mx.Counter.add ~slot:1 a 7;
+        let a1 = Mx.counter reg ~name:"a" ~labels:[ ("pe", "1") ] () in
+        let a0 = Mx.counter reg ~name:"a" ~labels:[ ("pe", "0") ] () in
+        Mx.Counter.add a1 7;
+        Mx.Counter.incr a0;
         Mx.Counter.incr b;
-        match Mx.items reg with
-        | [ ia; ib ] ->
-          check_string "sorted by name" "a" ia.Mx.name;
-          check_bool "slot sum" true (ia.Mx.value = Mx.Counter_v 7);
-          check_bool "b" true (ib.Mx.value = Mx.Counter_v 1)
-        | l -> Alcotest.failf "expected 2 items, got %d" (List.length l));
+        check
+          (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+          "by name, then labels"
+          [ ("a", "0"); ("a", "1"); ("b", "") ]
+          (List.map
+             (fun (it : Mx.item) ->
+               (it.Mx.name, match it.Mx.labels with [ (_, v) ] -> v | _ -> ""))
+             (Mx.items reg));
+        check_bool "values follow their cells" true
+          (List.map (fun (it : Mx.item) -> it.Mx.value) (Mx.items reg)
+          = [ Mx.Counter_v 1; Mx.Counter_v 7; Mx.Counter_v 1 ]));
   ]
 
 (* Registries as generable values: a few instruments with random bumps. *)
@@ -247,11 +243,6 @@ let sim_env_tests =
         check_bool "no faults" true (e.Env.faults = None);
         check_int "seed 0" 0 e.Env.fault_seed;
         check_bool "unobserved" false (Env.observed e));
-    Alcotest.test_case "override replaces only the given fields" `Quick (fun () ->
-        let base = Env.make ~fault_seed:3 () in
-        let e = Env.override ~metrics:(Mx.create ()) base in
-        check_int "seed kept" 3 e.Env.fault_seed;
-        check_bool "metrics attached" true (Env.observed e));
     Alcotest.test_case "resolve_pdes: explicit field beats CPUFREE_PDES" `Quick (fun () ->
         in_mode "windowed" (fun () ->
             check_bool "env var rejected" true
@@ -449,7 +440,7 @@ module D = Cpufree_dace
    and so must the metrics a registry collects; and the log must measure
    what the span-based reference reads off the traced run's spans. *)
 let same_result what (a : Measure.result) (b : Measure.result) =
-  check_bool (what ^ ": untraced result equals traced") true (a = b)
+  check_bool (what ^ ": results equal") true (a = b)
 
 let log_matches_spans what ((r : Measure.result), trace) =
   check_int (what ^ ": comm") (Time.to_ns (Cpufree_comm.Metrics.comm_time trace))
@@ -466,9 +457,12 @@ let metrics_doc reg = J.to_string ~indent:0 (Metrics_json.to_json reg)
 let both_envs what run_env run_traced =
   let traced = run_traced Env.default in
   log_matches_spans what traced;
-  same_result (what ^ " default") (run_env Env.default) (fst traced);
+  let plain = run_env Env.default in
+  same_result (what ^ " untraced vs traced") plain (fst traced);
   let env_a, reg_a = metrics_env () and env_b, reg_b = metrics_env () in
-  same_result (what ^ " metrics-only") (run_env env_a) (fst (run_traced env_b));
+  let metered = run_env env_a in
+  same_result (what ^ " metrics-only untraced vs traced") metered (fst (run_traced env_b));
+  same_result (what ^ " metrics vs none") plain metered;
   check_string (what ^ " metrics") (metrics_doc reg_a) (metrics_doc reg_b)
 
 let untraced_tests =
