@@ -50,10 +50,16 @@ type channels =
    fault-free runs byte-identical to the pre-fail-stop layer. *)
 type group = {
   members : int array;  (* rank -> PE id, ascending *)
+  rank : int array;  (* PE id -> rank, -1 for a non-member *)
   arrived : Nvshmem.signal;  (* counts contributions delivered to this PE *)
   chans : channels;
   gkey : string;  (* canonical dead-set key; "" = full membership *)
 }
+
+let make_group ~n ~members ~arrived ~chans ~gkey =
+  let rank = Array.make n (-1) in
+  Array.iteri (fun r pe -> rank.(pe) <- r) members;
+  { members; rank; arrived; chans; gkey }
 
 type t = {
   nv : Nvshmem.t;
@@ -100,7 +106,7 @@ let create ?(algorithm = Dense) nv ~label =
      round-R+2 write can touch that bank. No barrier needed. *)
   let contrib = Nvshmem.sym_malloc nv ~label:(label ^ ".contrib") (2 * n) in
   let arrived = Nvshmem.signal_malloc nv ~label:(label ^ ".arrived") () in
-  let full = { members = Array.init n (fun pe -> pe); arrived; chans; gkey = "" } in
+  let full = make_group ~n ~members:(Array.init n Fun.id) ~arrived ~chans ~gkey:"" in
   let groups = Hashtbl.create 4 in
   Hashtbl.add groups "" full;
   {
@@ -153,10 +159,9 @@ let dead_now t =
 let dead_key dead = String.concat "." (List.map (fun (d, _) -> string_of_int d) dead)
 
 let rank_of g pe =
-  let r = ref (-1) in
-  Array.iteri (fun i q -> if q = pe then r := i) g.members;
-  if !r < 0 then invalid_arg (Printf.sprintf "Collective: PE %d is not a group member" pe);
-  !r
+  let r = if pe >= 0 && pe < Array.length g.rank then g.rank.(pe) else -1 in
+  if r < 0 then invalid_arg (Printf.sprintf "Collective: PE %d is not a group member" pe);
+  r
 
 let check_revoked t = if t.revoked then raise Revoked
 
@@ -329,7 +334,7 @@ let shrink t ~pe =
           let label = Printf.sprintf "%s.x%s" t.clabel key in
           let arrived = Nvshmem.signal_malloc t.nv ~label:(label ^ ".arrived") () in
           let chans = make_channels t.nv ~label ~m:(Array.length members) t.alg in
-          let g = { members; arrived; chans; gkey = key } in
+          let g = make_group ~n:(n t) ~members ~arrived ~chans ~gkey:key in
           Hashtbl.add t.groups key g;
           F.note_shrink plan;
           g

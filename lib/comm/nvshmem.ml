@@ -33,6 +33,8 @@ type t = {
   op_seq : int array;  (* per-PE issue counter for deterministic flow ids *)
   mutable next_op : int;
   lanes : string option array;  (* per-PE "gpuN.nvshmem" trace lane, built on first use *)
+  after : Time.t -> (unit -> unit) -> unit;  (* the asynchronous deliveries' [wait] *)
+  retire : (unit -> unit) array;  (* per PE: a delivery's last act, draining [pending] *)
 }
 
 let init ctx =
@@ -57,17 +59,22 @@ let init ctx =
           m_drops = Mx.counter reg ~name:"nvshmem.drops" ();
         }
   in
+  let pending =
+    Array.init n (fun i -> E.Sync.Flag.create ~name:(Printf.sprintf "pe%d.pending" i) eng 0)
+  in
   {
     ctx;
     eng;
     n;
-    pending = Array.init n (fun i -> E.Sync.Flag.create ~name:(Printf.sprintf "pe%d.pending" i) eng 0);
+    pending;
     barrier = E.Sync.Barrier.create ~name:"nvshmem.barrier_all" eng n;
     faults = G.Runtime.faults ctx;
     obs;
     op_seq = Array.make n 0;
     next_op = 0;
     lanes = Array.make n None;
+    after = E.Engine.after eng;
+    retire = Array.map (fun flag () -> E.Sync.Flag.add flag (-1)) pending;
   }
 
 let bump t sel = match t.obs with None -> () | Some o -> Mx.Counter.incr (sel o)
@@ -129,19 +136,31 @@ let apply_signal sig_var pe op v =
   | Signal_set -> E.Sync.Flag.set flag v
   | Signal_add -> E.Sync.Flag.add flag v
 
+(* A delivery is written once as a chain of steps over [wait d k] ("run
+   [k] [d] later"), and driven two ways:
+
+   - asynchronously, as a fiberless process whose [wait] is
+     {!E.Engine.after}. Each [wait] pushes its event where a fiber's
+     [delay] would, so events, their order and every diagnostic stay as a
+     fiber-per-delivery engine had them;
+   - directly, inside a fiber that replays a lost delivery (a recovering
+     waiter or a [quiet] fence), whose [wait] is a plain [delay]. *)
+type steps = wait:(Time.t -> (unit -> unit) -> unit) -> (unit -> unit) -> unit
+
+let direct t (steps : steps) () =
+  steps ~wait:(fun d k -> E.Engine.delay t.eng d; k ()) ignore
+
 (* Run a delivery asynchronously on behalf of [from_pe], tracking it in the
    PE's outstanding-op counter so that quiet/barrier can drain it. The
    process name is formatted only if a diagnostic asks for it. *)
-let deliver_async t ~from_pe ~label body =
+let deliver_async t ~from_pe ~label (steps : steps) =
   E.Sync.Flag.add t.pending.(from_pe) 1;
   t.next_op <- t.next_op + 1;
   let op = t.next_op in
   let (_ : E.Engine.process) =
-    E.Engine.spawn t.eng
+    E.Engine.spawn_callbacks t.eng
       ~name_of:(fun () -> Printf.sprintf "nvshmem.%s.pe%d.%d" label from_pe op)
-      (fun () ->
-        body ();
-        E.Sync.Flag.add t.pending.(from_pe) (-1))
+      (fun () -> steps ~wait:t.after t.retire.(from_pe))
   in
   ()
 
@@ -172,43 +191,54 @@ let flow_ctx t ~from_pe =
     Some (fid, lane t from_pe, E.Engine.now t.eng)
   end
 
-(* Wrap a delivery body so its remote arrival is traced as a span on the
+(* Wrap a delivery so its remote arrival is traced as a span on the
    destination's nvshmem lane and tied back to the issuing put by a flow
-   arrow. Runs in whatever process replays the delivery (the async
-   delivery process, or a recovering waiter on the fault path). *)
-let with_flow t fc ~to_pe ~label body () =
+   arrow, whichever driver runs it. *)
+let with_flow t fc ~to_pe ~label (body : steps) : steps =
   match fc with
-  | None -> body ()
+  | None -> body
   | Some (fid, src_lane, src_t) ->
-    let d0 = E.Engine.now t.eng in
-    body ();
-    let d1 = E.Engine.now t.eng in
-    E.Engine.log_comm t.eng ~since:d0;
-    let tr = E.Engine.trace t.eng in
-    E.Trace.add_opt tr ~lane:(lane t to_pe) ~label:("deliver:" ^ label)
-      ~kind:E.Trace.Communication ~t0:d0 ~t1:d1;
-    E.Trace.add_flow_opt tr ~id:fid ~label ~src_lane ~src_t ~dst_lane:(lane t to_pe)
-      ~dst_t:d1
+    fun ~wait k ->
+      let d0 = E.Engine.now t.eng in
+      body ~wait (fun () ->
+          let d1 = E.Engine.now t.eng in
+          E.Engine.log_comm t.eng ~since:d0;
+          let tr = E.Engine.trace t.eng in
+          E.Trace.add_opt tr ~lane:(lane t to_pe) ~label:("deliver:" ^ label)
+            ~kind:E.Trace.Communication ~t0:d0 ~t1:d1;
+          E.Trace.add_flow_opt tr ~id:fid ~label ~src_lane ~src_t ~dst_lane:(lane t to_pe)
+            ~dst_t:d1;
+          k ())
 
 let mark_fault t ~pe ~label =
   let tr = E.Engine.trace t.eng in
   if E.Trace.flows_enabled tr then
     E.Trace.add_instant_opt tr ~lane:(lane t pe) ~label ~at:(E.Engine.now t.eng)
 
+(* A device-initiated wire transfer as steps. *)
+let transfer t ~from_pe ~to_pe ~bytes ~label ~wait k =
+  G.Interconnect.transfer_steps (net t) ~src:(G.Interconnect.Gpu from_pe)
+    ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device ~bytes
+    ?trace_lane:(trace_lane t from_pe) ~label ~wait k
+
 (* One fabric delivery: wire transfer, data commit, then any attached
    signal — NVSHMEM's data-before-signal order, preserved verbatim when a
    recovery replays the delivery. *)
-let delivery t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after () =
-  let a = arch t in
-  G.Interconnect.transfer (net t) ~src:(G.Interconnect.Gpu from_pe)
-    ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device ~bytes
-    ?trace_lane:(trace_lane t from_pe) ~label ();
-  commit ();
-  match signal_after with
-  | None -> ()
-  | Some (sig_var, sig_op, sig_value) ->
-    E.Engine.delay t.eng a.G.Arch.nvshmem_signal;
-    apply_signal sig_var to_pe sig_op sig_value
+let delivery t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after : steps =
+ fun ~wait k ->
+  transfer t ~from_pe ~to_pe ~bytes ~label ~wait (fun () ->
+      commit ();
+      match signal_after with
+      | None -> k ()
+      | Some (sig_var, sig_op, sig_value) ->
+        wait (arch t).G.Arch.nvshmem_signal (fun () ->
+            apply_signal sig_var to_pe sig_op sig_value;
+            k ()))
+
+(* A fate's extra fabric delay ahead of the delivery itself. *)
+let delayed d (deliver : steps) : steps = fun ~wait k -> wait d (fun () -> deliver ~wait k)
+
+let nothing_left : steps = fun ~wait:_ k -> k ()
 
 (* The fate of the sender's next delivery, drawn (deterministically, in the
    sender's program order) at issue time. *)
@@ -243,10 +273,7 @@ let put_common t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after =
   in
   match fate with
   | F.Deliver -> deliver_async t ~from_pe ~label deliver
-  | F.Delayed d ->
-    deliver_async t ~from_pe ~label (fun () ->
-        E.Engine.delay t.eng d;
-        deliver ())
+  | F.Delayed d -> deliver_async t ~from_pe ~label (delayed d deliver)
   | F.Dropped ->
     (* The fabric loses the packet: neither data nor signal arrives. The
        sender's queue slot still drains (so quiet on an unrelated path
@@ -261,10 +288,10 @@ let put_common t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after =
       | None -> put_key ~from_pe
     in
     F.record_lost plan ~key
-      (with_flow t fc ~to_pe ~label
-         (delivery t ~from_pe ~to_pe ~bytes ~label:(label ^ ".resend") ~commit
-            ~signal_after));
-    deliver_async t ~from_pe ~label (fun () -> ())
+      (direct t
+         (with_flow t fc ~to_pe ~label
+            (delivery t ~from_pe ~to_pe ~bytes ~label:(label ^ ".resend") ~commit ~signal_after)));
+    deliver_async t ~from_pe ~label nothing_left
   end
 
 let putmem_nbi t ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len =
@@ -295,28 +322,24 @@ let iput_nbi t ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_stri
   let dst_buf = local dst ~pe:to_pe in
   let fc = flow_ctx t ~from_pe in
   let deliver =
-    with_flow t fc ~to_pe ~label:"iput" (fun () ->
+    with_flow t fc ~to_pe ~label:"iput" (fun ~wait k ->
         (* Element-wise remote stores: serialization plus a per-element
            non-coalescing penalty on top of the port booking. *)
-        E.Engine.delay t.eng (Time.scale a.G.Arch.nvshmem_strided_elem (float_of_int count));
-        G.Interconnect.transfer (net t) ~src:(G.Interconnect.Gpu from_pe)
-          ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device
-          ~bytes:(count * G.Buffer.elem_bytes)
-          ?trace_lane:(trace_lane t from_pe) ~label:"iput" ();
-        G.Buffer.blit_strided ~src ~src_pos ~src_stride ~dst:dst_buf ~dst_pos ~dst_stride
-          ~count)
+        wait (Time.scale a.G.Arch.nvshmem_strided_elem (float_of_int count)) (fun () ->
+            transfer t ~from_pe ~to_pe ~bytes:(count * G.Buffer.elem_bytes) ~label:"iput" ~wait
+              (fun () ->
+                G.Buffer.blit_strided ~src ~src_pos ~src_stride ~dst:dst_buf ~dst_pos ~dst_stride
+                  ~count;
+                k ())))
   in
   match draw_fate t ~from_pe with
   | F.Deliver -> deliver_async t ~from_pe ~label:"iput_nbi" deliver
-  | F.Delayed d ->
-    deliver_async t ~from_pe ~label:"iput_nbi" (fun () ->
-        E.Engine.delay t.eng d;
-        deliver ())
+  | F.Delayed d -> deliver_async t ~from_pe ~label:"iput_nbi" (delayed d deliver)
   | F.Dropped ->
     bump t (fun o -> o.m_drops);
     mark_fault t ~pe:from_pe ~label:"fault:drop:iput";
-    F.record_lost (Option.get t.faults) ~key:(put_key ~from_pe) deliver;
-    deliver_async t ~from_pe ~label:"iput_nbi" (fun () -> ())
+    F.record_lost (Option.get t.faults) ~key:(put_key ~from_pe) (direct t deliver);
+    deliver_async t ~from_pe ~label:"iput_nbi" nothing_left
   end
 
 let p t ~from_pe ~to_pe ~value ~dst ~dst_pos =

@@ -9,8 +9,9 @@
 
     Non-blocking ([_nbi]) operations return after issue; remote delivery
     (data first, then any attached signal, preserving NVSHMEM's
-    data-before-signal ordering) happens asynchronously and {!quiet} waits
-    for all of the calling PE's outstanding deliveries. *)
+    data-before-signal ordering) happens asynchronously, as a fiberless
+    engine process ({!Cpufree_engine.Engine.spawn_callbacks}), and {!quiet}
+    waits for all of the calling PE's outstanding deliveries. *)
 
 type t
 

@@ -13,14 +13,17 @@ type state = Ready | Running | Blocked | Finished
    [epoch] numbers suspensions: a waker resumes only the suspension it was
    made for and retires it, so calling it twice, or after the process has
    moved on to another wait, is a no-op. [resume] is the process's one
-   queue thunk, allocated with the process: it starts [body] on the first
-   call and continues [k] on every later one. *)
+   queue thunk, allocated with the process. A fiber process's [resume]
+   starts [body] on the first call and continues [k] on every later one. A
+   [fiberless] process has no fiber: [body] is its next step, a plain
+   callback that {!after} replaces, and [resume] runs it. *)
 type process = {
   pid : int;
   name : string;
   name_of : (unit -> string) option;
   daemon : bool;
   group : string option;
+  fiberless : bool;
   mutable state : state;
   mutable why : unit -> string;
   mutable on_group : string option;
@@ -39,7 +42,11 @@ type process = {
 (* Events ordered by (at, seq), [seq] assigned at push, so same-time
    events pop in push order. Two lanes, neither allocating per event:
 
-   - a binary min-heap over parallel arrays, for events in the future;
+   - a binary min-heap for events in the future. It holds only ints —
+     time, sequence and a slot index — so sifting moves no pointers and
+     pays no write barrier. The thunks live in a slot table, written once
+     per push and cleared once per pop; freed slots are reused last-in
+     first-out;
    - a FIFO ring for events pushed at exactly the time of the last pop
      (spawns, wakes, yields). Those all share one timestamp and arrive in
      seq order, so the ring is already sorted and costs O(1).
@@ -48,10 +55,13 @@ type process = {
    heap's for any push/pop trace. *)
 module Queue = struct
   type t = {
-    mutable at : Time.t array;
+    mutable at : Time.t array; (* heap, parallel arrays *)
     mutable seq : int array;
-    mutable fn : (unit -> unit) array;
+    mutable slot : int array;
     mutable len : int;
+    mutable fns : (unit -> unit) array; (* slot table, one slot per heap entry *)
+    mutable free : int array; (* stack of unused slots *)
+    mutable n_free : int;
     mutable f_seq : int array; (* FIFO ring, capacity a power of two *)
     mutable f_fn : (unit -> unit) array;
     mutable f_head : int;
@@ -67,8 +77,11 @@ module Queue = struct
     {
       at = [||];
       seq = [||];
-      fn = [||];
+      slot = [||];
       len = 0;
+      fns = [||];
+      free = [||];
+      n_free = 0;
       f_seq = Array.make 64 0;
       f_fn = Array.make 64 nothing;
       f_head = 0;
@@ -84,16 +97,23 @@ module Queue = struct
     let a = (at : Time.t :> int) and a' = (at' : Time.t :> int) in
     a < a' || (a = a' && s < s')
 
+  (* Called only when every slot is taken ([len] = capacity): the new
+     slots all go on the free stack, lowest on top. *)
   let grow q =
-    let cap = Stdlib.max 64 (2 * Array.length q.at) in
-    let at = Array.make cap Time.zero and sq = Array.make cap 0 in
-    let fn = Array.make cap nothing in
+    let old = Array.length q.at in
+    let cap = Stdlib.max 64 (2 * old) in
+    let at = Array.make cap Time.zero and sq = Array.make cap 0 and sl = Array.make cap 0 in
+    let fns = Array.make cap nothing in
     Array.blit q.at 0 at 0 q.len;
     Array.blit q.seq 0 sq 0 q.len;
-    Array.blit q.fn 0 fn 0 q.len;
+    Array.blit q.slot 0 sl 0 q.len;
+    Array.blit q.fns 0 fns 0 old;
     q.at <- at;
     q.seq <- sq;
-    q.fn <- fn
+    q.slot <- sl;
+    q.fns <- fns;
+    q.free <- Array.init cap (fun i -> cap - 1 - i);
+    q.n_free <- cap - old
 
   let grow_fifo q =
     let cap = Array.length q.f_seq in
@@ -110,8 +130,11 @@ module Queue = struct
   (* Hole insertion, as in {!Heap}: parents shift down into the hole and
      the new event is written once. *)
   let push_heap q at s fn =
-    if q.len = Array.length q.at then grow q;
-    let qa = q.at and qs = q.seq and qf = q.fn in
+    if q.n_free = 0 then grow q;
+    q.n_free <- q.n_free - 1;
+    let k = q.free.(q.n_free) in
+    q.fns.(k) <- fn;
+    let qa = q.at and qs = q.seq and ql = q.slot in
     let i = ref q.len in
     q.len <- q.len + 1;
     while
@@ -123,12 +146,12 @@ module Queue = struct
       let parent = (!i - 1) / 2 in
       qa.(!i) <- qa.(parent);
       qs.(!i) <- qs.(parent);
-      qf.(!i) <- qf.(parent);
+      ql.(!i) <- ql.(parent);
       i := parent
     done;
     qa.(!i) <- at;
     qs.(!i) <- s;
-    qf.(!i) <- fn
+    ql.(!i) <- k
 
   let push q at fn =
     q.next_seq <- q.next_seq + 1;
@@ -155,11 +178,15 @@ module Queue = struct
   (* Floyd's deletion: walk the hole from the root down to a leaf along the
      smaller child (one comparison per level), then sift the former last
      element up from there — it belongs near the bottom, so that loop
-     rarely runs. The vacated tail slot is cleared so the heap never
+     rarely runs. The popped thunk's slot is cleared so the queue never
      retains a closure. *)
   let pop_heap q =
-    let qa = q.at and qs = q.seq and qf = q.fn in
-    let top = qf.(0) in
+    let qa = q.at and qs = q.seq and ql = q.slot in
+    let k = ql.(0) in
+    let top = q.fns.(k) in
+    q.fns.(k) <- nothing;
+    q.free.(q.n_free) <- k;
+    q.n_free <- q.n_free + 1;
     q.now <- qa.(0);
     let n = q.len - 1 in
     q.len <- n;
@@ -168,14 +195,24 @@ module Queue = struct
       let l = ref 1 in
       while !l < n do
         let l0 = !l in
-        let c = if l0 + 1 < n && before qa.(l0 + 1) qs.(l0 + 1) qa.(l0) qs.(l0) then l0 + 1 else l0 in
+        (* Which child is smaller is a coin flip, so pick it with
+           arithmetic rather than a branch the CPU would mispredict. *)
+        let c =
+          if l0 + 1 < n then begin
+            let a = (qa.(l0 + 1) :> int) and a' = (qa.(l0) :> int) in
+            l0
+            + (Bool.to_int (a < a')
+              lor (Bool.to_int (a = a') land Bool.to_int (qs.(l0 + 1) < qs.(l0))))
+          end
+          else l0
+        in
         qa.(!i) <- qa.(c);
         qs.(!i) <- qs.(c);
-        qf.(!i) <- qf.(c);
+        ql.(!i) <- ql.(c);
         i := c;
         l := (2 * c) + 1
       done;
-      let at = qa.(n) and s = qs.(n) and fn = qf.(n) in
+      let at = qa.(n) and s = qs.(n) and sl = ql.(n) in
       while
         !i > 0
         &&
@@ -185,14 +222,13 @@ module Queue = struct
         let parent = (!i - 1) / 2 in
         qa.(!i) <- qa.(parent);
         qs.(!i) <- qs.(parent);
-        qf.(!i) <- qf.(parent);
+        ql.(!i) <- ql.(parent);
         i := parent
       done;
       qa.(!i) <- at;
       qs.(!i) <- s;
-      qf.(!i) <- fn
+      ql.(!i) <- sl
     end;
-    qf.(n) <- nothing;
     top
 
   let pop q =
@@ -256,7 +292,7 @@ let no_reason () = ""
 let delay_reason () = "delay"
 let nothing = Queue.nothing
 
-let make_process ~pid ~name ~name_of ~daemon ~group body =
+let make_process ~pid ~name ~name_of ~daemon ~group ~fiberless body =
   let rec p =
     {
       pid;
@@ -264,6 +300,7 @@ let make_process ~pid ~name ~name_of ~daemon ~group body =
       name_of;
       daemon;
       group;
+      fiberless;
       state = Ready;
       why = no_reason;
       on_group = None;
@@ -300,19 +337,42 @@ let resume t p =
     continue k ()
   | None -> match_with p.body () t.handler
 
-let block t p k ~why ~on_group ~timed =
+(* A fiberless process's step: run it, and finish the process if the
+   step scheduled no next one. An exception finishes it too, then leaves
+   {!run} — as the fiber handler's [exnc] does; a step it had already
+   scheduled then finds the process finished and does nothing. *)
+let run_step t p =
+  match p.state with
+  | Finished -> ()
+  | Ready | Running | Blocked -> (
+    p.state <- Running;
+    t.current <- p;
+    let step = p.body in
+    p.body <- nothing;
+    match step () with
+    | () -> ( match p.state with Running -> finish t p | Ready | Blocked | Finished -> ())
+    | exception e ->
+      finish t p;
+      raise e)
+
+let block_state t p ~why ~on_group ~timed =
   p.state <- Blocked;
   p.why <- why;
   p.on_group <- on_group;
   p.since <- t.clock;
-  p.timed <- timed;
+  p.timed <- timed
+
+let block t p k ~why ~on_group ~timed =
+  block_state t p ~why ~on_group ~timed;
   p.k <- Some k
 
 let create ?trace ?watchdog () =
   (match watchdog with
   | Some w when Time.(w <= Time.zero) -> invalid_arg "Engine.create: watchdog must be positive"
   | Some _ | None -> ());
-  let sentinel = make_process ~pid:0 ~name:"" ~name_of:None ~daemon:true ~group:None nothing in
+  let sentinel =
+    make_process ~pid:0 ~name:"" ~name_of:None ~daemon:true ~group:None ~fiberless:false nothing
+  in
   let t =
     {
       clock = Time.zero;
@@ -392,10 +452,10 @@ let schedule_at t at thunk =
   if Time.(at < t.clock) then invalid_arg "Engine.schedule_at: time in the past";
   Queue.push t.queue at thunk
 
-let spawn t ?(name = "proc") ?name_of ?(daemon = false) ?group body =
+let register t ~name ~name_of ~daemon ~group ~fiberless body =
   t.next_pid <- t.next_pid + 1;
-  let p = make_process ~pid:t.next_pid ~name ~name_of ~daemon ~group body in
-  p.resume <- (fun () -> resume t p);
+  let p = make_process ~pid:t.next_pid ~name ~name_of ~daemon ~group ~fiberless body in
+  p.resume <- (if fiberless then fun () -> run_step t p else fun () -> resume t p);
   let head = t.live_head in
   p.prev <- head.prev;
   p.next <- head;
@@ -405,6 +465,24 @@ let spawn t ?(name = "proc") ?name_of ?(daemon = false) ?group body =
   if not daemon then t.live <- t.live + 1;
   Queue.push t.queue t.clock p.resume;
   p
+
+let spawn t ?(name = "proc") ?name_of ?(daemon = false) ?group body =
+  register t ~name ~name_of ~daemon ~group ~fiberless:false body
+
+let spawn_callbacks t ~name_of first =
+  register t ~name:"proc" ~name_of:(Some name_of) ~daemon:false ~group:None ~fiberless:true first
+
+(* Block the running fiberless process exactly as [delay] blocks a fiber,
+   and make [k] its next step. *)
+let after t d k =
+  let p = t.current in
+  (match p.state with
+  | Running when p.fiberless -> ()
+  | Running | Ready | Blocked | Finished ->
+    invalid_arg "Engine.after: not called from a step of a spawn_callbacks process");
+  block_state t p ~why:delay_reason ~on_group:None ~timed:true;
+  p.body <- k;
+  Queue.push t.queue (Time.add t.clock d) p.resume
 
 let process_name p = match p.name_of with Some f -> f () | None -> p.name
 let process_done p = p.state = Finished

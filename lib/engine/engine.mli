@@ -10,15 +10,26 @@
     with {!spawn} and driven by {!run}; calling them elsewhere raises
     [Effect.Unhandled].
 
+    {1 Two kinds of process}
+
+    A process made by {!spawn} runs in its own fiber and may block
+    anywhere in its body. A process made by {!spawn_callbacks} has no
+    fiber: its body is a chain of plain callbacks, each of which ends
+    either by naming the next one with {!after} or by returning, which
+    finishes the process. It is cheaper to start and to resume, and it
+    takes a pid, a place in the live list and a [delay] wait state just
+    as a fiber process would, so every diagnostic reads the same. Short
+    fixed sequences — an NVSHMEM delivery is three steps — use it.
+
     {1 One sequential driver}
 
-    {!run} is the only driver. Its queue is a binary min-heap over
-    (timestamp, sequence) held in parallel arrays, so scheduling an event
-    allocates nothing beyond the thunk itself, and each process owns one
-    resume thunk for its whole life. Diagnostic text — process names
-    ({!spawn}'s [name_of]) and wait reasons ({!suspend}'s [reason]) — is
-    rendered only when {!Deadlock}, {!Stall} or {!blocked_descriptions}
-    reads it. *)
+    {!run} is the only driver. Its queue ({!Queue}) is a binary min-heap
+    of plain ints plus a slot table for the thunks, so scheduling an event
+    allocates nothing beyond the thunk itself. A fiber process owns one
+    resume thunk for its whole life; a fiberless one allocates a closure
+    per step. Diagnostic text — process names ([name_of]) and wait reasons
+    ({!suspend}'s [reason]) — is rendered only when {!Deadlock}, {!Stall}
+    or {!blocked_descriptions} reads it. *)
 
 type t
 
@@ -108,6 +119,23 @@ val spawn :
     are exempt from deadlock detection: when only daemons remain blocked,
     {!run} returns normally. *)
 
+val spawn_callbacks : t -> name_of:(unit -> string) -> (unit -> unit) -> process
+(** Register a fiberless process whose first step runs at the current
+    simulation time, as {!spawn}'s body would. [name_of] renders its name
+    when a diagnostic asks, as in {!spawn}. It has no group and is never a
+    daemon. A step must not block ({!delay} and {!suspend} raise
+    [Effect.Unhandled] there); it waits by ending with {!after}. A step
+    that returns without calling {!after} finishes the process; one that
+    raises finishes it and the exception leaves {!run}. Pids are drawn
+    from the same counter as {!spawn}'s. *)
+
+val after : t -> Time.t -> (unit -> unit) -> unit
+(** [after t d k], called from a step of a {!spawn_callbacks} process as
+    its last action, blocks that process for [d] — the same [Blocked]
+    state, reason ["delay"] and [since] as {!delay} — and runs [k] as its
+    next step [d] later. It pushes one event, where {!delay} would.
+    @raise Invalid_argument anywhere else. *)
+
 val process_name : process -> string
 val process_done : process -> bool
 val process_group : process -> string option
@@ -148,8 +176,9 @@ val run : ?until:Time.t -> t -> unit
     (unless [until] was given and reached). *)
 
 val events_executed : t -> int
-(** Total events executed so far, across all runs — the
-    numerator of the engine-throughput (events/sec) microbenchmark. *)
+(** Total events executed so far, across all runs. Perfbench reports it
+    as [engine.events] and divides run time by it for
+    [engine.ns_per_event]. *)
 
 val stall_scans : t -> int
 (** Stall-watchdog scans actually performed; 0 when no watchdog is armed. *)
@@ -166,9 +195,13 @@ val blocked_descriptions : t -> string list
     wait-for cycle line when the declared edges close one). *)
 
 module Queue : sig
-  (** The event queue {!run} drains: a binary min-heap over
-      (timestamp, sequence) in parallel arrays. Exposed so its pop order
-      can be tested against {!Heap}. *)
+  (** The event queue {!run} drains. Future events sit in a binary
+      min-heap that holds only ints — timestamp, sequence and a slot
+      index — while their thunks sit in a slot table, written once per
+      push and cleared once per pop, so sifting moves no pointers. Events
+      pushed at the time of the last pop go to a FIFO lane instead. A
+      popped thunk is not retained. Exposed so its pop order can be tested
+      against {!Heap}. *)
 
   type t
 

@@ -230,7 +230,11 @@ let fault_hold t ~src ~dst =
   | Some plan ->
     fst (F.fabric_penalty plan ~now:(E.Engine.now t.eng) ~inter_node:(inter_node t ~src ~dst))
 
-let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") () =
+(* A transfer written once as steps, so a caller without a fiber can run
+   it: book latency and serialization on every port of the route (plus any
+   fault penalty) and count the transfer, [wait] until the last byte is in,
+   log it, then continue with [k]. *)
+let transfer_steps t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") ~wait k =
   check_endpoint t src;
   check_endpoint t dst;
   if bytes < 0 then invalid_arg "Interconnect.transfer: negative size";
@@ -270,12 +274,20 @@ let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") () =
         Mx.Counter.add o.m_port_bytes.(pid) bytes;
         Mx.Counter.add o.m_port_busy.(pid) dur_ns)
       e.e_pids);
-  E.Engine.delay t.eng (Time.sub finish t0);
-  E.Engine.log_comm t.eng ~since:t0;
-  match (trace_lane, E.Engine.trace t.eng) with
-  | Some lane, Some tr ->
-    E.Trace.add tr ~lane ~label ~kind:E.Trace.Communication ~t0 ~t1:(E.Engine.now t.eng)
-  | None, _ | _, None -> ()
+  wait (Time.sub finish t0) (fun () ->
+      E.Engine.log_comm t.eng ~since:t0;
+      (match (trace_lane, E.Engine.trace t.eng) with
+      | Some lane, Some tr ->
+        E.Trace.add tr ~lane ~label ~kind:E.Trace.Communication ~t0 ~t1:(E.Engine.now t.eng)
+      | None, _ | _, None -> ());
+      k ())
+
+let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?label () =
+  transfer_steps t ~src ~dst ~initiator ~bytes ?trace_lane ?label
+    ~wait:(fun d k ->
+      E.Engine.delay t.eng d;
+      k ())
+    ignore
 
 let bytes_moved t = t.total_bytes
 let transfers t = t.total_transfers

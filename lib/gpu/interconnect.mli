@@ -83,7 +83,19 @@ val transfer :
     HBM time only; zero-byte transfers cost only latency. Every transfer is
     logged as communication in the engine's busy log; it is also recorded
     as a span on [trace_lane] when one is given and the engine has a
-    trace. *)
+    trace. It is {!transfer_steps} with [wait] a
+    {!Cpufree_engine.Engine.delay}. *)
+
+val transfer_steps :
+  t -> src:endpoint -> dst:endpoint -> initiator:initiator -> bytes:int ->
+  ?trace_lane:string -> ?label:string ->
+  wait:(Cpufree_engine.Time.t -> (unit -> unit) -> unit) -> (unit -> unit) -> unit
+(** {!transfer} for a caller that cannot block, such as a step of a
+    {!Cpufree_engine.Engine.spawn_callbacks} process: books the route and
+    counts the transfer at the current time, then calls [wait d landed],
+    where [d] is how long until the last byte lands and [landed] logs the
+    transfer as {!transfer} does, then runs the last argument. [wait] must
+    run [landed] exactly [d] later. *)
 
 val bytes_moved : t -> int
 (** Total payload bytes transported so far. *)

@@ -803,6 +803,203 @@ let comm_props =
            Time.(t lo <= t hi)));
   ]
 
+(* --- Asynchronous deliveries, pinned -------------------------------------- *)
+
+(* One put from PE 0 to PE 1 under a forced fault fate, with trace flows on
+   or off. A run reports what a change to how deliveries are driven must
+   leave alone: the engine's event count and final clock, the comm time in
+   its busy log, the trace's span and flow counts, and — for a signalled
+   put — the destination's data and the clock read by the signal waiter's
+   predicate at the instant it first sees the signal (so data landing after
+   its signal would read 0). *)
+module Topo = Cpufree_machine.Topology
+
+type put_kind = Signal_put | Plain_put | Strided_put
+
+type delivery_run = {
+  events : int;
+  clock_ns : int;
+  comm_ns : int;
+  spans : int;
+  flows : int;
+  seen : float;  (* destination data when the signal (or the fence) is observed *)
+  seen_ns : int;
+}
+
+let fate_spec = function
+  | `Deliver -> None
+  | `Delayed -> Some "delay=1.0@3000"
+  | `Dropped -> Some "drop=1.0"
+
+let fault_env =
+  Option.map (fun s -> Env.make ~faults:(Result.get_ok (Fault.of_string s)) ~fault_seed:3 ())
+
+let run_delivery ~kind ~fate ~flows =
+  let trace = if flows then Some (E.Trace.create ~flows:true ()) else None in
+  let eng = Engine.create ?trace () in
+  let ctx = G.Runtime.create eng ?env:(fault_env (fate_spec fate)) ~num_gpus:2 () in
+  let seen = ref nan and seen_ns = ref (-1) in
+  let (_ : Engine.process) =
+    Engine.spawn eng ~name:"main" (fun () ->
+        let nv = Nv.init ctx in
+        let s = Nv.sym_malloc nv ~label:"x" 64 in
+        let src = Nv.local s ~pe:0 and dst = Nv.local s ~pe:1 in
+        G.Buffer.fill src 7.0;
+        let observe () =
+          seen := G.Buffer.get dst 0;
+          seen_ns := Time.to_ns (Engine.now eng)
+        in
+        match kind with
+        | Signal_put ->
+          let f = Nv.signal_malloc nv ~label:"f" () in
+          Nv.putmem_signal_nbi nv ~from_pe:0 ~to_pe:1 ~src ~src_pos:0 ~dst:s ~dst_pos:0 ~len:64
+            ~sig_var:f ~sig_op:Nv.Signal_set ~sig_value:1;
+          Nv.signal_wait_until nv ~pe:1 ~sig_var:f (fun v ->
+              if v >= 1 && !seen_ns < 0 then observe ();
+              v >= 1)
+        | Plain_put ->
+          Nv.putmem_nbi nv ~from_pe:0 ~to_pe:1 ~src ~src_pos:0 ~dst:s ~dst_pos:0 ~len:64;
+          Nv.quiet nv ~pe:0;
+          observe ()
+        | Strided_put ->
+          Nv.iput_nbi nv ~from_pe:0 ~to_pe:1 ~src ~src_pos:0 ~src_stride:2 ~dst:s ~dst_pos:0
+            ~dst_stride:2 ~count:32;
+          Nv.quiet nv ~pe:0;
+          observe ())
+  in
+  Engine.run eng;
+  let comm, _ = E.Intervals.Log.comm_and_overlap (Engine.busy eng) in
+  {
+    events = Engine.events_executed eng;
+    clock_ns = Time.to_ns (Engine.now eng);
+    comm_ns = Time.to_ns comm;
+    spans = (match trace with Some tr -> List.length (E.Trace.spans tr) | None -> 0);
+    flows = (match trace with Some tr -> List.length (E.Trace.flows tr) | None -> 0);
+    seen = !seen;
+    seen_ns = !seen_ns;
+  }
+
+let kind_name = function
+  | Signal_put -> "putmem_signal_nbi"
+  | Plain_put -> "putmem_nbi"
+  | Strided_put -> "iput_nbi"
+
+let fate_name = function `Deliver -> "Deliver" | `Delayed -> "Delayed" | `Dropped -> "Dropped"
+
+(* What the fiber-per-delivery engine produced. Each row: kind, fate, flows
+   on; then events, final clock, comm ns, spans, flows, and the clock at
+   which the data was seen (always the source's 7.0). *)
+let delivery_expected =
+  [
+    (Signal_put, `Deliver, false, (7, 5001, 1751, 0, 0, 3001));
+    (Signal_put, `Deliver, true, (7, 5001, 2651, 2, 1, 3001));
+    (Signal_put, `Delayed, false, (9, 25350, 1751, 0, 0, 6816));
+    (Signal_put, `Delayed, true, (9, 25350, 2651, 2, 1, 6816));
+    (Signal_put, `Dropped, false, (8, 30001, 1751, 0, 0, 28001));
+    (Signal_put, `Dropped, true, (8, 30001, 2651, 4, 1, 28001));
+    (Plain_put, `Deliver, false, (5, 2101, 1751, 0, 0, 2101));
+    (Plain_put, `Deliver, true, (5, 2101, 1751, 2, 1, 2101));
+    (Plain_put, `Delayed, false, (6, 5916, 1751, 0, 0, 5916));
+    (Plain_put, `Delayed, true, (6, 5916, 1751, 2, 1, 5916));
+    (Plain_put, `Dropped, false, (5, 2101, 1751, 0, 0, 2101));
+    (Plain_put, `Dropped, true, (5, 2101, 1751, 4, 1, 2101));
+    (Strided_put, `Deliver, false, (6, 2132, 1750, 0, 0, 2132));
+    (Strided_put, `Deliver, true, (6, 2132, 1782, 2, 1, 2132));
+    (Strided_put, `Delayed, false, (7, 5947, 1750, 0, 0, 5947));
+    (Strided_put, `Delayed, true, (7, 5947, 1782, 2, 1, 5947));
+    (Strided_put, `Dropped, false, (6, 2132, 1750, 0, 0, 2132));
+    (Strided_put, `Dropped, true, (6, 2132, 1782, 4, 1, 2132));
+  ]
+
+(* A run with a probe that raises a stall report 5 us in, while a
+   delivery is still in flight: the report must name it. *)
+let in_flight_report ~spec puts =
+  let eng = Engine.create () in
+  let ctx = G.Runtime.create eng ?env:(fault_env spec) ~num_gpus:2 () in
+  let nv = Nv.init ctx in
+  let s = Nv.sym_malloc nv ~label:"x" ~phantom:true 1_000_000 in
+  let f = Nv.signal_malloc nv ~label:"f" () in
+  let (_ : Engine.process) = Engine.spawn eng ~name:"main" (fun () -> puts nv s f) in
+  let (_ : Engine.process) =
+    Engine.spawn eng ~name:"probe" (fun () ->
+        Engine.delay eng (Time.us 5);
+        raise (Engine.Stall (Engine.stall_report eng ~trigger:"probe")))
+  in
+  match Engine.run eng with
+  | () -> Alcotest.fail "expected the probe's stall"
+  | exception Engine.Stall r -> r.Engine.stall_blocked
+
+let delivery_tests =
+  List.map
+    (fun (kind, fate, flows, (events, clock_ns, comm_ns, spans, n_flows, seen_ns)) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s %s flows=%b matches the pinned run" (kind_name kind) (fate_name fate)
+           flows)
+        `Quick (fun () ->
+          let got = run_delivery ~kind ~fate ~flows in
+          check_int "events" events got.events;
+          check_int "final clock" clock_ns got.clock_ns;
+          check_int "comm ns" comm_ns got.comm_ns;
+          check_int "spans" spans got.spans;
+          check_int "flows" n_flows got.flows;
+          check_float "data at signal" 7.0 got.seen;
+          check_int "data seen at" seen_ns got.seen_ns))
+    delivery_expected
+  @ [
+      Alcotest.test_case "a delayed delivery in flight is named in a stall report" `Quick
+        (fun () ->
+          check (Alcotest.list Alcotest.string) "blocked"
+            [
+              "main(#1) [p0]: flag f@pe1 (value 0, deadline 25.35us) (since 350ns)";
+              "nvshmem.putmem_signal_nbi.pe0.1(#3) [p0]: delay (since 350ns)";
+            ]
+            (in_flight_report ~spec:(Some "delay=1.0@30000") (fun nv s f ->
+                 Nv.putmem_signal_nbi nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:0
+                   ~dst:s ~dst_pos:0 ~len:16 ~sig_var:f ~sig_op:Nv.Signal_set ~sig_value:1;
+                 Nv.signal_wait_ge nv ~pe:1 ~sig_var:f 1)));
+      Alcotest.test_case "an iput in flight is named in a stall report" `Quick (fun () ->
+          check (Alcotest.list Alcotest.string) "blocked"
+            [
+              "main(#1) [p0]: flag pe0.pending (value 1) (since 350ns)";
+              "nvshmem.iput_nbi.pe0.1(#3) [p0]: delay (since 350ns)";
+            ]
+            (in_flight_report ~spec:None (fun nv s _ ->
+                 Nv.iput_nbi nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:0
+                   ~src_stride:2 ~dst:s ~dst_pos:0 ~dst_stride:2 ~count:100_000;
+                 Nv.quiet nv ~pe:0)));
+      Alcotest.test_case "a partitioned route raised in a delivery leaves run" `Quick (fun () ->
+          (* The route is resolved when the delivery books the fabric, inside
+             the delivery's first step: the exception must leave [Engine.run]
+             with the delivery finished and the clock where it was. *)
+          let eng = Engine.create () in
+          let ctx = G.Runtime.create eng ~env:(Env.make ~topology:Topo.Ring ()) ~num_gpus:4 () in
+          let topo = G.Interconnect.topology (G.Runtime.net ctx) in
+          let (_ : Engine.process) =
+            Engine.spawn eng ~name:"main" (fun () ->
+                let nv = Nv.init ctx in
+                let s = Nv.sym_malloc nv ~label:"x" 4 in
+                Engine.delay eng (Time.ns 100);
+                Topo.fail_link topo ~src:"gpu0" ~dst:"gpu1";
+                Topo.fail_link topo ~src:"gpu1" ~dst:"gpu2";
+                Nv.putmem_nbi nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:0 ~dst:s
+                  ~dst_pos:0 ~len:4;
+                Nv.quiet nv ~pe:0)
+          in
+          match Engine.run eng with
+          | () -> Alcotest.fail "expected Partitioned"
+          | exception Topo.Partitioned msg ->
+            check Alcotest.string "diagnosis"
+              "Topology.route_ports: no route from gpu0 to gpu1: network partitioned by fail-stop \
+               events (4 dead links, 0 dead vertexes)"
+              msg;
+            check_int "events" 4 (Engine.events_executed eng);
+            check_int "clock" 450 (Time.to_ns (Engine.now eng));
+            check_int "live processes" 1 (Engine.registered_processes eng);
+            check (Alcotest.list Alcotest.string) "blocked"
+              [ "main(#1) [p0]: flag pe0.pending (value 1) (since 450ns)" ]
+              (Engine.blocked_descriptions eng));
+    ]
+
 let () =
   Alcotest.run "comm"
     [
@@ -814,4 +1011,5 @@ let () =
       ("collective", collective_tests @ algorithm_tests @ comm_props);
       ("recovery", recovery_tests);
       ("fabric", fabric_tests);
+      ("delivery", delivery_tests);
     ]

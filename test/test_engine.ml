@@ -817,7 +817,62 @@ let queue_props =
                    Engine.Queue.pop q ();
                    head = at && (match !popped with x :: _ -> x = id | [] -> false)))
              ops));
+    (* The same law at scale: a prefix of 1,000–2,000 pushes keeps at least
+       1,000 events live, so the heap grows several times; the interleaved
+       tail then pops and pushes against a full slot table, reusing slots,
+       before everything drains. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"pops in the same (at, seq) order as Heap at 1,000+ live events"
+         ~count:20
+         QCheck.(
+           pair
+             (list_of_size Gen.(1000 -- 2000) (int_bound 500))
+             (list_of_size Gen.(0 -- 2000) (option (int_bound 500))))
+         (fun (prefix, tail) ->
+           let q = Engine.Queue.create () in
+           let oracle = Heap.create ~cmp:compare in
+           let popped = ref [] in
+           let pushes = ref 0 in
+           let push at =
+             incr pushes;
+             let id = !pushes in
+             Engine.Queue.push q (Time.ns at) (fun () -> popped := id :: !popped);
+             Heap.push oracle (at, id);
+             Engine.Queue.length q = Heap.length oracle
+           in
+           let pop () =
+             match Heap.pop oracle with
+             | None -> Engine.Queue.length q = 0
+             | Some (at, id) ->
+               let head = Time.to_ns (Engine.Queue.min_time q) in
+               Engine.Queue.pop q ();
+               head = at && (match !popped with x :: _ -> x = id | [] -> false)
+           in
+           List.for_all push prefix
+           && Engine.Queue.length q >= 1000
+           && List.for_all (function Some at -> push at | None -> pop ()) tail
+           && List.for_all (fun _ -> pop ()) (List.init (Heap.length oracle) Fun.id)
+           && Engine.Queue.length q = 0));
   ]
+
+(* Push a fresh closure at [at] behind [filler] other events, pop and run
+   everything, and return a weak pointer to the closure along with the
+   (still reachable) queue. Kept out of line so no register or stack slot
+   still holds the closure when the caller collects. *)
+let[@inline never] popped_thunk_weak ~at ~filler =
+  let q = Engine.Queue.create () in
+  for i = 1 to filler do
+    Engine.Queue.push q (Time.ns (i mod 7)) ignore
+  done;
+  let w = Weak.create 1 in
+  let hits = ref 0 in
+  let thunk () = incr hits in
+  Weak.set w 0 (Some thunk);
+  Engine.Queue.push q (Time.ns at) thunk;
+  while Engine.Queue.length q > 0 do
+    Engine.Queue.pop q ()
+  done;
+  (w, q, hits)
 
 let queue_tests =
   [
@@ -835,6 +890,18 @@ let queue_tests =
         let q = Engine.Queue.create () in
         Alcotest.check_raises "pop" (Invalid_argument "Engine.Queue.pop: empty queue") (fun () ->
             ignore (Engine.Queue.pop q : unit -> unit)));
+    Alcotest.test_case "a popped thunk is not retained" `Quick (fun () ->
+        (* The heap lane (a future time behind other events) and the FIFO
+           lane (time 0, the time of the last pop) both drop their
+           reference at the pop. *)
+        List.iter
+          (fun (lane, at, filler) ->
+            let w, q, hits = popped_thunk_weak ~at ~filler in
+            Gc.full_major ();
+            check_int (lane ^ " ran once") 1 !hits;
+            check_bool (lane ^ " collected") true (Weak.get w 0 = None);
+            check_int (lane ^ " queue drained") 0 (Engine.Queue.length q))
+          [ ("heap", 50, 1_000); ("fifo", 0, 0) ]);
   ]
 
 (* --- One queue for every GPU ----------------------------------------------- *)
@@ -1081,6 +1148,81 @@ let diagnostics_tests =
         check Alcotest.string "process_name" "lazy.pe3.7" (Engine.process_name p));
   ]
 
+(* --- Fiberless processes ----------------------------------------------------- *)
+
+let callback_tests =
+  [
+    Alcotest.test_case "a callback process steps when after says and shares the pid counter"
+      `Quick (fun () ->
+        let eng = Engine.create () in
+        let log = ref [] in
+        let note what = log := (what, Time.to_ns (Engine.now eng)) :: !log in
+        let a = Engine.spawn eng ~name:"a" (fun () -> note "a") in
+        let b =
+          Engine.spawn_callbacks eng ~name_of:(fun () -> "b") (fun () ->
+              note "b0";
+              Engine.after eng (Time.ns 5) (fun () ->
+                  note "b1";
+                  Engine.after eng (Time.ns 3) (fun () -> note "b2")))
+        in
+        let c = Engine.spawn eng ~name:"c" (fun () -> note "c") in
+        check_bool "b not done before the run" false (Engine.process_done b);
+        Engine.run eng;
+        check
+          (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+          "steps in (time, spawn) order"
+          [ ("a", 0); ("b0", 0); ("c", 0); ("b1", 5); ("b2", 8) ]
+          (List.rev !log);
+        check_int "one event per spawn and per after" 5 (Engine.events_executed eng);
+        check_bool "b finished" true (Engine.process_done b);
+        check_int "registry drained" 0 (Engine.registered_processes eng);
+        check (Alcotest.list Alcotest.string) "pids in spawn order" [ "a"; "b"; "c" ]
+          (List.map Engine.process_name [ a; b; c ]));
+    Alcotest.test_case "after outside a callback step is rejected" `Quick (fun () ->
+        let eng = Engine.create () in
+        let rejected =
+          Invalid_argument "Engine.after: not called from a step of a spawn_callbacks process"
+        in
+        Alcotest.check_raises "no process" rejected (fun () -> Engine.after eng Time.zero ignore);
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"fiber" (fun () ->
+              Alcotest.check_raises "from a fiber" rejected (fun () ->
+                  Engine.after eng Time.zero ignore))
+        in
+        let (_ : Engine.process) =
+          Engine.spawn_callbacks eng ~name_of:(fun () -> "twice") (fun () ->
+              Engine.after eng (Time.ns 1) ignore;
+              Alcotest.check_raises "a second after in one step" rejected (fun () ->
+                  Engine.after eng Time.zero ignore))
+        in
+        Engine.run eng);
+    Alcotest.test_case "a waiting callback process reads as a delay in reports" `Quick (fun () ->
+        let eng = Engine.create () in
+        let (_ : Engine.process) =
+          Engine.spawn_callbacks eng
+            ~name_of:(fun () -> "cb.lazy")
+            (fun () -> Engine.after eng (Time.ns 100) ignore)
+        in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"probe" (fun () ->
+              Engine.delay eng (Time.ns 50);
+              raise (Engine.Stall (Engine.stall_report eng ~trigger:"probe")))
+        in
+        match Engine.run eng with
+        | () -> Alcotest.fail "expected the probe's stall"
+        | exception Engine.Stall r ->
+          check (Alcotest.list Alcotest.string) "blocked"
+            [ "cb.lazy(#1) [p0]: delay (since 0ns)" ]
+            r.Engine.stall_blocked);
+    Alcotest.test_case "an exception in a step finishes the process and leaves run" `Quick
+      (fun () ->
+        let eng = Engine.create () in
+        let p = Engine.spawn_callbacks eng ~name_of:(fun () -> "boom") (fun () -> failwith "boom") in
+        Alcotest.check_raises "escapes run" (Failure "boom") (fun () -> Engine.run eng);
+        check_bool "finished" true (Engine.process_done p);
+        check_int "registry drained" 0 (Engine.registered_processes eng));
+  ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -1093,6 +1235,7 @@ let () =
       ("engine", engine_tests);
       ("sync", sync_tests);
       ("queue", queue_tests @ queue_props);
+      ("callbacks", callback_tests);
       ("partitions", partition_tests);
       ("optimistic", optimistic_tests);
       ("diagnostic", diagnostics_tests);
