@@ -3,6 +3,7 @@ module G = Cpufree_gpu
 module Nv = Cpufree_comm.Nvshmem
 module Mpi = Cpufree_comm.Mpi
 module Time = E.Time
+module S = Symbolic
 open Sdfg
 
 exception Lowering_error of string
@@ -27,73 +28,148 @@ type runtime = {
   sigs : (string, Nv.signal) Hashtbl.t;
 }
 
-(* Per-rank execution environment. *)
-type env = {
+(* One rank's view of the program while it is lowered: every name resolves
+   here once, never while the program runs. [rank], [size] and the symbols
+   no edge or loop assigns are constants; an assigned variable is a slot. *)
+type lowering = {
   rt : runtime;
   rank : int;
-  size : int;
-  vars : (string, int) Hashtbl.t;
-  reqs : (string, Mpi.request) Hashtbl.t;
+  resolve : string -> S.binding option;
+  slot_of : string -> int;
+  initial : S.slots;  (** assigned variables that are also program symbols *)
+  request_of : string -> int;
+  requests : int;
 }
 
-let lookup env s =
-  match s with
-  | "rank" -> Some env.rank
-  | "size" -> Some env.size
-  | _ -> Hashtbl.find_opt env.vars s
+(* What the lowered closures of one rank (or one persistent-kernel role)
+   read and write: the assigned variables, the MPI requests in flight, and
+   whether the current host state touched the GPU. *)
+type env = { slots : S.slots; reqs : Mpi.request option array; mutable used_gpu : bool }
 
-let eval env e = Symbolic.eval ~env:(lookup env) e
-let eval_cond env c = Symbolic.eval_cond ~env:(lookup env) c
+(* A fresh environment whose variables start as copies of [slots]. *)
+let env_from lw slots =
+  { slots = S.copy_slots slots; reqs = Array.make lw.requests None; used_gpu = false }
 
-let sym_of env name =
-  match Hashtbl.find_opt env.rt.syms name with
-  | Some s -> s
-  | None -> fail "unknown array %s" name
+let lowering rt (sdfg : Sdfg.t) ~rank ~assigned ~requests =
+  let index names =
+    let t = Hashtbl.create 8 in
+    List.iter (fun n -> if not (Hashtbl.mem t n) then Hashtbl.replace t n (Hashtbl.length t)) names;
+    t
+  in
+  let slots = index assigned and reqs = index requests in
+  (* A symbol declared twice takes its last value. *)
+  let fixed = Hashtbl.create 16 in
+  List.iter (fun (s, v) -> Hashtbl.replace fixed s v) sdfg.symbols;
+  let initial = S.make_slots (Hashtbl.length slots) in
+  Hashtbl.iter (fun v i -> Option.iter (S.assign initial i) (Hashtbl.find_opt fixed v)) slots;
+  let size = G.Runtime.num_gpus rt.ctx in
+  let resolve = function
+    | "rank" -> Some (S.Fixed rank)
+    | "size" -> Some (S.Fixed size)
+    | s -> (
+      match Hashtbl.find_opt slots s with
+      | Some i -> Some (S.Slot i)
+      | None -> Option.map (fun v -> S.Fixed v) (Hashtbl.find_opt fixed s))
+  in
+  {
+    rt;
+    rank;
+    resolve;
+    slot_of = Hashtbl.find slots;
+    initial;
+    request_of = Hashtbl.find reqs;
+    requests = Hashtbl.length reqs;
+  }
 
-let buf_of env name = Nv.local (sym_of env name) ~pe:env.rank
+let staged lw e = S.compile ~resolve:lw.resolve e
+let ex lw e = S.force (staged lw e)
 
-let sig_of env name =
-  match Hashtbl.find_opt env.rt.sigs name with
-  | Some s -> s
-  | None -> fail "unknown signal %s" name
+(* [f] of a staged value, folded when the value is known and [f] returns;
+   otherwise [f] runs (and raises) when the program does. *)
+let stage_map x f =
+  match x with
+  | S.Now v -> ( match f v with r -> S.Now r | exception _ -> S.Later (fun _ -> f v))
+  | S.Later g -> S.Later (fun s -> f (g s))
+
+let noop () = ()
+
+let seq = function
+  | [] -> noop
+  | [ f ] -> f
+  | fs ->
+    let fs = Array.of_list fs in
+    fun () ->
+      for k = 0 to Array.length fs - 1 do
+        fs.(k) ()
+      done
+
+(* A name that does not resolve lowers to a statement that fails when it
+   runs, so a bad statement no rank reaches does not fail the program. *)
+let ( let* ) r k = match r with Ok x -> k x | Error m -> fun () -> raise (Lowering_error m)
+
+let sym_of lw name =
+  match Hashtbl.find_opt lw.rt.syms name with
+  | Some s -> Ok s
+  | None -> Error (Printf.sprintf "unknown array %s" name)
+
+let buf_of lw name = Result.map (fun s -> Nv.local s ~pe:lw.rank) (sym_of lw name)
+
+let sig_of lw name =
+  match Hashtbl.find_opt lw.rt.sigs name with
+  | Some s -> Ok s
+  | None -> Error (Printf.sprintf "unknown signal %s" name)
 
 let sig_kind = function Sig_set -> Nv.Signal_set | Sig_add -> Nv.Signal_add
 
-let mpi_region env arr (r : region) =
-  {
-    Mpi.buf = buf_of env arr;
-    pos = eval env r.offset;
-    stride = eval env r.stride;
-    count = eval env r.count;
-  }
+let assignment lw env v e =
+  let i = lw.slot_of v and f = ex lw e in
+  fun () -> S.assign env.slots i (f env.slots)
+
+let guarded lw env cond body =
+  match S.compile_cond ~resolve:lw.resolve cond with
+  | S.Now true -> body
+  | S.Now false -> noop
+  | S.Later c -> fun () -> if c env.slots then body ()
 
 (* --- map semantics ----------------------------------------------------- *)
 
-let rec apply_sem env ~i sem =
+(* Data arrays a semantic touches; phantom operands make the whole map a
+   data no-op, so its body lowers to nothing. *)
+let rec sem_arrays = function
+  | Jacobi1d { src; dst } | Jacobi2d { src; dst; _ } | Jacobi3d { src; dst; _ }
+  | Copy_elems { src; dst; _ } -> [ src; dst ]
+  | Fill { dst; _ } | Init_global { dst; _ } | Init_global2d { dst; _ } -> [ dst ]
+  | Multi sems -> List.concat_map sem_arrays sems
+
+(* Only called once every array of [sem] resolved to a real buffer. *)
+let rec lower_sem lw env sem =
+  let buf name = Result.get_ok (buf_of lw name) in
+  let slots = env.slots in
   match sem with
   | Jacobi1d { src; dst } ->
-    let s = buf_of env src and d = buf_of env dst in
-    if not (G.Buffer.is_phantom s || G.Buffer.is_phantom d) then
+    let s = buf src and d = buf dst in
+    fun i ->
       G.Buffer.set d i
         ((G.Buffer.get s (i - 1) +. G.Buffer.get s i +. G.Buffer.get s (i + 1)) /. 3.0)
   | Jacobi2d { src; dst; row_width; col_lo; col_hi } ->
-    let s = buf_of env src and d = buf_of env dst in
-    if not (G.Buffer.is_phantom s || G.Buffer.is_phantom d) then begin
-      let w = eval env row_width in
+    let s = buf src and d = buf dst in
+    let row_width = ex lw row_width and col_lo = ex lw col_lo and col_hi = ex lw col_hi in
+    fun i ->
+      let w = row_width slots in
       let row = i * w in
-      for c = eval env col_lo to eval env col_hi do
+      for c = col_lo slots to col_hi slots do
         let k = row + c in
         G.Buffer.set d k
           (0.25
           *. (G.Buffer.get s (k - w) +. G.Buffer.get s (k + w) +. G.Buffer.get s (k - 1)
              +. G.Buffer.get s (k + 1)))
       done
-    end
   | Jacobi3d { src; dst; row_width; plane_width; ny } ->
-    let s = buf_of env src and d = buf_of env dst in
-    if not (G.Buffer.is_phantom s || G.Buffer.is_phantom d) then begin
-      let w = eval env row_width and pw = eval env plane_width in
-      let ny = eval env ny in
+    let s = buf src and d = buf dst in
+    let row_width = ex lw row_width and plane_width = ex lw plane_width and ny = ex lw ny in
+    fun i ->
+      let w = row_width slots and pw = plane_width slots in
+      let ny = ny slots in
       let base = i * pw in
       for y = 1 to ny do
         let row = base + (y * w) in
@@ -105,119 +181,198 @@ let rec apply_sem env ~i sem =
             /. 6.0)
         done
       done
-    end
   | Copy_elems { src; dst; src_off; dst_off } ->
-    let s = buf_of env src and d = buf_of env dst in
-    if not (G.Buffer.is_phantom s || G.Buffer.is_phantom d) then
-      G.Buffer.set d (eval env dst_off + i) (G.Buffer.get s (eval env src_off + i))
+    let s = buf src and d = buf dst in
+    let src_off = ex lw src_off and dst_off = ex lw dst_off in
+    fun i -> G.Buffer.set d (dst_off slots + i) (G.Buffer.get s (src_off slots + i))
   | Fill { dst; value } ->
-    let d = buf_of env dst in
-    if not (G.Buffer.is_phantom d) then G.Buffer.set d i value
+    let d = buf dst in
+    fun i -> G.Buffer.set d i value
   | Init_global { dst; global_off } ->
-    let d = buf_of env dst in
-    if not (G.Buffer.is_phantom d) then G.Buffer.set d i (init_value (eval env global_off + i))
+    let d = buf dst and global_off = ex lw global_off in
+    fun i -> G.Buffer.set d i (init_value (global_off slots + i))
   | Init_global2d { dst; row_width; global_row0; global_row_width; global_col0 } ->
-    let d = buf_of env dst in
-    if not (G.Buffer.is_phantom d) then begin
-      let w = eval env row_width in
-      let grw = eval env global_row_width in
-      let gr = eval env global_row0 + i and gc = eval env global_col0 in
+    let d = buf dst in
+    let row_width = ex lw row_width and global_row_width = ex lw global_row_width in
+    let global_row0 = ex lw global_row0 and global_col0 = ex lw global_col0 in
+    fun i ->
+      let w = row_width slots in
+      let grw = global_row_width slots in
+      let gr = global_row0 slots + i and gc = global_col0 slots in
       for c = 0 to w - 1 do
         G.Buffer.set d ((i * w) + c) (init_value ((gr * grw) + gc + c))
       done
-    end
-  | Multi sems -> List.iter (apply_sem env ~i) sems
+  | Multi sems ->
+    let fs = Array.of_list (List.map (lower_sem lw env) sems) in
+    fun i -> Array.iter (fun f -> f i) fs
 
-(* Data arrays a semantic touches; phantom operands make the whole map a
-   data no-op, so the interpreter can skip the per-index loop entirely. *)
-let rec sem_arrays = function
-  | Jacobi1d { src; dst } | Jacobi2d { src; dst; _ } | Jacobi3d { src; dst; _ }
-  | Copy_elems { src; dst; _ } -> [ src; dst ]
-  | Fill { dst; _ } | Init_global { dst; _ } | Init_global2d { dst; _ } -> [ dst ]
-  | Multi sems -> List.concat_map sem_arrays sems
+(* The map's per-index loop. Whether it moves data at all is decided here,
+   once: the first array in order that does not resolve fails the map, and
+   one that is phantom before that makes it a no-op. *)
+let map_body lw env (m : map_stmt) =
+  let rec has_data = function
+    | [] -> Ok true
+    | a :: rest -> (
+      match buf_of lw a with
+      | Error _ as e -> e
+      | Ok b -> if G.Buffer.is_phantom b then Ok false else has_data rest)
+  in
+  match has_data (sem_arrays m.m_sem) with
+  | Ok false -> noop
+  | Error msg -> fun () -> raise (Lowering_error msg)
+  | Ok true ->
+    let apply = lower_sem lw env m.m_sem and flo = ex lw m.m_lo and fhi = ex lw m.m_hi in
+    fun () ->
+      let lo = flo env.slots and hi = fhi env.slots in
+      for i = lo to hi do
+        apply i
+      done
 
-let sem_has_data env sem =
-  List.for_all (fun a -> not (G.Buffer.is_phantom (buf_of env a))) (sem_arrays sem)
+let map_elems lw (m : map_stmt) =
+  match (staged lw m.m_lo, staged lw m.m_hi, staged lw m.m_work) with
+  | S.Now lo, S.Now hi, _ when hi < lo -> S.Now 0
+  | S.Now lo, S.Now hi, S.Now w -> S.Now ((hi - lo + 1) * w)
+  | lo, hi, w ->
+    let flo = S.force lo and fhi = S.force hi and fw = S.force w in
+    S.Later
+      (fun s ->
+        let lo = flo s and hi = fhi s in
+        if hi < lo then 0 else (hi - lo + 1) * fw s)
 
-let run_map_body env (m : map_stmt) =
-  if sem_has_data env m.m_sem then begin
-    let lo = eval env m.m_lo and hi = eval env m.m_hi in
-    for i = lo to hi do
-      apply_sem env ~i m.m_sem
-    done
-  end
-
-let map_elems env (m : map_stmt) =
-  let lo = eval env m.m_lo and hi = eval env m.m_hi in
-  if hi < lo then 0 else (hi - lo + 1) * eval env m.m_work
-
-let map_cost env ~efficiency (m : map_stmt) =
-  let elems = map_elems env m in
+let stencil_time arch ~sm_fraction ~efficiency elems =
   if elems = 0 then Time.zero
   else
-    G.Kernel.memory_bound_time (G.Runtime.arch env.rt.ctx) ~elems
-      ~bytes_per_elem:(G.Kernel.stencil_bytes_per_elem ())
-      ~sm_fraction:1.0 ~efficiency
+    G.Kernel.memory_bound_time arch ~elems ~bytes_per_elem:(G.Kernel.stencil_bytes_per_elem ())
+      ~sm_fraction ~efficiency
 
-(* --- device-side library node execution (persistent backend) ----------- *)
+(* --- device-side library nodes (persistent backend) -------------------- *)
 
-let exec_nv_node env node =
-  let nv = env.rt.nv in
-  let from_pe = env.rank in
+let lower_nv_node lw env node =
+  let nv = lw.rt.nv and from_pe = lw.rank and slots = env.slots in
+  let ex = ex lw in
   match node with
   | Nv_putmem { src; src_region; dst; dst_region; to_pe } ->
-    Nv.putmem_nbi nv ~from_pe ~to_pe:(eval env to_pe) ~src:(buf_of env src)
-      ~src_pos:(eval env src_region.offset) ~dst:(sym_of env dst)
-      ~dst_pos:(eval env dst_region.offset) ~len:(eval env src_region.count)
+    let* dst = sym_of lw dst in
+    let* src = buf_of lw src in
+    let to_pe = ex to_pe and src_pos = ex src_region.offset in
+    let dst_pos = ex dst_region.offset and len = ex src_region.count in
+    fun () ->
+      Nv.putmem_nbi nv ~from_pe ~to_pe:(to_pe slots) ~src ~src_pos:(src_pos slots) ~dst
+        ~dst_pos:(dst_pos slots) ~len:(len slots)
   | Nv_putmem_signal { src; src_region; dst; dst_region; to_pe; signal; sig_kind = k; sig_value }
     ->
-    Nv.putmem_signal_nbi nv ~from_pe ~to_pe:(eval env to_pe) ~src:(buf_of env src)
-      ~src_pos:(eval env src_region.offset) ~dst:(sym_of env dst)
-      ~dst_pos:(eval env dst_region.offset) ~len:(eval env src_region.count)
-      ~sig_var:(sig_of env signal) ~sig_op:(sig_kind k) ~sig_value:(eval env sig_value)
+    let* sig_var = sig_of lw signal in
+    let* dst = sym_of lw dst in
+    let* src = buf_of lw src in
+    let to_pe = ex to_pe and src_pos = ex src_region.offset in
+    let dst_pos = ex dst_region.offset and len = ex src_region.count in
+    let sig_op = sig_kind k and sig_value = ex sig_value in
+    fun () ->
+      Nv.putmem_signal_nbi nv ~from_pe ~to_pe:(to_pe slots) ~src ~src_pos:(src_pos slots) ~dst
+        ~dst_pos:(dst_pos slots) ~len:(len slots) ~sig_var ~sig_op ~sig_value:(sig_value slots)
   | Nv_iput { src; src_region; dst; dst_region; to_pe } ->
-    Nv.iput_nbi nv ~from_pe ~to_pe:(eval env to_pe) ~src:(buf_of env src)
-      ~src_pos:(eval env src_region.offset) ~src_stride:(eval env src_region.stride)
-      ~dst:(sym_of env dst) ~dst_pos:(eval env dst_region.offset)
-      ~dst_stride:(eval env dst_region.stride) ~count:(eval env src_region.count)
+    let* dst = sym_of lw dst in
+    let* src = buf_of lw src in
+    let to_pe = ex to_pe and src_pos = ex src_region.offset and src_stride = ex src_region.stride in
+    let dst_pos = ex dst_region.offset and dst_stride = ex dst_region.stride in
+    let count = ex src_region.count in
+    fun () ->
+      Nv.iput_nbi nv ~from_pe ~to_pe:(to_pe slots) ~src ~src_pos:(src_pos slots)
+        ~src_stride:(src_stride slots) ~dst ~dst_pos:(dst_pos slots)
+        ~dst_stride:(dst_stride slots) ~count:(count slots)
   | Nv_p { src; src_off; dst; dst_off; to_pe } ->
-    let value = G.Buffer.get (buf_of env src) (eval env src_off) in
-    Nv.p nv ~from_pe ~to_pe:(eval env to_pe) ~value ~dst:(sym_of env dst)
-      ~dst_pos:(eval env dst_off)
+    let* dst = sym_of lw dst in
+    let* src = buf_of lw src in
+    let src_off = ex src_off and dst_off = ex dst_off and to_pe = ex to_pe in
+    fun () ->
+      let value = G.Buffer.get src (src_off slots) in
+      Nv.p nv ~from_pe ~to_pe:(to_pe slots) ~value ~dst ~dst_pos:(dst_off slots)
   | Nv_signal_op { signal; sig_kind = k; sig_value; to_pe } ->
-    Nv.signal_op_remote nv ~from_pe ~to_pe:(eval env to_pe) ~sig_var:(sig_of env signal)
-      ~sig_op:(sig_kind k) ~sig_value:(eval env sig_value)
+    let* sig_var = sig_of lw signal in
+    let to_pe = ex to_pe and sig_op = sig_kind k and sig_value = ex sig_value in
+    fun () ->
+      Nv.signal_op_remote nv ~from_pe ~to_pe:(to_pe slots) ~sig_var ~sig_op
+        ~sig_value:(sig_value slots)
   | Nv_signal_wait { signal; ge_value } ->
-    Nv.signal_wait_ge nv ~pe:env.rank ~sig_var:(sig_of env signal) (eval env ge_value)
-  | Nv_quiet -> Nv.quiet nv ~pe:env.rank
-  | Nv_put _ -> fail "unexpanded Nv_put reached the backend (run Transforms.expand_nvshmem)"
-  | Mpi_isend _ | Mpi_irecv _ | Mpi_waitall _ -> fail "MPI node inside a persistent kernel"
+    let* sig_var = sig_of lw signal in
+    let ge_value = ex ge_value in
+    fun () -> Nv.signal_wait_ge nv ~pe:from_pe ~sig_var (ge_value slots)
+  | Nv_quiet -> fun () -> Nv.quiet nv ~pe:from_pe
+  | Nv_put _ ->
+    fun () -> fail "unexpanded Nv_put reached the backend (run Transforms.expand_nvshmem)"
+  | Mpi_isend _ | Mpi_irecv _ | Mpi_waitall _ ->
+    fun () -> fail "MPI node inside a persistent kernel"
 
-(* --- interstate walking ------------------------------------------------ *)
+(* --- interstate graph -------------------------------------------------- *)
 
-let choose_edge env edges =
-  List.find_opt
-    (fun e -> match e.e_cond with None -> true | Some c -> eval_cond env c)
-    edges
+(* The state graph indexed once: node [i] is the [i]th distinct state name
+   the walk can reach (the start state and every edge target), with the
+   first state of that name and its out-edges in declaration order. *)
+type graph = {
+  names : string array;
+  states : state option array;
+  out : (edge * int) list array;
+  start : int;
+}
 
-let apply_assignments env e =
-  List.iter (fun (v, ex) -> Hashtbl.replace env.vars v (eval env ex)) e.e_assign
-
-let walk_states sdfg env ~exec_state =
-  let steps = ref 0 in
-  let rec go cur =
-    incr steps;
-    if !steps > 10_000_000 then fail "interstate walk did not terminate";
-    (match find_state sdfg cur with
-    | Some st -> exec_state st
-    | None -> fail "missing state %s" cur);
-    match choose_edge env (out_edges sdfg cur) with
-    | None -> ()
-    | Some e ->
-      apply_assignments env e;
-      go e.e_dst
+let index_graph (sdfg : Sdfg.t) =
+  let ids = Hashtbl.create 16 in
+  let id n =
+    match Hashtbl.find_opt ids n with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.replace ids n i;
+      i
   in
-  go sdfg.start_state
+  let start = id sdfg.start_state in
+  let edges = List.map (fun e -> (e, id e.e_dst)) sdfg.edges in
+  let names = Array.make (Hashtbl.length ids) "" in
+  Hashtbl.iter (fun n i -> names.(i) <- n) ids;
+  {
+    names;
+    states = Array.map (find_state sdfg) names;
+    out = Array.map (fun n -> List.filter (fun (e, _) -> String.equal e.e_src n) edges) names;
+    start;
+  }
+
+(* The first edge whose condition holds wins: its assignments run in
+   order, and the walk moves to its target ([-1]: no edge, the walk ends). *)
+let rec lower_edges lw env = function
+  | [] -> fun () -> -1
+  | (e, dst) :: rest -> (
+    let assign = seq (List.map (fun (v, ex) -> assignment lw env v ex) e.e_assign) in
+    let take () =
+      assign ();
+      dst
+    in
+    match Option.map (S.compile_cond ~resolve:lw.resolve) e.e_cond with
+    | None | Some (S.Now true) -> take
+    | Some (S.Now false) -> lower_edges lw env rest
+    | Some (S.Later c) ->
+      let next = lower_edges lw env rest in
+      fun () -> if c env.slots then take () else next ())
+
+let walk graph lw env ~state =
+  let nodes =
+    Array.mapi
+      (fun i st ->
+        let run =
+          match st with
+          | Some st -> state st
+          | None -> fun () -> fail "missing state %s" graph.names.(i)
+        in
+        (run, lower_edges lw env graph.out.(i)))
+      graph.states
+  in
+  let rec go i steps =
+    if steps > 10_000_000 then fail "interstate walk did not terminate";
+    let run, next = nodes.(i) in
+    run ();
+    let j = next () in
+    if j >= 0 then go j (steps + 1)
+  in
+  go graph.start 1
 
 (* --- shared allocation ------------------------------------------------- *)
 
@@ -240,10 +395,20 @@ let make_runtime ?(backed = false) (sdfg : Sdfg.t) ctx =
   List.iter (fun s -> Hashtbl.replace sigs s (Nv.signal_malloc nv ~label:s ())) sdfg.sdfg_signals;
   { ctx; nv; mpi; syms; sigs }
 
-let make_env rt ~rank (sdfg : Sdfg.t) =
-  let vars = Hashtbl.create 16 in
-  List.iter (fun (s, v) -> Hashtbl.replace vars s v) sdfg.symbols;
-  { rt; rank; size = G.Runtime.num_gpus rt.ctx; vars; reqs = Hashtbl.create 16 }
+let read_array store name ~pe =
+  match !store with
+  | None -> None
+  | Some rt -> Option.map (fun s -> Nv.local s ~pe) (Hashtbl.find_opt rt.syms name)
+
+(* MPI request names of a list of states, for their slots. *)
+let request_names states =
+  let rec of_stmt = function
+    | S_lib (Mpi_isend { req; _ } | Mpi_irecv { req; _ }) -> [ req ]
+    | S_lib (Mpi_waitall names) -> names
+    | S_cond { then_ = body; _ } | S_role { body; _ } -> List.concat_map of_stmt body
+    | S_map _ | S_copy _ | S_lib _ | S_grid_sync -> []
+  in
+  List.concat_map (fun st -> List.concat_map of_stmt st.stmts) states
 
 (* --- baseline (CPU-controlled) backend --------------------------------- *)
 
@@ -255,85 +420,101 @@ let make_env rt ~rank (sdfg : Sdfg.t) =
    "offload off" candidate has an honest cost instead of a free ride. *)
 let host_dram_slowdown = 12.0
 
-let host_map_cost env (m : map_stmt) =
-  Time.scale (map_cost env ~efficiency:1.0 m) host_dram_slowdown
-
-let exec_state_baseline env stream st =
-  let ctx = env.rt.ctx in
-  let used_gpu = ref false in
-  let rec exec_stmt = function
+let lower_host_state lw env stream st =
+  let ctx = lw.rt.ctx and mpi = lw.rt.mpi and rank = lw.rank and slots = env.slots in
+  let device_time m =
+    stage_map (map_elems lw m)
+      (stencil_time (G.Runtime.arch ctx) ~sm_fraction:1.0 ~efficiency:1.0)
+  in
+  let mpi_region arr (r : region) =
+    match buf_of lw arr with
+    | Error m -> fun _ -> raise (Lowering_error m)
+    | Ok buf ->
+      let pos = ex lw r.offset and stride = ex lw r.stride and count = ex lw r.count in
+      fun s -> { Mpi.buf; pos = pos s; stride = stride s; count = count s }
+  in
+  let rec lower = function
     | S_map m -> (
       match m.m_schedule with
       | Gpu_device ->
-        used_gpu := true;
-        let cost = map_cost env ~efficiency:1.0 m in
-        G.Runtime.launch ctx ~stream ~name:("map_" ^ m.m_var) ~cost (fun () ->
-            run_map_body env m)
+        let cost = S.force (device_time m) and body = map_body lw env m in
+        let name = "map_" ^ m.m_var in
+        fun () ->
+          env.used_gpu <- true;
+          G.Runtime.launch ctx ~stream ~name ~cost:(cost slots) body
       | Sequential ->
-        let cost = host_map_cost env m in
-        if Time.(cost > Time.zero) then E.Engine.delay (G.Runtime.engine ctx) cost;
-        run_map_body env m
-      | Gpu_persistent -> fail "persistent-scheduled map in the baseline backend")
+        let cost =
+          S.force (stage_map (device_time m) (fun t -> Time.scale t host_dram_slowdown))
+        in
+        let body = map_body lw env m and eng = G.Runtime.engine ctx in
+        fun () ->
+          let cost = cost slots in
+          if Time.(cost > Time.zero) then E.Engine.delay eng cost;
+          body ()
+      | Gpu_persistent -> fun () -> fail "persistent-scheduled map in the baseline backend")
     | S_copy { c_src; c_src_region; c_dst; c_dst_region } ->
-      used_gpu := true;
-      let src_pos = eval env c_src_region.offset and dst_pos = eval env c_dst_region.offset in
-      if eval env c_src_region.stride <> 1 || eval env c_dst_region.stride <> 1 then
-        fail "baseline S_copy supports contiguous regions only";
-      G.Runtime.memcpy_async ctx ~stream ~src:(buf_of env c_src) ~src_pos
-        ~dst:(buf_of env c_dst) ~dst_pos ~len:(eval env c_src_region.count)
+      let* dst = buf_of lw c_dst in
+      let* src = buf_of lw c_src in
+      let src_off = ex lw c_src_region.offset and dst_off = ex lw c_dst_region.offset in
+      let src_stride = ex lw c_src_region.stride and dst_stride = ex lw c_dst_region.stride in
+      let len = ex lw c_src_region.count in
+      fun () ->
+        env.used_gpu <- true;
+        let src_pos = src_off slots and dst_pos = dst_off slots in
+        if src_stride slots <> 1 || dst_stride slots <> 1 then
+          fail "baseline S_copy supports contiguous regions only";
+        G.Runtime.memcpy_async ctx ~stream ~src ~src_pos ~dst ~dst_pos ~len:(len slots)
     | S_lib (Mpi_isend { arr; region; dst_rank; tag; req }) ->
-      (* DaCe generates a stream synchronize before host communication so the
-         device data is visible (Fig. 5.1). *)
-      G.Runtime.stream_synchronize ctx stream;
-      let r = Mpi.isend env.rt.mpi ~rank:env.rank ~dst:(eval env dst_rank) ~tag
-          (mpi_region env arr region)
-      in
-      Hashtbl.replace env.reqs req r
+      let region = mpi_region arr region and dst = ex lw dst_rank and r = lw.request_of req in
+      fun () ->
+        (* DaCe generates a stream synchronize before host communication so
+           the device data is visible (Fig. 5.1). *)
+        G.Runtime.stream_synchronize ctx stream;
+        env.reqs.(r) <- Some (Mpi.isend mpi ~rank ~dst:(dst slots) ~tag (region slots))
     | S_lib (Mpi_irecv { arr; region; src_rank; tag; req }) ->
-      let r = Mpi.irecv env.rt.mpi ~rank:env.rank ~src:(eval env src_rank) ~tag
-          (mpi_region env arr region)
-      in
-      Hashtbl.replace env.reqs req r
+      let region = mpi_region arr region and src = ex lw src_rank and r = lw.request_of req in
+      fun () -> env.reqs.(r) <- Some (Mpi.irecv mpi ~rank ~src:(src slots) ~tag (region slots))
     | S_lib (Mpi_waitall names) ->
-      let rs =
-        List.map
-          (fun n ->
-            match Hashtbl.find_opt env.reqs n with
-            | Some r -> r
-            | None -> fail "MPI_Waitall on unknown request %s" n)
-          names
-      in
-      Mpi.waitall env.rt.mpi rs
+      let reqs = List.map (fun n -> (n, lw.request_of n)) names in
+      fun () ->
+        Mpi.waitall mpi
+          (List.map
+             (fun (n, r) ->
+               match env.reqs.(r) with
+               | Some r -> r
+               | None -> fail "MPI_Waitall on unknown request %s" n)
+             reqs)
     | S_lib
         ( Nv_put _ | Nv_putmem _ | Nv_putmem_signal _ | Nv_iput _ | Nv_p _ | Nv_signal_op _
-        | Nv_signal_wait _ | Nv_quiet ) -> fail "NVSHMEM node in host (baseline) code"
-    | S_cond { cond; then_ } -> if eval_cond env cond then List.iter exec_stmt then_
-    | S_role { body; _ } -> List.iter exec_stmt body
-    | S_grid_sync -> G.Runtime.stream_synchronize ctx stream
+        | Nv_signal_wait _ | Nv_quiet ) -> fun () -> fail "NVSHMEM node in host (baseline) code"
+    | S_cond { cond; then_ } -> guarded lw env cond (seq (List.map lower then_))
+    | S_role { body; _ } -> seq (List.map lower body)
+    | S_grid_sync -> fun () -> G.Runtime.stream_synchronize ctx stream
   in
-  List.iter exec_stmt st.stmts;
-  (* DaCe closes every GPU state with a stream synchronize. *)
-  if !used_gpu then G.Runtime.stream_synchronize ctx stream
+  let body = seq (List.map lower st.stmts) in
+  fun () ->
+    env.used_gpu <- false;
+    body ();
+    (* DaCe closes every GPU state with a stream synchronize. *)
+    if env.used_gpu then G.Runtime.stream_synchronize ctx stream
 
 let build_baseline ?backed sdfg =
   let store = ref None in
+  let graph = index_graph sdfg in
+  let assigned = List.concat_map (fun e -> List.map fst e.e_assign) sdfg.edges in
+  let requests = request_names sdfg.states in
   let program ctx =
     let rt = make_runtime ?backed sdfg ctx in
     store := Some rt;
     G.Host.parallel_join ctx ~name:sdfg.sdfg_name (fun rank ->
-        let env = make_env rt ~rank sdfg in
+        let lw = lowering rt sdfg ~rank ~assigned ~requests in
+        let env = env_from lw lw.initial in
         let stream =
           G.Stream.create (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
         in
-        walk_states sdfg env ~exec_state:(exec_state_baseline env stream))
+        walk graph lw env ~state:(lower_host_state lw env stream))
   in
-  let read_array name ~pe =
-    match !store with
-    | None -> None
-    | Some rt ->
-      Option.map (fun s -> Nv.local s ~pe) (Hashtbl.find_opt rt.syms name)
-  in
-  { program; read_array }
+  { program; read_array = read_array store }
 
 (* --- persistent (CPU-Free) backend ------------------------------------- *)
 
@@ -361,70 +542,6 @@ let rec contains_role stmts =
       | S_map _ | S_copy _ | S_lib _ | S_grid_sync -> false)
     stmts
 
-let exec_stmt_persistent env grid ~role =
-  let ctx = env.rt.ctx in
-  let arch = G.Runtime.arch ctx in
-  let eng = G.Runtime.engine ctx in
-  (* Span lane and labels are built only when the engine records a trace. *)
-  let lane =
-    lazy
-      (G.Device.lane (G.Runtime.device ctx env.rank)
-         (match role with Role_comm -> "comm" | Role_all | Role_compute -> "persistent"))
-  in
-  let span ~label ~t0 =
-    E.Engine.log_compute eng ~since:t0;
-    match E.Engine.trace eng with
-    | None -> ()
-    | Some tr ->
-      E.Trace.add tr ~lane:(Lazy.force lane) ~label:(label ()) ~kind:E.Trace.Compute ~t0
-        ~t1:(E.Engine.now eng)
-  in
-  let rec exec stmt =
-    match stmt with
-    | S_map m -> (
-      match m.m_schedule with
-      | Gpu_persistent | Sequential ->
-        let efficiency =
-          G.Kernel.tiling_efficiency arch ~elems:(map_elems env m)
-            ~threads:(G.Coop.threads_per_block grid)
-        in
-        let cost =
-          let elems = map_elems env m in
-          if elems = 0 then Time.zero
-          else
-            G.Kernel.memory_bound_time arch ~elems
-              ~bytes_per_elem:(G.Kernel.stencil_bytes_per_elem ())
-              ~sm_fraction:(map_fraction role) ~efficiency
-        in
-        let t0 = E.Engine.now eng in
-        E.Engine.delay eng cost;
-        run_map_body env m;
-        span ~label:(fun () -> "map_" ^ m.m_var) ~t0
-      | Gpu_device -> fail "discrete-scheduled map inside the persistent kernel")
-    | S_copy { c_src; c_src_region; c_dst; c_dst_region } ->
-      (* In-kernel array copy (the thread-parallel copy routine of Section 5.1). *)
-      let len = eval env c_src_region.count in
-      let t0 = E.Engine.now eng in
-      E.Engine.delay eng
-        (G.Kernel.memory_bound_time arch ~elems:len
-           ~bytes_per_elem:(G.Kernel.stencil_bytes_per_elem ())
-           ~sm_fraction:(map_fraction role) ~efficiency:1.0);
-      G.Buffer.blit_strided ~src:(buf_of env c_src) ~src_pos:(eval env c_src_region.offset)
-        ~src_stride:(eval env c_src_region.stride) ~dst:(buf_of env c_dst)
-        ~dst_pos:(eval env c_dst_region.offset) ~dst_stride:(eval env c_dst_region.stride)
-        ~count:len;
-      span ~label:(fun () -> "copy") ~t0
-    | S_lib node -> exec_nv_node env node
-    | S_cond { cond; then_ } -> if eval_cond env cond then List.iter exec then_
-    | S_role { role = r; body } -> (
-      match (role, r) with
-      | Role_all, _ | Role_comm, Comm_role | Role_compute, Compute_role ->
-        List.iter exec body
-      | Role_comm, Compute_role | Role_compute, Comm_role -> ())
-    | S_grid_sync -> G.Coop.sync grid
-  in
-  exec
-
 (* Statements outside any S_role belong to the compute group under the
    specialized schedule; the comm group only executes its own regions and
    the barriers. *)
@@ -434,7 +551,98 @@ let stmt_visible_to ~role stmt =
   | Role_comm, (S_map _ | S_copy _ | S_lib _ | S_cond _) -> false
   | Role_compute, _ -> true
 
-let clone_env env = { env with vars = Hashtbl.copy env.vars; reqs = Hashtbl.create 16 }
+let lower_kernel_stmt lw env grid ~role =
+  let ctx = lw.rt.ctx and slots = env.slots in
+  let arch = G.Runtime.arch ctx in
+  let eng = G.Runtime.engine ctx in
+  let sm_fraction = map_fraction role and threads = G.Coop.threads_per_block grid in
+  (* Span lane and labels are built only when the engine records a trace. *)
+  let lane =
+    lazy
+      (G.Device.lane (G.Runtime.device ctx lw.rank)
+         (match role with Role_comm -> "comm" | Role_all | Role_compute -> "persistent"))
+  in
+  let span ~label ~t0 =
+    E.Engine.log_compute eng ~since:t0;
+    match E.Engine.trace eng with
+    | None -> ()
+    | Some tr ->
+      E.Trace.add tr ~lane:(Lazy.force lane) ~label ~kind:E.Trace.Compute ~t0
+        ~t1:(E.Engine.now eng)
+  in
+  let rec lower = function
+    | S_map m -> (
+      match m.m_schedule with
+      | Gpu_persistent | Sequential ->
+        let cost =
+          S.force
+            (stage_map (map_elems lw m) (fun elems ->
+                 let efficiency = G.Kernel.tiling_efficiency arch ~elems ~threads in
+                 stencil_time arch ~sm_fraction ~efficiency elems))
+        in
+        let body = map_body lw env m and label = "map_" ^ m.m_var in
+        fun () ->
+          let cost = cost slots in
+          let t0 = E.Engine.now eng in
+          E.Engine.delay eng cost;
+          body ();
+          span ~label ~t0
+      | Gpu_device -> fun () -> fail "discrete-scheduled map inside the persistent kernel")
+    | S_copy { c_src; c_src_region; c_dst; c_dst_region } ->
+      (* In-kernel array copy (the thread-parallel copy routine of Section 5.1). *)
+      let count = staged lw c_src_region.count in
+      let cost = S.force (stage_map count (stencil_time arch ~sm_fraction ~efficiency:1.0)) in
+      let copy =
+        match (buf_of lw c_dst, buf_of lw c_src) with
+        | Error m, _ | _, Error m -> fun _ -> raise (Lowering_error m)
+        | Ok dst, Ok src ->
+          let src_pos = ex lw c_src_region.offset and src_stride = ex lw c_src_region.stride in
+          let dst_pos = ex lw c_dst_region.offset and dst_stride = ex lw c_dst_region.stride in
+          fun count ->
+            G.Buffer.blit_strided ~src ~src_pos:(src_pos slots) ~src_stride:(src_stride slots)
+              ~dst ~dst_pos:(dst_pos slots) ~dst_stride:(dst_stride slots) ~count
+      in
+      let count = S.force count in
+      fun () ->
+        let len = count slots in
+        let t0 = E.Engine.now eng in
+        E.Engine.delay eng (cost slots);
+        copy len;
+        span ~label:"copy" ~t0
+    | S_lib node -> lower_nv_node lw env node
+    | S_cond { cond; then_ } -> guarded lw env cond (seq (List.map lower then_))
+    | S_role { role = r; body } -> (
+      match (role, r) with
+      | Role_all, _ | Role_comm, Comm_role | Role_compute, Compute_role ->
+        seq (List.map lower body)
+      | Role_comm, Compute_role | Role_compute, Comm_role -> noop)
+    | S_grid_sync -> fun () -> G.Coop.sync grid
+  in
+  lower
+
+(* One role's share of the fused loop, lowered when the role starts (the
+   grid handle fixes its thread count). *)
+let lower_role lw env grid ~role (p : Persistent_fusion.t) =
+  let lower = lower_kernel_stmt lw env grid ~role in
+  let body =
+    seq
+      (List.concat_map
+         (fun st ->
+           List.filter_map
+             (fun stmt -> if stmt_visible_to ~role stmt then Some (lower stmt) else None)
+             st.Sdfg.stmts)
+         p.Persistent_fusion.body)
+  in
+  let loop = p.Persistent_fusion.loop in
+  let init = assignment lw env loop.Loop.l_var loop.Loop.l_init in
+  let update = assignment lw env loop.Loop.l_var loop.Loop.l_update in
+  let continue = S.force (S.compile_cond ~resolve:lw.resolve loop.Loop.l_cond) in
+  fun () ->
+    init ();
+    while continue env.slots do
+      body ();
+      update ()
+    done
 
 let build_persistent ?backed (p : Persistent_fusion.t) =
   let sdfg = p.Persistent_fusion.base in
@@ -442,36 +650,29 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
   let specialized =
     List.exists (fun st -> contains_role st.Sdfg.stmts) p.Persistent_fusion.body
   in
+  let assigned = [ p.Persistent_fusion.loop.Loop.l_var ] in
+  let requests = request_names (p.Persistent_fusion.prologue @ p.Persistent_fusion.epilogue) in
   let program ctx =
     let rt = make_runtime ?backed sdfg ctx in
     store := Some rt;
     let blocks = G.Arch.co_resident_blocks (G.Runtime.arch ctx) in
     G.Host.parallel_join ctx ~name:sdfg.sdfg_name (fun rank ->
-        let env = make_env rt ~rank sdfg in
+        let lw = lowering rt sdfg ~rank ~assigned ~requests in
+        let env = env_from lw lw.initial in
         let stream =
           G.Stream.create (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
         in
-        (* Prologue stays host-controlled (initialization). *)
-        List.iter (exec_state_baseline env stream) p.Persistent_fusion.prologue;
-        let loop = p.Persistent_fusion.loop in
-        let role_body role env grid =
-          let exec = exec_stmt_persistent env grid ~role in
-          Hashtbl.replace env.vars loop.Loop.l_var (eval env loop.Loop.l_init);
-          while eval_cond env loop.Loop.l_cond do
-            List.iter
-              (fun st ->
-                List.iter
-                  (fun stmt -> if stmt_visible_to ~role stmt then exec stmt)
-                  st.Sdfg.stmts)
-              p.Persistent_fusion.body;
-            Hashtbl.replace env.vars loop.Loop.l_var (eval env loop.Loop.l_update)
-          done
-        in
+        let host_states states = seq (List.map (lower_host_state lw env stream) states) in
+        (* Prologue and epilogue stay host-controlled (initialization). *)
+        let prologue = host_states p.Persistent_fusion.prologue in
+        let epilogue = host_states p.Persistent_fusion.epilogue in
+        prologue ();
+        let role_body role env grid = lower_role lw env grid ~role p () in
         let roles =
           if specialized then
             [
-              ("comm", role_body Role_comm (clone_env env));
-              ("df", role_body Role_compute (clone_env env));
+              ("comm", role_body Role_comm (env_from lw env.slots));
+              ("df", role_body Role_compute (env_from lw env.slots));
             ]
           else [ ("df", role_body Role_all env) ]
         in
@@ -482,11 +683,6 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
         in
         G.Runtime.join_kernel ctx ~roles:(List.length roles) finished;
         Nv.quiet rt.nv ~pe:rank;
-        List.iter (exec_state_baseline env stream) p.Persistent_fusion.epilogue)
+        epilogue ())
   in
-  let read_array name ~pe =
-    match !store with
-    | None -> None
-    | Some rt -> Option.map (fun s -> Nv.local s ~pe) (Hashtbl.find_opt rt.syms name)
-  in
-  { program; read_array }
+  { program; read_array = read_array store }

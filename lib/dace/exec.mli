@@ -16,7 +16,32 @@
       sequential role per device.
 
     Execution is SPMD: rank [r] runs on GPU [r] with symbols [rank]/[size]
-    bound. *)
+    bound.
+
+    {b Lowering.} A built program does not interpret the SDFG while it
+    runs. When [program] starts, each rank lowers its program once into
+    OCaml closures, and only those closures run on every step:
+
+    - [rank], [size] and every symbol that no interstate edge or loop
+      assigns are constants. Each assigned variable (edge assignments, the
+      persistent loop's induction variable) is an integer slot.
+    - Expressions compile through {!Symbolic.compile}. A subtree of
+      constants is folded, unless evaluating it raises: then it raises
+      when the step that evaluates it runs.
+    - Array, signal and MPI-request names resolve once, to this rank's
+      buffers, signals and request slots. Whether a map touches real data
+      (no phantom operand) is decided once per map. Map extents and
+      kernel costs are precomputed when constant.
+    - The state graph is indexed once, and each state's out-edges become
+      one closure that picks the first edge whose condition holds.
+    - A persistent kernel lowers each role's share of the loop body when
+      the role starts, with the role's statement filter already applied.
+
+    Real-data runs ([~backed:true]) use the same closures. An unresolvable
+    name or an unsupported construct lowers to a statement that raises
+    {!Lowering_error} when it runs: the error surfaces from the run, at the
+    step that reaches it, and a construct no rank reaches does not fail the
+    program. *)
 
 type built = {
   program : Cpufree_gpu.Runtime.ctx -> unit;

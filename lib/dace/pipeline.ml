@@ -112,8 +112,7 @@ let verify_env ?arch ?env ?relax ?specialize_tb app arm ~gpus =
       ~label:(Printf.sprintf "%s/%s/verify" (app_name app) (arm_name arm))
       ~gpus ~iterations:(iterations app) built.Exec.program
   in
-  let tolerance = 1e-9 in
-  let worst = ref 0.0 in
+  let errors = Cpufree_core.Verify.create () in
   let missing = ref None in
   let compare_rank ~pe ~local_len ~global_of_local =
     match built.Exec.read_array "A" ~pe with
@@ -124,10 +123,7 @@ let verify_env ?arch ?env ?relax ?specialize_tb app arm ~gpus =
         for i = 0 to local_len - 1 do
           match global_of_local i with
           | None -> ()
-          | Some (gidx, expected) ->
-            let err = Float.abs (G.Buffer.get buf i -. expected) in
-            ignore gidx;
-            if err > !worst then worst := err
+          | Some expected -> Cpufree_core.Verify.add errors ~actual:(G.Buffer.get buf i) ~expected
         done
   in
   (match app with
@@ -140,7 +136,7 @@ let verify_env ?arch ?env ?relax ?specialize_tb app arm ~gpus =
              never written and match by construction. *)
           if i >= 1 && i <= n then begin
             let g = (pe * n) + i in
-            Some (g, reference.(g))
+            Some reference.(g)
           end
           else None)
     done
@@ -157,7 +153,7 @@ let verify_env ?arch ?env ?relax ?specialize_tb app arm ~gpus =
           let r = i / wd and cx = i mod wd in
           if r >= 1 && r <= h && cx >= 1 && cx <= w then begin
             let g = (((ri * h) + r) * gwd) + (ci * w) + cx in
-            Some (g, reference.(g))
+            Some reference.(g)
           end
           else None)
     done
@@ -180,13 +176,11 @@ let verify_env ?arch ?env ?relax ?specialize_tb app arm ~gpus =
             && x <= cfg.Programs.nx3
           then begin
             let g = ((pe * lz) * plane_w) + i in
-            Some (g, reference.(g))
+            Some reference.(g)
           end
           else None)
     done);
   match !missing with
   | Some m -> Error m
-  | None ->
-    if !worst <= tolerance then Ok !worst
-    else Error (Printf.sprintf "max abs error %.3e exceeds tolerance %.1e" !worst tolerance)
+  | None -> Cpufree_core.Verify.result errors ~tolerance:1e-9
 

@@ -34,6 +34,65 @@ let eval_cond ~env = function
   | Eq (a, b) -> eval ~env a = eval ~env b
   | Ge (a, b) -> eval ~env a >= eval ~env b
 
+(* --- compilation to closures --------------------------------------------- *)
+
+type slots = { values : int array; bound : bool array }
+type binding = Fixed of int | Slot of int
+type 'a staged = Now of 'a | Later of (slots -> 'a)
+
+let make_slots n = { values = Array.make n 0; bound = Array.make n false }
+let copy_slots s = { values = Array.copy s.values; bound = Array.copy s.bound }
+
+let assign s i v =
+  s.values.(i) <- v;
+  s.bound.(i) <- true
+
+let force = function Now v -> fun _ -> v | Later f -> f
+
+(* Each [Later] closure evaluates its operands in [eval]'s order — the
+   right operand first, the divisor before the dividend — so that an
+   expression with two failing operands raises the same exception. *)
+let lift2 op a b =
+  match (a, b) with
+  | Now x, Now y -> Now (op x y)
+  | a, b ->
+    let f = force a and g = force b in
+    Later
+      (fun s ->
+        let y = g s in
+        op (f s) y)
+
+let rec compile ~resolve e =
+  let binop op a b = lift2 op (compile ~resolve a) (compile ~resolve b) in
+  match e with
+  | Const n -> Now n
+  | Sym name -> (
+    match resolve name with
+    | Some (Fixed v) -> Now v
+    | Some (Slot i) ->
+      Later (fun s -> if s.bound.(i) then s.values.(i) else raise (Unbound_symbol name))
+    | None -> Later (fun _ -> raise (Unbound_symbol name)))
+  | Add (a, b) -> binop Stdlib.( + ) a b
+  | Sub (a, b) -> binop Stdlib.( - ) a b
+  | Mul (a, b) -> binop Stdlib.( * ) a b
+  | Div (a, b) -> (
+    match (compile ~resolve a, compile ~resolve b) with
+    | Now x, Now y when y <> 0 -> Now (Stdlib.( / ) x y)
+    | a, b ->
+      let f = force a and g = force b in
+      Later
+        (fun s ->
+          let d = g s in
+          if d = 0 then raise Division_by_zero else Stdlib.( / ) (f s) d))
+
+let compile_cond ~resolve c =
+  let cmp op a b = lift2 op (compile ~resolve a) (compile ~resolve b) in
+  match c with
+  | Lt (a, b) -> cmp (fun (x : int) y -> x < y) a b
+  | Le (a, b) -> cmp (fun (x : int) y -> x <= y) a b
+  | Eq (a, b) -> cmp Int.equal a b
+  | Ge (a, b) -> cmp (fun (x : int) y -> x >= y) a b
+
 let rec simplify e =
   match e with
   | Const _ | Sym _ -> e

@@ -26,6 +26,39 @@ val eval : env:(string -> int option) -> expr -> int
 
 val eval_cond : env:(string -> int option) -> cond -> bool
 
+(** {2 Compilation}
+
+    {!compile} turns an expression into a closure once, so that a program
+    executed many times does not walk the tree or look names up on every
+    evaluation. Symbols resolve at compile time to a {!Fixed} value or to
+    an integer {!Slot} of a {!slots} frame read at run time. A subtree
+    whose leaves are all constants or fixed symbols is folded to {!Now};
+    everything else, including a constant subtree whose evaluation raises,
+    stays {!Later}. The closure raises exactly what {!eval} raises on the
+    corresponding environment: [Unbound_symbol] for a symbol [resolve]
+    does not know or a slot not yet assigned, [Division_by_zero] for a
+    zero divisor — checked by a qcheck law in the test suite. *)
+
+type slots
+(** A frame of integer variables, each bound or not. *)
+
+type binding =
+  | Fixed of int  (** a value known at compile time *)
+  | Slot of int  (** the index of a run-time variable in a {!slots} frame *)
+
+type 'a staged = Now of 'a  (** folded at compile time *) | Later of (slots -> 'a)
+
+val make_slots : int -> slots
+(** [n] unbound slots. *)
+
+val copy_slots : slots -> slots
+val assign : slots -> int -> int -> unit
+(** [assign s i v] binds slot [i] to [v]. *)
+
+val force : 'a staged -> slots -> 'a
+val compile : resolve:(string -> binding option) -> expr -> int staged
+val compile_cond : resolve:(string -> binding option) -> cond -> bool staged
+
 val simplify : expr -> expr
 (** Constant folding and arithmetic identities ([x+0], [x*1], [x*0]...). *)
 

@@ -172,7 +172,7 @@ let verify_env ?arch ?env kind problem ~gpus =
     | Some buffers ->
       let reference = Compute.reference problem in
       let plane = Problem.plane_elems problem in
-      let worst = ref 0.0 in
+      let errors = Cpufree_core.Verify.create () in
       let mismatch = ref None in
       Array.iteri
         (fun pe buf ->
@@ -181,17 +181,13 @@ let verify_env ?arch ?env kind problem ~gpus =
           | None -> mismatch := Some (Printf.sprintf "PE %d returned a phantom buffer" pe)
           | Some (offset, values) ->
             Array.iteri
-              (fun i v ->
-                let expected = reference.(plane + offset + i) in
-                let err = Float.abs (v -. expected) in
-                if err > !worst then worst := err)
+              (fun i actual ->
+                Cpufree_core.Verify.add errors ~actual ~expected:reference.(plane + offset + i))
               values)
         buffers;
       match !mismatch with
       | Some msg -> Error msg
-      | None ->
-        if !worst <= tolerance then Ok !worst
-        else Error (Printf.sprintf "max abs error %.3e exceeds tolerance %.1e" !worst tolerance)
+      | None -> Cpufree_core.Verify.result errors ~tolerance
   end
 
 type scaling_point = { gpus : int; result : Measure.result }

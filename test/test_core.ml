@@ -436,6 +436,36 @@ let pdes_tests =
         List.iter rejected [ "windowed"; "adaptive"; "optimistic"; "turbo" ]);
   ]
 
+(* --- verification ------------------------------------------------------------ *)
+
+let verify_result cells =
+  let t = Core.Verify.create () in
+  List.iter (fun (actual, expected) -> Core.Verify.add t ~actual ~expected) cells;
+  Core.Verify.result t ~tolerance:1e-9
+
+let verify_tests =
+  [
+    Alcotest.test_case "an exact match passes with zero error" `Quick (fun () ->
+        match verify_result [ (1.5, 1.5); (-2.0, -2.0) ] with
+        | Ok worst -> check_float "worst" 0.0 worst
+        | Error e -> Alcotest.fail e);
+    Alcotest.test_case "a NaN cell fails, wherever it sits" `Quick (fun () ->
+        List.iter
+          (fun cells ->
+            match verify_result cells with
+            | Ok _ -> Alcotest.fail "NaN passed verification"
+            | Error e -> check_bool e true (Astring.String.is_infix ~affix:"not finite" e))
+          [ [ (Float.nan, 1.0) ]; [ (1.0, 1.0); (Float.nan, 0.5); (2.0, 2.0) ] ]);
+    Alcotest.test_case "an infinite cell fails" `Quick (fun () ->
+        match verify_result [ (1.0, 1.0); (Float.infinity, 3.0) ] with
+        | Ok _ -> Alcotest.fail "infinity passed verification"
+        | Error e -> check_bool e true (Astring.String.is_infix ~affix:"not finite" e));
+    Alcotest.test_case "an error above tolerance fails" `Quick (fun () ->
+        match verify_result [ (1.0, 1.1) ] with
+        | Ok _ -> Alcotest.fail "0.1 passed a 1e-9 tolerance"
+        | Error e -> check_bool e true (Astring.String.is_infix ~affix:"exceeds tolerance" e));
+  ]
+
 let () =
   Alcotest.run "core"
     [
@@ -443,6 +473,7 @@ let () =
       ("signal_proto", proto_tests @ proto_failure_tests);
       ("persistent", persistent_tests);
       ("measure", measure_tests);
+      ("verify", verify_tests);
       ("determinism", determinism_tests);
       ("parallel", parallel_tests @ parallel_props);
       ("json", json_tests);

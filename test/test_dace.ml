@@ -112,6 +112,94 @@ let symbolic_laws =
              (Sym.free_symbols (Sym.simplify e))));
   ]
 
+(* The compiled closures against the reference evaluator, on an
+   environment shaped like an executor's: fixed symbols [c0]/[c1], slot
+   variables [v0]..[v2] (an unassigned one is unbound), an unknown [u], and
+   [rank]/[size] bound ahead of a slot variable of the same name. The two
+   agree on the value and on which exception (and which symbol) fails. *)
+let arb_compile_case =
+  let open QCheck.Gen in
+  let names = [ "c0"; "c1"; "v0"; "v1"; "v2"; "rank"; "size"; "u" ] in
+  let leaf = oneof [ map Sym.int (int_range (-6) 6); map Sym.sym (oneofl names) ] in
+  let node self n =
+    let sub = self (n / 2) in
+    oneof
+      [
+        map2 (fun a b -> Sym.(a + b)) sub sub;
+        map2 (fun a b -> Sym.(a - b)) sub sub;
+        map2 (fun a b -> Sym.(a * b)) sub sub;
+        map2 (fun a b -> Sym.(a / b)) sub sub;
+      ]
+  in
+  let expr = sized_size (int_bound 12) (fix (fun self n -> if n <= 0 then leaf else node self n)) in
+  let cond =
+    map3
+      (fun k a b ->
+        match k with
+        | 0 -> Sym.Lt (a, b)
+        | 1 -> Sym.Le (a, b)
+        | 2 -> Sym.Eq (a, b)
+        | _ -> Sym.Ge (a, b))
+      (int_bound 3) expr expr
+  in
+  let slot = opt (int_range (-4) 4) in
+  let print (e, c, (k0, k1), slots, (rank, size)) =
+    let opt = function None -> "unbound" | Some v -> string_of_int v in
+    Printf.sprintf "expr=%s cond=%s c0=%d c1=%d slots=[%s] rank=%d size=%d" (Sym.to_string e)
+      (Sym.cond_to_string c) k0 k1
+      (String.concat "; " (List.map opt slots))
+      rank size
+  in
+  QCheck.make ~print
+    (tup5 expr cond
+       (pair (int_range (-4) 4) (int_range (-4) 4))
+       (list_repeat 4 slot)
+       (pair (int_range 0 3) (int_range 1 4)))
+
+type 'a outcome = Value of 'a | Unbound of string | Div_by_zero
+
+let outcome f =
+  match f () with
+  | v -> Value v
+  | exception Sym.Unbound_symbol s -> Unbound s
+  | exception Division_by_zero -> Div_by_zero
+
+let compile_laws =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"compiled expressions and conditions agree with eval" ~count:400
+         arb_compile_case (fun (e, cnd, (k0, k1), slot_values, (rank, size)) ->
+           (* Slots 0-2 hold v0..v2; slot 3 holds a variable named rank. *)
+           let slot_names = [ "v0"; "v1"; "v2"; "rank" ] in
+           let vars =
+             [ ("c0", k0); ("c1", k1) ]
+             @ List.concat
+                 (List.map2
+                    (fun n v -> match v with Some v -> [ (n, v) ] | None -> [])
+                    slot_names slot_values)
+           in
+           let env = function
+             | "rank" -> Some rank
+             | "size" -> Some size
+             | s -> List.assoc_opt s vars
+           in
+           let resolve = function
+             | "rank" -> Some (Sym.Fixed rank)
+             | "size" -> Some (Sym.Fixed size)
+             | ("c0" | "c1") as s -> Some (Sym.Fixed (List.assoc s vars))
+             | "v0" -> Some (Sym.Slot 0)
+             | "v1" -> Some (Sym.Slot 1)
+             | "v2" -> Some (Sym.Slot 2)
+             | _ -> None
+           in
+           let slots = Sym.make_slots 4 in
+           List.iteri (fun i v -> Option.iter (Sym.assign slots i) v) slot_values;
+           (* Compiling never raises: a failure belongs to the run. *)
+           let ce = Sym.compile ~resolve e and cc = Sym.compile_cond ~resolve cnd in
+           outcome (fun () -> Sym.eval ~env e) = outcome (fun () -> Sym.force ce slots)
+           && outcome (fun () -> Sym.eval_cond ~env cnd) = outcome (fun () -> Sym.force cc slots)));
+  ]
+
 (* --- Sdfg helpers --------------------------------------------------------- *)
 
 let tiny_sdfg () = Programs.jacobi1d_mpi { Programs.n_global = 32; tsteps = 3 } ~gpus:4
@@ -680,7 +768,7 @@ let transforms_props =
 let () =
   Alcotest.run "dace"
     [
-      ("symbolic", symbolic_tests @ symbolic_props @ symbolic_laws);
+      ("symbolic", symbolic_tests @ symbolic_props @ symbolic_laws @ compile_laws);
       ("sdfg", sdfg_tests);
       ("validate", validate_tests);
       ("loop", loop_tests);

@@ -436,6 +436,52 @@ let test_invalid_scenarios_refused () =
   | Ok _ -> Alcotest.fail "pdes=optimistic accepted"
   | Error e -> Alcotest.(check bool) e true (Astring.String.is_infix ~affix:"valid modes" e)
 
+(* ------------------------------------------------------------------ *)
+(* Traced DaCe artifacts                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Span labels and lanes of a DaCe run are emitted by the executor, and
+   no figure golden reads them. One traced run per app x arm, plus the
+   thread-block-specialized jacobi2d, pins the md5 of its Perfetto trace
+   and metrics documents, so a change to the executor that moves a span,
+   a lane or a metric fails here. *)
+let pinned_dace_artifacts =
+  [
+    ( "jacobi1d", "baseline", 4096, false,
+      "f954b0deaa8aca132ad0ef8a13077c19", "8aadb5c3a41ef1f91f9b6df9a6fc2dac" );
+    ( "jacobi1d", "cpu-free", 4096, false,
+      "a1c51065bd30187f4e4bbd6c50ee6cb4", "60eb7b2e3eec070d5d744a3ce7fee82f" );
+    ( "jacobi2d", "baseline", 64, false,
+      "1545aade1feea7b0fc228051a1c48d3a", "1ee4bacd581bf1cf91a4d7a2b88403b7" );
+    ( "jacobi2d", "cpu-free", 64, false,
+      "4973b36a1280182417d0a58b32694690", "5f120d52055301e9d530519c1abe1ad6" );
+    ( "jacobi2d", "cpu-free", 64, true,
+      "aafa79a1342449af487b0f95b86cc147", "6ccdf422462546e6fdce92f454cf57ee" );
+    ( "heat3d", "baseline", 16, false,
+      "568bd3480a9f468315be8c5b7d7a011f", "fbc76957e2673ccc9302855642b18186" );
+    ( "heat3d", "cpu-free", 16, false,
+      "b4af957748d91e15633b579c0f8c267d", "23d3c0eb2c50615d60030f982ff5b8dc" );
+  ]
+
+let test_dace_artifacts_pinned () =
+  List.iter
+    (fun (app, arm, size, specialize_tb, trace_md5, metrics_md5) ->
+      let what =
+        Printf.sprintf "%s/%s%s" app arm (if specialize_tb then "/specialize-tb" else "")
+      in
+      let scenario =
+        Scenario.make ~gpus:4 ~trace:true ~metrics:true
+          (Scenario.Dace { app; arm; size; iters = 5; specialize_tb })
+      in
+      match Serve.Exec.run scenario with
+      | Error e -> Alcotest.failf "%s: %s" what e
+      | Ok { P.trace = Some trace; metrics = Some metrics; _ } ->
+        let md5 s = Digest.to_hex (Digest.string s) in
+        Alcotest.(check string) (what ^ " trace") trace_md5 (md5 trace);
+        Alcotest.(check string) (what ^ " metrics") metrics_md5 (md5 metrics)
+      | Ok _ -> Alcotest.failf "%s: an artifact is missing" what)
+    pinned_dace_artifacts
+
 let () =
   Alcotest.run "serve"
     [
@@ -457,6 +503,11 @@ let () =
           Alcotest.test_case "bad and oversized headers rejected" `Quick test_framebuf_bad_header;
         ] );
       ("cache", [ Alcotest.test_case "LRU eviction order" `Quick test_cache_lru ]);
+      ( "traced",
+        [
+          Alcotest.test_case "traced DaCe artifacts are byte-pinned" `Quick
+            test_dace_artifacts_pinned;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "identical requests coalesce to one simulation" `Quick test_coalesce;
