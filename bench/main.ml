@@ -37,7 +37,6 @@ module D = Cpufree_dace
 module Measure = Cpufree_core.Measure
 module Parallel = Cpufree_core.Parallel
 module J = Cpufree_core.Json
-module Metrics = Cpufree_comm.Metrics
 module Time = E.Time
 module Sim_env = Cpufree_obs.Sim_env
 module Topology = Cpufree_machine.Topology
@@ -244,8 +243,8 @@ let p2d_256 iters = S.Problem.make (d2 256) ~iterations:iters
 
 let fig2_2b () =
   let problem = S.Problem.make (S.Problem.weak_scale (d2 256) ~gpus:8) ~iterations in
-  let traced =
-    Parallel.map run_traced
+  let results =
+    Parallel.map run_job
       (List.map (fun kind -> S.Harness.scenario_env kind problem ~gpus:8) stencil_variants)
   in
   header
@@ -254,21 +253,19 @@ let fig2_2b () =
   Printf.printf "%-22s %12s %14s %12s %12s %14s\n" "variant" "total(ms)" "comm-wall(ms)"
     "overlap(%)" "comm(%)" "non-compute(%)";
   List.map2
-    (fun kind (r, trace) ->
-      let comm_frac = Metrics.comm_fraction trace ~total:r.Measure.total *. 100.0 in
+    (fun kind r ->
+      let total = Time.to_sec_float r.Measure.total in
+      let pct t = if total = 0.0 then 0.0 else t /. total *. 100.0 in
+      let comm_frac = pct (Time.to_sec_float r.Measure.comm) in
       (* The paper's "communication takes 96% of execution" counts everything
          that is not computation: API calls, synchronization, transfers. *)
-      let non_compute =
-        let compute = Time.to_sec_float (Metrics.compute_time trace) in
-        let total = Time.to_sec_float r.Measure.total in
-        if total = 0.0 then 0.0 else (total -. compute) /. total *. 100.0
-      in
+      let non_compute = pct (total -. Time.to_sec_float r.Measure.compute) in
       Printf.printf "%-22s %12.3f %14.3f %12.1f %12.1f %14.1f\n" (S.Variants.name kind)
         (ms r.Measure.total) (ms r.Measure.comm) (r.Measure.overlap *. 100.0) comm_frac
         non_compute;
       point ~label:(S.Variants.name kind) ~gpus:8 r
         ~extra:[ ("comm_frac_pct", J.Float comm_frac); ("non_compute_pct", J.Float non_compute) ])
-    stencil_variants traced
+    stencil_variants results
 
 (* ---------------------------------------------------------------- *)
 (* Fig 6.3: compiler-generated code                                  *)

@@ -206,22 +206,6 @@ let timeline_arg =
   let doc = "Render an ASCII execution timeline after the run." in
   Arg.(value & flag & info [ "timeline" ] ~doc)
 
-let chrome_arg =
-  let doc =
-    "Write the execution trace as Chrome trace-event JSON to $(docv) (legacy spans-only \
-     format; prefer --trace-out)."
-  in
-  Arg.(value & opt (some string) None & info [ "chrome-trace" ] ~docv:"FILE" ~doc)
-
-let maybe_write_chrome path trace =
-  match path with
-  | None -> ()
-  | Some file ->
-    let oc = open_out file in
-    output_string oc (E.Trace.to_chrome_json trace);
-    close_out oc;
-    Printf.printf "wrote %s (open in chrome://tracing or Perfetto)\n" file
-
 let verify_arg =
   let doc = "Run with real data and check against the sequential reference." in
   Arg.(value & flag & info [ "verify" ] ~doc)
@@ -259,11 +243,11 @@ let scenario common ~artifacts workload =
 
 (* The one job printer. Each job runs through [Measure.run], which picks the
    chaos path from the fault plan; the engine trace is recorded only when a
-   timeline or a Chrome trace will read it (the result is the same either
-   way). Per job: timeline, Chrome trace, chaos report, artifacts, then the
-   job's own follow-up (verification). [report] prints the results of the
-   runs that have no chaos report at the end. *)
-let run_jobs common ~timeline ~chrome ~report jobs =
+   timeline will read it (the result is the same either way). Per job:
+   timeline, chaos report, artifacts, then the job's own follow-up
+   (verification). [report] prints the results of the runs that have no
+   chaos report at the end. *)
+let run_jobs common ~timeline ~report jobs =
   Option.iter
     (fun spec ->
       Printf.printf "chaos run: faults=%s seed=%d\n" (Fault.to_string spec) common.fault_seed)
@@ -271,12 +255,8 @@ let run_jobs common ~timeline ~chrome ~report jobs =
   let outcomes =
     List.map
       (fun (job, after) ->
-        let o = Measure.run ~traced:(timeline || chrome <> None) job in
-        Option.iter
-          (fun trace ->
-            if timeline then print_timeline trace;
-            maybe_write_chrome chrome trace)
-          o.Measure.trace;
+        let o = Measure.run ~traced:timeline job in
+        if timeline then Option.iter print_timeline o.Measure.trace;
         Option.iter print_chaos_report o.Measure.chaos;
         write_observability common job.Measure.sc_env;
         after ();
@@ -302,7 +282,7 @@ let no_compute_arg =
    [Scenario.t] and runs through [Serve.Exec.job] — the daemon's path.
    Every selected scheme is interpreted (and so validated) before anything
    runs or prints. *)
-let run_stencil common iters dims variant no_compute verify timeline chrome =
+let run_stencil common iters dims variant no_compute verify timeline =
   let kinds =
     match variant with
     | None | Some "all" -> S.Variants.all
@@ -342,7 +322,6 @@ let run_stencil common iters dims variant no_compute verify timeline chrome =
     (job, if verify then check else ignore)
   in
   run_jobs common ~timeline:(timeline && single)
-    ~chrome:(if single then chrome else None)
     ~report:(fun results ->
       Format.printf "%a"
         (fun fmt ->
@@ -357,7 +336,7 @@ let stencil_cmd =
     (Cmd.info "stencil" ~doc)
     Term.(
       const run_stencil $ common_term $ iters_arg $ dims_arg $ variant_arg $ no_compute_arg
-      $ verify_arg $ timeline_arg $ chrome_arg)
+      $ verify_arg $ timeline_arg)
 
 (* --- dace command ---------------------------------------------------------- *)
 
@@ -450,8 +429,7 @@ let run_dace_auto common sc ~app_name ~arm ~size ~iters ~specialize_tb =
     Measure.job ~arch ~env ~label:(name ^ "/auto") ~gpus:d.D.Autotune.best.D.Autotune.gpus_used
       ~iterations:iters (D.Autotune.build d.D.Autotune.best sdfg).D.Exec.program
 
-let run_dace common iters app_name arm_name size emit auto specialize_tb verify timeline chrome
-    =
+let run_dace common iters app_name arm_name size emit auto specialize_tb verify timeline =
   let gpus = common.gpus in
   let arm = or_reject (D.Pipeline.arm_of_name arm_name) in
   let sc =
@@ -494,7 +472,7 @@ let run_dace common iters app_name arm_name size emit auto specialize_tb verify 
       job
     end
   in
-  run_jobs common ~timeline ~chrome
+  run_jobs common ~timeline
     ~report:(List.iter (Format.printf "%a@." Measure.pp_result))
     [ (job, ignore) ]
 
@@ -504,7 +482,7 @@ let dace_cmd =
     (Cmd.info "dace" ~doc)
     Term.(
       const run_dace $ common_term $ iters_arg $ app_arg $ arm_arg $ size_arg $ emit_arg
-      $ auto_arg $ specialize_arg $ verify_arg $ timeline_arg $ chrome_arg)
+      $ auto_arg $ specialize_arg $ verify_arg $ timeline_arg)
 
 (* --- machine command -------------------------------------------------------- *)
 
@@ -579,13 +557,27 @@ let run_serve socket cache max_queue jobs =
     Printf.eprintf "bad --max-queue %d: bound must be positive\n" max_queue;
     exit 2
   end;
+  (* The pool width is resolved before the daemon starts: a malformed
+     CPUFREE_JOBS (which the default configuration reads) and a
+     non-positive --jobs are rejected here, not in the worker domain. *)
+  let default_jobs =
+    try Cpufree_core.Parallel.default_jobs ()
+    with Invalid_argument msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+  in
+  let jobs = Option.value jobs ~default:default_jobs in
+  if jobs < 1 then begin
+    Printf.eprintf "bad --jobs %d: width must be positive\n" jobs;
+    exit 2
+  end;
   let cfg =
     { (Serve.Server.default_config ~socket_path:socket) with
       Serve.Server.cache_capacity = cache;
       max_queue;
+      jobs;
     }
   in
-  let cfg = match jobs with None -> cfg | Some j -> { cfg with Serve.Server.jobs = j } in
   Printf.printf "serving on %s (cache=%d entries, max-queue=%d, jobs=%d)\n%!" socket
     cfg.Serve.Server.cache_capacity cfg.Serve.Server.max_queue cfg.Serve.Server.jobs;
   Serve.Server.run cfg;
@@ -595,7 +587,7 @@ let run_serve socket cache max_queue jobs =
 let serve_cmd =
   let doc =
     "Run the scenario daemon: a long-running simulation service over a Unix socket, batching \
-     concurrent requests onto a shared domain pool and memoizing results by canonical \
+     concurrent requests onto a per-batch domain pool and memoizing results by canonical \
      scenario hash."
   in
   Cmd.v

@@ -34,8 +34,6 @@ let init ctx =
     next_id = 0;
   }
 
-let n_ranks t = t.n
-
 let contiguous buf ~pos ~len = { buf; pos; stride = 1; count = len }
 let type_vector buf ~pos ~stride ~count = { buf; pos; stride; count }
 

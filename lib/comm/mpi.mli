@@ -9,7 +9,6 @@
 type t
 
 val init : Cpufree_gpu.Runtime.ctx -> t
-val n_ranks : t -> int
 
 (** A message region: [count] elements starting at [pos], [stride] apart
     (contiguous when [stride = 1]). *)

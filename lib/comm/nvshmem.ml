@@ -4,7 +4,7 @@ module F = Cpufree_fault.Fault
 module Mx = Cpufree_obs.Metrics
 module Time = E.Time
 
-type sym = { slabel : string; bufs : G.Buffer.t array }
+type sym = { bufs : G.Buffer.t array }
 type signal = { glabel : string; flags : E.Sync.Flag.t array }
 type signal_op = Signal_set | Signal_add
 
@@ -102,13 +102,10 @@ let check_pe t pe op =
 
 let sym_malloc t ~label ?phantom elems =
   {
-    slabel = label;
     bufs =
       Array.init t.n (fun pe ->
           G.Buffer.create ?phantom ~device:pe ~label:(Printf.sprintf "%s@pe%d" label pe) elems);
   }
-
-let sym_label s = s.slabel
 
 let local s ~pe =
   if pe < 0 || pe >= Array.length s.bufs then

@@ -24,7 +24,6 @@ val n_pes : t -> int
 type sym
 
 val sym_malloc : t -> label:string -> ?phantom:bool -> int -> sym
-val sym_label : sym -> string
 val local : sym -> pe:int -> Cpufree_gpu.Buffer.t
 (** The PE-local instance of a symmetric allocation. *)
 

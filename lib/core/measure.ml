@@ -10,23 +10,26 @@ type result = {
   iterations : int;
   total : Time.t;
   per_iter : Time.t;
+  compute : Time.t;
   comm : Time.t;
   overlap : float;
   bytes_moved : int;
 }
 
-(* Comm time and overlap come from the engine's busy log, which every run
-   keeps whether or not it records spans. *)
+(* Compute time, comm time and overlap come from the engine's busy log,
+   which every run keeps whether or not it records spans. *)
 let measure ~label ~gpus ~iterations eng ctx =
   let total = E.Engine.now eng in
   let iters = Stdlib.max 1 iterations in
-  let comm, overlap = E.Intervals.Log.comm_and_overlap (E.Engine.busy eng) in
+  let busy = E.Engine.busy eng in
+  let comm, overlap = E.Intervals.Log.comm_and_overlap busy in
   {
     label;
     gpus;
     iterations;
     total;
     per_iter = Time.of_ns_float (Time.to_sec_float total *. 1e9 /. float_of_int iters);
+    compute = E.Intervals.Log.compute_total busy;
     comm;
     overlap;
     bytes_moved = G.Interconnect.bytes_moved (G.Runtime.net ctx);

@@ -14,6 +14,7 @@ type result = {
   iterations : int;
   total : Cpufree_engine.Time.t;  (** simulated wall-clock of the run *)
   per_iter : Cpufree_engine.Time.t;
+  compute : Cpufree_engine.Time.t;  (** wall-clock with ≥1 device computing *)
   comm : Cpufree_engine.Time.t;  (** wall-clock with ≥1 device communicating *)
   overlap : float;  (** fraction of comm hidden under compute *)
   bytes_moved : int;
@@ -89,10 +90,10 @@ val run : ?traced:bool -> ?watchdog:Cpufree_engine.Time.t -> job -> outcome
     constant [engine.windows], [engine.solo_windows], [engine.opt.*],
     [engine.partitions] of the retired parallel drivers) are folded in.
     [~traced:true] (default [false]) also records an engine trace without
-    flows; the result is the same either way. [comm] and [overlap] come
-    from the engine's busy log ({!Cpufree_engine.Engine.busy}); a
-    flow-enabled sink makes NVSHMEM log its deliveries as communication
-    too, so they count there.
+    flows; the result is the same either way. [compute], [comm] and
+    [overlap] come from the engine's busy log
+    ({!Cpufree_engine.Engine.busy}); a flow-enabled sink makes NVSHMEM log
+    its deliveries as communication too, so they count there.
 
     {b Chaos.} When [env.faults] is set, [Fault.activate env.faults
     ~seed:env.fault_seed ~gpus] drives link degradation, stragglers, and

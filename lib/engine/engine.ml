@@ -486,7 +486,6 @@ let after t d k =
 
 let process_name p = match p.name_of with Some f -> f () | None -> p.name
 let process_done p = p.state = Finished
-let process_group p = p.group
 
 let delay t d = Effect.perform (Delay (t, d))
 let yield t = delay t Time.zero

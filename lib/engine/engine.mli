@@ -90,8 +90,9 @@ val trace : t -> Trace.t option
 
 val busy : t -> Intervals.Log.t
 (** The run's compute and communication intervals. The log is always on,
-    trace or no trace: it is what a run's comm time and overlap are
-    measured from ({!Intervals.Log.comm_and_overlap}). *)
+    trace or no trace: it is what a run's compute time, comm time and
+    overlap are measured from ({!Intervals.Log.compute_total},
+    {!Intervals.Log.comm_and_overlap}). *)
 
 val log_compute : t -> since:Time.t -> unit
 (** Log the compute interval [\[since, now)] in {!busy}. *)
@@ -138,7 +139,6 @@ val after : t -> Time.t -> (unit -> unit) -> unit
 
 val process_name : process -> string
 val process_done : process -> bool
-val process_group : process -> string option
 
 val delay : t -> Time.t -> unit
 (** Block the calling process for a simulated duration. *)

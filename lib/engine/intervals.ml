@@ -106,4 +106,6 @@ module Log = struct
       else Time.to_sec_float (Time.ns (overlap_total t.comm t.comp)) /. Time.to_sec_float comm
     in
     (comm, ratio)
+
+  let compute_total t = Time.ns (total t.comp)
 end

@@ -2,8 +2,8 @@
 
     The primitive every wall-clock accounting question reduces to: turn a bag
     of (start, end) spans into a sorted disjoint cover, intersect two covers,
-    and sum their lengths. Hoisted out of the communication metrics so the
-    trace layer and any future accounting can share one implementation.
+    and sum their lengths. Runs are measured with {!Log}; the list
+    functions are the simple reference it is tested against.
 
     Representation invariant for the outputs of {!merge} and {!intersect}:
     sorted by start, pairwise disjoint, every interval non-empty. [merge]
@@ -28,10 +28,10 @@ val covered : t list -> Time.t
     of intervals, counting overlapping stretches once. *)
 
 (** A busy log: the compute and communication intervals of one run, kept
-    as flat [int] arrays with no lane or label, from which a run's
-    communication time and overlap are measured. Each side holds the union
-    of what was logged as a sorted, disjoint cover, merged as intervals
-    arrive; intervals that end no earlier than every one before (an
+    as flat [int] arrays with no lane or label, from which a run's compute
+    time, communication time and overlap are measured. Each side holds the
+    union of what was logged as a sorted, disjoint cover, merged as
+    intervals arrive; intervals that end no earlier than every one before (an
     engine's [\[since, now)]) insert in amortized constant time, and any
     order is accepted. It holds exactly what {!merge} and {!intersect}
     need and nothing a timeline needs, so an engine can keep one on every
@@ -53,4 +53,8 @@ module Log : sig
       compute intervals covers ([total (intersect (merge comm) (merge
       compute))] over [comm]; 0 when there is no communication). One pass
       over the two covers. *)
+
+  val compute_total : t -> Time.t
+  (** The measure of the union of the compute intervals ([total (merge
+      compute)]). *)
 end

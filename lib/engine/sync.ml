@@ -43,7 +43,6 @@ module Flag = struct
     end
 
   let wait_ge ?waits_on t v = wait_until ?waits_on t (fun x -> x >= v)
-  let wait_eq ?waits_on t v = wait_until ?waits_on t (fun x -> x = v)
 
   (* Deadline wait: registers both a flag waiter and a timer at [deadline]
      on the suspension's waker (idempotent, so whichever fires second is a

@@ -24,7 +24,6 @@ module Flag : sig
       group expected to satisfy the wait (see {!Engine.suspend}). *)
 
   val wait_ge : ?waits_on:string -> t -> int -> unit
-  val wait_eq : ?waits_on:string -> t -> int -> unit
 
   val await : ?waits_on:string -> t -> deadline:Time.t -> (int -> bool) -> [ `Ok | `Timeout ]
   (** As {!wait_until}, but give up at the absolute simulated [deadline]:

@@ -21,12 +21,12 @@ type flow = {
 type lane_idx = { mutable idx : int array; mutable len : int }
 
 (* Spans live in one growable array in recording order; a hashtable maps
-   each lane to the store indices of its spans so per-lane queries
-   ([busy_time], one timeline row of [render_ascii]) touch only that lane's
-   spans instead of rescanning the whole trace. The window is maintained
-   incrementally on [add]. Flow arrows live in their own growable array:
-   they are a v2 feature gated by [flows_on], so legacy span streams (and
-   everything derived from them) are untouched when it is off. *)
+   each lane to the store indices of its spans so one timeline row of
+   [render_ascii] touches only that lane's spans instead of rescanning the
+   whole trace. The window is maintained incrementally on [add]. Flow
+   arrows live in their own growable array: they are a v2 feature gated by
+   [flows_on], so legacy span streams (and everything derived from them)
+   are untouched when it is off. *)
 type t = {
   mutable store : span array;
   mutable n : int;
@@ -50,7 +50,6 @@ let create ?(flows = false) () =
     fn = 0;
   }
 
-let enabled = function Some _ -> true | None -> false
 let flows_enabled = function Some t -> t.flows_on | None -> false
 
 let lane_push li i =
@@ -196,24 +195,6 @@ let iter_lane t lane f =
 let lanes t =
   List.sort String.compare (Hashtbl.fold (fun lane _ acc -> lane :: acc) t.by_lane [])
 
-let busy_time t ~lane =
-  let acc = ref Time.zero in
-  iter_lane t lane (fun s -> acc := Time.add !acc (Time.sub s.t1 s.t0));
-  !acc
-
-let busy_time_merged t ~lane =
-  let acc = ref [] in
-  iter_lane t lane (fun s -> acc := (s.t0, s.t1) :: !acc);
-  Intervals.covered !acc
-
-let busy_time_kind t ~kind =
-  let acc = ref Time.zero in
-  for i = 0 to t.n - 1 do
-    let s = t.store.(i) in
-    if s.kind = kind then acc := Time.add !acc (Time.sub s.t1 s.t0)
-  done;
-  !acc
-
 let window t = if t.n = 0 then None else Some (t.lo, t.hi)
 
 let char_of_kind = function
@@ -254,67 +235,3 @@ let render_ascii ?(width = 100) t =
       (lanes t);
     Buffer.add_string buf "legend: # compute  = communication  | sync  a api-call  . idle\n";
     Buffer.contents buf
-
-let string_of_kind = function
-  | Compute -> "compute"
-  | Communication -> "communication"
-  | Synchronization -> "synchronization"
-  | Api -> "api"
-  | Idle -> "idle"
-  | Marker -> "marker"
-
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "lane,label,kind,start_ns,end_ns\n";
-  for i = 0 to t.n - 1 do
-    let s = t.store.(i) in
-    Buffer.add_string buf
-      (Printf.sprintf "%s,%s,%s,%d,%d\n" s.lane s.label (string_of_kind s.kind)
-         (Time.to_ns s.t0) (Time.to_ns s.t1))
-  done;
-  Buffer.contents buf
-
-let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  let lane_ids = Hashtbl.create 16 in
-  let lane_id lane =
-    match Hashtbl.find_opt lane_ids lane with
-    | Some id -> id
-    | None ->
-      let id = Hashtbl.length lane_ids in
-      Hashtbl.replace lane_ids lane id;
-      id
-  in
-  (* Assign ids in sorted-lane order for a stable layout. *)
-  List.iter (fun lane -> ignore (lane_id lane)) (lanes t);
-  Buffer.add_string buf "[";
-  for i = 0 to t.n - 1 do
-    let s = t.store.(i) in
-    if i > 0 then Buffer.add_string buf ",";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d}"
-         s.label (string_of_kind s.kind)
-         (Time.to_us_float s.t0)
-         (Time.to_us_float (Time.sub s.t1 s.t0))
-         (lane_id s.lane))
-  done;
-  (* Thread-name metadata rows. *)
-  Hashtbl.iter
-    (fun lane id ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           id lane))
-    lane_ids;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
-
-let clear t =
-  t.store <- [||];
-  t.n <- 0;
-  Hashtbl.reset t.by_lane;
-  t.lo <- Time.zero;
-  t.hi <- Time.zero;
-  t.fstore <- [||];
-  t.fn <- 0

@@ -2,7 +2,7 @@
 
     Spans are recorded per lane ("gpu0.comp", "gpu0.comm", "host", ...) and
     can be rendered as an ASCII timeline (Figures 2.1b and 5.1b) or exported
-    as CSV for external plotting.
+    to Perfetto ([Cpufree_obs.Perfetto]).
 
     A trace is for someone who reads spans: a timeline, a Perfetto export,
     a test. A run's comm time and overlap do not need one; they come from
@@ -40,8 +40,6 @@ val create : ?flows:bool -> unit -> t
     fault/stall instant markers — off {!flows_enabled}. Legacy traces keep
     it off so their span streams stay byte-identical. *)
 
-val enabled : t option -> bool
-
 val flows_enabled : t option -> bool
 (** Whether the sink exists {e and} was created with [~flows:true]. *)
 
@@ -71,43 +69,24 @@ val add_flow_opt :
 val flows : t -> flow list
 (** All flow arrows in recording order. *)
 
-val compare_flow : flow -> flow -> int
-(** Canonical flow order: (src_t, dst_t, id, label, lanes). *)
-
 val sorted_flows : t -> flow list
+(** All flow arrows in canonical order: (src_t, dst_t, id, label, lanes). *)
 
 val spans : t -> span list
 (** All spans in recording order. *)
 
-val compare_span : span -> span -> int
-(** Canonical span order: (t0, t1, lane, label, kind). Recording order is a
-    scheduling artifact of the engine driver; this order is not. *)
-
 val sorted_spans : t -> span list
-(** All spans in canonical {!compare_span} order — the representation to use
-    when comparing traces across engine execution modes. *)
+(** All spans in canonical order: (t0, t1, lane, label, kind). Recording
+    order is a scheduling artifact of the engine driver; this order is not,
+    so it is the representation to use when comparing traces. *)
 
 val merge_into : into:t -> t list -> unit
 (** Append every span of [sources] to [into] in canonical order, and every
-    flow arrow in canonical {!compare_flow} order. Used at the end of a run
+    flow arrow in the canonical order of {!sorted_flows}. Used at the end of a run
     to fold the engine's trace into a caller's sink. *)
 
 val lanes : t -> string list
 (** Distinct lanes, sorted. *)
-
-val busy_time : t -> lane:string -> Time.t
-(** Sum of the raw span durations on a lane. Each span contributes its full
-    length, so an instant covered by [k] overlapping spans is counted [k]
-    times (not merely twice) and the sum can exceed the lane's wall-clock
-    window; use {!busy_time_merged} when overlap should count once. *)
-
-val busy_time_merged : t -> lane:string -> Time.t
-(** Wall-clock during which the lane has at least one span in flight:
-    overlapping spans are merged ({!Intervals.covered}) and count once, so
-    this never exceeds the lane's observed window. Use this for utilization;
-    {!busy_time} remains the raw per-span sum. *)
-
-val busy_time_kind : t -> kind:kind -> Time.t
 
 val window : t -> (Time.t * Time.t) option
 (** Earliest start and latest end over all spans. *)
@@ -116,11 +95,3 @@ val render_ascii : ?width:int -> t -> string
 (** One row per lane, time flowing left to right. Each cell shows the kind of
     the span covering that instant: [#] compute, [=] communication,
     [|] synchronization, [a] API call, [.] idle. *)
-
-val to_csv : t -> string
-
-val to_chrome_json : t -> string
-(** Chrome trace-event format ("X" complete events, microsecond timestamps,
-    one thread row per lane): load in chrome://tracing or Perfetto. *)
-
-val clear : t -> unit

@@ -314,7 +314,6 @@ let activate spec ~seed ~gpus =
   }
 
 let spec_of p = p.spec
-let seed_of p = p.seed
 
 type fate = Deliver | Delayed of Time.t | Dropped
 

@@ -113,7 +113,6 @@ val activate : spec -> seed:int -> gpus:int -> plan
     [seed]. *)
 
 val spec_of : plan -> spec
-val seed_of : plan -> int
 
 (** {1 Queries made by the hardened runtime} *)
 

@@ -17,7 +17,6 @@ type t = {
   coop_launch : Engine_time.t;
   stream_sync : Engine_time.t;
   event_record : Engine_time.t;
-  event_sync : Engine_time.t;
   stream_wait_event : Engine_time.t;
   memcpy_api : Engine_time.t;
   host_barrier : Engine_time.t;
@@ -55,7 +54,6 @@ let a100_hgx =
     coop_launch = ns 9_000;
     stream_sync = ns 6_500;
     event_record = ns 900;
-    event_sync = ns 3_000;
     stream_wait_event = ns 1_100;
     memcpy_api = ns 1_800;
     host_barrier = ns 21_000;
@@ -133,7 +131,6 @@ let fabric_profile t =
     ib_gbs = t.ib_bw_gbs;
   }
 let nvlink_bytes_per_ns t = t.nvlink_bw_gbs
-let pcie_bytes_per_ns t = t.pcie_bw_gbs
 
 let pp fmt t =
   Format.fprintf fmt "%s: %d SMs, HBM %.0f GB/s, NVLink %.0f GB/s/dir, launch %a" t.name

@@ -29,7 +29,6 @@ type t = {
   coop_launch : Engine_time.t;  (** cooperative-launch host cost *)
   stream_sync : Engine_time.t;
   event_record : Engine_time.t;
-  event_sync : Engine_time.t;
   stream_wait_event : Engine_time.t;
   memcpy_api : Engine_time.t;  (** host cost of issuing cudaMemcpyAsync *)
   host_barrier : Engine_time.t;  (** OpenMP/MPI barrier across host threads *)
@@ -92,6 +91,5 @@ val fabric_profile : t -> Cpufree_machine.Topology.profile
 
 val hbm_bytes_per_ns : t -> float
 val nvlink_bytes_per_ns : t -> float
-val pcie_bytes_per_ns : t -> float
 
 val pp : Format.formatter -> t -> unit

@@ -155,11 +155,6 @@ let event_record t ev stream =
   api_call t ~label:(fun () -> "record:" ^ Event.name ev) t.arch.Arch.event_record;
   Event.record ev stream
 
-let event_synchronize t ev =
-  bump t (fun o -> o.m_stream_ops);
-  api_call t ~label:(fun () -> "eventSync:" ^ Event.name ev) t.arch.Arch.event_sync;
-  Event.synchronize ev
-
 let stream_wait_event t stream ev =
   bump t (fun o -> o.m_stream_ops);
   api t ~label:"streamWaitEvent" t.arch.Arch.stream_wait_event;

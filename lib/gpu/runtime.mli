@@ -76,7 +76,6 @@ val stream_synchronize : ctx -> Stream.t -> unit
 (** Host blocks until the stream drains, paying the sync call cost. *)
 
 val event_record : ctx -> Event.t -> Stream.t -> unit
-val event_synchronize : ctx -> Event.t -> unit
 val stream_wait_event : ctx -> Stream.t -> Event.t -> unit
 
 val launch_cooperative :

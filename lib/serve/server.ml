@@ -1,5 +1,5 @@
 module Scenario = Cpufree_core.Scenario
-module Dpool = Cpufree_engine.Dpool
+module Parallel = Cpufree_core.Parallel
 module P = Protocol
 module J = Cpufree_core.Json
 
@@ -16,7 +16,7 @@ let default_config ~socket_path =
     socket_path;
     cache_capacity = 128;
     max_queue = 64;
-    jobs = Cpufree_core.Parallel.default_jobs ();
+    jobs = Parallel.default_jobs ();
     selfcheck = Sys.getenv_opt "CPUFREE_SERVE_SELFCHECK" <> None;
   }
 
@@ -121,7 +121,7 @@ let respond_error state job message =
   Mutex.unlock state.lock;
   if drained then close_conn state job.j_conn
 
-let process_batch state pool batch =
+let process_batch state batch =
   (* Coalesce: one simulation per distinct digest, first-come order. A
      digest that landed in the cache since admission (a racing identical
      run completed) is served from it instead of re-simulated. *)
@@ -137,29 +137,28 @@ let process_batch state pool batch =
     List.filter (fun (digest, _) -> Cache.find state.cache digest = None) uniques
   in
   Mutex.unlock state.lock;
-  let to_run = Array.of_list to_run in
-  let results = Array.make (Array.length to_run) (Error "not run") in
-  if Array.length to_run > 0 then
-    Dpool.run pool ~n:(Array.length to_run) (fun i ->
-        (* Exec.run captures every exception; the pool callback never
-           raises. *)
-        results.(i) <- Exec.run (snd to_run.(i)));
+  (* Exec.run captures every exception, so the map never raises. A batch
+     with one miss runs on this domain; wider ones spawn at most
+     [jobs - 1] helper domains for the batch. *)
+  let ran =
+    List.combine (List.map fst to_run)
+      (Parallel.map ~jobs:state.cfg.jobs (fun (_, sc) -> Exec.run sc) to_run)
+  in
   Mutex.lock state.lock;
   (* A scenario [Exec.run] rejected never simulated: it is counted under
      [errors] when its jobs are answered, not under [simulations]. *)
-  Array.iteri
-    (fun i (digest, _) ->
-      match results.(i) with
+  List.iter
+    (fun (digest, result) ->
+      match result with
       | Ok payload ->
         state.stats.simulations <- state.stats.simulations + 1;
         Cache.add state.cache digest payload
       | Error _ -> ())
-    to_run;
+    ran;
   (* Resolve every job of the batch against the now-updated cache. The
      first job of a freshly simulated digest is the "miss" that paid for
      it; its batch-mates (and any job whose digest was already cached)
      are coalesced hits. *)
-  let fresh = Array.to_list (Array.map fst to_run) in
   let paid = Hashtbl.create 8 in
   let resolved =
     List.map
@@ -168,7 +167,7 @@ let process_batch state pool batch =
           match Cache.find state.cache job.j_digest with
           | Some payload ->
             let cached =
-              if List.mem job.j_digest fresh && not (Hashtbl.mem paid job.j_digest) then begin
+              if List.mem_assoc job.j_digest ran && not (Hashtbl.mem paid job.j_digest) then begin
                 Hashtbl.replace paid job.j_digest ();
                 false
               end
@@ -180,14 +179,7 @@ let process_batch state pool batch =
             in
             Ok (cached, payload)
           | None -> (
-            match
-              Array.to_list to_run
-              |> List.find_opt (fun (d, _) -> d = job.j_digest)
-              |> Option.map (fun (d, _) ->
-                     let i = ref (-1) in
-                     Array.iteri (fun k (dk, _) -> if dk = d then i := k) to_run;
-                     results.(!i))
-            with
+            match List.assoc_opt job.j_digest ran with
             | Some (Error e) -> Error e
             | _ -> Error "internal: result lost")
         in
@@ -205,7 +197,6 @@ let process_batch state pool batch =
     resolved
 
 let worker state =
-  let pool = Dpool.create ~jobs:state.cfg.jobs in
   let rec loop () =
     Mutex.lock state.lock;
     while Queue.is_empty state.queue && not state.stop do
@@ -216,12 +207,11 @@ let worker state =
       let batch = List.of_seq (Queue.to_seq state.queue) in
       Queue.clear state.queue;
       Mutex.unlock state.lock;
-      process_batch state pool batch;
+      process_batch state batch;
       loop ()
     end
   in
-  loop ();
-  Dpool.shutdown pool
+  loop ()
 
 (* --- request handling (reader domain) ------------------------------------- *)
 

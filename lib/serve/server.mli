@@ -1,19 +1,20 @@
 (** The scenario daemon: simulation-as-a-service over a Unix domain socket.
 
-    One server owns a listening socket, a result cache, and a worker domain
-    with a {!Cpufree_engine.Dpool} underneath it. The accept/read loop
-    (the calling domain) parses {!Protocol} frames and serves what it can
-    without simulating: [stats] snapshots, [shutdown], and [run] requests
-    whose digest is already cached. Everything else is admitted to a
-    bounded queue — or refused with an [overload] response when
-    [max_queue] runs are already in flight.
+    One server owns a listening socket, a result cache, and a worker
+    domain. The accept/read loop (the calling domain) parses {!Protocol}
+    frames and serves what it can without simulating: [stats] snapshots,
+    [shutdown], and [run] requests whose digest is already cached.
+    Everything else is admitted to a bounded queue — or refused with an
+    [overload] response when [max_queue] runs are already in flight.
 
     The worker drains the queue in batches, coalesces requests with equal
     digests (and re-checks the cache, so a request that raced a completing
-    identical run becomes a hit instead of a second simulation), fans the
-    unique scenarios out over the pool, publishes results to the cache,
-    and responds. Responses to one connection never interleave: every
-    frame write is serialized under an I/O lock.
+    identical run becomes a hit instead of a second simulation), runs the
+    batch's distinct misses with {!Cpufree_core.Parallel.map} over [jobs]
+    domains (a batch with one miss runs on the worker domain itself and
+    spawns none), publishes results to the cache, and responds. Responses
+    to one connection never interleave: every frame write is serialized
+    under an I/O lock.
 
     Because simulations are deterministic, a cache hit is byte-identical
     to a recompute; setting [CPUFREE_SERVE_SELFCHECK] (or

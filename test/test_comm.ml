@@ -1,5 +1,6 @@
 (* Tests for the communication substrates: NVSHMEM PGAS model, host-side MPI,
-   peer-to-peer stores, and the overlap metrics. *)
+   peer-to-peer stores, and the overlap metrics (the busy log against the
+   span-based reference in [Comm_oracle]). *)
 
 module E = Cpufree_engine
 module G = Cpufree_gpu
@@ -7,7 +8,7 @@ module Nv = Cpufree_comm.Nvshmem
 module Mpi = Cpufree_comm.Mpi
 module P2p = Cpufree_comm.P2p
 module Collective = Cpufree_comm.Collective
-module Metrics = Cpufree_comm.Metrics
+module Oracle = Comm_oracle
 module Time = E.Time
 module Engine = E.Engine
 
@@ -372,19 +373,19 @@ let metrics_tests =
         E.Trace.add t ~lane:"g0.comm" ~label:"x" ~kind:E.Trace.Communication ~t0:(Time.ns 50)
           ~t1:(Time.ns 150);
         (* 100 ns of comm, 50 of it under compute. *)
-        check_float "ratio" 0.5 (Metrics.overlap_ratio t);
-        check_int "comm" 100 (Time.to_ns (Metrics.comm_time t));
-        check_int "compute" 100 (Time.to_ns (Metrics.compute_time t)));
+        check_float "ratio" 0.5 (Oracle.overlap_ratio t);
+        check_int "comm" 100 (Time.to_ns (Oracle.comm_time t));
+        check_int "compute" 100 (Time.to_ns (Oracle.compute_time t)));
     Alcotest.test_case "overlap ratio is zero without communication" `Quick (fun () ->
         let t = E.Trace.create () in
         E.Trace.add t ~lane:"g0" ~label:"k" ~kind:E.Trace.Compute ~t0:(Time.ns 0)
           ~t1:(Time.ns 10);
-        check_float "zero" 0.0 (Metrics.overlap_ratio t));
+        check_float "zero" 0.0 (Oracle.overlap_ratio t));
     Alcotest.test_case "comm fraction" `Quick (fun () ->
         let t = E.Trace.create () in
         E.Trace.add t ~lane:"g0.comm" ~label:"x" ~kind:E.Trace.Communication ~t0:(Time.ns 0)
           ~t1:(Time.ns 25);
-        check_float "quarter" 0.25 (Metrics.comm_fraction t ~total:(Time.ns 100)));
+        check_float "quarter" 0.25 (Oracle.comm_fraction t ~total:(Time.ns 100)));
   ]
 
 (* --- Collective ---------------------------------------------------------- *)
@@ -766,9 +767,12 @@ let comm_props =
                else if k = 1 then E.Intervals.Log.comm by_end ~t0 ~t1)
              (List.stable_sort (fun (_, a, d) (_, b, e) -> Int.compare (a + d) (b + e)) spans);
            let comm, overlap = E.Intervals.Log.comm_and_overlap log in
-           Time.equal comm (Metrics.comm_time trace)
-           && Float.equal overlap (Metrics.overlap_ratio trace)
-           && E.Intervals.Log.comm_and_overlap by_end = (comm, overlap)));
+           let compute = E.Intervals.Log.compute_total log in
+           Time.equal comm (Oracle.comm_time trace)
+           && Float.equal overlap (Oracle.overlap_ratio trace)
+           && Time.equal compute (Oracle.compute_time trace)
+           && E.Intervals.Log.comm_and_overlap by_end = (comm, overlap)
+           && Time.equal (E.Intervals.Log.compute_total by_end) compute));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"merge is idempotent" ~count:100
          QCheck.(list (pair (int_bound 500) (int_bound 500)))

@@ -1,11 +1,10 @@
-(* Tests for the discrete-event core: time, heap, rng, stats, trace, engine,
-   synchronization primitives. *)
+(* Tests for the discrete-event core: time, heap, rng, intervals, trace,
+   engine, synchronization primitives. *)
 
 module E = Cpufree_engine
 module Time = E.Time
 module Heap = E.Heap
 module Rng = E.Rng
-module Stats = E.Stats
 module Trace = E.Trace
 module Engine = E.Engine
 module Sync = E.Sync
@@ -203,77 +202,6 @@ let rng_props =
            x >= 0.0 && x < 5.0));
   ]
 
-(* --- Stats ------------------------------------------------------------- *)
-
-let stats_tests =
-  [
-    Alcotest.test_case "basic accumulation" `Quick (fun () ->
-        let s = Stats.create () in
-        List.iter (Stats.add s) [ 3.0; 1.0; 2.0 ];
-        check_int "count" 3 (Stats.count s);
-        check_float "min" 1.0 (Stats.min s);
-        check_float "max" 3.0 (Stats.max s);
-        check_float "mean" 2.0 (Stats.mean s);
-        check_float "sum" 6.0 (Stats.sum s));
-    Alcotest.test_case "empty statistics raise" `Quick (fun () ->
-        let s = Stats.create () in
-        Alcotest.check_raises "min" (Invalid_argument "Stats.min: empty") (fun () ->
-            ignore (Stats.min s)));
-    Alcotest.test_case "stddev of constant is zero" `Quick (fun () ->
-        let s = Stats.create () in
-        List.iter (Stats.add s) [ 4.0; 4.0; 4.0 ];
-        check_float "sd" 0.0 (Stats.stddev s));
-    Alcotest.test_case "stddev known value" `Quick (fun () ->
-        let s = Stats.create () in
-        List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-        check (Alcotest.float 1e-6) "sd" 2.13808993529939 (Stats.stddev s));
-    Alcotest.test_case "percentiles interpolate" `Quick (fun () ->
-        let s = Stats.create () in
-        List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-        check_float "median" 2.5 (Stats.median s);
-        check_float "p0" 1.0 (Stats.percentile s 0.0);
-        check_float "p100" 4.0 (Stats.percentile s 100.0);
-        check_float "p25" 1.75 (Stats.percentile s 25.0));
-    Alcotest.test_case "percentile out of range" `Quick (fun () ->
-        let s = Stats.create () in
-        Stats.add s 1.0;
-        Alcotest.check_raises "p" (Invalid_argument "Stats.percentile: p out of range")
-          (fun () -> ignore (Stats.percentile s 101.0)));
-    Alcotest.test_case "add_time records seconds" `Quick (fun () ->
-        let s = Stats.create () in
-        Stats.add_time s (Time.ms 1);
-        check_float "val" 0.001 (Stats.min s));
-    Alcotest.test_case "summarize" `Quick (fun () ->
-        let s = Stats.create () in
-        List.iter (Stats.add s) [ 1.0; 2.0; 3.0 ];
-        let sm = Stats.summarize s in
-        check_int "n" 3 sm.Stats.n;
-        check_float "median" 2.0 sm.Stats.s_median);
-    Alcotest.test_case "samples preserve order" `Quick (fun () ->
-        let s = Stats.create () in
-        List.iter (Stats.add s) [ 3.0; 1.0; 2.0 ];
-        check (Alcotest.array (Alcotest.float 0.0)) "order" [| 3.0; 1.0; 2.0 |]
-          (Stats.samples s));
-  ]
-
-let stats_props =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"min <= mean <= max" ~count:200
-         QCheck.(list_of_size Gen.(1 -- 50) (float_bound_exclusive 1000.0))
-         (fun xs ->
-           let s = Stats.create () in
-           List.iter (Stats.add s) xs;
-           Stats.min s <= Stats.mean s +. 1e-9 && Stats.mean s <= Stats.max s +. 1e-9));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"median between min and max" ~count:200
-         QCheck.(list_of_size Gen.(1 -- 50) (float_bound_exclusive 1000.0))
-         (fun xs ->
-           let s = Stats.create () in
-           List.iter (Stats.add s) xs;
-           Stats.min s <= Stats.median s && Stats.median s <= Stats.max s));
-  ]
-
 (* --- Trace ------------------------------------------------------------- *)
 
 let span lane kind t0 t1 trace =
@@ -358,32 +286,34 @@ let trace_tests =
         span "a" Trace.Compute 2 3 t;
         span "b" Trace.Api 5 6 t;
         check (Alcotest.list Alcotest.string) "lanes" [ "a"; "b" ] (Trace.lanes t));
-    Alcotest.test_case "busy time per lane" `Quick (fun () ->
-        let t = Trace.create () in
-        span "a" Trace.Compute 0 10 t;
-        span "a" Trace.Communication 20 25 t;
-        check_int "busy" 15 (Time.to_ns (Trace.busy_time t ~lane:"a")));
     Alcotest.test_case "merged busy time counts overlap once" `Quick (fun () ->
         let t = Trace.create () in
         span "a" Trace.Compute 0 10 t;
         span "a" Trace.Communication 5 15 t;
         span "a" Trace.Api 20 22 t;
         span "b" Trace.Compute 0 100 t;
-        check_int "raw sum double-counts" 22 (Time.to_ns (Trace.busy_time t ~lane:"a"));
-        check_int "merged wall-clock" 17 (Time.to_ns (Trace.busy_time_merged t ~lane:"a"));
-        check_int "other lanes untouched" 100 (Time.to_ns (Trace.busy_time_merged t ~lane:"b"));
-        (* An instant covered by k spans contributes k times to the raw sum,
-           not merely twice: a third span over [6, 9) adds its full length. *)
+        let lane_busy lane =
+          Time.to_ns
+            (Intervals.covered
+               (List.filter_map
+                  (fun (s : Trace.span) ->
+                    if s.Trace.lane = lane then Some (s.Trace.t0, s.Trace.t1) else None)
+                  (Trace.spans t)))
+        in
+        check_int "merged wall-clock" 17 (lane_busy "a");
+        check_int "other lanes untouched" 100 (lane_busy "b");
+        (* A third span nested in the overlap adds nothing to the cover. *)
         span "a" Trace.Compute 6 9 t;
-        check_int "raw sum triple-counts" 25 (Time.to_ns (Trace.busy_time t ~lane:"a"));
-        check_int "merged unchanged by nested span" 17
-          (Time.to_ns (Trace.busy_time_merged t ~lane:"a")));
+        check_int "merged unchanged by nested span" 17 (lane_busy "a"));
     Alcotest.test_case "busy time per kind" `Quick (fun () ->
-        let t = Trace.create () in
-        span "a" Trace.Compute 0 10 t;
-        span "b" Trace.Compute 0 4 t;
-        span "a" Trace.Api 10 11 t;
-        check_int "compute" 14 (Time.to_ns (Trace.busy_time_kind t ~kind:Trace.Compute)));
+        (* The compute total is the cover of the compute intervals: [0, 10)
+           and [0, 4) overlap and count once, and comm is not compute. *)
+        let log = Intervals.Log.create () in
+        Intervals.Log.compute log ~t0:(Time.ns 0) ~t1:(Time.ns 10);
+        Intervals.Log.compute log ~t0:(Time.ns 0) ~t1:(Time.ns 4);
+        Intervals.Log.comm log ~t0:(Time.ns 10) ~t1:(Time.ns 11);
+        Intervals.Log.compute log ~t0:(Time.ns 12) ~t1:(Time.ns 16);
+        check_int "compute" 14 (Time.to_ns (Intervals.Log.compute_total log)));
     Alcotest.test_case "window spans all" `Quick (fun () ->
         let t = Trace.create () in
         span "a" Trace.Compute 5 10 t;
@@ -404,26 +334,6 @@ let trace_tests =
         let s = Trace.render_ascii ~width:40 t in
         check_bool "lane" true (Astring.String.is_infix ~affix:"gpu0" s);
         check_bool "legend" true (Astring.String.is_infix ~affix:"legend" s));
-    Alcotest.test_case "csv has one line per span plus header" `Quick (fun () ->
-        let t = Trace.create () in
-        span "a" Trace.Compute 0 1 t;
-        span "a" Trace.Api 1 2 t;
-        let lines = String.split_on_char '\n' (String.trim (Trace.to_csv t)) in
-        check_int "lines" 3 (List.length lines));
-    Alcotest.test_case "chrome json export is well-formed-ish" `Quick (fun () ->
-        let t = Trace.create () in
-        span "gpu0" Trace.Compute 0 1000 t;
-        span "gpu1" Trace.Communication 500 2000 t;
-        let js = Trace.to_chrome_json t in
-        check_bool "array" true (String.length js > 2 && js.[0] = '[');
-        check_bool "complete events" true (Astring.String.is_infix ~affix:"\"ph\":\"X\"" js);
-        check_bool "thread names" true (Astring.String.is_infix ~affix:"thread_name" js);
-        check_bool "lane present" true (Astring.String.is_infix ~affix:"gpu1" js));
-    Alcotest.test_case "clear resets" `Quick (fun () ->
-        let t = Trace.create () in
-        span "a" Trace.Compute 0 1 t;
-        Trace.clear t;
-        check_bool "empty" true (Trace.spans t = []));
     Alcotest.test_case "add_opt on None is a no-op" `Quick (fun () ->
         Trace.add_opt None ~lane:"x" ~label:"y" ~kind:Trace.Idle ~t0:Time.zero ~t1:Time.zero);
   ]
@@ -1229,7 +1139,6 @@ let () =
       ("time", time_tests @ time_props);
       ("heap", heap_tests @ heap_props);
       ("rng", rng_tests @ rng_props);
-      ("stats", stats_tests @ stats_props);
       ("intervals", interval_tests @ interval_props);
       ("trace", trace_tests);
       ("engine", engine_tests);

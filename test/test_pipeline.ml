@@ -150,12 +150,7 @@ let shape_tests =
         let s2 = Measure.speedup_pct ~baseline:b2 ~ours:f2 in
         check_bool "2D speedup larger" true (s2 > s1));
     Alcotest.test_case "baseline 2D is communication-dominated" `Slow (fun () ->
-        let o =
-          Measure.run ~traced:true (Pipeline.scenario_env bench2d Pipeline.Baseline_mpi ~gpus:8)
-        in
-        let r = o.Measure.result and trace = Option.get o.Measure.trace in
-        let frac = Cpufree_comm.Metrics.comm_fraction trace ~total:r.Measure.total in
-        ignore frac;
+        let r = run_env bench2d Pipeline.Baseline_mpi ~gpus:8 in
         (* Host-side control dominates; device communication alone is a lower
            bound. The key observable: poor overlap. *)
         check_bool "little overlap" true (r.Measure.overlap < 0.5));

@@ -248,6 +248,35 @@ let test_coalesce () =
   Alcotest.(check int) "one cache entry" 1 st.P.cache_entries;
   clean_shutdown c ~id:100 srv
 
+(* Distinct pipelined requests are all misses: those admitted while the
+   first one simulates reach the worker as one batch of several misses,
+   which it runs over the pool ([jobs = 2]). Every request gets exactly
+   one result, and each distinct scenario is simulated and cached once. *)
+let test_distinct_misses () =
+  let path = "t-serve-distinct.sock" in
+  let srv = start_server path in
+  let c = connect_retry path in
+  let n = 4 in
+  for i = 1 to n do
+    Serve.Client.send c { P.req_id = i; req_op = P.Run (slow_sc ~iters:(600 + i) ()) }
+  done;
+  let answered = Array.make (n + 1) 0 in
+  for _ = 1 to n do
+    match Serve.Client.recv c with
+    | Ok (P.Ok_resp { id; body = P.Run_result _; _ }) when id >= 1 && id <= n ->
+      answered.(id) <- answered.(id) + 1
+    | Ok _ -> Alcotest.fail "unexpected response to a run request"
+    | Error e -> Alcotest.failf "recv: %s" e
+  done;
+  for i = 1 to n do
+    Alcotest.(check int) (Printf.sprintf "request %d answered once" i) 1 answered.(i)
+  done;
+  let st = get_stats c ~id:99 in
+  Alcotest.(check int) "one simulation per distinct scenario" n st.P.simulations;
+  Alcotest.(check int) "one cache entry per distinct scenario" n st.P.cache_entries;
+  Alcotest.(check int) "no errors" 0 st.P.errors;
+  clean_shutdown c ~id:100 srv
+
 (* With an admission bound of one, distinct requests pipelined behind a
    slow run must be refused with a structured overload response — and the
    daemon must keep serving afterwards. *)
@@ -511,6 +540,8 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "identical requests coalesce to one simulation" `Quick test_coalesce;
+          Alcotest.test_case "distinct misses of one batch run over the pool" `Quick
+            test_distinct_misses;
           Alcotest.test_case "overload is a structured rejection" `Quick test_overload;
           Alcotest.test_case "malformed input is isolated" `Quick test_malformed;
           Alcotest.test_case "a rejected scenario counts as an error, not a simulation" `Quick
