@@ -72,10 +72,7 @@ type t = {
   expect : int array;  (* cumulative arrival count each PE waits for *)
   rbase : int array;  (* rounds completed before adopting pe_grp.(pe) *)
   mutable shrunk : bool;  (* any membership shrink performed *)
-  mutable revoked : bool;
 }
-
-exception Revoked
 
 let make_channels nv ~label ~m = function
   | Dense | Ring -> Shared
@@ -120,7 +117,6 @@ let create ?(algorithm = Dense) nv ~label =
     expect = Array.make n 0;
     rbase = Array.make n 0;
     shrunk = false;
-    revoked = false;
   }
 
 let n t = Nvshmem.n_pes t.nv
@@ -163,10 +159,7 @@ let rank_of g pe =
   if r < 0 then invalid_arg (Printf.sprintf "Collective: PE %d is not a group member" pe);
   r
 
-let check_revoked t = if t.revoked then raise Revoked
-
-(* Collective-level signal wait. A revoked communicator raises {!Revoked}
-   once the revocation bump wakes the waiter. A kill diagnosis
+(* Collective-level signal wait. A kill diagnosis
    ({!F.Killed} from the resilient wait) propagates to the round-retry
    handler only when it carries new information; a timeout naming only
    deaths this PE's membership already excludes is spurious (the shrunk
@@ -180,8 +173,7 @@ let coll_wait t ~pe ~sig_var v =
       then go ()
       else raise ex
   in
-  go ();
-  check_revoked t
+  go ()
 
 (* Position-preserving signaled put: slot [pos] of my bank lands in slot
    [pos] of [peer]'s, bumping [sig_var]'s count at the peer by the element
@@ -382,122 +374,23 @@ let rec attempt t ~pe ~bank value =
    them. A PE whose scheduled death has passed contributes nothing and
    waits for nothing. *)
 let gather_round t ~pe value =
-  check_revoked t;
   t.round.(pe) <- t.round.(pe) + 1;
   let bank = (t.round.(pe) land 1) * n t in
   if not (self_dead t ~pe) then attempt t ~pe ~bank value;
   bank
 
-let reduce t ~pe ~init ~f value =
+let allreduce_sum t ~pe value =
   let bank = gather_round t ~pe value in
   let own = Nvshmem.local t.contrib ~pe in
   let g = t.pe_grp.(pe) in
-  let acc = ref init in
+  let acc = ref 0.0 in
   for slot = 0 to Array.length g.members - 1 do
-    acc := f !acc (G.Buffer.get own (bank + slot))
+    acc := !acc +. G.Buffer.get own (bank + slot)
   done;
   !acc
 
-let allreduce_sum t ~pe value = reduce t ~pe ~init:0.0 ~f:( +. ) value
-let allreduce_max t ~pe value = reduce t ~pe ~init:neg_infinity ~f:Float.max value
 let barrier t ~pe = Nvshmem.barrier_all t.nv ~pe
 let rounds t ~pe = t.round.(pe)
-
-(* ------------------------------------------------------------------ *)
-(* Communicator revocation                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Large enough to cross any cumulative wait threshold, small enough that
-   a stray Signal_add on top cannot overflow. *)
-let revoke_bump = max_int / 4
-
-let revoke t =
-  if not t.revoked then begin
-    t.revoked <- true;
-    let bump s =
-      for pe = 0 to n t - 1 do
-        Nvshmem.signal_bump t.nv ~pe ~sig_var:s revoke_bump
-      done
-    in
-    let wake g =
-      bump g.arrived;
-      match g.chans with
-      | Shared -> ()
-      | Tree_sigs { up; down } ->
-        Array.iter bump up;
-        bump down
-      | Dbl_sigs { pre; step; post } ->
-        bump pre;
-        Array.iter bump step;
-        bump post
-    in
-    (* Deterministic wake order: groups sorted by dead-set key. *)
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.groups []
-    |> List.sort compare
-    |> List.iter (fun k -> wake (Hashtbl.find t.groups k))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Halo-exchange pipeline                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-PE bank layout: [out_left | out_right | in_left | in_right], each
-   [width] wide; two banks alternating by stage parity. A PE only enters
-   stage S+1 after reading its stage-S ghosts, and its stage-S+1 sends gate
-   the neighbour's stage-S+1 completion, so a neighbour's stage-S+2 write
-   (same bank as S) always lands after the read. Each side rides its own
-   signal: with a shared counter a near neighbour's stage-S+1 message could
-   satisfy the wait for the far neighbour's stage-S edge still in flight. *)
-type halo = {
-  hnv : Nvshmem.t;
-  width : int;
-  ghosts : Nvshmem.sym;
-  from_left : Nvshmem.signal;  (* bumped only by pe-1 *)
-  from_right : Nvshmem.signal;  (* bumped only by pe+1 *)
-  hstage : int array;
-}
-
-let halo_create nv ~label ~width =
-  if width <= 0 then invalid_arg "Collective.halo_create: width must be positive";
-  {
-    hnv = nv;
-    width;
-    ghosts = Nvshmem.sym_malloc nv ~label:(label ^ ".ghosts") (8 * width);
-    from_left = Nvshmem.signal_malloc nv ~label:(label ^ ".from_l") ();
-    from_right = Nvshmem.signal_malloc nv ~label:(label ^ ".from_r") ();
-    hstage = Array.make (Nvshmem.n_pes nv) 0;
-  }
-
-let halo_stages h ~pe = h.hstage.(pe)
-
-let halo_exchange h ~pe ~left ~right =
-  let w = h.width in
-  if Array.length left <> w || Array.length right <> w then
-    invalid_arg "Collective.halo_exchange: edge arrays must match the halo width";
-  let nn = Nvshmem.n_pes h.hnv in
-  h.hstage.(pe) <- h.hstage.(pe) + 1;
-  let bank = (h.hstage.(pe) land 1) * 4 * w in
-  let out_l = bank and out_r = bank + w and in_l = bank + (2 * w) and in_r = bank + (3 * w) in
-  let own = Nvshmem.local h.ghosts ~pe in
-  for i = 0 to w - 1 do
-    G.Buffer.set own (out_l + i) left.(i);
-    G.Buffer.set own (out_r + i) right.(i)
-  done;
-  if pe > 0 then
-    (* My left edge becomes the left neighbour's right ghost. *)
-    Nvshmem.putmem_signal_nbi h.hnv ~from_pe:pe ~to_pe:(pe - 1) ~src:own ~src_pos:out_l
-      ~dst:h.ghosts ~dst_pos:in_r ~len:w ~sig_var:h.from_right ~sig_op:Nvshmem.Signal_add
-      ~sig_value:w;
-  if pe < nn - 1 then
-    Nvshmem.putmem_signal_nbi h.hnv ~from_pe:pe ~to_pe:(pe + 1) ~src:own ~src_pos:out_r
-      ~dst:h.ghosts ~dst_pos:in_l ~len:w ~sig_var:h.from_left ~sig_op:Nvshmem.Signal_add
-      ~sig_value:w;
-  let goal = h.hstage.(pe) * w in
-  if pe > 0 then Nvshmem.signal_wait_ge h.hnv ~pe ~sig_var:h.from_left goal;
-  if pe < nn - 1 then Nvshmem.signal_wait_ge h.hnv ~pe ~sig_var:h.from_right goal;
-  let read pos = Array.init w (fun i -> G.Buffer.get own (pos + i)) in
-  ( (if pe > 0 then Some (read in_l) else None),
-    (if pe < nn - 1 then Some (read in_r) else None) )
 
 (* ------------------------------------------------------------------ *)
 (* CPU-driven baselines                                                *)
@@ -511,14 +404,6 @@ let halo_exchange h ~pe ~left ~right =
 
 module R = G.Runtime
 
-let host_streams ctx ~label =
-  let eng = R.engine ctx in
-  Array.init (R.num_gpus ctx) (fun g ->
-      G.Stream.create eng ~dev:(R.device ctx g)
-        ~name:(Printf.sprintf "%s.s%d" label g))
-
-let host_sync_all ctx streams = Array.iter (fun s -> R.stream_synchronize ctx s) streams
-
 let host_allreduce_sum ctx ~algorithm ~label values =
   let nn = R.num_gpus ctx in
   if Array.length values <> nn then
@@ -529,12 +414,16 @@ let host_allreduce_sum ctx ~algorithm ~label values =
         G.Buffer.set b g values.(g);
         b)
   in
-  let streams = host_streams ctx ~label in
+  let streams =
+    Array.init nn (fun g ->
+        G.Stream.create (R.engine ctx) ~dev:(R.device ctx g)
+          ~name:(Printf.sprintf "%s.s%d" label g))
+  in
   let copy ~src ~dst ~pos ~len =
     R.memcpy_async ctx ~stream:streams.(src) ~src:bufs.(src) ~src_pos:pos ~dst:bufs.(dst)
       ~dst_pos:pos ~len
   in
-  let sync () = host_sync_all ctx streams in
+  let sync () = Array.iter (fun s -> R.stream_synchronize ctx s) streams in
   (match algorithm with
   | Dense ->
     for g = 0 to nn - 1 do
@@ -606,32 +495,3 @@ let host_allreduce_sum ctx ~algorithm ~label values =
         acc := !acc +. G.Buffer.get bufs.(g) q
       done;
       !acc)
-
-let host_halo_run ctx ~label ~width ~stages =
-  if width <= 0 then invalid_arg "Collective.host_halo_run: width must be positive";
-  if stages < 0 then invalid_arg "Collective.host_halo_run: negative stage count";
-  let nn = R.num_gpus ctx in
-  (* Per GPU: [out_left | out_right | in_left | in_right]; single bank —
-     the per-stage sync makes the host variant bulk-synchronous. *)
-  let bufs =
-    Array.init nn (fun g ->
-        G.Buffer.create ~device:g ~label:(Printf.sprintf "%s.h%d" label g) (4 * width))
-  in
-  let streams = host_streams ctx ~label in
-  for stage = 1 to stages do
-    for g = 0 to nn - 1 do
-      for i = 0 to width - 1 do
-        G.Buffer.set bufs.(g) i (float_of_int ((stage * nn) + g));
-        G.Buffer.set bufs.(g) (width + i) (float_of_int ((stage * nn) + g + 1))
-      done
-    done;
-    for g = 0 to nn - 1 do
-      if g > 0 then
-        R.memcpy_async ctx ~stream:streams.(g) ~src:bufs.(g) ~src_pos:0 ~dst:bufs.(g - 1)
-          ~dst_pos:(3 * width) ~len:width;
-      if g < nn - 1 then
-        R.memcpy_async ctx ~stream:streams.(g) ~src:bufs.(g) ~src_pos:width ~dst:bufs.(g + 1)
-          ~dst_pos:(2 * width) ~len:width
-    done;
-    host_sync_all ctx streams
-  done

@@ -11,17 +11,16 @@
     the binomial gather/broadcast tree, and recursive doubling. All four are
     allgathers into the same two-bank slot layout followed by an identical
     in-order local reduction, so they return bit-identical results — the
-    choice only moves simulated time. A halo-exchange pipeline covers the
-    stencil-shaped pattern. Each has a CPU-driven baseline
-    ({!host_allreduce_sum}, {!host_halo_run}) that runs the same schedule as
-    host-issued [memcpy]/[synchronize] calls, extending the paper's
-    control-path comparison to collectives.
+    choice only moves simulated time. A CPU-driven baseline
+    ({!host_allreduce_sum}) runs the same schedules as host-issued
+    [memcpy]/[synchronize] calls, extending the paper's control-path
+    comparison to collectives.
 
     All device-side operations are {e collective}: every PE of the group
     must call them, from device-side (kernel) processes, once per logical
     round; rounds are tracked internally so the scratch state is reusable. *)
 
-(** Allgather schedule backing {!allreduce_sum}/{!allreduce_max}. *)
+(** Allgather schedule backing {!allreduce_sum}. *)
 type algorithm = Dense | Ring | Tree | Doubling
 
 val algorithm_of_string : string -> (algorithm, string) result
@@ -47,23 +46,20 @@ val allreduce_sum : t -> pe:int -> float -> float
     round. Deterministic summation order (by PE index), identical across
     algorithms. *)
 
-val allreduce_max : t -> pe:int -> float -> float
-
 val barrier : t -> pe:int -> unit
 (** [nvshmem_barrier_all] convenience re-export. *)
 
 val rounds : t -> pe:int -> int
 (** Completed reduction rounds on a PE (diagnostics). *)
 
-(** {1 Fail-stop shrink and revocation}
+(** {1 Fail-stop shrink}
 
     Under a fault plan with fail-stop clauses the waits inside a schedule
     are resilient; a timeout against a peer whose scheduled death has
     passed diagnoses the kill, and the group {e shrinks}: survivors agree
-    on the new membership (derived from the kill schedule at virtual now
-    — deterministic under every [CPUFREE_PDES] driver), rebuild the
-    dense/ring/tree/doubling schedule over the survivor set on fresh
-    signals, and redo the failed round, completing the reduction over
+    on the new membership (derived from the kill schedule at virtual now,
+    so deterministic), rebuild the dense/ring/tree/doubling schedule over
+    the survivor set on fresh signals, and redo the failed round, completing the reduction over
     survivors only. Supported when the dead PE contributed nothing to the
     failed round (it died before the round began — the quiesced-failure
     model); a mid-round partial contribution cannot be repaired by
@@ -78,35 +74,6 @@ val members : t -> pe:int -> int array
 (** The PE's adopted membership view (rank order). The full PE set until
     a shrink; after one, the survivor set the PE agreed on. *)
 
-exception Revoked
-(** Raised (on every participating PE) by a collective call on a revoked
-    communicator. *)
-
-val revoke : t -> unit
-(** Revoke the communicator: wake every wait of every schedule the
-    group ever built and make all subsequent (and in-flight) collective
-    calls raise {!Revoked} — so a fault handler can drain blocked
-    participants instead of deadlocking them. Idempotent. *)
-
-(** {1 Halo-exchange pipeline} *)
-
-type halo
-
-val halo_create : Nvshmem.t -> label:string -> width:int -> halo
-(** Scratch for a 1-D chain halo exchange of [width]-element edges
-    (two banks of out/in regions per side per PE). *)
-
-val halo_exchange :
-  halo -> pe:int -> left:float array -> right:float array -> float array option * float array option
-(** One pipeline stage: send my [left]/[right] edges to the chain
-    neighbours with signaled puts, wait for theirs, return the received
-    (left ghost, right ghost) — [None] at the chain ends. Edge arrays must
-    match the halo width. Stages are tracked internally; no barrier between
-    stages. *)
-
-val halo_stages : halo -> pe:int -> int
-(** Completed exchange stages on a PE (diagnostics). *)
-
 (** {1 CPU-driven baselines}
 
     The same communication schedules orchestrated by a host thread: every
@@ -120,9 +87,3 @@ val host_allreduce_sum :
     [g]); returns each GPU's resulting sum. The reduction order matches the
     device-side variants, so results are bit-identical to
     {!allreduce_sum}. *)
-
-val host_halo_run :
-  Cpufree_gpu.Runtime.ctx -> label:string -> width:int -> stages:int -> unit
-(** Host-driven bulk-synchronous halo pipeline: [stages] rounds of
-    edge-[memcpy] to both chain neighbours followed by a full stream
-    synchronize — the control-path cost the device pipeline avoids. *)

@@ -521,7 +521,3 @@ let pending t ~pe =
 let faults t = t.faults
 
 let now t = E.Engine.now t.eng
-
-let signal_bump t ~pe ~sig_var v =
-  check_pe t pe "signal_bump";
-  E.Sync.Flag.add sig_var.flags.(pe) v

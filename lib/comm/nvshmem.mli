@@ -99,8 +99,3 @@ val faults : t -> Cpufree_fault.Fault.plan option
 
 val now : t -> Cpufree_engine.Time.t
 (** Current virtual time of the engine the PEs run on. *)
-
-val signal_bump : t -> pe:int -> sig_var:signal -> int -> unit
-(** Locally add to [pe]'s instance of [sig_var], waking any blocked
-    waiter, without charging fabric cost. The wake mechanism behind
-    communicator revocation. *)

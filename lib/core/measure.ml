@@ -219,18 +219,6 @@ let run_env ?arch ?env ~label ~gpus ~iterations program =
 let probe_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
   (run_env ?arch ~env:(Obs.Sim_env.probe env) ~label ~gpus ~iterations program).total
 
-let best_of ~runs f =
-  if runs < 1 then invalid_arg "Measure.best_of: need at least one run";
-  let rec go best remaining =
-    if remaining = 0 then best
-    else begin
-      let r = f () in
-      let best = if Time.(r.total < best.total) then r else best in
-      go best (remaining - 1)
-    end
-  in
-  go (f ()) (runs - 1)
-
 let speedup_pct ~baseline ~ours =
   let tb = Time.to_sec_float baseline.total and to_ = Time.to_sec_float ours.total in
   if tb = 0.0 then 0.0 else (tb -. to_) /. tb *. 100.0

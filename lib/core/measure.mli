@@ -124,13 +124,6 @@ val probe_env :
     sinks and fault plan stripped — and return only the simulated
     wall-clock. *)
 
-val best_of :
-  runs:int ->
-  (unit -> result) -> result
-(** Re-run an experiment and keep the fastest result — the paper reports the
-    minimum of 5 consecutive runs. (The simulator is deterministic, so this
-    is an API-fidelity convenience.) *)
-
 val speedup_pct : baseline:result -> ours:result -> float
 (** The paper's speedup formula: [(T_b - T_o) / T_b * 100]. *)
 

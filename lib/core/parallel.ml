@@ -58,6 +58,3 @@ let map ?jobs f xs =
       Array.to_list
         (Array.map (function Some v -> v | None -> assert false) results)
   end
-
-let map_reduce ?jobs ~map:f ~reduce ~init xs =
-  List.fold_left reduce init (map ?jobs f xs)

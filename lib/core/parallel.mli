@@ -19,8 +19,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     fallback for single-core hosts. If any application raises, the
     exception of the lowest-index failing element is re-raised after all
     workers drain. [f] must not share mutable state across elements. *)
-
-val map_reduce :
-  ?jobs:int -> map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
-(** [map_reduce ~map ~reduce ~init xs] folds the mapped results in input
-    order: deterministic even when [reduce] is not commutative. *)

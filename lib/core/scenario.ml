@@ -368,25 +368,11 @@ let of_json_string s =
 
 (* --- content identity ----------------------------------------------------- *)
 
-(* The cache key's preimage. The execution mode is normalized away (an
-   explicit and an absent mode run the same driver, so requests differing
-   only in [pdes] must share a cache entry); the artifact booleans stay because they change the
-   response payload. The environment contributes through Sim_env.digest of
-   the sink-free, mode-free environment — the "(scenario, env)" identity. *)
-let canonical_string t =
-  let hash_env =
-    Env.make ~topology:t.topology ?faults:t.faults ~fault_seed:t.fault_seed ()
-  in
-  String.concat "|"
-    [
-      "scenario/v1";
-      kind_name t.workload;
-      String.concat " " (workload_tokens t.workload);
-      "arch=" ^ t.arch;
-      Printf.sprintf "gpus=%d" t.gpus;
-      "trace=" ^ onoff t.trace;
-      "metrics=" ^ onoff t.metrics;
-      "env:" ^ Env.digest hash_env;
-    ]
-
-let digest t = Stdlib.Digest.to_hex (Stdlib.Digest.string (canonical_string t))
+(* The cache key: the canonical line with the execution mode normalized
+   away (an explicit and an absent mode run the same driver, so requests
+   differing only in [pdes] share a cache entry). The artifact booleans
+   stay because they change the response payload. The "scenario/v2" tag
+   versions the encoding: changing the line invalidates every old digest
+   instead of silently aliasing. *)
+let digest t =
+  Stdlib.Digest.to_hex (Stdlib.Digest.string ("scenario/v2|" ^ to_string { t with pdes = None }))

@@ -94,14 +94,10 @@ val of_json : Json.t -> (t, string) result
 
 val of_json_string : string -> (t, string) result
 
-val canonical_string : t -> string
-(** The content identity of [(scenario, environment)]: a versioned string
-    over the workload, architecture, GPU count, requested artifacts, and
-    the {!Cpufree_obs.Sim_env.digest} of the scenario's sink-free
-    environment. The execution mode is normalized away — [pdes=seq] and an
-    absent mode run the same driver, so requests differing only in [pdes]
-    share one cache entry. The artifact booleans stay: they change the response
-    payload. *)
-
 val digest : t -> string
-(** Hex content hash of {!canonical_string} — the result-cache key. *)
+(** The result-cache key: the hex md5 of ["scenario/v2|"] followed by
+    {!to_string} of the scenario with [pdes] cleared. [pdes=seq] and an
+    absent mode run the same driver, so requests differing only in [pdes]
+    share one cache entry; the artifact booleans stay because they change
+    the response payload. {!to_string} is canonical, so equal digests mean
+    equal scenarios apart from [pdes]. *)

@@ -36,18 +36,16 @@ val candidates : Sdfg.t -> gpus:int -> (plan list, string) result
     shard+persistent variants when {!Placement.shard_1d} accepts them and
     more than one GPU is available. [Error] on mixed MPI/NVSHMEM programs. *)
 
-val prepare : plan -> Sdfg.t -> Sdfg.t
-(** Apply the plan's sharding decision (identity for [shard = false]).
-    @raise Invalid_argument when sharding was requested but fails. *)
-
 val transform : plan -> Sdfg.t -> Sdfg.t
-(** The plan's transformation sequence on an (already prepared) SDFG, ending
-    at the validated form the backend lowers — exactly the hand-built
-    pipelines, selected by plan instead of by app/arm.
+(** The plan's transformation sequence on an SDFG (already sharded when
+    the plan asks for it), ending at the validated form the backend lowers
+    — exactly the hand-built pipelines, selected by plan instead of by
+    app/arm.
     @raise Invalid_argument when validation fails. *)
 
 val build : ?backed:bool -> plan -> Sdfg.t -> Exec.built
-(** [prepare] + [transform] + backend lowering ({!Exec.build_baseline} for
+(** Sharding ({!Placement.shard_1d}, identity for [shard = false]) +
+    [transform] + backend lowering ({!Exec.build_baseline} for
     host/discrete plans, {!Persistent_fusion.apply} +
     {!Exec.build_persistent} for persistent ones). *)
 

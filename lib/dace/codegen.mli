@@ -14,4 +14,3 @@ val emit_persistent : Persistent_fusion.t -> string
 (** The persistent CUDA kernel (cooperative launch, in-kernel time loop,
     device-side NVSHMEM calls, [grid.sync()]) plus its host launcher. *)
 
-val region_to_string : Sdfg.region -> string

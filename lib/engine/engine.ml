@@ -639,8 +639,3 @@ let run ?until t =
     done
   in
   Fun.protect ~finally:(fun () -> t.running <- false) loop
-
-let elapse t f =
-  let t0 = now t in
-  f ();
-  Time.sub (now t) t0

@@ -66,10 +66,6 @@ val stall_report : t -> trigger:string -> stall_report
 val stall_lines : stall_report -> string list
 (** Human-readable rendering of a report, one line per fact. *)
 
-val wait_cycle : t -> string list option
-(** The first wait-for cycle among blocked processes' group edges (a list
-    of group names, first repeated last), if any — deterministic. *)
-
 val create : ?trace:Trace.t -> ?watchdog:Time.t -> unit -> t
 (** [watchdog] (default: none) arms the stall watchdog: if any non-daemon
     process stays blocked for at least that much {e simulated} time on a
@@ -218,7 +214,3 @@ module Queue : sig
   (** Remove the earliest thunk and return it.
       @raise Invalid_argument if empty. *)
 end
-
-val elapse : t -> (unit -> unit) -> Time.t
-(** [elapse t f] runs [f ()] inside a process and returns the simulated time
-    it took — a convenience for timing a code section from within a process. *)

@@ -27,12 +27,3 @@ let float t bound =
   bound *. (v /. 9007199254740992.0)
 
 let bool t = Int64.logand (int64 t) 1L = 1L
-
-let gaussian t ~mu ~sigma =
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = float t 1.0 in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  mu +. (sigma *. z)

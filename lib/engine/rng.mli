@@ -21,6 +21,3 @@ val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
 val bool : t -> bool
-
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Box–Muller normal deviate. *)

@@ -182,32 +182,3 @@ module Resource = struct
 
   let busy t = t.total_busy
 end
-
-module Semaphore = struct
-  (* Same FIFO wake order as before, but O(1) enqueue (see {!Mailbox}). *)
-  type t = {
-    eng : Engine.t;
-    sname : string;
-    mutable count : int;
-    waiters : (unit -> unit) Queue.t;
-  }
-
-  let create ?(name = "semaphore") eng count =
-    if count < 0 then invalid_arg "Semaphore.create: negative count";
-    { eng; sname = name; count; waiters = Queue.create () }
-
-  let rec acquire t =
-    if t.count > 0 then t.count <- t.count - 1
-    else begin
-      Engine.suspend t.eng
-        ~reason:(fun () -> "semaphore " ^ t.sname)
-        (fun wake -> Queue.push wake t.waiters);
-      acquire t
-    end
-
-  let release t =
-    t.count <- t.count + 1;
-    match Queue.take_opt t.waiters with None -> () | Some wake -> wake ()
-
-  let available t = t.count
-end

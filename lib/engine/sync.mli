@@ -86,13 +86,3 @@ module Resource : sig
   val busy : t -> Time.t
   (** Total booked time so far (for utilization accounting). *)
 end
-
-(** Counting semaphore. *)
-module Semaphore : sig
-  type t
-
-  val create : ?name:string -> Engine.t -> int -> t
-  val acquire : t -> unit
-  val release : t -> unit
-  val available : t -> int
-end

@@ -99,16 +99,6 @@ let of_name name = List.assoc_opt (String.lowercase_ascii name) by_name
 
 let co_resident_blocks t = t.sm_count * t.coop_blocks_per_sm
 
-(* The smallest latency any cross-device or host<->device interaction can
-   have: wire latency of the cheapest link plus the cheapest initiation
-   cost. *)
-let lookahead_bound t =
-  let dev_dev = Engine_time.add t.nvlink_latency t.gpu_initiated_latency in
-  let host_dev =
-    Engine_time.add t.pcie_latency (Engine_time.min t.host_initiated_latency t.gpu_initiated_latency)
-  in
-  Engine_time.min dev_dev host_dev
-
 let hbm_bytes_per_ns t = t.hbm_bw_gbs
 
 (* The link numbers the topology layer instantiates a machine graph from.

@@ -78,12 +78,6 @@ val of_name : string -> t option
 val co_resident_blocks : t -> int
 (** Maximum grid size for a cooperative (persistent) launch. *)
 
-val lookahead_bound : t -> Engine_time.t
-(** Minimum latency of any cross-device or host<->device interaction: the
-    cheapest link latency plus the cheapest initiation cost — within this
-    long, one device cannot affect another. Zero when the architecture
-    models free signalling. The engine microbenchmark's halo latency. *)
-
 val fabric_profile : t -> Cpufree_machine.Topology.profile
 (** The architecture's link numbers as a topology-layer profile, ready to
     instantiate a machine graph. The profile's short name is the {!by_name}

@@ -68,15 +68,3 @@ let blit_strided ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_stride ~count =
   end
 
 let to_array t = match t.data with None -> [||] | Some a -> Array.copy a
-
-let max_abs_diff t reference =
-  match t.data with
-  | None -> 0.0
-  | Some a ->
-    if Array.length a <> Array.length reference then
-      invalid_arg "Buffer.max_abs_diff: length mismatch";
-    let worst = ref 0.0 in
-    for i = 0 to Array.length a - 1 do
-      worst := Float.max !worst (Float.abs (a.(i) -. reference.(i)))
-    done;
-    !worst

@@ -51,6 +51,3 @@ val blit_strided :
 val to_array : t -> float array
 (** Copy of the contents; empty for phantom buffers. *)
 
-val max_abs_diff : t -> float array -> float
-(** Largest absolute difference against a reference array; [0.] for phantom
-    buffers (nothing to compare). Lengths must match for backed buffers. *)

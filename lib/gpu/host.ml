@@ -12,7 +12,7 @@ let barrier_wait ctx b =
   E.Trace.add_opt (E.Engine.trace eng) ~lane:"host" ~label:"host-barrier"
     ~kind:E.Trace.Synchronization ~t0 ~t1:(E.Engine.now eng)
 
-let spawn_threads ctx ~name f =
+let parallel_join ctx ~name f =
   let eng = Runtime.engine ctx in
   let n = Runtime.num_gpus ctx in
   let finished = E.Sync.Flag.create ~name:(name ^ ".joined") eng 0 in
@@ -24,9 +24,4 @@ let spawn_threads ctx ~name f =
     in
     ()
   done;
-  finished
-
-let parallel_join ctx ~name f =
-  let finished = spawn_threads ctx ~name f in
-  E.Sync.Flag.wait_ge finished (Runtime.num_gpus ctx)
-
+  E.Sync.Flag.wait_ge finished n

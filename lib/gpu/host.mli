@@ -12,7 +12,3 @@ val barrier_wait : Runtime.ctx -> barrier -> unit
 val parallel_join : Runtime.ctx -> name:string -> (int -> unit) -> unit
 (** Run one host process per GPU executing [f gpu_id] and block the calling
     process until all have finished. *)
-
-val spawn_threads : Runtime.ctx -> name:string -> (int -> unit) -> Cpufree_engine.Sync.Flag.t
-(** As {!parallel_join} but non-blocking: returns a flag counting finished
-    threads (reaches [num_gpus]). Usable from outside any process. *)

@@ -206,12 +206,9 @@ val min_gpu_pair_latency : t -> Time.t option
 val max_gpu_pair_latency : t -> Time.t option
 (** Costliest routed latency between two distinct GPUs ([None] with < 2).
     O(1) on dgx and fat-tree machines, O(groups²) on a dragonfly; an
-    all-pairs fold on table-routed graphs. *)
-
-val min_host_gpu_latency : t -> Time.t option
-(** Cheapest routed latency of any host-to-GPU or GPU-to-host route. The
-    three pair bounds are exact on every constructor; a qcheck law holds the
-    structural ones to a brute-force fold of {!dijkstra_reference}. *)
+    all-pairs fold on table-routed graphs. Both pair bounds are exact on
+    every constructor; a qcheck law holds the structural ones to a
+    brute-force fold of {!dijkstra_reference}. *)
 
 (** {1 Fail-stop degradation}
 

@@ -41,24 +41,6 @@ val make :
   ?pdes:pdes ->
   unit -> t
 
-val to_string : t -> string
-(** Canonical textual form: six fixed [key=value] tokens
-    ([topology faults fault-seed pdes trace metrics]), space-separated,
-    one spelling per distinct environment. Sinks cannot cross a process
-    boundary, so [trace]/[metrics] render as [on]/[off] markers only. *)
-
-val of_string : string -> (t, string) result
-(** Parse {!to_string}'s encoding: tokens in any order, missing tokens
-    default, [parse (print env) = Ok env] for every sink-free [env].
-    [Error] on an unknown key, a malformed value, or [trace=on]/[metrics=on]
-    (sinks are not serializable — attach a fresh sink after parsing). *)
-
-val digest : t -> string
-(** Stable content hash (hex) of the environment's canonical form. Because
-    {!to_string} is canonical, digest equality implies structural equality
-    on sink-free environments — the property a result cache keyed on it
-    relies on. Versioned: changing the encoding changes every digest. *)
-
 val pdes_to_string : pdes -> string
 (** Canonical lowercase name: ["seq"]. *)
 

@@ -132,9 +132,21 @@ let process_batch state batch =
         uniques := (job.j_digest, job.j_scenario) :: !uniques)
     batch;
   let uniques = List.rev !uniques in
+  (* Each distinct digest is answered from what this batch saw of it: the
+     payload the cache held when the batch was filtered, or this batch's
+     own run. Never from a second cache lookup — a batch-mate's result may
+     have evicted the entry by then. *)
+  let answers = Hashtbl.create 8 in
   Mutex.lock state.lock;
   let to_run =
-    List.filter (fun (digest, _) -> Cache.find state.cache digest = None) uniques
+    List.filter
+      (fun (digest, _) ->
+        match Cache.find state.cache digest with
+        | Some payload ->
+          Hashtbl.replace answers digest (`Cached payload);
+          false
+        | None -> true)
+      uniques
   in
   Mutex.unlock state.lock;
   (* Exec.run captures every exception, so the map never raises. A batch
@@ -149,39 +161,35 @@ let process_batch state batch =
      [errors] when its jobs are answered, not under [simulations]. *)
   List.iter
     (fun (digest, result) ->
+      Hashtbl.replace answers digest (`Ran result);
       match result with
       | Ok payload ->
         state.stats.simulations <- state.stats.simulations + 1;
         Cache.add state.cache digest payload
       | Error _ -> ())
     ran;
-  (* Resolve every job of the batch against the now-updated cache. The
-     first job of a freshly simulated digest is the "miss" that paid for
-     it; its batch-mates (and any job whose digest was already cached)
+  (* The first job of a freshly simulated digest is the "miss" that paid
+     for it; its batch-mates (and any job whose digest was already cached)
      are coalesced hits. *)
   let paid = Hashtbl.create 8 in
   let resolved =
     List.map
       (fun job ->
+        let hit payload =
+          state.stats.coalesced <- state.stats.coalesced + 1;
+          state.stats.hits <- state.stats.hits + 1;
+          Ok (true, payload)
+        in
         let outcome =
-          match Cache.find state.cache job.j_digest with
-          | Some payload ->
-            let cached =
-              if List.mem_assoc job.j_digest ran && not (Hashtbl.mem paid job.j_digest) then begin
-                Hashtbl.replace paid job.j_digest ();
-                false
-              end
-              else begin
-                state.stats.coalesced <- state.stats.coalesced + 1;
-                state.stats.hits <- state.stats.hits + 1;
-                true
-              end
-            in
-            Ok (cached, payload)
-          | None -> (
-            match List.assoc_opt job.j_digest ran with
-            | Some (Error e) -> Error e
-            | _ -> Error "internal: result lost")
+          match Hashtbl.find answers job.j_digest with
+          | `Cached payload -> hit payload
+          | `Ran (Error e) -> Error e
+          | `Ran (Ok payload) ->
+            if Hashtbl.mem paid job.j_digest then hit payload
+            else begin
+              Hashtbl.replace paid job.j_digest ();
+              Ok (false, payload)
+            end
         in
         (job, outcome))
       batch

@@ -1,5 +1,4 @@
 module Measure = Cpufree_core.Measure
-module Parallel = Cpufree_core.Parallel
 module Env = Cpufree_obs.Sim_env
 
 (* A variant instance as a job: the progress reader reports every PE (zero
@@ -189,32 +188,3 @@ let verify_env ?arch ?env kind problem ~gpus =
       | Some msg -> Error msg
       | None -> Cpufree_core.Verify.result errors ~tolerance
   end
-
-type scaling_point = { gpus : int; result : Measure.result }
-
-let run_points ?jobs scenarios =
-  Parallel.map ?jobs (fun (gpus, job) -> { gpus; result = run_scenario job }) scenarios
-
-let weak_scaling ?jobs ?arch ?env kind ~base ~gpu_counts =
-  run_points ?jobs
-    (List.map
-       (fun gpus ->
-         let dims = Problem.weak_scale base.Problem.dims ~gpus in
-         (gpus, scenario_env ?arch ?env kind { base with Problem.dims } ~gpus))
-       gpu_counts)
-
-let strong_scaling ?jobs ?arch ?env kind problem ~gpu_counts =
-  run_points ?jobs
-    (List.map (fun gpus -> (gpus, scenario_env ?arch ?env kind problem ~gpus)) gpu_counts)
-
-let weak_efficiency points =
-  match points with
-  | [] -> []
-  | first :: _ ->
-    let t1 = Cpufree_engine.Time.to_sec_float first.result.Measure.total in
-    List.map
-      (fun p ->
-        let tn = Cpufree_engine.Time.to_sec_float p.result.Measure.total in
-        (p.gpus, if tn = 0.0 then 1.0 else t1 /. tn))
-      points
-

@@ -1,13 +1,12 @@
 (** Drivers for the stencil experiments: turn a variant into a
     {!Cpufree_core.Measure.job}, verify it against the sequential
-    reference, heal from a fail-stop kill, and produce the weak/strong
-    scaling series of Figures 6.1 and 6.2.
+    reference, and heal from a fail-stop kill.
 
     Every run goes through {!Cpufree_core.Measure.run}: build a job with
     {!scenario_env} (or {!of_scenario} from a first-class
     {!Cpufree_core.Scenario.t}, the CLI's and the daemon's path) and run it.
     Jobs share nothing — each run builds a private engine — so lists of
-    them execute through the {!Cpufree_core.Parallel} domain pool with
+    them may run through the {!Cpufree_core.Parallel} domain pool with
     results in list order, bit-identical to running them sequentially. An
     [env] carrying trace/metrics sinks must not be shared between jobs of
     one parallel batch: each worker mutates its job's sinks. *)
@@ -91,22 +90,3 @@ val verify_env :
 val tolerance : float
 (** Acceptance threshold for {!verify_env} (single-precision-style slack on
     accumulated double arithmetic). *)
-
-type scaling_point = { gpus : int; result : Cpufree_core.Measure.result }
-
-val weak_scaling :
-  ?jobs:int -> ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
-  Variants.kind -> base:Problem.t ->
-  gpu_counts:int list -> scaling_point list
-(** Weak scaling: grow the base (1-GPU) domain by {!Problem.weak_scale} for
-    each GPU count. Counts must be powers of two. Points run on the domain
-    pool ([?jobs] as in {!Cpufree_core.Parallel.map}) under [env]. *)
-
-val strong_scaling :
-  ?jobs:int -> ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
-  Variants.kind -> Problem.t ->
-  gpu_counts:int list -> scaling_point list
-(** Strong scaling: the same global domain at every GPU count. *)
-
-val weak_efficiency : scaling_point list -> (int * float) list
-(** Per point: time(1 GPU) / time(n GPUs) — 1.0 is perfect weak scaling. *)

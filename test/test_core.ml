@@ -261,16 +261,6 @@ let measure_tests =
         in
         let baseline = mk (Time.us 100) and ours = mk (Time.us 40) in
         check_float "60%" 60.0 (Measure.speedup_pct ~baseline ~ours));
-    Alcotest.test_case "best_of keeps the fastest run" `Quick (fun () ->
-        let calls = ref 0 in
-        let f () =
-          incr calls;
-          Measure.run_env ~label:"x" ~gpus:1 ~iterations:1 (fun ctx ->
-              Engine.delay (G.Runtime.engine ctx) (Time.us !calls))
-        in
-        let best = Measure.best_of ~runs:5 f in
-        check_int "five runs" 5 !calls;
-        check_int "fastest kept" 1_000 (Time.to_ns best.Measure.total));
     Alcotest.test_case "pp_table renders all rows" `Quick (fun () ->
         let r =
           Measure.run_env ~label:"row-one" ~gpus:1 ~iterations:1 (fun _ -> ())
@@ -338,13 +328,6 @@ let parallel_tests =
         (match Parallel.map ~jobs:4 f [ 1; 12; 3; 11; 5 ] with
         | _ -> Alcotest.fail "expected Boom"
         | exception Boom x -> check_int "first failing index" 12 x));
-    Alcotest.test_case "map_reduce folds in input order" `Quick (fun () ->
-        let s =
-          Parallel.map_reduce ~jobs:4 ~map:string_of_int
-            ~reduce:(fun acc x -> acc ^ x)
-            ~init:"" [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-        in
-        check Alcotest.string "ordered" "123456789" s);
     Alcotest.test_case "parallel simulations match sequential results" `Quick (fun () ->
         (* Each scenario builds a private engine; fanning them across
            domains must not change any simulated time. *)
@@ -373,12 +356,6 @@ let parallel_props =
          (fun (jobs, xs) ->
            Parallel.map ~jobs (fun x -> (x * 37) land 255) xs
            = List.map (fun x -> (x * 37) land 255) xs));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"map_reduce equals fold of List.map" ~count:100
-         QCheck.(pair (int_range 1 8) (list (int_bound 1000)))
-         (fun (jobs, xs) ->
-           Parallel.map_reduce ~jobs ~map:succ ~reduce:( + ) ~init:0 xs
-           = List.fold_left ( + ) 0 (List.map succ xs)));
   ]
 
 (* --- Json ------------------------------------------------------------------ *)

@@ -178,12 +178,6 @@ let rng_tests =
         let r = Rng.create 3 in
         Alcotest.check_raises "zero" (Invalid_argument "Rng.int: bound must be positive")
           (fun () -> ignore (Rng.int r 0)));
-    Alcotest.test_case "gaussian is finite" `Quick (fun () ->
-        let r = Rng.create 11 in
-        for _ = 1 to 100 do
-          let x = Rng.gaussian r ~mu:0.0 ~sigma:1.0 in
-          check_bool "finite" true (Float.is_finite x)
-        done);
   ]
 
 let rng_props =
@@ -434,13 +428,6 @@ let engine_tests =
                   Engine.schedule_at eng (Time.ns 5) (fun () -> ())))
         in
         ());
-    Alcotest.test_case "elapse measures a section" `Quick (fun () ->
-        let (_ : Engine.t) =
-          run_sim (fun eng ->
-              let d = Engine.elapse eng (fun () -> Engine.delay eng (Time.ns 42)) in
-              check_int "elapsed" 42 (Time.to_ns d))
-        in
-        ());
     Alcotest.test_case "suspend resumes via waker" `Quick (fun () ->
         let waker = ref (fun () -> ()) in
         let resumed_at = ref Time.zero in
@@ -661,37 +648,6 @@ let sync_tests =
               check_int "b free_at updated" 80 (Time.to_ns (Sync.Resource.free_at b)))
         in
         Engine.run eng);
-    Alcotest.test_case "semaphore blocks at zero" `Quick (fun () ->
-        let eng = Engine.create () in
-        let s = Sync.Semaphore.create eng 1 in
-        let acquired_at = ref [] in
-        for _ = 1 to 2 do
-          let (_ : Engine.process) =
-            Engine.spawn eng ~name:"u" (fun () ->
-                Sync.Semaphore.acquire s;
-                acquired_at := Time.to_ns (Engine.now eng) :: !acquired_at;
-                Engine.delay eng (Time.ns 10);
-                Sync.Semaphore.release s)
-          in
-          ()
-        done;
-        Engine.run eng;
-        check (Alcotest.list Alcotest.int) "staggered" [ 10; 0 ] !acquired_at);
-    Alcotest.test_case "semaphore availability tracks acquire/release" `Quick (fun () ->
-        let eng = Engine.create () in
-        let s = Sync.Semaphore.create eng 3 in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"p" (fun () ->
-              Sync.Semaphore.acquire s;
-              check_int "two left" 2 (Sync.Semaphore.available s);
-              Sync.Semaphore.release s;
-              check_int "back to three" 3 (Sync.Semaphore.available s))
-        in
-        Engine.run eng);
-    Alcotest.test_case "negative semaphore count rejected" `Quick (fun () ->
-        let eng = Engine.create () in
-        Alcotest.check_raises "neg" (Invalid_argument "Semaphore.create: negative count")
-          (fun () -> ignore (Sync.Semaphore.create eng (-1))));
   ]
 
 (* --- Event queue ---------------------------------------------------------- *)
@@ -1021,22 +977,19 @@ let diagnostics_tests =
           [ "waiter(#1) [p0 gpu0]: flag f (value 0) (since 0ns)" ]
           lines;
         check_int "flag moved on" 1 (Sync.Flag.get f));
-    Alcotest.test_case "barrier, mailbox and semaphore reasons" `Quick (fun () ->
+    Alcotest.test_case "barrier and mailbox reasons" `Quick (fun () ->
         let eng = Engine.create () in
         let b = Sync.Barrier.create ~name:"b" eng 3 in
         let m : int Sync.Mailbox.t = Sync.Mailbox.create ~name:"m" eng () in
-        let s = Sync.Semaphore.create ~name:"s" eng 0 in
         let spawn name body = ignore (Engine.spawn eng ~name body : Engine.process) in
         spawn "b1" (fun () -> Sync.Barrier.wait b);
         spawn "b2" (fun () -> Sync.Barrier.wait b);
         spawn "mb" (fun () -> ignore (Sync.Mailbox.recv m : int));
-        spawn "sem" (fun () -> Sync.Semaphore.acquire s);
         check (Alcotest.list Alcotest.string) "report"
           [
             "b1(#1) [p0]: barrier b (gen 0, 1/3) (since 0ns)";
             "b2(#2) [p0]: barrier b (gen 0, 2/3) (since 0ns)";
             "mb(#3) [p0]: mailbox m (since 0ns)";
-            "sem(#4) [p0]: semaphore s (since 0ns)";
           ]
           (deadlock_lines (fun () -> Engine.run eng)));
     Alcotest.test_case "a deferred process name renders on demand" `Quick (fun () ->

@@ -57,10 +57,7 @@ let test_hgx_pair_stats () =
     (match T.min_gpu_pair_latency t with Some l -> Time.to_ns l | None -> -1);
   check_int "h100 max gpu pair = min on a switch"
     1_200
-    (match T.max_gpu_pair_latency t with Some l -> Time.to_ns l | None -> -1);
-  check_int "h100 host attach"
-    2_500
-    (match T.min_host_gpu_latency t with Some l -> Time.to_ns l | None -> -1)
+    (match T.max_gpu_pair_latency t with Some l -> Time.to_ns l | None -> -1)
 
 (* ---------------- dgx: inter-node routes pay NIC + IB --------------------- *)
 
@@ -134,8 +131,6 @@ let test_fat_tree_classes () =
     (match T.min_gpu_pair_latency t with Some l -> Time.to_ns l | None -> -1);
   check_int "max gpu pair is the cross-leaf one" 7_600
     (match T.max_gpu_pair_latency t with Some l -> Time.to_ns l | None -> -1);
-  check_int "host attach stays pcie" 2_500
-    (match T.min_host_gpu_latency t with Some l -> Time.to_ns l | None -> -1);
   check_int "structural routing caches no rows" 0 (T.route_rows_cached t)
 
 let test_dragonfly_classes () =
@@ -423,15 +418,15 @@ let prop_structural_matches_dijkstra =
       done;
       !ok)
 
-(* The tier-derived bounds that feed the interconnect's lookahead and its
-   min/max wire latency must be the exact extremes: a brute-force fold of
-   the oracle over every GPU pair and every host/GPU pair. *)
+(* The tier-derived bounds that feed the interconnect's min/max wire
+   latency must be the exact extremes: a brute-force fold of the oracle
+   over every GPU pair. *)
 let prop_structural_bounds_exact =
   QCheck.Test.make ~name:"structural latency bounds equal the reference fold" ~count:40
     arb_structural (fun (t, _) ->
-      let pairs xs ys =
+      let pairs xs =
         List.concat_map
-          (fun a -> List.filter_map (fun b -> if a = b then None else Some (a, b)) ys)
+          (fun a -> List.filter_map (fun b -> if a = b then None else Some (a, b)) xs)
           xs
       in
       let fold pick ps =
@@ -443,12 +438,10 @@ let prop_structural_bounds_exact =
           None ps
       in
       let gpus = List.init (T.num_gpus t) (T.gpu_vertex t) in
-      let hosts = List.init (T.num_nodes t) (fun node -> T.host_vertex t ~node) in
-      let gg = pairs gpus gpus and hg = pairs hosts gpus @ pairs gpus hosts in
+      let gg = pairs gpus in
       let same = Option.equal Time.equal in
       same (T.min_gpu_pair_latency t) (fold Time.min gg)
-      && same (T.max_gpu_pair_latency t) (fold Time.max gg)
-      && same (T.min_host_gpu_latency t) (fold Time.min hg))
+      && same (T.max_gpu_pair_latency t) (fold Time.max gg))
 
 (* ---------------- degraded routing ---------------------------------------- *)
 

@@ -258,18 +258,14 @@ let sim_env_tests =
                  ignore (Env.pdes_of_env_var ());
                  false
                with Invalid_argument _ -> true)));
-    Alcotest.test_case "of_string refuses live sinks" `Quick (fun () ->
-        (match Env.of_string "trace=on" with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "trace=on accepted");
-        match Env.of_string "metrics=on" with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "metrics=on accepted");
   ]
 
-(* Sink-free environments as generable values: every component drawn from a
-   small pool by index, so shrinking stays meaningful and every draw is a
-   valid env by construction. *)
+(* Scenarios as generable values: every component drawn from a small pool
+   by index, so shrinking stays meaningful and every draw is a valid
+   scenario by construction (the GPU counts split evenly on every topology
+   and cover every GPU the fault plans name). *)
+module Scenario = Cpufree_core.Scenario
+
 let topology_pool =
   [|
     None;
@@ -293,29 +289,62 @@ let fault_pool =
 
 let pdes_pool = [| None; Some `Seq |]
 
-let arbitrary_env =
+let workload_pool =
+  Array.of_list
+    (List.concat_map
+       (fun kind ->
+         List.map
+           (fun (dims, iters, no_compute) ->
+             Scenario.Stencil { variant = S.Variants.name kind; dims; iters; no_compute })
+           [ ("2d:64x64", 3, false); ("3d:32x32x16", 20, true) ])
+       S.Variants.extended
+    @ List.concat_map
+        (fun app ->
+          List.map
+            (fun (arm, size, specialize_tb) ->
+              Scenario.Dace { app; arm; size; iters = 5; specialize_tb })
+            [ ("baseline", 128, false); ("cpu-free", 256, true) ])
+        [ "jacobi1d"; "jacobi2d"; "heat3d" ])
+
+let pick pool = QCheck.int_bound (Array.length pool - 1)
+
+let arbitrary_scenario =
   QCheck.(
     map
-      (fun (t, f, (seed, p)) ->
-        Env.make ?topology:topology_pool.(t) ?faults:fault_pool.(f) ~fault_seed:seed
-          ?pdes:pdes_pool.(p) ())
+      (fun ((w, t, f), (seed, p, gpus), (arch, trace, metrics)) ->
+        Scenario.make ~arch ?topology:topology_pool.(t) ~gpus ?faults:fault_pool.(f)
+          ~fault_seed:seed ?pdes:pdes_pool.(p) ~trace ~metrics workload_pool.(w))
       (triple
-         (int_bound (Array.length topology_pool - 1))
-         (int_bound (Array.length fault_pool - 1))
-         (pair (int_bound 1000) (int_bound (Array.length pdes_pool - 1)))))
+         (triple (pick workload_pool) (pick topology_pool) (pick fault_pool))
+         (triple (int_bound 1000) (pick pdes_pool) (oneofl [ 8; 16; 32 ]))
+         (triple (oneofl [ "a100"; "h100" ]) bool bool)))
 
-let sim_env_law_tests =
+(* A second scenario one field away from the first (or none), so equal
+   digests come up often: a flipped execution mode must keep the digest,
+   every other change must move it. *)
+let nudge (sc : Scenario.t) = function
+  | 0 -> sc
+  | 1 -> { sc with Scenario.pdes = (if sc.Scenario.pdes = None then Some `Seq else None) }
+  | 2 -> { sc with Scenario.trace = not sc.Scenario.trace }
+  | 3 -> { sc with Scenario.metrics = not sc.Scenario.metrics }
+  | 4 -> { sc with Scenario.fault_seed = sc.Scenario.fault_seed + 1 }
+  | 5 -> { sc with Scenario.gpus = 2 * sc.Scenario.gpus }
+  | _ -> { sc with Scenario.arch = (if sc.Scenario.arch = "a100" then "h100" else "a100") }
+
+let scenario_law_tests =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"of_string (to_string env) = Ok env" ~count:200 arbitrary_env
-         (fun env -> Env.of_string (Env.to_string env) = Ok env));
+      (QCheck.Test.make ~name:"of_string (to_string sc) = Ok sc" ~count:200 arbitrary_scenario
+         (fun sc ->
+           Scenario.validate sc = Ok ()
+           && Scenario.of_string (Scenario.to_string sc) = Ok sc));
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"digest equality implies structural equality" ~count:200
-         QCheck.(pair arbitrary_env arbitrary_env)
-         (fun (a, b) -> if Env.digest a = Env.digest b then a = b else true));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"digest is a pure function of the env" ~count:100 arbitrary_env
-         (fun env -> Env.digest env = Env.digest env));
+      (QCheck.Test.make ~name:"equal digests mean equal scenarios apart from pdes" ~count:300
+         QCheck.(pair arbitrary_scenario (int_bound 6))
+         (fun (a, k) ->
+           let b = nudge a k in
+           let strip sc = { sc with Scenario.pdes = None } in
+           Scenario.digest a = Scenario.digest b = (strip a = strip b)));
   ]
 
 (* --- end-to-end: flows, byte-stability, compat ----------------------------- *)
@@ -559,7 +588,7 @@ let () =
       ("metrics-laws", metrics_law_tests);
       ("perfetto", perfetto_tests);
       ("sim-env", sim_env_tests);
-      ("sim-env-laws", sim_env_law_tests);
+      ("scenario-law", scenario_law_tests);
       ("end-to-end", end_to_end_tests);
       ("untraced", untraced_tests);
     ]

@@ -251,10 +251,13 @@ let test_coalesce () =
 (* Distinct pipelined requests are all misses: those admitted while the
    first one simulates reach the worker as one batch of several misses,
    which it runs over the pool ([jobs = 2]). Every request gets exactly
-   one result, and each distinct scenario is simulated and cached once. *)
-let test_distinct_misses () =
-  let path = "t-serve-distinct.sock" in
-  let srv = start_server path in
+   one result, and each distinct scenario is simulated once and cached as
+   far as the capacity allows. With a cache of one, a batch-mate's result
+   evicts the others' before they are answered: they must still be
+   answered from the batch's own runs. *)
+let test_distinct_misses ~cache =
+  let path = Printf.sprintf "t-serve-distinct-%d.sock" cache in
+  let srv = start_server ~cache path in
   let c = connect_retry path in
   let n = 4 in
   for i = 1 to n do
@@ -265,6 +268,7 @@ let test_distinct_misses () =
     match Serve.Client.recv c with
     | Ok (P.Ok_resp { id; body = P.Run_result _; _ }) when id >= 1 && id <= n ->
       answered.(id) <- answered.(id) + 1
+    | Ok (P.Error_resp { id; message }) -> Alcotest.failf "request %d: %s" id message
     | Ok _ -> Alcotest.fail "unexpected response to a run request"
     | Error e -> Alcotest.failf "recv: %s" e
   done;
@@ -273,7 +277,8 @@ let test_distinct_misses () =
   done;
   let st = get_stats c ~id:99 in
   Alcotest.(check int) "one simulation per distinct scenario" n st.P.simulations;
-  Alcotest.(check int) "one cache entry per distinct scenario" n st.P.cache_entries;
+  Alcotest.(check int) "one cache entry per distinct scenario, up to the capacity" (min n cache)
+    st.P.cache_entries;
   Alcotest.(check int) "no errors" 0 st.P.errors;
   clean_shutdown c ~id:100 srv
 
@@ -540,8 +545,8 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "identical requests coalesce to one simulation" `Quick test_coalesce;
-          Alcotest.test_case "distinct misses of one batch run over the pool" `Quick
-            test_distinct_misses;
+          Alcotest.test_case "distinct misses of one batch run over the pool" `Quick (fun () ->
+              List.iter (fun cache -> test_distinct_misses ~cache) [ 32; 1 ]);
           Alcotest.test_case "overload is a structured rejection" `Quick test_overload;
           Alcotest.test_case "malformed input is isolated" `Quick test_malformed;
           Alcotest.test_case "a rejected scenario counts as an error, not a simulation" `Quick
