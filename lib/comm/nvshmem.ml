@@ -517,7 +517,3 @@ let barrier_all t ~pe =
 let pending t ~pe =
   check_pe t pe "pending";
   E.Sync.Flag.get t.pending.(pe)
-
-let faults t = t.faults
-
-let now t = E.Engine.now t.eng

@@ -88,14 +88,3 @@ val barrier_all : t -> pe:int -> unit
 
 val pending : t -> pe:int -> int
 (** Outstanding non-blocking deliveries for a PE (diagnostics/tests). *)
-
-(** {1 Recovery-layer hooks}
-
-    Used by the fault-tolerant collective layer; no fabric cost. *)
-
-val faults : t -> Cpufree_fault.Fault.plan option
-(** The runtime context's fault plan, if any — lets recovery layers
-    consult the fail-stop schedule and obituary registry. *)
-
-val now : t -> Cpufree_engine.Time.t
-(** Current virtual time of the engine the PEs run on. *)

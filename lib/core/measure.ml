@@ -134,7 +134,7 @@ let run_guarded eng trace plan =
   | exception F.Killed { pe; at } ->
     (* A resilient waiter diagnosed a fail-stop GPU death that no layer
        below chose to absorb: report it as an aborted run with a [kill:]
-       trigger so a recovery harness can shrink and restart. *)
+       trigger so a recovery harness can restart on the survivors. *)
     F.note_obituary plan ~pe ~at;
     let trig = Printf.sprintf "kill:pe%d" pe in
     if E.Trace.flows_enabled trace then
@@ -148,7 +148,7 @@ let run_guarded eng trace plan =
   | exception Cpufree_machine.Topology.Partitioned msg ->
     (false, [ "partitioned: " ^ msg ], Some "partitioned")
 
-(* Fault-path totals into the registry. Self-healing counters only exist on
+(* Fault-path totals into the registry. The kill counter only exists on
    fail-stop runs, so metric dumps of every other chaos scenario stay
    byte-identical. *)
 let publish_faults env spec plan (stats : F.stats) =
@@ -162,9 +162,7 @@ let publish_faults env spec plan (stats : F.stats) =
     c "fault.retried" stats.F.retried;
     if F.has_failstop spec then begin
       let r = F.recovery plan in
-      c "fault.kills_detected" r.F.kills_detected;
-      c "fault.shrinks" r.F.shrinks;
-      c "fault.restarts" r.F.restarts
+      c "fault.kills_detected" r.F.kills_detected
     end
 
 let run ?(traced = false) ?watchdog job =

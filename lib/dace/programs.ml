@@ -50,185 +50,169 @@ let loop_cfg ~body_states ~tsteps =
     ]
 
 (* ---------------------------------------------------------------- *)
+(* Halo exchange: one table, two forms                               *)
+(* ---------------------------------------------------------------- *)
+
+(* One halo direction, seen from the sending rank. A table lists the
+   directions in opposite pairs: element [i lxor 1] is the peer's name for
+   the message I send in direction [i], so its [recv] is where the peer's
+   message lands in me, and its [tag] and [flag] are the peer's. *)
+type dir = {
+  guard : Symbolic.cond;  (* the peer exists *)
+  peer : Symbolic.expr;
+  send : region;  (* what I send *)
+  recv : region;  (* where it lands in the peer *)
+  tag : int;  (* MPI tag of my message *)
+  req : string;  (* request suffix: [s_<req>], [r_<req>] *)
+  flag : string;  (* I wait on [..._from_<flag>] for the peer's message *)
+}
+
+(* MPI form (Listing 5.1): an Isend/Irecv pair per direction, then a
+   Waitall per pair. *)
+let exchange_mpi dirs ~arr =
+  let posts =
+    List.mapi
+      (fun i d ->
+        let o = dirs.(i lxor 1) in
+        guarded d.guard
+          [
+            S_lib
+              (Mpi_isend
+                 { arr; region = d.send; dst_rank = d.peer; tag = d.tag; req = "s_" ^ d.req });
+            S_lib
+              (Mpi_irecv
+                 { arr; region = o.recv; src_rank = d.peer; tag = o.tag; req = "r_" ^ d.req });
+          ])
+      (Array.to_list dirs)
+  in
+  let waits =
+    List.map
+      (fun d -> guarded d.guard [ S_lib (Mpi_waitall [ "s_" ^ d.req; "r_" ^ d.req ]) ])
+      (Array.to_list dirs)
+  in
+  posts @ waits
+
+(* NVSHMEM form (Listing 5.2): each send becomes a signaled put that raises
+   the peer's from-opposite flag, each receive a wait on my own flag. *)
+let exchange_nvshmem dirs ~arr ~flag =
+  let puts =
+    List.mapi
+      (fun i d ->
+        guarded d.guard
+          [
+            S_lib
+              (Nv_put
+                 {
+                   src = arr;
+                   src_region = d.send;
+                   dst = arr;
+                   dst_region = d.recv;
+                   to_pe = d.peer;
+                   signal = Some (flag dirs.(i lxor 1), Sig_set, t_sym);
+                 });
+          ])
+      (Array.to_list dirs)
+  in
+  let waits =
+    List.map
+      (fun d -> guarded d.guard [ S_lib (Nv_signal_wait { signal = flag d; ge_value = t_sym }) ])
+      (Array.to_list dirs)
+  in
+  puts @ waits
+
+type form = Mpi | Nvshmem
+
+(* A two-buffer time-stepped program: per step, exchange A's halo,
+   B = stencil(A), exchange B's halo, A = stencil(B). [dirs arr] is the
+   halo table of buffer [arr]; the NVSHMEM form names its flags
+   [<prefix><arr>_from_<flag>]. *)
+let two_buffer form ~name ~prefix ~dirs ~arr_size ~init ~compute ~tsteps ~symbols =
+  let flag arr d = Printf.sprintf "%s%s_from_%s" prefix arr d.flag in
+  let exchange ~name ~arr =
+    {
+      st_name = name;
+      stmts =
+        (match form with
+        | Mpi -> exchange_mpi (dirs arr) ~arr
+        | Nvshmem -> exchange_nvshmem (dirs arr) ~arr ~flag:(flag arr));
+    }
+  in
+  let buffer arr_name = { arr_name; arr_size; storage = Host_heap; transient = false } in
+  {
+    sdfg_name = name;
+    arrays = [ buffer "A"; buffer "B" ];
+    sdfg_signals =
+      (match form with
+      | Mpi -> []
+      | Nvshmem ->
+        List.concat_map (fun arr -> List.map (flag arr) (Array.to_list (dirs arr))) [ "A"; "B" ]);
+    states =
+      [
+        { st_name = "init"; stmts = [ init "A"; init "B" ] };
+        { st_name = "guard"; stmts = [] };
+        exchange ~name:"exch_A" ~arr:"A";
+        compute ~name:"comp_B" ~src:"A" ~dst:"B";
+        exchange ~name:"exch_B" ~arr:"B";
+        compute ~name:"comp_A" ~src:"B" ~dst:"A";
+        { st_name = "done"; stmts = [] };
+      ];
+    edges = loop_cfg ~body_states:[ "exch_A"; "comp_B"; "exch_B"; "comp_A" ] ~tsteps;
+    start_state = "init";
+    symbols;
+  }
+
+(* Up/down neighbours along a 1-D decomposition: each rank owns [owned]
+   slabs of [width] elements between a halo slab above (slab 0) and one
+   below (slab [owned + 1]) — single elements for Jacobi 1D, whole planes
+   for heat3d. Tags: [tag_base] upward, [tag_base + 1] downward. *)
+let updown ~size ~owned ~width ~tag_base =
+  let slab i = contiguous ~offset:(c (i * width)) ~count:(c width) in
+  [|
+    {
+      guard = Symbolic.Ge (rank, c 1);
+      peer = Symbolic.(rank - c 1);
+      send = slab 1;
+      recv = slab (owned + 1);
+      tag = tag_base;
+      req = "up";
+      flag = "up";
+    };
+    {
+      guard = Symbolic.Lt (rank, c (size - 1));
+      peer = Symbolic.(rank + c 1);
+      send = slab owned;
+      recv = slab 0;
+      tag = tag_base + 1;
+      req = "dn";
+      flag = "down";
+    };
+  |]
+
+(* ---------------------------------------------------------------- *)
 (* Jacobi 1D                                                         *)
 (* ---------------------------------------------------------------- *)
 
 type config1d = { n_global : int; tsteps : int }
 
-let has_up = Symbolic.Ge (rank, c 1)
-let has_down ~size = Symbolic.Lt (rank, c (size - 1))
-
-let init_state_1d ~n =
-  let init arr =
-    S_map
-      {
-        m_var = "i";
-        m_lo = c 0;
-        m_hi = c (n + 1);
-        m_schedule = Sequential;
-        m_sem = Init_global { dst = arr; global_off = Symbolic.(rank * c n) };
-        m_work = c 1;
-      }
-  in
-  { st_name = "init"; stmts = [ init "A"; init "B" ] }
-
-let compute_state_1d ~n ~name ~src ~dst =
-  {
-    st_name = name;
-    stmts =
-      [
-        S_map
-          {
-            m_var = "i";
-            m_lo = c 1;
-            m_hi = c n;
-            m_schedule = Sequential;
-            m_sem = Jacobi1d { src; dst };
-            m_work = c 1;
-          };
-      ];
-  }
-
-let exchange_state_1d_mpi ~n ~size ~name ~arr ~tag_base =
-  let up_send =
-    S_lib
-      (Mpi_isend
-         {
-           arr;
-           region = single ~offset:(c 1);
-           dst_rank = Symbolic.(rank - c 1);
-           tag = tag_base;
-           req = "s_up";
-         })
-  in
-  let up_recv =
-    S_lib
-      (Mpi_irecv
-         {
-           arr;
-           region = single ~offset:(c 0);
-           src_rank = Symbolic.(rank - c 1);
-           tag = tag_base + 1;
-           req = "r_up";
-         })
-  in
-  let down_send =
-    S_lib
-      (Mpi_isend
-         {
-           arr;
-           region = single ~offset:(c n);
-           dst_rank = Symbolic.(rank + c 1);
-           tag = tag_base + 1;
-           req = "s_dn";
-         })
-  in
-  let down_recv =
-    S_lib
-      (Mpi_irecv
-         {
-           arr;
-           region = single ~offset:(c (n + 1));
-           src_rank = Symbolic.(rank + c 1);
-           tag = tag_base;
-           req = "r_dn";
-         })
-  in
-  {
-    st_name = name;
-    stmts =
-      [
-        guarded has_up [ up_send; up_recv ];
-        guarded (has_down ~size) [ down_send; down_recv ];
-        guarded has_up [ S_lib (Mpi_waitall [ "s_up"; "r_up" ]) ];
-        guarded (has_down ~size) [ S_lib (Mpi_waitall [ "s_dn"; "r_dn" ]) ];
-      ];
-  }
-
-let exchange_state_1d_nvshmem ~n ~size ~name ~arr ~sig_from_up ~sig_from_down =
-  let put_up =
-    S_lib
-      (Nv_put
-         {
-           src = arr;
-           src_region = single ~offset:(c 1);
-           dst = arr;
-           dst_region = single ~offset:(c (n + 1));
-           to_pe = Symbolic.(rank - c 1);
-           signal = Some (sig_from_down, Sig_set, t_sym);
-         })
-  in
-  let put_down =
-    S_lib
-      (Nv_put
-         {
-           src = arr;
-           src_region = single ~offset:(c n);
-           dst = arr;
-           dst_region = single ~offset:(c 0);
-           to_pe = Symbolic.(rank + c 1);
-           signal = Some (sig_from_up, Sig_set, t_sym);
-         })
-  in
-  {
-    st_name = name;
-    stmts =
-      [
-        guarded has_up [ put_up ];
-        guarded (has_down ~size) [ put_down ];
-        guarded has_up [ S_lib (Nv_signal_wait { signal = sig_from_up; ge_value = t_sym }) ];
-        guarded (has_down ~size)
-          [ S_lib (Nv_signal_wait { signal = sig_from_down; ge_value = t_sym }) ];
-      ];
-  }
-
-let jacobi1d_arrays ~n =
-  [
-    { arr_name = "A"; arr_size = c (n + 2); storage = Host_heap; transient = false };
-    { arr_name = "B"; arr_size = c (n + 2); storage = Host_heap; transient = false };
-  ]
-
-let jacobi1d_common cfg ~gpus ~exchange ~signals =
+let jacobi1d form cfg ~gpus =
   require_divisible "n_global" cfg.n_global gpus;
   let n = cfg.n_global / gpus in
-  let body = [ "exch_A"; "comp_B"; "exch_B"; "comp_A" ] in
-  {
-    sdfg_name = "jacobi1d";
-    arrays = jacobi1d_arrays ~n;
-    sdfg_signals = signals;
-    states =
-      [
-        init_state_1d ~n;
-        { st_name = "guard"; stmts = [] };
-        exchange ~name:"exch_A" ~arr:"A" ~which:`A;
-        compute_state_1d ~n ~name:"comp_B" ~src:"A" ~dst:"B";
-        exchange ~name:"exch_B" ~arr:"B" ~which:`B;
-        compute_state_1d ~n ~name:"comp_A" ~src:"B" ~dst:"A";
-        { st_name = "done"; stmts = [] };
-      ];
-    edges = loop_cfg ~body_states:body ~tsteps:cfg.tsteps;
-    start_state = "init";
-    symbols = [ ("N", cfg.n_global); ("TSTEPS", cfg.tsteps); ("n", n) ];
-  }
+  let map ~lo ~hi m_sem =
+    S_map { m_var = "i"; m_lo = c lo; m_hi = c hi; m_schedule = Sequential; m_sem; m_work = c 1 }
+  in
+  two_buffer form ~name:"jacobi1d" ~prefix:"s"
+    ~dirs:(fun arr ->
+      updown ~size:gpus ~owned:n ~width:1 ~tag_base:(if arr = "A" then 10 else 20))
+    ~arr_size:(c (n + 2))
+    ~init:(fun dst ->
+      map ~lo:0 ~hi:(n + 1) (Init_global { dst; global_off = Symbolic.(rank * c n) }))
+    ~compute:(fun ~name ~src ~dst ->
+      { st_name = name; stmts = [ map ~lo:1 ~hi:n (Jacobi1d { src; dst }) ] })
+    ~tsteps:cfg.tsteps
+    ~symbols:[ ("N", cfg.n_global); ("TSTEPS", cfg.tsteps); ("n", n) ]
 
-let jacobi1d_mpi cfg ~gpus =
-  let n = cfg.n_global / max gpus 1 in
-  jacobi1d_common cfg ~gpus ~signals:[]
-    ~exchange:(fun ~name ~arr ~which ->
-      let tag_base = match which with `A -> 10 | `B -> 20 in
-      exchange_state_1d_mpi ~n ~size:gpus ~name ~arr ~tag_base)
-
-let jacobi1d_nvshmem cfg ~gpus =
-  let n = cfg.n_global / max gpus 1 in
-  jacobi1d_common cfg ~gpus
-    ~signals:[ "sA_from_up"; "sA_from_down"; "sB_from_up"; "sB_from_down" ]
-    ~exchange:(fun ~name ~arr ~which ->
-      let sig_from_up, sig_from_down =
-        match which with
-        | `A -> ("sA_from_up", "sA_from_down")
-        | `B -> ("sB_from_up", "sB_from_down")
-      in
-      exchange_state_1d_nvshmem ~n ~size:gpus ~name ~arr ~sig_from_up ~sig_from_down)
+let jacobi1d_mpi = jacobi1d Mpi
+let jacobi1d_nvshmem = jacobi1d Nvshmem
 
 let reference1d cfg =
   let n = cfg.n_global in
@@ -262,190 +246,58 @@ let rank_grid size =
   let pc = 1 lsl ((k + 1) / 2) in
   (size / pc, pc)
 
-let has_north ~pc = Symbolic.Ge (rank, c pc)
-let has_south ~pc ~pr = Symbolic.Lt (rank, c (pc * (pr - 1)))
-let has_west ~pc = Symbolic.Ge (col_index ~pc, c 1)
-let has_east ~pc = Symbolic.Lt (col_index ~pc, c (pc - 1))
-
-let init_state_2d ~h ~w ~pc ~nxg =
-  let init arr =
-    S_map
-      {
-        m_var = "r";
-        m_lo = c 0;
-        m_hi = c (h + 1);
-        m_schedule = Sequential;
-        m_sem =
-          Init_global2d
-            {
-              dst = arr;
-              row_width = c (w + 2);
-              global_row0 = Symbolic.(row_index ~pc * c h);
-              global_row_width = c (nxg + 2);
-              global_col0 = Symbolic.(col_index ~pc * c w);
-            };
-        m_work = c (w + 2);
-      }
-  in
-  { st_name = "init"; stmts = [ init "A"; init "B" ] }
-
-let compute_state_2d ~h ~w ~name ~src ~dst =
-  {
-    st_name = name;
-    stmts =
-      [
-        S_map
-          {
-            m_var = "r";
-            m_lo = c 1;
-            m_hi = c h;
-            m_schedule = Sequential;
-            m_sem =
-              Jacobi2d { src; dst; row_width = c (w + 2); col_lo = c 1; col_hi = c w };
-            m_work = c w;
-          };
-      ];
-  }
-
-(* Regions for the four halo directions; local row width W = w + 2. *)
-type dir2d = { guard : Symbolic.cond; peer : Symbolic.expr; send : region; recv : region; key : string }
-
-let directions ~h ~w ~pr ~pc =
+(* The four neighbours on the [pr x pc] rank grid; local row width
+   W = w + 2. Rows are contiguous, columns strided by W. *)
+let compass ~h ~w ~pr ~pc =
   let wd = w + 2 in
-  [
-    {
-      key = "n";
-      guard = has_north ~pc;
-      peer = Symbolic.(rank - c pc);
-      send = contiguous ~offset:(c (wd + 1)) ~count:(c w);  (* my first owned row *)
-      recv = contiguous ~offset:(c (((h + 1) * wd) + 1)) ~count:(c w);
-          (* lands in the peer's south halo row *)
-    };
-    {
-      key = "s";
-      guard = has_south ~pc ~pr;
-      peer = Symbolic.(rank + c pc);
-      send = contiguous ~offset:(c ((h * wd) + 1)) ~count:(c w);
-      recv = contiguous ~offset:(c 1) ~count:(c w);  (* peer's north halo row *)
-    };
-    {
-      key = "w";
-      guard = has_west ~pc;
-      peer = Symbolic.(rank - c 1);
-      send = { offset = c (wd + 1); stride = c wd; count = c h };  (* my first owned column *)
-      recv = { offset = c (wd + w + 1); stride = c wd; count = c h };  (* peer's east halo col *)
-    };
-    {
-      key = "e";
-      guard = has_east ~pc;
-      peer = Symbolic.(rank + c 1);
-      send = { offset = c (wd + w); stride = c wd; count = c h };
-      recv = { offset = c wd; stride = c wd; count = c h };  (* peer's west halo col *)
-    };
-  ]
+  let row offset = contiguous ~offset:(c offset) ~count:(c w) in
+  let col offset = { offset = c offset; stride = c wd; count = c h } in
+  let dir i req guard peer send recv = { guard; peer; send; recv; tag = i; req; flag = req } in
+  [|
+    (* my first owned row lands in the north peer's south halo row *)
+    dir 0 "n" (Symbolic.Ge (rank, c pc)) Symbolic.(rank - c pc) (row (wd + 1))
+      (row (((h + 1) * wd) + 1));
+    dir 1 "s" (Symbolic.Lt (rank, c (pc * (pr - 1)))) Symbolic.(rank + c pc)
+      (row ((h * wd) + 1)) (row 1);
+    (* my first owned column lands in the west peer's east halo column *)
+    dir 2 "w" (Symbolic.Ge (col_index ~pc, c 1)) Symbolic.(rank - c 1) (col (wd + 1))
+      (col (wd + w + 1));
+    dir 3 "e" (Symbolic.Lt (col_index ~pc, c (pc - 1))) Symbolic.(rank + c 1) (col (wd + w))
+      (col wd);
+  |]
 
-(* Opposite direction: what the peer calls the message I sent. *)
-let opposite = function "n" -> "s" | "s" -> "n" | "w" -> "e" | "e" -> "w" | k -> k
-
-let tag_of = function "n" -> 0 | "s" -> 1 | "w" -> 2 | "e" -> 3 | _ -> 99
-
-let exchange_state_2d_mpi ~h ~w ~pr ~pc ~name ~arr =
-  let dirs = directions ~h ~w ~pr ~pc in
-  let posts =
-    List.map
-      (fun d ->
-        let recv_from_peer =
-          (* The region I receive into is the recv shape of the opposite
-             direction as seen from my side: the peer's send lands in my halo.
-             Reuse: my inbound halo region = (opposite dir).recv with MY
-             coordinates — which equals dirs(opposite).recv. *)
-          (List.find (fun x -> String.equal x.key (opposite d.key)) dirs).recv
-        in
-        guarded d.guard
-          [
-            S_lib
-              (Mpi_isend
-                 { arr; region = d.send; dst_rank = d.peer; tag = tag_of d.key; req = "s_" ^ d.key });
-            S_lib
-              (Mpi_irecv
-                 {
-                   arr;
-                   region = recv_from_peer;
-                   src_rank = d.peer;
-                   tag = tag_of (opposite d.key);
-                   req = "r_" ^ d.key;
-                 });
-          ])
-      dirs
-  in
-  let waits =
-    List.map
-      (fun d -> guarded d.guard [ S_lib (Mpi_waitall [ "s_" ^ d.key; "r_" ^ d.key ]) ])
-      dirs
-  in
-  { st_name = name; stmts = posts @ waits }
-
-let exchange_state_2d_nvshmem ~h ~w ~pr ~pc ~name ~arr ~sig_prefix =
-  let dirs = directions ~h ~w ~pr ~pc in
-  let puts =
-    List.map
-      (fun d ->
-        (* Signaling: my "d"-ward put raises the peer's "from-opposite" flag. *)
-        let peer_flag = Printf.sprintf "%s_from_%s" sig_prefix (opposite d.key) in
-        guarded d.guard
-          [
-            S_lib
-              (Nv_put
-                 {
-                   src = arr;
-                   src_region = d.send;
-                   dst = arr;
-                   dst_region = d.recv;
-                   to_pe = d.peer;
-                   signal = Some (peer_flag, Sig_set, t_sym);
-                 });
-          ])
-      dirs
-  in
-  let waits =
-    List.map
-      (fun d ->
-        let my_flag = Printf.sprintf "%s_from_%s" sig_prefix d.key in
-        guarded d.guard [ S_lib (Nv_signal_wait { signal = my_flag; ge_value = t_sym }) ])
-      dirs
-  in
-  { st_name = name; stmts = puts @ waits }
-
-let jacobi2d_arrays ~h ~w =
-  let size = c ((h + 2) * (w + 2)) in
-  [
-    { arr_name = "A"; arr_size = size; storage = Host_heap; transient = false };
-    { arr_name = "B"; arr_size = size; storage = Host_heap; transient = false };
-  ]
-
-let jacobi2d_common cfg ~gpus ~exchange ~signals =
+let jacobi2d form cfg ~gpus =
   let pr, pc = rank_grid gpus in
   require_divisible "ny_global" cfg.ny_global pr;
   require_divisible "nx_global" cfg.nx_global pc;
   let h = cfg.ny_global / pr and w = cfg.nx_global / pc in
-  let body = [ "exch_A"; "comp_B"; "exch_B"; "comp_A" ] in
-  {
-    sdfg_name = "jacobi2d";
-    arrays = jacobi2d_arrays ~h ~w;
-    sdfg_signals = signals;
-    states =
-      [
-        init_state_2d ~h ~w ~pc ~nxg:cfg.nx_global;
-        { st_name = "guard"; stmts = [] };
-        exchange ~name:"exch_A" ~arr:"A" ~which:`A ~h ~w ~pr ~pc;
-        compute_state_2d ~h ~w ~name:"comp_B" ~src:"A" ~dst:"B";
-        exchange ~name:"exch_B" ~arr:"B" ~which:`B ~h ~w ~pr ~pc;
-        compute_state_2d ~h ~w ~name:"comp_A" ~src:"B" ~dst:"A";
-        { st_name = "done"; stmts = [] };
-      ];
-    edges = loop_cfg ~body_states:body ~tsteps:cfg.tsteps;
-    start_state = "init";
-    symbols =
+  let dirs = compass ~h ~w ~pr ~pc in
+  let map ~lo ~hi ~work m_sem =
+    S_map { m_var = "r"; m_lo = c lo; m_hi = c hi; m_schedule = Sequential; m_sem; m_work = c work }
+  in
+  two_buffer form ~name:"jacobi2d" ~prefix:"s" ~dirs:(fun _ -> dirs)
+    ~arr_size:(c ((h + 2) * (w + 2)))
+    ~init:(fun dst ->
+      map ~lo:0 ~hi:(h + 1) ~work:(w + 2)
+        (Init_global2d
+           {
+             dst;
+             row_width = c (w + 2);
+             global_row0 = Symbolic.(row_index ~pc * c h);
+             global_row_width = c (cfg.nx_global + 2);
+             global_col0 = Symbolic.(col_index ~pc * c w);
+           }))
+    ~compute:(fun ~name ~src ~dst ->
+      {
+        st_name = name;
+        stmts =
+          [
+            map ~lo:1 ~hi:h ~work:w
+              (Jacobi2d { src; dst; row_width = c (w + 2); col_lo = c 1; col_hi = c w });
+          ];
+      })
+    ~tsteps:cfg.tsteps
+    ~symbols:
       [
         ("NX", cfg.nx_global);
         ("NY", cfg.ny_global);
@@ -454,24 +306,10 @@ let jacobi2d_common cfg ~gpus ~exchange ~signals =
         ("w", w);
         ("pr", pr);
         ("pc", pc);
-      ];
-  }
+      ]
 
-let jacobi2d_mpi cfg ~gpus =
-  jacobi2d_common cfg ~gpus ~signals:[]
-    ~exchange:(fun ~name ~arr ~which:_ ~h ~w ~pr ~pc ->
-      exchange_state_2d_mpi ~h ~w ~pr ~pc ~name ~arr)
-
-let jacobi2d_nvshmem cfg ~gpus =
-  let dirs = [ "n"; "s"; "w"; "e" ] in
-  let signals =
-    List.concat_map (fun p -> List.map (fun d -> Printf.sprintf "%s_from_%s" p d) dirs)
-      [ "sA"; "sB" ]
-  in
-  jacobi2d_common cfg ~gpus ~signals
-    ~exchange:(fun ~name ~arr ~which ~h ~w ~pr ~pc ->
-      let sig_prefix = match which with `A -> "sA" | `B -> "sB" in
-      exchange_state_2d_nvshmem ~h ~w ~pr ~pc ~name ~arr ~sig_prefix)
+let jacobi2d_mpi = jacobi2d Mpi
+let jacobi2d_nvshmem = jacobi2d Nvshmem
 
 let reference2d cfg =
   let wd = cfg.nx_global + 2 in
@@ -492,7 +330,6 @@ let reference2d cfg =
   done;
   a
 
-
 (* ---------------------------------------------------------------- *)
 (* Heat 3D                                                           *)
 (* ---------------------------------------------------------------- *)
@@ -504,175 +341,47 @@ type config3d = { nx3 : int; ny3 : int; nz3 : int; tsteps3 : int }
    contiguous, so the NVSHMEM form uses the combined putmem+signal and the
    MPI form plain contiguous messages — the 3D analogue of the paper's
    hand-written stencil (§6.1), here as a compiler benchmark. *)
-
-let heat3d_exchange_mpi ~plane_w ~lz ~size ~name ~arr ~tag_base =
-  let send_up =
-    S_lib
-      (Mpi_isend
-         {
-           arr;
-           region = contiguous ~offset:(c plane_w) ~count:(c plane_w);
-           dst_rank = Symbolic.(rank - c 1);
-           tag = tag_base;
-           req = "s_up";
-         })
-  in
-  let recv_up =
-    S_lib
-      (Mpi_irecv
-         {
-           arr;
-           region = contiguous ~offset:(c 0) ~count:(c plane_w);
-           src_rank = Symbolic.(rank - c 1);
-           tag = tag_base + 1;
-           req = "r_up";
-         })
-  in
-  let send_down =
-    S_lib
-      (Mpi_isend
-         {
-           arr;
-           region = contiguous ~offset:(c (lz * plane_w)) ~count:(c plane_w);
-           dst_rank = Symbolic.(rank + c 1);
-           tag = tag_base + 1;
-           req = "s_dn";
-         })
-  in
-  let recv_down =
-    S_lib
-      (Mpi_irecv
-         {
-           arr;
-           region = contiguous ~offset:(c ((lz + 1) * plane_w)) ~count:(c plane_w);
-           src_rank = Symbolic.(rank + c 1);
-           tag = tag_base;
-           req = "r_dn";
-         })
-  in
-  {
-    st_name = name;
-    stmts =
-      [
-        guarded has_up [ send_up; recv_up ];
-        guarded (has_down ~size) [ send_down; recv_down ];
-        guarded has_up [ S_lib (Mpi_waitall [ "s_up"; "r_up" ]) ];
-        guarded (has_down ~size) [ S_lib (Mpi_waitall [ "s_dn"; "r_dn" ]) ];
-      ];
-  }
-
-let heat3d_exchange_nvshmem ~plane_w ~lz ~size ~name ~arr ~sig_from_up ~sig_from_down =
-  let put_up =
-    S_lib
-      (Nv_put
-         {
-           src = arr;
-           src_region = contiguous ~offset:(c plane_w) ~count:(c plane_w);
-           dst = arr;
-           dst_region = contiguous ~offset:(c ((lz + 1) * plane_w)) ~count:(c plane_w);
-           to_pe = Symbolic.(rank - c 1);
-           signal = Some (sig_from_down, Sig_set, t_sym);
-         })
-  in
-  let put_down =
-    S_lib
-      (Nv_put
-         {
-           src = arr;
-           src_region = contiguous ~offset:(c (lz * plane_w)) ~count:(c plane_w);
-           dst = arr;
-           dst_region = contiguous ~offset:(c 0) ~count:(c plane_w);
-           to_pe = Symbolic.(rank + c 1);
-           signal = Some (sig_from_up, Sig_set, t_sym);
-         })
-  in
-  {
-    st_name = name;
-    stmts =
-      [
-        guarded has_up [ put_up ];
-        guarded (has_down ~size) [ put_down ];
-        guarded has_up [ S_lib (Nv_signal_wait { signal = sig_from_up; ge_value = t_sym }) ];
-        guarded (has_down ~size)
-          [ S_lib (Nv_signal_wait { signal = sig_from_down; ge_value = t_sym }) ];
-      ];
-  }
-
-let heat3d_common cfg ~gpus ~exchange ~signals =
+let heat3d form cfg ~gpus =
   require_divisible "nz3" cfg.nz3 gpus;
   let lz = cfg.nz3 / gpus in
   let w = cfg.nx3 + 2 and plane_w = (cfg.nx3 + 2) * (cfg.ny3 + 2) in
-  let init arr =
-    S_map
+  two_buffer form ~name:"heat3d" ~prefix:"h"
+    ~dirs:(fun arr ->
+      updown ~size:gpus ~owned:lz ~width:plane_w ~tag_base:(if arr = "A" then 30 else 40))
+    ~arr_size:(c ((lz + 2) * plane_w))
+    ~init:(fun dst ->
+      S_map
+        {
+          m_var = "i";
+          m_lo = c 0;
+          m_hi = c (((lz + 2) * plane_w) - 1);
+          m_schedule = Sequential;
+          m_sem = Init_global { dst; global_off = Symbolic.(rank * c Stdlib.(lz * plane_w)) };
+          m_work = c 1;
+        })
+    ~compute:(fun ~name ~src ~dst ->
       {
-        m_var = "i";
-        m_lo = c 0;
-        m_hi = c (((lz + 2) * plane_w) - 1);
-        m_schedule = Sequential;
-        m_sem = Init_global { dst = arr; global_off = Symbolic.(rank * c Stdlib.(lz * plane_w)) };
-        m_work = c 1;
-      }
-  in
-  let compute name src dst =
-    {
-      st_name = name;
-      stmts =
-        [
-          S_map
-            {
-              m_var = "z";
-              m_lo = c 1;
-              m_hi = c lz;
-              m_schedule = Sequential;
-              m_sem =
-                Jacobi3d
-                  { src; dst; row_width = c w; plane_width = c plane_w; ny = c cfg.ny3 };
-              m_work = c (cfg.nx3 * cfg.ny3);
-            };
-        ];
-    }
-  in
-  let size_expr = c ((lz + 2) * plane_w) in
-  {
-    sdfg_name = "heat3d";
-    arrays =
-      [
-        { arr_name = "A"; arr_size = size_expr; storage = Host_heap; transient = false };
-        { arr_name = "B"; arr_size = size_expr; storage = Host_heap; transient = false };
-      ];
-    sdfg_signals = signals;
-    states =
-      [
-        { st_name = "init"; stmts = [ init "A"; init "B" ] };
-        { st_name = "guard"; stmts = [] };
-        exchange ~name:"exch_A" ~arr:"A" ~which:`A ~plane_w ~lz;
-        compute "comp_B" "A" "B";
-        exchange ~name:"exch_B" ~arr:"B" ~which:`B ~plane_w ~lz;
-        compute "comp_A" "B" "A";
-        { st_name = "done"; stmts = [] };
-      ];
-    edges = loop_cfg ~body_states:[ "exch_A"; "comp_B"; "exch_B"; "comp_A" ] ~tsteps:cfg.tsteps3;
-    start_state = "init";
-    symbols =
-      [ ("NX", cfg.nx3); ("NY", cfg.ny3); ("NZ", cfg.nz3); ("TSTEPS", cfg.tsteps3); ("lz", lz) ];
-  }
+        st_name = name;
+        stmts =
+          [
+            S_map
+              {
+                m_var = "z";
+                m_lo = c 1;
+                m_hi = c lz;
+                m_schedule = Sequential;
+                m_sem =
+                  Jacobi3d { src; dst; row_width = c w; plane_width = c plane_w; ny = c cfg.ny3 };
+                m_work = c (cfg.nx3 * cfg.ny3);
+              };
+          ];
+      })
+    ~tsteps:cfg.tsteps3
+    ~symbols:
+      [ ("NX", cfg.nx3); ("NY", cfg.ny3); ("NZ", cfg.nz3); ("TSTEPS", cfg.tsteps3); ("lz", lz) ]
 
-let heat3d_mpi cfg ~gpus =
-  heat3d_common cfg ~gpus ~signals:[]
-    ~exchange:(fun ~name ~arr ~which ~plane_w ~lz ->
-      let tag_base = match which with `A -> 30 | `B -> 40 in
-      heat3d_exchange_mpi ~plane_w ~lz ~size:gpus ~name ~arr ~tag_base)
-
-let heat3d_nvshmem cfg ~gpus =
-  heat3d_common cfg ~gpus
-    ~signals:[ "hA_from_up"; "hA_from_down"; "hB_from_up"; "hB_from_down" ]
-    ~exchange:(fun ~name ~arr ~which ~plane_w ~lz ->
-      let sig_from_up, sig_from_down =
-        match which with
-        | `A -> ("hA_from_up", "hA_from_down")
-        | `B -> ("hB_from_up", "hB_from_down")
-      in
-      heat3d_exchange_nvshmem ~plane_w ~lz ~size:gpus ~name ~arr ~sig_from_up ~sig_from_down)
+let heat3d_mpi = heat3d Mpi
+let heat3d_nvshmem = heat3d Nvshmem
 
 let reference3d cfg =
   let w = cfg.nx3 + 2 in

@@ -1,16 +1,19 @@
 (** The distributed DaCe benchmark programs of §6.2 (ported from Ziogas et
-    al.), each in two frontend forms:
+    al.), each in two frontend forms built from one halo table per program
+    (the neighbours, the regions sent and where they land, the tags and the
+    request and flag names):
 
     - the {e MPI} form: per-iteration Isend/Irecv pairs and Waitall, the
       upstream distributed-DaCe style of Listing 5.1;
-    - the {e NVSHMEM} form: the same structure with sends replaced by
+    - the {e NVSHMEM} form: the same table with sends replaced by
       signaled [Nv_put] nodes and receives by [Nv_signal_wait], Waitall
       omitted in favour of the flag-based point-to-point synchronization
       (Listing 5.2 / §6.2.1).
 
     Both perform, per time step, two half-updates ([B = stencil(A)] then
     [A = stencil(B)]) each preceded by a halo exchange of the buffer about to
-    be read.
+    be read. Jacobi 1D and heat3d share one up/down table (single elements
+    and whole planes); Jacobi 2D has its north/south/west/east table.
 
     Jacobi 1D exchanges a single element per direction (2 neighbours);
     Jacobi 2D partitions the domain as a [pr × pc] rank grid (4 neighbours)

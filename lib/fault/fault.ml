@@ -260,7 +260,7 @@ let killed_by s ~now =
 (* ------------------------------------------------------------------ *)
 
 type stats = { dropped : int; delayed : int; resent : int; retried : int }
-type recovery_stats = { kills_detected : int; shrinks : int; restarts : int }
+type recovery_stats = { kills_detected : int }
 
 exception Killed of { pe : int; at : Time.t }
 
@@ -278,8 +278,6 @@ type plan = {
   mutable retried : int;
   mutable obituaries : (int * Time.t) list;  (* detected deaths, unordered *)
   mutable kills_detected : int;
-  mutable shrinks : int;
-  mutable restarts : int;
 }
 
 let activate spec ~seed ~gpus =
@@ -309,8 +307,6 @@ let activate spec ~seed ~gpus =
     retried = 0;
     obituaries = [];
     kills_detected = 0;
-    shrinks = 0;
-    restarts = 0;
   }
 
 let spec_of p = p.spec
@@ -389,9 +385,4 @@ let note_obituary p ~pe ~at =
     p.kills_detected <- p.kills_detected + 1
   end
 
-let obituaries p = List.sort (fun (a, _) (b, _) -> compare a b) p.obituaries
-let note_shrink p = p.shrinks <- p.shrinks + 1
-let note_restart p = p.restarts <- p.restarts + 1
-
-let recovery p =
-  { kills_detected = p.kills_detected; shrinks = p.shrinks; restarts = p.restarts }
+let recovery p = { kills_detected = p.kills_detected }

@@ -162,14 +162,14 @@ val stats : plan -> stats
 val note_retry : plan -> unit
 val note_resent : plan -> int -> unit
 
-(** {1 Fail-stop detection and self-healing accounting}
+(** {1 Fail-stop detection accounting}
 
     When a resilient waiter exhausts its retries against a peer whose
     scheduled death has passed, it diagnoses the fail-stop by raising
-    {!Killed} instead of a generic stall. Recovery layers (shrinking
-    collectives, checkpoint/restart harnesses) record the death in the
-    plan's obituary registry so later detections agree on membership,
-    and bump the self-healing counters below. *)
+    {!Killed} instead of a generic stall. The waiter and the run that
+    catches the abort record the death in the plan's obituary registry,
+    which counts each dead PE once; recovery itself (checkpoint/restart on
+    the survivors) happens above the run, in the stencil harness. *)
 
 exception Killed of { pe : int; at : Time.t }
 (** Raised by a resilient waiter that diagnoses a dead peer: [pe] is the
@@ -179,16 +179,6 @@ val note_obituary : plan -> pe:int -> at:Time.t -> unit
 (** Record a detected death. Idempotent per PE: only the first report
     registers (and counts in {!recovery}). *)
 
-val obituaries : plan -> (int * Time.t) list
-(** The detected deaths so far, sorted by PE — the membership ground
-    truth survivors agree on when shrinking a group. *)
-
-type recovery_stats = {
-  kills_detected : int;  (** distinct dead PEs diagnosed *)
-  shrinks : int;  (** collective membership shrinks performed *)
-  restarts : int;  (** checkpoint/restart resumptions performed *)
-}
+type recovery_stats = { kills_detected : int  (** distinct dead PEs diagnosed *) }
 
 val recovery : plan -> recovery_stats
-val note_shrink : plan -> unit
-val note_restart : plan -> unit

@@ -163,42 +163,3 @@ let items t =
       { name = inst.iname; labels = inst.ilabels; value = value_of inst } :: acc)
     t.tbl []
   |> List.sort compare_item
-
-let merge_into ~into sources =
-  List.iter
-    (fun src ->
-      let insts = Hashtbl.fold (fun _ i acc -> i :: acc) src.tbl [] in
-      let insts =
-        List.sort
-          (fun a b ->
-            let c = String.compare a.iname b.iname in
-            if c <> 0 then c else Stdlib.compare a.ilabels b.ilabels)
-          insts
-      in
-      List.iter
-        (fun inst ->
-          match inst.body with
-          | C c ->
-            let dst = counter into ~name:inst.iname ~labels:inst.ilabels () in
-            Counter.add dst (Counter.value c)
-          | G g ->
-            let dst = gauge into ~name:inst.iname ~labels:inst.ilabels () in
-            let v = Gauge.value g in
-            if v > Gauge.value dst then Gauge.set dst v
-          | H c ->
-            let d = histogram into ~name:inst.iname ~labels:inst.ilabels () in
-            if c.hcount > 0 then begin
-              if d.hcount = 0 then begin
-                d.hmin <- c.hmin;
-                d.hmax <- c.hmax
-              end
-              else begin
-                d.hmin <- Stdlib.min d.hmin c.hmin;
-                d.hmax <- Stdlib.max d.hmax c.hmax
-              end;
-              d.hcount <- d.hcount + c.hcount;
-              d.hsum <- d.hsum + c.hsum;
-              Array.iteri (fun b occ -> d.hbuckets.(b) <- d.hbuckets.(b) + occ) c.hbuckets
-            end)
-        insts)
-    sources

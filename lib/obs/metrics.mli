@@ -32,9 +32,8 @@ end
 
 module Gauge : sig
   type h
-  (** Handle to a sampled value. Registries merge gauges by [max]; use
-      gauges for quantities where the maximum is the meaningful aggregate
-      (high-water marks, final clocks, configuration constants). *)
+  (** Handle to a sampled value: high-water marks, final clocks,
+      configuration constants. *)
 
   val set : h -> int -> unit
   val value : h -> int
@@ -79,8 +78,3 @@ type item = { name : string; labels : labels; value : value }
 val items : t -> item list
 (** Everything registered, in canonical (name, labels) order — the
     representation exporters consume. *)
-
-val merge_into : into:t -> t list -> unit
-(** Fold every instrument of [sources] into [into] (creating instruments as
-    needed): counters and histograms add, gauges max. Associative and
-    commutative — merging shards in any grouping yields the same {!items}. *)

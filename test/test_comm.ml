@@ -401,36 +401,97 @@ let run_on_all_pes ~gpus f =
   done;
   Engine.run eng
 
+(* One allreduce of [g + 1] per GPU, issued by the PEs themselves
+   ([Device]) or by one host thread ([Host]). Returns the engine and the
+   runtime after the run, and every GPU's sum. *)
+type driver = Device | Host
+
+let allreduce_run ?env ~driver ~algorithm ~gpus () =
+  let eng = Engine.create () in
+  let ctx = G.Runtime.create eng ?env ~num_gpus:gpus () in
+  let values = Array.init gpus (fun g -> float_of_int (g + 1)) in
+  let results = Array.make gpus nan in
+  (match driver with
+  | Device ->
+    let coll = Collective.create ~algorithm (Nv.init ctx) ~label:"coll" in
+    for pe = 0 to gpus - 1 do
+      let (_ : Engine.process) =
+        Engine.spawn eng ~name:(Printf.sprintf "pe%d" pe) (fun () ->
+            results.(pe) <- Collective.allreduce_sum coll ~pe values.(pe))
+      in
+      ()
+    done
+  | Host ->
+    let (_ : Engine.process) =
+      Engine.spawn eng ~name:"host" (fun () ->
+          let sums = Collective.host_allreduce_sum ctx ~algorithm ~label:"coll" values in
+          Array.blit sums 0 results 0 gpus)
+    in
+    ());
+  Engine.run eng;
+  (eng, ctx, results)
+
+(* Pinned values (tree on the device since the partitioned-engine code
+   base): every algorithm under either driver must execute exactly these
+   events and end at this simulated time. *)
+let event_count_case (algorithm, driver, events, final_ns) =
+  let name =
+    Printf.sprintf "64-GPU %s%s allreduce on fat-tree:4:2:8 keeps its event count"
+      (Collective.algorithm_to_string algorithm)
+      (match driver with Device -> "" | Host -> " host")
+  in
+  Alcotest.test_case name `Quick (fun () ->
+      let gpus = 64 in
+      let topology =
+        match Cpufree_machine.Topology.spec_of_string "fat-tree:4:2:8" with
+        | Ok t -> t
+        | Error e -> Alcotest.fail e
+      in
+      let env = Cpufree_obs.Sim_env.make ~topology () in
+      let eng, _, results = allreduce_run ~env ~driver ~algorithm ~gpus () in
+      Array.iter (check_float "sum" (float_of_int (gpus * (gpus + 1) / 2))) results;
+      check_int "events" events (Engine.events_executed eng);
+      check_int "final time (ns)" final_ns (Time.to_ns (Engine.now eng)))
+
+(* Both drivers walk one schedule: for every algorithm and size, the PEs'
+   signaled puts and the host's memcpys move the same bytes in the same
+   number of transfers. *)
+let same_schedule_test =
+  Alcotest.test_case "device and host drivers move the same bytes in the same transfers" `Quick
+    (fun () ->
+      List.iter
+        (fun algorithm ->
+          for gpus = 1 to 40 do
+            let moved driver =
+              let _, ctx, _ = allreduce_run ~driver ~algorithm ~gpus () in
+              let net = G.Runtime.net ctx in
+              (G.Interconnect.bytes_moved net, G.Interconnect.transfers net)
+            in
+            let (db, dt) = moved Device and (hb, ht) = moved Host in
+            if db <> hb || dt <> ht then
+              Alcotest.failf "%s at %d GPUs: device %d B in %d transfers, host %d B in %d"
+                (Collective.algorithm_to_string algorithm)
+                gpus db dt hb ht
+          done)
+        [ Collective.Dense; Collective.Ring; Collective.Tree; Collective.Doubling ])
+
+let event_count_tests =
+  List.map event_count_case
+    [
+      (Collective.Dense, Device, 16242, 32800);
+      (Collective.Ring, Device, 24256, 356000);
+      (Collective.Tree, Device, 820, 91442);
+      (Collective.Doubling, Device, 2368, 45744);
+      (Collective.Dense, Host, 8257, 7673600);
+      (Collective.Ring, Host, 16193, 33465600);
+      (Collective.Tree, Host, 1212, 5221810);
+      (Collective.Doubling, Host, 1601, 3187200);
+    ]
+
 let collective_tests =
-  [
-    Alcotest.test_case "64-GPU tree allreduce on fat-tree:4:2:8 keeps its event count" `Quick
-      (fun () ->
-        (* Pinned from the partitioned-engine code base: the sequential
-           driver's rebuilt queue, deferred names and reasons must execute
-           exactly the same events and end at the same simulated time. *)
-        let gpus = 64 in
-        let topology =
-          match Cpufree_machine.Topology.spec_of_string "fat-tree:4:2:8" with
-          | Ok t -> t
-          | Error e -> Alcotest.fail e
-        in
-        let eng = Engine.create () in
-        let ctx =
-          G.Runtime.create eng ~env:(Cpufree_obs.Sim_env.make ~topology ()) ~num_gpus:gpus ()
-        in
-        let coll = Collective.create ~algorithm:Collective.Tree (Nv.init ctx) ~label:"coll" in
-        let results = Array.make gpus 0.0 in
-        for pe = 0 to gpus - 1 do
-          let (_ : Engine.process) =
-            Engine.spawn eng ~name:(Printf.sprintf "pe%d" pe) (fun () ->
-                results.(pe) <- Collective.allreduce_sum coll ~pe (float_of_int (pe + 1)))
-          in
-          ()
-        done;
-        Engine.run eng;
-        Array.iter (check_float "sum" (float_of_int (gpus * (gpus + 1) / 2))) results;
-        check_int "events" 820 (Engine.events_executed eng);
-        check_int "final time (ns)" 91442 (Time.to_ns (Engine.now eng)));
+  event_count_tests
+  @ same_schedule_test
+  :: [
     Alcotest.test_case "allreduce_sum sums every PE's contribution" `Quick (fun () ->
         let results = Array.make 4 nan in
         run_on_all_pes ~gpus:4 (fun coll pe ->
@@ -544,82 +605,6 @@ let algorithm_tests =
             (Collective.Doubling, 5);
             (Collective.Doubling, 8);
           ]);
-  ]
-
-(* --- Fail-stop shrink ---------------------------------------------------- *)
-
-module Fault = Cpufree_fault.Fault
-module Env = Cpufree_obs.Sim_env
-
-let kill_spec ~pe ~at_us = { Fault.none with Fault.kills = [ (pe, Time.us at_us) ] }
-
-let recovery_tests =
-  [
-    Alcotest.test_case "group shrinks around a quiesced kill and completes" `Quick (fun () ->
-        let gpus = 4 in
-        let env = Env.make ~faults:(kill_spec ~pe:2 ~at_us:200) ~fault_seed:1 () in
-        let eng = Engine.create () in
-        let ctx = G.Runtime.create eng ~env ~num_gpus:gpus () in
-        let nv = Nv.init ctx in
-        let coll = Collective.create nv ~label:"c" in
-        let first = Array.make gpus nan and second = Array.make gpus nan in
-        for pe = 0 to gpus - 1 do
-          let (_ : Engine.process) =
-            Engine.spawn eng ~name:(Printf.sprintf "pe%d" pe) (fun () ->
-                first.(pe) <- Collective.allreduce_sum coll ~pe (float_of_int (pe + 1));
-                (* Everyone pauses past PE 2's scheduled death, so the next
-                   round starts with the corpse fully quiesced. *)
-                Engine.delay eng (Time.us 300);
-                second.(pe) <- Collective.allreduce_sum coll ~pe (float_of_int (pe + 1)))
-          in
-          ()
-        done;
-        Engine.run eng;
-        (* Round 1, everyone alive: 1+2+3+4. *)
-        Array.iter (fun v -> check_float "healthy round" 10.0 v) first;
-        (* Round 2 stalls on the corpse; survivors diagnose the kill,
-           shrink to {0,1,3} and redo: 1+2+4. *)
-        List.iter (fun pe -> check_float "survivor round" 7.0 second.(pe)) [ 0; 1; 3 ];
-        check_bool "degraded" true (Collective.degraded coll);
-        check (Alcotest.array Alcotest.int) "membership" [| 0; 1; 3 |]
-          (Collective.members coll ~pe:0);
-        check (Alcotest.array Alcotest.int) "agreement" (Collective.members coll ~pe:0)
-          (Collective.members coll ~pe:3));
-    Alcotest.test_case "shrunk group keeps reducing over survivors" `Quick (fun () ->
-        let gpus = 3 in
-        let env = Env.make ~faults:(kill_spec ~pe:0 ~at_us:100) ~fault_seed:1 () in
-        let eng = Engine.create () in
-        let ctx = G.Runtime.create eng ~env ~num_gpus:gpus () in
-        let nv = Nv.init ctx in
-        let coll = Collective.create nv ~label:"c" in
-        let sums = Array.make gpus [] in
-        for pe = 0 to gpus - 1 do
-          let (_ : Engine.process) =
-            Engine.spawn eng ~name:(Printf.sprintf "pe%d" pe) (fun () ->
-                Engine.delay eng (Time.us 150);
-                for round = 1 to 3 do
-                  let s = Collective.allreduce_sum coll ~pe (float_of_int (round * (pe + 1))) in
-                  sums.(pe) <- s :: sums.(pe)
-                done)
-          in
-          ()
-        done;
-        Engine.run eng;
-        (* PE 0 is dead before any round: survivors {1,2} shrink on round 1
-           and every later round reduces over them alone — round r gives
-           r*2 + r*3. *)
-        List.iter
-          (fun pe ->
-            check (Alcotest.list (Alcotest.float 1e-9)) "survivor series"
-              [ 5.0; 10.0; 15.0 ] (List.rev sums.(pe)))
-          [ 1; 2 ]);
-    Alcotest.test_case "fault-free groups never shrink" `Quick (fun () ->
-        let results = Array.make 4 nan in
-        run_on_all_pes ~gpus:4 (fun coll pe ->
-            results.(pe) <- Collective.allreduce_sum coll ~pe 1.0;
-            check_bool "not degraded" false (Collective.degraded coll);
-            check_int "full membership" 4 (Array.length (Collective.members coll ~pe)));
-        Array.iter (fun v -> check_float "sum" 4.0 v) results);
   ]
 
 (* --- Fabric: lazy pair tables -------------------------------------------- *)
@@ -749,6 +734,9 @@ type delivery_run = {
   seen : float;  (* destination data when the signal (or the fence) is observed *)
   seen_ns : int;
 }
+
+module Fault = Cpufree_fault.Fault
+module Env = Cpufree_obs.Sim_env
 
 let fate_spec = function
   | `Deliver -> None
@@ -933,7 +921,6 @@ let () =
       ("p2p", p2p_tests);
       ("metrics", metrics_tests);
       ("collective", collective_tests @ algorithm_tests @ comm_props);
-      ("recovery", recovery_tests);
       ("fabric", fabric_tests);
       ("delivery", delivery_tests);
     ]

@@ -1,5 +1,5 @@
 (* Tests for the observability layer: the metrics registry (typed
-   instruments, merge laws), the Perfetto trace-event
+   instruments), the Perfetto trace-event
    exporter and its structural validator, the Sim_env record, and the
    end-to-end guarantees — flows pair up, exports are byte-stable across
    repeats, and the Scenario-driven execution path matches the
@@ -80,52 +80,6 @@ let metrics_tests =
         check_bool "values follow their cells" true
           (List.map (fun (it : Mx.item) -> it.Mx.value) (Mx.items reg)
           = [ Mx.Counter_v 1; Mx.Counter_v 7; Mx.Counter_v 1 ]));
-  ]
-
-(* Registries as generable values: a few instruments with random bumps. *)
-let arbitrary_bumps =
-  QCheck.(list_of_size Gen.(int_bound 12) (pair (int_bound 2) (int_bound 1000)))
-
-let registry_of bumps =
-  let reg = Mx.create () in
-  let names = [| "alpha"; "beta"; "gamma" |] in
-  List.iter
-    (fun (i, v) ->
-      match i with
-      | 0 -> Mx.Counter.add (Mx.counter reg ~name:names.(0) ()) v
-      | 1 -> Mx.Gauge.set (Mx.gauge reg ~name:names.(1) ()) v
-      | _ -> Mx.Histogram.observe (Mx.histogram reg ~name:names.(2) ()) v)
-    bumps;
-  reg
-
-let merged rs =
-  let into = Mx.create () in
-  Mx.merge_into ~into rs;
-  Mx.items into
-
-let metrics_law_tests =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"merge is associative" ~count:100
-         QCheck.(triple arbitrary_bumps arbitrary_bumps arbitrary_bumps)
-         (fun (a, b, c) ->
-           let ra () = registry_of a and rb () = registry_of b and rc () = registry_of c in
-           let left =
-             let ab = Mx.create () in
-             Mx.merge_into ~into:ab [ ra (); rb () ];
-             merged [ ab; rc () ]
-           in
-           let right =
-             let bc = Mx.create () in
-             Mx.merge_into ~into:bc [ rb (); rc () ];
-             merged [ ra (); bc ]
-           in
-           left = right));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"merge is commutative" ~count:100
-         QCheck.(pair arbitrary_bumps arbitrary_bumps)
-         (fun (a, b) ->
-           merged [ registry_of a; registry_of b ] = merged [ registry_of b; registry_of a ]));
   ]
 
 (* --- Perfetto exporter and validator -------------------------------------- *)
@@ -585,7 +539,6 @@ let () =
   Alcotest.run "obs"
     [
       ("metrics", metrics_tests);
-      ("metrics-laws", metrics_law_tests);
       ("perfetto", perfetto_tests);
       ("sim-env", sim_env_tests);
       ("scenario-law", scenario_law_tests);

@@ -83,14 +83,44 @@ let reference_tests =
 
 (* --- emitted code ------------------------------------------------------------ *)
 
-let emitted_baseline app =
-  Codegen.emit_baseline (Pipeline.compile_sdfg app Pipeline.Baseline_mpi ~gpus:8)
+let emitted_baseline ?(gpus = 8) app =
+  Codegen.emit_baseline (Pipeline.compile_sdfg app Pipeline.Baseline_mpi ~gpus)
 
-let emitted_persistent app =
-  let sdfg = Pipeline.compile_sdfg app Pipeline.Cpu_free ~gpus:8 in
+let emitted_persistent ?(gpus = 8) app =
+  let sdfg = Pipeline.compile_sdfg app Pipeline.Cpu_free ~gpus in
   match D.Persistent_fusion.apply sdfg with
   | Ok p -> Codegen.emit_persistent p
   | Error e -> Alcotest.fail e
+
+(* The emitted code of every app and form, pinned by md5: the halo
+   exchange's request names, tags, flag names and regions all reach it, so
+   a change to the frontends' communication shows up here. Jacobi 2D at 8
+   GPUs adds the rectangular rank grid. *)
+let emitted_md5_case (app, arm, gpus, want) =
+  let name =
+    Printf.sprintf "%s %s at %d GPUs emits pinned code" (Pipeline.app_name app)
+      (Pipeline.arm_name arm) gpus
+  in
+  Alcotest.test_case name `Quick (fun () ->
+      let code =
+        match arm with
+        | Pipeline.Baseline_mpi -> emitted_baseline ~gpus app
+        | Pipeline.Cpu_free -> emitted_persistent ~gpus app
+      in
+      check Alcotest.string "md5" want (Digest.to_hex (Digest.string code)))
+
+let emitted_md5_tests =
+  List.map emitted_md5_case
+    [
+      (app1d, Pipeline.Baseline_mpi, 4, "855f4793c1ecb719c3947ef5ed31672c");
+      (app1d, Pipeline.Cpu_free, 4, "2d76b650d533afcb15c2b686101dbd9a");
+      (app2d, Pipeline.Baseline_mpi, 4, "a9d82aac8584a171a29601394940f52c");
+      (app2d, Pipeline.Cpu_free, 4, "73f8eee2499603085ae77776c036815e");
+      (app3d, Pipeline.Baseline_mpi, 4, "4b1309f3820c65842bdfe86faf7ebe91");
+      (app3d, Pipeline.Cpu_free, 4, "15dfeff46ef1d7cb23d1efd79c2cef43");
+      (app2d, Pipeline.Baseline_mpi, 8, "1e7f15c22bb493dc33624f2de2211ecc");
+      (app2d, Pipeline.Cpu_free, 8, "5dc59a727c6692c7ad13a279d9e754d1");
+    ]
 
 let codegen_tests =
   [
@@ -259,7 +289,7 @@ let () =
     [
       ("verify", verification_tests);
       ("references", reference_tests);
-      ("codegen", codegen_tests);
+      ("codegen", codegen_tests @ emitted_md5_tests);
       ("shape", shape_tests);
       ("specialize-tb", specialize_tests);
       ("properties", pipeline_props);
