@@ -291,7 +291,7 @@ let run_stencil common iters dims variant no_compute verify timeline =
       | Some k -> [ k ]
       | None ->
         Printf.eprintf "unknown variant %S; use one of: %s, all\n" name
-          (String.concat ", " (List.map S.Variants.name S.Variants.all));
+          (String.concat ", " (List.map S.Variants.name S.Variants.extended));
         exit 2)
   in
   let single = List.length kinds = 1 in

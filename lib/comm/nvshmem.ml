@@ -443,7 +443,7 @@ let resilient_wait t ~pe ~waits_on ~plan ~sig_var pred =
           if F.has_failstop spec then F.killed_by spec ~now:(E.Engine.now t.eng) else []
         with
         | (dead_pe, at) :: _ as dead ->
-          List.iter (fun (dpe, dat) -> F.note_obituary plan ~pe:dpe ~at:dat) dead;
+          List.iter (fun (dpe, _) -> F.note_obituary plan ~pe:dpe) dead;
           mark_fault t ~pe ~label:(Printf.sprintf "fault:kill:pe%d" dead_pe);
           raise (F.Killed { pe = dead_pe; at })
         | [] ->

@@ -135,7 +135,7 @@ let run_guarded eng trace plan =
     (* A resilient waiter diagnosed a fail-stop GPU death that no layer
        below chose to absorb: report it as an aborted run with a [kill:]
        trigger so a recovery harness can restart on the survivors. *)
-    F.note_obituary plan ~pe ~at;
+    F.note_obituary plan ~pe;
     let trig = Printf.sprintf "kill:pe%d" pe in
     if E.Trace.flows_enabled trace then
       E.Trace.add_instant_opt trace ~lane:"host" ~label:("stall:" ^ trig) ~at:(E.Engine.now eng);

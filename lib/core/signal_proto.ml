@@ -1,4 +1,4 @@
-module Nv = Nvshmem_alias
+module Nv = Cpufree_comm.Nvshmem
 
 type dir = Up | Down
 
@@ -42,12 +42,3 @@ let put_boundary t ~from_pe ~dir ~src ~src_pos ~dst ~dst_pos ~len ~iter =
   | Some to_pe ->
     Nv.putmem_signal_nbi t.nv ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len
       ~sig_var:(outbound_flag t dir) ~sig_op:Nv.Signal_set ~sig_value:iter
-
-let signal_only t ~from_pe ~dir ~iter =
-  match neighbor t ~pe:from_pe dir with
-  | None -> ()
-  | Some to_pe ->
-    Nv.signal_op_remote t.nv ~from_pe ~to_pe ~sig_var:(outbound_flag t dir)
-      ~sig_op:Nv.Signal_set ~sig_value:iter
-
-let inbound_value t ~pe ~dir = Nv.signal_read (inbound_flag t dir) ~pe

@@ -17,7 +17,7 @@ type dir = Up | Down
 
 type t
 
-val create : Nvshmem_alias.t -> label:string -> t
+val create : Cpufree_comm.Nvshmem.t -> label:string -> t
 (** Allocates the two symmetric signal variables ("from-above" and
     "from-below"). *)
 
@@ -30,14 +30,7 @@ val wait_halo : t -> pe:int -> dir:dir -> iter:int -> unit
 
 val put_boundary :
   t -> from_pe:int -> dir:dir -> src:Cpufree_gpu.Buffer.t -> src_pos:int ->
-  dst:Nvshmem_alias.sym -> dst_pos:int -> len:int -> iter:int -> unit
+  dst:Cpufree_comm.Nvshmem.sym -> dst_pos:int -> len:int -> iter:int -> unit
 (** Commit this PE's freshly computed boundary of iteration [iter] into the
     [dir] neighbour's halo and signal availability for iteration [iter + 1]
     ([nvshmemx_putmem_signal_nbi_block]). No-op without a neighbour. *)
-
-val signal_only : t -> from_pe:int -> dir:dir -> iter:int -> unit
-(** Signal halo availability without a payload (used after strided [iput]
-    which has no combined signaling variant, §5.3.1). *)
-
-val inbound_value : t -> pe:int -> dir:dir -> int
-(** Current value of the inbound flag (tests/diagnostics). *)

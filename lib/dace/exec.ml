@@ -562,14 +562,6 @@ let lower_kernel_stmt lw env grid ~role =
       (G.Device.lane (G.Runtime.device ctx lw.rank)
          (match role with Role_comm -> "comm" | Role_all | Role_compute -> "persistent"))
   in
-  let span ~label ~t0 =
-    E.Engine.log_compute eng ~since:t0;
-    match E.Engine.trace eng with
-    | None -> ()
-    | Some tr ->
-      E.Trace.add tr ~lane:(Lazy.force lane) ~label ~kind:E.Trace.Compute ~t0
-        ~t1:(E.Engine.now eng)
-  in
   let rec lower = function
     | S_map m -> (
       match m.m_schedule with
@@ -586,7 +578,7 @@ let lower_kernel_stmt lw env grid ~role =
           let t0 = E.Engine.now eng in
           E.Engine.delay eng cost;
           body ();
-          span ~label ~t0
+          E.Engine.log_compute eng ~since:t0 ~lane ~label
       | Gpu_device -> fun () -> fail "discrete-scheduled map inside the persistent kernel")
     | S_copy { c_src; c_src_region; c_dst; c_dst_region } ->
       (* In-kernel array copy (the thread-parallel copy routine of Section 5.1). *)
@@ -608,7 +600,7 @@ let lower_kernel_stmt lw env grid ~role =
         let t0 = E.Engine.now eng in
         E.Engine.delay eng (cost slots);
         copy len;
-        span ~label:"copy" ~t0
+        E.Engine.log_compute eng ~since:t0 ~lane ~label:"copy"
     | S_lib node -> lower_nv_node lw env node
     | S_cond { cond; then_ } -> guarded lw env cond (seq (List.map lower then_))
     | S_role { role = r; body } -> (

@@ -445,7 +445,12 @@ let create ?trace ?watchdog () =
 let now t = t.clock
 let trace t = t.trace_sink
 let busy t = t.busy
-let log_compute t ~since = Intervals.Log.compute t.busy ~t0:since ~t1:t.clock
+let log_compute t ~since ~lane ~label =
+  Intervals.Log.compute t.busy ~t0:since ~t1:t.clock;
+  match t.trace_sink with
+  | None -> ()
+  | Some tr ->
+    Trace.add tr ~lane:(Lazy.force lane) ~label ~kind:Trace.Compute ~t0:since ~t1:t.clock
 let log_comm t ~since = Intervals.Log.comm t.busy ~t0:since ~t1:t.clock
 
 let schedule_at t at thunk =

@@ -90,8 +90,11 @@ val busy : t -> Intervals.Log.t
     overlap are measured from ({!Intervals.Log.compute_total},
     {!Intervals.Log.comm_and_overlap}). *)
 
-val log_compute : t -> since:Time.t -> unit
-(** Log the compute interval [\[since, now)] in {!busy}. *)
+val log_compute : t -> since:Time.t -> lane:string Lazy.t -> label:string -> unit
+(** Log the device-compute interval [\[since, now)] in {!busy} and, when
+    the engine records a {!trace}, add it as a [Compute] span labelled
+    [label] on [lane] — forced only then, so an untraced run never formats
+    a lane name. This is the one place a compute interval is recorded. *)
 
 val log_comm : t -> since:Time.t -> unit
 (** Log the communication interval [\[since, now)] in {!busy}. *)

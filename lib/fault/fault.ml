@@ -276,8 +276,7 @@ type plan = {
   mutable delayed : int;
   mutable resent : int;
   mutable retried : int;
-  mutable obituaries : (int * Time.t) list;  (* detected deaths, unordered *)
-  mutable kills_detected : int;
+  mutable dead : int list;  (* PEs whose death was diagnosed, unordered *)
 }
 
 let activate spec ~seed ~gpus =
@@ -305,8 +304,7 @@ let activate spec ~seed ~gpus =
     delayed = 0;
     resent = 0;
     retried = 0;
-    obituaries = [];
-    kills_detected = 0;
+    dead = [];
   }
 
 let spec_of p = p.spec
@@ -379,10 +377,5 @@ let note_resent p n = p.resent <- p.resent + n
 (* Obituary registry and recovery accounting                           *)
 (* ------------------------------------------------------------------ *)
 
-let note_obituary p ~pe ~at =
-  if not (List.mem_assoc pe p.obituaries) then begin
-    p.obituaries <- (pe, at) :: p.obituaries;
-    p.kills_detected <- p.kills_detected + 1
-  end
-
-let recovery p = { kills_detected = p.kills_detected }
+let note_obituary p ~pe = if not (List.mem pe p.dead) then p.dead <- pe :: p.dead
+let recovery p = { kills_detected = List.length p.dead }

@@ -175,7 +175,7 @@ exception Killed of { pe : int; at : Time.t }
 (** Raised by a resilient waiter that diagnoses a dead peer: [pe] is the
     dead PE, [at] its scheduled death time. *)
 
-val note_obituary : plan -> pe:int -> at:Time.t -> unit
+val note_obituary : plan -> pe:int -> unit
 (** Record a detected death. Idempotent per PE: only the first report
     registers (and counts in {!recovery}). *)
 

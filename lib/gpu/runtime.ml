@@ -122,16 +122,9 @@ let launch t ~stream ~name ?(cost = Time.zero) body =
       E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
       E.Engine.delay t.eng cost;
       body ();
-      E.Engine.log_compute t.eng ~since:t0;
-      match E.Engine.trace t.eng with
-      | None -> ()
-      | Some tr ->
-        E.Trace.add tr
-          ~lane:(Device.lane dev (Stream.name stream))
-          ~label:name ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now t.eng))
+      E.Engine.log_compute t.eng ~since:t0 ~lane:(Stream.lane stream) ~label:name)
 
 let memcpy_async t ~stream ~src ~src_pos ~dst ~dst_pos ~len =
-  let dev = Stream.device stream in
   bump t (fun o -> o.m_stream_ops);
   api t ~label:"cudaMemcpyAsync" t.arch.Arch.memcpy_api;
   let src_ep = endpoint_of_buffer src and dst_ep = endpoint_of_buffer dst in
@@ -139,7 +132,7 @@ let memcpy_async t ~stream ~src ~src_pos ~dst ~dst_pos ~len =
       let trace_lane =
         match E.Engine.trace t.eng with
         | None -> None
-        | Some _ -> Some (Device.lane dev (Stream.name stream))
+        | Some _ -> Some (Lazy.force (Stream.lane stream))
       in
       Interconnect.transfer t.net ~src:src_ep ~dst:dst_ep ~initiator:Interconnect.By_host
         ~bytes:(len * Buffer.elem_bytes) ?trace_lane ~label:"memcpy" ();

@@ -6,6 +6,7 @@ type t = {
   eng : E.Engine.t;
   dev : Device.t;
   sname : string;
+  lane : string Lazy.t;
   inbox : op E.Sync.Mailbox.t;
   mutable submitted : int;
   done_flag : E.Sync.Flag.t;
@@ -26,6 +27,7 @@ let create eng ~dev ~name =
       eng;
       dev;
       sname = name;
+      lane = lazy (Device.lane dev name);
       inbox = E.Sync.Mailbox.create ~name:(name ^ ".inbox") eng ();
       submitted = 0;
       done_flag = E.Sync.Flag.create ~name:(name ^ ".completed") eng 0;
@@ -42,6 +44,7 @@ let create eng ~dev ~name =
 
 let name t = t.sname
 let device t = t.dev
+let lane t = t.lane
 
 let enqueue t ?(label = "op") body =
   t.submitted <- t.submitted + 1;

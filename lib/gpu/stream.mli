@@ -12,6 +12,10 @@ val create : Cpufree_engine.Engine.t -> dev:Device.t -> name:string -> t
 val name : t -> string
 val device : t -> Device.t
 
+val lane : t -> string Lazy.t
+(** The stream's timeline lane, ["gpu<id>.<name>"], formatted on first
+    use — only a traced run forces it. *)
+
 val enqueue : t -> ?label:string -> (unit -> unit) -> unit
 (** Append an operation. Never blocks the caller. *)
 

@@ -6,9 +6,7 @@ module Env = Cpufree_obs.Sim_env
    one got. *)
 let scenario_env ?arch ?env kind problem ~gpus =
   let built = Variants.build kind problem ~gpus in
-  let progress () =
-    match built.Variants.progress () with Some p -> Array.copy p | None -> Array.make gpus 0
-  in
+  let progress () = Array.copy built.Variants.progress in
   Measure.job ?arch ?env ~progress ~label:(Variants.name kind) ~gpus
     ~iterations:problem.Problem.iterations built.Variants.program
 
@@ -146,7 +144,7 @@ let of_scenario (sc : Cpufree_core.Scenario.t) =
       Option.to_result (Variants.of_name variant)
         ~none:
           (Printf.sprintf "unknown variant %S; use one of: %s" variant
-             (String.concat ", " (List.map Variants.name Variants.all)))
+             (String.concat ", " (List.map Variants.name Variants.extended)))
     in
     let* dims = Problem.dims_of_string dims in
     let* arch, env = Measure.of_scenario sc in

@@ -27,24 +27,50 @@ let of_name s = List.find_opt (fun k -> String.equal (name k) s) extended
 type built = {
   program : G.Runtime.ctx -> unit;
   final : unit -> G.Buffer.t array option;
-  progress : unit -> int array option;
+  progress : int array;
 }
 
-(* Shared per-run state: slab geometry, the double-buffered symmetric domain
-   allocation, and the halo signaling protocol. *)
+(* One side of a PE's slab: the owned boundary plane next to a halo and,
+   unless the side is the domain edge, the neighbour whose halo it feeds.
+   Every halo exchange and every persistent comm role walks this table. *)
+type feed = { peer : int; halo_off : int  (* where the plane lands in the peer's storage *) }
+
+type side = {
+  dir : Proto.dir;
+  plane : int;  (* the owned boundary plane *)
+  own_off : int;  (* its storage offset *)
+  feed : feed option;
+}
+
+let halo_table slabs pe =
+  let slab = slabs.(pe) in
+  let feed peer halo_off =
+    if peer < 0 || peer >= Array.length slabs then None
+    else Some { peer; halo_off = halo_off slabs.(peer) }
+  in
+  [|
+    { dir = Proto.Up; plane = 1; own_off = Slab.top_own_off slab;
+      feed = feed (pe - 1) Slab.bottom_halo_off };
+    { dir = Proto.Down; plane = slab.Slab.planes; own_off = Slab.bottom_own_off slab;
+      feed = feed (pe + 1) Slab.top_halo_off };
+  |]
+
+(* Shared per-run state: slab geometry and halo tables, the double-buffered
+   symmetric domain allocation, and the halo signaling protocol. *)
 type state = {
   problem : Problem.t;
   nv : Nv.t;
   proto : Proto.t;
   coll : Collective.t;
   slabs : Slab.t array;
+  halo : side array array;  (* per PE: its Up side, then its Down side *)
   sym_a : Nv.sym;
   sym_b : Nv.sym;
   host_scratch : G.Buffer.t array;  (* 1-element D2H landing zone per rank *)
   progress : int array;  (* last fully completed iteration per PE *)
 }
 
-let setup problem ctx =
+let setup problem ctx ~progress =
   let n = G.Runtime.num_gpus ctx in
   let slabs = Array.init n (fun pe -> Slab.make problem ~n_pes:n ~pe) in
   let nv = Nv.init ctx in
@@ -65,12 +91,13 @@ let setup problem ctx =
     proto = Proto.create nv ~label:"halo";
     coll = Collective.create nv ~label:"norm";
     slabs;
+    halo = Array.init n (halo_table slabs);
     sym_a;
     sym_b;
     host_scratch =
       Array.init n (fun pe ->
           G.Buffer.create ~device:G.Buffer.host_device ~label:(Printf.sprintf "norm%d" pe) 1);
-    progress = Array.make n 0;
+    progress;
   }
 
 (* Progress is recorded as each PE finishes an iteration, so an aborted chaos
@@ -105,86 +132,67 @@ let apply_inner st ~pe ~t =
   | None -> ()
   | Some (a, b) -> apply st ~pe ~t ~p0:a ~p1:b
 
-(* Work split between boundary and inner groups (§4.1.2); also used to model
-   the device shares of concurrently running discrete kernels. *)
-let split_for st ctx pe =
-  let slab = st.slabs.(pe) in
-  let total_blocks = G.Arch.co_resident_blocks (G.Runtime.arch ctx) in
-  if Array.length st.slabs = 1 then Specialize.no_boundary ~total_blocks
-  else
-    Specialize.split ~total_blocks ~boundary_elems:(Slab.boundary_elems slab)
-      ~inner_elems:(Slab.inner_elems slab)
+(* ------------------------------------------------------------------ *)
+(* Halo exchange                                                       *)
+(* ------------------------------------------------------------------ *)
 
-let has_up pe = pe > 0
-let has_down st pe = pe < Array.length st.slabs - 1
+(* How a fresh boundary plane reaches the neighbour's halo: a host-issued
+   cudaMemcpyAsync in a stream (Copy/Overlap), an in-kernel direct peer
+   store (P2P), or an NVSHMEM put+signal (§4.1.1). *)
+type transport = Memcpy of G.Stream.t | Peer_store | Put_signal
 
-(* Host-side cudaMemcpyAsync halo pushes for iteration [t] (Copy/Overlap). *)
-let memcpy_exchange st ctx ~stream ~pe ~t =
-  let slab = st.slabs.(pe) in
-  let len = slab.Slab.plane in
-  if has_up pe then begin
-    let up = st.slabs.(pe - 1) in
-    G.Runtime.memcpy_async ctx ~stream ~src:(dst_buf st ~pe t)
-      ~src_pos:(Slab.top_own_off slab)
-      ~dst:(dst_buf st ~pe:(pe - 1) t)
-      ~dst_pos:(Slab.bottom_halo_off up) ~len
-  end;
-  if has_down st pe then begin
-    let down = st.slabs.(pe + 1) in
-    G.Runtime.memcpy_async ctx ~stream ~src:(dst_buf st ~pe t)
-      ~src_pos:(Slab.bottom_own_off slab)
-      ~dst:(dst_buf st ~pe:(pe + 1) t)
-      ~dst_pos:(Slab.top_halo_off down) ~len
-  end
+(* Send side [side]'s boundary plane of iteration [t]; nothing at the edge. *)
+let send st ctx transport ~pe ~t side =
+  match side.feed with
+  | None -> ()
+  | Some { peer; halo_off } -> (
+    let src = dst_buf st ~pe t and len = st.slabs.(pe).Slab.plane in
+    match transport with
+    | Memcpy stream ->
+      G.Runtime.memcpy_async ctx ~stream ~src ~src_pos:side.own_off ~dst:(dst_buf st ~pe:peer t)
+        ~dst_pos:halo_off ~len
+    | Peer_store ->
+      P2p_copy.copy ctx ~from_dev:pe ~src ~src_pos:side.own_off ~dst:(dst_buf st ~pe:peer t)
+        ~dst_pos:halo_off ~len
+    | Put_signal ->
+      Proto.put_boundary st.proto ~from_pe:pe ~dir:side.dir ~src ~src_pos:side.own_off
+        ~dst:(dst_sym st t) ~dst_pos:halo_off ~len ~iter:t)
 
-(* In-kernel direct peer stores for the same exchange (P2P variant). *)
-let p2p_exchange st ctx ~pe ~t =
-  let slab = st.slabs.(pe) in
-  let len = slab.Slab.plane in
-  if has_up pe then
-    P2p_copy.copy ctx ~from_dev:pe ~src:(dst_buf st ~pe t) ~src_pos:(Slab.top_own_off slab)
-      ~dst:(dst_buf st ~pe:(pe - 1) t)
-      ~dst_pos:(Slab.bottom_halo_off st.slabs.(pe - 1))
-      ~len;
-  if has_down st pe then
-    P2p_copy.copy ctx ~from_dev:pe ~src:(dst_buf st ~pe t)
-      ~src_pos:(Slab.bottom_own_off slab)
-      ~dst:(dst_buf st ~pe:(pe + 1) t)
-      ~dst_pos:(Slab.top_halo_off st.slabs.(pe + 1))
-      ~len
+(* Both boundary planes, Up before Down. *)
+let exchange st ctx transport ~pe ~t =
+  let sides = st.halo.(pe) in
+  for i = 0 to Array.length sides - 1 do
+    send st ctx transport ~pe ~t sides.(i)
+  done
 
-(* NVSHMEM put+signal of both freshly computed boundary planes (§4.1.1). *)
-let nvshmem_exchange st ~pe ~t =
-  let slab = st.slabs.(pe) in
-  let len = slab.Slab.plane in
-  let dst = dst_sym st t in
-  if has_up pe then
-    Proto.put_boundary st.proto ~from_pe:pe ~dir:Proto.Up ~src:(dst_buf st ~pe t)
-      ~src_pos:(Slab.top_own_off slab) ~dst
-      ~dst_pos:(Slab.bottom_halo_off st.slabs.(pe - 1))
-      ~len ~iter:t;
-  if has_down st pe then
-    Proto.put_boundary st.proto ~from_pe:pe ~dir:Proto.Down ~src:(dst_buf st ~pe t)
-      ~src_pos:(Slab.bottom_own_off slab) ~dst
-      ~dst_pos:(Slab.top_halo_off st.slabs.(pe + 1))
-      ~len ~iter:t
+(* Wait until both inbound halos of iteration [t] have arrived. *)
+let wait_halos st ~pe ~t =
+  let sides = st.halo.(pe) in
+  for i = 0 to Array.length sides - 1 do
+    Proto.wait_halo st.proto ~pe ~dir:sides.(i).dir ~iter:t
+  done
 
-let boundary_plane_list slab = Slab.boundary_planes slab
+(* ------------------------------------------------------------------ *)
+(* Residual-norm checks                                                *)
+(* ------------------------------------------------------------------ *)
 
 let norm_due st t =
   match st.problem.Problem.norm_every with Some k -> t mod k = 0 | None -> false
+
+(* A kernel over the whole owned domain. *)
+let owned_cost st ctx ~pe ~fraction ~bytes_per_elem =
+  let slab = st.slabs.(pe) in
+  kernel_cost st ctx ~elems:(slab.Slab.planes * slab.Slab.plane) ~fraction ~efficiency:1.0
+    ~bytes_per_elem
+
+let norm_bpe = float_of_int G.Buffer.elem_bytes
 
 (* The NVIDIA samples' convergence check, CPU-controlled style: a reduction
    kernel over the owned domain, a device-to-host copy of the partial norm,
    and a host allreduce across ranks. *)
 let host_norm_check st ctx ~stream ~barrier ~pe ~t =
   if norm_due st t then begin
-    let slab = st.slabs.(pe) in
-    let cost =
-      kernel_cost st ctx ~elems:(slab.Slab.planes * slab.Slab.plane) ~fraction:1.0
-        ~efficiency:1.0
-        ~bytes_per_elem:(float_of_int G.Buffer.elem_bytes)
-    in
+    let cost = owned_cost st ctx ~pe ~fraction:1.0 ~bytes_per_elem:norm_bpe in
     G.Runtime.launch ctx ~stream ~name:"norm" ~cost (fun () -> ());
     G.Runtime.memcpy_async ctx ~stream ~src:(dst_buf st ~pe t) ~src_pos:0
       ~dst:st.host_scratch.(pe) ~dst_pos:0 ~len:1;
@@ -198,241 +206,211 @@ let host_norm_check st ctx ~stream ~barrier ~pe ~t =
    run on device, with no host involvement. *)
 let device_norm_check st ctx ~pe ~t ~fraction =
   if norm_due st t then begin
-    let slab = st.slabs.(pe) in
-    let cost =
-      kernel_cost st ctx ~elems:(slab.Slab.planes * slab.Slab.plane) ~fraction ~efficiency:1.0
-        ~bytes_per_elem:(float_of_int G.Buffer.elem_bytes)
-    in
+    let cost = owned_cost st ctx ~pe ~fraction ~bytes_per_elem:norm_bpe in
     E.Engine.delay (G.Runtime.engine ctx) (G.Runtime.scaled_cost ctx ~gpu:pe cost);
     let (_ : float) = Collective.allreduce_sum st.coll ~pe 0.0 in
     ()
   end
 
 (* ------------------------------------------------------------------ *)
-(* CPU-controlled variants                                             *)
+(* CPU-controlled variants: one host-driven loop                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Each PE's host thread creates its streams (the first also carries the
+   norm check), builds its per-iteration body once, and runs it every
+   iteration. Host-synchronized baselines then meet at a host barrier; a
+   [signaled] baseline's PEs order their iterations by device signals alone
+   and fence their puts once at the end instead. *)
+let host_driven st ctx ~name ~streams ~signaled body =
+  let barrier = G.Host.barrier_create ctx ~parties:(G.Runtime.num_gpus ctx) in
+  G.Host.parallel_join ctx ~name (fun pe ->
+      let eng = G.Runtime.engine ctx in
+      let dev = G.Runtime.device ctx pe in
+      let streams = Array.map (fun name -> G.Stream.create eng ~dev ~name) streams in
+      let iteration = body ~pe streams in
+      for t = 1 to st.problem.Problem.iterations do
+        iteration t;
+        host_norm_check st ctx ~stream:streams.(0) ~barrier ~pe ~t;
+        if not signaled then G.Host.barrier_wait ctx barrier;
+        tick st ~pe ~t
+      done;
+      if signaled then Nv.quiet st.nv ~pe)
+
+let whole_cost st ctx ~pe = owned_cost st ctx ~pe ~fraction:1.0 ~bytes_per_elem:stencil_bpe
+let apply_whole st ~pe ~t = apply st ~pe ~t ~p0:1 ~p1:st.slabs.(pe).Slab.planes
+
 let run_copy st ctx =
-  let barrier = G.Host.barrier_create ctx ~parties:(G.Runtime.num_gpus ctx) in
-  G.Host.parallel_join ctx ~name:"copy" (fun pe ->
-      let eng = G.Runtime.engine ctx in
-      let dev = G.Runtime.device ctx pe in
-      let stream = G.Stream.create eng ~dev ~name:"s0" in
-      let slab = st.slabs.(pe) in
-      let cost =
-        kernel_cost st ctx ~elems:(slab.Slab.planes * slab.Slab.plane) ~fraction:1.0
-          ~efficiency:1.0 ~bytes_per_elem:stencil_bpe
-      in
-      for t = 1 to st.problem.Problem.iterations do
-        G.Runtime.launch ctx ~stream ~name:"jacobi" ~cost (fun () ->
-            apply st ~pe ~t ~p0:1 ~p1:slab.Slab.planes);
-        memcpy_exchange st ctx ~stream ~pe ~t;
-        G.Runtime.stream_synchronize ctx stream;
-        host_norm_check st ctx ~stream ~barrier ~pe ~t;
-        G.Host.barrier_wait ctx barrier;
-        tick st ~pe ~t
-      done)
+  host_driven st ctx ~name:"copy" ~streams:[| "s0" |] ~signaled:false (fun ~pe streams ->
+      let stream = streams.(0) in
+      let memcpy = Memcpy stream and cost = whole_cost st ctx ~pe in
+      fun t ->
+        G.Runtime.launch ctx ~stream ~name:"jacobi" ~cost (fun () -> apply_whole st ~pe ~t);
+        exchange st ctx memcpy ~pe ~t;
+        G.Runtime.stream_synchronize ctx stream)
 
+(* The inner kernel in a comp stream concurrent with the boundary work in a
+   comm stream; [comm_work ~pe ~comm ~cost ~planes] builds the comm
+   stream's per-iteration work, which is where Overlap and P2P differ. *)
+let run_two_stream st ctx ~name comm_work =
+  host_driven st ctx ~name ~streams:[| "comp"; "comm" |] ~signaled:false (fun ~pe streams ->
+      let comp = streams.(0) and comm = streams.(1) in
+      let slab = st.slabs.(pe) in
+      let planes = Slab.boundary_planes slab in
+      (* Discrete kernels are not co-residency-limited: the hardware scheduler
+         time-shares SMs between the two concurrent kernels, so the small
+         boundary kernel effectively sees about half the device while the
+         inner kernel retains full throughput once it drains. *)
+      let boundary_cost =
+        kernel_cost st ctx
+          ~elems:(List.length planes * slab.Slab.plane)
+          ~fraction:0.5 ~efficiency:1.0 ~bytes_per_elem:stencil_bpe
+      in
+      let inner_cost =
+        kernel_cost st ctx ~elems:(Slab.inner_elems slab) ~fraction:1.0 ~efficiency:1.0
+          ~bytes_per_elem:stencil_bpe
+      in
+      let comm_work = comm_work ~pe ~comm ~cost:boundary_cost ~planes in
+      fun t ->
+        G.Runtime.launch ctx ~stream:comp ~name:"inner" ~cost:inner_cost (fun () ->
+            apply_inner st ~pe ~t);
+        comm_work t;
+        G.Runtime.stream_synchronize ctx comm;
+        G.Runtime.stream_synchronize ctx comp)
+
+(* Boundary kernel, then host-issued halo copies behind it. *)
 let run_overlap st ctx =
-  let barrier = G.Host.barrier_create ctx ~parties:(G.Runtime.num_gpus ctx) in
-  G.Host.parallel_join ctx ~name:"overlap" (fun pe ->
-      let eng = G.Runtime.engine ctx in
-      let dev = G.Runtime.device ctx pe in
-      let comp = G.Stream.create eng ~dev ~name:"comp" in
-      let comm = G.Stream.create eng ~dev ~name:"comm" in
-      let slab = st.slabs.(pe) in
-      let boundary_planes = boundary_plane_list slab in
-      (* Discrete kernels are not co-residency-limited: the hardware scheduler
-         time-shares SMs between the two concurrent kernels, so the small
-         boundary kernel effectively sees about half the device while the
-         inner kernel retains full throughput once it drains. *)
-      let boundary_cost =
-        kernel_cost st ctx
-          ~elems:(List.length boundary_planes * slab.Slab.plane)
-          ~fraction:0.5 ~efficiency:1.0 ~bytes_per_elem:stencil_bpe
-      in
-      let inner_cost =
-        kernel_cost st ctx ~elems:(Slab.inner_elems slab) ~fraction:1.0 ~efficiency:1.0
-          ~bytes_per_elem:stencil_bpe
-      in
-      for t = 1 to st.problem.Problem.iterations do
-        G.Runtime.launch ctx ~stream:comp ~name:"inner" ~cost:inner_cost (fun () ->
-            apply_inner st ~pe ~t);
-        G.Runtime.launch ctx ~stream:comm ~name:"boundary" ~cost:boundary_cost (fun () ->
-            apply_planes st ~pe ~t boundary_planes);
-        memcpy_exchange st ctx ~stream:comm ~pe ~t;
-        G.Runtime.stream_synchronize ctx comm;
-        G.Runtime.stream_synchronize ctx comp;
-        host_norm_check st ctx ~stream:comp ~barrier ~pe ~t;
-        G.Host.barrier_wait ctx barrier;
-        tick st ~pe ~t
-      done)
+  run_two_stream st ctx ~name:"overlap" (fun ~pe ~comm ~cost ~planes ->
+      let memcpy = Memcpy comm in
+      fun t ->
+        G.Runtime.launch ctx ~stream:comm ~name:"boundary" ~cost (fun () ->
+            apply_planes st ~pe ~t planes);
+        exchange st ctx memcpy ~pe ~t)
 
+(* The boundary kernel stores its planes straight into the neighbours. *)
 let run_p2p st ctx =
-  let barrier = G.Host.barrier_create ctx ~parties:(G.Runtime.num_gpus ctx) in
-  G.Host.parallel_join ctx ~name:"p2p" (fun pe ->
-      let eng = G.Runtime.engine ctx in
-      let dev = G.Runtime.device ctx pe in
-      let comp = G.Stream.create eng ~dev ~name:"comp" in
-      let comm = G.Stream.create eng ~dev ~name:"comm" in
-      let slab = st.slabs.(pe) in
-      let boundary_planes = boundary_plane_list slab in
-      (* Discrete kernels are not co-residency-limited: the hardware scheduler
-         time-shares SMs between the two concurrent kernels, so the small
-         boundary kernel effectively sees about half the device while the
-         inner kernel retains full throughput once it drains. *)
-      let boundary_cost =
-        kernel_cost st ctx
-          ~elems:(List.length boundary_planes * slab.Slab.plane)
-          ~fraction:0.5 ~efficiency:1.0 ~bytes_per_elem:stencil_bpe
-      in
-      let inner_cost =
-        kernel_cost st ctx ~elems:(Slab.inner_elems slab) ~fraction:1.0 ~efficiency:1.0
-          ~bytes_per_elem:stencil_bpe
-      in
-      for t = 1 to st.problem.Problem.iterations do
-        G.Runtime.launch ctx ~stream:comp ~name:"inner" ~cost:inner_cost (fun () ->
-            apply_inner st ~pe ~t);
-        G.Runtime.launch ctx ~stream:comm ~name:"boundary+p2p" ~cost:boundary_cost (fun () ->
-            apply_planes st ~pe ~t boundary_planes;
-            p2p_exchange st ctx ~pe ~t);
-        G.Runtime.stream_synchronize ctx comm;
-        G.Runtime.stream_synchronize ctx comp;
-        host_norm_check st ctx ~stream:comp ~barrier ~pe ~t;
-        G.Host.barrier_wait ctx barrier;
-        tick st ~pe ~t
-      done)
+  run_two_stream st ctx ~name:"p2p" (fun ~pe ~comm ~cost ~planes t ->
+      G.Runtime.launch ctx ~stream:comm ~name:"boundary+p2p" ~cost (fun () ->
+          apply_planes st ~pe ~t planes;
+          exchange st ctx Peer_store ~pe ~t))
 
 let run_nvshmem st ctx =
-  let barrier = G.Host.barrier_create ctx ~parties:(G.Runtime.num_gpus ctx) in
-  G.Host.parallel_join ctx ~name:"nvshmem" (fun pe ->
-      let eng = G.Runtime.engine ctx in
-      let dev = G.Runtime.device ctx pe in
-      let stream = G.Stream.create eng ~dev ~name:"s0" in
-      let slab = st.slabs.(pe) in
-      let cost =
-        kernel_cost st ctx ~elems:(slab.Slab.planes * slab.Slab.plane) ~fraction:1.0
-          ~efficiency:1.0 ~bytes_per_elem:stencil_bpe
-      in
-      for t = 1 to st.problem.Problem.iterations do
+  host_driven st ctx ~name:"nvshmem" ~streams:[| "s0" |] ~signaled:true (fun ~pe streams ->
+      let stream = streams.(0) and cost = whole_cost st ctx ~pe in
+      fun t ->
         (* Dedicated neighbour-sync kernel: wait for this iteration's inbound
            halos so the compute kernel can read them. *)
-        G.Runtime.launch ctx ~stream ~name:"sync_kernel" (fun () ->
-            Proto.wait_halo st.proto ~pe ~dir:Proto.Up ~iter:t;
-            Proto.wait_halo st.proto ~pe ~dir:Proto.Down ~iter:t);
+        G.Runtime.launch ctx ~stream ~name:"sync_kernel" (fun () -> wait_halos st ~pe ~t);
         G.Runtime.launch ctx ~stream ~name:"jacobi+put" ~cost (fun () ->
-            apply st ~pe ~t ~p0:1 ~p1:slab.Slab.planes;
-            nvshmem_exchange st ~pe ~t);
+            apply_whole st ~pe ~t;
+            exchange st ctx Put_signal ~pe ~t);
         (* Peer synchronization is device-side, but the NVIDIA sample this
            baseline reproduces still synchronizes its stream every iteration
            (residual-norm check) — host control is reduced, not gone. *)
-        G.Runtime.stream_synchronize ctx stream;
-        host_norm_check st ctx ~stream ~barrier ~pe ~t;
-        tick st ~pe ~t
-      done;
-      Nv.quiet st.nv ~pe)
+        G.Runtime.stream_synchronize ctx stream)
 
 (* ------------------------------------------------------------------ *)
-(* CPU-Free variants (§4): persistent kernel, specialized TB roles     *)
+(* CPU-Free variants (§4): persistent kernels, specialized TB roles    *)
 (* ------------------------------------------------------------------ *)
 
-let run_persistent st ctx ~label ~inner_bpe ~inner_efficiency =
-  let iterations = st.problem.Problem.iterations in
-  let threads = 1024 in
-  let roles pe =
-    let slab = st.slabs.(pe) in
-    let split = split_for st ctx pe in
-    let boundary_fraction =
-      if split.Specialize.boundary_blocks = 0 then 1.0 /. float_of_int split.Specialize.total_blocks
-      else Specialize.boundary_fraction split
-    in
-    (* Persistent-kernel role costs are charged with direct delays (no
-       {!G.Runtime.launch} in the loop), so straggler scaling applies here. *)
-    let boundary_cost =
-      G.Runtime.scaled_cost ctx ~gpu:pe
-        (kernel_cost st ctx ~elems:slab.Slab.plane ~fraction:boundary_fraction ~efficiency:1.0
-           ~bytes_per_elem:stencil_bpe)
-    in
-    let inner_cost =
-      G.Runtime.scaled_cost ctx ~gpu:pe
-        (kernel_cost st ctx ~elems:(Slab.inner_elems slab)
-           ~fraction:(Stdlib.max (Specialize.inner_fraction split) 0.01)
-           ~efficiency:(inner_efficiency ~elems:(Slab.inner_elems slab))
-           ~bytes_per_elem:(inner_bpe ~elems:(Slab.inner_elems slab)))
-    in
-    let eng = G.Runtime.engine ctx in
-    let single = Array.length st.slabs = 1 && slab.Slab.planes = 1 in
-    let comm_role dir plane_idx own_off halo_of_peer other_dir_peer =
-      fun grid ->
-        for t = 1 to iterations do
-          Proto.wait_halo st.proto ~pe ~dir ~iter:t;
-          let t0 = E.Engine.now eng in
-          E.Engine.delay eng boundary_cost;
-          apply st ~pe ~t ~p0:plane_idx ~p1:plane_idx;
-          E.Engine.log_compute eng ~since:t0;
-          (match E.Engine.trace eng with
-          | None -> ()
-          | Some tr ->
-            E.Trace.add tr
-              ~lane:(G.Device.lane (G.Runtime.device ctx pe) "boundary")
-              ~label:"boundary" ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now eng));
-          (match other_dir_peer with
-          | None -> ()
-          | Some to_pe ->
-            ignore to_pe;
-            Proto.put_boundary st.proto ~from_pe:pe ~dir ~src:(dst_buf st ~pe t)
-              ~src_pos:own_off ~dst:(dst_sym st t) ~dst_pos:halo_of_peer ~len:slab.Slab.plane
-              ~iter:t);
-          G.Coop.sync grid
-        done
-    in
-    let top_role =
-      let peer = if has_up pe then Some (pe - 1) else None in
-      let halo_off = if has_up pe then Slab.bottom_halo_off st.slabs.(pe - 1) else 0 in
-      comm_role Proto.Up 1 (Slab.top_own_off slab) halo_off peer
-    in
-    let bottom_role =
-      let peer = if has_down st pe then Some (pe + 1) else None in
-      let halo_off = if has_down st pe then Slab.top_halo_off st.slabs.(pe + 1) else 0 in
-      comm_role Proto.Down slab.Slab.planes (Slab.bottom_own_off slab) halo_off peer
-    in
-    let inner_role grid =
-      for t = 1 to iterations do
-        let t0 = E.Engine.now eng in
-        E.Engine.delay eng inner_cost;
-        apply_inner st ~pe ~t;
-        E.Engine.log_compute eng ~since:t0;
-        (match E.Engine.trace eng with
-        | None -> ()
-        | Some tr ->
-          E.Trace.add tr
-            ~lane:(G.Device.lane (G.Runtime.device ctx pe) "inner")
-            ~label:"inner" ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now eng));
-        G.Coop.sync grid;
-        device_norm_check st ctx ~pe ~t
-          ~fraction:(Stdlib.max (Specialize.inner_fraction split) 0.01);
-        tick st ~pe ~t
-      done
-    in
-    if single then [ ("comm_top", top_role); ("inner", inner_role) ]
-    else [ ("comm_top", top_role); ("comm_bottom", bottom_role); ("inner", inner_role) ]
+(* Device shares of the thread-block roles on one PE (§4.1.2): the work
+   split between the boundary and inner groups, and each group's cost per
+   iteration. Role costs are charged with direct delays (no
+   {!G.Runtime.launch} in the loop), so straggler scaling applies here. *)
+type role_costs = {
+  split : Specialize.split;
+  boundary : Time.t;  (* one boundary plane *)
+  inner : Time.t;
+  inner_fraction : float;
+}
+
+let role_costs st ctx ~pe ~perks =
+  let slab = st.slabs.(pe) in
+  let arch = G.Runtime.arch ctx in
+  let total_blocks = G.Arch.co_resident_blocks arch in
+  let split =
+    if Array.length st.slabs = 1 then Specialize.no_boundary ~total_blocks
+    else
+      Specialize.split ~total_blocks ~boundary_elems:(Slab.boundary_elems slab)
+        ~inner_elems:(Slab.inner_elems slab)
   in
-  Persistent.run_all ctx ~name:label ~blocks:(Persistent.max_blocks ctx)
-    ~threads_per_block:threads ~roles;
+  let boundary_fraction =
+    if split.Specialize.boundary_blocks = 0 then 1.0 /. float_of_int split.Specialize.total_blocks
+    else Specialize.boundary_fraction split
+  in
+  let inner_fraction = Stdlib.max (Specialize.inner_fraction split) 0.01 in
+  let inner_elems = Slab.inner_elems slab in
+  (* PERKS caches the domain on chip: fewer bytes per element and no
+     software-tiling penalty. *)
+  let inner_bpe, inner_efficiency =
+    if perks then (G.Kernel.perks_bytes_per_elem arch ~elems:inner_elems, 1.0)
+    else (stencil_bpe, G.Kernel.tiling_efficiency arch ~elems:inner_elems ~threads:1024)
+  in
+  let boundary =
+    G.Runtime.scaled_cost ctx ~gpu:pe
+      (kernel_cost st ctx ~elems:slab.Slab.plane ~fraction:boundary_fraction ~efficiency:1.0
+         ~bytes_per_elem:stencil_bpe)
+  in
+  let inner =
+    G.Runtime.scaled_cost ctx ~gpu:pe
+      (kernel_cost st ctx ~elems:inner_elems ~fraction:inner_fraction
+         ~efficiency:inner_efficiency ~bytes_per_elem:inner_bpe)
+  in
+  { split; boundary; inner; inner_fraction }
+
+(* The thread-block roles of one PE: a comm role per boundary plane — wait
+   for the inbound halo, compute the plane, put it with a signal — and the
+   inner role, which also checks the norm and records progress. After its
+   grid barrier of iteration [t], a comm role runs [comm_sync dir t] and the
+   inner role [inner_sync t]: the two-kernel design's cross-kernel flags. *)
+let roles st ctx ~pe costs ~comm_sync ~inner_sync =
+  let eng = G.Runtime.engine ctx in
+  let dev = G.Runtime.device ctx pe in
+  let iterations = st.problem.Problem.iterations in
+  let boundary_lane = lazy (G.Device.lane dev "boundary") in
+  let comm_role side grid =
+    for t = 1 to iterations do
+      Proto.wait_halo st.proto ~pe ~dir:side.dir ~iter:t;
+      let t0 = E.Engine.now eng in
+      E.Engine.delay eng costs.boundary;
+      apply st ~pe ~t ~p0:side.plane ~p1:side.plane;
+      E.Engine.log_compute eng ~since:t0 ~lane:boundary_lane ~label:"boundary";
+      send st ctx Put_signal ~pe ~t side;
+      G.Coop.sync grid;
+      comm_sync side.dir t
+    done
+  in
+  let inner_lane = lazy (G.Device.lane dev "inner") in
+  let inner_role grid =
+    for t = 1 to iterations do
+      let t0 = E.Engine.now eng in
+      E.Engine.delay eng costs.inner;
+      apply_inner st ~pe ~t;
+      E.Engine.log_compute eng ~since:t0 ~lane:inner_lane ~label:"inner";
+      G.Coop.sync grid;
+      inner_sync t;
+      device_norm_check st ctx ~pe ~t ~fraction:costs.inner_fraction;
+      tick st ~pe ~t
+    done
+  in
+  (* A one-plane slab (one GPU only: on several, persistent variants need
+     two planes per PE) has a single boundary plane and so one comm role. *)
+  let sides = st.halo.(pe) in
+  let sides = if st.slabs.(pe).Slab.planes = 1 then [ sides.(0) ] else Array.to_list sides in
+  let comm_name side = match side.dir with Proto.Up -> "comm_top" | Proto.Down -> "comm_bottom" in
+  (List.map (fun side -> (comm_name side, comm_role side)) sides, ("inner", inner_role))
+
+let run_persistent st ctx ~label ~perks =
+  let roles pe =
+    let costs = role_costs st ctx ~pe ~perks in
+    let comm, inner =
+      roles st ctx ~pe costs ~comm_sync:(fun _ _ -> ()) ~inner_sync:(fun _ -> ())
+    in
+    comm @ [ inner ]
+  in
+  Persistent.run_all ctx ~name:label ~blocks:(Persistent.max_blocks ctx) ~threads_per_block:1024
+    ~roles;
   (* The persistent kernels have exited; flush any trailing deliveries. *)
   G.Host.parallel_join ctx ~name:(label ^ ".drain") (fun pe -> Nv.quiet st.nv ~pe)
-
-let run_cpu_free st ctx =
-  let arch = G.Runtime.arch ctx in
-  run_persistent st ctx ~label:"cpu_free"
-    ~inner_bpe:(fun ~elems:_ -> stencil_bpe)
-    ~inner_efficiency:(fun ~elems -> G.Kernel.tiling_efficiency arch ~elems ~threads:1024)
-
-let run_perks st ctx =
-  let arch = G.Runtime.arch ctx in
-  run_persistent st ctx ~label:"perks"
-    ~inner_bpe:(fun ~elems -> G.Kernel.perks_bytes_per_elem arch ~elems)
-    ~inner_efficiency:(fun ~elems:_ -> 1.0)
 
 (* The alternative design of §4: instead of specializing thread blocks
    inside one kernel, run two co-resident persistent kernels per device —
@@ -443,89 +421,36 @@ let run_perks st ctx =
    the benchmark suite check that claim. *)
 let run_cpu_free_multi st ctx =
   let eng = G.Runtime.engine ctx in
-  let arch = G.Runtime.arch ctx in
-  let iterations = st.problem.Problem.iterations in
-  (* Local-memory iteration flags, one pair per device. *)
   let n = G.Runtime.num_gpus ctx in
-  let comm_done = Array.init n (fun pe -> E.Sync.Flag.create ~name:(Printf.sprintf "gpu%d.comm_done" pe) eng 0) in
-  let comp_done = Array.init n (fun pe -> E.Sync.Flag.create ~name:(Printf.sprintf "gpu%d.comp_done" pe) eng 0) in
+  (* Local-memory iteration flags, one pair per device. *)
+  let flags what =
+    Array.init n (fun pe -> E.Sync.Flag.create ~name:(Printf.sprintf "gpu%d.%s" pe what) eng 0)
+  in
+  let comm_done = flags "comm_done" in
+  let comp_done = flags "comp_done" in
   let local_flag_latency = Time.ns 300 in
-  let cross_kernel_sync ~pe ~mine ~other ~t =
-    E.Sync.Flag.set mine.(pe) t;
-    E.Sync.Flag.wait_ge other.(pe) t;
+  let cross_kernel_sync ~mine ~other t =
+    E.Sync.Flag.set mine t;
+    E.Sync.Flag.wait_ge other t;
     E.Engine.delay eng local_flag_latency
   in
   G.Host.parallel_join ctx ~name:"cpu_free_2k" (fun pe ->
       let dev = G.Runtime.device ctx pe in
-      let slab = st.slabs.(pe) in
-      let split = split_for st ctx pe in
-      let boundary_fraction =
-        if split.Specialize.boundary_blocks = 0 then
-          1.0 /. float_of_int split.Specialize.total_blocks
-        else Specialize.boundary_fraction split
+      let costs = role_costs st ctx ~pe ~perks:false in
+      (* The comm kernel's leader block (its top role) publishes completion
+         and spins on the compute kernel's flag. *)
+      let comm_sync dir t =
+        match dir with
+        | Proto.Up -> cross_kernel_sync ~mine:comm_done.(pe) ~other:comp_done.(pe) t
+        | Proto.Down -> E.Sync.Flag.wait_ge comp_done.(pe) t
       in
-      let boundary_cost =
-        G.Runtime.scaled_cost ctx ~gpu:pe
-          (kernel_cost st ctx ~elems:slab.Slab.plane ~fraction:boundary_fraction ~efficiency:1.0
-             ~bytes_per_elem:stencil_bpe)
-      in
-      let inner_cost =
-        G.Runtime.scaled_cost ctx ~gpu:pe
-          (kernel_cost st ctx ~elems:(Slab.inner_elems slab)
-             ~fraction:(Stdlib.max (Specialize.inner_fraction split) 0.01)
-             ~efficiency:
-               (G.Kernel.tiling_efficiency arch ~elems:(Slab.inner_elems slab) ~threads:1024)
-             ~bytes_per_elem:stencil_bpe)
-      in
-      let comm_side dir plane_idx own_off halo_off grid =
-        for t = 1 to iterations do
-          Proto.wait_halo st.proto ~pe ~dir ~iter:t;
-          E.Engine.delay eng boundary_cost;
-          apply st ~pe ~t ~p0:plane_idx ~p1:plane_idx;
-          (match Proto.neighbor st.proto ~pe dir with
-          | None -> ()
-          | Some _ ->
-            Proto.put_boundary st.proto ~from_pe:pe ~dir ~src:(dst_buf st ~pe t)
-              ~src_pos:own_off ~dst:(dst_sym st t) ~dst_pos:halo_off ~len:slab.Slab.plane
-              ~iter:t);
-          G.Coop.sync grid;
-          (* Leader block of the comm kernel publishes completion and spins
-             on the compute kernel's flag. *)
-          if dir = Proto.Up then cross_kernel_sync ~pe ~mine:comm_done ~other:comp_done ~t
-          else E.Sync.Flag.wait_ge comp_done.(pe) t
-        done
-      in
-      let comm_roles =
-        [
-          ( "comm_top",
-            fun grid ->
-              comm_side Proto.Up 1 (Slab.top_own_off slab)
-                (if has_up pe then Slab.bottom_halo_off st.slabs.(pe - 1) else 0)
-                grid );
-          ( "comm_bottom",
-            fun grid ->
-              comm_side Proto.Down slab.Slab.planes (Slab.bottom_own_off slab)
-                (if has_down st pe then Slab.top_halo_off st.slabs.(pe + 1) else 0)
-                grid );
-        ]
-      in
-      let comp_roles =
-        [
-          ( "inner",
-            fun grid ->
-              for t = 1 to iterations do
-                E.Engine.delay eng inner_cost;
-                apply_inner st ~pe ~t;
-                G.Coop.sync grid;
-                cross_kernel_sync ~pe ~mine:comp_done ~other:comm_done ~t;
-                device_norm_check st ctx ~pe ~t
-                  ~fraction:(Stdlib.max (Specialize.inner_fraction split) 0.01);
-                tick st ~pe ~t
-              done );
-        ]
+      let comm_roles, inner =
+        roles st ctx ~pe costs ~comm_sync
+          ~inner_sync:(cross_kernel_sync ~mine:comp_done.(pe) ~other:comm_done.(pe))
       in
       (* Two cooperative kernels sharing the device: split the co-resident
          block budget between them. *)
+      let split = costs.split in
       let comm_blocks = Stdlib.max 2 (2 * split.Specialize.boundary_blocks) in
       let comp_blocks = Stdlib.max 1 (split.Specialize.total_blocks - comm_blocks) in
       let fin_comm =
@@ -534,10 +459,10 @@ let run_cpu_free_multi st ctx =
       in
       let fin_comp =
         G.Runtime.launch_cooperative ctx ~dev ~name:"comp_kernel" ~blocks:comp_blocks
-          ~threads_per_block:1024 ~roles:comp_roles
+          ~threads_per_block:1024 ~roles:[ inner ]
       in
       G.Runtime.join_kernel ctx ~roles:(List.length comm_roles) fin_comm;
-      G.Runtime.join_kernel ctx ~roles:(List.length comp_roles) fin_comp;
+      G.Runtime.join_kernel ctx ~roles:1 fin_comp;
       Nv.quiet st.nv ~pe)
 
 (* ------------------------------------------------------------------ *)
@@ -561,19 +486,18 @@ let feasible kind problem ~gpus =
 let build kind problem ~gpus =
   (match feasible kind problem ~gpus with Ok () -> () | Error e -> invalid_arg e);
   let store = ref None in
-  let progress_store = ref None in
+  let progress = Array.make gpus 0 in
   let program ctx =
-    let st = setup problem ctx in
-    progress_store := Some st.progress;
+    let st = setup problem ctx ~progress in
     (match kind with
     | Copy -> run_copy st ctx
     | Overlap -> run_overlap st ctx
     | P2p -> run_p2p st ctx
     | Nvshmem -> run_nvshmem st ctx
-    | Cpu_free -> run_cpu_free st ctx
-    | Perks -> run_perks st ctx
+    | Cpu_free -> run_persistent st ctx ~label:"cpu_free" ~perks:false
+    | Perks -> run_persistent st ctx ~label:"perks" ~perks:true
     | Cpu_free_multi -> run_cpu_free_multi st ctx);
     let sym = final_sym st in
     store := Some (Array.init gpus (fun pe -> Nv.local sym ~pe))
   in
-  { program; final = (fun () -> !store); progress = (fun () -> !progress_store) }
+  { program; final = (fun () -> !store); progress }

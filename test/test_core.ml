@@ -111,8 +111,7 @@ let proto_tests =
               in
               (* PE 1 waits for the halo of iteration 2 (sent at iteration 1). *)
               Proto.wait_halo p ~pe:1 ~dir:Proto.Up ~iter:2;
-              check_float "halo data" 3.0 (G.Buffer.get (Nv.local s ~pe:1) 4);
-              check_int "flag" 1 (Proto.inbound_value p ~pe:1 ~dir:Proto.Up))
+              check_float "halo data" 3.0 (G.Buffer.get (Nv.local s ~pe:1) 4))
         in
         ());
     Alcotest.test_case "puts at the domain edge are no-ops" `Quick (fun () ->
@@ -125,18 +124,6 @@ let proto_tests =
               Proto.put_boundary p ~from_pe:0 ~dir:Proto.Up ~src:(Nv.local s ~pe:0) ~src_pos:0
                 ~dst:s ~dst_pos:0 ~len:4 ~iter:1;
               Nv.quiet nv ~pe:0)
-        in
-        ());
-    Alcotest.test_case "signal_only raises the flag without payload" `Quick (fun () ->
-        let _ =
-          with_machine ~gpus:2 (fun eng ctx ->
-              let nv = Nv.init ctx in
-              let p = Proto.create nv ~label:"h" in
-              let (_ : Engine.process) =
-                Engine.spawn eng ~name:"pe1" (fun () ->
-                    Proto.signal_only p ~from_pe:1 ~dir:Proto.Up ~iter:5)
-              in
-              Proto.wait_halo p ~pe:0 ~dir:Proto.Down ~iter:6)
         in
         ());
   ]

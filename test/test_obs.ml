@@ -467,12 +467,20 @@ let untraced_tests =
               (fun kind ->
                 List.iter
                   (fun gpus ->
-                    both_envs
-                      (Printf.sprintf "%s %s x%d" dims (S.Variants.name kind) gpus)
-                      (fun env -> run_env ~env kind p ~gpus)
-                      (fun env -> with_trace (run ~traced:true ~env kind p ~gpus)))
+                    let what = Printf.sprintf "%s %s x%d" dims (S.Variants.name kind) gpus in
+                    (* Every run here computes, so every variant must log it. *)
+                    let computes (r : Measure.result) =
+                      check_bool (what ^ ": compute logged") true
+                        Time.(r.Measure.compute > zero);
+                      r
+                    in
+                    both_envs what
+                      (fun env -> computes (run_env ~env kind p ~gpus))
+                      (fun env ->
+                        let r, trace = with_trace (run ~traced:true ~env kind p ~gpus) in
+                        (computes r, trace)))
                   [ 1; 2; 4 ])
-              S.Variants.all)
+              S.Variants.extended)
           problems);
     Alcotest.test_case "dace arms: run_env equals run_traced_env" `Quick (fun () ->
         let apps =

@@ -270,6 +270,7 @@ let variant_misc_tests =
         in
         rejects "cpu-free" "2d:64x9" "at least two";
         rejects "baseline-copy" "2d:64x4" "fewer planes than PEs";
+        rejects "nope" "2d:64x16" "cpu-free-2kernel";
         (match of_scenario "cpu-free" "2d:64x16" with
         | Ok hsc -> ignore (Measure.run ~traced:true hsc : Measure.outcome)
         | Error e -> Alcotest.fail e);
@@ -467,6 +468,278 @@ let resilience_tests =
                  Variants.Cpu_free problem ~gpus:2)));
   ]
 
+(* --- Pinned runs: every variant's events, time, comm and bytes ------------ *)
+
+module Mx = Cpufree_obs.Metrics
+
+(* Each variant at 1, 2, 3, 4 and 8 GPUs on a 2D and a 3D problem, with and
+   without compute, plus a residual-norm problem: the engine's event count
+   (from a metrics sink), the simulated total and comm and the bytes moved
+   are pinned, so a rewrite of the variants that moves one event fails
+   here. *)
+let pin_problem ~compute = function
+  | "2d" -> Problem.make ~compute (d2 64 64) ~iterations:4
+  | "3d" -> Problem.make ~compute (d3 16 16 32) ~iterations:4
+  | "2d/norm" -> Problem.make ~compute ~norm_every:2 (d2 64 64) ~iterations:6
+  | p -> Alcotest.failf "unknown pin problem %s" p
+
+let engine_events reg =
+  match List.find (fun i -> i.Mx.name = "engine.events") (Mx.items reg) with
+  | { Mx.value = Mx.Counter_v n; _ } -> n
+  | _ -> Alcotest.fail "engine.events is not a counter"
+
+let metered_run ?faults kind problem ~gpus =
+  let reg = Mx.create () in
+  let env = Env.make ?faults ~fault_seed:1 ~metrics:reg () in
+  let o = run ~env kind problem ~gpus in
+  (o, engine_events reg)
+
+let pin_row kind dims gpus compute =
+  let o, events = metered_run kind (pin_problem ~compute dims) ~gpus in
+  let r = o.Measure.result in
+  ( Variants.name kind, dims, gpus, compute, events, Time.to_ns r.Measure.total,
+    Time.to_ns r.Measure.comm, r.Measure.bytes_moved )
+
+let pin_faults = "drop=0.2;delay=0.1@2000"
+
+let pin_chaos_row kind =
+  let faults =
+    match Fault.of_string pin_faults with Ok f -> f | Error e -> Alcotest.fail e
+  in
+  let o, events =
+    metered_run ~faults kind (Problem.make (d2 64 64) ~iterations:8) ~gpus:4
+  in
+  let c = Option.get o.Measure.chaos in
+  let r = c.Measure.base in
+  ( Variants.name kind, events, Time.to_ns r.Measure.total, Time.to_ns r.Measure.comm,
+    r.Measure.bytes_moved,
+    (c.Measure.completed, c.Measure.trigger, c.Measure.dropped, c.Measure.delayed,
+     c.Measure.resent, c.Measure.retried, Array.to_list c.Measure.progress) )
+
+(* One traced run per paper variant through the daemon's executor: the md5
+   of its Perfetto trace and metrics documents. *)
+let pin_artifacts kind =
+  let scenario =
+    Cpufree_core.Scenario.make ~gpus:4 ~trace:true ~metrics:true
+      (Cpufree_core.Scenario.Stencil
+         { variant = Variants.name kind; dims = "3d:16x16x32"; iters = 3; no_compute = false })
+  in
+  match Cpufree_serve.Exec.run scenario with
+  | Error e -> Alcotest.failf "%s: %s" (Variants.name kind) e
+  | Ok { Cpufree_serve.Protocol.trace = Some trace; metrics = Some metrics; _ } ->
+    let md5 s = Digest.to_hex (Digest.string s) in
+    (Variants.name kind, md5 trace, md5 metrics)
+  | Ok _ -> Alcotest.failf "%s: an artifact is missing" (Variants.name kind)
+
+let pinned_runs =
+  [
+    ("baseline-copy", "2d", 1, true, 28, 136000, 0, 0);
+    ("baseline-copy", "2d", 1, false, 28, 136000, 0, 0);
+    ("baseline-copy", "2d", 2, true, 74, 143200, 13604, 2048);
+    ("baseline-copy", "2d", 2, false, 74, 143200, 13604, 2048);
+    ("baseline-copy", "2d", 3, true, 120, 150400, 27208, 4096);
+    ("baseline-copy", "2d", 3, false, 120, 150400, 27208, 4096);
+    ("baseline-copy", "2d", 4, true, 166, 150400, 27209, 6144);
+    ("baseline-copy", "2d", 4, false, 166, 150400, 27209, 6144);
+    ("baseline-copy", "2d", 8, true, 350, 150400, 27209, 14336);
+    ("baseline-copy", "2d", 8, false, 350, 150400, 27209, 14336);
+    ("baseline-copy", "3d", 1, true, 28, 136000, 0, 0);
+    ("baseline-copy", "3d", 1, false, 28, 136000, 0, 0);
+    ("baseline-copy", "3d", 2, true, 74, 143200, 13612, 8192);
+    ("baseline-copy", "3d", 2, false, 74, 143200, 13612, 8192);
+    ("baseline-copy", "3d", 3, true, 120, 150400, 27228, 16384);
+    ("baseline-copy", "3d", 3, false, 120, 150400, 27224, 16384);
+    ("baseline-copy", "3d", 4, true, 166, 150400, 27227, 24576);
+    ("baseline-copy", "3d", 4, false, 166, 150400, 27227, 24576);
+    ("baseline-copy", "3d", 8, true, 350, 150400, 27227, 57344);
+    ("baseline-copy", "3d", 8, false, 350, 150400, 27227, 57344);
+    ("baseline-copy", "2d/norm", 4, true, 361, 355500, 59415, 9264);
+    ("baseline-overlap", "2d", 1, true, 49, 188000, 0, 0);
+    ("baseline-overlap", "2d", 1, false, 49, 188000, 0, 0);
+    ("baseline-overlap", "2d", 2, true, 116, 195200, 13604, 2048);
+    ("baseline-overlap", "2d", 2, false, 116, 195200, 13604, 2048);
+    ("baseline-overlap", "2d", 3, true, 183, 202400, 27208, 4096);
+    ("baseline-overlap", "2d", 3, false, 183, 202400, 27208, 4096);
+    ("baseline-overlap", "2d", 4, true, 250, 202400, 27209, 6144);
+    ("baseline-overlap", "2d", 4, false, 250, 202400, 27209, 6144);
+    ("baseline-overlap", "2d", 8, true, 518, 202400, 27209, 14336);
+    ("baseline-overlap", "2d", 8, false, 518, 202400, 27209, 14336);
+    ("baseline-overlap", "3d", 1, true, 49, 188000, 0, 0);
+    ("baseline-overlap", "3d", 1, false, 49, 188000, 0, 0);
+    ("baseline-overlap", "3d", 2, true, 116, 195200, 13612, 8192);
+    ("baseline-overlap", "3d", 2, false, 116, 195200, 13612, 8192);
+    ("baseline-overlap", "3d", 3, true, 183, 202400, 27224, 16384);
+    ("baseline-overlap", "3d", 3, false, 183, 202400, 27224, 16384);
+    ("baseline-overlap", "3d", 4, true, 250, 202400, 27227, 24576);
+    ("baseline-overlap", "3d", 4, false, 250, 202400, 27227, 24576);
+    ("baseline-overlap", "3d", 8, true, 518, 202400, 27227, 57344);
+    ("baseline-overlap", "3d", 8, false, 518, 202400, 27227, 57344);
+    ("baseline-overlap", "2d/norm", 4, true, 485, 433500, 59415, 9264);
+    ("baseline-p2p", "2d", 1, true, 49, 188000, 0, 0);
+    ("baseline-p2p", "2d", 1, false, 49, 188000, 0, 0);
+    ("baseline-p2p", "2d", 2, true, 108, 188000, 7004, 2048);
+    ("baseline-p2p", "2d", 2, false, 108, 188000, 7004, 2048);
+    ("baseline-p2p", "2d", 3, true, 167, 188000, 14008, 4096);
+    ("baseline-p2p", "2d", 3, false, 167, 188000, 14008, 4096);
+    ("baseline-p2p", "2d", 4, true, 226, 188000, 14010, 6144);
+    ("baseline-p2p", "2d", 4, false, 226, 188000, 14010, 6144);
+    ("baseline-p2p", "2d", 8, true, 462, 188000, 14010, 14336);
+    ("baseline-p2p", "2d", 8, false, 462, 188000, 14010, 14336);
+    ("baseline-p2p", "3d", 1, true, 49, 188000, 0, 0);
+    ("baseline-p2p", "3d", 1, false, 49, 188000, 0, 0);
+    ("baseline-p2p", "3d", 2, true, 108, 188000, 7012, 8192);
+    ("baseline-p2p", "3d", 2, false, 108, 188000, 7012, 8192);
+    ("baseline-p2p", "3d", 3, true, 167, 188000, 14024, 16384);
+    ("baseline-p2p", "3d", 3, false, 167, 188000, 14024, 16384);
+    ("baseline-p2p", "3d", 4, true, 226, 188000, 14030, 24576);
+    ("baseline-p2p", "3d", 4, false, 226, 188000, 14030, 24576);
+    ("baseline-p2p", "3d", 8, true, 462, 188000, 14030, 57344);
+    ("baseline-p2p", "3d", 8, false, 462, 188000, 14030, 57344);
+    ("baseline-p2p", "2d/norm", 4, true, 449, 411900, 34215, 9264);
+    ("baseline-nvshmem", "2d", 1, true, 40, 78000, 0, 0);
+    ("baseline-nvshmem", "2d", 1, false, 40, 78000, 0, 0);
+    ("baseline-nvshmem", "2d", 2, true, 110, 78000, 7004, 2048);
+    ("baseline-nvshmem", "2d", 2, false, 110, 78000, 7004, 2048);
+    ("baseline-nvshmem", "2d", 3, true, 180, 78000, 8404, 4096);
+    ("baseline-nvshmem", "2d", 3, false, 180, 78000, 8404, 4096);
+    ("baseline-nvshmem", "2d", 4, true, 250, 78000, 8404, 6144);
+    ("baseline-nvshmem", "2d", 4, false, 250, 78000, 8404, 6144);
+    ("baseline-nvshmem", "2d", 8, true, 530, 78000, 8404, 14336);
+    ("baseline-nvshmem", "2d", 8, false, 530, 78000, 8404, 14336);
+    ("baseline-nvshmem", "3d", 1, true, 40, 78000, 0, 0);
+    ("baseline-nvshmem", "3d", 1, false, 40, 78000, 0, 0);
+    ("baseline-nvshmem", "3d", 2, true, 110, 78000, 7012, 8192);
+    ("baseline-nvshmem", "3d", 2, false, 110, 78000, 7012, 8192);
+    ("baseline-nvshmem", "3d", 3, true, 180, 78000, 8416, 16384);
+    ("baseline-nvshmem", "3d", 3, false, 180, 78000, 8412, 16384);
+    ("baseline-nvshmem", "3d", 4, true, 250, 78000, 8412, 24576);
+    ("baseline-nvshmem", "3d", 4, false, 250, 78000, 8412, 24576);
+    ("baseline-nvshmem", "3d", 8, true, 530, 78000, 8412, 57344);
+    ("baseline-nvshmem", "3d", 8, false, 530, 78000, 8412, 57344);
+    ("baseline-nvshmem", "2d/norm", 4, true, 487, 246900, 25806, 9264);
+    ("cpu-free", "2d", 1, true, 45, 22544, 0, 0);
+    ("cpu-free", "2d", 1, false, 45, 22400, 0, 0);
+    ("cpu-free", "2d", 2, true, 119, 23836, 7004, 2048);
+    ("cpu-free", "2d", 2, false, 119, 23800, 7004, 2048);
+    ("cpu-free", "2d", 3, true, 193, 23828, 7014, 4096);
+    ("cpu-free", "2d", 3, false, 193, 23800, 7008, 4096);
+    ("cpu-free", "2d", 4, true, 267, 23820, 7011, 6144);
+    ("cpu-free", "2d", 4, false, 267, 23800, 7011, 6144);
+    ("cpu-free", "2d", 8, true, 563, 23812, 7015, 14336);
+    ("cpu-free", "2d", 8, false, 563, 23800, 7015, 14336);
+    ("cpu-free", "3d", 1, true, 45, 22968, 0, 0);
+    ("cpu-free", "3d", 1, false, 45, 22400, 0, 0);
+    ("cpu-free", "3d", 2, true, 119, 23880, 7012, 8192);
+    ("cpu-free", "3d", 2, false, 119, 23800, 7012, 8192);
+    ("cpu-free", "3d", 3, true, 193, 23856, 7034, 16384);
+    ("cpu-free", "3d", 3, false, 193, 23800, 7024, 16384);
+    ("cpu-free", "3d", 4, true, 267, 23840, 7033, 24576);
+    ("cpu-free", "3d", 4, false, 267, 23800, 7033, 24576);
+    ("cpu-free", "3d", 8, true, 563, 23820, 7045, 57344);
+    ("cpu-free", "3d", 8, false, 563, 23800, 7045, 57344);
+    ("cpu-free", "2d/norm", 4, true, 563, 46539, 18314, 9360);
+    ("cpu-free-perks", "2d", 1, true, 45, 22544, 0, 0);
+    ("cpu-free-perks", "2d", 1, false, 45, 22400, 0, 0);
+    ("cpu-free-perks", "2d", 2, true, 119, 23836, 7004, 2048);
+    ("cpu-free-perks", "2d", 2, false, 119, 23800, 7004, 2048);
+    ("cpu-free-perks", "2d", 3, true, 193, 23828, 7014, 4096);
+    ("cpu-free-perks", "2d", 3, false, 193, 23800, 7008, 4096);
+    ("cpu-free-perks", "2d", 4, true, 267, 23820, 7011, 6144);
+    ("cpu-free-perks", "2d", 4, false, 267, 23800, 7011, 6144);
+    ("cpu-free-perks", "2d", 8, true, 563, 23812, 7015, 14336);
+    ("cpu-free-perks", "2d", 8, false, 563, 23800, 7015, 14336);
+    ("cpu-free-perks", "3d", 1, true, 45, 22968, 0, 0);
+    ("cpu-free-perks", "3d", 1, false, 45, 22400, 0, 0);
+    ("cpu-free-perks", "3d", 2, true, 119, 23880, 7012, 8192);
+    ("cpu-free-perks", "3d", 2, false, 119, 23800, 7012, 8192);
+    ("cpu-free-perks", "3d", 3, true, 193, 23856, 7034, 16384);
+    ("cpu-free-perks", "3d", 3, false, 193, 23800, 7024, 16384);
+    ("cpu-free-perks", "3d", 4, true, 267, 23840, 7033, 24576);
+    ("cpu-free-perks", "3d", 4, false, 267, 23800, 7033, 24576);
+    ("cpu-free-perks", "3d", 8, true, 563, 23820, 7045, 57344);
+    ("cpu-free-perks", "3d", 8, false, 563, 23800, 7045, 57344);
+    ("cpu-free-perks", "2d/norm", 4, true, 563, 46533, 18314, 9360);
+    ("cpu-free-2kernel", "2d", 1, true, 53, 32728, 0, 0);
+    ("cpu-free-2kernel", "2d", 1, false, 53, 32600, 0, 0);
+    ("cpu-free-2kernel", "2d", 2, true, 140, 36790, 10606, 2048);
+    ("cpu-free-2kernel", "2d", 2, false, 140, 36752, 10606, 2048);
+    ("cpu-free-2kernel", "2d", 3, true, 223, 36778, 12314, 4096);
+    ("cpu-free-2kernel", "2d", 3, false, 223, 36752, 12306, 4096);
+    ("cpu-free-2kernel", "2d", 4, true, 306, 36772, 12312, 6144);
+    ("cpu-free-2kernel", "2d", 4, false, 306, 36752, 12307, 6144);
+    ("cpu-free-2kernel", "2d", 8, true, 638, 36764, 12314, 14336);
+    ("cpu-free-2kernel", "2d", 8, false, 638, 36752, 12311, 14336);
+    ("cpu-free-2kernel", "3d", 1, true, 53, 33066, 0, 0);
+    ("cpu-free-2kernel", "3d", 1, false, 53, 32600, 0, 0);
+    ("cpu-free-2kernel", "3d", 2, true, 140, 36837, 10618, 8192);
+    ("cpu-free-2kernel", "3d", 2, false, 140, 36756, 10618, 8192);
+    ("cpu-free-2kernel", "3d", 3, true, 223, 36813, 12333, 16384);
+    ("cpu-free-2kernel", "3d", 3, false, 223, 36756, 12318, 16384);
+    ("cpu-free-2kernel", "3d", 4, true, 306, 36797, 12331, 24576);
+    ("cpu-free-2kernel", "3d", 4, false, 306, 36756, 12321, 24576);
+    ("cpu-free-2kernel", "3d", 8, true, 638, 36776, 12338, 57344);
+    ("cpu-free-2kernel", "3d", 8, false, 638, 36756, 12333, 57344);
+    ("cpu-free-2kernel", "2d/norm", 4, true, 628, 56989, 20664, 9360);
+  ]
+
+let pinned_chaos =
+  [
+    ("baseline-copy", 322, 300800, 54417, 12288, (true, None, 0, 0, 0, 0, [ 8; 8; 8; 8 ]));
+    ("baseline-overlap", 486, 404800, 54417, 12288, (true, None, 0, 0, 0, 0, [ 8; 8; 8; 8 ]));
+    ("baseline-p2p", 438, 376000, 28020, 12288, (true, None, 0, 0, 0, 0, [ 8; 8; 8; 8 ]));
+    ("baseline-nvshmem", 531, 211250, 54510, 11008, (true, None, 12, 4, 7, 4, [ 8; 8; 8; 8 ]));
+    ("cpu-free", 551, 122000, 47792, 10752, (true, None, 12, 4, 6, 4, [ 8; 8; 8; 8 ]));
+    ("cpu-free-perks", 551, 122000, 47792, 10752, (true, None, 12, 4, 6, 4, [ 8; 8; 8; 8 ]));
+    ("cpu-free-2kernel", 623, 131849, 53676, 11264, (true, None, 12, 4, 8, 5, [ 8; 8; 8; 8 ]));
+  ]
+
+let pinned_artifacts =
+  [
+    ("baseline-copy", "66e610e233dbd900b3fee3645f90ce0b", "1cc39fd97b664d1ac78ebeec0a12757a");
+    ("baseline-overlap", "4e4886baa738173e5db1c66a680d6ad1", "7059d1c60c59af18712a9160c78d3088");
+    ("baseline-p2p", "c0b2fa15a37096996ba0c998b21ea44d", "2ffd82f7d7fa33f3cf72c3723d9f19f9");
+    ("baseline-nvshmem", "811e374eb281f7423ae8deeb08ba2a1f", "1b6ba226811ad4775b3cc407b0f3cc9a");
+    ("cpu-free", "f966f30bbe961d456cb2a2558bed5f6f", "39e64097577bf69f2ab7eb1e7eb4f2cd");
+    ("cpu-free-perks", "5a140abe9a6b687368e7fe913a2e367f", "39e64097577bf69f2ab7eb1e7eb4f2cd");
+  ]
+
+let row_string (v, dims, gpus, compute, events, total, comm, bytes) =
+  Printf.sprintf "%s %s x%d compute=%b: events %d total %d comm %d bytes %d" v dims gpus compute
+    events total comm bytes
+
+let kind_of v = match Variants.of_name v with Some k -> k | None -> Alcotest.failf "variant %s" v
+
+let pinned_tests =
+  [
+    Alcotest.test_case "every variant keeps its events, time, comm and bytes" `Quick (fun () ->
+        List.iter
+          (fun ((v, dims, gpus, compute, _, _, _, _) as row) ->
+            check Alcotest.string (row_string row) (row_string row)
+              (row_string (pin_row (kind_of v) dims gpus compute)))
+          pinned_runs);
+    Alcotest.test_case "faulted runs keep their chaos reports" `Quick (fun () ->
+        List.iter
+          (fun ((v, _, _, _, _, _) as row) ->
+            let show (v, events, total, comm, bytes, (completed, trigger, dr, de, rs, rt, pr)) =
+              Printf.sprintf
+                "%s: events %d total %d comm %d bytes %d completed %b trigger %s dropped %d \
+                 delayed %d resent %d retried %d progress [%s]"
+                v events total comm bytes completed
+                (Option.value trigger ~default:"-")
+                dr de rs rt
+                (String.concat "; " (List.map string_of_int pr))
+            in
+            check Alcotest.string v (show row) (show (pin_chaos_row (kind_of v))))
+          pinned_chaos);
+    Alcotest.test_case "traced paper-variant artifacts are byte-pinned" `Quick (fun () ->
+        List.iter
+          (fun (v, trace_md5, metrics_md5) ->
+            let _, trace, metrics = pin_artifacts (kind_of v) in
+            check Alcotest.string (v ^ " trace") trace_md5 trace;
+            check Alcotest.string (v ^ " metrics") metrics_md5 metrics)
+          pinned_artifacts);
+  ]
+
 let () =
   Alcotest.run "stencil"
     [
@@ -477,4 +750,5 @@ let () =
       ("variants-misc", variant_misc_tests @ variant_props);
       ("harness", harness_tests);
       ("resilience", resilience_tests);
+      ("pinned", pinned_tests);
     ]
