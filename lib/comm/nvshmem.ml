@@ -120,8 +120,6 @@ let signal_malloc t ~label () =
           E.Sync.Flag.create ~name:(Printf.sprintf "%s@pe%d" label pe) t.eng 0);
   }
 
-let signal_read s ~pe = E.Sync.Flag.get s.flags.(pe)
-
 let arch t = G.Runtime.arch t.ctx
 let net t = G.Runtime.net t.ctx
 

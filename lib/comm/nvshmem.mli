@@ -31,7 +31,6 @@ val local : sym -> pe:int -> Cpufree_gpu.Buffer.t
 type signal
 
 val signal_malloc : t -> label:string -> unit -> signal
-val signal_read : signal -> pe:int -> int
 
 type signal_op = Signal_set | Signal_add
 

@@ -363,9 +363,6 @@ let of_json json : (t, string) result =
     Ok t
   | _ -> Error "scenario: not a JSON object"
 
-let of_json_string s =
-  match J.of_string s with Error e -> Error ("scenario: " ^ e) | Ok json -> of_json json
-
 (* --- content identity ----------------------------------------------------- *)
 
 (* The cache key: the canonical line with the execution mode normalized

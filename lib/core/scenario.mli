@@ -92,8 +92,6 @@ val of_json : Json.t -> (t, string) result
     machine/fault/observability fields ([faults]/[pdes] are [null] when
     absent). [of_json (to_json t) = Ok t] for every valid [t]. *)
 
-val of_json_string : string -> (t, string) result
-
 val digest : t -> string
 (** The result-cache key: the hex md5 of ["scenario/v2|"] followed by
     {!to_string} of the scenario with [pdes] cleared. [pdes=seq] and an

@@ -21,9 +21,6 @@ val create : Cpufree_comm.Nvshmem.t -> label:string -> t
 (** Allocates the two symmetric signal variables ("from-above" and
     "from-below"). *)
 
-val neighbor : t -> pe:int -> dir -> int option
-(** The neighbouring PE in a direction, if any (non-periodic chain). *)
-
 val wait_halo : t -> pe:int -> dir:dir -> iter:int -> unit
 (** Block until the halo coming from direction [dir] holds the values needed
     by iteration [iter] (1-based). No-op when there is no neighbour. *)

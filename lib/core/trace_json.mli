@@ -1,6 +1,6 @@
 (** Structural validator for exported Perfetto trace documents
     ({!Cpufree_obs.Perfetto}) — the [trace.json] artifact behind
-    [--trace-out].
+    [--trace-out] and the daemon's trace artifact.
 
     A valid document is a JSON object whose ["traceEvents"] list contains
     only the phases the exporter emits, with:
@@ -12,8 +12,13 @@
       one ["f"] finish, with the finish no earlier than the start —
       put → delivery arrows are never dangling. *)
 
-val validate : Json.t -> (unit, string) result
-
 val validate_string : string -> (unit, string) result
-(** Parse with {!Json.of_string}, then {!validate} — one call to check a
-    written artifact end to end. *)
+(** Check a written artifact in one pass over its text, building no
+    {!Json.t}. The verdict and the error text are those of parsing with
+    {!Json.of_string} and then checking the tree:
+    - a parse error anywhere, with its byte offset, wins over a schema
+      error;
+    - when a member name repeats, its first occurrence counts;
+    - events are checked in document order, each event's checks in the
+      order listed above, and the first failure is the error;
+    - flow pairing is checked last, over all flow ids. *)

@@ -27,5 +27,3 @@ val pid_of_lane : string -> int
 val to_json_string : ?metrics:Metrics.t -> Cpufree_engine.Trace.t -> string
 (** Render the trace (and optionally a metrics registry) as a Perfetto JSON
     document. *)
-
-val write : ?metrics:Metrics.t -> out_channel -> Cpufree_engine.Trace.t -> unit

@@ -12,6 +12,15 @@ module Oracle = Comm_oracle
 module Time = E.Time
 module Engine = E.Engine
 
+(* The signal's value at [pe], read through a wait its predicate already
+   satisfies. *)
+let signal_value nv sig_var ~pe =
+  let seen = ref (-1) in
+  Nv.signal_wait_until nv ~pe ~sig_var (fun v ->
+      seen := v;
+      true);
+  !seen
+
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
@@ -91,7 +100,7 @@ let nvshmem_tests =
               G.Buffer.fill (Nv.local s ~pe:0) 7.0;
               Nv.putmem_signal_nbi nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:0
                 ~dst:s ~dst_pos:0 ~len:4 ~sig_var:f ~sig_op:Nv.Signal_set ~sig_value:3;
-              check_int "not yet" 0 (Nv.signal_read f ~pe:1);
+              check_int "not yet" 0 (signal_value nv f ~pe:1);
               Nv.signal_wait_ge nv ~pe:1 ~sig_var:f 3;
               (* Signal delivery implies data delivery. *)
               check_float "data present" 7.0 (G.Buffer.get (Nv.local s ~pe:1) 3))
@@ -135,7 +144,7 @@ let nvshmem_tests =
                 ~sig_value:1;
               (* signal_op fences: by the time it lands, the put landed. *)
               check_float "fenced" 2.0 (G.Buffer.get (Nv.local s ~pe:1) 1023);
-              check_int "sig" 1 (Nv.signal_read f ~pe:1))
+              check_int "sig" 1 (signal_value nv f ~pe:1))
         in
         ());
     Alcotest.test_case "pending tracks outstanding deliveries" `Quick (fun () ->

@@ -80,13 +80,24 @@ let proto_tests =
   [
     Alcotest.test_case "chain neighbours" `Quick (fun () ->
         let _ =
-          with_machine ~gpus:3 (fun _ ctx ->
+          with_machine ~gpus:3 (fun eng ctx ->
               let nv = Nv.init ctx in
               let p = Proto.create nv ~label:"h" in
-              check_bool "pe0 up" true (Proto.neighbor p ~pe:0 Proto.Up = None);
-              check_bool "pe0 down" true (Proto.neighbor p ~pe:0 Proto.Down = Some 1);
-              check_bool "pe2 down" true (Proto.neighbor p ~pe:2 Proto.Down = None);
-              check_bool "pe1 up" true (Proto.neighbor p ~pe:1 Proto.Up = Some 0))
+              let s = Nv.sym_malloc nv ~label:"x" 8 in
+              (* The chain's ends have no outward neighbour, so their waits
+                 pass at any iteration. *)
+              Proto.wait_halo p ~pe:0 ~dir:Proto.Up ~iter:5;
+              Proto.wait_halo p ~pe:2 ~dir:Proto.Down ~iter:5;
+              check_int "ends never wait" 0 (Time.to_ns (Engine.now eng));
+              (* PE 1's Up neighbour is PE 0, whose Down halo it feeds. *)
+              let (_ : Engine.process) =
+                Engine.spawn eng ~name:"pe1" (fun () ->
+                    G.Buffer.fill (Nv.local s ~pe:1) 5.0;
+                    Proto.put_boundary p ~from_pe:1 ~dir:Proto.Up ~src:(Nv.local s ~pe:1)
+                      ~src_pos:0 ~dst:s ~dst_pos:4 ~len:4 ~iter:1)
+              in
+              Proto.wait_halo p ~pe:0 ~dir:Proto.Down ~iter:2;
+              check_float "halo from below" 5.0 (G.Buffer.get (Nv.local s ~pe:0) 4))
         in
         ());
     Alcotest.test_case "iteration 1 needs no signal" `Quick (fun () ->

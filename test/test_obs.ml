@@ -148,7 +148,8 @@ let perfetto_tests =
                   ] );
             ]
         in
-        check_bool "rejected" true (Result.is_error (Trace_json.validate doc)));
+        check_bool "rejected" true
+          (Result.is_error (Trace_json.validate_string (J.to_string doc))));
     Alcotest.test_case "validator rejects non-monotone lane timestamps" `Quick (fun () ->
         let ev ts =
           J.Obj
@@ -162,7 +163,8 @@ let perfetto_tests =
             ]
         in
         let doc = J.Obj [ ("traceEvents", J.List [ ev 5.0; ev 1.0 ]) ] in
-        check_bool "rejected" true (Result.is_error (Trace_json.validate doc)));
+        check_bool "rejected" true
+          (Result.is_error (Trace_json.validate_string (J.to_string doc))));
     Alcotest.test_case "flow arrows may not point backwards in time" `Quick (fun () ->
         let t = Trace.create ~flows:true () in
         Alcotest.check_raises "reversed flow"
@@ -543,11 +545,247 @@ let untraced_tests =
           <> None));
   ]
 
+
+(* --- the JSON layer against its reference -------------------------------- *)
+
+(* test/json_oracle.ml keeps the tree parser, the tree validator and the
+   Printf renderer; the one-pass code must agree with them on every input,
+   error text and byte offset included. *)
+
+module O = Json_oracle
+module G = QCheck.Gen
+
+(* Bytes the escaper and the reader treat specially, mixed with plain and
+   non-ASCII ones. *)
+let tricky_char =
+  G.frequency
+    [
+      (3, G.oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '/'; 'u'; '{'; ',' ]);
+      (3, G.printable);
+      (1, G.char);
+      (1, G.oneofl [ '\xc3'; '\xa9'; '\xe2'; '\x82'; '\xac' ]);
+    ]
+
+let tricky_string = G.string_size ~gen:tricky_char (G.int_bound 10)
+
+let gen_float =
+  G.oneof
+    [
+      G.float;
+      G.map (fun n -> float_of_int n /. 1000.0) G.int;
+      G.oneofl [ 0.0; -0.0; 1e300; -1e-300; 4.5e15; 0.1 ];
+    ]
+
+(* Documents whose object keys repeat often (a small key pool), so the
+   first-occurrence rule is exercised. *)
+let gen_json =
+  G.sized
+    (G.fix (fun self n ->
+         let leaf =
+           G.oneof
+             [
+               G.return J.Null;
+               G.map (fun b -> J.Bool b) G.bool;
+               G.map (fun i -> J.Int i) (G.oneof [ G.int; G.small_signed_int ]);
+               G.map (fun f -> J.Float f) gen_float;
+               G.map (fun s -> J.String s) tricky_string;
+             ]
+         in
+         let key = G.oneof [ G.oneofl [ "a"; "ts"; "ph"; "traceEvents" ]; tricky_string ] in
+         if n <= 0 then leaf
+         else
+           G.frequency
+             [
+               (3, leaf);
+               (1, G.map (fun l -> J.List l) (G.list_size (G.int_bound 4) (self (n / 3))));
+               ( 1,
+                 G.map (fun l -> J.Obj l) (G.list_size (G.int_bound 4) (G.pair key (self (n / 3)))) );
+             ]))
+
+(* Truncate, overwrite, delete or insert at a random point. *)
+let mutate s =
+  let open G in
+  let n = String.length s in
+  let* k = int_bound (max 0 n) in
+  let* c = oneof [ tricky_char; oneofl [ ']'; '}'; ':'; '-'; '.'; 'e'; '0'; '9'; ' ' ] ] in
+  let* op = int_bound 3 in
+  return
+    (match op with
+    | 0 -> String.sub s 0 k
+    | 1 when k < n -> String.sub s 0 k ^ String.make 1 c ^ String.sub s (k + 1) (n - k - 1)
+    | 2 when k < n -> String.sub s 0 k ^ String.sub s (k + 1) (n - k - 1)
+    | _ -> String.sub s 0 k ^ String.make 1 c ^ String.sub s k (n - k))
+
+let maybe_mutated gen = G.(gen >>= fun s -> frequency [ (1, return s); (2, mutate s) ])
+
+(* Trace documents written member by member, with duplicates, wrong types,
+   unknown phases and flows that may or may not pair up. *)
+let gen_event_text =
+  let open G in
+  let num =
+    oneof
+      [
+        map string_of_int (int_range (-2) 30);
+        map (Printf.sprintf "%.3f") (float_range (-1.0) 30.0);
+        oneofl [ "\"7\""; "null"; "1e2"; "[]" ];
+      ]
+  in
+  let member =
+    oneof
+      [
+        map (Printf.sprintf "\"name\":%s") (oneofl [ "\"k\""; "\"a\\\"b\""; "5" ]);
+        map (Printf.sprintf "\"ph\":%s")
+          (oneofl
+             [ "\"M\""; "\"X\""; "\"i\""; "\"s\""; "\"f\""; "\"C\""; "\"Q\""; "\"\\u0058\""; "5" ]);
+        map (Printf.sprintf "\"pid\":%s") (oneof [ num; oneofl [ "0"; "1" ] ]);
+        map (Printf.sprintf "\"tid\":%s") (oneof [ num; oneofl [ "0"; "1" ] ]);
+        map (Printf.sprintf "\"ts\":%s") num;
+        map (Printf.sprintf "\"dur\":%s") num;
+        map (Printf.sprintf "\"id\":%s") (oneof [ num; oneofl [ "1"; "2" ] ]);
+        oneofl [ "\"args\":{\"name\":\"x\",\"ts\":-1}"; "\"cat\":\"flow\""; "\"bp\":\"e\"" ];
+      ]
+  in
+  frequency
+    [
+      (8, map (fun ms -> "{" ^ String.concat "," ms ^ "}") (list_size (int_range 0 9) member));
+      (1, oneofl [ "5"; "[]"; "\"e\""; "null" ]);
+    ]
+
+(* Events that pass every per-event check, so lane order and flow pairing
+   decide the verdict; several flow ids can fail at once. *)
+let gen_valid_event =
+  let open G in
+  let* ph = oneofl [ "X"; "s"; "f"; "i"; "C"; "M" ] in
+  let* tid = int_bound 2 in
+  let* ts = int_bound 50 in
+  let* id = int_bound 40 in
+  return
+    (Printf.sprintf
+       "{\"name\":\"e\",\"ph\":\"%s\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"dur\":1,\"id\":%d}"
+       ph tid ts id)
+
+let gen_trace_text =
+  let open G in
+  let* events =
+    list_size (int_bound 12)
+      (frequency [ (1, gen_event_text); (1, gen_valid_event) ])
+    |> fun mixed -> oneof [ mixed; list_size (int_bound 16) gen_valid_event ]
+  in
+  let list = "[" ^ String.concat "," events ^ "]" in
+  oneof
+    [
+      return ("{\"traceEvents\":" ^ list ^ "}");
+      return ("{\"displayTimeUnit\":\"ns\",\"traceEvents\":" ^ list ^ ",\"traceEvents\":5}");
+      return ("{\"traceEvents\":{},\"traceEvents\":" ^ list ^ "}");
+      return ("{\"other\":" ^ list ^ "}");
+      return ("[" ^ list ^ "]");
+    ]
+
+(* Engine traces with adversarial lane and label names, timestamps up to
+   2^53 ns, instants, flows and counter tracks. *)
+let gen_trace =
+  let open G in
+  let time =
+    frequency
+      [
+        (4, int_bound 100_000);
+        (2, int_bound (1 lsl 40));
+        (1, int_range ((1 lsl 52) - 5000) ((1 lsl 52) + 5000));
+        (1, int_bound (1 lsl 53));
+      ]
+  in
+  let lane = oneof [ oneofl [ "gpu0.comp"; "gpu12.comm"; "host"; "fabric" ]; tricky_string ] in
+  let kind =
+    oneofl
+      [
+        Trace.Compute; Trace.Communication; Trace.Synchronization; Trace.Api; Trace.Idle; Trace.Marker;
+      ]
+  in
+  let span =
+    map3 (fun (l, lbl) k (t0, d) -> `Span (l, lbl, k, t0, d)) (pair lane tricky_string) kind
+      (pair time time)
+  in
+  let instant = map3 (fun l lbl t -> `Instant (l, lbl, t)) lane tricky_string time in
+  let flow =
+    map3 (fun (a, b) lbl (t, d) -> `Flow (a, b, lbl, t, d)) (pair lane lane) tricky_string
+      (pair time (int_bound 1000))
+  in
+  let* items = list_size (int_bound 12) (frequency [ (4, span); (1, instant); (1, flow) ]) in
+  let* counters = list_size (int_bound 3) (pair tricky_string (int_bound 1000)) in
+  return
+    (let t = Trace.create ~flows:true () in
+     List.iteri
+       (fun i -> function
+         | `Span (lane, label, kind, t0, d) ->
+           Trace.add t ~lane ~label ~kind ~t0:(Time.ns t0) ~t1:(Time.ns (t0 + d))
+         | `Instant (lane, label, at) -> Trace.add_instant t ~lane ~label ~at:(Time.ns at)
+         | `Flow (src_lane, dst_lane, label, src, d) ->
+           Trace.add_flow t ~id:i ~label ~src_lane ~src_t:(Time.ns src) ~dst_lane
+             ~dst_t:(Time.ns (src + d)))
+       items;
+     let reg = Mx.create () in
+     List.iter
+       (fun (name, v) ->
+         Mx.Counter.add (Mx.counter reg ~name ~labels:[ ("k", name) ] ()) v;
+         Mx.Gauge.set (Mx.gauge reg ~name:("g." ^ name) ()) v)
+       counters;
+     (t, reg))
+
+let law ?(count = 500) name gen prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count (QCheck.make ~print:String.escaped gen) prop)
+
+let same_parse s = J.of_string s = O.of_string s
+let same_verdict s = Trace_json.validate_string s = O.validate_string s
+
+let json_law_tests =
+  [
+    law "parser agrees with the tree parser on generated documents"
+      G.(
+        map2 (fun doc indent -> J.to_string ~indent doc) gen_json (oneofl [ 0; 2 ])
+        |> maybe_mutated)
+      (fun s -> same_parse s && same_verdict s);
+    law "validator agrees with parse-then-validate on trace documents"
+      (maybe_mutated gen_trace_text) ~count:2000
+      (fun s -> same_verdict s && same_parse s);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"renderer writes the reference bytes, and both validators agree"
+         ~count:300 (QCheck.make gen_trace) (fun (tr, reg) ->
+           let s = Obs.Perfetto.to_json_string ~metrics:reg tr in
+           s = O.to_json_string ~metrics:reg tr
+           && Obs.Perfetto.to_json_string tr = O.to_json_string tr
+           && same_verdict s && same_parse s));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"mutated renders: same verdict, same error text" ~count:500
+         (QCheck.make ~print:String.escaped
+            G.(gen_trace >>= fun (tr, reg) -> mutate (Obs.Perfetto.to_json_string ~metrics:reg tr)))
+         (fun s -> same_verdict s && same_parse s));
+    law "strings are written as the reference escaper writes them" tricky_string ~count:1000
+      (fun s ->
+        J.to_string (J.String s) = "\"" ^ O.escape s ^ "\""
+        && J.of_string (J.to_string (J.String s)) = Ok (J.String s));
+    Alcotest.test_case "error texts name the byte offset" `Quick (fun () ->
+        let rejects s expected =
+          let verdict = Alcotest.result Alcotest.unit Alcotest.string in
+          check verdict ("reference: " ^ s) (Error expected) (O.validate_string s);
+          check verdict s (Error expected) (Trace_json.validate_string s)
+        in
+        rejects "{\"traceEvents\":[{\"name\":\"a\\q\"}]}"
+          "JSON parse error at byte 28: invalid escape";
+        rejects "[1]" "trace document is not an object";
+        rejects "{\"traceEvents\":[5],\"x\":tru}"
+          "JSON parse error at byte 23: invalid literal (expected true)";
+        rejects "{\"traceEvents\":[{\"name\":\"k\",\"pid\":0,\"ph\":\"X\",\"ph\":\"M\"}]}"
+          "traceEvents[0] has no \"tid\"";
+        rejects "{\"traceEvents\":5,\"traceEvents\":[]}" "\"traceEvents\" is not a list");
+  ]
+
 let () =
   Alcotest.run "obs"
     [
       ("metrics", metrics_tests);
       ("perfetto", perfetto_tests);
+      ("json-laws", json_law_tests);
       ("sim-env", sim_env_tests);
       ("scenario-law", scenario_law_tests);
       ("end-to-end", end_to_end_tests);

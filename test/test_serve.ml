@@ -159,6 +159,85 @@ let test_framebuf_bad_header () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "an oversized frame length survived"
 
+
+(* Every frame and the first error [next] yields until it needs more bytes. *)
+let drain buf =
+  let rec go acc =
+    match P.Framebuf.next buf with
+    | Ok (Some f) -> go (Ok f :: acc)
+    | Ok None -> List.rev acc
+    | Error e -> List.rev (Error e :: acc)
+  in
+  go []
+
+(* Frames, then a tail that may be a partial frame or garbage (never 25
+   bytes before a newline, where a split point would change the error), cut
+   at random points. *)
+let gen_stream =
+  let open QCheck.Gen in
+  let payload =
+    frequency [ (8, int_bound 300); (1, int_bound 12_000) ] >>= fun n ->
+    string_size ~gen:(oneof [ printable; oneofl [ '\n'; '\000'; '{' ] ]) (return n)
+  in
+  let frame = map (fun p -> Printf.sprintf "%d\n%s" (String.length p) p) payload in
+  let* frames = list_size (int_bound 5) frame in
+  let* tail =
+    oneofl [ ""; "12"; "x\n"; String.make 30 'x'; "99999999999\n"; " 3 \nabc"; "-1\n"; "5\nab" ]
+  in
+  let stream = String.concat "" frames ^ tail in
+  let* cuts = list_size (int_bound 8) (int_bound (String.length stream)) in
+  return (stream, List.sort_uniq compare cuts)
+
+let chunks (stream, cuts) =
+  let rec go = function
+    | a :: (b :: _ as rest) -> String.sub stream a (b - a) :: go rest
+    | _ -> []
+  in
+  go ((0 :: cuts) @ [ String.length stream ])
+
+let framing_laws =
+  let whole stream =
+    let buf = P.Framebuf.create () in
+    P.Framebuf.feed buf (Bytes.of_string stream) ~len:(String.length stream);
+    drain buf
+  in
+  let arb = QCheck.make ~print:(fun (s, _) -> String.escaped s) gen_stream in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"split points move no frame and no error" ~count:300 arb
+         (fun ((stream, _) as cut) ->
+           let buf = P.Framebuf.create () in
+           let rec feed acc = function
+             | [] -> acc
+             | c :: rest ->
+               P.Framebuf.feed buf (Bytes.of_string c) ~len:(String.length c);
+               let acc = acc @ drain buf in
+               if List.exists Result.is_error acc then acc else feed acc rest
+           in
+           feed [] (chunks cut) = whole stream));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"read_frame yields what the buffer does, then EOF" ~count:100 arb
+         (fun ((stream, _) as cut) ->
+           let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+           List.iter
+             (fun c -> ignore (Unix.write_substring w c 0 (String.length c) : int))
+             (chunks cut);
+           Unix.close w;
+           let buf = P.Framebuf.create () in
+           let rec read acc =
+             match P.read_frame r buf with
+             | Ok f -> read (Ok f :: acc)
+             | Error e -> List.rev (Error e :: acc)
+           in
+           let got = read [] in
+           Unix.close r;
+           let expected = whole stream in
+           let closed =
+             if List.exists Result.is_error expected then [] else [ Error "connection closed" ]
+           in
+           got = expected @ closed));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* LRU cache                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -535,7 +614,8 @@ let () =
           Alcotest.test_case "byte-at-a-time reassembly" `Quick test_framebuf_split;
           Alcotest.test_case "two frames in one read" `Quick test_framebuf_batched;
           Alcotest.test_case "bad and oversized headers rejected" `Quick test_framebuf_bad_header;
-        ] );
+        ]
+        @ framing_laws );
       ("cache", [ Alcotest.test_case "LRU eviction order" `Quick test_cache_lru ]);
       ( "traced",
         [
