@@ -172,7 +172,6 @@ let schedule algorithm n =
 
 type t = {
   nv : Nvshmem.t;
-  alg : algorithm;
   sched : schedule;
   contrib : Nvshmem.sym;  (* per PE: one slot per contributor *)
   chans : Nvshmem.signal array;
@@ -193,7 +192,6 @@ let create ?(algorithm = Dense) nv ~label =
   let contrib = Nvshmem.sym_malloc nv ~label:(label ^ ".contrib") (2 * n) in
   {
     nv;
-    alg = algorithm;
     sched;
     contrib;
     chans;
@@ -202,8 +200,6 @@ let create ?(algorithm = Dense) nv ~label =
   }
 
 let n t = Nvshmem.n_pes t.nv
-
-let algorithm t = t.alg
 
 (* Each copy is a position-preserving signaled put that bumps the phase's
    channel at the peer by the element count (put-then-signal ordering

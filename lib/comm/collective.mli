@@ -43,8 +43,6 @@ val create : ?algorithm:algorithm -> Nvshmem.t -> label:string -> t
     senders). [algorithm] picks the communication schedule (default
     [Dense], the original all-to-all). *)
 
-val algorithm : t -> algorithm
-
 val allreduce_sum : t -> pe:int -> float -> float
 (** Contribute a scalar; returns the sum over all PEs' contributions of this
     round. Deterministic summation order (by PE index), identical across

@@ -18,7 +18,6 @@ type t = {
   n : int;
   channels : (int * int * int, channel) Hashtbl.t;
   host_barrier : G.Host.barrier;
-  mutable matched : int;
   mutable next_id : int;
 }
 
@@ -30,7 +29,6 @@ let init ctx =
     n;
     channels = Hashtbl.create 64;
     host_barrier = G.Host.barrier_create ctx ~parties:n;
-    matched = 0;
     next_id = 0;
   }
 
@@ -59,7 +57,6 @@ let region_strided r = r.stride <> 1
    complete both requests. Runs in its own process so neither host thread
    blocks at issue time (Isend/Irecv are non-blocking). *)
 let start_transfer t ~src_rank ~dst_rank (send : posted) (recv : posted) =
-  t.matched <- t.matched + 1;
   let arch = G.Runtime.arch t.ctx in
   let (_ : E.Engine.process) =
     E.Engine.spawn t.eng
@@ -133,4 +130,3 @@ let waitall t reqs =
 
 let test req = E.Sync.Flag.get req.done_flag >= 1
 let barrier t ~rank:_ = G.Host.barrier_wait t.ctx t.host_barrier
-let messages_matched t = t.matched

@@ -29,4 +29,3 @@ val test : request -> bool
 val barrier : t -> rank:int -> unit
 (** Host-side barrier across all ranks. *)
 
-val messages_matched : t -> int

@@ -20,8 +20,6 @@
     router avoids. Documents for smaller machines are unchanged and carry
     no marker. *)
 
-val schema_version : int
-
 val to_json : Cpufree_machine.Topology.t -> Json.t
 
 val validate : Json.t -> (unit, string) result

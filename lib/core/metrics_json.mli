@@ -14,8 +14,6 @@
     Metrics appear in canonical (name, labels) order, so the document is
     byte-stable across runs and worker counts. *)
 
-val schema_version : int
-
 val to_json : Cpufree_obs.Metrics.t -> Json.t
 
 val validate : Json.t -> (unit, string) result

@@ -2,7 +2,6 @@ module Topology = Cpufree_machine.Topology
 module Fault = Cpufree_fault.Fault
 module Env = Cpufree_obs.Sim_env
 module Arch = Cpufree_gpu.Arch
-module J = Json
 
 type workload =
   | Stencil of { variant : string; dims : string; iters : int; no_compute : bool }
@@ -244,124 +243,6 @@ let of_string s : (t, string) result =
   in
   let* () = validate t in
   Ok t
-
-(* --- JSON wire format ----------------------------------------------------- *)
-
-let workload_to_json = function
-  | Stencil { variant; dims; iters; no_compute } ->
-    J.Obj
-      [
-        ("kind", J.String "stencil");
-        ("variant", J.String variant);
-        ("dims", J.String dims);
-        ("iters", J.Int iters);
-        ("no_compute", J.Bool no_compute);
-      ]
-  | Dace { app; arm; size; iters; specialize_tb } ->
-    J.Obj
-      [
-        ("kind", J.String "dace");
-        ("app", J.String app);
-        ("arm", J.String arm);
-        ("size", J.Int size);
-        ("iters", J.Int iters);
-        ("specialize_tb", J.Bool specialize_tb);
-      ]
-
-let to_json t =
-  J.Obj
-    [
-      ("workload", workload_to_json t.workload);
-      ("arch", J.String t.arch);
-      ("topology", J.String (Topology.spec_to_string t.topology));
-      ("gpus", J.Int t.gpus);
-      ( "faults",
-        match t.faults with None -> J.Null | Some s -> J.String (Fault.to_string s) );
-      ("fault_seed", J.Int t.fault_seed);
-      ("pdes", match t.pdes with None -> J.Null | Some m -> J.String (Env.pdes_to_string m));
-      ("trace", J.Bool t.trace);
-      ("metrics", J.Bool t.metrics);
-    ]
-
-let of_json json : (t, string) result =
-  let ( let* ) = Result.bind in
-  let str ctx name obj =
-    match J.member name obj with
-    | Some (J.String s) -> Ok s
-    | Some _ -> Error (Printf.sprintf "%s: field %S must be a string" ctx name)
-    | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-  in
-  let int ctx name obj =
-    match J.member name obj with
-    | Some (J.Int n) -> Ok n
-    | Some _ -> Error (Printf.sprintf "%s: field %S must be an integer" ctx name)
-    | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-  in
-  let boolean ctx name obj =
-    match J.member name obj with
-    | Some (J.Bool b) -> Ok b
-    | Some _ -> Error (Printf.sprintf "%s: field %S must be a boolean" ctx name)
-    | None -> Error (Printf.sprintf "%s: missing field %S" ctx name)
-  in
-  let opt_str ctx name obj =
-    match J.member name obj with
-    | Some (J.String s) -> Ok (Some s)
-    | Some J.Null | None -> Ok None
-    | Some _ -> Error (Printf.sprintf "%s: field %S must be a string or null" ctx name)
-  in
-  match json with
-  | J.Obj _ ->
-    let* workload =
-      match J.member "workload" json with
-      | Some (J.Obj _ as w) -> (
-        let* kind = str "workload" "kind" w in
-        match kind with
-        | "stencil" ->
-          let* variant = str "workload" "variant" w in
-          let* dims = str "workload" "dims" w in
-          let* iters = int "workload" "iters" w in
-          let* no_compute = boolean "workload" "no_compute" w in
-          Ok (Stencil { variant; dims; iters; no_compute })
-        | "dace" ->
-          let* app = str "workload" "app" w in
-          let* arm = str "workload" "arm" w in
-          let* size = int "workload" "size" w in
-          let* iters = int "workload" "iters" w in
-          let* specialize_tb = boolean "workload" "specialize_tb" w in
-          Ok (Dace { app; arm; size; iters; specialize_tb })
-        | other -> Error (Printf.sprintf "workload: unknown kind %S" other))
-      | Some _ -> Error "scenario: field \"workload\" must be an object"
-      | None -> Error "scenario: missing field \"workload\""
-    in
-    let* arch = str "scenario" "arch" json in
-    let* topology =
-      let* s = str "scenario" "topology" json in
-      Topology.spec_of_string s
-    in
-    let* gpus = int "scenario" "gpus" json in
-    let* faults =
-      let* s = opt_str "scenario" "faults" json in
-      match s with
-      | None -> Ok None
-      | Some s ->
-        let* spec = Fault.of_string s in
-        Ok (Some spec)
-    in
-    let* fault_seed = int "scenario" "fault_seed" json in
-    let* pdes =
-      let* s = opt_str "scenario" "pdes" json in
-      match s with
-      | None -> Ok None
-      | Some s ->
-        let* mode = Env.pdes_of_string s in
-        Ok (Some mode)
-    in
-    let* trace = boolean "scenario" "trace" json in
-    let* metrics = boolean "scenario" "metrics" json in
-    let t = { workload; arch; topology; gpus; faults; fault_seed; pdes; trace; metrics } in
-    let* () = validate t in
-    Ok t
-  | _ -> Error "scenario: not a JSON object"
 
 (* --- content identity ----------------------------------------------------- *)
 

@@ -5,7 +5,8 @@
 
     A scenario is the unit of request for both transports: the [cpufree_run]
     subcommands parse their flags into a [t], and the [cpufree_serve] daemon
-    receives a [t] as JSON over its socket — both then execute through the
+    receives a [t] as its {!to_string} line, a string field of a JSON request
+    frame, and parses it with {!of_string} — both then execute through the
     same [of_scenario] constructors ({!Measure.of_scenario},
     [Harness.of_scenario], [Dace.Pipeline.of_scenario]).
 
@@ -14,8 +15,8 @@
     layers; their spelling is validated by the downstream [of_scenario]
     constructor that actually interprets them. Everything the core can
     check — architecture name, topology/GPU-count combination, positive
-    counts — is checked here by {!validate} (and therefore by {!of_string}
-    and {!of_json}). *)
+    counts — is checked here by {!validate} (and therefore by
+    {!of_string}). *)
 
 type workload =
   | Stencil of { variant : string; dims : string; iters : int; no_compute : bool }
@@ -85,12 +86,6 @@ val of_string : string -> (t, string) result
     then [key=value] tokens in any order; missing keys take {!make}'s
     defaults; unknown keys, malformed values, or a {!validate} failure are
     [Error]s. [parse (print t) = Ok t] for every valid [t]. *)
-
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
-(** The daemon wire format: an object with a [workload] object plus the
-    machine/fault/observability fields ([faults]/[pdes] are [null] when
-    absent). [of_json (to_json t) = Ok t] for every valid [t]. *)
 
 val digest : t -> string
 (** The result-cache key: the hex md5 of ["scenario/v2|"] followed by

@@ -34,10 +34,6 @@ val state : t -> string -> Sdfg.stmt list -> unit
 (** Append a state. Names must be unique.
     @raise Invalid_argument on duplicates. *)
 
-val edge :
-  t -> ?cond:Symbolic.cond -> ?assign:(string * Symbolic.expr) list -> src:string ->
-  dst:string -> unit -> unit
-
 val time_loop :
   t -> var:string -> from_:int -> steps:int -> after:string ->
   body:(string * Sdfg.stmt list) list -> unit

@@ -28,12 +28,6 @@ let rec eval ~env = function
     let d = eval ~env b in
     if d = 0 then raise Division_by_zero else Stdlib.( / ) (eval ~env a) d
 
-let eval_cond ~env = function
-  | Lt (a, b) -> eval ~env a < eval ~env b
-  | Le (a, b) -> eval ~env a <= eval ~env b
-  | Eq (a, b) -> eval ~env a = eval ~env b
-  | Ge (a, b) -> eval ~env a >= eval ~env b
-
 (* --- compilation to closures --------------------------------------------- *)
 
 type slots = { values : int array; bound : bool array }

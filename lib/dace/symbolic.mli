@@ -24,8 +24,6 @@ val eval : env:(string -> int option) -> expr -> int
 (** @raise Unbound_symbol when a symbol has no binding.
     @raise Division_by_zero on division by an expression evaluating to 0. *)
 
-val eval_cond : env:(string -> int option) -> cond -> bool
-
 (** {2 Compilation}
 
     {!compile} turns an expression into a closure once, so that a program

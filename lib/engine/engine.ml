@@ -493,7 +493,6 @@ let process_name p = match p.name_of with Some f -> f () | None -> p.name
 let process_done p = p.state = Finished
 
 let delay t d = Effect.perform (Delay (t, d))
-let yield t = delay t Time.zero
 
 let suspend t ~reason ?waits_on register =
   Effect.perform (Suspend (t, reason, waits_on, register))

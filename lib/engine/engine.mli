@@ -142,10 +142,6 @@ val process_done : process -> bool
 val delay : t -> Time.t -> unit
 (** Block the calling process for a simulated duration. *)
 
-val yield : t -> unit
-(** Re-enqueue the calling process at the current time, letting other events
-    scheduled at this instant run first. *)
-
 val suspend :
   t -> reason:(unit -> string) -> ?waits_on:string -> ((unit -> unit) -> unit) -> unit
 (** [suspend t ~reason register] blocks the calling process. [register] is

@@ -79,6 +79,3 @@ let clear h =
   h.data <- [||];
   h.size <- 0
 
-let to_list_unordered h =
-  let rec collect i acc = if i < 0 then acc else collect (i - 1) (h.data.(i) :: acc) in
-  collect (h.size - 1) []

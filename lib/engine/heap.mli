@@ -21,5 +21,3 @@ val pop : 'a t -> 'a option
 
 val clear : 'a t -> unit
 
-val to_list_unordered : 'a t -> 'a list
-(** Current contents in unspecified order (for diagnostics). *)

@@ -26,4 +26,3 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bound *. (v /. 9007199254740992.0)
 
-let bool t = Int64.logand (int64 t) 1L = 1L

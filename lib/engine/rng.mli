@@ -13,11 +13,9 @@ val create : int -> t
 val split : t -> t
 (** Derive an independent generator; advances the parent. *)
 
-val int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool

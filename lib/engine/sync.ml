@@ -83,7 +83,6 @@ module Barrier = struct
     if parties <= 0 then invalid_arg "Barrier.create: parties must be positive";
     { eng; bname = name; parties; arrived = 0; gen = 0; waiters = [] }
 
-  let parties t = t.parties
   let generation t = t.gen
 
   (* Waiters are released by generation, not by the [arrived] count: each
@@ -145,24 +144,9 @@ module Mailbox = struct
 end
 
 module Resource = struct
-  type t = {
-    eng : Engine.t;
-    rname : string;
-    mutable free_from : Time.t;
-    mutable total_busy : Time.t;
-  }
+  type t = { eng : Engine.t; mutable free_from : Time.t }
 
-  let create ?(name = "resource") eng () =
-    { eng; rname = name; free_from = Time.zero; total_busy = Time.zero }
-
-  let name t = t.rname
-  let free_at t = t.free_from
-
-  let book t ~duration =
-    let start = Time.max (Engine.now t.eng) t.free_from in
-    t.free_from <- Time.add start duration;
-    t.total_busy <- Time.add t.total_busy duration;
-    start
+  let create eng = { eng; free_from = Time.zero }
 
   let book_many resources ~duration =
     let n = Array.length resources in
@@ -174,11 +158,7 @@ module Resource = struct
     let start = !start in
     let until = Time.add start duration in
     for i = 0 to n - 1 do
-      let r = resources.(i) in
-      r.free_from <- until;
-      r.total_busy <- Time.add r.total_busy duration
+      resources.(i).free_from <- until
     done;
     start
-
-  let busy t = t.total_busy
 end

@@ -39,7 +39,6 @@ module Barrier : sig
   type t
 
   val create : ?name:string -> Engine.t -> int -> t
-  val parties : t -> int
 
   val wait : t -> unit
   (** Block until [parties] processes have called [wait] for the current
@@ -67,22 +66,12 @@ end
 module Resource : sig
   type t
 
-  val create : ?name:string -> Engine.t -> unit -> t
-  val name : t -> string
-
-  val free_at : t -> Time.t
-  (** Earliest time a new booking could start. *)
-
-  val book : t -> duration:Time.t -> Time.t
-  (** Reserve the resource for [duration] starting at the later of now and
-      {!free_at}; returns the start time. Does not block — pair with
-      [Engine.delay] to model the occupancy. *)
+  val create : Engine.t -> t
 
   val book_many : t array -> duration:Time.t -> Time.t
   (** Reserve several resources for the same interval (a transfer crossing an
-      egress and an ingress port); the common start time is the latest
-      {!free_at}. The array must be non-empty. *)
-
-  val busy : t -> Time.t
-  (** Total booked time so far (for utilization accounting). *)
+      egress and an ingress port), starting at the later of now and the
+      time the last of them frees up; returns the start time. The array
+      must be non-empty. Does not block — pair with [Engine.delay] to model
+      the occupancy. *)
 end

@@ -4,7 +4,6 @@ let zero = 0
 let ns x = if x < 0 then invalid_arg "Time.ns: negative" else x
 let us x = ns (x * 1_000)
 let ms x = ns (x * 1_000_000)
-let sec x = ns (x * 1_000_000_000)
 
 let of_ns_float f =
   if Float.is_nan f then invalid_arg "Time.of_ns_float: nan"

@@ -12,7 +12,6 @@ val zero : t
 val ns : int -> t
 val us : int -> t
 val ms : int -> t
-val sec : int -> t
 
 val of_ns_float : float -> t
 (** Round a fractional nanosecond count to the nearest tick (at least 0). *)

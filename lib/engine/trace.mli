@@ -35,7 +35,7 @@ type t
 
 val create : ?flows:bool -> unit -> t
 (** [flows] (default [false]) opts this trace into structured tracing v2:
-    {!add_flow} records arrows (it is a silent no-op otherwise), and
+    {!add_flow_opt} records arrows (it is a silent no-op otherwise), and
     instrumented model code keys richer recording — remote-delivery spans,
     fault/stall instant markers — off {!flows_enabled}. Legacy traces keep
     it off so their span streams stay byte-identical. *)
@@ -49,25 +49,17 @@ val add_opt :
   t option -> lane:string -> label:string -> kind:kind -> t0:Time.t -> t1:Time.t -> unit
 (** No-op when the trace is [None]; lets instrumented code avoid branching. *)
 
-val add_instant : t -> lane:string -> label:string -> at:Time.t -> unit
-(** Record an instant marker (a zero-length {!Marker} span): a fault
-    injected, a stall diagnosed. Exported as a Perfetto ["i"] instant. *)
-
 val add_instant_opt : t option -> lane:string -> label:string -> at:Time.t -> unit
-
-val add_flow :
-  t -> id:int -> label:string ->
-  src_lane:string -> src_t:Time.t -> dst_lane:string -> dst_t:Time.t -> unit
-(** Record a flow arrow. Silently ignored unless the trace was created with
-    [~flows:true], so call sites need no branching.
-    @raise Invalid_argument if [dst_t] is earlier than [src_t]. *)
+(** Record an instant marker (a zero-length {!Marker} span): a fault
+    injected, a stall diagnosed. Exported as a Perfetto ["i"] instant.
+    No-op when the trace is [None]. *)
 
 val add_flow_opt :
   t option -> id:int -> label:string ->
   src_lane:string -> src_t:Time.t -> dst_lane:string -> dst_t:Time.t -> unit
-
-val flows : t -> flow list
-(** All flow arrows in recording order. *)
+(** Record a flow arrow. Silently ignored when the trace is [None] or was
+    not created with [~flows:true], so call sites need no branching.
+    @raise Invalid_argument if [dst_t] is earlier than [src_t]. *)
 
 val sorted_flows : t -> flow list
 (** All flow arrows in canonical order: (src_t, dst_t, id, label, lanes). *)

@@ -233,13 +233,6 @@ let default_watchdog s = Time.max (Time.ms 10) (Time.scale (retry_budget s) 4.0)
    scheduled at fixed virtual times, so every query below is a pure
    function of (spec, now). *)
 
-let kill_time s ~pe =
-  List.fold_left
-    (fun acc (g, t) ->
-      if g <> pe then acc
-      else match acc with None -> Some t | Some t' -> Some (Time.min t t'))
-    None s.kills
-
 let dead s ~pe ~now =
   List.exists (fun (g, t) -> g = pe && Time.(t <= now)) s.kills
 

@@ -93,9 +93,6 @@ val default_watchdog : spec -> Time.t
     itself (not drawn from the seeded plan streams), so every query here
     is a pure function of [(spec, now)]. *)
 
-val kill_time : spec -> pe:int -> Time.t option
-(** The (earliest) scheduled death time of [pe], if any. *)
-
 val dead : spec -> pe:int -> now:Time.t -> bool
 (** Whether [pe]'s scheduled death has already happened at [now]. *)
 

@@ -16,8 +16,6 @@ type t = {
   kernel_teardown : Engine_time.t;
   coop_launch : Engine_time.t;
   stream_sync : Engine_time.t;
-  event_record : Engine_time.t;
-  stream_wait_event : Engine_time.t;
   memcpy_api : Engine_time.t;
   host_barrier : Engine_time.t;
   grid_sync : Engine_time.t;
@@ -53,8 +51,6 @@ let a100_hgx =
     kernel_teardown = ns 2_200;
     coop_launch = ns 9_000;
     stream_sync = ns 6_500;
-    event_record = ns 900;
-    stream_wait_event = ns 1_100;
     memcpy_api = ns 1_800;
     host_barrier = ns 21_000;
     grid_sync = ns 2_800;
@@ -120,7 +116,6 @@ let fabric_profile t =
     ib_latency = t.ib_latency;
     ib_gbs = t.ib_bw_gbs;
   }
-let nvlink_bytes_per_ns t = t.nvlink_bw_gbs
 
 let pp fmt t =
   Format.fprintf fmt "%s: %d SMs, HBM %.0f GB/s, NVLink %.0f GB/s/dir, launch %a" t.name

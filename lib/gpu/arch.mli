@@ -28,8 +28,6 @@ type t = {
       (** device-side scheduling cost paid by every discrete kernel instance *)
   coop_launch : Engine_time.t;  (** cooperative-launch host cost *)
   stream_sync : Engine_time.t;
-  event_record : Engine_time.t;
-  stream_wait_event : Engine_time.t;
   memcpy_api : Engine_time.t;  (** host cost of issuing cudaMemcpyAsync *)
   host_barrier : Engine_time.t;  (** OpenMP/MPI barrier across host threads *)
   grid_sync : Engine_time.t;  (** cooperative-groups grid.sync() *)
@@ -84,6 +82,5 @@ val fabric_profile : t -> Cpufree_machine.Topology.profile
     key when the architecture is a stock one. *)
 
 val hbm_bytes_per_ns : t -> float
-val nvlink_bytes_per_ns : t -> float
 
 val pp : Format.formatter -> t -> unit

@@ -16,7 +16,6 @@ let create ?(phantom = false) ~device ~label elems =
 let label t = t.label
 let device t = t.device
 let length t = t.elems
-let size_bytes t = t.elems * elem_bytes
 let is_phantom t = t.data = None
 
 let check_index t i op =

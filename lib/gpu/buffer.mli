@@ -24,7 +24,6 @@ val create : ?phantom:bool -> device:int -> label:string -> int -> t
 val label : t -> string
 val device : t -> int
 val length : t -> int
-val size_bytes : t -> int
 
 val elem_bytes : int
 (** Bytes per element (4: the NVIDIA baseline codes use [float]). *)

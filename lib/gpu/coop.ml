@@ -3,7 +3,6 @@ module E = Cpufree_engine
 type t = {
   eng : E.Engine.t;
   dev : Device.t;
-  n_roles : int;
   blocks : int;
   threads : int;
   barrier : E.Sync.Barrier.t;
@@ -14,7 +13,6 @@ let make eng ~dev ~roles ~total_blocks ~threads_per_block =
   {
     eng;
     dev;
-    n_roles = roles;
     blocks = total_blocks;
     threads = threads_per_block;
     barrier =
@@ -24,7 +22,6 @@ let make eng ~dev ~roles ~total_blocks ~threads_per_block =
 let device t = t.dev
 let total_blocks t = t.blocks
 let threads_per_block t = t.threads
-let roles t = t.n_roles
 
 let sync t =
   E.Engine.delay t.eng (Device.arch t.dev).Arch.grid_sync;

@@ -16,7 +16,6 @@ val make :
 val device : t -> Device.t
 val total_blocks : t -> int
 val threads_per_block : t -> int
-val roles : t -> int
 
 val sync : t -> unit
 (** [grid.sync()]: block until every role of this grid arrives, charging the

@@ -8,5 +8,4 @@ let id t = t.id
 let arch t = t.arch
 let engine t = t.eng
 let lane t sub = Printf.sprintf "gpu%d.%s" t.id sub
-let main_lane t = Printf.sprintf "gpu%d" t.id
 let co_resident_blocks t = Arch.co_resident_blocks t.arch

@@ -11,8 +11,6 @@ val lane : t -> string -> string
 (** [lane dev "comp"] is ["gpu<id>.comp"] — the timeline lane for a
     sub-activity of this device. *)
 
-val main_lane : t -> string
-(** ["gpu<id>"]. *)
 
 val co_resident_blocks : t -> int
 (** Maximum cooperative grid size (paper §4.1.4 limitation). *)

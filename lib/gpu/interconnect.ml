@@ -10,7 +10,7 @@ type initiator = By_host | By_device
 (* The fabric is a thin façade over a routed {!Cpufree_machine.Topology}
    graph: the first transfer between an endpoint pair resolves its route
    into a (wire latency, bottleneck inverse bandwidth, port resources)
-   entry, and every later [transfer_time] call on that pair — millions per
+   entry, and every later transfer on that pair — millions per
    stencil sweep — does no routing, no float division and no repeated
    [Time] arithmetic, just array reads. Only pairs that actually
    communicate pay anything: a 1024-GPU machine running a ring allreduce
@@ -76,10 +76,7 @@ let create ?(topology = M.Topology.Hgx) ?faults ?metrics eng ~arch ~num_gpus =
   if num_gpus <= 0 then invalid_arg "Interconnect.create: need at least one GPU";
   let topo = M.Topology.instantiate topology ~profile:(Arch.fabric_profile arch) ~gpus:num_gpus in
   let port_list = M.Topology.ports topo in
-  let ports =
-    Array.of_list
-      (List.map (fun p -> E.Sync.Resource.create ~name:p.M.Topology.pname eng ()) port_list)
-  in
+  let ports = Array.init (List.length port_list) (fun _ -> E.Sync.Resource.create eng) in
   let n = num_gpus in
   let m = n + 1 in
   let obs =
@@ -133,7 +130,6 @@ let num_gpus t = t.n
 let arch t = t.arch
 let topology t = t.topo
 let num_nodes t = M.Topology.num_nodes t.topo
-let node_of_gpu t g = M.Topology.node_of_gpu t.topo g
 
 let check_endpoint t = function
   | Host -> ()
@@ -208,12 +204,6 @@ let path_latency t e ~initiator = Time.add e.e_lat t.setup.(init_idx initiator)
 
 let serialization_time e ~bytes =
   if bytes = 0 then Time.zero else Time.of_ns_float (float_of_int bytes *. e.e_nsb)
-
-let transfer_time t ~src ~dst ~initiator ~bytes =
-  check_endpoint t src;
-  check_endpoint t dst;
-  let e = entry_for t ~src ~dst in
-  Time.add (path_latency t e ~initiator) (serialization_time e ~bytes)
 
 (* Whether a transfer crosses node boundaries (and therefore rides a NIC). *)
 let inter_node t ~src ~dst =
@@ -301,7 +291,3 @@ let pairs_resolved t =
     t.rows;
   !c
 
-let port_busy t ~gpu =
-  if gpu < 0 || gpu >= t.n then invalid_arg "Interconnect.port_busy: no such GPU";
-  ( E.Sync.Resource.busy t.ports.(M.Topology.gpu_egress_port t.topo gpu),
-    E.Sync.Resource.busy t.ports.(M.Topology.gpu_ingress_port t.topo gpu) )

@@ -52,7 +52,6 @@ val topology : t -> Cpufree_machine.Topology.t
 (** The instantiated machine graph behind the façade. *)
 
 val num_nodes : t -> int
-val node_of_gpu : t -> int -> int
 
 val wire_latency : t -> src:endpoint -> dst:endpoint -> Cpufree_engine.Time.t
 (** Routed wire latency between two endpoints, without initiator setup. *)
@@ -64,10 +63,6 @@ val min_gpu_wire_latency : t -> Cpufree_engine.Time.t
 val max_gpu_wire_latency : t -> Cpufree_engine.Time.t
 (** Worst routed GPU-pair wire latency (the inter-node path on a cluster) —
     what a fabric-wide barrier must cover. *)
-
-val transfer_time : t -> src:endpoint -> dst:endpoint -> initiator:initiator -> bytes:int -> Cpufree_engine.Time.t
-(** Uncontended duration (latency + serialization) of a transfer; pure
-    (never includes fault-plan degradation). *)
 
 val fault_hold : t -> src:endpoint -> dst:endpoint -> Cpufree_engine.Time.t
 (** Extra latency the fault plan imposes on this path right now (a NIC
@@ -106,5 +101,3 @@ val pairs_resolved : t -> int
 (** Number of endpoint pairs whose routes have been resolved into the memo
     so far — the footprint the lazy fill actually paid for. *)
 
-val port_busy : t -> gpu:int -> Cpufree_engine.Time.t * Cpufree_engine.Time.t
-(** (egress, ingress) cumulative busy time of a GPU's ports. *)

@@ -78,11 +78,10 @@ let bump t c =
   | None -> ()
   | Some o -> Mx.Counter.incr (c o)
 
-(* Straggler multiplier on device [gpu]'s compute latencies (1.0 when the
-   fault plan is absent or silent about the device). Callers scale costs
-   only when a plan is present, keeping fault-free runs byte-identical. *)
-let compute_scale t ~gpu = match t.faults with None -> 1.0 | Some p -> F.compute_scale p ~gpu
-
+(* [cost] times the straggler multiplier on device [gpu]'s compute
+   latencies (1.0 when the fault plan is absent or silent about the
+   device). Costs are scaled only when a plan is present, keeping
+   fault-free runs byte-identical. *)
 let scaled_cost t ~gpu cost =
   match t.faults with
   | None -> cost
@@ -102,22 +101,20 @@ let endpoint_of_buffer b =
 
 (* Charge an API latency; the span label is built only when the engine
    records a trace. *)
-let api_call t ?(lane = "host") ~label cost =
+let api_call t ~label cost =
   bump t (fun o -> o.m_api_calls);
   let t0 = E.Engine.now t.eng in
   E.Engine.delay t.eng cost;
   match E.Engine.trace t.eng with
   | None -> ()
-  | Some tr -> E.Trace.add tr ~lane ~label:(label ()) ~kind:E.Trace.Api ~t0 ~t1:(E.Engine.now t.eng)
-
-let api t ?lane ~label cost = api_call t ?lane ~label:(fun () -> label) cost
+  | Some tr -> E.Trace.add tr ~lane:"host" ~label:(label ()) ~kind:E.Trace.Api ~t0 ~t1:(E.Engine.now t.eng)
 
 let launch t ~stream ~name ?(cost = Time.zero) body =
   let dev = Stream.device stream in
   let cost = scaled_cost t ~gpu:(Device.id dev) cost in
   bump t (fun o -> o.m_launches);
   api_call t ~label:(fun () -> "launch:" ^ name) t.arch.Arch.kernel_launch;
-  Stream.enqueue stream ~label:name (fun () ->
+  Stream.enqueue stream (fun () ->
       let t0 = E.Engine.now t.eng in
       E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
       E.Engine.delay t.eng cost;
@@ -126,9 +123,9 @@ let launch t ~stream ~name ?(cost = Time.zero) body =
 
 let memcpy_async t ~stream ~src ~src_pos ~dst ~dst_pos ~len =
   bump t (fun o -> o.m_stream_ops);
-  api t ~label:"cudaMemcpyAsync" t.arch.Arch.memcpy_api;
+  api_call t ~label:(fun () -> "cudaMemcpyAsync") t.arch.Arch.memcpy_api;
   let src_ep = endpoint_of_buffer src and dst_ep = endpoint_of_buffer dst in
-  Stream.enqueue stream ~label:"memcpy" (fun () ->
+  Stream.enqueue stream (fun () ->
       let trace_lane =
         match E.Engine.trace t.eng with
         | None -> None
@@ -142,16 +139,6 @@ let stream_synchronize t stream =
   bump t (fun o -> o.m_stream_ops);
   api_call t ~label:(fun () -> "sync:" ^ Stream.name stream) t.arch.Arch.stream_sync;
   Stream.await_idle stream
-
-let event_record t ev stream =
-  bump t (fun o -> o.m_stream_ops);
-  api_call t ~label:(fun () -> "record:" ^ Event.name ev) t.arch.Arch.event_record;
-  Event.record ev stream
-
-let stream_wait_event t stream ev =
-  bump t (fun o -> o.m_stream_ops);
-  api t ~label:"streamWaitEvent" t.arch.Arch.stream_wait_event;
-  Event.stream_wait stream ev
 
 let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
   if roles = [] then raise (Coop_launch_error (name ^ ": no roles"));

@@ -22,8 +22,8 @@ val create :
     selects the machine graph the fabric instantiates (default: the
     single-node NVSwitch HGX of the paper's evaluation). [env.faults] is
     activated here with [env.fault_seed] and [num_gpus]: the fabric degrades
-    per the plan, and kernel costs on straggler devices are scaled by
-    {!compute_scale}. [env.metrics] attaches observability instruments to
+    per the plan, and kernel costs on straggler devices are scaled by the
+    plan's [Fault.compute_scale]. [env.metrics] attaches observability instruments to
     the fabric ({!Interconnect.create}) and to this API surface
     ([runtime.api_calls], [runtime.launches], [runtime.coop_launches],
     [runtime.stream_ops]). *)
@@ -45,18 +45,11 @@ val gpu_group : ctx -> int -> string
     (["gpu3"]); host threads use ["host"]. Interned when the context is
     created, so a wait that names its peer formats nothing. *)
 
-val compute_scale : ctx -> gpu:int -> float
-(** Straggler compute-latency multiplier for a device: 1.0 unless the
-    fault plan says otherwise. *)
-
 val scaled_cost : ctx -> gpu:int -> Cpufree_engine.Time.t -> Cpufree_engine.Time.t
-(** [cost] scaled by {!compute_scale} — the identity (not even a float
+(** [cost] scaled by the device's straggler multiplier — the identity (not even a float
     round-trip) when no plan is active. *)
 
 val endpoint_of_buffer : Buffer.t -> Interconnect.endpoint
-
-val api : ctx -> ?lane:string -> label:string -> Cpufree_engine.Time.t -> unit
-(** Charge the calling (host) process an API latency, tracing it. *)
 
 val launch :
   ctx -> stream:Stream.t -> name:string -> ?cost:Cpufree_engine.Time.t -> (unit -> unit) -> unit
@@ -74,9 +67,6 @@ val memcpy_async :
 
 val stream_synchronize : ctx -> Stream.t -> unit
 (** Host blocks until the stream drains, paying the sync call cost. *)
-
-val event_record : ctx -> Event.t -> Stream.t -> unit
-val stream_wait_event : ctx -> Stream.t -> Event.t -> unit
 
 val launch_cooperative :
   ctx -> dev:Device.t -> name:string -> blocks:int -> threads_per_block:int ->

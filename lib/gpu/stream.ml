@@ -1,13 +1,10 @@
 module E = Cpufree_engine
 
-type op = { label : string; body : unit -> unit }
-
 type t = {
-  eng : E.Engine.t;
   dev : Device.t;
   sname : string;
   lane : string Lazy.t;
-  inbox : op E.Sync.Mailbox.t;
+  inbox : (unit -> unit) E.Sync.Mailbox.t;
   mutable submitted : int;
   done_flag : E.Sync.Flag.t;
 }
@@ -15,7 +12,7 @@ type t = {
 let serve t () =
   let rec loop () =
     let op = E.Sync.Mailbox.recv t.inbox in
-    op.body ();
+    op ();
     E.Sync.Flag.add t.done_flag 1;
     loop ()
   in
@@ -24,7 +21,6 @@ let serve t () =
 let create eng ~dev ~name =
   let t =
     {
-      eng;
       dev;
       sname = name;
       lane = lazy (Device.lane dev name);
@@ -46,14 +42,8 @@ let name t = t.sname
 let device t = t.dev
 let lane t = t.lane
 
-let enqueue t ?(label = "op") body =
+let enqueue t op =
   t.submitted <- t.submitted + 1;
-  E.Sync.Mailbox.send t.inbox { label; body }
+  E.Sync.Mailbox.send t.inbox op
 
-let enqueued t = t.submitted
-let completed t = E.Sync.Flag.get t.done_flag
-let await_count t n = E.Sync.Flag.wait_ge t.done_flag n
-
-let await_idle t =
-  let target = t.submitted in
-  await_count t target
+let await_idle t = E.Sync.Flag.wait_ge t.done_flag t.submitted

@@ -16,16 +16,8 @@ val lane : t -> string Lazy.t
 (** The stream's timeline lane, ["gpu<id>.<name>"], formatted on first
     use — only a traced run forces it. *)
 
-val enqueue : t -> ?label:string -> (unit -> unit) -> unit
+val enqueue : t -> (unit -> unit) -> unit
 (** Append an operation. Never blocks the caller. *)
-
-val enqueued : t -> int
-(** Operations submitted so far. *)
-
-val completed : t -> int
-
-val await_count : t -> int -> unit
-(** Block the calling process until at least [n] operations have completed. *)
 
 val await_idle : t -> unit
 (** Block until everything enqueued before this call has completed. *)

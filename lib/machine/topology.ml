@@ -11,32 +11,6 @@ type profile = {
   ib_gbs : float;
 }
 
-(* Same published numbers as [Cpufree_gpu.Arch.a100_hgx]/[h100_hgx]; the gpu
-   library's test suite pins the two copies together. *)
-let a100 =
-  {
-    pname = "a100";
-    nvlink_latency = Time.ns 1_500;
-    nvlink_gbs = 300.0;
-    pcie_latency = Time.ns 2_500;
-    pcie_gbs = 25.0;
-    hbm_gbs = 1555.0;
-    ib_latency = Time.ns 1_300;
-    ib_gbs = 25.0;
-  }
-
-let h100 =
-  {
-    pname = "h100";
-    nvlink_latency = Time.ns 1_200;
-    nvlink_gbs = 450.0;
-    pcie_latency = Time.ns 2_500;
-    pcie_gbs = 25.0;
-    hbm_gbs = 3350.0;
-    ib_latency = Time.ns 1_000;
-    ib_gbs = 50.0;
-  }
-
 type vertex_kind =
   | Gpu of { node : int; device : int }
   | Host of { node : int }
@@ -110,11 +84,8 @@ type t = {
   adj : link list array; (* out-adjacency in ascending link id *)
   gpu_vid : int array;
   host_vid : int array;
-  gpu_eport : int array;
-  gpu_iport : int array;
   router : router;
   dedup : Bytes.t; (* reusable port bitset for route_ports *)
-  mutable cap : int; (* route-cache capacity, in rows *)
   dead_vs : bool array; (* fail-stopped vertices *)
   dead_ls : bool array; (* fail-stopped links *)
   mutable degraded : bool; (* any fail_link/fail_switch applied *)
@@ -131,7 +102,7 @@ type structural_spec = {
   sm_max_gpu : Time.t option;
 }
 
-let default_route_cache = 64
+let route_cache_rows = 64
 
 (* ------------------------------------------------------------------ *)
 (* Builder                                                             *)
@@ -227,53 +198,8 @@ let dijkstra_row ?dead ~nv ~(adj : link list array) src =
   loop ();
   r
 
-(* The same search with a linear-scan extract-min: O(V^2), and kept only as
-   the independent oracle behind [dijkstra_reference], so the heap order
-   above is checked against the plainest possible implementation. *)
-let dijkstra_scan ?dead ~nv ~(adj : link list array) src =
-  let dead_v, dead_l = dead_preds dead in
-  let r = row_init nv src in
-  let { dist; hops; pred; _ } = r in
-  let visited = Array.make nv false in
-  let rec loop () =
-    let u = ref (-1) in
-    for v = 0 to nv - 1 do
-      if (not visited.(v)) && (not (dead_v v)) && dist.(v) < max_int then
-        if
-          !u < 0
-          || dist.(v) < dist.(!u)
-          || (dist.(v) = dist.(!u) && (hops.(v) < hops.(!u) || (hops.(v) = hops.(!u) && v < !u)))
-        then u := v
-    done;
-    if !u >= 0 then begin
-      let u = !u in
-      visited.(u) <- true;
-      List.iter
-        (fun l ->
-          let v = l.ldst in
-          if (not visited.(v)) && (not (dead_l l.lid)) && not (dead_v v) then begin
-            let nd = dist.(u) + Time.to_ns l.llatency in
-            let nh = hops.(u) + 1 in
-            let better =
-              nd < dist.(v)
-              || (nd = dist.(v)
-                 && (nh < hops.(v) || (nh = hops.(v) && (pred.(v) < 0 || l.lid < pred.(v)))))
-            in
-            if better then begin
-              dist.(v) <- nd;
-              hops.(v) <- nh;
-              pred.(v) <- l.lid
-            end
-          end)
-        adj.(u);
-      loop ()
-    end
-  in
-  loop ();
-  r
-
-(* Out-adjacency in ascending link id: the relaxation order both searches
-   rely on for their link-id tie-break. *)
+(* Out-adjacency in ascending link id: the relaxation order the link-id
+   tie-break relies on. *)
 let adjacency nv (ls : link array) =
   let adj = Array.make nv [] in
   Array.iter (fun l -> adj.(l.lsrc) <- l :: adj.(l.lsrc)) ls;
@@ -300,7 +226,7 @@ let bfs_cover ~nv step start =
   done;
   seen
 
-let build ?structural b ~name ~nodes ~gpu_vid ~host_vid ~gpu_eport ~gpu_iport =
+let build ?structural b ~name ~nodes ~gpu_vid ~host_vid =
   let vs = Array.make b.nv (List.hd b.bvs) in
   List.iter (fun v -> vs.(v.vid) <- v) b.bvs;
   let ps = Array.of_list (List.sort (fun a c -> compare a.pid c.pid) b.bps) in
@@ -361,11 +287,8 @@ let build ?structural b ~name ~nodes ~gpu_vid ~host_vid ~gpu_eport ~gpu_iport =
     adj;
     gpu_vid;
     host_vid;
-    gpu_eport;
-    gpu_iport;
     router;
     dedup = Bytes.make (max 1 b.np) '\000';
-    cap = default_route_cache;
     dead_vs = Array.make (max 1 b.nv) false;
     dead_ls = Array.make (max 1 b.nl) false;
     degraded = false;
@@ -400,7 +323,7 @@ let to_nic ~sw ~nic v = if v = nic then [ v ] else if v = sw then [ v; nic ] els
    latencies are chosen so every two-hop route sums to exactly the profile's
    wire latency: egress + ingress = nvlink, egress + switch-to-host = pcie,
    host-to-switch + ingress = pcie. *)
-let add_hgx_node b ~profile:p ~node ~gpu0 ~gpus ~gpu_vid ~gpu_eport ~gpu_iport =
+let add_hgx_node b ~profile:p ~node ~gpu0 ~gpus ~gpu_vid =
   let e_lat, i_lat = halves p.nvlink_latency in
   let sw =
     add_vertex b
@@ -417,8 +340,6 @@ let add_hgx_node b ~profile:p ~node ~gpu0 ~gpus ~gpu_vid ~gpu_eport ~gpu_iport =
     gpu_vid.(g) <- v;
     let ep = add_port b ~name:(Printf.sprintf "gpu%d.egress" g) in
     let ip = add_port b ~name:(Printf.sprintf "gpu%d.ingress" g) in
-    gpu_eport.(g) <- ep;
-    gpu_iport.(g) <- ip;
     ignore
       (add_link b ~src:v ~dst:sw ~kind:Nvlink ~latency:e_lat ~ns_per_byte:(nsb p.nvlink_gbs)
          ~ports:[ ep ]);
@@ -445,24 +366,18 @@ let add_hgx_node b ~profile:p ~node ~gpu0 ~gpus ~gpu_vid ~gpu_eport ~gpu_iport =
 let hgx ~profile ~gpus =
   check_gpus "hgx" gpus;
   let b = builder () in
-  let gpu_vid = Array.make gpus (-1)
-  and gpu_eport = Array.make gpus (-1)
-  and gpu_iport = Array.make gpus (-1) in
-  let _, host =
-    add_hgx_node b ~profile ~node:0 ~gpu0:0 ~gpus ~gpu_vid ~gpu_eport ~gpu_iport
-  in
+  let gpu_vid = Array.make gpus (-1) in
+  let _, host = add_hgx_node b ~profile ~node:0 ~gpu0:0 ~gpus ~gpu_vid in
   build b
     ~name:(Printf.sprintf "hgx_%s" profile.pname)
-    ~nodes:1 ~gpu_vid ~host_vid:[| host |] ~gpu_eport ~gpu_iport
+    ~nodes:1 ~gpu_vid ~host_vid:[| host |]
 
 let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
   if nodes <= 0 then invalid_arg "Topology.dgx_cluster: need at least one node";
   check_gpus "dgx_cluster" gpus_per_node;
   let gpus = nodes * gpus_per_node in
   let b = builder () in
-  let gpu_vid = Array.make gpus (-1)
-  and gpu_eport = Array.make gpus (-1)
-  and gpu_iport = Array.make gpus (-1) in
+  let gpu_vid = Array.make gpus (-1) in
   let host_vid = Array.make nodes (-1) in
   let e_lat, i_lat = halves p.nvlink_latency in
   let ib_dn, ib_up = halves p.ib_latency in
@@ -474,7 +389,6 @@ let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
   for node = 0 to nodes - 1 do
     let sw, host =
       add_hgx_node b ~profile:p ~node ~gpu0:(node * gpus_per_node) ~gpus:gpus_per_node ~gpu_vid
-        ~gpu_eport ~gpu_iport
     in
     node_sw.(node) <- sw;
     host_vid.(node) <- host;
@@ -535,7 +449,7 @@ let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
   in
   build ~structural b
     ~name:(Printf.sprintf "dgx_%s_%dx%d" p.pname nodes gpus_per_node)
-    ~nodes ~gpu_vid ~host_vid ~gpu_eport ~gpu_iport
+    ~nodes ~gpu_vid ~host_vid
 
 let ring ~profile:p ~gpus =
   check_gpus "ring" gpus;
@@ -577,14 +491,12 @@ let ring ~profile:p ~gpus =
        ~ns_per_byte:(nsb p.pcie_gbs) ~ports:[ gpu_eport.(0); hp ]);
   build b
     ~name:(Printf.sprintf "ring_%s" p.pname)
-    ~nodes:1 ~gpu_vid ~host_vid:[| host |] ~gpu_eport ~gpu_iport
+    ~nodes:1 ~gpu_vid ~host_vid:[| host |]
 
 let pcie_only ~profile:p ~gpus =
   check_gpus "pcie_only" gpus;
   let b = builder () in
-  let gpu_vid = Array.make gpus (-1)
-  and gpu_eport = Array.make gpus (-1)
-  and gpu_iport = Array.make gpus (-1) in
+  let gpu_vid = Array.make gpus (-1) in
   let dn, up = halves p.pcie_latency in
   let root =
     add_vertex b ~kind:(Switch { node = Some 0 }) ~name:"pcie.root"
@@ -599,8 +511,6 @@ let pcie_only ~profile:p ~gpus =
     gpu_vid.(g) <- v;
     let ep = add_port b ~name:(Printf.sprintf "gpu%d.egress" g) in
     let ip = add_port b ~name:(Printf.sprintf "gpu%d.ingress" g) in
-    gpu_eport.(g) <- ep;
-    gpu_iport.(g) <- ip;
     (* The shared root complex is booked once, on the upstream hop. *)
     ignore
       (add_link b ~src:v ~dst:root ~kind:Pcie ~latency:dn ~ns_per_byte:(nsb p.pcie_gbs)
@@ -621,7 +531,7 @@ let pcie_only ~profile:p ~gpus =
        ~ports:[ hp ]);
   build b
     ~name:(Printf.sprintf "pcie_%s" p.pname)
-    ~nodes:1 ~gpu_vid ~host_vid:[| host |] ~gpu_eport ~gpu_iport
+    ~nodes:1 ~gpu_vid ~host_vid:[| host |]
 
 (* ---------------------------------------------------------------- *)
 (* Fat tree                                                          *)
@@ -643,9 +553,7 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
   check_gpus "fat_tree" gpus_per_node;
   let gpus = nodes * gpus_per_node in
   let b = builder () in
-  let gpu_vid = Array.make gpus (-1)
-  and gpu_eport = Array.make gpus (-1)
-  and gpu_iport = Array.make gpus (-1) in
+  let gpu_vid = Array.make gpus (-1) in
   let host_vid = Array.make nodes (-1) in
   let node_sw = Array.make nodes (-1) in
   let nic_vid = Array.make_matrix nodes rails (-1) in
@@ -685,7 +593,6 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
   for node = 0 to nodes - 1 do
     let sw, host =
       add_hgx_node b ~profile:p ~node ~gpu0:(node * gpus_per_node) ~gpus:gpus_per_node ~gpu_vid
-        ~gpu_eport ~gpu_iport
     in
     node_sw.(node) <- sw;
     host_vid.(node) <- host;
@@ -775,7 +682,7 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
   in
   build ~structural b
     ~name:(Printf.sprintf "fattree_%s_%dn_a%d_r%d" p.pname nodes arity rails)
-    ~nodes ~gpu_vid ~host_vid ~gpu_eport ~gpu_iport
+    ~nodes ~gpu_vid ~host_vid
 
 (* ---------------------------------------------------------------- *)
 (* Dragonfly                                                         *)
@@ -804,9 +711,7 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
          ((a * h) + 1));
   let gpus = nodes * gpus_per_node in
   let b = builder () in
-  let gpu_vid = Array.make gpus (-1)
-  and gpu_eport = Array.make gpus (-1)
-  and gpu_iport = Array.make gpus (-1) in
+  let gpu_vid = Array.make gpus (-1) in
   let host_vid = Array.make nodes (-1) in
   let node_sw = Array.make nodes (-1) in
   let nic_vid = Array.make nodes (-1) in
@@ -845,7 +750,6 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
     let g = node / per_group and r = node mod per_group / p in
     let sw, host =
       add_hgx_node b ~profile:pr ~node ~gpu0:(node * gpus_per_node) ~gpus:gpus_per_node ~gpu_vid
-        ~gpu_eport ~gpu_iport
     in
     node_sw.(node) <- sw;
     host_vid.(node) <- host;
@@ -952,7 +856,7 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
   let structural = { sm_path = spath; sm_min_gpu = s_min_gpu; sm_max_gpu = s_max_gpu } in
   build ~structural b
     ~name:(Printf.sprintf "dragonfly_%s_%dg_a%dp%dh%d" pr.pname groups a p h)
-    ~nodes ~gpu_vid ~host_vid ~gpu_eport ~gpu_iport
+    ~nodes ~gpu_vid ~host_vid
 
 (* ------------------------------------------------------------------ *)
 (* Specs                                                               *)
@@ -1098,7 +1002,7 @@ let row_for t tb src =
   | Some r -> r
   | None ->
     let r = dijkstra_row ?dead:(dead_of t) ~nv:(Array.length t.vs) ~adj:t.adj src in
-    if Queue.length tb.fifo >= t.cap then tb.rows.(Queue.pop tb.fifo) <- None;
+    if Queue.length tb.fifo >= route_cache_rows then tb.rows.(Queue.pop tb.fifo) <- None;
     tb.rows.(src) <- Some r;
     Queue.push src tb.fifo;
     r
@@ -1191,15 +1095,6 @@ let ports t = Array.to_list t.ps
 
 let routing_kind t = match t.router with Tables _ -> "tables" | Structural _ -> "structural"
 
-let set_route_cache t n =
-  t.cap <- max 1 n;
-  let trim tb =
-    while Queue.length tb.fifo > t.cap do
-      tb.rows.(Queue.pop tb.fifo) <- None
-    done
-  in
-  match t.router with Tables tb -> trim tb | Structural s -> trim s.stables
-
 let route_rows_cached t =
   match t.router with
   | Tables tb -> Queue.length tb.fifo
@@ -1270,8 +1165,8 @@ let dead_vertices t =
   t.vs |> Array.to_list
   |> List.filter_map (fun v -> if t.dead_vs.(v.vid) then Some v.vname else None)
 
-let dead_link_count t =
-  Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 t.dead_ls
+let dead_links t =
+  List.filter (fun lid -> t.dead_ls.(lid)) (List.init (Array.length t.ls) Fun.id)
 
 let check_gpu t g op =
   if g < 0 || g >= t.gpus then invalid_arg (Printf.sprintf "Topology.%s: no such GPU %d" op g)
@@ -1288,14 +1183,6 @@ let host_vertex t ~node =
   if node < 0 || node >= t.nodes then
     invalid_arg (Printf.sprintf "Topology.host_vertex: no such node %d" node);
   t.host_vid.(node)
-
-let gpu_egress_port t g =
-  check_gpu t g "gpu_egress_port";
-  t.gpu_eport.(g)
-
-let gpu_ingress_port t g =
-  check_gpu t g "gpu_ingress_port";
-  t.gpu_iport.(g)
 
 let check_vid t v op =
   if v < 0 || v >= Array.length t.vs then
@@ -1376,28 +1263,10 @@ let route_ports t ~src ~dst =
     List.iter (fun pp -> Bytes.set seen pp '\000') !acc;
     List.rev !acc
 
-(* Reference shortest path, always freshly computed with the linear-scan
-   Dijkstra and never cached: the oracle both the structural routers and
-   the heap-backed tables are tested against. Computed on the surviving
-   graph once the machine is degraded, so it doubles as the
-   degraded-routing oracle. *)
-let dijkstra_reference t ~src ~dst =
-  check_vid t src "dijkstra_reference";
-  check_vid t dst "dijkstra_reference";
-  if src = dst then Some ([], Time.zero)
-  else
-    let r = dijkstra_scan ?dead:(dead_of t) ~nv:(Array.length t.vs) ~adj:t.adj src in
-    match links_of_row t r dst with
-    | None -> None
-    | Some lids -> Some (Array.to_list lids, Time.ns r.dist.(dst))
-
-let row_on_graph search ~nv links ~src =
+let shortest_row ~nv links ~src =
   if src < 0 || src >= nv then invalid_arg "Topology.shortest_row: no such source";
-  let r = search ?dead:None ~nv ~adj:(adjacency nv (Array.of_list links)) src in
+  let r = dijkstra_row ~nv ~adj:(adjacency nv (Array.of_list links)) src in
   (r.dist, r.hops, r.pred)
-
-let shortest_row = row_on_graph dijkstra_row
-let reference_row = row_on_graph dijkstra_scan
 
 let fold_pairs xs ys f =
   List.fold_left

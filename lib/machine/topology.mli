@@ -6,16 +6,16 @@
     and the contention ports a transfer crossing it must book.
 
     Routes are shortest-latency and resolved {e on demand}. Structural
-    topologies ({!dgx_cluster}, {!fat_tree}, {!dragonfly}) compute each route
+    topologies ([Dgx], [Fat_tree], [Dragonfly]) compute each route
     in O(path length) from the construction itself — the unique tree path
     through node switch, NIC and spine on a DGX cluster, up/down through the
     fat tree, minimal local–global–local across the dragonfly — so a
     1024-GPU machine never materializes an all-pairs table. The single-node
-    and irregular topologies ({!hgx}, {!ring}, {!pcie_only}), degraded
+    and irregular topologies ([Hgx], [Ring], [Pcie_only]), degraded
     fabrics whose closed-form path crosses a dead component, and the rare
     structural pair the closed form declines (e.g. a fat-tree core-switch
     endpoint) fall back to lazy per-source Dijkstra rows, O(E log V) each
-    from a binary heap, behind a bounded FIFO cache ({!set_route_cache}).
+    from a binary heap, behind a bounded FIFO cache of 64 rows.
     The Dijkstra is deterministic (vertices settle in (latency, hops, vertex
     id) order; ties broken by hop count, then link id) and a recomputed row
     is identical to an evicted one, so cache size never changes any route.
@@ -34,9 +34,8 @@ module Time = Cpufree_engine.Time
 
 (** The latency/bandwidth numbers a constructor instantiates links from.
     Decoupled from [Cpufree_gpu.Arch] so the graph layer has no dependency on
-    the GPU cost model; [Cpufree_gpu.Interconnect] derives a profile from its
-    architecture, and {!a100}/{!h100} are standalone copies of the same
-    published numbers. *)
+    the GPU cost model; [Cpufree_gpu.Arch.fabric_profile] derives one from
+    an architecture. *)
 type profile = {
   pname : string;
   nvlink_latency : Time.t;  (** GPU-to-GPU wire + fabric first-byte latency *)
@@ -47,9 +46,6 @@ type profile = {
   ib_latency : Time.t;  (** inter-node InfiniBand first-byte latency *)
   ib_gbs : float;  (** NIC line rate, GB/s *)
 }
-
-val a100 : profile
-val h100 : profile
 
 (** {1 Graph} *)
 
@@ -85,58 +81,46 @@ type link = {
 
 type t
 
-(** {1 Constructors} *)
-
-val hgx : profile:profile -> gpus:int -> t
-(** Single node: [gpus] GPUs on an NVSwitch all-to-all, host on PCIe.
-    The shape of the paper's 8-GPU HGX box, for any GPU count. *)
-
-val dgx_cluster : profile:profile -> nodes:int -> gpus_per_node:int -> t
-(** [nodes] HGX nodes, each with its own host and an InfiniBand NIC hanging
-    off the node switch; NICs meet at a global spine. An inter-node route
-    pays the NIC attach on both sides plus the IB hop and books both NIC
-    direction ports in addition to the GPU ports. The graph is a tree, so
-    routing is structural: each route is its unique tree path. *)
-
-val ring : profile:profile -> gpus:int -> t
-(** No switch: each GPU links only to its two ring neighbours (full NVLink
-    latency per hop); multi-hop routes book every intermediate GPU's egress
-    and ingress ports. The host attaches to GPU 0 over PCIe (a head-node
-    attach, so GPU-to-GPU routes never shortcut through the host). *)
-
-val pcie_only : profile:profile -> gpus:int -> t
-(** No NVLink at all: every GPU and the host hang off one PCIe root complex.
-    All peer traffic shares the root port — the pre-NVLink worst case. *)
-
-val fat_tree :
-  profile:profile -> arity:int -> rails:int -> nodes:int -> gpus_per_node:int -> t
-(** k-ary fat tree of HGX nodes with [rails] independent NIC/leaf/spine
-    planes per node. A leaf switch groups [arity] nodes; planes with more
-    than one leaf add a spine layer every leaf connects to. Intra-leaf
-    inter-node routes cost exactly [2*pcie + ib] (same as the dgx-cluster
-    spine), cross-leaf routes [2*pcie + 2*ib]. Routing is structural
-    up/down; rails and spines are chosen deterministically from the endpoint
-    pair, spreading traffic without a route table. *)
-
-val dragonfly :
-  profile:profile -> a:int -> p:int -> h:int -> nodes:int -> gpus_per_node:int -> t
-(** Dragonfly of HGX nodes: groups of [a] routers with [p] nodes per router
-    and [h] global links per router, groups connected all-to-all by an
-    absolute arrangement. Local router-router hops cost [ib_latency]; global
-    optical hops cost [3*ib_latency], which makes the minimal
-    local–global–local route strictly shortest — structural routing
-    coincides with Dijkstra. Requires [groups - 1 <= a*h] when more than one
-    group is populated. *)
-
-(** {1 Specs (CLI-facing)} *)
+(** {1 Specs} *)
 
 type spec =
   | Hgx
+      (** Single node: the GPUs on an NVSwitch all-to-all, host on PCIe.
+          The shape of the paper's 8-GPU HGX box, for any GPU count. *)
   | Ring
+      (** No switch: each GPU links only to its two ring neighbours (full
+          NVLink latency per hop); multi-hop routes book every intermediate
+          GPU's egress and ingress ports. The host attaches to GPU 0 over
+          PCIe (a head-node attach, so GPU-to-GPU routes never shortcut
+          through the host). *)
   | Pcie_only
+      (** No NVLink at all: every GPU and the host hang off one PCIe root
+          complex. All peer traffic shares the root port — the pre-NVLink
+          worst case. *)
   | Dgx of { nodes : int }
+      (** [nodes] HGX nodes, each with its own host and an InfiniBand NIC
+          hanging off the node switch; NICs meet at a global spine. An
+          inter-node route pays the NIC attach on both sides plus the IB
+          hop and books both NIC direction ports in addition to the GPU
+          ports. The graph is a tree, so routing is structural: each route
+          is its unique tree path. *)
   | Fat_tree of { arity : int; rails : int; gpus_per_node : int }
+      (** k-ary fat tree of HGX nodes with [rails] independent
+          NIC/leaf/spine planes per node. A leaf switch groups [arity]
+          nodes; planes with more than one leaf add a spine layer every
+          leaf connects to. Intra-leaf inter-node routes cost exactly
+          [2*pcie + ib] (same as the dgx spine), cross-leaf routes
+          [2*pcie + 2*ib]. Routing is structural up/down; rails and spines
+          are chosen deterministically from the endpoint pair, spreading
+          traffic without a route table. *)
   | Dragonfly of { a : int; p : int; h : int; gpus_per_node : int }
+      (** Dragonfly of HGX nodes: groups of [a] routers with [p] nodes per
+          router and [h] global links per router, groups connected
+          all-to-all by an absolute arrangement. Local router-router hops
+          cost [ib_latency]; global optical hops cost [3*ib_latency], which
+          makes the minimal local–global–local route strictly shortest —
+          structural routing coincides with Dijkstra. Requires
+          [groups - 1 <= a*h] when more than one group is populated. *)
 
 val spec_of_string : string -> (spec, string) result
 (** ["hgx"], ["ring"], ["pcie"]/["pcie_only"], ["dgx"] (2 nodes), ["dgx:N"],
@@ -174,8 +158,6 @@ val gpu_vertex : t -> int -> int
 (** Vertex id of a global GPU index. *)
 
 val host_vertex : t -> node:int -> int
-val gpu_egress_port : t -> int -> int
-val gpu_ingress_port : t -> int -> int
 
 (** {1 Routes}
 
@@ -208,7 +190,8 @@ val max_gpu_pair_latency : t -> Time.t option
     O(1) on dgx and fat-tree machines, O(groups²) on a dragonfly; an
     all-pairs fold on table-routed graphs. Both pair bounds are exact on
     every constructor; a qcheck law holds the structural ones to a
-    brute-force fold of {!dijkstra_reference}. *)
+    brute-force fold of the tests' linear-scan Dijkstra
+    ([test/topo_oracle.ml]). *)
 
 (** {1 Fail-stop degradation}
 
@@ -249,7 +232,9 @@ val vertex_named : t -> string -> int option
 val dead_vertices : t -> string list
 (** Names of fail-stopped vertices, in vertex-id order. *)
 
-val dead_link_count : t -> int
+val dead_links : t -> int list
+(** Ids of fail-stopped links, ascending. A fail-stopped vertex has every
+    incident link dead, so these ids alone give the surviving graph. *)
 
 (** {1 Routing internals (introspection and tests)} *)
 
@@ -257,37 +242,19 @@ val routing_kind : t -> string
 (** ["structural"] (dgx-cluster/fat-tree/dragonfly closed-form paths) or
     ["tables"] (lazy per-source Dijkstra rows: hgx, ring, pcie-only). *)
 
-val set_route_cache : t -> int -> unit
-(** Cap the number of cached per-source Dijkstra rows (clamped to >= 1);
-    evicts oldest rows immediately if over the new cap. Affects memory and
-    speed only — recomputation is deterministic, so routes are identical at
-    any cache size. Default: 64 rows. *)
-
 val route_rows_cached : t -> int
-(** Number of per-source rows currently cached (structural topologies only
-    count fallback rows — normally 0). *)
-
-val dijkstra_reference : t -> src:int -> dst:int -> (int list * Time.t) option
-(** Freshly computed, never-cached shortest path: the link ids in travel
-    order and the total latency, or [None] if unreachable. It runs its own
-    O(V²) linear-scan Dijkstra, sharing no extract-min with the heap-backed
-    tables, and is the oracle both those tables and the structural routers
-    are property-tested against. Computed on the surviving subgraph once
-    the machine is {!degraded}, so it is also the degraded-routing
-    oracle. *)
+(** Number of per-source rows currently cached, at most 64 (structural
+    topologies only count fallback rows — normally 0). Rows evicted from
+    the cache are recomputed identically, so its size changes no route. *)
 
 val shortest_row : nv:int -> link list -> src:int -> int array * int array * int array
 (** The production single-source search (binary heap) over an arbitrary
     graph of [nv] vertices and the given links: per-vertex latency in ns,
     hop count and incoming link id ([max_int], [max_int], [-1] when
-    unreachable). Exposed so a law can hold it to {!reference_row} on
-    random graphs, whose ties and multi-hop shortcuts the named
-    constructors rarely produce. Raises [Invalid_argument] for a source out
-    of range. *)
-
-val reference_row : nv:int -> link list -> src:int -> int array * int array * int array
-(** The same search with the linear-scan extract-min behind
-    {!dijkstra_reference}. *)
+    unreachable). Exposed so a law can hold it to the tests' linear-scan
+    Dijkstra ([test/topo_oracle.ml]) on random graphs, whose ties and
+    multi-hop shortcuts the named constructors rarely produce. Raises
+    [Invalid_argument] for a source out of range. *)
 
 val string_of_link_kind : link_kind -> string
 val string_of_vertex_kind : vertex_kind -> string

@@ -40,8 +40,6 @@ let pdes_of_env_var () : pdes =
 
 let resolve_pdes env = match env.pdes with Some m -> m | None -> pdes_of_env_var ()
 
-let observed env = env.trace <> None || env.metrics <> None
-
 let quiet env = { env with trace = None; metrics = None }
 
 let probe env = { (quiet env) with faults = None }

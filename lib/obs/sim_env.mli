@@ -59,9 +59,6 @@ val resolve_pdes : t -> pdes
 (** The environment's execution mode, falling back to {!pdes_of_env_var}
     when the [pdes] field is [None]. *)
 
-val observed : t -> bool
-(** Whether a trace or metrics sink is attached. *)
-
 val quiet : t -> t
 (** [env] with the observability sinks removed, for auxiliary runs
     (verification, candidate probing) that must not pollute the main run's

@@ -60,7 +60,7 @@ let request_to_json { req_id; req_op } =
   let base = [ ("id", J.Int req_id) ] in
   J.Obj
     (match req_op with
-    | Run sc -> base @ [ ("op", J.String "run"); ("scenario", Scenario.to_json sc) ]
+    | Run sc -> base @ [ ("op", J.String "run"); ("scenario", J.String (Scenario.to_string sc)) ]
     | Stats -> base @ [ ("op", J.String "stats") ]
     | Shutdown -> base @ [ ("op", J.String "shutdown") ])
 
@@ -75,11 +75,12 @@ let request_of_json j =
   match J.member "op" j with
   | Some (J.String "run") -> (
     match J.member "scenario" j with
-    | None -> Error "run request: missing \"scenario\""
-    | Some sj -> (
-      match Scenario.of_json sj with
+    | Some (J.String line) -> (
+      match Scenario.of_string line with
       | Ok sc -> Ok { req_id = id; req_op = Run sc }
-      | Error e -> Error ("run request: " ^ e)))
+      | Error e -> Error ("run request: " ^ e))
+    | Some _ -> Error "run request: \"scenario\" must be a string"
+    | None -> Error "run request: missing \"scenario\"")
   | Some (J.String "stats") -> Ok { req_id = id; req_op = Stats }
   | Some (J.String "shutdown") -> Ok { req_id = id; req_op = Shutdown }
   | Some (J.String other) -> Error (Printf.sprintf "unknown op %S" other)
@@ -288,17 +289,21 @@ module Framebuf = struct
       t.len <- t.len + len
     end
 
+  (* A frame header is at most the digits of [max_frame] plus the newline,
+     so the newline is looked for in the first [header_max] bytes only: the
+     verdict then depends on the bytes, not on how they were cut into
+     reads. *)
+  let header_max = 25
+
   (* [Some (header length, payload length)] of the frame the buffer starts
      with, once its header is in, however much of the payload is. *)
   let header t =
+    let limit = min t.len header_max in
     let rec newline i =
-      if i >= t.len then -1 else if Bytes.get t.data i = '\n' then i else newline (i + 1)
+      if i >= limit then -1 else if Bytes.get t.data i = '\n' then i else newline (i + 1)
     in
     match newline 0 with
-    | -1 ->
-      (* A frame header is at most the digits of [max_frame] plus the
-         newline; anything longer without one is garbage. *)
-      if t.len > 24 then Error "framing: no length header" else Ok None
+    | -1 -> if t.len >= header_max then Error "framing: no length header" else Ok None
     | nl -> (
       let header = Bytes.sub_string t.data 0 nl in
       match int_of_string_opt (String.trim header) with

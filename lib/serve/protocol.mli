@@ -8,7 +8,8 @@
     corrupt header cannot make the server allocate unboundedly.
 
     Requests name an operation: [run] (execute or serve a cached
-    {!Cpufree_core.Scenario.t}), [stats] (counters snapshot), [shutdown]
+    {!Cpufree_core.Scenario.t}, carried as its [Scenario.to_string] line
+    in a string field [scenario]), [stats] (counters snapshot), [shutdown]
     (drain and exit). Responses carry a [status] of [ok], [error] (the
     request was unservable — the connection stays usable) or [overload]
     (admission control rejected the run; retry later). *)
@@ -72,7 +73,12 @@ type response =
   | Overload_resp of { id : int }
 
 val request_to_json : request -> Cpufree_core.Json.t
+
 val request_of_json : Cpufree_core.Json.t -> (request, string) result
+(** Total: any JSON value gives [Ok] or an [Error] naming what is wrong —
+    for a [run] request whose scenario line {!Cpufree_core.Scenario.of_string}
+    rejects, its reason. *)
+
 val response_to_json : response -> Cpufree_core.Json.t
 val response_of_json : Cpufree_core.Json.t -> (response, string) result
 
@@ -102,8 +108,9 @@ module Framebuf : sig
   val next : t -> (string option, string) result
   (** The earliest complete frame, if one is buffered ([Ok None] when more
       bytes are needed). [Error] on a malformed or oversized length
-      header — the stream is unrecoverable and the connection should be
-      dropped. *)
+      header, or when the first 25 bytes hold no newline — the stream is
+      unrecoverable and the connection should be dropped. The verdict
+      depends only on the bytes, not on how they arrived. *)
 end
 
 val read_frame : Unix.file_descr -> Framebuf.t -> (string, string) result

@@ -18,4 +18,3 @@ val reference : Problem.t -> float array
     with {!Problem.init_value}); returns the final state. Requires a modest
     domain; intended for test-sized problems. *)
 
-val global_storage_size : Problem.t -> int

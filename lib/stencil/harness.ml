@@ -53,10 +53,9 @@ let strip_failstop (s : F.spec) = { s with F.kills = []; link_fails = []; switch
    the aggregate per-direction NVLink bandwidth. Pure arithmetic on the
    problem geometry: deterministic. *)
 let restart_cost problem ~gpus ~survivors =
-  let profile = Cpufree_machine.Topology.a100 in
   let shard_elems = Problem.total_elems problem / max 1 gpus in
   let shard_bytes = float_of_int (shard_elems * 8) in
-  let ns_per_byte = 1.0 /. profile.Cpufree_machine.Topology.nvlink_gbs in
+  let ns_per_byte = 1.0 /. Cpufree_gpu.Arch.a100_hgx.Cpufree_gpu.Arch.nvlink_bw_gbs in
   let wire = Time.of_ns_float (shard_bytes *. ns_per_byte /. float_of_int (max 1 survivors)) in
   Time.add (Time.us 20) wire
 

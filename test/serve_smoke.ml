@@ -2,12 +2,17 @@
    daemon with the cache self-check armed, issue three requests — two
    distinct scenarios and one repeat of the first with artifacts enabled —
    and assert the repeat is served from the cache with a byte-identical
-   payload (artifacts included), the counters agree, and shutdown removes
-   the socket. Exits non-zero on any deviation. *)
+   payload (artifacts included). Then speak literal frames on a second
+   connection: the documented run body for the first scenario must get
+   the client path's result, a body whose scenario line does not parse an
+   [error] carrying the parser's reason, and the connection must still
+   answer. Finally the counters must agree and shutdown must remove the
+   socket. Exits non-zero on any deviation. *)
 
 module Serve = Cpufree_serve
 module P = Serve.Protocol
 module Scenario = Cpufree_core.Scenario
+module J = Cpufree_core.Json
 
 let fail fmt =
   Printf.ksprintf
@@ -64,12 +69,42 @@ let () =
   (match (pay_a.P.trace, pay_a.P.metrics) with
   | Some _, Some _ -> ()
   | _ -> fail "artifacts missing from the traced run");
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let buf = P.Framebuf.create () in
+  let raw body =
+    P.write_frame fd body;
+    match Result.bind (P.read_frame fd buf) J.of_string with
+    | Error e -> fail "literal frame: %s" e
+    | Ok j -> (
+      match P.response_of_json j with Ok r -> r | Error e -> fail "literal frame: %s" e)
+  in
+  (match
+     raw
+       {|{"id":10,"op":"run","scenario":"stencil variant=cpu-free dims=2d:96x96 iters=12 gpus=2 trace=on metrics=on"}|}
+   with
+  | P.Ok_resp { id = 10; body = P.Run_result p; _ } ->
+    if not (P.payload_equal p pay_a) then fail "the literal run frame got another result"
+  | _ -> fail "the literal run frame was not answered with a result");
+  let reason =
+    match Scenario.of_string "stencil iters=zero" with
+    | Error e -> e
+    | Ok _ -> fail "of_string accepted iters=zero"
+  in
+  (match raw {|{"id":11,"op":"run","scenario":"stencil iters=zero"}|} with
+  | P.Error_resp { id = 11; message } ->
+    if message <> "run request: " ^ reason then fail "error %S lacks the parser's reason" message
+  | _ -> fail "a scenario line of_string rejects was not answered with an error");
+  (match raw {|{"id":12,"op":"stats"}|} with
+  | P.Ok_resp { id = 12; body = P.Stats_result _; _ } -> ()
+  | _ -> fail "the connection did not survive the rejected line");
+  Unix.close fd;
   (match Serve.Client.stats c ~id:4 with
   | Ok st ->
     if st.P.simulations <> 2 then fail "expected 2 simulations, daemon reports %d" st.P.simulations;
-    if st.P.hits <> 1 then fail "expected 1 cache hit, daemon reports %d" st.P.hits;
-    if st.P.errors <> 0 || st.P.overloads <> 0 then
-      fail "spurious errors (%d) or overloads (%d)" st.P.errors st.P.overloads
+    if st.P.hits <> 2 then fail "expected 2 cache hits, daemon reports %d" st.P.hits;
+    if st.P.errors <> 1 then fail "expected 1 error, daemon reports %d" st.P.errors;
+    if st.P.overloads <> 0 then fail "spurious overloads (%d)" st.P.overloads
   | Error e -> fail "stats: %s" e);
   (match Serve.Client.shutdown c ~id:5 with
   | Ok () -> ()
@@ -79,4 +114,5 @@ let () =
   (match Unix.stat path with
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
   | _ -> fail "socket file left behind after shutdown");
-  print_endline "serve-smoke: OK (3 requests, 1 byte-identical cache hit, clean shutdown)"
+  print_endline
+    "serve-smoke: OK (3 requests, 1 byte-identical cache hit, 3 literal frames, clean shutdown)"

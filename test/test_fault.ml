@@ -78,9 +78,9 @@ let spec_tests =
           check_bool "failstop" true (Fault.has_failstop s);
           check_bool "active" true (Fault.is_active s);
           check
-            (Alcotest.option (Alcotest.int))
-            "kill time" (Some 500_000)
-            (Option.map Time.to_ns (Fault.kill_time s ~pe:2));
+            (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+            "kill time" [ (2, 500_000) ]
+            (List.map (fun (g, t) -> (g, Time.to_ns t)) (Fault.killed_by s ~now:(Time.us 500)));
           check_bool "alive before" false (Fault.dead s ~pe:2 ~now:(Time.us 499));
           check_bool "dead after" true (Fault.dead s ~pe:2 ~now:(Time.us 500));
           check_int "links" 1 (List.length s.Fault.link_fails);

@@ -10,6 +10,22 @@ let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 let check_float = Alcotest.(check (float 0.0))
 
+(* The machines the tests build, through the one public constructor. *)
+let a100 = Cpufree_gpu.Arch.(fabric_profile a100_hgx)
+let h100 = Cpufree_gpu.Arch.(fabric_profile h100_hgx)
+let hgx ~profile ~gpus = T.instantiate T.Hgx ~profile ~gpus
+let ring ~profile ~gpus = T.instantiate T.Ring ~profile ~gpus
+let pcie_only ~profile ~gpus = T.instantiate T.Pcie_only ~profile ~gpus
+
+let dgx_cluster ~profile ~nodes ~gpus_per_node =
+  T.instantiate (T.Dgx { nodes }) ~profile ~gpus:(nodes * gpus_per_node)
+
+let fat_tree ~profile ~arity ~rails ~nodes ~gpus_per_node =
+  T.instantiate (T.Fat_tree { arity; rails; gpus_per_node }) ~profile ~gpus:(nodes * gpus_per_node)
+
+let dragonfly ~profile ~a ~p ~h ~nodes ~gpus_per_node =
+  T.instantiate (T.Dragonfly { a; p; h; gpus_per_node }) ~profile ~gpus:(nodes * gpus_per_node)
+
 let lat t ~src ~dst = Time.to_ns (T.route_latency t ~src ~dst)
 
 let port_names t ~src ~dst =
@@ -19,7 +35,7 @@ let port_names t ~src ~dst =
 (* ---------------- hgx: must reproduce the flat NVSwitch model ------------- *)
 
 let test_hgx_gpu_pair () =
-  let t = T.hgx ~profile:T.a100 ~gpus:8 in
+  let t = hgx ~profile:a100 ~gpus:8 in
   let src = T.gpu_vertex t 0 and dst = T.gpu_vertex t 3 in
   check_int "gpu-gpu wire latency is exactly nvlink" 1_500 (lat t ~src ~dst);
   check_float "gpu-gpu bottleneck is the nvlink rate" (1.0 /. 300.0)
@@ -29,7 +45,7 @@ let test_hgx_gpu_pair () =
     [ "gpu0.egress"; "gpu3.ingress" ] (port_names t ~src ~dst)
 
 let test_hgx_host_paths () =
-  let t = T.hgx ~profile:T.a100 ~gpus:4 in
+  let t = hgx ~profile:a100 ~gpus:4 in
   let h = T.host_vertex t ~node:0 and g = T.gpu_vertex t 2 in
   check_int "host-to-gpu is exactly pcie" 2_500 (lat t ~src:h ~dst:g);
   check_int "gpu-to-host is exactly pcie" 2_500 (lat t ~src:g ~dst:h);
@@ -43,7 +59,7 @@ let test_hgx_host_paths () =
     [ "gpu2.egress"; "host.pcie" ] (port_names t ~src:g ~dst:h)
 
 let test_hgx_self () =
-  let t = T.hgx ~profile:T.a100 ~gpus:2 in
+  let t = hgx ~profile:a100 ~gpus:2 in
   let g = T.gpu_vertex t 1 in
   check_int "self route has zero latency" 0 (lat t ~src:g ~dst:g);
   check_int "self route is empty" 0 (List.length (T.route t ~src:g ~dst:g));
@@ -51,7 +67,7 @@ let test_hgx_self () =
     (T.route_ns_per_byte t ~src:g ~dst:g)
 
 let test_hgx_pair_stats () =
-  let t = T.hgx ~profile:T.h100 ~gpus:8 in
+  let t = hgx ~profile:h100 ~gpus:8 in
   check_int "h100 min gpu pair"
     1_200
     (match T.min_gpu_pair_latency t with Some l -> Time.to_ns l | None -> -1);
@@ -62,7 +78,7 @@ let test_hgx_pair_stats () =
 (* ---------------- dgx: inter-node routes pay NIC + IB --------------------- *)
 
 let test_dgx_internode () =
-  let t = T.dgx_cluster ~profile:T.a100 ~nodes:2 ~gpus_per_node:8 in
+  let t = dgx_cluster ~profile:a100 ~nodes:2 ~gpus_per_node:8 in
   check_int "16 GPUs" 16 (T.num_gpus t);
   check_int "2 nodes" 2 (T.num_nodes t);
   check_int "gpu 11 lives on node 1" 1 (T.node_of_gpu t 11);
@@ -86,7 +102,7 @@ let test_dgx_internode () =
     (match T.max_gpu_pair_latency t with Some l -> Time.to_ns l | None -> -1)
 
 let test_dgx_hosts () =
-  let t = T.dgx_cluster ~profile:T.a100 ~nodes:2 ~gpus_per_node:4 in
+  let t = dgx_cluster ~profile:a100 ~nodes:2 ~gpus_per_node:4 in
   let h0 = T.host_vertex t ~node:0 and h1 = T.host_vertex t ~node:1 in
   let g_far = T.gpu_vertex t 5 in
   check_int "local host attach still pcie" 2_500 (lat t ~src:h1 ~dst:g_far);
@@ -97,7 +113,7 @@ let test_dgx_hosts () =
 (* ---------------- ring and pcie_only -------------------------------------- *)
 
 let test_ring_multihop () =
-  let t = T.ring ~profile:T.a100 ~gpus:8 in
+  let t = ring ~profile:a100 ~gpus:8 in
   let a = T.gpu_vertex t 0 in
   check_int "neighbour is one hop" 1_500 (lat t ~src:a ~dst:(T.gpu_vertex t 1));
   check_int "opposite gpu is four hops" 6_000 (lat t ~src:a ~dst:(T.gpu_vertex t 4));
@@ -107,7 +123,7 @@ let test_ring_multihop () =
     (port_names t ~src:a ~dst:(T.gpu_vertex t 2))
 
 let test_pcie_only () =
-  let t = T.pcie_only ~profile:T.a100 ~gpus:4 in
+  let t = pcie_only ~profile:a100 ~gpus:4 in
   let a = T.gpu_vertex t 0 and b = T.gpu_vertex t 3 in
   check_int "peer traffic pays full pcie" 2_500 (lat t ~src:a ~dst:b);
   check_float "peer traffic at pcie rate" (1.0 /. 25.0) (T.route_ns_per_byte t ~src:a ~dst:b);
@@ -119,7 +135,7 @@ let test_pcie_only () =
 (* ---------------- cluster fabrics: fat tree and dragonfly ----------------- *)
 
 let test_fat_tree_classes () =
-  let t = T.fat_tree ~profile:T.a100 ~arity:2 ~rails:2 ~nodes:4 ~gpus_per_node:2 in
+  let t = fat_tree ~profile:a100 ~arity:2 ~rails:2 ~nodes:4 ~gpus_per_node:2 in
   check_str "routes structurally" "structural" (T.routing_kind t);
   check_int "8 GPUs" 8 (T.num_gpus t);
   let g n = T.gpu_vertex t n in
@@ -134,7 +150,7 @@ let test_fat_tree_classes () =
   check_int "structural routing caches no rows" 0 (T.route_rows_cached t)
 
 let test_dragonfly_classes () =
-  let t = T.dragonfly ~profile:T.a100 ~a:2 ~p:2 ~h:1 ~nodes:8 ~gpus_per_node:2 in
+  let t = dragonfly ~profile:a100 ~a:2 ~p:2 ~h:1 ~nodes:8 ~gpus_per_node:2 in
   check_str "routes structurally" "structural" (T.routing_kind t);
   let g n = T.gpu_vertex t n in
   check_int "same-node pair rides the NVSwitch" 1_500 (lat t ~src:(g 0) ~dst:(g 1));
@@ -166,46 +182,45 @@ let test_cluster_build_lazy () =
     check_int (name ^ " structural route caches nothing") 0 (T.route_rows_cached t)
   in
   let b0 = Gc.allocated_bytes () in
-  let ft = T.fat_tree ~profile:T.a100 ~arity:4 ~rails:2 ~nodes:128 ~gpus_per_node:8 in
+  let ft = fat_tree ~profile:a100 ~arity:4 ~rails:2 ~nodes:128 ~gpus_per_node:8 in
   let b1 = Gc.allocated_bytes () in
-  let df = T.dragonfly ~profile:T.a100 ~a:4 ~p:4 ~h:2 ~nodes:128 ~gpus_per_node:8 in
+  let df = dragonfly ~profile:a100 ~a:4 ~p:4 ~h:2 ~nodes:128 ~gpus_per_node:8 in
   let b2 = Gc.allocated_bytes () in
-  let dgx = T.dgx_cluster ~profile:T.a100 ~nodes:128 ~gpus_per_node:8 in
+  let dgx = dgx_cluster ~profile:a100 ~nodes:128 ~gpus_per_node:8 in
   let b3 = Gc.allocated_bytes () in
   check_build "fat tree" ft (b1 -. b0);
   check_build "dragonfly" df (b2 -. b1);
   check_build "dgx cluster" dgx (b3 -. b2)
 
-(* The Dijkstra row cache is a speed/memory knob only: routes resolved with
-   a single cached row must be identical — links, ports and latency — to
-   the default cache, because eviction forces deterministic recomputation.
-   The ring is table-routed with equal-cost detours, so every query goes
-   through the cache and the link-id tie-break matters. *)
+(* The Dijkstra row cache is a speed/memory knob only: routes resolved
+   through evicted and recomputed rows must be identical — links, ports and
+   latency — to the first resolution and to the never-cached oracle,
+   because eviction forces deterministic recomputation. A 70-GPU ring has
+   more sources than the cache has rows, is table-routed and has
+   equal-cost detours, so the link-id tie-break matters. *)
 let test_cache_size_invariance () =
-  let t_full = T.ring ~profile:T.a100 ~gpus:6 in
-  let t_one = T.ring ~profile:T.a100 ~gpus:6 in
-  check_str "table-routed" "tables" (T.routing_kind t_full);
-  T.set_route_cache t_one 1;
-  let n = T.num_vertices t_full in
-  check_int "same graph" n (T.num_vertices t_one);
-  for a = 0 to n - 1 do
+  let t = ring ~profile:a100 ~gpus:70 in
+  check_str "table-routed" "tables" (T.routing_kind t);
+  let n = T.num_vertices t in
+  let resolve a b =
+    (List.map (fun l -> l.T.lid) (T.route t ~src:a ~dst:b), T.route_ports t ~src:a ~dst:b)
+  in
+  let first = Array.init n (fun a -> Array.init n (resolve a)) in
+  check_int "the cache is full" 64 (T.route_rows_cached t);
+  (* Sources in reverse order: the rows of the last pass's early sources
+     were evicted and are recomputed. *)
+  for a = n - 1 downto 0 do
     for b = 0 to n - 1 do
-      if T.reachable t_full ~src:a ~dst:b then begin
-        if lat t_full ~src:a ~dst:b <> lat t_one ~src:a ~dst:b then
-          Alcotest.failf "latency differs at cache size 1 for %d->%d" a b;
-        let lids t = List.map (fun l -> l.T.lid) (T.route t ~src:a ~dst:b) in
-        if lids t_full <> lids t_one then
-          Alcotest.failf "route differs at cache size 1 for %d->%d" a b;
-        if T.route_ports t_full ~src:a ~dst:b <> T.route_ports t_one ~src:a ~dst:b then
-          Alcotest.failf "ports differ at cache size 1 for %d->%d" a b
-      end
+      if resolve a b <> first.(a).(b) then
+        Alcotest.failf "route or ports differ after eviction for %d->%d" a b;
+      match Topo_oracle.dijkstra_reference t ~src:a ~dst:b with
+      | Some (ids, l) ->
+        if ids <> fst first.(a).(b) || lat t ~src:a ~dst:b <> Time.to_ns l then
+          Alcotest.failf "route differs from the oracle for %d->%d" a b
+      | None -> Alcotest.failf "oracle finds no route for %d->%d" a b
     done
   done;
-  check_int "cache honours its cap" 1 (T.route_rows_cached t_one);
-  check_int "default cache holds every source" n (T.route_rows_cached t_full);
-  (* Shrinking an already-warm cache trims immediately. *)
-  T.set_route_cache t_full 2;
-  check_int "trim on shrink" 2 (T.route_rows_cached t_full)
+  check_int "cache honours its cap" 64 (T.route_rows_cached t)
 
 (* ---------------- specs --------------------------------------------------- *)
 
@@ -228,7 +243,7 @@ let test_spec_parsing () =
   check_str "dgx roundtrip" "dgx:3" (T.spec_to_string (T.Dgx { nodes = 3 }));
   check_bool "uneven dgx split rejected" true
     (try
-       ignore (T.instantiate (T.Dgx { nodes = 3 }) ~profile:T.a100 ~gpus:8);
+       ignore (T.instantiate (T.Dgx { nodes = 3 }) ~profile:a100 ~gpus:8);
        false
      with Invalid_argument _ -> true);
   ok "fat-tree" (T.Fat_tree { arity = 4; rails = 1; gpus_per_node = 8 });
@@ -252,7 +267,7 @@ let test_spec_parsing () =
     | Ok () -> false)
 
 let test_bad_lookups () =
-  let t = T.hgx ~profile:T.a100 ~gpus:2 in
+  let t = hgx ~profile:a100 ~gpus:2 in
   check_bool "gpu_vertex range-checked" true
     (try
        ignore (T.gpu_vertex t 5);
@@ -268,7 +283,7 @@ let test_bad_lookups () =
 
 let gen_topology =
   QCheck.Gen.(
-    let* profile = oneofl [ T.a100; T.h100 ] in
+    let* profile = oneofl [ a100; h100 ] in
     let* spec =
       oneof
         [
@@ -371,24 +386,24 @@ let prop_route_well_formed =
    generator pairs each machine with that [tree] flag. *)
 let gen_structural =
   QCheck.Gen.(
-    let* profile = oneofl [ T.a100; T.h100 ] in
+    let* profile = oneofl [ a100; h100 ] in
     oneof
       [
         (let* nodes = int_range 1 8 in
          let* gpus_per_node = int_range 1 3 in
-         return (T.dgx_cluster ~profile ~nodes ~gpus_per_node, true));
+         return (dgx_cluster ~profile ~nodes ~gpus_per_node, true));
         (let* arity = int_range 2 4 in
          let* rails = int_range 1 3 in
          let* nodes = int_range 1 8 in
          let* gpus_per_node = int_range 1 3 in
-         return (T.fat_tree ~profile ~arity ~rails ~nodes ~gpus_per_node, false));
+         return (fat_tree ~profile ~arity ~rails ~nodes ~gpus_per_node, false));
         (let* a = int_range 2 3 in
          let* p = int_range 1 2 in
          let* h = int_range 1 2 in
          let* nodes = int_range 1 8 in
          let* gpus_per_node = int_range 1 2 in
          let nodes = min nodes (a * p * ((a * h) + 1)) in
-         return (T.dragonfly ~profile ~a ~p ~h ~nodes ~gpus_per_node, false));
+         return (dragonfly ~profile ~a ~p ~h ~nodes ~gpus_per_node, false));
       ])
 
 let arb_structural =
@@ -406,7 +421,7 @@ let prop_structural_matches_dijkstra =
       let ok = ref true in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
-          match T.dijkstra_reference t ~src:a ~dst:b with
+          match Topo_oracle.dijkstra_reference t ~src:a ~dst:b with
           | None -> ok := !ok && not (T.reachable t ~src:a ~dst:b)
           | Some (ids, reference) ->
             ok :=
@@ -432,7 +447,7 @@ let prop_structural_bounds_exact =
       let fold pick ps =
         List.fold_left
           (fun acc (src, dst) ->
-            match T.dijkstra_reference t ~src ~dst with
+            match Topo_oracle.dijkstra_reference t ~src ~dst with
             | None -> QCheck.Test.fail_report "unreachable public pair"
             | Some (_, l) -> Some (match acc with None -> l | Some m -> pick m l))
           None ps
@@ -446,7 +461,7 @@ let prop_structural_bounds_exact =
 (* ---------------- degraded routing ---------------------------------------- *)
 
 let test_ring_reroutes_around_dead_link () =
-  let t = T.ring ~profile:T.a100 ~gpus:4 in
+  let t = ring ~profile:a100 ~gpus:4 in
   let g0 = T.gpu_vertex t 0 and g1 = T.gpu_vertex t 1 in
   let healthy = lat t ~src:g0 ~dst:g1 in
   check_bool "starts healthy" false (T.degraded t);
@@ -468,7 +483,7 @@ let test_ring_reroutes_around_dead_link () =
   check_int "idempotent" epoch (T.route_epoch t)
 
 let test_second_failure_partitions () =
-  let t = T.ring ~profile:T.a100 ~gpus:4 in
+  let t = ring ~profile:a100 ~gpus:4 in
   T.fail_link t ~src:"gpu0" ~dst:"gpu1";
   T.fail_link t ~src:"gpu1" ~dst:"gpu2";
   let g0 = T.gpu_vertex t 0 and g1 = T.gpu_vertex t 1 in
@@ -478,13 +493,13 @@ let test_second_failure_partitions () =
   | exception T.Partitioned msg ->
     check_bool "diagnosis names the endpoints" true
       (Astring.String.is_infix ~affix:"gpu0" msg && Astring.String.is_infix ~affix:"gpu1" msg));
-  check_bool "dead links counted" true (T.dead_link_count t > 0);
+  check_bool "dead links listed" true (T.dead_links t <> []);
   (* The rest of the ring still talks. *)
   check_bool "survivors route" true
     (T.reachable t ~src:g0 ~dst:(T.gpu_vertex t 3))
 
 let test_switch_failure_cuts_node () =
-  let t = T.dgx_cluster ~profile:T.a100 ~nodes:2 ~gpus_per_node:2 in
+  let t = dgx_cluster ~profile:a100 ~nodes:2 ~gpus_per_node:2 in
   T.fail_switch t ~name:"node1.nvswitch";
   Alcotest.(check (list string)) "obituary" [ "node1.nvswitch" ] (T.dead_vertices t);
   let g0 = T.gpu_vertex t 0 and g2 = T.gpu_vertex t 2 in
@@ -533,7 +548,7 @@ let prop_degraded_matches_dijkstra =
       let ok = ref true in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
-          match T.dijkstra_reference t ~src:a ~dst:b with
+          match Topo_oracle.dijkstra_reference t ~src:a ~dst:b with
           | None -> ok := !ok && not (T.reachable t ~src:a ~dst:b)
           | Some (_, reference) ->
             ok :=
@@ -574,7 +589,7 @@ let prop_tables_match_scan =
         let ok = ref true in
         for a = 0 to n - 1 do
           for b = 0 to n - 1 do
-            match T.dijkstra_reference t ~src:a ~dst:b with
+            match Topo_oracle.dijkstra_reference t ~src:a ~dst:b with
             | None -> ok := !ok && not (T.reachable t ~src:a ~dst:b)
             | Some (ids, reference) ->
               ok :=
@@ -625,7 +640,7 @@ let prop_heap_matches_scan_on_graphs =
        gen_graph)
     (fun (nv, links) ->
       List.for_all
-        (fun src -> T.shortest_row ~nv links ~src = T.reference_row ~nv links ~src)
+        (fun src -> T.shortest_row ~nv links ~src = Topo_oracle.reference_row ~nv links ~src)
         (List.init nv Fun.id))
 
 let prop_degraded_triangle =

@@ -92,8 +92,8 @@ let sample_trace () =
     ~t1:(Time.ns 130);
   Trace.add t ~lane:"gpu1.comm" ~label:"deliver:halo" ~kind:Trace.Communication
     ~t0:(Time.ns 120) ~t1:(Time.ns 140);
-  Trace.add_instant t ~lane:"host" ~label:"fault:drop:halo" ~at:(Time.ns 90);
-  Trace.add_flow t ~id:1 ~label:"halo" ~src_lane:"gpu0.comm" ~src_t:(Time.ns 110)
+  Trace.add_instant_opt (Some t) ~lane:"host" ~label:"fault:drop:halo" ~at:(Time.ns 90);
+  Trace.add_flow_opt (Some t) ~id:1 ~label:"halo" ~src_lane:"gpu0.comm" ~src_t:(Time.ns 110)
     ~dst_lane:"gpu1.comm" ~dst_t:(Time.ns 140);
   t
 
@@ -169,13 +169,13 @@ let perfetto_tests =
         let t = Trace.create ~flows:true () in
         Alcotest.check_raises "reversed flow"
           (Invalid_argument "Trace.add_flow: arrow arrives before it departs") (fun () ->
-            Trace.add_flow t ~id:1 ~label:"x" ~src_lane:"a" ~src_t:(Time.ns 10) ~dst_lane:"b"
+            Trace.add_flow_opt (Some t) ~id:1 ~label:"x" ~src_lane:"a" ~src_t:(Time.ns 10) ~dst_lane:"b"
               ~dst_t:(Time.ns 5)));
     Alcotest.test_case "flows are dropped unless the trace opts in" `Quick (fun () ->
         let t = Trace.create () in
-        Trace.add_flow t ~id:1 ~label:"x" ~src_lane:"a" ~src_t:(Time.ns 0) ~dst_lane:"b"
+        Trace.add_flow_opt (Some t) ~id:1 ~label:"x" ~src_lane:"a" ~src_t:(Time.ns 0) ~dst_lane:"b"
           ~dst_t:(Time.ns 1);
-        check_int "no flow recorded" 0 (List.length (Trace.flows t));
+        check_int "no flow recorded" 0 (List.length (Trace.sorted_flows t));
         check_bool "flows_enabled off" false (Trace.flows_enabled (Some t));
         check_bool "flows_enabled on" true
           (Trace.flows_enabled (Some (Trace.create ~flows:true ()))));
@@ -198,7 +198,7 @@ let sim_env_tests =
         check_bool "no topology" true (e.Env.topology = None);
         check_bool "no faults" true (e.Env.faults = None);
         check_int "seed 0" 0 e.Env.fault_seed;
-        check_bool "unobserved" false (Env.observed e));
+        check_bool "unobserved" true (e.Env.trace = None && e.Env.metrics = None));
     Alcotest.test_case "resolve_pdes: explicit field beats CPUFREE_PDES" `Quick (fun () ->
         in_mode "windowed" (fun () ->
             check_bool "env var rejected" true
@@ -216,64 +216,9 @@ let sim_env_tests =
                with Invalid_argument _ -> true)));
   ]
 
-(* Scenarios as generable values: every component drawn from a small pool
-   by index, so shrinking stays meaningful and every draw is a valid
-   scenario by construction (the GPU counts split evenly on every topology
-   and cover every GPU the fault plans name). *)
 module Scenario = Cpufree_core.Scenario
 
-let topology_pool =
-  [|
-    None;
-    Some Cpufree_machine.Topology.Hgx;
-    Some Cpufree_machine.Topology.Ring;
-    Some Cpufree_machine.Topology.Pcie_only;
-    Some (Cpufree_machine.Topology.Dgx { nodes = 4 });
-    Some (Cpufree_machine.Topology.Fat_tree { arity = 4; rails = 2; gpus_per_node = 8 });
-    Some (Cpufree_machine.Topology.Dragonfly { a = 4; p = 2; h = 2; gpus_per_node = 8 });
-  |]
-
-let fault_pool =
-  Array.of_list
-    ((None :: List.map (fun i -> Some (Fault.preset ~intensity:i)) [ 0.5; 1.0 ])
-    @ List.map
-        (fun s ->
-          match Fault.of_string s with
-          | Ok spec -> Some spec
-          | Error e -> failwith ("fault pool: " ^ e))
-        [ "drop=0.3"; "delay=0.1@2000;straggler=1x1.5"; "kill=2@500;retry=50x6;backoff=2" ])
-
-let pdes_pool = [| None; Some `Seq |]
-
-let workload_pool =
-  Array.of_list
-    (List.concat_map
-       (fun kind ->
-         List.map
-           (fun (dims, iters, no_compute) ->
-             Scenario.Stencil { variant = S.Variants.name kind; dims; iters; no_compute })
-           [ ("2d:64x64", 3, false); ("3d:32x32x16", 20, true) ])
-       S.Variants.extended
-    @ List.concat_map
-        (fun app ->
-          List.map
-            (fun (arm, size, specialize_tb) ->
-              Scenario.Dace { app; arm; size; iters = 5; specialize_tb })
-            [ ("baseline", 128, false); ("cpu-free", 256, true) ])
-        [ "jacobi1d"; "jacobi2d"; "heat3d" ])
-
-let pick pool = QCheck.int_bound (Array.length pool - 1)
-
-let arbitrary_scenario =
-  QCheck.(
-    map
-      (fun ((w, t, f), (seed, p, gpus), (arch, trace, metrics)) ->
-        Scenario.make ~arch ?topology:topology_pool.(t) ~gpus ?faults:fault_pool.(f)
-          ~fault_seed:seed ?pdes:pdes_pool.(p) ~trace ~metrics workload_pool.(w))
-      (triple
-         (triple (pick workload_pool) (pick topology_pool) (pick fault_pool))
-         (triple (int_bound 1000) (pick pdes_pool) (oneofl [ 8; 16; 32 ]))
-         (triple (oneofl [ "a100"; "h100" ]) bool bool)))
+let arbitrary_scenario = Scenario_gen.arbitrary_scenario
 
 (* A second scenario one field away from the first (or none), so equal
    digests come up often: a flipped execution mode must keep the digest,
@@ -330,7 +275,7 @@ let end_to_end_tests =
           run_env S.Variants.Cpu_free (problem ()) ~gpus:4 ~env
         in
         let tr = Option.get env.Env.trace in
-        let flows = Trace.flows tr in
+        let flows = Trace.sorted_flows tr in
         check_bool "recorded flows" true (flows <> []);
         List.iter
           (fun (f : Trace.flow) ->
@@ -406,7 +351,7 @@ let end_to_end_tests =
         check_bool "spans equal" true (Trace.spans st = Trace.spans dt));
     Alcotest.test_case "plain runs record no v2 events" `Quick (fun () ->
         let tr = Option.get (run ~traced:true S.Variants.Cpu_free (problem ()) ~gpus:4).Measure.trace in
-        check_int "no flows" 0 (List.length (Trace.flows tr));
+        check_int "no flows" 0 (List.length (Trace.sorted_flows tr));
         check_bool "no delivery spans or markers" true
           (List.for_all
              (fun (s : Trace.span) ->
@@ -718,9 +663,9 @@ let gen_trace =
        (fun i -> function
          | `Span (lane, label, kind, t0, d) ->
            Trace.add t ~lane ~label ~kind ~t0:(Time.ns t0) ~t1:(Time.ns (t0 + d))
-         | `Instant (lane, label, at) -> Trace.add_instant t ~lane ~label ~at:(Time.ns at)
+         | `Instant (lane, label, at) -> Trace.add_instant_opt (Some t) ~lane ~label ~at:(Time.ns at)
          | `Flow (src_lane, dst_lane, label, src, d) ->
-           Trace.add_flow t ~id:i ~label ~src_lane ~src_t:(Time.ns src) ~dst_lane
+           Trace.add_flow_opt (Some t) ~id:i ~label ~src_lane ~src_t:(Time.ns src) ~dst_lane
              ~dst_t:(Time.ns (src + d)))
        items;
      let reg = Mx.create () in

@@ -25,22 +25,78 @@ let slow_sc ?(iters = 6000) () =
 (* Protocol round-trips                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Through the bytes a client writes and the daemon parses. *)
 let roundtrip_request req =
-  match P.request_of_json (P.request_to_json req) with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "request did not round-trip: %s" e
+  match J.of_string (J.to_string ~indent:0 (P.request_to_json req)) with
+  | Error e -> Alcotest.failf "request is not JSON: %s" e
+  | Ok j -> (
+    match P.request_of_json j with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "request did not round-trip: %s" e)
 
 let test_request_roundtrip () =
   (match roundtrip_request { P.req_id = 7; req_op = P.Run (sc ()) } with
   | { P.req_id = 7; req_op = P.Run s } ->
     Alcotest.(check bool) "scenario survives the wire" true (s = sc ())
   | _ -> Alcotest.fail "run op lost");
+  (* Every kind of scenario: faults, DaCe, both archs, artifacts, pdes. *)
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"generated run requests round-trip" ~count:200
+       (QCheck.pair QCheck.small_nat Scenario_gen.arbitrary_scenario) (fun (id, s) ->
+         let req = { P.req_id = id; req_op = P.Run s } in
+         roundtrip_request req = req));
   (match roundtrip_request { P.req_id = 1; req_op = P.Stats } with
   | { P.req_op = P.Stats; _ } -> ()
   | _ -> Alcotest.fail "stats op lost");
   match roundtrip_request { P.req_id = 2; req_op = P.Shutdown } with
   | { P.req_op = P.Shutdown; _ } -> ()
   | _ -> Alcotest.fail "shutdown op lost"
+
+(* Request text as a client writes it, then damaged: the scenario value
+   swapped for a non-string or a broken line, or the bytes themselves
+   flipped, cut or spliced. *)
+let gen_mutated_request =
+  let open QCheck.Gen in
+  let* sc = QCheck.gen Scenario_gen.arbitrary_scenario in
+  let line = Scenario.to_string sc in
+  let* value =
+    oneof
+      [
+        return (J.String line);
+        oneofl [ J.Null; J.Int 3; J.Bool true; J.List [ J.String line ]; J.Obj [] ];
+        map (fun n -> J.String (String.sub line 0 (min n (String.length line))))
+          (int_bound (String.length line));
+        map (fun tok -> J.String (line ^ " " ^ tok))
+          (oneofl [ "iters=x"; "gpus=-1"; "bogus=1"; "nokey"; "iters=99999999999999999999"; "=" ]);
+        map (fun s -> J.String s) (string_size ~gen:printable (int_bound 40));
+      ]
+  in
+  let text =
+    J.to_string ~indent:0
+      (J.Obj [ ("id", J.Int 4); ("op", J.String "run"); ("scenario", value) ])
+  in
+  let n = String.length text in
+  let* i = int_bound (n - 1) and* j = int_bound (n - 1) and* junk = string_size (int_bound 4) in
+  let lo = min i j and hi = max i j in
+  oneofl
+    [
+      text;
+      String.sub text 0 lo;
+      String.sub text 0 lo ^ junk ^ String.sub text hi (n - hi);
+      String.sub text 0 lo ^ junk ^ String.sub text lo (n - lo);
+    ]
+
+let request_totality_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"request_of_json is total on mutated request text" ~count:500
+       (QCheck.make ~print:String.escaped gen_mutated_request) (fun text ->
+         match J.of_string text with
+         | Error _ -> true
+         | Ok j -> (
+           match P.request_of_json j with
+           | Ok { P.req_op = P.Run _; _ } -> (
+             match J.member "scenario" j with Some (J.String _) -> true | _ -> false)
+           | Ok _ | Error _ -> true)))
 
 let payload ?(label = "cpu-free") ?chaos ?metrics ?trace () =
   {
@@ -120,20 +176,41 @@ let expect_frame buf what expected =
   | Ok got -> Alcotest.(check (option string)) what expected got
   | Error e -> Alcotest.failf "%s: framing error %s" what e
 
+(* Request bodies written exactly as README's Protocol paragraph shows
+   them. *)
+let raw_stats = {|{"id":1,"op":"stats"}|}
+
+let raw_run =
+  {|{"id":1,"op":"run","scenario":"stencil variant=cpu-free dims=2d:512x512 iters=30 gpus=4"}|}
+
 let test_framebuf_split () =
-  let buf = P.Framebuf.create () in
-  let body = "{\"id\":1,\"op\":\"stats\"}" in
-  let frame = Printf.sprintf "%d\n%s" (String.length body) body in
-  String.iteri
-    (fun i c ->
-      if i < String.length frame - 1 then begin
-        P.Framebuf.feed buf (Bytes.make 1 c) ~len:1;
-        expect_frame buf "incomplete frame yields nothing" None
-      end)
-    frame;
-  P.Framebuf.feed buf (Bytes.make 1 frame.[String.length frame - 1]) ~len:1;
-  expect_frame buf "one byte at a time reassembles" (Some body);
-  expect_frame buf "buffer drained" None
+  let reassemble body =
+    let buf = P.Framebuf.create () in
+    let frame = Printf.sprintf "%d\n%s" (String.length body) body in
+    String.iteri
+      (fun i c ->
+        if i < String.length frame - 1 then begin
+          P.Framebuf.feed buf (Bytes.make 1 c) ~len:1;
+          expect_frame buf "incomplete frame yields nothing" None
+        end)
+      frame;
+    P.Framebuf.feed buf (Bytes.make 1 frame.[String.length frame - 1]) ~len:1;
+    expect_frame buf "one byte at a time reassembles" (Some body);
+    expect_frame buf "buffer drained" None;
+    match Result.bind (J.of_string body) P.request_of_json with
+    | Ok req -> req
+    | Error e -> Alcotest.failf "documented request rejected: %s" e
+  in
+  (match reassemble raw_stats with
+  | { P.req_id = 1; req_op = P.Stats } -> ()
+  | _ -> Alcotest.fail "stats body misread");
+  match reassemble raw_run with
+  | { P.req_id = 1; req_op = P.Run s } ->
+    Alcotest.(check string) "the documented run body carries the scenario line"
+      "stencil variant=cpu-free dims=2d:512x512 iters=30 no-compute=false arch=a100 \
+       topology=hgx gpus=4 faults=none fault-seed=1 pdes=default trace=off metrics=off"
+      (Scenario.to_string s)
+  | _ -> Alcotest.fail "run body misread"
 
 let test_framebuf_batched () =
   let buf = P.Framebuf.create () in
@@ -170,9 +247,8 @@ let drain buf =
   in
   go []
 
-(* Frames, then a tail that may be a partial frame or garbage (never 25
-   bytes before a newline, where a split point would change the error), cut
-   at random points. *)
+(* Frames, then a tail that may be a partial frame or garbage, cut at
+   random points. *)
 let gen_stream =
   let open QCheck.Gen in
   let payload =
@@ -182,7 +258,20 @@ let gen_stream =
   let frame = map (fun p -> Printf.sprintf "%d\n%s" (String.length p) p) payload in
   let* frames = list_size (int_bound 5) frame in
   let* tail =
-    oneofl [ ""; "12"; "x\n"; String.make 30 'x'; "99999999999\n"; " 3 \nabc"; "-1\n"; "5\nab" ]
+    oneofl
+      [
+        "";
+        "12";
+        "x\n";
+        String.make 30 'x';
+        String.make 30 'x' ^ "\n";
+        String.make 23 ' ' ^ "7\nabcdefg";
+        String.make 24 ' ' ^ "7\nabcdefg";
+        "99999999999\n";
+        " 3 \nabc";
+        "-1\n";
+        "5\nab";
+      ]
   in
   let stream = String.concat "" frames ^ tail in
   let* cuts = list_size (int_bound 8) (int_bound (String.length stream)) in
@@ -601,6 +690,7 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
+          request_totality_law;
           Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
           Alcotest.test_case "digest ignores pdes, keys on the rest" `Quick
             test_digest_pdes_invariant;
