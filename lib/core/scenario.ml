@@ -70,8 +70,24 @@ let check_fault_vertices t arch =
          spec.Fault.link_fails)
       (fun () -> all (fun (nm, _) -> check_vertex "switchfail" nm) spec.Fault.switch_fails)
 
+(* A workload string is the value of one token of the scenario line, and
+   [of_string] cuts the line at spaces and a token at its first '='. An
+   empty value, or one holding whitespace or '=', would read back as
+   another scenario. *)
+let check_value key value =
+  if value = "" then Error (Printf.sprintf "%s must not be empty" key)
+  else if String.exists (function ' ' | '\t' | '\n' | '\r' | '\011' | '\012' | '=' -> true | _ -> false) value
+  then Error (Printf.sprintf "bad %s %S: it must not contain whitespace or '='" key value)
+  else Ok ()
+
 let validate t =
   let ( let* ) = Result.bind in
+  let* () =
+    match t.workload with
+    | Stencil { variant; dims; _ } ->
+      Result.bind (check_value "variant" variant) (fun () -> check_value "dims" dims)
+    | Dace { app; arm; _ } -> Result.bind (check_value "app" app) (fun () -> check_value "arm" arm)
+  in
   let* (_ : Arch.t) = arch_of t in
   let* () =
     if t.gpus > 0 then Ok () else Error (Printf.sprintf "gpus must be positive, got %d" t.gpus)

@@ -55,8 +55,10 @@ val make :
 
 val validate : t -> (unit, string) result
 (** Everything checkable below the workload layers without building the
-    machine: known architecture, instantiable topology/GPU combination,
-    positive counts, and kill and straggler GPU ids below [gpus]. *)
+    machine: workload strings that {!to_string} can carry (non-empty, no
+    whitespace, no [=]), known architecture, instantiable topology/GPU
+    combination, positive counts, and kill and straggler GPU ids below
+    [gpus]. Whenever it is [Ok], [of_string (to_string t) = Ok t]. *)
 
 val check_fault_vertices : t -> Cpufree_gpu.Arch.t -> (unit, string) result
 (** Whether every link and switch failure names a vertex of the scenario's

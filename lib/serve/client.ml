@@ -11,21 +11,17 @@ let connect path =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Error (Printf.sprintf "connect %s: %s" path (Unix.error_message err))
 
-let send t req = P.write_frame t.fd (J.to_string ~indent:0 (P.request_to_json req))
-
-let recv t =
-  match P.read_frame t.fd t.buf with
-  | Error _ as e -> e
-  | Ok payload -> (
-    match J.of_string payload with
-    | Error e -> Error ("malformed response: " ^ e)
-    | Ok j -> P.response_of_json j)
+let send t req = P.write_frame t.fd [ J.to_string ~indent:0 (P.request_to_json req) ]
+let recv t = Result.bind (P.read_frame t.fd t.buf) P.response_of_frame
 
 let request t req =
   send t req;
   recv t
 
-let run t ~id sc = request t { P.req_id = id; req_op = P.Run sc }
+(* Only a valid scenario's line reads back as the same scenario. *)
+let run t ~id sc =
+  Result.bind (Cpufree_core.Scenario.validate sc) (fun () ->
+      request t { P.req_id = id; req_op = P.Run sc })
 
 let stats t ~id =
   match request t { P.req_id = id; req_op = P.Stats } with

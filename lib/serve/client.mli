@@ -13,13 +13,17 @@ val connect : string -> (t, string) result
 
 val send : t -> Protocol.request -> unit
 val recv : t -> (Protocol.response, string) result
-(** [Error] on EOF or a framing violation. *)
+(** Read one response frame ({!Protocol.response_of_frame}). [Error] on
+    EOF, a framing violation or a malformed response frame. *)
 
 val request : t -> Protocol.request -> (Protocol.response, string) result
 (** [send] then [recv] — assumes no other response is outstanding. *)
 
 val run :
   t -> id:int -> Cpufree_core.Scenario.t -> (Protocol.response, string) result
+(** [Error] with {!Cpufree_core.Scenario.validate}'s reason, sending
+    nothing, when the scenario is invalid: its line could read back as
+    another scenario. *)
 
 val stats : t -> id:int -> (Protocol.stats_payload, string) result
 

@@ -116,7 +116,10 @@ let chaos_of_json j =
   in
   Ok { completed; trigger; dropped; delayed; resent; retried }
 
-let payload_to_json p =
+(* [artifact] writes each present artifact: as its text in a full JSON
+   response, as its byte length in a frame header. *)
+let payload_to_json ~artifact p =
+  let opt_artifact = function None -> J.Null | Some s -> artifact s in
   J.Obj
     [
       ("label", J.String p.label);
@@ -129,7 +132,7 @@ let payload_to_json p =
       ("bytes_moved", J.Int p.bytes_moved);
       ("chaos", match p.chaos with None -> J.Null | Some c -> chaos_to_json c);
       ( "artifacts",
-        J.Obj [ ("metrics", opt_string p.metrics); ("trace", opt_string p.trace) ] );
+        J.Obj [ ("metrics", opt_artifact p.metrics); ("trace", opt_artifact p.trace) ] );
     ]
 
 let opt_string_field ctx name j =
@@ -138,7 +141,7 @@ let opt_string_field ctx name j =
   | Some (J.String s) -> Ok (Some s)
   | _ -> Error (Printf.sprintf "%s: bad %S" ctx name)
 
-let payload_of_json j =
+let payload_of_json ~artifact j =
   let ( let* ) = Result.bind in
   let* label =
     match J.member "label" j with
@@ -163,8 +166,17 @@ let payload_of_json j =
     | Some cj -> Result.map Option.some (chaos_of_json cj)
   in
   let arts = match J.member "artifacts" j with Some a -> a | None -> J.Obj [] in
-  let* metrics = opt_string_field "artifacts" "metrics" arts in
-  let* trace = opt_string_field "artifacts" "trace" arts in
+  let artifact_field name =
+    match J.member name arts with
+    | Some J.Null | None -> Ok None
+    | Some v -> (
+      match artifact v with
+      | Ok s -> Ok (Some s)
+      | Error e -> Error (Printf.sprintf "artifacts: bad %S: %s" name e))
+  in
+  (* Metrics before trace: the order a frame carries their bytes in. *)
+  let* metrics = artifact_field "metrics" in
+  let* trace = artifact_field "trace" in
   Ok
     {
       label;
@@ -205,11 +217,11 @@ let stats_of_json j =
   let* cache_entries = int_field "cache_entries" j in
   Ok { requests; hits; misses; coalesced; overloads; errors; simulations; cache_entries }
 
-let response_to_json = function
+let encode ~artifact = function
   | Ok_resp { id; cached; digest; body } ->
     let body_fields =
       match body with
-      | Run_result p -> [ ("result", payload_to_json p) ]
+      | Run_result p -> [ ("result", payload_to_json ~artifact p) ]
       | Stats_result s -> [ ("stats", stats_to_json s) ]
       | Shutdown_ack -> [ ("shutdown", J.Bool true) ]
     in
@@ -225,7 +237,7 @@ let response_to_json = function
     J.Obj [ ("id", J.Int id); ("status", J.String "error"); ("error", J.String message) ]
   | Overload_resp { id } -> J.Obj [ ("id", J.Int id); ("status", J.String "overload") ]
 
-let response_of_json j =
+let decode ~artifact j =
   let ( let* ) = Result.bind in
   let* id = int_field "id" j in
   match J.member "status" j with
@@ -238,7 +250,7 @@ let response_of_json j =
     let* digest = opt_string_field "response" "digest" j in
     let* body =
       match (J.member "result" j, J.member "stats" j, J.member "shutdown" j) with
-      | Some rj, _, _ -> Result.map (fun p -> Run_result p) (payload_of_json rj)
+      | Some rj, _, _ -> Result.map (fun p -> Run_result p) (payload_of_json ~artifact rj)
       | None, Some sj, _ -> Result.map (fun s -> Stats_result s) (stats_of_json sj)
       | None, None, Some _ -> Ok Shutdown_ack
       | None, None, None -> Error "ok response: no body"
@@ -253,6 +265,55 @@ let response_of_json j =
 
 let payload_equal (a : run_payload) (b : run_payload) = a = b
 
+let response_to_json = encode ~artifact:(fun s -> J.String s)
+
+let response_of_json =
+  decode ~artifact:(function J.String s -> Ok s | _ -> Error "expected a string")
+
+(* --- response frames ------------------------------------------------------ *)
+
+(* A response payload is [<header length>\n<header><metrics><trace>]: the
+   header is [response_to_json] with each present artifact as its byte
+   length, and the artifacts follow it raw, in that order. *)
+let artifacts = function
+  | Ok_resp { body = Run_result p; _ } -> List.filter_map Fun.id [ p.metrics; p.trace ]
+  | Ok_resp _ | Error_resp _ | Overload_resp _ -> []
+
+let response_to_frame resp =
+  let header = J.to_string ~indent:0 (encode ~artifact:(fun s -> J.Int (String.length s)) resp) in
+  (string_of_int (String.length header) ^ "\n" ^ header) :: artifacts resp
+
+let response_of_frame payload =
+  let ( let* ) = Result.bind in
+  let len = String.length payload in
+  let* nl =
+    Option.to_result (String.index_opt payload '\n')
+      ~none:"response frame: no header length line"
+  in
+  let* hlen =
+    match int_of_string_opt (String.sub payload 0 nl) with
+    | Some h when h >= 0 && h <= len - nl - 1 -> Ok h
+    | _ -> Error "response frame: bad header length"
+  in
+  let* header =
+    Result.map_error
+      (fun e -> "malformed response header: " ^ e)
+      (J.of_string (String.sub payload (nl + 1) hlen))
+  in
+  let pos = ref (nl + 1 + hlen) in
+  let artifact = function
+    | J.Int n when n < 0 -> Error (Printf.sprintf "negative length %d" n)
+    | J.Int n when n > len - !pos -> Error (Printf.sprintf "length %d overruns the frame" n)
+    | J.Int n ->
+      let s = String.sub payload !pos n in
+      pos := !pos + n;
+      Ok s
+    | _ -> Error "expected a byte length"
+  in
+  let* resp = decode ~artifact header in
+  if !pos = len then Ok resp
+  else Error (Printf.sprintf "response frame: %d bytes after the artifacts" (len - !pos))
+
 (* --- framing -------------------------------------------------------------- *)
 
 let max_frame = 16 * 1024 * 1024
@@ -263,11 +324,11 @@ let rec write_all fd bytes off len =
     write_all fd bytes (off + n) (len - n)
   end
 
-(* The header, then the payload straight from its string. *)
-let write_frame fd payload =
+(* The length line, then each part straight from its string. *)
+let write_frame fd parts =
   let write s = write_all fd (Bytes.unsafe_of_string s) 0 (String.length s) in
-  write (string_of_int (String.length payload) ^ "\n");
-  write payload
+  write (string_of_int (List.fold_left (fun n s -> n + String.length s) 0 parts) ^ "\n");
+  List.iter write parts
 
 module Framebuf = struct
   type t = { mutable data : Bytes.t; mutable len : int }
@@ -325,16 +386,29 @@ module Framebuf = struct
     | Error _ as e -> e
 end
 
-(* Reads go straight into the frame buffer, with room for the whole frame
-   once its header is in. *)
+(* Until a frame's header is in, reads go into the frame buffer. Then the
+   rest of its payload is read straight into the payload's own string, so
+   a large frame is never copied after it is read. *)
 let read_frame fd (buf : Framebuf.t) =
   let rec go () =
     match Framebuf.header buf with
     | Error _ as e -> e
     | Ok (Some (hdr, n)) when buf.len - hdr >= n -> Ok (Framebuf.take buf hdr n)
-    | Ok frame -> (
-      let need = match frame with Some (hdr, n) -> hdr + n | None -> 0 in
-      Framebuf.reserve buf (max need (buf.len + 4096));
+    | Ok (Some (hdr, n)) ->
+      let payload = Bytes.create n in
+      let have = buf.len - hdr in
+      Bytes.blit buf.data hdr payload 0 have;
+      buf.len <- 0;
+      let rec fill off =
+        if off = n then Ok (Bytes.unsafe_to_string payload)
+        else
+          match Unix.read fd payload off (n - off) with
+          | 0 -> Error "connection closed"
+          | k -> fill (off + k)
+      in
+      fill have
+    | Ok None -> (
+      Framebuf.reserve buf (buf.len + 4096);
       match Unix.read fd buf.data buf.len (Bytes.length buf.data - buf.len) with
       | 0 -> Error "connection closed"
       | n ->

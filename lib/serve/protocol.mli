@@ -1,18 +1,26 @@
 (** Wire protocol of the scenario daemon.
 
-    Transport: a Unix domain socket carrying length-prefixed JSON frames.
-    Each frame is [<decimal byte length>\n<payload>]; the payload is one
-    JSON document (a request from the client, a response from the server).
-    The decimal header keeps the framing readable in captures and trivially
-    implementable from any language; {!max_frame} bounds a frame so a
-    corrupt header cannot make the server allocate unboundedly.
+    Transport: a Unix domain socket carrying length-prefixed frames. Each
+    frame is [<decimal byte length>\n<payload>]; the decimal header keeps
+    the framing readable in captures and trivially implementable from any
+    language, and {!max_frame} bounds a frame so a corrupt header cannot
+    make the server allocate unboundedly.
 
-    Requests name an operation: [run] (execute or serve a cached
-    {!Cpufree_core.Scenario.t}, carried as its [Scenario.to_string] line
-    in a string field [scenario]), [stats] (counters snapshot), [shutdown]
-    (drain and exit). Responses carry a [status] of [ok], [error] (the
-    request was unservable — the connection stays usable) or [overload]
-    (admission control rejected the run; retry later). *)
+    A request payload is one JSON document. Requests name an operation:
+    [run] (execute or serve a cached {!Cpufree_core.Scenario.t}, carried as
+    its [Scenario.to_string] line in a string field [scenario]), [stats]
+    (counters snapshot), [shutdown] (drain and exit).
+
+    A response payload is [<header length>\n<header><metrics><trace>]
+    ({!response_to_frame}). The header is the compact {!response_to_json}
+    document with each present artifact's text replaced by its byte length,
+    e.g. ["artifacts":{"metrics":6120,"trace":52311}]; the artifacts follow
+    the header raw — metrics first, then trace, each absent one taking no
+    bytes — so no artifact is escaped on the way out or unescaped on the
+    way in. Every response has this layout; one without artifacts is its
+    header alone. Responses carry a [status] of [ok], [error] (the request
+    was unservable — the connection stays usable) or [overload] (admission
+    control rejected the run; retry later). *)
 
 (** {1 Messages} *)
 
@@ -80,7 +88,19 @@ val request_of_json : Cpufree_core.Json.t -> (request, string) result
     rejects, its reason. *)
 
 val response_to_json : response -> Cpufree_core.Json.t
+(** The whole response as one JSON document, artifacts as strings. *)
+
 val response_of_json : Cpufree_core.Json.t -> (response, string) result
+
+val response_to_frame : response -> string list
+(** The parts of a response payload for {!write_frame}: the header line
+    and header, then each present artifact's own string, uncopied. *)
+
+val response_of_frame : string -> (response, string) result
+(** Decode a response payload: parse the header, then take each artifact
+    with one [String.sub]. Total: a bad header length, a malformed header,
+    a negative artifact length, one that overruns the payload, or bytes
+    left after the artifacts give [Error]. *)
 
 val payload_equal : run_payload -> run_payload -> bool
 (** Byte-level equality of two run payloads (including artifacts) — what
@@ -91,8 +111,9 @@ val payload_equal : run_payload -> run_payload -> bool
 val max_frame : int
 (** Upper bound on a frame payload (16 MiB). *)
 
-val write_frame : Unix.file_descr -> string -> unit
-(** Write one [<len>\n<payload>] frame, looping over short writes.
+val write_frame : Unix.file_descr -> string list -> unit
+(** Write one [<len>\n<payload>] frame whose payload is the parts in order,
+    each written from its own string, looping over short writes.
     @raise Unix.Unix_error as [Unix.write] does (e.g. [EPIPE]). *)
 
 (** Incremental frame reassembly for a non-blocking reader: feed raw bytes

@@ -61,7 +61,7 @@ type state = {
 let send state conn resp =
   Mutex.lock state.io;
   (if not conn.closed then
-     try P.write_frame conn.fd (J.to_string ~indent:0 (P.response_to_json resp))
+     try P.write_frame conn.fd (P.response_to_frame resp)
      with Unix.Unix_error _ -> ());
   Mutex.unlock state.io
 

@@ -50,12 +50,12 @@ let strip_failstop (s : F.spec) = { s with F.kills = []; link_fails = []; switch
    persistent kernels on the survivors, plus redistributing the dead PE's
    shard (its share of the global state) across them over NVLink — each
    survivor pulls an equal slice, so the wire time is the shard size over
-   the aggregate per-direction NVLink bandwidth. Pure arithmetic on the
-   problem geometry: deterministic. *)
-let restart_cost problem ~gpus ~survivors =
+   the aggregate per-direction NVLink bandwidth of the run's architecture.
+   Pure arithmetic on the problem geometry: deterministic. *)
+let restart_cost (arch : Cpufree_gpu.Arch.t) problem ~gpus ~survivors =
   let shard_elems = Problem.total_elems problem / max 1 gpus in
   let shard_bytes = float_of_int (shard_elems * 8) in
-  let ns_per_byte = 1.0 /. Cpufree_gpu.Arch.a100_hgx.Cpufree_gpu.Arch.nvlink_bw_gbs in
+  let ns_per_byte = 1.0 /. arch.Cpufree_gpu.Arch.nvlink_bw_gbs in
   let wire = Time.of_ns_float (shard_bytes *. ns_per_byte /. float_of_int (max 1 survivors)) in
   Time.add (Time.us 20) wire
 
@@ -100,7 +100,9 @@ let run_resilient ?arch ?watchdog ?(env = Env.default) ~checkpoint_every kind pr
     let min_progress = if !min_progress = max_int then 0 else !min_progress in
     let checkpoint = min_progress / checkpoint_every * checkpoint_every in
     let remaining = problem.Problem.iterations - checkpoint in
-    let cost = restart_cost problem ~gpus ~survivors in
+    let cost =
+      restart_cost (Option.value arch ~default:Cpufree_gpu.Arch.a100_hgx) problem ~gpus ~survivors
+    in
     let diagnosed =
       {
         unhealed with

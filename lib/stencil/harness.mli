@@ -53,7 +53,8 @@ type resilient_run = {
   r_survivors : int;  (** PEs the resumed run executes on *)
   r_checkpoint : int;  (** iteration the survivors restored from *)
   r_restart_cost : Cpufree_engine.Time.t;
-      (** modeled relaunch + dead-shard redistribution cost *)
+      (** modeled relaunch + dead-shard redistribution cost, the
+          redistribution over the run's [arch]'s NVLink bandwidth *)
   r_total : Cpufree_engine.Time.t;
       (** end-to-end: faulted attempt + restart cost + resumed run *)
   r_completed : bool;  (** the workload finished (possibly degraded) *)

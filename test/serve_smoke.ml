@@ -4,10 +4,11 @@
    and assert the repeat is served from the cache with a byte-identical
    payload (artifacts included). Then speak literal frames on a second
    connection: the documented run body for the first scenario must get
-   the client path's result, a body whose scenario line does not parse an
-   [error] carrying the parser's reason, and the connection must still
-   answer. Finally the counters must agree and shutdown must remove the
-   socket. Exits non-zero on any deviation. *)
+   the client path's result, and its response frame, decoded by hand,
+   must carry [Exec.run]'s trace and metrics bytes; a body whose scenario
+   line does not parse must get an [error] carrying the parser's reason,
+   and the connection must still answer. Finally the counters must agree
+   and shutdown must remove the socket. Exits non-zero on any deviation. *)
 
 module Serve = Cpufree_serve
 module P = Serve.Protocol
@@ -73,17 +74,68 @@ let () =
   Unix.connect fd (Unix.ADDR_UNIX path);
   let buf = P.Framebuf.create () in
   let raw body =
-    P.write_frame fd body;
-    match Result.bind (P.read_frame fd buf) J.of_string with
+    P.write_frame fd [ body ];
+    match Result.bind (P.read_frame fd buf) P.response_of_frame with
+    | Ok r -> r
     | Error e -> fail "literal frame: %s" e
-    | Ok j -> (
-      match P.response_of_json j with Ok r -> r | Error e -> fail "literal frame: %s" e)
   in
-  (match
-     raw
-       {|{"id":10,"op":"run","scenario":"stencil variant=cpu-free dims=2d:96x96 iters=12 gpus=2 trace=on metrics=on"}|}
-   with
-  | P.Ok_resp { id = 10; body = P.Run_result p; _ } ->
+  (* The literal artifact request, its response frame read and decoded by
+     hand as protocol.mli lays it out: [<len>\n], then [<header len>\n],
+     the JSON header with each artifact as its byte length, the metrics
+     bytes and the trace bytes. *)
+  let line = "stencil variant=cpu-free dims=2d:96x96 iters=12 gpus=2 trace=on metrics=on" in
+  let request =
+    let body = Printf.sprintf {|{"id":10,"op":"run","scenario":"%s"}|} line in
+    Printf.sprintf "%d\n%s" (String.length body) body
+  in
+  if Unix.write_substring fd request 0 (String.length request) <> String.length request then
+    fail "artifact request: short write";
+  let byte = Bytes.create 1 in
+  let rec read_line acc =
+    if Unix.read fd byte 0 1 <> 1 then fail "artifact frame: connection closed";
+    if Bytes.get byte 0 = '\n' then acc else read_line (acc ^ Bytes.to_string byte)
+  in
+  let frame_len = int_of_string (read_line "") in
+  let payload = Bytes.create frame_len in
+  let rec fill off =
+    if off < frame_len then
+      match Unix.read fd payload off (frame_len - off) with
+      | 0 -> fail "artifact frame: connection closed"
+      | n -> fill (off + n)
+  in
+  fill 0;
+  let payload = Bytes.to_string payload in
+  let nl = String.index payload '\n' in
+  let header_len = int_of_string (String.sub payload 0 nl) in
+  let header =
+    match J.of_string (String.sub payload (nl + 1) header_len) with
+    | Ok h -> h
+    | Error e -> fail "artifact frame header: %s" e
+  in
+  let length name =
+    match Option.bind (J.member "result" header) (J.member "artifacts") with
+    | Some arts -> (
+      match J.member name arts with
+      | Some (J.Int n) -> n
+      | _ -> fail "artifact frame header: no %s length" name)
+    | None -> fail "artifact frame header: no artifacts"
+  in
+  let metrics_len = length "metrics" and trace_len = length "trace" in
+  if nl + 1 + header_len + metrics_len + trace_len <> frame_len then
+    fail "artifact frame: the declared lengths do not fill the payload";
+  let metrics = String.sub payload (nl + 1 + header_len) metrics_len in
+  let trace = String.sub payload (nl + 1 + header_len + metrics_len) trace_len in
+  (match Scenario.of_string line with
+  | Error e -> fail "literal line rejected: %s" e
+  | Ok sc -> (
+    match Serve.Exec.run sc with
+    | Ok { P.metrics = Some m; trace = Some t; _ } ->
+      if m <> metrics then fail "the frame's metrics bytes differ from Exec.run's";
+      if t <> trace then fail "the frame's trace bytes differ from Exec.run's"
+    | Ok _ -> fail "Exec.run gave no artifacts"
+    | Error e -> fail "Exec.run: %s" e));
+  (match P.response_of_frame payload with
+  | Ok (P.Ok_resp { id = 10; body = P.Run_result p; _ }) ->
     if not (P.payload_equal p pay_a) then fail "the literal run frame got another result"
   | _ -> fail "the literal run frame was not answered with a result");
   let reason =

@@ -232,8 +232,67 @@ let nudge (sc : Scenario.t) = function
   | 5 -> { sc with Scenario.gpus = 2 * sc.Scenario.gpus }
   | _ -> { sc with Scenario.arch = (if sc.Scenario.arch = "a100" then "h100" else "a100") }
 
+(* Workload strings a token of the scenario line cannot carry, beside ones
+   it can. *)
+let adversarial_value =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ ""; " "; "="; "a b"; "cpu-free gpus=8"; "a=b"; "x\t"; "\ny"; "2d:64x64\r"; "jacobi2d\012" ];
+        string_size ~gen:printable (int_bound 12);
+      ])
+
+(* A generated scenario with some of its workload strings, and sometimes
+   its architecture name, replaced by adversarial ones. *)
+let adversarial_scenario =
+  let open QCheck.Gen in
+  let pick v = oneof [ return v; adversarial_value ] in
+  let gen =
+    let* sc = QCheck.gen arbitrary_scenario in
+    let* arch = pick sc.Scenario.arch in
+    let* workload =
+      match sc.Scenario.workload with
+      | Scenario.Stencil w ->
+        let* variant = pick w.variant and* dims = pick w.dims in
+        return (Scenario.Stencil { w with variant; dims })
+      | Scenario.Dace w ->
+        let* app = pick w.app and* arm = pick w.arm in
+        return (Scenario.Dace { w with app; arm })
+    in
+    return { sc with Scenario.arch; workload }
+  in
+  QCheck.make ~print:Scenario.to_string gen
+
 let scenario_law_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"validate sc = Ok () implies of_string (to_string sc) = Ok sc"
+         ~count:500 adversarial_scenario (fun sc ->
+           match Scenario.validate sc with
+           | Ok () -> Scenario.of_string (Scenario.to_string sc) = Ok sc
+           | Error _ -> true));
+    Alcotest.test_case "validate rejects workload strings the line cannot carry" `Quick
+      (fun () ->
+        let stencil variant dims =
+          Scenario.make (Scenario.Stencil { variant; dims; iters = 2; no_compute = false })
+        in
+        let dace app arm =
+          Scenario.make
+            (Scenario.Dace { app; arm; size = 64; iters = 2; specialize_tb = false })
+        in
+        List.iter
+          (fun (sc, reason) ->
+            match Scenario.validate sc with
+            | Ok () -> Alcotest.failf "accepted %S" (Scenario.to_string sc)
+            | Error e -> check_string "reason" reason e)
+          [
+            ( stencil "cpu-free gpus=8" "2d:64x64",
+              "bad variant \"cpu-free gpus=8\": it must not contain whitespace or '='" );
+            (stencil "cpu-free" "", "dims must not be empty");
+            (stencil "cpu-free" "2d:64x64\t", "bad dims \"2d:64x64\\t\": it must not contain whitespace or '='");
+            (dace "jacobi2d=x" "cpu-free", "bad app \"jacobi2d=x\": it must not contain whitespace or '='");
+            (dace "jacobi2d" "", "arm must not be empty");
+          ]);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"of_string (to_string sc) = Ok sc" ~count:200 arbitrary_scenario
          (fun sc ->

@@ -155,6 +155,141 @@ let test_response_roundtrip () =
   check (P.Error_resp { id = 6; message = "bad scenario" });
   check (P.Overload_resp { id = 7 })
 
+(* ------------------------------------------------------------------ *)
+(* Response frames                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Bytes a JSON string would have to escape, and bytes that are not
+   UTF-8. *)
+let gen_bytes =
+  let open QCheck.Gen in
+  string_size
+    ~gen:(frequency [ (4, char); (1, oneofl [ '"'; '\\'; '\000'; '\n'; '\xff'; '\xc3' ]) ])
+    (frequency [ (6, int_bound 40); (1, int_bound 3000) ])
+
+let gen_response =
+  let open QCheck.Gen in
+  let* id = small_nat and* kind = int_bound 4 in
+  match kind with
+  | 0 ->
+    let* label = gen_bytes
+    and* cached = bool
+    and* digest = opt gen_bytes
+    and* overlap = float_bound_inclusive 1.0
+    and* chaos =
+      opt
+        (let* completed = bool and* trigger = opt gen_bytes and* n = small_nat in
+         return
+           { P.completed; trigger; dropped = n; delayed = n + 1; resent = n + 2; retried = n + 3 })
+    and* metrics = opt gen_bytes
+    and* trace = opt gen_bytes in
+    return
+      (P.Ok_resp
+         {
+           id;
+           cached;
+           digest;
+           body = P.Run_result { (payload ~label ?chaos ?metrics ?trace ()) with P.overlap };
+         })
+  | 1 ->
+    let* n = small_nat in
+    return
+      (P.Ok_resp
+         {
+           id;
+           cached = false;
+           digest = None;
+           body =
+             P.Stats_result
+               {
+                 P.requests = n;
+                 hits = n + 1;
+                 misses = n + 2;
+                 coalesced = n + 3;
+                 overloads = n + 4;
+                 errors = n + 5;
+                 simulations = n + 6;
+                 cache_entries = n + 7;
+               };
+         })
+  | 2 -> return (P.Ok_resp { id; cached = false; digest = None; body = P.Shutdown_ack })
+  | 3 -> map (fun message -> P.Error_resp { id; message }) gen_bytes
+  | _ -> return (P.Overload_resp { id })
+
+let frame_of r = String.concat "" (P.response_to_frame r)
+
+(* The payload with its header rewritten by [edit]. *)
+let reheader frame edit =
+  let nl = String.index frame '\n' in
+  let hlen = int_of_string (String.sub frame 0 nl) in
+  let header =
+    J.to_string ~indent:0 (edit (Result.get_ok (J.of_string (String.sub frame (nl + 1) hlen))))
+  in
+  let rest = String.sub frame (nl + 1 + hlen) (String.length frame - nl - 1 - hlen) in
+  Printf.sprintf "%d\n%s%s" (String.length header) header rest
+
+(* The header with one artifact's byte length replaced by [f] of it. *)
+let rec relength name f = function
+  | J.Obj kvs ->
+    J.Obj
+      (List.map
+         (function k, J.Int n when k = name -> (k, J.Int (f n)) | k, v -> (k, relength name f v))
+         kvs)
+  | v -> v
+
+(* A valid payload, damaged. [true] marks a damage the decoder must reject:
+   a cut, bytes appended, a header length one off, or an artifact length
+   that no longer fills the payload. *)
+let gen_damaged_frame =
+  let open QCheck.Gen in
+  let* r = gen_response in
+  let frame = frame_of r in
+  let n = String.length frame in
+  let* cut = int_bound (n - 1)
+  and* junk = string_size ~gen:char (int_range 1 8)
+  and* name = oneofl [ "metrics"; "trace" ]
+  and* len = oneofl [ (fun n -> n + 1); (fun n -> n - 1); (fun n -> -n - 1); (fun _ -> max_int) ]
+  and* flip = int_bound (n - 1)
+  and* byte = char
+  and* random = string_size ~gen:char (int_bound 64) in
+  let nl = String.index frame '\n' in
+  let hlen = int_of_string (String.sub frame 0 nl) in
+  let rehlen d = string_of_int (hlen + d) ^ String.sub frame nl (n - nl) in
+  let relengthed = reheader frame (relength name len) in
+  oneofl
+    [
+      (true, String.sub frame 0 cut);
+      (true, frame ^ junk);
+      (true, rehlen 1);
+      (true, rehlen (-1));
+      (relengthed <> reheader frame Fun.id, relengthed);
+      (false, String.mapi (fun i c -> if i = flip then byte else c) frame);
+      (false, random);
+      (false, string_of_int (String.length random) ^ "\n" ^ random);
+    ]
+
+let frame_laws =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"response_of_frame inverts response_to_frame" ~count:500
+         (QCheck.make ~print:(fun r -> String.escaped (frame_of r)) gen_response) (fun r ->
+           let parts = P.response_to_frame r in
+           (* The artifacts are the payload's own strings, not copies. *)
+           let uncopied =
+             match r with
+             | P.Ok_resp { body = P.Run_result p; _ } ->
+               List.for_all2 ( == ) (List.tl parts)
+                 (List.filter_map Fun.id [ p.P.metrics; p.P.trace ])
+             | _ -> List.length parts = 1
+           in
+           uncopied && P.response_of_frame (String.concat "" parts) = Ok r));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"response_of_frame is total on damaged frames" ~count:1000
+         (QCheck.make ~print:(fun (_, f) -> String.escaped f) gen_damaged_frame)
+         (fun (must_fail, frame) ->
+           match P.response_of_frame frame with Error _ -> true | Ok _ -> not must_fail));
+  ]
+
 let test_digest_pdes_invariant () =
   let base = sc () in
   let digest p = Scenario.digest { base with Scenario.pdes = p } in
@@ -500,25 +635,19 @@ let test_malformed () =
   Unix.connect fd (Unix.ADDR_UNIX path);
   let buf = P.Framebuf.create () in
   let recv_response () =
-    match P.read_frame fd buf with
-    | Error e -> Alcotest.failf "read: %s" e
-    | Ok payload -> (
-      match J.of_string payload with
-      | Error e -> Alcotest.failf "response is not JSON: %s" e
-      | Ok j -> (
-        match P.response_of_json j with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "bad response: %s" e))
+    match Result.bind (P.read_frame fd buf) P.response_of_frame with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "bad response: %s" e
   in
-  P.write_frame fd "this is not json";
+  P.write_frame fd [ "this is not json" ];
   (match recv_response () with
   | P.Error_resp _ -> ()
   | _ -> Alcotest.fail "garbage payload was not answered with an error");
-  P.write_frame fd "{\"id\":42}";
+  P.write_frame fd [ "{\"id\":42}" ];
   (match recv_response () with
   | P.Error_resp { id = 42; _ } -> ()
   | _ -> Alcotest.fail "op-less request did not echo its id in the error");
-  P.write_frame fd (J.to_string ~indent:0 (P.request_to_json { P.req_id = 2; req_op = P.Stats }));
+  P.write_frame fd [ J.to_string ~indent:0 (P.request_to_json { P.req_id = 2; req_op = P.Stats }) ];
   (match recv_response () with
   | P.Ok_resp { body = P.Stats_result st; _ } ->
     Alcotest.(check int) "both bad frames counted" 2 st.P.errors
@@ -580,6 +709,16 @@ let test_rejected_not_simulated () =
   | Ok (P.Error_resp { id = 3; message }) ->
     Alcotest.(check bool) message true (Astring.String.is_infix ~affix:"no vertex" message)
   | _ -> Alcotest.fail "rejected scenario was not answered with an error");
+  (* A variant holding a space: its line would read back as variant
+     cpu-free on 8 GPUs, so the client refuses it without sending it. *)
+  (match
+     Serve.Client.run c ~id:6
+       (Scenario.make ~gpus:2
+          (Scenario.Stencil
+             { variant = "cpu-free gpus=8"; dims = "2d:64x64"; iters = 6; no_compute = false }))
+   with
+  | Error e -> Alcotest.(check bool) e true (Astring.String.is_infix ~affix:"whitespace" e)
+  | Ok _ -> Alcotest.fail "the client sent a scenario whose line reads back as another");
   let after = get_stats c ~id:4 in
   Alcotest.(check int) "simulations unchanged" before.P.simulations after.P.simulations;
   Alcotest.(check int) "one more error" (before.P.errors + 1) after.P.errors;
@@ -692,6 +831,9 @@ let () =
           Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
           request_totality_law;
           Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
+        ]
+        @ frame_laws
+        @ [
           Alcotest.test_case "digest ignores pdes, keys on the rest" `Quick
             test_digest_pdes_invariant;
           Alcotest.test_case "infeasible geometry is refused with its reason" `Quick

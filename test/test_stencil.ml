@@ -437,6 +437,24 @@ let resilience_tests =
           check (Alcotest.list Alcotest.int) "survivors finish the remainder"
             [ 12 - r.Harness.r_checkpoint; 12 - r.Harness.r_checkpoint ]
             (Array.to_list res.Measure.progress));
+    Alcotest.test_case "the restart cost's wire term scales with the arch's NVLink" `Quick
+      (fun () ->
+        (* 90x90 on 3 GPUs: a 21,600-byte shard over 2 survivors, whole
+           nanoseconds at both bandwidths. *)
+        let problem = Problem.make (d2 90 90) ~iterations:12 in
+        let wire arch =
+          let r =
+            Harness.run_resilient ~arch ~env:(kill_env "kill=1@25") ~checkpoint_every:2
+              Variants.Cpu_free problem ~gpus:3
+          in
+          check (Alcotest.option Alcotest.int) "diagnosed the kill" (Some 1) r.Harness.r_killed;
+          float_of_int (Time.to_ns (Time.sub r.Harness.r_restart_cost (Time.us 20)))
+        in
+        let a100 = G.Arch.a100_hgx and h100 = G.Arch.h100_hgx in
+        let wire_a100 = wire a100 and wire_h100 = wire h100 in
+        check_bool "a non-zero wire term" true (wire_h100 > 0.0);
+        Alcotest.(check (float 0.0)) "wire time times bandwidth is the arch's shard bytes"
+          (wire_a100 *. a100.G.Arch.nvlink_bw_gbs) (wire_h100 *. h100.G.Arch.nvlink_bw_gbs));
     Alcotest.test_case "fault-free control is byte-identical to a plain run" `Quick (fun () ->
         let problem = Problem.make (d2 96 96) ~iterations:6 in
         let env = kill_env "kill=0@100000" in
