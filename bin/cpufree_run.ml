@@ -17,7 +17,6 @@ module E = Cpufree_engine
 module G = Cpufree_gpu
 module S = Cpufree_stencil
 module D = Cpufree_dace
-module Obs = Cpufree_obs
 module Measure = Cpufree_core.Measure
 module Env = Cpufree_obs.Sim_env
 module Scenario = Cpufree_core.Scenario
@@ -41,7 +40,6 @@ type common = {
   fault_seed : int;
   trace_out : string option;
   metrics_out : string option;
-  pdes : Obs.Sim_env.pdes option;
 }
 
 let gpus_arg =
@@ -90,29 +88,6 @@ let metrics_out_arg =
   let doc = "Write the run's metrics registry as schema-validated JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let pdes_arg =
-  let doc =
-    "Discrete-event driver: seq (the sequential event loop, the only one). Overrides the \
-     CPUFREE_PDES variable; any other value is rejected."
-  in
-  Arg.(value & opt (some string) None & info [ "pdes" ] ~docv:"MODE" ~doc)
-
-let resolve_pdes name =
-  match Env.pdes_of_string name with
-  | Ok mode -> mode
-  | Error msg ->
-    Printf.eprintf "bad --pdes mode %s\n" msg;
-    exit 2
-
-(* Without --pdes the run reads CPUFREE_PDES: reject a bad value up front
-   with exit 2, before any simulation starts. *)
-let check_pdes_env () =
-  match Env.pdes_of_env_var () with
-  | `Seq -> ()
-  | exception Invalid_argument msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
-
 let resolve_arch name =
   match G.Arch.of_name name with
   | Some a -> a
@@ -143,7 +118,7 @@ let resolve_faults spec =
     exit 2
 
 let common_term =
-  let make arch_name topo_name gpus faults fault_seed trace_out metrics_out pdes =
+  let make arch_name topo_name gpus faults fault_seed trace_out metrics_out =
     {
       arch = resolve_arch arch_name;
       arch_name;
@@ -153,17 +128,11 @@ let common_term =
       fault_seed;
       trace_out;
       metrics_out;
-      pdes =
-        (match pdes with
-        | Some name -> Some (resolve_pdes name)
-        | None ->
-          check_pdes_env ();
-          None);
     }
   in
   Term.(
     const make $ arch_arg $ topology_arg $ gpus_arg $ faults_arg $ fault_seed_arg
-    $ trace_out_arg $ metrics_out_arg $ pdes_arg)
+    $ trace_out_arg $ metrics_out_arg)
 
 (* Write whatever sinks the environment carries, rendered and validated as
    the daemon ships them. *)
@@ -236,7 +205,7 @@ let or_reject = function
    comparison sweep would interleave runs). *)
 let scenario common ~artifacts workload =
   Scenario.make ~arch:common.arch_name ~topology:common.topology ~gpus:common.gpus
-    ?faults:common.faults ~fault_seed:common.fault_seed ?pdes:common.pdes
+    ?faults:common.faults ~fault_seed:common.fault_seed
     ~trace:(artifacts && common.trace_out <> None)
     ~metrics:(artifacts && common.metrics_out <> None)
     workload

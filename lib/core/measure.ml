@@ -48,9 +48,10 @@ let publish env eng trace =
   | Some reg ->
     let c name v = Mx.Counter.add (Mx.counter reg ~name ()) v in
     c "engine.events" (E.Engine.events_executed eng);
-    (* The retired parallel drivers' counters stay in the dump at the values
-       the sequential driver always reported (no windows, no speculation,
-       one partition), so metrics artifacts keep their exact bytes. *)
+    (* Seven constants of the retired parallel drivers (no windows, no
+       speculation, one partition). They stay until the benchmark
+       re-records its table, which holds the md5 of every metrics
+       artifact. *)
     c "engine.windows" 0;
     c "engine.solo_windows" 0;
     c "engine.stall_scans" (E.Engine.stall_scans eng);
@@ -165,15 +166,11 @@ let publish_faults env spec plan (stats : F.stats) =
       c "fault.kills_detected" r.F.kills_detected
     end
 
-let run ?(traced = false) ?watchdog job =
+let run ?(traced = false) job =
   let env = job.sc_env in
-  (* Rejects a [CPUFREE_PDES] naming anything but the sequential driver. *)
-  let (`Seq : Obs.Sim_env.pdes) = Obs.Sim_env.resolve_pdes env in
   let trace = engine_trace ~traced env in
   let faults = env.Obs.Sim_env.faults in
-  let watchdog =
-    Option.map (fun spec -> Option.value watchdog ~default:(F.default_watchdog spec)) faults
-  in
+  let watchdog = Option.map F.default_watchdog faults in
   let eng = E.Engine.create ?trace ?watchdog () in
   let ctx = G.Runtime.create eng ~arch:job.sc_arch ~env ~num_gpus:job.sc_gpus () in
   let (_ : E.Engine.process) =

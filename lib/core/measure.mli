@@ -26,7 +26,7 @@ type job = {
   sc_iterations : int;
   sc_arch : Cpufree_gpu.Arch.t;  (** resolved device architecture *)
   sc_env : Cpufree_obs.Sim_env.t;
-      (** topology, fault plan, observability sinks and execution mode; a
+      (** topology, fault plan and observability sinks; a
           fresh environment per job — never share its sinks between
           concurrent runs *)
   sc_program : Cpufree_gpu.Runtime.ctx -> unit;  (** the host program *)
@@ -77,7 +77,7 @@ type outcome = {
   chaos : chaos option;  (** present iff the environment carries a fault plan *)
 }
 
-val run : ?traced:bool -> ?watchdog:Cpufree_engine.Time.t -> job -> outcome
+val run : ?traced:bool -> job -> outcome
 (** Create an engine and a runtime context with the job's GPUs arranged per
     its environment, run the program as the "main" process to completion,
     and measure. Deterministic.
@@ -88,7 +88,8 @@ val run : ?traced:bool -> ?watchdog:Cpufree_engine.Time.t -> job -> outcome
     [env.metrics] is set, the simulated layers update instruments in it and
     the engine's counters ([engine.events], [engine.stall_scans], and the
     constant [engine.windows], [engine.solo_windows], [engine.opt.*],
-    [engine.partitions] of the retired parallel drivers) are folded in.
+    [engine.partitions] of the retired parallel drivers, kept until the
+    benchmark re-records its metrics hashes) are folded in.
     [~traced:true] (default [false]) also records an engine trace without
     flows; the result is the same either way. [compute], [comm] and
     [overlap] come from the engine's busy log
@@ -97,15 +98,15 @@ val run : ?traced:bool -> ?watchdog:Cpufree_engine.Time.t -> job -> outcome
 
     {b Chaos.} When [env.faults] is set, [Fault.activate env.faults
     ~seed:env.fault_seed ~gpus] drives link degradation, stragglers, and
-    signal/put delivery faults, and the engine runs with a stall watchdog
-    (default {!Cpufree_fault.Fault.default_watchdog} of the spec; [watchdog]
-    is ignored without a fault plan). A run that livelocks, deadlocks,
-    loses a GPU or partitions the fabric is converted into a diagnosed
-    abort ([chaos.completed = false]) rather than an exception; metrics up
-    to the abort are still reported, the abort is marked with a [stall:]
-    instant on the host lane of a flow-enabled sink, and fault-path totals
-    ([fault.dropped] etc.) are folded into [env.metrics]. Bit-identical
-    across repeats for a fixed [env.fault_seed]. *)
+    signal/put delivery faults, and the engine runs with the stall
+    watchdog {!Cpufree_fault.Fault.default_watchdog} of the spec. A run
+    that livelocks, deadlocks, loses a GPU or partitions the fabric is
+    converted into a diagnosed abort ([chaos.completed = false]) rather
+    than an exception; metrics up to the abort are still reported, the
+    abort is marked with a [stall:] instant on the host lane of a
+    flow-enabled sink, and fault-path totals ([fault.dropped] etc.) are
+    folded into [env.metrics]. Bit-identical across repeats for a fixed
+    [env.fault_seed]. *)
 
 val run_env :
   ?arch:Cpufree_gpu.Arch.t ->

@@ -14,14 +14,13 @@ type t = {
   gpus : int;
   faults : Fault.spec option;
   fault_seed : int;
-  pdes : Env.pdes option;
   trace : bool;
   metrics : bool;
 }
 
 let make ?(arch = "a100") ?(topology = Topology.Hgx) ?(gpus = 8) ?faults ?(fault_seed = 1)
-    ?pdes ?(trace = false) ?(metrics = false) workload =
-  { workload; arch; topology; gpus; faults; fault_seed; pdes; trace; metrics }
+    ?(trace = false) ?(metrics = false) workload =
+  { workload; arch; topology; gpus; faults; fault_seed; trace; metrics }
 
 let arch_of t =
   match Arch.of_name t.arch with
@@ -113,8 +112,7 @@ let validate t =
 let env t =
   let trace = if t.trace then Some (Cpufree_engine.Trace.create ~flows:true ()) else None in
   let metrics = if t.metrics then Some (Cpufree_obs.Metrics.create ()) else None in
-  Env.make ~topology:t.topology ?faults:t.faults ~fault_seed:t.fault_seed ?trace ?metrics
-    ?pdes:t.pdes ()
+  Env.make ~topology:t.topology ?faults:t.faults ~fault_seed:t.fault_seed ?trace ?metrics ()
 
 (* --- textual form --------------------------------------------------------- *)
 
@@ -145,7 +143,9 @@ let common_tokens t =
     Printf.sprintf "gpus=%d" t.gpus;
     "faults=" ^ (match t.faults with None -> "none" | Some s -> Fault.to_string s);
     Printf.sprintf "fault-seed=%d" t.fault_seed;
-    "pdes=" ^ (match t.pdes with None -> "default" | Some m -> Env.pdes_to_string m);
+    (* The line keeps the token of the retired execution mode: perfbench keys
+       each op by the md5 of the line, so dropping it re-keys every op. *)
+    "pdes=default";
     "trace=" ^ onoff t.trace;
     "metrics=" ^ onoff t.metrics;
   ]
@@ -236,10 +236,11 @@ let of_string s : (t, string) result =
       let* fault_seed = parse_int key value in
       Ok { t with fault_seed }
     | "pdes", _ ->
-      if value = "default" then Ok { t with pdes = None }
+      if value = "default" then Ok t
       else
-        let* mode = Env.pdes_of_string value in
-        Ok { t with pdes = Some mode }
+        Error
+          (Printf.sprintf "bad pdes %S: the only value is default (there is one event driver)"
+             value)
     | "trace", _ ->
       let* trace = parse_bool_onoff key value in
       Ok { t with trace }
@@ -262,11 +263,8 @@ let of_string s : (t, string) result =
 
 (* --- content identity ----------------------------------------------------- *)
 
-(* The cache key: the canonical line with the execution mode normalized
-   away (an explicit and an absent mode run the same driver, so requests
-   differing only in [pdes] share a cache entry). The artifact booleans
-   stay because they change the response payload. The "scenario/v2" tag
-   versions the encoding: changing the line invalidates every old digest
-   instead of silently aliasing. *)
-let digest t =
-  Stdlib.Digest.to_hex (Stdlib.Digest.string ("scenario/v2|" ^ to_string { t with pdes = None }))
+(* The cache key: the canonical line. The artifact booleans are part of it
+   because they change the response payload. The "scenario/v2" tag versions
+   the encoding: changing the line invalidates every old digest instead of
+   silently aliasing. *)
+let digest t = Stdlib.Digest.to_hex (Stdlib.Digest.string ("scenario/v2|" ^ to_string t))

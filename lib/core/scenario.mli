@@ -1,6 +1,6 @@
 (** First-class scenario specs: one record for everything the CLI's flag
     table assembles ad hoc — workload, architecture, machine topology, GPU
-    count, fault plan and seed, execution mode, and which observability artifacts
+    count, fault plan and seed, and which observability artifacts
     the run should produce.
 
     A scenario is the unit of request for both transports: the [cpufree_run]
@@ -33,9 +33,6 @@ type t = {
   gpus : int;
   faults : Cpufree_fault.Fault.spec option;
   fault_seed : int;
-  pdes : Cpufree_obs.Sim_env.pdes option;
-      (** [None] defers to the ambient [CPUFREE_PDES]; never part of the
-          content hash — [seq] is the only mode *)
   trace : bool;  (** produce a Perfetto trace artifact *)
   metrics : bool;  (** produce a metrics-registry artifact *)
 }
@@ -46,12 +43,11 @@ val make :
   ?gpus:int ->
   ?faults:Cpufree_fault.Fault.spec ->
   ?fault_seed:int ->
-  ?pdes:Cpufree_obs.Sim_env.pdes ->
   ?trace:bool ->
   ?metrics:bool ->
   workload -> t
 (** Defaults mirror the CLI's: [a100], [hgx], 8 GPUs, no faults, seed 1,
-    ambient execution mode, no artifacts. *)
+    no artifacts. *)
 
 val validate : t -> (unit, string) result
 (** Everything checkable below the workload layers without building the
@@ -80,19 +76,20 @@ val to_string : t -> string
 (** Canonical flag-like line: the workload kind followed by fixed-order
     [key=value] tokens, e.g.
     [stencil variant=cpu-free dims=2d:512x512 iters=30 no-compute=false
-    arch=a100 topology=hgx gpus=4 faults=none fault-seed=1 pdes=default
-    trace=off metrics=off]. Round-trips through {!of_string}. *)
+    arch=a100 topology=hgx gpus=4 faults=none fault-seed=1 M trace=off
+    metrics=off], where [M] is the constant token of the retired
+    execution mode (its text is in [scenario.ml]). Round-trips through
+    {!of_string}. *)
 
 val of_string : string -> (t, string) result
 (** Parse {!to_string}'s grammar: leading workload kind ([stencil]/[dace]),
     then [key=value] tokens in any order; missing keys take {!make}'s
-    defaults; unknown keys, malformed values, or a {!validate} failure are
-    [Error]s. [parse (print t) = Ok t] for every valid [t]. *)
+    defaults; unknown keys, malformed values (the execution-mode key
+    accepts only the value {!to_string} prints), or a {!validate} failure
+    are [Error]s. [parse (print t) = Ok t] for every valid [t]. *)
 
 val digest : t -> string
 (** The result-cache key: the hex md5 of ["scenario/v2|"] followed by
-    {!to_string} of the scenario with [pdes] cleared. [pdes=seq] and an
-    absent mode run the same driver, so requests differing only in [pdes]
-    share one cache entry; the artifact booleans stay because they change
+    {!to_string}. The artifact booleans are part of it because they change
     the response payload. {!to_string} is canonical, so equal digests mean
-    equal scenarios apart from [pdes]. *)
+    equal scenarios. *)

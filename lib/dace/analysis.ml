@@ -26,7 +26,7 @@ type t = {
    index (or nothing). *)
 let rec sem_halo = function
   | Jacobi1d _ | Jacobi2d _ | Jacobi3d _ -> 1
-  | Copy_elems _ | Fill _ | Init_global _ | Init_global2d _ -> 0
+  | Fill _ | Init_global _ | Init_global2d _ -> 0
   | Multi sems -> List.fold_left (fun acc s -> max acc (sem_halo s)) 0 sems
 
 (* A map is data-parallel when index [i] writes only positions derived from
@@ -45,8 +45,6 @@ let rec free_symbols_of_sem = function
     List.concat_map Symbolic.free_symbols [ row_width; col_lo; col_hi ]
   | Jacobi3d { row_width; plane_width; ny; _ } ->
     List.concat_map Symbolic.free_symbols [ row_width; plane_width; ny ]
-  | Copy_elems { src_off; dst_off; _ } ->
-    List.concat_map Symbolic.free_symbols [ src_off; dst_off ]
   | Fill _ -> []
   | Init_global { global_off; _ } -> Symbolic.free_symbols global_off
   | Init_global2d { row_width; global_row0; global_row_width; global_col0; _ } ->
@@ -87,8 +85,6 @@ let rec free_symbols_of_stmt = function
   | S_map m ->
     List.concat_map Symbolic.free_symbols [ m.m_lo; m.m_hi; m.m_work ]
     @ free_symbols_of_sem m.m_sem
-  | S_copy { c_src_region; c_dst_region; _ } ->
-    free_symbols_of_region c_src_region @ free_symbols_of_region c_dst_region
   | S_lib node -> free_symbols_of_libnode node
   | S_cond { cond; then_ } ->
     free_symbols_of_cond cond @ List.concat_map free_symbols_of_stmt then_
@@ -112,7 +108,7 @@ let rec stmt_libnodes = function
   | S_lib node -> [ node ]
   | S_cond { then_; _ } -> List.concat_map stmt_libnodes then_
   | S_role { body; _ } -> List.concat_map stmt_libnodes body
-  | S_map _ | S_copy _ | S_grid_sync -> []
+  | S_map _ | S_grid_sync -> []
 
 let libnodes sdfg =
   List.concat_map (fun st -> List.concat_map stmt_libnodes st.stmts) sdfg.states
@@ -141,7 +137,7 @@ let rec stmt_maps in_state = function
   | S_map m -> [ (in_state, m) ]
   | S_cond { then_; _ } -> List.concat_map (stmt_maps in_state) then_
   | S_role { body; _ } -> List.concat_map (stmt_maps in_state) body
-  | S_copy _ | S_lib _ | S_grid_sync -> []
+  | S_lib _ | S_grid_sync -> []
 
 let maps_of sdfg =
   List.concat_map (fun st -> List.concat_map (stmt_maps st.st_name) st.stmts) sdfg.states

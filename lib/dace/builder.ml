@@ -14,10 +14,10 @@ let create ~name =
 
 let symbol t name value = t.symbols <- t.symbols @ [ (name, value) ]
 
-let array t ?(storage = Host_heap) ?(transient = false) name size =
+let array t name size =
   if List.exists (fun a -> String.equal a.arr_name name) t.arrays then
     invalid_arg (Printf.sprintf "Builder.array: duplicate array %s" name);
-  t.arrays <- t.arrays @ [ { arr_name = name; arr_size = size; storage; transient } ]
+  t.arrays <- t.arrays @ [ { arr_name = name; arr_size = size; storage = Host_heap } ]
 
 let signal t name =
   if List.mem name t.signals then

@@ -23,9 +23,9 @@ val create : name:string -> t
 val symbol : t -> string -> int -> unit
 (** Bind a compile-time-fixed symbol (N, TSTEPS, ...). *)
 
-val array : t -> ?storage:Sdfg.storage -> ?transient:bool -> string -> Symbolic.expr -> unit
-(** Declare an array of the given element count (default [Host_heap],
-    non-transient — {!Transforms.gpu_transform} relocates it). *)
+val array : t -> string -> Symbolic.expr -> unit
+(** Declare a [Host_heap] array of the given element count
+    ({!Transforms.gpu_transform} relocates it). *)
 
 val signal : t -> string -> unit
 (** Declare a symmetric signal variable. *)

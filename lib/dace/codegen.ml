@@ -29,8 +29,6 @@ let rec sem_body ind sem =
       "%s    %s[i*%s+y*%s+x] = (%s[(i-1)*%s+y*%s+x] + %s[(i+1)*%s+y*%s+x] + /* y,x neighbours */ ...) / 6.0f;"
       ind dst (e plane_width) (e row_width) src (e plane_width) (e row_width) src
       (e plane_width) (e row_width)
-  | Copy_elems { src; dst; src_off; dst_off } ->
-    line "%s%s[%s + i] = %s[%s + i];" ind dst (e dst_off) src (e src_off)
   | Fill { dst; value } -> line "%s%s[i] = %g;" ind dst value
   | Init_global { dst; global_off } -> line "%s%s[i] = init_value(%s + i);" ind dst (e global_off)
   | Init_global2d { dst; row_width; global_row0; global_row_width; global_col0 } ->
@@ -96,9 +94,6 @@ let rec emit_baseline_stmt ~state ind stmt =
   | S_map m ->
     let kname = Printf.sprintf "%s_map_%s" state m.m_var in
     line "%s%s<<<grid, block, 0, stream>>>(/* %s..%s */);" ind kname (e m.m_lo) (e m.m_hi)
-  | S_copy { c_src; c_src_region; c_dst; c_dst_region } ->
-    line "%scudaMemcpyAsync(&%s[%s], &%s[%s], %s * sizeof(float), cudaMemcpyDeviceToDevice, stream);"
-      ind c_dst (e c_dst_region.offset) c_src (e c_src_region.offset) (e c_src_region.count)
   | S_lib (Mpi_isend _ as node) ->
     line "%scudaStreamSynchronize(stream);" ind;
     lib_call ind node
@@ -117,7 +112,7 @@ let rec collect_kernels ~state stmts =
       | S_map m -> emit_map_kernel (Printf.sprintf "%s_map_%s" state m.m_var) m
       | S_cond { then_; _ } -> collect_kernels ~state then_
       | S_role { body; _ } -> collect_kernels ~state body
-      | S_copy _ | S_lib _ | S_grid_sync -> ())
+      | S_lib _ | S_grid_sync -> ())
     stmts
 
 let emit_baseline sdfg =
@@ -180,9 +175,6 @@ let rec emit_persistent_stmt ind stmt =
       (e m.m_hi);
     sem_body (ind ^ "  ") m.m_sem;
     line "%s}" ind
-  | S_copy { c_src; c_src_region; c_dst; c_dst_region } ->
-    line "%sdevice_copy(&%s[%s], &%s[%s], %s); // thread-parallel in-kernel copy" ind c_dst
-      (e c_dst_region.offset) c_src (e c_src_region.offset) (e c_src_region.count)
   | S_lib node ->
     line "%sif (threadIdx.x == 0 && blockIdx.x == 0) {" ind;
     lib_call (ind ^ "  ") node;

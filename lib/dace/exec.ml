@@ -136,8 +136,7 @@ let guarded lw env cond body =
 (* Data arrays a semantic touches; phantom operands make the whole map a
    data no-op, so its body lowers to nothing. *)
 let rec sem_arrays = function
-  | Jacobi1d { src; dst } | Jacobi2d { src; dst; _ } | Jacobi3d { src; dst; _ }
-  | Copy_elems { src; dst; _ } -> [ src; dst ]
+  | Jacobi1d { src; dst } | Jacobi2d { src; dst; _ } | Jacobi3d { src; dst; _ } -> [ src; dst ]
   | Fill { dst; _ } | Init_global { dst; _ } | Init_global2d { dst; _ } -> [ dst ]
   | Multi sems -> List.concat_map sem_arrays sems
 
@@ -181,10 +180,6 @@ let rec lower_sem lw env sem =
             /. 6.0)
         done
       done
-  | Copy_elems { src; dst; src_off; dst_off } ->
-    let s = buf src and d = buf dst in
-    let src_off = ex lw src_off and dst_off = ex lw dst_off in
-    fun i -> G.Buffer.set d (dst_off slots + i) (G.Buffer.get s (src_off slots + i))
   | Fill { dst; value } ->
     let d = buf dst in
     fun i -> G.Buffer.set d i value
@@ -406,7 +401,7 @@ let request_names states =
     | S_lib (Mpi_isend { req; _ } | Mpi_irecv { req; _ }) -> [ req ]
     | S_lib (Mpi_waitall names) -> names
     | S_cond { then_ = body; _ } | S_role { body; _ } -> List.concat_map of_stmt body
-    | S_map _ | S_copy _ | S_lib _ | S_grid_sync -> []
+    | S_map _ | S_lib _ | S_grid_sync -> []
   in
   List.concat_map (fun st -> List.concat_map of_stmt st.stmts) states
 
@@ -452,18 +447,6 @@ let lower_host_state lw env stream st =
           if Time.(cost > Time.zero) then E.Engine.delay eng cost;
           body ()
       | Gpu_persistent -> fun () -> fail "persistent-scheduled map in the baseline backend")
-    | S_copy { c_src; c_src_region; c_dst; c_dst_region } ->
-      let* dst = buf_of lw c_dst in
-      let* src = buf_of lw c_src in
-      let src_off = ex lw c_src_region.offset and dst_off = ex lw c_dst_region.offset in
-      let src_stride = ex lw c_src_region.stride and dst_stride = ex lw c_dst_region.stride in
-      let len = ex lw c_src_region.count in
-      fun () ->
-        env.used_gpu <- true;
-        let src_pos = src_off slots and dst_pos = dst_off slots in
-        if src_stride slots <> 1 || dst_stride slots <> 1 then
-          fail "baseline S_copy supports contiguous regions only";
-        G.Runtime.memcpy_async ctx ~stream ~src ~src_pos ~dst ~dst_pos ~len:(len slots)
     | S_lib (Mpi_isend { arr; region; dst_rank; tag; req }) ->
       let region = mpi_region arr region and dst = ex lw dst_rank and r = lw.request_of req in
       fun () ->
@@ -539,7 +522,7 @@ let rec contains_role stmts =
     (function
       | S_role _ -> true
       | S_cond { then_; _ } -> contains_role then_
-      | S_map _ | S_copy _ | S_lib _ | S_grid_sync -> false)
+      | S_map _ | S_lib _ | S_grid_sync -> false)
     stmts
 
 (* Statements outside any S_role belong to the compute group under the
@@ -548,7 +531,7 @@ let rec contains_role stmts =
 let stmt_visible_to ~role stmt =
   match (role, stmt) with
   | Role_all, _ | _, S_grid_sync | _, S_role _ -> true
-  | Role_comm, (S_map _ | S_copy _ | S_lib _ | S_cond _) -> false
+  | Role_comm, (S_map _ | S_lib _ | S_cond _) -> false
   | Role_compute, _ -> true
 
 let lower_kernel_stmt lw env grid ~role =
@@ -580,27 +563,6 @@ let lower_kernel_stmt lw env grid ~role =
           body ();
           E.Engine.log_compute eng ~since:t0 ~lane ~label
       | Gpu_device -> fun () -> fail "discrete-scheduled map inside the persistent kernel")
-    | S_copy { c_src; c_src_region; c_dst; c_dst_region } ->
-      (* In-kernel array copy (the thread-parallel copy routine of Section 5.1). *)
-      let count = staged lw c_src_region.count in
-      let cost = S.force (stage_map count (stencil_time arch ~sm_fraction ~efficiency:1.0)) in
-      let copy =
-        match (buf_of lw c_dst, buf_of lw c_src) with
-        | Error m, _ | _, Error m -> fun _ -> raise (Lowering_error m)
-        | Ok dst, Ok src ->
-          let src_pos = ex lw c_src_region.offset and src_stride = ex lw c_src_region.stride in
-          let dst_pos = ex lw c_dst_region.offset and dst_stride = ex lw c_dst_region.stride in
-          fun count ->
-            G.Buffer.blit_strided ~src ~src_pos:(src_pos slots) ~src_stride:(src_stride slots)
-              ~dst ~dst_pos:(dst_pos slots) ~dst_stride:(dst_stride slots) ~count
-      in
-      let count = S.force count in
-      fun () ->
-        let len = count slots in
-        let t0 = E.Engine.now eng in
-        E.Engine.delay eng (cost slots);
-        copy len;
-        E.Engine.log_compute eng ~since:t0 ~lane ~label:"copy"
     | S_lib node -> lower_nv_node lw env node
     | S_cond { cond; then_ } -> guarded lw env cond (seq (List.map lower then_))
     | S_role { role = r; body } -> (

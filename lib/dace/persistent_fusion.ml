@@ -13,12 +13,12 @@ let to_persistent_schedule stmts =
     | S_map m -> S_map { m with m_schedule = Gpu_persistent }
     | S_cond { cond; then_ } -> S_cond { cond; then_ = List.map rewrite then_ }
     | S_role { role; body } -> S_role { role; body = List.map rewrite body }
-    | (S_copy _ | S_lib _ | S_grid_sync) as s -> s
+    | (S_lib _ | S_grid_sync) as s -> s
   in
   List.map rewrite stmts
 
 let rec touches_global = function
-  | S_map _ | S_copy _ -> true
+  | S_map _ -> true
   | S_lib
       ( Nv_put _ | Nv_putmem _ | Nv_putmem_signal _ | Nv_iput _ | Nv_p _ | Nv_signal_op _
       | Nv_signal_wait _ | Nv_quiet ) -> true
@@ -63,7 +63,7 @@ let barrier_count t =
     | S_grid_sync -> 1
     | S_cond { then_; _ } -> List.fold_left (fun acc s -> acc + count_stmt s) 0 then_
     | S_role { body; _ } -> List.fold_left (fun acc s -> acc + count_stmt s) 0 body
-    | S_map _ | S_copy _ | S_lib _ -> 0
+    | S_map _ | S_lib _ -> 0
   in
   List.fold_left
     (fun acc st -> acc + List.fold_left (fun a s -> a + count_stmt s) 0 st.stmts)
@@ -77,7 +77,7 @@ let rec comm_only_stmt = function
   | S_lib _ -> true
   | S_cond { then_; _ } -> List.for_all comm_only_stmt then_
   | S_grid_sync -> true
-  | S_map _ | S_copy _ | S_role _ -> false
+  | S_map _ | S_role _ -> false
 
 let is_exchange_state st = st.stmts <> [] && List.for_all comm_only_stmt st.stmts
 
@@ -154,7 +154,7 @@ let split_map (m : map_stmt) =
     in
     let edge at = S_map { m with m_lo = at; m_hi = at } in
     Some ([ interior ], [ edge m.m_lo; edge m.m_hi ])
-  | Copy_elems _ | Fill _ | Init_global _ | Init_global2d _ | Multi _ -> None
+  | Fill _ | Init_global _ | Init_global2d _ | Multi _ -> None
 
 let fuse_pair ex comp (m : map_stmt) =
   match split_map m with

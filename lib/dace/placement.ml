@@ -67,7 +67,7 @@ let shard_map ~n ~global m =
   | Fill _ ->
     if const_eq m.m_lo 0 && const_eq m.m_hi (global + 1) then Ok { m with m_hi = c (n + 1) }
     else Error (Printf.sprintf "fill map(%s) range is not [0, N+1]" m.m_var)
-  | Jacobi2d _ | Jacobi3d _ | Copy_elems _ | Init_global2d _ | Multi _ ->
+  | Jacobi2d _ | Jacobi3d _ | Init_global2d _ | Multi _ ->
     Error
       (Printf.sprintf "map(%s): only 1-D stencil/init/fill maps are shardable" m.m_var)
 
@@ -80,7 +80,7 @@ let shard_state ~n ~global st =
         | S_map m ->
           let* m = shard_map ~n ~global m in
           Ok (S_map m :: rev)
-        | S_copy _ | S_lib _ | S_cond _ | S_role _ | S_grid_sync ->
+        | S_lib _ | S_cond _ | S_role _ | S_grid_sync ->
           Error
             (Printf.sprintf "state %s holds a non-map statement; cannot shard" st.st_name))
       (Ok []) st.stmts

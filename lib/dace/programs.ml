@@ -137,7 +137,7 @@ let two_buffer form ~name ~prefix ~dirs ~arr_size ~init ~compute ~tsteps ~symbol
         | Nvshmem -> exchange_nvshmem (dirs arr) ~arr ~flag:(flag arr));
     }
   in
-  let buffer arr_name = { arr_name; arr_size; storage = Host_heap; transient = false } in
+  let buffer arr_name = { arr_name; arr_size; storage = Host_heap } in
   {
     sdfg_name = name;
     arrays = [ buffer "A"; buffer "B" ];
@@ -445,7 +445,7 @@ let smoother_global cfg =
     }
   in
   let arr name =
-    { arr_name = name; arr_size = c (n + 2); storage = Host_heap; transient = false }
+    { arr_name = name; arr_size = c (n + 2); storage = Host_heap }
   in
   let body = [ "smooth_V"; "smooth_W"; "smooth_U" ] in
   {

@@ -5,7 +5,6 @@ type array_desc = {
   arr_name : string;
   arr_size : Symbolic.expr;
   storage : storage;
-  transient : bool;
 }
 
 type region = { offset : Symbolic.expr; stride : Symbolic.expr; count : Symbolic.expr }
@@ -29,7 +28,6 @@ type map_sem =
       plane_width : Symbolic.expr;
       ny : Symbolic.expr;
     }
-  | Copy_elems of { src : string; dst : string; src_off : Symbolic.expr; dst_off : Symbolic.expr }
   | Fill of { dst : string; value : float }
   | Init_global of { dst : string; global_off : Symbolic.expr }
   | Init_global2d of {
@@ -85,7 +83,6 @@ type role_kind = Comm_role | Compute_role
 
 type stmt =
   | S_map of map_stmt
-  | S_copy of { c_src : string; c_src_region : region; c_dst : string; c_dst_region : region }
   | S_lib of libnode
   | S_cond of { cond : Symbolic.cond; then_ : stmt list }
   | S_role of { role : role_kind; body : stmt list }
@@ -122,7 +119,7 @@ let map_stmts t ~f =
     match stmt with
     | S_cond { cond; then_ } -> [ S_cond { cond; then_ = List.concat_map rewrite then_ } ]
     | S_role { role; body } -> [ S_role { role; body = List.concat_map rewrite body } ]
-    | S_map _ | S_copy _ | S_lib _ | S_grid_sync -> f stmt
+    | S_map _ | S_lib _ | S_grid_sync -> f stmt
   in
   map_states t ~f:(fun st -> { st with stmts = List.concat_map rewrite st.stmts })
 

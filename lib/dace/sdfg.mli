@@ -2,8 +2,7 @@
     of DaCe's IR the paper's benchmarks exercise).
 
     An SDFG is a control-flow graph of {e states}; each state holds dataflow:
-    data-parallel {!map}s over a symbolic range, array-to-array copies, and
-    {e library nodes} — high-level communication constructs (MPI, and this
+    data-parallel {!map}s over a symbolic range and {e library nodes} — high-level communication constructs (MPI, and this
     work's contribution: GPU-initiated NVSHMEM nodes) that expand to concrete
     operations during lowering. Interstate edges carry conditions and symbol
     assignments, which is how loops ([for t in range(1, TSTEPS)]) are
@@ -27,7 +26,6 @@ type array_desc = {
   arr_name : string;
   arr_size : Symbolic.expr;  (** elements *)
   storage : storage;
-  transient : bool;
 }
 
 (** A strided 1-D view of an array: [count] elements starting at [offset],
@@ -58,8 +56,6 @@ type map_sem =
       plane_width : Symbolic.expr;  (** padded x*y extent *)
       ny : Symbolic.expr;  (** interior y extent *)
     }  (** map index = z plane; 7-point update of the plane's interior *)
-  | Copy_elems of { src : string; dst : string; src_off : Symbolic.expr; dst_off : Symbolic.expr }
-      (** over index i: [dst[dst_off + i] = src[src_off + i]] *)
   | Fill of { dst : string; value : float }
   | Init_global of { dst : string; global_off : Symbolic.expr }
       (** over index i: [dst[i] = init_value (global_off + i)] — deterministic
@@ -122,7 +118,6 @@ type role_kind = Comm_role | Compute_role
 
 type stmt =
   | S_map of map_stmt
-  | S_copy of { c_src : string; c_src_region : region; c_dst : string; c_dst_region : region }
   | S_lib of libnode
   | S_cond of { cond : Symbolic.cond; then_ : stmt list }
       (** rank-dependent guard (the [if rank > 0:] of the distributed

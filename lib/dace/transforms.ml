@@ -3,21 +3,20 @@ open Sdfg
 let gpu_transform sdfg =
   let sdfg =
     map_array sdfg ~f:(fun a ->
-        if a.storage = Host_heap && not a.transient then { a with storage = Gpu_global } else a)
+        if a.storage = Host_heap then { a with storage = Gpu_global } else a)
   in
   map_stmts sdfg ~f:(fun stmt ->
       match stmt with
       | S_map m when m.m_schedule = Sequential -> [ S_map { m with m_schedule = Gpu_device } ]
-      | S_map _ | S_copy _ | S_lib _ | S_cond _ | S_role _ | S_grid_sync -> [ stmt ])
+      | S_map _ | S_lib _ | S_cond _ | S_role _ | S_grid_sync -> [ stmt ])
 
 let rec sem_writes = function
-  | Jacobi1d { dst; _ } | Jacobi2d { dst; _ } | Jacobi3d { dst; _ } | Copy_elems { dst; _ }
-  | Fill { dst; _ } | Init_global { dst; _ } | Init_global2d { dst; _ } -> [ dst ]
+  | Jacobi1d { dst; _ } | Jacobi2d { dst; _ } | Jacobi3d { dst; _ } | Fill { dst; _ }
+  | Init_global { dst; _ } | Init_global2d { dst; _ } -> [ dst ]
   | Multi sems -> List.concat_map sem_writes sems
 
 let rec sem_reads = function
-  | Jacobi1d { src; _ } | Jacobi2d { src; _ } | Jacobi3d { src; _ } | Copy_elems { src; _ } ->
-    [ src ]
+  | Jacobi1d { src; _ } | Jacobi2d { src; _ } | Jacobi3d { src; _ } -> [ src ]
   | Fill _ | Init_global _ | Init_global2d _ -> []
   | Multi sems -> List.concat_map sem_reads sems
 
@@ -64,7 +63,7 @@ let nvshmem_arrays_used sdfg =
     | S_lib node -> note node
     | S_cond { then_; _ } -> List.iter scan then_
     | S_role { body; _ } -> List.iter scan body
-    | S_map _ | S_copy _ | S_grid_sync -> ()
+    | S_map _ | S_grid_sync -> ()
   in
   List.iter (fun st -> List.iter scan st.stmts) sdfg.states;
   List.sort_uniq String.compare !acc
@@ -117,7 +116,7 @@ let expand_nvshmem sdfg =
       match stmt with
       | S_lib (Nv_put { src; src_region; dst; dst_region; to_pe; signal }) ->
         expand_put ~src ~src_region ~dst ~dst_region ~to_pe ~signal
-      | S_map _ | S_copy _ | S_lib _ | S_cond _ | S_role _ | S_grid_sync -> [ stmt ])
+      | S_map _ | S_lib _ | S_cond _ | S_role _ | S_grid_sync -> [ stmt ])
 
 let replace_mpi_with_nvshmem_check sdfg =
   let remaining = ref [] in
@@ -127,7 +126,7 @@ let replace_mpi_with_nvshmem_check sdfg =
     | S_lib (Mpi_waitall _) -> remaining := ("MPI_Waitall in " ^ in_state) :: !remaining
     | S_cond { then_; _ } -> List.iter (scan in_state) then_
     | S_role { body; _ } -> List.iter (scan in_state) body
-    | S_map _ | S_copy _ | S_lib _ | S_grid_sync -> ()
+    | S_map _ | S_lib _ | S_grid_sync -> ()
   in
   List.iter (fun st -> List.iter (scan st.st_name) st.stmts) sdfg.states;
   match !remaining with

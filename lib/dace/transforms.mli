@@ -8,7 +8,7 @@ val sem_reads : Sdfg.map_sem -> string list
 
 val gpu_transform : Sdfg.t -> Sdfg.t
 (** DaCe's GPUTransform: schedule every sequential map as a discrete GPU
-    kernel and move non-transient host arrays to GPU global memory — the
+    kernel and move every host array to GPU global memory — the
     "trivially port to CUDA" step of §6.2.1. *)
 
 val map_fusion : Sdfg.t -> Sdfg.t * int

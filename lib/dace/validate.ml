@@ -25,7 +25,7 @@ let check ?(require_symmetric = false) sdfg =
           | S_map m -> [ m.m_var ]
           | S_cond { then_; _ } -> List.concat_map vars then_
           | S_role { body; _ } -> List.concat_map vars body
-          | S_copy _ | S_lib _ | S_grid_sync -> []
+          | S_lib _ | S_grid_sync -> []
         in
         List.concat_map vars st.stmts)
       sdfg.states
@@ -140,11 +140,6 @@ let check ?(require_symmetric = false) sdfg =
       check_array ~in_state (who "jacobi3d") src;
       check_array ~in_state (who "jacobi3d") dst;
       List.iter (check_expr ~in_state (who "jacobi3d")) [ row_width; plane_width; ny ]
-    | Copy_elems { src; dst; src_off; dst_off } ->
-      check_array ~in_state (who "copy") src;
-      check_array ~in_state (who "copy") dst;
-      check_expr ~in_state (who "copy") src_off;
-      check_expr ~in_state (who "copy") dst_off
     | Fill { dst; _ } -> check_array ~in_state (who "fill") dst
     | Init_global { dst; global_off } ->
       check_array ~in_state (who "init") dst;
@@ -163,12 +158,6 @@ let check ?(require_symmetric = false) sdfg =
       check_expr ~in_state (Printf.sprintf "map(%s) range" m.m_var) m.m_hi;
       check_expr ~in_state (Printf.sprintf "map(%s) work" m.m_var) m.m_work;
       check_sem ~in_state ~who m.m_sem
-    | S_copy { c_src; c_src_region; c_dst; c_dst_region } ->
-      let what = Printf.sprintf "copy %s -> %s" c_src c_dst in
-      check_array ~in_state what c_src;
-      check_array ~in_state what c_dst;
-      check_region ~in_state what c_src_region;
-      check_region ~in_state what c_dst_region
     | S_lib node -> check_lib ~in_state node
     | S_cond { cond; then_ } ->
       (match cond with

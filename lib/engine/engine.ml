@@ -512,10 +512,7 @@ let blocked_procs t =
 let blocked_descriptions t =
   blocked_procs t
   |> List.map (fun p ->
-         (* "p0" is the column the partitioned drivers filled with a
-            partition id; every diagnostic has always read p0 under this
-            driver, and reports stay byte-identical. *)
-         let where = match p.group with Some g -> Printf.sprintf " [p0 %s]" g | None -> " [p0]" in
+         let where = match p.group with Some g -> Printf.sprintf " [%s]" g | None -> "" in
          let edge =
            match p.on_group with Some g -> Printf.sprintf " <- waits on %s" g | None -> ""
          in

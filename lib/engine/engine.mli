@@ -28,8 +28,8 @@
     allocates nothing beyond the thunk itself. A fiber process owns one
     resume thunk for its whole life; a fiberless one allocates a closure
     per step. Diagnostic text — process names ([name_of]) and wait reasons
-    ({!suspend}'s [reason]) — is rendered only when {!Deadlock}, {!Stall}
-    or {!blocked_descriptions} reads it. *)
+    ({!suspend}'s [reason]) — is rendered only when {!Deadlock} or
+    {!stall_report} reads it. *)
 
 type t
 
@@ -38,8 +38,9 @@ type process
 
 exception Deadlock of string list
 (** Raised by {!run} when no event is pending but processes remain blocked.
-    Carries a description of each blocked process — name, pid, group,
-    reason and its wait-for edge when one was declared — plus a final
+    Carries one line per blocked process, as [stall_blocked] of
+    {!stall_report} — name, pid, group, reason and its wait-for edge when
+    one was declared — plus a final
     "wait-for cycle: a -> b -> a" line when the declared edges close a
     cycle. This is how lost-signal bugs in communication protocols surface
     in tests. *)
@@ -47,7 +48,11 @@ exception Deadlock of string list
 type stall_report = {
   stall_at : Time.t;  (** simulated time the stall was diagnosed *)
   stall_trigger : string;  (** what gave up: the watchdog, or a resilient waiter *)
-  stall_blocked : string list;  (** as {!blocked_descriptions} *)
+  stall_blocked : string list;
+      (** one line per blocked non-daemon process, sorted by pid:
+          ["name(#pid) [group]: reason (since T) <- waits on peer"], with no
+          [[group]] column for a process without a group and no edge when
+          none was declared *)
   stall_cycle : string list option;  (** closed wait-for cycle, when one exists *)
 }
 
@@ -181,13 +186,6 @@ val stall_scans : t -> int
 val registered_processes : t -> int
 (** Live (not yet finished) processes currently in the registry. Finished
     processes are dropped eagerly, so this stays bounded on long sweeps. *)
-
-val blocked_descriptions : t -> string list
-(** One line per blocked non-daemon process, sorted by pid:
-    "name(#pid) [p0 group]: reason (since T) <- waits on peer" (the [p0]
-    column is kept from the retired partitioned drivers, so reports stay
-    byte-identical). The body of what {!Deadlock} carries (which appends a
-    wait-for cycle line when the declared edges close one). *)
 
 module Queue : sig
   (** The event queue {!run} drains. Future events sit in a binary

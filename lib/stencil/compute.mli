@@ -9,7 +9,7 @@
 
 val apply :
   Problem.dims -> src:Cpufree_gpu.Buffer.t -> dst:Cpufree_gpu.Buffer.t -> p0:int -> p1:int -> unit
-(** Update storage planes [p0..p1] (inclusive, owned-plane coordinates
+(** Update storage planes [~p0] to [~p1] (inclusive, owned-plane coordinates
      1-based) of [dst] from [src]. *)
 
 val reference : Problem.t -> float array

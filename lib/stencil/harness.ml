@@ -59,7 +59,7 @@ let restart_cost (arch : Cpufree_gpu.Arch.t) problem ~gpus ~survivors =
   let wire = Time.of_ns_float (shard_bytes *. ns_per_byte /. float_of_int (max 1 survivors)) in
   Time.add (Time.us 20) wire
 
-let run_resilient ?arch ?watchdog ?(env = Env.default) ~checkpoint_every kind problem ~gpus =
+let run_resilient ?arch ?(env = Env.default) ~checkpoint_every kind problem ~gpus =
   if checkpoint_every <= 0 then
     invalid_arg "Harness.run_resilient: checkpoint interval must be positive";
   let spec =
@@ -68,7 +68,7 @@ let run_resilient ?arch ?watchdog ?(env = Env.default) ~checkpoint_every kind pr
     | None -> invalid_arg "Harness.run_resilient: env.faults must be set"
   in
   let run_chaos ~env problem ~gpus =
-    Option.get (Measure.run ?watchdog (scenario_env ?arch ~env kind problem ~gpus)).Measure.chaos
+    Option.get (Measure.run (scenario_env ?arch ~env kind problem ~gpus)).Measure.chaos
   in
   let first = run_chaos ~env problem ~gpus in
   (* Nothing healed: a completed run, or an abort that is not a diagnosed

@@ -65,8 +65,7 @@ type resilient_run = {
 }
 
 val run_resilient :
-  ?arch:Cpufree_gpu.Arch.t -> ?watchdog:Cpufree_engine.Time.t ->
-  ?env:Cpufree_obs.Sim_env.t -> checkpoint_every:int ->
+  ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t -> checkpoint_every:int ->
   Variants.kind -> Problem.t -> gpus:int -> resilient_run
 (** Self-healing driver: run the variant under [env]'s fault plan
     (which must be set), snapshotting state every [checkpoint_every]

@@ -28,8 +28,6 @@ let fault_pool =
           | Error e -> failwith ("fault pool: " ^ e))
         [ "drop=0.3"; "delay=0.1@2000;straggler=1x1.5"; "kill=2@500;retry=50x6;backoff=2" ])
 
-let pdes_pool = [| None; Some `Seq |]
-
 let workload_pool =
   Array.of_list
     (List.concat_map
@@ -52,10 +50,10 @@ let pick pool = QCheck.int_bound (Array.length pool - 1)
 let arbitrary_scenario =
   QCheck.(
     map
-      (fun ((w, t, f), (seed, p, gpus), (arch, trace, metrics)) ->
+      (fun ((w, t, f), (seed, gpus), (arch, trace, metrics)) ->
         Scenario.make ~arch ?topology:topology_pool.(t) ~gpus ?faults:fault_pool.(f)
-          ~fault_seed:seed ?pdes:pdes_pool.(p) ~trace ~metrics workload_pool.(w))
+          ~fault_seed:seed ~trace ~metrics workload_pool.(w))
       (triple
          (triple (pick workload_pool) (pick topology_pool) (pick fault_pool))
-         (triple (int_bound 1000) (pick pdes_pool) (oneofl [ 8; 16; 32 ]))
+         (pair (int_bound 1000) (oneofl [ 8; 16; 32 ]))
          (triple (oneofl [ "a100"; "h100" ]) bool bool)))

@@ -1,6 +1,6 @@
 (* The generic auto-offload pass: analysis classification, 1-D sharding
    (placement) verified numerically against the sequential reference, and
-   the autotuner's search — determinism across runs and PDES modes, and the
+   the autotuner's search — determinism across runs and observers, and the
    match-or-beat guarantee against the hand-built pipelines. *)
 
 module E = Cpufree_engine
@@ -161,16 +161,16 @@ let beats_hand_built (name, app, iters) =
 let search_tests =
   List.map beats_hand_built apps
   @ [
-      Alcotest.test_case "search is deterministic across runs and PDES modes" `Quick
+      Alcotest.test_case "search is deterministic across runs and observers" `Quick
         (fun () ->
           let sdfg = Programs.smoother_global smoother_cfg in
           let run env = search_exn ~env sdfg ~gpus:4 ~iterations:smoother_cfg.Programs.sm_steps in
           let d1 = run Sim_env.default in
           let d2 = run Sim_env.default in
-          let d3 = run { Sim_env.default with Sim_env.pdes = Some `Seq } in
+          let d3 = run (Sim_env.make ~metrics:(Cpufree_obs.Metrics.create ()) ()) in
           let plan d = Autotune.plan_to_string d.Autotune.best in
           check_string "rerun" (plan d1) (plan d2);
-          check_string "seq" (plan d1) (plan d3);
+          check_string "observed" (plan d1) (plan d3);
           check_int "same cost" 0 (Time.compare d1.Autotune.predicted d3.Autotune.predicted));
       Alcotest.test_case "smoother: search offloads host-size problems nowhere" `Quick
         (fun () ->

@@ -87,8 +87,8 @@ let nvshmem_tests =
         | exception Engine.Stall r ->
           check (Alcotest.list Alcotest.string) "blocked"
             [
-              "main(#1) [p0]: flag f@pe1 (value 0) (since 350ns)";
-              "nvshmem.putmem_signal_nbi.pe0.1(#3) [p0]: delay (since 350ns)";
+              "main(#1): flag f@pe1 (value 0) (since 350ns)";
+              "nvshmem.putmem_signal_nbi.pe0.1(#3): delay (since 350ns)";
             ]
             r.Engine.stall_blocked);
     Alcotest.test_case "putmem_signal raises the flag only after the data" `Quick (fun () ->
@@ -869,8 +869,8 @@ let delivery_tests =
         (fun () ->
           check (Alcotest.list Alcotest.string) "blocked"
             [
-              "main(#1) [p0]: flag f@pe1 (value 0, deadline 25.35us) (since 350ns)";
-              "nvshmem.putmem_signal_nbi.pe0.1(#3) [p0]: delay (since 350ns)";
+              "main(#1): flag f@pe1 (value 0, deadline 25.35us) (since 350ns)";
+              "nvshmem.putmem_signal_nbi.pe0.1(#3): delay (since 350ns)";
             ]
             (in_flight_report ~spec:(Some "delay=1.0@30000") (fun nv s f ->
                  Nv.putmem_signal_nbi nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:0
@@ -879,8 +879,8 @@ let delivery_tests =
       Alcotest.test_case "an iput in flight is named in a stall report" `Quick (fun () ->
           check (Alcotest.list Alcotest.string) "blocked"
             [
-              "main(#1) [p0]: flag pe0.pending (value 1) (since 350ns)";
-              "nvshmem.iput_nbi.pe0.1(#3) [p0]: delay (since 350ns)";
+              "main(#1): flag pe0.pending (value 1) (since 350ns)";
+              "nvshmem.iput_nbi.pe0.1(#3): delay (since 350ns)";
             ]
             (in_flight_report ~spec:None (fun nv s _ ->
                  Nv.iput_nbi nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:0
@@ -915,8 +915,8 @@ let delivery_tests =
             check_int "clock" 450 (Time.to_ns (Engine.now eng));
             check_int "live processes" 1 (Engine.registered_processes eng);
             check (Alcotest.list Alcotest.string) "blocked"
-              [ "main(#1) [p0]: flag pe0.pending (value 1) (since 450ns)" ]
-              (Engine.blocked_descriptions eng));
+              [ "main(#1): flag pe0.pending (value 1) (since 450ns)" ]
+              (Engine.stall_report eng ~trigger:"partitioned").Engine.stall_blocked);
     ]
 
 let () =

@@ -386,31 +386,6 @@ let json_tests =
           (Json.to_string ~indent:0 (Json.Float Float.infinity)));
   ]
 
-(* --- PDES mode ------------------------------------------------------------ *)
-
-let with_pdes value f =
-  Unix.putenv "CPUFREE_PDES" value;
-  Fun.protect ~finally:(fun () -> Unix.putenv "CPUFREE_PDES" "") f
-
-let pdes_tests =
-  [
-    Alcotest.test_case "pdes_mode parses the CPUFREE_PDES knob" `Quick (fun () ->
-        let mode v = with_pdes v Cpufree_obs.Sim_env.pdes_of_env_var in
-        check_bool "empty is seq" true (mode "" = `Seq);
-        check_bool "seq" true (mode "seq" = `Seq);
-        check_bool "sequential" true (mode "Sequential" = `Seq);
-        let rejected v =
-          Alcotest.check_raises (v ^ " rejected with the valid modes listed")
-            (Invalid_argument
-               (Printf.sprintf
-                  "CPUFREE_PDES=%S: valid modes are \"seq\", \"sequential\" (the parallel \
-                   drivers were removed)"
-                  v))
-            (fun () -> ignore (mode v))
-        in
-        List.iter rejected [ "windowed"; "adaptive"; "optimistic"; "turbo" ]);
-  ]
-
 (* --- verification ------------------------------------------------------------ *)
 
 let verify_result cells =
@@ -452,5 +427,4 @@ let () =
       ("determinism", determinism_tests);
       ("parallel", parallel_tests @ parallel_props);
       ("json", json_tests);
-      ("pdes", pdes_tests);
     ]

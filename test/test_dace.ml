@@ -446,7 +446,7 @@ let transforms_tests =
     Alcotest.test_case "nvshmem_array marks only touched arrays" `Quick (fun () ->
         let s = Programs.jacobi1d_nvshmem { Programs.n_global = 32; tsteps = 3 } ~gpus:4 in
         let extra =
-          { Sdfg.arr_name = "scratch"; arr_size = c 8; storage = Sdfg.Host_heap; transient = true }
+          { Sdfg.arr_name = "scratch"; arr_size = c 8; storage = Sdfg.Host_heap }
         in
         let s = { s with Sdfg.arrays = extra :: s.Sdfg.arrays } in
         let s = Transforms.nvshmem_array s in

@@ -886,7 +886,7 @@ let partition_tests =
         Engine.run eng;
         check_int "registry drained" 0 (Engine.registered_processes eng);
         check (Alcotest.list Alcotest.string) "nothing blocked" []
-          (Engine.blocked_descriptions eng));
+          (Engine.stall_report eng ~trigger:"probe").Engine.stall_blocked);
     Alcotest.test_case "blocked daemons stay registered, finished ones do not" `Quick
       (fun () ->
         let eng = Engine.create () in
@@ -968,7 +968,7 @@ let diagnostics_tests =
         in
         let lines = deadlock_lines (fun () -> Engine.run eng) in
         check (Alcotest.list Alcotest.string) "report"
-          [ "waiter(#1) [p0 gpu0]: flag f (value 0) (since 0ns)" ]
+          [ "waiter(#1) [gpu0]: flag f (value 0) (since 0ns)" ]
           lines;
         check_int "flag moved on" 1 (Sync.Flag.get f));
     Alcotest.test_case "barrier and mailbox reasons" `Quick (fun () ->
@@ -981,9 +981,9 @@ let diagnostics_tests =
         spawn "mb" (fun () -> ignore (Sync.Mailbox.recv m : int));
         check (Alcotest.list Alcotest.string) "report"
           [
-            "b1(#1) [p0]: barrier b (gen 0, 1/3) (since 0ns)";
-            "b2(#2) [p0]: barrier b (gen 0, 2/3) (since 0ns)";
-            "mb(#3) [p0]: mailbox m (since 0ns)";
+            "b1(#1): barrier b (gen 0, 1/3) (since 0ns)";
+            "b2(#2): barrier b (gen 0, 2/3) (since 0ns)";
+            "mb(#3): mailbox m (since 0ns)";
           ]
           (deadlock_lines (fun () -> Engine.run eng)));
     Alcotest.test_case "a deferred process name renders on demand" `Quick (fun () ->
@@ -999,7 +999,7 @@ let diagnostics_tests =
         in
         let lines = deadlock_lines (fun () -> Engine.run eng) in
         check (Alcotest.list Alcotest.string) "report"
-          [ "lazy.pe3.7(#1) [p0]: flag never (value 0) (since 0ns)" ]
+          [ "lazy.pe3.7(#1): flag never (value 0) (since 0ns)" ]
           lines;
         check_int "rendered once, for the report" 1 !rendered;
         check Alcotest.string "process_name" "lazy.pe3.7" (Engine.process_name p));
@@ -1069,7 +1069,7 @@ let callback_tests =
         | () -> Alcotest.fail "expected the probe's stall"
         | exception Engine.Stall r ->
           check (Alcotest.list Alcotest.string) "blocked"
-            [ "cb.lazy(#1) [p0]: delay (since 0ns)" ]
+            [ "cb.lazy(#1): delay (since 0ns)" ]
             r.Engine.stall_blocked);
     Alcotest.test_case "an exception in a step finishes the process and leaves run" `Quick
       (fun () ->

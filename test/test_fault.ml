@@ -267,8 +267,8 @@ let engine_tests =
           check_int "two blocked + cycle line" 3 (List.length lines);
           check_bool "cycle rendered" true
             (List.exists (fun l -> Astring.String.is_infix ~affix:"wait-for cycle" l) lines);
-          check_bool "partitions and groups shown" true
-            (List.exists (fun l -> Astring.String.is_infix ~affix:"[p0 gpu0]" l) lines)));
+          check_bool "groups shown" true
+            (List.exists (fun l -> Astring.String.is_infix ~affix:"a(#1) [gpu0]: " l) lines)));
     Alcotest.test_case "deadlock without a cycle omits the cycle line" `Quick (fun () ->
         let eng = Engine.create () in
         let fa = E.Sync.Flag.create ~name:"fa" eng 0 in
@@ -420,10 +420,6 @@ let chaos_digest (c : Measure.chaos) =
     (c.Measure.dropped, c.Measure.delayed, c.Measure.resent, c.Measure.retried),
     Array.to_list c.Measure.progress )
 
-let in_mode mode f =
-  Unix.putenv "CPUFREE_PDES" mode;
-  Fun.protect ~finally:(fun () -> Unix.putenv "CPUFREE_PDES" "seq") f
-
 let chaos_tests =
   [
     Alcotest.test_case "an unrecoverable chaos run degrades gracefully" `Quick (fun () ->
@@ -472,10 +468,8 @@ let chaos_tests =
                   ~env:(Env.make ~faults:(Fault.preset ~intensity) ~fault_seed:seed ())
                   S.Variants.Cpu_free small_problem ~gpus:2)
            in
-           let seq1 = in_mode "seq" run in
-           let seq2 = in_mode "seq" run in
-           let unset = in_mode "" run in
-           seq1 = seq2 && seq1 = unset));
+           let first = run () in
+           first = run () && first = run ()));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"baseline scheme chaos is equally reproducible" ~count:4
          QCheck.(int_bound 999)
@@ -507,8 +501,8 @@ let chaos_tests =
              in
              (chaos_digest c, c.Measure.trigger)
            in
-           let seq = in_mode "seq" run in
-           List.for_all (fun mode -> in_mode mode run = seq) [ "seq"; "" ]));
+           let first = run () in
+           first = run () && first = run ()));
   ]
 
 let () =

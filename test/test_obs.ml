@@ -23,10 +23,6 @@ let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
 let check_string = check Alcotest.string
 
-let in_mode mode f =
-  Unix.putenv "CPUFREE_PDES" mode;
-  Fun.protect ~finally:(fun () -> Unix.putenv "CPUFREE_PDES" "seq") f
-
 (* --- metrics registry ----------------------------------------------------- *)
 
 let metrics_tests =
@@ -199,21 +195,15 @@ let sim_env_tests =
         check_bool "no faults" true (e.Env.faults = None);
         check_int "seed 0" 0 e.Env.fault_seed;
         check_bool "unobserved" true (e.Env.trace = None && e.Env.metrics = None));
-    Alcotest.test_case "resolve_pdes: explicit field beats CPUFREE_PDES" `Quick (fun () ->
-        in_mode "windowed" (fun () ->
-            check_bool "env var rejected" true
-              (match Env.resolve_pdes Env.default with
-              | `Seq -> false
-              | exception Invalid_argument _ -> true);
-            check_bool "field wins" true
-              (Env.resolve_pdes (Env.make ~pdes:`Seq ()) = `Seq)));
-    Alcotest.test_case "pdes_of_env_var rejects junk" `Quick (fun () ->
-        in_mode "bogus" (fun () ->
-            check_bool "raises" true
-              (try
-                 ignore (Env.pdes_of_env_var ());
-                 false
-               with Invalid_argument _ -> true)));
+    Alcotest.test_case "Measure.run ignores CPUFREE_PDES" `Quick (fun () ->
+        let run () =
+          let p = S.Problem.make (S.Problem.D2 { nx = 64; ny = 64 }) ~iterations:4 in
+          (Measure.run (S.Harness.scenario_env S.Variants.Cpu_free p ~gpus:2)).Measure.result
+        in
+        let unset = run () in
+        Unix.putenv "CPUFREE_PDES" "windowed";
+        let set = Fun.protect ~finally:(fun () -> Unix.putenv "CPUFREE_PDES" "") run in
+        check_bool "same result" true (unset = set));
   ]
 
 module Scenario = Cpufree_core.Scenario
@@ -221,15 +211,13 @@ module Scenario = Cpufree_core.Scenario
 let arbitrary_scenario = Scenario_gen.arbitrary_scenario
 
 (* A second scenario one field away from the first (or none), so equal
-   digests come up often: a flipped execution mode must keep the digest,
-   every other change must move it. *)
+   digests come up often: every change must move the digest. *)
 let nudge (sc : Scenario.t) = function
   | 0 -> sc
-  | 1 -> { sc with Scenario.pdes = (if sc.Scenario.pdes = None then Some `Seq else None) }
-  | 2 -> { sc with Scenario.trace = not sc.Scenario.trace }
-  | 3 -> { sc with Scenario.metrics = not sc.Scenario.metrics }
-  | 4 -> { sc with Scenario.fault_seed = sc.Scenario.fault_seed + 1 }
-  | 5 -> { sc with Scenario.gpus = 2 * sc.Scenario.gpus }
+  | 1 -> { sc with Scenario.trace = not sc.Scenario.trace }
+  | 2 -> { sc with Scenario.metrics = not sc.Scenario.metrics }
+  | 3 -> { sc with Scenario.fault_seed = sc.Scenario.fault_seed + 1 }
+  | 4 -> { sc with Scenario.gpus = 2 * sc.Scenario.gpus }
   | _ -> { sc with Scenario.arch = (if sc.Scenario.arch = "a100" then "h100" else "a100") }
 
 (* Workload strings a token of the scenario line cannot carry, beside ones
@@ -299,12 +287,28 @@ let scenario_law_tests =
            Scenario.validate sc = Ok ()
            && Scenario.of_string (Scenario.to_string sc) = Ok sc));
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"equal digests mean equal scenarios apart from pdes" ~count:300
-         QCheck.(pair arbitrary_scenario (int_bound 6))
+      (QCheck.Test.make ~name:"equal digests mean equal scenarios" ~count:300
+         QCheck.(pair arbitrary_scenario (int_bound 5))
          (fun (a, k) ->
            let b = nudge a k in
-           let strip sc = { sc with Scenario.pdes = None } in
-           Scenario.digest a = Scenario.digest b = (strip a = strip b)));
+           Scenario.digest a = Scenario.digest b = (a = b)));
+    (* The line keeps the retired execution mode's token at one value, and
+       a line naming a driver is refused with the value it takes. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"the pdes token takes only default" ~count:100 arbitrary_scenario
+         (fun sc ->
+           let line = Scenario.to_string sc in
+           let with_mode mode =
+             Astring.String.cuts ~sep:" pdes=default " line
+             |> String.concat (" pdes=" ^ mode ^ " ")
+           in
+           let names_default mode =
+             match Scenario.of_string (with_mode mode) with
+             | Ok _ -> false
+             | Error e -> Astring.String.is_infix ~affix:"default" e
+           in
+           Astring.String.is_infix ~affix:" pdes=default " line
+           && names_default "seq" && names_default "optimistic"));
   ]
 
 (* --- end-to-end: flows, byte-stability, compat ----------------------------- *)
@@ -368,8 +372,8 @@ let end_to_end_tests =
             "runtime.launches";
           ]);
     Alcotest.test_case "Perfetto export is byte-stable across repeats" `Quick (fun () ->
-        let first = in_mode "seq" export_of_run in
-        let again = in_mode "" export_of_run in
+        let first = export_of_run () in
+        let again = export_of_run () in
         check_string "identical documents" first again);
     Alcotest.test_case "chaos instants surface in the trace" `Quick (fun () ->
         let spec =

@@ -39,7 +39,7 @@ let test_request_roundtrip () =
   | { P.req_id = 7; req_op = P.Run s } ->
     Alcotest.(check bool) "scenario survives the wire" true (s = sc ())
   | _ -> Alcotest.fail "run op lost");
-  (* Every kind of scenario: faults, DaCe, both archs, artifacts, pdes. *)
+  (* Every kind of scenario: faults, DaCe, both archs, artifacts. *)
   QCheck.Test.check_exn
     (QCheck.Test.make ~name:"generated run requests round-trip" ~count:200
        (QCheck.pair QCheck.small_nat Scenario_gen.arbitrary_scenario) (fun (id, s) ->
@@ -290,13 +290,10 @@ let frame_laws =
            match P.response_of_frame frame with Error _ -> true | Ok _ -> not must_fail));
   ]
 
-let test_digest_pdes_invariant () =
+let test_digest_keys () =
   let base = sc () in
-  let digest p = Scenario.digest { base with Scenario.pdes = p } in
-  let d = digest None in
-  List.iter
-    (fun p -> Alcotest.(check string) "pdes never reaches the cache key" d (digest (Some p)))
-    [ `Seq ];
+  Alcotest.(check string) "equal scenarios share the cache key" (Scenario.digest base)
+    (Scenario.digest (sc ()));
   if Scenario.digest base = Scenario.digest (sc ~iters:7 ()) then
     Alcotest.fail "distinct scenarios share a digest";
   if Scenario.digest base = Scenario.digest (sc ~trace:true ()) then
@@ -775,7 +772,7 @@ let test_invalid_scenarios_refused () =
   | Error e -> Alcotest.(check bool) e true (Astring.String.is_infix ~affix:"no such GPU" e));
   match Scenario.of_string "stencil variant=cpu-free dims=2d:64x64 iters=2 gpus=2 pdes=optimistic" with
   | Ok _ -> Alcotest.fail "pdes=optimistic accepted"
-  | Error e -> Alcotest.(check bool) e true (Astring.String.is_infix ~affix:"valid modes" e)
+  | Error e -> Alcotest.(check bool) e true (Astring.String.is_infix ~affix:"only value is default" e)
 
 (* ------------------------------------------------------------------ *)
 (* Traced DaCe artifacts                                              *)
@@ -834,8 +831,8 @@ let () =
         ]
         @ frame_laws
         @ [
-          Alcotest.test_case "digest ignores pdes, keys on the rest" `Quick
-            test_digest_pdes_invariant;
+          Alcotest.test_case "digest keys on the workload and the artifacts" `Quick
+            test_digest_keys;
           Alcotest.test_case "infeasible geometry is refused with its reason" `Quick
             test_infeasible_geometry;
           Alcotest.test_case "invalid scenarios are refused with their reason" `Quick
