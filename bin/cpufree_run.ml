@@ -67,8 +67,12 @@ let faults_arg =
      straggler=GxM, flap=PERIOD_US@DUTYxM, nic=START_US+DUR_US, kill=GPU@T_US, \
      linkfail=SRC-DST@T_US, switchfail=NAME@T_US, retry=TIMEOUT_USxN, backoff=F (or 'none'). \
      The fail-stop clauses (kill/linkfail/switchfail) permanently stop a GPU / kill every \
-     link between two named topology vertices / kill a named switch and its links at the \
-     given virtual time. Example: drop=0.02,delay=0.1@2000,kill=1@500."
+     link between two named topology vertices (which must share one) / kill a named switch \
+     and its links at the given virtual time. drop, delay and kill act only on NVSHMEM \
+     traffic: copy-engine, peer-to-peer and MPI transfers never drop or run late, and a \
+     killed GPU still completes them, so the baseline-copy/overlap/p2p stencils and the DaCe \
+     baseline (MPI) arm run unaffected. \
+     Example: drop=0.02,delay=0.1@2000,kill=1@500."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
 

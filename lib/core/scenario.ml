@@ -44,30 +44,38 @@ let check_fault_gpus t (spec : Fault.spec) =
   Result.bind (all (check_gpu "kill") spec.Fault.kills) (fun () ->
       all (check_gpu "straggler") spec.Fault.stragglers)
 
-(* Link and switch failures must name topology vertices; otherwise the run
-   raises when the failure is enacted. Checking needs the instantiated
-   graph, so it runs once per run ({!Measure.of_scenario}), not on every
-   parse. *)
+(* Link and switch failures must name topology vertices, and a link
+   failure two vertices with a link between them; otherwise the run raises
+   when the failure is enacted, or the clause silently kills nothing (a
+   linkfail of gpu0-gpu3 on hgx, whose GPUs meet only at the switch).
+   Checking needs the instantiated graph, so it runs once per run
+   ({!Measure.of_scenario}), not on every parse. *)
 let check_fault_vertices t arch =
   match t.faults with
   | None -> Ok ()
   | Some spec when spec.Fault.link_fails = [] && spec.Fault.switch_fails = [] -> Ok ()
   | Some spec ->
+    let ( let* ) = Result.bind in
     let topo = Topology.instantiate t.topology ~profile:(Arch.fabric_profile arch) ~gpus:t.gpus in
-    let check_vertex clause name =
+    let on = Topology.spec_to_string t.topology in
+    let vertex clause name =
       match Topology.vertex_named topo name with
-      | Some _ -> Ok ()
-      | None ->
-        Error
-          (Printf.sprintf "%s: no vertex %S on %s" clause name
-             (Topology.spec_to_string t.topology))
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "%s: no vertex %S on %s" clause name on)
     in
-    Result.bind
-      (all
-         (fun ((a, b), _) ->
-           Result.bind (check_vertex "linkfail" a) (fun () -> check_vertex "linkfail" b))
-         spec.Fault.link_fails)
-      (fun () -> all (fun (nm, _) -> check_vertex "switchfail" nm) spec.Fault.switch_fails)
+    let linked u v (l : Topology.link) =
+      (l.lsrc = u && l.ldst = v) || (l.lsrc = v && l.ldst = u)
+    in
+    let* () =
+      all
+        (fun ((a, b), _) ->
+          let* u = vertex "linkfail" a in
+          let* v = vertex "linkfail" b in
+          if List.exists (linked u v) (Topology.links topo) then Ok ()
+          else Error (Printf.sprintf "linkfail: %S and %S share no link on %s" a b on))
+        spec.Fault.link_fails
+    in
+    all (fun (nm, _) -> Result.map ignore (vertex "switchfail" nm)) spec.Fault.switch_fails
 
 (* A workload string is the value of one token of the scenario line, and
    [of_string] cuts the line at spaces and a token at its first '='. An

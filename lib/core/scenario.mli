@@ -58,7 +58,8 @@ val validate : t -> (unit, string) result
 
 val check_fault_vertices : t -> Cpufree_gpu.Arch.t -> (unit, string) result
 (** Whether every link and switch failure names a vertex of the scenario's
-    topology. Instantiates the topology when there are such clauses, so it
+    topology, and every link failure two vertices with a link between them
+    (in either direction). Instantiates the topology when there are such clauses, so it
     runs once per run, not on every parse. *)
 
 val env : t -> Cpufree_obs.Sim_env.t

@@ -1,4 +1,4 @@
-type kind = Compute | Communication | Synchronization | Api | Idle | Marker
+type kind = Compute | Communication | Synchronization | Api | Marker
 
 type span = {
   lane : string;
@@ -17,50 +17,21 @@ type flow = {
   f_dst_t : Time.t;
 }
 
-(* Growable vector of span indices: the per-lane index of [t.store]. *)
-type lane_idx = { mutable idx : int array; mutable len : int }
-
-(* Spans live in one growable array in recording order; a hashtable maps
-   each lane to the store indices of its spans so one timeline row of
-   [render_ascii] touches only that lane's spans instead of rescanning the
-   whole trace. The window is maintained incrementally on [add]. Flow
-   arrows live in their own growable array: they are a v2 feature gated by
-   [flows_on], so legacy span streams (and everything derived from them)
-   are untouched when it is off. *)
+(* Spans live in one growable array in recording order. Flow arrows live
+   in their own growable array: they are a v2 feature gated by [flows_on],
+   so legacy span streams (and everything derived from them) are untouched
+   when it is off. *)
 type t = {
   mutable store : span array;
   mutable n : int;
-  by_lane : (string, lane_idx) Hashtbl.t;
-  mutable lo : Time.t;
-  mutable hi : Time.t;
   flows_on : bool;
   mutable fstore : flow array;
   mutable fn : int;
 }
 
-let create ?(flows = false) () =
-  {
-    store = [||];
-    n = 0;
-    by_lane = Hashtbl.create 16;
-    lo = Time.zero;
-    hi = Time.zero;
-    flows_on = flows;
-    fstore = [||];
-    fn = 0;
-  }
+let create ?(flows = false) () = { store = [||]; n = 0; flows_on = flows; fstore = [||]; fn = 0 }
 
 let flows_enabled = function Some t -> t.flows_on | None -> false
-
-let lane_push li i =
-  let cap = Array.length li.idx in
-  if li.len = cap then begin
-    let nidx = Array.make (Stdlib.max 8 (2 * cap)) 0 in
-    Array.blit li.idx 0 nidx 0 li.len;
-    li.idx <- nidx
-  end;
-  li.idx.(li.len) <- i;
-  li.len <- li.len + 1
 
 let add t ~lane ~label ~kind ~t0 ~t1 =
   if Time.(t1 < t0) then invalid_arg "Trace.add: span ends before it starts";
@@ -72,23 +43,6 @@ let add t ~lane ~label ~kind ~t0 ~t1 =
     t.store <- nstore
   end;
   t.store.(t.n) <- s;
-  let li =
-    match Hashtbl.find_opt t.by_lane lane with
-    | Some li -> li
-    | None ->
-      let li = { idx = [||]; len = 0 } in
-      Hashtbl.replace t.by_lane lane li;
-      li
-  in
-  lane_push li t.n;
-  if t.n = 0 then begin
-    t.lo <- t0;
-    t.hi <- t1
-  end
-  else begin
-    t.lo <- Time.min t.lo t0;
-    t.hi <- Time.max t.hi t1
-  end;
   t.n <- t.n + 1
 
 let add_opt t ~lane ~label ~kind ~t0 ~t1 =
@@ -152,8 +106,7 @@ let rank_of_kind = function
   | Communication -> 1
   | Synchronization -> 2
   | Api -> 3
-  | Idle -> 4
-  | Marker -> 5
+  | Marker -> 4
 
 (* Canonical span order: by interval, then lane, label and kind. Recording
    order is a scheduling artifact, the canonical order is not. *)
@@ -184,29 +137,33 @@ let merge_into ~into sources =
         ~dst_lane:f.f_dst_lane ~dst_t:f.f_dst_t)
     (List.stable_sort compare_flow all_flows)
 
-let iter_lane t lane f =
-  match Hashtbl.find_opt t.by_lane lane with
-  | None -> ()
-  | Some li ->
-    for k = 0 to li.len - 1 do
-      f t.store.(li.idx.(k))
-    done
-
 let lanes t =
-  List.sort String.compare (Hashtbl.fold (fun lane _ acc -> lane :: acc) t.by_lane [])
+  let seen = Hashtbl.create 16 in
+  for i = 0 to t.n - 1 do
+    Hashtbl.replace seen t.store.(i).lane ()
+  done;
+  List.sort String.compare (Hashtbl.fold (fun lane () acc -> lane :: acc) seen [])
 
-let window t = if t.n = 0 then None else Some (t.lo, t.hi)
+let window t =
+  if t.n = 0 then None
+  else begin
+    let lo = ref t.store.(0).t0 and hi = ref t.store.(0).t1 in
+    for i = 1 to t.n - 1 do
+      lo := Time.min !lo t.store.(i).t0;
+      hi := Time.max !hi t.store.(i).t1
+    done;
+    Some (!lo, !hi)
+  end
 
 let char_of_kind = function
   | Compute -> '#'
   | Communication -> '='
   | Synchronization -> '|'
   | Api -> 'a'
-  | Idle -> '.'
   | Marker -> '!'
 
-(* Later spans overwrite earlier ones in a cell; kinds other than Idle win
-   over Idle so a busy instant is never hidden by background idling. *)
+(* Every lane's row is filled in one pass over the store, so within a lane
+   later spans overwrite earlier ones in a cell. *)
 let render_ascii ?(width = 100) t =
   match window t with
   | None -> "(empty trace)"
@@ -214,24 +171,24 @@ let render_ascii ?(width = 100) t =
     let total = Stdlib.max 1 (Time.to_ns (Time.sub hi lo)) in
     let cell_of_time time = Time.to_ns (Time.sub time lo) * width / total in
     let buf = Buffer.create 1024 in
-    let label_width =
-      List.fold_left (fun acc l -> Stdlib.max acc (String.length l)) 4 (lanes t)
-    in
+    let lanes = lanes t in
+    let label_width = List.fold_left (fun acc l -> Stdlib.max acc (String.length l)) 4 lanes in
+    let rows = Hashtbl.create 16 in
+    List.iter (fun lane -> Hashtbl.replace rows lane (Bytes.make width ' ')) lanes;
+    for i = 0 to t.n - 1 do
+      let s = t.store.(i) in
+      let c0 = Stdlib.max 0 (Stdlib.min (width - 1) (cell_of_time s.t0)) in
+      let c1 = Stdlib.max c0 (Stdlib.min (width - 1) (cell_of_time s.t1 - 1)) in
+      Bytes.fill (Hashtbl.find rows s.lane) c0 (c1 - c0 + 1) (char_of_kind s.kind)
+    done;
     Buffer.add_string buf
       (Printf.sprintf "timeline: %s .. %s  (1 cell = %s)\n" (Time.to_string lo)
          (Time.to_string hi)
          (Time.to_string (Time.ns (total / width))));
     List.iter
       (fun lane ->
-        let row = Bytes.make width ' ' in
-        iter_lane t lane (fun s ->
-            let c0 = Stdlib.max 0 (Stdlib.min (width - 1) (cell_of_time s.t0)) in
-            let c1 = Stdlib.max c0 (Stdlib.min (width - 1) (cell_of_time s.t1 - 1)) in
-            let ch = char_of_kind s.kind in
-            for c = c0 to c1 do
-              if s.kind <> Idle || Bytes.get row c = ' ' then Bytes.set row c ch
-            done);
-        Buffer.add_string buf (Printf.sprintf "%-*s [%s]\n" label_width lane (Bytes.to_string row)))
-      (lanes t);
-    Buffer.add_string buf "legend: # compute  = communication  | sync  a api-call  . idle\n";
+        Buffer.add_string buf
+          (Printf.sprintf "%-*s [%s]\n" label_width lane (Bytes.to_string (Hashtbl.find rows lane))))
+      lanes;
+    Buffer.add_string buf "legend: # compute  = communication  | sync  a api-call\n";
     Buffer.contents buf

@@ -9,7 +9,7 @@
     the engine's always-on busy log ({!Engine.busy}), so an engine carries
     a trace only when a caller asked for spans. *)
 
-type kind = Compute | Communication | Synchronization | Api | Idle | Marker
+type kind = Compute | Communication | Synchronization | Api | Marker
 
 type span = {
   lane : string;
@@ -86,4 +86,4 @@ val window : t -> (Time.t * Time.t) option
 val render_ascii : ?width:int -> t -> string
 (** One row per lane, time flowing left to right. Each cell shows the kind of
     the span covering that instant: [#] compute, [=] communication,
-    [|] synchronization, [a] API call, [.] idle. *)
+    [|] synchronization, [a] API call, [!] marker. *)

@@ -29,16 +29,25 @@ type flap = {
 }
 
 type spec = {
-  drop_prob : float;  (** probability a fabric delivery is lost *)
-  delay_prob : float;  (** probability a delivery is delayed (if not lost) *)
+  drop_prob : float;
+      (** probability an NVSHMEM delivery is lost. Only NVSHMEM deliveries
+          are drawn: the copy-engine, peer-to-peer and MPI transfers of the
+          host-driven schemes never drop *)
+  delay_prob : float;
+      (** probability an NVSHMEM delivery is delayed (if not lost); other
+          transfers are never delayed *)
   delay_ns : int;  (** mean extra delivery latency, in ns *)
   stragglers : (int * float) list;  (** per-GPU compute multipliers, >= 1 *)
   flap : flap option;
   nic_outages : (Time.t * Time.t) list;  (** (start, duration) intervals *)
   kills : (int * Time.t) list;
-      (** fail-stop GPU deaths: [(pe, at)] — the device stops initiating
-          and acknowledging fabric traffic permanently at virtual time
-          [at] *)
+      (** fail-stop GPU deaths: [(pe, at)] — from virtual time [at] on,
+          the NVSHMEM operations the device initiates are silently skipped
+          ([Nvshmem.sender_dead]). Nothing else stops: host-driven copies,
+          peer-to-peer transfers and MPI messages to and from the dead GPU
+          still complete, so the baseline-copy, baseline-overlap and
+          baseline-p2p stencils and the DaCe MPI arm finish as if no GPU
+          had died *)
   link_fails : ((string * string) * Time.t) list;
       (** permanent link deaths: [((src_vertex, dst_vertex), at)], both
           directions of every parallel link between the named topology

@@ -211,14 +211,16 @@ let inter_node t ~src ~dst =
   | Gpu a, Gpu b -> M.Topology.node_of_gpu t.topo a <> M.Topology.node_of_gpu t.topo b
   | Gpu _, Host | Host, Gpu _ | Host, Host -> false
 
-(* Extra latency the fault plan holds a path for right now: a NIC outage
-   stalls inter-node traffic until the outage interval ends. Zero without
-   an active plan, so fault-free runs stay byte-identical. *)
-let fault_hold t ~src ~dst =
+(* The fault plan's penalty on a path right now: the extra latency a NIC
+   outage holds inter-node traffic for (until the outage interval ends) and
+   the factor a link-flap window multiplies serialization by. No penalty
+   without an active plan, so fault-free runs stay byte-identical. *)
+let fault_penalty t ~src ~dst =
   match t.faults with
-  | None -> Time.zero
-  | Some plan ->
-    fst (F.fabric_penalty plan ~now:(E.Engine.now t.eng) ~inter_node:(inter_node t ~src ~dst))
+  | None -> (Time.zero, 1.0)
+  | Some plan -> F.fabric_penalty plan ~now:(E.Engine.now t.eng) ~inter_node:(inter_node t ~src ~dst)
+
+let fault_hold t ~src ~dst = fst (fault_penalty t ~src ~dst)
 
 (* A transfer written once as steps, so a caller without a fiber can run
    it: book latency and serialization on every port of the route (plus any
@@ -231,18 +233,9 @@ let transfer_steps t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") ~
   let e = entry_for t ~src ~dst in
   let latency = path_latency t e ~initiator in
   let dur = serialization_time e ~bytes in
-  (* Fault-plan degradation: link-flap windows multiply serialization on
-     every path; a NIC outage holds inter-node transfers to its end. *)
-  let latency, dur =
-    match t.faults with
-    | None -> (latency, dur)
-    | Some plan ->
-      let extra, mult =
-        F.fabric_penalty plan ~now:(E.Engine.now t.eng) ~inter_node:(inter_node t ~src ~dst)
-      in
-      ( Time.add latency extra,
-        if Float.equal mult 1.0 then dur else Time.scale dur mult )
-  in
+  let extra, mult = fault_penalty t ~src ~dst in
+  let latency = Time.add latency extra in
+  let dur = if Float.equal mult 1.0 then dur else Time.scale dur mult in
   let t0 = E.Engine.now t.eng in
   let finish =
     match e.e_ports with

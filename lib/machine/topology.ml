@@ -48,29 +48,18 @@ type link = {
    latency, then fewest hops, then lowest incoming link id). *)
 type row = { rsrc : int; dist : int array; hops : int array; pred : int array }
 
-(* Bounded per-source route cache. Rows are recomputed on demand after an
-   eviction; Dijkstra here is deterministic, so a recomputed row is
-   identical to the evicted one and cache size never changes any route. *)
-type tables = {
-  rows : row option array; (* indexed by source vid *)
-  fifo : int Queue.t; (* cached sources, oldest first *)
-}
-
-(* Structural router: an O(path-length) vertex-path function derived from
-   the topology's construction (the unique tree path for a dgx cluster,
-   up/down for fat-tree, minimal local-global-local for dragonfly) plus
-   tier-derived latency bounds, so nothing quadratic is ever materialized.
-   Pairs the path function declines (fat-tree core-switch endpoints,
-   cross-rail NIC pairs) fall back to the lazy Dijkstra tables. *)
-type structural = {
+(* A constructor's closed form: an O(path-length) vertex-path function
+   derived from the construction (the unique tree path for a dgx cluster,
+   up/down for fat-tree, minimal local-global-local for dragonfly), so
+   nothing quadratic is ever materialized, plus GPU-pair latency bounds
+   derived from tier latencies (profile numbers and shape counts) rather
+   than from any route fold. Pairs the path function declines (fat-tree
+   core-switch endpoints, cross-rail NIC pairs) take the Dijkstra rows. *)
+type closed = {
   spath : int -> int -> int list option; (* full vertex sequence, src..dst *)
-  edge : (int, int) Hashtbl.t; (* (u * nv + v) -> lowest link id *)
-  stables : tables;
-  s_min_gpu : Time.t option;
-  s_max_gpu : Time.t option;
+  min_gpu : Time.t option;
+  max_gpu : Time.t option;
 }
-
-type router = Tables of tables | Structural of structural
 
 exception Partitioned of string
 
@@ -84,22 +73,18 @@ type t = {
   adj : link list array; (* out-adjacency in ascending link id *)
   gpu_vid : int array;
   host_vid : int array;
-  router : router;
+  closed : closed option;
+  edge : (int, int) Hashtbl.t; (* (u * nv + v) -> lowest link id; empty without [closed] *)
+  (* Bounded per-source route cache. Rows are recomputed on demand after an
+     eviction; Dijkstra here is deterministic, so a recomputed row is
+     identical to the evicted one and cache size never changes any route. *)
+  rows : row option array; (* indexed by source vid *)
+  fifo : int Queue.t; (* cached sources, oldest first *)
   dedup : Bytes.t; (* reusable port bitset for route_ports *)
   dead_vs : bool array; (* fail-stopped vertices *)
   dead_ls : bool array; (* fail-stopped links *)
   mutable degraded : bool; (* any fail_link/fail_switch applied *)
   mutable route_epoch : int; (* bumped on every route invalidation *)
-}
-
-(* Parameters the structural constructors hand to [build]. The
-   latency bounds are derived from tier latencies (profile numbers and
-   shape counts), not from any route fold — that is what keeps
-   [min_gpu_pair_latency] and friends O(1) on structural topologies. *)
-type structural_spec = {
-  sm_path : int -> int -> int list option;
-  sm_min_gpu : Time.t option;
-  sm_max_gpu : Time.t option;
 }
 
 let route_cache_rows = 64
@@ -136,8 +121,13 @@ let add_link b ~src ~dst ~kind ~latency ~ns_per_byte ~ports =
   b.nl <- lid + 1;
   b.bls <-
     { lid; lsrc = src; ldst = dst; lkind = kind; llatency = latency; lns_per_byte = ns_per_byte; lports = ports }
-    :: b.bls;
-  lid
+    :: b.bls
+
+(* Both directions of a hop: [src] to [dst] with [there]'s latency and
+   ports, then back with [back]'s. *)
+let add_hop b ~src ~dst ~kind ~ns_per_byte ~there:(latency, ports) ~back:(latency', ports') =
+  add_link b ~src ~dst ~kind ~latency ~ns_per_byte ~ports;
+  add_link b ~src:dst ~dst:src ~kind ~latency:latency' ~ns_per_byte ~ports:ports'
 
 (* Deterministic single-source Dijkstra: shortest total latency, ties broken
    by fewest hops, then by the incoming link id — a pure function of the
@@ -205,8 +195,6 @@ let adjacency nv (ls : link array) =
   Array.iter (fun l -> adj.(l.lsrc) <- l :: adj.(l.lsrc)) ls;
   Array.map (List.sort (fun a c -> compare a.lid c.lid)) adj
 
-let empty_tables nv = { rows = Array.make nv None; fifo = Queue.create () }
-
 (* O(V + E) coverage check from/to one pivot, replacing the old all-pairs
    route validation: if the pivot reaches every public endpoint and every
    public endpoint reaches the pivot, then by transitivity every public
@@ -226,7 +214,7 @@ let bfs_cover ~nv step start =
   done;
   seen
 
-let build ?structural b ~name ~nodes ~gpu_vid ~host_vid =
+let build ?closed b ~name ~nodes ~gpu_vid ~host_vid =
   let vs = Array.make b.nv (List.hd b.bvs) in
   List.iter (fun v -> vs.(v.vid) <- v) b.bvs;
   let ps = Array.of_list (List.sort (fun a c -> compare a.pid c.pid) b.bps) in
@@ -256,27 +244,14 @@ let build ?structural b ~name ~nodes ~gpu_vid ~host_vid =
           invalid_arg
             (Printf.sprintf "Topology.%s: %s cannot reach %s" name vs.(v).vname vs.(p0).vname))
       publics);
-  let router =
-    match structural with
-    | None -> Tables (empty_tables nv)
-    | Some sm ->
-      let edge = Hashtbl.create (Array.length ls) in
-      Array.iter
-        (fun l ->
-          let k = (l.lsrc * nv) + l.ldst in
-          match Hashtbl.find_opt edge k with
-          | Some lid when lid <= l.lid -> ()
-          | _ -> Hashtbl.replace edge k l.lid)
-        ls;
-      Structural
-        {
-          spath = sm.sm_path;
-          edge;
-          stables = empty_tables nv;
-          s_min_gpu = sm.sm_min_gpu;
-          s_max_gpu = sm.sm_max_gpu;
-        }
-  in
+  (* [ls] ascends by id, so the first link seen per hop is its lowest. *)
+  let edge = Hashtbl.create (if Option.is_none closed then 1 else Array.length ls) in
+  if Option.is_some closed then
+    Array.iter
+      (fun l ->
+        let k = (l.lsrc * nv) + l.ldst in
+        if not (Hashtbl.mem edge k) then Hashtbl.add edge k l.lid)
+      ls;
   {
     tname = name;
     nodes;
@@ -287,7 +262,10 @@ let build ?structural b ~name ~nodes ~gpu_vid ~host_vid =
     adj;
     gpu_vid;
     host_vid;
-    router;
+    closed;
+    edge;
+    rows = Array.make nv None;
+    fifo = Queue.create ();
     dedup = Bytes.make (max 1 b.np) '\000';
     dead_vs = Array.make (max 1 b.nv) false;
     dead_ls = Array.make (max 1 b.nl) false;
@@ -310,7 +288,7 @@ let halves l =
 
 let nsb gbs = 1.0 /. gbs
 
-(* Structural path pieces shared by the cluster constructors: the
+(* Closed-form path pieces shared by the cluster constructors: the
    same-node route through node switch [sw], and the chain from a node
    vertex up to (and including) the NIC [nic] it leaves the node by. *)
 let via_switch sw src dst =
@@ -318,112 +296,104 @@ let via_switch sw src dst =
 
 let to_nic ~sw ~nic v = if v = nic then [ v ] else if v = sw then [ v; nic ] else [ v; sw; nic ]
 
-(* One HGX node: GPUs around an NVSwitch, host on PCIe. [gpu0] is the global
-   index of the node's first GPU; returns (switch vid, host vid). The hop
-   latencies are chosen so every two-hop route sums to exactly the profile's
-   wire latency: egress + ingress = nvlink, egress + switch-to-host = pcie,
-   host-to-switch + ingress = pcie. *)
-let add_hgx_node b ~profile:p ~node ~gpu0 ~gpus ~gpu_vid =
+(* [nodes] HGX nodes of [gpus_per_node] GPUs each. A node is its NVSwitch,
+   its GPUs around the switch and its host on PCIe, then [attach node sw],
+   so the node's NICs follow it in id order. The hop latencies are chosen
+   so every two-hop route sums to exactly the profile's wire latency:
+   egress + ingress = nvlink, egress + switch-to-host = pcie,
+   host-to-switch + ingress = pcie. Returns the GPU vertices, the node
+   switches and the hosts. *)
+let add_nodes b ~profile:p ~nodes ~gpus_per_node attach =
   let e_lat, i_lat = halves p.nvlink_latency in
-  let sw =
-    add_vertex b
-      ~kind:(Switch { node = Some node })
-      ~name:(Printf.sprintf "node%d.nvswitch" node)
-      ~local_ns_per_byte:(nsb p.hbm_gbs)
-  in
-  for d = 0 to gpus - 1 do
-    let g = gpu0 + d in
-    let v =
-      add_vertex b ~kind:(Gpu { node; device = d }) ~name:(Printf.sprintf "gpu%d" g)
+  let gpu_vid = Array.make (nodes * gpus_per_node) (-1) in
+  let node_sw = Array.make nodes (-1) and host_vid = Array.make nodes (-1) in
+  for node = 0 to nodes - 1 do
+    let sw =
+      add_vertex b
+        ~kind:(Switch { node = Some node })
+        ~name:(Printf.sprintf "node%d.nvswitch" node)
         ~local_ns_per_byte:(nsb p.hbm_gbs)
     in
-    gpu_vid.(g) <- v;
-    let ep = add_port b ~name:(Printf.sprintf "gpu%d.egress" g) in
-    let ip = add_port b ~name:(Printf.sprintf "gpu%d.ingress" g) in
-    ignore
-      (add_link b ~src:v ~dst:sw ~kind:Nvlink ~latency:e_lat ~ns_per_byte:(nsb p.nvlink_gbs)
-         ~ports:[ ep ]);
-    ignore
-      (add_link b ~src:sw ~dst:v ~kind:Nvlink ~latency:i_lat ~ns_per_byte:(nsb p.nvlink_gbs)
-         ~ports:[ ip ])
+    node_sw.(node) <- sw;
+    for d = 0 to gpus_per_node - 1 do
+      let g = (node * gpus_per_node) + d in
+      let v =
+        add_vertex b ~kind:(Gpu { node; device = d }) ~name:(Printf.sprintf "gpu%d" g)
+          ~local_ns_per_byte:(nsb p.hbm_gbs)
+      in
+      gpu_vid.(g) <- v;
+      let ep = add_port b ~name:(Printf.sprintf "gpu%d.egress" g) in
+      let ip = add_port b ~name:(Printf.sprintf "gpu%d.ingress" g) in
+      add_hop b ~src:v ~dst:sw ~kind:Nvlink ~ns_per_byte:(nsb p.nvlink_gbs)
+        ~there:(e_lat, [ ep ]) ~back:(i_lat, [ ip ])
+    done;
+    let host =
+      add_vertex b ~kind:(Host { node })
+        ~name:(if node = 0 then "host" else Printf.sprintf "node%d.host" node)
+        ~local_ns_per_byte:(nsb p.hbm_gbs)
+    in
+    host_vid.(node) <- host;
+    let hp =
+      add_port b ~name:(if node = 0 then "host.pcie" else Printf.sprintf "node%d.host.pcie" node)
+    in
+    add_hop b ~src:host ~dst:sw ~kind:Pcie ~ns_per_byte:(nsb p.pcie_gbs)
+      ~there:(Time.sub p.pcie_latency i_lat, [ hp ])
+      ~back:(Time.sub p.pcie_latency e_lat, [ hp ]);
+    attach node sw
   done;
-  let host =
-    add_vertex b ~kind:(Host { node })
-      ~name:(if node = 0 then "host" else Printf.sprintf "node%d.host" node)
-      ~local_ns_per_byte:(nsb p.hbm_gbs)
-  in
-  let hp =
-    add_port b ~name:(if node = 0 then "host.pcie" else Printf.sprintf "node%d.host.pcie" node)
-  in
-  ignore
-    (add_link b ~src:host ~dst:sw ~kind:Pcie ~latency:(Time.sub p.pcie_latency i_lat)
-       ~ns_per_byte:(nsb p.pcie_gbs) ~ports:[ hp ]);
-  ignore
-    (add_link b ~src:sw ~dst:host ~kind:Pcie ~latency:(Time.sub p.pcie_latency e_lat)
-       ~ns_per_byte:(nsb p.pcie_gbs) ~ports:[ hp ]);
-  (sw, host)
+  (gpu_vid, node_sw, host_vid)
+
+(* A NIC named [name] hanging off node switch [sw]: the NIC vertex, its tx
+   then rx port, the PCIe attach pair (at PCIe latency and the NIC's line
+   rate, shared with nothing: contention lives on the NIC's tx/rx ports),
+   then the InfiniBand uplink pair to [uplink], booking tx up and rx
+   down. *)
+let add_nic b ~profile:p ~node ~name ~sw ~uplink =
+  let e_lat, i_lat = halves p.nvlink_latency in
+  let ib_dn, ib_up = halves p.ib_latency in
+  let nic = add_vertex b ~kind:(Nic { node }) ~name ~local_ns_per_byte:(nsb p.hbm_gbs) in
+  let tx = add_port b ~name:(name ^ ".tx") in
+  let rx = add_port b ~name:(name ^ ".rx") in
+  add_hop b ~src:sw ~dst:nic ~kind:Pcie ~ns_per_byte:(nsb p.ib_gbs)
+    ~there:(Time.sub p.pcie_latency e_lat, [])
+    ~back:(Time.sub p.pcie_latency i_lat, []);
+  add_hop b ~src:nic ~dst:uplink ~kind:Infiniband ~ns_per_byte:(nsb p.ib_gbs)
+    ~there:(ib_dn, [ tx ]) ~back:(ib_up, [ rx ]);
+  nic
+
+(* The node of every node-local vertex (GPU, host, node switch and each
+   NIC of [nics], indexed by node); -1 for the core fabric. *)
+let vertex_nodes b ~gpus_per_node ~gpu_vid ~node_sw ~host_vid nics =
+  let vnode = Array.make b.nv (-1) in
+  Array.iteri (fun g v -> vnode.(v) <- g / gpus_per_node) gpu_vid;
+  List.iter (Array.iteri (fun n v -> vnode.(v) <- n)) (node_sw :: host_vid :: nics);
+  vnode
 
 let hgx ~profile ~gpus =
   check_gpus "hgx" gpus;
   let b = builder () in
-  let gpu_vid = Array.make gpus (-1) in
-  let _, host = add_hgx_node b ~profile ~node:0 ~gpu0:0 ~gpus ~gpu_vid in
-  build b
-    ~name:(Printf.sprintf "hgx_%s" profile.pname)
-    ~nodes:1 ~gpu_vid ~host_vid:[| host |]
+  let gpu_vid, _, host_vid = add_nodes b ~profile ~nodes:1 ~gpus_per_node:gpus (fun _ _ -> ()) in
+  build b ~name:(Printf.sprintf "hgx_%s" profile.pname) ~nodes:1 ~gpu_vid ~host_vid
 
 let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
   if nodes <= 0 then invalid_arg "Topology.dgx_cluster: need at least one node";
   check_gpus "dgx_cluster" gpus_per_node;
-  let gpus = nodes * gpus_per_node in
   let b = builder () in
-  let gpu_vid = Array.make gpus (-1) in
-  let host_vid = Array.make nodes (-1) in
-  let e_lat, i_lat = halves p.nvlink_latency in
-  let ib_dn, ib_up = halves p.ib_latency in
-  let node_sw = Array.make nodes (-1) and nic_vid = Array.make nodes (-1) in
   let spine =
     add_vertex b ~kind:(Switch { node = None }) ~name:"ib.spine"
       ~local_ns_per_byte:(nsb p.hbm_gbs)
   in
-  for node = 0 to nodes - 1 do
-    let sw, host =
-      add_hgx_node b ~profile:p ~node ~gpu0:(node * gpus_per_node) ~gpus:gpus_per_node ~gpu_vid
-    in
-    node_sw.(node) <- sw;
-    host_vid.(node) <- host;
-    let nic =
-      add_vertex b ~kind:(Nic { node })
-        ~name:(Printf.sprintf "node%d.nic" node)
-        ~local_ns_per_byte:(nsb p.hbm_gbs)
-    in
-    nic_vid.(node) <- nic;
-    let tx = add_port b ~name:(Printf.sprintf "node%d.nic.tx" node) in
-    let rx = add_port b ~name:(Printf.sprintf "node%d.nic.rx" node) in
-    (* NIC attach at PCIe latency (shared with nothing: contention lives on
-       the NIC's tx/rx ports), line rate of the NIC. *)
-    ignore
-      (add_link b ~src:sw ~dst:nic ~kind:Pcie ~latency:(Time.sub p.pcie_latency e_lat)
-         ~ns_per_byte:(nsb p.ib_gbs) ~ports:[]);
-    ignore
-      (add_link b ~src:nic ~dst:sw ~kind:Pcie ~latency:(Time.sub p.pcie_latency i_lat)
-         ~ns_per_byte:(nsb p.ib_gbs) ~ports:[]);
-    ignore
-      (add_link b ~src:nic ~dst:spine ~kind:Infiniband ~latency:ib_dn
-         ~ns_per_byte:(nsb p.ib_gbs) ~ports:[ tx ]);
-    ignore
-      (add_link b ~src:spine ~dst:nic ~kind:Infiniband ~latency:ib_up
-         ~ns_per_byte:(nsb p.ib_gbs) ~ports:[ rx ])
-  done;
+  let nic_vid = Array.make nodes (-1) in
+  let gpu_vid, node_sw, host_vid =
+    add_nodes b ~profile:p ~nodes ~gpus_per_node (fun node sw ->
+        nic_vid.(node) <-
+          add_nic b ~profile:p ~node ~name:(Printf.sprintf "node%d.nic" node) ~sw ~uplink:spine)
+  in
   (* The cluster is a tree (spine - NIC - node switch - GPUs/host), so the
-     structural path is the unique route Dijkstra would find: through the
+     closed path is the unique route Dijkstra would find: through the
      node switch within a node, up to the spine and down again across
      nodes. Only the spine belongs to no node. *)
-  let vnode = Array.make b.nv (-1) in
-  Array.iteri (fun g v -> vnode.(v) <- g / gpus_per_node) gpu_vid;
-  Array.iteri (fun n v -> vnode.(v) <- n) host_vid;
-  Array.iteri (fun n v -> vnode.(v) <- n) node_sw;
-  Array.iteri (fun n v -> vnode.(v) <- n) nic_vid;
+  let vnode = vertex_nodes b ~gpus_per_node ~gpu_vid ~node_sw ~host_vid [ nic_vid ] in
   let up v =
     let n = vnode.(v) in
     if n < 0 then [] else to_nic ~sw:node_sw.(n) ~nic:nic_vid.(n) v
@@ -434,20 +404,13 @@ let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
     else Some (up src @ (spine :: List.rev (up dst)))
   in
   let remote = Time.add (Time.add p.pcie_latency p.pcie_latency) p.ib_latency in
-  let structural =
-    {
-      sm_path = spath;
-      sm_min_gpu =
-        (if gpus_per_node >= 2 then Some p.nvlink_latency
-         else if nodes >= 2 then Some remote
-         else None);
-      sm_max_gpu =
-        (if nodes >= 2 then Some remote
-         else if gpus_per_node >= 2 then Some p.nvlink_latency
-         else None);
-    }
+  let min_gpu =
+    if gpus_per_node >= 2 then Some p.nvlink_latency else if nodes >= 2 then Some remote else None
   in
-  build ~structural b
+  let max_gpu =
+    if nodes >= 2 then Some remote else if gpus_per_node >= 2 then Some p.nvlink_latency else None
+  in
+  build ~closed:{ spath; min_gpu; max_gpu } b
     ~name:(Printf.sprintf "dgx_%s_%dx%d" p.pname nodes gpus_per_node)
     ~nodes ~gpu_vid ~host_vid
 
@@ -471,10 +434,8 @@ let ring ~profile:p ~gpus =
     List.iter
       (fun n ->
         if n <> g then
-          ignore
-            (add_link b ~src:gpu_vid.(g) ~dst:gpu_vid.(n) ~kind:Nvlink
-               ~latency:p.nvlink_latency ~ns_per_byte:(nsb p.nvlink_gbs)
-               ~ports:[ gpu_eport.(g); gpu_iport.(n) ]))
+          add_link b ~src:gpu_vid.(g) ~dst:gpu_vid.(n) ~kind:Nvlink ~latency:p.nvlink_latency
+            ~ns_per_byte:(nsb p.nvlink_gbs) ~ports:[ gpu_eport.(g); gpu_iport.(n) ])
       neighbours
   done;
   let host =
@@ -483,12 +444,9 @@ let ring ~profile:p ~gpus =
   let hp = add_port b ~name:"host.pcie" in
   (* Head-node attach: the host reaches the ring through GPU 0 only, so
      GPU-to-GPU routes can never shortcut through the host. *)
-  ignore
-    (add_link b ~src:host ~dst:gpu_vid.(0) ~kind:Pcie ~latency:p.pcie_latency
-       ~ns_per_byte:(nsb p.pcie_gbs) ~ports:[ hp; gpu_iport.(0) ]);
-  ignore
-    (add_link b ~src:gpu_vid.(0) ~dst:host ~kind:Pcie ~latency:p.pcie_latency
-       ~ns_per_byte:(nsb p.pcie_gbs) ~ports:[ gpu_eport.(0); hp ]);
+  add_hop b ~src:host ~dst:gpu_vid.(0) ~kind:Pcie ~ns_per_byte:(nsb p.pcie_gbs)
+    ~there:(p.pcie_latency, [ hp; gpu_iport.(0) ])
+    ~back:(p.pcie_latency, [ gpu_eport.(0); hp ]);
   build b
     ~name:(Printf.sprintf "ring_%s" p.pname)
     ~nodes:1 ~gpu_vid ~host_vid:[| host |]
@@ -512,23 +470,15 @@ let pcie_only ~profile:p ~gpus =
     let ep = add_port b ~name:(Printf.sprintf "gpu%d.egress" g) in
     let ip = add_port b ~name:(Printf.sprintf "gpu%d.ingress" g) in
     (* The shared root complex is booked once, on the upstream hop. *)
-    ignore
-      (add_link b ~src:v ~dst:root ~kind:Pcie ~latency:dn ~ns_per_byte:(nsb p.pcie_gbs)
-         ~ports:[ ep; root_port ]);
-    ignore
-      (add_link b ~src:root ~dst:v ~kind:Pcie ~latency:up ~ns_per_byte:(nsb p.pcie_gbs)
-         ~ports:[ ip ])
+    add_hop b ~src:v ~dst:root ~kind:Pcie ~ns_per_byte:(nsb p.pcie_gbs)
+      ~there:(dn, [ ep; root_port ]) ~back:(up, [ ip ])
   done;
   let host =
     add_vertex b ~kind:(Host { node = 0 }) ~name:"host" ~local_ns_per_byte:(nsb p.hbm_gbs)
   in
   let hp = add_port b ~name:"host.pcie" in
-  ignore
-    (add_link b ~src:host ~dst:root ~kind:Pcie ~latency:dn ~ns_per_byte:(nsb p.pcie_gbs)
-       ~ports:[ hp; root_port ]);
-  ignore
-    (add_link b ~src:root ~dst:host ~kind:Pcie ~latency:up ~ns_per_byte:(nsb p.pcie_gbs)
-       ~ports:[ hp ]);
+  add_hop b ~src:host ~dst:root ~kind:Pcie ~ns_per_byte:(nsb p.pcie_gbs)
+    ~there:(dn, [ hp; root_port ]) ~back:(up, [ hp ]);
   build b
     ~name:(Printf.sprintf "pcie_%s" p.pname)
     ~nodes:1 ~gpu_vid ~host_vid:[| host |]
@@ -542,7 +492,7 @@ let pcie_only ~profile:p ~gpus =
    with more than one leaf add a spine layer every leaf connects to. Hop
    latencies reuse the DGX halving scheme, so an intra-leaf inter-node
    route costs exactly 2*pcie + ib (identical to the dgx-cluster spine) and
-   a cross-leaf route 2*pcie + 2*ib. Routing is structural up/down: no
+   a cross-leaf route 2*pcie + 2*ib. Routing is closed-form up/down: no
    route table is ever materialized, and rails/spines are picked
    deterministically from the endpoint pair so traffic spreads without
    breaking determinism. *)
@@ -551,15 +501,10 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
   if rails <= 0 then invalid_arg "Topology.fat_tree: rails must be positive";
   if nodes <= 0 then invalid_arg "Topology.fat_tree: need at least one node";
   check_gpus "fat_tree" gpus_per_node;
-  let gpus = nodes * gpus_per_node in
   let b = builder () in
-  let gpu_vid = Array.make gpus (-1) in
-  let host_vid = Array.make nodes (-1) in
-  let node_sw = Array.make nodes (-1) in
   let nic_vid = Array.make_matrix nodes rails (-1) in
   let leaves = (nodes + arity - 1) / arity in
   let spines = if leaves > 1 then max 1 ((leaves + 1) / 2) else 0 in
-  let e_lat, i_lat = halves p.nvlink_latency in
   let ib_dn, ib_up = halves p.ib_latency in
   let leaf_vid = Array.make_matrix rails leaves (-1) in
   let spine_vid = Array.make_matrix rails (max spines 1) (-1) in
@@ -581,51 +526,22 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
        the NIC tx/rx ports; the over-provisioned core is contention-free. *)
     for l = 0 to leaves - 1 do
       for s = 0 to spines - 1 do
-        ignore
-          (add_link b ~src:leaf_vid.(r).(l) ~dst:spine_vid.(r).(s) ~kind:Infiniband
-             ~latency:ib_dn ~ns_per_byte:(nsb p.ib_gbs) ~ports:[]);
-        ignore
-          (add_link b ~src:spine_vid.(r).(s) ~dst:leaf_vid.(r).(l) ~kind:Infiniband
-             ~latency:ib_up ~ns_per_byte:(nsb p.ib_gbs) ~ports:[])
+        add_hop b ~src:leaf_vid.(r).(l) ~dst:spine_vid.(r).(s) ~kind:Infiniband
+          ~ns_per_byte:(nsb p.ib_gbs) ~there:(ib_dn, []) ~back:(ib_up, [])
       done
     done
   done;
-  for node = 0 to nodes - 1 do
-    let sw, host =
-      add_hgx_node b ~profile:p ~node ~gpu0:(node * gpus_per_node) ~gpus:gpus_per_node ~gpu_vid
-    in
-    node_sw.(node) <- sw;
-    host_vid.(node) <- host;
-    for r = 0 to rails - 1 do
-      let nic =
-        add_vertex b ~kind:(Nic { node })
-          ~name:(Printf.sprintf "node%d.nic%d" node r)
-          ~local_ns_per_byte:(nsb p.hbm_gbs)
-      in
-      nic_vid.(node).(r) <- nic;
-      let tx = add_port b ~name:(Printf.sprintf "node%d.nic%d.tx" node r) in
-      let rx = add_port b ~name:(Printf.sprintf "node%d.nic%d.rx" node r) in
-      ignore
-        (add_link b ~src:sw ~dst:nic ~kind:Pcie ~latency:(Time.sub p.pcie_latency e_lat)
-           ~ns_per_byte:(nsb p.ib_gbs) ~ports:[]);
-      ignore
-        (add_link b ~src:nic ~dst:sw ~kind:Pcie ~latency:(Time.sub p.pcie_latency i_lat)
-           ~ns_per_byte:(nsb p.ib_gbs) ~ports:[]);
-      ignore
-        (add_link b ~src:nic ~dst:leaf_vid.(r).(node / arity) ~kind:Infiniband ~latency:ib_dn
-           ~ns_per_byte:(nsb p.ib_gbs) ~ports:[ tx ]);
-      ignore
-        (add_link b ~src:leaf_vid.(r).(node / arity) ~dst:nic ~kind:Infiniband ~latency:ib_up
-           ~ns_per_byte:(nsb p.ib_gbs) ~ports:[ rx ])
-    done
-  done;
-  (* Vertex roles for the structural path function. *)
-  let nv = b.nv in
-  let vnode = Array.make nv (-1) in
-  let vrail = Array.make nv (-1) in
-  Array.iteri (fun g v -> vnode.(v) <- g / gpus_per_node) gpu_vid;
-  Array.iteri (fun n v -> vnode.(v) <- n) host_vid;
-  Array.iteri (fun n v -> vnode.(v) <- n) node_sw;
+  let gpu_vid, node_sw, host_vid =
+    add_nodes b ~profile:p ~nodes ~gpus_per_node (fun node sw ->
+        for r = 0 to rails - 1 do
+          nic_vid.(node).(r) <-
+            add_nic b ~profile:p ~node ~name:(Printf.sprintf "node%d.nic%d" node r) ~sw
+              ~uplink:leaf_vid.(r).(node / arity)
+        done)
+  in
+  (* Vertex roles for the closed path function. *)
+  let vnode = vertex_nodes b ~gpus_per_node ~gpu_vid ~node_sw ~host_vid [] in
+  let vrail = Array.make b.nv (-1) in
   Array.iteri
     (fun n per_rail ->
       Array.iteri
@@ -665,22 +581,19 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
      construction (every GPU pair is same-node, intra-leaf or cross-leaf). *)
   let two_pcie = Time.add p.pcie_latency p.pcie_latency in
   let two_ib = Time.add p.ib_latency p.ib_latency in
-  let s_min_gpu =
+  let min_gpu =
     if gpus_per_node >= 2 then Some p.nvlink_latency
     else if nodes >= 2 then
       Some (Time.add two_pcie (if arity >= 2 then p.ib_latency else two_ib))
     else None
   in
-  let s_max_gpu =
+  let max_gpu =
     if leaves >= 2 then Some (Time.add two_pcie two_ib)
     else if nodes >= 2 then Some (Time.add two_pcie p.ib_latency)
     else if gpus_per_node >= 2 then Some p.nvlink_latency
     else None
   in
-  let structural =
-    { sm_path = spath; sm_min_gpu = s_min_gpu; sm_max_gpu = s_max_gpu }
-  in
-  build ~structural b
+  build ~closed:{ spath; min_gpu; max_gpu } b
     ~name:(Printf.sprintf "fattree_%s_%dn_a%d_r%d" p.pname nodes arity rails)
     ~nodes ~gpu_vid ~host_vid
 
@@ -693,7 +606,7 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
    arrangement (peer group [d] of group [s] lands on router
    [offset(d)/h]). Local links cost one ib_latency; global optical links
    cost three — which makes the minimal local-global-local route strictly
-   cheaper than any multi-global detour, so structural routing coincides
+   cheaper than any multi-global detour, so closed-form routing coincides
    with shortest-path routing. *)
 let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
   if a <= 0 then invalid_arg "Topology.dragonfly: a (routers per group) must be positive";
@@ -709,14 +622,8 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
          "Topology.dragonfly: %d groups exceed the global-link budget a*h+1 = %d (raise a or h)"
          groups
          ((a * h) + 1));
-  let gpus = nodes * gpus_per_node in
   let b = builder () in
-  let gpu_vid = Array.make gpus (-1) in
-  let host_vid = Array.make nodes (-1) in
-  let node_sw = Array.make nodes (-1) in
   let nic_vid = Array.make nodes (-1) in
-  let e_lat, i_lat = halves pr.nvlink_latency in
-  let ib_dn, ib_up = halves pr.ib_latency in
   let global_lat = Time.ns (3 * Time.to_ns pr.ib_latency) in
   let router_vid = Array.make_matrix groups a (-1) in
   for g = 0 to groups - 1 do
@@ -729,9 +636,8 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
     for i = 0 to a - 1 do
       for j = 0 to a - 1 do
         if i <> j then
-          ignore
-            (add_link b ~src:router_vid.(g).(i) ~dst:router_vid.(g).(j) ~kind:Infiniband
-               ~latency:pr.ib_latency ~ns_per_byte:(nsb pr.ib_gbs) ~ports:[])
+          add_link b ~src:router_vid.(g).(i) ~dst:router_vid.(g).(j) ~kind:Infiniband
+            ~latency:pr.ib_latency ~ns_per_byte:(nsb pr.ib_gbs) ~ports:[]
       done
     done
   done;
@@ -741,47 +647,19 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
   for s = 0 to groups - 1 do
     for d = 0 to groups - 1 do
       if s <> d then
-        ignore
-          (add_link b ~src:router_vid.(s).(owner s d) ~dst:router_vid.(d).(owner d s)
-             ~kind:Infiniband ~latency:global_lat ~ns_per_byte:(nsb pr.ib_gbs) ~ports:[])
+        add_link b ~src:router_vid.(s).(owner s d) ~dst:router_vid.(d).(owner d s)
+          ~kind:Infiniband ~latency:global_lat ~ns_per_byte:(nsb pr.ib_gbs) ~ports:[]
     done
   done;
-  for node = 0 to nodes - 1 do
-    let g = node / per_group and r = node mod per_group / p in
-    let sw, host =
-      add_hgx_node b ~profile:pr ~node ~gpu0:(node * gpus_per_node) ~gpus:gpus_per_node ~gpu_vid
-    in
-    node_sw.(node) <- sw;
-    host_vid.(node) <- host;
-    let nic =
-      add_vertex b ~kind:(Nic { node })
-        ~name:(Printf.sprintf "node%d.nic" node)
-        ~local_ns_per_byte:(nsb pr.hbm_gbs)
-    in
-    nic_vid.(node) <- nic;
-    let tx = add_port b ~name:(Printf.sprintf "node%d.nic.tx" node) in
-    let rx = add_port b ~name:(Printf.sprintf "node%d.nic.rx" node) in
-    ignore
-      (add_link b ~src:sw ~dst:nic ~kind:Pcie ~latency:(Time.sub pr.pcie_latency e_lat)
-         ~ns_per_byte:(nsb pr.ib_gbs) ~ports:[]);
-    ignore
-      (add_link b ~src:nic ~dst:sw ~kind:Pcie ~latency:(Time.sub pr.pcie_latency i_lat)
-         ~ns_per_byte:(nsb pr.ib_gbs) ~ports:[]);
-    ignore
-      (add_link b ~src:nic ~dst:router_vid.(g).(r) ~kind:Infiniband ~latency:ib_dn
-         ~ns_per_byte:(nsb pr.ib_gbs) ~ports:[ tx ]);
-    ignore
-      (add_link b ~src:router_vid.(g).(r) ~dst:nic ~kind:Infiniband ~latency:ib_up
-         ~ns_per_byte:(nsb pr.ib_gbs) ~ports:[ rx ])
-  done;
-  let nv = b.nv in
-  let vnode = Array.make nv (-1) in
-  let vgroup = Array.make nv (-1) in
-  let vrouter = Array.make nv (-1) in
-  Array.iteri (fun gi v -> vnode.(v) <- gi / gpus_per_node) gpu_vid;
-  Array.iteri (fun n v -> vnode.(v) <- n) host_vid;
-  Array.iteri (fun n v -> vnode.(v) <- n) node_sw;
-  Array.iteri (fun n v -> vnode.(v) <- n) nic_vid;
+  let gpu_vid, node_sw, host_vid =
+    add_nodes b ~profile:pr ~nodes ~gpus_per_node (fun node sw ->
+        nic_vid.(node) <-
+          add_nic b ~profile:pr ~node ~name:(Printf.sprintf "node%d.nic" node) ~sw
+            ~uplink:router_vid.(node / per_group).(node mod per_group / p))
+  in
+  let vnode = vertex_nodes b ~gpus_per_node ~gpu_vid ~node_sw ~host_vid [ nic_vid ] in
+  let vgroup = Array.make b.nv (-1) in
+  let vrouter = Array.make b.nv (-1) in
   Array.iteri
     (fun g per ->
       Array.iteri
@@ -824,14 +702,14 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
   in
   let two_pcie = Time.add pr.pcie_latency pr.pcie_latency in
   let ibx n = Time.ns (n * Time.to_ns pr.ib_latency) in
-  let s_min_gpu =
+  let min_gpu =
     if gpus_per_node >= 2 then Some pr.nvlink_latency
     else if nodes >= 2 && p >= 2 then Some (Time.add two_pcie pr.ib_latency)
     else if nodes >= 2 && a >= 2 then Some (Time.add two_pcie (ibx 2))
     else if nodes >= 2 then Some (Time.add two_pcie (ibx 4))
     else None
   in
-  let s_max_gpu =
+  let max_gpu =
     if groups >= 2 then begin
       (* Worst cross-group pair: the optical hop plus one local hop on each
          side whose group populates a router other than the link's owner
@@ -853,8 +731,7 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
     else if gpus_per_node >= 2 then Some pr.nvlink_latency
     else None
   in
-  let structural = { sm_path = spath; sm_min_gpu = s_min_gpu; sm_max_gpu = s_max_gpu } in
-  build ~structural b
+  build ~closed:{ spath; min_gpu; max_gpu } b
     ~name:(Printf.sprintf "dragonfly_%s_%dg_a%dp%dh%d" pr.pname groups a p h)
     ~nodes ~gpu_vid ~host_vid
 
@@ -875,8 +752,21 @@ let pos_int what s =
   | Some n when n > 0 -> Ok n
   | _ -> Error (Printf.sprintf "bad %s %S in topology spec" what s)
 
+(* The positive integer fields of a fat-tree or dragonfly spec: [given]
+   read in order against [fields] (what, default); fields left out take
+   their defaults. *)
+let spec_fields fields given =
+  let rec go fields given =
+    match (fields, given) with
+    | [], _ -> Ok []
+    | (_, default) :: fs, [] -> Result.map (List.cons default) (go fs [])
+    | (what, _) :: fs, v :: vs ->
+      Result.bind (pos_int what v) (fun n -> Result.map (List.cons n) (go fs vs))
+  in
+  Result.map Array.of_list (go fields given)
+
 let spec_of_string s =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
+  let ( let* ) = Result.bind in
   match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
   | [ ("hgx" | "nvswitch") ] -> Ok Hgx
   | [ "ring" ] -> Ok Ring
@@ -886,37 +776,26 @@ let spec_of_string s =
     match int_of_string_opt n with
     | Some nodes when nodes > 0 -> Ok (Dgx { nodes })
     | _ -> Error (Printf.sprintf "bad node count %S in topology spec" n))
-  | ("fat-tree" | "fat_tree" | "fattree") :: rest -> (
-    match rest with
-    | [] -> Ok (Fat_tree { arity = 4; rails = 1; gpus_per_node = 8 })
-    | [ ar ] ->
-      let* arity = pos_int "arity" ar in
-      Ok (Fat_tree { arity; rails = 1; gpus_per_node = 8 })
-    | [ ar; ra ] ->
-      let* arity = pos_int "arity" ar in
-      let* rails = pos_int "rail count" ra in
-      Ok (Fat_tree { arity; rails; gpus_per_node = 8 })
-    | [ ar; ra; gp ] ->
-      let* arity = pos_int "arity" ar in
-      let* rails = pos_int "rail count" ra in
-      let* gpus_per_node = pos_int "gpus-per-node" gp in
-      Ok (Fat_tree { arity; rails; gpus_per_node })
-    | _ -> Error (Printf.sprintf "too many fields in fat-tree spec %S" s))
-  | "dragonfly" :: rest -> (
-    match rest with
-    | [] -> Ok (Dragonfly { a = 4; p = 2; h = 2; gpus_per_node = 8 })
-    | [ av; pv; hv ] ->
-      let* a = pos_int "a (routers per group)" av in
-      let* p = pos_int "p (nodes per router)" pv in
-      let* h = pos_int "h (global links per router)" hv in
-      Ok (Dragonfly { a; p; h; gpus_per_node = 8 })
-    | [ av; pv; hv; gp ] ->
-      let* a = pos_int "a (routers per group)" av in
-      let* p = pos_int "p (nodes per router)" pv in
-      let* h = pos_int "h (global links per router)" hv in
-      let* gpus_per_node = pos_int "gpus-per-node" gp in
-      Ok (Dragonfly { a; p; h; gpus_per_node })
-    | _ -> Error (Printf.sprintf "dragonfly spec %S needs A:P:H or A:P:H:GPN" s))
+  | ("fat-tree" | "fat_tree" | "fattree") :: rest ->
+    if List.length rest > 3 then Error (Printf.sprintf "too many fields in fat-tree spec %S" s)
+    else
+      let* f = spec_fields [ ("arity", 4); ("rail count", 1); ("gpus-per-node", 8) ] rest in
+      Ok (Fat_tree { arity = f.(0); rails = f.(1); gpus_per_node = f.(2) })
+  | "dragonfly" :: rest ->
+    if not (List.mem (List.length rest) [ 0; 3; 4 ]) then
+      Error (Printf.sprintf "dragonfly spec %S needs A:P:H or A:P:H:GPN" s)
+    else
+      let* f =
+        spec_fields
+          [
+            ("a (routers per group)", 4);
+            ("p (nodes per router)", 2);
+            ("h (global links per router)", 2);
+            ("gpus-per-node", 8);
+          ]
+          rest
+      in
+      Ok (Dragonfly { a = f.(0); p = f.(1); h = f.(2); gpus_per_node = f.(3) })
   | _ ->
     Error
       (Printf.sprintf
@@ -946,31 +825,24 @@ let validate spec ~gpus =
              nodes
              (gpus + nodes - (gpus mod nodes)))
       else Ok ()
-    | Fat_tree { gpus_per_node; _ } ->
-      if gpus mod gpus_per_node <> 0 then
-        Error
-          (Printf.sprintf "%d GPUs are not a multiple of %d GPUs per node (try --gpus %d)" gpus
-             gpus_per_node
-             (gpus + gpus_per_node - (gpus mod gpus_per_node)))
-      else Ok ()
+    | (Fat_tree { gpus_per_node; _ } | Dragonfly { gpus_per_node; _ })
+      when gpus mod gpus_per_node <> 0 ->
+      Error
+        (Printf.sprintf "%d GPUs are not a multiple of %d GPUs per node (try --gpus %d)" gpus
+           gpus_per_node
+           (gpus + gpus_per_node - (gpus mod gpus_per_node)))
+    | Fat_tree _ -> Ok ()
     | Dragonfly { a; p; h; gpus_per_node } ->
-      if gpus mod gpus_per_node <> 0 then
+      let nodes = gpus / gpus_per_node in
+      let groups = (nodes + (a * p) - 1) / (a * p) in
+      if groups > 1 && groups - 1 > a * h then
         Error
-          (Printf.sprintf "%d GPUs are not a multiple of %d GPUs per node (try --gpus %d)" gpus
-             gpus_per_node
-             (gpus + gpus_per_node - (gpus mod gpus_per_node)))
-      else begin
-        let nodes = gpus / gpus_per_node in
-        let groups = (nodes + (a * p) - 1) / (a * p) in
-        if groups > 1 && groups - 1 > a * h then
-          Error
-            (Printf.sprintf
-               "%d nodes make %d dragonfly groups, exceeding the global-link budget a*h+1 = %d \
-                (raise a or h)"
-               nodes groups
-               ((a * h) + 1))
-        else Ok ()
-      end
+          (Printf.sprintf
+             "%d nodes make %d dragonfly groups, exceeding the global-link budget a*h+1 = %d \
+              (raise a or h)"
+             nodes groups
+             ((a * h) + 1))
+      else Ok ()
 
 let instantiate spec ~profile ~gpus =
   match validate spec ~gpus with
@@ -997,14 +869,14 @@ let dead_of t = if t.degraded then Some (t.dead_vs, t.dead_ls) else None
 
 (* Fetch (or compute) the cached shortest-path row for [src], evicting the
    oldest row first when the cache is full. *)
-let row_for t tb src =
-  match tb.rows.(src) with
+let row_for t src =
+  match t.rows.(src) with
   | Some r -> r
   | None ->
     let r = dijkstra_row ?dead:(dead_of t) ~nv:(Array.length t.vs) ~adj:t.adj src in
-    if Queue.length tb.fifo >= route_cache_rows then tb.rows.(Queue.pop tb.fifo) <- None;
-    tb.rows.(src) <- Some r;
-    Queue.push src tb.fifo;
+    if Queue.length t.fifo >= route_cache_rows then t.rows.(Queue.pop t.fifo) <- None;
+    t.rows.(src) <- Some r;
+    Queue.push src t.fifo;
     r
 
 let links_of_row t (r : row) dst =
@@ -1019,67 +891,36 @@ let links_of_row t (r : row) dst =
     Some (Array.of_list (walk dst []))
   end
 
-let links_of_vseq t (s : structural) vseq =
+(* The links of a closed vertex path, the lowest-id link of each hop, or
+   [None] when the path crosses a dead vertex or link: a failed rail, spine
+   or router sends the pair to the Dijkstra rows, which re-route over the
+   surviving graph and so exploit the fabric's remaining path diversity. *)
+let closed_links t vseq =
   let nv = Array.length t.vs in
-  let rec go = function
+  let rec go acc = function
+    | [] -> Some (Array.of_list (List.rev acc))
+    | u :: _ when t.dead_vs.(u) -> None
+    | [ _ ] -> go acc []
     | u :: (v :: _ as rest) -> (
-      match Hashtbl.find_opt s.edge ((u * nv) + v) with
-      | Some lid -> lid :: go rest
+      match Hashtbl.find_opt t.edge ((u * nv) + v) with
+      | Some lid -> if t.dead_ls.(lid) then None else go (lid :: acc) rest
       | None ->
         invalid_arg
           (Printf.sprintf "Topology.%s: structural route uses a missing edge %s -> %s" t.tname
              t.vs.(u).vname t.vs.(v).vname))
-    | _ -> []
   in
-  Array.of_list (go vseq)
+  go [] vseq
 
-(* Whether a structural vertex path survives the dead set: every vertex
-   alive and every consecutive hop's (lowest-id) link alive. Only consulted
-   while degraded — a failed rail, spine or router sends the pair to the
-   Dijkstra fallback, which re-routes over the surviving graph and thereby
-   exploits the fabric's remaining path diversity. A missing edge is left
-   for {!links_of_vseq} to diagnose, as before. *)
-let vseq_alive t (s : structural) vseq =
-  let nv = Array.length t.vs in
-  let rec go = function
-    | [] -> true
-    | [ u ] -> not t.dead_vs.(u)
-    | u :: (v :: _ as rest) ->
-      (not t.dead_vs.(u))
-      && (match Hashtbl.find_opt s.edge ((u * nv) + v) with
-         | Some lid -> not t.dead_ls.(lid)
-         | None -> true)
-      && go rest
-  in
-  go vseq
-
-(* The links of the shortest route, or None when unreachable. *)
+(* The links of the shortest route, or None when unreachable: the closed
+   path when the machine has one for the pair and it survives the dead
+   set, the cached Dijkstra row otherwise. *)
 let resolve_links t ~src ~dst =
   if src = dst then Some [||]
   else
-    match t.router with
-    | Tables tb -> links_of_row t (row_for t tb src) dst
-    | Structural s -> (
-      match s.spath src dst with
-      | Some vseq when (not t.degraded) || vseq_alive t s vseq -> Some (links_of_vseq t s vseq)
-      | Some _ | None -> links_of_row t (row_for t s.stables src) dst)
-
-let resolve_latency t ~src ~dst =
-  if src = dst then Some Time.zero
-  else
-    let sum lids =
-      Array.fold_left (fun acc lid -> Time.add acc t.ls.(lid).llatency) Time.zero lids
-    in
-    match t.router with
-    | Tables tb ->
-      let r = row_for t tb src in
-      if r.dist.(dst) = max_int then None else Some (Time.ns r.dist.(dst))
-    | Structural s -> (
-      match s.spath src dst with
-      | Some vseq when (not t.degraded) || vseq_alive t s vseq -> Some (sum (links_of_vseq t s vseq))
-      | Some _ | None ->
-        let r = row_for t s.stables src in
-        if r.dist.(dst) = max_int then None else Some (Time.ns r.dist.(dst)))
+    let closed_path = match t.closed with Some c -> c.spath src dst | None -> None in
+    match Option.bind closed_path (closed_links t) with
+    | Some _ as lids -> lids
+    | None -> links_of_row t (row_for t src) dst
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -1092,13 +933,8 @@ let num_vertices t = Array.length t.vs
 let vertices t = Array.to_list t.vs
 let links t = Array.to_list t.ls
 let ports t = Array.to_list t.ps
-
-let routing_kind t = match t.router with Tables _ -> "tables" | Structural _ -> "structural"
-
-let route_rows_cached t =
-  match t.router with
-  | Tables tb -> Queue.length tb.fifo
-  | Structural s -> Queue.length s.stables.fifo
+let routing_kind t = if Option.is_some t.closed then "structural" else "tables"
+let route_rows_cached t = Queue.length t.fifo
 
 (* ------------------------------------------------------------------ *)
 (* Fail-stop degradation                                               *)
@@ -1110,11 +946,8 @@ let route_rows_cached t =
    downstream per-pair memos (the interconnect) notice staleness without a
    callback protocol. *)
 let flush_routes t =
-  let flush tb =
-    Queue.iter (fun s -> tb.rows.(s) <- None) tb.fifo;
-    Queue.clear tb.fifo
-  in
-  (match t.router with Tables tb -> flush tb | Structural s -> flush s.stables);
+  Queue.iter (fun s -> t.rows.(s) <- None) t.fifo;
+  Queue.clear t.fifo;
   t.degraded <- true;
   t.route_epoch <- t.route_epoch + 1
 
@@ -1184,6 +1017,10 @@ let host_vertex t ~node =
     invalid_arg (Printf.sprintf "Topology.host_vertex: no such node %d" node);
   t.host_vid.(node)
 
+(* ------------------------------------------------------------------ *)
+(* Route queries                                                       *)
+(* ------------------------------------------------------------------ *)
+
 let check_vid t v op =
   if v < 0 || v >= Array.length t.vs then
     invalid_arg (Printf.sprintf "Topology.%s: no such vertex %d" op v)
@@ -1197,10 +1034,6 @@ let no_route t ~src ~dst op =
     (* On a healthy machine an unroutable public pair is a caller bug; on a
        degraded one it is a diagnosed network partition. *)
     let count a = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 a in
-    let dead_names =
-      t.vs |> Array.to_list
-      |> List.filter_map (fun v -> if t.dead_vs.(v.vid) then Some v.vname else None)
-    in
     raise
       (Partitioned
          (Printf.sprintf "%s: network partitioned by fail-stop events (%d dead link%s, %d dead vertex%s%s)"
@@ -1208,91 +1041,83 @@ let no_route t ~src ~dst op =
             (if count t.dead_ls = 1 then "" else "s")
             (count t.dead_vs)
             (if count t.dead_vs = 1 then "" else "es")
-            (match dead_names with [] -> "" | ns -> ": " ^ String.concat ", " ns)))
+            (match dead_vertices t with [] -> "" | ns -> ": " ^ String.concat ", " ns)))
   end
 
-let reachable t ~src ~dst =
-  check_vid t src "reachable";
-  check_vid t dst "reachable";
-  resolve_latency t ~src ~dst <> None
+(* Every route query resolves through here: both vertex ids checked, then
+   the route's links, [None] when the pair is unroutable. [op] names the
+   query in its errors. *)
+let resolve_checked t ~src ~dst op =
+  check_vid t src op;
+  check_vid t dst op;
+  resolve_links t ~src ~dst
+
+let routed t ~src ~dst op =
+  match resolve_checked t ~src ~dst op with Some lids -> lids | None -> no_route t ~src ~dst op
+
+let reachable t ~src ~dst = resolve_checked t ~src ~dst "reachable" <> None
 
 let route t ~src ~dst =
-  check_vid t src "route";
-  check_vid t dst "route";
-  match resolve_links t ~src ~dst with
-  | Some lids -> Array.to_list (Array.map (fun lid -> t.ls.(lid)) lids)
-  | None -> no_route t ~src ~dst "route"
+  Array.to_list (Array.map (fun lid -> t.ls.(lid)) (routed t ~src ~dst "route"))
 
+(* Equal to the Dijkstra row's [dist] when the row routes the pair. *)
 let route_latency t ~src ~dst =
-  check_vid t src "route_latency";
-  check_vid t dst "route_latency";
-  match resolve_latency t ~src ~dst with
-  | Some l -> l
-  | None -> no_route t ~src ~dst "route_latency"
+  Array.fold_left
+    (fun acc lid -> Time.add acc t.ls.(lid).llatency)
+    Time.zero
+    (routed t ~src ~dst "route_latency")
 
 let route_ns_per_byte t ~src ~dst =
-  check_vid t src "route_ns_per_byte";
-  check_vid t dst "route_ns_per_byte";
-  match resolve_links t ~src ~dst with
-  | None -> no_route t ~src ~dst "route_ns_per_byte"
-  | Some [||] -> t.vs.(src).local_ns_per_byte
-  | Some lids ->
-    Array.fold_left (fun acc lid -> Float.max acc t.ls.(lid).lns_per_byte) 0.0 lids
+  match routed t ~src ~dst "route_ns_per_byte" with
+  | [||] -> t.vs.(src).local_ns_per_byte
+  | lids -> Array.fold_left (fun acc lid -> Float.max acc t.ls.(lid).lns_per_byte) 0.0 lids
 
 (* Port dedup via a reusable bitset (cleared back by walking the result, so
    the scratch cost is O(route length), not O(ports)). The same path serves
    the interconnect's lazy pair fill. *)
 let route_ports t ~src ~dst =
-  check_vid t src "route_ports";
-  check_vid t dst "route_ports";
-  match resolve_links t ~src ~dst with
-  | None -> no_route t ~src ~dst "route_ports"
-  | Some lids ->
-    let seen = t.dedup in
-    let acc = ref [] in
-    Array.iter
-      (fun lid ->
-        List.iter
-          (fun pp ->
-            if Bytes.get seen pp = '\000' then begin
-              Bytes.set seen pp '\001';
-              acc := pp :: !acc
-            end)
-          t.ls.(lid).lports)
-      lids;
-    List.iter (fun pp -> Bytes.set seen pp '\000') !acc;
-    List.rev !acc
+  let lids = routed t ~src ~dst "route_ports" in
+  let seen = t.dedup in
+  let acc = ref [] in
+  Array.iter
+    (fun lid ->
+      List.iter
+        (fun pp ->
+          if Bytes.get seen pp = '\000' then begin
+            Bytes.set seen pp '\001';
+            acc := pp :: !acc
+          end)
+        t.ls.(lid).lports)
+    lids;
+  List.iter (fun pp -> Bytes.set seen pp '\000') !acc;
+  List.rev !acc
 
 let shortest_row ~nv links ~src =
   if src < 0 || src >= nv then invalid_arg "Topology.shortest_row: no such source";
   let r = dijkstra_row ~nv ~adj:(adjacency nv (Array.of_list links)) src in
   (r.dist, r.hops, r.pred)
 
-let fold_pairs xs ys f =
-  List.fold_left
-    (fun acc a ->
-      List.fold_left
-        (fun acc c -> if a = c then acc else f acc ~src:a ~dst:c)
-        acc ys)
-    None xs
+(* A GPU-pair latency bound: the closed form's tier-derived [bound], or
+   [pick] folded over every ordered pair of distinct GPUs. *)
+let gpu_pair_bound t bound pick =
+  match t.closed with
+  | Some c -> if t.gpus >= 2 then bound c else None
+  | None ->
+    let acc = ref None in
+    Array.iter
+      (fun src ->
+        Array.iter
+          (fun dst ->
+            if src <> dst then begin
+              let l = route_latency t ~src ~dst in
+              acc := Some (match !acc with Some m -> pick m l | None -> l)
+            end)
+          t.gpu_vid)
+      t.gpu_vid;
+    !acc
 
-let min_gpu_pair_latency t =
-  match t.router with
-  | Structural s -> if t.gpus >= 2 then s.s_min_gpu else None
-  | Tables _ ->
-    let g = Array.to_list t.gpu_vid in
-    fold_pairs g g (fun acc ~src ~dst ->
-        let l = route_latency t ~src ~dst in
-        match acc with Some m when Time.(m <= l) -> acc | _ -> Some l)
-
-let max_gpu_pair_latency t =
-  match t.router with
-  | Structural s -> if t.gpus >= 2 then s.s_max_gpu else None
-  | Tables _ ->
-    let g = Array.to_list t.gpu_vid in
-    fold_pairs g g (fun acc ~src ~dst ->
-        let l = route_latency t ~src ~dst in
-        match acc with Some m when Time.(m >= l) -> acc | _ -> Some l)
+let min_gpu_pair_latency t = gpu_pair_bound t (fun c -> c.min_gpu) Time.min
+let max_gpu_pair_latency t = gpu_pair_bound t (fun c -> c.max_gpu) Time.max
 
 let string_of_link_kind = function
   | Nvlink -> "nvlink"

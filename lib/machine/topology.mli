@@ -5,22 +5,31 @@
     hops). Every link carries its own first-byte latency, inverse bandwidth
     and the contention ports a transfer crossing it must book.
 
-    Routes are shortest-latency and resolved {e on demand}. Structural
-    topologies ([Dgx], [Fat_tree], [Dragonfly]) compute each route
-    in O(path length) from the construction itself — the unique tree path
-    through node switch, NIC and spine on a DGX cluster, up/down through the
-    fat tree, minimal local–global–local across the dragonfly — so a
-    1024-GPU machine never materializes an all-pairs table. The single-node
-    and irregular topologies ([Hgx], [Ring], [Pcie_only]), degraded
-    fabrics whose closed-form path crosses a dead component, and the rare
-    structural pair the closed form declines (e.g. a fat-tree core-switch
-    endpoint) fall back to lazy per-source Dijkstra rows, O(E log V) each
-    from a binary heap, behind a bounded FIFO cache of 64 rows.
+    Routes are shortest-latency and resolved {e on demand} by one router:
+    lazy per-source Dijkstra rows, O(E log V) each from a binary heap,
+    behind a bounded FIFO cache of 64 rows, plus an optional closed form
+    that a constructor derives from its own shape. The cluster
+    constructors ([Dgx], [Fat_tree], [Dragonfly]) have one: it computes
+    each route in O(path length) — the unique tree path through node
+    switch, NIC and spine on a DGX cluster, up/down through the fat tree,
+    minimal local–global–local across the dragonfly — so a 1024-GPU
+    machine never materializes an all-pairs table. A pair takes the
+    Dijkstra row when the machine has no closed form ([Hgx], [Ring],
+    [Pcie_only]), when the closed form declines it (e.g. a fat-tree
+    core-switch endpoint), or when its closed path crosses a dead
+    component. Either way a route is a sequence of link ids, and every
+    query (latency, bottleneck rate, ports) reads it.
     The Dijkstra is deterministic (vertices settle in (latency, hops, vertex
     id) order; ties broken by hop count, then link id) and a recomputed row
     is identical to an evicted one, so cache size never changes any route.
     Resolution mutates the route cache and a scratch bitset, so a topology
     belongs to one domain: each run instantiates its own.
+
+    Every constructor builds from the same pieces — vertices, ports, and
+    two-way hops added there then back; the cluster shapes attach each NIC
+    with one recipe (vertex, tx port, rx port, PCIe attach pair,
+    InfiniBand uplink pair). Creation order fixes every vertex, port and
+    link id, and Dijkstra breaks its ties on those ids.
 
     The single-node HGX constructor reproduces the flat NVSwitch all-to-all
     the paper evaluates on, link for link: a GPU-to-GPU route totals exactly
@@ -239,13 +248,15 @@ val dead_links : t -> int list
 (** {1 Routing internals (introspection and tests)} *)
 
 val routing_kind : t -> string
-(** ["structural"] (dgx-cluster/fat-tree/dragonfly closed-form paths) or
-    ["tables"] (lazy per-source Dijkstra rows: hgx, ring, pcie-only). *)
+(** ["structural"] when the machine has a closed form (dgx-cluster,
+    fat-tree, dragonfly), ["tables"] when every route is a Dijkstra row
+    (hgx, ring, pcie-only). *)
 
 val route_rows_cached : t -> int
-(** Number of per-source rows currently cached, at most 64 (structural
-    topologies only count fallback rows — normally 0). Rows evicted from
-    the cache are recomputed identically, so its size changes no route. *)
+(** Number of per-source rows currently cached, at most 64 (on a machine
+    with a closed form only the pairs it declines or a failure diverts
+    cache rows — normally 0). Rows evicted from the cache are recomputed
+    identically, so its size changes no route. *)
 
 val shortest_row : nv:int -> link list -> src:int -> int array * int array * int array
 (** The production single-source search (binary heap) over an arbitrary

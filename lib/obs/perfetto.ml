@@ -51,7 +51,6 @@ let kind_name = function
   | Trace.Communication -> "communication"
   | Trace.Synchronization -> "synchronization"
   | Trace.Api -> "api"
-  | Trace.Idle -> "idle"
   | Trace.Marker -> "marker"
 
 (* Every event is written straight into one buffer. *)

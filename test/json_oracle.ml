@@ -389,7 +389,6 @@ let to_json_string ?metrics trace =
              | Trace.Communication -> "communication"
              | Trace.Synchronization -> "synchronization"
              | Trace.Api -> "api"
-             | Trace.Idle -> "idle"
              | Trace.Marker -> "marker")
              (ts_str s.Trace.t0)
              (Time.to_us_float (Time.sub s.Trace.t1 s.Trace.t0))

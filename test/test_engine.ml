@@ -323,7 +323,7 @@ let trace_tests =
         check_bool "lane" true (Astring.String.is_infix ~affix:"gpu0" s);
         check_bool "legend" true (Astring.String.is_infix ~affix:"legend" s));
     Alcotest.test_case "add_opt on None is a no-op" `Quick (fun () ->
-        Trace.add_opt None ~lane:"x" ~label:"y" ~kind:Trace.Idle ~t0:Time.zero ~t1:Time.zero);
+        Trace.add_opt None ~lane:"x" ~label:"y" ~kind:Trace.Compute ~t0:Time.zero ~t1:Time.zero);
   ]
 
 (* --- Engine ------------------------------------------------------------ *)

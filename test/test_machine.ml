@@ -372,7 +372,19 @@ let prop_route_well_formed =
               List.fold_left (fun acc l -> acc + Time.to_ns l.T.llatency) 0 r
               = Time.to_ns (T.route_latency t ~src:a ~dst:b)
             in
-            ok := !ok && contiguous && additive
+            let bottleneck =
+              Float.equal
+                (List.fold_left (fun acc l -> Float.max acc l.T.lns_per_byte) 0.0 r)
+                (T.route_ns_per_byte t ~src:a ~dst:b)
+            in
+            let ports =
+              List.fold_left
+                (fun acc l ->
+                  List.fold_left (fun acc p -> if List.mem p acc then acc else acc @ [ p ]) acc l.T.lports)
+                [] r
+              = T.route_ports t ~src:a ~dst:b
+            in
+            ok := !ok && contiguous && additive && bottleneck && ports
           end
         done
       done;

@@ -704,10 +704,7 @@ let gen_trace =
   in
   let lane = oneof [ oneofl [ "gpu0.comp"; "gpu12.comm"; "host"; "fabric" ]; tricky_string ] in
   let kind =
-    oneofl
-      [
-        Trace.Compute; Trace.Communication; Trace.Synchronization; Trace.Api; Trace.Idle; Trace.Marker;
-      ]
+    oneofl [ Trace.Compute; Trace.Communication; Trace.Synchronization; Trace.Api; Trace.Marker ]
   in
   let span =
     map3 (fun (l, lbl) k (t0, d) -> `Span (l, lbl, k, t0, d)) (pair lane tricky_string) kind

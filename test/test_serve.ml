@@ -765,6 +765,13 @@ let test_invalid_scenarios_refused () =
   in
   refused "linkfail on a missing vertex" "no vertex"
     { (sc ()) with Scenario.faults = Some unknown_link };
+  let unlinked =
+    match Cpufree_fault.Fault.of_string "linkfail=gpu0-gpu1@1" with
+    | Ok f -> f
+    | Error e -> failwith e
+  in
+  refused "linkfail between vertices with no link" "\"gpu0\" and \"gpu1\" share no link on hgx"
+    { (sc ()) with Scenario.faults = Some unlinked };
   (match
      Scenario.of_string "stencil variant=cpu-free dims=2d:64x64 iters=2 gpus=2 faults=kill=99@1"
    with
