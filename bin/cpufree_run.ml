@@ -6,9 +6,10 @@
    cpufree_run serve    --socket /tmp/cpufree.sock   (scenario daemon)
    cpufree_run client   --socket ... --scenario "stencil variant=cpu-free ..."
 
-   Every subcommand parses the same machine/fault/observability options
-   (--arch, --topology, --gpus, --faults, --fault-seed, --trace-out,
-   --metrics-out) through one shared spec table. The measured-run commands
+   The measured-run subcommands parse the same machine/fault/observability
+   options (--arch, --topology, --gpus, --faults, --fault-seed, --trace-out,
+   --metrics-out) through one shared spec table; `machine` takes only the
+   first three, so the others are refused there. The measured-run commands
    assemble their flags into a first-class [Cpufree_core.Scenario.t] and
    execute through the same [of_scenario] constructors the serving daemon
    uses, so CLI and daemon cannot drift apart. *)
@@ -27,9 +28,9 @@ open Cmdliner
 
 (* --- shared machine/fault/observability options --------------------------- *)
 
-(* Every subcommand sees the same option set, resolved and validated in one
-   place so a bad combination (e.g. "--topology dgx:3 --gpus 8") exits with
-   the same usage message everywhere. [arch_name] keeps the user's spelling
+(* The measured-run subcommands see the same option set, resolved and
+   validated in one place so a bad combination (e.g. "--topology dgx:3
+   --gpus 8") exits with the same usage message everywhere. [arch_name] keeps the user's spelling
    for the scenario record, which carries names, not resolved values. *)
 type common = {
   arch : G.Arch.t;
@@ -121,12 +122,21 @@ let resolve_faults spec =
     Printf.eprintf "bad --faults spec: %s\n" msg;
     exit 2
 
+(* The machine a command runs on: the options every subcommand that builds
+   one takes, resolved and validated together. *)
+let machine_term =
+  let make arch_name topo_name gpus =
+    let arch = resolve_arch arch_name in
+    (arch, arch_name, resolve_topology topo_name ~gpus, gpus)
+  in
+  Term.(const make $ arch_arg $ topology_arg $ gpus_arg)
+
 let common_term =
-  let make arch_name topo_name gpus faults fault_seed trace_out metrics_out =
+  let make (arch, arch_name, topology, gpus) faults fault_seed trace_out metrics_out =
     {
-      arch = resolve_arch arch_name;
+      arch;
       arch_name;
-      topology = resolve_topology topo_name ~gpus;
+      topology;
       gpus;
       faults = Option.map resolve_faults faults;
       fault_seed;
@@ -135,8 +145,7 @@ let common_term =
     }
   in
   Term.(
-    const make $ arch_arg $ topology_arg $ gpus_arg $ faults_arg $ fault_seed_arg
-    $ trace_out_arg $ metrics_out_arg)
+    const make $ machine_term $ faults_arg $ fault_seed_arg $ trace_out_arg $ metrics_out_arg)
 
 (* Write whatever sinks the environment carries, rendered and validated as
    the daemon ships them. *)
@@ -466,11 +475,9 @@ let json_arg =
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let run_machine common json =
-  let arch = common.arch in
+let run_machine (arch, _, topology, gpus) json =
   let topo =
-    Cpufree_machine.Topology.instantiate common.topology
-      ~profile:(G.Arch.fabric_profile arch) ~gpus:common.gpus
+    Cpufree_machine.Topology.instantiate topology ~profile:(G.Arch.fabric_profile arch) ~gpus
   in
   if json then begin
     match Cpufree_core.Machine_json.emit stdout topo with
@@ -480,7 +487,7 @@ let run_machine common json =
       1
   end
   else begin
-    Format.printf "%a@." G.Arch.pp arch;
+    Format.printf "%dx %a@." gpus G.Arch.pp arch;
     let f = Time.to_string in
     Printf.printf "  kernel launch:          %s\n" (f arch.G.Arch.kernel_launch);
     Printf.printf "  cooperative launch:     %s\n" (f arch.G.Arch.coop_launch);
@@ -501,7 +508,7 @@ let machine_cmd =
     "Print the simulated machine: cost-model parameters and the topology graph (or the full \
      description as JSON with --json)."
   in
-  Cmd.v (Cmd.info "machine" ~doc) Term.(const run_machine $ common_term $ json_arg)
+  Cmd.v (Cmd.info "machine" ~doc) Term.(const run_machine $ machine_term $ json_arg)
 
 (* --- serve command ---------------------------------------------------------- *)
 

@@ -201,37 +201,49 @@ let create ?(algorithm = Dense) nv ~label =
 
 let n t = Nvshmem.n_pes t.nv
 
+(* [f x next] for each [x] of [l] in order, each once the previous one
+   has called [next]; then [k]. *)
+let rec iter_k f l k =
+  match l with [] -> k () | [ x ] -> f x k | x :: rest -> f x (fun () -> iter_k f rest k)
+
 (* Each copy is a position-preserving signaled put that bumps the phase's
    channel at the peer by the element count (put-then-signal ordering
    makes each arrival a data guarantee); each wait raises this PE's
-   cumulative threshold on that channel, so no signal is ever reset. *)
+   cumulative threshold on that channel, so no signal is ever reset. The
+   whole schedule is one chain of steps. *)
 let allreduce_sum t ~pe value =
   t.round.(pe) <- t.round.(pe) + 1;
   let bank = (t.round.(pe) land 1) * n t in
   let own = Nvshmem.local t.contrib ~pe in
   G.Buffer.set own (bank + pe) value;
   let s = t.sched in
-  for p = 0 to s.phases - 1 do
-    let c = s.chan p in
-    let sig_var = t.chans.(c) in
-    List.iter
-      (fun (dst, pos, len) ->
-        Nvshmem.putmem_signal_nbi t.nv ~from_pe:pe ~to_pe:dst ~src:own ~src_pos:(bank + pos)
-          ~dst:t.contrib ~dst_pos:(bank + pos) ~len ~sig_var ~sig_op:Nvshmem.Signal_add
-          ~sig_value:len)
-      (s.copies p pe);
-    match s.awaits p pe with
-    | None -> ()
-    | Some k ->
-      let e = t.expect.(pe) in
-      e.(c) <- e.(c) + k;
-      Nvshmem.signal_wait_ge t.nv ~pe ~sig_var e.(c)
-  done;
-  let acc = ref 0.0 in
-  for slot = 0 to n t - 1 do
-    acc := !acc +. G.Buffer.get own (bank + slot)
-  done;
-  !acc
+  let rec phase p k =
+    if p = s.phases then begin
+      let acc = ref 0.0 in
+      for slot = 0 to n t - 1 do
+        acc := !acc +. G.Buffer.get own (bank + slot)
+      done;
+      k !acc
+    end
+    else begin
+      let c = s.chan p in
+      let sig_var = t.chans.(c) in
+      iter_k
+        (fun (dst, pos, len) next ->
+          Nvshmem.putmem_signal_nbi_k t.nv ~from_pe:pe ~to_pe:dst ~src:own ~src_pos:(bank + pos)
+            ~dst:t.contrib ~dst_pos:(bank + pos) ~len ~sig_var ~sig_op:Nvshmem.Signal_add
+            ~sig_value:len next)
+        (s.copies p pe)
+        (fun () ->
+          match s.awaits p pe with
+          | None -> phase (p + 1) k
+          | Some a ->
+            let e = t.expect.(pe) in
+            e.(c) <- e.(c) + a;
+            Nvshmem.signal_wait_ge_k t.nv ~pe ~sig_var e.(c) (fun () -> phase (p + 1) k))
+    end
+  in
+  Cpufree_engine.Engine.handover (Nvshmem.engine t.nv) (phase 0)
 
 let barrier t ~pe = Nvshmem.barrier_all t.nv ~pe
 let rounds t ~pe = t.round.(pe)
@@ -264,16 +276,23 @@ let host_allreduce_sum ctx ~algorithm ~label values =
           ~name:(Printf.sprintf "%s.s%d" label g))
   in
   let s = schedule algorithm nn in
-  for p = 0 to s.phases - 1 do
-    for g = 0 to nn - 1 do
-      List.iter
-        (fun (dst, pos, len) ->
-          R.memcpy_async ctx ~stream:streams.(g) ~src:bufs.(g) ~src_pos:pos ~dst:bufs.(dst)
-            ~dst_pos:pos ~len)
-        (s.copies p g)
-    done;
-    Array.iter (fun st -> R.stream_synchronize ctx st) streams
-  done;
+  let rec phase p k =
+    if p = s.phases then k ()
+    else
+      let rec gpu g k =
+        if g = nn then k ()
+        else
+          iter_k
+            (fun (dst, pos, len) next ->
+              R.memcpy_async_k ctx ~stream:streams.(g) ~src:bufs.(g) ~src_pos:pos ~dst:bufs.(dst)
+                ~dst_pos:pos ~len next)
+            (s.copies p g)
+            (fun () -> gpu (g + 1) k)
+      in
+      gpu 0 (fun () ->
+          iter_k (R.stream_synchronize_k ctx) (Array.to_list streams) (fun () -> phase (p + 1) k))
+  in
+  Cpufree_engine.Engine.handover (R.engine ctx) (phase 0);
   Array.init nn (fun g ->
       let acc = ref 0.0 in
       for q = 0 to nn - 1 do

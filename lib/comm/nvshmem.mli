@@ -11,7 +11,12 @@
     (data first, then any attached signal, preserving NVSHMEM's
     data-before-signal ordering) happens asynchronously, as a fiberless
     engine process ({!Cpufree_engine.Engine.spawn_callbacks}), and {!quiet}
-    waits for all of the calling PE's outstanding deliveries. *)
+    waits for all of the calling PE's outstanding deliveries.
+
+    The plain forms are called from a fiber. A [_k] form is the same
+    operation for a caller running as steps
+    ({!Cpufree_engine.Engine.after}): it runs its continuation once the
+    operation returns, and pushes the events the plain form does. *)
 
 type t
 
@@ -19,6 +24,7 @@ val init : Cpufree_gpu.Runtime.ctx -> t
 (** One PE per GPU of the runtime context. *)
 
 val n_pes : t -> int
+val engine : t -> Cpufree_engine.Engine.t
 
 (** Symmetric data allocation: one same-size buffer per PE. *)
 type sym
@@ -45,6 +51,11 @@ val putmem_signal_nbi :
   dst_pos:int -> len:int -> sig_var:signal -> sig_op:signal_op -> sig_value:int -> unit
 (** [nvshmemx_putmem_signal_nbi_block]: put then update [sig_var] at the
     destination once the data has landed. *)
+
+val putmem_signal_nbi_k :
+  t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> dst:sym ->
+  dst_pos:int -> len:int -> sig_var:signal -> sig_op:signal_op -> sig_value:int ->
+  (unit -> unit) -> unit
 
 val iput_nbi :
   t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> src_stride:int ->
@@ -76,6 +87,9 @@ val signal_wait_until :
     baseline model. *)
 
 val signal_wait_ge : t -> ?expect_from:int -> pe:int -> sig_var:signal -> int -> unit
+
+val signal_wait_ge_k :
+  t -> ?expect_from:int -> pe:int -> sig_var:signal -> int -> (unit -> unit) -> unit
 
 val quiet : t -> pe:int -> unit
 (** Block until all of [pe]'s outstanding non-blocking operations have been

@@ -263,7 +263,7 @@ type plan = {
   scales : float array;  (* per-GPU compute multiplier *)
   streams : E.Rng.t array;  (* per-PE delivery-fate streams *)
   flap_phase : int;  (* fixed phase offset of the flap pattern, ns *)
-  lost : (string, (unit -> unit) list) Hashtbl.t;  (* key -> newest-first *)
+  lost : (string, ((unit -> unit) -> unit) list) Hashtbl.t;  (* key -> newest-first *)
   mutable n_lost : int;
   mutable dropped : int;
   mutable delayed : int;

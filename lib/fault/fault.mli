@@ -141,15 +141,17 @@ val fabric_penalty : plan -> now:Time.t -> inter_node:bool -> Time.t * float
 
 (** {1 Lost-delivery registry}
 
-    A dropped delivery's replay closure is filed under a key naming what
-    its arrival would have satisfied (a destination signal flag, or the
+    A dropped delivery's replay is filed under a key naming what its
+    arrival would have satisfied (a destination signal flag, or the
     sender's plain-put set). The resilient waiter that times out on that
     key recovers and replays them — data before signal, like the
-    original — charging the retransmission to itself. *)
+    original — charging the retransmission to itself. A replay is written
+    as steps ({!Cpufree_engine.Engine.after}): called with a continuation,
+    it runs that continuation once the delivery has landed. *)
 
-val record_lost : plan -> key:string -> (unit -> unit) -> unit
+val record_lost : plan -> key:string -> ((unit -> unit) -> unit) -> unit
 
-val recover_lost : plan -> key:string -> (unit -> unit) list
+val recover_lost : plan -> key:string -> ((unit -> unit) -> unit) list
 (** Remove and return the key's lost deliveries, oldest first. *)
 
 val lost_count : plan -> int

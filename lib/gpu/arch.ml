@@ -36,7 +36,7 @@ type t = {
 let a100_hgx =
   let ns = Engine_time.ns in
   {
-    name = "8x NVIDIA A100-SXM4 (HGX, NVSwitch all-to-all)";
+    name = "NVIDIA A100-SXM4 (HGX, NVSwitch all-to-all)";
     sm_count = 108;
     max_threads_per_sm = 2048;
     coop_blocks_per_sm = 1;
@@ -75,7 +75,7 @@ let h100_hgx =
   let ns = Engine_time.ns in
   {
     a100_hgx with
-    name = "8x NVIDIA H100-SXM5 (HGX, NVSwitch all-to-all)";
+    name = "NVIDIA H100-SXM5 (HGX, NVSwitch all-to-all)";
     sm_count = 132;
     hbm_bw_gbs = 3350.0;
     nvlink_bw_gbs = 450.0;

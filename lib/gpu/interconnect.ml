@@ -155,7 +155,7 @@ let rec enact_failures t =
   | _ -> ()
 
 let sync_failures t =
-  if t.pending_fails <> [] then enact_failures t;
+  (match t.pending_fails with [] -> () | _ :: _ -> enact_failures t);
   let epoch = M.Topology.route_epoch t.topo in
   if t.epoch <> epoch then begin
     Array.fill t.rows 0 (Array.length t.rows) None;
@@ -178,13 +178,13 @@ let resolve t ~si ~di =
   | None ->
     let src = endpoint_of_idx t.n si and dst = endpoint_of_idx t.n di in
     let vs, vd = vertex_pair t.topo ~src ~dst in
-    let route_pids = M.Topology.route_ports t.topo ~src:vs ~dst:vd in
+    let r = M.Topology.route_summary t.topo ~src:vs ~dst:vd in
     let e =
       {
-        e_lat = M.Topology.route_latency t.topo ~src:vs ~dst:vd;
-        e_nsb = M.Topology.route_ns_per_byte t.topo ~src:vs ~dst:vd;
-        e_ports = Array.of_list (List.map (fun p -> t.ports.(p)) route_pids);
-        e_pids = Array.of_list route_pids;
+        e_lat = r.M.Topology.r_latency;
+        e_nsb = r.M.Topology.r_ns_per_byte;
+        e_ports = Array.of_list (List.map (fun p -> t.ports.(p)) r.M.Topology.r_ports);
+        e_pids = Array.of_list r.M.Topology.r_ports;
       }
     in
     row.(di) <- Some e;

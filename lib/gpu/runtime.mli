@@ -3,7 +3,10 @@
     Every function here is called from a simulated host process and charges
     that process the corresponding API latency before any effect reaches a
     device — this is precisely the "host-incurred latency" the CPU-Free model
-    eliminates. *)
+    eliminates. A step-driven caller (a driver running as a chain of
+    {!Cpufree_engine.Engine.after} steps) uses the [_k] form of a call, which
+    runs its continuation once the call returns and pushes the events the
+    fiber form does. *)
 
 type ctx
 
@@ -63,10 +66,18 @@ val memcpy_async :
   ctx -> stream:Stream.t -> src:Buffer.t -> src_pos:int -> dst:Buffer.t -> dst_pos:int -> len:int ->
   unit
 (** [cudaMemcpyAsync]: host pays the issue cost; the copy (data movement plus
-    interconnect occupancy) executes in-order on [stream]. *)
+    interconnect occupancy) executes in-order on [stream], as steps. *)
+
+val memcpy_async_k :
+  ctx -> stream:Stream.t -> src:Buffer.t -> src_pos:int -> dst:Buffer.t -> dst_pos:int -> len:int ->
+  (unit -> unit) -> unit
+(** {!memcpy_async} as steps. *)
 
 val stream_synchronize : ctx -> Stream.t -> unit
 (** Host blocks until the stream drains, paying the sync call cost. *)
+
+val stream_synchronize_k : ctx -> Stream.t -> (unit -> unit) -> unit
+(** {!stream_synchronize} as steps. *)
 
 val launch_cooperative :
   ctx -> dev:Device.t -> name:string -> blocks:int -> threads_per_block:int ->

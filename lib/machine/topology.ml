@@ -1060,23 +1060,22 @@ let reachable t ~src ~dst = resolve_checked t ~src ~dst "reachable" <> None
 let route t ~src ~dst =
   Array.to_list (Array.map (fun lid -> t.ls.(lid)) (routed t ~src ~dst "route"))
 
-(* Equal to the Dijkstra row's [dist] when the row routes the pair. *)
-let route_latency t ~src ~dst =
-  Array.fold_left
-    (fun acc lid -> Time.add acc t.ls.(lid).llatency)
-    Time.zero
-    (routed t ~src ~dst "route_latency")
+type route_summary = { r_latency : Time.t; r_ns_per_byte : float; r_ports : int list }
 
-let route_ns_per_byte t ~src ~dst =
-  match routed t ~src ~dst "route_ns_per_byte" with
+(* The three readings of a resolved route: the summed link latency (equal
+   to the Dijkstra row's [dist] when the row routes the pair), the
+   bottleneck inverse bandwidth (the vertex's local rate on an empty
+   route), and the ports a transfer books. *)
+let links_latency t lids =
+  Array.fold_left (fun acc lid -> Time.add acc t.ls.(lid).llatency) Time.zero lids
+
+let links_ns_per_byte t ~src = function
   | [||] -> t.vs.(src).local_ns_per_byte
   | lids -> Array.fold_left (fun acc lid -> Float.max acc t.ls.(lid).lns_per_byte) 0.0 lids
 
 (* Port dedup via a reusable bitset (cleared back by walking the result, so
-   the scratch cost is O(route length), not O(ports)). The same path serves
-   the interconnect's lazy pair fill. *)
-let route_ports t ~src ~dst =
-  let lids = routed t ~src ~dst "route_ports" in
+   the scratch cost is O(route length), not O(ports)). *)
+let links_ports t lids =
   let seen = t.dedup in
   let acc = ref [] in
   Array.iter
@@ -1091,6 +1090,22 @@ let route_ports t ~src ~dst =
     lids;
   List.iter (fun pp -> Bytes.set seen pp '\000') !acc;
   List.rev !acc
+
+(* One resolution, read three ways. Its errors name [route_ports]: a
+   pair it cannot route is reported as the ports a transfer could not
+   book. *)
+let route_summary t ~src ~dst =
+  let lids = routed t ~src ~dst "route_ports" in
+  {
+    r_latency = links_latency t lids;
+    r_ns_per_byte = links_ns_per_byte t ~src lids;
+    r_ports = links_ports t lids;
+  }
+
+let route_latency t ~src ~dst = links_latency t (routed t ~src ~dst "route_latency")
+let route_ns_per_byte t ~src ~dst =
+  links_ns_per_byte t ~src (routed t ~src ~dst "route_ns_per_byte")
+let route_ports t ~src ~dst = links_ports t (routed t ~src ~dst "route_ports")
 
 let shortest_row ~nv links ~src =
   if src < 0 || src >= nv then invalid_arg "Topology.shortest_row: no such source";

@@ -189,6 +189,18 @@ val route_ports : t -> src:int -> dst:int -> int list
 (** Port ids booked by a transfer on this route, deduplicated, in travel
     order. *)
 
+type route_summary = {
+  r_latency : Time.t;  (** {!route_latency} *)
+  r_ns_per_byte : float;  (** {!route_ns_per_byte} *)
+  r_ports : int list;  (** {!route_ports} *)
+}
+
+val route_summary : t -> src:int -> dst:int -> route_summary
+(** The three queries above from one resolution of the route — what the
+    interconnect's pair memo fills an entry from; each query reads its
+    field the same way from its own resolution. Errors read as
+    {!route_ports}'s. *)
+
 val min_gpu_pair_latency : t -> Time.t option
 (** Cheapest routed latency between two distinct GPUs ([None] with < 2).
     O(1) on structural topologies (derived from tier latencies); the exact

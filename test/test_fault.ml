@@ -200,10 +200,14 @@ let plan_tests =
     Alcotest.test_case "lost registry replays oldest first" `Quick (fun () ->
         let p = Fault.activate (Fault.preset ~intensity:1.0) ~seed:1 ~gpus:2 in
         let order = ref [] in
-        Fault.record_lost p ~key:"k" (fun () -> order := 1 :: !order);
-        Fault.record_lost p ~key:"k" (fun () -> order := 2 :: !order);
+        Fault.record_lost p ~key:"k" (fun k ->
+            order := 1 :: !order;
+            k ());
+        Fault.record_lost p ~key:"k" (fun k ->
+            order := 2 :: !order;
+            k ());
         check_int "pending" 2 (Fault.lost_count p);
-        List.iter (fun f -> f ()) (Fault.recover_lost p ~key:"k");
+        List.iter (fun f -> f ignore) (Fault.recover_lost p ~key:"k");
         check (Alcotest.list Alcotest.int) "order" [ 2; 1 ] !order;
         check_int "drained" 0 (Fault.lost_count p);
         check_int "re-recover empty" 0 (List.length (Fault.recover_lost p ~key:"k")));
@@ -288,11 +292,11 @@ let engine_tests =
                   E.Sync.Flag.set f 1)
             in
             let t0 = Engine.now eng in
-            (match E.Sync.Flag.await f ~deadline:(Time.add t0 (Time.us 10)) (fun v -> v >= 1) with
+            (match Engine.handover eng (E.Sync.Flag.await_k f ~deadline:(Time.add t0 (Time.us 10)) (fun v -> v >= 1)) with
             | `Ok -> Alcotest.fail "should have timed out"
             | `Timeout ->
               check_int "woke at the deadline" 10_000 (Time.to_ns (Engine.now eng)));
-            match E.Sync.Flag.await f ~deadline:(Time.add t0 (Time.us 100)) (fun v -> v >= 1) with
+            match Engine.handover eng (E.Sync.Flag.await_k f ~deadline:(Time.add t0 (Time.us 100)) (fun v -> v >= 1)) with
             | `Timeout -> Alcotest.fail "setter should have satisfied the wait"
             | `Ok -> check_int "woke on the set" 30_000 (Time.to_ns (Engine.now eng))));
   ]

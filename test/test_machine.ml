@@ -425,6 +425,74 @@ let arb_structural =
 
 let link_ids t ~src ~dst = List.map (fun l -> l.T.lid) (T.route t ~src ~dst)
 
+(* The interconnect fills a pair's memo entry from one [route_summary]:
+   on every vertex pair of one instance of each of the six constructors,
+   it must agree with the three single queries and with folds over the
+   route's links, and raise where they do. *)
+let prop_route_summary =
+  QCheck.Test.make ~name:"route_summary equals the three route queries" ~count:30
+    QCheck.(pair (int_range 1 6) bool)
+    (fun (per, fast) ->
+      let profile = if fast then h100 else a100 in
+      List.for_all
+        (fun (spec, gpus) ->
+          let t = T.instantiate spec ~profile ~gpus in
+          let n = T.num_vertices t in
+          let ok = ref true in
+          for a = 0 to n - 1 do
+            for b = 0 to n - 1 do
+              let summary = try Some (T.route_summary t ~src:a ~dst:b) with _ -> None in
+              (* The reference: folds over the route's links, the vertex's
+                 own rate on the empty route of a self-pair. *)
+              let reference =
+                try
+                  let r = T.route t ~src:a ~dst:b in
+                  let local = (List.nth (T.vertices t) a).T.local_ns_per_byte in
+                  Some
+                    ( List.fold_left (fun acc l -> Time.add acc l.T.llatency) Time.zero r,
+                      (if r = [] then local
+                       else List.fold_left (fun acc l -> Float.max acc l.T.lns_per_byte) 0.0 r),
+                      List.fold_left
+                        (fun acc l ->
+                          List.fold_left
+                            (fun acc p -> if List.mem p acc then acc else acc @ [ p ])
+                            acc l.T.lports)
+                        [] r )
+                with _ -> None
+              in
+              let singles =
+                try
+                  Some
+                    ( T.route_latency t ~src:a ~dst:b,
+                      T.route_ns_per_byte t ~src:a ~dst:b,
+                      T.route_ports t ~src:a ~dst:b )
+                with _ -> None
+              in
+              ok :=
+                !ok
+                &&
+                let agrees r = function
+                  | Some (lat, nsb, ports) ->
+                    Time.equal r.T.r_latency lat
+                    && Float.equal r.T.r_ns_per_byte nsb
+                    && r.T.r_ports = ports
+                  | None -> false
+                in
+                match summary with
+                | Some r -> agrees r singles && agrees r reference
+                | None -> singles = None && reference = None
+            done
+          done;
+          !ok)
+        [
+          (T.Hgx, per + 1);
+          (T.Ring, per + 1);
+          (T.Pcie_only, per + 1);
+          (T.Dgx { nodes = 2 }, 2 * per);
+          (T.Fat_tree { arity = 2; rails = 2; gpus_per_node = 2 }, 2 * per);
+          (T.Dragonfly { a = 2; p = 2; h = 1; gpus_per_node = 2 }, 2 * per);
+        ])
+
 let prop_structural_matches_dijkstra =
   QCheck.Test.make ~name:"structural routing equals reference Dijkstra" ~count:40
     arb_structural (fun (t, tree) ->
@@ -726,6 +794,7 @@ let () =
             prop_route_symmetry;
             prop_triangle;
             prop_route_well_formed;
+            prop_route_summary;
             prop_structural_matches_dijkstra;
             prop_structural_bounds_exact;
             prop_tables_match_scan;
