@@ -35,14 +35,9 @@ let measure ~label ~gpus ~iterations eng ctx =
     bytes_moved = G.Interconnect.bytes_moved (G.Runtime.net ctx);
   }
 
-(* End-of-run observability hand-off: merge the engine's trace into the
-   environment's sink (spans and flows, canonically ordered) and fold the
-   engine's own counters into the environment's registry. A run with neither
-   attached skips both — zero cost on the legacy path. *)
-let publish env eng trace =
-  (match (env.Obs.Sim_env.trace, trace) with
-  | Some sink, Some trace -> E.Trace.merge_into ~into:sink [ trace ]
-  | None, _ | _, None -> ());
+(* End-of-run hand-off: fold the engine's own counters into the
+   environment's registry. A run without one skips it. *)
+let publish env eng =
   match env.Obs.Sim_env.metrics with
   | None -> ()
   | Some reg ->
@@ -61,13 +56,14 @@ let publish env eng trace =
     c "engine.opt.events_rolled_back" 0;
     Mx.Gauge.set (Mx.gauge reg ~name:"engine.partitions" ()) 1
 
-(* The engine's trace: one exists only when someone reads spans — the
-   environment's sink, or a caller asking for [~traced]. It records flow
-   arrows only when that sink does, so runs without a flow-enabled sink keep
-   their exact span streams. Comm accounting never needs it. *)
+(* The engine's trace: one exists only when someone reads spans. The
+   environment's sink is it, so the engine records straight into it (flow
+   arrows too, if the sink was created with them); without a sink, a caller
+   asking for [~traced] gets a private one without flows. Comm accounting
+   never needs it. *)
 let engine_trace ~traced env =
   match env.Obs.Sim_env.trace with
-  | Some _ as sink -> Some (E.Trace.create ~flows:(E.Trace.flows_enabled sink) ())
+  | Some _ as sink -> sink
   | None -> if traced then Some (E.Trace.create ()) else None
 
 type job = {
@@ -187,7 +183,7 @@ let run ?(traced = false) job =
   let result =
     measure ~label:job.sc_label ~gpus:job.sc_gpus ~iterations:job.sc_iterations eng ctx
   in
-  publish env eng trace;
+  publish env eng;
   let chaos =
     Option.map
       (fun (spec, plan, (completed, failure, trigger)) ->

@@ -71,9 +71,9 @@ type chaos = {
 type outcome = {
   result : result;
   trace : Cpufree_engine.Trace.t option;
-      (** the engine's own execution trace (spans in recording order — what
-          the timeline renderers consume), present iff [~traced:true] or
-          the environment carries a trace sink *)
+      (** the trace the engine recorded into (spans in recording order —
+          what the timeline renderers consume): the environment's sink when
+          it carries one, else a private trace iff [~traced:true] *)
   chaos : chaos option;  (** present iff the environment carries a fault plan *)
 }
 
@@ -82,17 +82,18 @@ val run : ?traced:bool -> job -> outcome
     its environment, run the program as the "main" process to completion,
     and measure. Deterministic.
 
-    {b Observability.} When [env.trace] is set, the run's spans (and, if the
-    sink was created with [~flows:true], put→delivery flow arrows and fault
-    instant markers) are merged into it in canonical order. When
+    {b Observability.} When [env.trace] is set, the engine records into
+    it: the run's spans and, if the sink was created with [~flows:true],
+    put→delivery flow arrows and fault instant markers, in recording
+    order (the Perfetto exporter sorts them canonically). When
     [env.metrics] is set, the simulated layers update instruments in it and
     the engine's counters ([engine.events], [engine.stall_scans], and the
     constant [engine.windows], [engine.solo_windows], [engine.opt.*],
     [engine.partitions] of the retired parallel drivers, kept until the
     benchmark re-records its metrics hashes) are folded in.
-    [~traced:true] (default [false]) also records an engine trace without
-    flows; the result is the same either way. [compute], [comm] and
-    [overlap] come from the engine's busy log
+    Without a sink, [~traced:true] (default [false]) records a private
+    engine trace without flows; the result is the same either way.
+    [compute], [comm] and [overlap] come from the engine's busy log
     ({!Cpufree_engine.Engine.busy}); a flow-enabled sink makes NVSHMEM log
     its deliveries as communication too, so they count there.
 

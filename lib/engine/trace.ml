@@ -125,18 +125,6 @@ let compare_span a b =
 
 let sorted_spans t = List.stable_sort compare_span (spans t)
 
-let merge_into ~into sources =
-  let all = List.concat_map spans sources in
-  List.iter
-    (fun s -> add into ~lane:s.lane ~label:s.label ~kind:s.kind ~t0:s.t0 ~t1:s.t1)
-    (List.stable_sort compare_span all);
-  let all_flows = List.concat_map flows sources in
-  List.iter
-    (fun f ->
-      add_flow into ~id:f.fid ~label:f.flabel ~src_lane:f.f_src_lane ~src_t:f.f_src_t
-        ~dst_lane:f.f_dst_lane ~dst_t:f.f_dst_t)
-    (List.stable_sort compare_flow all_flows)
-
 let lanes t =
   let seen = Hashtbl.create 16 in
   for i = 0 to t.n - 1 do

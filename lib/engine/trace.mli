@@ -72,11 +72,6 @@ val sorted_spans : t -> span list
     order is a scheduling artifact of the engine driver; this order is not,
     so it is the representation to use when comparing traces. *)
 
-val merge_into : into:t -> t list -> unit
-(** Append every span of [sources] to [into] in canonical order, and every
-    flow arrow in the canonical order of {!sorted_flows}. Used at the end of a run
-    to fold the engine's trace into a caller's sink. *)
-
 val lanes : t -> string list
 (** Distinct lanes, sorted. *)
 

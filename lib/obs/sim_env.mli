@@ -12,9 +12,9 @@ type t = {
   faults : Cpufree_fault.Fault.spec option;  (** fault-injection spec, if any *)
   fault_seed : int;  (** seed for activating [faults] (default 0) *)
   trace : Cpufree_engine.Trace.t option;
-      (** user trace sink: when present, runs record v2 traces (flows,
-          delivery spans, fault/stall markers) and merge them here
-          canonically at the end of the run *)
+      (** user trace sink: when present, a run's engine records into it,
+          as a v2 trace (flows, delivery spans, fault/stall markers) if
+          the sink was created with flows *)
   metrics : Metrics.t option;
       (** metrics registry: when present, every layer registers and bumps
           its instruments here *)
