@@ -40,7 +40,9 @@ val create : ?algorithm:algorithm -> Nvshmem.t -> label:string -> t
     [<label>.arrived] for [Dense]/[Ring], one signal per tree level
     ([up<k>], [down]) or doubling stage ([pre], [st<k>], [post]) for the
     staged schedules, so a wait can only be satisfied by its own round's
-    senders). [algorithm] picks the communication schedule (default
+    senders). Under an active fault plan ({!Nvshmem.reorders}) [Ring]
+    rides one signal per phase ([ph<k>]) instead, since a dropped or
+    delayed delivery would let a later phase meet an earlier wait. [algorithm] picks the communication schedule (default
     [Dense], the original all-to-all). *)
 
 val allreduce_sum : t -> pe:int -> float -> float

@@ -99,5 +99,10 @@ val quiet : t -> pe:int -> unit
 val barrier_all : t -> pe:int -> unit
 (** Device-side barrier across all PEs (includes an implicit quiet). *)
 
+val reorders : t -> bool
+(** Whether deliveries can land out of order: true under an active fault
+    plan, whose dropped and delayed deliveries arrive after later ones from
+    the same PE (a dropped one only when a recovering waiter replays it). *)
+
 val pending : t -> pe:int -> int
 (** Outstanding non-blocking deliveries for a PE (diagnostics/tests). *)
