@@ -16,11 +16,3 @@ let copy ctx ~from_dev ~src ~src_pos ~dst ~dst_pos ~len =
     ?trace_lane:(lane ctx from_dev)
     ~label:"p2p-store" ();
   G.Buffer.blit ~src ~src_pos ~dst ~dst_pos ~len
-
-let store ctx ~from_dev ~dst ~dst_pos value =
-  G.Interconnect.transfer (G.Runtime.net ctx) ~src:(endpoint from_dev)
-    ~dst:(endpoint (G.Buffer.device dst))
-    ~initiator:G.Interconnect.By_device ~bytes:G.Buffer.elem_bytes
-    ?trace_lane:(lane ctx from_dev)
-    ~label:"p2p-store1" ();
-  G.Buffer.set dst dst_pos value

@@ -2,8 +2,8 @@
 
     The Baseline-P2P variant's boundary kernels write straight into a
     neighbour's memory with ordinary stores — GPU-initiated on the data path
-    (cheap) while synchronization remains host-controlled (expensive). These
-    helpers are called from kernel processes. *)
+    (cheap) while synchronization remains host-controlled (expensive). This
+    helper is called from kernel processes. *)
 
 val copy :
   Cpufree_gpu.Runtime.ctx -> from_dev:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int ->
@@ -12,5 +12,3 @@ val copy :
     a peer's buffer) with direct stores; blocks the calling kernel process
     for the transfer. *)
 
-val store : Cpufree_gpu.Runtime.ctx -> from_dev:int -> dst:Cpufree_gpu.Buffer.t -> dst_pos:int -> float -> unit
-(** Single-element peer store. *)

@@ -23,8 +23,6 @@ type t = { tbl : (string, instrument) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 32 }
 
-let enabled = function Some _ -> true | None -> false
-
 let sort_labels ls =
   List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) ls
 

@@ -15,8 +15,6 @@ type labels = (string * string) list
 
 val create : unit -> t
 
-val enabled : t option -> bool
-
 (** {2 Instruments} *)
 
 module Counter : sig
