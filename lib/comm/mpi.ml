@@ -9,14 +9,17 @@ type request = { done_flag : E.Sync.Flag.t }
 type posted = { reg : region; req : request }
 
 (* Unmatched operations are queued per (src, dst, tag) channel; a newly
-   posted operation that finds its counterpart starts the transfer. *)
+   posted operation that finds its counterpart starts the transfer. A
+   channel is keyed by one int, so a lookup allocates no key. *)
 type channel = { sends : posted Queue.t; recvs : posted Queue.t }
+
+module Channels = Hashtbl.Make (Int)
 
 type t = {
   ctx : G.Runtime.ctx;
   eng : E.Engine.t;
   n : int;
-  channels : (int * int * int, channel) Hashtbl.t;
+  channels : channel Channels.t;
   host_barrier : G.Host.barrier;
   mutable next_id : int;
 }
@@ -27,7 +30,7 @@ let init ctx =
     ctx;
     eng = G.Runtime.engine ctx;
     n;
-    channels = Hashtbl.create 64;
+    channels = Channels.create 64;
     host_barrier = G.Host.barrier_create ctx ~parties:n;
     next_id = 0;
   }
@@ -38,17 +41,25 @@ let type_vector buf ~pos ~stride ~count = { buf; pos; stride; count }
 let check_rank t r op =
   if r < 0 || r >= t.n then invalid_arg (Printf.sprintf "Mpi.%s: no such rank %d" op r)
 
-let channel t key =
-  match Hashtbl.find_opt t.channels key with
+(* Both ranks are below [n], so [(tag, src, dst)] maps to one int and
+   back. *)
+let channel t ~src ~dst ~tag =
+  let key = (((tag * t.n) + src) * t.n) + dst in
+  match Channels.find_opt t.channels key with
   | Some c -> c
   | None ->
     let c = { sends = Queue.create (); recvs = Queue.create () } in
-    Hashtbl.add t.channels key c;
+    Channels.add t.channels key c;
     c
 
-let fresh_request t name =
+(* A request's flag is named only when a diagnostic reads it. *)
+let fresh_request t kind =
   t.next_id <- t.next_id + 1;
-  { done_flag = E.Sync.Flag.create ~name:(Printf.sprintf "mpi.%s.%d" name t.next_id) t.eng 0 }
+  let id = t.next_id in
+  {
+    done_flag =
+      E.Sync.Flag.create ~name_of:(fun () -> Printf.sprintf "mpi.%s.%d" kind id) t.eng 0;
+  }
 
 let region_bytes r = r.count * G.Buffer.elem_bytes
 let region_strided r = r.stride <> 1
@@ -103,7 +114,7 @@ let isend t ~rank ~dst ~tag reg =
   check_rank t dst "isend";
   E.Engine.delay t.eng (overhead t);
   let req = fresh_request t "send" in
-  let c = channel t (rank, dst, tag) in
+  let c = channel t ~src:rank ~dst ~tag in
   (match Queue.take_opt c.recvs with
   | Some recv -> start_transfer t ~src_rank:rank ~dst_rank:dst { reg; req } recv
   | None -> Queue.push { reg; req } c.sends);
@@ -114,7 +125,7 @@ let irecv t ~rank ~src ~tag reg =
   check_rank t src "irecv";
   E.Engine.delay t.eng (overhead t);
   let req = fresh_request t "recv" in
-  let c = channel t (src, rank, tag) in
+  let c = channel t ~src ~dst:rank ~tag in
   (match Queue.take_opt c.sends with
   | Some send -> start_transfer t ~src_rank:src ~dst_rank:rank send { reg; req }
   | None -> Queue.push { reg; req } c.recvs);

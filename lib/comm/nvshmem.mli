@@ -46,6 +46,10 @@ val putmem_nbi :
 (** Contiguous non-blocking put of [len] elements into [to_pe]'s instance of
     [dst]. Caller pays only the issue overhead. *)
 
+val putmem_nbi_k :
+  t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> dst:sym ->
+  dst_pos:int -> len:int -> (unit -> unit) -> unit
+
 val putmem_signal_nbi :
   t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> dst:sym ->
   dst_pos:int -> len:int -> sig_var:signal -> sig_op:signal_op -> sig_value:int -> unit
@@ -64,13 +68,24 @@ val iput_nbi :
     non-coalesced penalty. No signal variant exists (paper §5.3.1) — pair
     with {!signal_op_remote} and {!quiet}. *)
 
+val iput_nbi_k :
+  t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> src_stride:int ->
+  dst:sym -> dst_pos:int -> dst_stride:int -> count:int -> (unit -> unit) -> unit
+
 val p : t -> from_pe:int -> to_pe:int -> value:float -> dst:sym -> dst_pos:int -> unit
 (** Single-element put ([nvshmem_float_p]); blocking, fine-grained. *)
+
+val p_k :
+  t -> from_pe:int -> to_pe:int -> value:float -> dst:sym -> dst_pos:int -> (unit -> unit) -> unit
 
 val signal_op_remote :
   t -> from_pe:int -> to_pe:int -> sig_var:signal -> sig_op:signal_op -> sig_value:int -> unit
 (** Standalone remote signal update ([nvshmem_signal_op]); ordered after the
     caller's previously issued puts to the same PE (fence semantics). *)
+
+val signal_op_remote_k :
+  t -> from_pe:int -> to_pe:int -> sig_var:signal -> sig_op:signal_op -> sig_value:int ->
+  (unit -> unit) -> unit
 
 val signal_wait_until :
   t -> ?expect_from:int -> pe:int -> sig_var:signal -> (int -> bool) -> unit
@@ -95,6 +110,8 @@ val quiet : t -> pe:int -> unit
 (** Block until all of [pe]'s outstanding non-blocking operations have been
     delivered remotely. Under an active fault plan the fence additionally
     detects and retransmits the PE's dropped signal-less puts. *)
+
+val quiet_k : t -> pe:int -> (unit -> unit) -> unit
 
 val barrier_all : t -> pe:int -> unit
 (** Device-side barrier across all PEs (includes an implicit quiet). *)

@@ -103,10 +103,6 @@ let seq = function
         fs.(k) ()
       done
 
-(* A name that does not resolve lowers to a statement that fails when it
-   runs, so a bad statement no rank reaches does not fail the program. *)
-let ( let* ) r k = match r with Ok x -> k x | Error m -> fun () -> raise (Lowering_error m)
-
 let sym_of lw name =
   match Hashtbl.find_opt lw.rt.syms name with
   | Some s -> Ok s
@@ -240,6 +236,59 @@ let stencil_time arch ~sm_fraction ~efficiency elems =
     G.Kernel.memory_bound_time arch ~elems ~bytes_per_elem:(G.Kernel.stencil_bytes_per_elem ())
       ~sm_fraction ~efficiency
 
+(* --- persistent roles as step programs ------------------------------------ *)
+
+(* A persistent role runs as a flat program: an instruction array and a
+   program counter. [Do] runs and falls through; [Wait] ends by waiting
+   ({!E.Engine.after} or {!E.Engine.await}) with the continuation it is
+   given — the role's one resume closure — or calls it at once when it
+   need not wait; [Skip_unless (c, n)] skips the next [n] instructions
+   unless [c] holds; [Jump n] moves the counter by [n]. Guards and the time
+   loop are jumps, so a run of statements that never wait iterates. *)
+type instr =
+  | Do of (unit -> unit)
+  | Wait of ((unit -> unit) -> unit)
+  | Skip_unless of (S.slots -> bool) * int
+  | Jump of int
+
+(* A name that does not resolve lowers to an instruction that fails when
+   it runs, so a bad statement no rank reaches does not fail the program. *)
+let fails m = Do (fun () -> raise (Lowering_error m))
+let ( let* ) r k = match r with Ok x -> k x | Error m -> fails m
+
+(* Run [code] from its start as steps of the calling process, and call
+   [finish] once it runs off the end. [resume] continues the program: from
+   an event, it runs instructions until one waits; called by a [Wait]
+   before that returns (the wait was not needed), it only notes that the
+   loop goes on. *)
+let run_program code slots finish =
+  let n = Array.length code in
+  let pc = ref 0 and running = ref false and went_on = ref false in
+  let rec resume () = if !running then went_on := true else go ()
+  and go () =
+    running := true;
+    while !running do
+      let i = !pc in
+      if i >= n then begin
+        running := false;
+        finish ()
+      end
+      else
+        match code.(i) with
+        | Do f ->
+          pc := i + 1;
+          f ()
+        | Skip_unless (c, skip) -> pc := if c slots then i + 1 else i + 1 + skip
+        | Jump d -> pc := i + d
+        | Wait w ->
+          pc := i + 1;
+          went_on := false;
+          w resume;
+          if not !went_on then running := false
+    done
+  in
+  go ()
+
 (* --- device-side library nodes (persistent backend) -------------------- *)
 
 let lower_nv_node lw env node =
@@ -251,9 +300,10 @@ let lower_nv_node lw env node =
     let* src = buf_of lw src in
     let to_pe = ex to_pe and src_pos = ex src_region.offset in
     let dst_pos = ex dst_region.offset and len = ex src_region.count in
-    fun () ->
-      Nv.putmem_nbi nv ~from_pe ~to_pe:(to_pe slots) ~src ~src_pos:(src_pos slots) ~dst
-        ~dst_pos:(dst_pos slots) ~len:(len slots)
+    Wait
+      (fun k ->
+        Nv.putmem_nbi_k nv ~from_pe ~to_pe:(to_pe slots) ~src ~src_pos:(src_pos slots) ~dst
+          ~dst_pos:(dst_pos slots) ~len:(len slots) k)
   | Nv_putmem_signal { src; src_region; dst; dst_region; to_pe; signal; sig_kind = k; sig_value }
     ->
     let* sig_var = sig_of lw signal in
@@ -262,41 +312,44 @@ let lower_nv_node lw env node =
     let to_pe = ex to_pe and src_pos = ex src_region.offset in
     let dst_pos = ex dst_region.offset and len = ex src_region.count in
     let sig_op = sig_kind k and sig_value = ex sig_value in
-    fun () ->
-      Nv.putmem_signal_nbi nv ~from_pe ~to_pe:(to_pe slots) ~src ~src_pos:(src_pos slots) ~dst
-        ~dst_pos:(dst_pos slots) ~len:(len slots) ~sig_var ~sig_op ~sig_value:(sig_value slots)
+    Wait
+      (fun k ->
+        Nv.putmem_signal_nbi_k nv ~from_pe ~to_pe:(to_pe slots) ~src ~src_pos:(src_pos slots)
+          ~dst ~dst_pos:(dst_pos slots) ~len:(len slots) ~sig_var ~sig_op
+          ~sig_value:(sig_value slots) k)
   | Nv_iput { src; src_region; dst; dst_region; to_pe } ->
     let* dst = sym_of lw dst in
     let* src = buf_of lw src in
     let to_pe = ex to_pe and src_pos = ex src_region.offset and src_stride = ex src_region.stride in
     let dst_pos = ex dst_region.offset and dst_stride = ex dst_region.stride in
     let count = ex src_region.count in
-    fun () ->
-      Nv.iput_nbi nv ~from_pe ~to_pe:(to_pe slots) ~src ~src_pos:(src_pos slots)
-        ~src_stride:(src_stride slots) ~dst ~dst_pos:(dst_pos slots)
-        ~dst_stride:(dst_stride slots) ~count:(count slots)
+    Wait
+      (fun k ->
+        Nv.iput_nbi_k nv ~from_pe ~to_pe:(to_pe slots) ~src ~src_pos:(src_pos slots)
+          ~src_stride:(src_stride slots) ~dst ~dst_pos:(dst_pos slots)
+          ~dst_stride:(dst_stride slots) ~count:(count slots) k)
   | Nv_p { src; src_off; dst; dst_off; to_pe } ->
     let* dst = sym_of lw dst in
     let* src = buf_of lw src in
     let src_off = ex src_off and dst_off = ex dst_off and to_pe = ex to_pe in
-    fun () ->
-      let value = G.Buffer.get src (src_off slots) in
-      Nv.p nv ~from_pe ~to_pe:(to_pe slots) ~value ~dst ~dst_pos:(dst_off slots)
+    Wait
+      (fun k ->
+        let value = G.Buffer.get src (src_off slots) in
+        Nv.p_k nv ~from_pe ~to_pe:(to_pe slots) ~value ~dst ~dst_pos:(dst_off slots) k)
   | Nv_signal_op { signal; sig_kind = k; sig_value; to_pe } ->
     let* sig_var = sig_of lw signal in
     let to_pe = ex to_pe and sig_op = sig_kind k and sig_value = ex sig_value in
-    fun () ->
-      Nv.signal_op_remote nv ~from_pe ~to_pe:(to_pe slots) ~sig_var ~sig_op
-        ~sig_value:(sig_value slots)
+    Wait
+      (fun k ->
+        Nv.signal_op_remote_k nv ~from_pe ~to_pe:(to_pe slots) ~sig_var ~sig_op
+          ~sig_value:(sig_value slots) k)
   | Nv_signal_wait { signal; ge_value } ->
     let* sig_var = sig_of lw signal in
     let ge_value = ex ge_value in
-    fun () -> Nv.signal_wait_ge nv ~pe:from_pe ~sig_var (ge_value slots)
-  | Nv_quiet -> fun () -> Nv.quiet nv ~pe:from_pe
-  | Nv_put _ ->
-    fun () -> fail "unexpanded Nv_put reached the backend (run Transforms.expand_nvshmem)"
-  | Mpi_isend _ | Mpi_irecv _ | Mpi_waitall _ ->
-    fun () -> fail "MPI node inside a persistent kernel"
+    Wait (fun k -> Nv.signal_wait_ge_k nv ~pe:from_pe ~sig_var (ge_value slots) k)
+  | Nv_quiet -> Wait (fun k -> Nv.quiet_k nv ~pe:from_pe k)
+  | Nv_put _ -> fails "unexpanded Nv_put reached the backend (run Transforms.expand_nvshmem)"
+  | Mpi_isend _ | Mpi_irecv _ | Mpi_waitall _ -> fails "MPI node inside a persistent kernel"
 
 (* --- interstate graph -------------------------------------------------- *)
 
@@ -534,6 +587,8 @@ let stmt_visible_to ~role stmt =
   | Role_comm, (S_map _ | S_lib _ | S_cond _) -> false
   | Role_compute, _ -> true
 
+(* One statement of a role as instructions. A map waits out its cost,
+   then runs its body and logs its compute interval from where it began. *)
 let lower_kernel_stmt lw env grid ~role =
   let ctx = lw.rt.ctx and slots = env.slots in
   let arch = G.Runtime.arch ctx in
@@ -556,47 +611,54 @@ let lower_kernel_stmt lw env grid ~role =
                  stencil_time arch ~sm_fraction ~efficiency elems))
         in
         let body = map_body lw env m and label = "map_" ^ m.m_var in
-        fun () ->
-          let cost = cost slots in
-          let t0 = E.Engine.now eng in
-          E.Engine.delay eng cost;
-          body ();
-          E.Engine.log_compute eng ~since:t0 ~lane ~label
-      | Gpu_device -> fun () -> fail "discrete-scheduled map inside the persistent kernel")
-    | S_lib node -> lower_nv_node lw env node
-    | S_cond { cond; then_ } -> guarded lw env cond (seq (List.map lower then_))
+        let t0 = ref Time.zero in
+        [
+          Wait
+            (fun k ->
+              t0 := E.Engine.now eng;
+              E.Engine.after eng (cost slots) k);
+          Do
+            (fun () ->
+              body ();
+              E.Engine.log_compute eng ~since:!t0 ~lane ~label);
+        ]
+      | Gpu_device -> [ fails "discrete-scheduled map inside the persistent kernel" ])
+    | S_lib node -> [ lower_nv_node lw env node ]
+    | S_cond { cond; then_ } -> (
+      let body = List.concat_map lower then_ in
+      match S.compile_cond ~resolve:lw.resolve cond with
+      | S.Now true -> body
+      | S.Now false -> []
+      | S.Later c -> Skip_unless (c, List.length body) :: body)
     | S_role { role = r; body } -> (
       match (role, r) with
       | Role_all, _ | Role_comm, Comm_role | Role_compute, Compute_role ->
-        seq (List.map lower body)
-      | Role_comm, Compute_role | Role_compute, Comm_role -> noop)
-    | S_grid_sync -> fun () -> G.Coop.sync grid
+        List.concat_map lower body
+      | Role_comm, Compute_role | Role_compute, Comm_role -> [])
+    | S_grid_sync -> [ Wait (fun k -> G.Coop.sync_k grid k) ]
   in
   lower
 
-(* One role's share of the fused loop, lowered when the role starts (the
-   grid handle fixes its thread count). *)
+(* One role's share of the fused loop as a step program, lowered when the
+   role starts (the grid handle fixes its thread count): the loop's init,
+   then its condition guarding the body, the update and a jump back. *)
 let lower_role lw env grid ~role (p : Persistent_fusion.t) =
   let lower = lower_kernel_stmt lw env grid ~role in
   let body =
-    seq
-      (List.concat_map
-         (fun st ->
-           List.filter_map
-             (fun stmt -> if stmt_visible_to ~role stmt then Some (lower stmt) else None)
-             st.Sdfg.stmts)
-         p.Persistent_fusion.body)
+    List.concat_map
+      (fun st ->
+        List.concat_map
+          (fun stmt -> if stmt_visible_to ~role stmt then lower stmt else [])
+          st.Sdfg.stmts)
+      p.Persistent_fusion.body
   in
   let loop = p.Persistent_fusion.loop in
   let init = assignment lw env loop.Loop.l_var loop.Loop.l_init in
   let update = assignment lw env loop.Loop.l_var loop.Loop.l_update in
   let continue = S.force (S.compile_cond ~resolve:lw.resolve loop.Loop.l_cond) in
-  fun () ->
-    init ();
-    while continue env.slots do
-      body ();
-      update ()
-    done
+  let n = List.length body in
+  Array.of_list
+    ((Do init :: Skip_unless (continue, n + 2) :: body) @ [ Do update; Jump (-(n + 2)) ])
 
 let build_persistent ?backed (p : Persistent_fusion.t) =
   let sdfg = p.Persistent_fusion.base in
@@ -621,7 +683,9 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
         let prologue = host_states p.Persistent_fusion.prologue in
         let epilogue = host_states p.Persistent_fusion.epilogue in
         prologue ();
-        let role_body role env grid = lower_role lw env grid ~role p () in
+        let role_body role env grid finish =
+          run_program (lower_role lw env grid ~role p) env.slots finish
+        in
         let roles =
           if specialized then
             [
@@ -632,7 +696,7 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
         in
         let dev = G.Runtime.device ctx rank in
         let finished =
-          G.Runtime.launch_cooperative ctx ~dev ~name:(sdfg.sdfg_name ^ "_persistent") ~blocks
+          G.Runtime.launch_cooperative_k ctx ~dev ~name:(sdfg.sdfg_name ^ "_persistent") ~blocks
             ~threads_per_block:1024 ~roles
         in
         G.Runtime.join_kernel ctx ~roles:(List.length roles) finished;

@@ -29,7 +29,15 @@
       fiber inline, in the same event. A long chain (an allreduce driver
       walking its schedule, a stream serving its queue) saves a fiber
       resume on every wait; a fiber reaches an operation written only as
-      steps (a resilient signal wait, a fence's replay) the same way.
+      steps (a resilient signal wait, a fence's replay) the same way. A
+      DaCe persistent-kernel role hands its whole step program over once,
+      after its teardown delay, so it resumes as a fiber only to start
+      and to end that delay.
+
+    NVSHMEM deliveries, the allreduce drivers, the stream daemons' copies
+    and the DaCe persistent roles run as steps. Host threads, the DaCe
+    baseline ranks, MPI messages, kernel bodies and the hand-written
+    stencil kernels run as fibers.
 
     Each wait pushes one event whichever way the process runs, where the
     fiber's {!delay} or {!suspend} would, so moving an actor between the

@@ -13,7 +13,11 @@
 module Flag : sig
   type t
 
-  val create : ?name:string -> Engine.t -> int -> t
+  val create : ?name:string -> ?name_of:(unit -> string) -> Engine.t -> int -> t
+  (** [name_of], when given, renders the name on demand instead of [name]
+      (as {!Engine.spawn}'s does): a flag made per message pays for
+      formatting only when a diagnostic reads it. *)
+
   val name : t -> string
   val get : t -> int
 
@@ -55,6 +59,10 @@ module Barrier : sig
   val wait : t -> unit
   (** Block until [parties] processes have called [wait] for the current
       generation, then release them all and reset. *)
+
+  val wait_k : t -> (unit -> unit) -> unit
+  (** {!wait} as steps: runs the continuation once the generation is
+      released — at once when this arrival releases it. *)
 
   val generation : t -> int
   (** Number of completed barrier episodes. *)

@@ -21,6 +21,10 @@ val sync : t -> unit
 (** [grid.sync()]: block until every role of this grid arrives, charging the
     architecture's grid-sync latency. *)
 
+val sync_k : t -> (unit -> unit) -> unit
+(** {!sync} as steps: runs the continuation once every role has arrived,
+    pushing the events {!sync} does. *)
+
 val sync_count : t -> int
 (** Completed grid-wide barriers (equals the iteration count in the stencil
     kernels; used by tests). *)

@@ -178,7 +178,10 @@ let stream_synchronize_k t stream k =
   api_call_k t ~stream_op:true ~label:(sync_label stream) t.arch.Arch.stream_sync (fun () ->
       Stream.await_idle_k stream k)
 
-let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
+(* A cooperative launch's checks, cost, grid and completion flag, shared
+   by both forms; [body] runs one role's share in that role's process, after
+   its teardown delay. *)
+let launch_roles t ~dev ~name ~blocks ~threads_per_block ~roles body =
   if roles = [] then raise (Coop_launch_error (name ^ ": no roles"));
   let capacity = Device.co_resident_blocks dev in
   if blocks > capacity then
@@ -194,21 +197,33 @@ let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
     Coop.make t.eng ~dev ~roles:(List.length roles) ~total_blocks:blocks ~threads_per_block
   in
   let finished =
-    E.Sync.Flag.create ~name:(Printf.sprintf "%s.gpu%d.done" name (Device.id dev)) t.eng 0
+    E.Sync.Flag.create
+      ~name_of:(fun () -> Printf.sprintf "%s.gpu%d.done" name (Device.id dev))
+      t.eng 0
   in
   List.iter
-    (fun (role_name, role_body) ->
+    (fun (role_name, role) ->
       let (_ : E.Engine.process) =
         E.Engine.spawn t.eng
           ~name_of:(fun () -> Printf.sprintf "%s.gpu%d.%s" name (Device.id dev) role_name)
           ~group:(gpu_group t (Device.id dev))
           (fun () ->
             E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
-            role_body grid;
+            body role grid;
             E.Sync.Flag.add finished 1)
       in
       ())
     roles;
   finished
+
+let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
+  launch_roles t ~dev ~name ~blocks ~threads_per_block ~roles (fun role grid -> role grid)
+
+(* A role written as steps runs as one handover of its process: the
+   process starts and pays its teardown delay as a fiber, and is continued
+   once more, inline, when the role ends. *)
+let launch_cooperative_k t ~dev ~name ~blocks ~threads_per_block ~roles =
+  launch_roles t ~dev ~name ~blocks ~threads_per_block ~roles (fun role grid ->
+      E.Engine.handover t.eng (role grid))
 
 let join_kernel _t ~roles finished = E.Sync.Flag.wait_ge finished roles

@@ -91,5 +91,16 @@ val launch_cooperative :
     @raise Coop_launch_error if [blocks] exceeds co-residency or a role list
     is empty. *)
 
+val launch_cooperative_k :
+  ctx -> dev:Device.t -> name:string -> blocks:int -> threads_per_block:int ->
+  roles:(string * (Coop.t -> (unit -> unit) -> unit)) list ->
+  Cpufree_engine.Sync.Flag.t
+(** {!launch_cooperative} for roles written as steps: a role gets the grid
+    and the continuation to run when its share is over, and runs as one
+    {!Cpufree_engine.Engine.handover} of its process after the teardown
+    delay. Each role keeps its process name, pid and group, and so every
+    diagnostic reads as under {!launch_cooperative}; its process resumes
+    as a fiber only to start and to end the teardown delay. *)
+
 val join_kernel : ctx -> roles:int -> Cpufree_engine.Sync.Flag.t -> unit
 (** Block until a cooperative kernel's completion flag reaches [roles]. *)

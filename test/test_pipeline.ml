@@ -122,6 +122,22 @@ let emitted_md5_tests =
       (app2d, Pipeline.Cpu_free, 8, "5dc59a727c6692c7ad13a279d9e754d1");
     ]
 
+(* Each emit writes its own buffer: a second domain emitting other
+   programs meanwhile cannot interleave lines into this one's. *)
+let concurrent_emit_test =
+  Alcotest.test_case "two domains emitting at once get the sequential bytes" `Quick (fun () ->
+      let emit_all () =
+        List.concat_map
+          (fun app -> List.init 20 (fun _ -> (emitted_baseline app, emitted_persistent app)))
+          [ app1d; app2d; app3d ]
+      in
+      let want = emit_all () in
+      let other = Domain.spawn emit_all in
+      let mine = emit_all () in
+      let theirs = Domain.join other in
+      check_bool "this domain" true (mine = want);
+      check_bool "the other domain" true (theirs = want))
+
 let codegen_tests =
   [
     Alcotest.test_case "baseline 1D emits MPI calls and stream syncs" `Quick (fun () ->
@@ -289,7 +305,7 @@ let () =
     [
       ("verify", verification_tests);
       ("references", reference_tests);
-      ("codegen", codegen_tests @ emitted_md5_tests);
+      ("codegen", codegen_tests @ emitted_md5_tests @ [ concurrent_emit_test ]);
       ("shape", shape_tests);
       ("specialize-tb", specialize_tests);
       ("properties", pipeline_props);
