@@ -22,6 +22,10 @@ let signal_value nv sig_var ~pe =
       true);
   !seen
 
+(* A fiber runs a step form through a handover, as it runs any operation
+   written only as steps. *)
+let in_fiber nv op = Engine.handover (Nv.engine nv) op
+
 let check = Alcotest.check
 let check_int = check Alcotest.int
 let check_bool = check Alcotest.bool
@@ -358,8 +362,9 @@ let nvshmem_tests =
               let nv = Nv.init ctx in
               let s = Nv.sym_malloc nv ~label:"x" 4 in
               G.Buffer.init (Nv.local s ~pe:0) float_of_int;
-              Nv.putmem_nbi nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:1 ~dst:s
-                ~dst_pos:0 ~len:2;
+              in_fiber nv
+                (Nv.putmem_nbi_k nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:1 ~dst:s
+                 ~dst_pos:0 ~len:2);
               Nv.quiet nv ~pe:0;
               check_float "retransmitted" 1.0 (G.Buffer.get (Nv.local s ~pe:1) 0))
         in
