@@ -337,11 +337,6 @@ let put_common_k t ~from_pe ~to_pe ~bytes ~kind ~commit k =
         k ())
   else k ()
 
-let putmem_nbi t ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len =
-  let dst_buf = local dst ~pe:to_pe in
-  put_common t ~from_pe ~to_pe ~bytes:(len * G.Buffer.elem_bytes) ~kind:Plain
-    ~commit:(fun () -> G.Buffer.blit ~src ~src_pos ~dst:dst_buf ~dst_pos ~len)
-
 let putmem_nbi_k t ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len k =
   let dst_buf = local dst ~pe:to_pe in
   put_common_k t ~from_pe ~to_pe ~bytes:(len * G.Buffer.elem_bytes) ~kind:Plain
@@ -371,12 +366,6 @@ let iput_issued t ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_s
     ~commit:(fun () ->
       G.Buffer.blit_strided ~src ~src_pos ~src_stride ~dst:dst_buf ~dst_pos ~dst_stride ~count)
 
-let iput_nbi t ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_stride ~count =
-  if admitted t ~from_pe ~to_pe "iput" then begin
-    E.Engine.delay t.eng (issue_overhead t);
-    iput_issued t ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_stride ~count
-  end
-
 let iput_nbi_k t ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_stride ~count k =
   if admitted t ~from_pe ~to_pe "iput" then
     t.after (issue_overhead t) (fun () ->
@@ -384,30 +373,16 @@ let iput_nbi_k t ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_st
         k ())
   else k ()
 
-(* A single-element put blocks its caller for the whole transfer: after
-   the issue overhead, the wire transfer, waited for as each form waits,
-   then the store. *)
-let p_transfer t ~from_pe ~to_pe ~wait landed =
-  note_put t ~from_pe ~bytes:G.Buffer.elem_bytes;
-  G.Interconnect.transfer_steps (net t) ~src:(G.Interconnect.Gpu from_pe)
-    ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device
-    ~bytes:G.Buffer.elem_bytes ?trace_lane:(trace_lane t from_pe) ~label:"p" ~wait landed
-
-let p t ~from_pe ~to_pe ~value ~dst ~dst_pos =
-  if admitted t ~from_pe ~to_pe "p" then begin
-    E.Engine.delay t.eng (issue_overhead t);
-    p_transfer t ~from_pe ~to_pe
-      ~wait:(fun d landed ->
-        E.Engine.delay t.eng d;
-        landed ())
-      ignore;
-    G.Buffer.set (local dst ~pe:to_pe) dst_pos value
-  end
-
+(* A single-element put blocks its caller for the whole transfer: the
+   issue overhead, the wire transfer, then the store. *)
 let p_k t ~from_pe ~to_pe ~value ~dst ~dst_pos k =
   if admitted t ~from_pe ~to_pe "p" then
     t.after (issue_overhead t) (fun () ->
-        p_transfer t ~from_pe ~to_pe ~wait:t.after (fun () ->
+        note_put t ~from_pe ~bytes:G.Buffer.elem_bytes;
+        G.Interconnect.transfer_steps (net t) ~src:(G.Interconnect.Gpu from_pe)
+          ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device
+          ~bytes:G.Buffer.elem_bytes ?trace_lane:(trace_lane t from_pe) ~label:"p" ~wait:t.after
+          (fun () ->
             G.Buffer.set (local dst ~pe:to_pe) dst_pos value;
             k ()))
   else k ()
@@ -494,19 +469,6 @@ let signal_issued t ~from_pe ~to_pe ~sig_var ~sig_op ~sig_value =
   | F.Deliver | F.Delayed _ -> ());
   fate
 
-(* Ordered after prior puts from this PE: a signal op fences by waiting
-   for them ({!quiet} or {!quiet_k}). *)
-let signal_op_remote t ~from_pe ~to_pe ~sig_var ~sig_op ~sig_value =
-  if admitted t ~from_pe ~to_pe "signal_op" then begin
-    quiet t ~pe:from_pe;
-    match signal_issued t ~from_pe ~to_pe ~sig_var ~sig_op ~sig_value with
-    | F.Dropped -> ()
-    | (F.Deliver | F.Delayed _) as fate ->
-      E.Engine.delay t.eng (signal_latency t ~from_pe ~to_pe);
-      (match fate with F.Delayed d -> E.Engine.delay t.eng d | F.Deliver | F.Dropped -> ());
-      apply_signal sig_var to_pe sig_op sig_value
-  end
-
 let signal_fenced_k t ~from_pe ~to_pe ~sig_var ~sig_op ~sig_value k =
   match signal_issued t ~from_pe ~to_pe ~sig_var ~sig_op ~sig_value with
   | F.Dropped -> k ()
@@ -520,6 +482,8 @@ let signal_fenced_k t ~from_pe ~to_pe ~sig_var ~sig_op ~sig_value k =
             apply_signal sig_var to_pe sig_op sig_value;
             k ()))
 
+(* Ordered after prior puts from this PE: a signal op fences by waiting
+   for them ({!quiet_k}). *)
 let signal_op_remote_k t ~from_pe ~to_pe ~sig_var ~sig_op ~sig_value k =
   if not (admitted t ~from_pe ~to_pe "signal_op") then k ()
   else if fenced t ~pe:from_pe then signal_fenced_k t ~from_pe ~to_pe ~sig_var ~sig_op ~sig_value k

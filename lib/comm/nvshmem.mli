@@ -13,10 +13,12 @@
     engine process ({!Cpufree_engine.Engine.spawn_callbacks}), and {!quiet}
     waits for all of the calling PE's outstanding deliveries.
 
-    The plain forms are called from a fiber. A [_k] form is the same
-    operation for a caller running as steps
-    ({!Cpufree_engine.Engine.after}): it runs its continuation once the
-    operation returns, and pushes the events the plain form does. *)
+    A plain form is called from a fiber. A [_k] form is an operation for a
+    caller running as steps ({!Cpufree_engine.Engine.after}): it runs its
+    continuation once the operation returns, and pushes the events a fiber
+    form would. The contiguous, strided and single-element puts and the
+    standalone signal op have only a [_k] form; a fiber reaches one through
+    {!Cpufree_engine.Engine.handover}. *)
 
 type t
 
@@ -40,15 +42,11 @@ val signal_malloc : t -> label:string -> unit -> signal
 
 type signal_op = Signal_set | Signal_add
 
-val putmem_nbi :
-  t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> dst:sym ->
-  dst_pos:int -> len:int -> unit
-(** Contiguous non-blocking put of [len] elements into [to_pe]'s instance of
-    [dst]. Caller pays only the issue overhead. *)
-
 val putmem_nbi_k :
   t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> dst:sym ->
   dst_pos:int -> len:int -> (unit -> unit) -> unit
+(** Contiguous non-blocking put of [len] elements into [to_pe]'s instance of
+    [dst]. Caller pays only the issue overhead, then continues. *)
 
 val putmem_signal_nbi :
   t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> dst:sym ->
@@ -61,31 +59,23 @@ val putmem_signal_nbi_k :
   dst_pos:int -> len:int -> sig_var:signal -> sig_op:signal_op -> sig_value:int ->
   (unit -> unit) -> unit
 
-val iput_nbi :
-  t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> src_stride:int ->
-  dst:sym -> dst_pos:int -> dst_stride:int -> count:int -> unit
-(** Strided element-wise put ([nvshmem_float_iput]); pays the per-element
-    non-coalesced penalty. No signal variant exists (paper §5.3.1) — pair
-    with {!signal_op_remote} and {!quiet}. *)
-
 val iput_nbi_k :
   t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> src_stride:int ->
   dst:sym -> dst_pos:int -> dst_stride:int -> count:int -> (unit -> unit) -> unit
-
-val p : t -> from_pe:int -> to_pe:int -> value:float -> dst:sym -> dst_pos:int -> unit
-(** Single-element put ([nvshmem_float_p]); blocking, fine-grained. *)
+(** Strided element-wise put ([nvshmem_float_iput]); pays the per-element
+    non-coalesced penalty. No signal variant exists (paper §5.3.1) — pair
+    with {!signal_op_remote_k} and {!quiet_k}. *)
 
 val p_k :
   t -> from_pe:int -> to_pe:int -> value:float -> dst:sym -> dst_pos:int -> (unit -> unit) -> unit
-
-val signal_op_remote :
-  t -> from_pe:int -> to_pe:int -> sig_var:signal -> sig_op:signal_op -> sig_value:int -> unit
-(** Standalone remote signal update ([nvshmem_signal_op]); ordered after the
-    caller's previously issued puts to the same PE (fence semantics). *)
+(** Single-element put ([nvshmem_float_p]); blocking, fine-grained: continues
+    once the element has landed. *)
 
 val signal_op_remote_k :
   t -> from_pe:int -> to_pe:int -> sig_var:signal -> sig_op:signal_op -> sig_value:int ->
   (unit -> unit) -> unit
+(** Standalone remote signal update ([nvshmem_signal_op]); ordered after the
+    caller's previously issued puts to the same PE (fence semantics). *)
 
 val signal_wait_until :
   t -> ?expect_from:int -> pe:int -> sig_var:signal -> (int -> bool) -> unit

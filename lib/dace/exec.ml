@@ -93,16 +93,6 @@ let stage_map x f =
 
 let noop () = ()
 
-let seq = function
-  | [] -> noop
-  | [ f ] -> f
-  | fs ->
-    let fs = Array.of_list fs in
-    fun () ->
-      for k = 0 to Array.length fs - 1 do
-        fs.(k) ()
-      done
-
 let sym_of lw name =
   match Hashtbl.find_opt lw.rt.syms name with
   | Some s -> Ok s
@@ -120,12 +110,6 @@ let sig_kind = function Sig_set -> Nv.Signal_set | Sig_add -> Nv.Signal_add
 let assignment lw env v e =
   let i = lw.slot_of v and f = ex lw e in
   fun () -> S.assign env.slots i (f env.slots)
-
-let guarded lw env cond body =
-  match S.compile_cond ~resolve:lw.resolve cond with
-  | S.Now true -> body
-  | S.Now false -> noop
-  | S.Later c -> fun () -> if c env.slots then body ()
 
 (* --- map semantics ----------------------------------------------------- *)
 
@@ -236,15 +220,16 @@ let stencil_time arch ~sm_fraction ~efficiency elems =
     G.Kernel.memory_bound_time arch ~elems ~bytes_per_elem:(G.Kernel.stencil_bytes_per_elem ())
       ~sm_fraction ~efficiency
 
-(* --- persistent roles as step programs ------------------------------------ *)
+(* --- step programs ---------------------------------------------------------- *)
 
-(* A persistent role runs as a flat program: an instruction array and a
-   program counter. [Do] runs and falls through; [Wait] ends by waiting
-   ({!E.Engine.after} or {!E.Engine.await}) with the continuation it is
-   given — the role's one resume closure — or calls it at once when it
-   need not wait; [Skip_unless (c, n)] skips the next [n] instructions
-   unless [c] holds; [Jump n] moves the counter by [n]. Guards and the time
-   loop are jumps, so a run of statements that never wait iterates. *)
+(* A persistent role, and a host rank's walk of the state graph, run as a
+   flat program: an instruction array and a program counter. [Do] runs and
+   falls through; [Wait] ends by waiting ({!E.Engine.after} or
+   {!E.Engine.await}) with the continuation it is given — the program's one
+   resume closure — or calls it at once when it need not wait;
+   [Skip_unless (c, n)] skips the next [n] instructions unless [c] holds;
+   [Jump n] moves the counter by [n]. Guards, the time loop and interstate
+   edges are jumps, so a run of statements that never wait iterates. *)
 type instr =
   | Do of (unit -> unit)
   | Wait of ((unit -> unit) -> unit)
@@ -354,14 +339,10 @@ let lower_nv_node lw env node =
 (* --- interstate graph -------------------------------------------------- *)
 
 (* The state graph indexed once: node [i] is the [i]th distinct state name
-   the walk can reach (the start state and every edge target), with the
-   first state of that name and its out-edges in declaration order. *)
-type graph = {
-  names : string array;
-  states : state option array;
-  out : (edge * int) list array;
-  start : int;
-}
+   the walk can reach (node 0 is the start state, then every edge target),
+   with the first state of that name and its out-edges in declaration
+   order. *)
+type graph = { names : string array; states : state option array; out : (edge * int) list array }
 
 let index_graph (sdfg : Sdfg.t) =
   let ids = Hashtbl.create 16 in
@@ -373,7 +354,7 @@ let index_graph (sdfg : Sdfg.t) =
       Hashtbl.replace ids n i;
       i
   in
-  let start = id sdfg.start_state in
+  ignore (id sdfg.start_state : int);
   let edges = List.map (fun e -> (e, id e.e_dst)) sdfg.edges in
   let names = Array.make (Hashtbl.length ids) "" in
   Hashtbl.iter (fun n i -> names.(i) <- n) ids;
@@ -381,46 +362,59 @@ let index_graph (sdfg : Sdfg.t) =
     names;
     states = Array.map (find_state sdfg) names;
     out = Array.map (fun n -> List.filter (fun (e, _) -> String.equal e.e_src n) edges) names;
-    start;
   }
 
-(* The first edge whose condition holds wins: its assignments run in
-   order, and the walk moves to its target ([-1]: no edge, the walk ends). *)
-let rec lower_edges lw env = function
-  | [] -> fun () -> -1
-  | (e, dst) :: rest -> (
-    let assign = seq (List.map (fun (v, ex) -> assignment lw env v ex) e.e_assign) in
-    let take () =
-      assign ();
-      dst
-    in
-    match Option.map (S.compile_cond ~resolve:lw.resolve) e.e_cond with
-    | None | Some (S.Now true) -> take
-    | Some (S.Now false) -> lower_edges lw env rest
-    | Some (S.Later c) ->
-      let next = lower_edges lw env rest in
-      fun () -> if c env.slots then take () else next ())
+(* A rank's walk of the graph as one step program: each node's state, then
+   its out-edges in order — the first whose condition holds runs its
+   assignments and jumps to its target's start; when none holds, the walk
+   runs off the end. The start state comes first. A walk that visits more
+   than ten million states fails. *)
+type asm = Ins of instr | Goto of int | Goto_end
 
-let walk graph lw env ~state =
-  let nodes =
+let walk_program graph lw env ~state =
+  let visits = ref 0 in
+  let visit =
+    Do
+      (fun () ->
+        incr visits;
+        if !visits > 10_000_000 then fail "interstate walk did not terminate")
+  in
+  let rec edges = function
+    | [] -> [ Goto_end ]
+    | (e, dst) :: rest -> (
+      let take =
+        List.map (fun (v, x) -> Ins (Do (assignment lw env v x))) e.e_assign @ [ Goto dst ]
+      in
+      match Option.map (S.compile_cond ~resolve:lw.resolve) e.e_cond with
+      | None | Some (S.Now true) -> take
+      | Some (S.Now false) -> edges rest
+      | Some (S.Later c) -> (Ins (Skip_unless (c, List.length take)) :: take) @ edges rest)
+  in
+  let blocks =
     Array.mapi
       (fun i st ->
-        let run =
+        let body =
           match st with
           | Some st -> state st
-          | None -> fun () -> fail "missing state %s" graph.names.(i)
+          | None -> [ fails (Printf.sprintf "missing state %s" graph.names.(i)) ]
         in
-        (run, lower_edges lw env graph.out.(i)))
+        (Ins visit :: List.map (fun x -> Ins x) body) @ edges graph.out.(i))
       graph.states
   in
-  let rec go i steps =
-    if steps > 10_000_000 then fail "interstate walk did not terminate";
-    let run, next = nodes.(i) in
-    run ();
-    let j = next () in
-    if j >= 0 then go j (steps + 1)
-  in
-  go graph.start 1
+  let starts = Array.make (Array.length blocks) 0 and len = ref 0 in
+  Array.iteri
+    (fun i b ->
+      starts.(i) <- !len;
+      len := !len + List.length b)
+    blocks;
+  let n = !len in
+  Array.of_list
+    (List.mapi
+       (fun pc -> function
+         | Ins x -> x
+         | Goto j -> Jump (starts.(j) - pc)
+         | Goto_end -> Jump (n - pc))
+       (List.concat (Array.to_list blocks)))
 
 (* --- shared allocation ------------------------------------------------- *)
 
@@ -468,6 +462,8 @@ let request_names states =
    "offload off" candidate has an honest cost instead of a free ride. *)
 let host_dram_slowdown = 12.0
 
+(* One host state as instructions: a GPU map waits out its launch call, a
+   host map its cost, and each MPI call and stream synchronize its call. *)
 let lower_host_state lw env stream st =
   let ctx = lw.rt.ctx and mpi = lw.rt.mpi and rank = lw.rank and slots = env.slots in
   let device_time m =
@@ -481,58 +477,84 @@ let lower_host_state lw env stream st =
       let pos = ex lw r.offset and stride = ex lw r.stride and count = ex lw r.count in
       fun s -> { Mpi.buf; pos = pos s; stride = stride s; count = count s }
   in
+  let sync = Wait (G.Runtime.stream_synchronize_k ctx stream) in
   let rec lower = function
     | S_map m -> (
       match m.m_schedule with
       | Gpu_device ->
         let cost = S.force (device_time m) and body = map_body lw env m in
         let name = "map_" ^ m.m_var in
-        fun () ->
-          env.used_gpu <- true;
-          G.Runtime.launch ctx ~stream ~name ~cost:(cost slots) body
+        [
+          Wait
+            (fun k ->
+              env.used_gpu <- true;
+              G.Runtime.launch_k ctx ~stream ~name ~cost:(cost slots) body k);
+        ]
       | Sequential ->
         let cost =
           S.force (stage_map (device_time m) (fun t -> Time.scale t host_dram_slowdown))
         in
-        let body = map_body lw env m and eng = G.Runtime.engine ctx in
-        fun () ->
-          let cost = cost slots in
-          if Time.(cost > Time.zero) then E.Engine.delay eng cost;
-          body ()
-      | Gpu_persistent -> fun () -> fail "persistent-scheduled map in the baseline backend")
+        let eng = G.Runtime.engine ctx in
+        [
+          Wait
+            (fun k ->
+              let cost = cost slots in
+              if Time.(cost > Time.zero) then E.Engine.after eng cost k else k ());
+          Do (map_body lw env m);
+        ]
+      | Gpu_persistent -> [ fails "persistent-scheduled map in the baseline backend" ])
     | S_lib (Mpi_isend { arr; region; dst_rank; tag; req }) ->
       let region = mpi_region arr region and dst = ex lw dst_rank and r = lw.request_of req in
-      fun () ->
+      [
         (* DaCe generates a stream synchronize before host communication so
            the device data is visible (Fig. 5.1). *)
-        G.Runtime.stream_synchronize ctx stream;
-        env.reqs.(r) <- Some (Mpi.isend mpi ~rank ~dst:(dst slots) ~tag (region slots))
+        sync;
+        Wait
+          (fun k ->
+            env.reqs.(r) <- Some (Mpi.isend_k mpi ~rank ~dst:(dst slots) ~tag (region slots) k));
+      ]
     | S_lib (Mpi_irecv { arr; region; src_rank; tag; req }) ->
       let region = mpi_region arr region and src = ex lw src_rank and r = lw.request_of req in
-      fun () -> env.reqs.(r) <- Some (Mpi.irecv mpi ~rank ~src:(src slots) ~tag (region slots))
+      [
+        Wait
+          (fun k ->
+            env.reqs.(r) <- Some (Mpi.irecv_k mpi ~rank ~src:(src slots) ~tag (region slots) k));
+      ]
     | S_lib (Mpi_waitall names) ->
       let reqs = List.map (fun n -> (n, lw.request_of n)) names in
-      fun () ->
-        Mpi.waitall mpi
-          (List.map
-             (fun (n, r) ->
-               match env.reqs.(r) with
-               | Some r -> r
-               | None -> fail "MPI_Waitall on unknown request %s" n)
-             reqs)
+      [
+        Wait
+          (fun k ->
+            Mpi.waitall_k mpi
+              (List.map
+                 (fun (n, r) ->
+                   match env.reqs.(r) with
+                   | Some r -> r
+                   | None -> fail "MPI_Waitall on unknown request %s" n)
+                 reqs)
+              k);
+      ]
     | S_lib
         ( Nv_put _ | Nv_putmem _ | Nv_putmem_signal _ | Nv_iput _ | Nv_p _ | Nv_signal_op _
-        | Nv_signal_wait _ | Nv_quiet ) -> fun () -> fail "NVSHMEM node in host (baseline) code"
-    | S_cond { cond; then_ } -> guarded lw env cond (seq (List.map lower then_))
-    | S_role { body; _ } -> seq (List.map lower body)
-    | S_grid_sync -> fun () -> G.Runtime.stream_synchronize ctx stream
+        | Nv_signal_wait _ | Nv_quiet ) -> [ fails "NVSHMEM node in host (baseline) code" ]
+    | S_cond { cond; then_ } -> (
+      let body = List.concat_map lower then_ in
+      match S.compile_cond ~resolve:lw.resolve cond with
+      | S.Now true -> body
+      | S.Now false -> []
+      | S.Later c -> Skip_unless (c, List.length body) :: body)
+    | S_role { body; _ } -> List.concat_map lower body
+    | S_grid_sync -> [ sync ]
   in
-  let body = seq (List.map lower st.stmts) in
-  fun () ->
-    env.used_gpu <- false;
-    body ();
-    (* DaCe closes every GPU state with a stream synchronize. *)
-    if env.used_gpu then G.Runtime.stream_synchronize ctx stream
+  (Do (fun () -> env.used_gpu <- false) :: List.concat_map lower st.stmts)
+  @ [
+      (* DaCe closes every GPU state with a stream synchronize. *)
+      Wait (fun k -> if env.used_gpu then G.Runtime.stream_synchronize_k ctx stream k else k ());
+    ]
+
+(* Run [code] as one handover of the calling host process, which keeps its
+   pid, name and group in every report. *)
+let run_host ctx env code = E.Engine.handover (G.Runtime.engine ctx) (run_program code env.slots)
 
 let build_baseline ?backed sdfg =
   let store = ref None in
@@ -548,7 +570,7 @@ let build_baseline ?backed sdfg =
         let stream =
           G.Stream.create (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
         in
-        walk graph lw env ~state:(lower_host_state lw env stream))
+        run_host ctx env (walk_program graph lw env ~state:(lower_host_state lw env stream)))
   in
   { program; read_array = read_array store }
 
@@ -678,11 +700,13 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
         let stream =
           G.Stream.create (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
         in
-        let host_states states = seq (List.map (lower_host_state lw env stream) states) in
+        let host_states states =
+          Array.of_list (List.concat_map (lower_host_state lw env stream) states)
+        in
         (* Prologue and epilogue stay host-controlled (initialization). *)
         let prologue = host_states p.Persistent_fusion.prologue in
         let epilogue = host_states p.Persistent_fusion.epilogue in
-        prologue ();
+        run_host ctx env prologue;
         let role_body role env grid finish =
           run_program (lower_role lw env grid ~role p) env.slots finish
         in
@@ -701,6 +725,6 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
         in
         G.Runtime.join_kernel ctx ~roles:(List.length roles) finished;
         Nv.quiet rt.nv ~pe:rank;
-        epilogue ())
+        run_host ctx env epilogue)
   in
   { program; read_array = read_array store }

@@ -62,6 +62,14 @@ val launch :
     the stream's process and may itself block (device-initiated transfers,
     flag waits). *)
 
+val launch_k :
+  ctx -> stream:Stream.t -> name:string -> cost:Cpufree_engine.Time.t -> (unit -> unit) ->
+  (unit -> unit) -> unit
+(** {!launch} as steps, for a body that never blocks: the host pays the
+    launch latency and continues, and the kernel runs on [stream] as a
+    chain of steps — teardown, cost, body, compute interval — that pushes
+    the events {!launch}'s kernel does. *)
+
 val memcpy_async :
   ctx -> stream:Stream.t -> src:Buffer.t -> src_pos:int -> dst:Buffer.t -> dst_pos:int -> len:int ->
   unit

@@ -316,6 +316,55 @@ let stream_tests =
 
 (* --- Coop / Runtime / Host ---------------------------------------------- *)
 
+(* Two launches and a stream synchronize from one host process, written
+   with the fiber forms ([launch], [stream_synchronize]) or as a process of
+   steps ([launch_k], [stream_synchronize_k]): the events, the clock, the
+   spans, the instants the host's marks ran at and the busy log. *)
+let run_launches ~steps ~faults ~cost =
+  let trace = E.Trace.create () in
+  let eng = Engine.create ~trace () in
+  let env =
+    Option.map
+      (fun f ->
+        Cpufree_obs.Sim_env.make ~faults:(Result.get_ok (Cpufree_fault.Fault.of_string f)) ())
+      faults
+  in
+  let ctx = G.Runtime.create eng ?env ~num_gpus:1 () in
+  let s = G.Stream.create eng ~dev:(G.Runtime.device ctx 0) ~name:"s" in
+  let marks = ref [] in
+  let mark what = marks := Printf.sprintf "%s@%d" what (Time.to_ns (Engine.now eng)) :: !marks in
+  let body i () = mark (Printf.sprintf "body%d" i) in
+  let (_ : Engine.process) =
+    if steps then
+      Engine.spawn_callbacks eng ~name_of:(fun () -> "host") (fun () ->
+          G.Runtime.launch_k ctx ~stream:s ~name:"a" ~cost (body 1) (fun () ->
+              mark "launched";
+              G.Runtime.launch_k ctx ~stream:s ~name:"b" ~cost (body 2) (fun () ->
+                  G.Runtime.stream_synchronize_k ctx s (fun () -> mark "synced"))))
+    else
+      Engine.spawn eng ~name:"host" (fun () ->
+          G.Runtime.launch ctx ~stream:s ~name:"a" ~cost (body 1);
+          mark "launched";
+          G.Runtime.launch ctx ~stream:s ~name:"b" ~cost (body 2);
+          G.Runtime.stream_synchronize ctx s;
+          mark "synced")
+  in
+  Engine.run eng;
+  let span (sp : E.Trace.span) =
+    Printf.sprintf "%s %s %d-%d" sp.E.Trace.lane sp.E.Trace.label (Time.to_ns sp.E.Trace.t0)
+      (Time.to_ns sp.E.Trace.t1)
+  in
+  let comm, overlap = E.Intervals.Log.comm_and_overlap (Engine.busy eng) in
+  [
+    Printf.sprintf "events %d" (Engine.events_executed eng);
+    Printf.sprintf "clock %d" (Time.to_ns (Engine.now eng));
+    Printf.sprintf "busy compute %d comm %d overlap %g"
+      (Time.to_ns (E.Intervals.Log.compute_total (Engine.busy eng)))
+      (Time.to_ns comm) overlap;
+  ]
+  @ List.rev !marks
+  @ List.map span (E.Trace.spans trace)
+
 let runtime_tests =
   [
     Alcotest.test_case "launch charges host launch latency" `Quick (fun () ->
@@ -340,6 +389,15 @@ let runtime_tests =
         check_int "teardown + cost + launch"
           (Time.to_ns arch.G.Arch.kernel_launch + Time.to_ns arch.G.Arch.kernel_teardown + 100)
           (Time.to_ns (Engine.now eng)));
+    Alcotest.test_case "launch_k pushes launch's events" `Quick (fun () ->
+        List.iter
+          (fun (faults, cost) ->
+            let run steps = run_launches ~steps ~faults ~cost in
+            check (Alcotest.list Alcotest.string)
+              (Printf.sprintf "%s, cost %d" (Option.value faults ~default:"no faults")
+                 (Time.to_ns cost))
+              (run false) (run true))
+          [ (None, Time.zero); (None, Time.ns 100); (Some "straggler=0x1.5", Time.ns 100) ]);
     Alcotest.test_case "memcpy moves data between devices" `Quick (fun () ->
         let dst = G.Buffer.create ~device:1 ~label:"dst" 4 in
         let _eng, _ =
