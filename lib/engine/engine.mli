@@ -22,7 +22,8 @@
 
     - {!spawn_callbacks} makes a process that is steps for its whole life;
       a step that returns without naming a next one finishes it. Short
-      fixed sequences — an NVSHMEM delivery is three steps — use it.
+      fixed sequences — an NVSHMEM delivery is three steps, an MPI
+      message two to four — use it.
     - {!handover} moves a running fiber onto steps for the rest of one
       blocking operation: the chain runs as the same process (same pid,
       name, group and wait state), and its last callback continues the
@@ -32,12 +33,14 @@
       steps (a resilient signal wait, a fence's replay) the same way. A
       DaCe persistent-kernel role hands its whole step program over once,
       after its teardown delay, so it resumes as a fiber only to start
-      and to end that delay.
+      and to end that delay; a DaCe host rank hands over its whole walk
+      of the state graph, so it resumes as a fiber only to start.
 
-    NVSHMEM deliveries, the allreduce drivers, the stream daemons' copies
-    and the DaCe persistent roles run as steps. Host threads, the DaCe
-    baseline ranks, MPI messages, kernel bodies and the hand-written
-    stencil kernels run as fibers.
+    NVSHMEM deliveries, MPI messages, the allreduce drivers, the stream
+    daemons' copies and step-form kernels, the DaCe host ranks and the
+    DaCe persistent roles run as steps. The stencils' host threads, the
+    kernel bodies of [Runtime.launch] and the hand-written stencil kernels
+    run as fibers.
 
     Each wait pushes one event whichever way the process runs, where the
     fiber's {!delay} or {!suspend} would, so moving an actor between the
