@@ -33,13 +33,14 @@ let () =
   (* 3. The kernel: every PE waits for the token, increments it, and puts it
      (with a signal) to the next PE — communication initiated entirely on
      device. The inner role burns compute concurrently and meets the comm
-     role at grid.sync each round. *)
+     role at grid.sync each round. The NVSHMEM calls and the grid sync are
+     steps; a role's fiber runs each through a handover. *)
   let roles pe =
     let comm grid =
       for round = 1 to rounds do
         let expected = (round - 1) * gpus in
         if pe > 0 || round > 1 then
-          Nv.signal_wait_ge nv ~pe ~sig_var:ready (expected + pe);
+          E.Engine.handover eng (Nv.signal_wait_ge_k nv ~pe ~sig_var:ready (expected + pe));
         let v = G.Buffer.get (Nv.local token ~pe) 0 in
         Printf.printf "  [%-7s] pe%d round %d holds token %.0f\n"
           (Time.to_string (E.Engine.now eng)) pe round v;
@@ -47,10 +48,11 @@ let () =
         G.Buffer.set (Nv.local token ~pe) 0 (v +. 1.0);
         let next = (pe + 1) mod gpus in
         if not (pe = gpus - 1 && round = rounds) then
-          Nv.putmem_signal_nbi nv ~from_pe:pe ~to_pe:next ~src:(Nv.local token ~pe)
-            ~src_pos:0 ~dst:token ~dst_pos:0 ~len:1 ~sig_var:ready ~sig_op:Nv.Signal_set
-            ~sig_value:(expected + pe + 1);
-        G.Coop.sync grid
+          E.Engine.handover eng
+            (Nv.putmem_signal_nbi_k nv ~from_pe:pe ~to_pe:next ~src:(Nv.local token ~pe)
+               ~src_pos:0 ~dst:token ~dst_pos:0 ~len:1 ~sig_var:ready ~sig_op:Nv.Signal_set
+               ~sig_value:(expected + pe + 1));
+        E.Engine.handover eng (G.Coop.sync_k grid)
       done
     in
     let inner grid =
@@ -59,7 +61,7 @@ let () =
         E.Engine.delay eng
           (G.Kernel.memory_bound_time arch ~elems:100_000 ~bytes_per_elem:8.0
              ~sm_fraction:0.98 ~efficiency:1.0);
-        G.Coop.sync grid
+        E.Engine.handover eng (G.Coop.sync_k grid)
       done
     in
     [ ("comm", comm); ("inner", inner) ]

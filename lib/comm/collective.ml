@@ -229,7 +229,7 @@ let rec iter_k f l k =
    makes each arrival a data guarantee); each wait raises this PE's
    cumulative threshold on that channel, so no signal is ever reset. The
    whole schedule is one chain of steps. *)
-let allreduce_sum t ~pe value =
+let allreduce_sum_k t ~pe value k =
   t.round.(pe) <- t.round.(pe) + 1;
   let parity = t.round.(pe) land 1 in
   let bank = parity * n t in
@@ -262,9 +262,11 @@ let allreduce_sum t ~pe value =
             Nvshmem.signal_wait_ge_k t.nv ~pe ~sig_var e.(c) (fun () -> phase (p + 1) k))
     end
   in
-  Cpufree_engine.Engine.handover (Nvshmem.engine t.nv) (phase 0)
+  phase 0 k
 
-let barrier t ~pe = Nvshmem.barrier_all t.nv ~pe
+let allreduce_sum t ~pe value =
+  Cpufree_engine.Engine.handover (Nvshmem.engine t.nv) (allreduce_sum_k t ~pe value)
+
 let rounds t ~pe = t.round.(pe)
 
 (* ------------------------------------------------------------------ *)

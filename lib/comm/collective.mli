@@ -45,13 +45,15 @@ val create : ?algorithm:algorithm -> Nvshmem.t -> label:string -> t
     delayed delivery would let a later phase meet an earlier wait. [algorithm] picks the communication schedule (default
     [Dense], the original all-to-all). *)
 
-val allreduce_sum : t -> pe:int -> float -> float
-(** Contribute a scalar; returns the sum over all PEs' contributions of this
-    round. Deterministic summation order (by PE index), identical across
-    algorithms. *)
+val allreduce_sum_k : t -> pe:int -> float -> (float -> unit) -> unit
+(** Contribute a scalar; the continuation gets the sum over all PEs'
+    contributions of this round. Deterministic summation order (by PE
+    index), identical across algorithms. The whole schedule is one chain
+    of steps. *)
 
-val barrier : t -> pe:int -> unit
-(** [nvshmem_barrier_all] convenience re-export. *)
+val allreduce_sum : t -> pe:int -> float -> float
+(** {!allreduce_sum_k} from a fiber: one {!Cpufree_engine.Engine.handover}
+    of the chain. *)
 
 val rounds : t -> pe:int -> int
 (** Completed reduction rounds on a PE (diagnostics). *)
@@ -59,8 +61,8 @@ val rounds : t -> pe:int -> int
 (** {1 CPU-driven baseline}
 
     The same schedule orchestrated by a host thread: every copy is a
-    host-issued [memcpy_async] and every phase ends in a
-    [stream_synchronize] on every stream, charging the host-API latencies
+    host-issued {!Cpufree_gpu.Runtime.memcpy_async_k} and every phase ends
+    in a {!Cpufree_gpu.Runtime.stream_synchronize_k} on every stream, charging the host-API latencies
     the device-initiated driver avoids. Call from a host process. *)
 
 val host_allreduce_sum :

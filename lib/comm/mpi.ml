@@ -67,7 +67,7 @@ let region_strided r = r.stride <> 1
 (* One leg of a message: a host-initiated transfer, waited for as steps. *)
 let leg t ~trace_lane ~bytes ~src ~dst ~label k =
   G.Interconnect.transfer_steps (G.Runtime.net t.ctx) ~src ~dst ~initiator:G.Interconnect.By_host
-    ~bytes ?trace_lane ~label ~wait:t.after k
+    ~bytes ?trace_lane ~label k
 
 (* The message has landed: apply the data, then complete both requests. *)
 let delivered (send : posted) (recv : posted) () =

@@ -27,7 +27,6 @@ type t = {
   eng : E.Engine.t;
   n : int;
   pending : E.Sync.Flag.t array;  (* outstanding nbi deliveries per PE *)
-  barrier : E.Sync.Barrier.t;
   faults : F.plan option;  (* the runtime context's plan, if any *)
   obs : instr option;
   op_seq : int array;  (* per-PE issue counter for deterministic flow ids *)
@@ -67,7 +66,6 @@ let init ctx =
     eng;
     n;
     pending;
-    barrier = E.Sync.Barrier.create ~name:"nvshmem.barrier_all" eng n;
     faults = G.Runtime.faults ctx;
     obs;
     op_seq = Array.make n 0;
@@ -130,21 +128,11 @@ let apply_signal sig_var pe op v =
   | Signal_set -> E.Sync.Flag.set flag v
   | Signal_add -> E.Sync.Flag.add flag v
 
-(* A delivery, a put's issue and a signal wait are written as steps over
-   {!E.Engine.after} and the [_k] waits of {!E.Sync}: called with a
-   continuation, they run it when they are over. Each wait pushes its
-   event where a fiber's [delay] or [suspend] would, so events, their
-   order and every diagnostic stay as a fiber-per-operation engine had
-   them. The allreduce driver and the DaCe persistent roles chain the [_k]
-   forms; a fiber pays a put's issue with [delay] around the same
-   [put_issued], waits on a signal with [suspend] and [delay], and hands a
-   resilient signal wait or a replay over to steps ({!E.Engine.handover}).
-   Each operation below that has both forms writes what it does once and
-   differs between them only in how it waits.
-
-   A delivery runs asynchronously as a fiberless process, or is replayed
-   inside a recovering waiter (a resilient signal wait or a [quiet]
-   fence) when the fabric lost it. *)
+(* Every operation is written as steps over {!E.Engine.after} and the [_k]
+   waits of {!E.Sync}: called with a continuation, it runs it when it is
+   over. A delivery runs asynchronously as a fiberless process, or is
+   replayed inside a recovering waiter (a resilient signal wait or a
+   [quiet] fence) when the fabric lost it. *)
 type steps = (unit -> unit) -> unit
 
 (* Run a delivery asynchronously on behalf of [from_pe], tracking it in the
@@ -216,7 +204,7 @@ let mark_fault t ~pe ~label =
 let transfer t ~from_pe ~to_pe ~bytes ~label k =
   G.Interconnect.transfer_steps (net t) ~src:(G.Interconnect.Gpu from_pe)
     ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device ~bytes
-    ?trace_lane:(trace_lane t from_pe) ~label ~wait:t.after k
+    ?trace_lane:(trace_lane t from_pe) ~label k
 
 (* A non-blocking put's kind decides what its delivery adds to the wire
    transfer — nothing (a plain put), a signal update once the data has
@@ -322,14 +310,7 @@ let admitted t ~from_pe ~to_pe op =
   check_pe t to_pe op;
   not (sender_dead t ~pe:from_pe)
 
-(* A put's one wait is its issue overhead: a fiber pays it with [delay], a
-   step with [after] (the [_k] form), and both then run [put_issued]. *)
-let put_common t ~from_pe ~to_pe ~bytes ~kind ~commit =
-  if admitted t ~from_pe ~to_pe "put" then begin
-    E.Engine.delay t.eng (issue_overhead t);
-    put_issued t ~from_pe ~to_pe ~bytes ~kind ~commit
-  end
-
+(* A put's one wait is its issue overhead; then it runs [put_issued]. *)
 let put_common_k t ~from_pe ~to_pe ~bytes ~kind ~commit k =
   if admitted t ~from_pe ~to_pe "put" then
     t.after (issue_overhead t) (fun () ->
@@ -342,13 +323,6 @@ let putmem_nbi_k t ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len k =
   put_common_k t ~from_pe ~to_pe ~bytes:(len * G.Buffer.elem_bytes) ~kind:Plain
     ~commit:(fun () -> G.Buffer.blit ~src ~src_pos ~dst:dst_buf ~dst_pos ~len)
     k
-
-let putmem_signal_nbi t ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len ~sig_var ~sig_op
-    ~sig_value =
-  let dst_buf = local dst ~pe:to_pe in
-  put_common t ~from_pe ~to_pe ~bytes:(len * G.Buffer.elem_bytes)
-    ~kind:(Signal_after (sig_var, sig_op, sig_value))
-    ~commit:(fun () -> G.Buffer.blit ~src ~src_pos ~dst:dst_buf ~dst_pos ~len)
 
 let putmem_signal_nbi_k t ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len ~sig_var ~sig_op
     ~sig_value k =
@@ -381,7 +355,7 @@ let p_k t ~from_pe ~to_pe ~value ~dst ~dst_pos k =
         note_put t ~from_pe ~bytes:G.Buffer.elem_bytes;
         G.Interconnect.transfer_steps (net t) ~src:(G.Interconnect.Gpu from_pe)
           ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device
-          ~bytes:G.Buffer.elem_bytes ?trace_lane:(trace_lane t from_pe) ~label:"p" ~wait:t.after
+          ~bytes:G.Buffer.elem_bytes ?trace_lane:(trace_lane t from_pe) ~label:"p"
           (fun () ->
             G.Buffer.set (local dst ~pe:to_pe) dst_pos value;
             k ()))
@@ -414,14 +388,9 @@ let quiet_replay t ~pe =
     | [] -> None
     | lost -> Some (recover t plan ~pe ~label:"quiet" lost))
 
-let quiet t ~pe =
-  check_pe t pe "quiet";
-  E.Sync.Flag.wait_until t.pending.(pe) is_zero;
-  match quiet_replay t ~pe with None -> () | Some replay -> E.Engine.handover t.eng replay
-
 (* Whether a fence on [pe] is over as soon as it starts: no delivery is
-   outstanding and no fault plan can have lost one. A step form then
-   continues at once, without the closure its wait would take. *)
+   outstanding and no fault plan can have lost one. It then continues at
+   once, without the closure its wait would take. *)
 let fenced t ~pe = is_zero (E.Sync.Flag.get t.pending.(pe)) && Option.is_none t.faults
 
 let quiet_k t ~pe k =
@@ -548,16 +517,16 @@ let resilient_wait_k t ~pe ~waits_on ~plan ~sig_var pred k =
   in
   attempt 0 spec.F.retry_timeout
 
-(* A signal wait opens alike in both forms: check the PE, count the wait,
-   and say whether it blocks. *)
+(* A signal wait checks the PE, counts the wait, and says whether it
+   blocks. *)
 let wait_blocks t ~pe ~sig_var pred =
   check_pe t pe "signal_wait";
   bump t (fun o -> o.m_signal_waits);
   not (pred (E.Sync.Flag.get sig_var.flags.(pe)))
 
-(* The pieces both forms of a blocked wait share: the group it waits on,
-   the fault plan that makes it resilient (when one is active), and what
-   it notes once its flag is seen. *)
+(* A blocked wait's group it waits on, the fault plan that makes it
+   resilient (when one is active), and what it notes once its flag is
+   seen. *)
 let waits_on_of t expect_from =
   match expect_from with None -> None | Some g -> Some (G.Runtime.gpu_group t.ctx g)
 
@@ -590,35 +559,8 @@ let signal_wait_until_k t ?expect_from ~pe ~sig_var pred k =
   if wait_blocks t ~pe ~sig_var pred then blocked_wait_k t ?expect_from ~pe ~sig_var pred k
   else k ()
 
-(* A fiber waits with [suspend] and [delay], as a put pays its issue with
-   [delay]; the resilient wait is written only as steps, so under an
-   active fault plan the fiber hands its wait over. *)
-let signal_wait_until t ?expect_from ~pe ~sig_var pred =
-  if wait_blocks t ~pe ~sig_var pred then
-    match active_plan t with
-    | Some _ -> E.Engine.handover t.eng (blocked_wait_k t ?expect_from ~pe ~sig_var pred)
-    | None ->
-      let t0 = E.Engine.now t.eng in
-      E.Sync.Flag.wait_until ?waits_on:(waits_on_of t expect_from) sig_var.flags.(pe) pred;
-      E.Engine.delay t.eng (arch t).G.Arch.nvshmem_wait_latency;
-      note_blocked t t0
-
 let signal_wait_ge_k t ?expect_from ~pe ~sig_var v k =
   signal_wait_until_k t ?expect_from ~pe ~sig_var (fun x -> x >= v) k
-
-let signal_wait_ge t ?expect_from ~pe ~sig_var v =
-  signal_wait_until t ?expect_from ~pe ~sig_var (fun x -> x >= v)
-
-let barrier_all t ~pe =
-  check_pe t pe "barrier_all";
-  quiet t ~pe;
-  let a = arch t in
-  (* A fabric-wide barrier must cover the machine's worst routed GPU pair —
-     on a single switch that is the NVLink hop (as the flat model charged);
-     on a cluster it is the inter-node path. *)
-  E.Engine.delay t.eng
-    (Time.add (G.Interconnect.max_gpu_wire_latency (net t)) a.G.Arch.nvshmem_signal);
-  E.Sync.Barrier.wait t.barrier
 
 let reorders t = Option.is_some (active_plan t)
 

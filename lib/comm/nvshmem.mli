@@ -10,14 +10,11 @@
     Non-blocking ([_nbi]) operations return after issue; remote delivery
     (data first, then any attached signal, preserving NVSHMEM's
     data-before-signal ordering) happens asynchronously, as a fiberless
-    engine process ({!Cpufree_engine.Engine.spawn_callbacks}), and {!quiet}
-    waits for all of the calling PE's outstanding deliveries.
+    engine process ({!Cpufree_engine.Engine.spawn_callbacks}), and
+    {!quiet_k} waits for all of the calling PE's outstanding deliveries.
 
-    A plain form is called from a fiber. A [_k] form is an operation for a
-    caller running as steps ({!Cpufree_engine.Engine.after}): it runs its
-    continuation once the operation returns, and pushes the events a fiber
-    form would. The contiguous, strided and single-element puts and the
-    standalone signal op have only a [_k] form; a fiber reaches one through
+    Every operation is written as steps: called with a continuation, it
+    runs it once the operation returns. A fiber reaches one through
     {!Cpufree_engine.Engine.handover}. *)
 
 type t
@@ -48,16 +45,12 @@ val putmem_nbi_k :
 (** Contiguous non-blocking put of [len] elements into [to_pe]'s instance of
     [dst]. Caller pays only the issue overhead, then continues. *)
 
-val putmem_signal_nbi :
-  t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> dst:sym ->
-  dst_pos:int -> len:int -> sig_var:signal -> sig_op:signal_op -> sig_value:int -> unit
-(** [nvshmemx_putmem_signal_nbi_block]: put then update [sig_var] at the
-    destination once the data has landed. *)
-
 val putmem_signal_nbi_k :
   t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> dst:sym ->
   dst_pos:int -> len:int -> sig_var:signal -> sig_op:signal_op -> sig_value:int ->
   (unit -> unit) -> unit
+(** [nvshmemx_putmem_signal_nbi_block]: put then update [sig_var] at the
+    destination once the data has landed. *)
 
 val iput_nbi_k :
   t -> from_pe:int -> to_pe:int -> src:Cpufree_gpu.Buffer.t -> src_pos:int -> src_stride:int ->
@@ -77,8 +70,8 @@ val signal_op_remote_k :
 (** Standalone remote signal update ([nvshmem_signal_op]); ordered after the
     caller's previously issued puts to the same PE (fence semantics). *)
 
-val signal_wait_until :
-  t -> ?expect_from:int -> pe:int -> sig_var:signal -> (int -> bool) -> unit
+val signal_wait_until_k :
+  t -> ?expect_from:int -> pe:int -> sig_var:signal -> (int -> bool) -> (unit -> unit) -> unit
 (** [nvshmem_signal_wait_until] on the local instance of [sig_var].
 
     [expect_from] names the PE whose signal update this wait depends on; it
@@ -91,20 +84,14 @@ val signal_wait_until :
     spinning forever. Without faults the wait is the plain spin of the
     baseline model. *)
 
-val signal_wait_ge : t -> ?expect_from:int -> pe:int -> sig_var:signal -> int -> unit
-
 val signal_wait_ge_k :
   t -> ?expect_from:int -> pe:int -> sig_var:signal -> int -> (unit -> unit) -> unit
 
-val quiet : t -> pe:int -> unit
-(** Block until all of [pe]'s outstanding non-blocking operations have been
-    delivered remotely. Under an active fault plan the fence additionally
-    detects and retransmits the PE's dropped signal-less puts. *)
-
 val quiet_k : t -> pe:int -> (unit -> unit) -> unit
-
-val barrier_all : t -> pe:int -> unit
-(** Device-side barrier across all PEs (includes an implicit quiet). *)
+(** Continue once all of [pe]'s outstanding non-blocking operations have
+    been delivered remotely. Under an active fault plan the fence
+    additionally detects and retransmits the PE's dropped signal-less
+    puts. *)
 
 val reorders : t -> bool
 (** Whether deliveries can land out of order: true under an active fault

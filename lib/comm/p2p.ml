@@ -8,11 +8,13 @@ let lane ctx dev =
   | None -> None
   | Some _ -> Some (Printf.sprintf "gpu%d.p2p" dev)
 
-let copy ctx ~from_dev ~src ~src_pos ~dst ~dst_pos ~len =
-  G.Interconnect.transfer (G.Runtime.net ctx) ~src:(endpoint from_dev)
+let copy_k ctx ~from_dev ~src ~src_pos ~dst ~dst_pos ~len k =
+  G.Interconnect.transfer_steps (G.Runtime.net ctx) ~src:(endpoint from_dev)
     ~dst:(endpoint (G.Buffer.device dst))
     ~initiator:G.Interconnect.By_device
     ~bytes:(len * G.Buffer.elem_bytes)
     ?trace_lane:(lane ctx from_dev)
-    ~label:"p2p-store" ();
-  G.Buffer.blit ~src ~src_pos ~dst ~dst_pos ~len
+    ~label:"p2p-store"
+    (fun () ->
+      G.Buffer.blit ~src ~src_pos ~dst ~dst_pos ~len;
+      k ())

@@ -2,9 +2,11 @@
     started once, after which the host only waits (paper §3.1).
 
     [run_all] is the whole CPU-Free host program: each host thread performs
-    exactly one cooperative launch and one join — every iteration-level
-    action (time loop, synchronization, halo exchange) happens on-device in
-    the role bodies. *)
+    exactly one cooperative launch and one join, as one
+    {!Cpufree_engine.Engine.handover} — every iteration-level action (time
+    loop, synchronization, halo exchange) happens on-device in the role
+    bodies. A role is a process body; one written as a step program hands
+    itself over. *)
 
 type roles_of_pe = int -> (string * (Cpufree_gpu.Coop.t -> unit)) list
 (** Role list for a given PE/device: e.g. [("comm_top", body0);

@@ -29,16 +29,16 @@ let inbound_flag t = function Up -> t.from_above | Down -> t.from_below
    neighbour receives my rows as its from-below halo. *)
 let outbound_flag t = function Up -> t.from_below | Down -> t.from_above
 
-let wait_halo t ~pe ~dir ~iter =
+let wait_halo_k t ~pe ~dir ~iter k =
   match neighbor t ~pe dir with
-  | None -> ()
+  | None -> k ()
   | Some src ->
     (* iter is 1-based; iteration 1's halos are the initial contents. *)
-    Nv.signal_wait_ge t.nv ~expect_from:src ~pe ~sig_var:(inbound_flag t dir) (iter - 1)
+    Nv.signal_wait_ge_k t.nv ~expect_from:src ~pe ~sig_var:(inbound_flag t dir) (iter - 1) k
 
-let put_boundary t ~from_pe ~dir ~src ~src_pos ~dst ~dst_pos ~len ~iter =
+let put_boundary_k t ~from_pe ~dir ~src ~src_pos ~dst ~dst_pos ~len ~iter k =
   match neighbor t ~pe:from_pe dir with
-  | None -> ()
+  | None -> k ()
   | Some to_pe ->
-    Nv.putmem_signal_nbi t.nv ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len
-      ~sig_var:(outbound_flag t dir) ~sig_op:Nv.Signal_set ~sig_value:iter
+    Nv.putmem_signal_nbi_k t.nv ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len
+      ~sig_var:(outbound_flag t dir) ~sig_op:Nv.Signal_set ~sig_value:iter k

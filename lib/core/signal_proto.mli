@@ -21,13 +21,15 @@ val create : Cpufree_comm.Nvshmem.t -> label:string -> t
 (** Allocates the two symmetric signal variables ("from-above" and
     "from-below"). *)
 
-val wait_halo : t -> pe:int -> dir:dir -> iter:int -> unit
-(** Block until the halo coming from direction [dir] holds the values needed
-    by iteration [iter] (1-based). No-op when there is no neighbour. *)
+val wait_halo_k : t -> pe:int -> dir:dir -> iter:int -> (unit -> unit) -> unit
+(** Continue once the halo coming from direction [dir] holds the values
+    needed by iteration [iter] (1-based) — at once when there is no
+    neighbour. *)
 
-val put_boundary :
+val put_boundary_k :
   t -> from_pe:int -> dir:dir -> src:Cpufree_gpu.Buffer.t -> src_pos:int ->
-  dst:Cpufree_comm.Nvshmem.sym -> dst_pos:int -> len:int -> iter:int -> unit
+  dst:Cpufree_comm.Nvshmem.sym -> dst_pos:int -> len:int -> iter:int -> (unit -> unit) -> unit
 (** Commit this PE's freshly computed boundary of iteration [iter] into the
     [dir] neighbour's halo and signal availability for iteration [iter + 1]
-    ([nvshmemx_putmem_signal_nbi_block]). No-op without a neighbour. *)
+    ([nvshmemx_putmem_signal_nbi_block]), then continue. No-op without a
+    neighbour. *)

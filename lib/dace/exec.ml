@@ -223,56 +223,16 @@ let stencil_time arch ~sm_fraction ~efficiency elems =
 (* --- step programs ---------------------------------------------------------- *)
 
 (* A persistent role, and a host rank's walk of the state graph, run as a
-   flat program: an instruction array and a program counter. [Do] runs and
-   falls through; [Wait] ends by waiting ({!E.Engine.after} or
-   {!E.Engine.await}) with the continuation it is given — the program's one
-   resume closure — or calls it at once when it need not wait;
-   [Skip_unless (c, n)] skips the next [n] instructions unless [c] holds;
-   [Jump n] moves the counter by [n]. Guards, the time loop and interstate
-   edges are jumps, so a run of statements that never wait iterates. *)
-type instr =
-  | Do of (unit -> unit)
-  | Wait of ((unit -> unit) -> unit)
-  | Skip_unless of (S.slots -> bool) * int
-  | Jump of int
+   {!E.Program}: guards, the time loop and interstate edges are jumps, and
+   a guard reads the rank's variable slots. *)
+open E.Program
+
+type instr = S.slots E.Program.instr
 
 (* A name that does not resolve lowers to an instruction that fails when
    it runs, so a bad statement no rank reaches does not fail the program. *)
 let fails m = Do (fun () -> raise (Lowering_error m))
 let ( let* ) r k = match r with Ok x -> k x | Error m -> fails m
-
-(* Run [code] from its start as steps of the calling process, and call
-   [finish] once it runs off the end. [resume] continues the program: from
-   an event, it runs instructions until one waits; called by a [Wait]
-   before that returns (the wait was not needed), it only notes that the
-   loop goes on. *)
-let run_program code slots finish =
-  let n = Array.length code in
-  let pc = ref 0 and running = ref false and went_on = ref false in
-  let rec resume () = if !running then went_on := true else go ()
-  and go () =
-    running := true;
-    while !running do
-      let i = !pc in
-      if i >= n then begin
-        running := false;
-        finish ()
-      end
-      else
-        match code.(i) with
-        | Do f ->
-          pc := i + 1;
-          f ()
-        | Skip_unless (c, skip) -> pc := if c slots then i + 1 else i + 1 + skip
-        | Jump d -> pc := i + d
-        | Wait w ->
-          pc := i + 1;
-          went_on := false;
-          w resume;
-          if not !went_on then running := false
-    done
-  in
-  go ()
 
 (* --- device-side library nodes (persistent backend) -------------------- *)
 
@@ -482,7 +442,11 @@ let lower_host_state lw env stream st =
     | S_map m -> (
       match m.m_schedule with
       | Gpu_device ->
-        let cost = S.force (device_time m) and body = map_body lw env m in
+        let cost = S.force (device_time m) and run_map = map_body lw env m in
+        let body k =
+          run_map ();
+          k ()
+        in
         let name = "map_" ^ m.m_var in
         [
           Wait
@@ -554,7 +518,7 @@ let lower_host_state lw env stream st =
 
 (* Run [code] as one handover of the calling host process, which keeps its
    pid, name and group in every report. *)
-let run_host ctx env code = E.Engine.handover (G.Runtime.engine ctx) (run_program code env.slots)
+let run_host ctx env code = E.Engine.handover (G.Runtime.engine ctx) (run code env.slots)
 
 let build_baseline ?backed sdfg =
   let store = ref None in
@@ -700,17 +664,15 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
         let stream =
           G.Stream.create (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
         in
-        let host_states states =
-          Array.of_list (List.concat_map (lower_host_state lw env stream) states)
+        let host_states states = List.concat_map (lower_host_state lw env stream) states in
+        let dev = G.Runtime.device ctx rank in
+        (* A role is a process body that hands its step program over once,
+           after the teardown delay. The roles copy the rank's variables
+           when the launch runs, after the prologue. *)
+        let role_body role env grid =
+          E.Engine.handover (G.Runtime.engine ctx) (run (lower_role lw env grid ~role p) env.slots)
         in
-        (* Prologue and epilogue stay host-controlled (initialization). *)
-        let prologue = host_states p.Persistent_fusion.prologue in
-        let epilogue = host_states p.Persistent_fusion.epilogue in
-        run_host ctx env prologue;
-        let role_body role env grid finish =
-          run_program (lower_role lw env grid ~role p) env.slots finish
-        in
-        let roles =
+        let roles () =
           if specialized then
             [
               ("comm", role_body Role_comm (env_from lw env.slots));
@@ -718,13 +680,18 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
             ]
           else [ ("df", role_body Role_all env) ]
         in
-        let dev = G.Runtime.device ctx rank in
-        let finished =
+        let launch_and_join k =
+          let roles = roles () in
           G.Runtime.launch_cooperative_k ctx ~dev ~name:(sdfg.sdfg_name ^ "_persistent") ~blocks
-            ~threads_per_block:1024 ~roles
+            ~threads_per_block:1024 ~roles (fun finished ->
+              E.Sync.Flag.wait_ge_k finished (List.length roles) k)
         in
-        G.Runtime.join_kernel ctx ~roles:(List.length roles) finished;
-        Nv.quiet rt.nv ~pe:rank;
-        run_host ctx env epilogue)
+        (* The prologue and epilogue stay host-controlled (initialization);
+           the whole rank is one program. *)
+        run_host ctx env
+          (Array.of_list
+             (host_states p.Persistent_fusion.prologue
+             @ [ Wait launch_and_join; Wait (Nv.quiet_k rt.nv ~pe:rank) ]
+             @ host_states p.Persistent_fusion.epilogue)))
   in
   { program; read_array = read_array store }

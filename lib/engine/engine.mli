@@ -27,20 +27,19 @@
     - {!handover} moves a running fiber onto steps for the rest of one
       blocking operation: the chain runs as the same process (same pid,
       name, group and wait state), and its last callback continues the
-      fiber inline, in the same event. A long chain (an allreduce driver
-      walking its schedule, a stream serving its queue) saves a fiber
-      resume on every wait; a fiber reaches an operation written only as
-      steps (a resilient signal wait, a fence's replay) the same way. A
-      DaCe persistent-kernel role hands its whole step program over once,
-      after its teardown delay, so it resumes as a fiber only to start
-      and to end that delay; a DaCe host rank hands over its whole walk
-      of the state graph, so it resumes as a fiber only to start.
+      fiber inline, in the same event. A host rank (a stencil's or a DaCe
+      program's) and a persistent-kernel role each hand their whole
+      {!Program} over once, and a stream daemon its serve loop, so a rank
+      or a stream resumes as a fiber only to start and a role only to
+      start and to end its teardown delay; a fiber with no program of its
+      own (the main process joining its ranks, an example's role) reaches
+      a step operation the same way.
 
-    NVSHMEM deliveries, MPI messages, the allreduce drivers, the stream
-    daemons' copies and step-form kernels, the DaCe host ranks and the
-    DaCe persistent roles run as steps. The stencils' host threads, the
-    kernel bodies of [Runtime.launch] and the hand-written stencil kernels
-    run as fibers.
+    Every model operation — a host API call, a kernel, a copy, an NVSHMEM
+    put, fence or signal wait, a grid or host barrier, an MPI call — is
+    written once, as steps. What still runs in a fiber is a process's
+    start, a cooperative role's teardown delay, and the fibers that
+    callers write themselves (the main process, the examples' roles).
 
     Each wait pushes one event whichever way the process runs, where the
     fiber's {!delay} or {!suspend} would, so moving an actor between the

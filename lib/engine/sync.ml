@@ -37,18 +37,7 @@ module Flag = struct
 
   (* Re-check after waking: another process scheduled at the same instant
      may have changed the value between the wake and the resume. The
-     reason captures the value the wait blocked at. A fiber suspends; a
-     step awaits, with the rest of its chain as the continuation. *)
-  let rec wait_until ?waits_on t pred =
-    if not (pred t.value) then begin
-      let v = t.value in
-      Engine.suspend t.eng
-        ~reason:(fun () -> Printf.sprintf "flag %s (value %d)" (name t) v)
-        ?waits_on
-        (fun wake -> t.waiters <- { pred; wake } :: t.waiters);
-      wait_until ?waits_on t pred
-    end
-
+     reason captures the value the wait blocked at. *)
   let rec wait_until_k ?waits_on t pred k =
     if pred t.value then k ()
     else begin
@@ -60,9 +49,9 @@ module Flag = struct
         (fun () -> wait_until_k ?waits_on t pred k)
     end
 
-  let wait_ge_k ?waits_on t v k = wait_until_k ?waits_on t (fun x -> x >= v) k
-
-  let wait_ge ?waits_on t v = wait_until ?waits_on t (fun x -> x >= v)
+  (* A flag that already holds continues before any predicate is built. *)
+  let wait_ge_k ?waits_on t v k =
+    if t.value >= v then k () else wait_until_k ?waits_on t (fun x -> x >= v) k
 
   (* Deadline wait: registers both a flag waiter and a timer at [deadline]
      on the suspension's waker (idempotent, so whichever fires second is a
@@ -110,9 +99,8 @@ module Barrier = struct
      waiter re-checks [gen] after every wake, so a process that re-arrives
      for the next round at the same simulated instant (and bumps [arrived]
      before the released waiters have resumed) can never strand or
-     prematurely release a stale waiter. An arrival is counted alike in
-     both forms; it says whether it released its generation, and a fiber
-     then suspends where a step awaits. *)
+     prematurely release a stale waiter. An arrival says whether it
+     released its generation. *)
   let arrive t =
     t.arrived <- t.arrived + 1;
     if t.arrived > t.parties then
@@ -130,13 +118,6 @@ module Barrier = struct
   let reason t gen =
     let arrived = t.arrived in
     fun () -> Printf.sprintf "barrier %s (gen %d, %d/%d)" t.bname gen arrived t.parties
-
-  let wait t =
-    let gen = t.gen in
-    if not (arrive t) then
-      while t.gen = gen do
-        Engine.suspend t.eng ~reason:(reason t gen) (fun wake -> t.waiters <- wake :: t.waiters)
-      done
 
   let rec released_k t gen k =
     if t.gen <> gen then k ()
@@ -169,23 +150,18 @@ module Mailbox = struct
 
   let try_recv t = Queue.take_opt t.items
 
-  let rec recv t =
-    match Queue.take_opt t.items with
-    | Some x -> x
-    | None ->
-      Engine.suspend t.eng
-        ~reason:(fun () -> "mailbox " ^ t.mname)
-        (fun wake -> Queue.push wake t.waiters);
-      recv t
-
-  let rec recv_k t k =
-    match Queue.take_opt t.items with
-    | Some x -> k x
-    | None ->
-      Engine.await t.eng
-        ~reason:(fun () -> "mailbox " ^ t.mname)
-        (fun wake -> Queue.push wake t.waiters)
-        (fun () -> recv_k t k)
+  (* The reason, the registration and the re-check are made once per
+     receiver, so a loop that calls it again from [k] allocates nothing
+     per wait but the engine's waker. *)
+  let receiver t k =
+    let reason () = "mailbox " ^ t.mname in
+    let register wake = Queue.push wake t.waiters in
+    let rec recv () =
+      match Queue.take_opt t.items with
+      | Some x -> k x
+      | None -> Engine.await t.eng ~reason register recv
+    in
+    recv
 
   let length t = Queue.length t.items
 end

@@ -1,11 +1,10 @@
 (** Synchronization objects for simulated processes.
 
     Each names its engine at creation and may only be used by processes of
-    that engine. A fiber blocks with {!Engine.suspend} ({!Flag.wait_until},
-    {!Barrier.wait}); a step waits with the [_k] forms over
-    {!Engine.await}, called with the continuation to run once the wait is
-    over. Both push the same events. A fiber reaches a [_k] form through
-    {!Engine.handover}. *)
+    that engine. Every wait is written once, as steps over
+    {!Engine.await}: it is called with the continuation to run once the
+    wait is over, and runs it at once when it need not wait. A fiber
+    reaches one through {!Engine.handover}. *)
 
 (** Integer-valued signal cell, the simulated counterpart of an NVSHMEM
     signal flag or a device-memory spin flag. Writers {!Flag.set} or
@@ -26,18 +25,14 @@ module Flag : sig
 
   val add : t -> int -> unit
 
-  val wait_until : ?waits_on:string -> t -> (int -> bool) -> unit
-  (** Block the calling process until the predicate holds for the flag value.
-      Returns immediately if it already holds. [waits_on] names the process
-      group expected to satisfy the wait (see {!Engine.suspend}). *)
-
-  val wait_ge : ?waits_on:string -> t -> int -> unit
-
   val wait_until_k : ?waits_on:string -> t -> (int -> bool) -> (unit -> unit) -> unit
-  (** {!wait_until} as steps: runs the continuation once the predicate
-      holds — at once if it already does. *)
+  (** Run the continuation once the predicate holds for the flag value — at
+      once if it already does. [waits_on] names the process group expected
+      to satisfy the wait (see {!Engine.suspend}). *)
 
   val wait_ge_k : ?waits_on:string -> t -> int -> (unit -> unit) -> unit
+  (** {!wait_until_k} for [value >= v]; a flag that already holds builds no
+      predicate. *)
 
   val await_k :
     ?waits_on:string -> t -> deadline:Time.t -> (int -> bool) -> ([ `Ok | `Timeout ] -> unit) ->
@@ -56,13 +51,10 @@ module Barrier : sig
 
   val create : ?name:string -> Engine.t -> int -> t
 
-  val wait : t -> unit
-  (** Block until [parties] processes have called [wait] for the current
-      generation, then release them all and reset. *)
-
   val wait_k : t -> (unit -> unit) -> unit
-  (** {!wait} as steps: runs the continuation once the generation is
-      released — at once when this arrival releases it. *)
+  (** Arrive, and run the continuation once [parties] processes have
+      arrived for the current generation (which then resets) — at once
+      when this arrival releases it. *)
 
   val generation : t -> int
   (** Number of completed barrier episodes. *)
@@ -74,11 +66,11 @@ module Mailbox : sig
 
   val create : ?name:string -> Engine.t -> unit -> 'a t
   val send : 'a t -> 'a -> unit
-  val recv : 'a t -> 'a
-
-  val recv_k : 'a t -> ('a -> unit) -> unit
-  (** {!recv} as steps: runs the continuation with the next item — at once
-      if one is queued, else once a send delivers one. *)
+  val receiver : 'a t -> ('a -> unit) -> unit -> unit
+  (** [receiver t k] is a step that runs [k] with the next item — at once
+      if one is queued, else once a send delivers one. The wait's closures
+      are made once, by [receiver], so a loop that calls the step again
+      from [k] (a stream serving its queue) allocates none per wait. *)
 
   val try_recv : 'a t -> 'a option
   val length : 'a t -> int

@@ -24,14 +24,9 @@ let total_blocks t = t.blocks
 let threads_per_block t = t.threads
 
 (* A grid sync pays the architecture's latency, then waits at the
-   barrier: a fiber with [delay] and {!E.Sync.Barrier.wait}, a step with
-   [after] and {!E.Sync.Barrier.wait_k}. *)
-let latency t = (Device.arch t.dev).Arch.grid_sync
-
-let sync t =
-  E.Engine.delay t.eng (latency t);
-  E.Sync.Barrier.wait t.barrier
-
-let sync_k t k = E.Engine.after t.eng (latency t) (fun () -> E.Sync.Barrier.wait_k t.barrier k)
+   barrier. *)
+let sync_k t k =
+  E.Engine.after t.eng (Device.arch t.dev).Arch.grid_sync (fun () ->
+      E.Sync.Barrier.wait_k t.barrier k)
 
 let sync_count t = E.Sync.Barrier.generation t.barrier

@@ -4,7 +4,7 @@
     device-wide barrier — [grid.sync()] — is possible. The simulator runs a
     persistent kernel as one process per {e role} (a group of specialized
     thread blocks behaving identically: "comm-top", "comm-bottom", "inner");
-    [sync] is a barrier across the roles plus the measured grid-sync
+    [sync_k] is a barrier across the roles plus the measured grid-sync
     latency. *)
 
 type t
@@ -17,13 +17,9 @@ val device : t -> Device.t
 val total_blocks : t -> int
 val threads_per_block : t -> int
 
-val sync : t -> unit
-(** [grid.sync()]: block until every role of this grid arrives, charging the
-    architecture's grid-sync latency. *)
-
 val sync_k : t -> (unit -> unit) -> unit
-(** {!sync} as steps: runs the continuation once every role has arrived,
-    pushing the events {!sync} does. *)
+(** [grid.sync()]: charge the architecture's grid-sync latency, then run
+    the continuation once every role of this grid has arrived. *)
 
 val sync_count : t -> int
 (** Completed grid-wide barriers (equals the iteration count in the stencil

@@ -4,13 +4,14 @@ type barrier = E.Sync.Barrier.t
 
 let barrier_create ctx ~parties = E.Sync.Barrier.create ~name:"host.barrier" (Runtime.engine ctx) parties
 
-let barrier_wait ctx b =
+let barrier_wait_k ctx b k =
   let eng = Runtime.engine ctx in
   let t0 = E.Engine.now eng in
-  E.Sync.Barrier.wait b;
-  E.Engine.delay eng (Runtime.arch ctx).Arch.host_barrier;
-  E.Trace.add_opt (E.Engine.trace eng) ~lane:"host" ~label:"host-barrier"
-    ~kind:E.Trace.Synchronization ~t0 ~t1:(E.Engine.now eng)
+  E.Sync.Barrier.wait_k b (fun () ->
+      E.Engine.after eng (Runtime.arch ctx).Arch.host_barrier (fun () ->
+          E.Trace.add_opt (E.Engine.trace eng) ~lane:"host" ~label:"host-barrier"
+            ~kind:E.Trace.Synchronization ~t0 ~t1:(E.Engine.now eng);
+          k ()))
 
 let parallel_join ctx ~name f =
   let eng = Runtime.engine ctx in
@@ -24,4 +25,4 @@ let parallel_join ctx ~name f =
     in
     ()
   done;
-  E.Sync.Flag.wait_ge finished n
+  E.Engine.handover eng (E.Sync.Flag.wait_ge_k finished n)

@@ -222,11 +222,10 @@ let fault_penalty t ~src ~dst =
 
 let fault_hold t ~src ~dst = fst (fault_penalty t ~src ~dst)
 
-(* A transfer written once as steps, so a caller without a fiber can run
-   it: book latency and serialization on every port of the route (plus any
-   fault penalty) and count the transfer, [wait] until the last byte is in,
-   log it, then continue with [k]. *)
-let transfer_steps t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") ~wait k =
+(* A transfer as steps: book latency and serialization on every port of
+   the route (plus any fault penalty) and count the transfer, wait until
+   the last byte is in, log it, then continue with [k]. *)
+let transfer_steps t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") k =
   check_endpoint t src;
   check_endpoint t dst;
   if bytes < 0 then invalid_arg "Interconnect.transfer: negative size";
@@ -257,20 +256,13 @@ let transfer_steps t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") ~
         Mx.Counter.add o.m_port_bytes.(pid) bytes;
         Mx.Counter.add o.m_port_busy.(pid) dur_ns)
       e.e_pids);
-  wait (Time.sub finish t0) (fun () ->
+  E.Engine.after t.eng (Time.sub finish t0) (fun () ->
       E.Engine.log_comm t.eng ~since:t0;
       (match (trace_lane, E.Engine.trace t.eng) with
       | Some lane, Some tr ->
         E.Trace.add tr ~lane ~label ~kind:E.Trace.Communication ~t0 ~t1:(E.Engine.now t.eng)
       | None, _ | _, None -> ());
       k ())
-
-let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?label () =
-  transfer_steps t ~src ~dst ~initiator ~bytes ?trace_lane ?label
-    ~wait:(fun d k ->
-      E.Engine.delay t.eng d;
-      k ())
-    ignore
 
 let bytes_moved t = t.total_bytes
 let transfers t = t.total_transfers

@@ -68,29 +68,18 @@ val fault_hold : t -> src:endpoint -> dst:endpoint -> Cpufree_engine.Time.t
 (** Extra latency the fault plan imposes on this path right now (a NIC
     outage holding inter-node traffic); {!Cpufree_engine.Time.zero} without
     an active plan. Used by the NVSHMEM layer for standalone signal ops,
-    which bypass {!transfer}. *)
-
-val transfer :
-  t -> src:endpoint -> dst:endpoint -> initiator:initiator -> bytes:int ->
-  ?trace_lane:string -> ?label:string -> unit -> unit
-(** Perform a transfer from the calling process: books every port on the
-    route and blocks until the last byte lands. Same-device "transfers" cost
-    HBM time only; zero-byte transfers cost only latency. Every transfer is
-    logged as communication in the engine's busy log; it is also recorded
-    as a span on [trace_lane] when one is given and the engine has a
-    trace. It is {!transfer_steps} with [wait] a
-    {!Cpufree_engine.Engine.delay}. *)
+    which bypass {!transfer_steps}. *)
 
 val transfer_steps :
   t -> src:endpoint -> dst:endpoint -> initiator:initiator -> bytes:int ->
-  ?trace_lane:string -> ?label:string ->
-  wait:(Cpufree_engine.Time.t -> (unit -> unit) -> unit) -> (unit -> unit) -> unit
-(** {!transfer} for a caller that cannot block, such as a step of a
-    {!Cpufree_engine.Engine.spawn_callbacks} process: books the route and
-    counts the transfer at the current time, then calls [wait d landed],
-    where [d] is how long until the last byte lands and [landed] logs the
-    transfer as {!transfer} does, then runs the last argument. [wait] must
-    run [landed] exactly [d] later. *)
+  ?trace_lane:string -> ?label:string -> (unit -> unit) -> unit
+(** Perform a transfer from a step of the calling process: book every port
+    on the route and count the transfer at the current time, wait
+    ({!Cpufree_engine.Engine.after}) until the last byte lands, then run
+    the continuation. Same-device "transfers" cost HBM time only;
+    zero-byte transfers cost only latency. Every transfer is logged as
+    communication in the engine's busy log; it is also recorded as a span
+    on [trace_lane] when one is given and the engine has a trace. *)
 
 val bytes_moved : t -> int
 (** Total payload bytes transported so far. *)

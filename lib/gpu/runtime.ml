@@ -101,83 +101,47 @@ let endpoint_of_buffer b =
   let d = Buffer.device b in
   if d = Buffer.host_device then Interconnect.Host else Interconnect.Gpu d
 
-(* Each host API call below has a fiber form, for a host thread, and a
-   step form ([_k], called with the continuation to run once the call
-   returns) for a step-driven caller such as the host allreduce driver or a
-   DaCe host rank. What a call does is written once; the two forms differ
-   only in how they wait ({!E.Engine.delay} or {!E.Engine.after}, a fiber
-   or a step flag wait), so both push the same events. A kernel launched
-   with [launch_k] also runs on its stream as steps, so its body must not
-   block; the hand-written stencils' kernels, which do, use [launch]. *)
+(* Every host API call is written as steps: called with the continuation
+   to run once the call returns, it waits with {!E.Engine.after}. A fiber
+   reaches one through {!E.Engine.handover}. *)
 
 (* An API call charges its latency, then records its span. Its label is
    [label arg], built only when the engine records a trace, so a call
-   allocates no label closure. *)
-let api_span t label arg t0 =
-  match E.Engine.trace t.eng with
-  | None -> ()
-  | Some tr ->
-    E.Trace.add tr ~lane:"host" ~label:(label arg) ~kind:E.Trace.Api ~t0 ~t1:(E.Engine.now t.eng)
-
-(* An API call's opening, shared by both forms: count it (a stream call
-   also as a stream op) and note when it started. *)
-let api_start t ~stream_op =
+   allocates no label closure. Without a trace there is no span to
+   record, so the continuation is waited for as it is, with no closure
+   around it. *)
+let api_call_k t ~stream_op label arg cost k =
   if stream_op then bump t (fun o -> o.m_stream_ops);
   bump t (fun o -> o.m_api_calls);
-  E.Engine.now t.eng
-
-let api_call t ~stream_op label arg cost =
-  let t0 = api_start t ~stream_op in
-  E.Engine.delay t.eng cost;
-  api_span t label arg t0
-
-(* Without a trace there is no span to record, so the continuation is
-   waited for as it is, with no closure around it. *)
-let api_call_k t ~stream_op label arg cost k =
-  let t0 = api_start t ~stream_op in
   match E.Engine.trace t.eng with
   | None -> t.after cost k
-  | Some _ ->
+  | Some tr ->
+    let t0 = E.Engine.now t.eng in
     t.after cost (fun () ->
-        api_span t label arg t0;
+        E.Trace.add tr ~lane:"host" ~label:(label arg) ~kind:E.Trace.Api ~t0
+          ~t1:(E.Engine.now t.eng);
         k ())
-
-(* A launch's host half, shared by both forms: count it and scale its cost
-   by the device's straggler multiplier. *)
-let launch_cost t ~stream cost =
-  bump t (fun o -> o.m_launches);
-  scaled_cost t ~gpu:(Device.id (Stream.device stream)) cost
 
 let launch_label name = "launch:" ^ name
 
-(* A kernel's compute interval, from when the stream started it. *)
-let kernel_done t ~stream ~name t0 =
-  E.Engine.log_compute t.eng ~since:t0 ~lane:(Stream.lane stream) ~label:name
-
-let launch t ~stream ~name ?(cost = Time.zero) body =
-  let cost = launch_cost t ~stream cost in
-  api_call t ~stream_op:false launch_label name t.arch.Arch.kernel_launch;
-  Stream.enqueue stream (fun () ->
-      let t0 = E.Engine.now t.eng in
-      E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
-      E.Engine.delay t.eng cost;
-      body ();
-      kernel_done t ~stream ~name t0)
-
-(* The kernel of a body that never blocks, as a stream op of steps: its
-   teardown and its cost are waited out with {!E.Engine.after}, as
-   [launch]'s kernel waits them out with delays. *)
+(* A kernel as a stream op: it waits out its teardown and its cost, runs
+   its body with the continuation that logs its compute interval (from
+   when the stream started it) and ends the op. *)
 let kernel_steps t ~stream ~name ~cost body finished =
   let t0 = E.Engine.now t.eng in
   let ran () =
-    body ();
-    kernel_done t ~stream ~name t0;
-    finished ()
+    body (fun () ->
+        E.Engine.log_compute t.eng ~since:t0 ~lane:(Stream.lane stream) ~label:name;
+        finished ())
   in
   t.after t.arch.Arch.kernel_teardown (fun () -> t.after cost ran)
 
+(* The host half counts the launch, scales its cost by the device's
+   straggler multiplier and pays the launch latency. *)
 let launch_k t ~stream ~name ~cost body k =
-  let kernel = kernel_steps t ~stream ~name ~cost:(launch_cost t ~stream cost) body in
+  bump t (fun o -> o.m_launches);
+  let cost = scaled_cost t ~gpu:(Device.id (Stream.device stream)) cost in
+  let kernel = kernel_steps t ~stream ~name ~cost body in
   api_call_k t ~stream_op:false launch_label name t.arch.Arch.kernel_launch (fun () ->
       Stream.enqueue_steps stream kernel;
       k ())
@@ -189,15 +153,11 @@ let copy t ~stream ~src ~src_pos ~dst ~dst_pos ~len landed =
   in
   Interconnect.transfer_steps t.net ~src:(endpoint_of_buffer src) ~dst:(endpoint_of_buffer dst)
     ~initiator:Interconnect.By_host ~bytes:(len * Buffer.elem_bytes) ?trace_lane ~label:"memcpy"
-    ~wait:t.after (fun () ->
+    (fun () ->
       Buffer.blit ~src ~src_pos ~dst ~dst_pos ~len;
       landed ())
 
 let memcpy_label () = "cudaMemcpyAsync"
-
-let memcpy_async t ~stream ~src ~src_pos ~dst ~dst_pos ~len =
-  api_call t ~stream_op:true memcpy_label () t.arch.Arch.memcpy_api;
-  Stream.enqueue_steps stream (copy t ~stream ~src ~src_pos ~dst ~dst_pos ~len)
 
 let memcpy_async_k t ~stream ~src ~src_pos ~dst ~dst_pos ~len k =
   api_call_k t ~stream_op:true memcpy_label () t.arch.Arch.memcpy_api (fun () ->
@@ -206,20 +166,16 @@ let memcpy_async_k t ~stream ~src ~src_pos ~dst ~dst_pos ~len k =
 
 let sync_label stream = "sync:" ^ Stream.name stream
 
-let stream_synchronize t stream =
-  api_call t ~stream_op:true sync_label stream t.arch.Arch.stream_sync;
-  Stream.await_idle stream
-
 let stream_synchronize_k t stream k =
   api_call_k t ~stream_op:true sync_label stream t.arch.Arch.stream_sync (fun () ->
       Stream.await_idle_k stream k)
 
 let coop_label name = "coopLaunch:" ^ name
 
-(* A cooperative launch's checks, cost, grid and completion flag, shared
-   by both forms; [body] runs one role's share in that role's process, after
-   its teardown delay. *)
-let launch_roles t ~dev ~name ~blocks ~threads_per_block ~roles body =
+(* The host half checks the grid, counts the launch and pays its cost;
+   then each role runs in its own process after its teardown delay, and
+   the continuation gets the kernel's completion flag. *)
+let launch_cooperative_k t ~dev ~name ~blocks ~threads_per_block ~roles k =
   if roles = [] then raise (Coop_launch_error (name ^ ": no roles"));
   let capacity = Device.co_resident_blocks dev in
   if blocks > capacity then
@@ -230,38 +186,26 @@ let launch_roles t ~dev ~name ~blocks ~threads_per_block ~roles body =
              (cooperative launch forbids oversubscription)"
             name blocks capacity (Device.id dev)));
   bump t (fun o -> o.m_coop_launches);
-  api_call t ~stream_op:false coop_label name t.arch.Arch.coop_launch;
-  let grid =
-    Coop.make t.eng ~dev ~roles:(List.length roles) ~total_blocks:blocks ~threads_per_block
-  in
-  let finished =
-    E.Sync.Flag.create
-      ~name_of:(fun () -> Printf.sprintf "%s.gpu%d.done" name (Device.id dev))
-      t.eng 0
-  in
-  List.iter
-    (fun (role_name, role) ->
-      let (_ : E.Engine.process) =
-        E.Engine.spawn t.eng
-          ~name_of:(fun () -> Printf.sprintf "%s.gpu%d.%s" name (Device.id dev) role_name)
-          ~group:(gpu_group t (Device.id dev))
-          (fun () ->
-            E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
-            body role grid;
-            E.Sync.Flag.add finished 1)
+  api_call_k t ~stream_op:false coop_label name t.arch.Arch.coop_launch (fun () ->
+      let grid =
+        Coop.make t.eng ~dev ~roles:(List.length roles) ~total_blocks:blocks ~threads_per_block
       in
-      ())
-    roles;
-  finished
-
-let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
-  launch_roles t ~dev ~name ~blocks ~threads_per_block ~roles (fun role grid -> role grid)
-
-(* A role written as steps runs as one handover of its process: the
-   process starts and pays its teardown delay as a fiber, and is continued
-   once more, inline, when the role ends. *)
-let launch_cooperative_k t ~dev ~name ~blocks ~threads_per_block ~roles =
-  launch_roles t ~dev ~name ~blocks ~threads_per_block ~roles (fun role grid ->
-      E.Engine.handover t.eng (role grid))
-
-let join_kernel _t ~roles finished = E.Sync.Flag.wait_ge finished roles
+      let finished =
+        E.Sync.Flag.create
+          ~name_of:(fun () -> Printf.sprintf "%s.gpu%d.done" name (Device.id dev))
+          t.eng 0
+      in
+      List.iter
+        (fun (role_name, role) ->
+          let (_ : E.Engine.process) =
+            E.Engine.spawn t.eng
+              ~name_of:(fun () -> Printf.sprintf "%s.gpu%d.%s" name (Device.id dev) role_name)
+              ~group:(gpu_group t (Device.id dev))
+              (fun () ->
+                E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
+                role grid;
+                E.Sync.Flag.add finished 1)
+          in
+          ())
+        roles;
+      k finished)

@@ -3,10 +3,9 @@
     Every function here is called from a simulated host process and charges
     that process the corresponding API latency before any effect reaches a
     device — this is precisely the "host-incurred latency" the CPU-Free model
-    eliminates. A step-driven caller (a driver running as a chain of
-    {!Cpufree_engine.Engine.after} steps) uses the [_k] form of a call, which
-    runs its continuation once the call returns and pushes the events the
-    fiber form does. *)
+    eliminates. Each call is written as steps: it runs its continuation once
+    the call returns. A fiber reaches one through
+    {!Cpufree_engine.Engine.handover}. *)
 
 type ctx
 
@@ -54,61 +53,36 @@ val scaled_cost : ctx -> gpu:int -> Cpufree_engine.Time.t -> Cpufree_engine.Time
 
 val endpoint_of_buffer : Buffer.t -> Interconnect.endpoint
 
-val launch :
-  ctx -> stream:Stream.t -> name:string -> ?cost:Cpufree_engine.Time.t -> (unit -> unit) -> unit
-(** Launch a discrete kernel: the host pays the launch latency, then the
-    kernel body runs in-order on [stream], preceded by the device-side
-    scheduling cost and any fixed [cost], traced as compute. The body runs in
-    the stream's process and may itself block (device-initiated transfers,
-    flag waits). *)
-
 val launch_k :
-  ctx -> stream:Stream.t -> name:string -> cost:Cpufree_engine.Time.t -> (unit -> unit) ->
-  (unit -> unit) -> unit
-(** {!launch} as steps, for a body that never blocks: the host pays the
-    launch latency and continues, and the kernel runs on [stream] as a
-    chain of steps — teardown, cost, body, compute interval — that pushes
-    the events {!launch}'s kernel does. *)
-
-val memcpy_async :
-  ctx -> stream:Stream.t -> src:Buffer.t -> src_pos:int -> dst:Buffer.t -> dst_pos:int -> len:int ->
-  unit
-(** [cudaMemcpyAsync]: host pays the issue cost; the copy (data movement plus
-    interconnect occupancy) executes in-order on [stream], as steps. *)
+  ctx -> stream:Stream.t -> name:string -> cost:Cpufree_engine.Time.t ->
+  ((unit -> unit) -> unit) -> (unit -> unit) -> unit
+(** Launch a discrete kernel: the host pays the launch latency and
+    continues, and the kernel runs in-order on [stream] as steps — the
+    device-side teardown, the [cost] (scaled by the device's straggler
+    multiplier), then the body, traced as compute until the body calls the
+    continuation it is given. A body may wait (device-initiated transfers,
+    signal waits) before it does. *)
 
 val memcpy_async_k :
   ctx -> stream:Stream.t -> src:Buffer.t -> src_pos:int -> dst:Buffer.t -> dst_pos:int -> len:int ->
   (unit -> unit) -> unit
-(** {!memcpy_async} as steps. *)
-
-val stream_synchronize : ctx -> Stream.t -> unit
-(** Host blocks until the stream drains, paying the sync call cost. *)
+(** [cudaMemcpyAsync]: host pays the issue cost; the copy (data movement plus
+    interconnect occupancy) executes in-order on [stream]. *)
 
 val stream_synchronize_k : ctx -> Stream.t -> (unit -> unit) -> unit
-(** {!stream_synchronize} as steps. *)
-
-val launch_cooperative :
-  ctx -> dev:Device.t -> name:string -> blocks:int -> threads_per_block:int ->
-  roles:(string * (Coop.t -> unit)) list ->
-  Cpufree_engine.Sync.Flag.t
-(** Launch a persistent cooperative kernel: one simulated process per role,
-    sharing a grid handle. Host pays the cooperative-launch cost. Returns a
-    flag that becomes the number of finished roles; the kernel has exited
-    when it reaches [List.length roles].
-
-    @raise Coop_launch_error if [blocks] exceeds co-residency or a role list
-    is empty. *)
+(** The host pays the sync call cost, then waits until the stream drains. *)
 
 val launch_cooperative_k :
   ctx -> dev:Device.t -> name:string -> blocks:int -> threads_per_block:int ->
-  roles:(string * (Coop.t -> (unit -> unit) -> unit)) list ->
-  Cpufree_engine.Sync.Flag.t
-(** {!launch_cooperative} for roles written as steps: a role gets the grid
-    and the continuation to run when its share is over, and runs as one
-    {!Cpufree_engine.Engine.handover} of its process after the teardown
-    delay. Each role keeps its process name, pid and group, and so every
-    diagnostic reads as under {!launch_cooperative}; its process resumes
-    as a fiber only to start and to end the teardown delay. *)
+  roles:(string * (Coop.t -> unit)) list -> (Cpufree_engine.Sync.Flag.t -> unit) -> unit
+(** Launch a persistent cooperative kernel: the host pays the
+    cooperative-launch cost, then each role starts as its own process
+    (named [<name>.gpu<d>.<role>], in the device's group), sharing a grid
+    handle, and runs its body after the kernel's teardown delay. The
+    continuation gets a flag that becomes the number of finished roles; the
+    kernel has exited when it reaches [List.length roles]. A role written
+    as a step program hands itself over in its body
+    ({!Cpufree_engine.Engine.handover}).
 
-val join_kernel : ctx -> roles:int -> Cpufree_engine.Sync.Flag.t -> unit
-(** Block until a cooperative kernel's completion flag reaches [roles]. *)
+    @raise Coop_launch_error if [blocks] exceeds co-residency or a role list
+    is empty, before the host pays anything. *)

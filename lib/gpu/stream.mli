@@ -3,13 +3,13 @@
     Each enqueued operation runs to completion before the next starts, so a
     stream provides exactly CUDA's intra-stream ordering; concurrency comes
     from using several streams ([comp_stream] / [comm_stream] in the paper's
-    baseline pseudocode). Operations may block (on transfers, flags), which
-    stalls the stream — matching a device kernel occupying its stream.
+    baseline pseudocode). An operation may wait (on transfers, flags),
+    which stalls the stream — matching a device kernel occupying its
+    stream.
 
-    The daemon runs an op written as steps (a copy) as steps
-    ({!Cpufree_engine.Engine.handover}) and an op whose body blocks (a
-    kernel) in its fiber, and waits for its next op the way it ran the
-    last, so it switches only where a copy and a kernel meet. *)
+    Every operation is written as steps, and the daemon serves its queue as
+    one {!Cpufree_engine.Engine.handover} for its whole life: it resumes as
+    a fiber only to start. *)
 
 type t
 
@@ -21,16 +21,10 @@ val lane : t -> string Lazy.t
 (** The stream's timeline lane, ["gpu<id>.<name>"], formatted on first
     use — only a traced run forces it. *)
 
-val enqueue : t -> (unit -> unit) -> unit
-(** Append an operation whose body may block anywhere; the stream's fiber
-    runs it. Never blocks the caller. *)
-
 val enqueue_steps : t -> ((unit -> unit) -> unit) -> unit
-(** Append an operation written as steps: the stream calls it with the
-    continuation to run when it is done. Never blocks the caller. *)
-
-val await_idle : t -> unit
-(** Block until everything enqueued before this call has completed. *)
+(** Append an operation: the stream calls it with the continuation to run
+    when it is done. Never blocks the caller. *)
 
 val await_idle_k : t -> (unit -> unit) -> unit
-(** {!await_idle} as steps. *)
+(** Run the continuation once everything enqueued before this call has
+    completed. *)

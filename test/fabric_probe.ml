@@ -10,7 +10,8 @@ let transfer_time eng net ~src ~dst ~initiator ~bytes =
   let (_ : E.Engine.process) =
     E.Engine.spawn eng ~name:"probe" (fun () ->
         let t0 = E.Engine.now eng in
-        G.Interconnect.transfer net ~src ~dst ~initiator ~bytes ();
+        E.Engine.handover eng (fun k ->
+            G.Interconnect.transfer_steps net ~src ~dst ~initiator ~bytes k);
         took := E.Time.sub (E.Engine.now eng) t0)
   in
   E.Engine.run eng;

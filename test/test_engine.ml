@@ -22,6 +22,11 @@ let run_sim f =
   Engine.run eng;
   eng
 
+(* A fiber waits on a [Sync] object through its step form, handed over. *)
+let wait_ge eng f v = Engine.handover eng (Sync.Flag.wait_ge_k f v)
+let barrier_wait eng b = Engine.handover eng (Sync.Barrier.wait_k b)
+let recv eng mb = Engine.handover eng (fun k -> Sync.Mailbox.receiver mb k ())
+
 (* --- Time -------------------------------------------------------------- *)
 
 let time_tests =
@@ -386,7 +391,7 @@ let engine_tests =
         let eng = Engine.create () in
         let flag = Sync.Flag.create ~name:"never" eng 0 in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"stuck" (fun () -> Sync.Flag.wait_ge flag 1)
+          Engine.spawn eng ~name:"stuck" (fun () -> wait_ge eng flag 1)
         in
         match Engine.run eng with
         | () -> Alcotest.fail "expected deadlock"
@@ -397,7 +402,7 @@ let engine_tests =
         let eng = Engine.create () in
         let flag = Sync.Flag.create ~name:"never" eng 0 in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"server" ~daemon:true (fun () -> Sync.Flag.wait_ge flag 1)
+          Engine.spawn eng ~name:"server" ~daemon:true (fun () -> wait_ge eng flag 1)
         in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"main" (fun () -> Engine.delay eng (Time.ns 5))
@@ -465,7 +470,7 @@ let sync_tests =
         let eng =
           run_sim (fun eng ->
               let f = Sync.Flag.create eng 5 in
-              Sync.Flag.wait_ge f 3)
+              wait_ge eng f 3)
         in
         check_int "no time" 0 (Time.to_ns (Engine.now eng)));
     Alcotest.test_case "flag wakes a waiter on set" `Quick (fun () ->
@@ -474,7 +479,7 @@ let sync_tests =
         let woke_at = ref Time.zero in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"waiter" (fun () ->
-              Sync.Flag.wait_ge f 2;
+              wait_ge eng f 2;
               woke_at := Engine.now eng)
         in
         let (_ : Engine.process) =
@@ -500,7 +505,7 @@ let sync_tests =
         for _ = 1 to 3 do
           let (_ : Engine.process) =
             Engine.spawn eng ~name:"w" (fun () ->
-                Sync.Flag.wait_ge f 1;
+                wait_ge eng f 1;
                 incr woke)
           in
           ()
@@ -520,7 +525,7 @@ let sync_tests =
           let (_ : Engine.process) =
             Engine.spawn eng ~name:"p" (fun () ->
                 Engine.delay eng (Time.ns (i * 10));
-                Sync.Barrier.wait b;
+                barrier_wait eng b;
                 release_times := Time.to_ns (Engine.now eng) :: !release_times)
           in
           ()
@@ -534,8 +539,8 @@ let sync_tests =
         for _ = 1 to 2 do
           let (_ : Engine.process) =
             Engine.spawn eng ~name:"p" (fun () ->
-                Sync.Barrier.wait b;
-                Sync.Barrier.wait b)
+                barrier_wait eng b;
+                barrier_wait eng b)
           in
           ()
         done;
@@ -554,9 +559,9 @@ let sync_tests =
         for i = 1 to 2 do
           let (_ : Engine.process) =
             Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
-                Sync.Barrier.wait b;
+                barrier_wait eng b;
                 rounds := (i, 1, Time.to_ns (Engine.now eng)) :: !rounds;
-                Sync.Barrier.wait b;
+                barrier_wait eng b;
                 rounds := (i, 2, Time.to_ns (Engine.now eng)) :: !rounds)
           in
           ()
@@ -582,7 +587,7 @@ let sync_tests =
           let (_ : Engine.process) =
             Engine.spawn eng ~name:"p" (fun () ->
                 for _ = 1 to 5 do
-                  Sync.Barrier.wait b
+                  barrier_wait eng b
                 done;
                 incr finished)
           in
@@ -602,7 +607,7 @@ let sync_tests =
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"recv" (fun () ->
               for _ = 1 to 3 do
-                got := Sync.Mailbox.recv mb :: !got
+                got := recv eng mb :: !got
               done)
         in
         let (_ : Engine.process) =
@@ -790,7 +795,7 @@ let build_ring ~latency ~ranks ~iters ~seed () =
             Engine.schedule_at eng (Time.add (Engine.now eng) latency) (fun () ->
                 totals.(dst) <- totals.(dst) + payload;
                 Sync.Flag.add flags.(dst) 1);
-            Sync.Flag.wait_ge flags.(g) it
+            wait_ge eng flags.(g) it
           done)
     in
     ()
@@ -855,7 +860,7 @@ let partition_tests =
         let note what = log := (what, Time.to_ns (Engine.now eng)) :: !log in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"receiver" (fun () ->
-              Sync.Flag.wait_ge f 1;
+              wait_ge eng f 1;
               note "woke")
         in
         let (_ : Engine.process) =
@@ -892,7 +897,7 @@ let partition_tests =
         let eng = Engine.create () in
         let f = Sync.Flag.create ~name:"never" eng 0 in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"d" ~daemon:true (fun () -> Sync.Flag.wait_ge f 1)
+          Engine.spawn eng ~name:"d" ~daemon:true (fun () -> wait_ge eng f 1)
         in
         let (_ : Engine.process) = Engine.spawn eng ~name:"p" (fun () -> ()) in
         Engine.run eng;
@@ -959,7 +964,7 @@ let diagnostics_tests =
         let eng = Engine.create () in
         let f = Sync.Flag.create ~name:"f" eng 0 in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"waiter" ~group:"gpu0" (fun () -> Sync.Flag.wait_ge f 2)
+          Engine.spawn eng ~name:"waiter" ~group:"gpu0" (fun () -> wait_ge eng f 2)
         in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"bumper" (fun () ->
@@ -976,9 +981,9 @@ let diagnostics_tests =
         let b = Sync.Barrier.create ~name:"b" eng 3 in
         let m : int Sync.Mailbox.t = Sync.Mailbox.create ~name:"m" eng () in
         let spawn name body = ignore (Engine.spawn eng ~name body : Engine.process) in
-        spawn "b1" (fun () -> Sync.Barrier.wait b);
-        spawn "b2" (fun () -> Sync.Barrier.wait b);
-        spawn "mb" (fun () -> ignore (Sync.Mailbox.recv m : int));
+        spawn "b1" (fun () -> barrier_wait eng b);
+        spawn "b2" (fun () -> barrier_wait eng b);
+        spawn "mb" (fun () -> ignore (recv eng m : int));
         check (Alcotest.list Alcotest.string) "report"
           [
             "b1(#1): barrier b (gen 0, 1/3) (since 0ns)";
@@ -995,7 +1000,7 @@ let diagnostics_tests =
             ~name_of:(fun () ->
               incr rendered;
               Printf.sprintf "lazy.pe%d.%d" 3 7)
-            (fun () -> Sync.Flag.wait_ge f 1)
+            (fun () -> wait_ge eng f 1)
         in
         let lines = deadlock_lines (fun () -> Engine.run eng) in
         check (Alcotest.list Alcotest.string) "report"
@@ -1090,10 +1095,10 @@ let two_waits eng flag k =
 let handover_tests =
   [
     Alcotest.test_case "a chain handed over keeps the fiber's events" `Quick (fun () ->
-        (* The same two waits in the fiber and as a chain handed over:
-           same log, clock and event count; only the counters say which
-           way the events ran. *)
-        let run how =
+        (* Two waits as a chain handed over: the log and the 6 events the
+           same waits gave in the fiber ([delay], then a suspending flag
+           wait); only the counters say which way the events ran. *)
+        let run () =
           let eng = Engine.create () in
           let flag = Sync.Flag.create ~name:"f" eng 0 in
           let log = ref [] in
@@ -1101,14 +1106,7 @@ let handover_tests =
           let (_ : Engine.process) =
             Engine.spawn eng ~name:"worker" ~group:"gpu0" (fun () ->
                 note "start";
-                let v =
-                  match how with
-                  | `Fiber ->
-                    Engine.delay eng (Time.ns 10);
-                    Sync.Flag.wait_until flag (fun v -> v > 0);
-                    42
-                  | `Handover -> Engine.handover eng (two_waits eng flag)
-                in
+                let v = Engine.handover eng (two_waits eng flag) in
                 note (Printf.sprintf "got %d" v);
                 Engine.delay eng (Time.ns 5);
                 note "end")
@@ -1125,15 +1123,11 @@ let handover_tests =
             Engine.steps_run eng,
             Engine.registered_processes eng )
         in
-        let fiber_log, fiber_events, _, _, _ = run `Fiber in
+        let log, events, resumes, steps_run, left = run () in
         check
           (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-          "log" [ ("start", 0); ("got 42", 25); ("end", 30) ] fiber_log;
-        let log, events, resumes, steps_run, left = run `Handover in
-        check
-          (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-          "same log" fiber_log log;
-        check_int "same events" fiber_events events;
+          "same log" [ ("start", 0); ("got 42", 25); ("end", 30) ] log;
+        check_int "same events" 6 events;
         check_int "steps" 2 steps_run;
         check_int "every event counted once" events (resumes + steps_run);
         check_int "drained" 0 left);
@@ -1154,7 +1148,10 @@ let handover_tests =
         let flag = Sync.Flag.create ~name:"never" eng 0 in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"fiber" ~group:"gpu0" (fun () ->
-              Sync.Flag.wait_until ~waits_on:"gpu1" flag (fun v -> v > 0))
+              Engine.suspend eng
+                ~reason:(fun () -> "flag never (value 0)")
+                ~waits_on:"gpu1"
+                (fun (_ : unit -> unit) -> ()))
         in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"steps" ~group:"gpu1" (fun () ->
@@ -1178,7 +1175,7 @@ let handover_tests =
                   Engine.after eng (Time.ns 3) (fun () -> failwith "step")))
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"waiter" (fun () -> Sync.Flag.wait_ge flag 1)
+          Engine.spawn eng ~name:"waiter" (fun () -> wait_ge eng flag 1)
         in
         Alcotest.check_raises "escapes run" (Failure "step") (fun () -> Engine.run eng);
         check_bool "finished" true (Engine.process_done p);
@@ -1200,7 +1197,7 @@ let handover_tests =
               failwith "fiber")
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"waiter" (fun () -> Sync.Flag.wait_ge flag 1)
+          Engine.spawn eng ~name:"waiter" (fun () -> wait_ge eng flag 1)
         in
         Alcotest.check_raises "escapes run" (Failure "fiber") (fun () -> Engine.run eng);
         check_bool "finished" true (Engine.process_done p);
