@@ -32,19 +32,24 @@
       buffers, signals and request slots. Whether a map touches real data
       (no phantom operand) is decided once per map. Map extents and
       kernel costs are precomputed when constant.
-    - The state graph is indexed once, and each state's out-edges become
-      one closure that picks the first edge whose condition holds.
+    - The state graph is indexed once, and a host rank's walk of it
+      becomes one {!Cpufree_engine.Program}: each state, then its
+      out-edges as guarded assignments and jumps. A persistent rank's
+      prologue, cooperative launch, join, fence and epilogue are one
+      program. Either runs as one {!Cpufree_engine.Engine.handover} of the
+      rank's process.
     - A persistent kernel lowers each role's share of the loop when the
       role starts, with the role's statement filter already applied, into
-      a flat step program: an instruction array and a program counter.
+      a {!Cpufree_engine.Program}: an instruction array and a program
+      counter.
       Each map delay, put issue, fence, grid sync and signal wait ends by
       waiting with {!Cpufree_engine.Engine.after} or
       {!Cpufree_engine.Engine.await} on the role's one resume closure; the
       loop's init, condition and update and the rank guards are jumps, so
       statements that never wait run in a loop, not by recursion. The role
       runs the program as one {!Cpufree_engine.Engine.handover} of its
-      process ({!Cpufree_gpu.Runtime.launch_cooperative_k}), pushing the
-      events a fiber running the same statements would.
+      process, after the teardown delay
+      ({!Cpufree_gpu.Runtime.launch_cooperative_k}).
 
     Real-data runs ([~backed:true]) use the same closures. An unresolvable
     name or an unsupported construct lowers to a statement that raises
