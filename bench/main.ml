@@ -815,8 +815,11 @@ let collective_device ~spec ~algorithm ~gpus =
   let ok = ref true in
   for pe = 0 to gpus - 1 do
     ignore
-      (E.Engine.spawn eng ~name:(Printf.sprintf "pe%d" pe) (fun () ->
-           if Coll.allreduce_sum coll ~pe (float_of_int (pe + 1)) <> expected then ok := false)
+      (E.Engine.spawn_callbacks eng
+         ~name_of:(fun () -> Printf.sprintf "pe%d" pe)
+         (fun () ->
+           Coll.allreduce_sum_k coll ~pe (float_of_int (pe + 1)) (fun v ->
+               if v <> expected then ok := false))
         : E.Engine.process)
   done;
   E.Engine.run eng;
@@ -828,10 +831,12 @@ let collective_host ~spec ~algorithm ~gpus =
   let ctx = G.Runtime.create eng ~env:(Sim_env.make ~topology:spec ()) ~num_gpus:gpus () in
   let out = ref [||] in
   ignore
-    (E.Engine.spawn eng ~name:"host" (fun () ->
-         out :=
-           Coll.host_allreduce_sum ctx ~algorithm ~label:"coll"
-             (Array.init gpus (fun g -> float_of_int (g + 1))))
+    (E.Engine.spawn_callbacks eng
+       ~name_of:(fun () -> "host")
+       (fun () ->
+         Coll.host_allreduce_sum_k ctx ~algorithm ~label:"coll"
+           (Array.init gpus (fun g -> float_of_int (g + 1)))
+           (fun v -> out := v))
       : E.Engine.process);
   E.Engine.run eng;
   let expected = collective_expected gpus in

@@ -51,83 +51,91 @@ let () =
 
   let final_residual = Array.make gpus nan in
 
+  (* A role is written as steps: each call that may wait (a put, a signal
+     wait, an allreduce, a sweep's delay) is given the continuation to run
+     once it is over, and the role ends by calling [finish]. *)
   let roles pe =
     let buf s = Nv.local s ~pe in
-    let exchange_p ~iter =
-      (* Push my edge p-values into the neighbours' halos, signal, wait.
-         The NVSHMEM calls are steps; the role's fiber runs each through a
-         handover. *)
-      if pe > 0 then
-        E.Engine.handover eng
-          (Nv.putmem_signal_nbi_k nv ~from_pe:pe ~to_pe:(pe - 1) ~src:(buf p) ~src_pos:1 ~dst:p
-             ~dst_pos:(chunk + 1) ~len:1 ~sig_var:halo_ready ~sig_op:Nv.Signal_add ~sig_value:1);
-      if pe < gpus - 1 then
-        E.Engine.handover eng
-          (Nv.putmem_signal_nbi_k nv ~from_pe:pe ~to_pe:(pe + 1) ~src:(buf p) ~src_pos:chunk
-             ~dst:p ~dst_pos:0 ~len:1 ~sig_var:halo_ready ~sig_op:Nv.Signal_add ~sig_value:1);
+    let exchange_p ~iter k =
+      (* Push my edge p-values into the neighbours' halos, signal, wait. *)
+      let put ~to_pe ~src_pos ~dst_pos k =
+        Nv.putmem_signal_nbi_k nv ~from_pe:pe ~to_pe ~src:(buf p) ~src_pos ~dst:p ~dst_pos ~len:1
+          ~sig_var:halo_ready ~sig_op:Nv.Signal_add ~sig_value:1 k
+      in
+      let to_left k =
+        if pe > 0 then put ~to_pe:(pe - 1) ~src_pos:1 ~dst_pos:(chunk + 1) k else k ()
+      in
+      let to_right k =
+        if pe < gpus - 1 then put ~to_pe:(pe + 1) ~src_pos:chunk ~dst_pos:0 k else k ()
+      in
       let expected_per_iter = (if pe > 0 then 1 else 0) + if pe < gpus - 1 then 1 else 0 in
-      E.Engine.handover eng
-        (Nv.signal_wait_ge_k nv ~pe ~sig_var:halo_ready (iter * expected_per_iter))
+      to_left (fun () ->
+          to_right (fun () ->
+              Nv.signal_wait_ge_k nv ~pe ~sig_var:halo_ready (iter * expected_per_iter) k))
     in
-    let solver _grid =
+    let sweep ~arrays k = E.Engine.after eng (sweep_cost ~arrays) k in
+    let allreduce v k = Collective.allreduce_sum_k coll ~pe v k in
+    let solver _grid finish =
       (* x = 0; r = p = b. *)
+      let local_rr = ref 0.0 in
       for i = 1 to chunk do
         let bi = b_value ((pe * chunk) + i - 1) in
         G.Buffer.set (buf x) i 0.0;
         G.Buffer.set (buf r) i bi;
-        G.Buffer.set (buf p) i bi
+        G.Buffer.set (buf p) i bi;
+        local_rr := !local_rr +. (bi ** 2.0)
       done;
-      E.Engine.delay eng (sweep_cost ~arrays:3);
-      let rr = ref (Collective.allreduce_sum coll ~pe
-                      (let s = ref 0.0 in
-                       for i = 1 to chunk do
-                         s := !s +. (G.Buffer.get (buf r) i ** 2.0)
-                       done;
-                       !s))
+      let rec loop iter rr =
+        if iter < iterations && rr > 1e-20 then begin
+          let iter = iter + 1 in
+          exchange_p ~iter (fun () ->
+              (* Ap = A p (3-point stencil matvec; halos are fresh). *)
+              let local_pap = ref 0.0 in
+              for i = 1 to chunk do
+                let gi = (pe * chunk) + i - 1 in
+                let left = if gi = 0 then 0.0 else G.Buffer.get (buf p) (i - 1) in
+                let right = if gi = n_global - 1 then 0.0 else G.Buffer.get (buf p) (i + 1) in
+                let v = (2.0 *. G.Buffer.get (buf p) i) -. left -. right in
+                G.Buffer.set (buf ap) i v;
+                local_pap := !local_pap +. (G.Buffer.get (buf p) i *. v)
+              done;
+              sweep ~arrays:3 (fun () ->
+                  allreduce !local_pap (fun pap ->
+                      let alpha = rr /. pap in
+                      (* x += alpha p; r -= alpha Ap. *)
+                      let local_rr = ref 0.0 in
+                      for i = 1 to chunk do
+                        G.Buffer.set (buf x) i
+                          (G.Buffer.get (buf x) i +. (alpha *. G.Buffer.get (buf p) i));
+                        let ri = G.Buffer.get (buf r) i -. (alpha *. G.Buffer.get (buf ap) i) in
+                        G.Buffer.set (buf r) i ri;
+                        local_rr := !local_rr +. (ri *. ri)
+                      done;
+                      sweep ~arrays:4 (fun () ->
+                          allreduce !local_rr (fun rr_new ->
+                              let beta = rr_new /. rr in
+                              for i = 1 to chunk do
+                                G.Buffer.set (buf p) i
+                                  (G.Buffer.get (buf r) i +. (beta *. G.Buffer.get (buf p) i))
+                              done;
+                              sweep ~arrays:2 (fun () -> loop iter rr_new))))))
+        end
+        else begin
+          final_residual.(pe) <- sqrt rr;
+          finish ()
+        end
       in
-      let iter = ref 0 in
-      while !iter < iterations && !rr > 1e-20 do
-        incr iter;
-        exchange_p ~iter:!iter;
-        (* Ap = A p (3-point stencil matvec; halos are fresh). *)
-        let local_pap = ref 0.0 in
-        for i = 1 to chunk do
-          let gi = (pe * chunk) + i - 1 in
-          let left = if gi = 0 then 0.0 else G.Buffer.get (buf p) (i - 1) in
-          let right = if gi = n_global - 1 then 0.0 else G.Buffer.get (buf p) (i + 1) in
-          let v = (2.0 *. G.Buffer.get (buf p) i) -. left -. right in
-          G.Buffer.set (buf ap) i v;
-          local_pap := !local_pap +. (G.Buffer.get (buf p) i *. v)
-        done;
-        E.Engine.delay eng (sweep_cost ~arrays:3);
-        let pap = Collective.allreduce_sum coll ~pe !local_pap in
-        let alpha = !rr /. pap in
-        (* x += alpha p; r -= alpha Ap. *)
-        let local_rr = ref 0.0 in
-        for i = 1 to chunk do
-          G.Buffer.set (buf x) i (G.Buffer.get (buf x) i +. (alpha *. G.Buffer.get (buf p) i));
-          let ri = G.Buffer.get (buf r) i -. (alpha *. G.Buffer.get (buf ap) i) in
-          G.Buffer.set (buf r) i ri;
-          local_rr := !local_rr +. (ri *. ri)
-        done;
-        E.Engine.delay eng (sweep_cost ~arrays:4);
-        let rr_new = Collective.allreduce_sum coll ~pe !local_rr in
-        let beta = rr_new /. !rr in
-        for i = 1 to chunk do
-          G.Buffer.set (buf p) i (G.Buffer.get (buf r) i +. (beta *. G.Buffer.get (buf p) i))
-        done;
-        E.Engine.delay eng (sweep_cost ~arrays:2);
-        rr := rr_new
-      done;
-      final_residual.(pe) <- sqrt !rr
+      sweep ~arrays:3 (fun () -> allreduce !local_rr (loop 0))
     in
     [ ("solver", solver) ]
   in
 
   let (_ : E.Engine.process) =
-    E.Engine.spawn eng ~name:"host" (fun () ->
-        Persistent.run_all ctx ~name:"cg" ~blocks:(Persistent.max_blocks ctx)
-          ~threads_per_block:1024 ~roles)
+    E.Engine.spawn_callbacks eng
+      ~name_of:(fun () -> "host")
+      (fun () ->
+        Persistent.run_all_k ctx ~name:"cg" ~blocks:(Persistent.max_blocks ctx)
+          ~threads_per_block:1024 ~roles ignore)
   in
   E.Engine.run eng;
 

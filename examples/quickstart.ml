@@ -33,45 +33,61 @@ let () =
   (* 3. The kernel: every PE waits for the token, increments it, and puts it
      (with a signal) to the next PE — communication initiated entirely on
      device. The inner role burns compute concurrently and meets the comm
-     role at grid.sync each round. The NVSHMEM calls and the grid sync are
-     steps; a role's fiber runs each through a handover. *)
+     role at grid.sync each round. A role is written as steps: each call
+     that may wait (a signal wait, a put, the grid sync, a delay) is given
+     the continuation to run once it is over, and the role ends by calling
+     [finish]. *)
   let roles pe =
-    let comm grid =
-      for round = 1 to rounds do
-        let expected = (round - 1) * gpus in
-        if pe > 0 || round > 1 then
-          E.Engine.handover eng (Nv.signal_wait_ge_k nv ~pe ~sig_var:ready (expected + pe));
-        let v = G.Buffer.get (Nv.local token ~pe) 0 in
-        Printf.printf "  [%-7s] pe%d round %d holds token %.0f\n"
-          (Time.to_string (E.Engine.now eng)) pe round v;
-        (* Increment and pass it on, device-initiated. *)
-        G.Buffer.set (Nv.local token ~pe) 0 (v +. 1.0);
-        let next = (pe + 1) mod gpus in
-        if not (pe = gpus - 1 && round = rounds) then
-          E.Engine.handover eng
-            (Nv.putmem_signal_nbi_k nv ~from_pe:pe ~to_pe:next ~src:(Nv.local token ~pe)
-               ~src_pos:0 ~dst:token ~dst_pos:0 ~len:1 ~sig_var:ready ~sig_op:Nv.Signal_set
-               ~sig_value:(expected + pe + 1));
-        E.Engine.handover eng (G.Coop.sync_k grid)
-      done
+    let comm grid finish =
+      let rec round r =
+        if r > rounds then finish ()
+        else begin
+          let expected = (r - 1) * gpus in
+          let await_token k =
+            if pe > 0 || r > 1 then Nv.signal_wait_ge_k nv ~pe ~sig_var:ready (expected + pe) k
+            else k ()
+          in
+          await_token (fun () ->
+              let v = G.Buffer.get (Nv.local token ~pe) 0 in
+              Printf.printf "  [%-7s] pe%d round %d holds token %.0f\n"
+                (Time.to_string (E.Engine.now eng)) pe r v;
+              (* Increment and pass it on, device-initiated. *)
+              G.Buffer.set (Nv.local token ~pe) 0 (v +. 1.0);
+              let next = (pe + 1) mod gpus in
+              let pass k =
+                if not (pe = gpus - 1 && r = rounds) then
+                  Nv.putmem_signal_nbi_k nv ~from_pe:pe ~to_pe:next ~src:(Nv.local token ~pe)
+                    ~src_pos:0 ~dst:token ~dst_pos:0 ~len:1 ~sig_var:ready ~sig_op:Nv.Signal_set
+                    ~sig_value:(expected + pe + 1) k
+                else k ()
+              in
+              pass (fun () -> G.Coop.sync_k grid (fun () -> round (r + 1))))
+        end
+      in
+      round 1
     in
-    let inner grid =
+    let inner grid finish =
       let arch = G.Runtime.arch ctx in
-      for _ = 1 to rounds do
-        E.Engine.delay eng
-          (G.Kernel.memory_bound_time arch ~elems:100_000 ~bytes_per_elem:8.0
-             ~sm_fraction:0.98 ~efficiency:1.0);
-        E.Engine.handover eng (G.Coop.sync_k grid)
-      done
+      let rec round r =
+        if r > rounds then finish ()
+        else
+          E.Engine.after eng
+            (G.Kernel.memory_bound_time arch ~elems:100_000 ~bytes_per_elem:8.0
+               ~sm_fraction:0.98 ~efficiency:1.0)
+            (fun () -> G.Coop.sync_k grid (fun () -> round (r + 1)))
+      in
+      round 1
     in
     [ ("comm", comm); ("inner", inner) ]
   in
 
   (* 4. The whole host program: one cooperative launch, one join. *)
   let (_ : E.Engine.process) =
-    E.Engine.spawn eng ~name:"host" (fun () ->
-        Persistent.run_all ctx ~name:"ring" ~blocks:(Persistent.max_blocks ctx)
-          ~threads_per_block:1024 ~roles)
+    E.Engine.spawn_callbacks eng
+      ~name_of:(fun () -> "host")
+      (fun () ->
+        Persistent.run_all_k ctx ~name:"ring" ~blocks:(Persistent.max_blocks ctx)
+          ~threads_per_block:1024 ~roles ignore)
   in
   Printf.printf "Launching a persistent ring kernel on %d simulated GPUs...\n" gpus;
   E.Engine.run eng;

@@ -264,6 +264,7 @@ let allreduce_sum_k t ~pe value k =
   in
   phase 0 k
 
+(* The fiber form, for a fiber harness outside the library. *)
 let allreduce_sum t ~pe value =
   Cpufree_engine.Engine.handover (Nvshmem.engine t.nv) (allreduce_sum_k t ~pe value)
 
@@ -281,7 +282,7 @@ let rounds t ~pe = t.round.(pe)
 
 module R = G.Runtime
 
-let host_allreduce_sum ctx ~algorithm ~label values =
+let host_allreduce_sum_k ctx ~algorithm ~label values k =
   let nn = R.num_gpus ctx in
   if Array.length values <> nn then
     invalid_arg "Collective.host_allreduce_sum: one value per GPU required";
@@ -313,10 +314,15 @@ let host_allreduce_sum ctx ~algorithm ~label values =
       gpu 0 (fun () ->
           iter_k (R.stream_synchronize_k ctx) (Array.to_list streams) (fun () -> phase (p + 1) k))
   in
-  Cpufree_engine.Engine.handover (R.engine ctx) (phase 0);
-  Array.init nn (fun g ->
-      let acc = ref 0.0 in
-      for q = 0 to nn - 1 do
-        acc := !acc +. G.Buffer.get bufs.(g) q
-      done;
-      !acc)
+  phase 0 (fun () ->
+      k
+        (Array.init nn (fun g ->
+             let acc = ref 0.0 in
+             for q = 0 to nn - 1 do
+               acc := !acc +. G.Buffer.get bufs.(g) q
+             done;
+             !acc)))
+
+(* The fiber form, for a fiber harness outside the library. *)
+let host_allreduce_sum ctx ~algorithm ~label values =
+  Cpufree_engine.Engine.handover (R.engine ctx) (host_allreduce_sum_k ctx ~algorithm ~label values)

@@ -11,8 +11,8 @@
     the binomial gather/broadcast tree, and recursive doubling. Each is
     written once, as numbered phases: the copies every GPU issues in a
     phase and the elements it then waits for. Two drivers walk it — the
-    device driver ({!allreduce_sum}: signaled puts, then a signal wait) and
-    the CPU-driven baseline ({!host_allreduce_sum}: host [memcpy]s, then a
+    device driver ({!allreduce_sum_k}: signaled puts, then a signal wait) and
+    the CPU-driven baseline ({!host_allreduce_sum_k}: host [memcpy]s, then a
     [synchronize] on every stream), extending the paper's control-path
     comparison to collectives. Both move the same bytes in the same
     transfers. All schedules fill the same two-bank slot layout and end in
@@ -23,7 +23,7 @@
     from device-side (kernel) processes, once per logical round; rounds are
     tracked internally so the scratch state is reusable. *)
 
-(** Allgather schedule backing {!allreduce_sum}. *)
+(** Allgather schedule backing {!allreduce_sum_k}. *)
 type algorithm = Dense | Ring | Tree | Doubling
 
 val algorithm_of_string : string -> (algorithm, string) result
@@ -53,7 +53,8 @@ val allreduce_sum_k : t -> pe:int -> float -> (float -> unit) -> unit
 
 val allreduce_sum : t -> pe:int -> float -> float
 (** {!allreduce_sum_k} from a fiber: one {!Cpufree_engine.Engine.handover}
-    of the chain. *)
+    of the chain. Kept only for the benchmark's fiber allreduce harness;
+    it goes with that harness, as does the fiber itself. *)
 
 val rounds : t -> pe:int -> int
 (** Completed reduction rounds on a PE (diagnostics). *)
@@ -62,12 +63,20 @@ val rounds : t -> pe:int -> int
 
     The same schedule orchestrated by a host thread: every copy is a
     host-issued {!Cpufree_gpu.Runtime.memcpy_async_k} and every phase ends
-    in a {!Cpufree_gpu.Runtime.stream_synchronize_k} on every stream, charging the host-API latencies
-    the device-initiated driver avoids. Call from a host process. *)
+    in a {!Cpufree_gpu.Runtime.stream_synchronize_k} on every stream,
+    charging the host-API latencies the device-initiated driver avoids.
+    Call from a host process. *)
+
+val host_allreduce_sum_k :
+  Cpufree_gpu.Runtime.ctx -> algorithm:algorithm -> label:string -> float array ->
+  (float array -> unit) -> unit
+(** Host-driven allreduce over one value per GPU ([values.(g)] lives on GPU
+    [g]); the continuation gets each GPU's resulting sum. The reduction
+    order matches the device-side variants, so results are bit-identical
+    to {!allreduce_sum_k}. *)
 
 val host_allreduce_sum :
   Cpufree_gpu.Runtime.ctx -> algorithm:algorithm -> label:string -> float array -> float array
-(** Host-driven allreduce over one value per GPU ([values.(g)] lives on GPU
-    [g]); returns each GPU's resulting sum. The reduction order matches the
-    device-side variants, so results are bit-identical to
-    {!allreduce_sum}. *)
+(** {!host_allreduce_sum_k} from a fiber: one
+    {!Cpufree_engine.Engine.handover} of the chain. Kept only for the
+    benchmark's fiber allreduce harness, as {!allreduce_sum} is. *)

@@ -36,7 +36,6 @@ let init ctx =
   }
 
 let contiguous buf ~pos ~len = { buf; pos; stride = 1; count = len }
-let type_vector buf ~pos ~stride ~count = { buf; pos; stride; count }
 
 let check_rank t r op =
   if r < 0 || r >= t.n then invalid_arg (Printf.sprintf "Mpi.%s: no such rank %d" op r)

@@ -3,13 +3,13 @@
     Ranks map one-to-one onto host threads/GPUs. Every call is made from a
     host process and charges host-side per-message overhead; the data path of
     a matched send/recv is a {e host-initiated} device-to-device transfer.
-    Strided messages ([Type_vector], used by the DaCe 2D baseline) pay an
-    additional per-element pack/unpack cost.
+    Strided messages (a {!region} with [stride > 1], MPI's
+    [Type_vector], used by the DaCe 2D baseline) pay an additional
+    per-element pack/unpack cost.
 
     The messaging calls are step forms: each takes the continuation to run
     once the call returns, and waits with {!Cpufree_engine.Engine.after}
-    and {!Cpufree_engine.Sync.Flag.wait_ge_k}. A fiber reaches one through
-    {!Cpufree_engine.Engine.handover}. A matched message runs as its own
+    and {!Cpufree_engine.Sync.Flag.wait_ge_k}. A matched message runs as its own
     {!Cpufree_engine.Engine.spawn_callbacks} process, named
     [mpi.msg.<src>-><dst>]; an unmatched request's flag reads
     [mpi.send.<n>] or [mpi.recv.<n>] in a deadlock or stall report. *)
@@ -23,7 +23,6 @@ val init : Cpufree_gpu.Runtime.ctx -> t
 type region = { buf : Cpufree_gpu.Buffer.t; pos : int; stride : int; count : int }
 
 val contiguous : Cpufree_gpu.Buffer.t -> pos:int -> len:int -> region
-val type_vector : Cpufree_gpu.Buffer.t -> pos:int -> stride:int -> count:int -> region
 
 type request
 

@@ -130,7 +130,7 @@ let apply_signal sig_var pe op v =
 
 (* Every operation is written as steps over {!E.Engine.after} and the [_k]
    waits of {!E.Sync}: called with a continuation, it runs it when it is
-   over. A delivery runs asynchronously as a fiberless process, or is
+   over. A delivery runs asynchronously as a step process, or is
    replayed inside a recovering waiter (a resilient signal wait or a
    [quiet] fence) when the fabric lost it. *)
 type steps = (unit -> unit) -> unit
@@ -517,12 +517,10 @@ let resilient_wait_k t ~pe ~waits_on ~plan ~sig_var pred k =
   in
   attempt 0 spec.F.retry_timeout
 
-(* A signal wait checks the PE, counts the wait, and says whether it
-   blocks. *)
-let wait_blocks t ~pe ~sig_var pred =
+(* A signal wait checks the PE and counts the wait. *)
+let count_wait t ~pe =
   check_pe t pe "signal_wait";
-  bump t (fun o -> o.m_signal_waits);
-  not (pred (E.Sync.Flag.get sig_var.flags.(pe)))
+  bump t (fun o -> o.m_signal_waits)
 
 (* A blocked wait's group it waits on, the fault plan that makes it
    resilient (when one is active), and what it notes once its flag is
@@ -556,11 +554,15 @@ let blocked_wait_k t ?expect_from ~pe ~sig_var pred k =
   | None -> E.Sync.Flag.wait_until_k ?waits_on sig_var.flags.(pe) pred seen
 
 let signal_wait_until_k t ?expect_from ~pe ~sig_var pred k =
-  if wait_blocks t ~pe ~sig_var pred then blocked_wait_k t ?expect_from ~pe ~sig_var pred k
-  else k ()
+  count_wait t ~pe;
+  if pred (E.Sync.Flag.get sig_var.flags.(pe)) then k ()
+  else blocked_wait_k t ?expect_from ~pe ~sig_var pred k
 
+(* A flag that already holds continues before any predicate is built. *)
 let signal_wait_ge_k t ?expect_from ~pe ~sig_var v k =
-  signal_wait_until_k t ?expect_from ~pe ~sig_var (fun x -> x >= v) k
+  count_wait t ~pe;
+  if E.Sync.Flag.get sig_var.flags.(pe) >= v then k ()
+  else blocked_wait_k t ?expect_from ~pe ~sig_var (fun x -> x >= v) k
 
 let reorders t = Option.is_some (active_plan t)
 

@@ -9,13 +9,12 @@
 
     Non-blocking ([_nbi]) operations return after issue; remote delivery
     (data first, then any attached signal, preserving NVSHMEM's
-    data-before-signal ordering) happens asynchronously, as a fiberless
-    engine process ({!Cpufree_engine.Engine.spawn_callbacks}), and
+    data-before-signal ordering) happens asynchronously, as an engine step
+    process ({!Cpufree_engine.Engine.spawn_callbacks}), and
     {!quiet_k} waits for all of the calling PE's outstanding deliveries.
 
     Every operation is written as steps: called with a continuation, it
-    runs it once the operation returns. A fiber reaches one through
-    {!Cpufree_engine.Engine.handover}. *)
+    runs it once the operation returns. *)
 
 type t
 
@@ -82,10 +81,16 @@ val signal_wait_until_k :
     ordering), and backs off exponentially; a wait that exhausts its retries
     raises {!Cpufree_engine.Engine.Stall} with a full diagnosis instead of
     spinning forever. Without faults the wait is the plain spin of the
-    baseline model. *)
+    baseline model.
+
+    The library itself waits through {!signal_wait_ge_k}; this general
+    form stays for NVSHMEM's other comparisons, which the tests use to
+    read a signal's value and to wait for an exact one. *)
 
 val signal_wait_ge_k :
   t -> ?expect_from:int -> pe:int -> sig_var:signal -> int -> (unit -> unit) -> unit
+(** {!signal_wait_until_k} for [value >= v]; a flag that already holds
+    builds no predicate. *)
 
 val quiet_k : t -> pe:int -> (unit -> unit) -> unit
 (** Continue once all of [pe]'s outstanding non-blocking operations have

@@ -66,13 +66,15 @@ let engine_trace ~traced env =
   | Some _ as sink -> sink
   | None -> if traced then Some (E.Trace.create ()) else None
 
+type program = G.Runtime.ctx -> (unit -> unit) -> unit
+
 type job = {
   sc_label : string;
   sc_gpus : int;
   sc_iterations : int;
   sc_arch : G.Arch.t;
   sc_env : Obs.Sim_env.t;
-  sc_program : G.Runtime.ctx -> unit;
+  sc_program : program;
   sc_progress : unit -> int array;
 }
 
@@ -170,7 +172,7 @@ let run ?(traced = false) job =
   let eng = E.Engine.create ?trace ?watchdog () in
   let ctx = G.Runtime.create eng ~arch:job.sc_arch ~env ~num_gpus:job.sc_gpus () in
   let (_ : E.Engine.process) =
-    E.Engine.spawn eng ~name:"main" (fun () -> job.sc_program ctx)
+    E.Engine.spawn_callbacks eng ~name_of:(fun () -> "main") (fun () -> job.sc_program ctx ignore)
   in
   let ending =
     match (faults, G.Runtime.faults ctx) with

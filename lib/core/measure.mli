@@ -20,6 +20,10 @@ type result = {
   bytes_moved : int;
 }
 
+type program = Cpufree_gpu.Runtime.ctx -> (unit -> unit) -> unit
+(** A host program, written as steps: it is called on the run's main
+    process with the continuation to run once it is done. *)
+
 type job = {
   sc_label : string;  (** what the result is labelled (and the CLI prints) *)
   sc_gpus : int;
@@ -29,7 +33,7 @@ type job = {
       (** topology, fault plan and observability sinks; a
           fresh environment per job — never share its sinks between
           concurrent runs *)
-  sc_program : Cpufree_gpu.Runtime.ctx -> unit;  (** the host program *)
+  sc_program : program;  (** the host program *)
   sc_progress : unit -> int array;
       (** after the run: per-PE last completed iteration ([[||]] when the
           program does not report progress) *)
@@ -42,7 +46,7 @@ val job :
   ?env:Cpufree_obs.Sim_env.t ->
   ?progress:(unit -> int array) ->
   label:string -> gpus:int -> iterations:int ->
-  (Cpufree_gpu.Runtime.ctx -> unit) -> job
+  program -> job
 (** Defaults: A100 on HGX, {!Cpufree_obs.Sim_env.default} (NVSwitch HGX,
     no faults, no sinks), no progress reporting. *)
 
@@ -79,7 +83,8 @@ type outcome = {
 
 val run : ?traced:bool -> job -> outcome
 (** Create an engine and a runtime context with the job's GPUs arranged per
-    its environment, run the program as the "main" process to completion,
+    its environment, run the program as the "main" step process to
+    completion,
     and measure. Deterministic.
 
     {b Observability.} When [env.trace] is set, the engine records into
@@ -113,14 +118,14 @@ val run_env :
   ?arch:Cpufree_gpu.Arch.t ->
   ?env:Cpufree_obs.Sim_env.t ->
   label:string -> gpus:int -> iterations:int ->
-  (Cpufree_gpu.Runtime.ctx -> unit) -> result
+  program -> result
 (** [(run (job ...)).result]. *)
 
 val probe_env :
   ?arch:Cpufree_gpu.Arch.t ->
   ?env:Cpufree_obs.Sim_env.t ->
   label:string -> gpus:int -> iterations:int ->
-  (Cpufree_gpu.Runtime.ctx -> unit) -> Cpufree_engine.Time.t
+  program -> Cpufree_engine.Time.t
 (** Cheap cost probe for candidate evaluation (the autotuner's oracle): run
     the program under {!Cpufree_obs.Sim_env.probe}[ env] — observability
     sinks and fault plan stripped — and return only the simulated

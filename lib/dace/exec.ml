@@ -15,7 +15,7 @@ let init_value idx =
   sin (x *. 0.011) +. (0.5 *. cos (x *. 0.017))
 
 type built = {
-  program : G.Runtime.ctx -> unit;
+  program : Cpufree_core.Measure.program;
   read_array : string -> pe:int -> G.Buffer.t option;
 }
 
@@ -516,25 +516,23 @@ let lower_host_state lw env stream st =
       Wait (fun k -> if env.used_gpu then G.Runtime.stream_synchronize_k ctx stream k else k ());
     ]
 
-(* Run [code] as one handover of the calling host process, which keeps its
-   pid, name and group in every report. *)
-let run_host ctx env code = E.Engine.handover (G.Runtime.engine ctx) (run code env.slots)
-
 let build_baseline ?backed sdfg =
   let store = ref None in
   let graph = index_graph sdfg in
   let assigned = List.concat_map (fun e -> List.map fst e.e_assign) sdfg.edges in
   let requests = request_names sdfg.states in
-  let program ctx =
+  let program ctx k =
     let rt = make_runtime ?backed sdfg ctx in
     store := Some rt;
-    G.Host.parallel_join ctx ~name:sdfg.sdfg_name (fun rank ->
+    G.Host.parallel_join_k ctx ~name:sdfg.sdfg_name
+      (fun rank ->
         let lw = lowering rt sdfg ~rank ~assigned ~requests in
         let env = env_from lw lw.initial in
         let stream =
           G.Stream.create (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
         in
-        run_host ctx env (walk_program graph lw env ~state:(lower_host_state lw env stream)))
+        run (walk_program graph lw env ~state:(lower_host_state lw env stream)) env.slots)
+      k
   in
   { program; read_array = read_array store }
 
@@ -654,11 +652,12 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
   in
   let assigned = [ p.Persistent_fusion.loop.Loop.l_var ] in
   let requests = request_names (p.Persistent_fusion.prologue @ p.Persistent_fusion.epilogue) in
-  let program ctx =
+  let program ctx k =
     let rt = make_runtime ?backed sdfg ctx in
     store := Some rt;
     let blocks = G.Arch.co_resident_blocks (G.Runtime.arch ctx) in
-    G.Host.parallel_join ctx ~name:sdfg.sdfg_name (fun rank ->
+    G.Host.parallel_join_k ctx ~name:sdfg.sdfg_name
+      (fun rank ->
         let lw = lowering rt sdfg ~rank ~assigned ~requests in
         let env = env_from lw lw.initial in
         let stream =
@@ -666,12 +665,10 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
         in
         let host_states states = List.concat_map (lower_host_state lw env stream) states in
         let dev = G.Runtime.device ctx rank in
-        (* A role is a process body that hands its step program over once,
-           after the teardown delay. The roles copy the rank's variables
-           when the launch runs, after the prologue. *)
-        let role_body role env grid =
-          E.Engine.handover (G.Runtime.engine ctx) (run (lower_role lw env grid ~role p) env.slots)
-        in
+        (* A role is a step program, started after the teardown delay. The
+           roles copy the rank's variables when the launch runs, after the
+           prologue. *)
+        let role_body role env grid = run (lower_role lw env grid ~role p) env.slots in
         let roles () =
           if specialized then
             [
@@ -688,10 +685,12 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
         in
         (* The prologue and epilogue stay host-controlled (initialization);
            the whole rank is one program. *)
-        run_host ctx env
+        run
           (Array.of_list
              (host_states p.Persistent_fusion.prologue
              @ [ Wait launch_and_join; Wait (Nv.quiet_k rt.nv ~pe:rank) ]
-             @ host_states p.Persistent_fusion.epilogue)))
+             @ host_states p.Persistent_fusion.epilogue))
+          env.slots)
+      k
   in
   { program; read_array = read_array store }

@@ -36,8 +36,8 @@
       becomes one {!Cpufree_engine.Program}: each state, then its
       out-edges as guarded assignments and jumps. A persistent rank's
       prologue, cooperative launch, join, fence and epilogue are one
-      program. Either runs as one {!Cpufree_engine.Engine.handover} of the
-      rank's process.
+      program. Either runs as the steps of the rank's process
+      ({!Cpufree_gpu.Host.parallel_join_k}).
     - A persistent kernel lowers each role's share of the loop when the
       role starts, with the role's statement filter already applied, into
       a {!Cpufree_engine.Program}: an instruction array and a program
@@ -46,9 +46,8 @@
       waiting with {!Cpufree_engine.Engine.after} or
       {!Cpufree_engine.Engine.await} on the role's one resume closure; the
       loop's init, condition and update and the rank guards are jumps, so
-      statements that never wait run in a loop, not by recursion. The role
-      runs the program as one {!Cpufree_engine.Engine.handover} of its
-      process, after the teardown delay
+      statements that never wait run in a loop, not by recursion. The
+      role's process runs the program after the teardown delay
       ({!Cpufree_gpu.Runtime.launch_cooperative_k}).
 
     Real-data runs ([~backed:true]) use the same closures. An unresolvable
@@ -58,7 +57,7 @@
     program. *)
 
 type built = {
-  program : Cpufree_gpu.Runtime.ctx -> unit;
+  program : Cpufree_core.Measure.program;
   read_array : string -> pe:int -> Cpufree_gpu.Buffer.t option;
       (** after the program ran: a rank's instance of an array *)
 }

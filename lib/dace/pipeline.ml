@@ -71,7 +71,7 @@ type scenario = Measure.job = {
   sc_iterations : int;
   sc_arch : Cpufree_gpu.Arch.t;
   sc_env : Cpufree_obs.Sim_env.t;
-  sc_program : Cpufree_gpu.Runtime.ctx -> unit;
+  sc_program : Measure.program;
   sc_progress : unit -> int array;
 }
 

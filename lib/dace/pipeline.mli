@@ -66,7 +66,7 @@ type scenario = Cpufree_core.Measure.job = {
   sc_iterations : int;
   sc_arch : Cpufree_gpu.Arch.t;
   sc_env : Cpufree_obs.Sim_env.t;
-  sc_program : Cpufree_gpu.Runtime.ctx -> unit;
+  sc_program : Cpufree_core.Measure.program;
   sc_progress : unit -> int array;
 }
 (** The job type, re-exported so [Pipeline.sc_*] field paths resolve. *)

@@ -7,8 +7,8 @@ type state = Ready | Running | Blocked | Finished
    while [state = Blocked], [why] renders the reason (built only when a
    diagnostic reads it, from values captured at the suspension), [on_group]
    is the declared wait-for edge, [since] when it blocked, and [timed]
-   whether the wake is already scheduled (a delay — exempt from the stall
-   watchdog, which hunts waits that nothing pending can resolve).
+   whether the wake is already scheduled (an {!after} — exempt from the
+   stall watchdog, which hunts waits that nothing pending can resolve).
 
    [epoch] numbers suspensions: a waker resumes only the suspension it was
    made for and retires it, so calling it twice, or after the process has
@@ -25,8 +25,7 @@ type state = Ready | Running | Blocked | Finished
    and back when the chain continues it. *)
 type process = {
   pid : int;
-  name : string;
-  name_of : (unit -> string) option;
+  name_of : unit -> string;
   daemon : bool;
   group : string option;
   mutable stepping : bool;
@@ -269,15 +268,7 @@ type t = {
   watchdog : Time.t option;
   mutable watch_next : int; (* next clock value that triggers a stall scan *)
   mutable stall_scan_count : int;
-  (* A suspension's arguments, parked by the effect handler for the
-     continuation callback it returns (which runs immediately after). *)
-  mutable s_delay : Time.t;
-  mutable s_reason : unit -> string;
-  mutable s_waits_on : string option;
-  mutable s_register : (unit -> unit) -> unit;
   mutable handler : (unit, unit) handler;
-  mutable on_delay : ((unit, unit) continuation -> unit) option;
-  mutable on_suspend : ((unit, unit) continuation -> unit) option;
   mutable on_park : ((unit, unit) continuation -> unit) option;
 }
 
@@ -292,10 +283,7 @@ type stall_report = {
 
 exception Stall of stall_report
 
-type _ Effect.t +=
-  | Delay : t * Time.t -> unit Effect.t
-  | Suspend : t * (unit -> string) * string option * ((unit -> unit) -> unit) -> unit Effect.t
-  | Park : t -> unit Effect.t
+type _ Effect.t += Park : t -> unit Effect.t
 
 (* --- processes ----------------------------------------------------------- *)
 
@@ -303,11 +291,10 @@ let no_reason () = ""
 let delay_reason () = "delay"
 let nothing = Queue.nothing
 
-let make_process ~pid ~name ~name_of ~daemon ~group ~stepping body =
+let make_process ~pid ~name_of ~daemon ~group ~stepping body =
   let rec p =
     {
       pid;
-      name;
       name_of;
       daemon;
       group;
@@ -392,14 +379,12 @@ let waker t p =
       Queue.push t.queue t.clock p.resume
     end
 
-let in_step = Invalid_argument "Engine: a step must not block; end it with after or await"
-
 let create ?trace ?watchdog () =
   (match watchdog with
   | Some w when Time.(w <= Time.zero) -> invalid_arg "Engine.create: watchdog must be positive"
   | Some _ | None -> ());
   let sentinel =
-    make_process ~pid:0 ~name:"" ~name_of:None ~daemon:true ~group:None ~stepping:false nothing
+    make_process ~pid:0 ~name_of:no_reason ~daemon:true ~group:None ~stepping:false nothing
   in
   let t =
     {
@@ -419,45 +404,15 @@ let create ?trace ?watchdog () =
       watchdog;
       watch_next = max_int;
       stall_scan_count = 0;
-      s_delay = Time.zero;
-      s_reason = no_reason;
-      s_waits_on = None;
-      s_register = ignore;
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
-      on_delay = None;
-      on_suspend = None;
       on_park = None;
     }
   in
-  (* One handler per engine, shared by every process: the process an effect
-     comes from is [t.current], so neither spawning nor blocking allocates
-     a handler or a per-wait closure. A step run inside {!handover} is on
-     the fiber's stack, so a [delay] or [suspend] there reaches this
-     handler; it is refused, as it would be from a queued step. *)
-  t.on_delay <-
-    Some
-      (fun k ->
-        let p = t.current in
-        if p.stepping then discontinue k in_step
-        else begin
-          block_state t p ~why:delay_reason ~on_group:None ~timed:true;
-          p.k <- Some k;
-          Queue.push t.queue (Time.add t.clock t.s_delay) p.resume
-        end);
-  t.on_suspend <-
-    Some
-      (fun k ->
-        let p = t.current in
-        let register = t.s_register in
-        t.s_register <- ignore;
-        if p.stepping then discontinue k in_step
-        else begin
-          block_state t p ~why:t.s_reason ~on_group:t.s_waits_on ~timed:false;
-          p.k <- Some k;
-          register (waker t p)
-        end);
-  (* {!handover}'s chain has already blocked the process and queued its
-     next step; parking only keeps the fiber for the chain's end. *)
+  (* One handler per engine, shared by every fiber: the process an effect
+     comes from is [t.current], so spawning allocates no handler. Its one
+     effect is {!handover}'s [Park]: the chain has already blocked the
+     process and queued its next step, so parking only keeps the fiber for
+     the chain's end. *)
   t.on_park <- Some (fun k -> t.current.k <- Some k);
   t.handler <-
     {
@@ -469,14 +424,6 @@ let create ?trace ?watchdog () =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Delay (eng, d) when eng == t ->
-            t.s_delay <- d;
-            (t.on_delay : ((a, unit) continuation -> unit) option)
-          | Suspend (eng, reason, waits_on, register) when eng == t ->
-            t.s_reason <- reason;
-            t.s_waits_on <- waits_on;
-            t.s_register <- register;
-            (t.on_suspend : ((a, unit) continuation -> unit) option)
           | Park eng when eng == t -> (t.on_park : ((a, unit) continuation -> unit) option)
           | _ -> None);
     };
@@ -497,9 +444,9 @@ let schedule_at t at thunk =
   if Time.(at < t.clock) then invalid_arg "Engine.schedule_at: time in the past";
   Queue.push t.queue at thunk
 
-let register t ~name ~name_of ~daemon ~group ~stepping body =
+let register t ~name_of ~daemon ~group ~stepping body =
   t.next_pid <- t.next_pid + 1;
-  let p = make_process ~pid:t.next_pid ~name ~name_of ~daemon ~group ~stepping body in
+  let p = make_process ~pid:t.next_pid ~name_of ~daemon ~group ~stepping body in
   p.resume <- (fun () -> resume t p);
   let head = t.live_head in
   p.prev <- head.prev;
@@ -511,19 +458,13 @@ let register t ~name ~name_of ~daemon ~group ~stepping body =
   Queue.push t.queue t.clock p.resume;
   p
 
-let spawn t ?(name = "proc") ?name_of ?(daemon = false) ?group body =
-  register t ~name ~name_of ~daemon ~group ~stepping:false body
+let spawn t ~name body =
+  register t ~name_of:(fun () -> name) ~daemon:false ~group:None ~stepping:false body
 
-let spawn_callbacks t ~name_of first =
-  register t ~name:"proc" ~name_of:(Some name_of) ~daemon:false ~group:None ~stepping:true first
+let spawn_callbacks t ~name_of ?(daemon = false) ?group first =
+  register t ~name_of ~daemon ~group ~stepping:true first
 
-let delay t d = Effect.perform (Delay (t, d))
-
-let suspend t ~reason ?waits_on register =
-  Effect.perform (Suspend (t, reason, waits_on, register))
-
-(* Block the running step's process exactly as [delay] blocks a fiber,
-   and make [k] its next step. *)
+(* Block the running step's process for [d] and make [k] its next step. *)
 let after t d k =
   let p = t.current in
   match p.state with
@@ -534,7 +475,7 @@ let after t d k =
   | Running | Ready | Blocked | Finished ->
     invalid_arg "Engine.after: not called from a step of a spawn_callbacks process"
 
-(* The same for [suspend]. *)
+(* Block it until the waker it registers is first called. *)
 let await t ~reason ?waits_on register k =
   let p = t.current in
   match p.state with
@@ -591,7 +532,7 @@ let handover t chain =
       p.stepping <- false;
       invalid_arg "Engine.handover: the chain neither waited nor ended")
 
-let process_name p = match p.name_of with Some f -> f () | None -> p.name
+let process_name p = p.name_of ()
 let process_done p = p.state = Finished
 
 let events_executed t = t.executed

@@ -1,50 +1,31 @@
 (** Discrete-event simulation engine with cooperative processes.
 
-    A simulation is a set of processes — plain OCaml functions — that run
-    under an effect handler and advance a shared virtual clock by performing
-    blocking operations: {!delay} and the suspension primitives built on
-    {!suspend} in {!Sync}. The engine executes events in strict
-    (timestamp, sequence) order, so every run is deterministic.
+    A simulation is a set of processes that advance a shared virtual clock
+    by waiting. The engine executes events in strict (timestamp, sequence)
+    order, so every run is deterministic.
 
-    Blocking operations may only be called from inside a process body started
-    with {!spawn} and driven by {!run}; calling them elsewhere raises
-    [Effect.Unhandled].
+    {1 A process is a chain of steps}
 
-    {1 A process runs as a fiber or as steps}
+    A process made by {!spawn_callbacks} runs as steps: plain callbacks,
+    each of which ends either by naming the next one with {!after} (a
+    delay) or {!await} (a wait on a waker, from which all of {!Sync} is
+    built), or by returning, which finishes the process. A waiting process
+    is [Blocked] with a reason, a [since] and, when declared, a wait-for
+    edge, which every diagnostic reads. Every host rank, stream daemon,
+    kernel role, NVSHMEM delivery and MPI message is such a process; the
+    long ones are {!Program}s.
 
-    A process made by {!spawn} starts in its own fiber and may block
-    anywhere in its body. A process may also run as steps: a chain of
-    plain callbacks, each of which ends either by naming the next one with
-    {!after} or {!await}, or by returning. A step is cheaper to start and
-    to resume than a fiber, and a waiting step takes the same [Blocked]
-    state, reason, [since] and wait-for edge as the fiber wait it stands
-    for, so every diagnostic reads the same.
+    One other kind remains, for one caller outside the library: a benchmark
+    harness that spawns a fiber ({!spawn}) calling
+    [Collective.allreduce_sum] or [host_allreduce_sum]. Such a fiber has no
+    blocking primitive of its own; it blocks only by handing a step chain
+    over ({!handover}), which runs as the same process and continues the
+    fiber when it ends. {!spawn}, {!handover} and {!fiber_resumes} go when
+    that harness moves to step processes.
 
-    - {!spawn_callbacks} makes a process that is steps for its whole life;
-      a step that returns without naming a next one finishes it. Short
-      fixed sequences — an NVSHMEM delivery is three steps, an MPI
-      message two to four — use it.
-    - {!handover} moves a running fiber onto steps for the rest of one
-      blocking operation: the chain runs as the same process (same pid,
-      name, group and wait state), and its last callback continues the
-      fiber inline, in the same event. A host rank (a stencil's or a DaCe
-      program's) and a persistent-kernel role each hand their whole
-      {!Program} over once, and a stream daemon its serve loop, so a rank
-      or a stream resumes as a fiber only to start and a role only to
-      start and to end its teardown delay; a fiber with no program of its
-      own (the main process joining its ranks, an example's role) reaches
-      a step operation the same way.
-
-    Every model operation — a host API call, a kernel, a copy, an NVSHMEM
-    put, fence or signal wait, a grid or host barrier, an MPI call — is
-    written once, as steps. What still runs in a fiber is a process's
-    start, a cooperative role's teardown delay, and the fibers that
-    callers write themselves (the main process, the examples' roles).
-
-    Each wait pushes one event whichever way the process runs, where the
-    fiber's {!delay} or {!suspend} would, so moving an actor between the
-    two changes no event and no order. {!fiber_resumes} and {!steps_run}
-    count which way the events ran.
+    Each wait pushes one event, and so does each process start of either
+    kind. {!fiber_resumes} and {!steps_run} count which way the events
+    ran.
 
     {1 One sequential driver}
 
@@ -52,9 +33,9 @@
     of plain ints plus a slot table for the thunks, so scheduling an event
     allocates nothing beyond the thunk itself. A process owns one resume
     thunk for its whole life; a step allocates its closure. Diagnostic
-    text — process names ([name_of]) and wait reasons
-    ({!suspend}'s [reason]) — is rendered only when {!Deadlock} or
-    {!stall_report} reads it. *)
+    text — process names ([name_of]) and wait reasons ({!await}'s
+    [reason]) — is rendered only when {!Deadlock} or {!stall_report} reads
+    it. *)
 
 type t
 
@@ -99,7 +80,8 @@ val stall_lines : stall_report -> string list
 val create : ?trace:Trace.t -> ?watchdog:Time.t -> unit -> t
 (** [watchdog] (default: none) arms the stall watchdog: if any non-daemon
     process stays blocked for at least that much {e simulated} time on a
-    wake nothing has scheduled (i.e. not a [delay] and not a deadline wait),
+    wake nothing has scheduled (i.e. not an {!after} and not a deadline
+    wait),
     the driver raises {!Stall} instead of spinning the event queue forever.
     The scan is amortized — it runs only when the clock passes the earliest
     possible stall time — and deterministic. Pick a bound comfortably above
@@ -129,51 +111,59 @@ val log_compute : t -> since:Time.t -> lane:string Lazy.t -> label:string -> uni
 val log_comm : t -> since:Time.t -> unit
 (** Log the communication interval [\[since, now)] in {!busy}. *)
 
-val spawn :
-  t -> ?name:string -> ?name_of:(unit -> string) -> ?daemon:bool -> ?group:string ->
-  (unit -> unit) -> process
-(** Register a process to start at the current simulation time. May be called
-    before [run] or from inside another process.
+val spawn_callbacks :
+  t -> name_of:(unit -> string) -> ?daemon:bool -> ?group:string -> (unit -> unit) -> process
+(** Register a process to start at the current simulation time: its first
+    step runs then. May be called before [run] or from a step of another
+    process. A step waits by ending with {!after} or {!await}; one that
+    returns without either finishes the process, and one that raises
+    finishes it and the exception leaves {!run}.
 
-    [name_of], when given, renders the name on demand instead of [name]:
-    hot paths that spawn a process per message pass the pieces of the name
-    and pay for formatting only when a diagnostic reads it.
+    [name_of] renders the name when a diagnostic asks: hot paths that spawn
+    a process per message pass the pieces of the name and pay for
+    formatting only when a diagnostic reads it.
 
     [group] tags the process with the model entity it acts for ("gpu3",
     "host"): the node name used in wait-for graphs. Wait-for edges declared
-    via [?waits_on] (see {!suspend}) connect groups, and {!Deadlock} /
-    {!Stall} diagnostics report cycles over them.
+    via {!await}'s [?waits_on] connect groups, and {!Deadlock} / {!Stall}
+    diagnostics report cycles over them.
 
     A [daemon] process (default [false]) serves other processes forever — a
-    stream server, a NIC proxy. Daemons do not keep the simulation alive and
-    are exempt from deadlock detection: when only daemons remain blocked,
-    {!run} returns normally. *)
+    stream server. Daemons do not keep the simulation alive and are exempt
+    from deadlock detection: when only daemons remain blocked, {!run}
+    returns normally.
 
-val spawn_callbacks : t -> name_of:(unit -> string) -> (unit -> unit) -> process
-(** Register a process that runs as steps for its whole life; its first
-    step runs at the current simulation time, as {!spawn}'s body would.
-    [name_of] renders its name when a diagnostic asks, as in {!spawn}. It
-    has no group and is never a daemon. A step must not block ({!delay}
-    and {!suspend} raise there); it waits by ending with {!after} or
-    {!await}. A step that returns without either finishes the process; one
-    that raises finishes it and the exception leaves {!run}. Pids are drawn
-    from the same counter as {!spawn}'s. *)
+    Pids are drawn from one counter for both kinds of process. *)
 
 val after : t -> Time.t -> (unit -> unit) -> unit
 (** [after t d k], called from a step as its last action, blocks that
-    process for [d] — the same [Blocked] state, reason ["delay"] and
-    [since] as {!delay} — and runs [k] as its next step [d] later. It
-    pushes one event, where {!delay} would.
+    process for [d] — state [Blocked], reason ["delay"], [since] now, and
+    exempt from the stall watchdog — and runs [k] as its next step [d]
+    later. It pushes one event.
     @raise Invalid_argument anywhere else. *)
 
 val await :
   t -> reason:(unit -> string) -> ?waits_on:string -> ((unit -> unit) -> unit) -> (unit -> unit) ->
   unit
 (** [await t ~reason register k], called from a step as its last action,
-    is {!suspend} for steps: it blocks the process with the same state,
-    [reason] and [waits_on] edge, calls [register] with a waker, and runs
-    [k] as its next step when the waker is first called.
+    blocks the process, calls [register] at once with a waker, and runs [k]
+    as its next step when the waker is first called, at the simulated time
+    of that call (from any other process). Calling the waker again, or
+    after the process moved on, is harmless.
+
+    [reason] renders the wait for diagnostics; it is called only when one
+    is built, so it must capture at the call any value it prints (a flag's
+    value at the time it blocked), not read it later. [waits_on] optionally
+    names the process {e group} expected to resolve the wait (the peer GPU
+    a signal must come from) — the wait-for edge {!Deadlock} and {!Stall}
+    diagnostics build their cycle reports from.
     @raise Invalid_argument anywhere else. *)
+
+val spawn : t -> name:string -> (unit -> unit) -> process
+(** Register a fiber process: its body runs in its own fiber at the
+    current simulation time and blocks only through {!handover}. It has no
+    group and is never a daemon. Kept only for the benchmark's allreduce
+    harness (see the header). *)
 
 val handover : t -> (('a -> unit) -> unit) -> 'a
 (** [handover t chain], called from a fiber process, runs [chain finish] at
@@ -195,25 +185,6 @@ val handover : t -> (('a -> unit) -> unit) -> 'a
 val process_name : process -> string
 val process_done : process -> bool
 
-val delay : t -> Time.t -> unit
-(** Block the calling process for a simulated duration. *)
-
-val suspend :
-  t -> reason:(unit -> string) -> ?waits_on:string -> ((unit -> unit) -> unit) -> unit
-(** [suspend t ~reason register] blocks the calling process. [register] is
-    called immediately with a waker; invoking the waker (from any other
-    process, at any later time) resumes the suspended process at the
-    simulation time of the waker call. Calling the waker more than once is
-    harmless. This is the primitive from which all of {!Sync} is built.
-
-    [reason] renders the wait for diagnostics; it is called only when one
-    is built, so it must capture at the call any value it prints (a flag's
-    value at the time it blocked), not read it later.
-
-    [waits_on] optionally names the process {e group} expected to resolve
-    this wait (the peer GPU a signal must come from) — the wait-for edge
-    {!Deadlock} and {!Stall} diagnostics build their cycle reports from. *)
-
 val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 (** Run a plain callback (not a process: it must not block) at an absolute
     time, which must not be in the past. *)
@@ -233,7 +204,8 @@ val events_executed : t -> int
 
 val fiber_resumes : t -> int
 (** Events that started or continued a fiber. A fiber continued inline by
-    its {!handover} chain is not counted: that is part of a step's event. *)
+    its {!handover} chain is not counted: that is part of a step's event.
+    Only a {!spawn} process makes them. *)
 
 val steps_run : t -> int
 (** Events that ran a step. Every event is a fiber resume, a step, or a

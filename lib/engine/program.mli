@@ -21,5 +21,4 @@ type 'a instr =
 val run : 'a instr array -> 'a -> (unit -> unit) -> unit
 (** [run code state finish] runs [code] from its start as steps of the
     calling process, with [state] the argument of every guard, and calls
-    [finish] once the counter runs off the end. Called from a fiber through
-    {!Engine.handover}, the whole program is one handover. *)
+    [finish] once the counter runs off the end. *)

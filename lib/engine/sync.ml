@@ -148,8 +148,6 @@ module Mailbox = struct
     Queue.push x t.items;
     match Queue.take_opt t.waiters with None -> () | Some wake -> wake ()
 
-  let try_recv t = Queue.take_opt t.items
-
   (* The reason, the registration and the re-check are made once per
      receiver, so a loop that calls it again from [k] allocates nothing
      per wait but the engine's waker. *)

@@ -3,8 +3,7 @@
     Each names its engine at creation and may only be used by processes of
     that engine. Every wait is written once, as steps over
     {!Engine.await}: it is called with the continuation to run once the
-    wait is over, and runs it at once when it need not wait. A fiber
-    reaches one through {!Engine.handover}. *)
+    wait is over, and runs it at once when it need not wait. *)
 
 (** Integer-valued signal cell, the simulated counterpart of an NVSHMEM
     signal flag or a device-memory spin flag. Writers {!Flag.set} or
@@ -14,7 +13,7 @@ module Flag : sig
 
   val create : ?name:string -> ?name_of:(unit -> string) -> Engine.t -> int -> t
   (** [name_of], when given, renders the name on demand instead of [name]
-      (as {!Engine.spawn}'s does): a flag made per message pays for
+      (as {!Engine.spawn_callbacks}'s does): a flag made per message pays for
       formatting only when a diagnostic reads it. *)
 
   val name : t -> string
@@ -28,7 +27,7 @@ module Flag : sig
   val wait_until_k : ?waits_on:string -> t -> (int -> bool) -> (unit -> unit) -> unit
   (** Run the continuation once the predicate holds for the flag value — at
       once if it already does. [waits_on] names the process group expected
-      to satisfy the wait (see {!Engine.suspend}). *)
+      to satisfy the wait (see {!Engine.await}). *)
 
   val wait_ge_k : ?waits_on:string -> t -> int -> (unit -> unit) -> unit
   (** {!wait_until_k} for [value >= v]; a flag that already holds builds no
@@ -72,7 +71,6 @@ module Mailbox : sig
       are made once, by [receiver], so a loop that calls the step again
       from [k] (a stream serving its queue) allocates none per wait. *)
 
-  val try_recv : 'a t -> 'a option
   val length : 'a t -> int
 end
 
@@ -89,6 +87,6 @@ module Resource : sig
   (** Reserve several resources for the same interval (a transfer crossing an
       egress and an ingress port), starting at the later of now and the
       time the last of them frees up; returns the start time. The array
-      must be non-empty. Does not block — pair with [Engine.delay] to model
-      the occupancy. *)
+      must be non-empty. Does not block — pair with {!Engine.after} to
+      model the occupancy. *)
 end

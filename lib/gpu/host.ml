@@ -13,16 +13,17 @@ let barrier_wait_k ctx b k =
             ~kind:E.Trace.Synchronization ~t0 ~t1:(E.Engine.now eng);
           k ()))
 
-let parallel_join ctx ~name f =
+let parallel_join_k ctx ~name f k =
   let eng = Runtime.engine ctx in
   let n = Runtime.num_gpus ctx in
   let finished = E.Sync.Flag.create ~name:(name ^ ".joined") eng 0 in
   for g = 0 to n - 1 do
     let (_ : E.Engine.process) =
-      E.Engine.spawn eng ~name:(Printf.sprintf "%s.host%d" name g) ~group:"host" (fun () ->
-          f g;
-          E.Sync.Flag.add finished 1)
+      E.Engine.spawn_callbacks eng
+        ~name_of:(fun () -> Printf.sprintf "%s.host%d" name g)
+        ~group:"host"
+        (fun () -> f g (fun () -> E.Sync.Flag.add finished 1))
     in
     ()
   done;
-  E.Engine.handover eng (E.Sync.Flag.wait_ge_k finished n)
+  E.Sync.Flag.wait_ge_k finished n k

@@ -10,7 +10,9 @@ val barrier_wait_k : Runtime.ctx -> barrier -> (unit -> unit) -> unit
     arrived, charge each the host-barrier latency, then run its
     continuation. *)
 
-val parallel_join : Runtime.ctx -> name:string -> (int -> unit) -> unit
-(** Run one host process per GPU executing [f gpu_id] (named
-    [<name>.host<gpu>], in the ["host"] group) and block the calling fiber
-    until all have finished. *)
+val parallel_join_k :
+  Runtime.ctx -> name:string -> (int -> (unit -> unit) -> unit) -> (unit -> unit) -> unit
+(** Start one host process per GPU running the step body [f gpu_id done]
+    (named [<name>.host<gpu>], in the ["host"] group; the rank ends when
+    its body calls [done]), and run the continuation once every rank has
+    ended. *)

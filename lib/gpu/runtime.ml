@@ -102,8 +102,7 @@ let endpoint_of_buffer b =
   if d = Buffer.host_device then Interconnect.Host else Interconnect.Gpu d
 
 (* Every host API call is written as steps: called with the continuation
-   to run once the call returns, it waits with {!E.Engine.after}. A fiber
-   reaches one through {!E.Engine.handover}. *)
+   to run once the call returns, it waits with {!E.Engine.after}. *)
 
 (* An API call charges its latency, then records its span. Its label is
    [label arg], built only when the engine records a trace, so a call
@@ -173,8 +172,8 @@ let stream_synchronize_k t stream k =
 let coop_label name = "coopLaunch:" ^ name
 
 (* The host half checks the grid, counts the launch and pays its cost;
-   then each role runs in its own process after its teardown delay, and
-   the continuation gets the kernel's completion flag. *)
+   then each role runs as its own step process after its teardown delay,
+   and the continuation gets the kernel's completion flag. *)
 let launch_cooperative_k t ~dev ~name ~blocks ~threads_per_block ~roles k =
   if roles = [] then raise (Coop_launch_error (name ^ ": no roles"));
   let capacity = Device.co_resident_blocks dev in
@@ -198,13 +197,12 @@ let launch_cooperative_k t ~dev ~name ~blocks ~threads_per_block ~roles k =
       List.iter
         (fun (role_name, role) ->
           let (_ : E.Engine.process) =
-            E.Engine.spawn t.eng
+            E.Engine.spawn_callbacks t.eng
               ~name_of:(fun () -> Printf.sprintf "%s.gpu%d.%s" name (Device.id dev) role_name)
               ~group:(gpu_group t (Device.id dev))
               (fun () ->
-                E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
-                role grid;
-                E.Sync.Flag.add finished 1)
+                t.after t.arch.Arch.kernel_teardown (fun () ->
+                    role grid (fun () -> E.Sync.Flag.add finished 1)))
           in
           ())
         roles;

@@ -4,8 +4,7 @@
     that process the corresponding API latency before any effect reaches a
     device — this is precisely the "host-incurred latency" the CPU-Free model
     eliminates. Each call is written as steps: it runs its continuation once
-    the call returns. A fiber reaches one through
-    {!Cpufree_engine.Engine.handover}. *)
+    the call returns. *)
 
 type ctx
 
@@ -74,15 +73,16 @@ val stream_synchronize_k : ctx -> Stream.t -> (unit -> unit) -> unit
 
 val launch_cooperative_k :
   ctx -> dev:Device.t -> name:string -> blocks:int -> threads_per_block:int ->
-  roles:(string * (Coop.t -> unit)) list -> (Cpufree_engine.Sync.Flag.t -> unit) -> unit
+  roles:(string * (Coop.t -> (unit -> unit) -> unit)) list ->
+  (Cpufree_engine.Sync.Flag.t -> unit) -> unit
 (** Launch a persistent cooperative kernel: the host pays the
-    cooperative-launch cost, then each role starts as its own process
+    cooperative-launch cost, then each role starts as its own step process
     (named [<name>.gpu<d>.<role>], in the device's group), sharing a grid
-    handle, and runs its body after the kernel's teardown delay. The
-    continuation gets a flag that becomes the number of finished roles; the
-    kernel has exited when it reaches [List.length roles]. A role written
-    as a step program hands itself over in its body
-    ({!Cpufree_engine.Engine.handover}).
+    handle, and runs its body after the kernel's teardown delay; the role
+    ends when its body calls the continuation it is given. The
+    continuation of the launch gets a flag that becomes the number of
+    finished roles; the kernel has exited when it reaches
+    [List.length roles].
 
     @raise Coop_launch_error if [blocks] exceeds co-residency or a role list
     is empty, before the host pays anything. *)

@@ -15,14 +15,14 @@ type t = {
 
 (* The serve loop's closures are made once: [next] waits for an op, runs
    it, and [served] counts it done and waits for the next. *)
-let serve t () =
+let serve t =
   let next = ref ignore in
   let served () =
     E.Sync.Flag.add t.done_flag 1;
     !next ()
   in
   next := E.Sync.Mailbox.receiver t.inbox (fun op -> op served);
-  E.Engine.handover t.eng (fun (_ : unit -> unit) -> !next ())
+  !next ()
 
 let create eng ~dev ~name =
   let t =
@@ -37,11 +37,11 @@ let create eng ~dev ~name =
     }
   in
   let (_ : E.Engine.process) =
-    E.Engine.spawn eng
-      ~name:(Printf.sprintf "stream:%s" name)
+    E.Engine.spawn_callbacks eng
+      ~name_of:(fun () -> "stream:" ^ name)
       ~daemon:true
       ~group:(Printf.sprintf "gpu%d" (Device.id dev))
-      (serve t)
+      (fun () -> serve t)
   in
   t
 

@@ -7,9 +7,9 @@
     which stalls the stream — matching a device kernel occupying its
     stream.
 
-    Every operation is written as steps, and the daemon serves its queue as
-    one {!Cpufree_engine.Engine.handover} for its whole life: it resumes as
-    a fiber only to start. *)
+    Every operation is written as steps, and the daemon is a step process
+    ({!Cpufree_engine.Engine.spawn_callbacks}) that serves its queue for
+    its whole life. *)
 
 type t
 

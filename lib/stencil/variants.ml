@@ -25,7 +25,7 @@ let name = function
 let of_name s = List.find_opt (fun k -> String.equal (name k) s) extended
 
 type built = {
-  program : G.Runtime.ctx -> unit;
+  program : Cpufree_core.Measure.program;
   final : unit -> G.Buffer.t array option;
   progress : int array;
 }
@@ -149,8 +149,8 @@ let iterate st it body =
   (Skip_unless ((fun it -> !it <= iterations), n + 2) :: body)
   @ [ Do (fun () -> incr it); Jump (-(n + 2)) ]
 
-(* Run [code] over counter [it] as one handover of the calling process. *)
-let run_code eng it code = E.Engine.handover eng (run (Array.of_list code) it)
+(* Run [code] over counter [it] as steps of the calling process. *)
+let run_code it code k = run (Array.of_list code) it k
 
 (* ------------------------------------------------------------------ *)
 (* Halo exchange                                                       *)
@@ -253,7 +253,7 @@ let device_norm_check st ctx ~pe ~fraction =
    signals alone and fence their puts once at the end instead. *)
 let host_driven st ctx ~name ~streams ~signaled body =
   let barrier = G.Host.barrier_create ctx ~parties:(G.Runtime.num_gpus ctx) in
-  G.Host.parallel_join ctx ~name (fun pe ->
+  G.Host.parallel_join_k ctx ~name (fun pe ->
       let eng = G.Runtime.engine ctx in
       let dev = G.Runtime.device ctx pe in
       let streams = Array.map (fun name -> G.Stream.create eng ~dev ~name) streams in
@@ -266,7 +266,7 @@ let host_driven st ctx ~name ~streams ~signaled body =
           @ [ Do (fun () -> tick st ~pe ~t:!it) ])
         @ if signaled then [ Wait (Nv.quiet_k st.nv ~pe) ] else []
       in
-      run_code eng it code)
+      run_code it code)
 
 let whole_cost st ctx ~pe = owned_cost st ctx ~pe ~fraction:1.0 ~bytes_per_elem:stencil_bpe
 let apply_whole st ~pe ~t = apply st ~pe ~t ~p0:1 ~p1:st.slabs.(pe).Slab.planes
@@ -403,8 +403,7 @@ let role_costs st ctx ~pe ~perks =
    inner role, which also checks the norm and records progress. After its
    grid barrier of an iteration, a comm role runs [comm_sync dir it] and
    the inner role [inner_sync it]: the two-kernel design's cross-kernel
-   flags. Each role is a process body that hands its step program over
-   once, after its teardown delay. *)
+   flags. Each role is a step program, started after its teardown delay. *)
 let roles st ctx ~pe costs ~comm_sync ~inner_sync =
   let eng = G.Runtime.engine ctx in
   let dev = G.Runtime.device ctx pe in
@@ -426,7 +425,7 @@ let roles st ctx ~pe costs ~comm_sync ~inner_sync =
   let boundary_lane = lazy (G.Device.lane dev "boundary") in
   let comm_role side grid =
     let it = ref 1 in
-    run_code eng it
+    run_code it
       (iterate st it
          ((Wait (fun k -> Proto.wait_halo_k st.proto ~pe ~dir:side.dir ~iter:!it k)
           :: compute ~lane:boundary_lane ~label:"boundary" costs.boundary it (fun t ->
@@ -437,7 +436,7 @@ let roles st ctx ~pe costs ~comm_sync ~inner_sync =
   let inner_lane = lazy (G.Device.lane dev "inner") in
   let inner_role grid =
     let it = ref 1 in
-    run_code eng it
+    run_code it
       (iterate st it
          (compute ~lane:inner_lane ~label:"inner" costs.inner it (fun t -> apply_inner st ~pe ~t)
          @ [ Wait (G.Coop.sync_k grid) ]
@@ -452,17 +451,16 @@ let roles st ctx ~pe costs ~comm_sync ~inner_sync =
   let comm_name side = match side.dir with Proto.Up -> "comm_top" | Proto.Down -> "comm_bottom" in
   (List.map (fun side -> (comm_name side, comm_role side)) sides, ("inner", inner_role))
 
-let run_persistent st ctx ~label ~perks =
+let run_persistent st ctx ~label ~perks k =
   let roles pe =
     let costs = role_costs st ctx ~pe ~perks in
     let comm, inner = roles st ctx ~pe costs ~comm_sync:(fun _ _ -> []) ~inner_sync:(fun _ -> []) in
     comm @ [ inner ]
   in
-  Persistent.run_all ctx ~name:label ~blocks:(Persistent.max_blocks ctx) ~threads_per_block:1024
-    ~roles;
-  (* The persistent kernels have exited; flush any trailing deliveries. *)
-  G.Host.parallel_join ctx ~name:(label ^ ".drain") (fun pe ->
-      E.Engine.handover (G.Runtime.engine ctx) (Nv.quiet_k st.nv ~pe))
+  Persistent.run_all_k ctx ~name:label ~blocks:(Persistent.max_blocks ctx)
+    ~threads_per_block:1024 ~roles (fun () ->
+      (* The persistent kernels have exited; flush any trailing deliveries. *)
+      G.Host.parallel_join_k ctx ~name:(label ^ ".drain") (fun pe -> Nv.quiet_k st.nv ~pe) k)
 
 (* The alternative design of §4: instead of specializing thread blocks
    inside one kernel, run two co-resident persistent kernels per device —
@@ -488,7 +486,7 @@ let run_cpu_free_multi st ctx =
       Wait (E.Engine.after eng local_flag_latency);
     ]
   in
-  G.Host.parallel_join ctx ~name:"cpu_free_2k" (fun pe ->
+  G.Host.parallel_join_k ctx ~name:"cpu_free_2k" (fun pe k ->
       let dev = G.Runtime.device ctx pe in
       let costs = role_costs st ctx ~pe ~perks:false in
       (* The comm kernel's leader block (its top role) publishes completion
@@ -507,13 +505,12 @@ let run_cpu_free_multi st ctx =
       let split = costs.split in
       let comm_blocks = Stdlib.max 2 (2 * split.Specialize.boundary_blocks) in
       let comp_blocks = Stdlib.max 1 (split.Specialize.total_blocks - comm_blocks) in
-      E.Engine.handover eng (fun k ->
-          G.Runtime.launch_cooperative_k ctx ~dev ~name:"comm_kernel" ~blocks:comm_blocks
-            ~threads_per_block:1024 ~roles:comm_roles (fun fin_comm ->
-              G.Runtime.launch_cooperative_k ctx ~dev ~name:"comp_kernel" ~blocks:comp_blocks
-                ~threads_per_block:1024 ~roles:[ inner ] (fun fin_comp ->
-                  E.Sync.Flag.wait_ge_k fin_comm (List.length comm_roles) (fun () ->
-                      E.Sync.Flag.wait_ge_k fin_comp 1 (fun () -> Nv.quiet_k st.nv ~pe k))))))
+      G.Runtime.launch_cooperative_k ctx ~dev ~name:"comm_kernel" ~blocks:comm_blocks
+        ~threads_per_block:1024 ~roles:comm_roles (fun fin_comm ->
+          G.Runtime.launch_cooperative_k ctx ~dev ~name:"comp_kernel" ~blocks:comp_blocks
+            ~threads_per_block:1024 ~roles:[ inner ] (fun fin_comp ->
+              E.Sync.Flag.wait_ge_k fin_comm (List.length comm_roles) (fun () ->
+                  E.Sync.Flag.wait_ge_k fin_comp 1 (fun () -> Nv.quiet_k st.nv ~pe k)))))
 
 (* ------------------------------------------------------------------ *)
 
@@ -537,17 +534,21 @@ let build kind problem ~gpus =
   (match feasible kind problem ~gpus with Ok () -> () | Error e -> invalid_arg e);
   let store = ref None in
   let progress = Array.make gpus 0 in
-  let program ctx =
+  let program ctx k =
     let st = setup problem ctx ~progress in
-    (match kind with
-    | Copy -> run_copy st ctx
-    | Overlap -> run_overlap st ctx
-    | P2p -> run_p2p st ctx
-    | Nvshmem -> run_nvshmem st ctx
-    | Cpu_free -> run_persistent st ctx ~label:"cpu_free" ~perks:false
-    | Perks -> run_persistent st ctx ~label:"perks" ~perks:true
-    | Cpu_free_multi -> run_cpu_free_multi st ctx);
-    let sym = final_sym st in
-    store := Some (Array.init gpus (fun pe -> Nv.local sym ~pe))
+    let run =
+      match kind with
+      | Copy -> run_copy st ctx
+      | Overlap -> run_overlap st ctx
+      | P2p -> run_p2p st ctx
+      | Nvshmem -> run_nvshmem st ctx
+      | Cpu_free -> run_persistent st ctx ~label:"cpu_free" ~perks:false
+      | Perks -> run_persistent st ctx ~label:"perks" ~perks:true
+      | Cpu_free_multi -> run_cpu_free_multi st ctx
+    in
+    run (fun () ->
+        let sym = final_sym st in
+        store := Some (Array.init gpus (fun pe -> Nv.local sym ~pe));
+        k ())
   in
   { program; final = (fun () -> !store); progress }

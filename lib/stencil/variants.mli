@@ -48,7 +48,7 @@ val name : kind -> string
 val of_name : string -> kind option
 
 type built = {
-  program : Cpufree_gpu.Runtime.ctx -> unit;  (** complete host program *)
+  program : Cpufree_core.Measure.program;  (** complete host program *)
   final : unit -> Cpufree_gpu.Buffer.t array option;
       (** after the program has run: per-PE buffer holding the final state *)
   progress : int array;

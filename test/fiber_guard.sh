@@ -1,0 +1,20 @@
+#!/bin/sh
+# Fails when the effect-handler fiber creeps back into the program.
+#
+# Every process the library, the CLI, the bench and the examples create is
+# a step process (Engine.spawn_callbacks). The fiber (Engine.spawn,
+# Engine.handover and the effects behind them) remains only in
+# lib/engine/engine.ml and in the two fiber entry points of
+# lib/comm/collective.ml (allreduce_sum and host_allreduce_sum), which the
+# benchmark's fiber allreduce harness calls. Run from the repository root.
+hits=$(grep -rnE --include='*.ml' 'Engine\.spawn([^_[:alnum:]]|$)|Engine\.handover|Effect\.' \
+  lib bin bench examples | grep -v '^lib/engine/engine\.ml:')
+entry='^lib/comm/collective\.ml:[0-9]+: +Cpufree_engine\.Engine\.handover '
+rest=$(printf '%s\n' "$hits" | grep -vE "$entry")
+entries=$(printf '%s\n' "$hits" | grep -cE "$entry")
+if [ -n "$rest" ] || [ "$entries" -gt 2 ]; then
+  echo "fiber guard: a fiber primitive is used outside engine.ml and the two" >&2
+  echo "Collective fiber entry points:" >&2
+  printf '%s\n' "$hits" >&2
+  exit 1
+fi

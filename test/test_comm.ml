@@ -55,6 +55,18 @@ let with_machine ?(gpus = 2) f =
   Engine.run eng;
   (eng, ctx)
 
+(* A step process named [name]. *)
+let proc eng ?group name body = Engine.spawn_callbacks eng ~name_of:(fun () -> name) ?group body
+
+(* A probe that raises a stall report [at] in, naming every blocked process. *)
+let stall_probe eng at =
+  let (_ : Engine.process) =
+    proc eng "probe" (fun () ->
+        Engine.after eng at (fun () ->
+            raise (Engine.Stall (Engine.stall_report eng ~trigger:"probe"))))
+  in
+  ()
+
 (* --- NVSHMEM ------------------------------------------------------------ *)
 
 let nvshmem_tests =
@@ -100,11 +112,7 @@ let nvshmem_tests =
                 ~dst:s ~dst_pos:0 ~len:1_000_000 ~sig_var:f ~sig_op:Nv.Signal_set ~sig_value:1;
               signal_wait_ge nv ~pe:1 ~sig_var:f 1)
         in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"probe" (fun () ->
-              Engine.delay eng (Time.us 5);
-              raise (Engine.Stall (Engine.stall_report eng ~trigger:"probe")))
-        in
+        stall_probe eng (Time.us 5);
         match Engine.run eng with
         | () -> Alcotest.fail "expected the probe's stall"
         | exception Engine.Stall r ->
@@ -199,11 +207,10 @@ let nvshmem_tests =
               let nv = Nv.init ctx in
               let f = Nv.signal_malloc nv ~label:"f" () in
               let (_ : Engine.process) =
-                Engine.spawn eng ~name:"setter" (fun () ->
-                    Engine.delay eng (Time.ns 10);
-                    in_fiber nv
-                      (Nv.signal_op_remote_k nv ~from_pe:1 ~to_pe:0 ~sig_var:f
-                         ~sig_op:Nv.Signal_set ~sig_value:42))
+                proc eng "setter" (fun () ->
+                    Engine.after eng (Time.ns 10) (fun () ->
+                        Nv.signal_op_remote_k nv ~from_pe:1 ~to_pe:0 ~sig_var:f
+                          ~sig_op:Nv.Signal_set ~sig_value:42 ignore))
               in
               signal_wait_until nv ~pe:0 ~sig_var:f (fun v -> v = 42))
         in
@@ -278,10 +285,10 @@ let mpi_tests =
               let b = G.Buffer.create ~device:1 ~label:"b" 9 in
               G.Buffer.init a float_of_int;
               let s =
-                isend eng mpi ~rank:0 ~dst:1 ~tag:0 (Mpi.type_vector a ~pos:2 ~stride:3 ~count:3)
+                isend eng mpi ~rank:0 ~dst:1 ~tag:0 { Mpi.buf = a; pos = 2; stride = 3; count = 3 }
               in
               let r =
-                irecv eng mpi ~rank:1 ~src:0 ~tag:0 (Mpi.type_vector b ~pos:0 ~stride:3 ~count:3)
+                irecv eng mpi ~rank:1 ~src:0 ~tag:0 { Mpi.buf = b; pos = 0; stride = 3; count = 3 }
               in
               waitall eng mpi [ s; r ];
               check_float "c0" 2.0 (G.Buffer.get b 0);
@@ -296,10 +303,14 @@ let mpi_tests =
               let a = G.Buffer.create ~device:0 ~label:"a" 1 in
               let b = G.Buffer.create ~device:1 ~label:"b" 1 in
               let (_ : Engine.process) =
-                Engine.spawn eng ~name:"sender" (fun () ->
-                    Engine.delay eng (Time.us 50);
-                    let s = isend eng mpi ~rank:0 ~dst:1 ~tag:0 (Mpi.contiguous a ~pos:0 ~len:1) in
-                    waitall eng mpi [ s ])
+                proc eng "sender" (fun () ->
+                    Engine.after eng (Time.us 50) (fun () ->
+                        let s = ref None in
+                        let wait () = Mpi.waitall_k mpi (Option.to_list !s) ignore in
+                        s :=
+                          Some
+                            (Mpi.isend_k mpi ~rank:0 ~dst:1 ~tag:0 (Mpi.contiguous a ~pos:0 ~len:1)
+                               wait)))
               in
               let r = irecv eng mpi ~rank:1 ~src:0 ~tag:0 (Mpi.contiguous b ~pos:0 ~len:1) in
               waitall eng mpi [ r ];
@@ -381,7 +392,7 @@ let host_path_tests =
           Engine.now eng
         in
         let contiguous = time_of (fun buf -> Mpi.contiguous buf ~pos:0 ~len:512) in
-        let strided = time_of (fun buf -> Mpi.type_vector buf ~pos:0 ~stride:8 ~count:512) in
+        let strided = time_of (fun buf -> { Mpi.buf; pos = 0; stride = 8; count = 512 }) in
         check_bool "staging is much slower" true
           (Time.to_sec_float strided > 3.0 *. Time.to_sec_float contiguous));
   ]
@@ -564,9 +575,9 @@ let collective_tests =
         let results = Array.make 3 nan in
         for pe = 0 to 2 do
           let (_ : Engine.process) =
-            Engine.spawn eng ~name:"pe" (fun () ->
-                Engine.delay eng (Time.us (pe * 40));
-                results.(pe) <- Collective.allreduce_sum coll ~pe 1.0)
+            proc eng "pe" (fun () ->
+                Engine.after eng (Time.us (pe * 40)) (fun () ->
+                    Collective.allreduce_sum_k coll ~pe 1.0 (fun v -> results.(pe) <- v)))
           in
           ()
         done;
@@ -879,11 +890,7 @@ let in_flight_report ~spec puts =
   let s = Nv.sym_malloc nv ~label:"x" ~phantom:true 1_000_000 in
   let f = Nv.signal_malloc nv ~label:"f" () in
   let (_ : Engine.process) = Engine.spawn eng ~name:"main" (fun () -> puts nv s f) in
-  let (_ : Engine.process) =
-    Engine.spawn eng ~name:"probe" (fun () ->
-        Engine.delay eng (Time.us 5);
-        raise (Engine.Stall (Engine.stall_report eng ~trigger:"probe")))
-  in
+  stall_probe eng (Time.us 5);
   match Engine.run eng with
   | () -> Alcotest.fail "expected the probe's stall"
   | exception Engine.Stall r -> r.Engine.stall_blocked
@@ -935,16 +942,14 @@ let delivery_tests =
           let ctx = G.Runtime.create eng ~env:(Env.make ~topology:Topo.Ring ()) ~num_gpus:4 () in
           let topo = G.Interconnect.topology (G.Runtime.net ctx) in
           let (_ : Engine.process) =
-            Engine.spawn eng ~name:"main" (fun () ->
+            proc eng "main" (fun () ->
                 let nv = Nv.init ctx in
                 let s = Nv.sym_malloc nv ~label:"x" 4 in
-                Engine.delay eng (Time.ns 100);
-                Topo.fail_link topo ~src:"gpu0" ~dst:"gpu1";
-                Topo.fail_link topo ~src:"gpu1" ~dst:"gpu2";
-                in_fiber nv
-                  (Nv.putmem_nbi_k nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:0 ~dst:s
-                   ~dst_pos:0 ~len:4);
-                quiet nv ~pe:0)
+                Engine.after eng (Time.ns 100) (fun () ->
+                    Topo.fail_link topo ~src:"gpu0" ~dst:"gpu1";
+                    Topo.fail_link topo ~src:"gpu1" ~dst:"gpu2";
+                    Nv.putmem_nbi_k nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0) ~src_pos:0
+                      ~dst:s ~dst_pos:0 ~len:4 (fun () -> Nv.quiet_k nv ~pe:0 ignore)))
           in
           match Engine.run eng with
           | () -> Alcotest.fail "expected Partitioned"
@@ -963,9 +968,9 @@ let delivery_tests =
 
 (* --- Allreduce drivers as step chains ---------------------------------------- *)
 
-(* Both drivers walk their schedule as one chain of steps, with every
-   event and its order as when they ran as fibers: the totals and final
-   clocks below are the fiber drivers' own. *)
+(* Both drivers walk their schedule as one chain of steps, here from step
+   processes, with every event and its order as when they ran as fibers:
+   the totals and final clocks below are the fiber drivers' own. *)
 
 let run_device ?faults ?(skip = -1) algorithm n =
   let eng = Engine.create () in
@@ -975,8 +980,8 @@ let run_device ?faults ?(skip = -1) algorithm n =
   for pe = 0 to n - 1 do
     if pe <> skip then
       ignore
-        (Engine.spawn eng ~name:(Printf.sprintf "pe%d" pe) ~group:(G.Runtime.gpu_group ctx pe)
-           (fun () -> res.(pe) <- Collective.allreduce_sum coll ~pe (float_of_int (pe + 1)))
+        (proc eng (Printf.sprintf "pe%d" pe) ~group:(G.Runtime.gpu_group ctx pe) (fun () ->
+             Collective.allreduce_sum_k coll ~pe (float_of_int (pe + 1)) (fun v -> res.(pe) <- v))
           : Engine.process)
   done;
   (eng, ctx, res)
@@ -986,10 +991,10 @@ let run_host algorithm n =
   let ctx = G.Runtime.create eng ~num_gpus:n () in
   let res = ref [||] in
   ignore
-    (Engine.spawn eng ~name:"host" ~group:"host" (fun () ->
-         res :=
-           Collective.host_allreduce_sum ctx ~algorithm ~label:"coll"
-             (Array.init n (fun g -> float_of_int (g + 1))))
+    (proc eng "host" ~group:"host" (fun () ->
+         Collective.host_allreduce_sum_k ctx ~algorithm ~label:"coll"
+           (Array.init n (fun g -> float_of_int (g + 1)))
+           (fun v -> res := v))
       : Engine.process);
   (eng, res)
 
@@ -1007,18 +1012,18 @@ let step_tests =
             check_int (name "device events") device_events (Engine.events_executed eng);
             check_int (name "device clock") device_ns (Time.to_ns (Engine.now eng));
             Array.iter (check_float (name "device sum") sum) res;
-            (* One fiber resume per PE: its start. Every other event is a step. *)
-            check_int (name "device fiber resumes") n (Engine.fiber_resumes eng);
-            check_int (name "device steps") (device_events - n) (Engine.steps_run eng);
+            (* Every event is a step, the PEs' starts included. *)
+            check_int (name "device fiber resumes") 0 (Engine.fiber_resumes eng);
+            check_int (name "device steps") device_events (Engine.steps_run eng);
             let eng, res = run_host algorithm n in
             Engine.run eng;
             check_int (name "host events") host_events (Engine.events_executed eng);
             check_int (name "host clock") host_ns (Time.to_ns (Engine.now eng));
             Array.iter (check_float (name "host sum") sum) !res;
-            (* The host thread's start and each stream daemon's: copies are
-               steps, and no stream op blocks. *)
-            check_int (name "host fiber resumes") (n + 1) (Engine.fiber_resumes eng);
-            check_int (name "host steps") (host_events - n - 1) (Engine.steps_run eng))
+            (* The host's start, each stream daemon's and every copy are
+               steps. *)
+            check_int (name "host fiber resumes") 0 (Engine.fiber_resumes eng);
+            check_int (name "host steps") host_events (Engine.steps_run eng))
           [
             (Collective.Ring, 5, 125, 20000, 86, 166000);
             (Collective.Ring, 8, 344, 35000, 233, 464800);
@@ -1078,7 +1083,7 @@ let step_tests =
             check_int (name "dropped") dropped st.Fault.dropped;
             check_int (name "resent") resent st.Fault.resent;
             check_int (name "retried") retried st.Fault.retried;
-            check_int (name "fiber resumes") 5 (Engine.fiber_resumes eng))
+            check_int (name "fiber resumes") 0 (Engine.fiber_resumes eng))
           [
             (Collective.Tree, Array.make 5 15.0, 66, 80000, 4, 4, 8);
             (Collective.Doubling, Array.make 5 15.0, 82, 85000, 6, 6, 7);
@@ -1107,14 +1112,16 @@ let step_tests =
                 let coll = Collective.create ~algorithm (Nv.init ctx) ~label:"coll" in
                 let wrong = ref [] in
                 for pe = 0 to n - 1 do
+                  let rec round r =
+                    if r <= 4 then
+                      Collective.allreduce_sum_k coll ~pe (float_of_int (pe + r)) (fun sum ->
+                          if sum <> float_of_int ((n * (n - 1) / 2) + (n * r)) then
+                            wrong := (pe, r) :: !wrong;
+                          round (r + 1))
+                  in
                   ignore
-                    (Engine.spawn eng ~name:(Printf.sprintf "pe%d" pe)
-                       ~group:(G.Runtime.gpu_group ctx pe) (fun () ->
-                         for r = 1 to 4 do
-                           let sum = Collective.allreduce_sum coll ~pe (float_of_int (pe + r)) in
-                           if sum <> float_of_int ((n * (n - 1) / 2) + (n * r)) then
-                             wrong := (pe, r) :: !wrong
-                         done)
+                    (proc eng (Printf.sprintf "pe%d" pe) ~group:(G.Runtime.gpu_group ctx pe)
+                       (fun () -> round 1)
                       : Engine.process)
                 done;
                 Engine.run eng;

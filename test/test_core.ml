@@ -25,6 +25,19 @@ let with_machine ?(gpus = 2) f =
   Engine.run eng;
   (eng, ctx)
 
+(* [f eng ctx] as the first step of a step process "main". *)
+let with_steps ?(gpus = 2) f =
+  let eng = Engine.create () in
+  let ctx = G.Runtime.create eng ~num_gpus:gpus () in
+  let (_ : Engine.process) =
+    Engine.spawn_callbacks eng ~name_of:(fun () -> "main") (fun () -> f eng ctx)
+  in
+  Engine.run eng;
+  (eng, ctx)
+
+(* [body] [n] times in a row, then [k]. *)
+let rec repeat n body k = if n = 0 then k () else body (fun () -> repeat (n - 1) body k)
+
 (* The protocol's and NVSHMEM's step forms from a fiber, handed over. *)
 let wait_halo nv p ~pe ~dir ~iter = Engine.handover (Nv.engine nv) (Proto.wait_halo_k p ~pe ~dir ~iter)
 
@@ -196,24 +209,35 @@ let persistent_tests =
     Alcotest.test_case "run_all launches one kernel per GPU" `Quick (fun () ->
         let launched = ref [] in
         let _ =
-          with_machine ~gpus:4 (fun _ ctx ->
-              Persistent.run_all ctx ~name:"k" ~blocks:108 ~threads_per_block:1024
-                ~roles:(fun pe -> [ ("only", fun _ -> launched := pe :: !launched) ]))
+          with_steps ~gpus:4 (fun _ ctx ->
+              Persistent.run_all_k ctx ~name:"k" ~blocks:108 ~threads_per_block:1024
+                ~roles:(fun pe ->
+                  [
+                    ( "only",
+                      fun _ k ->
+                        launched := pe :: !launched;
+                        k () );
+                  ])
+                ignore)
         in
         check (Alcotest.list Alcotest.int) "all devices" [ 0; 1; 2; 3 ]
           (List.sort Int.compare !launched));
     Alcotest.test_case "roles on one device share their grid" `Quick (fun () ->
         let met = ref [] in
         let _ =
-          with_machine ~gpus:1 (fun eng ctx ->
-              Persistent.run_all ctx ~name:"k" ~blocks:16 ~threads_per_block:1024
+          with_steps ~gpus:1 (fun eng ctx ->
+              Persistent.run_all_k ctx ~name:"k" ~blocks:16 ~threads_per_block:1024
                 ~roles:(fun _ ->
-                  let role tag grid =
-                    Engine.delay eng (Time.ns (100 * (tag + 1)));
-                    Engine.handover eng (G.Coop.sync_k grid);
-                    met := Time.to_ns (Engine.now eng) :: !met
+                  let role tag grid k =
+                    Engine.after eng
+                      (Time.ns (100 * (tag + 1)))
+                      (fun () ->
+                        G.Coop.sync_k grid (fun () ->
+                            met := Time.to_ns (Engine.now eng) :: !met;
+                            k ()))
                   in
-                  [ ("a", role 0); ("b", role 1) ]))
+                  [ ("a", role 0); ("b", role 1) ])
+                ignore)
         in
         match !met with
         | [ a; b ] -> check_int "met at barrier" a b
@@ -222,9 +246,12 @@ let persistent_tests =
         let eng = Engine.create () in
         let ctx = G.Runtime.create eng ~num_gpus:1 () in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"main" (fun () ->
-              Persistent.run_all ctx ~name:"k" ~blocks:4096 ~threads_per_block:1024
-                ~roles:(fun _ -> [ ("r", fun _ -> ()) ]))
+          Engine.spawn_callbacks eng
+            ~name_of:(fun () -> "main")
+            (fun () ->
+              Persistent.run_all_k ctx ~name:"k" ~blocks:4096 ~threads_per_block:1024
+                ~roles:(fun _ -> [ ("r", fun _ k -> k ()) ])
+                ignore)
         in
         (match Engine.run eng with
         | () -> Alcotest.fail "expected Coop_launch_error"
@@ -241,8 +268,8 @@ let measure_tests =
   [
     Alcotest.test_case "run reports simulated totals" `Quick (fun () ->
         let r =
-          Measure.run_env ~label:"x" ~gpus:1 ~iterations:10 (fun ctx ->
-              Engine.delay (G.Runtime.engine ctx) (Time.us 100))
+          Measure.run_env ~label:"x" ~gpus:1 ~iterations:10 (fun ctx k ->
+              Engine.after (G.Runtime.engine ctx) (Time.us 100) k)
         in
         check_int "total" 100_000 (Time.to_ns r.Measure.total);
         check_int "per iter" 10_000 (Time.to_ns r.Measure.per_iter);
@@ -250,12 +277,10 @@ let measure_tests =
     Alcotest.test_case "traced run exposes the trace" `Quick (fun () ->
         let o =
           Measure.run ~traced:true
-            (Measure.job ~label:"x" ~gpus:2 ~iterations:1 (fun ctx ->
-                 let net = G.Runtime.net ctx in
-                 Engine.handover (G.Runtime.engine ctx) (fun k ->
-                     G.Interconnect.transfer_steps net ~src:(G.Interconnect.Gpu 0)
-                       ~dst:(G.Interconnect.Gpu 1) ~initiator:G.Interconnect.By_device
-                       ~bytes:3_000 ~trace_lane:"gpu0.comm" k)))
+            (Measure.job ~label:"x" ~gpus:2 ~iterations:1 (fun ctx k ->
+                 G.Interconnect.transfer_steps (G.Runtime.net ctx) ~src:(G.Interconnect.Gpu 0)
+                   ~dst:(G.Interconnect.Gpu 1) ~initiator:G.Interconnect.By_device ~bytes:3_000
+                   ~trace_lane:"gpu0.comm" k))
         in
         let r = o.Measure.result and trace = Option.get o.Measure.trace in
         check_bool "comm recorded" true Time.(r.Measure.comm > Time.zero);
@@ -263,14 +288,14 @@ let measure_tests =
         check_int "bytes" 3_000 r.Measure.bytes_moved);
     Alcotest.test_case "speedup formula matches the paper" `Quick (fun () ->
         let mk total =
-          Measure.run_env ~label:"x" ~gpus:1 ~iterations:1 (fun ctx ->
-              Engine.delay (G.Runtime.engine ctx) total)
+          Measure.run_env ~label:"x" ~gpus:1 ~iterations:1 (fun ctx k ->
+              Engine.after (G.Runtime.engine ctx) total k)
         in
         let baseline = mk (Time.us 100) and ours = mk (Time.us 40) in
         check_float "60%" 60.0 (Measure.speedup_pct ~baseline ~ours));
     Alcotest.test_case "pp_table renders all rows" `Quick (fun () ->
         let r =
-          Measure.run_env ~label:"row-one" ~gpus:1 ~iterations:1 (fun _ -> ())
+          Measure.run_env ~label:"row-one" ~gpus:1 ~iterations:1 (fun _ k -> k ())
         in
         let s = Format.asprintf "%a" (fun fmt -> Measure.pp_table fmt ~header:"H") [ r; r ] in
         check_bool "header" true (Astring.String.is_infix ~affix:"== H ==" s);
@@ -285,13 +310,15 @@ let determinism_tests =
               let nv = Nv.init ctx in
               let p = Proto.create nv ~label:"h" in
               let s = Nv.sym_malloc nv ~label:"x" 64 in
-              G.Host.parallel_join ctx ~name:"w" (fun pe ->
-                  for t = 1 to 8 do
-                    wait_halo nv p ~pe ~dir:Proto.Up ~iter:t;
-                    put_boundary nv p ~from_pe:pe ~dir:Proto.Down ~src:(Nv.local s ~pe)
-                      ~src_pos:0 ~dst:s ~dst_pos:32 ~len:16 ~iter:t
-                  done;
-                  quiet nv ~pe))
+              G.Host.parallel_join_k ctx ~name:"w" (fun pe k ->
+                  let rec iter t =
+                    if t > 8 then Nv.quiet_k nv ~pe k
+                    else
+                      Proto.wait_halo_k p ~pe ~dir:Proto.Up ~iter:t (fun () ->
+                          Proto.put_boundary_k p ~from_pe:pe ~dir:Proto.Down ~src:(Nv.local s ~pe)
+                            ~src_pos:0 ~dst:s ~dst_pos:32 ~len:16 ~iter:t (fun () -> iter (t + 1)))
+                  in
+                  iter 1))
         in
         let a = run () and b = run () in
         check_int "same total" (Time.to_ns a.Measure.total) (Time.to_ns b.Measure.total);
@@ -302,9 +329,10 @@ let determinism_tests =
           let acc = ref 0 in
           for i = 1 to 1000 do
             let (_ : Engine.process) =
-              Engine.spawn eng ~name:(string_of_int i) (fun () ->
-                  Engine.delay eng (Time.ns ((i * 37) mod 211));
-                  acc := (!acc * 31) + i)
+              Engine.spawn_callbacks eng
+                ~name_of:(fun () -> string_of_int i)
+                (fun () ->
+                  Engine.after eng (Time.ns ((i * 37) mod 211)) (fun () -> acc := (!acc * 31) + i))
             in
             ()
           done;
@@ -341,10 +369,8 @@ let parallel_tests =
         let scenario gpus =
           Measure.run_env ~label:"p" ~gpus ~iterations:4 (fun ctx ->
               let eng = G.Runtime.engine ctx in
-              G.Host.parallel_join ctx ~name:"w" (fun pe ->
-                  for _ = 1 to 4 do
-                    Engine.delay eng (Time.ns (100 * (pe + 1)))
-                  done))
+              G.Host.parallel_join_k ctx ~name:"w" (fun pe ->
+                  repeat 4 (Engine.after eng (Time.ns (100 * (pe + 1))))))
         in
         let inputs = [ 1; 2; 4; 8; 8; 4; 2; 1 ] in
         let seq = List.map scenario inputs in

@@ -1002,7 +1002,11 @@ let baseline_deadlock () =
       (D.Autotune.transform (Pipeline.hand_plan Pipeline.Baseline_mpi ~gpus) sdfg) in
   let eng = Engine.create () in
   let ctx = Cpufree_gpu.Runtime.create eng ~num_gpus:gpus () in
-  let (_ : Engine.process) = Engine.spawn eng ~name:"main" (fun () -> built.D.Exec.program ctx) in
+  let (_ : Engine.process) =
+    Engine.spawn_callbacks eng
+      ~name_of:(fun () -> "main")
+      (fun () -> built.D.Exec.program ctx ignore)
+  in
   match Engine.run eng with
   | () -> Alcotest.fail "expected Deadlock"
   | exception Engine.Deadlock lines -> lines
@@ -1016,44 +1020,8 @@ let pinned_deadlock =
     "jacobi1d.host3(#5) [host]: flag mpi.send.4 (value 0) (since 42.00us)";
   ]
 
-(* Fiber resumes of one jacobi2d run on 2 GPUs, driven by the engine
-   directly: every process of the run counts, host side included. A host
-   rank runs its lowered program as one handover (a persistent run's
-   prologue, cooperative launch, join, fence and epilogue included), its
-   stream runs the map kernels as steps and a matched MPI message is a
-   process of steps, so the count does not grow with the iterations. A
-   persistent role is a step program too: its process resumes as a fiber
-   only to start and to end its teardown delay, and a second role per GPU
-   (the specialized schedule) adds exactly two per GPU. The rest are the
-   main process's start and each host rank's and stream's start; the main
-   process waits for the ranks as a handover, so its wake-up is a step. *)
-let fiber_resumes ?specialize_tb arm ~iters =
-  let app = Pipeline.Jacobi2d { Programs.nx_global = 32; ny_global = 32; tsteps = iters } in
-  let built = Pipeline.compile ?specialize_tb app arm ~gpus:2 in
-  let eng = Engine.create () in
-  let ctx = Cpufree_gpu.Runtime.create eng ~num_gpus:2 () in
-  let (_ : Engine.process) = Engine.spawn eng ~name:"main" (fun () -> built.D.Exec.program ctx) in
-  Engine.run eng;
-  Engine.fiber_resumes eng
-
 let pinned_tests =
   [
-    Alcotest.test_case "a persistent role resumes as a fiber only to start and to end teardown"
-      `Quick (fun () ->
-        List.iter
-          (fun iters ->
-            let name what = Printf.sprintf "%s, %d iterations" what iters in
-            check_int (name "one role per GPU") 9
-              (fiber_resumes ~specialize_tb:false Pipeline.Cpu_free ~iters);
-            check_int (name "two roles per GPU") 13
-              (fiber_resumes ~specialize_tb:true Pipeline.Cpu_free ~iters))
-          [ 1; 2; 4 ]);
-    Alcotest.test_case "a DaCe baseline rank resumes as a fiber only to start" `Quick (fun () ->
-        List.iter
-          (fun iters ->
-            check_int (Printf.sprintf "%d iterations" iters) 5
-              (fiber_resumes Pipeline.Baseline_mpi ~iters))
-          [ 1; 2; 4 ]);
     Alcotest.test_case "persistent runs keep their events, clock and result" `Quick (fun () ->
         List.iter2
           (fun (app, specialize_tb, gpus, faults) want ->

@@ -15,17 +15,21 @@ let check_bool = check Alcotest.bool
 let check_float msg = check (Alcotest.float 1e-9) msg
 let check_time msg expected actual = check_int msg (Time.to_ns expected) (Time.to_ns actual)
 
-(* Run [f] as the sole initial process of a fresh engine and drain it. *)
+(* A step process named [name]. *)
+let proc eng ?daemon ?group name body =
+  Engine.spawn_callbacks eng ~name_of:(fun () -> name) ?daemon ?group body
+
+(* Run [f eng] as the first step of the sole initial process of a fresh
+   engine and drain it. *)
 let run_sim f =
   let eng = Engine.create () in
-  let (_ : Engine.process) = Engine.spawn eng ~name:"main" (fun () -> f eng) in
+  let (_ : Engine.process) = proc eng "main" (fun () -> f eng) in
   Engine.run eng;
   eng
 
-(* A fiber waits on a [Sync] object through its step form, handed over. *)
-let wait_ge eng f v = Engine.handover eng (Sync.Flag.wait_ge_k f v)
-let barrier_wait eng b = Engine.handover eng (Sync.Barrier.wait_k b)
-let recv eng mb = Engine.handover eng (fun k -> Sync.Mailbox.receiver mb k ())
+(* A step waits on a [Sync] object and runs [k] once it is over. *)
+let wait_ge f v k = Sync.Flag.wait_ge_k f v k
+let recv mb k = Sync.Mailbox.receiver mb k ()
 
 (* --- Time -------------------------------------------------------------- *)
 
@@ -336,27 +340,24 @@ let trace_tests =
 let engine_tests =
   [
     Alcotest.test_case "delay advances the clock" `Quick (fun () ->
-        let eng = run_sim (fun eng -> Engine.delay eng (Time.us 5)) in
+        let eng = run_sim (fun eng -> Engine.after eng (Time.us 5) ignore) in
         check_int "now" 5_000 (Time.to_ns (Engine.now eng)));
     Alcotest.test_case "sequential delays accumulate" `Quick (fun () ->
         let eng =
           run_sim (fun eng ->
-              Engine.delay eng (Time.ns 10);
-              Engine.delay eng (Time.ns 20))
+              Engine.after eng (Time.ns 10) (fun () -> Engine.after eng (Time.ns 20) ignore))
         in
         check_int "now" 30 (Time.to_ns (Engine.now eng)));
     Alcotest.test_case "processes interleave by timestamp" `Quick (fun () ->
         let order = ref [] in
         let eng = Engine.create () in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"slow" (fun () ->
-              Engine.delay eng (Time.ns 20);
-              order := "slow" :: !order)
+          proc eng "slow" (fun () ->
+              Engine.after eng (Time.ns 20) (fun () -> order := "slow" :: !order))
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"fast" (fun () ->
-              Engine.delay eng (Time.ns 10);
-              order := "fast" :: !order)
+          proc eng "fast" (fun () ->
+              Engine.after eng (Time.ns 10) (fun () -> order := "fast" :: !order))
         in
         Engine.run eng;
         check (Alcotest.list Alcotest.string) "order" [ "fast"; "slow" ] (List.rev !order));
@@ -364,9 +365,7 @@ let engine_tests =
         let order = ref [] in
         let eng = Engine.create () in
         for i = 1 to 5 do
-          let (_ : Engine.process) =
-            Engine.spawn eng ~name:(string_of_int i) (fun () -> order := i :: !order)
-          in
+          let (_ : Engine.process) = proc eng (string_of_int i) (fun () -> order := i :: !order) in
           ()
         done;
         Engine.run eng;
@@ -375,24 +374,20 @@ let engine_tests =
         let hit = ref false in
         let (_ : Engine.t) =
           run_sim (fun eng ->
-              let (_ : Engine.process) =
-                Engine.spawn eng ~name:"child" (fun () -> hit := true)
-              in
-              Engine.delay eng (Time.ns 1))
+              let (_ : Engine.process) = proc eng "child" (fun () -> hit := true) in
+              Engine.after eng (Time.ns 1) ignore)
         in
         check_bool "child ran" true !hit);
     Alcotest.test_case "process_done reflects completion" `Quick (fun () ->
         let eng = Engine.create () in
-        let p = Engine.spawn eng ~name:"p" (fun () -> Engine.delay eng (Time.ns 1)) in
+        let p = proc eng "p" (fun () -> Engine.after eng (Time.ns 1) ignore) in
         check_bool "not yet" false (Engine.process_done p);
         Engine.run eng;
         check_bool "done" true (Engine.process_done p));
     Alcotest.test_case "deadlock reports blocked processes" `Quick (fun () ->
         let eng = Engine.create () in
         let flag = Sync.Flag.create ~name:"never" eng 0 in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"stuck" (fun () -> wait_ge eng flag 1)
-        in
+        let (_ : Engine.process) = proc eng "stuck" (fun () -> wait_ge flag 1 ignore) in
         match Engine.run eng with
         | () -> Alcotest.fail "expected deadlock"
         | exception Engine.Deadlock names ->
@@ -402,17 +397,17 @@ let engine_tests =
         let eng = Engine.create () in
         let flag = Sync.Flag.create ~name:"never" eng 0 in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"server" ~daemon:true (fun () -> wait_ge eng flag 1)
+          proc eng "server" ~daemon:true (fun () -> wait_ge flag 1 ignore)
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"main" (fun () -> Engine.delay eng (Time.ns 5))
+          proc eng "main" (fun () -> Engine.after eng (Time.ns 5) ignore)
         in
         Engine.run eng;
         check_int "now" 5 (Time.to_ns (Engine.now eng)));
     Alcotest.test_case "run ~until stops the clock" `Quick (fun () ->
         let eng = Engine.create () in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"long" (fun () -> Engine.delay eng (Time.us 100))
+          proc eng "long" (fun () -> Engine.after eng (Time.us 100) ignore)
         in
         Engine.run ~until:(Time.us 10) eng;
         check_int "paused" 10_000 (Time.to_ns (Engine.now eng));
@@ -421,25 +416,25 @@ let engine_tests =
     Alcotest.test_case "schedule_at rejects the past" `Quick (fun () ->
         let (_ : Engine.t) =
           run_sim (fun eng ->
-              Engine.delay eng (Time.ns 10);
-              Alcotest.check_raises "past"
-                (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
-                  Engine.schedule_at eng (Time.ns 5) (fun () -> ())))
+              Engine.after eng (Time.ns 10) (fun () ->
+                  Alcotest.check_raises "past"
+                    (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
+                      Engine.schedule_at eng (Time.ns 5) (fun () -> ()))))
         in
         ());
-    Alcotest.test_case "suspend resumes via waker" `Quick (fun () ->
+    Alcotest.test_case "await resumes via waker" `Quick (fun () ->
         let waker = ref (fun () -> ()) in
         let resumed_at = ref Time.zero in
         let eng = Engine.create () in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"sleeper" (fun () ->
-              Engine.suspend eng ~reason:(fun () -> "test") (fun w -> waker := w);
-              resumed_at := Engine.now eng)
+          proc eng "sleeper" (fun () ->
+              Engine.await eng
+                ~reason:(fun () -> "test")
+                (fun w -> waker := w)
+                (fun () -> resumed_at := Engine.now eng))
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"waker" (fun () ->
-              Engine.delay eng (Time.ns 33);
-              !waker ())
+          proc eng "waker" (fun () -> Engine.after eng (Time.ns 33) (fun () -> !waker ()))
         in
         Engine.run eng;
         check_int "resumed" 33 (Time.to_ns !resumed_at));
@@ -448,15 +443,14 @@ let engine_tests =
         let count = ref 0 in
         let eng = Engine.create () in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"s" (fun () ->
-              Engine.suspend eng ~reason:(fun () -> "t") (fun w -> waker := w);
-              incr count)
+          proc eng "s" (fun () ->
+              Engine.await eng ~reason:(fun () -> "t") (fun w -> waker := w) (fun () -> incr count))
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"w" (fun () ->
-              Engine.delay eng (Time.ns 1);
-              !waker ();
-              !waker ())
+          proc eng "w" (fun () ->
+              Engine.after eng (Time.ns 1) (fun () ->
+                  !waker ();
+                  !waker ()))
         in
         Engine.run eng;
         check_int "once" 1 !count);
@@ -464,13 +458,16 @@ let engine_tests =
 
 (* --- Sync -------------------------------------------------------------- *)
 
+(* [body] [n] times in a row, then [k]. *)
+let rec repeat n body k = if n = 0 then k () else body (fun () -> repeat (n - 1) body k)
+
 let sync_tests =
   [
     Alcotest.test_case "flag wait passes immediately when satisfied" `Quick (fun () ->
         let eng =
           run_sim (fun eng ->
               let f = Sync.Flag.create eng 5 in
-              wait_ge eng f 3)
+              wait_ge f 3 ignore)
         in
         check_int "no time" 0 (Time.to_ns (Engine.now eng)));
     Alcotest.test_case "flag wakes a waiter on set" `Quick (fun () ->
@@ -478,16 +475,13 @@ let sync_tests =
         let f = Sync.Flag.create eng 0 in
         let woke_at = ref Time.zero in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"waiter" (fun () ->
-              wait_ge eng f 2;
-              woke_at := Engine.now eng)
+          proc eng "waiter" (fun () -> wait_ge f 2 (fun () -> woke_at := Engine.now eng))
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"setter" (fun () ->
-              Engine.delay eng (Time.ns 10);
-              Sync.Flag.set f 1;
-              Engine.delay eng (Time.ns 10);
-              Sync.Flag.set f 2)
+          proc eng "setter" (fun () ->
+              Engine.after eng (Time.ns 10) (fun () ->
+                  Sync.Flag.set f 1;
+                  Engine.after eng (Time.ns 10) (fun () -> Sync.Flag.set f 2)))
         in
         Engine.run eng;
         check_int "woke at second set" 20 (Time.to_ns !woke_at));
@@ -503,17 +497,11 @@ let sync_tests =
         let f = Sync.Flag.create eng 0 in
         let woke = ref 0 in
         for _ = 1 to 3 do
-          let (_ : Engine.process) =
-            Engine.spawn eng ~name:"w" (fun () ->
-                wait_ge eng f 1;
-                incr woke)
-          in
+          let (_ : Engine.process) = proc eng "w" (fun () -> wait_ge f 1 (fun () -> incr woke)) in
           ()
         done;
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"s" (fun () ->
-              Engine.delay eng (Time.ns 1);
-              Sync.Flag.set f 1)
+          proc eng "s" (fun () -> Engine.after eng (Time.ns 1) (fun () -> Sync.Flag.set f 1))
         in
         Engine.run eng;
         check_int "all woke" 3 !woke);
@@ -523,10 +511,10 @@ let sync_tests =
         let release_times = ref [] in
         for i = 1 to 3 do
           let (_ : Engine.process) =
-            Engine.spawn eng ~name:"p" (fun () ->
-                Engine.delay eng (Time.ns (i * 10));
-                barrier_wait eng b;
-                release_times := Time.to_ns (Engine.now eng) :: !release_times)
+            proc eng "p" (fun () ->
+                Engine.after eng (Time.ns (i * 10)) (fun () ->
+                    Sync.Barrier.wait_k b (fun () ->
+                        release_times := Time.to_ns (Engine.now eng) :: !release_times)))
           in
           ()
         done;
@@ -538,9 +526,7 @@ let sync_tests =
         let b = Sync.Barrier.create eng 2 in
         for _ = 1 to 2 do
           let (_ : Engine.process) =
-            Engine.spawn eng ~name:"p" (fun () ->
-                barrier_wait eng b;
-                barrier_wait eng b)
+            proc eng "p" (fun () -> Sync.Barrier.wait_k b (fun () -> Sync.Barrier.wait_k b ignore))
           in
           ()
         done;
@@ -558,11 +544,11 @@ let sync_tests =
         let rounds = ref [] in
         for i = 1 to 2 do
           let (_ : Engine.process) =
-            Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
-                barrier_wait eng b;
-                rounds := (i, 1, Time.to_ns (Engine.now eng)) :: !rounds;
-                barrier_wait eng b;
-                rounds := (i, 2, Time.to_ns (Engine.now eng)) :: !rounds)
+            proc eng (Printf.sprintf "p%d" i) (fun () ->
+                Sync.Barrier.wait_k b (fun () ->
+                    rounds := (i, 1, Time.to_ns (Engine.now eng)) :: !rounds;
+                    Sync.Barrier.wait_k b (fun () ->
+                        rounds := (i, 2, Time.to_ns (Engine.now eng)) :: !rounds)))
           in
           ()
         done;
@@ -585,11 +571,7 @@ let sync_tests =
         let finished = ref 0 in
         for _ = 1 to 3 do
           let (_ : Engine.process) =
-            Engine.spawn eng ~name:"p" (fun () ->
-                for _ = 1 to 5 do
-                  barrier_wait eng b
-                done;
-                incr finished)
+            proc eng "p" (fun () -> repeat 5 (Sync.Barrier.wait_k b) (fun () -> incr finished))
           in
           ()
         done;
@@ -605,31 +587,26 @@ let sync_tests =
         let mb = Sync.Mailbox.create eng () in
         let got = ref [] in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"recv" (fun () ->
-              for _ = 1 to 3 do
-                got := recv eng mb :: !got
-              done)
+          proc eng "recv" (fun () ->
+              repeat 3
+                (fun k ->
+                  recv mb (fun x ->
+                      got := x :: !got;
+                      k ()))
+                ignore)
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"send" (fun () ->
-              Engine.delay eng (Time.ns 1);
-              List.iter (Sync.Mailbox.send mb) [ 1; 2; 3 ])
+          proc eng "send" (fun () ->
+              Engine.after eng (Time.ns 1) (fun () -> List.iter (Sync.Mailbox.send mb) [ 1; 2; 3 ]))
         in
         Engine.run eng;
         check (Alcotest.list Alcotest.int) "fifo" [ 1; 2; 3 ] (List.rev !got));
-    Alcotest.test_case "mailbox try_recv" `Quick (fun () ->
-        let eng = Engine.create () in
-        let mb = Sync.Mailbox.create eng () in
-        check_bool "empty" true (Sync.Mailbox.try_recv mb = None);
-        Sync.Mailbox.send mb 9;
-        check_bool "item" true (Sync.Mailbox.try_recv mb = Some 9);
-        check_int "length" 0 (Sync.Mailbox.length mb));
     Alcotest.test_case "resource serializes bookings" `Quick (fun () ->
         let eng = Engine.create () in
         let r = Sync.Resource.create eng in
         let book d = Time.to_ns (Sync.Resource.book_many [| r |] ~duration:(Time.ns d)) in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"a" (fun () ->
+          proc eng "a" (fun () ->
               check_int "first starts now" 0 (book 100);
               check_int "second queues" 100 (book 50);
               check_int "third queues behind both" 150 (book 0))
@@ -639,7 +616,7 @@ let sync_tests =
         let eng = Engine.create () in
         let a = Sync.Resource.create eng and b = Sync.Resource.create eng in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"x" (fun () ->
+          proc eng "x" (fun () ->
               let (_ : Time.t) = Sync.Resource.book_many [| a |] ~duration:(Time.ns 70) in
               let start = Sync.Resource.book_many [| a; b |] ~duration:(Time.ns 10) in
               check_int "waits for a" 70 (Time.to_ns start);
@@ -785,18 +762,20 @@ let build_ring ~latency ~ranks ~iters ~seed () =
   let flags = Array.init ranks (fun g -> Sync.Flag.create ~name:(Printf.sprintf "f%d" g) eng 0) in
   let totals = Array.make ranks 0 in
   for g = 0 to ranks - 1 do
-    let (_ : Engine.process) =
-      Engine.spawn eng ~name:(Printf.sprintf "rank%d" g) ~group:(Printf.sprintf "gpu%d" g)
-        (fun () ->
-          for it = 1 to iters do
-            Engine.delay eng (Time.ns (1 + ((seed + (g * 37) + (it * 11)) mod 97)));
+    let rec round it =
+      if it <= iters then
+        Engine.after eng
+          (Time.ns (1 + ((seed + (g * 37) + (it * 11)) mod 97)))
+          (fun () ->
             let dst = (g + 1) mod ranks in
             let payload = (g * 1000) + it in
             Engine.schedule_at eng (Time.add (Engine.now eng) latency) (fun () ->
                 totals.(dst) <- totals.(dst) + payload;
                 Sync.Flag.add flags.(dst) 1);
-            wait_ge eng flags.(g) it
-          done)
+            wait_ge flags.(g) it (fun () -> round (it + 1)))
+    in
+    let (_ : Engine.process) =
+      proc eng (Printf.sprintf "rank%d" g) ~group:(Printf.sprintf "gpu%d" g) (fun () -> round 1)
     in
     ()
   done;
@@ -813,10 +792,10 @@ let partition_tests =
         let eng = Engine.create () in
         let hits = ref [] in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"src" ~group:"gpu1" (fun () ->
-              Engine.delay eng (Time.ns 10);
-              Engine.schedule_at eng (Time.ns 50) (fun () -> hits := 2 :: !hits);
-              Engine.schedule_at eng (Time.ns 40) (fun () -> hits := 0 :: !hits))
+          proc eng "src" ~group:"gpu1" (fun () ->
+              Engine.after eng (Time.ns 10) (fun () ->
+                  Engine.schedule_at eng (Time.ns 50) (fun () -> hits := 2 :: !hits);
+                  Engine.schedule_at eng (Time.ns 40) (fun () -> hits := 0 :: !hits)))
         in
         Engine.run eng;
         check (Alcotest.list Alcotest.int) "in time order" [ 2; 0 ] !hits;
@@ -826,9 +805,7 @@ let partition_tests =
         let order = ref [] in
         List.iter
           (fun g ->
-            let (_ : Engine.process) =
-              Engine.spawn eng ~name:g ~group:g (fun () -> order := g :: !order)
-            in
+            let (_ : Engine.process) = proc eng g ~group:g (fun () -> order := g :: !order) in
             ())
           [ "gpu2"; "gpu0"; "gpu1" ];
         Engine.run eng;
@@ -859,17 +836,15 @@ let partition_tests =
         let log = ref [] in
         let note what = log := (what, Time.to_ns (Engine.now eng)) :: !log in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"receiver" (fun () ->
-              wait_ge eng f 1;
-              note "woke")
+          proc eng "receiver" (fun () -> wait_ge f 1 (fun () -> note "woke"))
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"sender" (fun () ->
-              Engine.delay eng (Time.ns 5);
-              Engine.schedule_at eng (Engine.now eng) (fun () ->
-                  note "delivered";
-                  Sync.Flag.add f 1);
-              note "sent")
+          proc eng "sender" (fun () ->
+              Engine.after eng (Time.ns 5) (fun () ->
+                  Engine.schedule_at eng (Engine.now eng) (fun () ->
+                      note "delivered";
+                      Sync.Flag.add f 1);
+                  note "sent"))
         in
         Engine.run eng;
         check
@@ -883,8 +858,7 @@ let partition_tests =
         let eng = Engine.create () in
         for i = 1 to 50 do
           let (_ : Engine.process) =
-            Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
-                Engine.delay eng (Time.ns i))
+            proc eng (Printf.sprintf "p%d" i) (fun () -> Engine.after eng (Time.ns i) ignore)
           in
           ()
         done;
@@ -896,10 +870,8 @@ let partition_tests =
       (fun () ->
         let eng = Engine.create () in
         let f = Sync.Flag.create ~name:"never" eng 0 in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"d" ~daemon:true (fun () -> wait_ge eng f 1)
-        in
-        let (_ : Engine.process) = Engine.spawn eng ~name:"p" (fun () -> ()) in
+        let (_ : Engine.process) = proc eng "d" ~daemon:true (fun () -> wait_ge f 1 ignore) in
+        let (_ : Engine.process) = proc eng "p" (fun () -> ()) in
         Engine.run eng;
         check_int "daemon still live" 1 (Engine.registered_processes eng));
   ]
@@ -963,13 +935,9 @@ let diagnostics_tests =
     Alcotest.test_case "a flag waiter reports the value it blocked at" `Quick (fun () ->
         let eng = Engine.create () in
         let f = Sync.Flag.create ~name:"f" eng 0 in
+        let (_ : Engine.process) = proc eng "waiter" ~group:"gpu0" (fun () -> wait_ge f 2 ignore) in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"waiter" ~group:"gpu0" (fun () -> wait_ge eng f 2)
-        in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"bumper" (fun () ->
-              Engine.delay eng (Time.ns 5);
-              Sync.Flag.set f 1)
+          proc eng "bumper" (fun () -> Engine.after eng (Time.ns 5) (fun () -> Sync.Flag.set f 1))
         in
         let lines = deadlock_lines (fun () -> Engine.run eng) in
         check (Alcotest.list Alcotest.string) "report"
@@ -980,10 +948,10 @@ let diagnostics_tests =
         let eng = Engine.create () in
         let b = Sync.Barrier.create ~name:"b" eng 3 in
         let m : int Sync.Mailbox.t = Sync.Mailbox.create ~name:"m" eng () in
-        let spawn name body = ignore (Engine.spawn eng ~name body : Engine.process) in
-        spawn "b1" (fun () -> barrier_wait eng b);
-        spawn "b2" (fun () -> barrier_wait eng b);
-        spawn "mb" (fun () -> ignore (recv eng m : int));
+        let spawn name body = ignore (proc eng name body : Engine.process) in
+        spawn "b1" (fun () -> Sync.Barrier.wait_k b ignore);
+        spawn "b2" (fun () -> Sync.Barrier.wait_k b ignore);
+        spawn "mb" (fun () -> recv m (fun (_ : int) -> ()));
         check (Alcotest.list Alcotest.string) "report"
           [
             "b1(#1): barrier b (gen 0, 1/3) (since 0ns)";
@@ -996,11 +964,11 @@ let diagnostics_tests =
         let rendered = ref 0 in
         let f = Sync.Flag.create ~name:"never" eng 0 in
         let p =
-          Engine.spawn eng
+          Engine.spawn_callbacks eng
             ~name_of:(fun () ->
               incr rendered;
               Printf.sprintf "lazy.pe%d.%d" 3 7)
-            (fun () -> wait_ge eng f 1)
+            (fun () -> wait_ge f 1 ignore)
         in
         let lines = deadlock_lines (fun () -> Engine.run eng) in
         check (Alcotest.list Alcotest.string) "report"
@@ -1066,9 +1034,9 @@ let callback_tests =
             (fun () -> Engine.after eng (Time.ns 100) ignore)
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"probe" (fun () ->
-              Engine.delay eng (Time.ns 50);
-              raise (Engine.Stall (Engine.stall_report eng ~trigger:"probe")))
+          proc eng "probe" (fun () ->
+              Engine.after eng (Time.ns 50) (fun () ->
+                  raise (Engine.Stall (Engine.stall_report eng ~trigger:"probe"))))
         in
         match Engine.run eng with
         | () -> Alcotest.fail "expected the probe's stall"
@@ -1095,26 +1063,26 @@ let two_waits eng flag k =
 let handover_tests =
   [
     Alcotest.test_case "a chain handed over keeps the fiber's events" `Quick (fun () ->
-        (* Two waits as a chain handed over: the log and the 6 events the
-           same waits gave in the fiber ([delay], then a suspending flag
-           wait); only the counters say which way the events ran. *)
+        (* Two waits as a chain handed over, then a delay handed over: the
+           log and the 6 events the same waits gave when a fiber could
+           block by itself; only the counters say which way the events
+           ran. *)
         let run () =
           let eng = Engine.create () in
           let flag = Sync.Flag.create ~name:"f" eng 0 in
           let log = ref [] in
           let note what = log := (what, Time.to_ns (Engine.now eng)) :: !log in
           let (_ : Engine.process) =
-            Engine.spawn eng ~name:"worker" ~group:"gpu0" (fun () ->
+            Engine.spawn eng ~name:"worker" (fun () ->
                 note "start";
                 let v = Engine.handover eng (two_waits eng flag) in
                 note (Printf.sprintf "got %d" v);
-                Engine.delay eng (Time.ns 5);
+                Engine.handover eng (fun k -> Engine.after eng (Time.ns 5) k);
                 note "end")
           in
           let (_ : Engine.process) =
-            Engine.spawn eng ~name:"setter" (fun () ->
-                Engine.delay eng (Time.ns 25);
-                Sync.Flag.set flag 1)
+            proc eng "setter" (fun () ->
+                Engine.after eng (Time.ns 25) (fun () -> Sync.Flag.set flag 1))
           in
           Engine.run eng;
           ( List.rev !log,
@@ -1128,12 +1096,14 @@ let handover_tests =
           (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
           "same log" [ ("start", 0); ("got 42", 25); ("end", 30) ] log;
         check_int "same events" 6 events;
-        check_int "steps" 2 steps_run;
+        check_int "the worker's start is the one fiber resume" 1 resumes;
+        check_int "steps" 5 steps_run;
         check_int "every event counted once" events (resumes + steps_run);
         check_int "drained" 0 left);
     Alcotest.test_case "a chain that ends without waiting returns at once" `Quick (fun () ->
-        let eng =
-          run_sim (fun eng ->
+        let eng = Engine.create () in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"main" (fun () ->
               let flag = Sync.Flag.create eng 3 in
               let v =
                 Engine.handover eng (fun k -> Sync.Flag.wait_ge_k flag 2 (fun () -> k "ready"))
@@ -1141,29 +1111,26 @@ let handover_tests =
               check Alcotest.string "value" "ready" v;
               check_int "no time passed" 0 (Time.to_ns (Engine.now eng)))
         in
+        Engine.run eng;
         check_int "one event: the start" 1 (Engine.events_executed eng);
         check_int "no step ran" 0 (Engine.steps_run eng));
     Alcotest.test_case "a blocked step reads as the fiber wait it stands for" `Quick (fun () ->
         let eng = Engine.create () in
         let flag = Sync.Flag.create ~name:"never" eng 0 in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"fiber" ~group:"gpu0" (fun () ->
-              Engine.suspend eng
-                ~reason:(fun () -> "flag never (value 0)")
-                ~waits_on:"gpu1"
-                (fun (_ : unit -> unit) -> ()))
+          Engine.spawn eng ~name:"fiber" (fun () ->
+              Engine.handover eng (fun k ->
+                  Sync.Flag.wait_until_k ~waits_on:"gpu1" flag (fun v -> v > 0) k))
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"steps" ~group:"gpu1" (fun () ->
-              Engine.handover eng (fun k ->
-                  Engine.after eng (Time.ns 7) (fun () ->
-                      Sync.Flag.wait_until_k ~waits_on:"gpu0" flag (fun v -> v > 0) k)))
+          proc eng "steps" ~group:"gpu1" (fun () ->
+              Engine.after eng (Time.ns 7) (fun () ->
+                  Sync.Flag.wait_until_k ~waits_on:"gpu0" flag (fun v -> v > 0) ignore))
         in
         check (Alcotest.list Alcotest.string) "report"
           [
-            "fiber(#1) [gpu0]: flag never (value 0) (since 0ns) <- waits on gpu1";
+            "fiber(#1): flag never (value 0) (since 0ns) <- waits on gpu1";
             "steps(#2) [gpu1]: flag never (value 0) (since 7ns) <- waits on gpu0";
-            "wait-for cycle: gpu0 -> gpu1 -> gpu0";
           ]
           (deadlock_lines (fun () -> Engine.run eng)));
     Alcotest.test_case "a raise in a handed-over step finishes the process once" `Quick (fun () ->
@@ -1174,17 +1141,13 @@ let handover_tests =
               Engine.handover eng (fun _k ->
                   Engine.after eng (Time.ns 3) (fun () -> failwith "step")))
         in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"waiter" (fun () -> wait_ge eng flag 1)
-        in
+        let (_ : Engine.process) = proc eng "waiter" (fun () -> wait_ge flag 1 ignore) in
         Alcotest.check_raises "escapes run" (Failure "step") (fun () -> Engine.run eng);
         check_bool "finished" true (Engine.process_done p);
         check_int "only the waiter is left" 1 (Engine.registered_processes eng);
         (* The raiser is not counted live, so releasing the waiter drains
            the engine without a false Deadlock. *)
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"setter" (fun () -> Sync.Flag.set flag 1)
-        in
+        let (_ : Engine.process) = proc eng "setter" (fun () -> Sync.Flag.set flag 1) in
         Engine.run eng;
         check_int "drained" 0 (Engine.registered_processes eng));
     Alcotest.test_case "a raise in the fiber after a step continued it finishes it once" `Quick
@@ -1196,9 +1159,7 @@ let handover_tests =
               Engine.handover eng (fun k -> Engine.after eng (Time.ns 3) k);
               failwith "fiber")
         in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"waiter" (fun () -> wait_ge eng flag 1)
-        in
+        let (_ : Engine.process) = proc eng "waiter" (fun () -> wait_ge flag 1 ignore) in
         Alcotest.check_raises "escapes run" (Failure "fiber") (fun () -> Engine.run eng);
         check_bool "finished" true (Engine.process_done p);
         check_int "only the waiter is left" 1 (Engine.registered_processes eng);
@@ -1207,9 +1168,7 @@ let handover_tests =
         check (Alcotest.list Alcotest.string) "the waiter is still live"
           [ "waiter(#2): flag flag (value 0) (since 0ns)" ]
           (deadlock_lines (fun () -> Engine.run eng));
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"setter" (fun () -> Sync.Flag.set flag 1)
-        in
+        let (_ : Engine.process) = proc eng "setter" (fun () -> Sync.Flag.set flag 1) in
         Engine.run eng;
         check_int "drained" 0 (Engine.registered_processes eng));
     Alcotest.test_case "handover and step waits are refused where they cannot work" `Quick
@@ -1228,14 +1187,11 @@ let handover_tests =
         in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"fiber" (fun () ->
-              Alcotest.check_raises "a step that blocks like a fiber"
-                (Invalid_argument "Engine: a step must not block; end it with after or await")
-                (fun () -> Engine.handover eng (fun k -> Engine.delay eng (Time.ns 1); k ()));
               Alcotest.check_raises "a chain that neither waits nor ends"
                 (Invalid_argument "Engine.handover: the chain neither waited nor ended") (fun () ->
                   Engine.handover eng (fun _k -> ()));
               (* The fiber is still a fiber afterwards. *)
-              Engine.delay eng (Time.ns 2))
+              Engine.handover eng (fun k -> Engine.after eng (Time.ns 2) k))
         in
         Engine.run eng;
         check_int "drained" 0 (Engine.registered_processes eng));

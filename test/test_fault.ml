@@ -234,9 +234,14 @@ let plan_tests =
 
 (* --- engine: watchdog, stall diagnostics, wait-for cycles ---------------- *)
 
+(* A step process named [name]. *)
+let proc eng ?daemon ?group name body =
+  Engine.spawn_callbacks eng ~name_of:(fun () -> name) ?daemon ?group body
+
+(* [f eng] as the first step of a step process "main" on a fresh engine. *)
 let run_sim ?watchdog f =
   let eng = Engine.create ?watchdog () in
-  let (_ : Engine.process) = Engine.spawn eng ~name:"main" (fun () -> f eng) in
+  let (_ : Engine.process) = proc eng "main" (fun () -> f eng) in
   Engine.run eng
 
 let engine_tests =
@@ -246,13 +251,13 @@ let engine_tests =
           run_sim ~watchdog:(Time.us 50) (fun eng ->
               let never = E.Sync.Flag.create ~name:"never" eng 0 in
               let (_ : Engine.process) =
-                Engine.spawn eng ~name:"stuck" ~group:"gpu0" (fun () ->
-                    Engine.handover eng (E.Sync.Flag.wait_ge_k never 1))
+                proc eng "stuck" ~group:"gpu0" (fun () -> E.Sync.Flag.wait_ge_k never 1 ignore)
               in
               (* Keep the clock moving so the watchdog gets to scan. *)
-              for _ = 1 to 20 do
-                Engine.delay eng (Time.us 10)
-              done)
+              let rec tick n =
+                if n > 0 then Engine.after eng (Time.us 10) (fun () -> tick (n - 1))
+              in
+              tick 20)
         with
         | () -> Alcotest.fail "expected Stall"
         | exception Engine.Stall r ->
@@ -266,23 +271,20 @@ let engine_tests =
         run_sim ~watchdog:(Time.us 20) (fun eng ->
             let never = E.Sync.Flag.create ~name:"never" eng 0 in
             let (_ : Engine.process) =
-              Engine.spawn eng ~name:"service" ~daemon:true (fun () ->
-                  Engine.handover eng (E.Sync.Flag.wait_ge_k never 1))
+              proc eng "service" ~daemon:true (fun () -> E.Sync.Flag.wait_ge_k never 1 ignore)
             in
             (* Plain delays are timed blocks: far longer than the watchdog
                bound, yet no Stall. *)
-            Engine.delay eng (Time.ms 1)));
+            Engine.after eng (Time.ms 1) ignore));
     Alcotest.test_case "deadlock report includes the wait-for cycle" `Quick (fun () ->
         let eng = Engine.create () in
         let fa = E.Sync.Flag.create ~name:"fa" eng 0 in
         let fb = E.Sync.Flag.create ~name:"fb" eng 0 in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"a" ~group:"gpu0" (fun () ->
-              Engine.handover eng (E.Sync.Flag.wait_ge_k ~waits_on:"gpu1" fa 1))
+          proc eng "a" ~group:"gpu0" (fun () -> E.Sync.Flag.wait_ge_k ~waits_on:"gpu1" fa 1 ignore)
         in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"b" ~group:"gpu1" (fun () ->
-              Engine.handover eng (E.Sync.Flag.wait_ge_k ~waits_on:"gpu0" fb 1))
+          proc eng "b" ~group:"gpu1" (fun () -> E.Sync.Flag.wait_ge_k ~waits_on:"gpu0" fb 1 ignore)
         in
         (match Engine.run eng with
         | () -> Alcotest.fail "expected Deadlock"
@@ -296,7 +298,7 @@ let engine_tests =
         let eng = Engine.create () in
         let fa = E.Sync.Flag.create ~name:"fa" eng 0 in
         let (_ : Engine.process) =
-          Engine.spawn eng ~name:"lonely" (fun () -> Engine.handover eng (E.Sync.Flag.wait_ge_k fa 1))
+          proc eng "lonely" (fun () -> E.Sync.Flag.wait_ge_k fa 1 ignore)
         in
         (match Engine.run eng with
         | () -> Alcotest.fail "expected Deadlock"
@@ -306,18 +308,18 @@ let engine_tests =
         run_sim (fun eng ->
             let f = E.Sync.Flag.create ~name:"f" eng 0 in
             let (_ : Engine.process) =
-              Engine.spawn eng ~name:"setter" (fun () ->
-                  Engine.delay eng (Time.us 30);
-                  E.Sync.Flag.set f 1)
+              proc eng "setter" (fun () ->
+                  Engine.after eng (Time.us 30) (fun () -> E.Sync.Flag.set f 1))
             in
             let t0 = Engine.now eng in
-            (match Engine.handover eng (E.Sync.Flag.await_k f ~deadline:(Time.add t0 (Time.us 10)) (fun v -> v >= 1)) with
-            | `Ok -> Alcotest.fail "should have timed out"
-            | `Timeout ->
-              check_int "woke at the deadline" 10_000 (Time.to_ns (Engine.now eng)));
-            match Engine.handover eng (E.Sync.Flag.await_k f ~deadline:(Time.add t0 (Time.us 100)) (fun v -> v >= 1)) with
-            | `Timeout -> Alcotest.fail "setter should have satisfied the wait"
-            | `Ok -> check_int "woke on the set" 30_000 (Time.to_ns (Engine.now eng))));
+            let at_least_one v = v >= 1 in
+            E.Sync.Flag.await_k f ~deadline:(Time.add t0 (Time.us 10)) at_least_one (function
+              | `Ok -> Alcotest.fail "should have timed out"
+              | `Timeout ->
+                check_int "woke at the deadline" 10_000 (Time.to_ns (Engine.now eng));
+                E.Sync.Flag.await_k f ~deadline:(Time.add t0 (Time.us 100)) at_least_one (function
+                  | `Timeout -> Alcotest.fail "setter should have satisfied the wait"
+                  | `Ok -> check_int "woke on the set" 30_000 (Time.to_ns (Engine.now eng))))));
   ]
 
 (* --- NVSHMEM under injected faults --------------------------------------- *)

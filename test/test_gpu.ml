@@ -21,6 +21,16 @@ let with_machine ?(gpus = 2) f =
   Engine.run eng;
   (eng, ctx)
 
+(* The same with [f eng ctx] as the first step of a step process. *)
+let with_steps ?(gpus = 2) f =
+  let eng = Engine.create () in
+  let ctx = G.Runtime.create eng ~num_gpus:gpus () in
+  let (_ : Engine.process) =
+    Engine.spawn_callbacks eng ~name_of:(fun () -> "main") (fun () -> f eng ctx)
+  in
+  Engine.run eng;
+  (eng, ctx)
+
 (* --- Arch -------------------------------------------------------------- *)
 
 let arch_tests =
@@ -453,7 +463,7 @@ let runtime_tests =
                 Engine.handover eng
                   (G.Runtime.launch_cooperative_k ctx ~dev ~name:"big" ~blocks:109
                      ~threads_per_block:1024
-                     ~roles:[ ("r", fun _ -> ()) ])
+                     ~roles:[ ("r", fun _ k -> k ()) ])
               with
               | (_ : E.Sync.Flag.t) -> Alcotest.fail "expected Coop_launch_error"
               | exception G.Runtime.Coop_launch_error msg ->
@@ -466,10 +476,11 @@ let runtime_tests =
         let _eng, _ =
           with_machine ~gpus:1 (fun eng ctx ->
               let dev = G.Runtime.device ctx 0 in
-              let role delay_ns grid =
-                Engine.delay eng (Time.ns delay_ns);
-                Engine.handover eng (G.Coop.sync_k grid);
-                sync_times := Time.to_ns (Engine.now eng) :: !sync_times
+              let role delay_ns grid k =
+                Engine.after eng (Time.ns delay_ns) (fun () ->
+                    G.Coop.sync_k grid (fun () ->
+                        sync_times := Time.to_ns (Engine.now eng) :: !sync_times;
+                        k ()))
               in
               launch_and_join ctx ~dev ~blocks:108 [ ("a", role 10); ("b", role 500) ])
         in
@@ -479,30 +490,34 @@ let runtime_tests =
     Alcotest.test_case "grid sync_count counts barriers" `Quick (fun () ->
         let counted = ref 0 in
         let _eng, _ =
-          with_machine ~gpus:1 (fun eng ctx ->
+          with_machine ~gpus:1 (fun _eng ctx ->
               let dev = G.Runtime.device ctx 0 in
-              let role grid =
-                for _ = 1 to 4 do
-                  Engine.handover eng (G.Coop.sync_k grid)
-                done;
-                counted := G.Coop.sync_count grid
+              let rec role n grid k =
+                if n = 0 then begin
+                  counted := G.Coop.sync_count grid;
+                  k ()
+                end
+                else G.Coop.sync_k grid (fun () -> role (n - 1) grid k)
               in
-              launch_and_join ctx ~dev ~blocks:8 [ ("only", role) ])
+              launch_and_join ctx ~dev ~blocks:8 [ ("only", role 4) ])
         in
         check_int "4 barriers" 4 !counted);
     Alcotest.test_case "host threads run per GPU and join" `Quick (fun () ->
         let ids = ref [] in
         let _eng, _ =
-          with_machine ~gpus:4 (fun _eng ctx ->
-              G.Host.parallel_join ctx ~name:"par" (fun g -> ids := g :: !ids))
+          with_steps ~gpus:4 (fun _eng ctx ->
+              G.Host.parallel_join_k ctx ~name:"par"
+                (fun g k ->
+                  ids := g :: !ids;
+                  k ())
+                ignore)
         in
         check (Alcotest.list Alcotest.int) "ids" [ 0; 1; 2; 3 ] (List.sort Int.compare !ids));
     Alcotest.test_case "host barrier costs its latency" `Quick (fun () ->
         let eng, _ =
-          with_machine ~gpus:2 (fun eng ctx ->
+          with_steps ~gpus:2 (fun _eng ctx ->
               let b = G.Host.barrier_create ctx ~parties:2 in
-              G.Host.parallel_join ctx ~name:"par" (fun _ ->
-                  Engine.handover eng (G.Host.barrier_wait_k ctx b)))
+              G.Host.parallel_join_k ctx ~name:"par" (fun _ -> G.Host.barrier_wait_k ctx b) ignore)
         in
         check_int "barrier latency" (Time.to_ns arch.G.Arch.host_barrier)
           (Time.to_ns (Engine.now eng)));

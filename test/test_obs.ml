@@ -536,7 +536,9 @@ let untraced_tests =
         let trace_of run =
           let seen = ref None in
           ignore
-            (run (fun ctx -> seen := Some (E.Engine.trace (Cpufree_gpu.Runtime.engine ctx)))
+            (run (fun ctx k ->
+                 seen := Some (E.Engine.trace (Cpufree_gpu.Runtime.engine ctx));
+                 k ())
               : Measure.result);
           match !seen with Some t -> t | None -> Alcotest.fail "program did not run"
         in

@@ -727,51 +727,68 @@ let row_string (v, dims, gpus, compute, events, total, comm, bytes) =
 
 let kind_of v = match Variants.of_name v with Some k -> k | None -> Alcotest.failf "variant %s" v
 
-(* Fiber resumes of one 2-GPU run (2d:32x32, norm every 2 iterations),
-   driven by the engine directly: every process of the run counts. A host
-   rank and a persistent role each run as one step program and a stream
-   serves its queue as steps, so the count does not grow with the
-   iterations. What is left: the main process's start; each host rank's
-   and stream's start (copy and nvshmem one stream per rank, overlap and
-   p2p two); and for the persistent variants each role's start and the end
-   of its teardown delay (three roles per GPU; the two-kernel design's
-   comm and comp kernels together have three too) plus, for cpu-free and
-   perks, each drain rank's start. *)
-let fiber_resumes kind ~iters =
-  let problem = Problem.make ~norm_every:2 (d2 32 32) ~iterations:iters in
-  let built = Variants.build kind problem ~gpus:2 in
-  let eng = E.Engine.create () in
-  let ctx = G.Runtime.create eng ~num_gpus:2 () in
-  let (_ : E.Engine.process) =
-    E.Engine.spawn eng ~name:"main" (fun () -> built.Variants.program ctx)
+(* How one run's events ran: fiber resumes, steps, and all events. The
+   job's program is wrapped to catch the engine [Measure.run] makes. *)
+let event_kinds (job : Measure.job) =
+  let eng = ref None in
+  let program ctx =
+    eng := Some (G.Runtime.engine ctx);
+    job.Measure.sc_program ctx
   in
-  E.Engine.run eng;
-  E.Engine.fiber_resumes eng
+  let (_ : Measure.outcome) = Measure.run { job with Measure.sc_program = program } in
+  let eng = Option.get !eng in
+  (E.Engine.fiber_resumes eng, E.Engine.steps_run eng, E.Engine.events_executed eng)
 
-let pinned_resumes =
-  [
-    ("baseline-copy", 5);
-    ("baseline-overlap", 7);
-    ("baseline-p2p", 7);
-    ("baseline-nvshmem", 5);
-    ("cpu-free", 17);
-    ("cpu-free-perks", 17);
-    ("cpu-free-2kernel", 15);
-  ]
+let step_law_faults = "drop=0.2;delay=0.1@2000"
+
+(* Every stencil variant and both DaCe arms (persistent with and without
+   thread-block specialization, and the MPI baseline), each with and
+   without faults, as jobs on 2 GPUs. *)
+let step_law_jobs () =
+  let module D = Cpufree_dace in
+  let env faults =
+    match faults with
+    | None -> Env.make ()
+    | Some s -> (
+      match Fault.of_string s with
+      | Ok spec -> Env.make ~faults:spec ~fault_seed:1 ()
+      | Error e -> Alcotest.fail e)
+  in
+  let problem = Problem.make ~norm_every:2 (d2 32 32) ~iterations:4 in
+  let app = D.Pipeline.Jacobi2d { D.Programs.nx_global = 32; ny_global = 32; tsteps = 4 } in
+  List.concat_map
+    (fun faults ->
+      let tag = if Option.is_some faults then " faulted" else "" in
+      List.map
+        (fun kind ->
+          (Variants.name kind ^ tag, Harness.scenario_env ~env:(env faults) kind problem ~gpus:2))
+        (Variants.all @ [ Variants.Cpu_free_multi ])
+      @ List.map
+          (fun (name, arm, specialize_tb) ->
+            ( name ^ tag,
+              D.Pipeline.scenario_env ~env:(env faults) ~specialize_tb app arm ~gpus:2 ))
+          [
+            ("dace cpu-free", D.Pipeline.Cpu_free, false);
+            ("dace cpu-free specialized", D.Pipeline.Cpu_free, true);
+            ("dace baseline-mpi", D.Pipeline.Baseline_mpi, false);
+          ])
+    [ None; Some step_law_faults ]
 
 let pinned_tests =
   [
-    Alcotest.test_case "a stencil rank resumes as a fiber only to start" `Quick (fun () ->
+    Alcotest.test_case "a stencil or DaCe run resumes no fiber" `Quick (fun () ->
+        (* Every event is a step but the deadline timers a fault plan's
+           resilient waits arm ([Engine.schedule_at] callbacks), so without
+           faults the steps are all the events. *)
         List.iter
-          (fun (v, want) ->
-            List.iter
-              (fun iters ->
-                check_int
-                  (Printf.sprintf "%s, %d iterations" v iters)
-                  want
-                  (fiber_resumes (kind_of v) ~iters))
-              [ 1; 2; 4 ])
-          pinned_resumes);
+          (fun (name, job) ->
+            let resumes, steps, events = event_kinds job in
+            check_int (name ^ ": fiber resumes") 0 resumes;
+            if Option.is_some job.Measure.sc_env.Env.faults then
+              check_bool (name ^ ": steps, then deadline timers") true
+                (steps > 0 && steps <= events)
+            else check_int (name ^ ": every event a step") events steps)
+          (step_law_jobs ()));
     Alcotest.test_case "every variant keeps its events, time, comm and bytes" `Quick (fun () ->
         List.iter
           (fun ((v, dims, gpus, compute, _, _, _, _) as row) ->
