@@ -54,16 +54,23 @@ let transform plan sdfg =
     Validate.check_exn ~require_symmetric:true sdfg;
     sdfg
 
-let build ?backed plan sdfg =
+type form = Baseline_form of Sdfg.t | Persistent_form of Persistent_fusion.t
+
+let form plan sdfg =
   let sdfg = transform plan (prepare plan sdfg) in
   match plan.offload with
-  | Offload_host | Offload_discrete _ -> Exec.build_baseline ?backed sdfg
+  | Offload_host | Offload_discrete _ -> Baseline_form sdfg
   | Offload_persistent { relax; specialize_tb } -> (
     match Persistent_fusion.apply ~relax sdfg with
     | Ok p ->
-      let p = if specialize_tb then fst (Persistent_fusion.specialize_tb p) else p in
-      Exec.build_persistent ?backed p
+      Persistent_form (if specialize_tb then fst (Persistent_fusion.specialize_tb p) else p)
     | Error e -> invalid_arg ("GPUPersistentKernel fusion failed: " ^ e))
+
+let lower ?backed = function
+  | Baseline_form sdfg -> Exec.build_baseline ?backed sdfg
+  | Persistent_form p -> Exec.build_persistent ?backed p
+
+let build ?backed plan sdfg = lower ?backed (form plan sdfg)
 
 let persistent_plans ~shard ~gpus =
   List.map
@@ -112,6 +119,7 @@ type decision = {
   best : plan;
   predicted : Time.t;
   evaluated : (plan * Time.t) list;  (** every candidate, in canonical order *)
+  simulated : int;
 }
 
 (* Pick the winner by simulating every candidate on phantom buffers under
@@ -119,29 +127,39 @@ type decision = {
    deterministic and the candidate order is fixed, so for a given program,
    gpus count and architecture the chosen plan is always the same across
    repeated runs. Ties keep the earliest (simplest / hand-built) candidate:
-   the fold only replaces the incumbent on a strictly smaller cost. *)
+   the fold only replaces the incumbent on a strictly smaller cost.
+
+   Two plans often lower to the same program (relaxation changes nothing
+   once specialization has fused every exchange/stencil pair, and
+   specialization changes nothing when it fuses no pair), so each distinct
+   (GPU count, form) pair is lowered and probed once; a later candidate
+   with a structurally equal form takes the earlier one's cost. *)
 let search ?arch ?(env = Obs.Sim_env.default) sdfg ~gpus ~iterations =
   match candidates sdfg ~gpus with
   | Error e -> Error e
   | Ok plans ->
-    let evaluated =
-      List.filter_map
-        (fun plan ->
-          match build plan sdfg with
-          | exception Invalid_argument reason ->
-            ignore reason;
-            None
-          | exception Exec.Lowering_error reason ->
-            ignore reason;
-            None
+    let probed = ref [] in
+    let cost plan =
+      match form plan sdfg with
+      | exception (Invalid_argument _ | Exec.Lowering_error _) -> None
+      | f -> (
+        let key = (plan.gpus_used, f) in
+        match List.assoc_opt key !probed with
+        | Some c -> Some c
+        | None -> (
+          match lower f with
+          | exception (Invalid_argument _ | Exec.Lowering_error _) -> None
           | built ->
-            let cost =
+            let c =
               Measure.probe_env ?arch ~env
                 ~label:(plan_to_string plan)
                 ~gpus:plan.gpus_used ~iterations built.Exec.program
             in
-            Some (plan, cost))
-        plans
+            probed := (key, c) :: !probed;
+            Some c))
+    in
+    let evaluated =
+      List.filter_map (fun plan -> Option.map (fun c -> (plan, c)) (cost plan)) plans
     in
     (match evaluated with
     | [] -> Error "no candidate transformation sequence compiled"
@@ -151,4 +169,4 @@ let search ?arch ?(env = Obs.Sim_env.default) sdfg ~gpus ~iterations =
           (fun (bp, bc) (p, c) -> if Time.(c < bc) then (p, c) else (bp, bc))
           first rest
       in
-      Ok { best; predicted; evaluated })
+      Ok { best; predicted; evaluated; simulated = List.length !probed })

@@ -51,6 +51,9 @@ let check_float msg = check (Alcotest.float 1e-9) msg
 
 let spec_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (Scenario_gen.total ~name:"of_string is total on damaged specs" ~count:2000 Fault.of_string
+         Scenario_gen.fault_line);
     Alcotest.test_case "of_string parses every clause" `Quick (fun () ->
         match
           Fault.of_string "drop=0.02;delay=0.1@2000;straggler=3x1.5;flap=40@0.25x2;nic=100+200"

@@ -791,6 +791,8 @@ let () =
         List.map
           (fun p -> QCheck_alcotest.to_alcotest p)
           [
+            Scenario_gen.total ~name:"spec_of_string is total on damaged specs" ~count:2000
+              T.spec_of_string Scenario_gen.topology_line;
             prop_route_symmetry;
             prop_triangle;
             prop_route_well_formed;

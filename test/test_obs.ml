@@ -253,6 +253,11 @@ let adversarial_scenario =
 
 let scenario_law_tests =
   [
+    (* The daemon parses and validates every request line it is sent. *)
+    QCheck_alcotest.to_alcotest
+      (Scenario_gen.total ~name:"of_string and validate are total on damaged lines" ~count:2000
+         (fun s -> Result.bind (Scenario.of_string s) Scenario.validate)
+         Scenario_gen.scenario_line);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"validate sc = Ok () implies of_string (to_string sc) = Ok sc"
          ~count:500 adversarial_scenario (fun sc ->
