@@ -362,7 +362,12 @@ let specialize_arg =
    runs under a quiet probe of that environment, every candidate and the
    margin over the hand-built pipeline are reported, and the winner runs as
    a job under the full environment. *)
-let run_dace_auto common sc ~app_name ~arm ~size ~iters ~specialize_tb =
+let print_results = List.iter (Format.printf "%a@." Measure.pp_result)
+
+(* The search probes the winner on its own program; when nothing else
+   observes the run — no fault plan, trace, metrics or timeline — that
+   probe is the run, so it is printed rather than simulated again. *)
+let run_dace_auto common sc ~timeline ~app_name ~arm ~size ~iters ~specialize_tb =
   let gpus = common.gpus in
   let app =
     match app_name with
@@ -407,8 +412,21 @@ let run_dace_auto common sc ~app_name ~arm ~size ~iters ~specialize_tb =
           (D.Autotune.plan_to_string plan) (Time.to_string hand_cost)
           (if Time.(d.D.Autotune.predicted < hand_cost) then "beats it" else "matches it"))
       hand;
-    Measure.job ~arch ~env ~label:(name ^ "/auto") ~gpus:d.D.Autotune.best.D.Autotune.gpus_used
-      ~iterations:iters (D.Autotune.build d.D.Autotune.best sdfg).D.Exec.program
+    let label = name ^ "/auto" in
+    if
+      Option.is_none env.Env.faults && Option.is_none env.Env.trace
+      && Option.is_none env.Env.metrics && not timeline
+    then begin
+      print_results [ { d.D.Autotune.probed with Measure.label } ];
+      0
+    end
+    else
+      run_jobs common ~timeline ~report:print_results
+        [
+          ( Measure.job ~arch ~env ~label ~gpus:d.D.Autotune.best.D.Autotune.gpus_used
+              ~iterations:iters (D.Autotune.build d.D.Autotune.best sdfg).D.Exec.program,
+            ignore );
+        ]
 
 let run_dace common iters app_name arm_name size emit auto specialize_tb verify timeline =
   let gpus = common.gpus in
@@ -417,45 +435,39 @@ let run_dace common iters app_name arm_name size emit auto specialize_tb verify 
     scenario common ~artifacts:true
       (Scenario.Dace { app = app_name; arm = arm_name; size; iters; specialize_tb })
   in
-  let job =
-    if auto then begin
-      if emit || verify then
-        Printf.eprintf "note: --emit-code/--verify are ignored with --auto\n";
-      run_dace_auto common sc ~app_name ~arm ~size ~iters ~specialize_tb
-    end
-    else begin
-      (* The measured run goes through the daemon's dispatcher. *)
-      let job = or_reject (Serve.Exec.job sc) in
-      let app = or_reject (D.Pipeline.app_of_name app_name ~size ~iters) in
-      if emit then begin
-        let sdfg = D.Pipeline.compile_sdfg app arm ~gpus in
-        match arm with
-        | D.Pipeline.Baseline_mpi -> print_string (D.Codegen.emit_baseline sdfg)
-        | D.Pipeline.Cpu_free -> (
-          match D.Persistent_fusion.apply sdfg with
-          | Ok p ->
-            let p = if specialize_tb then fst (D.Persistent_fusion.specialize_tb p) else p in
-            print_string (D.Codegen.emit_persistent p)
-          | Error e ->
-            Printf.eprintf "persistent fusion failed: %s\n" e;
-            exit 1)
-      end;
-      if verify then begin
-        match
-          D.Pipeline.verify_env ~arch:job.Measure.sc_arch ~env:(Env.probe job.Measure.sc_env)
-            ~specialize_tb app arm ~gpus
-        with
-        | Ok err -> Printf.printf "verification OK (max |err| = %.2e)\n" err
-        | Error m ->
-          Printf.printf "verification FAILED: %s\n" m;
-          exit 1
-      end;
-      job
-    end
-  in
-  run_jobs common ~timeline
-    ~report:(List.iter (Format.printf "%a@." Measure.pp_result))
-    [ (job, ignore) ]
+  if auto then begin
+    if emit || verify then Printf.eprintf "note: --emit-code/--verify are ignored with --auto\n";
+    run_dace_auto common sc ~timeline ~app_name ~arm ~size ~iters ~specialize_tb
+  end
+  else begin
+    (* The measured run goes through the daemon's dispatcher. *)
+    let job = or_reject (Serve.Exec.job sc) in
+    let app = or_reject (D.Pipeline.app_of_name app_name ~size ~iters) in
+    if emit then begin
+      let sdfg = D.Pipeline.compile_sdfg app arm ~gpus in
+      match arm with
+      | D.Pipeline.Baseline_mpi -> print_string (D.Codegen.emit_baseline sdfg)
+      | D.Pipeline.Cpu_free -> (
+        match D.Persistent_fusion.apply sdfg with
+        | Ok p ->
+          let p = if specialize_tb then fst (D.Persistent_fusion.specialize_tb p) else p in
+          print_string (D.Codegen.emit_persistent p)
+        | Error e ->
+          Printf.eprintf "persistent fusion failed: %s\n" e;
+          exit 1)
+    end;
+    if verify then begin
+      match
+        D.Pipeline.verify_env ~arch:job.Measure.sc_arch ~env:(Env.probe job.Measure.sc_env)
+          ~specialize_tb app arm ~gpus
+      with
+      | Ok err -> Printf.printf "verification OK (max |err| = %.2e)\n" err
+      | Error m ->
+        Printf.printf "verification FAILED: %s\n" m;
+        exit 1
+    end;
+    run_jobs common ~timeline ~report:print_results [ (job, ignore) ]
+  end
 
 let dace_cmd =
   let doc = "Compile and run a distributed DaCe benchmark through a pipeline arm (paper §6.2)." in

@@ -210,7 +210,7 @@ let run_env ?arch ?env ~label ~gpus ~iterations program =
   (run (job ?arch ?env ~label ~gpus ~iterations program)).result
 
 let probe_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
-  (run_env ?arch ~env:(Obs.Sim_env.probe env) ~label ~gpus ~iterations program).total
+  run_env ?arch ~env:(Obs.Sim_env.probe env) ~label ~gpus ~iterations program
 
 let speedup_pct ~baseline ~ours =
   let tb = Time.to_sec_float baseline.total and to_ = Time.to_sec_float ours.total in

@@ -125,11 +125,12 @@ val probe_env :
   ?arch:Cpufree_gpu.Arch.t ->
   ?env:Cpufree_obs.Sim_env.t ->
   label:string -> gpus:int -> iterations:int ->
-  program -> Cpufree_engine.Time.t
+  program -> result
 (** Cheap cost probe for candidate evaluation (the autotuner's oracle): run
     the program under {!Cpufree_obs.Sim_env.probe}[ env] — observability
-    sinks and fault plan stripped — and return only the simulated
-    wall-clock. *)
+    sinks and fault plan stripped. Its [total] is the candidate's cost; the
+    whole result is what a run of the same program under an environment
+    without sinks or faults measures. *)
 
 val speedup_pct : baseline:result -> ours:result -> float
 (** The paper's speedup formula: [(T_b - T_o) / T_b * 100]. *)

@@ -120,6 +120,7 @@ type decision = {
   predicted : Time.t;
   evaluated : (plan * Time.t) list;  (** every candidate, in canonical order *)
   simulated : int;
+  probed : Measure.result;
 }
 
 (* Pick the winner by simulating every candidate on phantom buffers under
@@ -150,23 +151,29 @@ let search ?arch ?(env = Obs.Sim_env.default) sdfg ~gpus ~iterations =
           match lower f with
           | exception (Invalid_argument _ | Exec.Lowering_error _) -> None
           | built ->
-            let c =
+            let r =
               Measure.probe_env ?arch ~env
                 ~label:(plan_to_string plan)
                 ~gpus:plan.gpus_used ~iterations built.Exec.program
             in
-            probed := (key, c) :: !probed;
-            Some c))
+            probed := (key, r) :: !probed;
+            Some r))
     in
-    let evaluated =
-      List.filter_map (fun plan -> Option.map (fun c -> (plan, c)) (cost plan)) plans
-    in
-    (match evaluated with
+    let results = List.filter_map (fun plan -> Option.map (fun r -> (plan, r)) (cost plan)) plans in
+    (match results with
     | [] -> Error "no candidate transformation sequence compiled"
     | first :: rest ->
-      let best, predicted =
+      let best, winner =
         List.fold_left
-          (fun (bp, bc) (p, c) -> if Time.(c < bc) then (p, c) else (bp, bc))
+          (fun (bp, br) (p, r) ->
+            if Time.(r.Measure.total < br.Measure.total) then (p, r) else (bp, br))
           first rest
       in
-      Ok { best; predicted; evaluated; simulated = List.length !probed })
+      Ok
+        {
+          best;
+          predicted = winner.Measure.total;
+          evaluated = List.map (fun (p, r) -> (p, r.Measure.total)) results;
+          simulated = List.length !probed;
+          probed = winner;
+        })

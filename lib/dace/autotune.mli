@@ -66,6 +66,10 @@ type decision = {
   predicted : Time.t;  (** simulated cost of [best] under the probe env *)
   evaluated : (plan * Time.t) list;  (** every candidate, in canonical order *)
   simulated : int;  (** distinct programs probed; at most [List.length evaluated] *)
+  probed : Cpufree_core.Measure.result;
+      (** [best]'s probe: what {!Cpufree_core.Measure.run} reports for its
+          program under an environment without sinks or faults (labelled
+          with the first plan of that program) *)
 }
 
 val search :

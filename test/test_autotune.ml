@@ -148,8 +148,8 @@ let beats_hand_built (name, app, iters) =
           let sdfg = Pipeline.frontend app arm ~gpus in
           let hand = Pipeline.compile app arm ~gpus in
           let hand_cost =
-            Measure.probe_env ~label:"hand" ~gpus ~iterations:iters
-              hand.D.Exec.program
+            (Measure.probe_env ~label:"hand" ~gpus ~iterations:iters hand.D.Exec.program)
+              .Measure.total
           in
           let d = search_exn sdfg ~gpus ~iterations:iters in
           check_bool
@@ -174,8 +174,9 @@ let reference_search sdfg ~gpus ~iterations =
           | built ->
             Some
               ( plan,
-                Measure.probe_env ~label:(Autotune.plan_to_string plan)
-                  ~gpus:plan.Autotune.gpus_used ~iterations built.D.Exec.program ))
+                (Measure.probe_env ~label:(Autotune.plan_to_string plan)
+                   ~gpus:plan.Autotune.gpus_used ~iterations built.D.Exec.program)
+                  .Measure.total ))
         plans
     in
     let best, predicted =
