@@ -29,12 +29,16 @@ let ceil_pow2 n =
 (* ------------------------------------------------------------------ *)
 
 (* An allgather schedule over [n] GPUs, written once and walked by both
-   drivers. In phase [p], GPU [g] issues [copies p g] in order — each
+   drivers. In phase [p], GPU [g] issues its copies in order — each
    [(dst, pos, len)] copies slots [pos, pos + len) of its bank into the
    same slots of [dst]'s — and then waits until [awaits p g] more elements
-   have arrived on channel [chan p] ([None]: it does not wait). Every
+   have arrived on channel [chan p] ([no_wait]: it does not wait). Every
    schedule leaves slot [r] = GPU [r]'s value in every bank, so the
    reduction below is identical across them.
+
+   A copy is read in continuation-passing style, so walking a schedule
+   allocates nothing: [copy p g i issue past] is [issue dst pos len] for
+   GPU [g]'s copy [i] of phase [p], or [past ()] when it issues fewer.
 
    Channels. Tree and doubling wait mid-schedule for data they forward
    onward, so a shared arrival counter is not sound: a near peer's
@@ -58,9 +62,11 @@ type schedule = {
   channels : string array;  (* signal label suffixes, indexed by [chan] *)
   phases : int;
   chan : int -> int;
-  copies : int -> int -> (int * int * int) list;
-  awaits : int -> int -> int option;
+  copy : 'a. int -> int -> int -> (int -> int -> int -> 'a) -> (unit -> 'a) -> 'a;
+  awaits : int -> int -> int;
 }
+
+let no_wait = -1
 
 (* Dense: scatter my slot to every peer at once, wait for all n-1 (even
    for none at n = 1). The original all-to-all — latency-optimal at small
@@ -70,8 +76,9 @@ let dense n =
     channels = [| "arrived" |];
     phases = 1;
     chan = (fun _ -> 0);
-    copies = (fun _ g -> List.init (n - 1) (fun i -> ((if i < g then i else i + 1), g, 1)));
-    awaits = (fun _ _ -> Some (n - 1));
+    copy =
+      (fun _ g i issue past -> if i < n - 1 then issue (if i < g then i else i + 1) g 1 else past ());
+    awaits = (fun _ _ -> n - 1);
   }
 
 (* Ring: n-1 phases, each forwarding the slot received in the previous
@@ -83,8 +90,9 @@ let ring ~reorders n =
     channels = (if reorders then Array.init (n - 1) (Printf.sprintf "ph%d") else [| "arrived" |]);
     phases = n - 1;
     chan = (if reorders then Fun.id else fun _ -> 0);
-    copies = (fun s g -> [ ((g + 1) mod n, (g - s + n) mod n, 1) ]);
-    awaits = (fun _ _ -> Some 1);
+    copy =
+      (fun s g i issue past -> if i = 0 then issue ((g + 1) mod n) ((g - s + n) mod n) 1 else past ());
+    awaits = (fun _ _ -> 1);
   }
 
 (* Binomial tree: gather blocks up to GPU 0 (each GPU sends its whole held
@@ -106,18 +114,19 @@ let tree n =
     channels = Array.append (Array.init kmax (Printf.sprintf "up%d")) [| "down" |];
     phases = 2 * kmax;
     chan = (fun p -> if up p then p else kmax);
-    copies =
-      (fun p g ->
+    copy =
+      (fun p g i issue past ->
         let step, low = level p g in
-        if up p then if low = step then [ (g - step, g, min step (n - g)) ] else []
-        else if low = 0 && g + step < n then [ (g + step, 0, n) ]
-        else []);
+        if i > 0 then past ()
+        else if up p then if low = step then issue (g - step) g (min step (n - g)) else past ()
+        else if low = 0 && g + step < n then issue (g + step) 0 n
+        else past ());
     awaits =
       (fun p g ->
         let step, low = level p g in
-        if up p then if low = 0 && g + step < n then Some (min step (n - g - step)) else None
-        else if low = step then Some n
-        else None);
+        if up p then if low = 0 && g + step < n then min step (n - g - step) else no_wait
+        else if low = step then n
+        else no_wait);
   }
 
 (* Recursive doubling over the largest power-of-two subset [pp]: the n-pp
@@ -144,26 +153,28 @@ let doubling n =
       Array.concat [ [| "pre" |]; Array.init k (Printf.sprintf "st%d"); [| "post" |] ];
     phases = (if r > 0 then k + 2 else k);
     chan = (fun p -> p + first);
-    copies =
-      (fun p g ->
+    copy =
+      (fun p g i issue past ->
         let st = p + first in
-        if st = 0 then if g >= pp then [ (g - pp, g, 1) ] else []
-        else if st > k then if g < r then [ (g + pp, 0, n) ] else []
-        else if g >= pp then []
+        if st = 0 then if g >= pp && i = 0 then issue (g - pp) g 1 else past ()
+        else if st > k then if g < r && i = 0 then issue (g + pp) 0 n else past ()
+        else if g >= pp then past ()
         else
           let s, partner, base = block st g in
           let sh = shadow base s in
-          (partner, base, s) :: (if sh > 0 then [ (partner, pp + base, sh) ] else []));
+          if i = 0 then issue partner base s
+          else if i = 1 && sh > 0 then issue partner (pp + base) sh
+          else past ());
     awaits =
       (fun p g ->
         let st = p + first in
-        if st = 0 then if g < r then Some 1 else None
-        else if st > k then if g >= pp then Some n else None
-        else if g >= pp then None
+        if st = 0 then if g < r then 1 else no_wait
+        else if st > k then if g >= pp then n else no_wait
+        else if g >= pp then no_wait
         else
           let s, partner, _ = block st g in
           let _, _, pbase = block st partner in
-          Some (s + shadow pbase s));
+          s + shadow pbase s);
   }
 
 let schedule ?(reorders = false) algorithm n =
@@ -219,16 +230,12 @@ let create ?(algorithm = Dense) nv ~label =
 
 let n t = Nvshmem.n_pes t.nv
 
-(* [f x next] for each [x] of [l] in order, each once the previous one
-   has called [next]; then [k]. *)
-let rec iter_k f l k =
-  match l with [] -> k () | [ x ] -> f x k | x :: rest -> f x (fun () -> iter_k f rest k)
-
 (* Each copy is a position-preserving signaled put that bumps the phase's
    channel at the peer by the element count (put-then-signal ordering
    makes each arrival a data guarantee); each wait raises this PE's
    cumulative threshold on that channel, so no signal is ever reset. The
-   whole schedule is one chain of steps. *)
+   whole schedule is one chain of steps, whose closures are made once per
+   round: [step] continues every put and every wait. *)
 let allreduce_sum_k t ~pe value k =
   t.round.(pe) <- t.round.(pe) + 1;
   let parity = t.round.(pe) land 1 in
@@ -236,33 +243,35 @@ let allreduce_sum_k t ~pe value k =
   let own = Nvshmem.local t.contrib ~pe in
   G.Buffer.set own (bank + pe) value;
   let s = t.sched in
-  let rec phase p k =
-    if p = s.phases then begin
+  (* Copy [!i] of phase [!p] is next. *)
+  let p = ref 0 and i = ref 0 in
+  let chan () = (parity * t.per_bank) + s.chan !p in
+  let rec step () =
+    if !p = s.phases then begin
       let acc = ref 0.0 in
       for slot = 0 to n t - 1 do
         acc := !acc +. G.Buffer.get own (bank + slot)
       done;
       k !acc
     end
+    else s.copy !p pe !i issue wait
+  and issue dst pos len =
+    incr i;
+    Nvshmem.putmem_signal_nbi_k t.nv ~from_pe:pe ~to_pe:dst ~src:own ~src_pos:(bank + pos)
+      ~dst:t.contrib ~dst_pos:(bank + pos) ~len ~sig_var:t.chans.(chan ())
+      ~sig_op:Nvshmem.Signal_add ~sig_value:len step
+  and wait () =
+    let c = chan () and a = s.awaits !p pe in
+    incr p;
+    i := 0;
+    if a = no_wait then step ()
     else begin
-      let c = (parity * t.per_bank) + s.chan p in
-      let sig_var = t.chans.(c) in
-      iter_k
-        (fun (dst, pos, len) next ->
-          Nvshmem.putmem_signal_nbi_k t.nv ~from_pe:pe ~to_pe:dst ~src:own ~src_pos:(bank + pos)
-            ~dst:t.contrib ~dst_pos:(bank + pos) ~len ~sig_var ~sig_op:Nvshmem.Signal_add
-            ~sig_value:len next)
-        (s.copies p pe)
-        (fun () ->
-          match s.awaits p pe with
-          | None -> phase (p + 1) k
-          | Some a ->
-            let e = t.expect.(pe) in
-            e.(c) <- e.(c) + a;
-            Nvshmem.signal_wait_ge_k t.nv ~pe ~sig_var e.(c) (fun () -> phase (p + 1) k))
+      let e = t.expect.(pe) in
+      e.(c) <- e.(c) + a;
+      Nvshmem.signal_wait_ge_k t.nv ~pe ~sig_var:t.chans.(c) e.(c) step
     end
   in
-  phase 0 k
+  step ()
 
 (* The fiber form, for a fiber harness outside the library. *)
 let allreduce_sum t ~pe value =
@@ -298,30 +307,39 @@ let host_allreduce_sum_k ctx ~algorithm ~label values k =
           ~name:(Printf.sprintf "%s.s%d" label g))
   in
   let s = schedule algorithm nn in
-  let rec phase p k =
-    if p = s.phases then k ()
-    else
-      let rec gpu g k =
-        if g = nn then k ()
-        else
-          iter_k
-            (fun (dst, pos, len) next ->
-              R.memcpy_async_k ctx ~stream:streams.(g) ~src:bufs.(g) ~src_pos:pos ~dst:bufs.(dst)
-                ~dst_pos:pos ~len next)
-            (s.copies p g)
-            (fun () -> gpu (g + 1) k)
-      in
-      gpu 0 (fun () ->
-          iter_k (R.stream_synchronize_k ctx) (Array.to_list streams) (fun () -> phase (p + 1) k))
-  in
-  phase 0 (fun () ->
+  (* GPU [!g]'s copy [!i] of phase [!p] is next; past the last GPU, the
+     synchronization of stream [!g - nn]. *)
+  let p = ref 0 and g = ref 0 and i = ref 0 in
+  let rec step () =
+    if !p = s.phases then
       k
         (Array.init nn (fun g ->
              let acc = ref 0.0 in
              for q = 0 to nn - 1 do
                acc := !acc +. G.Buffer.get bufs.(g) q
              done;
-             !acc)))
+             !acc))
+    else if !g < nn then s.copy !p !g !i issue next_gpu
+    else if !g < 2 * nn then begin
+      let stream = streams.(!g - nn) in
+      incr g;
+      R.stream_synchronize_k ctx stream step
+    end
+    else begin
+      incr p;
+      g := 0;
+      step ()
+    end
+  and issue dst pos len =
+    incr i;
+    R.memcpy_async_k ctx ~stream:streams.(!g) ~src:bufs.(!g) ~src_pos:pos ~dst:bufs.(dst)
+      ~dst_pos:pos ~len step
+  and next_gpu () =
+    incr g;
+    i := 0;
+    step ()
+  in
+  step ()
 
 (* The fiber form, for a fiber harness outside the library. *)
 let host_allreduce_sum ctx ~algorithm ~label values =

@@ -14,7 +14,9 @@
     device driver ({!allreduce_sum_k}: signaled puts, then a signal wait) and
     the CPU-driven baseline ({!host_allreduce_sum_k}: host [memcpy]s, then a
     [synchronize] on every stream), extending the paper's control-path
-    comparison to collectives. Both move the same bytes in the same
+    comparison to collectives. A driver makes its closures once per round
+    and reads the schedule without allocating, so a phase allocates only
+    what its puts, copies and waits do. Both move the same bytes in the same
     transfers. All schedules fill the same two-bank slot layout and end in
     an identical in-order local reduction, so they return bit-identical
     results — the choice only moves simulated time.

@@ -12,6 +12,9 @@
     data-before-signal ordering) happens asynchronously, as an engine step
     process ({!Cpufree_engine.Engine.spawn_callbacks}), and
     {!quiet_k} waits for all of the calling PE's outstanding deliveries.
+    A put is one record from issue to retirement: its delivery's steps are
+    closures over that record alone, and a recovery that replays a dropped
+    put runs the same steps over the same record.
 
     Every operation is written as steps: called with a continuation, it
     runs it once the operation returns. *)
@@ -89,8 +92,11 @@ val signal_wait_until_k :
 
 val signal_wait_ge_k :
   t -> ?expect_from:int -> pe:int -> sig_var:signal -> int -> (unit -> unit) -> unit
-(** {!signal_wait_until_k} for [value >= v]; a flag that already holds
-    builds no predicate. *)
+(** {!signal_wait_until_k} for [value >= v]. A flag that already holds
+    continues at once; without an active fault plan a blocked wait is a
+    threshold wait ({!Cpufree_engine.Sync.Flag.wait_ge_k}), with no
+    predicate, and without metrics one closure carries its detection
+    latency. *)
 
 val quiet_k : t -> pe:int -> (unit -> unit) -> unit
 (** Continue once all of [pe]'s outstanding non-blocking operations have

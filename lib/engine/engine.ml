@@ -291,29 +291,51 @@ let no_reason () = ""
 let delay_reason () = "delay"
 let nothing = Queue.nothing
 
-let make_process ~pid ~name_of ~daemon ~group ~stepping body =
-  let rec p =
-    {
-      pid;
-      name_of;
-      daemon;
-      group;
-      stepping;
-      state = Ready;
-      why = no_reason;
-      on_group = None;
-      since = Time.zero;
-      timed = false;
-      epoch = 0;
-      body = (if stepping then nothing else body);
-      step = (if stepping then body else nothing);
-      k = None;
-      resume = nothing;
-      prev = p;
-      next = p;
-    }
-  in
-  p
+(* A process is made with its links in place: [register] passes the live
+   list's tail and head, and {!create} the constant [unlinked] for the
+   sentinel, which it then closes on itself. Without a [let rec], making a
+   process allocates its record only. *)
+let make_process ~pid ~name_of ~daemon ~group ~stepping ~prev ~next body =
+  {
+    pid;
+    name_of;
+    daemon;
+    group;
+    stepping;
+    state = Ready;
+    why = no_reason;
+    on_group = None;
+    since = Time.zero;
+    timed = false;
+    epoch = 0;
+    body = (if stepping then nothing else body);
+    step = (if stepping then body else nothing);
+    k = None;
+    resume = nothing;
+    prev;
+    next;
+  }
+
+let rec unlinked =
+  {
+    pid = -1;
+    name_of = no_reason;
+    daemon = true;
+    group = None;
+    stepping = false;
+    state = Finished;
+    why = no_reason;
+    on_group = None;
+    since = Time.zero;
+    timed = false;
+    epoch = 0;
+    body = nothing;
+    step = nothing;
+    k = None;
+    resume = nothing;
+    prev = unlinked;
+    next = unlinked;
+  }
 
 (* Idempotent, so a raise that the fiber handler has already accounted for
    is not counted again by the step that continued the fiber. *)
@@ -384,8 +406,11 @@ let create ?trace ?watchdog () =
   | Some w when Time.(w <= Time.zero) -> invalid_arg "Engine.create: watchdog must be positive"
   | Some _ | None -> ());
   let sentinel =
-    make_process ~pid:0 ~name_of:no_reason ~daemon:true ~group:None ~stepping:false nothing
+    make_process ~pid:0 ~name_of:no_reason ~daemon:true ~group:None ~stepping:false
+      ~prev:unlinked ~next:unlinked nothing
   in
+  sentinel.prev <- sentinel;
+  sentinel.next <- sentinel;
   let t =
     {
       clock = Time.zero;
@@ -446,11 +471,11 @@ let schedule_at t at thunk =
 
 let register t ~name_of ~daemon ~group ~stepping body =
   t.next_pid <- t.next_pid + 1;
-  let p = make_process ~pid:t.next_pid ~name_of ~daemon ~group ~stepping body in
-  p.resume <- (fun () -> resume t p);
   let head = t.live_head in
-  p.prev <- head.prev;
-  p.next <- head;
+  let p =
+    make_process ~pid:t.next_pid ~name_of ~daemon ~group ~stepping ~prev:head.prev ~next:head body
+  in
+  p.resume <- (fun () -> resume t p);
   head.prev.next <- p;
   head.prev <- p;
   t.registered <- t.registered + 1;
@@ -475,14 +500,14 @@ let after t d k =
   | Running | Ready | Blocked | Finished ->
     invalid_arg "Engine.after: not called from a step of a spawn_callbacks process"
 
-(* Block it until the waker it registers is first called. *)
-let await t ~reason ?waits_on register k =
+(* Block it until the waker it returns is first called. *)
+let await t ~reason ?waits_on k =
   let p = t.current in
   match p.state with
   | Running when p.stepping ->
     block_state t p ~why:reason ~on_group:waits_on ~timed:false;
     p.step <- k;
-    register (waker t p)
+    waker t p
   | Running | Ready | Blocked | Finished -> invalid_arg "Engine.await: not called from a step"
 
 let fiber_caller t op =

@@ -142,14 +142,14 @@ val after : t -> Time.t -> (unit -> unit) -> unit
     later. It pushes one event.
     @raise Invalid_argument anywhere else. *)
 
-val await :
-  t -> reason:(unit -> string) -> ?waits_on:string -> ((unit -> unit) -> unit) -> (unit -> unit) ->
-  unit
-(** [await t ~reason register k], called from a step as its last action,
-    blocks the process, calls [register] at once with a waker, and runs [k]
-    as its next step when the waker is first called, at the simulated time
-    of that call (from any other process). Calling the waker again, or
-    after the process moved on, is harmless.
+val await : t -> reason:(unit -> string) -> ?waits_on:string -> (unit -> unit) -> unit -> unit
+(** [await t ~reason k], called from a step as its last action, blocks the
+    process and returns a waker; [k] runs as the process's next step when
+    the waker is first called, at the simulated time of that call (from
+    any other process). Calling the waker again, or after the process
+    moved on, is harmless. The caller files the waker wherever the wait is
+    resolved (a flag's waiter list), so a wait builds no registration
+    closure.
 
     [reason] renders the wait for diagnostics; it is called only when one
     is built, so it must capture at the call any value it prints (a flag's

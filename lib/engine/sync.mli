@@ -20,7 +20,8 @@ module Flag : sig
   val get : t -> int
 
   val set : t -> int -> unit
-  (** Store a value and wake satisfied waiters. *)
+  (** Store a value and wake satisfied waiters, newest first. Waking one
+      waiter, or none, allocates nothing. *)
 
   val add : t -> int -> unit
 
@@ -30,8 +31,10 @@ module Flag : sig
       to satisfy the wait (see {!Engine.await}). *)
 
   val wait_ge_k : ?waits_on:string -> t -> int -> (unit -> unit) -> unit
-  (** {!wait_until_k} for [value >= v]; a flag that already holds builds no
-      predicate. *)
+  (** {!wait_until_k} for [value >= v]. A flag that already holds continues
+      at once; a blocked wait files a threshold waiter, so it builds no
+      predicate. Its reason, like {!wait_until_k}'s, names the value it
+      blocked at. *)
 
   val await_k :
     ?waits_on:string -> t -> deadline:Time.t -> (int -> bool) -> ([ `Ok | `Timeout ] -> unit) ->
@@ -63,13 +66,17 @@ end
 module Mailbox : sig
   type 'a t
 
-  val create : ?name:string -> Engine.t -> unit -> 'a t
+  val create : ?name:string -> ?name_of:(unit -> string) -> Engine.t -> unit -> 'a t
+  (** [name_of], when given, renders the name on demand instead of [name],
+      as {!Flag.create}'s does. *)
+
   val send : 'a t -> 'a -> unit
   val receiver : 'a t -> ('a -> unit) -> unit -> unit
   (** [receiver t k] is a step that runs [k] with the next item — at once
-      if one is queued, else once a send delivers one. The wait's closures
-      are made once, by [receiver], so a loop that calls the step again
-      from [k] (a stream serving its queue) allocates none per wait. *)
+      if one is queued, else once a send delivers one. The wait's reason
+      and re-check are made once, by [receiver], so a loop that calls the
+      step again from [k] (a stream serving its queue) allocates per wait
+      only the engine's waker and its queue cell. *)
 
   val length : 'a t -> int
 end

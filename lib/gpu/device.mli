@@ -7,6 +7,10 @@ val id : t -> int
 val arch : t -> Arch.t
 val engine : t -> Cpufree_engine.Engine.t
 
+val group : t -> string
+(** ["gpu<id>"], made once: the group tag of the processes that act for
+    this device in wait-for graphs. *)
+
 val lane : t -> string -> string
 (** [lane dev "comp"] is ["gpu<id>.comp"] — the timeline lane for a
     sub-activity of this device. *)

@@ -47,6 +47,7 @@ type t = {
   max_gpu_wire : Time.t;
   faults : F.plan option;
   obs : instr option;
+  gpus : endpoint array; (* [Gpu g] at [g], made once *)
   mutable total_bytes : int;
   mutable total_transfers : int;
   mutable epoch : int; (* topology route_epoch the memo was filled under *)
@@ -109,6 +110,7 @@ let create ?(topology = M.Topology.Hgx) ?faults ?metrics eng ~arch ~num_gpus =
     max_gpu_wire = gpu_wire M.Topology.max_gpu_pair_latency arch.Arch.nvlink_latency;
     faults;
     obs;
+    gpus = Array.init n (fun g -> Gpu g);
     total_bytes = 0;
     total_transfers = 0;
     epoch = M.Topology.route_epoch topo;
@@ -128,6 +130,7 @@ let create ?(topology = M.Topology.Hgx) ?faults ?metrics eng ~arch ~num_gpus =
 
 let num_gpus t = t.n
 let arch t = t.arch
+let gpu t g = if g >= 0 && g < t.n then t.gpus.(g) else Gpu g
 let topology t = t.topo
 let num_nodes t = M.Topology.num_nodes t.topo
 
@@ -222,19 +225,23 @@ let fault_penalty t ~src ~dst =
 
 let fault_hold t ~src ~dst = fst (fault_penalty t ~src ~dst)
 
-(* A transfer as steps: book latency and serialization on every port of
-   the route (plus any fault penalty) and count the transfer, wait until
-   the last byte is in, log it, then continue with [k]. *)
-let transfer_steps t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") k =
+(* Book latency and serialization on every port of the route (plus any
+   fault penalty) and count the transfer; return how long until the last
+   byte is in. *)
+let start_transfer t ~src ~dst ~initiator ~bytes =
   check_endpoint t src;
   check_endpoint t dst;
   if bytes < 0 then invalid_arg "Interconnect.transfer: negative size";
   let e = entry_for t ~src ~dst in
   let latency = path_latency t e ~initiator in
   let dur = serialization_time e ~bytes in
-  let extra, mult = fault_penalty t ~src ~dst in
-  let latency = Time.add latency extra in
-  let dur = if Float.equal mult 1.0 then dur else Time.scale dur mult in
+  let latency, dur =
+    match t.faults with
+    | None -> (latency, dur)
+    | Some _ ->
+      let extra, mult = fault_penalty t ~src ~dst in
+      (Time.add latency extra, if Float.equal mult 1.0 then dur else Time.scale dur mult)
+  in
   let t0 = E.Engine.now t.eng in
   let finish =
     match e.e_ports with
@@ -256,12 +263,19 @@ let transfer_steps t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") k
         Mx.Counter.add o.m_port_bytes.(pid) bytes;
         Mx.Counter.add o.m_port_busy.(pid) dur_ns)
       e.e_pids);
-  E.Engine.after t.eng (Time.sub finish t0) (fun () ->
-      E.Engine.log_comm t.eng ~since:t0;
-      (match (trace_lane, E.Engine.trace t.eng) with
-      | Some lane, Some tr ->
-        E.Trace.add tr ~lane ~label ~kind:E.Trace.Communication ~t0 ~t1:(E.Engine.now t.eng)
-      | None, _ | _, None -> ());
+  Time.sub finish t0
+
+let transfer_landed t ~since ?trace_lane ~label () =
+  E.Engine.log_comm t.eng ~since;
+  match (trace_lane, E.Engine.trace t.eng) with
+  | Some lane, Some tr ->
+    E.Trace.add tr ~lane ~label ~kind:E.Trace.Communication ~t0:since ~t1:(E.Engine.now t.eng)
+  | None, _ | _, None -> ()
+
+let transfer_steps t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") k =
+  let t0 = E.Engine.now t.eng in
+  E.Engine.after t.eng (start_transfer t ~src ~dst ~initiator ~bytes) (fun () ->
+      transfer_landed t ~since:t0 ?trace_lane ~label ();
       k ())
 
 let bytes_moved t = t.total_bytes

@@ -53,6 +53,10 @@ val topology : t -> Cpufree_machine.Topology.t
 
 val num_nodes : t -> int
 
+val gpu : t -> int -> endpoint
+(** [Gpu g], made once per fabric for each of its GPUs, so a transfer
+    names its endpoints without allocating them. *)
+
 val wire_latency : t -> src:endpoint -> dst:endpoint -> Cpufree_engine.Time.t
 (** Routed wire latency between two endpoints, without initiator setup. *)
 
@@ -79,7 +83,22 @@ val transfer_steps :
     the continuation. Same-device "transfers" cost HBM time only;
     zero-byte transfers cost only latency. Every transfer is logged as
     communication in the engine's busy log; it is also recorded as a span
-    on [trace_lane] when one is given and the engine has a trace. *)
+    on [trace_lane] when one is given and the engine has a trace.
+
+    It is {!start_transfer}, a wait, then {!transfer_landed}: a caller
+    that keeps its own state between the two (an NVSHMEM delivery, a
+    stream's copy) calls them itself and waits with a closure it needs
+    anyway. *)
+
+val start_transfer :
+  t -> src:endpoint -> dst:endpoint -> initiator:initiator -> bytes:int -> Cpufree_engine.Time.t
+(** Book and count a transfer at the current time; returns how long until
+    its last byte is in. *)
+
+val transfer_landed : t -> since:Cpufree_engine.Time.t -> ?trace_lane:string -> label:string -> unit -> unit
+(** Log a transfer started at [since] that is in now: as communication in
+    the busy log, and as a span on [trace_lane] when the engine has a
+    trace. *)
 
 val bytes_moved : t -> int
 (** Total payload bytes transported so far. *)

@@ -31,16 +31,16 @@ let create eng ~dev ~name =
       dev;
       sname = name;
       lane = lazy (Device.lane dev name);
-      inbox = E.Sync.Mailbox.create ~name:(name ^ ".inbox") eng ();
+      inbox = E.Sync.Mailbox.create ~name_of:(fun () -> name ^ ".inbox") eng ();
       submitted = 0;
-      done_flag = E.Sync.Flag.create ~name:(name ^ ".completed") eng 0;
+      done_flag = E.Sync.Flag.create ~name_of:(fun () -> name ^ ".completed") eng 0;
     }
   in
   let (_ : E.Engine.process) =
     E.Engine.spawn_callbacks eng
       ~name_of:(fun () -> "stream:" ^ name)
       ~daemon:true
-      ~group:(Printf.sprintf "gpu%d" (Device.id dev))
+      ~group:(Device.group dev)
       (fun () -> serve t)
   in
   t
