@@ -90,8 +90,8 @@ let start_transfer t ~src_rank ~dst_rank (send : posted) (recv : posted) =
           | Some _ -> Some (Printf.sprintf "gpu%d.mpi" src_rank)
         in
         let bytes = region_bytes send.reg in
-        let src = G.Runtime.endpoint_of_buffer send.reg.buf in
-        let dst = G.Runtime.endpoint_of_buffer recv.reg.buf in
+        let src = G.Runtime.endpoint_of_buffer t.ctx send.reg.buf in
+        let dst = G.Runtime.endpoint_of_buffer t.ctx recv.reg.buf in
         if region_strided send.reg || region_strided recv.reg then
           (* Non-contiguous datatype from device memory: the MPI library
              packs/unpacks element-wise through a host staging buffer. *)

@@ -43,14 +43,16 @@ val metrics : ctx -> Cpufree_obs.Metrics.t option
 
 val gpu_group : ctx -> int -> string
 (** Canonical wait-for-graph group tag for device [g]'s processes
-    (["gpu3"]); host threads use ["host"]. Interned when the context is
-    created, so a wait that names its peer formats nothing. *)
+    (["gpu3"]); host threads use ["host"]. Made once per device
+    ({!Device.group}), so a wait that names its peer formats nothing. *)
 
 val scaled_cost : ctx -> gpu:int -> Cpufree_engine.Time.t -> Cpufree_engine.Time.t
 (** [cost] scaled by the device's straggler multiplier — the identity (not even a float
     round-trip) when no plan is active. *)
 
-val endpoint_of_buffer : Buffer.t -> Interconnect.endpoint
+val endpoint_of_buffer : ctx -> Buffer.t -> Interconnect.endpoint
+(** The fabric endpoint a buffer lives on: the host, or its GPU's
+    endpoint, made once per fabric ({!Interconnect.gpu}). *)
 
 val launch_k :
   ctx -> stream:Stream.t -> name:string -> cost:Cpufree_engine.Time.t ->
