@@ -241,6 +241,29 @@ let net_tests =
             ignore
               (G.Interconnect.wire_latency net ~src:(G.Interconnect.Gpu 5)
                  ~dst:(G.Interconnect.Gpu 0))));
+    (* The serialization time is computed as a float and rounded by
+       [Time.of_ns_float] in another module. The default build (release
+       profile, no [-opaque], [-inline 50] from the root dune) inlines that
+       call and never boxes the float; with [-opaque] (dune's dev profile)
+       or at the default inline threshold every transfer boxes one (2
+       words). *)
+    Alcotest.test_case "a fault-free start_transfer allocates nothing" `Quick (fun () ->
+        let eng = Engine.create () in
+        let net = G.Interconnect.create eng ~arch ~num_gpus:2 in
+        let start () =
+          G.Interconnect.start_transfer net ~src:(G.Interconnect.Gpu 0)
+            ~dst:(G.Interconnect.Gpu 1) ~initiator:G.Interconnect.By_device ~bytes:300_000
+        in
+        (* The first call resolves and caches the route. *)
+        ignore (start () : Time.t);
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          ignore (start () : Time.t)
+        done;
+        let words = Gc.minor_words () -. w0 in
+        if words > 0. then
+          Alcotest.failf
+            "1000 transfers allocated %.0f minor words: Time.of_ns_float was not inlined" words);
   ]
 
 (* --- Kernel cost model -------------------------------------------------- *)
