@@ -114,9 +114,11 @@ let validate t =
     Error (Printf.sprintf "size must be positive, got %d" size)
   | Stencil _ | Dace _ -> Ok ()
 
-(* The run environment mirrors the CLI's env_of_common byte for byte: a
-   flow-enabled trace sink exactly when a trace artifact was requested, a
-   metrics registry exactly when a metrics artifact was. *)
+(* The run environment of a scenario: its topology, its fault plan and
+   seed, a flow-enabled trace sink exactly when a trace artifact was
+   requested, and a metrics registry exactly when a metrics artifact was.
+   Every scenario run, the CLI's and the daemon's, gets it through
+   {!Measure.of_scenario}. *)
 let env t =
   let trace = if t.trace then Some (Cpufree_engine.Trace.create ~flows:true ()) else None in
   let metrics = if t.metrics then Some (Cpufree_obs.Metrics.create ()) else None in

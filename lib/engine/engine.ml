@@ -12,32 +12,22 @@ type state = Ready | Running | Blocked | Finished
 
    [epoch] numbers suspensions: a waker resumes only the suspension it was
    made for and retires it, so calling it twice, or after the process has
-   moved on to another wait, is a no-op. [resume] is the process's one
-   queue thunk, allocated with the process.
-
-   A process runs either in its fiber or as steps, and [stepping] says
-   which. In its fiber, [resume] starts [body] on the first call and
-   continues [k] on every later one. As steps, [step] is the next plain
-   callback, which {!after} and {!await} replace, and [resume] runs it (a
-   step that ran stays there until replaced, so running one writes
-   nothing). A {!spawn_callbacks} process is steps for its whole life; a
-   fiber moves to steps in {!handover}, parking its continuation in [k],
-   and back when the chain continues it. *)
+   moved on to another wait, is a no-op. [step] is the next plain
+   callback, which {!after} and {!await} replace, and [resume] — the
+   process's one queue thunk, allocated with the process — runs it (a step
+   that ran stays there until replaced, so running one writes nothing). *)
 type process = {
   pid : int;
   name_of : unit -> string;
   daemon : bool;
   group : string option;
-  mutable stepping : bool;
   mutable state : state;
   mutable why : unit -> string;
   mutable on_group : string option;
   mutable since : Time.t;
   mutable timed : bool;
   mutable epoch : int;
-  mutable body : unit -> unit;
   mutable step : unit -> unit;
-  mutable k : (unit, unit) continuation option;
   mutable resume : unit -> unit;
   mutable prev : process;
   mutable next : process;
@@ -255,10 +245,10 @@ type t = {
   mutable clock : Time.t;
   queue : Queue.t;
   mutable executed : int;
-  mutable fiber_resumes : int;
   mutable steps_run : int;
   mutable running : bool;
   mutable current : process; (* the process whose event is executing *)
+  mutable in_fiber : bool; (* fiber code is running, in [current]'s step *)
   live_head : process; (* sentinel of the live-process list *)
   mutable registered : int;
   mutable live : int; (* non-daemon, unfinished processes *)
@@ -268,8 +258,7 @@ type t = {
   watchdog : Time.t option;
   mutable watch_next : int; (* next clock value that triggers a stall scan *)
   mutable stall_scan_count : int;
-  mutable handler : (unit, unit) handler;
-  mutable on_park : ((unit, unit) continuation -> unit) option;
+  mutable handler : (unit, unit) handler; (* every fiber's, see {!spawn} *)
 }
 
 exception Deadlock of string list
@@ -283,7 +272,11 @@ type stall_report = {
 
 exception Stall of stall_report
 
-type _ Effect.t += Park : t -> unit Effect.t
+(* Where a fiber's {!handover} stands: its chain still running, ended with
+   the fiber's value, or blocked with the fiber parked until that end. *)
+type 'a handover = In_chain | Ended of 'a | Parked of ('a, unit) continuation
+
+type _ Effect.t += Park : 'a handover ref -> 'a Effect.t
 
 (* --- processes ----------------------------------------------------------- *)
 
@@ -295,22 +288,19 @@ let nothing = Queue.nothing
    list's tail and head, and {!create} the constant [unlinked] for the
    sentinel, which it then closes on itself. Without a [let rec], making a
    process allocates its record only. *)
-let make_process ~pid ~name_of ~daemon ~group ~stepping ~prev ~next body =
+let make_process ~pid ~name_of ~daemon ~group ~prev ~next step =
   {
     pid;
     name_of;
     daemon;
     group;
-    stepping;
     state = Ready;
     why = no_reason;
     on_group = None;
     since = Time.zero;
     timed = false;
     epoch = 0;
-    body = (if stepping then nothing else body);
-    step = (if stepping then body else nothing);
-    k = None;
+    step;
     resume = nothing;
     prev;
     next;
@@ -322,67 +312,47 @@ let rec unlinked =
     name_of = no_reason;
     daemon = true;
     group = None;
-    stepping = false;
     state = Finished;
     why = no_reason;
     on_group = None;
     since = Time.zero;
     timed = false;
     epoch = 0;
-    body = nothing;
     step = nothing;
-    k = None;
     resume = nothing;
     prev = unlinked;
     next = unlinked;
   }
 
-(* Idempotent, so a raise that the fiber handler has already accounted for
-   is not counted again by the step that continued the fiber. *)
 let finish t p =
-  match p.state with
-  | Finished -> ()
-  | Ready | Running | Blocked ->
-    p.state <- Finished;
-    if not p.daemon then t.live <- t.live - 1;
-    (* Unlink so long sweeps don't retain one record per spawned kernel;
-       [blocked_descriptions] only ever reports live processes. *)
-    p.prev.next <- p.next;
-    p.next.prev <- p.prev;
-    p.prev <- p;
-    p.next <- p;
-    p.body <- nothing;
-    p.step <- nothing;
-    p.k <- None;
-    t.registered <- t.registered - 1
+  p.state <- Finished;
+  if not p.daemon then t.live <- t.live - 1;
+  (* Unlink so long sweeps don't retain one record per spawned kernel;
+     [blocked_descriptions] only ever reports live processes. *)
+  p.prev.next <- p.next;
+  p.next.prev <- p.prev;
+  p.prev <- p;
+  p.next <- p;
+  p.step <- nothing;
+  t.registered <- t.registered - 1
 
-(* The process's one queue thunk. A step that returns without naming a
-   next one ({!after}, {!await}) and without continuing a fiber finishes
-   the process; one that raises finishes it too, then leaves {!run} — as
-   the fiber handler's [exnc] does. A process already finished (by a step
-   that raised after scheduling its next one) does nothing. *)
+(* The process's one queue thunk: it runs the process's step. A step that
+   returns without naming a next one ({!after}, {!await}) finishes the
+   process; one that raises finishes it too, then leaves {!run}. A process
+   already finished (by a step that raised after scheduling its next one)
+   does nothing. *)
 let resume t p =
   match p.state with
   | Finished -> ()
-  | Ready | Running | Blocked ->
+  | Ready | Running | Blocked -> (
     p.state <- Running;
     t.current <- p;
-    if p.stepping then begin
-      t.steps_run <- t.steps_run + 1;
-      match p.step () with
-      | () -> ( match p.state with Running -> finish t p | Ready | Blocked | Finished -> ())
-      | exception e ->
-        finish t p;
-        raise e
-    end
-    else begin
-      t.fiber_resumes <- t.fiber_resumes + 1;
-      match p.k with
-      | Some k ->
-        p.k <- None;
-        continue k ()
-      | None -> match_with p.body () t.handler
-    end
+    t.steps_run <- t.steps_run + 1;
+    match p.step () with
+    | () -> ( match p.state with Running -> finish t p | Ready | Blocked | Finished -> ())
+    | exception e ->
+      finish t p;
+      raise e)
 
 let block_state t p ~why ~on_group ~timed =
   p.state <- Blocked;
@@ -406,8 +376,8 @@ let create ?trace ?watchdog () =
   | Some w when Time.(w <= Time.zero) -> invalid_arg "Engine.create: watchdog must be positive"
   | Some _ | None -> ());
   let sentinel =
-    make_process ~pid:0 ~name_of:no_reason ~daemon:true ~group:None ~stepping:false
-      ~prev:unlinked ~next:unlinked nothing
+    make_process ~pid:0 ~name_of:no_reason ~daemon:true ~group:None ~prev:unlinked ~next:unlinked
+      nothing
   in
   sentinel.prev <- sentinel;
   sentinel.next <- sentinel;
@@ -416,10 +386,10 @@ let create ?trace ?watchdog () =
       clock = Time.zero;
       queue = Queue.create ();
       executed = 0;
-      fiber_resumes = 0;
       steps_run = 0;
       running = false;
       current = sentinel;
+      in_fiber = false;
       live_head = sentinel;
       registered = 0;
       live = 0;
@@ -430,26 +400,22 @@ let create ?trace ?watchdog () =
       watch_next = max_int;
       stall_scan_count = 0;
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
-      on_park = None;
     }
   in
-  (* One handler per engine, shared by every fiber: the process an effect
-     comes from is [t.current], so spawning allocates no handler. Its one
-     effect is {!handover}'s [Park]: the chain has already blocked the
-     process and queued its next step, so parking only keeps the fiber for
-     the chain's end. *)
-  t.on_park <- Some (fun k -> t.current.k <- Some k);
+  (* One handler per engine, shared by every fiber. Fiber code stops by
+     returning, raising or parking ({!handover} has lowered the flag
+     before it parks), so the handler lowers the flag on the other two. *)
   t.handler <-
     {
-      retc = (fun () -> finish t t.current);
+      retc = (fun () -> t.in_fiber <- false);
       exnc =
         (fun e ->
-          finish t t.current;
+          t.in_fiber <- false;
           raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Park eng when eng == t -> (t.on_park : ((a, unit) continuation -> unit) option)
+          | Park h -> Some (fun (k : (a, unit) continuation) -> h := Parked k)
           | _ -> None);
     };
   t
@@ -469,12 +435,10 @@ let schedule_at t at thunk =
   if Time.(at < t.clock) then invalid_arg "Engine.schedule_at: time in the past";
   Queue.push t.queue at thunk
 
-let register t ~name_of ~daemon ~group ~stepping body =
+let spawn_callbacks t ~name_of ?(daemon = false) ?group first =
   t.next_pid <- t.next_pid + 1;
   let head = t.live_head in
-  let p =
-    make_process ~pid:t.next_pid ~name_of ~daemon ~group ~stepping ~prev:head.prev ~next:head body
-  in
+  let p = make_process ~pid:t.next_pid ~name_of ~daemon ~group ~prev:head.prev ~next:head first in
   p.resume <- (fun () -> resume t p);
   head.prev.next <- p;
   head.prev <- p;
@@ -483,17 +447,11 @@ let register t ~name_of ~daemon ~group ~stepping body =
   Queue.push t.queue t.clock p.resume;
   p
 
-let spawn t ~name body =
-  register t ~name_of:(fun () -> name) ~daemon:false ~group:None ~stepping:false body
-
-let spawn_callbacks t ~name_of ?(daemon = false) ?group first =
-  register t ~name_of ~daemon ~group ~stepping:true first
-
 (* Block the running step's process for [d] and make [k] its next step. *)
 let after t d k =
   let p = t.current in
   match p.state with
-  | Running when p.stepping ->
+  | Running when not t.in_fiber ->
     block_state t p ~why:delay_reason ~on_group:None ~timed:true;
     p.step <- k;
     Queue.push t.queue (Time.add t.clock d) p.resume
@@ -504,64 +462,16 @@ let after t d k =
 let await t ~reason ?waits_on k =
   let p = t.current in
   match p.state with
-  | Running when p.stepping ->
+  | Running when not t.in_fiber ->
     block_state t p ~why:reason ~on_group:waits_on ~timed:false;
     p.step <- k;
     waker t p
   | Running | Ready | Blocked | Finished -> invalid_arg "Engine.await: not called from a step"
 
-let fiber_caller t op =
-  let p = t.current in
-  match p.state with
-  | Running when not p.stepping -> p
-  | Running | Ready | Blocked | Finished ->
-    invalid_arg (Printf.sprintf "Engine.%s: not called from a fiber process" op)
-
-(* A handover's state: the chain's result once it ends, and whether the
-   fiber parked to wait for it. *)
-type 'a baton = { mutable result : 'a option; mutable parked : bool }
-
-let handover t chain =
-  let p = fiber_caller t "handover" in
-  let b = { result = None; parked = false } in
-  p.stepping <- true;
-  (match
-     chain (fun v ->
-         if t.current != p || p.state <> Running || Option.is_some b.result then
-           invalid_arg "Engine.handover: the chain ended outside a step of its process";
-         b.result <- Some v;
-         p.stepping <- false;
-         p.step <- nothing;
-         if b.parked then
-           match p.k with
-           | Some k ->
-             p.k <- None;
-             continue k ()
-           | None -> ())
-   with
-  | () -> ()
-  | exception e ->
-    p.stepping <- false;
-    raise e);
-  match b.result with
-  | Some v -> v
-  | None -> (
-    match p.state with
-    | Blocked -> (
-      b.parked <- true;
-      Effect.perform (Park t);
-      match b.result with
-      | Some v -> v
-      | None -> invalid_arg "Engine.handover: resumed before its chain ended")
-    | Ready | Running | Finished ->
-      p.stepping <- false;
-      invalid_arg "Engine.handover: the chain neither waited nor ended")
-
 let process_name p = p.name_of ()
 let process_done p = p.state = Finished
 
 let events_executed t = t.executed
-let fiber_resumes t = t.fiber_resumes
 let steps_run t = t.steps_run
 let stall_scans t = t.stall_scan_count
 let registered_processes t = t.registered
@@ -705,3 +615,46 @@ let run ?until t =
     done
   in
   Fun.protect ~finally:(fun () -> t.running <- false) loop
+
+(* --- fibers: a layer for one outside caller --------------------------- *)
+
+(* A fiber is a step process whose first step runs its body under the
+   engine's handler, with the flag up. A {!handover} runs its chain at
+   once, in the fiber's step, with the flag down; only a chain that
+   blocked parks the fiber, and the chain's last step continues it. *)
+let spawn t ~name body =
+  spawn_callbacks t ~name_of:(fun () -> name) (fun () ->
+      t.in_fiber <- true;
+      match_with body () t.handler)
+
+let handover t chain =
+  if not t.in_fiber then invalid_arg "Engine.handover: not called from a fiber process";
+  let p = t.current in
+  let h = ref In_chain in
+  let ended_outside () =
+    invalid_arg "Engine.handover: the chain ended outside a step of its process"
+  in
+  t.in_fiber <- false;
+  (match
+     chain (fun v ->
+         if t.current != p || p.state <> Running then ended_outside ();
+         match !h with
+         | In_chain -> h := Ended v
+         | Parked k ->
+           h := Ended v;
+           t.in_fiber <- true;
+           continue k v
+         | Ended _ -> ended_outside ())
+   with
+  | () -> ()
+  | exception e ->
+    t.in_fiber <- true;
+    raise e);
+  match !h with
+  | Ended v ->
+    t.in_fiber <- true;
+    v
+  | In_chain when p.state = Blocked -> Effect.perform (Park h)
+  | In_chain | Parked _ ->
+    t.in_fiber <- true;
+    invalid_arg "Engine.handover: the chain neither waited nor ended"

@@ -15,17 +15,18 @@
     kernel role, NVSHMEM delivery and MPI message is such a process; the
     long ones are {!Program}s.
 
-    One other kind remains, for one caller outside the library: a benchmark
-    harness that spawns a fiber ({!spawn}) calling
-    [Collective.allreduce_sum] or [host_allreduce_sum]. Such a fiber has no
-    blocking primitive of its own; it blocks only by handing a step chain
-    over ({!handover}), which runs as the same process and continues the
-    fiber when it ends. {!spawn}, {!handover} and {!fiber_resumes} go when
-    that harness moves to step processes.
+    That is the only kind of process the engine core knows. A fiber
+    ({!spawn}) is a layer on top of it, kept for one caller outside the
+    library — a benchmark harness whose fibers call
+    [Collective.allreduce_sum] or [host_allreduce_sum]: a step process
+    whose first step runs the fiber's body under the engine's one effect
+    handler. A fiber blocks only by handing a step chain over
+    ({!handover}), which runs as the same process and continues the fiber
+    when it ends. {!spawn} and {!handover} go when that harness moves to
+    step processes.
 
-    Each wait pushes one event, and so does each process start of either
-    kind. {!fiber_resumes} and {!steps_run} count which way the events
-    ran.
+    Each wait pushes one event, and so does each process start. Every
+    event runs a step ({!steps_run}) or a {!schedule_at} callback.
 
     {1 One sequential driver}
 
@@ -133,14 +134,14 @@ val spawn_callbacks :
     from deadlock detection: when only daemons remain blocked, {!run}
     returns normally.
 
-    Pids are drawn from one counter for both kinds of process. *)
+    Pids are drawn from one counter, fibers ({!spawn}) included. *)
 
 val after : t -> Time.t -> (unit -> unit) -> unit
 (** [after t d k], called from a step as its last action, blocks that
     process for [d] — state [Blocked], reason ["delay"], [since] now, and
     exempt from the stall watchdog — and runs [k] as its next step [d]
     later. It pushes one event.
-    @raise Invalid_argument anywhere else. *)
+    @raise Invalid_argument anywhere else, fiber code included. *)
 
 val await : t -> reason:(unit -> string) -> ?waits_on:string -> (unit -> unit) -> unit -> unit
 (** [await t ~reason k], called from a step as its last action, blocks the
@@ -157,30 +158,30 @@ val await : t -> reason:(unit -> string) -> ?waits_on:string -> (unit -> unit) -
     names the process {e group} expected to resolve the wait (the peer GPU
     a signal must come from) — the wait-for edge {!Deadlock} and {!Stall}
     diagnostics build their cycle reports from.
-    @raise Invalid_argument anywhere else. *)
+    @raise Invalid_argument anywhere else, fiber code included. *)
 
 val spawn : t -> name:string -> (unit -> unit) -> process
-(** Register a fiber process: its body runs in its own fiber at the
-    current simulation time and blocks only through {!handover}. It has no
-    group and is never a daemon. Kept only for the benchmark's allreduce
-    harness (see the header). *)
+(** Register a fiber process: a step process (see {!spawn_callbacks})
+    whose first step runs the body, at the current simulation time, in a
+    fiber that blocks only through {!handover}. It has no group and is
+    never a daemon. Kept only for the benchmark's allreduce harness (see
+    the header). *)
 
 val handover : t -> (('a -> unit) -> unit) -> 'a
-(** [handover t chain], called from a fiber process, runs [chain finish] at
-    once as steps of that same process. The chain may wait with {!after}
+(** [handover t chain], called from fiber code, runs [chain finish] at
+    once as steps of the fiber's process. The chain may wait with {!after}
     and {!await}; its last step calls [finish v] as its last action, which
     continues the fiber inline — in that step's event — with [handover]
     returning [v]. A chain that ends without waiting returns at once and
-    performs no effect. Neither the handover nor the way back adds or
-    removes an event.
+    performs no effect; one that blocked parks the fiber until [finish].
+    Neither the handover nor the way back adds or removes an event.
 
-    A raise in a step finishes the process once and leaves {!run}; a raise
-    in the fiber after [finish] continued it does the same, and is not
-    counted twice. A raise before the chain first waits propagates into the
-    fiber, as from any call.
-    @raise Invalid_argument outside a running fiber, when the chain returns
-    without waiting or ending, or when [finish] is called twice or outside
-    a step of the process. *)
+    A raise in a step, or in the fiber after [finish] continued it,
+    finishes the process and leaves {!run}. A raise before the chain first
+    waits propagates into the fiber, as from any call.
+    @raise Invalid_argument outside fiber code (a step included), when the
+    chain returns without waiting or ending, or when [finish] is called
+    twice or outside a step of the process. *)
 
 val process_name : process -> string
 val process_done : process -> bool
@@ -202,14 +203,9 @@ val events_executed : t -> int
     as [engine.events] and divides run time by it for
     [engine.ns_per_event]. *)
 
-val fiber_resumes : t -> int
-(** Events that started or continued a fiber. A fiber continued inline by
-    its {!handover} chain is not counted: that is part of a step's event.
-    Only a {!spawn} process makes them. *)
-
 val steps_run : t -> int
-(** Events that ran a step. Every event is a fiber resume, a step, or a
-    {!schedule_at} callback. *)
+(** Events that ran a step: every process event, a fiber's start
+    included. Every other event is a {!schedule_at} callback. *)
 
 val stall_scans : t -> int
 (** Stall-watchdog scans actually performed; 0 when no watchdog is armed. *)

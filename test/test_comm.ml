@@ -1123,7 +1123,6 @@ let step_tests =
             check_int (name "device clock") device_ns (Time.to_ns (Engine.now eng));
             Array.iter (check_float (name "device sum") sum) res;
             (* Every event is a step, the PEs' starts included. *)
-            check_int (name "device fiber resumes") 0 (Engine.fiber_resumes eng);
             check_int (name "device steps") device_events (Engine.steps_run eng);
             let eng, res = run_host algorithm n in
             Engine.run eng;
@@ -1132,7 +1131,6 @@ let step_tests =
             Array.iter (check_float (name "host sum") sum) !res;
             (* The host's start, each stream daemon's and every copy are
                steps. *)
-            check_int (name "host fiber resumes") 0 (Engine.fiber_resumes eng);
             check_int (name "host steps") host_events (Engine.steps_run eng))
           [
             (Collective.Ring, 5, 125, 20000, 86, 166000);
@@ -1192,8 +1190,7 @@ let step_tests =
             let st = Fault.stats (Option.get (G.Runtime.faults ctx)) in
             check_int (name "dropped") dropped st.Fault.dropped;
             check_int (name "resent") resent st.Fault.resent;
-            check_int (name "retried") retried st.Fault.retried;
-            check_int (name "fiber resumes") 0 (Engine.fiber_resumes eng))
+            check_int (name "retried") retried st.Fault.retried)
           [
             (Collective.Tree, Array.make 5 15.0, 66, 80000, 4, 4, 8);
             (Collective.Doubling, Array.make 5 15.0, 82, 85000, 6, 6, 7);

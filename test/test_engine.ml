@@ -1105,6 +1105,29 @@ let callback_tests =
         Alcotest.check_raises "escapes run" (Failure "boom") (fun () -> Engine.run eng);
         check_bool "finished" true (Engine.process_done p);
         check_int "registry drained" 0 (Engine.registered_processes eng));
+    (* Every NVSHMEM delivery, MPI message, kernel role and host rank is a
+       process start. Its record (14 fields) and its resume thunk make 20
+       words; each step starts the next process, so the queue's FIFO lane
+       never grows and one run's own cost is spread over every start. *)
+    Alcotest.test_case "a process start and finish allocates at most 20.5 minor words" `Quick
+      (fun () ->
+        let eng = Engine.create () in
+        let starts = 100_000 in
+        let left = ref starts in
+        let name_of () = "p" in
+        let rec first () =
+          if !left > 0 then begin
+            decr left;
+            ignore (Engine.spawn_callbacks eng ~name_of first : Engine.process)
+          end
+        in
+        let w0 = Gc.minor_words () in
+        first ();
+        Engine.run eng;
+        let words = (Gc.minor_words () -. w0) /. float_of_int starts in
+        check_int "every start ran" starts (Engine.steps_run eng);
+        if words > 20.5 then
+          Alcotest.failf "a process start and finish allocated %.2f minor words, bound 20.5" words);
   ]
 
 (* --- Handover: a fiber's blocking work as steps ------------------------------- *)
@@ -1119,8 +1142,8 @@ let handover_tests =
     Alcotest.test_case "a chain handed over keeps the fiber's events" `Quick (fun () ->
         (* Two waits as a chain handed over, then a delay handed over: the
            log and the 6 events the same waits gave when a fiber could
-           block by itself; only the counters say which way the events
-           ran. *)
+           block by itself. Every one of them is a step, the fiber's start
+           included. *)
         let run () =
           let eng = Engine.create () in
           let flag = Sync.Flag.create ~name:"f" eng 0 in
@@ -1141,18 +1164,15 @@ let handover_tests =
           Engine.run eng;
           ( List.rev !log,
             Engine.events_executed eng,
-            Engine.fiber_resumes eng,
             Engine.steps_run eng,
             Engine.registered_processes eng )
         in
-        let log, events, resumes, steps_run, left = run () in
+        let log, events, steps_run, left = run () in
         check
           (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
           "same log" [ ("start", 0); ("got 42", 25); ("end", 30) ] log;
         check_int "same events" 6 events;
-        check_int "the worker's start is the one fiber resume" 1 resumes;
-        check_int "steps" 5 steps_run;
-        check_int "every event counted once" events (resumes + steps_run);
+        check_int "every event a step" 6 steps_run;
         check_int "drained" 0 left);
     Alcotest.test_case "a chain that ends without waiting returns at once" `Quick (fun () ->
         let eng = Engine.create () in
@@ -1167,7 +1187,39 @@ let handover_tests =
         in
         Engine.run eng;
         check_int "one event: the start" 1 (Engine.events_executed eng);
-        check_int "no step ran" 0 (Engine.steps_run eng));
+        check_int "one step: the start" 1 (Engine.steps_run eng));
+    Alcotest.test_case "every event is a step or a schedule_at callback" `Quick (fun () ->
+        (* A fiber whose first chain ends at once and whose second blocks
+           twice, a step process, and two callbacks, the second of which
+           wakes the fiber. *)
+        let eng = Engine.create () in
+        let flag = Sync.Flag.create ~name:"f" eng 1 in
+        let callbacks = ref 0 in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"fiber" (fun () ->
+              let v = Engine.handover eng (fun k -> Sync.Flag.wait_ge_k flag 1 (fun () -> k 1)) in
+              let w =
+                Engine.handover eng (fun k ->
+                    Engine.after eng (Time.ns 4) (fun () ->
+                        Sync.Flag.wait_ge_k flag 2 (fun () -> k (v + 1))))
+              in
+              check_int "the blocking chain's value" 2 w;
+              check_int "woken by the second callback" 9 (Time.to_ns (Engine.now eng)))
+        in
+        let (_ : Engine.process) =
+          proc eng "steps" (fun () ->
+              Engine.schedule_at eng (Time.ns 2) (fun () -> incr callbacks);
+              Engine.after eng (Time.ns 6) (fun () ->
+                  Engine.schedule_at eng (Time.ns 9) (fun () ->
+                      incr callbacks;
+                      Sync.Flag.set flag 2)))
+        in
+        Engine.run eng;
+        check_int "callbacks" 2 !callbacks;
+        check_int "steps: two starts, two delays and the wake" 5 (Engine.steps_run eng);
+        check_int "every event counted once" (Engine.events_executed eng)
+          (Engine.steps_run eng + !callbacks);
+        check_int "drained" 0 (Engine.registered_processes eng));
     Alcotest.test_case "a blocked step reads as the fiber wait it stands for" `Quick (fun () ->
         let eng = Engine.create () in
         let flag = Sync.Flag.create ~name:"never" eng 0 in
