@@ -90,7 +90,7 @@ let trace_out_arg =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
 let metrics_out_arg =
-  let doc = "Write the run's metrics registry as schema-validated JSON to $(docv)." in
+  let doc = "Write the run's metrics registry as JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
 let resolve_arch name =
@@ -147,25 +147,33 @@ let common_term =
   Term.(
     const make $ machine_term $ faults_arg $ fault_seed_arg $ trace_out_arg $ metrics_out_arg)
 
-(* Write whatever sinks the environment carries, rendered and validated as
-   the daemon ships them. *)
-let write_observability c (env : Env.t) =
-  let write doc path ~note =
-    match (doc, path) with
-    | Some s, Some file ->
-      let oc = open_out file in
+(* The artifact files a run writes, opened before anything is simulated:
+   a path that cannot be opened exits 2 with its reason instead of failing
+   after the run. *)
+let open_outputs c =
+  let open_one flag file =
+    try (file, open_out file)
+    with Sys_error msg ->
+      Printf.eprintf "cannot write %s: %s\n" flag msg;
+      exit 2
+  in
+  ( Option.map (open_one "--trace-out") c.trace_out,
+    Option.map (open_one "--metrics-out") c.metrics_out )
+
+(* Write whatever sinks the environment carries, rendered as the daemon
+   ships them, into the files [open_outputs] opened. *)
+let write_observability (trace_out, metrics_out) (env : Env.t) =
+  let write doc out ~note =
+    match (doc, out) with
+    | Some s, Some (file, oc) ->
       output_string oc s;
       close_out oc;
       Printf.printf "wrote %s%s\n" file note
     | _ -> ()
   in
-  match Serve.Exec.artifacts env with
-  | Error msg ->
-    Printf.eprintf "internal error: %s\n" msg;
-    exit 1
-  | Ok (trace, metrics) ->
-    write trace c.trace_out ~note:" (load in ui.perfetto.dev)";
-    write metrics c.metrics_out ~note:""
+  let trace, metrics = Serve.Exec.artifacts env in
+  write trace trace_out ~note:" (load in ui.perfetto.dev)";
+  write metrics metrics_out ~note:""
 
 let print_chaos_report (c : Measure.chaos) =
   let r = c.Measure.base and progress = c.Measure.progress in
@@ -226,10 +234,10 @@ let scenario common ~artifacts workload =
 (* The one job printer. Each job runs through [Measure.run], which picks the
    chaos path from the fault plan; the engine trace is recorded only when a
    timeline will read it (the result is the same either way). Per job:
-   timeline, chaos report, artifacts, then the job's own follow-up
-   (verification). [report] prints the results of the runs that have no
-   chaos report at the end. *)
-let run_jobs common ~timeline ~report jobs =
+   timeline, chaos report, artifacts (into [outputs]), then the job's own
+   follow-up (verification). [report] prints the results of the runs that
+   have no chaos report at the end. *)
+let run_jobs common ~outputs ~timeline ~report jobs =
   Option.iter
     (fun spec ->
       Printf.printf "chaos run: faults=%s seed=%d\n" (Fault.to_string spec) common.fault_seed)
@@ -240,7 +248,7 @@ let run_jobs common ~timeline ~report jobs =
         let o = Measure.run ~traced:timeline job in
         if timeline then Option.iter print_timeline o.Measure.trace;
         Option.iter print_chaos_report o.Measure.chaos;
-        write_observability common job.Measure.sc_env;
+        write_observability outputs job.Measure.sc_env;
         after ();
         o)
       jobs
@@ -303,14 +311,16 @@ let run_stencil common iters dims variant no_compute verify timeline =
     in
     (job, if verify then check else ignore)
   in
-  run_jobs common ~timeline:(timeline && single)
+  let jobs = List.map interpret kinds in
+  let outputs = if single then open_outputs common else (None, None) in
+  run_jobs common ~outputs ~timeline:(timeline && single)
     ~report:(fun results ->
       Format.printf "%a"
         (fun fmt ->
           Measure.pp_table fmt
             ~header:(Printf.sprintf "%s on %d GPUs" (S.Problem.dims_to_string dims) common.gpus))
         results)
-    (List.map interpret kinds)
+    jobs
 
 let stencil_cmd =
   let doc = "Run the hand-written multi-GPU Jacobi stencil variants (paper §6.1)." in
@@ -385,6 +395,7 @@ let run_dace_auto common sc ~timeline ~app_name ~arm ~size ~iters ~specialize_tb
       | sdfg ->
         (sdfg, Some (D.Pipeline.hand_plan ~specialize_tb arm ~gpus), D.Pipeline.app_name app))
   in
+  let outputs = open_outputs common in
   let a = D.Analysis.analyze sdfg in
   Printf.printf "%s: %d maps, comm=%s, %s\n" name (List.length a.D.Analysis.maps)
     (D.Analysis.comm_form_to_string a.D.Analysis.comm)
@@ -421,7 +432,7 @@ let run_dace_auto common sc ~timeline ~app_name ~arm ~size ~iters ~specialize_tb
       0
     end
     else
-      run_jobs common ~timeline ~report:print_results
+      run_jobs common ~outputs ~timeline ~report:print_results
         [
           ( Measure.job ~arch ~env ~label ~gpus:d.D.Autotune.best.D.Autotune.gpus_used
               ~iterations:iters (D.Autotune.build d.D.Autotune.best sdfg).D.Exec.program,
@@ -443,6 +454,7 @@ let run_dace common iters app_name arm_name size emit auto specialize_tb verify 
     (* The measured run goes through the daemon's dispatcher. *)
     let job = or_reject (Serve.Exec.job sc) in
     let app = or_reject (D.Pipeline.app_of_name app_name ~size ~iters) in
+    let outputs = open_outputs common in
     if emit then begin
       let sdfg = D.Pipeline.compile_sdfg app arm ~gpus in
       match arm with
@@ -466,7 +478,7 @@ let run_dace common iters app_name arm_name size emit auto specialize_tb verify 
         Printf.printf "verification FAILED: %s\n" m;
         exit 1
     end;
-    run_jobs common ~timeline ~report:print_results [ (job, ignore) ]
+    run_jobs common ~outputs ~timeline ~report:print_results [ (job, ignore) ]
   end
 
 let dace_cmd =
@@ -481,8 +493,8 @@ let dace_cmd =
 
 let json_arg =
   let doc =
-    "Emit the machine description (endpoints, links, routes) as schema-checked JSON instead of \
-     the text summary."
+    "Emit the machine description (endpoints, links, routes) as JSON instead of the text \
+     summary."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
@@ -491,11 +503,8 @@ let run_machine (arch, _, topology, gpus) json =
     Cpufree_machine.Topology.instantiate topology ~profile:(G.Arch.fabric_profile arch) ~gpus
   in
   if json then begin
-    match Cpufree_core.Machine_json.emit stdout topo with
-    | Ok () -> 0
-    | Error msg ->
-      Printf.eprintf "machine description failed schema validation: %s\n" msg;
-      1
+    Cpufree_core.Json.to_channel stdout (Cpufree_core.Machine_json.to_json topo);
+    0
   end
   else begin
     Format.printf "%dx %a@." gpus G.Arch.pp arch;
@@ -569,9 +578,11 @@ let run_serve socket cache max_queue jobs =
       jobs;
     }
   in
-  Printf.printf "serving on %s (cache=%d entries, max-queue=%d, jobs=%d)\n%!" socket
-    cfg.Serve.Server.cache_capacity cfg.Serve.Server.max_queue cfg.Serve.Server.jobs;
-  Serve.Server.run cfg;
+  let ready () =
+    Printf.printf "serving on %s (cache=%d entries, max-queue=%d, jobs=%d)\n%!" socket
+      cfg.Serve.Server.cache_capacity cfg.Serve.Server.max_queue cfg.Serve.Server.jobs
+  in
+  or_reject (Serve.Server.run ~ready cfg);
   Printf.printf "shut down\n";
   0
 

@@ -6,7 +6,8 @@ let schema_version = 1
 
 (* Routes are emitted between public endpoints only (GPUs, hosts, NICs);
    switch-to-switch internals are visible through the links they are made
-   of, not as route rows. *)
+   of, not as route rows. A machine degraded by fail-stop events lists the
+   routes that survive them. *)
 let public_vertices topo =
   List.filter
     (fun v -> match v.T.kind with T.Switch _ -> false | _ -> true)
@@ -79,7 +80,10 @@ let to_json topo =
     List.concat_map
       (fun src ->
         List.filter_map
-          (fun dst -> if src.T.vid = dst.T.vid then None else Some (route_json topo ~src ~dst))
+          (fun dst ->
+            if src.T.vid <> dst.T.vid && T.reachable topo ~src:src.T.vid ~dst:dst.T.vid then
+              Some (route_json topo ~src ~dst)
+            else None)
           sample)
       sample
   in
@@ -140,11 +144,3 @@ let validate doc =
       match List.assoc "routes" kvs with
       | Json.List [] -> err "routes must be non-empty"
       | _ -> Ok ())
-
-let emit ?indent oc topo =
-  let doc = to_json topo in
-  match validate doc with
-  | Ok () ->
-    Json.to_channel ?indent oc doc;
-    Ok ()
-  | Error _ as e -> e

@@ -1,5 +1,7 @@
-(** Schema-validated JSON export of a {!Cpufree_obs.Metrics} registry — the
-    [metrics.json] artifact behind [--metrics-out].
+(** JSON export of a {!Cpufree_obs.Metrics} registry — the [metrics.json]
+    artifact behind [--metrics-out] — and its schema check. Test laws hold
+    every rendered document to {!validate}; the run path does not re-check
+    it.
 
     Document shape (schema version 1):
     {v

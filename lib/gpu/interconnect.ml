@@ -206,7 +206,7 @@ let max_gpu_wire_latency t = t.max_gpu_wire
 let path_latency t e ~initiator = Time.add e.e_lat t.setup.(init_idx initiator)
 
 let serialization_time e ~bytes =
-  if bytes = 0 then Time.zero else Time.of_ns_float (float_of_int bytes *. e.e_nsb)
+  if bytes = 0 then Time.zero else Time.scale (Time.ns bytes) e.e_nsb
 
 (* Whether a transfer crosses node boundaries (and therefore rides a NIC). *)
 let inter_node t ~src ~dst =

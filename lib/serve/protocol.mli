@@ -53,8 +53,8 @@ type run_payload = {
   overlap : float;  (** fraction of comm hidden under compute *)
   bytes_moved : int;
   chaos : chaos_summary option;
-  metrics : string option;  (** the [metrics.json] artifact, schema-validated *)
-  trace : string option;  (** the Perfetto [trace.json] artifact, schema-validated *)
+  metrics : string option;  (** the [metrics.json] artifact *)
+  trace : string option;  (** the Perfetto [trace.json] artifact *)
 }
 
 type stats_payload = {

@@ -310,7 +310,7 @@ let handle_request state conn payload =
 
 (* --- main loop ------------------------------------------------------------ *)
 
-let run cfg =
+let run ?(ready = ignore) cfg =
   if cfg.max_queue < 1 then invalid_arg "Server.run: max_queue must be positive";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let state =
@@ -337,8 +337,12 @@ let run cfg =
   in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
-  Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-  Unix.listen listen_fd 64;
+  match Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path); Unix.listen listen_fd 64 with
+  | exception Unix.Unix_error (e, fn, _) ->
+    Unix.close listen_fd;
+    Error (Printf.sprintf "cannot serve on %s: %s: %s" cfg.socket_path fn (Unix.error_message e))
+  | () ->
+  ready ();
   let worker_domain = Domain.spawn (fun () -> worker state) in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let chunk = Bytes.create 65536 in
@@ -400,4 +404,5 @@ let run cfg =
   | None -> ());
   Hashtbl.iter (fun _ conn -> close_conn state conn) conns;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ()
+  (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
+  Ok ()

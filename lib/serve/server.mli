@@ -34,8 +34,10 @@ type config = {
 
 val default_config : socket_path:string -> config
 
-val run : config -> unit
-(** Bind (unlinking any stale socket file first), serve until a [shutdown]
-    request, drain in-flight work, answer the shutdown, and clean up — the
-    socket file is removed on the way out. Blocks the calling domain.
-    @raise Unix.Unix_error when the socket cannot be bound. *)
+val run : ?ready:(unit -> unit) -> config -> (unit, string) result
+(** Bind (unlinking any stale socket file first), call [ready] (default:
+    nothing), serve until a [shutdown] request, drain in-flight work,
+    answer the shutdown, and clean up — the socket file is removed on the
+    way out. Blocks the calling domain. [Error] with the reason, before
+    [ready] and before any request is served, when the socket cannot be
+    bound. *)

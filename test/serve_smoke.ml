@@ -31,7 +31,7 @@ let () =
       selfcheck = true;
     }
   in
-  let srv = Domain.spawn (fun () -> Serve.Server.run cfg) in
+  let srv = Domain.spawn (fun () -> Result.iter_error (fail "serve: %s") (Serve.Server.run cfg)) in
   let rec connect tries =
     match Serve.Client.connect path with
     | Ok c -> c

@@ -241,12 +241,12 @@ let net_tests =
             ignore
               (G.Interconnect.wire_latency net ~src:(G.Interconnect.Gpu 5)
                  ~dst:(G.Interconnect.Gpu 0))));
-    (* The serialization time is computed as a float and rounded by
-       [Time.of_ns_float] in another module. The default build (release
-       profile, no [-opaque], [-inline 50] from the root dune) inlines that
-       call and never boxes the float; with [-opaque] (dune's dev profile)
-       or at the default inline threshold every transfer boxes one (2
-       words). *)
+    (* The serialization time is [Time.scale] of the byte count by the
+       route's stored nanoseconds-per-byte float, so no freshly computed
+       float crosses a module boundary: the pin holds in the default build
+       and under [-opaque] (dune's dev profile) alike. Passing a fresh
+       product to [Time.of_ns_float] instead boxes it (2 words) on every
+       transfer under [-opaque]. *)
     Alcotest.test_case "a fault-free start_transfer allocates nothing" `Quick (fun () ->
         let eng = Engine.create () in
         let net = G.Interconnect.create eng ~arch ~num_gpus:2 in
@@ -263,7 +263,7 @@ let net_tests =
         let words = Gc.minor_words () -. w0 in
         if words > 0. then
           Alcotest.failf
-            "1000 transfers allocated %.0f minor words: Time.of_ns_float was not inlined" words);
+            "1000 transfers allocated %.0f minor words: a float was boxed" words);
   ]
 
 (* --- Kernel cost model -------------------------------------------------- *)

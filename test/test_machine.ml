@@ -746,6 +746,57 @@ let prop_degraded_triangle =
       done;
       !ok)
 
+(* [cpufree_run machine --json] prints [Machine_json.to_json] without
+   re-checking it, so the renderer answers to the schema check here: for
+   generated machines, healthy and after a kill, and for every named preset
+   (at a size that samples its routes, too), the document validates. A
+   degraded document lists the routes that survive, so a kill that leaves
+   no two public endpoints connected renders an empty route table, which
+   the schema refuses for that reason alone. *)
+let machine_verdict t = Cpufree_core.Machine_json.validate (Cpufree_core.Machine_json.to_json t)
+
+let machine_doc_valid t =
+  match machine_verdict t with
+  | Ok () -> true
+  | Error m -> QCheck.Test.fail_reportf "%s: %s" (T.name t) m
+
+let public_pair_connected t =
+  let publics =
+    List.filter (fun v -> match v.T.kind with T.Switch _ -> false | _ -> true) (T.vertices t)
+  in
+  List.exists
+    (fun a ->
+      List.exists
+        (fun b -> a.T.vid <> b.T.vid && T.reachable t ~src:a.T.vid ~dst:b.T.vid)
+        publics)
+    publics
+
+let prop_machine_json_validates =
+  QCheck.Test.make ~name:"every rendered machine document validates" ~count:60 arb_degraded
+    (fun (t, pick) ->
+      let healthy = machine_doc_valid t in
+      let (_ : (int * int) option) = apply_kill t pick in
+      healthy
+      &&
+      if public_pair_connected t then machine_doc_valid t
+      else machine_verdict t = Error "routes must be non-empty")
+
+let test_presets_render_valid () =
+  List.iter
+    (fun (name, gpus) ->
+      match T.spec_of_string name with
+      | Error e -> Alcotest.fail e
+      | Ok spec ->
+        List.iter
+          (fun profile ->
+            check_bool (Printf.sprintf "%s with %d GPUs" name gpus) true
+              (machine_doc_valid (T.instantiate spec ~profile ~gpus)))
+          [ a100; h100 ])
+    [
+      ("hgx", 8); ("ring", 8); ("pcie", 8); ("dgx", 8); ("fat-tree", 16); ("dragonfly", 16);
+      ("dgx:4", 32); ("fat-tree", 256);
+    ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -787,6 +838,9 @@ let () =
           Alcotest.test_case "switch failure cuts its node off" `Quick
             test_switch_failure_cuts_node;
         ] );
+      ( "machine json",
+        [ Alcotest.test_case "named presets render valid documents" `Quick test_presets_render_valid ]
+      );
       ( "laws",
         List.map
           (fun p -> QCheck_alcotest.to_alcotest p)
@@ -803,5 +857,6 @@ let () =
             prop_heap_matches_scan_on_graphs;
             prop_degraded_matches_dijkstra;
             prop_degraded_triangle;
+            prop_machine_json_validates;
           ] );
     ]

@@ -316,6 +316,54 @@ let scenario_law_tests =
            && names_default "seq" && names_default "optimistic"));
   ]
 
+(* --- artifact law ------------------------------------------------------------ *)
+
+(* A trace and a metrics document against their validators. *)
+let artifact_verdict ~trace ~metrics =
+  match Trace_json.validate_string trace with
+  | Error m -> Error ("trace: " ^ m)
+  | Ok () ->
+    Result.map_error (( ^ ) "metrics: ") (Result.bind (J.of_string metrics) Metrics_json.validate)
+
+(* The run path renders the trace and metrics documents without re-parsing
+   them, so the renderers answer to the schema validators here. Over
+   generated scenarios (every stencil variant, both DaCe arms, no faults,
+   drop, delay and straggler plans and a fail-stop kill) with both sinks
+   on, the trace recording flows as --trace-out does, [Exec.run] succeeds
+   and each document it renders passes its validator. A draw whose
+   geometry the machine cannot split is refused by [Exec.job] before
+   anything runs, and is discarded. *)
+let artifact_law =
+  QCheck.Test.make ~name:"every rendered trace and metrics document validates" ~count:100
+    QCheck.(
+      set_print Scenario.to_string
+        (map (fun sc -> { sc with Scenario.trace = true; metrics = true }) arbitrary_scenario))
+    (fun sc ->
+      QCheck.assume (Result.is_ok (Cpufree_serve.Exec.job sc));
+      match Cpufree_serve.Exec.run sc with
+      | Ok { Cpufree_serve.Protocol.trace = Some trace; metrics = Some metrics; _ } -> (
+        match artifact_verdict ~trace ~metrics with
+        | Ok () -> true
+        | Error m -> QCheck.Test.fail_report m)
+      | Ok _ -> QCheck.Test.fail_report "an artifact is missing"
+      | Error e -> QCheck.Test.fail_reportf "run: %s" e)
+
+(* The committed [--trace-out]/[--metrics-out] goldens are what the CLI
+   writes (test/golden diffs them byte for byte), so each must pass its
+   validator too. *)
+let test_artifact_goldens_validate () =
+  List.iter
+    (fun run ->
+      let read kind =
+        In_channel.with_open_bin
+          (Printf.sprintf "golden/artifact.%s.%s.json" run kind)
+          In_channel.input_all
+      in
+      match artifact_verdict ~trace:(read "trace") ~metrics:(read "metrics") with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "golden/artifact.%s: %s" run m)
+    [ "stencil"; "dace"; "dace-baseline"; "dace-faults" ]
+
 (* --- end-to-end: flows, byte-stability, compat ----------------------------- *)
 
 let problem () = S.Problem.make (S.Problem.D2 { nx = 128; ny = 128 }) ~iterations:8
@@ -800,6 +848,12 @@ let () =
       ("json-laws", json_law_tests);
       ("sim-env", sim_env_tests);
       ("scenario-law", scenario_law_tests);
+      ( "artifact-law",
+        [
+          QCheck_alcotest.to_alcotest artifact_law;
+          Alcotest.test_case "the committed artifact goldens validate" `Quick
+            test_artifact_goldens_validate;
+        ] );
       ("end-to-end", end_to_end_tests);
       ("untraced", untraced_tests);
     ]

@@ -493,7 +493,7 @@ let start_server ?(cache = 32) ?(max_queue = 16) path =
       jobs = 2;
     }
   in
-  Domain.spawn (fun () -> Serve.Server.run cfg)
+  Domain.spawn (fun () -> Result.iter_error failwith (Serve.Server.run cfg))
 
 let connect_retry path =
   let rec go tries =
