@@ -221,15 +221,11 @@ let or_reject = function
     Printf.eprintf "%s\n" e;
     exit 2
 
-(* A measured run's scenario: the flag table as a [Scenario.t]. Artifact
-   sinks are requested only when [artifacts] (a shared sink across a
-   comparison sweep would interleave runs). *)
-let scenario common ~artifacts workload =
+(* A measured run's scenario: the flag table as a [Scenario.t]. *)
+let scenario common workload =
   Scenario.make ~arch:common.arch_name ~topology:common.topology ~gpus:common.gpus
-    ?faults:common.faults ~fault_seed:common.fault_seed
-    ~trace:(artifacts && common.trace_out <> None)
-    ~metrics:(artifacts && common.metrics_out <> None)
-    workload
+    ?faults:common.faults ~fault_seed:common.fault_seed ~trace:(common.trace_out <> None)
+    ~metrics:(common.metrics_out <> None) workload
 
 (* The one job printer. Each job runs through [Measure.run], which picks the
    chaos path from the fault plan; the engine trace is recorded only when a
@@ -271,7 +267,8 @@ let no_compute_arg =
 (* One job per selected execution scheme: the flag table becomes a
    [Scenario.t] and runs through [Serve.Exec.job] — the daemon's path.
    Every selected scheme is interpreted (and so validated) before anything
-   runs or prints. *)
+   runs or prints. A file or a timeline shows one run, so a comparison of
+   several schemes refuses --trace-out, --metrics-out and --timeline. *)
 let run_stencil common iters dims variant no_compute verify timeline =
   let kinds =
     match variant with
@@ -284,12 +281,24 @@ let run_stencil common iters dims variant no_compute verify timeline =
           (String.concat ", " (List.map S.Variants.name S.Variants.extended));
         exit 2)
   in
-  let single = List.length kinds = 1 in
+  if List.length kinds > 1 then
+    List.iter
+      (fun (flag, given) ->
+        if given then begin
+          Printf.eprintf "%s shows one run: pick one --variant (%d are selected)\n" flag
+            (List.length kinds);
+          exit 2
+        end)
+      [
+        ("--trace-out", common.trace_out <> None);
+        ("--metrics-out", common.metrics_out <> None);
+        ("--timeline", timeline);
+      ];
   let interpret kind =
     let job =
       or_reject
         (Serve.Exec.job
-           (scenario common ~artifacts:single
+           (scenario common
               (Scenario.Stencil
                  {
                    variant = S.Variants.name kind;
@@ -312,8 +321,7 @@ let run_stencil common iters dims variant no_compute verify timeline =
     (job, if verify then check else ignore)
   in
   let jobs = List.map interpret kinds in
-  let outputs = if single then open_outputs common else (None, None) in
-  run_jobs common ~outputs ~timeline:(timeline && single)
+  run_jobs common ~outputs:(open_outputs common) ~timeline
     ~report:(fun results ->
       Format.printf "%a"
         (fun fmt ->
@@ -443,7 +451,7 @@ let run_dace common iters app_name arm_name size emit auto specialize_tb verify 
   let gpus = common.gpus in
   let arm = or_reject (D.Pipeline.arm_of_name arm_name) in
   let sc =
-    scenario common ~artifacts:true
+    scenario common
       (Scenario.Dace { app = app_name; arm = arm_name; size; iters; specialize_tb })
   in
   if auto then begin
@@ -544,11 +552,7 @@ let max_queue_arg =
   let doc = "Admission bound: in-flight simulations beyond which runs are refused." in
   Arg.(value & opt int 64 & info [ "max-queue" ] ~docv:"N" ~doc)
 
-let serve_jobs_arg =
-  let doc = "Simulation pool width (default: CPUFREE_JOBS or the host core count)." in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let run_serve socket cache max_queue jobs =
+let run_serve socket cache max_queue =
   if cache < 1 then begin
     Printf.eprintf "bad --cache %d: capacity must be positive\n" cache;
     exit 2
@@ -557,30 +561,14 @@ let run_serve socket cache max_queue jobs =
     Printf.eprintf "bad --max-queue %d: bound must be positive\n" max_queue;
     exit 2
   end;
-  (* The pool width is resolved before the daemon starts: a malformed
-     CPUFREE_JOBS (which the default configuration reads) and a
-     non-positive --jobs are rejected here, not in the worker domain. *)
-  let default_jobs =
-    try Cpufree_core.Parallel.default_jobs ()
-    with Invalid_argument msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
-  let jobs = Option.value jobs ~default:default_jobs in
-  if jobs < 1 then begin
-    Printf.eprintf "bad --jobs %d: width must be positive\n" jobs;
-    exit 2
-  end;
   let cfg =
     { (Serve.Server.default_config ~socket_path:socket) with
       Serve.Server.cache_capacity = cache;
       max_queue;
-      jobs;
     }
   in
   let ready () =
-    Printf.printf "serving on %s (cache=%d entries, max-queue=%d, jobs=%d)\n%!" socket
-      cfg.Serve.Server.cache_capacity cfg.Serve.Server.max_queue cfg.Serve.Server.jobs
+    Printf.printf "serving on %s (cache=%d entries, max-queue=%d)\n%!" socket cache max_queue
   in
   or_reject (Serve.Server.run ~ready cfg);
   Printf.printf "shut down\n";
@@ -588,13 +576,12 @@ let run_serve socket cache max_queue jobs =
 
 let serve_cmd =
   let doc =
-    "Run the scenario daemon: a long-running simulation service over a Unix socket, batching \
-     concurrent requests onto a per-batch domain pool and memoizing results by canonical \
-     scenario hash."
+    "Run the scenario daemon: a long-running simulation service over a Unix socket that runs \
+     one admitted scenario at a time and memoizes results by canonical scenario hash."
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
-    Term.(const run_serve $ socket_arg $ cache_arg $ max_queue_arg $ serve_jobs_arg)
+    Term.(const run_serve $ socket_arg $ cache_arg $ max_queue_arg)
 
 (* --- client command --------------------------------------------------------- *)
 

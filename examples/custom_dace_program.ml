@@ -55,9 +55,15 @@ let exchange arr ~sig_up ~sig_down =
              });
       ];
     guard (Sym.Ge (rank, c 1))
-      [ Sdfg.S_lib (Sdfg.Nv_signal_wait { signal = sig_up; ge_value = t }) ];
+      [
+        Sdfg.S_lib
+          (Sdfg.Nv_signal_wait { signal = sig_up; ge_value = t; from_pe = Sym.(rank - c 1) });
+      ];
     guard (Sym.Lt (rank, c (gpus - 1)))
-      [ Sdfg.S_lib (Sdfg.Nv_signal_wait { signal = sig_down; ge_value = t }) ];
+      [
+        Sdfg.S_lib
+          (Sdfg.Nv_signal_wait { signal = sig_down; ge_value = t; from_pe = Sym.(rank + c 1) });
+      ];
   ]
 
 let smooth src dst =

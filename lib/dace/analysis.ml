@@ -74,7 +74,8 @@ let free_symbols_of_libnode = function
     List.concat_map Symbolic.free_symbols [ src_off; dst_off; to_pe ]
   | Nv_signal_op { sig_value; to_pe; _ } ->
     Symbolic.free_symbols sig_value @ Symbolic.free_symbols to_pe
-  | Nv_signal_wait { ge_value; _ } -> Symbolic.free_symbols ge_value
+  | Nv_signal_wait { ge_value; from_pe; _ } ->
+    Symbolic.free_symbols ge_value @ Symbolic.free_symbols from_pe
   | Nv_quiet -> []
 
 let free_symbols_of_cond = function

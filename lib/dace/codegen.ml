@@ -85,7 +85,7 @@ let lib_call b ind node =
   | Nv_signal_op { signal; sig_kind; sig_value; to_pe } ->
     line b "%snvshmem_signal_op(&%s, %s, %s, %s);" ind signal (e sig_value)
       (sig_op_name sig_kind) (e to_pe)
-  | Nv_signal_wait { signal; ge_value } ->
+  | Nv_signal_wait { signal; ge_value; _ } ->
     line b "%snvshmem_signal_wait_until(&%s, NVSHMEM_CMP_GE, %s);" ind signal (e ge_value)
   | Nv_quiet -> line b "%snvshmem_quiet();" ind
 

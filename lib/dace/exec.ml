@@ -288,10 +288,13 @@ let lower_nv_node lw env node =
       (fun k ->
         Nv.signal_op_remote_k nv ~from_pe ~to_pe:(to_pe slots) ~sig_var ~sig_op
           ~sig_value:(sig_value slots) k)
-  | Nv_signal_wait { signal; ge_value } ->
+  | Nv_signal_wait { signal; ge_value; from_pe = sender } ->
     let* sig_var = sig_of lw signal in
-    let ge_value = ex ge_value in
-    Wait (fun k -> Nv.signal_wait_ge_k nv ~pe:from_pe ~sig_var (ge_value slots) k)
+    let ge_value = ex ge_value and sender = ex sender in
+    Wait
+      (fun k ->
+        Nv.signal_wait_ge_k nv ~expect_from:(sender slots) ~pe:from_pe ~sig_var
+          (ge_value slots) k)
   | Nv_quiet -> Wait (fun k -> Nv.quiet_k nv ~pe:from_pe k)
   | Nv_put _ -> fails "unexpanded Nv_put reached the backend (run Transforms.expand_nvshmem)"
   | Mpi_isend _ | Mpi_irecv _ | Mpi_waitall _ -> fails "MPI node inside a persistent kernel"

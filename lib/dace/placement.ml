@@ -100,6 +100,7 @@ let exchange_state ~n ~gpus ~loop_var ~name ~arr ~sig_up ~sig_down =
   let t = Symbolic.sym loop_var in
   let has_up = Symbolic.Ge (rank, c 1) in
   let has_down = Symbolic.Lt (rank, c (gpus - 1)) in
+  let up = Symbolic.(rank - c 1) and down = Symbolic.(rank + c 1) in
   let put_up =
     S_lib
       (Nv_put
@@ -108,7 +109,7 @@ let exchange_state ~n ~gpus ~loop_var ~name ~arr ~sig_up ~sig_down =
            src_region = single ~offset:(c 1);
            dst = arr;
            dst_region = single ~offset:(c (n + 1));
-           to_pe = Symbolic.(rank - c 1);
+           to_pe = up;
            signal = Some (sig_down, Sig_set, t);
          })
   in
@@ -120,7 +121,7 @@ let exchange_state ~n ~gpus ~loop_var ~name ~arr ~sig_up ~sig_down =
            src_region = single ~offset:(c n);
            dst = arr;
            dst_region = single ~offset:(c 0);
-           to_pe = Symbolic.(rank + c 1);
+           to_pe = down;
            signal = Some (sig_up, Sig_set, t);
          })
   in
@@ -130,8 +131,9 @@ let exchange_state ~n ~gpus ~loop_var ~name ~arr ~sig_up ~sig_down =
       [
         guarded has_up [ put_up ];
         guarded has_down [ put_down ];
-        guarded has_up [ S_lib (Nv_signal_wait { signal = sig_up; ge_value = t }) ];
-        guarded has_down [ S_lib (Nv_signal_wait { signal = sig_down; ge_value = t }) ];
+        guarded has_up [ S_lib (Nv_signal_wait { signal = sig_up; ge_value = t; from_pe = up }) ];
+        guarded has_down
+          [ S_lib (Nv_signal_wait { signal = sig_down; ge_value = t; from_pe = down }) ];
       ];
   }
 

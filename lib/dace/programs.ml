@@ -115,7 +115,9 @@ let exchange_nvshmem dirs ~arr ~flag =
   in
   let waits =
     List.map
-      (fun d -> guarded d.guard [ S_lib (Nv_signal_wait { signal = flag d; ge_value = t_sym }) ])
+      (fun d ->
+        guarded d.guard
+          [ S_lib (Nv_signal_wait { signal = flag d; ge_value = t_sym; from_pe = d.peer }) ])
       (Array.to_list dirs)
   in
   puts @ waits

@@ -111,7 +111,9 @@ type libnode =
   | Nv_iput of { src : string; src_region : region; dst : string; dst_region : region; to_pe : Symbolic.expr }
   | Nv_p of { src : string; src_off : Symbolic.expr; dst : string; dst_off : Symbolic.expr; to_pe : Symbolic.expr }
   | Nv_signal_op of { signal : string; sig_kind : signal_kind; sig_value : Symbolic.expr; to_pe : Symbolic.expr }
-  | Nv_signal_wait of { signal : string; ge_value : Symbolic.expr }
+  | Nv_signal_wait of { signal : string; ge_value : Symbolic.expr; from_pe : Symbolic.expr }
+      (** wait until [signal] reaches [ge_value]; [from_pe] is the rank
+          whose put raises it, named by stall diagnostics *)
   | Nv_quiet
 
 type role_kind = Comm_role | Compute_role

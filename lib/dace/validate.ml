@@ -118,9 +118,10 @@ let check ?(require_symmetric = false) sdfg =
       check_signal ~in_state what signal;
       check_expr ~in_state what sig_value;
       check_expr ~in_state what to_pe
-    | Nv_signal_wait { signal; ge_value } ->
+    | Nv_signal_wait { signal; ge_value; from_pe } ->
       check_signal ~in_state what signal;
-      check_expr ~in_state what ge_value
+      check_expr ~in_state what ge_value;
+      check_expr ~in_state what from_pe
     | Nv_quiet -> ()
   in
   (* Name the offending node in every message: maps carry their variable

@@ -11,6 +11,4 @@ let default = { topology = None; faults = None; fault_seed = 0; trace = None; me
 let make ?topology ?faults ?(fault_seed = 0) ?trace ?metrics () =
   { topology; faults; fault_seed; trace; metrics }
 
-let quiet env = { env with trace = None; metrics = None }
-
-let probe env = { (quiet env) with faults = None }
+let probe env = { env with faults = None; trace = None; metrics = None }

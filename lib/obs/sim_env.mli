@@ -31,11 +31,7 @@ val make :
   ?metrics:Metrics.t ->
   unit -> t
 
-val quiet : t -> t
-(** [env] with the observability sinks removed, for auxiliary runs
-    (verification, candidate probing) that must not pollute the main run's
-    artifacts. *)
-
 val probe : t -> t
-(** The candidate-evaluation environment derived from [env]: sinks and fault
-    plan removed. *)
+(** The environment of an auxiliary run derived from [env] (verification,
+    candidate probing): sinks and fault plan removed, so the run neither
+    pollutes the main run's artifacts nor fails by its faults. *)

@@ -2,9 +2,9 @@
 
     One {!t} is one connection. Requests can be pipelined — {!send} any
     number, then {!recv} the responses (the server answers [stats],
-    [shutdown-acks] and cache hits in arrival order, and admitted runs in
-    batch-completion order, so match responses to requests by [id], not by
-    position). {!request} is the sequential convenience. *)
+    [shutdown-acks] and cache hits in arrival order, and admitted runs
+    one at a time as the worker completes them, so match responses to
+    requests by [id], not by position). {!request} is the sequential convenience. *)
 
 type t
 

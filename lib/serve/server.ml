@@ -1,5 +1,4 @@
 module Scenario = Cpufree_core.Scenario
-module Parallel = Cpufree_core.Parallel
 module P = Protocol
 module J = Cpufree_core.Json
 
@@ -7,7 +6,6 @@ type config = {
   socket_path : string;
   cache_capacity : int;
   max_queue : int;
-  jobs : int;
   selfcheck : bool;
 }
 
@@ -16,7 +14,6 @@ let default_config ~socket_path =
     socket_path;
     cache_capacity = 128;
     max_queue = 64;
-    jobs = Parallel.default_jobs ();
     selfcheck = Sys.getenv_opt "CPUFREE_SERVE_SELFCHECK" <> None;
   }
 
@@ -91,21 +88,19 @@ let selfcheck_hit state digest sc (payload : P.run_payload) =
 
 (* --- worker domain -------------------------------------------------------- *)
 
-let respond_run state job ~cached payload =
-  send state job.j_conn
-    (P.Ok_resp
-       {
-         id = job.j_id;
-         cached;
-         digest = Some job.j_digest;
-         body = P.Run_result payload;
-       });
+(* Answer an admitted run and release its admission slot. *)
+let answer state job resp =
+  send state job.j_conn resp;
   Mutex.lock state.lock;
   job.j_conn.pending <- job.j_conn.pending - 1;
   state.in_flight <- state.in_flight - 1;
   let drained = job.j_conn.eof && job.j_conn.pending = 0 in
   Mutex.unlock state.lock;
   if drained then close_conn state job.j_conn
+
+let respond_run state job ~cached payload =
+  answer state job
+    (P.Ok_resp { id = job.j_id; cached; digest = Some job.j_digest; body = P.Run_result payload })
 
 let respond_error state job message =
   (* Counted before the response goes out, so a client that reads the
@@ -113,111 +108,42 @@ let respond_error state job message =
   Mutex.lock state.lock;
   state.stats.errors <- state.stats.errors + 1;
   Mutex.unlock state.lock;
-  send state job.j_conn (P.Error_resp { id = job.j_id; message });
-  Mutex.lock state.lock;
-  job.j_conn.pending <- job.j_conn.pending - 1;
-  state.in_flight <- state.in_flight - 1;
-  let drained = job.j_conn.eof && job.j_conn.pending = 0 in
-  Mutex.unlock state.lock;
-  if drained then close_conn state job.j_conn
+  answer state job (P.Error_resp { id = job.j_id; message })
 
-let process_batch state batch =
-  (* Coalesce: one simulation per distinct digest, first-come order. A
-     digest that landed in the cache since admission (a racing identical
-     run completed) is served from it instead of re-simulated. *)
-  let uniques = ref [] in
-  List.iter
-    (fun job ->
-      if not (List.mem_assoc job.j_digest !uniques) then
-        uniques := (job.j_digest, job.j_scenario) :: !uniques)
-    batch;
-  let uniques = List.rev !uniques in
-  (* Each distinct digest is answered from what this batch saw of it: the
-     payload the cache held when the batch was filtered, or this batch's
-     own run. Never from a second cache lookup — a batch-mate's result may
-     have evicted the entry by then. *)
-  let answers = Hashtbl.create 8 in
-  Mutex.lock state.lock;
-  let to_run =
-    List.filter
-      (fun (digest, _) ->
-        match Cache.find state.cache digest with
-        | Some payload ->
-          Hashtbl.replace answers digest (`Cached payload);
-          false
-        | None -> true)
-      uniques
-  in
-  Mutex.unlock state.lock;
-  (* Exec.run captures every exception, so the map never raises. A batch
-     with one miss runs on this domain; wider ones spawn at most
-     [jobs - 1] helper domains for the batch. *)
-  let ran =
-    List.combine (List.map fst to_run)
-      (Parallel.map ~jobs:state.cfg.jobs (fun (_, sc) -> Exec.run sc) to_run)
-  in
-  Mutex.lock state.lock;
-  (* A scenario [Exec.run] rejected never simulated: it is counted under
-     [errors] when its jobs are answered, not under [simulations]. *)
-  List.iter
-    (fun (digest, result) ->
-      Hashtbl.replace answers digest (`Ran result);
-      match result with
-      | Ok payload ->
-        state.stats.simulations <- state.stats.simulations + 1;
-        Cache.add state.cache digest payload
-      | Error _ -> ())
-    ran;
-  (* The first job of a freshly simulated digest is the "miss" that paid
-     for it; its batch-mates (and any job whose digest was already cached)
-     are coalesced hits. *)
-  let paid = Hashtbl.create 8 in
-  let resolved =
-    List.map
-      (fun job ->
-        let hit payload =
-          state.stats.coalesced <- state.stats.coalesced + 1;
-          state.stats.hits <- state.stats.hits + 1;
-          Ok (true, payload)
-        in
-        let outcome =
-          match Hashtbl.find answers job.j_digest with
-          | `Cached payload -> hit payload
-          | `Ran (Error e) -> Error e
-          | `Ran (Ok payload) ->
-            if Hashtbl.mem paid job.j_digest then hit payload
-            else begin
-              Hashtbl.replace paid job.j_digest ();
-              Ok (false, payload)
-            end
-        in
-        (job, outcome))
-      batch
-  in
-  Mutex.unlock state.lock;
-  List.iter
-    (fun (job, outcome) ->
-      match outcome with
-      | Ok (cached, payload) ->
-        if cached then selfcheck_hit state job.j_digest job.j_scenario payload;
-        respond_run state job ~cached payload
-      | Error e -> respond_error state job e)
-    resolved
-
+(* One admitted run at a time. The cache is re-checked as the job is
+   popped: an identical run admitted earlier may have published since, and
+   the job is then a coalesced hit. A miss simulates on this domain, is
+   published, and is answered at once. A scenario [Exec.run] rejects never
+   simulated: it counts under [errors], not [simulations]. *)
 let worker state =
   let rec loop () =
     Mutex.lock state.lock;
     while Queue.is_empty state.queue && not state.stop do
       Condition.wait state.cond state.lock
     done;
-    if Queue.is_empty state.queue && state.stop then Mutex.unlock state.lock
-    else begin
-      let batch = List.of_seq (Queue.to_seq state.queue) in
-      Queue.clear state.queue;
+    match Queue.take_opt state.queue with
+    | None -> Mutex.unlock state.lock
+    | Some job ->
+      let cached = Cache.find state.cache job.j_digest in
+      if Option.is_some cached then begin
+        state.stats.coalesced <- state.stats.coalesced + 1;
+        state.stats.hits <- state.stats.hits + 1
+      end;
       Mutex.unlock state.lock;
-      process_batch state batch;
+      (match cached with
+      | Some payload ->
+        selfcheck_hit state job.j_digest job.j_scenario payload;
+        respond_run state job ~cached:true payload
+      | None -> (
+        match Exec.run job.j_scenario with
+        | Ok payload ->
+          Mutex.lock state.lock;
+          state.stats.simulations <- state.stats.simulations + 1;
+          Cache.add state.cache job.j_digest payload;
+          Mutex.unlock state.lock;
+          respond_run state job ~cached:false payload
+        | Error e -> respond_error state job e));
       loop ()
-    end
   in
   loop ()
 

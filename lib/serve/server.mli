@@ -7,14 +7,12 @@
     Everything else is admitted to a bounded queue — or refused with an
     [overload] response when [max_queue] runs are already in flight.
 
-    The worker drains the queue in batches, coalesces requests with equal
-    digests (and re-checks the cache, so a request that raced a completing
-    identical run becomes a hit instead of a second simulation), runs the
-    batch's distinct misses with {!Cpufree_core.Parallel.map} over [jobs]
-    domains (a batch with one miss runs on the worker domain itself and
-    spawns none), publishes results to the cache, and responds. Responses
-    to one connection never interleave: every frame write is serialized
-    under an I/O lock.
+    The worker serves one admitted run at a time. It pops a job and
+    re-checks the cache, so a request that raced a completing identical
+    run becomes a coalesced hit instead of a second simulation. A miss
+    simulates on the worker domain, is published to the cache and is
+    answered at once. Responses to one connection never interleave: every
+    frame write is serialized under an I/O lock.
 
     Because simulations are deterministic, a cache hit is byte-identical
     to a recompute; setting [CPUFREE_SERVE_SELFCHECK] (or
@@ -26,7 +24,6 @@ type config = {
   socket_path : string;
   cache_capacity : int;  (** result-cache entries (default 128) *)
   max_queue : int;  (** in-flight admission bound (default 64) *)
-  jobs : int;  (** simulation pool width (default {!Cpufree_core.Parallel.default_jobs}) *)
   selfcheck : bool;
       (** recompute every cache hit and [exit 1] unless byte-equal
           (default: set iff [CPUFREE_SERVE_SELFCHECK] is set) *)

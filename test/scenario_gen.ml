@@ -1,7 +1,10 @@
 (* Scenarios as generable values: every component drawn from a small pool
-   by index, so shrinking stays meaningful and every draw is a valid
-   scenario by construction (the GPU counts split evenly on every topology
-   and cover every GPU the fault plans name). *)
+   by index, so shrinking stays meaningful. Every draw passes
+   [Scenario.validate] by construction (the GPU counts split evenly on
+   every topology and cover every GPU the fault plans name), but not every
+   draw can run: [Exec.job] refuses, with [Variants.feasible]'s reason, the
+   3d:32x32x16 stencil at 32 GPUs (fewer planes than PEs) and the
+   persistent variants at 16 (one plane per PE). *)
 
 module Scenario = Cpufree_core.Scenario
 module Fault = Cpufree_fault.Fault

@@ -25,11 +25,7 @@ let fail fmt =
 let () =
   let path = Printf.sprintf "serve-smoke-%d.sock" (Unix.getpid ()) in
   let cfg =
-    {
-      (Serve.Server.default_config ~socket_path:path) with
-      Serve.Server.jobs = 2;
-      selfcheck = true;
-    }
+    { (Serve.Server.default_config ~socket_path:path) with Serve.Server.selfcheck = true }
   in
   let srv = Domain.spawn (fun () -> Result.iter_error (fail "serve: %s") (Serve.Server.run cfg)) in
   let rec connect tries =

@@ -872,8 +872,9 @@ let pinned_persistent =
   ]
 
 (* A persistent run that stalls: a signal delayed past a one-shot retry
-   budget. The stall report names every role by pid, group and wait, so
-   the full text is pinned. *)
+   budget. The stall report names every role by pid, group and wait, and
+   a role blocked on a signal names the GPU whose put raises it, so the
+   full text is pinned. *)
 let pin_stall app =
   let env = Env.make ~faults:(fault_spec "delay=0.5@50000,retry=1x0") ~fault_seed:1 () in
   let job =
@@ -914,11 +915,11 @@ let pinned_stalls =
         "heat3d.host2(#4) [host]: flag heat3d_persistent.gpu2.done (value 0) (since 28.50us)";
         "heat3d.host3(#5) [host]: flag heat3d_persistent.gpu3.done (value 0) (since 28.50us)";
         "heat3d_persistent.gpu0.df(#11) [gpu0]: delay (since 30.70us)";
-        "heat3d_persistent.gpu1.comm(#12) [gpu1]: flag hA_from_up@pe1 (value 0, deadline 32.40us) (since 31.40us)";
+        "heat3d_persistent.gpu1.comm(#12) [gpu1]: flag hA_from_up@pe1 (value 0, deadline 32.40us) (since 31.40us) <- waits on gpu0";
         "heat3d_persistent.gpu1.df(#13) [gpu1]: delay (since 30.70us)";
-        "heat3d_persistent.gpu2.comm(#14) [gpu2]: flag hA_from_up@pe2 (value 0, deadline 32.40us) (since 31.40us)";
+        "heat3d_persistent.gpu2.comm(#14) [gpu2]: flag hA_from_up@pe2 (value 0, deadline 32.40us) (since 31.40us) <- waits on gpu1";
         "heat3d_persistent.gpu2.df(#15) [gpu2]: delay (since 30.70us)";
-        "heat3d_persistent.gpu3.comm(#16) [gpu3]: flag hA_from_up@pe3 (value 0, deadline 32.05us) (since 31.05us)";
+        "heat3d_persistent.gpu3.comm(#16) [gpu3]: flag hA_from_up@pe3 (value 0, deadline 32.05us) (since 31.05us) <- waits on gpu2";
         "heat3d_persistent.gpu3.df(#17) [gpu3]: delay (since 30.70us)";
         "nvshmem.putmem_signal_nbi.pe0.1(#18): delay (since 31.05us)";
         "nvshmem.putmem_signal_nbi.pe1.2(#19): delay (since 31.05us)";

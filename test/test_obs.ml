@@ -325,28 +325,42 @@ let artifact_verdict ~trace ~metrics =
   | Ok () ->
     Result.map_error (( ^ ) "metrics: ") (Result.bind (J.of_string metrics) Metrics_json.validate)
 
+(* The reason [Variants.feasible] gives for a stencil draw whose geometry
+   the machine cannot split, or [None] when the draw must run. *)
+let infeasible (sc : Scenario.t) =
+  match sc.Scenario.workload with
+  | Scenario.Dace _ -> None
+  | Scenario.Stencil { variant; dims; iters; no_compute } ->
+    let kind = Option.get (S.Variants.of_name variant) in
+    let dims = Result.get_ok (S.Problem.dims_of_string dims) in
+    let problem = S.Problem.make ~compute:(not no_compute) dims ~iterations:iters in
+    Result.fold ~ok:(fun () -> None) ~error:Option.some
+      (S.Variants.feasible kind problem ~gpus:sc.Scenario.gpus)
+
 (* The run path renders the trace and metrics documents without re-parsing
    them, so the renderers answer to the schema validators here. Over
    generated scenarios (every stencil variant, both DaCe arms, no faults,
    drop, delay and straggler plans and a fail-stop kill) with both sinks
    on, the trace recording flows as --trace-out does, [Exec.run] succeeds
    and each document it renders passes its validator. A draw whose
-   geometry the machine cannot split is refused by [Exec.job] before
-   anything runs, and is discarded. *)
+   geometry the machine cannot split must instead be refused with
+   [Variants.feasible]'s reason. *)
 let artifact_law =
   QCheck.Test.make ~name:"every rendered trace and metrics document validates" ~count:100
     QCheck.(
       set_print Scenario.to_string
         (map (fun sc -> { sc with Scenario.trace = true; metrics = true }) arbitrary_scenario))
     (fun sc ->
-      QCheck.assume (Result.is_ok (Cpufree_serve.Exec.job sc));
-      match Cpufree_serve.Exec.run sc with
-      | Ok { Cpufree_serve.Protocol.trace = Some trace; metrics = Some metrics; _ } -> (
+      match (infeasible sc, Cpufree_serve.Exec.run sc) with
+      | Some reason, Error e when e = reason -> true
+      | Some reason, Error e -> QCheck.Test.fail_reportf "refused with %S, not %S" e reason
+      | Some reason, Ok _ -> QCheck.Test.fail_reportf "ran, though infeasible: %s" reason
+      | None, Ok { Cpufree_serve.Protocol.trace = Some trace; metrics = Some metrics; _ } -> (
         match artifact_verdict ~trace ~metrics with
         | Ok () -> true
         | Error m -> QCheck.Test.fail_report m)
-      | Ok _ -> QCheck.Test.fail_report "an artifact is missing"
-      | Error e -> QCheck.Test.fail_reportf "run: %s" e)
+      | None, Ok _ -> QCheck.Test.fail_report "an artifact is missing"
+      | None, Error e -> QCheck.Test.fail_reportf "run: %s" e)
 
 (* The committed [--trace-out]/[--metrics-out] goldens are what the CLI
    writes (test/golden diffs them byte for byte), so each must pass its

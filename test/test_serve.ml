@@ -490,7 +490,6 @@ let start_server ?(cache = 32) ?(max_queue = 16) path =
       (Serve.Server.default_config ~socket_path:path) with
       Serve.Server.cache_capacity = cache;
       max_queue;
-      jobs = 2;
     }
   in
   Domain.spawn (fun () -> Result.iter_error failwith (Serve.Server.run cfg))
@@ -549,12 +548,11 @@ let test_coalesce () =
   clean_shutdown c ~id:100 srv
 
 (* Distinct pipelined requests are all misses: those admitted while the
-   first one simulates reach the worker as one batch of several misses,
-   which it runs over the pool ([jobs = 2]). Every request gets exactly
-   one result, and each distinct scenario is simulated once and cached as
-   far as the capacity allows. With a cache of one, a batch-mate's result
-   evicts the others' before they are answered: they must still be
-   answered from the batch's own runs. *)
+   first one simulates wait in the queue, and the worker runs them one at
+   a time. Every request gets exactly one result, and each distinct
+   scenario is simulated once and cached as far as the capacity allows.
+   With a cache of one, each run evicts the one before it: every request
+   is still answered from its own run. *)
 let test_distinct_misses ~cache =
   let path = Printf.sprintf "t-serve-distinct-%d.sock" cache in
   let srv = start_server ~cache path in
@@ -581,6 +579,55 @@ let test_distinct_misses ~cache =
     st.P.cache_entries;
   Alcotest.(check int) "no errors" 0 st.P.errors;
   clean_shutdown c ~id:100 srv
+
+(* Two connections pipeline distinct slow misses at the same time, so runs
+   from both wait in the worker's queue together. Each request is answered
+   exactly once, on the connection that sent it; each distinct scenario
+   simulates once; and every run request is counted as exactly one of a
+   hit, a miss or an overload. *)
+let test_two_connections () =
+  let path = "t-serve-two-conns.sock" in
+  let srv = start_server path in
+  let a = connect_retry path in
+  let b = connect_retry path in
+  let n = 3 in
+  (* Connection [a] sends ids 1..n, [b] ids 101..100+n, interleaved. *)
+  let ids base = List.init n (fun i -> base + i + 1) in
+  List.iter2
+    (fun ia ib ->
+      Serve.Client.send a { P.req_id = ia; req_op = P.Run (slow_sc ~iters:(600 + ia) ()) };
+      Serve.Client.send b { P.req_id = ib; req_op = P.Run (slow_sc ~iters:(600 + ib) ()) })
+    (ids 0) (ids 100);
+  let drain c ~base =
+    let answered = Hashtbl.create n in
+    for _ = 1 to n do
+      match Serve.Client.recv c with
+      | Ok (P.Ok_resp { id; body = P.Run_result _; cached = false; _ }) ->
+        Hashtbl.replace answered id (1 + Option.value (Hashtbl.find_opt answered id) ~default:0)
+      | Ok (P.Ok_resp { id; cached = true; _ }) -> Alcotest.failf "request %d was a hit" id
+      | Ok (P.Error_resp { id; message }) -> Alcotest.failf "request %d: %s" id message
+      | Ok (P.Overload_resp { id }) -> Alcotest.failf "request %d was refused" id
+      | Ok _ -> Alcotest.fail "unexpected response to a run request"
+      | Error e -> Alcotest.failf "recv: %s" e
+    done;
+    List.iter
+      (fun id ->
+        Alcotest.(check int)
+          (Printf.sprintf "request %d answered once on its own connection" id)
+          1
+          (Option.value (Hashtbl.find_opt answered id) ~default:0))
+      (ids base)
+  in
+  drain a ~base:0;
+  drain b ~base:100;
+  let st = get_stats a ~id:99 in
+  Alcotest.(check int) "one simulation per distinct scenario" (2 * n) st.P.simulations;
+  (* [requests] also counts the stats request that read it. *)
+  Alcotest.(check int) "hits + misses + overloads = run requests" (st.P.requests - 1)
+    (st.P.hits + st.P.misses + st.P.overloads);
+  Alcotest.(check int) "every run request was sent" (2 * n) (st.P.requests - 1);
+  Serve.Client.close b;
+  clean_shutdown a ~id:100 srv
 
 (* With an admission bound of one, distinct requests pipelined behind a
    slow run must be refused with a structured overload response — and the
@@ -861,8 +908,10 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "identical requests coalesce to one simulation" `Quick test_coalesce;
-          Alcotest.test_case "distinct misses of one batch run over the pool" `Quick (fun () ->
+          Alcotest.test_case "distinct pipelined misses simulate once each" `Quick (fun () ->
               List.iter (fun cache -> test_distinct_misses ~cache) [ 32; 1 ]);
+          Alcotest.test_case "two connections pipelining misses are each answered once" `Quick
+            test_two_connections;
           Alcotest.test_case "overload is a structured rejection" `Quick test_overload;
           Alcotest.test_case "malformed input is isolated" `Quick test_malformed;
           Alcotest.test_case "a rejected scenario counts as an error, not a simulation" `Quick
