@@ -29,8 +29,7 @@ let vertex_json v =
       ("local_gbs", Json.Float (1.0 /. v.T.local_ns_per_byte));
     ]
 
-let link_json topo l =
-  let ports = Array.of_list (T.ports topo) in
+let link_json ports l =
   Json.Obj
     [
       ("id", Json.Int l.T.lid);
@@ -74,6 +73,7 @@ let route_sources publics =
       true )
 
 let to_json topo =
+  let ports = Array.of_list (T.ports topo) in
   let publics = public_vertices topo in
   let sample, sampled = route_sources publics in
   let routes =
@@ -94,8 +94,8 @@ let to_json topo =
        ("nodes", Json.Int (T.num_nodes topo));
        ("gpus", Json.Int (T.num_gpus topo));
        ("endpoints", Json.List (List.map vertex_json (T.vertices topo)));
-       ("ports", Json.List (List.map (fun p -> Json.String p.T.pname) (T.ports topo)));
-       ("links", Json.List (List.map (link_json topo) (T.links topo)));
+       ("ports", Json.List (List.map (fun p -> Json.String p.T.pname) (Array.to_list ports)));
+       ("links", Json.List (List.map (link_json ports) (T.links topo)));
        ("routes", Json.List routes);
      ]
     @ if sampled then [ ("routes_sampled", Json.Bool true) ] else [])

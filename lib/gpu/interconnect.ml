@@ -40,9 +40,9 @@ type t = {
   arch : Arch.t;
   n : int;
   topo : M.Topology.t;
-  ports : E.Sync.Resource.t array; (* one per topology port, indexed by pid *)
+  ports : E.Sync.Resource.t option array; (* by pid, made when a route first books it *)
   setup : Time.t array; (* indexed by initiator *)
-  rows : entry option array option array; (* rows.(src_idx).(dst_idx), lazy *)
+  rows : entry option array array array; (* see [slots] *)
   min_gpu_wire : Time.t;
   max_gpu_wire : Time.t;
   faults : F.plan option;
@@ -76,14 +76,15 @@ let endpoint_of_idx n i = if i = n then Host else Gpu i
 let create ?(topology = M.Topology.Hgx) ?faults ?metrics eng ~arch ~num_gpus =
   if num_gpus <= 0 then invalid_arg "Interconnect.create: need at least one GPU";
   let topo = M.Topology.instantiate topology ~profile:(Arch.fabric_profile arch) ~gpus:num_gpus in
-  let port_list = M.Topology.ports topo in
-  let ports = Array.init (List.length port_list) (fun _ -> E.Sync.Resource.create eng) in
   let n = num_gpus in
   let m = n + 1 in
   let obs =
     match metrics with
     | None -> None
     | Some reg ->
+      (* Every port gets its counters here, booked or not: a run's
+         metrics list each port, idle ones at 0. *)
+      let port_list = M.Topology.ports topo in
       let port_counter what p =
         Mx.counter reg ~name:what ~labels:[ ("port", p.M.Topology.pname) ] ()
       in
@@ -103,9 +104,9 @@ let create ?(topology = M.Topology.Hgx) ?faults ?metrics eng ~arch ~num_gpus =
     arch;
     n;
     topo;
-    ports;
+    ports = Array.make (M.Topology.num_ports topo) None;
     setup = [| arch.Arch.host_initiated_latency; arch.Arch.gpu_initiated_latency |];
-    rows = Array.make m None;
+    rows = Array.make m [||];
     min_gpu_wire = gpu_wire M.Topology.min_gpu_pair_latency arch.Arch.nvlink_latency;
     max_gpu_wire = gpu_wire M.Topology.max_gpu_pair_latency arch.Arch.nvlink_latency;
     faults;
@@ -161,22 +162,50 @@ let sync_failures t =
   (match t.pending_fails with [] -> () | _ :: _ -> enact_failures t);
   let epoch = M.Topology.route_epoch t.topo in
   if t.epoch <> epoch then begin
-    Array.fill t.rows 0 (Array.length t.rows) None;
+    Array.fill t.rows 0 (Array.length t.rows) [||];
     t.epoch <- epoch
   end
+
+(* Port [p]'s resource, made on its first booking. *)
+let port t p =
+  match t.ports.(p) with
+  | Some r -> r
+  | None ->
+    let r = E.Sync.Resource.create t.eng in
+    t.ports.(p) <- Some r;
+    r
+
+(* The pair memo keeps source [si]'s entries in chunks of [chunk]
+   destinations (the last one shorter), each made on its source's first
+   entry in it: a run pays for the pairs it resolves, not for a row of
+   every destination per source (a tree allreduce at 256 GPUs resolves
+   about two per source). *)
+let chunk_bits = 5
+let chunk = 1 lsl chunk_bits
+
+(* The chunk holding [di] in source [si]'s row, made on first use. *)
+let slots t ~si ~di =
+  let row =
+    match t.rows.(si) with
+    | [||] ->
+      let row = Array.make ((t.n lsr chunk_bits) + 1) [||] in
+      t.rows.(si) <- row;
+      row
+    | row -> row
+  in
+  let c = di lsr chunk_bits in
+  match row.(c) with
+  | [||] ->
+    let s = Array.make (min chunk (t.n + 1 - (c lsl chunk_bits))) None in
+    row.(c) <- s;
+    s
+  | s -> s
 
 (* Resolve an endpoint pair's routing entry, filling the memo on first use. *)
 let resolve t ~si ~di =
   sync_failures t;
-  let row =
-    match t.rows.(si) with
-    | Some row -> row
-    | None ->
-      let row = Array.make (t.n + 1) None in
-      t.rows.(si) <- Some row;
-      row
-  in
-  match row.(di) with
+  let slots = slots t ~si ~di and i = di land (chunk - 1) in
+  match slots.(i) with
   | Some e -> e
   | None ->
     let src = endpoint_of_idx t.n si and dst = endpoint_of_idx t.n di in
@@ -186,11 +215,11 @@ let resolve t ~si ~di =
       {
         e_lat = r.M.Topology.r_latency;
         e_nsb = r.M.Topology.r_ns_per_byte;
-        e_ports = Array.of_list (List.map (fun p -> t.ports.(p)) r.M.Topology.r_ports);
+        e_ports = Array.of_list (List.map (port t) r.M.Topology.r_ports);
         e_pids = Array.of_list r.M.Topology.r_ports;
       }
     in
-    row.(di) <- Some e;
+    slots.(i) <- Some e;
     e
 
 let entry_for t ~src ~dst = resolve t ~si:(idx_of t src) ~di:(idx_of t dst)
@@ -283,10 +312,6 @@ let transfers t = t.total_transfers
 
 let pairs_resolved t =
   let c = ref 0 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some row -> Array.iter (function Some _ -> incr c | None -> ()) row)
-    t.rows;
+  Array.iter (Array.iter (Array.iter (function Some _ -> incr c | None -> ()))) t.rows;
   !c
 

@@ -11,7 +11,8 @@
 
     Each contention point (a GPU's egress/ingress engine, a host PCIe port,
     a NIC direction, a shared PCIe root) is a serially reusable bandwidth
-    resource; a transfer books every port along its route for its
+    resource, made when a route first books it; a transfer books every
+    port along its route for its
     serialization time, so simultaneous transfers that share any link of
     their paths queue behind each other — single-switch contention as
     before, plus NIC contention on inter-node routes. Latency additionally

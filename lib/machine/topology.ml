@@ -39,14 +39,51 @@ type link = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Routing state                                                       *)
+(* Graph                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* One single-source shortest-path solution: [dist]/[hops] in integer ns and
-   hop count, [pred] the incoming link id of the shortest route (same
-   deterministic tie-breaks as the original eager all-pairs build: shortest
-   latency, then fewest hops, then lowest incoming link id). *)
-type row = { rsrc : int; dist : int array; hops : int array; pred : int array }
+(* What a vertex is, kept as an immediate beside its position (two
+   indices packed by [pos]). Its kind and its name are rendered from the
+   two on read, the way process names and lanes are, so a graph stores no
+   string per vertex or port. *)
+type role =
+  | R_gpu (* a: global GPU index *)
+  | R_nvswitch (* a: node *)
+  | R_host (* a: node *)
+  | R_nic (* a: node *)
+  | R_rail_nic (* a: node, b: rail *)
+  | R_ib_spine
+  | R_leaf (* a: rail, b: leaf *)
+  | R_spine (* a: rail, b: spine *)
+  | R_router (* a: group, b: router *)
+  | R_pcie_root
+
+let pos a b = (a lsl 24) lor b
+
+(* A port is named after the vertex that owns it, plus a suffix. *)
+type suffix = Whole | Egress | Ingress | Pcie_port | Tx | Rx
+
+(* Compressed rows: row [r] holds [ids.(off.(r))] to [ids.(off.(r + 1) - 1)]. *)
+type csr = { off : int array; ids : int array }
+
+(* Group [0 .. count - 1] into [rows] rows by [key], ascending within each
+   row: a counting sort, so nothing already in order is sorted again. *)
+let csr ~rows ~count key =
+  let off = Array.make (rows + 1) 0 in
+  for i = 0 to count - 1 do
+    let r = key i + 1 in
+    off.(r) <- off.(r) + 1
+  done;
+  for r = 1 to rows do
+    off.(r) <- off.(r) + off.(r - 1)
+  done;
+  let next = Array.sub off 0 rows and ids = Array.make count 0 in
+  for i = 0 to count - 1 do
+    let r = key i in
+    ids.(next.(r)) <- i;
+    next.(r) <- next.(r) + 1
+  done;
+  { off; ids }
 
 (* A constructor's closed form: an O(path-length) vertex-path function
    derived from the construction (the unique tree path for a dgx cluster,
@@ -61,41 +98,141 @@ type closed = {
   max_gpu : Time.t option;
 }
 
-exception Partitioned of string
-
-type t = {
+(* The immutable part of a machine, shared by every instance of its
+   (spec, profile, GPU count) within a domain. Vertices, ports and links
+   are parallel arrays indexed by their ids. *)
+type graph = {
   tname : string;
   nodes : int;
   gpus : int;
-  vs : vertex array;
-  ps : port array;
-  ls : link array;
-  adj : link list array; (* out-adjacency in ascending link id *)
+  local_nsb : float; (* every vertex's self-transfer rate *)
+  v_role : role array;
+  v_pos : int array;
+  p_owner : int array; (* vertex id *)
+  p_suffix : suffix array;
+  l_src : int array;
+  l_dst : int array;
+  l_kind : link_kind array;
+  l_lat : Time.t array;
+  l_nsb : float array;
+  l_ports : csr; (* each link's ports, in booking order *)
+  adj : csr; (* each vertex's out-links, ascending id *)
   gpu_vid : int array;
   host_vid : int array;
   closed : closed option;
-  edge : (int, int) Hashtbl.t; (* (u * nv + v) -> lowest link id; empty without [closed] *)
+}
+
+let num_v g = Array.length g.v_role
+let gpus_per_node g = g.gpus / g.nodes
+
+let vertex_kind g v =
+  let a = g.v_pos.(v) lsr 24 in
+  match g.v_role.(v) with
+  | R_gpu ->
+    let per = gpus_per_node g in
+    Gpu { node = a / per; device = a mod per }
+  | R_nvswitch -> Switch { node = Some a }
+  | R_pcie_root -> Switch { node = Some 0 }
+  | R_host -> Host { node = a }
+  | R_nic | R_rail_nic -> Nic { node = a }
+  | R_ib_spine | R_leaf | R_spine | R_router -> Switch { node = None }
+
+let vertex_name g v =
+  let p = g.v_pos.(v) in
+  let a = p lsr 24 and b = p land 0xff_ffff in
+  match g.v_role.(v) with
+  | R_gpu -> Printf.sprintf "gpu%d" a
+  | R_nvswitch -> Printf.sprintf "node%d.nvswitch" a
+  | R_host -> if a = 0 then "host" else Printf.sprintf "node%d.host" a
+  | R_nic -> Printf.sprintf "node%d.nic" a
+  | R_rail_nic -> Printf.sprintf "node%d.nic%d" a b
+  | R_ib_spine -> "ib.spine"
+  | R_leaf -> Printf.sprintf "rail%d.leaf%d" a b
+  | R_spine -> Printf.sprintf "rail%d.spine%d" a b
+  | R_router -> Printf.sprintf "g%d.r%d" a b
+  | R_pcie_root -> "pcie.root"
+
+let port_name g p =
+  vertex_name g g.p_owner.(p)
+  ^
+  match g.p_suffix.(p) with
+  | Whole -> ""
+  | Egress -> ".egress"
+  | Ingress -> ".ingress"
+  | Pcie_port -> ".pcie"
+  | Tx -> ".tx"
+  | Rx -> ".rx"
+
+let link_ports g l =
+  let o = g.l_ports.off.(l) in
+  List.init (g.l_ports.off.(l + 1) - o) (fun k -> g.l_ports.ids.(o + k))
+
+let vertex_at g v =
+  { vid = v; kind = vertex_kind g v; vname = vertex_name g v; local_ns_per_byte = g.local_nsb }
+
+let port_at g p = { pid = p; pname = port_name g p }
+
+let link_at g l =
+  {
+    lid = l;
+    lsrc = g.l_src.(l);
+    ldst = g.l_dst.(l);
+    lkind = g.l_kind.(l);
+    llatency = g.l_lat.(l);
+    lns_per_byte = g.l_nsb.(l);
+    lports = link_ports g l;
+  }
+
+(* The lowest-id link from [u] to [v], or -1. *)
+let edge g u v =
+  let rec go i stop =
+    if i = stop then -1
+    else
+      let l = g.adj.ids.(i) in
+      if g.l_dst.(l) = v then l else go (i + 1) stop
+  in
+  go g.adj.off.(u) g.adj.off.(u + 1)
+
+(* ------------------------------------------------------------------ *)
+(* Routing state                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One single-source shortest-path solution: [dist]/[hops] in integer ns and
+   hop count, [pred] the incoming link id of the shortest route (same
+   deterministic tie-breaks as the original eager all-pairs build: shortest
+   latency, then fewest hops, then lowest incoming link id). *)
+type row = { rsrc : int; dist : int array; hops : int array; pred : int array }
+
+exception Partitioned of string
+
+(* One run's view of a shared graph: everything a run mutates. *)
+type t = {
+  g : graph;
   (* Bounded per-source route cache. Rows are recomputed on demand after an
      eviction; Dijkstra here is deterministic, so a recomputed row is
      identical to the evicted one and cache size never changes any route. *)
-  rows : row option array; (* indexed by source vid *)
+  mutable rows : row option array; (* indexed by source vid; empty until the first row *)
   fifo : int Queue.t; (* cached sources, oldest first *)
   dedup : Bytes.t; (* reusable port bitset for route_ports *)
-  dead_vs : bool array; (* fail-stopped vertices *)
-  dead_ls : bool array; (* fail-stopped links *)
+  dead_vs : Bytes.t; (* fail-stopped vertices *)
+  dead_ls : Bytes.t; (* fail-stopped links *)
   mutable degraded : bool; (* any fail_link/fail_switch applied *)
   mutable route_epoch : int; (* bumped on every route invalidation *)
 }
 
 let route_cache_rows = 64
+let is_set set i = Bytes.get set i <> '\000'
+let nsb gbs = 1.0 /. gbs
 
 (* ------------------------------------------------------------------ *)
 (* Builder                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Every list holds its newest item first, so item [i] of a list of [n]
+   has id [n - 1 - i]. *)
 type builder = {
-  mutable bvs : vertex list;
-  mutable bps : port list;
+  mutable bvs : (role * int) list;
+  mutable bps : (int * suffix) list;
   mutable bls : link list;
   mutable nv : int;
   mutable np : int;
@@ -104,16 +241,16 @@ type builder = {
 
 let builder () = { bvs = []; bps = []; bls = []; nv = 0; np = 0; nl = 0 }
 
-let add_vertex b ~kind ~name ~local_ns_per_byte =
+let add_vertex b role p =
   let vid = b.nv in
   b.nv <- vid + 1;
-  b.bvs <- { vid; kind; vname = name; local_ns_per_byte } :: b.bvs;
+  b.bvs <- (role, p) :: b.bvs;
   vid
 
-let add_port b ~name =
+let add_port b ~owner suffix =
   let pid = b.np in
   b.np <- pid + 1;
-  b.bps <- { pid; pname = name } :: b.bps;
+  b.bps <- (owner, suffix) :: b.bps;
   pid
 
 let add_link b ~src ~dst ~kind ~latency ~ns_per_byte ~ports =
@@ -145,7 +282,7 @@ let add_hop b ~src ~dst ~kind ~ns_per_byte ~there:(latency, ports) ~back:(latenc
    [pred] to the lower link id, which leaves the entry's key unchanged. *)
 let dead_preds = function
   | None -> ((fun _ -> false), fun _ -> false)
-  | Some (dvs, dls) -> ((fun (v : int) -> dvs.(v)), fun (l : int) -> dls.(l))
+  | Some (dvs, dls) -> (is_set dvs, is_set dls)
 
 let row_init nv src =
   let dist = Array.make nv max_int and hops = Array.make nv max_int in
@@ -156,7 +293,10 @@ let row_init nv src =
 let settle_order (d1, h1, v1) (d2, h2, v2) =
   if d1 <> d2 then Int.compare d1 d2 else if h1 <> h2 then Int.compare h1 h2 else Int.compare v1 v2
 
-let dijkstra_row ?dead ~nv ~(adj : link list array) src =
+(* [adj] is the out-adjacency, [dst] and [lat] each link's head and
+   latency by link id. *)
+let dijkstra_row ?dead ~adj ~dst ~lat src =
+  let nv = Array.length adj.off - 1 in
   let dead_v, dead_l = dead_preds dead in
   let r = row_init nv src in
   let { dist; hops; pred; _ } = r in
@@ -169,110 +309,123 @@ let dijkstra_row ?dead ~nv ~(adj : link list array) src =
     | Some (_, _, u) when visited.(u) -> loop ()
     | Some (du, hu, u) ->
       visited.(u) <- true;
-      List.iter
-        (fun l ->
-          let v = l.ldst in
-          if (not visited.(v)) && (not (dead_l l.lid)) && not (dead_v v) then begin
-            let nd = du + Time.to_ns l.llatency and nh = hu + 1 in
-            if nd < dist.(v) || (nd = dist.(v) && nh < hops.(v)) then begin
-              dist.(v) <- nd;
-              hops.(v) <- nh;
-              pred.(v) <- l.lid;
-              Cpufree_engine.Heap.push frontier (nd, nh, v)
-            end
-            else if nd = dist.(v) && nh = hops.(v) && l.lid < pred.(v) then pred.(v) <- l.lid
-          end)
-        adj.(u);
+      for i = adj.off.(u) to adj.off.(u + 1) - 1 do
+        let l = adj.ids.(i) in
+        let v = dst.(l) in
+        if (not visited.(v)) && (not (dead_l l)) && not (dead_v v) then begin
+          let nd = du + Time.to_ns lat.(l) and nh = hu + 1 in
+          if nd < dist.(v) || (nd = dist.(v) && nh < hops.(v)) then begin
+            dist.(v) <- nd;
+            hops.(v) <- nh;
+            pred.(v) <- l;
+            Cpufree_engine.Heap.push frontier (nd, nh, v)
+          end
+          else if nd = dist.(v) && nh = hops.(v) && l < pred.(v) then pred.(v) <- l
+        end
+      done;
       loop ()
   in
   loop ();
   r
 
-(* Out-adjacency in ascending link id: the relaxation order the link-id
-   tie-break relies on. *)
-let adjacency nv (ls : link array) =
-  let adj = Array.make nv [] in
-  Array.iter (fun l -> adj.(l.lsrc) <- l :: adj.(l.lsrc)) ls;
-  Array.map (List.sort (fun a c -> compare a.lid c.lid)) adj
-
 (* O(V + E) coverage check from/to one pivot, replacing the old all-pairs
    route validation: if the pivot reaches every public endpoint and every
    public endpoint reaches the pivot, then by transitivity every public
-   pair is mutually routable. *)
-let bfs_cover ~nv step start =
+   pair is mutually routable. [rows] is the adjacency to walk and [next]
+   the vertex a link of it leads to. *)
+let bfs_cover ~nv rows next start =
   let seen = Array.make nv false in
   let q = Queue.create () in
   seen.(start) <- true;
   Queue.add start q;
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
-    step u (fun v ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Queue.add v q
-        end)
+    for i = rows.off.(u) to rows.off.(u + 1) - 1 do
+      let v = next.(rows.ids.(i)) in
+      if not seen.(v) then begin
+        seen.(v) <- true;
+        Queue.add v q
+      end
+    done
   done;
   seen
 
-let build ?closed b ~name ~nodes ~gpu_vid ~host_vid =
-  let vs = Array.make b.nv (List.hd b.bvs) in
-  List.iter (fun v -> vs.(v.vid) <- v) b.bvs;
-  let ps = Array.of_list (List.sort (fun a c -> compare a.pid c.pid) b.bps) in
-  let ls = Array.of_list (List.sort (fun a c -> compare a.lid c.lid) b.bls) in
-  let nv = b.nv in
-  let adj = adjacency nv ls in
-  let radj = Array.make nv [] in
-  Array.iter (fun l -> radj.(l.ldst) <- l.lsrc :: radj.(l.ldst)) ls;
-  (* Every public endpoint must be able to reach every other one. *)
-  let publics =
-    Array.to_list gpu_vid @ Array.to_list host_vid
-    @ List.filter_map
-        (fun v -> match v.kind with Nic _ -> Some v.vid | _ -> None)
-        (Array.to_list vs)
+(* The builder's lists become id-indexed arrays by writing each item at
+   its id: newest first, so nothing is sorted or reversed. *)
+let finish ?closed b ~name ~nodes ~gpu_vid ~host_vid ~(profile : profile) =
+  let nv = b.nv and np = b.np and nl = b.nl in
+  let v_role = Array.make nv R_gpu and v_pos = Array.make nv 0 in
+  List.iteri
+    (fun i (role, p) ->
+      v_role.(nv - 1 - i) <- role;
+      v_pos.(nv - 1 - i) <- p)
+    b.bvs;
+  let p_owner = Array.make np 0 and p_suffix = Array.make np Whole in
+  List.iteri
+    (fun i (owner, suffix) ->
+      p_owner.(np - 1 - i) <- owner;
+      p_suffix.(np - 1 - i) <- suffix)
+    b.bps;
+  let l_src = Array.make nl 0 and l_dst = Array.make nl 0 and l_kind = Array.make nl Nvlink in
+  let l_lat = Array.make nl Time.zero and l_nsb = Array.make nl 0.0 in
+  let port_off = Array.make (nl + 1) 0 in
+  List.iter
+    (fun l ->
+      l_src.(l.lid) <- l.lsrc;
+      l_dst.(l.lid) <- l.ldst;
+      l_kind.(l.lid) <- l.lkind;
+      l_lat.(l.lid) <- l.llatency;
+      l_nsb.(l.lid) <- l.lns_per_byte;
+      port_off.(l.lid + 1) <- List.length l.lports)
+    b.bls;
+  for l = 1 to nl do
+    port_off.(l) <- port_off.(l) + port_off.(l - 1)
+  done;
+  let port_ids = Array.make port_off.(nl) 0 in
+  List.iter (fun l -> List.iteri (fun k p -> port_ids.(port_off.(l.lid) + k) <- p) l.lports) b.bls;
+  let g =
+    {
+      tname = name;
+      nodes;
+      gpus = Array.length gpu_vid;
+      local_nsb = nsb profile.hbm_gbs;
+      v_role;
+      v_pos;
+      p_owner;
+      p_suffix;
+      l_src;
+      l_dst;
+      l_kind;
+      l_lat;
+      l_nsb;
+      l_ports = { off = port_off; ids = port_ids };
+      adj = csr ~rows:nv ~count:nl (Array.get l_src);
+      gpu_vid;
+      host_vid;
+      closed;
+    }
   in
-  (match publics with
+  (* Every public endpoint must be able to reach every other one. *)
+  let nics =
+    List.filter
+      (fun v -> match v_role.(v) with R_nic | R_rail_nic -> true | _ -> false)
+      (List.init nv Fun.id)
+  in
+  (match Array.to_list gpu_vid @ Array.to_list host_vid @ nics with
   | [] -> ()
-  | p0 :: _ ->
-    let fwd = bfs_cover ~nv (fun u k -> List.iter (fun l -> k l.ldst) adj.(u)) p0 in
-    let bwd = bfs_cover ~nv (fun u k -> List.iter k radj.(u)) p0 in
+  | p0 :: _ as publics ->
+    let fwd = bfs_cover ~nv g.adj l_dst p0 in
+    let bwd = bfs_cover ~nv (csr ~rows:nv ~count:nl (Array.get l_dst)) l_src p0 in
+    let unreachable a b =
+      invalid_arg
+        (Printf.sprintf "Topology.%s: %s cannot reach %s" name (vertex_name g a) (vertex_name g b))
+    in
     List.iter
       (fun v ->
-        if not fwd.(v) then
-          invalid_arg
-            (Printf.sprintf "Topology.%s: %s cannot reach %s" name vs.(p0).vname vs.(v).vname);
-        if not bwd.(v) then
-          invalid_arg
-            (Printf.sprintf "Topology.%s: %s cannot reach %s" name vs.(v).vname vs.(p0).vname))
+        if not fwd.(v) then unreachable p0 v;
+        if not bwd.(v) then unreachable v p0)
       publics);
-  (* [ls] ascends by id, so the first link seen per hop is its lowest. *)
-  let edge = Hashtbl.create (if Option.is_none closed then 1 else Array.length ls) in
-  if Option.is_some closed then
-    Array.iter
-      (fun l ->
-        let k = (l.lsrc * nv) + l.ldst in
-        if not (Hashtbl.mem edge k) then Hashtbl.add edge k l.lid)
-      ls;
-  {
-    tname = name;
-    nodes;
-    gpus = Array.length gpu_vid;
-    vs;
-    ps;
-    ls;
-    adj;
-    gpu_vid;
-    host_vid;
-    closed;
-    edge;
-    rows = Array.make nv None;
-    fifo = Queue.create ();
-    dedup = Bytes.make (max 1 b.np) '\000';
-    dead_vs = Array.make (max 1 b.nv) false;
-    dead_ls = Array.make (max 1 b.nl) false;
-    degraded = false;
-    route_epoch = 0;
-  }
-
+  g
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -285,8 +438,6 @@ let check_gpus name gpus =
 let halves l =
   let dn = Time.ns (Time.to_ns l / 2) in
   (dn, Time.sub l dn)
-
-let nsb gbs = 1.0 /. gbs
 
 (* Closed-form path pieces shared by the cluster constructors: the
    same-node route through node switch [sw], and the chain from a node
@@ -308,34 +459,20 @@ let add_nodes b ~profile:p ~nodes ~gpus_per_node attach =
   let gpu_vid = Array.make (nodes * gpus_per_node) (-1) in
   let node_sw = Array.make nodes (-1) and host_vid = Array.make nodes (-1) in
   for node = 0 to nodes - 1 do
-    let sw =
-      add_vertex b
-        ~kind:(Switch { node = Some node })
-        ~name:(Printf.sprintf "node%d.nvswitch" node)
-        ~local_ns_per_byte:(nsb p.hbm_gbs)
-    in
+    let sw = add_vertex b R_nvswitch (pos node 0) in
     node_sw.(node) <- sw;
     for d = 0 to gpus_per_node - 1 do
       let g = (node * gpus_per_node) + d in
-      let v =
-        add_vertex b ~kind:(Gpu { node; device = d }) ~name:(Printf.sprintf "gpu%d" g)
-          ~local_ns_per_byte:(nsb p.hbm_gbs)
-      in
+      let v = add_vertex b R_gpu (pos g 0) in
       gpu_vid.(g) <- v;
-      let ep = add_port b ~name:(Printf.sprintf "gpu%d.egress" g) in
-      let ip = add_port b ~name:(Printf.sprintf "gpu%d.ingress" g) in
+      let ep = add_port b ~owner:v Egress in
+      let ip = add_port b ~owner:v Ingress in
       add_hop b ~src:v ~dst:sw ~kind:Nvlink ~ns_per_byte:(nsb p.nvlink_gbs)
         ~there:(e_lat, [ ep ]) ~back:(i_lat, [ ip ])
     done;
-    let host =
-      add_vertex b ~kind:(Host { node })
-        ~name:(if node = 0 then "host" else Printf.sprintf "node%d.host" node)
-        ~local_ns_per_byte:(nsb p.hbm_gbs)
-    in
+    let host = add_vertex b R_host (pos node 0) in
     host_vid.(node) <- host;
-    let hp =
-      add_port b ~name:(if node = 0 then "host.pcie" else Printf.sprintf "node%d.host.pcie" node)
-    in
+    let hp = add_port b ~owner:host Pcie_port in
     add_hop b ~src:host ~dst:sw ~kind:Pcie ~ns_per_byte:(nsb p.pcie_gbs)
       ~there:(Time.sub p.pcie_latency i_lat, [ hp ])
       ~back:(Time.sub p.pcie_latency e_lat, [ hp ]);
@@ -343,17 +480,17 @@ let add_nodes b ~profile:p ~nodes ~gpus_per_node attach =
   done;
   (gpu_vid, node_sw, host_vid)
 
-(* A NIC named [name] hanging off node switch [sw]: the NIC vertex, its tx
-   then rx port, the PCIe attach pair (at PCIe latency and the NIC's line
+(* A NIC of [role] at position [at] hanging off node switch [sw]: the NIC
+   vertex, its tx then rx port, the PCIe attach pair (at PCIe latency and the NIC's line
    rate, shared with nothing: contention lives on the NIC's tx/rx ports),
    then the InfiniBand uplink pair to [uplink], booking tx up and rx
    down. *)
-let add_nic b ~profile:p ~node ~name ~sw ~uplink =
+let add_nic b ~profile:p role ~at ~sw ~uplink =
   let e_lat, i_lat = halves p.nvlink_latency in
   let ib_dn, ib_up = halves p.ib_latency in
-  let nic = add_vertex b ~kind:(Nic { node }) ~name ~local_ns_per_byte:(nsb p.hbm_gbs) in
-  let tx = add_port b ~name:(name ^ ".tx") in
-  let rx = add_port b ~name:(name ^ ".rx") in
+  let nic = add_vertex b role at in
+  let tx = add_port b ~owner:nic Tx in
+  let rx = add_port b ~owner:nic Rx in
   add_hop b ~src:sw ~dst:nic ~kind:Pcie ~ns_per_byte:(nsb p.ib_gbs)
     ~there:(Time.sub p.pcie_latency e_lat, [])
     ~back:(Time.sub p.pcie_latency i_lat, []);
@@ -373,21 +510,17 @@ let hgx ~profile ~gpus =
   check_gpus "hgx" gpus;
   let b = builder () in
   let gpu_vid, _, host_vid = add_nodes b ~profile ~nodes:1 ~gpus_per_node:gpus (fun _ _ -> ()) in
-  build b ~name:(Printf.sprintf "hgx_%s" profile.pname) ~nodes:1 ~gpu_vid ~host_vid
+  finish b ~profile ~name:(Printf.sprintf "hgx_%s" profile.pname) ~nodes:1 ~gpu_vid ~host_vid
 
 let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
   if nodes <= 0 then invalid_arg "Topology.dgx_cluster: need at least one node";
   check_gpus "dgx_cluster" gpus_per_node;
   let b = builder () in
-  let spine =
-    add_vertex b ~kind:(Switch { node = None }) ~name:"ib.spine"
-      ~local_ns_per_byte:(nsb p.hbm_gbs)
-  in
+  let spine = add_vertex b R_ib_spine 0 in
   let nic_vid = Array.make nodes (-1) in
   let gpu_vid, node_sw, host_vid =
     add_nodes b ~profile:p ~nodes ~gpus_per_node (fun node sw ->
-        nic_vid.(node) <-
-          add_nic b ~profile:p ~node ~name:(Printf.sprintf "node%d.nic" node) ~sw ~uplink:spine)
+        nic_vid.(node) <- add_nic b ~profile:p R_nic ~at:(pos node 0) ~sw ~uplink:spine)
   in
   (* The cluster is a tree (spine - NIC - node switch - GPUs/host), so the
      closed path is the unique route Dijkstra would find: through the
@@ -410,7 +543,7 @@ let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
   let max_gpu =
     if nodes >= 2 then Some remote else if gpus_per_node >= 2 then Some p.nvlink_latency else None
   in
-  build ~closed:{ spath; min_gpu; max_gpu } b
+  finish ~closed:{ spath; min_gpu; max_gpu } b ~profile:p
     ~name:(Printf.sprintf "dgx_%s_%dx%d" p.pname nodes gpus_per_node)
     ~nodes ~gpu_vid ~host_vid
 
@@ -421,11 +554,10 @@ let ring ~profile:p ~gpus =
   and gpu_eport = Array.make gpus (-1)
   and gpu_iport = Array.make gpus (-1) in
   for g = 0 to gpus - 1 do
-    gpu_vid.(g) <-
-      add_vertex b ~kind:(Gpu { node = 0; device = g }) ~name:(Printf.sprintf "gpu%d" g)
-        ~local_ns_per_byte:(nsb p.hbm_gbs);
-    gpu_eport.(g) <- add_port b ~name:(Printf.sprintf "gpu%d.egress" g);
-    gpu_iport.(g) <- add_port b ~name:(Printf.sprintf "gpu%d.ingress" g)
+    let v = add_vertex b R_gpu (pos g 0) in
+    gpu_vid.(g) <- v;
+    gpu_eport.(g) <- add_port b ~owner:v Egress;
+    gpu_iport.(g) <- add_port b ~owner:v Ingress
   done;
   for g = 0 to gpus - 1 do
     let neighbours =
@@ -438,16 +570,14 @@ let ring ~profile:p ~gpus =
             ~ns_per_byte:(nsb p.nvlink_gbs) ~ports:[ gpu_eport.(g); gpu_iport.(n) ])
       neighbours
   done;
-  let host =
-    add_vertex b ~kind:(Host { node = 0 }) ~name:"host" ~local_ns_per_byte:(nsb p.hbm_gbs)
-  in
-  let hp = add_port b ~name:"host.pcie" in
+  let host = add_vertex b R_host 0 in
+  let hp = add_port b ~owner:host Pcie_port in
   (* Head-node attach: the host reaches the ring through GPU 0 only, so
      GPU-to-GPU routes can never shortcut through the host. *)
   add_hop b ~src:host ~dst:gpu_vid.(0) ~kind:Pcie ~ns_per_byte:(nsb p.pcie_gbs)
     ~there:(p.pcie_latency, [ hp; gpu_iport.(0) ])
     ~back:(p.pcie_latency, [ gpu_eport.(0); hp ]);
-  build b
+  finish b ~profile:p
     ~name:(Printf.sprintf "ring_%s" p.pname)
     ~nodes:1 ~gpu_vid ~host_vid:[| host |]
 
@@ -456,30 +586,22 @@ let pcie_only ~profile:p ~gpus =
   let b = builder () in
   let gpu_vid = Array.make gpus (-1) in
   let dn, up = halves p.pcie_latency in
-  let root =
-    add_vertex b ~kind:(Switch { node = Some 0 }) ~name:"pcie.root"
-      ~local_ns_per_byte:(nsb p.hbm_gbs)
-  in
-  let root_port = add_port b ~name:"pcie.root" in
+  let root = add_vertex b R_pcie_root 0 in
+  let root_port = add_port b ~owner:root Whole in
   for g = 0 to gpus - 1 do
-    let v =
-      add_vertex b ~kind:(Gpu { node = 0; device = g }) ~name:(Printf.sprintf "gpu%d" g)
-        ~local_ns_per_byte:(nsb p.hbm_gbs)
-    in
+    let v = add_vertex b R_gpu (pos g 0) in
     gpu_vid.(g) <- v;
-    let ep = add_port b ~name:(Printf.sprintf "gpu%d.egress" g) in
-    let ip = add_port b ~name:(Printf.sprintf "gpu%d.ingress" g) in
+    let ep = add_port b ~owner:v Egress in
+    let ip = add_port b ~owner:v Ingress in
     (* The shared root complex is booked once, on the upstream hop. *)
     add_hop b ~src:v ~dst:root ~kind:Pcie ~ns_per_byte:(nsb p.pcie_gbs)
       ~there:(dn, [ ep; root_port ]) ~back:(up, [ ip ])
   done;
-  let host =
-    add_vertex b ~kind:(Host { node = 0 }) ~name:"host" ~local_ns_per_byte:(nsb p.hbm_gbs)
-  in
-  let hp = add_port b ~name:"host.pcie" in
+  let host = add_vertex b R_host 0 in
+  let hp = add_port b ~owner:host Pcie_port in
   add_hop b ~src:host ~dst:root ~kind:Pcie ~ns_per_byte:(nsb p.pcie_gbs)
     ~there:(dn, [ hp; root_port ]) ~back:(up, [ hp ]);
-  build b
+  finish b ~profile:p
     ~name:(Printf.sprintf "pcie_%s" p.pname)
     ~nodes:1 ~gpu_vid ~host_vid:[| host |]
 
@@ -510,16 +632,10 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
   let spine_vid = Array.make_matrix rails (max spines 1) (-1) in
   for r = 0 to rails - 1 do
     for l = 0 to leaves - 1 do
-      leaf_vid.(r).(l) <-
-        add_vertex b ~kind:(Switch { node = None })
-          ~name:(Printf.sprintf "rail%d.leaf%d" r l)
-          ~local_ns_per_byte:(nsb p.hbm_gbs)
+      leaf_vid.(r).(l) <- add_vertex b R_leaf (pos r l)
     done;
     for s = 0 to spines - 1 do
-      spine_vid.(r).(s) <-
-        add_vertex b ~kind:(Switch { node = None })
-          ~name:(Printf.sprintf "rail%d.spine%d" r s)
-          ~local_ns_per_byte:(nsb p.hbm_gbs)
+      spine_vid.(r).(s) <- add_vertex b R_spine (pos r s)
     done;
     (* Core crossings split the IB latency like the NIC attach, so leaf-leaf
        via a spine adds exactly one extra ib_latency. Contention lives on
@@ -535,8 +651,7 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
     add_nodes b ~profile:p ~nodes ~gpus_per_node (fun node sw ->
         for r = 0 to rails - 1 do
           nic_vid.(node).(r) <-
-            add_nic b ~profile:p ~node ~name:(Printf.sprintf "node%d.nic%d" node r) ~sw
-              ~uplink:leaf_vid.(r).(node / arity)
+            add_nic b ~profile:p R_rail_nic ~at:(pos node r) ~sw ~uplink:leaf_vid.(r).(node / arity)
         done)
   in
   (* Vertex roles for the closed path function. *)
@@ -593,7 +708,7 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
     else if gpus_per_node >= 2 then Some p.nvlink_latency
     else None
   in
-  build ~closed:{ spath; min_gpu; max_gpu } b
+  finish ~closed:{ spath; min_gpu; max_gpu } b ~profile:p
     ~name:(Printf.sprintf "fattree_%s_%dn_a%d_r%d" p.pname nodes arity rails)
     ~nodes ~gpu_vid ~host_vid
 
@@ -628,10 +743,7 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
   let router_vid = Array.make_matrix groups a (-1) in
   for g = 0 to groups - 1 do
     for r = 0 to a - 1 do
-      router_vid.(g).(r) <-
-        add_vertex b ~kind:(Switch { node = None })
-          ~name:(Printf.sprintf "g%d.r%d" g r)
-          ~local_ns_per_byte:(nsb pr.hbm_gbs)
+      router_vid.(g).(r) <- add_vertex b R_router (pos g r)
     done;
     for i = 0 to a - 1 do
       for j = 0 to a - 1 do
@@ -654,7 +766,7 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
   let gpu_vid, node_sw, host_vid =
     add_nodes b ~profile:pr ~nodes ~gpus_per_node (fun node sw ->
         nic_vid.(node) <-
-          add_nic b ~profile:pr ~node ~name:(Printf.sprintf "node%d.nic" node) ~sw
+          add_nic b ~profile:pr R_nic ~at:(pos node 0) ~sw
             ~uplink:router_vid.(node / per_group).(node mod per_group / p))
   in
   let vnode = vertex_nodes b ~gpus_per_node ~gpu_vid ~node_sw ~host_vid [ nic_vid ] in
@@ -731,7 +843,7 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
     else if gpus_per_node >= 2 then Some pr.nvlink_latency
     else None
   in
-  build ~closed:{ spath; min_gpu; max_gpu } b
+  finish ~closed:{ spath; min_gpu; max_gpu } b ~profile:pr
     ~name:(Printf.sprintf "dragonfly_%s_%dg_a%dp%dh%d" pr.pname groups a p h)
     ~nodes ~gpu_vid ~host_vid
 
@@ -844,19 +956,64 @@ let validate spec ~gpus =
              ((a * h) + 1))
       else Ok ()
 
-let instantiate spec ~profile ~gpus =
+let graph_of_spec spec ~profile ~gpus =
+  match spec with
+  | Hgx -> hgx ~profile ~gpus
+  | Ring -> ring ~profile ~gpus
+  | Pcie_only -> pcie_only ~profile ~gpus
+  | Dgx { nodes } -> dgx_cluster ~profile ~nodes ~gpus_per_node:(gpus / nodes)
+  | Fat_tree { arity; rails; gpus_per_node } ->
+    fat_tree ~profile ~arity ~rails ~nodes:(gpus / gpus_per_node) ~gpus_per_node
+  | Dragonfly { a; p; h; gpus_per_node } ->
+    dragonfly ~profile ~a ~p ~h ~nodes:(gpus / gpus_per_node) ~gpus_per_node
+
+let checked spec ~gpus =
   match validate spec ~gpus with
   | Error msg -> invalid_arg ("Topology.instantiate: " ^ msg)
-  | Ok () -> (
-    match spec with
-    | Hgx -> hgx ~profile ~gpus
-    | Ring -> ring ~profile ~gpus
-    | Pcie_only -> pcie_only ~profile ~gpus
-    | Dgx { nodes } -> dgx_cluster ~profile ~nodes ~gpus_per_node:(gpus / nodes)
-    | Fat_tree { arity; rails; gpus_per_node } ->
-      fat_tree ~profile ~arity ~rails ~nodes:(gpus / gpus_per_node) ~gpus_per_node
-    | Dragonfly { a; p; h; gpus_per_node } ->
-      dragonfly ~profile ~a ~p ~h ~nodes:(gpus / gpus_per_node) ~gpus_per_node)
+  | Ok () -> ()
+
+(* A healthy run over [g]: no row cached, nothing dead. *)
+let run_over g =
+  {
+    g;
+    rows = [||];
+    fifo = Queue.create ();
+    dedup = Bytes.make (Array.length g.p_owner) '\000';
+    dead_vs = Bytes.make (num_v g) '\000';
+    dead_ls = Bytes.make (Array.length g.l_src) '\000';
+    degraded = false;
+    route_epoch = 0;
+  }
+
+let build spec ~profile ~gpus =
+  checked spec ~gpus;
+  run_over (graph_of_spec spec ~profile ~gpus)
+
+(* The graphs this domain has built, most recently used first, at most
+   [shared_graphs] of them. Each domain keeps its own, so the table takes
+   no lock and hands a graph only to runs on the domain that built it. *)
+let shared_graphs = 16
+
+let graph_table : ((spec * profile * int) * graph) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let shared_graph spec ~profile ~gpus =
+  let table = Domain.DLS.get graph_table in
+  let key = (spec, profile, gpus) in
+  match !table with
+  | (k, g) :: _ when k = key -> g
+  | entries ->
+    let g =
+      match List.assoc_opt key entries with
+      | Some g -> g
+      | None -> graph_of_spec spec ~profile ~gpus
+    in
+    table := (key, g) :: List.filteri (fun i (k, _) -> i < shared_graphs - 1 && k <> key) entries;
+    g
+
+let instantiate spec ~profile ~gpus =
+  checked spec ~gpus;
+  run_over (shared_graph spec ~profile ~gpus)
 
 (* ------------------------------------------------------------------ *)
 (* Route resolution                                                    *)
@@ -870,10 +1027,11 @@ let dead_of t = if t.degraded then Some (t.dead_vs, t.dead_ls) else None
 (* Fetch (or compute) the cached shortest-path row for [src], evicting the
    oldest row first when the cache is full. *)
 let row_for t src =
+  if Array.length t.rows = 0 then t.rows <- Array.make (num_v t.g) None;
   match t.rows.(src) with
   | Some r -> r
   | None ->
-    let r = dijkstra_row ?dead:(dead_of t) ~nv:(Array.length t.vs) ~adj:t.adj src in
+    let r = dijkstra_row ?dead:(dead_of t) ~adj:t.g.adj ~dst:t.g.l_dst ~lat:t.g.l_lat src in
     if Queue.length t.fifo >= route_cache_rows then t.rows.(Queue.pop t.fifo) <- None;
     t.rows.(src) <- Some r;
     Queue.push src t.fifo;
@@ -885,8 +1043,8 @@ let links_of_row t (r : row) dst =
     let rec walk v acc =
       if v = r.rsrc then acc
       else
-        let l = t.ls.(r.pred.(v)) in
-        walk l.lsrc (l.lid :: acc)
+        let l = r.pred.(v) in
+        walk t.g.l_src.(l) (l :: acc)
     in
     Some (Array.of_list (walk dst []))
   end
@@ -896,18 +1054,18 @@ let links_of_row t (r : row) dst =
    or router sends the pair to the Dijkstra rows, which re-route over the
    surviving graph and so exploit the fabric's remaining path diversity. *)
 let closed_links t vseq =
-  let nv = Array.length t.vs in
   let rec go acc = function
     | [] -> Some (Array.of_list (List.rev acc))
-    | u :: _ when t.dead_vs.(u) -> None
+    | u :: _ when is_set t.dead_vs u -> None
     | [ _ ] -> go acc []
-    | u :: (v :: _ as rest) -> (
-      match Hashtbl.find_opt t.edge ((u * nv) + v) with
-      | Some lid -> if t.dead_ls.(lid) then None else go (lid :: acc) rest
-      | None ->
+    | u :: (v :: _ as rest) ->
+      let lid = edge t.g u v in
+      if lid < 0 then
         invalid_arg
-          (Printf.sprintf "Topology.%s: structural route uses a missing edge %s -> %s" t.tname
-             t.vs.(u).vname t.vs.(v).vname))
+          (Printf.sprintf "Topology.%s: structural route uses a missing edge %s -> %s" t.g.tname
+             (vertex_name t.g u) (vertex_name t.g v))
+      else if is_set t.dead_ls lid then None
+      else go (lid :: acc) rest
   in
   go [] vseq
 
@@ -917,7 +1075,7 @@ let closed_links t vseq =
 let resolve_links t ~src ~dst =
   if src = dst then Some [||]
   else
-    let closed_path = match t.closed with Some c -> c.spath src dst | None -> None in
+    let closed_path = match t.g.closed with Some c -> c.spath src dst | None -> None in
     match Option.bind closed_path (closed_links t) with
     | Some _ as lids -> lids
     | None -> links_of_row t (row_for t src) dst
@@ -926,14 +1084,15 @@ let resolve_links t ~src ~dst =
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let name t = t.tname
-let num_gpus t = t.gpus
-let num_nodes t = t.nodes
-let num_vertices t = Array.length t.vs
-let vertices t = Array.to_list t.vs
-let links t = Array.to_list t.ls
-let ports t = Array.to_list t.ps
-let routing_kind t = if Option.is_some t.closed then "structural" else "tables"
+let name t = t.g.tname
+let num_gpus t = t.g.gpus
+let num_nodes t = t.g.nodes
+let num_vertices t = num_v t.g
+let num_ports t = Array.length t.g.p_owner
+let vertices t = List.init (num_v t.g) (vertex_at t.g)
+let links t = List.init (Array.length t.g.l_src) (link_at t.g)
+let ports t = List.init (num_ports t) (port_at t.g)
+let routing_kind t = if Option.is_some t.g.closed then "structural" else "tables"
 let route_rows_cached t = Queue.length t.fifo
 
 (* ------------------------------------------------------------------ *)
@@ -953,9 +1112,12 @@ let flush_routes t =
 
 let vertex_named t name =
   let n = String.lowercase_ascii (String.trim name) in
-  let found = ref None in
-  Array.iter (fun v -> if !found = None && String.equal v.vname n then found := Some v.vid) t.vs;
-  !found
+  let rec find v =
+    if v = num_v t.g then None
+    else if String.equal (vertex_name t.g v) n then Some v
+    else find (v + 1)
+  in
+  find 0
 
 let require_vertex t name op =
   match vertex_named t name with
@@ -963,77 +1125,77 @@ let require_vertex t name op =
   | None ->
     invalid_arg
       (Printf.sprintf "Topology.%s: no vertex named %S in %s (see pp_links for names)" op name
-         t.tname)
+         t.g.tname)
+
+(* Mark every live link [hits] selects dead; whether any was. *)
+let kill_links t hits =
+  let hit = ref false in
+  for l = 0 to Array.length t.g.l_src - 1 do
+    if hits t.g.l_src.(l) t.g.l_dst.(l) && not (is_set t.dead_ls l) then begin
+      Bytes.set t.dead_ls l '\001';
+      hit := true
+    end
+  done;
+  !hit
 
 let fail_link t ~src ~dst =
   let u = require_vertex t src "fail_link" and v = require_vertex t dst "fail_link" in
-  let hit = ref false in
-  Array.iter
-    (fun l ->
-      if ((l.lsrc = u && l.ldst = v) || (l.lsrc = v && l.ldst = u)) && not t.dead_ls.(l.lid)
-      then begin
-        t.dead_ls.(l.lid) <- true;
-        hit := true
-      end)
-    t.ls;
-  if !hit then flush_routes t
+  if kill_links t (fun a b -> (a = u && b = v) || (a = v && b = u)) then flush_routes t
 
 let fail_switch t ~name =
   let v = require_vertex t name "fail_switch" in
-  let hit = ref (not t.dead_vs.(v)) in
-  t.dead_vs.(v) <- true;
-  Array.iter
-    (fun l ->
-      if (l.lsrc = v || l.ldst = v) && not t.dead_ls.(l.lid) then begin
-        t.dead_ls.(l.lid) <- true;
-        hit := true
-      end)
-    t.ls;
-  if !hit then flush_routes t
+  let fresh = not (is_set t.dead_vs v) in
+  Bytes.set t.dead_vs v '\001';
+  if kill_links t (fun a b -> a = v || b = v) || fresh then flush_routes t
 
 let degraded t = t.degraded
 let route_epoch t = t.route_epoch
 
 let dead_vertices t =
-  t.vs |> Array.to_list
-  |> List.filter_map (fun v -> if t.dead_vs.(v.vid) then Some v.vname else None)
+  List.filter_map
+    (fun v -> if is_set t.dead_vs v then Some (vertex_name t.g v) else None)
+    (List.init (num_v t.g) Fun.id)
 
 let dead_links t =
-  List.filter (fun lid -> t.dead_ls.(lid)) (List.init (Array.length t.ls) Fun.id)
+  List.filter (is_set t.dead_ls) (List.init (Array.length t.g.l_src) Fun.id)
 
 let check_gpu t g op =
-  if g < 0 || g >= t.gpus then invalid_arg (Printf.sprintf "Topology.%s: no such GPU %d" op g)
+  if g < 0 || g >= t.g.gpus then invalid_arg (Printf.sprintf "Topology.%s: no such GPU %d" op g)
 
 let node_of_gpu t g =
   check_gpu t g "node_of_gpu";
-  match t.vs.(t.gpu_vid.(g)).kind with Gpu { node; _ } -> node | _ -> assert false
+  g / gpus_per_node t.g
 
 let gpu_vertex t g =
   check_gpu t g "gpu_vertex";
-  t.gpu_vid.(g)
+  t.g.gpu_vid.(g)
 
 let host_vertex t ~node =
-  if node < 0 || node >= t.nodes then
+  if node < 0 || node >= t.g.nodes then
     invalid_arg (Printf.sprintf "Topology.host_vertex: no such node %d" node);
-  t.host_vid.(node)
+  t.g.host_vid.(node)
 
 (* ------------------------------------------------------------------ *)
 (* Route queries                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let check_vid t v op =
-  if v < 0 || v >= Array.length t.vs then
-    invalid_arg (Printf.sprintf "Topology.%s: no such vertex %d" op v)
+  if v < 0 || v >= num_v t.g then invalid_arg (Printf.sprintf "Topology.%s: no such vertex %d" op v)
 
 let no_route t ~src ~dst op =
   let msg =
-    Printf.sprintf "Topology.%s: no route from %s to %s" op t.vs.(src).vname t.vs.(dst).vname
+    Printf.sprintf "Topology.%s: no route from %s to %s" op (vertex_name t.g src)
+      (vertex_name t.g dst)
   in
   if not t.degraded then invalid_arg msg
   else begin
     (* On a healthy machine an unroutable public pair is a caller bug; on a
        degraded one it is a diagnosed network partition. *)
-    let count a = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 a in
+    let count set =
+      let c = ref 0 in
+      Bytes.iter (fun d -> if d <> '\000' then incr c) set;
+      !c
+    in
     raise
       (Partitioned
          (Printf.sprintf "%s: network partitioned by fail-stop events (%d dead link%s, %d dead vertex%s%s)"
@@ -1056,9 +1218,7 @@ let routed t ~src ~dst op =
   match resolve_checked t ~src ~dst op with Some lids -> lids | None -> no_route t ~src ~dst op
 
 let reachable t ~src ~dst = resolve_checked t ~src ~dst "reachable" <> None
-
-let route t ~src ~dst =
-  Array.to_list (Array.map (fun lid -> t.ls.(lid)) (routed t ~src ~dst "route"))
+let route t ~src ~dst = List.map (link_at t.g) (Array.to_list (routed t ~src ~dst "route"))
 
 type route_summary = { r_latency : Time.t; r_ns_per_byte : float; r_ports : int list }
 
@@ -1067,26 +1227,26 @@ type route_summary = { r_latency : Time.t; r_ns_per_byte : float; r_ports : int 
    bottleneck inverse bandwidth (the vertex's local rate on an empty
    route), and the ports a transfer books. *)
 let links_latency t lids =
-  Array.fold_left (fun acc lid -> Time.add acc t.ls.(lid).llatency) Time.zero lids
+  Array.fold_left (fun acc lid -> Time.add acc t.g.l_lat.(lid)) Time.zero lids
 
-let links_ns_per_byte t ~src = function
-  | [||] -> t.vs.(src).local_ns_per_byte
-  | lids -> Array.fold_left (fun acc lid -> Float.max acc t.ls.(lid).lns_per_byte) 0.0 lids
+let links_ns_per_byte t = function
+  | [||] -> t.g.local_nsb
+  | lids -> Array.fold_left (fun acc lid -> Float.max acc t.g.l_nsb.(lid)) 0.0 lids
 
 (* Port dedup via a reusable bitset (cleared back by walking the result, so
    the scratch cost is O(route length), not O(ports)). *)
 let links_ports t lids =
-  let seen = t.dedup in
+  let seen = t.dedup and { off; ids } = t.g.l_ports in
   let acc = ref [] in
   Array.iter
     (fun lid ->
-      List.iter
-        (fun pp ->
-          if Bytes.get seen pp = '\000' then begin
-            Bytes.set seen pp '\001';
-            acc := pp :: !acc
-          end)
-        t.ls.(lid).lports)
+      for i = off.(lid) to off.(lid + 1) - 1 do
+        let pp = ids.(i) in
+        if not (is_set seen pp) then begin
+          Bytes.set seen pp '\001';
+          acc := pp :: !acc
+        end
+      done)
     lids;
   List.iter (fun pp -> Bytes.set seen pp '\000') !acc;
   List.rev !acc
@@ -1098,25 +1258,32 @@ let route_summary t ~src ~dst =
   let lids = routed t ~src ~dst "route_ports" in
   {
     r_latency = links_latency t lids;
-    r_ns_per_byte = links_ns_per_byte t ~src lids;
+    r_ns_per_byte = links_ns_per_byte t lids;
     r_ports = links_ports t lids;
   }
 
 let route_latency t ~src ~dst = links_latency t (routed t ~src ~dst "route_latency")
-let route_ns_per_byte t ~src ~dst =
-  links_ns_per_byte t ~src (routed t ~src ~dst "route_ns_per_byte")
+let route_ns_per_byte t ~src ~dst = links_ns_per_byte t (routed t ~src ~dst "route_ns_per_byte")
 let route_ports t ~src ~dst = links_ports t (routed t ~src ~dst "route_ports")
 
+(* The search runs over positions in ascending link id, so its link-id
+   tie-break reads the same, and maps each [pred] back to its link's id. *)
 let shortest_row ~nv links ~src =
   if src < 0 || src >= nv then invalid_arg "Topology.shortest_row: no such source";
-  let r = dijkstra_row ~nv ~adj:(adjacency nv (Array.of_list links)) src in
-  (r.dist, r.hops, r.pred)
+  let ls = Array.of_list (List.sort (fun a c -> compare a.lid c.lid) links) in
+  let adj = csr ~rows:nv ~count:(Array.length ls) (fun i -> ls.(i).lsrc) in
+  let r =
+    dijkstra_row ~adj ~dst:(Array.map (fun l -> l.ldst) ls)
+      ~lat:(Array.map (fun l -> l.llatency) ls)
+      src
+  in
+  (r.dist, r.hops, Array.map (fun i -> if i < 0 then -1 else ls.(i).lid) r.pred)
 
 (* A GPU-pair latency bound: the closed form's tier-derived [bound], or
    [pick] folded over every ordered pair of distinct GPUs. *)
 let gpu_pair_bound t bound pick =
-  match t.closed with
-  | Some c -> if t.gpus >= 2 then bound c else None
+  match t.g.closed with
+  | Some c -> if t.g.gpus >= 2 then bound c else None
   | None ->
     let acc = ref None in
     Array.iter
@@ -1127,8 +1294,8 @@ let gpu_pair_bound t bound pick =
               let l = route_latency t ~src ~dst in
               acc := Some (match !acc with Some m -> pick m l | None -> l)
             end)
-          t.gpu_vid)
-      t.gpu_vid;
+          t.g.gpu_vid)
+      t.g.gpu_vid;
     !acc
 
 let min_gpu_pair_latency t = gpu_pair_bound t (fun c -> c.min_gpu) Time.min
@@ -1146,18 +1313,21 @@ let string_of_vertex_kind = function
   | Switch _ -> "switch"
 
 let pp fmt t =
-  Format.fprintf fmt "%s: %d GPU%s across %d node%s (%d vertices, %d links, %d ports)" t.tname
-    t.gpus
-    (if t.gpus = 1 then "" else "s")
-    t.nodes
-    (if t.nodes = 1 then "" else "s")
-    (Array.length t.vs) (Array.length t.ls) (Array.length t.ps)
+  let g = t.g in
+  Format.fprintf fmt "%s: %d GPU%s across %d node%s (%d vertices, %d links, %d ports)" g.tname
+    g.gpus
+    (if g.gpus = 1 then "" else "s")
+    g.nodes
+    (if g.nodes = 1 then "" else "s")
+    (num_v g) (Array.length g.l_src) (num_ports t)
 
 let pp_links fmt t =
-  Array.iter
-    (fun l ->
-      Format.fprintf fmt "  %-28s %-10s %8s %7.0f GB/s  [%s]@."
-        (Printf.sprintf "%s -> %s" t.vs.(l.lsrc).vname t.vs.(l.ldst).vname)
-        (string_of_link_kind l.lkind) (Time.to_string l.llatency) (1.0 /. l.lns_per_byte)
-        (String.concat ", " (List.map (fun p -> t.ps.(p).pname) l.lports)))
-    t.ls
+  let g = t.g in
+  for l = 0 to Array.length g.l_src - 1 do
+    Format.fprintf fmt "  %-28s %-10s %8s %7.0f GB/s  [%s]@."
+      (Printf.sprintf "%s -> %s" (vertex_name g g.l_src.(l)) (vertex_name g g.l_dst.(l)))
+      (string_of_link_kind g.l_kind.(l))
+      (Time.to_string g.l_lat.(l))
+      (1.0 /. g.l_nsb.(l))
+      (String.concat ", " (List.map (port_name g) (link_ports g l)))
+  done

@@ -22,8 +22,16 @@
     The Dijkstra is deterministic (vertices settle in (latency, hops, vertex
     id) order; ties broken by hop count, then link id) and a recomputed row
     is identical to an evicted one, so cache size never changes any route.
-    Resolution mutates the route cache and a scratch bitset, so a topology
-    belongs to one domain: each run instantiates its own.
+
+    A topology is two parts. Its graph (vertices, ports, links, adjacency,
+    the GPU and host vertex maps and the closed form) is immutable, and
+    each domain builds it once per (spec, profile, GPU count) and shares it
+    between runs. Its run state (the route rows and their FIFO, the port
+    dedup bitset, the dead sets, {!degraded} and {!route_epoch}) is what
+    resolution and fail-stop events mutate, and each {!instantiate} makes
+    it fresh, so a run never sees another run's cache or failures. A
+    topology value belongs to the domain that instantiated it. Vertex and
+    port names are rendered when read, not stored.
 
     Every constructor builds from the same pieces — vertices, ports, and
     two-way hops added there then back; the cluster shapes attach each NIC
@@ -146,10 +154,16 @@ val validate : spec -> gpus:int -> (unit, string) result
     that {!instantiate} raises. *)
 
 val instantiate : spec -> profile:profile -> gpus:int -> t
-(** Build the spec's graph for a total of [gpus] GPUs. For [Dgx] the GPUs are
-    split evenly across nodes; for [Fat_tree]/[Dragonfly] the node count is
-    [gpus / gpus_per_node]. Raises [Invalid_argument] when {!validate}
-    would return [Error]. *)
+(** A healthy machine of the spec for a total of [gpus] GPUs: fresh run
+    state over the graph this domain shares for ([spec], [profile],
+    [gpus]), built on first use. The domain keeps the 16 graphs it used
+    most recently. For [Dgx] the GPUs are split evenly across nodes; for
+    [Fat_tree]/[Dragonfly] the node count is [gpus / gpus_per_node].
+    Raises [Invalid_argument] when {!validate} would return [Error]. *)
+
+val build : spec -> profile:profile -> gpus:int -> t
+(** {!instantiate} over a graph built for this call alone and shared with
+    nothing: what a shared instance must answer exactly like. *)
 
 (** {1 Accessors} *)
 
@@ -162,6 +176,7 @@ val vertices : t -> vertex list
 val links : t -> link list
 val ports : t -> port list
 val num_vertices : t -> int
+val num_ports : t -> int
 
 val gpu_vertex : t -> int -> int
 (** Vertex id of a global GPU index. *)

@@ -264,6 +264,25 @@ let net_tests =
         if words > 0. then
           Alcotest.failf
             "1000 transfers allocated %.0f minor words: a float was boxed" words);
+    (* A domain builds each fabric graph once: the first create of a key
+       builds it, every later one makes only its run state. The second
+       create of a 256-GPU dgx:32 runtime allocates 13.0k minor words in
+       the default and the dev build alike. Rebuilding the graph adds
+       29.7k, and the eager build with a resource per port allocated
+       145k: the bound is above compiler drift and below either. *)
+    Alcotest.test_case "a second 256-GPU runtime allocates no fabric graph" `Quick (fun () ->
+        let env =
+          Cpufree_obs.Sim_env.make ~topology:(Cpufree_machine.Topology.Dgx { nodes = 32 }) ()
+        in
+        let create () =
+          ignore (G.Runtime.create (Engine.create ()) ~env ~num_gpus:256 () : G.Runtime.ctx)
+        in
+        create ();
+        let w0 = Gc.minor_words () in
+        create ();
+        let words = Gc.minor_words () -. w0 in
+        if words > 20_000. then
+          Alcotest.failf "the second create allocated %.0f minor words, bound 20000" words);
   ]
 
 (* --- Kernel cost model -------------------------------------------------- *)

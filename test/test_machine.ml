@@ -10,21 +10,21 @@ let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 let check_float = Alcotest.(check (float 0.0))
 
-(* The machines the tests build, through the one public constructor. *)
+(* The machines the tests build, each over a graph of its own. *)
 let a100 = Cpufree_gpu.Arch.(fabric_profile a100_hgx)
 let h100 = Cpufree_gpu.Arch.(fabric_profile h100_hgx)
-let hgx ~profile ~gpus = T.instantiate T.Hgx ~profile ~gpus
-let ring ~profile ~gpus = T.instantiate T.Ring ~profile ~gpus
-let pcie_only ~profile ~gpus = T.instantiate T.Pcie_only ~profile ~gpus
+let hgx ~profile ~gpus = T.build T.Hgx ~profile ~gpus
+let ring ~profile ~gpus = T.build T.Ring ~profile ~gpus
+let pcie_only ~profile ~gpus = T.build T.Pcie_only ~profile ~gpus
 
 let dgx_cluster ~profile ~nodes ~gpus_per_node =
-  T.instantiate (T.Dgx { nodes }) ~profile ~gpus:(nodes * gpus_per_node)
+  T.build (T.Dgx { nodes }) ~profile ~gpus:(nodes * gpus_per_node)
 
 let fat_tree ~profile ~arity ~rails ~nodes ~gpus_per_node =
-  T.instantiate (T.Fat_tree { arity; rails; gpus_per_node }) ~profile ~gpus:(nodes * gpus_per_node)
+  T.build (T.Fat_tree { arity; rails; gpus_per_node }) ~profile ~gpus:(nodes * gpus_per_node)
 
 let dragonfly ~profile ~a ~p ~h ~nodes ~gpus_per_node =
-  T.instantiate (T.Dragonfly { a; p; h; gpus_per_node }) ~profile ~gpus:(nodes * gpus_per_node)
+  T.build (T.Dragonfly { a; p; h; gpus_per_node }) ~profile ~gpus:(nodes * gpus_per_node)
 
 let lat t ~src ~dst = Time.to_ns (T.route_latency t ~src ~dst)
 
@@ -281,7 +281,8 @@ let test_bad_lookups () =
 
 (* ---------------- qcheck laws --------------------------------------------- *)
 
-let gen_topology =
+(* A machine's sharing key: (spec, profile, GPU count). *)
+let gen_key =
   QCheck.Gen.(
     let* profile = oneofl [ a100; h100 ] in
     let* spec =
@@ -304,7 +305,10 @@ let gen_topology =
       | T.Fat_tree _ | T.Dragonfly _ -> 2 * per
       | _ -> per + 1
     in
-    return (T.instantiate spec ~profile ~gpus))
+    return (spec, profile, gpus))
+
+let gen_topology =
+  QCheck.Gen.map (fun (spec, profile, gpus) -> T.instantiate spec ~profile ~gpus) gen_key
 
 let arb_topology =
   QCheck.make ~print:(fun t -> Format.asprintf "%a" T.pp t) gen_topology
@@ -746,6 +750,67 @@ let prop_degraded_triangle =
       done;
       !ok)
 
+(* Instances of one key share one graph per domain, and nothing else: a
+   shared instance answers every route query like a graph built for it
+   alone, and a failure on one instance reaches no other. [answers] is
+   what a run can read: every vertex, link and port, and the route
+   summary (or the error) of every vertex pair. *)
+let answers t =
+  let n = T.num_vertices t in
+  let summary a b =
+    match T.route_summary t ~src:a ~dst:b with
+    | r -> Ok (Time.to_ns r.T.r_latency, r.T.r_ns_per_byte, r.T.r_ports)
+    | exception (Invalid_argument m | T.Partitioned m) -> Error m
+  in
+  ( (T.vertices t, T.links t, T.ports t),
+    List.init n (fun a -> List.init n (summary a)) )
+
+let arb_key =
+  QCheck.make
+    ~print:(fun (spec, (profile : T.profile), gpus) ->
+      Printf.sprintf "%s %s gpus=%d" (T.spec_to_string spec) profile.pname gpus)
+    gen_key
+
+let prop_shared_equals_fresh =
+  QCheck.Test.make ~name:"a shared instance answers like a fresh build" ~count:60 arb_key
+    (fun (spec, profile, gpus) ->
+      let fresh = answers (T.build spec ~profile ~gpus) in
+      (* The second instance is the one sure to read the shared graph. *)
+      ignore (T.instantiate spec ~profile ~gpus : T.t);
+      answers (T.instantiate spec ~profile ~gpus) = fresh)
+
+let prop_failure_stays_in_its_run =
+  QCheck.Test.make ~name:"a failure degrades its own instance and no other" ~count:60
+    (QCheck.pair arb_key (QCheck.int_bound 9999))
+    (fun ((spec, profile, gpus), pick) ->
+      let before = T.instantiate spec ~profile ~gpus in
+      let a = T.instantiate spec ~profile ~gpus in
+      let (_ : (int * int) option) = apply_kill a pick in
+      let after = T.instantiate spec ~profile ~gpus in
+      let reference = T.build spec ~profile ~gpus in
+      let healthy = answers reference in
+      let (_ : (int * int) option) = apply_kill reference pick in
+      T.degraded a
+      && answers a = answers reference
+      && List.for_all
+           (fun b ->
+             (not (T.degraded b))
+             && T.route_epoch b = 0
+             && T.dead_links b = []
+             && answers b = healthy)
+           [ before; after ])
+
+let prop_domains_agree =
+  QCheck.Test.make ~name:"two domains instantiating one key agree" ~count:20 arb_key
+    (fun (spec, profile, gpus) ->
+      match
+        Cpufree_core.Parallel.map ~jobs:2
+          (fun () -> answers (T.instantiate spec ~profile ~gpus))
+          [ (); () ]
+      with
+      | [ x; y ] -> x = y && x = answers (T.build spec ~profile ~gpus)
+      | _ -> false)
+
 (* [cpufree_run machine --json] prints [Machine_json.to_json] without
    re-checking it, so the renderer answers to the schema check here: for
    generated machines, healthy and after a kill, and for every named preset
@@ -858,5 +923,8 @@ let () =
             prop_degraded_matches_dijkstra;
             prop_degraded_triangle;
             prop_machine_json_validates;
+            prop_shared_equals_fresh;
+            prop_failure_stays_in_its_run;
+            prop_domains_agree;
           ] );
     ]

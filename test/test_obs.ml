@@ -364,13 +364,15 @@ let artifact_law =
 
 (* The committed [--trace-out]/[--metrics-out] goldens are what the CLI
    writes (test/golden diffs them byte for byte), so each must pass its
-   validator too. *)
+   validator too. They are read beside the test executable, so the test
+   finds them from any working directory. *)
 let test_artifact_goldens_validate () =
+  let golden = Filename.concat (Filename.dirname Sys.executable_name) "golden" in
   List.iter
     (fun run ->
       let read kind =
         In_channel.with_open_bin
-          (Printf.sprintf "golden/artifact.%s.%s.json" run kind)
+          (Filename.concat golden (Printf.sprintf "artifact.%s.%s.json" run kind))
           In_channel.input_all
       in
       match artifact_verdict ~trace:(read "trace") ~metrics:(read "metrics") with
