@@ -179,23 +179,3 @@ module Mailbox = struct
 
   let length t = Queue.length t.items
 end
-
-module Resource = struct
-  type t = { eng : Engine.t; mutable free_from : Time.t }
-
-  let create eng = { eng; free_from = Time.zero }
-
-  let book_many resources ~duration =
-    let n = Array.length resources in
-    if n = 0 then invalid_arg "Resource.book_many: empty resource array";
-    let start = ref (Engine.now resources.(0).eng) in
-    for i = 0 to n - 1 do
-      start := Time.max !start resources.(i).free_from
-    done;
-    let start = !start in
-    let until = Time.add start duration in
-    for i = 0 to n - 1 do
-      resources.(i).free_from <- until
-    done;
-    start
-end

@@ -80,20 +80,3 @@ module Mailbox : sig
 
   val length : 'a t -> int
 end
-
-(** Serially reusable bandwidth resource (an interconnect port, a copy
-    engine). A booking occupies the resource for a duration; concurrent
-    bookings queue in arrival order, which is how link contention arises in
-    the interconnect model. *)
-module Resource : sig
-  type t
-
-  val create : Engine.t -> t
-
-  val book_many : t array -> duration:Time.t -> Time.t
-  (** Reserve several resources for the same interval (a transfer crossing an
-      egress and an ingress port), starting at the later of now and the
-      time the last of them frees up; returns the start time. The array
-      must be non-empty. Does not block — pair with {!Engine.after} to
-      model the occupancy. *)
-end

@@ -9,10 +9,10 @@ type initiator = By_host | By_device
 
 (* The fabric is a thin façade over a routed {!Cpufree_machine.Topology}
    graph: the first transfer between an endpoint pair resolves its route
-   into a (wire latency, bottleneck inverse bandwidth, port resources)
-   entry, and every later transfer on that pair — millions per
-   stencil sweep — does no routing, no float division and no repeated
-   [Time] arithmetic, just array reads. Only pairs that actually
+   into a (wire latency, bottleneck inverse bandwidth, port ids) entry,
+   the topology's route summary, and every later transfer on that pair —
+   millions per stencil sweep — does no routing, no float division and no
+   repeated [Time] arithmetic, just array reads. Only pairs that actually
    communicate pay anything: a 1024-GPU machine running a ring allreduce
    resolves ~2 entries per endpoint instead of the full (n+1)² table. *)
 
@@ -25,13 +25,12 @@ type instr = {
   m_port_busy : Mx.Counter.h array; (* occupied ns per port *)
 }
 
-(* One resolved endpoint pair. *)
-type entry = {
-  e_lat : Time.t; (* wire only; initiator setup added per call *)
-  e_nsb : float;
-  e_ports : E.Sync.Resource.t array;
-  e_pids : int array; (* topology port ids along the route *)
-}
+(* One resolved endpoint pair: its wire latency (initiator setup added
+   per call), bottleneck inverse bandwidth and port ids in travel order. *)
+type entry = M.Topology.route_summary
+
+(* The memo's empty slot, told apart by physical equality. *)
+let unresolved = { M.Topology.r_latency = Time.zero; r_ns_per_byte = 0.0; r_ports = [||] }
 
 type fail_action = Fail_link of string * string | Fail_switch of string
 
@@ -40,11 +39,9 @@ type t = {
   arch : Arch.t;
   n : int;
   topo : M.Topology.t;
-  ports : E.Sync.Resource.t option array; (* by pid, made when a route first books it *)
+  busy : Time.t array; (* by port id: when the port's last booking ends *)
   setup : Time.t array; (* indexed by initiator *)
-  rows : entry option array array array; (* see [slots] *)
-  min_gpu_wire : Time.t;
-  max_gpu_wire : Time.t;
+  rows : entry array array array; (* see [slots] *)
   faults : F.plan option;
   obs : instr option;
   gpus : endpoint array; (* [Gpu g] at [g], made once *)
@@ -56,22 +53,15 @@ type t = {
 
 let init_idx = function By_host -> 0 | By_device -> 1
 
-(* Endpoint index for the memo tables: GPU [g] is [g], the host is [n]. On a
-   multi-node machine "the host" is relative — it resolves to the host of the
-   peer GPU's node (a host-staged copy talks to the local host), and
-   host-to-host means node 0 talking to itself. *)
-let vertex_pair topo ~src ~dst =
-  let gv g = M.Topology.gpu_vertex topo g in
-  let hv g = M.Topology.host_vertex topo ~node:(M.Topology.node_of_gpu topo g) in
-  match (src, dst) with
-  | Gpu a, Gpu b -> (gv a, gv b)
-  | Host, Gpu b -> (hv b, gv b)
-  | Gpu a, Host -> (gv a, hv a)
-  | Host, Host ->
-    let h = M.Topology.host_vertex topo ~node:0 in
-    (h, h)
-
-let endpoint_of_idx n i = if i = n then Host else Gpu i
+(* Endpoint index for the memo tables: GPU [g] is [g], the host is [n].
+   [vertex topo n i ~peer] is the vertex of index [i] talking to index
+   [peer]. On a multi-node machine "the host" is relative — it resolves to
+   the host of the peer GPU's node (a host-staged copy talks to the local
+   host), and host-to-host means node 0 talking to itself. *)
+let vertex topo n i ~peer =
+  if i < n then M.Topology.gpu_vertex topo i
+  else if peer < n then M.Topology.host_vertex topo ~node:(M.Topology.node_of_gpu topo peer)
+  else M.Topology.host_vertex topo ~node:0
 
 let create ?(topology = M.Topology.Hgx) ?faults ?metrics eng ~arch ~num_gpus =
   if num_gpus <= 0 then invalid_arg "Interconnect.create: need at least one GPU";
@@ -96,19 +86,14 @@ let create ?(topology = M.Topology.Hgx) ?faults ?metrics eng ~arch ~num_gpus =
           m_port_busy = Array.of_list (List.map (port_counter "fabric.port.busy_ns") port_list);
         }
   in
-  let gpu_wire pick fallback =
-    match pick topo with Some l -> l | None -> fallback
-  in
   {
     eng;
     arch;
     n;
     topo;
-    ports = Array.make (M.Topology.num_ports topo) None;
+    busy = Array.make (M.Topology.num_ports topo) Time.zero;
     setup = [| arch.Arch.host_initiated_latency; arch.Arch.gpu_initiated_latency |];
     rows = Array.make m [||];
-    min_gpu_wire = gpu_wire M.Topology.min_gpu_pair_latency arch.Arch.nvlink_latency;
-    max_gpu_wire = gpu_wire M.Topology.max_gpu_pair_latency arch.Arch.nvlink_latency;
     faults;
     obs;
     gpus = Array.init n (fun g -> Gpu g);
@@ -166,15 +151,6 @@ let sync_failures t =
     t.epoch <- epoch
   end
 
-(* Port [p]'s resource, made on its first booking. *)
-let port t p =
-  match t.ports.(p) with
-  | Some r -> r
-  | None ->
-    let r = E.Sync.Resource.create t.eng in
-    t.ports.(p) <- Some r;
-    r
-
 (* The pair memo keeps source [si]'s entries in chunks of [chunk]
    destinations (the last one shorter), each made on its source's first
    entry in it: a run pays for the pairs it resolves, not for a row of
@@ -196,7 +172,7 @@ let slots t ~si ~di =
   let c = di lsr chunk_bits in
   match row.(c) with
   | [||] ->
-    let s = Array.make (min chunk (t.n + 1 - (c lsl chunk_bits))) None in
+    let s = Array.make (min chunk (t.n + 1 - (c lsl chunk_bits))) unresolved in
     row.(c) <- s;
     s
   | s -> s
@@ -205,37 +181,31 @@ let slots t ~si ~di =
 let resolve t ~si ~di =
   sync_failures t;
   let slots = slots t ~si ~di and i = di land (chunk - 1) in
-  match slots.(i) with
-  | Some e -> e
-  | None ->
-    let src = endpoint_of_idx t.n si and dst = endpoint_of_idx t.n di in
-    let vs, vd = vertex_pair t.topo ~src ~dst in
-    let r = M.Topology.route_summary t.topo ~src:vs ~dst:vd in
+  let e = slots.(i) in
+  if e != unresolved then e
+  else begin
     let e =
-      {
-        e_lat = r.M.Topology.r_latency;
-        e_nsb = r.M.Topology.r_ns_per_byte;
-        e_ports = Array.of_list (List.map (port t) r.M.Topology.r_ports);
-        e_pids = Array.of_list r.M.Topology.r_ports;
-      }
+      M.Topology.route_summary t.topo ~src:(vertex t.topo t.n si ~peer:di)
+        ~dst:(vertex t.topo t.n di ~peer:si)
     in
-    slots.(i) <- Some e;
+    slots.(i) <- e;
     e
+  end
 
 let entry_for t ~src ~dst = resolve t ~si:(idx_of t src) ~di:(idx_of t dst)
 
 let wire_latency t ~src ~dst =
   check_endpoint t src;
   check_endpoint t dst;
-  (entry_for t ~src ~dst).e_lat
+  (entry_for t ~src ~dst).r_latency
 
-let min_gpu_wire_latency t = t.min_gpu_wire
-let max_gpu_wire_latency t = t.max_gpu_wire
+let min_gpu_wire_latency t =
+  match M.Topology.min_gpu_pair_latency t.topo with Some l -> l | None -> t.arch.Arch.nvlink_latency
 
-let path_latency t e ~initiator = Time.add e.e_lat t.setup.(init_idx initiator)
+let path_latency t (e : entry) ~initiator = Time.add e.r_latency t.setup.(init_idx initiator)
 
-let serialization_time e ~bytes =
-  if bytes = 0 then Time.zero else Time.scale (Time.ns bytes) e.e_nsb
+let serialization_time (e : entry) ~bytes =
+  if bytes = 0 then Time.zero else Time.scale (Time.ns bytes) e.r_ns_per_byte
 
 (* Whether a transfer crosses node boundaries (and therefore rides a NIC). *)
 let inter_node t ~src ~dst =
@@ -253,6 +223,19 @@ let fault_penalty t ~src ~dst =
   | Some plan -> F.fabric_penalty plan ~now:(E.Engine.now t.eng) ~inter_node:(inter_node t ~src ~dst)
 
 let fault_hold t ~src ~dst = fst (fault_penalty t ~src ~dst)
+
+(* Occupy every port of [pids] for [duration], starting at the later of
+   now and the time the last of them frees up; return that start. *)
+let book t pids ~duration =
+  let start = ref (E.Engine.now t.eng) in
+  for k = 0 to Array.length pids - 1 do
+    start := Time.max !start t.busy.(pids.(k))
+  done;
+  let until = Time.add !start duration in
+  for k = 0 to Array.length pids - 1 do
+    t.busy.(pids.(k)) <- until
+  done;
+  !start
 
 (* Book latency and serialization on every port of the route (plus any
    fault penalty) and count the transfer; return how long until the last
@@ -272,13 +255,7 @@ let start_transfer t ~src ~dst ~initiator ~bytes =
       (Time.add latency extra, if Float.equal mult 1.0 then dur else Time.scale dur mult)
   in
   let t0 = E.Engine.now t.eng in
-  let finish =
-    match e.e_ports with
-    | [||] -> Time.add (Time.add t0 latency) dur
-    | ps ->
-      let start = E.Sync.Resource.book_many ps ~duration:dur in
-      Time.add (Time.add start latency) dur
-  in
+  let finish = Time.add (Time.add (book t e.r_ports ~duration:dur) latency) dur in
   t.total_bytes <- t.total_bytes + bytes;
   t.total_transfers <- t.total_transfers + 1;
   (match t.obs with
@@ -291,7 +268,7 @@ let start_transfer t ~src ~dst ~initiator ~bytes =
       (fun pid ->
         Mx.Counter.add o.m_port_bytes.(pid) bytes;
         Mx.Counter.add o.m_port_busy.(pid) dur_ns)
-      e.e_pids);
+      e.r_ports);
   Time.sub finish t0
 
 let transfer_landed t ~since ?trace_lane ~label () =
@@ -312,6 +289,6 @@ let transfers t = t.total_transfers
 
 let pairs_resolved t =
   let c = ref 0 in
-  Array.iter (Array.iter (Array.iter (function Some _ -> incr c | None -> ()))) t.rows;
+  Array.iter (Array.iter (Array.iter (fun e -> if e != unresolved then incr c))) t.rows;
   !c
 

@@ -4,18 +4,20 @@
     by default — the flat all-to-all of the paper's evaluation — or a ring,
     a PCIe-only box, a multi-node DGX cluster, a multi-rail fat tree or a
     dragonfly) and resolves each endpoint pair's route on first use into a
-    memoized (wire latency, bottleneck inverse bandwidth, contention ports)
-    entry, so the per-transfer hot path stays table lookups while only the
-    pairs that actually communicate ever pay for routing — the memo is
-    O(pairs used), not O(endpoints²).
+    memoized entry, the topology's route summary: wire latency, bottleneck
+    inverse bandwidth and the route's contention port ids. The
+    per-transfer hot path stays table lookups while only the pairs that
+    actually communicate ever pay for routing — the memo is O(pairs used),
+    not O(endpoints²), and resolving a pair allocates only its entry.
 
     Each contention point (a GPU's egress/ingress engine, a host PCIe port,
     a NIC direction, a shared PCIe root) is a serially reusable bandwidth
-    resource, made when a route first books it; a transfer books every
-    port along its route for its
-    serialization time, so simultaneous transfers that share any link of
-    their paths queue behind each other — single-switch contention as
-    before, plus NIC contention on inter-node routes. Latency additionally
+    resource: one slot of an array of busy-until times indexed by port id.
+    A transfer books every port along its route for its serialization
+    time, starting when the last of them frees up, so simultaneous
+    transfers that share any link of their paths queue behind each other —
+    single-switch contention as before, plus NIC contention on inter-node
+    routes. Latency additionally
     depends on who initiated the transfer: the paper's central quantitative
     point is that a GPU-initiated transfer skips microseconds of host-side
     setup. *)
@@ -62,12 +64,10 @@ val wire_latency : t -> src:endpoint -> dst:endpoint -> Cpufree_engine.Time.t
 (** Routed wire latency between two endpoints, without initiator setup. *)
 
 val min_gpu_wire_latency : t -> Cpufree_engine.Time.t
-(** Cheapest routed GPU-pair wire latency; the architecture's NVLink latency
-    when the machine has fewer than two GPUs. *)
-
-val max_gpu_wire_latency : t -> Cpufree_engine.Time.t
-(** Worst routed GPU-pair wire latency (the inter-node path on a cluster) —
-    what a fabric-wide barrier must cover. *)
+(** Cheapest routed GPU-pair wire latency of the healthy machine; the
+    architecture's NVLink latency when the machine has fewer than two
+    GPUs. A table-routed machine computes it on the first call, once per
+    shared graph ({!Cpufree_machine.Topology.min_gpu_pair_latency}). *)
 
 val fault_hold : t -> src:endpoint -> dst:endpoint -> Cpufree_engine.Time.t
 (** Extra latency the fault plan imposes on this path right now (a NIC

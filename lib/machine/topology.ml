@@ -90,13 +90,21 @@ let csr ~rows ~count key =
    up/down for fat-tree, minimal local-global-local for dragonfly), so
    nothing quadratic is ever materialized, plus GPU-pair latency bounds
    derived from tier latencies (profile numbers and shape counts) rather
-   than from any route fold. Pairs the path function declines (fat-tree
-   core-switch endpoints, cross-rail NIC pairs) take the Dijkstra rows. *)
+   than from any route fold. [spath buf src dst] writes the full vertex
+   sequence, src..dst, into [buf] from index 0 and returns its length, at
+   most [closed_path_max]; it returns -1 for the pairs it declines
+   (fat-tree core-switch endpoints, cross-rail NIC pairs), which take the
+   Dijkstra rows. *)
 type closed = {
-  spath : int -> int -> int list option; (* full vertex sequence, src..dst *)
+  spath : int array -> int -> int -> int;
   min_gpu : Time.t option;
   max_gpu : Time.t option;
 }
+
+(* The longest closed path, a dragonfly's: three vertices up to the NIC,
+   four routers, three down from the NIC. A run's walk buffer starts at
+   this length and grows only for a longer Dijkstra route. *)
+let closed_path_max = 10
 
 (* The immutable part of a machine, shared by every instance of its
    (spec, profile, GPU count) within a domain. Vertices, ports and links
@@ -120,6 +128,7 @@ type graph = {
   gpu_vid : int array;
   host_vid : int array;
   closed : closed option;
+  gpu_bounds : (Time.t option * Time.t option) Lazy.t; (* cheapest, costliest GPU pair *)
 }
 
 let num_v g = Array.length g.v_role
@@ -185,13 +194,11 @@ let link_at g l =
 
 (* The lowest-id link from [u] to [v], or -1. *)
 let edge g u v =
-  let rec go i stop =
-    if i = stop then -1
-    else
-      let l = g.adj.ids.(i) in
-      if g.l_dst.(l) = v then l else go (i + 1) stop
-  in
-  go g.adj.off.(u) g.adj.off.(u + 1)
+  let i = ref g.adj.off.(u) and stop = g.adj.off.(u + 1) in
+  while !i < stop && g.l_dst.(g.adj.ids.(!i)) <> v do
+    incr i
+  done;
+  if !i = stop then -1 else g.adj.ids.(!i)
 
 (* ------------------------------------------------------------------ *)
 (* Routing state                                                       *)
@@ -213,7 +220,8 @@ type t = {
      identical to the evicted one and cache size never changes any route. *)
   mutable rows : row option array; (* indexed by source vid; empty until the first row *)
   fifo : int Queue.t; (* cached sources, oldest first *)
-  dedup : Bytes.t; (* reusable port bitset for route_ports *)
+  dedup : Bytes.t; (* reusable port bitset for a route's ports *)
+  mutable walk : int array; (* scratch: a closed path's vertices, then a route's links *)
   dead_vs : Bytes.t; (* fail-stopped vertices *)
   dead_ls : Bytes.t; (* fail-stopped links *)
   mutable degraded : bool; (* any fail_link/fail_switch applied *)
@@ -350,6 +358,24 @@ let bfs_cover ~nv rows next start =
   done;
   seen
 
+(* The cheapest and the costliest route between two distinct GPUs of a
+   healthy graph without a closed form: one Dijkstra row per GPU, whose
+   [dist] is each route's summed latency. *)
+let table_gpu_bounds ~adj ~dst ~lat gpu_vid =
+  let lo = ref max_int and hi = ref min_int in
+  Array.iter
+    (fun src ->
+      let r = dijkstra_row ~adj ~dst ~lat src in
+      Array.iter
+        (fun v ->
+          if v <> src then begin
+            lo := min !lo r.dist.(v);
+            hi := max !hi r.dist.(v)
+          end)
+        gpu_vid)
+    gpu_vid;
+  (Some (Time.ns !lo), Some (Time.ns !hi))
+
 (* The builder's lists become id-indexed arrays by writing each item at
    its id: newest first, so nothing is sorted or reversed. *)
 let finish ?closed b ~name ~nodes ~gpu_vid ~host_vid ~(profile : profile) =
@@ -383,6 +409,13 @@ let finish ?closed b ~name ~nodes ~gpu_vid ~host_vid ~(profile : profile) =
   done;
   let port_ids = Array.make port_off.(nl) 0 in
   List.iter (fun l -> List.iteri (fun k p -> port_ids.(port_off.(l.lid) + k) <- p) l.lports) b.bls;
+  let adj = csr ~rows:nv ~count:nl (Array.get l_src) in
+  let gpu_bounds =
+    match closed with
+    | _ when Array.length gpu_vid < 2 -> Lazy.from_val (None, None)
+    | Some c -> Lazy.from_val (c.min_gpu, c.max_gpu)
+    | None -> lazy (table_gpu_bounds ~adj ~dst:l_dst ~lat:l_lat gpu_vid)
+  in
   let g =
     {
       tname = name;
@@ -399,10 +432,11 @@ let finish ?closed b ~name ~nodes ~gpu_vid ~host_vid ~(profile : profile) =
       l_lat;
       l_nsb;
       l_ports = { off = port_off; ids = port_ids };
-      adj = csr ~rows:nv ~count:nl (Array.get l_src);
+      adj;
       gpu_vid;
       host_vid;
       closed;
+      gpu_bounds;
     }
   in
   (* Every public endpoint must be able to reach every other one. *)
@@ -439,13 +473,30 @@ let halves l =
   let dn = Time.ns (Time.to_ns l / 2) in
   (dn, Time.sub l dn)
 
-(* Closed-form path pieces shared by the cluster constructors: the
-   same-node route through node switch [sw], and the chain from a node
-   vertex up to (and including) the NIC [nic] it leaves the node by. *)
-let via_switch sw src dst =
-  (if src = sw then [ src ] else [ src; sw ]) @ if dst = sw then [] else [ dst ]
+(* Closed-form path pieces shared by the cluster constructors. Each
+   writes vertices into [buf] from index [i] and returns the index after
+   the last one it wrote. [via_switch] is the same-node route through node
+   switch [sw], from index 0; [to_nic] the chain from a node vertex up to
+   (and including) the NIC [nic] it leaves the node by, and [from_nic] the
+   same chain walked down. *)
+let put buf i v =
+  buf.(i) <- v;
+  i + 1
 
-let to_nic ~sw ~nic v = if v = nic then [ v ] else if v = sw then [ v; nic ] else [ v; sw; nic ]
+let via_switch buf sw src dst =
+  let i = put buf 0 src in
+  let i = if src = sw then i else put buf i sw in
+  if dst = sw then i else put buf i dst
+
+let to_nic buf i ~sw ~nic v =
+  if v = nic then put buf i v
+  else if v = sw then put buf (put buf i v) nic
+  else put buf (put buf (put buf i v) sw) nic
+
+let from_nic buf i ~sw ~nic v =
+  if v = nic then put buf i v
+  else if v = sw then put buf (put buf i nic) v
+  else put buf (put buf (put buf i nic) sw) v
 
 (* [nodes] HGX nodes of [gpus_per_node] GPUs each. A node is its NVSwitch,
    its GPUs around the switch and its host on PCIe, then [attach node sw],
@@ -527,14 +578,13 @@ let dgx_cluster ~profile:p ~nodes ~gpus_per_node =
      node switch within a node, up to the spine and down again across
      nodes. Only the spine belongs to no node. *)
   let vnode = vertex_nodes b ~gpus_per_node ~gpu_vid ~node_sw ~host_vid [ nic_vid ] in
-  let up v =
-    let n = vnode.(v) in
-    if n < 0 then [] else to_nic ~sw:node_sw.(n) ~nic:nic_vid.(n) v
-  in
-  let spath src dst =
-    let ns = vnode.(src) in
-    if ns >= 0 && ns = vnode.(dst) then Some (via_switch node_sw.(ns) src dst)
-    else Some (up src @ (spine :: List.rev (up dst)))
+  let spath buf src dst =
+    let ns = vnode.(src) and nd = vnode.(dst) in
+    if ns >= 0 && ns = nd then via_switch buf node_sw.(ns) src dst
+    else
+      let i = if ns < 0 then 0 else to_nic buf 0 ~sw:node_sw.(ns) ~nic:nic_vid.(ns) src in
+      let i = put buf i spine in
+      if nd < 0 then i else from_nic buf i ~sw:node_sw.(nd) ~nic:nic_vid.(nd) dst
   in
   let remote = Time.add (Time.add p.pcie_latency p.pcie_latency) p.ib_latency in
   let min_gpu =
@@ -665,30 +715,25 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
           vrail.(v) <- r)
         per_rail)
     nic_vid;
-  let spath src dst =
+  let spath buf src dst =
     let ns = vnode.(src) and nd = vnode.(dst) in
-    if ns < 0 || nd < 0 then None (* leaf/spine endpoint: Dijkstra fallback *)
-    else if ns = nd then Some (via_switch node_sw.(ns) src dst)
+    if ns < 0 || nd < 0 then -1 (* leaf/spine endpoint: Dijkstra fallback *)
+    else if ns = nd then via_switch buf node_sw.(ns) src dst
     else begin
       let srail = vrail.(src) and drail = vrail.(dst) in
-      if srail >= 0 && drail >= 0 && srail <> drail then None
+      if srail >= 0 && drail >= 0 && srail <> drail then -1
       else begin
         let r =
           if srail >= 0 then srail else if drail >= 0 then drail else (ns + nd) mod rails
         in
         let lf_s = ns / arity and lf_d = nd / arity in
-        let head = to_nic ~sw:node_sw.(ns) ~nic:nic_vid.(ns).(r) src in
-        let tail = List.rev (to_nic ~sw:node_sw.(nd) ~nic:nic_vid.(nd).(r) dst) in
-        let mid =
-          if lf_s = lf_d then [ leaf_vid.(r).(lf_s) ]
-          else
-            [
-              leaf_vid.(r).(lf_s);
-              spine_vid.(r).((lf_s + lf_d) mod spines);
-              leaf_vid.(r).(lf_d);
-            ]
+        let i = to_nic buf 0 ~sw:node_sw.(ns) ~nic:nic_vid.(ns).(r) src in
+        let i = put buf i leaf_vid.(r).(lf_s) in
+        let i =
+          if lf_s = lf_d then i
+          else put buf (put buf i spine_vid.(r).((lf_s + lf_d) mod spines)) leaf_vid.(r).(lf_d)
         in
-        Some (head @ mid @ tail)
+        from_nic buf i ~sw:node_sw.(nd) ~nic:nic_vid.(nd).(r) dst
       end
     end
   in
@@ -780,37 +825,31 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
           vrouter.(v) <- r)
         per)
     router_vid;
-  (* Position of a vertex in the router fabric: its (group, router) plus
-     the chain of vertices from it down to (excluding) the router. *)
-  let position v =
-    if vgroup.(v) >= 0 then Some (vgroup.(v), vrouter.(v), [])
-    else
-      let n = vnode.(v) in
-      if n < 0 then None
-      else
-        let g = n / per_group and r = n mod per_group / p in
-        Some (g, r, to_nic ~sw:node_sw.(n) ~nic:nic_vid.(n) v)
-  in
-  let spath src dst =
+  (* Position of a vertex in the router fabric: its group and router, and
+     the chain of vertices between it and the router. Only routers and
+     node-local vertices have one. *)
+  let placed v = vgroup.(v) >= 0 || vnode.(v) >= 0 in
+  let group v = if vgroup.(v) >= 0 then vgroup.(v) else vnode.(v) / per_group in
+  let router v = if vgroup.(v) >= 0 then vrouter.(v) else vnode.(v) mod per_group / p in
+  let spath buf src dst =
     let nsd = vnode.(src) and ndd = vnode.(dst) in
-    if nsd >= 0 && nsd = ndd then Some (via_switch node_sw.(nsd) src dst)
-    else
-      match (position src, position dst) with
-      | None, _ | _, None -> None
-      | Some (gs, rs, up), Some (gd, rd, down) ->
-        let mid =
-          if gs = gd then
-            if rs = rd then [ router_vid.(gs).(rs) ]
-            else [ router_vid.(gs).(rs); router_vid.(gd).(rd) ]
-          else begin
-            let os = owner gs gd and od = owner gd gs in
-            [ router_vid.(gs).(rs) ]
-            @ (if os <> rs then [ router_vid.(gs).(os) ] else [])
-            @ [ router_vid.(gd).(od) ]
-            @ if od <> rd then [ router_vid.(gd).(rd) ] else []
-          end
-        in
-        Some (up @ mid @ List.rev down)
+    if nsd >= 0 && nsd = ndd then via_switch buf node_sw.(nsd) src dst
+    else if not (placed src && placed dst) then -1
+    else begin
+      let gs = group src and rs = router src and gd = group dst and rd = router dst in
+      let i = if nsd < 0 then 0 else to_nic buf 0 ~sw:node_sw.(nsd) ~nic:nic_vid.(nsd) src in
+      let i = put buf i router_vid.(gs).(rs) in
+      let i =
+        if gs = gd then if rs = rd then i else put buf i router_vid.(gd).(rd)
+        else begin
+          let os = owner gs gd and od = owner gd gs in
+          let i = if os <> rs then put buf i router_vid.(gs).(os) else i in
+          let i = put buf i router_vid.(gd).(od) in
+          if od <> rd then put buf i router_vid.(gd).(rd) else i
+        end
+      in
+      if ndd < 0 then i else from_nic buf i ~sw:node_sw.(ndd) ~nic:nic_vid.(ndd) dst
+    end
   in
   let two_pcie = Time.add pr.pcie_latency pr.pcie_latency in
   let ibx n = Time.ns (n * Time.to_ns pr.ib_latency) in
@@ -979,6 +1018,7 @@ let run_over g =
     rows = [||];
     fifo = Queue.create ();
     dedup = Bytes.make (Array.length g.p_owner) '\000';
+    walk = Array.make closed_path_max 0;
     dead_vs = Bytes.make (num_v g) '\000';
     dead_ls = Bytes.make (Array.length g.l_src) '\000';
     degraded = false;
@@ -1037,48 +1077,56 @@ let row_for t src =
     Queue.push src t.fifo;
     r
 
-let links_of_row t (r : row) dst =
-  if r.dist.(dst) = max_int then None
+let missing_edge t u v =
+  invalid_arg
+    (Printf.sprintf "Topology.%s: structural route uses a missing edge %s -> %s" t.g.tname
+       (vertex_name t.g u) (vertex_name t.g v))
+
+(* The closed path's vertices, then each hop's lowest-id link written in
+   place over the vertex it leaves. *)
+let closed_walk t (c : closed) ~src ~dst =
+  let buf = t.walk in
+  let nv = c.spath buf src dst in
+  let hops = ref (if nv < 0 then -1 else nv - 1) and i = ref 0 in
+  while !hops >= 0 && !i < nv do
+    let u = buf.(!i) in
+    if is_set t.dead_vs u then hops := -1
+    else if !i < nv - 1 then begin
+      let l = edge t.g u buf.(!i + 1) in
+      if l < 0 then missing_edge t u buf.(!i + 1);
+      if is_set t.dead_ls l then hops := -1 else buf.(!i) <- l
+    end;
+    incr i
+  done;
+  !hops
+
+(* The row's [pred] links from [dst] back to the source, written from the
+   end: the chain is [hops.(dst)] links long. *)
+let row_walk t (r : row) dst =
+  if r.dist.(dst) = max_int then -1
   else begin
-    let rec walk v acc =
-      if v = r.rsrc then acc
-      else
-        let l = r.pred.(v) in
-        walk t.g.l_src.(l) (l :: acc)
-    in
-    Some (Array.of_list (walk dst []))
+    let n = r.hops.(dst) in
+    if Array.length t.walk < n then t.walk <- Array.make (max n (2 * Array.length t.walk)) 0;
+    let v = ref dst in
+    for i = n - 1 downto 0 do
+      let l = r.pred.(!v) in
+      t.walk.(i) <- l;
+      v := t.g.l_src.(l)
+    done;
+    n
   end
 
-(* The links of a closed vertex path, the lowest-id link of each hop, or
-   [None] when the path crosses a dead vertex or link: a failed rail, spine
-   or router sends the pair to the Dijkstra rows, which re-route over the
-   surviving graph and so exploit the fabric's remaining path diversity. *)
-let closed_links t vseq =
-  let rec go acc = function
-    | [] -> Some (Array.of_list (List.rev acc))
-    | u :: _ when is_set t.dead_vs u -> None
-    | [ _ ] -> go acc []
-    | u :: (v :: _ as rest) ->
-      let lid = edge t.g u v in
-      if lid < 0 then
-        invalid_arg
-          (Printf.sprintf "Topology.%s: structural route uses a missing edge %s -> %s" t.g.tname
-             (vertex_name t.g u) (vertex_name t.g v))
-      else if is_set t.dead_ls lid then None
-      else go (lid :: acc) rest
-  in
-  go [] vseq
-
-(* The links of the shortest route, or None when unreachable: the closed
-   path when the machine has one for the pair and it survives the dead
-   set, the cached Dijkstra row otherwise. *)
-let resolve_links t ~src ~dst =
-  if src = dst then Some [||]
+(* The walker. It writes a route's link ids into [t.walk] and returns
+   how many, or -1 when the pair is unroutable: the closed path when the
+   machine has one for the pair and it survives the dead set, the cached
+   Dijkstra row otherwise. A closed path crossing a dead vertex or link
+   goes to the rows, which re-route over the surviving graph and so
+   exploit the fabric's remaining path diversity. *)
+let walk t ~src ~dst =
+  if src = dst then 0
   else
-    let closed_path = match t.g.closed with Some c -> c.spath src dst | None -> None in
-    match Option.bind closed_path (closed_links t) with
-    | Some _ as lids -> lids
-    | None -> links_of_row t (row_for t src) dst
+    let n = match t.g.closed with Some c -> closed_walk t c ~src ~dst | None -> -1 in
+    if n >= 0 then n else row_walk t (row_for t src) dst
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -1207,64 +1255,70 @@ let no_route t ~src ~dst op =
   end
 
 (* Every route query resolves through here: both vertex ids checked, then
-   the route's links, [None] when the pair is unroutable. [op] names the
-   query in its errors. *)
-let resolve_checked t ~src ~dst op =
+   the route walked into [t.walk]; its link count, -1 when the pair is
+   unroutable. [op] names the query in its errors. *)
+let walk_checked t ~src ~dst op =
   check_vid t src op;
   check_vid t dst op;
-  resolve_links t ~src ~dst
+  walk t ~src ~dst
 
 let routed t ~src ~dst op =
-  match resolve_checked t ~src ~dst op with Some lids -> lids | None -> no_route t ~src ~dst op
+  let n = walk_checked t ~src ~dst op in
+  if n < 0 then no_route t ~src ~dst op else n
 
-let reachable t ~src ~dst = resolve_checked t ~src ~dst "reachable" <> None
-let route t ~src ~dst = List.map (link_at t.g) (Array.to_list (routed t ~src ~dst "route"))
+let reachable t ~src ~dst = walk_checked t ~src ~dst "reachable" >= 0
 
-type route_summary = { r_latency : Time.t; r_ns_per_byte : float; r_ports : int list }
+let route t ~src ~dst =
+  let n = routed t ~src ~dst "route" in
+  List.init n (fun k -> link_at t.g t.walk.(k))
 
-(* The three readings of a resolved route: the summed link latency (equal
-   to the Dijkstra row's [dist] when the row routes the pair), the
+type route_summary = { r_latency : Time.t; r_ns_per_byte : float; r_ports : int array }
+
+(* The walked route's [n] links read in one pass: the summed latency
+   (equal to the Dijkstra row's [dist] when the row routes the pair), the
    bottleneck inverse bandwidth (the vertex's local rate on an empty
-   route), and the ports a transfer books. *)
-let links_latency t lids =
-  Array.fold_left (fun acc lid -> Time.add acc t.g.l_lat.(lid)) Time.zero lids
-
-let links_ns_per_byte t = function
-  | [||] -> t.g.local_nsb
-  | lids -> Array.fold_left (fun acc lid -> Float.max acc t.g.l_nsb.(lid)) 0.0 lids
-
-(* Port dedup via a reusable bitset (cleared back by walking the result, so
-   the scratch cost is O(route length), not O(ports)). *)
-let links_ports t lids =
-  let seen = t.dedup and { off; ids } = t.g.l_ports in
-  let acc = ref [] in
-  Array.iter
-    (fun lid ->
-      for i = off.(lid) to off.(lid + 1) - 1 do
-        let pp = ids.(i) in
-        if not (is_set seen pp) then begin
-          Bytes.set seen pp '\001';
-          acc := pp :: !acc
-        end
-      done)
-    lids;
-  List.iter (fun pp -> Bytes.set seen pp '\000') !acc;
-  List.rev !acc
+   route) and the number of distinct ports, each marked in the [dedup]
+   bitset; then a second pass over the ports writes each marked one at
+   its first occurrence and clears it, so they come out in travel order
+   and the bitset is clear again. *)
+let summarize t n =
+  let g = t.g and links = t.walk and seen = t.dedup in
+  let { off; ids } = g.l_ports in
+  let lat = ref Time.zero and nsb = ref (if n = 0 then g.local_nsb else 0.0) and np = ref 0 in
+  for k = 0 to n - 1 do
+    let l = links.(k) in
+    lat := Time.add !lat g.l_lat.(l);
+    if g.l_nsb.(l) > !nsb then nsb := g.l_nsb.(l);
+    for i = off.(l) to off.(l + 1) - 1 do
+      if not (is_set seen ids.(i)) then begin
+        Bytes.set seen ids.(i) '\001';
+        incr np
+      end
+    done
+  done;
+  let ports = Array.make !np 0 and j = ref 0 in
+  for k = 0 to n - 1 do
+    let l = links.(k) in
+    for i = off.(l) to off.(l + 1) - 1 do
+      if is_set seen ids.(i) then begin
+        Bytes.set seen ids.(i) '\000';
+        ports.(!j) <- ids.(i);
+        incr j
+      end
+    done
+  done;
+  { r_latency = !lat; r_ns_per_byte = !nsb; r_ports = ports }
 
 (* One resolution, read three ways. Its errors name [route_ports]: a
    pair it cannot route is reported as the ports a transfer could not
    book. *)
-let route_summary t ~src ~dst =
-  let lids = routed t ~src ~dst "route_ports" in
-  {
-    r_latency = links_latency t lids;
-    r_ns_per_byte = links_ns_per_byte t lids;
-    r_ports = links_ports t lids;
-  }
+let route_summary t ~src ~dst = summarize t (routed t ~src ~dst "route_ports")
+let route_latency t ~src ~dst = (summarize t (routed t ~src ~dst "route_latency")).r_latency
 
-let route_latency t ~src ~dst = links_latency t (routed t ~src ~dst "route_latency")
-let route_ns_per_byte t ~src ~dst = links_ns_per_byte t (routed t ~src ~dst "route_ns_per_byte")
-let route_ports t ~src ~dst = links_ports t (routed t ~src ~dst "route_ports")
+let route_ns_per_byte t ~src ~dst =
+  (summarize t (routed t ~src ~dst "route_ns_per_byte")).r_ns_per_byte
+
+let route_ports t ~src ~dst = Array.to_list (summarize t (routed t ~src ~dst "route_ports")).r_ports
 
 (* The search runs over positions in ascending link id, so its link-id
    tie-break reads the same, and maps each [pred] back to its link's id. *)
@@ -1279,27 +1333,8 @@ let shortest_row ~nv links ~src =
   in
   (r.dist, r.hops, Array.map (fun i -> if i < 0 then -1 else ls.(i).lid) r.pred)
 
-(* A GPU-pair latency bound: the closed form's tier-derived [bound], or
-   [pick] folded over every ordered pair of distinct GPUs. *)
-let gpu_pair_bound t bound pick =
-  match t.g.closed with
-  | Some c -> if t.g.gpus >= 2 then bound c else None
-  | None ->
-    let acc = ref None in
-    Array.iter
-      (fun src ->
-        Array.iter
-          (fun dst ->
-            if src <> dst then begin
-              let l = route_latency t ~src ~dst in
-              acc := Some (match !acc with Some m -> pick m l | None -> l)
-            end)
-          t.g.gpu_vid)
-      t.g.gpu_vid;
-    !acc
-
-let min_gpu_pair_latency t = gpu_pair_bound t (fun c -> c.min_gpu) Time.min
-let max_gpu_pair_latency t = gpu_pair_bound t (fun c -> c.max_gpu) Time.max
+let min_gpu_pair_latency t = fst (Lazy.force t.g.gpu_bounds)
+let max_gpu_pair_latency t = snd (Lazy.force t.g.gpu_bounds)
 
 let string_of_link_kind = function
   | Nvlink -> "nvlink"

@@ -17,8 +17,12 @@
     Dijkstra row when the machine has no closed form ([Hgx], [Ring],
     [Pcie_only]), when the closed form declines it (e.g. a fat-tree
     core-switch endpoint), or when its closed path crosses a dead
-    component. Either way a route is a sequence of link ids, and every
-    query (latency, bottleneck rate, ports) reads it.
+    component. Either way one walker writes the route's link ids into a
+    run's scratch buffer (a closed path's vertices first, each overwritten
+    by the link leaving it; a row's [pred] links from the end), and every
+    query reads that buffer in one pass: summed latency, bottleneck rate
+    and the deduplicated ports as an [int array]. Resolving a pair
+    allocates only its result.
     The Dijkstra is deterministic (vertices settle in (latency, hops, vertex
     id) order; ties broken by hop count, then link id) and a recomputed row
     is identical to an evicted one, so cache size never changes any route.
@@ -26,8 +30,9 @@
     A topology is two parts. Its graph (vertices, ports, links, adjacency,
     the GPU and host vertex maps and the closed form) is immutable, and
     each domain builds it once per (spec, profile, GPU count) and shares it
-    between runs. Its run state (the route rows and their FIFO, the port
-    dedup bitset, the dead sets, {!degraded} and {!route_epoch}) is what
+    between runs, with its GPU-pair latency bounds. Its run state (the
+    route rows and their FIFO, the walk buffer and the port dedup bitset,
+    the dead sets, {!degraded} and {!route_epoch}) is what
     resolution and fail-stop events mutate, and each {!instantiate} makes
     it fresh, so a run never sees another run's cache or failures. A
     topology value belongs to the domain that instantiated it. Vertex and
@@ -207,27 +212,31 @@ val route_ports : t -> src:int -> dst:int -> int list
 type route_summary = {
   r_latency : Time.t;  (** {!route_latency} *)
   r_ns_per_byte : float;  (** {!route_ns_per_byte} *)
-  r_ports : int list;  (** {!route_ports} *)
+  r_ports : int array;  (** {!route_ports} *)
 }
 
 val route_summary : t -> src:int -> dst:int -> route_summary
-(** The three queries above from one resolution of the route — what the
-    interconnect's pair memo fills an entry from; each query reads its
-    field the same way from its own resolution. Errors read as
-    {!route_ports}'s. *)
+(** The three queries above from one walk of the route: what the
+    interconnect's pair memo keeps as a pair's entry. Each query above
+    reads its field of its own summary. A closed-form route allocates
+    only the record, the rate's float and the port array; a table route
+    may also compute its source's row and grow the run's walk buffer to
+    its length. Errors read as {!route_ports}'s. *)
 
 val min_gpu_pair_latency : t -> Time.t option
-(** Cheapest routed latency between two distinct GPUs ([None] with < 2).
-    O(1) on structural topologies (derived from tier latencies); the exact
-    all-pairs fold only runs on irregular table-routed graphs. *)
+(** Cheapest routed latency between two distinct GPUs of the healthy
+    machine ([None] with < 2), whatever has failed since. O(1) on
+    structural topologies (derived from tier latencies); on table-routed
+    graphs one Dijkstra row per GPU, computed on the first query and kept
+    with the shared graph. *)
 
 val max_gpu_pair_latency : t -> Time.t option
-(** Costliest routed latency between two distinct GPUs ([None] with < 2).
-    O(1) on dgx and fat-tree machines, O(groups²) on a dragonfly; an
-    all-pairs fold on table-routed graphs. Both pair bounds are exact on
-    every constructor; a qcheck law holds the structural ones to a
-    brute-force fold of the tests' linear-scan Dijkstra
-    ([test/topo_oracle.ml]). *)
+(** Costliest routed latency between two distinct GPUs of the healthy
+    machine ([None] with < 2), kept like {!min_gpu_pair_latency}'s. O(1)
+    on dgx and fat-tree machines, O(groups²) on a dragonfly. Both pair
+    bounds are exact on every constructor; a qcheck law holds the
+    structural ones to a brute-force fold of the tests' linear-scan
+    Dijkstra ([test/topo_oracle.ml]). *)
 
 (** {1 Fail-stop degradation}
 

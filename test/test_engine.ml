@@ -655,29 +655,6 @@ let sync_tests =
         in
         Engine.run eng;
         check (Alcotest.list Alcotest.int) "fifo" [ 1; 2; 3 ] (List.rev !got));
-    Alcotest.test_case "resource serializes bookings" `Quick (fun () ->
-        let eng = Engine.create () in
-        let r = Sync.Resource.create eng in
-        let book d = Time.to_ns (Sync.Resource.book_many [| r |] ~duration:(Time.ns d)) in
-        let (_ : Engine.process) =
-          proc eng "a" (fun () ->
-              check_int "first starts now" 0 (book 100);
-              check_int "second queues" 100 (book 50);
-              check_int "third queues behind both" 150 (book 0))
-        in
-        Engine.run eng);
-    Alcotest.test_case "book_many starts at the latest port" `Quick (fun () ->
-        let eng = Engine.create () in
-        let a = Sync.Resource.create eng and b = Sync.Resource.create eng in
-        let (_ : Engine.process) =
-          proc eng "x" (fun () ->
-              let (_ : Time.t) = Sync.Resource.book_many [| a |] ~duration:(Time.ns 70) in
-              let start = Sync.Resource.book_many [| a; b |] ~duration:(Time.ns 10) in
-              check_int "waits for a" 70 (Time.to_ns start);
-              check_int "b booked too" 80
-                (Time.to_ns (Sync.Resource.book_many [| b |] ~duration:Time.zero)))
-        in
-        Engine.run eng);
   ]
 
 (* --- Event queue ---------------------------------------------------------- *)

@@ -283,6 +283,130 @@ let net_tests =
         let words = Gc.minor_words () -. w0 in
         if words > 20_000. then
           Alcotest.failf "the second create allocated %.0f minor words, bound 20000" words);
+    (* The first use of a pair allocates its route summary (record, rate
+       and port array) and its share of the memo's chunks: 32 minor words
+       per pair (31.7) over the 510 tree pairs of a 256-GPU dgx:32
+       runtime, in the default and the dev build alike. Building the closed path and
+       the route as lists, as the router once did, took 191. *)
+    Alcotest.test_case "the first use of a pair allocates only its entry" `Quick (fun () ->
+        let env =
+          Cpufree_obs.Sim_env.make ~topology:(Cpufree_machine.Topology.Dgx { nodes = 32 }) ()
+        in
+        let create () =
+          G.Runtime.net (G.Runtime.create (Engine.create ()) ~env ~num_gpus:256 ())
+        in
+        ignore (create () : G.Interconnect.t);
+        let net = create () in
+        let lowbit r = r land -r in
+        let up = List.init 255 (fun i -> (i + 1, i + 1 - lowbit (i + 1))) in
+        let pairs = Array.of_list (up @ List.map (fun (a, b) -> (b, a)) up) in
+        let w0 = Gc.minor_words () in
+        Array.iter
+          (fun (a, b) ->
+            ignore
+              (G.Interconnect.wire_latency net ~src:(G.Interconnect.gpu net a)
+                 ~dst:(G.Interconnect.gpu net b)
+                : Time.t))
+          pairs;
+        let per_pair = (Gc.minor_words () -. w0) /. float_of_int (Array.length pairs) in
+        check_int "every pair resolved" 510 (G.Interconnect.pairs_resolved net);
+        if per_pair > 60. then
+          Alcotest.failf "resolving a pair allocated %.1f minor words, bound 60" per_pair);
+  ]
+
+(* Booking against a reference: on a generated machine, every
+   [start_transfer] of a random sequence returns what a model written here
+   gives. The model reads the route's latency, rate and ports from the
+   topology and books every port of [route_ports] with the semantics of a
+   serially reusable resource: a booking starts at the later of now and
+   the time the last of its ports frees up, and holds each of them until
+   its serialization ends. *)
+let booking_props =
+  let module T = Cpufree_machine.Topology in
+  let machines =
+    [|
+      (T.Hgx, 1);
+      (T.Ring, 1);
+      (T.Pcie_only, 1);
+      (T.Dgx { nodes = 2 }, 2);
+      (T.Fat_tree { arity = 2; rails = 2; gpus_per_node = 2 }, 2);
+      (T.Dragonfly { a = 2; p = 1; h = 1; gpus_per_node = 2 }, 2);
+    |]
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound (Array.length machines - 1)) (int_range 1 4)
+        (list_size (int_range 1 40)
+           (map
+              (fun (gap, (a, b), by_host, bytes) -> (gap, a, b, by_host, bytes))
+              (quad (int_bound 3000) (pair (int_bound 20) (int_bound 20)) bool
+                 (oneofl [ 0; 1; 4096; 300_000 ])))))
+  in
+  let law (m, k, ops) =
+    let spec, per = machines.(m) in
+    let gpus = per * (k + 1) in
+    let eng = Engine.create () in
+    let net = G.Interconnect.create ~topology:spec eng ~arch ~num_gpus:gpus in
+    let topo = G.Interconnect.topology net in
+    let endpoint i =
+      let i = i mod (gpus + 1) in
+      if i = gpus then G.Interconnect.Host else G.Interconnect.Gpu i
+    in
+    (* The vertex an endpoint talks from: a host is the peer GPU's node's. *)
+    let vertex e ~peer =
+      match (e, peer) with
+      | G.Interconnect.Gpu g, _ -> T.gpu_vertex topo g
+      | G.Interconnect.Host, G.Interconnect.Gpu g ->
+        T.host_vertex topo ~node:(T.node_of_gpu topo g)
+      | G.Interconnect.Host, G.Interconnect.Host -> T.host_vertex topo ~node:0
+    in
+    let free_from = Hashtbl.create 16 in
+    let reference ~src ~dst ~by_host ~bytes =
+      let vs = vertex src ~peer:dst and vd = vertex dst ~peer:src in
+      let setup =
+        if by_host then arch.G.Arch.host_initiated_latency else arch.G.Arch.gpu_initiated_latency
+      in
+      let latency = Time.add (T.route_latency topo ~src:vs ~dst:vd) setup in
+      let dur =
+        if bytes = 0 then Time.zero
+        else Time.scale (Time.ns bytes) (T.route_ns_per_byte topo ~src:vs ~dst:vd)
+      in
+      let ports = T.route_ports topo ~src:vs ~dst:vd in
+      let now = Engine.now eng in
+      let start =
+        List.fold_left
+          (fun acc p ->
+            Time.max acc (Option.value (Hashtbl.find_opt free_from p) ~default:Time.zero))
+          now ports
+      in
+      List.iter (fun p -> Hashtbl.replace free_from p (Time.add start dur)) ports;
+      Time.sub (Time.add (Time.add start latency) dur) now
+    in
+    let ok = ref true in
+    let rec step = function
+      | [] -> ()
+      | (gap, a, b, by_host, bytes) :: rest ->
+        Engine.after eng (Time.ns gap) (fun () ->
+            let src = endpoint a and dst = endpoint b in
+            let want = reference ~src ~dst ~by_host ~bytes in
+            let got =
+              G.Interconnect.start_transfer net ~src ~dst
+                ~initiator:(if by_host then G.Interconnect.By_host else G.Interconnect.By_device)
+                ~bytes
+            in
+            if not (Time.equal got want) then ok := false;
+            step rest)
+    in
+    let (_ : Engine.process) =
+      Engine.spawn_callbacks eng ~name_of:(fun () -> "law") (fun () -> step ops)
+    in
+    Engine.run eng;
+    !ok
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"start_transfer books like the reference resource model" ~count:200
+         (QCheck.make gen) law);
   ]
 
 (* --- Kernel cost model -------------------------------------------------- *)
@@ -626,7 +750,7 @@ let () =
     [
       ("arch", arch_tests);
       ("buffer", buffer_tests);
-      ("interconnect", net_tests @ path_cost_tests);
+      ("interconnect", net_tests @ path_cost_tests @ booking_props);
       ("kernel", kernel_tests);
       ("stream", stream_tests);
       ("runtime", runtime_tests);

@@ -479,7 +479,7 @@ let prop_route_summary =
                   | Some (lat, nsb, ports) ->
                     Time.equal r.T.r_latency lat
                     && Float.equal r.T.r_ns_per_byte nsb
-                    && r.T.r_ports = ports
+                    && Array.to_list r.T.r_ports = ports
                   | None -> false
                 in
                 match summary with
