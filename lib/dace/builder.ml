@@ -29,28 +29,14 @@ let state t name stmts =
     invalid_arg (Printf.sprintf "Builder.state: duplicate state %s" name);
   t.states <- t.states @ [ { st_name = name; stmts } ]
 
-let edge t ?cond ?(assign = []) ~src ~dst () =
-  t.edges <- t.edges @ [ { e_src = src; e_dst = dst; e_cond = cond; e_assign = assign } ]
-
 let time_loop t ~var ~from_ ~steps ~after ~body =
   if body = [] then invalid_arg "Builder.time_loop: empty body";
   let guard = var ^ "_guard" and exit_ = var ^ "_done" in
   state t guard [];
   List.iter (fun (name, stmts) -> state t name stmts) body;
   state t exit_ [];
-  let limit = Symbolic.int (from_ + steps) in
-  let tv = Symbolic.sym var in
-  edge t ~assign:[ (var, Symbolic.int from_) ] ~src:after ~dst:guard ();
-  edge t ~cond:(Symbolic.Lt (tv, limit)) ~src:guard ~dst:(fst (List.hd body)) ();
-  edge t ~cond:(Symbolic.Ge (tv, limit)) ~src:guard ~dst:exit_ ();
-  let rec chain = function
-    | (a, _) :: ((b, _) :: _ as rest) ->
-      edge t ~src:a ~dst:b ();
-      chain rest
-    | [ (last, _) ] -> edge t ~assign:[ (var, Symbolic.(tv + int 1)) ] ~src:last ~dst:guard ()
-    | [] -> ()
-  in
-  chain body
+  t.edges <-
+    t.edges @ Loop.edges ~var ~from_ ~steps ~entry:after ~guard ~exit:exit_ (List.map fst body)
 
 let finish t ~start =
   let sdfg =

@@ -234,6 +234,13 @@ type instr = S.slots E.Program.instr
 let fails m = Do (fun () -> raise (Lowering_error m))
 let ( let* ) r k = match r with Ok x -> k x | Error m -> fails m
 
+(* [body] under [cond], folded when the condition is known. *)
+let lower_cond lw cond body =
+  match S.compile_cond ~resolve:lw.resolve cond with
+  | S.Now true -> body
+  | S.Now false -> []
+  | S.Later c -> guard c body
+
 (* --- device-side library nodes (persistent backend) -------------------- *)
 
 let lower_nv_node lw env node =
@@ -461,14 +468,7 @@ let lower_host_state lw env stream st =
         let cost =
           S.force (stage_map (device_time m) (fun t -> Time.scale t host_dram_slowdown))
         in
-        let eng = G.Runtime.engine ctx in
-        [
-          Wait
-            (fun k ->
-              let cost = cost slots in
-              if Time.(cost > Time.zero) then E.Engine.after eng cost k else k ());
-          Do (map_body lw env m);
-        ]
+        guard (fun s -> Time.(cost s > zero)) [ After cost ] @ [ Do (map_body lw env m) ]
       | Gpu_persistent -> [ fails "persistent-scheduled map in the baseline backend" ])
     | S_lib (Mpi_isend { arr; region; dst_rank; tag; req }) ->
       let region = mpi_region arr region and dst = ex lw dst_rank and r = lw.request_of req in
@@ -504,12 +504,7 @@ let lower_host_state lw env stream st =
     | S_lib
         ( Nv_put _ | Nv_putmem _ | Nv_putmem_signal _ | Nv_iput _ | Nv_p _ | Nv_signal_op _
         | Nv_signal_wait _ | Nv_quiet ) -> [ fails "NVSHMEM node in host (baseline) code" ]
-    | S_cond { cond; then_ } -> (
-      let body = List.concat_map lower then_ in
-      match S.compile_cond ~resolve:lw.resolve cond with
-      | S.Now true -> body
-      | S.Now false -> []
-      | S.Later c -> Skip_unless (c, List.length body) :: body)
+    | S_cond { cond; then_ } -> lower_cond lw cond (List.concat_map lower then_)
     | S_role { body; _ } -> List.concat_map lower body
     | S_grid_sync -> [ sync ]
   in
@@ -531,10 +526,9 @@ let build_baseline ?backed sdfg =
       (fun rank ->
         let lw = lowering rt sdfg ~rank ~assigned ~requests in
         let env = env_from lw lw.initial in
-        let stream =
-          G.Stream.create (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
-        in
-        run (walk_program graph lw env ~state:(lower_host_state lw env stream)) env.slots)
+        let eng = G.Runtime.engine ctx in
+        let stream = G.Stream.create eng ~dev:(G.Runtime.device ctx rank) ~name:"s0" in
+        run eng (walk_program graph lw env ~state:(lower_host_state lw env stream)) env.slots)
       k
   in
   { program; read_array = read_array store }
@@ -574,12 +568,10 @@ let stmt_visible_to ~role stmt =
   | Role_comm, (S_map _ | S_lib _ | S_cond _) -> false
   | Role_compute, _ -> true
 
-(* One statement of a role as instructions. A map waits out its cost,
-   then runs its body and logs its compute interval from where it began. *)
+(* One statement of a role as instructions; a map is a [Compute]. *)
 let lower_kernel_stmt lw env grid ~role =
-  let ctx = lw.rt.ctx and slots = env.slots in
+  let ctx = lw.rt.ctx in
   let arch = G.Runtime.arch ctx in
-  let eng = G.Runtime.engine ctx in
   let sm_fraction = map_fraction role and threads = G.Coop.threads_per_block grid in
   (* Span lane and labels are built only when the engine records a trace. *)
   let lane =
@@ -597,26 +589,10 @@ let lower_kernel_stmt lw env grid ~role =
                  let efficiency = G.Kernel.tiling_efficiency arch ~elems ~threads in
                  stencil_time arch ~sm_fraction ~efficiency elems))
         in
-        let body = map_body lw env m and label = "map_" ^ m.m_var in
-        let t0 = ref Time.zero in
-        [
-          Wait
-            (fun k ->
-              t0 := E.Engine.now eng;
-              E.Engine.after eng (cost slots) k);
-          Do
-            (fun () ->
-              body ();
-              E.Engine.log_compute eng ~since:!t0 ~lane ~label);
-        ]
+        [ Compute { cost; body = map_body lw env m; lane; label = "map_" ^ m.m_var } ]
       | Gpu_device -> [ fails "discrete-scheduled map inside the persistent kernel" ])
     | S_lib node -> [ lower_nv_node lw env node ]
-    | S_cond { cond; then_ } -> (
-      let body = List.concat_map lower then_ in
-      match S.compile_cond ~resolve:lw.resolve cond with
-      | S.Now true -> body
-      | S.Now false -> []
-      | S.Later c -> Skip_unless (c, List.length body) :: body)
+    | S_cond { cond; then_ } -> lower_cond lw cond (List.concat_map lower then_)
     | S_role { role = r; body } -> (
       match (role, r) with
       | Role_all, _ | Role_comm, Comm_role | Role_compute, Compute_role ->
@@ -643,9 +619,7 @@ let lower_role lw env grid ~role (p : Persistent_fusion.t) =
   let init = assignment lw env loop.Loop.l_var loop.Loop.l_init in
   let update = assignment lw env loop.Loop.l_var loop.Loop.l_update in
   let continue = S.force (S.compile_cond ~resolve:lw.resolve loop.Loop.l_cond) in
-  let n = List.length body in
-  Array.of_list
-    ((Do init :: Skip_unless (continue, n + 2) :: body) @ [ Do update; Jump (-(n + 2)) ])
+  Array.of_list (E.Program.loop ~init ~continue ~update body)
 
 let build_persistent ?backed (p : Persistent_fusion.t) =
   let sdfg = p.Persistent_fusion.base in
@@ -663,15 +637,14 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
       (fun rank ->
         let lw = lowering rt sdfg ~rank ~assigned ~requests in
         let env = env_from lw lw.initial in
-        let stream =
-          G.Stream.create (G.Runtime.engine ctx) ~dev:(G.Runtime.device ctx rank) ~name:"s0"
-        in
+        let eng = G.Runtime.engine ctx in
+        let stream = G.Stream.create eng ~dev:(G.Runtime.device ctx rank) ~name:"s0" in
         let host_states states = List.concat_map (lower_host_state lw env stream) states in
         let dev = G.Runtime.device ctx rank in
         (* A role is a step program, started after the teardown delay. The
            roles copy the rank's variables when the launch runs, after the
            prologue. *)
-        let role_body role env grid = run (lower_role lw env grid ~role p) env.slots in
+        let role_body role env grid = run eng (lower_role lw env grid ~role p) env.slots in
         let roles () =
           if specialized then
             [
@@ -688,7 +661,7 @@ let build_persistent ?backed (p : Persistent_fusion.t) =
         in
         (* The prologue and epilogue stay host-controlled (initialization);
            the whole rank is one program. *)
-        run
+        run eng
           (Array.of_list
              (host_states p.Persistent_fusion.prologue
              @ [ Wait launch_and_join; Wait (Nv.quiet_k rt.nv ~pe:rank) ]

@@ -10,6 +10,21 @@ type t = {
   l_exit : string;
 }
 
+let edges ~var ~from_ ~steps ~entry ~guard ~exit body =
+  let tv = Symbolic.sym var and limit = Symbolic.int (from_ + steps) in
+  let edge ?cond ?(assign = []) src dst =
+    { e_src = src; e_dst = dst; e_cond = cond; e_assign = assign }
+  in
+  let rec chain = function
+    | a :: (b :: _ as rest) -> edge a b :: chain rest
+    | [ last ] -> [ edge ~assign:[ (var, Symbolic.(tv + int 1)) ] last guard ]
+    | [] -> []
+  in
+  edge ~assign:[ (var, Symbolic.int from_) ] entry guard
+  :: edge ~cond:(Symbolic.Lt (tv, limit)) guard (List.hd body)
+  :: edge ~cond:(Symbolic.Ge (tv, limit)) guard exit
+  :: chain body
+
 let complementary a b =
   match (a, b) with
   | Symbolic.Lt (x, y), Symbolic.Ge (x', y')

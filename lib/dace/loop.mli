@@ -15,6 +15,16 @@ type t = {
   l_exit : string;
 }
 
+val edges :
+  var:string -> from_:int -> steps:int -> entry:string -> guard:string -> exit:string ->
+  string list -> Sdfg.edge list
+(** [edges ~var ~from_ ~steps ~entry ~guard ~exit body] is the canonical
+    counted loop over the non-empty chain of states [body], in the order
+    {!detect} reads it: [entry → guard] with [var := from_], [guard → body]
+    while [var < from_ + steps], [guard → exit] once [var >= from_ + steps],
+    the body chained in order, and the back edge [var := var + 1]. The loop
+    runs [steps] times. *)
+
 val detect : Sdfg.t -> (t, string) result
 (** Find the (single) canonical loop, or explain why none was found. *)
 

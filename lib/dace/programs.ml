@@ -15,39 +15,10 @@ let require_divisible what a b =
   if b = 0 || a mod b <> 0 then
     invalid_arg (Printf.sprintf "Programs: %s (%d) must divide evenly among %d" what a b)
 
+(* Every frontend's time loop: init -> guard, [t] from 1 for [tsteps] steps
+   over [body_states], then done. *)
 let loop_cfg ~body_states ~tsteps =
-  (* init -> (t=1) guard; guard -[t < tsteps+1]-> body...; last -(t=t+1)-> guard;
-     guard -[t >= tsteps+1]-> done *)
-  let first_body = List.hd body_states and last_body = List.hd (List.rev body_states) in
-  let rec chain = function
-    | a :: (b :: _ as rest) ->
-      { e_src = a; e_dst = b; e_cond = None; e_assign = [] } :: chain rest
-    | [ _ ] | [] -> []
-  in
-  [
-    { e_src = "init"; e_dst = "guard"; e_cond = None; e_assign = [ ("t", c 1) ] };
-    {
-      e_src = "guard";
-      e_dst = first_body;
-      e_cond = Some (Symbolic.Lt (t_sym, c (tsteps + 1)));
-      e_assign = [];
-    };
-    {
-      e_src = "guard";
-      e_dst = "done";
-      e_cond = Some (Symbolic.Ge (t_sym, c (tsteps + 1)));
-      e_assign = [];
-    };
-  ]
-  @ chain body_states
-  @ [
-      {
-        e_src = last_body;
-        e_dst = "guard";
-        e_cond = None;
-        e_assign = [ ("t", Symbolic.(t_sym + c 1)) ];
-      };
-    ]
+  Loop.edges ~var:"t" ~from_:1 ~steps:tsteps ~entry:"init" ~guard:"guard" ~exit:"done" body_states
 
 (* ---------------------------------------------------------------- *)
 (* Halo exchange: one table, two forms                               *)

@@ -6,16 +6,10 @@ type config = {
   socket_path : string;
   cache_capacity : int;
   max_queue : int;
-  selfcheck : bool;
 }
 
 let default_config ~socket_path =
-  {
-    socket_path;
-    cache_capacity = 128;
-    max_queue = 64;
-    selfcheck = Sys.getenv_opt "CPUFREE_SERVE_SELFCHECK" <> None;
-  }
+  { socket_path; cache_capacity = 128; max_queue = 64 }
 
 (* One client connection. [pending] counts admitted runs whose response has
    not been written yet; the file descriptor is only closed once the reader
@@ -70,22 +64,6 @@ let close_conn state conn =
   end;
   Mutex.unlock state.io
 
-let fatal fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "FATAL: %s\n%!" msg;
-      exit 1)
-    fmt
-
-let selfcheck_hit state digest sc (payload : P.run_payload) =
-  if state.cfg.selfcheck then begin
-    match Exec.run sc with
-    | Error e -> fatal "selfcheck: cached %s but recompute failed: %s" digest e
-    | Ok fresh ->
-      if not (P.payload_equal payload fresh) then
-        fatal "selfcheck: cache hit %s is not byte-equal to recompute" digest
-  end
-
 (* --- worker domain -------------------------------------------------------- *)
 
 (* Answer an admitted run and release its admission slot. *)
@@ -131,9 +109,7 @@ let worker state =
       end;
       Mutex.unlock state.lock;
       (match cached with
-      | Some payload ->
-        selfcheck_hit state job.j_digest job.j_scenario payload;
-        respond_run state job ~cached:true payload
+      | Some payload -> respond_run state job ~cached:true payload
       | None -> (
         match Exec.run job.j_scenario with
         | Ok payload ->
@@ -219,7 +195,6 @@ let handle_request state conn payload =
     Mutex.unlock state.lock;
     match verdict with
     | `Hit payload ->
-      selfcheck_hit state digest sc payload;
       send state conn
         (P.Ok_resp
            {

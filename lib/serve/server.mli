@@ -15,18 +15,14 @@
     frame write is serialized under an I/O lock.
 
     Because simulations are deterministic, a cache hit is byte-identical
-    to a recompute; setting [CPUFREE_SERVE_SELFCHECK] (or
-    [config.selfcheck]) makes the server prove that on every hit and
-    abort — loudly — on a mismatch, which is the debug harness for the
-    cache key. *)
+    to a recompute. The server does not re-check that: the serve-smoke
+    test compares a cached payload with an in-process {!Exec.run} of the
+    same scenario. *)
 
 type config = {
   socket_path : string;
   cache_capacity : int;  (** result-cache entries (default 128) *)
   max_queue : int;  (** in-flight admission bound (default 64) *)
-  selfcheck : bool;
-      (** recompute every cache hit and [exit 1] unless byte-equal
-          (default: set iff [CPUFREE_SERVE_SELFCHECK] is set) *)
 }
 
 val default_config : socket_path:string -> config

@@ -138,19 +138,18 @@ let apply_inner st ~pe ~t =
 
 (* Every host rank and every thread-block role is a step program
    ({!E.Program}) whose state is its iteration counter [it]: the loop is a
-   jump and the norm check a guard. A kernel body is given its
+   {!E.Program.loop} and the norm check a guard. A kernel body is given its
    continuation, so it may wait. *)
 open E.Program
 
 (* [body] once per iteration, [it] running from 1 to the problem's count. *)
 let iterate st it body =
   let iterations = st.problem.Problem.iterations in
-  let n = List.length body in
-  (Skip_unless ((fun it -> !it <= iterations), n + 2) :: body)
-  @ [ Do (fun () -> incr it); Jump (-(n + 2)) ]
+  loop ~init:(fun () -> it := 1) ~continue:(fun it -> !it <= iterations) ~update:(fun () -> incr it)
+    body
 
 (* Run [code] over counter [it] as steps of the calling process. *)
-let run_code it code k = run (Array.of_list code) it k
+let run_code ctx it code k = run (G.Runtime.engine ctx) (Array.of_list code) it k
 
 (* ------------------------------------------------------------------ *)
 (* Halo exchange                                                       *)
@@ -204,7 +203,7 @@ let norm_due st t =
   match st.problem.Problem.norm_every with Some k -> t mod k = 0 | None -> false
 
 (* [check] only in the iterations that check the norm. *)
-let when_norm_due st check = Skip_unless ((fun it -> norm_due st !it), List.length check) :: check
+let when_norm_due st check = guard (fun it -> norm_due st !it) check
 
 (* A kernel over the whole owned domain. *)
 let owned_cost st ctx ~pe ~fraction ~bytes_per_elem =
@@ -228,7 +227,7 @@ let host_norm_check st ctx ~stream ~barrier ~pe it =
             ~dst:st.host_scratch.(pe) ~dst_pos:0 ~len:1 k);
       Wait (G.Runtime.stream_synchronize_k ctx stream);
       (* MPI_Allreduce over one float: message latency plus rank convergence. *)
-      Wait (E.Engine.after (G.Runtime.engine ctx) (G.Runtime.arch ctx).G.Arch.mpi_overhead);
+      After (fun _ -> (G.Runtime.arch ctx).G.Arch.mpi_overhead);
       Wait (G.Host.barrier_wait_k ctx barrier);
     ]
 
@@ -236,9 +235,10 @@ let host_norm_check st ctx ~stream ~barrier ~pe it =
    run on device, with no host involvement. *)
 let device_norm_check st ctx ~pe ~fraction =
   let cost = owned_cost st ctx ~pe ~fraction ~bytes_per_elem:norm_bpe in
+  let cost = G.Runtime.scaled_cost ctx ~gpu:pe cost in
   when_norm_due st
     [
-      Wait (E.Engine.after (G.Runtime.engine ctx) (G.Runtime.scaled_cost ctx ~gpu:pe cost));
+      After (fun _ -> cost);
       Wait (fun k -> Collective.allreduce_sum_k st.coll ~pe 0.0 (fun (_ : float) -> k ()));
     ]
 
@@ -266,7 +266,7 @@ let host_driven st ctx ~name ~streams ~signaled body =
           @ [ Do (fun () -> tick st ~pe ~t:!it) ])
         @ if signaled then [ Wait (Nv.quiet_k st.nv ~pe) ] else []
       in
-      run_code it code)
+      run_code ctx it code)
 
 let whole_cost st ctx ~pe = owned_cost st ctx ~pe ~fraction:1.0 ~bytes_per_elem:stencil_bpe
 let apply_whole st ~pe ~t = apply st ~pe ~t ~p0:1 ~p1:st.slabs.(pe).Slab.planes
@@ -405,42 +405,29 @@ let role_costs st ctx ~pe ~perks =
    the inner role [inner_sync it]: the two-kernel design's cross-kernel
    flags. Each role is a step program, started after its teardown delay. *)
 let roles st ctx ~pe costs ~comm_sync ~inner_sync =
-  let eng = G.Runtime.engine ctx in
   let dev = G.Runtime.device ctx pe in
-  (* The compute share of a role: wait out [cost] from [t0], then [body] and
-     its compute interval. *)
-  let compute ~lane ~label cost it body =
-    let t0 = ref Time.zero in
-    [
-      Wait
-        (fun k ->
-          t0 := E.Engine.now eng;
-          E.Engine.after eng cost k);
-      Do
-        (fun () ->
-          body !it;
-          E.Engine.log_compute eng ~since:!t0 ~lane ~label);
-    ]
-  in
+  (* The compute share of a role: [body] once [cost] is waited out. *)
+  let compute lane label cost body = Compute { cost = (fun _ -> cost); body; lane; label } in
   let boundary_lane = lazy (G.Device.lane dev "boundary") in
   let comm_role side grid =
     let it = ref 1 in
-    run_code it
+    run_code ctx it
       (iterate st it
-         ((Wait (fun k -> Proto.wait_halo_k st.proto ~pe ~dir:side.dir ~iter:!it k)
-          :: compute ~lane:boundary_lane ~label:"boundary" costs.boundary it (fun t ->
-                 apply st ~pe ~t ~p0:side.plane ~p1:side.plane))
-         @ [ Wait (fun k -> send st ctx Put_signal ~pe ~t:!it side k); Wait (G.Coop.sync_k grid) ]
-         @ comm_sync side.dir it))
+         (Wait (fun k -> Proto.wait_halo_k st.proto ~pe ~dir:side.dir ~iter:!it k)
+         :: compute boundary_lane "boundary" costs.boundary (fun () ->
+                apply st ~pe ~t:!it ~p0:side.plane ~p1:side.plane)
+         :: Wait (fun k -> send st ctx Put_signal ~pe ~t:!it side k)
+         :: Wait (G.Coop.sync_k grid)
+         :: comm_sync side.dir it))
   in
   let inner_lane = lazy (G.Device.lane dev "inner") in
   let inner_role grid =
     let it = ref 1 in
-    run_code it
+    run_code ctx it
       (iterate st it
-         (compute ~lane:inner_lane ~label:"inner" costs.inner it (fun t -> apply_inner st ~pe ~t)
-         @ [ Wait (G.Coop.sync_k grid) ]
-         @ inner_sync it
+         (compute inner_lane "inner" costs.inner (fun () -> apply_inner st ~pe ~t:!it)
+         :: Wait (G.Coop.sync_k grid)
+         :: inner_sync it
          @ device_norm_check st ctx ~pe ~fraction:costs.inner_fraction
          @ [ Do (fun () -> tick st ~pe ~t:!it) ]))
   in
@@ -483,7 +470,7 @@ let run_cpu_free_multi st ctx =
     [
       Do (fun () -> E.Sync.Flag.set mine !it);
       Wait (fun k -> E.Sync.Flag.wait_ge_k other !it k);
-      Wait (E.Engine.after eng local_flag_latency);
+      After (fun _ -> local_flag_latency);
     ]
   in
   G.Host.parallel_join_k ctx ~name:"cpu_free_2k" (fun pe k ->

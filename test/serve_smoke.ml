@@ -1,14 +1,15 @@
 (* CI smoke for the scenario daemon (dune alias [serve-smoke]): boot a
-   daemon with the cache self-check armed, issue three requests — two
-   distinct scenarios and one repeat of the first with artifacts enabled —
-   and assert the repeat is served from the cache with a byte-identical
-   payload (artifacts included). Then speak literal frames on a second
-   connection: the documented run body for the first scenario must get
-   the client path's result, and its response frame, decoded by hand,
-   must carry [Exec.run]'s trace and metrics bytes; a body whose scenario
-   line does not parse must get an [error] carrying the parser's reason,
-   and the connection must still answer. Finally the counters must agree
-   and shutdown must remove the socket. Exits non-zero on any deviation. *)
+   daemon, issue three requests — two distinct scenarios and one repeat of
+   the first with artifacts enabled — and assert the repeat is served from
+   the cache with a payload byte-identical, artifacts included, to the
+   first run and to an in-process [Exec.run] of the same scenario. Then
+   speak literal frames on a second connection: the documented run body
+   for the first scenario must get the client path's result, and its
+   response frame, decoded by hand, must carry [Exec.run]'s trace and
+   metrics bytes; a body whose scenario line does not parse must get an
+   [error] carrying the parser's reason, and the connection must still
+   answer. Finally the counters must agree and shutdown must remove the
+   socket. Exits non-zero on any deviation. *)
 
 module Serve = Cpufree_serve
 module P = Serve.Protocol
@@ -24,9 +25,7 @@ let fail fmt =
 
 let () =
   let path = Printf.sprintf "serve-smoke-%d.sock" (Unix.getpid ()) in
-  let cfg =
-    { (Serve.Server.default_config ~socket_path:path) with Serve.Server.selfcheck = true }
-  in
+  let cfg = Serve.Server.default_config ~socket_path:path in
   let srv = Domain.spawn (fun () -> Result.iter_error (fail "serve: %s") (Serve.Server.run cfg)) in
   let rec connect tries =
     match Serve.Client.connect path with
@@ -63,6 +62,11 @@ let () =
   if not cached_a2 then fail "the repeated scenario was not served from the cache";
   if not (P.payload_equal pay_a pay_a2) then
     fail "the cache hit is not byte-identical to the original run";
+  (match Serve.Exec.run sc_a with
+  | Ok fresh ->
+    if not (P.payload_equal pay_a2 fresh) then
+      fail "the cache hit is not byte-identical to a recompute"
+  | Error e -> fail "recompute of the cached scenario: %s" e);
   (match (pay_a.P.trace, pay_a.P.metrics) with
   | Some _, Some _ -> ()
   | _ -> fail "artifacts missing from the traced run");

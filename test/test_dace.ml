@@ -622,7 +622,23 @@ let builder_tests =
           check (Alcotest.list Alcotest.string) "body" [ "work" ] l.Loop.l_body;
           check_bool "limit" true (Sym.equal (c 6) (match l.Loop.l_cond with
             | Sym.Lt (_, hi) -> hi
-            | _ -> c (-1))));
+            | _ -> c (-1)));
+          (* The builder and the frontends share one loop constructor: with
+             the guard and exit named alike, a builder loop over a frontend's
+             body states has that frontend's edges, in the same order. *)
+          let body = [ "exch_A"; "comp_B"; "exch_B"; "comp_A" ] in
+          let b = D.Builder.create ~name:"same" in
+          D.Builder.state b "init" [];
+          D.Builder.time_loop b ~var:"t" ~from_:1 ~steps:5 ~after:"init"
+            ~body:(List.map (fun n -> (n, [])) body);
+          let rename = function "t_guard" -> "guard" | "t_done" -> "done" | s -> s in
+          let built =
+            List.map
+              (fun e -> { e with Sdfg.e_src = rename e.Sdfg.e_src; e_dst = rename e.Sdfg.e_dst })
+              (D.Builder.finish b ~start:"init").Sdfg.edges
+          in
+          let frontend = Programs.jacobi1d_mpi { Programs.n_global = 64; tsteps = 5 } ~gpus:2 in
+          check_bool "the frontend's loop edges" true (built = frontend.Sdfg.edges));
     Alcotest.test_case "duplicate declarations rejected" `Quick (fun () ->
         let b = D.Builder.create ~name:"dup" in
         D.Builder.array b "A" (c 4);
