@@ -1058,6 +1058,20 @@ let pinned_tests =
           pinned_stalls);
   ]
 
+(* What every pass makes of the built-in programs, the custom example and
+   several bad programs, against the lines recorded before the passes shared
+   Sdfg's statement walk and operand list (test/dace_pins.ml). *)
+let parent_pin_tests =
+  let same what want got = check (Alcotest.list Alcotest.string) what want got in
+  [
+    Alcotest.test_case "every pass's SDFG, check, codegen and barrier count is unchanged" `Quick
+      (fun () -> same "digests" Dace_pins.digests (Dace_views.digest_lines ()));
+    Alcotest.test_case "every analysis result is unchanged" `Quick (fun () ->
+        same "analyses" Dace_pins.analyses (Dace_views.analysis_lines ()));
+    Alcotest.test_case "validation errors of several-error nodes keep their text and order" `Quick
+      (fun () -> same "errors" Dace_pins.mutant_errors (Dace_views.mutant_lines ()));
+  ]
+
 let () =
   Alcotest.run "dace"
     [
@@ -1071,4 +1085,5 @@ let () =
       ("lowering", lowering_tests);
       ("builder", builder_tests);
       ("pinned", pinned_tests);
+      ("parent-pins", parent_pin_tests);
     ]
