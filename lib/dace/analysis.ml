@@ -35,94 +35,37 @@ let rec sem_halo = function
    [src] neighbourhood, so they are data-parallel exactly when [src] and
    [dst] are disjoint — the Jacobi two-array pattern. An in-place stencil
    ([src = dst]) is loop-carried: iteration order changes the answer. *)
-let classify_sem sem =
-  let writes = Transforms.sem_writes sem and reads = Transforms.sem_reads sem in
-  if List.exists (fun w -> List.mem w reads) writes then Loop_carried else Data_parallel
+let parallelism ops =
+  let reads = arrays ~access:Read ops in
+  if List.exists (fun w -> List.mem w reads) (arrays ~access:Write ops) then Loop_carried
+  else Data_parallel
 
-let rec free_symbols_of_sem = function
-  | Jacobi1d _ -> []
-  | Jacobi2d { row_width; col_lo; col_hi; _ } ->
-    List.concat_map Symbolic.free_symbols [ row_width; col_lo; col_hi ]
-  | Jacobi3d { row_width; plane_width; ny; _ } ->
-    List.concat_map Symbolic.free_symbols [ row_width; plane_width; ny ]
-  | Fill _ -> []
-  | Init_global { global_off; _ } -> Symbolic.free_symbols global_off
-  | Init_global2d { row_width; global_row0; global_row_width; global_col0; _ } ->
-    List.concat_map Symbolic.free_symbols
-      [ row_width; global_row0; global_row_width; global_col0 ]
-  | Multi sems -> List.concat_map free_symbols_of_sem sems
+let classify_sem sem = parallelism (sem_operands ~var:"" sem)
 
-let free_symbols_of_region (r : region) =
-  List.concat_map Symbolic.free_symbols [ r.offset; r.stride; r.count ]
-
-let free_symbols_of_libnode = function
-  | Mpi_isend { region; dst_rank; _ } -> free_symbols_of_region region @ Symbolic.free_symbols dst_rank
-  | Mpi_irecv { region; src_rank; _ } -> free_symbols_of_region region @ Symbolic.free_symbols src_rank
-  | Mpi_waitall _ -> []
-  | Nv_put { src_region; dst_region; to_pe; signal; _ } ->
-    free_symbols_of_region src_region @ free_symbols_of_region dst_region
-    @ Symbolic.free_symbols to_pe
-    @ (match signal with None -> [] | Some (_, _, v) -> Symbolic.free_symbols v)
-  | Nv_putmem { src_region; dst_region; to_pe; _ } | Nv_iput { src_region; dst_region; to_pe; _ }
-    ->
-    free_symbols_of_region src_region @ free_symbols_of_region dst_region
-    @ Symbolic.free_symbols to_pe
-  | Nv_putmem_signal { src_region; dst_region; to_pe; sig_value; _ } ->
-    free_symbols_of_region src_region @ free_symbols_of_region dst_region
-    @ Symbolic.free_symbols to_pe @ Symbolic.free_symbols sig_value
-  | Nv_p { src_off; dst_off; to_pe; _ } ->
-    List.concat_map Symbolic.free_symbols [ src_off; dst_off; to_pe ]
-  | Nv_signal_op { sig_value; to_pe; _ } ->
-    Symbolic.free_symbols sig_value @ Symbolic.free_symbols to_pe
-  | Nv_signal_wait { ge_value; from_pe; _ } ->
-    Symbolic.free_symbols ge_value @ Symbolic.free_symbols from_pe
-  | Nv_quiet -> []
-
-let free_symbols_of_cond = function
-  | Symbolic.Lt (a, b) | Symbolic.Le (a, b) | Symbolic.Eq (a, b) | Symbolic.Ge (a, b) ->
-    Symbolic.free_symbols a @ Symbolic.free_symbols b
-
-let rec free_symbols_of_stmt = function
-  | S_map m ->
-    List.concat_map Symbolic.free_symbols [ m.m_lo; m.m_hi; m.m_work ]
-    @ free_symbols_of_sem m.m_sem
-  | S_lib node -> free_symbols_of_libnode node
-  | S_cond { cond; then_ } ->
-    free_symbols_of_cond cond @ List.concat_map free_symbols_of_stmt then_
-  | S_role { body; _ } -> List.concat_map free_symbols_of_stmt body
-  | S_grid_sync -> []
+let stmts_of sdfg = List.concat_map (fun st -> walk st.stmts) sdfg.states
 
 let free_symbols sdfg =
-  let of_states =
-    List.concat_map (fun st -> List.concat_map free_symbols_of_stmt st.stmts) sdfg.states
+  let exprs =
+    List.filter_map
+      (function { kind = Expr e; _ } -> Some e | _ -> None)
+      (List.concat_map operands (stmts_of sdfg))
   in
   let of_edges =
     List.concat_map
       (fun e ->
-        (match e.e_cond with None -> [] | Some c -> free_symbols_of_cond c)
-        @ List.concat_map (fun (_, ex) -> Symbolic.free_symbols ex) e.e_assign)
+        (match e.e_cond with
+        | None -> []
+        | Some Symbolic.(Lt (a, b) | Le (a, b) | Eq (a, b) | Ge (a, b)) -> [ a; b ])
+        @ List.map snd e.e_assign)
       sdfg.edges
   in
-  List.sort_uniq String.compare (of_states @ of_edges)
+  List.sort_uniq String.compare (List.concat_map Symbolic.free_symbols (exprs @ of_edges))
 
-let rec stmt_libnodes = function
-  | S_lib node -> [ node ]
-  | S_cond { then_; _ } -> List.concat_map stmt_libnodes then_
-  | S_role { body; _ } -> List.concat_map stmt_libnodes body
-  | S_map _ | S_grid_sync -> []
-
-let libnodes sdfg =
-  List.concat_map (fun st -> List.concat_map stmt_libnodes st.stmts) sdfg.states
+let libnodes sdfg = List.filter_map (function S_lib node -> Some node | _ -> None) (stmts_of sdfg)
 
 let comm_form sdfg =
-  let has_mpi = ref false and has_nv = ref false in
-  List.iter
-    (function
-      | Mpi_isend _ | Mpi_irecv _ | Mpi_waitall _ -> has_mpi := true
-      | Nv_put _ | Nv_putmem _ | Nv_putmem_signal _ | Nv_iput _ | Nv_p _ | Nv_signal_op _
-      | Nv_signal_wait _ | Nv_quiet -> has_nv := true)
-    (libnodes sdfg);
-  match (!has_mpi, !has_nv) with
+  let nv, mpi = List.partition is_nvshmem (libnodes sdfg) in
+  match (mpi <> [], nv <> []) with
   | false, false -> Comm_none
   | true, false -> Comm_mpi
   | false, true -> Comm_nvshmem
@@ -134,26 +77,24 @@ let comm_form sdfg =
    for {!Placement.shard_1d}. *)
 let distributed sdfg = comm_form sdfg <> Comm_none || List.mem "rank" (free_symbols sdfg)
 
-let rec stmt_maps in_state = function
-  | S_map m -> [ (in_state, m) ]
-  | S_cond { then_; _ } -> List.concat_map (stmt_maps in_state) then_
-  | S_role { body; _ } -> List.concat_map (stmt_maps in_state) body
-  | S_lib _ | S_grid_sync -> []
-
 let maps_of sdfg =
-  List.concat_map (fun st -> List.concat_map (stmt_maps st.st_name) st.stmts) sdfg.states
+  List.concat_map
+    (fun st ->
+      List.filter_map (function S_map m -> Some (st.st_name, m) | _ -> None) (walk st.stmts))
+    sdfg.states
 
 let analyze sdfg =
   let maps =
     List.map
       (fun (st, m) ->
+        let ops = sem_operands ~var:m.m_var m.m_sem in
         {
           mi_state = st;
           mi_var = m.m_var;
-          mi_parallelism = classify_sem m.m_sem;
+          mi_parallelism = parallelism ops;
           mi_halo = sem_halo m.m_sem;
-          mi_reads = List.sort_uniq String.compare (Transforms.sem_reads m.m_sem);
-          mi_writes = List.sort_uniq String.compare (Transforms.sem_writes m.m_sem);
+          mi_reads = List.sort_uniq String.compare (arrays ~access:Read ops);
+          mi_writes = List.sort_uniq String.compare (arrays ~access:Write ops);
         })
       (maps_of sdfg)
   in

@@ -109,15 +109,12 @@ let rec emit_baseline_stmt b ~state ind stmt =
   | S_role { body; _ } -> List.iter (emit_baseline_stmt b ~state ind) body
   | S_grid_sync -> line b "%scudaStreamSynchronize(stream);" ind
 
-let rec collect_kernels b ~state stmts =
+let collect_kernels b ~state stmts =
   List.iter
-    (fun stmt ->
-      match stmt with
+    (function
       | S_map m -> emit_map_kernel b (Printf.sprintf "%s_map_%s" state m.m_var) m
-      | S_cond { then_; _ } -> collect_kernels b ~state then_
-      | S_role { body; _ } -> collect_kernels b ~state body
-      | S_lib _ | S_grid_sync -> ())
-    stmts
+      | S_lib _ | S_cond _ | S_role _ | S_grid_sync -> ())
+    (walk stmts)
 
 let emit_baseline sdfg =
   let b = Buffer.create 1024 in

@@ -113,13 +113,6 @@ let assignment lw env v e =
 
 (* --- map semantics ----------------------------------------------------- *)
 
-(* Data arrays a semantic touches; phantom operands make the whole map a
-   data no-op, so its body lowers to nothing. *)
-let rec sem_arrays = function
-  | Jacobi1d { src; dst } | Jacobi2d { src; dst; _ } | Jacobi3d { src; dst; _ } -> [ src; dst ]
-  | Fill { dst; _ } | Init_global { dst; _ } | Init_global2d { dst; _ } -> [ dst ]
-  | Multi sems -> List.concat_map sem_arrays sems
-
 (* Only called once every array of [sem] resolved to a real buffer. *)
 let rec lower_sem lw env sem =
   let buf name = Result.get_ok (buf_of lw name) in
@@ -182,8 +175,9 @@ let rec lower_sem lw env sem =
     fun i -> Array.iter (fun f -> f i) fs
 
 (* The map's per-index loop. Whether it moves data at all is decided here,
-   once: the first array in order that does not resolve fails the map, and
-   one that is phantom before that makes it a no-op. *)
+   once, from the map's arrays in operand order: the first that does not
+   resolve fails the map, and a phantom one before that makes the whole map
+   a data no-op. *)
 let map_body lw env (m : map_stmt) =
   let rec has_data = function
     | [] -> Ok true
@@ -192,7 +186,7 @@ let map_body lw env (m : map_stmt) =
       | Error _ as e -> e
       | Ok b -> if G.Buffer.is_phantom b then Ok false else has_data rest)
   in
-  match has_data (sem_arrays m.m_sem) with
+  match has_data (arrays (operands (S_map m))) with
   | Ok false -> noop
   | Error msg -> fun () -> raise (Lowering_error msg)
   | Ok true ->
@@ -414,13 +408,12 @@ let read_array store name ~pe =
 
 (* MPI request names of a list of states, for their slots. *)
 let request_names states =
-  let rec of_stmt = function
-    | S_lib (Mpi_isend { req; _ } | Mpi_irecv { req; _ }) -> [ req ]
-    | S_lib (Mpi_waitall names) -> names
-    | S_cond { then_ = body; _ } | S_role { body; _ } -> List.concat_map of_stmt body
-    | S_map _ | S_lib _ | S_grid_sync -> []
-  in
-  List.concat_map (fun st -> List.concat_map of_stmt st.stmts) states
+  List.concat_map
+    (fun st ->
+      List.filter_map
+        (function { kind = Request { req; _ }; _ } -> Some req | _ -> None)
+        (List.concat_map operands (walk st.stmts)))
+    states
 
 (* --- baseline (CPU-controlled) backend --------------------------------- *)
 
@@ -551,13 +544,7 @@ let map_fraction = function
   | Role_comm -> comm_group_fraction
   | Role_compute -> 1.0 -. comm_group_fraction
 
-let rec contains_role stmts =
-  List.exists
-    (function
-      | S_role _ -> true
-      | S_cond { then_; _ } -> contains_role then_
-      | S_map _ | S_lib _ | S_grid_sync -> false)
-    stmts
+let contains_role stmts = List.exists (function S_role _ -> true | _ -> false) (walk stmts)
 
 (* Statements outside any S_role belong to the compute group under the
    specialized schedule; the comm group only executes its own regions and

@@ -8,24 +8,19 @@ type t = {
   epilogue : state list;
 }
 
-let to_persistent_schedule stmts =
-  let rec rewrite = function
-    | S_map m -> S_map { m with m_schedule = Gpu_persistent }
-    | S_cond { cond; then_ } -> S_cond { cond; then_ = List.map rewrite then_ }
-    | S_role { role; body } -> S_role { role; body = List.map rewrite body }
-    | (S_lib _ | S_grid_sync) as s -> s
-  in
-  List.map rewrite stmts
+let to_persistent_schedule =
+  map_bodies
+    ~f:(List.map (function S_map m -> S_map { m with m_schedule = Gpu_persistent } | s -> s))
 
-let rec touches_global = function
-  | S_map _ -> true
-  | S_lib
-      ( Nv_put _ | Nv_putmem _ | Nv_putmem_signal _ | Nv_iput _ | Nv_p _ | Nv_signal_op _
-      | Nv_signal_wait _ | Nv_quiet ) -> true
-  | S_lib (Mpi_isend _ | Mpi_irecv _ | Mpi_waitall _) -> false
-  | S_cond { then_; _ } -> List.exists touches_global then_
-  | S_role { body; _ } -> List.exists touches_global body
-  | S_grid_sync -> false
+(* A statement touches global memory when it, or a statement of its body, is
+   a map or an NVSHMEM node. *)
+let touches_global stmt =
+  List.exists
+    (function
+      | S_map _ -> true
+      | S_lib node -> is_nvshmem node
+      | S_cond _ | S_role _ | S_grid_sync -> false)
+    (walk [ stmt ])
 
 let insert_barriers ~relax st =
   let stmts = to_persistent_schedule st.stmts in
@@ -59,27 +54,18 @@ let apply ?(relax = true) sdfg =
       }
 
 let barrier_count t =
-  let rec count_stmt = function
-    | S_grid_sync -> 1
-    | S_cond { then_; _ } -> List.fold_left (fun acc s -> acc + count_stmt s) 0 then_
-    | S_role { body; _ } -> List.fold_left (fun acc s -> acc + count_stmt s) 0 body
-    | S_map _ | S_lib _ -> 0
-  in
-  List.fold_left
-    (fun acc st -> acc + List.fold_left (fun a s -> a + count_stmt s) 0 st.stmts)
-    0 t.body
+  List.length
+    (List.filter (fun s -> s = S_grid_sync) (List.concat_map (fun st -> walk st.stmts) t.body))
 
 (* --- §5.4 thread-block specialization ----------------------------------- *)
 
 (* A state qualifies as an exchange if, barriers aside, it contains only
    communication library nodes (possibly behind rank guards). *)
-let rec comm_only_stmt = function
-  | S_lib _ -> true
-  | S_cond { then_; _ } -> List.for_all comm_only_stmt then_
-  | S_grid_sync -> true
-  | S_map _ | S_role _ -> false
-
-let is_exchange_state st = st.stmts <> [] && List.for_all comm_only_stmt st.stmts
+let is_exchange_state st =
+  st.stmts <> []
+  && List.for_all
+       (function S_lib _ | S_cond _ | S_grid_sync -> true | S_map _ | S_role _ -> false)
+       (walk st.stmts)
 
 let strip_sync stmts = List.filter (fun s -> s <> S_grid_sync) stmts
 

@@ -138,15 +138,13 @@ let exchange_state ~n ~gpus ~loop_var ~name ~arr ~sig_up ~sig_down =
   }
 
 let state_writes st =
-  List.concat_map
-    (function S_map m -> Transforms.sem_writes m.m_sem | _ -> [])
-    st.stmts
+  List.concat_map (function S_map _ as s -> arrays ~access:Write (operands s) | _ -> []) st.stmts
 
 let stencil_src st =
   List.find_map
     (function
-      | S_map m when Analysis.sem_halo m.m_sem > 0 -> (
-        match Transforms.sem_reads m.m_sem with [ src ] -> Some src | _ -> None)
+      | S_map m as s when Analysis.sem_halo m.m_sem > 0 -> (
+        match arrays ~access:Read (operands s) with [ src ] -> Some src | _ -> None)
       | _ -> None)
     st.stmts
 

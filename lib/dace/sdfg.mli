@@ -156,11 +156,61 @@ val has_signal : t -> string -> bool
 val out_edges : t -> string -> edge list
 val map_array : t -> f:(array_desc -> array_desc) -> t
 val map_states : t -> f:(state -> state) -> t
+
+(** {2 One walk and one operand list}
+
+    Every pass that reads a statement reads it through these: {!walk} for
+    where statements are, {!operands} for what each one names. A new
+    statement or library node kind declares its operands in {!operands}
+    (and {!is_nvshmem}); validation, analysis, the transforms and the
+    executor's request and array lookups then see it without change. *)
+
+val walk : stmt list -> stmt list
+(** Every statement of a list in order, each followed by the statements of
+    its {!S_cond} or {!S_role} body (recursively). *)
+
+val map_bodies : f:(stmt list -> stmt list) -> stmt list -> stmt list
+(** Rewrite a statement list and every nested {!S_cond} and {!S_role} body
+    with [f], each body before the list that holds it. *)
+
 val map_stmts : t -> f:(stmt -> stmt list) -> t
 (** Rewrite every statement (1-to-many) in every state, recursing into
-    {!S_cond} bodies. *)
+    {!S_cond} and {!S_role} bodies; [f] sees only the other statements. *)
 
-val arrays_of_libnode : libnode -> string list
-(** Data arrays a library node touches (signal names excluded). *)
+val is_nvshmem : libnode -> bool
+(** A GPU-initiated NVSHMEM node (its arrays must be on the symmetric heap). *)
+
+val lib_label : libnode -> string
+(** The node's name in messages: ["MPI_Isend"], ["nvshmem_putmem"], ... *)
+
+type access = Read | Write
+
+(** What one operand of a statement is. *)
+type operand_kind =
+  | Data of { array : string; access : access; symmetric : bool }
+      (** an array read or written; [symmetric] when it must live on the
+          symmetric heap (the arrays of NVSHMEM nodes) *)
+  | Signal of string  (** a signal raised or waited on *)
+  | Expr of Symbolic.expr  (** a symbolic expression: a range, offset, peer or value *)
+  | Request of { req : string; access : access }
+      (** an MPI request posted ([Write], by [MPI_Isend]/[MPI_Irecv]) or
+          waited on ([Read], by [MPI_Waitall]) *)
+
+type operand = { label : string; kind : operand_kind }
+(** [label] names the node in messages: ["nvshmem_putmem"],
+    ["jacobi2d map(i)"], ["map(i) range"], ["branch condition"], ... *)
+
+val operands : stmt -> operand list
+(** The statement's own operands in order (not those of a nested body):
+    a map's range and work, then its semantics'; a library node's arrays,
+    then its regions, peer, signal and value; a guard's two condition
+    sides. *)
+
+val sem_operands : var:string -> map_sem -> operand list
+(** The operands of a map semantics, labelled with the map variable [var]. *)
+
+val arrays : ?access:access -> operand list -> string list
+(** The arrays among [operands], in order (only those of [access] when
+    given). *)
 
 val pp_summary : Format.formatter -> t -> unit

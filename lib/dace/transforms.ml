@@ -10,27 +10,18 @@ let gpu_transform sdfg =
       | S_map m when m.m_schedule = Sequential -> [ S_map { m with m_schedule = Gpu_device } ]
       | S_map _ | S_lib _ | S_cond _ | S_role _ | S_grid_sync -> [ stmt ])
 
-let rec sem_writes = function
-  | Jacobi1d { dst; _ } | Jacobi2d { dst; _ } | Jacobi3d { dst; _ } | Fill { dst; _ }
-  | Init_global { dst; _ } | Init_global2d { dst; _ } -> [ dst ]
-  | Multi sems -> List.concat_map sem_writes sems
-
-let rec sem_reads = function
-  | Jacobi1d { src; _ } | Jacobi2d { src; _ } | Jacobi3d { src; _ } -> [ src ]
-  | Fill _ | Init_global _ | Init_global2d _ -> []
-  | Multi sems -> List.concat_map sem_reads sems
-
 let fusable a b =
+  let touched_by_b = arrays (operands (S_map b)) in
   a.m_schedule = b.m_schedule
   && Symbolic.equal a.m_lo b.m_lo
   && Symbolic.equal a.m_hi b.m_hi
   && String.equal a.m_var b.m_var
-  && (not (List.exists (fun w -> List.mem w (sem_reads b.m_sem)) (sem_writes a.m_sem)))
-  && not (List.exists (fun w -> List.mem w (sem_writes b.m_sem)) (sem_writes a.m_sem))
+  && not
+       (List.exists (fun w -> List.mem w touched_by_b) (arrays ~access:Write (operands (S_map a))))
 
 let map_fusion sdfg =
   let count = ref 0 in
-  let rec fuse_stmts = function
+  let rec fuse = function
     | S_map a :: S_map b :: rest when fusable a b ->
       incr count;
       let merged =
@@ -41,32 +32,18 @@ let map_fusion sdfg =
             m_work = Symbolic.(a.m_work + b.m_work);
           }
       in
-      fuse_stmts (merged :: rest)
-    | S_cond { cond; then_ } :: rest -> S_cond { cond; then_ = fuse_stmts then_ } :: fuse_stmts rest
-    | S_role { role; body } :: rest -> S_role { role; body = fuse_stmts body } :: fuse_stmts rest
-    | stmt :: rest -> stmt :: fuse_stmts rest
+      fuse (merged :: rest)
+    | stmt :: rest -> stmt :: fuse rest
     | [] -> []
   in
-  let sdfg = map_states sdfg ~f:(fun st -> { st with stmts = fuse_stmts st.stmts }) in
+  let sdfg = map_states sdfg ~f:(fun st -> { st with stmts = map_bodies ~f:fuse st.stmts }) in
   (sdfg, !count)
 
 let nvshmem_arrays_used sdfg =
-  let acc = ref [] in
-  let note node =
-    match node with
-    | Nv_put _ | Nv_putmem _ | Nv_putmem_signal _ | Nv_iput _ | Nv_p _ ->
-      acc := arrays_of_libnode node @ !acc
-    | Mpi_isend _ | Mpi_irecv _ | Mpi_waitall _ | Nv_signal_op _ | Nv_signal_wait _ | Nv_quiet ->
-      ()
-  in
-  let rec scan = function
-    | S_lib node -> note node
-    | S_cond { then_; _ } -> List.iter scan then_
-    | S_role { body; _ } -> List.iter scan body
-    | S_map _ | S_grid_sync -> ()
-  in
-  List.iter (fun st -> List.iter scan st.stmts) sdfg.states;
-  List.sort_uniq String.compare !acc
+  List.sort_uniq String.compare
+    (List.filter_map
+       (function { kind = Data { array; symmetric = true; _ }; _ } -> Some array | _ -> None)
+       (List.concat_map (fun st -> List.concat_map operands (walk st.stmts)) sdfg.states))
 
 let nvshmem_array sdfg =
   let symmetric = nvshmem_arrays_used sdfg in
@@ -119,16 +96,16 @@ let expand_nvshmem sdfg =
       | S_map _ | S_lib _ | S_cond _ | S_role _ | S_grid_sync -> [ stmt ])
 
 let replace_mpi_with_nvshmem_check sdfg =
-  let remaining = ref [] in
-  let rec scan in_state = function
-    | S_lib (Mpi_isend _) -> remaining := ("MPI_Isend in " ^ in_state) :: !remaining
-    | S_lib (Mpi_irecv _) -> remaining := ("MPI_Irecv in " ^ in_state) :: !remaining
-    | S_lib (Mpi_waitall _) -> remaining := ("MPI_Waitall in " ^ in_state) :: !remaining
-    | S_cond { then_; _ } -> List.iter (scan in_state) then_
-    | S_role { body; _ } -> List.iter (scan in_state) body
-    | S_map _ | S_lib _ | S_grid_sync -> ()
+  let remaining =
+    List.concat_map
+      (fun st ->
+        List.filter_map
+          (function
+            | S_lib node when not (is_nvshmem node) -> Some (lib_label node ^ " in " ^ st.st_name)
+            | S_map _ | S_lib _ | S_cond _ | S_role _ | S_grid_sync -> None)
+          (walk st.stmts))
+      sdfg.states
   in
-  List.iter (fun st -> List.iter (scan st.st_name) st.stmts) sdfg.states;
-  match !remaining with
+  match remaining with
   | [] -> Ok ()
-  | rs -> Error ("MPI nodes remain: " ^ String.concat ", " (List.rev rs))
+  | rs -> Error ("MPI nodes remain: " ^ String.concat ", " rs)

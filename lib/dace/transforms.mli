@@ -1,11 +1,5 @@
 (** Graph transformations (the DaCe passes this work adds or relies on). *)
 
-val sem_writes : Sdfg.map_sem -> string list
-(** Arrays a map semantics writes (with duplicates, in occurrence order). *)
-
-val sem_reads : Sdfg.map_sem -> string list
-(** Arrays a map semantics reads (with duplicates, in occurrence order). *)
-
 val gpu_transform : Sdfg.t -> Sdfg.t
 (** DaCe's GPUTransform: schedule every sequential map as a discrete GPU
     kernel and move every host array to GPU global memory — the

@@ -341,6 +341,290 @@ let validate_tests =
         Validate.check_exn ~require_symmetric:true fixed);
   ]
 
+(* The completeness law: every operand of every map semantics and library
+   node is checked. The nodes and the ways to break each operand are written
+   out here by hand, field by field, not read from Sdfg.operands, so an
+   operand the operand view drops leaves its break unreported. *)
+let ghost = "GHOST"
+let nosig = "NOSIG"
+let mystery = v "mystery"
+
+(* Every way to break one operand of a region. *)
+let region_breaks (r : Sdfg.region) =
+  [
+    { r with Sdfg.offset = mystery };
+    { r with Sdfg.stride = mystery };
+    { r with Sdfg.count = mystery };
+  ]
+
+let lib_label = function
+  | Sdfg.Mpi_isend _ -> "MPI_Isend"
+  | Sdfg.Mpi_irecv _ -> "MPI_Irecv"
+  | Sdfg.Mpi_waitall _ -> "MPI_Waitall"
+  | Sdfg.Nv_put _ -> "nv_put"
+  | Sdfg.Nv_putmem _ -> "nvshmem_putmem"
+  | Sdfg.Nv_putmem_signal _ -> "nvshmemx_putmem_signal"
+  | Sdfg.Nv_iput _ -> "nvshmem_iput"
+  | Sdfg.Nv_p _ -> "nvshmem_p"
+  | Sdfg.Nv_signal_op _ -> "nvshmem_signal_op"
+  | Sdfg.Nv_signal_wait _ -> "nvshmem_signal_wait"
+  | Sdfg.Nv_quiet -> "nvshmem_quiet"
+
+(* One valid node of each library constructor, and each one broken in one
+   operand at a time. *)
+let lib_cases =
+  let r = Sdfg.contiguous ~offset:(c 1) ~count:(v "N") in
+  let put =
+    Sdfg.Nv_put
+      { src = "A"; src_region = r; dst = "B"; dst_region = r; to_pe = v "rank";
+        signal = Some ("s", Sdfg.Sig_set, v "t") }
+  in
+  let putmem =
+    Sdfg.Nv_putmem { src = "A"; src_region = r; dst = "B"; dst_region = r; to_pe = c 0 }
+  in
+  let putmem_signal =
+    Sdfg.Nv_putmem_signal
+      { src = "A"; src_region = r; dst = "B"; dst_region = r; to_pe = c 0; signal = "s";
+        sig_kind = Sdfg.Sig_add; sig_value = c 1 }
+  in
+  let iput = Sdfg.Nv_iput { src = "A"; src_region = r; dst = "B"; dst_region = r; to_pe = c 0 } in
+  let p = Sdfg.Nv_p { src = "A"; src_off = c 0; dst = "B"; dst_off = c 1; to_pe = c 0 } in
+  let signal_op =
+    Sdfg.Nv_signal_op { signal = "s"; sig_kind = Sdfg.Sig_set; sig_value = c 1; to_pe = c 0 }
+  in
+  let signal_wait = Sdfg.Nv_signal_wait { signal = "s"; ge_value = v "t"; from_pe = c 0 } in
+  let isend = Sdfg.Mpi_isend { arr = "A"; region = r; dst_rank = c 0; tag = 1; req = "rs" } in
+  let irecv = Sdfg.Mpi_irecv { arr = "B"; region = r; src_rank = c 0; tag = 1; req = "rr" } in
+  let breaks = function
+    | Sdfg.Mpi_isend n ->
+      [ Sdfg.Mpi_isend { n with arr = ghost }; Sdfg.Mpi_isend { n with dst_rank = mystery } ]
+      @ List.map (fun region -> Sdfg.Mpi_isend { n with region }) (region_breaks n.region)
+    | Sdfg.Mpi_irecv n ->
+      [ Sdfg.Mpi_irecv { n with arr = ghost }; Sdfg.Mpi_irecv { n with src_rank = mystery } ]
+      @ List.map (fun region -> Sdfg.Mpi_irecv { n with region }) (region_breaks n.region)
+    | Sdfg.Mpi_waitall _ -> [ Sdfg.Mpi_waitall [ "rs"; ghost ] ]
+    | Sdfg.Nv_put n ->
+      [ Sdfg.Nv_put { n with src = ghost }; Sdfg.Nv_put { n with dst = ghost };
+        Sdfg.Nv_put { n with to_pe = mystery };
+        Sdfg.Nv_put { n with signal = Some (nosig, Sdfg.Sig_set, v "t") };
+        Sdfg.Nv_put { n with signal = Some ("s", Sdfg.Sig_set, mystery) } ]
+      @ List.map (fun src_region -> Sdfg.Nv_put { n with src_region }) (region_breaks n.src_region)
+      @ List.map (fun dst_region -> Sdfg.Nv_put { n with dst_region }) (region_breaks n.dst_region)
+    | Sdfg.Nv_putmem n ->
+      [ Sdfg.Nv_putmem { n with src = ghost }; Sdfg.Nv_putmem { n with dst = ghost };
+        Sdfg.Nv_putmem { n with to_pe = mystery } ]
+      @ List.map
+          (fun src_region -> Sdfg.Nv_putmem { n with src_region })
+          (region_breaks n.src_region)
+      @ List.map
+          (fun dst_region -> Sdfg.Nv_putmem { n with dst_region })
+          (region_breaks n.dst_region)
+    | Sdfg.Nv_putmem_signal n ->
+      [ Sdfg.Nv_putmem_signal { n with src = ghost }; Sdfg.Nv_putmem_signal { n with dst = ghost };
+        Sdfg.Nv_putmem_signal { n with to_pe = mystery };
+        Sdfg.Nv_putmem_signal { n with signal = nosig };
+        Sdfg.Nv_putmem_signal { n with sig_value = mystery } ]
+      @ List.map
+          (fun src_region -> Sdfg.Nv_putmem_signal { n with src_region })
+          (region_breaks n.src_region)
+      @ List.map
+          (fun dst_region -> Sdfg.Nv_putmem_signal { n with dst_region })
+          (region_breaks n.dst_region)
+    | Sdfg.Nv_iput n ->
+      [ Sdfg.Nv_iput { n with src = ghost }; Sdfg.Nv_iput { n with dst = ghost };
+        Sdfg.Nv_iput { n with to_pe = mystery } ]
+      @ List.map (fun src_region -> Sdfg.Nv_iput { n with src_region }) (region_breaks n.src_region)
+      @ List.map (fun dst_region -> Sdfg.Nv_iput { n with dst_region }) (region_breaks n.dst_region)
+    | Sdfg.Nv_p n ->
+      [ Sdfg.Nv_p { n with src = ghost }; Sdfg.Nv_p { n with dst = ghost };
+        Sdfg.Nv_p { n with src_off = mystery }; Sdfg.Nv_p { n with dst_off = mystery };
+        Sdfg.Nv_p { n with to_pe = mystery } ]
+    | Sdfg.Nv_signal_op n ->
+      [ Sdfg.Nv_signal_op { n with signal = nosig };
+        Sdfg.Nv_signal_op { n with sig_value = mystery };
+        Sdfg.Nv_signal_op { n with to_pe = mystery } ]
+    | Sdfg.Nv_signal_wait n ->
+      [ Sdfg.Nv_signal_wait { n with signal = nosig };
+        Sdfg.Nv_signal_wait { n with ge_value = mystery };
+        Sdfg.Nv_signal_wait { n with from_pe = mystery } ]
+    | Sdfg.Nv_quiet -> []
+  in
+  List.map
+    (fun node -> (node, breaks node))
+    [ isend; irecv; Sdfg.Mpi_waitall [ "rs"; "rr" ]; put; putmem; putmem_signal; iput; p;
+      signal_op; signal_wait; Sdfg.Nv_quiet ]
+
+let sem_label = function
+  | Sdfg.Jacobi1d _ -> "jacobi1d"
+  | Sdfg.Jacobi2d _ -> "jacobi2d"
+  | Sdfg.Jacobi3d _ -> "jacobi3d"
+  | Sdfg.Fill _ -> "fill"
+  | Sdfg.Init_global _ -> "init"
+  | Sdfg.Init_global2d _ -> "init2d"
+  | Sdfg.Multi _ -> "multi"
+
+(* One valid semantics of each constructor, each broken in one operand at a
+   time, as (label of the broken part, semantics). *)
+let sem_cases =
+  let j2 = Sdfg.Jacobi2d { src = "A"; dst = "B"; row_width = v "N"; col_lo = c 1; col_hi = c 2 } in
+  let j3 = Sdfg.Jacobi3d { src = "A"; dst = "B"; row_width = c 4; plane_width = c 16; ny = c 2 } in
+  let i2 =
+    Sdfg.Init_global2d
+      { dst = "A"; row_width = c 4; global_row0 = v "rank"; global_row_width = c 8;
+        global_col0 = c 0 }
+  in
+  let rec breaks sem =
+    let own = List.map (fun s -> (sem_label sem, s)) in
+    match sem with
+    | Sdfg.Jacobi1d n ->
+      own [ Sdfg.Jacobi1d { n with src = ghost }; Sdfg.Jacobi1d { n with dst = ghost } ]
+    | Sdfg.Jacobi2d n ->
+      own
+        [ Sdfg.Jacobi2d { n with src = ghost }; Sdfg.Jacobi2d { n with dst = ghost };
+          Sdfg.Jacobi2d { n with row_width = mystery }; Sdfg.Jacobi2d { n with col_lo = mystery };
+          Sdfg.Jacobi2d { n with col_hi = mystery } ]
+    | Sdfg.Jacobi3d n ->
+      own
+        [ Sdfg.Jacobi3d { n with src = ghost }; Sdfg.Jacobi3d { n with dst = ghost };
+          Sdfg.Jacobi3d { n with row_width = mystery };
+          Sdfg.Jacobi3d { n with plane_width = mystery };
+          Sdfg.Jacobi3d { n with ny = mystery } ]
+    | Sdfg.Fill n -> own [ Sdfg.Fill { n with dst = ghost } ]
+    | Sdfg.Init_global n ->
+      own
+        [ Sdfg.Init_global { n with dst = ghost };
+          Sdfg.Init_global { n with global_off = mystery } ]
+    | Sdfg.Init_global2d n ->
+      own
+        [ Sdfg.Init_global2d { n with dst = ghost };
+          Sdfg.Init_global2d { n with row_width = mystery };
+          Sdfg.Init_global2d { n with global_row0 = mystery };
+          Sdfg.Init_global2d { n with global_row_width = mystery };
+          Sdfg.Init_global2d { n with global_col0 = mystery } ]
+    | Sdfg.Multi sems ->
+      (* Break each part of a fused map in turn, the others left whole. *)
+      List.concat
+        (List.mapi
+           (fun i part ->
+             List.map
+               (fun (label, broken) ->
+                 (label, Sdfg.Multi (List.mapi (fun j s -> if i = j then broken else s) sems)))
+               (breaks part))
+           sems)
+  in
+  let fill = Sdfg.Fill { dst = "A"; value = 0.0 } in
+  List.map
+    (fun sem -> (sem, breaks sem))
+    [ Sdfg.Jacobi1d { src = "A"; dst = "B" }; j2; j3; fill;
+      Sdfg.Init_global { dst = "A"; global_off = v "rank" }; i2; Sdfg.Multi [ fill; j2 ] ]
+
+(* A program with arrays A and B, signal s and symbols N and t, whose one
+   state posts the requests rs and rr, then runs [stmt]. *)
+let law_program stmt =
+  let arr name = { Sdfg.arr_name = name; arr_size = c 64; storage = Sdfg.Gpu_nvshmem } in
+  let r = Sdfg.single ~offset:(c 0) in
+  let post node = Sdfg.S_lib node in
+  {
+    Sdfg.sdfg_name = "law";
+    arrays = [ arr "A"; arr "B" ];
+    sdfg_signals = [ "s" ];
+    states =
+      [
+        {
+          Sdfg.st_name = "st";
+          stmts =
+            [
+              post (Sdfg.Mpi_isend { arr = "A"; region = r; dst_rank = c 0; tag = 0; req = "rs" });
+              post (Sdfg.Mpi_irecv { arr = "B"; region = r; src_rank = c 0; tag = 0; req = "rr" });
+              stmt;
+            ];
+        };
+      ];
+    edges = [];
+    start_state = "st";
+    symbols = [ ("N", 8); ("t", 1) ];
+  }
+
+let law_map sem =
+  { Sdfg.m_var = "i"; m_lo = c 0; m_hi = c 3; m_schedule = Sdfg.Gpu_device; m_sem = sem;
+    m_work = c 1 }
+
+let map_of sem = Sdfg.S_map (law_map sem)
+
+(* [broken] is reported once, in state st, by [label] and the bad name. *)
+let reported_once ~label broken =
+  match Validate.check ~require_symmetric:true (law_program broken) with
+  | Ok () -> Alcotest.failf "a break of %s is not reported" label
+  | Error [ e ] ->
+    let msg = Validate.error_to_string e in
+    let names_bad =
+      List.exists (fun a -> Astring.String.is_infix ~affix:a msg) [ ghost; nosig; "mystery" ]
+    in
+    if not (Astring.String.is_prefix ~affix:("[state st] " ^ label ^ " ") msg && names_bad) then
+      Alcotest.failf "a break of %s is reported as %S" label msg
+  | Error es ->
+    Alcotest.failf "a break of %s is reported %d times: %s" label (List.length es)
+      (String.concat "; " (List.map Validate.error_to_string es))
+
+let completeness_tests =
+  [
+    Alcotest.test_case "every library node operand is checked and reported by its label" `Quick
+      (fun () ->
+        List.iter
+          (fun (node, breaks) ->
+            Validate.check_exn ~require_symmetric:true (law_program (Sdfg.S_lib node));
+            List.iter (fun b -> reported_once ~label:(lib_label b) (Sdfg.S_lib b)) breaks)
+          lib_cases);
+    Alcotest.test_case "every map operand is checked and reported by its label" `Quick (fun () ->
+        List.iter
+          (fun (sem, breaks) ->
+            Validate.check_exn ~require_symmetric:true (law_program (map_of sem));
+            List.iter
+              (fun (label, b) -> reported_once ~label:(label ^ " map(i)") (map_of b))
+              breaks)
+          sem_cases;
+        let m = law_map (Sdfg.Fill { dst = "A"; value = 0.0 }) in
+        reported_once ~label:"map(i) range" (Sdfg.S_map { m with m_lo = mystery });
+        reported_once ~label:"map(i) range" (Sdfg.S_map { m with m_hi = mystery });
+        reported_once ~label:"map(i) work" (Sdfg.S_map { m with m_work = mystery }));
+    Alcotest.test_case "a guard's condition and nested bodies are checked" `Quick (fun () ->
+        let guard cond body = Sdfg.S_cond { cond; then_ = body } in
+        let wait =
+          Sdfg.S_lib (Sdfg.Nv_signal_wait { signal = nosig; ge_value = c 1; from_pe = c 0 })
+        in
+        reported_once ~label:"branch condition" (guard (Sym.Lt (mystery, c 1)) []);
+        reported_once ~label:"branch condition" (guard (Sym.Ge (c 1, mystery)) []);
+        reported_once ~label:"nvshmem_signal_wait"
+          (Sdfg.S_role { role = Sdfg.Comm_role; body = [ guard (Sym.Eq (c 0, c 0)) [ wait ] ] }));
+    Alcotest.test_case "an MPI_Waitall on a request nothing posts is rejected" `Quick (fun () ->
+        let stray =
+          Sdfg.map_stmts (tiny_sdfg ()) ~f:(function
+            | Sdfg.S_lib (Sdfg.Mpi_waitall reqs) ->
+              [ Sdfg.S_lib (Sdfg.Mpi_waitall (reqs @ [ "stray" ])) ]
+            | stmt -> [ stmt ])
+        in
+        let msgs =
+          match Validate.check stray with
+          | Ok () -> []
+          | Error es -> List.map Validate.error_to_string es
+        in
+        let want state =
+          Printf.sprintf
+            "[state %s] MPI_Waitall waits on request stray that no MPI_Isend or MPI_Irecv posts"
+            state
+        in
+        (* Two exchange states, each with two guarded waitalls. *)
+        check (Alcotest.list Alcotest.string) "errors"
+          [ want "exch_A"; want "exch_A"; want "exch_B"; want "exch_B" ] msgs;
+        (* It no longer reaches the backend, where it failed only at run time. *)
+        match
+          D.Autotune.transform (D.Pipeline.hand_plan D.Pipeline.Baseline_mpi ~gpus:4) stray
+        with
+        | _ -> Alcotest.fail "the baseline pipeline accepted a stray request"
+        | exception Invalid_argument m ->
+          check_bool "names the request" true (Astring.String.is_infix ~affix:"request stray" m));
+  ]
+
 (* --- Loop detection --------------------------------------------------------- *)
 
 let loop_tests =
@@ -1077,7 +1361,7 @@ let () =
     [
       ("symbolic", symbolic_tests @ symbolic_props @ symbolic_laws @ compile_laws);
       ("sdfg", sdfg_tests);
-      ("validate", validate_tests);
+      ("validate", validate_tests @ completeness_tests);
       ("loop", loop_tests);
       ("transforms", transforms_tests @ transforms_props);
       ("persistent-fusion", fusion_tests);
